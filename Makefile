@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint lint-json chaos adversary proc-chaos proc-chaos-extended storage-chaos storage-chaos-extended bench bench-snapshot bench-snapshot-full
+.PHONY: all build test race vet lint lint-json chaos adversary proc-chaos proc-chaos-extended storage-chaos storage-chaos-extended bench bench-e2e bench-snapshot bench-snapshot-full
 
 all: build vet lint test
 
@@ -80,6 +80,13 @@ storage-chaos-extended:
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
+
+# The repo's end-to-end benchmark (BENCHMARK.json, benchmark/README.md):
+# four seeded workloads replayed against Directory and the occupancy
+# simulator, every metric printed by name. Exits nonzero when a workload
+# reports correct=false (an outcome fingerprint moved) or a failed op.
+bench-e2e:
+	bash benchmark/run.sh --workload all --seconds 8
 
 # Refresh BENCH.json: wall time per figure at quick scale plus the
 # allocation hot-path micro-benchmarks. Commit the result to record the

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"time"
 
 	"sessiondir/internal/announce"
@@ -228,7 +227,7 @@ func (cs *CacheStore) Checkpoint() error {
 	defer d.jmu.Unlock()
 	d.mu.Lock()
 	live := d.cache.Live()
-	sort.Slice(live, func(i, j int) bool { return live[i].Desc.Key() < live[j].Desc.Key() })
+	announce.SortByKey(live)
 	entries := make([][]byte, 0, len(live))
 	for _, e := range live {
 		if p := encodeLearn(e); p != nil {

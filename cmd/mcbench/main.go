@@ -50,8 +50,9 @@ import (
 
 	"sessiondir"
 	"sessiondir/internal/allocator"
-	"sessiondir/internal/experiments"
 	"sessiondir/internal/announce"
+	"sessiondir/internal/clash"
+	"sessiondir/internal/experiments"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/obs"
 	"sessiondir/internal/sap"
@@ -121,6 +122,22 @@ type microBenchResult struct {
 	BatchDepth   float64 `json:"batch_depth,omitempty"`
 }
 
+// runMicro times fn under testing.Benchmark. units is how many units of
+// work (addresses of a batch, say) one b.N iteration does; ns_per_op is
+// per unit, allocations and bytes per iteration.
+func runMicro(name string, units int, fn func(b *testing.B)) microBenchResult {
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		fn(b)
+	})
+	return microBenchResult{
+		Name:     name,
+		NsPerOp:  float64(res.T.Nanoseconds()) / float64(res.N*units),
+		AllocsOp: res.AllocsPerOp(),
+		BytesOp:  res.AllocedBytesPerOp(),
+	}
+}
+
 // microBenches mirrors the hot-path micro-benchmarks in bench_test.go so a
 // plain mcbench run can record allocs/op without the test harness.
 func microBenches() []microBenchResult {
@@ -146,20 +163,13 @@ func microBenches() []microBenchResult {
 		c := c
 		view := mkView(500, mcast.DS4())
 		rng := stats.NewRNG(5)
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
+		out = append(out, runMicro(c.name, 1, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := c.alloc.Allocate(view, c.ttl, rng); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-		out = append(out, microBenchResult{
-			Name:     c.name,
-			NsPerOp:  float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsOp: res.AllocsPerOp(),
-			BytesOp:  res.AllocedBytesPerOp(),
-		})
+		}))
 	}
 
 	// Batch allocation micros: ns_per_op here is per ADDRESS (total time
@@ -178,8 +188,7 @@ func microBenches() []microBenchResult {
 		view := mkView(500, mcast.DS4())
 		rng := stats.NewRNG(5)
 		dst := make([]mcast.Addr, 0, c.k)
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
+		out = append(out, runMicro(c.name, c.k, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
 				dst, err = c.alloc.AllocateBatch(view, 127, c.k, dst[:0], rng)
@@ -187,13 +196,7 @@ func microBenches() []microBenchResult {
 					b.Fatal(err)
 				}
 			}
-		})
-		out = append(out, microBenchResult{
-			Name:     c.name,
-			NsPerOp:  float64(res.T.Nanoseconds()) / float64(res.N*c.k),
-			AllocsOp: res.AllocsPerOp(),
-			BytesOp:  res.AllocedBytesPerOp(),
-		})
+		}))
 	}
 
 	// Receive-path micros: the frozen pre-batching baseline vs the
@@ -236,25 +239,77 @@ func microBenches() []microBenchResult {
 	}
 	for _, c := range decodeCases {
 		c := c
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
+		out = append(out, runMicro(c.name, 1, func(b *testing.B) {
 			var p sap.Packet
 			for i := 0; i < b.N; i++ {
 				if err := c.decode(&p, sdpWire); err != nil {
 					b.Fatal(err)
 				}
 			}
-		})
-		out = append(out, microBenchResult{
-			Name:     c.name,
-			NsPerOp:  float64(res.T.Nanoseconds()) / float64(res.N),
-			AllocsOp: res.AllocsPerOp(),
-			BytesOp:  res.AllocedBytesPerOp(),
-		})
+		}))
 	}
 
 	out = append(out, checkpointMicros()...)
+	out = append(out, listenerMicros()...)
 	return out
+}
+
+// listenerMicros measures the middle of the listener path, the stages
+// between SAP decode and the journal that every re-announcement of a
+// known session crosses: the clash tracker's Observe at two cache sizes
+// (its cost must not depend on the population) and the session codec.
+func listenerMicros() []microBenchResult {
+	var out []microBenchResult
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"ClashObserveReannounce1k", 1000}, {"ClashObserveReannounce10k", 10000}} {
+		tr := clash.NewTracker(clash.TrackerConfig{
+			RecentWindow: 10000,
+			Delay:        clash.NewExponentialDelay(0, 3200, 200),
+		}, stats.NewRNG(5))
+		known := make([]clash.Observation, c.n)
+		for i := range known {
+			known[i] = clash.Observation{
+				Key:  clash.SessionKey(fmt.Sprintf("10.%d.%d.1/%d", i>>8&255, i&255, i)),
+				Addr: mcast.Addr(i), TTL: 127,
+			}
+			tr.Observe(known[i])
+		}
+		out = append(out, runMicro(c.name, 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tr.Observe(known[i%len(known)])
+			}
+		}))
+	}
+	desc := &session.Description{
+		ID: 3141592653, Version: 3, OriginUser: "mjh",
+		Origin: netip.MustParseAddr("10.1.2.3"),
+		Name:   "mcbench codec sample", Info: "a typical sdr announcement",
+		Group: netip.MustParseAddr("224.2.128.99"), TTL: 127,
+		Start:      time.Date(1998, 9, 1, 14, 0, 0, 0, time.UTC),
+		Stop:       time.Date(1998, 9, 1, 16, 0, 0, 0, time.UTC),
+		Attributes: []string{"tool:sdr v2.5", "type:meeting"},
+		Media: []session.Media{
+			{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0", Attributes: []string{"ptime:40"}},
+			{Type: "video", Port: 20002, Proto: "RTP/AVP", Format: "31"},
+		},
+	}
+	return append(out,
+		runMicro("SessionMarshalSDP", 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := desc.MarshalSDP(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}),
+		runMicro("SessionKey", 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if desc.Key() == "" {
+					b.Fatal("empty key")
+				}
+			}
+		}))
 }
 
 // checkpointSessions is the cache population for the persistence
@@ -317,8 +372,7 @@ func checkpointMicros() []microBenchResult {
 		}
 	}
 	rotate()
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
+	out = append(out, runMicro("CheckpointJournalAppend", 1, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if i%65536 == 65535 {
 				b.StopTimer()
@@ -329,13 +383,7 @@ func checkpointMicros() []microBenchResult {
 				b.Fatal(aerr)
 			}
 		}
-	})
-	out = append(out, microBenchResult{
-		Name:     "CheckpointJournalAppend",
-		NsPerOp:  float64(res.T.Nanoseconds()) / float64(res.N),
-		AllocsOp: res.AllocsPerOp(),
-		BytesOp:  res.AllocedBytesPerOp(),
-	})
+	}))
 
 	// The frozen baseline: one legacy-format full-cache snapshot per
 	// checkpoint, O(sessions) every time.
@@ -344,20 +392,13 @@ func checkpointMicros() []microBenchResult {
 	for _, d := range descs {
 		cache.Restore(d, now, now, now)
 	}
-	res = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
+	out = append(out, runMicro("CheckpointSnapshotLegacy", 1, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if serr := cache.Save(io.Discard); serr != nil {
 				b.Fatal(serr)
 			}
 		}
-	})
-	out = append(out, microBenchResult{
-		Name:     "CheckpointSnapshotLegacy",
-		NsPerOp:  float64(res.T.Nanoseconds()) / float64(res.N),
-		AllocsOp: res.AllocsPerOp(),
-		BytesOp:  res.AllocedBytesPerOp(),
-	})
+	}))
 	return out
 }
 
@@ -406,7 +447,13 @@ func sampleSAPWire() []byte {
 //     as the frozen pre-batching baseline;
 //   - one journaled checkpoint delta append at most 1/20th of a legacy
 //     full-snapshot rewrite at 1000 cached sessions — the O(delta) vs
-//     O(sessions) persistence claim.
+//     O(sessions) persistence claim;
+//   - the clash tracker's Observe of a known session allocation-free and
+//     at most 1.5x dearer at 10k cached sessions than at 1k (the address
+//     index: cost independent of the population, cache misses aside);
+//   - the session codec at one allocation per key and per marshalled
+//     description, under 300 ns and 2 µs (several times what the fmt-free
+//     appenders measure, a fraction of what fmt cost).
 func budgetFailures(r benchReport) []string {
 	micro := make(map[string]microBenchResult, len(r.Micro))
 	for _, m := range r.Micro {
@@ -433,6 +480,31 @@ func budgetFailures(r benchReport) []string {
 	case app.NsPerOp > 0 && snap.NsPerOp/app.NsPerOp < 20:
 		fails = append(fails, fmt.Sprintf("budget: journal append %.0f ns is only 1/%.1f of a full snapshot (%.0f ns), budget ≤ 1/20 (O(delta) vs O(sessions))",
 			app.NsPerOp, snap.NsPerOp/app.NsPerOp, snap.NsPerOp))
+	}
+	re1k, have1k := micro["ClashObserveReannounce1k"]
+	re10k, have10k := micro["ClashObserveReannounce10k"]
+	switch {
+	case !have1k:
+		fails = append(fails, "budget: micro ClashObserveReannounce1k missing from report")
+	case !have10k:
+		fails = append(fails, "budget: micro ClashObserveReannounce10k missing from report")
+	case re1k.AllocsOp != 0 || re10k.AllocsOp != 0:
+		fails = append(fails, fmt.Sprintf("budget: ClashObserveReannounce %d and %d allocs/op at 1k and 10k sessions, budget 0",
+			re1k.AllocsOp, re10k.AllocsOp))
+	case re1k.NsPerOp > 0 && re10k.NsPerOp/re1k.NsPerOp > 1.5:
+		fails = append(fails, fmt.Sprintf("budget: ClashObserveReannounce %.0f ns at 10k sessions is %.1fx its %.0f ns at 1k, budget ≤ 1.5x (O(1) in cache size)",
+			re10k.NsPerOp, re10k.NsPerOp/re1k.NsPerOp, re1k.NsPerOp))
+	}
+	for _, c := range []struct {
+		name  string
+		maxNs float64
+	}{{"SessionKey", 300}, {"SessionMarshalSDP", 2000}} {
+		if m, ok := micro[c.name]; !ok {
+			fails = append(fails, fmt.Sprintf("budget: micro %s missing from report", c.name))
+		} else if m.AllocsOp > 1 || m.NsPerOp >= c.maxNs {
+			fails = append(fails, fmt.Sprintf("budget: %s %.0f ns and %d allocs/op, budget < %.0f ns and ≤ 1 alloc",
+				c.name, m.NsPerOp, m.AllocsOp, c.maxNs))
+		}
 	}
 	batch, haveBatch := micro["UDPRecvBatch"]
 	if !haveBatch {

@@ -108,7 +108,11 @@ func TestRunCompareInjected2xSlowdown(t *testing.T) {
 		{"name":"SAPDecodeZeroCopy","ns_per_op":40,"allocs_per_op":0},
 		{"name":"UDPRecvBatch","ns_per_op":450,"allocs_per_op":0},
 		{"name":"CheckpointJournalAppend","ns_per_op":500},
-		{"name":"CheckpointSnapshotLegacy","ns_per_op":50000}]}`), 0o644); err != nil {
+		{"name":"CheckpointSnapshotLegacy","ns_per_op":50000},
+		{"name":"ClashObserveReannounce1k","ns_per_op":40},
+		{"name":"ClashObserveReannounce10k","ns_per_op":52},
+		{"name":"SessionMarshalSDP","ns_per_op":550,"allocs_per_op":1},
+		{"name":"SessionKey","ns_per_op":70,"allocs_per_op":1}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if code := runCompare([]string{oldPath, newPath, "-tolerance", "25%"}); code == 0 {
@@ -132,6 +136,10 @@ func budgetReport() benchReport {
 			{Name: "UDPRecvBatch", NsPerOp: 450, AllocsOp: 0, DgramsPerSec: 2.2e6, BatchDepth: 30},
 			{Name: "CheckpointJournalAppend", NsPerOp: 500},
 			{Name: "CheckpointSnapshotLegacy", NsPerOp: 50000},
+			{Name: "ClashObserveReannounce1k", NsPerOp: 40},
+			{Name: "ClashObserveReannounce10k", NsPerOp: 52},
+			{Name: "SessionMarshalSDP", NsPerOp: 550, AllocsOp: 1, BytesOp: 352},
+			{Name: "SessionKey", NsPerOp: 70, AllocsOp: 1, BytesOp: 24},
 		},
 	}
 }
@@ -177,8 +185,27 @@ func TestBudgetFailuresBatchDepthCollapse(t *testing.T) {
 func TestBudgetFailuresMissingMicros(t *testing.T) {
 	r := budgetReport()
 	r.Micro = nil
-	if fails := budgetFailures(r); len(fails) != 4 {
-		t.Fatalf("missing micros should produce four failures, got: %v", fails)
+	if fails := budgetFailures(r); len(fails) != 7 {
+		t.Fatalf("missing micros should produce seven failures, got: %v", fails)
+	}
+}
+
+func TestBudgetFailuresListenerPath(t *testing.T) {
+	r := budgetReport()
+	r.Micro[8].NsPerOp = 400 // tracker Observe scaling with the cache again
+	if fails := budgetFailures(r); len(fails) != 1 {
+		t.Fatalf("population-dependent tracker Observe not caught: %v", fails)
+	}
+	r = budgetReport()
+	r.Micro[7].AllocsOp = 1
+	if fails := budgetFailures(r); len(fails) != 1 {
+		t.Fatalf("allocating tracker Observe not caught: %v", fails)
+	}
+	r = budgetReport()
+	r.Micro[9].AllocsOp = 27  // fmt is back in MarshalSDP
+	r.Micro[10].NsPerOp = 350 // and in Key
+	if fails := budgetFailures(r); len(fails) != 2 {
+		t.Fatalf("codec regressions not caught: %v", fails)
 	}
 }
 

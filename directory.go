@@ -779,6 +779,7 @@ func (d *Directory) OwnSessions() []*session.Description {
 type parsedPacket struct {
 	pkt  sap.Packet
 	desc *session.Description
+	key  string // desc.Key(), built here so the serial apply phase need not
 	ok   bool
 }
 
@@ -803,6 +804,7 @@ func (d *Directory) parsePacket(data []byte, stripe int) parsedPacket {
 		return p
 	}
 	p.desc = desc
+	p.key = desc.Key()
 	p.ok = true
 	return p
 }
@@ -866,7 +868,7 @@ func (d *Directory) applyParsedLocked(p *parsedPacket) {
 	desc := p.desc
 	d.ins.packetsReceived.Inc()
 	now := d.cfg.Clock()
-	key := desc.Key()
+	key := p.key
 
 	// Per-origin rate limiting covers everything a peer can make us
 	// process. Dropped packets trigger no reactions at all, so they cannot
@@ -899,12 +901,12 @@ func (d *Directory) applyParsedLocked(p *parsedPacket) {
 		}
 		// A previously unknown session must pass the budget gate before it
 		// may occupy cache (and clash-tracker) state.
-		if !d.admitNewLocked(desc, now) {
+		if !d.admitNewLocked(desc, key, now) {
 			return
 		}
 	}
 
-	if e, fresh := d.cache.Observe(desc, now); fresh {
+	if e, fresh := d.cache.ObserveKeyed(key, desc, now); fresh {
 		d.ins.sessionsLearned.Inc()
 		d.trace.Record(obs.TraceEvent{At: d.ms(now), Kind: obs.TraceLearn, Key: key})
 		d.emit(Event{Kind: EventSessionLearned, Key: key, Desc: desc})
@@ -1000,7 +1002,7 @@ func (d *Directory) validateAnnounceLocked(pkt *sap.Packet, desc *session.Descri
 // admitNewLocked runs the budget gate for a previously unknown session,
 // applying any planned evictions. Returns false if the newcomer was shed
 // or denied.
-func (d *Directory) admitNewLocked(desc *session.Description, now time.Time) bool {
+func (d *Directory) admitNewLocked(desc *session.Description, key string, now time.Time) bool {
 	if d.cfg.MaxSessions <= 0 && d.cfg.MaxPerOrigin <= 0 {
 		return true
 	}
@@ -1016,7 +1018,7 @@ func (d *Directory) admitNewLocked(desc *session.Description, now time.Time) boo
 	switch dec.Outcome {
 	case admission.Shed:
 		d.ins.shed.Inc()
-		d.trace.Record(obs.TraceEvent{At: d.ms(now), Kind: obs.TraceShed, Key: desc.Key()})
+		d.trace.Record(obs.TraceEvent{At: d.ms(now), Kind: obs.TraceShed, Key: key})
 		return false
 	case admission.DenyQuota:
 		d.ins.quotaDrops.Inc()
@@ -1036,11 +1038,15 @@ func (d *Directory) candidatesLocked() [][]admission.Candidate {
 	for i, entries := range grouped {
 		cands := make([]admission.Candidate, 0, len(entries))
 		for _, e := range entries {
-			if e.Desc.Origin == d.cfg.Origin || d.owned[e.Desc.Key()] != nil {
+			if e.Desc.Origin == d.cfg.Origin {
+				continue
+			}
+			key := e.Desc.Key()
+			if d.owned[key] != nil {
 				continue
 			}
 			cands = append(cands, admission.Candidate{
-				Key:       e.Desc.Key(),
+				Key:       key,
 				Origin:    e.Desc.Origin,
 				TTL:       e.Desc.TTL,
 				LastHeard: e.LastHeard,
@@ -1215,11 +1221,11 @@ func (d *Directory) registerLoadedLocked(now time.Time) {
 	// can draw suppression delays from the RNG when loaded entries clash,
 	// so registration order must be reproducible.
 	live := d.cache.Live()
-	sort.Slice(live, func(i, j int) bool { return live[i].Desc.Key() < live[j].Desc.Key() })
-	for _, e := range live {
+	keys := announce.SortByKey(live)
+	for i, e := range live {
 		if idx, ok := d.space.Index(e.Desc.Group); ok {
 			d.tracker.Observe(clash.Observation{
-				Key:  clash.SessionKey(e.Desc.Key()),
+				Key:  clash.SessionKey(keys[i]),
 				Addr: idx,
 				TTL:  e.Desc.TTL,
 				At:   d.ms(now),

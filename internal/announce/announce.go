@@ -127,11 +127,15 @@ type Entry struct {
 // adSize is the bandwidth-budget cost of one announcement: SDP payload
 // plus the SAP header, or a nominal size for descriptions that cannot
 // marshal (matching the lazy accounting TotalAdBytes historically used).
-func adSize(d *session.Description) int {
-	if data, err := d.MarshalSDP(); err == nil {
-		return len(data) + 8 // + SAP header
+// It measures by marshalling into the cache's scratch buffer, so a
+// refresh of a known session allocates nothing.
+func (c *Cache) adSize(d *session.Description) int {
+	data, err := d.AppendSDP(c.scratch[:0])
+	c.scratch = data[:0]
+	if err != nil {
+		return 256
 	}
-	return 256
+	return len(data) + 8 // + SAP header
 }
 
 // Cache is the listened-session store. It is not safe for concurrent use;
@@ -144,6 +148,9 @@ type Cache struct {
 	// they sit on the announcement-scheduling path of every send.
 	live    int
 	adBytes int
+	// scratch is adSize's marshal buffer, reused across calls (whoever
+	// serialises access to the cache serialises it too).
+	scratch []byte
 	// Timeout evicts sessions not re-announced for this long. RFC 2974
 	// uses max(1 h, 10×interval).
 	Timeout time.Duration
@@ -161,10 +168,15 @@ func NewCache(timeout time.Duration) *Cache {
 // Observe records an announcement, returning the entry and whether the
 // session (or a new version of it) was previously unknown.
 func (c *Cache) Observe(d *session.Description, now time.Time) (*Entry, bool) {
-	key := d.Key()
+	return c.ObserveKeyed(d.Key(), d, now)
+}
+
+// ObserveKeyed is Observe for a caller that already holds key = d.Key()
+// (the receive path computes it once per packet, in its parse phase).
+func (c *Cache) ObserveKeyed(key string, d *session.Description, now time.Time) (*Entry, bool) {
 	e, ok := c.entries[key]
 	if !ok {
-		e = &Entry{Desc: d, FirstHeard: now, LastHeard: now, adBytes: adSize(d)}
+		e = &Entry{Desc: d, FirstHeard: now, LastHeard: now, adBytes: c.adSize(d)}
 		c.entries[key] = e
 		c.live++
 		c.adBytes += e.adBytes
@@ -179,7 +191,7 @@ func (c *Cache) Observe(d *session.Description, now time.Time) (*Entry, bool) {
 		}
 		e.Desc = d
 		e.Deleted = false
-		e.adBytes = adSize(d)
+		e.adBytes = c.adSize(d)
 		c.adBytes += e.adBytes
 	}
 	e.LastHeard = now

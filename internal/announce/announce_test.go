@@ -161,3 +161,25 @@ func TestCacheLiveAndTotalBytes(t *testing.T) {
 		t.Fatalf("TotalAdBytes = %d", got)
 	}
 }
+
+// TestCacheRefreshAllocatesNothing pins the listener fast path: hearing a
+// known session again at the same version — a new Description each time,
+// as the receive path parses one per packet — allocates nothing, while the
+// bandwidth total stays the exact marshalled size.
+func TestCacheRefreshAllocatesNothing(t *testing.T) {
+	c := NewCache(0)
+	now := time.Unix(0, 0)
+	c.Observe(desc(1, 1), now)
+	again := desc(1, 1)
+	key := again.Key()
+	if n := testing.AllocsPerRun(100, func() { c.ObserveKeyed(key, again, now) }); n != 0 {
+		t.Fatalf("same-version ObserveKeyed: %v allocs, want 0", n)
+	}
+	sdp, err := again.MarshalSDP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.TotalAdBytes(), len(sdp)+8; got != want {
+		t.Fatalf("TotalAdBytes = %d, want %d", got, want)
+	}
+}

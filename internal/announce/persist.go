@@ -124,7 +124,7 @@ func (c *Cache) Restore(desc *session.Description, first, last, now time.Time) b
 		if desc.Version > existing.Desc.Version && !existing.Deleted {
 			c.adBytes -= existing.adBytes
 			existing.Desc = desc
-			existing.adBytes = adSize(desc)
+			existing.adBytes = c.adSize(desc)
 			c.adBytes += existing.adBytes
 		}
 		return false
@@ -133,7 +133,7 @@ func (c *Cache) Restore(desc *session.Description, first, last, now time.Time) b
 		Desc:       desc,
 		FirstHeard: first,
 		LastHeard:  last,
-		adBytes:    adSize(desc),
+		adBytes:    c.adSize(desc),
 	}
 	c.entries[key] = e
 	c.live++

@@ -114,10 +114,15 @@ func (sh *cacheShard) sync() {
 // Observe records an announcement, returning the entry and whether the
 // session (or a new version of it) was previously unknown.
 func (s *Sharded) Observe(d *session.Description, now time.Time) (*Entry, bool) {
-	sh := &s.shards[s.shardFor(d.Key())]
+	return s.ObserveKeyed(d.Key(), d, now)
+}
+
+// ObserveKeyed is Observe for a caller that already holds key = d.Key().
+func (s *Sharded) ObserveKeyed(key string, d *session.Description, now time.Time) (*Entry, bool) {
+	sh := &s.shards[s.shardFor(key)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, fresh := sh.c.Observe(d, now)
+	e, fresh := sh.c.ObserveKeyed(key, d, now)
 	sh.sync()
 	return e, fresh
 }
@@ -285,8 +290,32 @@ func gatherShards[T any](s *Sharded, fn func(i int) []T) []T {
 // checkpoint's bytes do not depend on the shard count that produced it.
 func (s *Sharded) Save(w io.Writer) error {
 	live := s.Live()
-	sort.Slice(live, func(i, j int) bool { return live[i].Desc.Key() < live[j].Desc.Key() })
+	SortByKey(live)
 	return saveEntries(w, live)
+}
+
+// SortByKey sorts entries by session key and returns the keys in the
+// same order. Each key is built once, not once per comparison.
+func SortByKey(entries []*Entry) []string {
+	keys := make([]string, len(entries))
+	for i, e := range entries {
+		keys[i] = e.Desc.Key()
+	}
+	sort.Sort(byKey{keys, entries})
+	return keys
+}
+
+// byKey sorts entries and their keys together.
+type byKey struct {
+	keys    []string
+	entries []*Entry
+}
+
+func (b byKey) Len() int           { return len(b.keys) }
+func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byKey) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.entries[i], b.entries[j] = b.entries[j], b.entries[i]
 }
 
 // Load merges persisted entries with Cache.Load's semantics.

@@ -111,7 +111,11 @@ func TestShardedAccountingMatchesRecount(t *testing.T) {
 		for _, e := range s.All() {
 			if !e.Deleted {
 				live++
-				adBytes += adSize(e.Desc)
+				if data, err := e.Desc.MarshalSDP(); err == nil {
+					adBytes += len(data) + 8
+				} else {
+					adBytes += 256
+				}
 			}
 		}
 		return
@@ -203,6 +207,22 @@ func TestShardedSaveLoadAcrossShardCounts(t *testing.T) {
 	for i := range src {
 		if got[i].key != src[i].key || got[i].version != src[i].version {
 			t.Fatalf("entry %d: %+v vs %+v", i, got[i], src[i])
+		}
+	}
+}
+
+func TestSortByKey(t *testing.T) {
+	var entries []*Entry
+	for _, host := range []byte{9, 2, 11, 2, 1} {
+		entries = append(entries, &Entry{Desc: odesc(host, uint64(host)*3%7, 1)})
+	}
+	keys := SortByKey(entries)
+	if !sort.StringsAreSorted(keys) {
+		t.Fatalf("keys not sorted: %v", keys)
+	}
+	for i, e := range entries {
+		if e.Desc.Key() != keys[i] {
+			t.Fatalf("entry %d is %s, key says %s", i, e.Desc.Key(), keys[i])
 		}
 	}
 }

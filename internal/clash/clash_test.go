@@ -1,10 +1,14 @@
 package clash
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"sessiondir/internal/mcast"
 	"sessiondir/internal/stats"
 )
 
@@ -332,5 +336,269 @@ func TestActionKindString(t *testing.T) {
 		if got := k.String(); got != want {
 			t.Errorf("%d: %q want %q", int(k), got, want)
 		}
+	}
+}
+
+// refTracker is the tracker as it was before the address index: the same
+// protocol, with every clash check a scan of the whole cache. It is the
+// oracle of TestTrackerMatchesFullScanReference.
+type refTracker struct {
+	cfg      TrackerConfig
+	rng      *stats.RNG
+	cache    map[SessionKey]*refEntry
+	pending  []*pendingDefense
+	defenses map[defensePair]int
+}
+
+type refEntry struct {
+	addr         mcast.Addr
+	firstSeen    float64
+	owned        bool
+	ownFirstSent float64
+}
+
+func (t *refTracker) AnnounceOwn(key SessionKey, addr mcast.Addr, at float64) {
+	e := t.cache[key]
+	if e == nil {
+		e = &refEntry{firstSeen: at}
+		t.cache[key] = e
+	}
+	if !e.owned {
+		e.owned, e.ownFirstSent = true, at
+	}
+	if e.addr != addr {
+		t.moved(key)
+	}
+	e.addr = addr
+}
+
+func (t *refTracker) Forget(key SessionKey) {
+	delete(t.cache, key)
+	t.clearCounters(key)
+	for _, p := range t.pending {
+		if p.defended == key || p.intruder == key {
+			p.done = true
+		}
+	}
+}
+
+func (t *refTracker) Observe(obs Observation) []Action {
+	e, ok := t.cache[obs.Key]
+	if !ok {
+		t.cache[obs.Key] = &refEntry{addr: obs.Addr, firstSeen: obs.At}
+		return t.checkClash(obs, false)
+	}
+	moved := e.addr != obs.Addr
+	if moved {
+		t.moved(obs.Key)
+	} else {
+		for _, p := range t.pending {
+			if p.defended == obs.Key {
+				p.done = true
+			}
+		}
+	}
+	e.addr = obs.Addr
+	if e.owned {
+		return nil
+	}
+	return t.checkClash(obs, !moved)
+}
+
+// moved resolves what waited on key changing address.
+func (t *refTracker) moved(key SessionKey) {
+	for _, p := range t.pending {
+		if p.intruder == key {
+			p.done = true
+		}
+	}
+	t.clearCounters(key)
+}
+
+func (t *refTracker) clearCounters(key SessionKey) {
+	for pair := range t.defenses {
+		if pair.ours == key || pair.intruder == key {
+			delete(t.defenses, pair)
+		}
+	}
+}
+
+func (t *refTracker) checkClash(obs Observation, ownedOnly bool) []Action {
+	var clashing []SessionKey
+	for key, e := range t.cache {
+		if key != obs.Key && e.addr == obs.Addr && (e.owned || !ownedOnly) {
+			clashing = append(clashing, key)
+		}
+	}
+	sort.Slice(clashing, func(i, j int) bool { return clashing[i] < clashing[j] })
+	var actions []Action
+	for _, key := range clashing {
+		e := t.cache[key]
+		switch {
+		case e.owned && obs.At-e.ownFirstSent > t.cfg.RecentWindow:
+			pair := defensePair{ours: key, intruder: obs.Key}
+			t.defenses[pair]++
+			kind := ActionResendOwn
+			if t.defenses[pair] > 2 && key > obs.Key {
+				kind = ActionModifyAddress
+			}
+			actions = append(actions, Action{Kind: kind, Key: key, DueAt: obs.At})
+		case e.owned:
+			actions = append(actions, Action{Kind: ActionModifyAddress, Key: key, DueAt: obs.At})
+		default:
+			older, newer := key, obs.Key
+			if t.cache[older].firstSeen > t.cache[newer].firstSeen {
+				older, newer = newer, older
+			}
+			armed := false
+			for _, p := range t.pending {
+				armed = armed || (!p.done && p.defended == older && p.intruder == newer)
+			}
+			if !armed {
+				t.pending = append(t.pending, &pendingDefense{
+					defended: older, intruder: newer, dueAt: obs.At + t.cfg.Delay.Sample(t.rng),
+				})
+			}
+		}
+	}
+	return actions
+}
+
+func (t *refTracker) Due(now float64) []Action {
+	var out []Action
+	kept := t.pending[:0]
+	for _, p := range t.pending {
+		switch {
+		case p.done:
+		case p.dueAt <= now:
+			out = append(out, Action{Kind: ActionDefendOther, Key: p.defended, DueAt: p.dueAt})
+		default:
+			kept = append(kept, p)
+		}
+	}
+	t.pending = kept
+	return out
+}
+
+// checkIndex asserts the tracker's index invariant: every cached entry is
+// on exactly the chain of its address, and nothing else is on any chain.
+func checkIndex(t *testing.T, tr *Tracker) {
+	t.Helper()
+	chained := 0
+	for addr, head := range tr.byAddr {
+		if head == nil {
+			t.Fatalf("address %d has an empty chain", addr)
+		}
+		for e := head; e != nil; e = e.next {
+			chained++
+			if chained > len(tr.cache) {
+				t.Fatalf("chains hold more than the %d cached entries (cycle or duplicate)", len(tr.cache))
+			}
+			if e.addr != addr || tr.cache[e.key] != e {
+				t.Fatalf("entry %q (addr %d) is on the chain of %d, or not the cached entry", e.key, e.addr, addr)
+			}
+		}
+	}
+	if chained != len(tr.cache) {
+		t.Fatalf("%d entries on chains, %d cached", chained, len(tr.cache))
+	}
+}
+
+// TestTrackerMatchesFullScanReference drives the indexed tracker and the
+// full-scan reference through the same seeded op sequences — a dozen
+// sessions crowded onto four addresses, owned and third-party, with the
+// clock stepping both inside and past RecentWindow — and requires the same
+// actions, the same pending-defense count and the same RNG position after
+// every op.
+func TestTrackerMatchesFullScanReference(t *testing.T) {
+	cfg := TrackerConfig{RecentWindow: 1000, Delay: NewExponentialDelay(0, 3200, 200)}
+	sameActions := func(a, b []Action) bool { return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b)) }
+	seen := map[ActionKind]int{}
+	crowded := 0
+	for seed := uint64(1); seed <= 20; seed++ {
+		tr := NewTracker(cfg, stats.NewRNG(seed))
+		ref := &refTracker{cfg: cfg, rng: stats.NewRNG(seed),
+			cache: map[SessionKey]*refEntry{}, defenses: map[defensePair]int{}}
+		ops := stats.NewRNG(seed ^ 0xd1ff)
+		keys := make([]SessionKey, 12)
+		for i := range keys {
+			keys[i] = SessionKey(fmt.Sprintf("10.0.0.%d/%d", i%5, i))
+		}
+		at := 0.0
+		for step := 0; step < 3000; step++ {
+			at += float64(ops.IntN(700))
+			key := keys[ops.IntN(len(keys))]
+			addr := mcast.Addr(ops.IntN(4))
+			var got, want []Action
+			switch op := ops.IntN(20); {
+			case op < 11:
+				// Mostly unchanged re-announcements, as on a real listener.
+				if cur, ok := tr.CachedAddr(key); ok && ops.IntN(4) > 0 {
+					addr = cur
+				}
+				obs := Observation{Key: key, Addr: addr, TTL: 127, At: at}
+				got, want = tr.Observe(obs), ref.Observe(obs)
+			case op < 14:
+				tr.AnnounceOwn(key, addr, 127, at)
+				ref.AnnounceOwn(key, addr, at)
+			case op < 17:
+				tr.Forget(key)
+				ref.Forget(key)
+			default:
+				got, want = tr.Due(at), ref.Due(at)
+			}
+			if !sameActions(got, want) {
+				t.Fatalf("seed %d step %d: actions %v, reference %v", seed, step, got, want)
+			}
+			for _, a := range got {
+				seen[a.Kind]++
+			}
+			refPending := 0
+			for _, p := range ref.pending {
+				if !p.done {
+					refPending++
+				}
+			}
+			if tr.PendingDefenses() != refPending {
+				t.Fatalf("seed %d step %d: %d pending defenses, reference %d", seed, step, tr.PendingDefenses(), refPending)
+			}
+			if a, b := tr.rng.Uint64(), ref.rng.Uint64(); a != b {
+				t.Fatalf("seed %d step %d: RNG streams diverged", seed, step)
+			}
+			checkIndex(t, tr)
+			for e, n := tr.byAddr[addr], 0; e != nil; e = e.next {
+				if n++; n == 3 {
+					crowded++
+				}
+			}
+		}
+		for _, key := range keys {
+			tr.Forget(key)
+		}
+		checkIndex(t, tr)
+		if len(tr.byAddr) != 0 {
+			t.Fatalf("seed %d: %d address chains left in an empty tracker", seed, len(tr.byAddr))
+		}
+	}
+	for _, k := range []ActionKind{ActionResendOwn, ActionModifyAddress, ActionDefendOther} {
+		if seen[k] == 0 {
+			t.Errorf("no %v action in any sequence: the generator no longer reaches that phase", k)
+		}
+	}
+	if crowded == 0 {
+		t.Error("no op ever touched an address shared by three sessions")
+	}
+}
+
+// TestTrackerObserveKnownSessionAllocatesNothing pins the listener fast
+// path: re-announcing a known, unmoved session costs no allocation.
+func TestTrackerObserveKnownSessionAllocatesNothing(t *testing.T) {
+	tr := newTracker(t)
+	for i := 0; i < 1000; i++ {
+		tr.Observe(Observation{Key: SessionKey(fmt.Sprintf("10.0.0.1/%d", i)), Addr: mcast.Addr(i), TTL: 127})
+	}
+	obs := Observation{Key: "10.0.0.1/500", Addr: 500, TTL: 127, At: 5000}
+	if n := testing.AllocsPerRun(100, func() { tr.Observe(obs) }); n != 0 {
+		t.Fatalf("Observe of an unchanged known session: %v allocs, want 0", n)
 	}
 }

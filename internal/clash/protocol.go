@@ -89,13 +89,16 @@ type TrackerConfig struct {
 	Delay DelayDist
 }
 
+// cacheEntry is one tracked session. key and next make it a node of its
+// address's chain (see Tracker.byAddr); the field order keeps the struct
+// at 45 bytes, inside the allocator's 48-byte size class.
 type cacheEntry struct {
-	addr         mcast.Addr
-	ttl          mcast.TTL
+	key          SessionKey
+	next         *cacheEntry
 	firstSeen    float64
-	lastSeen     float64
-	owned        bool
 	ownFirstSent float64
+	addr         mcast.Addr
+	owned        bool
 }
 
 type pendingDefense struct {
@@ -110,9 +113,15 @@ type pendingDefense struct {
 // announcements) and produces Actions. Not safe for concurrent use; the
 // directory agent serialises access.
 type Tracker struct {
-	cfg     TrackerConfig
-	rng     *stats.RNG
-	cache   map[SessionKey]*cacheEntry
+	cfg   TrackerConfig
+	rng   *stats.RNG
+	cache map[SessionKey]*cacheEntry
+	// byAddr heads, per address, the intrusive chain (cacheEntry.next) of
+	// the sessions cached at that address. Invariant: every entry of cache
+	// is on exactly the chain of its addr, and an address with no entry
+	// has no head. link/unlink maintain it at every mutation site, so a
+	// clash check walks the sessions sharing one address, not the cache.
+	byAddr  map[mcast.Addr]*cacheEntry
 	pending []*pendingDefense
 	// defenses counts phase-1 re-announcements per (ours, intruder) pair,
 	// for the post-partition tie-break (see checkClash).
@@ -135,35 +144,75 @@ func NewTracker(cfg TrackerConfig, rng *stats.RNG) *Tracker {
 		cfg:      cfg,
 		rng:      rng,
 		cache:    make(map[SessionKey]*cacheEntry),
+		byAddr:   make(map[mcast.Addr]*cacheEntry),
 		defenses: make(map[defensePair]int),
 	}
 }
 
+// link pushes e onto the chain of e.addr.
+func (t *Tracker) link(e *cacheEntry) {
+	e.next = t.byAddr[e.addr]
+	t.byAddr[e.addr] = e
+}
+
+// unlink removes e from the chain of e.addr.
+func (t *Tracker) unlink(e *cacheEntry) {
+	switch head := t.byAddr[e.addr]; {
+	case head != e:
+		prev := head
+		for prev.next != e {
+			prev = prev.next
+		}
+		prev.next = e.next
+	case e.next == nil:
+		delete(t.byAddr, e.addr)
+	default:
+		t.byAddr[e.addr] = e.next
+	}
+	e.next = nil
+}
+
+// insert caches a new session at addr.
+func (t *Tracker) insert(e *cacheEntry) {
+	t.cache[e.key] = e
+	t.link(e)
+}
+
+// move re-homes a cached session whose address changed.
+func (t *Tracker) move(e *cacheEntry, addr mcast.Addr) {
+	t.unlink(e)
+	e.addr = addr
+	t.link(e)
+}
+
 // AnnounceOwn records that this site announced its own session. Call it
 // for the first announcement and for address changes.
-func (t *Tracker) AnnounceOwn(key SessionKey, addr mcast.Addr, ttl mcast.TTL, at float64) {
+func (t *Tracker) AnnounceOwn(key SessionKey, addr mcast.Addr, _ mcast.TTL, at float64) {
 	e := t.cache[key]
-	if e == nil {
-		e = &cacheEntry{firstSeen: at, ownFirstSent: at}
-		t.cache[key] = e
+	switch {
+	case e == nil:
+		// A key not in the cache has no pending defense or tie-break
+		// counter (Forget clears both), so there is nothing to cancel.
+		e = &cacheEntry{key: key, addr: addr, firstSeen: at}
+		t.insert(e)
+	case e.addr != addr:
+		// Address change: any defense waiting on this key moving is done.
+		t.cancelDefensesForIntruder(key)
+		t.clearDefenseCounters(key)
+		t.move(e, addr)
 	}
 	if !e.owned {
 		e.owned = true
 		e.ownFirstSent = at
 	}
-	if e.addr != addr {
-		// Address change: any defense waiting on this key moving is done.
-		t.cancelDefensesForIntruder(key)
-		t.clearDefenseCounters(key)
-	}
-	e.addr = addr
-	e.ttl = ttl
-	e.lastSeen = at
 }
 
 // Forget drops a session (deleted or expired) from the cache.
 func (t *Tracker) Forget(key SessionKey) {
-	delete(t.cache, key)
+	if e, ok := t.cache[key]; ok {
+		t.unlink(e)
+		delete(t.cache, key)
+	}
 	t.clearDefenseCounters(key)
 	for _, p := range t.pending {
 		if p.defended == key || p.intruder == key {
@@ -184,80 +233,65 @@ func (t *Tracker) CachedAddr(key SessionKey) (mcast.Addr, bool) {
 // actions (phase 1 and 2). Phase-3 defenses are scheduled internally and
 // surface later through Due.
 func (t *Tracker) Observe(obs Observation) []Action {
-	var actions []Action
+	e, ok := t.cache[obs.Key]
+	if !ok {
+		// New session.
+		e = &cacheEntry{key: obs.Key, addr: obs.Addr, firstSeen: obs.At}
+		t.insert(e)
+		return t.checkClash(e, obs.At, false)
+	}
 
 	// A re-announcement of a session we were waiting to defend, or an
 	// address change by an intruder, resolves pending defenses.
-	if e, ok := t.cache[obs.Key]; ok {
-		moved := e.addr != obs.Addr
-		if moved {
-			// The session moved to a new address.
-			t.cancelDefensesForIntruder(obs.Key)
-			t.clearDefenseCounters(obs.Key)
-		} else {
-			// Re-announcement at the same address: its owner is alive, so
-			// nobody needs to defend it on its behalf.
-			t.cancelDefensesFor(obs.Key)
-		}
-		e.addr = obs.Addr
-		e.ttl = obs.TTL
-		e.lastSeen = obs.At
-		switch {
-		case e.owned:
-			actions = append(actions, t.reactAsOwner(e, obs)...)
-		case moved:
-			// Check the moved session against the whole cache.
-			actions = append(actions, t.checkClash(obs, false)...)
-		default:
-			// An unchanged re-announcement adds nothing for third parties
-			// (no defense re-arm), but it *is* news to an owner whose
-			// session it still clashes with: the mutual-defense stand-off
-			// after a partition heal advances through exactly these
-			// re-announcements, so run the owner-only check.
-			actions = append(actions, t.checkClash(obs, true)...)
-		}
-		return actions
+	moved := e.addr != obs.Addr
+	if moved {
+		t.cancelDefensesForIntruder(obs.Key)
+		t.clearDefenseCounters(obs.Key)
+		t.move(e, obs.Addr)
+	} else {
+		// Re-announcement at the same address: its owner is alive, so
+		// nobody needs to defend it on its behalf.
+		t.cancelDefensesFor(obs.Key)
 	}
-
-	// New session.
-	t.cache[obs.Key] = &cacheEntry{
-		addr:      obs.Addr,
-		ttl:       obs.TTL,
-		firstSeen: obs.At,
-		lastSeen:  obs.At,
+	switch {
+	case e.owned:
+		// Echoes of our own session need no reaction.
+		return nil
+	case moved:
+		// Check the moved session against everything at its new address.
+		return t.checkClash(e, obs.At, false)
+	default:
+		// An unchanged re-announcement adds nothing for third parties
+		// (no defense re-arm), but it *is* news to an owner whose
+		// session it still clashes with: the mutual-defense stand-off
+		// after a partition heal advances through exactly these
+		// re-announcements, so run the owner-only check.
+		return t.checkClash(e, obs.At, true)
 	}
-	return t.checkClash(obs, false)
 }
 
-// reactAsOwner handles echoes of our own session (typically no-ops).
-func (t *Tracker) reactAsOwner(_ *cacheEntry, _ Observation) []Action { return nil }
-
-// checkClash looks for cache entries holding the same address as obs and
-// reacts per the three phases. With ownedOnly set, only owner reactions
-// (phases 1–2) fire; third-party defenses are not (re-)scheduled.
-func (t *Tracker) checkClash(obs Observation, ownedOnly bool) []Action {
-	// Filter in map order (the predicate is per-entry, so order cannot
-	// matter), then sort the clashing keys: reaction order is observable
-	// — it fixes both the returned action order and the RNG draw order of
-	// phase-3 suppression delays — and must not inherit Go's per-run map
-	// iteration order.
-	var clashing []SessionKey
-	for key, e := range t.cache {
-		if key == obs.Key || e.addr != obs.Addr {
-			continue
+// checkClash reacts, per the three phases, to the other sessions cached
+// at the address of seen (the entry just observed at time at). With
+// ownedOnly set, only owner reactions (phases 1–2) fire; third-party
+// defenses are not (re-)scheduled.
+func (t *Tracker) checkClash(seen *cacheEntry, at float64, ownedOnly bool) []Action {
+	var clashing []*cacheEntry
+	for e := t.byAddr[seen.addr]; e != nil; e = e.next {
+		if e != seen && (e.owned || !ownedOnly) {
+			clashing = append(clashing, e)
 		}
-		if ownedOnly && !e.owned {
-			continue
-		}
-		clashing = append(clashing, key)
 	}
-	sort.Slice(clashing, func(i, j int) bool { return clashing[i] < clashing[j] })
+	// Reaction order is observable — it fixes both the returned action
+	// order and the RNG draw order of phase-3 suppression delays — and
+	// chain order is insertion history, so react in ascending key order.
+	if len(clashing) > 1 {
+		sort.Slice(clashing, func(i, j int) bool { return clashing[i].key < clashing[j].key })
+	}
 
 	var actions []Action
-	for _, key := range clashing {
-		e := t.cache[key]
+	for _, e := range clashing {
 		switch {
-		case e.owned && obs.At-e.ownFirstSent > t.cfg.RecentWindow:
+		case e.owned && at-e.ownFirstSent > t.cfg.RecentWindow:
 			// Phase 1: our long-standing session is being squatted — defend.
 			// After a healed partition *both* sessions can be long-standing,
 			// and mutual defense would live-lock; the paper leaves this case
@@ -267,28 +301,28 @@ func (t *Tracker) checkClash(obs Observation, ownedOnly bool) []Action {
 			// deterministic tie-break both sides compute identically —
 			// the lexicographically larger session key moves (the rule
 			// MADCAP-era allocators converged on).
-			pair := defensePair{ours: key, intruder: obs.Key}
+			pair := defensePair{ours: e.key, intruder: seen.key}
 			t.defenses[pair]++
-			if t.defenses[pair] > 2 && key > obs.Key {
-				actions = append(actions, Action{Kind: ActionModifyAddress, Key: key, DueAt: obs.At})
+			if t.defenses[pair] > 2 && e.key > seen.key {
+				actions = append(actions, Action{Kind: ActionModifyAddress, Key: e.key, DueAt: at})
 			} else {
-				actions = append(actions, Action{Kind: ActionResendOwn, Key: key, DueAt: obs.At})
+				actions = append(actions, Action{Kind: ActionResendOwn, Key: e.key, DueAt: at})
 			}
 		case e.owned:
 			// Phase 2: we just announced and lost the race — move.
-			actions = append(actions, Action{Kind: ActionModifyAddress, Key: key, DueAt: obs.At})
+			actions = append(actions, Action{Kind: ActionModifyAddress, Key: e.key, DueAt: at})
 		default:
 			// Phase 3: third party. Defend the *older* entry after a
 			// suppression delay, unless already pending for this pair.
-			older, newer := key, obs.Key
-			if t.cache[older].firstSeen > t.cache[newer].firstSeen {
+			older, newer := e, seen
+			if older.firstSeen > newer.firstSeen {
 				older, newer = newer, older
 			}
-			if !t.hasPending(older, newer) {
+			if !t.hasPending(older.key, newer.key) {
 				t.pending = append(t.pending, &pendingDefense{
-					defended: older,
-					intruder: newer,
-					dueAt:    obs.At + t.cfg.Delay.Sample(t.rng),
+					defended: older.key,
+					intruder: newer.key,
+					dueAt:    at + t.cfg.Delay.Sample(t.rng),
 				})
 			}
 		}

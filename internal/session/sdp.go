@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"sessiondir/internal/mcast"
 )
@@ -42,45 +43,117 @@ func fromNTP(v uint64) time.Time {
 
 // MarshalSDP renders the description in SDP form.
 func (d *Description) MarshalSDP() ([]byte, error) {
+	return d.AppendSDP(nil)
+}
+
+// AppendSDP appends the description's SDP form to dst and returns the
+// extended slice; on error dst comes back unchanged. It sizes dst once up
+// front, so marshalling into a nil or a recycled buffer allocates at most
+// once (free text with invalid UTF-8 may outgrow the estimate).
+func (d *Description) AppendSDP(dst []byte) ([]byte, error) {
 	if err := d.Validate(); err != nil {
-		return nil, err
+		return dst, err
 	}
-	var b strings.Builder
 	user := d.OriginUser
 	if user == "" {
 		user = "-"
 	}
-	fmt.Fprintf(&b, "v=0\r\n")
-	fmt.Fprintf(&b, "o=%s %d %d IN IP4 %s\r\n", user, d.ID, d.Version, d.Origin)
-	fmt.Fprintf(&b, "s=%s\r\n", sanitizeLine(d.Name))
+	b := dst
+	if n := d.sdpSizeHint(); cap(b)-len(b) < n {
+		// Not slices.Grow: under the race detector it allocates twice,
+		// which would fail the allocation pins in the -race CI job.
+		b = append(make([]byte, 0, len(dst)+n), dst...)
+	}
+	b = append(b, "v=0\r\no="...)
+	b = append(b, user...)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, d.ID, 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, d.Version, 10)
+	b = append(b, " IN IP4 "...)
+	b = appendAddr(b, d.Origin)
+	b = append(b, "\r\n"...)
+	b = appendTextLine(b, "s=", d.Name)
 	if d.Info != "" {
-		fmt.Fprintf(&b, "i=%s\r\n", sanitizeLine(d.Info))
+		b = appendTextLine(b, "i=", d.Info)
 	}
-	fmt.Fprintf(&b, "c=IN IP4 %s/%d\r\n", d.Group, d.TTL)
+	b = append(b, "c=IN IP4 "...)
+	b = appendAddr(b, d.Group)
+	b = append(b, '/')
+	b = strconv.AppendUint(b, uint64(d.TTL), 10)
+	b = append(b, "\r\n"...)
 	if d.BandwidthKbps > 0 {
-		fmt.Fprintf(&b, "b=AS:%d\r\n", d.BandwidthKbps)
+		b = append(b, "b=AS:"...)
+		b = strconv.AppendInt(b, int64(d.BandwidthKbps), 10)
+		b = append(b, "\r\n"...)
 	}
-	fmt.Fprintf(&b, "t=%d %d\r\n", toNTP(d.Start), toNTP(d.Stop))
+	b = append(b, "t="...)
+	b = strconv.AppendUint(b, toNTP(d.Start), 10)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, toNTP(d.Stop), 10)
+	b = append(b, "\r\n"...)
 	for _, a := range d.Attributes {
-		fmt.Fprintf(&b, "a=%s\r\n", sanitizeLine(a))
+		b = appendTextLine(b, "a=", a)
 	}
-	for _, m := range d.Media {
-		fmt.Fprintf(&b, "m=%s %d %s %s\r\n", m.Type, m.Port, m.Proto, m.Format)
+	for i := range d.Media {
+		m := &d.Media[i]
+		b = append(b, "m="...)
+		b = append(b, m.Type...)
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, uint64(m.Port), 10)
+		b = append(b, ' ')
+		b = append(b, m.Proto...)
+		b = append(b, ' ')
+		b = append(b, m.Format...)
+		b = append(b, "\r\n"...)
 		for _, a := range m.Attributes {
-			fmt.Fprintf(&b, "a=%s\r\n", sanitizeLine(a))
+			b = appendTextLine(b, "a=", a)
 		}
 	}
-	return []byte(b.String()), nil
+	return b, nil
 }
 
-// sanitizeLine strips CR/LF so free-text fields cannot break framing.
-func sanitizeLine(s string) string {
-	return strings.Map(func(r rune) rune {
-		if r == '\r' || r == '\n' {
-			return ' '
+// sdpSizeHint estimates the marshalled size from above for the usual
+// description (IPv4 origin, valid UTF-8): exact text lengths plus the
+// widest the numbers and addresses can print.
+func (d *Description) sdpSizeHint() int {
+	// The v= o= s= i= c= b= t= framing comes to 186 bytes with "-" for the
+	// user, every number at its widest and both addresses as dotted quads.
+	const framing = 192
+	n := framing + len(d.OriginUser) + len(d.Name) + len(d.Info)
+	for _, a := range d.Attributes {
+		n += len("a=\r\n") + len(a)
+	}
+	for i := range d.Media {
+		m := &d.Media[i]
+		n += len("m= 65535  \r\n") + len(m.Type) + len(m.Proto) + len(m.Format)
+		for _, a := range m.Attributes {
+			n += len("a=\r\n") + len(a)
 		}
-		return r
-	}, s)
+	}
+	return n
+}
+
+// appendTextLine appends prefix, the free text s and CRLF. CR and LF in s
+// become spaces so the text cannot break framing, and bytes that are not
+// valid UTF-8 become U+FFFD.
+func appendTextLine(b []byte, prefix, s string) []byte {
+	b = append(b, prefix...)
+	clean := true
+	for i := 0; i < len(s) && clean; i++ {
+		clean = s[i] != '\r' && s[i] != '\n' && s[i] < utf8.RuneSelf
+	}
+	if clean {
+		b = append(b, s...)
+	} else {
+		for _, r := range s {
+			if r == '\r' || r == '\n' {
+				r = ' '
+			}
+			b = utf8.AppendRune(b, r)
+		}
+	}
+	return append(b, "\r\n"...)
 }
 
 // ParseSDP parses the SDP subset back into a Description.

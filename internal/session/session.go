@@ -6,6 +6,7 @@ package session
 import (
 	"fmt"
 	"net/netip"
+	"strconv"
 	"time"
 
 	"sessiondir/internal/mcast"
@@ -54,7 +55,22 @@ type Description struct {
 // changes (clash resolution) do not change the key; description edits
 // bump Version instead.
 func (d *Description) Key() string {
-	return fmt.Sprintf("%s/%d", d.Origin, d.ID)
+	// The key is built once per received packet: append into a stack
+	// buffer so the string conversion is the only allocation.
+	var buf [64]byte
+	b := appendAddr(buf[:0], d.Origin)
+	b = append(b, '/')
+	b = strconv.AppendUint(b, d.ID, 10)
+	return string(b)
+}
+
+// appendAddr appends a.String(): AppendTo, except that it writes nothing
+// for the zero Addr where String says "invalid IP".
+func appendAddr(b []byte, a netip.Addr) []byte {
+	if !a.IsValid() {
+		return append(b, "invalid IP"...)
+	}
+	return a.AppendTo(b)
 }
 
 // Validate checks the description is announceable.
