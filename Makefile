@@ -85,8 +85,11 @@ bench:
 # four seeded workloads replayed against Directory and the occupancy
 # simulator, every metric printed by name. Exits nonzero when a workload
 # reports correct=false (an outcome fingerprint moved) or a failed op.
+# Both seeds with recorded fingerprints run — 1998 and the held-out 7 — so
+# a change of protocol behaviour cannot pass by matching one of them.
 bench-e2e:
-	bash benchmark/run.sh --workload all --seconds 8
+	bash benchmark/run.sh --workload all --seed 1998 --seconds 8
+	bash benchmark/run.sh --workload all --seed 7 --seconds 8
 
 # Refresh BENCH.json: wall time per figure at quick scale plus the
 # allocation hot-path micro-benchmarks. Commit the result to record the

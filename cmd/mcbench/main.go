@@ -251,6 +251,7 @@ func microBenches() []microBenchResult {
 
 	out = append(out, checkpointMicros()...)
 	out = append(out, listenerMicros()...)
+	out = append(out, directoryMicros()...)
 	return out
 }
 
@@ -310,6 +311,118 @@ func listenerMicros() []microBenchResult {
 				}
 			}
 		}))
+}
+
+// nextAddrAllocator hands out addresses in turn without reading the view:
+// DirCreateSession times the directory's share of a create — assembling the
+// view, registering, announcing — not an allocation algorithm's pass over
+// that view, which the Allocate* micros time on their own and which is
+// linear in the view by design.
+type nextAddrAllocator struct {
+	size uint32
+	next mcast.Addr
+}
+
+func (a *nextAddrAllocator) Name() string { return "next-address (mcbench)" }
+func (a *nextAddrAllocator) Size() uint32 { return a.size }
+
+func (a *nextAddrAllocator) Allocate(view []allocator.SessionInfo, _ mcast.TTL, _ *stats.RNG) (mcast.Addr, error) {
+	a.next = (a.next + 1) % mcast.Addr(a.size)
+	return a.next, nil
+}
+
+func (a *nextAddrAllocator) AllocateBatch(view []allocator.SessionInfo, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
+	return allocator.AllocateBatchSerial(a, view, ttl, k, dst, rng)
+}
+
+// directoryMicros measures the two Directory operations that used to
+// rebuild a picture of the whole cache per call, each at 1k and 10k cached
+// sessions: admitting a never-seen session into a full session budget
+// (datagram in, one stale entry evicted, newcomer cached) and creating a
+// session (view handed to the allocator, session registered and announced;
+// the withdrawal that keeps the owned population constant is inside the
+// timed op). With the eviction order and the allocator view kept at the
+// cache's mutation sites the 10k figures stay near the 1k ones.
+func directoryMicros() []microBenchResult {
+	var out []microBenchResult
+	origin := netip.MustParseAddr("10.0.0.1")
+	base := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
+	space := mcast.SAPDynamicSpace()
+	wireOf := func(i int) transport.Message {
+		d := &session.Description{
+			ID: uint64(i), Version: 1,
+			Origin: netip.AddrFrom4([4]byte{10, 1, byte(i / 100 >> 8), byte(i / 100)}),
+			Name:   "mcbench directory sample",
+			Group:  space.Group(mcast.Addr(i % int(space.Size))), TTL: 127,
+			Media: []session.Media{{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"}},
+		}
+		payload, err := d.MarshalSDP()
+		if err != nil {
+			panic(err)
+		}
+		pkt := sap.Packet{Type: sap.Announce, MsgIDHash: sap.MsgIDHashOf(payload), Origin: d.Origin, Payload: payload}
+		wire, err := pkt.Marshal(nil)
+		if err != nil {
+			panic(err)
+		}
+		return transport.Message{Data: wire}
+	}
+	for _, n := range []int{1000, 10000} {
+		now := base
+		newDir := func(budget int) *sessiondir.Directory {
+			d, err := sessiondir.New(sessiondir.Config{
+				Origin: origin, Transport: transport.NewBus().Endpoint(), Clock: func() time.Time { return now },
+				Allocator: &nextAddrAllocator{size: space.Size},
+				Seed:      5, MaxSessions: budget, StaleAfter: time.Minute,
+			})
+			if err != nil {
+				panic(err)
+			}
+			return d
+		}
+		// Twice the budget in distinct sessions, sent round-robin: by the
+		// time one comes round again it has long been evicted, so every
+		// datagram is a never-seen session. One virtual second per datagram
+		// keeps everything older than a minute stale, so each is admitted by
+		// evicting the head of the order.
+		wires := make([]transport.Message, 2*n)
+		for i := range wires {
+			wires[i] = wireOf(i)
+		}
+		admit := newDir(n)
+		admit.HandleBatch(wires[:n])
+		now = now.Add(2 * time.Minute)
+		next := n
+		out = append(out, runMicro(fmt.Sprintf("DirAdmitUnknown%dk", n/1000), 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				now = now.Add(time.Second)
+				admit.HandleBatch(wires[next%len(wires) : next%len(wires)+1])
+				next++
+			}
+		}))
+		if m := admit.Metrics(); m.Shed != 0 || admit.CacheSize() != n {
+			panic(fmt.Sprintf("DirAdmitUnknown: %d shed, cache %d of %d: not one eviction per admission", m.Shed, admit.CacheSize(), n))
+		}
+		admit.Close()
+
+		create := newDir(0)
+		create.HandleBatch(wires[:n])
+		desc := &session.Description{Name: "mcbench own", TTL: 127,
+			Media: []session.Media{{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"}}}
+		out = append(out, runMicro(fmt.Sprintf("DirCreateSession%dk", n/1000), 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				own, err := create.CreateSession(desc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := create.WithdrawSession(own.Key()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
+		create.Close()
+	}
+	return out
 }
 
 // checkpointSessions is the cache population for the persistence
@@ -453,7 +566,11 @@ func sampleSAPWire() []byte {
 //     index: cost independent of the population, cache misses aside);
 //   - the session codec at one allocation per key and per marshalled
 //     description, under 300 ns and 2 µs (several times what the fmt-free
-//     appenders measure, a fraction of what fmt cost).
+//     appenders measure, a fraction of what fmt cost);
+//   - admitting an unknown session into a full budget, and creating a
+//     session, at most 1.5x dearer at 10k cached sessions than at 1k and
+//     with no more allocations (the eviction order and the allocator view
+//     are kept at the cache's mutation sites, not rebuilt per call).
 func budgetFailures(r benchReport) []string {
 	micro := make(map[string]microBenchResult, len(r.Micro))
 	for _, m := range r.Micro {
@@ -494,6 +611,20 @@ func budgetFailures(r benchReport) []string {
 	case re1k.NsPerOp > 0 && re10k.NsPerOp/re1k.NsPerOp > 1.5:
 		fails = append(fails, fmt.Sprintf("budget: ClashObserveReannounce %.0f ns at 10k sessions is %.1fx its %.0f ns at 1k, budget ≤ 1.5x (O(1) in cache size)",
 			re10k.NsPerOp, re10k.NsPerOp/re1k.NsPerOp, re1k.NsPerOp))
+	}
+	for _, name := range []string{"DirAdmitUnknown", "DirCreateSession"} {
+		at1k, have1k := micro[name+"1k"]
+		at10k, have10k := micro[name+"10k"]
+		switch {
+		case !have1k || !have10k:
+			fails = append(fails, fmt.Sprintf("budget: micro %s1k or %s10k missing from report", name, name))
+		case at10k.AllocsOp > at1k.AllocsOp+1:
+			fails = append(fails, fmt.Sprintf("budget: %s %d allocs/op at 10k cached sessions, %d at 1k, budget: the same",
+				name, at10k.AllocsOp, at1k.AllocsOp))
+		case at1k.NsPerOp > 0 && at10k.NsPerOp/at1k.NsPerOp > 1.5:
+			fails = append(fails, fmt.Sprintf("budget: %s %.0f ns at 10k cached sessions is %.1fx its %.0f ns at 1k, budget ≤ 1.5x (no per-call rebuild of the cache)",
+				name, at10k.NsPerOp, at10k.NsPerOp/at1k.NsPerOp, at1k.NsPerOp))
+		}
 	}
 	for _, c := range []struct {
 		name  string

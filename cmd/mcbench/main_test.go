@@ -112,7 +112,11 @@ func TestRunCompareInjected2xSlowdown(t *testing.T) {
 		{"name":"ClashObserveReannounce1k","ns_per_op":40},
 		{"name":"ClashObserveReannounce10k","ns_per_op":52},
 		{"name":"SessionMarshalSDP","ns_per_op":550,"allocs_per_op":1},
-		{"name":"SessionKey","ns_per_op":70,"allocs_per_op":1}]}`), 0o644); err != nil {
+		{"name":"SessionKey","ns_per_op":70,"allocs_per_op":1},
+		{"name":"DirAdmitUnknown1k","ns_per_op":5400,"allocs_per_op":22},
+		{"name":"DirAdmitUnknown10k","ns_per_op":6700,"allocs_per_op":22},
+		{"name":"DirCreateSession1k","ns_per_op":7200,"allocs_per_op":32},
+		{"name":"DirCreateSession10k","ns_per_op":9400,"allocs_per_op":32}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if code := runCompare([]string{oldPath, newPath, "-tolerance", "25%"}); code == 0 {
@@ -140,6 +144,10 @@ func budgetReport() benchReport {
 			{Name: "ClashObserveReannounce10k", NsPerOp: 52},
 			{Name: "SessionMarshalSDP", NsPerOp: 550, AllocsOp: 1, BytesOp: 352},
 			{Name: "SessionKey", NsPerOp: 70, AllocsOp: 1, BytesOp: 24},
+			{Name: "DirAdmitUnknown1k", NsPerOp: 5400, AllocsOp: 22},
+			{Name: "DirAdmitUnknown10k", NsPerOp: 6700, AllocsOp: 22},
+			{Name: "DirCreateSession1k", NsPerOp: 7200, AllocsOp: 32},
+			{Name: "DirCreateSession10k", NsPerOp: 9400, AllocsOp: 32},
 		},
 	}
 }
@@ -185,8 +193,8 @@ func TestBudgetFailuresBatchDepthCollapse(t *testing.T) {
 func TestBudgetFailuresMissingMicros(t *testing.T) {
 	r := budgetReport()
 	r.Micro = nil
-	if fails := budgetFailures(r); len(fails) != 7 {
-		t.Fatalf("missing micros should produce seven failures, got: %v", fails)
+	if fails := budgetFailures(r); len(fails) != 9 {
+		t.Fatalf("missing micros should produce nine failures, got: %v", fails)
 	}
 }
 
@@ -206,6 +214,24 @@ func TestBudgetFailuresListenerPath(t *testing.T) {
 	r.Micro[10].NsPerOp = 350 // and in Key
 	if fails := budgetFailures(r); len(fails) != 2 {
 		t.Fatalf("codec regressions not caught: %v", fails)
+	}
+}
+
+func TestBudgetFailuresDirectoryRebuilds(t *testing.T) {
+	r := budgetReport()
+	r.Micro[12].NsPerOp = 50000 // admission sorting the cache per unknown session again
+	if fails := budgetFailures(r); len(fails) != 1 {
+		t.Fatalf("population-dependent admission not caught: %v", fails)
+	}
+	r = budgetReport()
+	r.Micro[14].AllocsOp = 45 // the view rebuilt by append per create again
+	if fails := budgetFailures(r); len(fails) != 1 {
+		t.Fatalf("population-dependent create allocations not caught: %v", fails)
+	}
+	r = budgetReport()
+	r.Micro = r.Micro[:14] // DirCreateSession10k not measured
+	if fails := budgetFailures(r); len(fails) != 1 {
+		t.Fatalf("missing directory micro not caught: %v", fails)
 	}
 }
 

@@ -161,8 +161,8 @@ type Config struct {
 //	          optimization, not a correctness requirement; the session's
 //	          owner still defends.
 //	level 2 — fresh occupancy ≥ 95%: additionally, only one in
-//	          degradeAdmitSample previously-unknown sessions runs the
-//	          full admission scan (the rest are shed outright). The
+//	          degradeAdmitSample previously-unknown sessions is put to
+//	          the admission planner (the rest are shed outright). The
 //	          sampled path keeps stale-first eviction flowing, so the
 //	          cache still turns over, and the level decays on its own
 //	          once the flood's entries go stale.
@@ -171,11 +171,13 @@ type Config struct {
 // once-per-second Step path and on scrape/accessor paths, never per
 // packet — the packet path reads the last computed tier.
 //
-// Level 2 exists to bound the admission layer's O(cache) candidate scan
-// under a flood, so it only engages when the budget is at least
-// degradeMinBudget — on a tiny cache the scan is cheap and sampling
-// would just change admission outcomes for nothing. With MaxSessions
-// unset there is no budget to measure against and the level is always 0.
+// Level 2 was introduced to bound what was then an O(cache) candidate scan
+// per unknown session. The cache now keeps its eviction order current and
+// a plan costs O(log cache), but which newcomers a saturated listener
+// learns is protocol behaviour that seeded replays pin, so the sampling
+// stays — and with it its floor: it only engages when the budget is at
+// least degradeMinBudget. With MaxSessions unset there is no budget to
+// measure against and the level is always 0.
 const (
 	degradeL1Pct       = 75 // cache occupancy %, level 1 threshold
 	degradeL2Pct       = 95 // cache occupancy %, level 2 threshold
@@ -187,6 +189,7 @@ type ownedSession struct {
 	desc          *session.Description
 	announceCount int
 	nextAnnounce  time.Time
+	viewPos       int32 // slot in Directory.ownView
 }
 
 // Directory is a session directory agent: announcer, listener, address
@@ -196,15 +199,23 @@ type Directory struct {
 	space mcast.AddrSpace
 	alloc *allocator.Instrumented
 
-	mu      sync.Mutex
-	rng     *stats.RNG
-	owned   map[string]*ownedSession
-	cache   *announce.Sharded
-	admit   *admission.Controller
-	tracker *clash.Tracker
-	epoch   time.Time
-	nextID  uint64
-	closed  bool
+	mu    sync.Mutex
+	rng   *stats.RNG
+	owned map[string]*ownedSession
+	cache *announce.Sharded
+	// ownView is the owned sessions' share of the allocator view, kept
+	// current where owned changes; the cache keeps the heard share, from
+	// the first allocation on (heardView), so a directory that only ever
+	// listens does not carry one. viewBuf is the buffer viewLocked joins
+	// the two shares in.
+	ownView   announce.ViewSet
+	heardView bool
+	viewBuf   []allocator.SessionInfo
+	admit     *admission.Controller
+	tracker   *clash.Tracker
+	epoch     time.Time
+	nextID    uint64
+	closed    bool
 	// degradeTick counts unknown-session packets seen at degradation
 	// level 2; every degradeAdmitSample-th one takes the full admission
 	// path so the cache keeps turning over.
@@ -276,7 +287,7 @@ type dirInstruments struct {
 	// the parallel parse phase, one stripe per worker, and the registry
 	// folds the stripes back into the single dir_packets_malformed_total
 	// name every consumer already scrapes.
-	packetsMalformed *obs.ShardedCounter
+	packetsMalformed  *obs.ShardedCounter
 	sessionsLearned   *obs.Counter
 	sessionsExpired   *obs.Counter
 	clashMoves        *obs.Counter
@@ -498,6 +509,11 @@ func New(cfg Config) (*Directory, error) {
 		trace: cfg.Trace,
 		ins:   ins,
 	}
+	if cfg.MaxSessions > 0 || cfg.MaxPerOrigin > 0 {
+		// Without a budget nothing is ever evicted, and the listener path
+		// is spared the upkeep.
+		d.cache.TrackOrder(cfg.Origin)
+	}
 	staleAfter := cfg.StaleAfter
 	if staleAfter <= 0 {
 		staleAfter = d.cache.Timeout / 4
@@ -594,12 +610,16 @@ func (d *Directory) registerOwnedLocked(c session.Description, addr mcast.Addr, 
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	key := c.Key()
 	own := &ownedSession{desc: &c}
-	d.owned[c.Key()] = own
-	d.tracker.AnnounceOwn(clash.SessionKey(c.Key()), addr, c.TTL, d.ms(now))
-	d.trace.Record(obs.TraceEvent{At: d.ms(now), Kind: obs.TraceAllocate, Key: c.Key(), Addr: uint32(addr)})
+	d.owned[key] = own
+	d.ownView.Put(&own.viewPos, allocator.SessionInfo{Addr: addr, TTL: c.TTL})
+	d.tracker.AnnounceOwn(clash.SessionKey(key), addr, c.TTL, d.ms(now))
+	d.trace.Record(obs.TraceEvent{At: d.ms(now), Kind: obs.TraceAllocate, Key: key, Addr: uint32(addr)})
 	if err := d.announceLocked(own, now); err != nil {
-		delete(d.owned, c.Key())
+		delete(d.owned, key)
+		d.ownView.Remove(&own.viewPos)
+		d.tracker.Forget(clash.SessionKey(key))
 		return nil, err
 	}
 	return &c, nil
@@ -655,22 +675,21 @@ func (d *Directory) createSessionBatch(descs []*session.Description) ([]*session
 	return out, nil
 }
 
-// viewLocked builds the allocator view: every live cached session plus our
-// own, expressed as address indices. Sessions outside the managed space
-// (foreign blocks) are ignored, as sdr does.
+// viewLocked returns the allocator view: every live cached session plus
+// our own, expressed as address indices. Sessions outside the managed
+// space (foreign blocks) are ignored, as sdr does; a session both owned
+// and heard back appears twice. Both shares are kept current at their
+// mutation sites, so this is two copies into viewBuf, not a cache scan.
+// The result is valid until the next call.
 func (d *Directory) viewLocked() []allocator.SessionInfo {
-	var view []allocator.SessionInfo
-	for _, e := range d.cache.Live() {
-		if idx, ok := d.space.Index(e.Desc.Group); ok {
-			view = append(view, allocator.SessionInfo{Addr: idx, TTL: e.Desc.TTL})
-		}
+	if !d.heardView {
+		d.cache.TrackView(d.space)
+		d.heardView = true
 	}
-	for _, own := range d.owned {
-		if idx, ok := d.space.Index(own.desc.Group); ok {
-			view = append(view, allocator.SessionInfo{Addr: idx, TTL: own.desc.TTL})
-		}
+	if n := d.cache.ViewLen() + d.ownView.Len(); cap(d.viewBuf) < n {
+		d.viewBuf = make([]allocator.SessionInfo, 0, n+n/8)
 	}
-	return view
+	return d.ownView.AppendTo(d.cache.AppendView(d.viewBuf[:0]))
 }
 
 // announceLocked transmits one SAP announcement for an owned session and
@@ -731,6 +750,7 @@ func (d *Directory) withdrawSession(key string) error {
 		return fmt.Errorf("sessiondir: not our session: %s", key)
 	}
 	delete(d.owned, key)
+	d.ownView.Remove(&own.viewPos)
 	d.tracker.Forget(clash.SessionKey(key))
 	if err := d.sendDescLocked(own.desc, sap.Delete); err != nil {
 		return err
@@ -888,9 +908,9 @@ func (d *Directory) applyParsedLocked(p *parsedPacket) {
 		return
 	}
 	if _, known := d.cache.Peek(key); !known && d.owned[key] == nil {
-		// At degradation level 2 most unknown sessions are shed before the
-		// admission layer's O(cache) candidate scan even runs; the sampled
-		// survivors keep stale-first eviction turning the cache over.
+		// At degradation level 2 most unknown sessions are shed without
+		// consulting the admission layer at all; the sampled survivors
+		// keep stale-first eviction turning the cache over.
 		if d.degradeLevel >= 2 {
 			d.degradeTick++
 			if d.degradeTick%degradeAdmitSample != 0 {
@@ -1006,7 +1026,7 @@ func (d *Directory) admitNewLocked(desc *session.Description, key string, now ti
 	if d.cfg.MaxSessions <= 0 && d.cfg.MaxPerOrigin <= 0 {
 		return true
 	}
-	dec := d.admit.PlanNewGrouped(d.candidatesLocked(), desc.Origin, now)
+	dec := d.admit.PlanNewOrdered(d.cache, desc.Origin, now)
 	for _, k := range dec.Evict {
 		d.cache.Remove(k)
 		d.tracker.Forget(clash.SessionKey(k))
@@ -1027,11 +1047,13 @@ func (d *Directory) admitNewLocked(desc *session.Description, key string, now ti
 	return true
 }
 
-// candidatesLocked builds the admission view of the cache, one group per
-// shard. Own sessions are excluded: they are never eviction candidates.
-// Group and intra-group order are irrelevant — the grouped planners
-// impose a total deterministic order of their own, so budget accounting
-// is exact at any shard count.
+// candidatesLocked builds the admission view of the cache by scanning it,
+// one group per shard, for the once-per-start load trim (and as the tests'
+// reference: the packet path plans over the order the cache maintains).
+// Own sessions are excluded: they are never eviction candidates. Group and
+// intra-group order are irrelevant — the grouped planners impose a total
+// deterministic order of their own, so budget accounting is exact at any
+// shard count.
 func (d *Directory) candidatesLocked() [][]admission.Candidate {
 	grouped := d.cache.AllGrouped()
 	groups := make([][]admission.Candidate, len(grouped))
@@ -1085,6 +1107,7 @@ func (d *Directory) applyActionsLocked(actions []clash.Action, now time.Time) {
 			}
 			own.desc = own.desc.WithGroup(d.space.Group(addr))
 			own.announceCount = 0 // restart the fast back-off phase
+			d.ownView.Put(&own.viewPos, allocator.SessionInfo{Addr: addr, TTL: own.desc.TTL})
 			d.tracker.AnnounceOwn(clash.SessionKey(key), addr, own.desc.TTL, d.ms(now))
 			if err := d.announceLocked(own, now); err == nil {
 				d.ins.clashMoves.Inc()

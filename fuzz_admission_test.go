@@ -17,7 +17,9 @@ import (
 // fuzz bytes on the wire, plus announce/delete/clash-report sequences
 // whose shape (session IDs, versions, groups, deletions, clock skips)
 // is decoded from the fuzz input. Invariants: no panic, the cache never
-// exceeds MaxSessions, and owned sessions survive whatever arrives.
+// exceeds MaxSessions, owned sessions survive whatever arrives, and after
+// every packet the indices kept at the cache's mutation sites plan and
+// view exactly what a rebuild from a scan would (checkIndices).
 func FuzzAdmission(f *testing.F) {
 	// Seeds echo the sap decode corpus plus admission-shaped scripts.
 	f.Add([]byte{})
@@ -91,6 +93,9 @@ func FuzzAdmission(f *testing.F) {
 				clk.Advance(time.Duration(a) * time.Second)
 				dir.Step(clk.Now())
 			}
+			// The maintained eviction order and allocator view must agree
+			// with a fresh scan after whatever just arrived.
+			checkIndices(t, dir, hostile)
 		}
 
 		if n := dir.CacheSize(); n > 4+1 { // +1: own session tombstoneless echo

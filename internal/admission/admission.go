@@ -27,6 +27,7 @@ package admission
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -307,6 +308,63 @@ func (c *Controller) PlanNew(cands []Candidate, origin netip.Addr, now time.Time
 		if total >= c.cfg.MaxSessions {
 			d.Outcome = Shed
 			return d
+		}
+	}
+	d.Outcome = Admit
+	return d
+}
+
+// Order is a cache's eviction order kept current at the cache's mutation
+// sites (announce.Sharded provides it), as PlanNewOrdered reads it. The
+// candidates are what PlanNew would be handed — every cached entry except
+// the listener's own sessions — and "in eviction order" and "evictable"
+// mean exactly evictionOrder and evictable above.
+type Order interface {
+	// Candidates is the number of candidates.
+	Candidates() int
+	// CandidatesFrom is the number of candidates origin announced.
+	CandidatesFrom(origin netip.Addr) int
+	// AppendEvictable appends to dst the keys of the first n evictable
+	// candidates in eviction order, or of all of them if there are fewer.
+	AppendEvictable(dst []string, n int, now time.Time, staleAfter time.Duration) []string
+	// AppendEvictableFrom is AppendEvictable over origin's candidates only.
+	AppendEvictableFrom(dst []string, origin netip.Addr, n int, now time.Time, staleAfter time.Duration) []string
+}
+
+// PlanNewOrdered is PlanNew over a maintained Order instead of a fresh
+// candidate list: the same outcome and the same evictions in the same
+// sequence, without sorting the cache to find them. It asks only for as
+// many evictions as the newcomer needs — one, when a full budget was within
+// bounds before it arrived.
+func (c *Controller) PlanNewOrdered(o Order, origin netip.Addr, now time.Time) Decision {
+	var d Decision
+	if c.cfg.MaxPerOrigin > 0 {
+		// Reclaim the origin's own stale/deleted entries before denying it.
+		if need := o.CandidatesFrom(origin) - c.cfg.MaxPerOrigin + 1; need > 0 {
+			d.Evict = o.AppendEvictableFrom(d.Evict, origin, need, now, c.cfg.StaleAfter)
+			if len(d.Evict) < need {
+				d.Outcome = DenyQuota
+				return d
+			}
+		}
+	}
+	if c.cfg.MaxSessions > 0 {
+		reclaimed := d.Evict
+		if need := o.Candidates() - len(reclaimed) - c.cfg.MaxSessions + 1; need > 0 {
+			// What the quota step reclaimed is still in the order: ask for
+			// that many more and filter the repeats out in place.
+			got := o.AppendEvictable(reclaimed, need+len(reclaimed), now, c.cfg.StaleAfter)
+			d.Evict = got[:len(reclaimed)]
+			for _, k := range got[len(reclaimed):] {
+				if need > 0 && !slices.Contains(reclaimed, k) {
+					d.Evict = append(d.Evict, k)
+					need--
+				}
+			}
+			if need > 0 {
+				d.Outcome = Shed
+				return d
+			}
 		}
 	}
 	d.Outcome = Admit

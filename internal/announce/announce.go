@@ -5,9 +5,11 @@
 package announce
 
 import (
+	"net/netip"
 	"sort"
 	"time"
 
+	"sessiondir/internal/mcast"
 	"sessiondir/internal/session"
 )
 
@@ -117,6 +119,11 @@ type Entry struct {
 	// Deleted marks an explicit SAP deletion (kept briefly to squelch
 	// stale re-announcements from slow caches).
 	Deleted bool
+	// heapPos and viewPos are the entry's slots in its cache's eviction
+	// order and allocator view (1-based, 0 = not in it; see index.go).
+	// They sit in what was padding after Deleted: the entry stays in the
+	// 80-byte size class.
+	heapPos, viewPos int32
 	// adBytes is the announcement size this entry contributes to the
 	// bandwidth budget while live, cached at Observe/Restore time so the
 	// running total can be maintained incrementally (and released exactly
@@ -151,6 +158,14 @@ type Cache struct {
 	// scratch is adSize's marshal buffer, reused across calls (whoever
 	// serialises access to the cache serialises it too).
 	scratch []byte
+	// The eviction order (nil perOrigin = not tracked; entries of origin
+	// self stay out of it) and the allocator view (a zero space holds no
+	// group, so an untracked view stays empty). See index.go.
+	order     evictHeap
+	perOrigin map[netip.Addr]int32
+	self      netip.Addr
+	view      ViewSet
+	space     mcast.AddrSpace
 	// Timeout evicts sessions not re-announced for this long. RFC 2974
 	// uses max(1 h, 10×interval).
 	Timeout time.Duration
@@ -180,6 +195,7 @@ func (c *Cache) ObserveKeyed(key string, d *session.Description, now time.Time) 
 		c.entries[key] = e
 		c.live++
 		c.adBytes += e.adBytes
+		c.indexAdd(e)
 		return e, true
 	}
 	fresh := d.Version > e.Desc.Version || e.Deleted
@@ -195,6 +211,7 @@ func (c *Cache) ObserveKeyed(key string, d *session.Description, now time.Time) 
 		c.adBytes += e.adBytes
 	}
 	e.LastHeard = now
+	c.indexUpdate(e)
 	return e, fresh
 }
 
@@ -207,6 +224,7 @@ func (c *Cache) Delete(key string, now time.Time) {
 		}
 		e.Deleted = true
 		e.LastHeard = now
+		c.indexUpdate(e)
 	}
 }
 
@@ -238,6 +256,7 @@ func (c *Cache) Remove(key string) {
 			c.adBytes -= e.adBytes
 		}
 		delete(c.entries, key)
+		c.indexDrop(e)
 	}
 }
 
@@ -269,6 +288,7 @@ func (c *Cache) Expire(now time.Time) []string {
 				c.adBytes -= e.adBytes
 			}
 			delete(c.entries, key)
+			c.indexDrop(e)
 			evicted = append(evicted, key)
 		}
 	}

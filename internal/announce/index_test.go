@@ -1,0 +1,320 @@
+package announce
+
+import (
+	"fmt"
+	"net/netip"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"sessiondir/internal/admission"
+	"sessiondir/internal/allocator"
+	"sessiondir/internal/mcast"
+	"sessiondir/internal/session"
+	"sessiondir/internal/stats"
+)
+
+var (
+	indexSelf  = netip.AddrFrom4([4]byte{10, 0, 0, 1})
+	indexSpace = mcast.AddrSpace{Base: netip.AddrFrom4([4]byte{224, 2, 128, 0}), Size: 24}
+)
+
+// scanCandidates is the rebuild the eviction order replaces: the
+// directory's old candidatesLocked, a walk of every shard that builds one
+// admission.Candidate (and one key string) per entry not announced by self.
+func scanCandidates(s *Sharded, self netip.Addr) []admission.Candidate {
+	var cands []admission.Candidate
+	for _, group := range s.AllGrouped() {
+		for _, e := range group {
+			if e.Desc.Origin == self {
+				continue
+			}
+			cands = append(cands, admission.Candidate{
+				Key: e.Desc.Key(), Origin: e.Desc.Origin, TTL: e.Desc.TTL,
+				LastHeard: e.LastHeard, Deleted: e.Deleted,
+			})
+		}
+	}
+	return cands
+}
+
+// scanView is the rebuild the allocator view replaces: the heard half of
+// the directory's old viewLocked, sorted so multisets compare.
+func scanView(s *Sharded, space mcast.AddrSpace) []allocator.SessionInfo {
+	var view []allocator.SessionInfo
+	for _, e := range s.Live() {
+		if idx, ok := space.Index(e.Desc.Group); ok {
+			view = append(view, allocator.SessionInfo{Addr: idx, TTL: e.Desc.TTL})
+		}
+	}
+	return sortView(view)
+}
+
+func sortView(v []allocator.SessionInfo) []allocator.SessionInfo {
+	sort.Slice(v, func(i, j int) bool {
+		if v[i].Addr != v[j].Addr {
+			return v[i].Addr < v[j].Addr
+		}
+		return v[i].TTL < v[j].TTL
+	})
+	return v
+}
+
+// checkIndexInvariants verifies, shard by shard, that the heap is a heap
+// in evictsBefore order whose members know their slots, that it holds
+// exactly the entries not announced by self, that the per-origin counts
+// are exact with no zero left behind, and that every view member's owner
+// points back at its slot.
+func checkIndexInvariants(t *testing.T, s *Sharded, self netip.Addr) {
+	t.Helper()
+	for si := range s.shards {
+		c := s.shards[si].c
+		counts := map[netip.Addr]int32{}
+		for i, e := range c.order {
+			if int(e.heapPos) != i+1 {
+				t.Fatalf("shard %d: order[%d] records slot %d", si, i, e.heapPos)
+			}
+			if i > 0 && evictsBefore(e, c.order[(i-1)/2]) {
+				t.Fatalf("shard %d: order[%d] evicts before its parent", si, i)
+			}
+			counts[e.Desc.Origin]++
+		}
+		tracked, inView := 0, 0
+		for key, e := range c.entries {
+			if want := e.Desc.Origin != self; (e.heapPos > 0) != want {
+				t.Fatalf("shard %d: %s in order = %v, want %v", si, key, e.heapPos > 0, want)
+			}
+			if e.heapPos > 0 {
+				tracked++
+				if c.order[e.heapPos-1] != e {
+					t.Fatalf("shard %d: %s's slot %d holds another entry", si, key, e.heapPos)
+				}
+			}
+			if e.viewPos > 0 {
+				inView++
+				if c.view.slots[e.viewPos-1] != &e.viewPos {
+					t.Fatalf("shard %d: %s's view slot %d belongs to another entry", si, key, e.viewPos)
+				}
+			}
+		}
+		if tracked != len(c.order) {
+			t.Fatalf("shard %d: order holds %d entries, the cache %d candidates", si, len(c.order), tracked)
+		}
+		if inView != c.view.Len() || len(c.view.slots) != c.view.Len() {
+			t.Fatalf("shard %d: view holds %d members (%d slots), %d entries claim one", si, c.view.Len(), len(c.view.slots), inView)
+		}
+		if !reflect.DeepEqual(counts, map[netip.Addr]int32(c.perOrigin)) {
+			t.Fatalf("shard %d: per-origin counts %v, want %v", si, c.perOrigin, counts)
+		}
+	}
+}
+
+// TestIndicesMatchFullScanReference drives a sharded cache with both
+// indices on through seeded op sequences — new sessions, refreshes, version
+// bumps that change scope and address, deletions, resurrections, evictions,
+// expiry, restores with arbitrary timestamps, clocks that stand still (long
+// runs of equal LastHeard) or step backwards, entries of the tracker's own
+// origin — and after every op requires that planning over the maintained
+// order equals PlanNew over a fresh scan (outcome, evictions and their
+// sequence) under several budgets, that the view equals the rebuilt one as
+// a multiset, and that the index invariants hold.
+func TestIndicesMatchFullScanReference(t *testing.T) {
+	const staleAfter = 10 * time.Minute
+	budgets := []admission.Config{
+		{MaxSessions: 12, MaxPerOrigin: 3},
+		{MaxSessions: 5}, // often several entries over: the sorted path
+		{MaxPerOrigin: 2},
+		{MaxSessions: 40, MaxPerOrigin: 6},
+	}
+	var planners []*admission.Controller
+	for _, cfg := range budgets {
+		cfg.StaleAfter = staleAfter
+		planners = append(planners, admission.New(cfg))
+	}
+	ttls := []mcast.TTL{1, 15, 63, 127}
+	seen := map[admission.Outcome]int{}
+	multi, tieBroken := 0, 0
+
+	for _, shards := range []int{1, 4, 8} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			s := NewSharded(time.Hour, shards)
+			ops := stats.NewRNG(seed<<8 | uint64(shards))
+			now := time.Unix(1_000_000, 0)
+			// Half the sequences switch the indices on over a populated
+			// cache, as a directory's first allocation does for the view.
+			trackAt := 0
+			if seed%2 == 0 {
+				trackAt = 150
+			}
+			// Origins 10.0.0.1 (self) … 10.0.0.12 and ids 1 … 12: string
+			// order and numeric order disagree on both halves of the key.
+			mk := func() *session.Description {
+				d := odesc(byte(1+ops.IntN(12)), uint64(1+ops.IntN(12)), uint64(1+ops.IntN(3)))
+				d.TTL = ttls[ops.IntN(len(ttls))]
+				d.Group = netip.AddrFrom4([4]byte{224, 2, 128, byte(ops.IntN(32))}) // a quarter outside indexSpace
+				return d
+			}
+			for step := 0; step < 1200; step++ {
+				if step == trackAt {
+					s.TrackOrder(indexSelf)
+					s.TrackView(indexSpace)
+				}
+				switch r := ops.IntN(10); {
+				case r < 4: // mostly the clock stands still
+				case r < 8:
+					now = now.Add(time.Duration(ops.IntN(240)) * time.Second)
+				case r < 9:
+					now = now.Add(-time.Duration(ops.IntN(180)) * time.Second)
+				default:
+					now = now.Add(time.Duration(10+ops.IntN(25)) * time.Minute)
+				}
+				d := mk()
+				switch op := ops.IntN(20); {
+				case op < 9:
+					// New session, refresh, bump or resurrection, as the key's
+					// state has it.
+					s.Observe(d, now)
+				case op < 11:
+					// A refresh that changes nothing but LastHeard.
+					if e, ok := s.Peek(d.Key()); ok {
+						s.ObserveKeyed(d.Key(), e.Desc, now)
+					}
+				case op < 13:
+					s.Delete(d.Key(), now)
+				case op < 14:
+					s.Remove(d.Key())
+				case op < 15:
+					s.Expire(now)
+				case op < 17:
+					last := now.Add(-time.Duration(ops.IntN(50)) * time.Minute)
+					s.Restore(d, last.Add(-time.Hour), last, now)
+				default:
+					// An admission as the directory performs it: plan, evict,
+					// and cache the newcomer unless it was turned away.
+					if _, known := s.Peek(d.Key()); known {
+						break
+					}
+					dec := planners[0].PlanNewOrdered(s, d.Origin, now)
+					for _, k := range dec.Evict {
+						s.Remove(k)
+					}
+					if dec.Outcome == admission.Admit {
+						s.Observe(d, now)
+					}
+				}
+				if step < trackAt {
+					continue
+				}
+
+				checkIndexInvariants(t, s, indexSelf)
+				if got, want := sortView(s.AppendView(nil)), scanView(s, indexSpace); !reflect.DeepEqual(got, want) || s.ViewLen() != len(want) {
+					t.Fatalf("shards=%d seed %d step %d: view %v (len %d), rebuilt %v", shards, seed, step, got, s.ViewLen(), want)
+				}
+				cands := scanCandidates(s, indexSelf)
+				for _, origin := range []netip.Addr{d.Origin, indexSelf, netip.AddrFrom4([4]byte{10, 9, 9, 9})} {
+					for pi, p := range planners {
+						got, want := p.PlanNewOrdered(s, origin, now), p.PlanNew(cands, origin, now)
+						if got.Outcome != want.Outcome || fmt.Sprint(got.Evict) != fmt.Sprint(want.Evict) {
+							t.Fatalf("shards=%d seed %d step %d budget %d origin %s:\n ordered %v %v\n PlanNew %v %v",
+								shards, seed, step, pi, origin, got.Outcome, got.Evict, want.Outcome, want.Evict)
+						}
+						seen[got.Outcome]++
+						if len(got.Evict) > 1 {
+							multi++
+						}
+					}
+				}
+				// How often the last tie-break decides: the head and some
+				// other candidate agree on everything but the key.
+				for _, c := range cands[min(1, len(cands)):] {
+					if h := cands[0]; c.Deleted == h.Deleted && c.LastHeard.Equal(h.LastHeard) && c.TTL == h.TTL {
+						tieBroken++
+						break
+					}
+				}
+			}
+			// Emptying the cache empties the indices.
+			for _, e := range s.All() {
+				s.Remove(e.Desc.Key())
+			}
+			checkIndexInvariants(t, s, indexSelf)
+			if s.Candidates() != 0 || s.ViewLen() != 0 {
+				t.Fatalf("shards=%d seed %d: %d candidates and %d view members left in an empty cache", shards, seed, s.Candidates(), s.ViewLen())
+			}
+			for si := range s.shards {
+				if n := len(s.shards[si].c.perOrigin); n != 0 {
+					t.Fatalf("shards=%d seed %d: shard %d still counts %d origins", shards, seed, si, n)
+				}
+			}
+		}
+	}
+	for _, o := range []admission.Outcome{admission.Admit, admission.Shed, admission.DenyQuota} {
+		if seen[o] == 0 {
+			t.Errorf("no plan ever came out %v: the generator no longer reaches that outcome", o)
+		}
+	}
+	if multi == 0 {
+		t.Error("no plan ever evicted more than one entry")
+	}
+	if tieBroken == 0 {
+		t.Error("no state ever had two candidates tied up to the key")
+	}
+}
+
+// TestEvictionOrderTieBreakIsKeyStringOrder pins the last tie-break on the
+// case where string order and numeric order disagree.
+func TestEvictionOrderTieBreakIsKeyStringOrder(t *testing.T) {
+	s := NewSharded(time.Hour, 4)
+	s.TrackOrder(indexSelf)
+	heard := time.Unix(1000, 0)
+	for _, host := range []byte{9, 10} {
+		for _, id := range []uint64{9, 10} {
+			s.Observe(odesc(host, id, 1), heard)
+		}
+	}
+	got := s.AppendEvictable(nil, 4, heard.Add(time.Hour), time.Minute)
+	want := []string{"10.0.0.10/10", "10.0.0.10/9", "10.0.0.9/10", "10.0.0.9/9"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("eviction order %v, want %v", got, want)
+	}
+	for i, k := range want {
+		if head := s.AppendEvictable(nil, 1, heard.Add(time.Hour), time.Minute); len(head) != 1 || head[0] != k {
+			t.Fatalf("head %d is %v, want %s", i, head, k)
+		}
+		s.Remove(k)
+	}
+}
+
+// TestIndexedRefreshAllocatesNothing extends the listener fast-path pin to
+// a cache with both indices on: a same-version refresh is one heap fix and
+// one view overwrite, no allocation — also when the refreshed entry ties
+// with others on LastHeard and scope, so that the fix compares keys.
+func TestIndexedRefreshAllocatesNothing(t *testing.T) {
+	s := NewSharded(0, 2)
+	s.TrackOrder(indexSelf)
+	s.TrackView(indexSpace)
+	now := time.Unix(0, 0)
+	for id := uint64(1); id <= 200; id++ {
+		s.Observe(odesc(byte(2+id%7), id, 1), now)
+	}
+	again := odesc(4, 100, 1)
+	key := again.Key()
+	if n := testing.AllocsPerRun(100, func() { s.ObserveKeyed(key, again, now) }); n != 0 {
+		t.Fatalf("same-version refresh among ties: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		now = now.Add(time.Second)
+		s.ObserveKeyed(key, again, now)
+	}); n != 0 {
+		t.Fatalf("same-version refresh moving to the back: %v allocs, want 0", n)
+	}
+}
+
+// TestEntryStaysInIts80ByteClass pins the memory budget the two slots were
+// fitted into: a 16-byte field more and every cached session costs 96.
+func TestEntryStaysInIts80ByteClass(t *testing.T) {
+	if size := reflect.TypeOf(Entry{}).Size(); size > 80 {
+		t.Fatalf("Entry is %d bytes, over the 80-byte size class", size)
+	}
+}

@@ -126,6 +126,7 @@ func (c *Cache) Restore(desc *session.Description, first, last, now time.Time) b
 			existing.Desc = desc
 			existing.adBytes = c.adSize(desc)
 			c.adBytes += existing.adBytes
+			c.indexUpdate(existing)
 		}
 		return false
 	}
@@ -138,5 +139,6 @@ func (c *Cache) Restore(desc *session.Description, first, last, now time.Time) b
 	c.entries[key] = e
 	c.live++
 	c.adBytes += e.adBytes
+	c.indexAdd(e)
 	return true
 }

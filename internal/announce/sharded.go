@@ -19,9 +19,10 @@ import (
 // serialises all order-sensitive mutations under its own mutex — the
 // shards exist so that
 //
-//   - O(cache) scans (allocator views, admission candidates, expiry,
-//     the degradation fresh-count) can run per-shard and merge in shard
-//     order, parallelising when the population is large;
+//   - the O(cache) scans that remain (expiry, the degradation
+//     fresh-count, checkpoints, the once-per-start load trim) can run
+//     per-shard and merge in shard order, parallelising when the
+//     population is large;
 //   - occupancy gauges and the bandwidth budget read per-shard atomics,
 //     so scrapes never contend with the packet path;
 //   - the epoch-batched receive path parses in parallel and applies
@@ -33,6 +34,15 @@ import (
 // consumer of All/Live is order-insensitive (or sorts), so results are
 // also identical *across* shard counts. A Sharded with one shard is the
 // unsharded oracle.
+//
+// The eviction order and the allocator view (index.go) are per-shard
+// structures too: each shard's heap, per-origin counts and view are
+// written by that shard's Cache at its mutation sites and are covered by
+// that shard's lock, exactly like its entry map. Queries merge at read
+// time under the shard read locks — shard totals summed, the K heap heads
+// compared, the K view slices appended to the caller's buffer. They return
+// keys and copies, never the structures themselves, so nothing outlives a
+// lock. (The directory calls all of it under its own mutex anyway.)
 type Sharded struct {
 	shards []cacheShard
 	// Timeout mirrors the per-shard caches' timeout (uniform across

@@ -58,10 +58,15 @@ func (d *Description) Key() string {
 	// The key is built once per received packet: append into a stack
 	// buffer so the string conversion is the only allocation.
 	var buf [64]byte
-	b := appendAddr(buf[:0], d.Origin)
+	return string(d.AppendKey(buf[:0]))
+}
+
+// AppendKey appends Key() to b, for callers that only compare keys and
+// want no string.
+func (d *Description) AppendKey(b []byte) []byte {
+	b = appendAddr(b, d.Origin)
 	b = append(b, '/')
-	b = strconv.AppendUint(b, d.ID, 10)
-	return string(b)
+	return strconv.AppendUint(b, d.ID, 10)
 }
 
 // appendAddr appends a.String(): AppendTo, except that it writes nothing
