@@ -1,7 +1,6 @@
 package sessiondir
 
 import (
-	"bytes"
 	"fmt"
 	"net/netip"
 	"testing"
@@ -350,10 +349,7 @@ func TestAdmissionLoadCacheOverBudget(t *testing.T) {
 		f.send(sap.Announce, d.Origin, d)
 		clk.Advance(time.Second) // distinct LastHeard per entry
 	}
-	var checkpoint bytes.Buffer
-	if err := donor.SaveCache(&checkpoint); err != nil {
-		t.Fatal(err)
-	}
+	checkpoint := checkpointOf(t, donor)
 
 	load := func() *Directory {
 		t.Helper()
@@ -368,9 +364,11 @@ func TestAdmissionLoadCacheOverBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := dir.LoadCache(bytes.NewReader(checkpoint.Bytes())); err != nil {
-			t.Fatal(err)
+		cs, _ := reopen(t, checkpoint, dir)
+		if cs.Loaded() != 10 {
+			t.Fatalf("loaded %d of the 10 checkpointed sessions before the trim", cs.Loaded())
 		}
+		_ = cs.Close() // load only: the checkpoint is shared and never rewritten
 		return dir
 	}
 

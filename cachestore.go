@@ -1,7 +1,6 @@
 package sessiondir
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -27,13 +26,11 @@ import (
 //	'V' | session key            (eviction: entry dropped)
 //
 // Snapshot records reuse the 'L' encoding, one per live session —
-// tombstones are not persisted, matching the legacy format's contract
-// (a restart may briefly resurrect a deleted session; the deletion's
-// re-announcement squelches it).
+// tombstones are not persisted (a restart may briefly resurrect a
+// deleted session; the deletion's re-announcement squelches it).
 type CacheStore struct {
 	store  *storage.Store
 	dir    *Directory
-	ins    cacheStoreInstruments
 	loaded int // entries restored into the cache at recovery
 }
 
@@ -45,6 +42,10 @@ const (
 	deltaEvict  byte = 'V'
 )
 
+// cacheStoreInstruments are the cache_* counters. They belong to the
+// directory (registered once, in New), not to a store: a registry name
+// can be taken once, and a directory outlives its stores — a failed
+// open is retried, a closed store reopened.
 type cacheStoreInstruments struct {
 	checkpointErrs *obs.Counter
 	compactions    *obs.Counter
@@ -54,32 +55,9 @@ type cacheStoreInstruments struct {
 	corrupt        *obs.Counter
 }
 
-func newCacheStoreInstruments(r *obs.Registry) (cacheStoreInstruments, error) {
-	var ins cacheStoreInstruments
-	counters := []struct {
-		dst        **obs.Counter
-		name, help string
-	}{
-		{&ins.checkpointErrs, "cache_checkpoint_errors_total", "cache checkpoint (snapshot compaction) attempts that failed"},
-		{&ins.compactions, "cache_checkpoint_compactions_total", "successful cache snapshot compactions"},
-		{&ins.appendErrs, "cache_journal_append_errors_total", "journal delta batches refused or failed by the store"},
-		{&ins.appended, "cache_journal_records_total", "session deltas durably appended to the cache journal"},
-		{&ins.salvaged, "cache_recovery_salvaged_total", "cache entries or records salvaged from damaged checkpoint files"},
-		{&ins.corrupt, "cache_recovery_corrupt_total", "checkpoint files found corrupt at recovery (quarantined)"},
-	}
-	for _, c := range counters {
-		m, err := r.Counter(c.name, c.help)
-		if err != nil {
-			return ins, err
-		}
-		*c.dst = m
-	}
-	return ins, nil
-}
-
 // encodeLearn frames one cache entry as a learn delta / snapshot
-// record. Returns nil (skip) for descriptions that cannot marshal —
-// the same tolerance the legacy format applies.
+// record. Returns nil (skip) for descriptions that cannot marshal: one
+// invalid cached description must not fail the whole checkpoint.
 func encodeLearn(e *announce.Entry) []byte {
 	sdp, err := e.Desc.MarshalSDP()
 	if err != nil {
@@ -99,8 +77,8 @@ func encodeKeyDelta(kind byte, key string) []byte {
 }
 
 // applyCacheRecord replays one recovered record into the directory
-// cache with Load's merge semantics, reporting whether it added a new
-// entry. An undecodable record is a decode error — the store
+// cache with Restore's merge semantics, reporting whether it added a
+// new entry. An undecodable record is a decode error — the store
 // quarantines the rest of that file.
 func (d *Directory) applyCacheRecord(p []byte) (bool, error) {
 	if len(p) == 0 {
@@ -131,31 +109,17 @@ func (d *Directory) applyCacheRecord(p []byte) (bool, error) {
 	return false, nil
 }
 
-// applyJournalRecord adapts applyCacheRecord to the storage.Open
-// replay signature.
-func (d *Directory) applyJournalRecord(p []byte) error {
-	_, err := d.applyCacheRecord(p)
-	return err
-}
-
 // OpenCacheStore recovers the journaled cache checkpoint at base inside
 // fsys into d (snapshot records first, then journal deltas, then the
-// admission trim and clash-tracker registration a LoadCache would do),
-// attaches the journal hooks, and returns the store ready for
-// Checkpoint. Damage never fails recovery: torn tails are dropped,
-// corrupt files are quarantined and their salvageable prefix merged,
-// and a legacy-format ("sdcache v1") snapshot is read via the old
-// parser and upgraded in place by the first Checkpoint. The error
-// return is environmental only (an unreadable disk).
+// admission trim and clash-tracker registration), attaches the journal
+// hooks, and returns the store ready for Checkpoint. Damage never fails
+// recovery: torn tails are dropped, and corrupt files — a file in any
+// other format included — are quarantined and their salvageable prefix
+// merged. The error return is environmental only (an unreadable disk).
 //
 // Recovery tallies land in the registry: cache_recovery_salvaged_total
 // and cache_recovery_corrupt_total.
 func OpenCacheStore(fsys storage.FS, base string, d *Directory) (*CacheStore, storage.Recovery, error) {
-	ins, err := newCacheStoreInstruments(d.Registry())
-	if err != nil {
-		return nil, storage.Recovery{}, err
-	}
-	legacySalvaged := 0
 	loaded := 0
 	st, rec, err := storage.Open(fsys, base, storage.OpenOptions{
 		Replay: func(p []byte) error {
@@ -165,29 +129,14 @@ func OpenCacheStore(fsys storage.FS, base string, d *Directory) (*CacheStore, st
 			}
 			return rerr
 		},
-		Legacy: func(data []byte) error {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			n, lerr := d.cache.Load(bytes.NewReader(data), d.cfg.Clock())
-			loaded += n
-			if lerr != nil {
-				// Partial salvage: n entries merged before the damage;
-				// the store quarantines the file.
-				legacySalvaged += n
-				return lerr
-			}
-			return nil
-		},
 	})
 	if err != nil {
 		return nil, rec, err
 	}
-	cs := &CacheStore{store: st, dir: d, ins: ins, loaded: loaded}
-	cs.ins.salvaged.Add(uint64(rec.Salvaged + legacySalvaged))
-	cs.ins.corrupt.Add(uint64(rec.Corrupt))
+	cs := &CacheStore{store: st, dir: d, loaded: loaded}
+	d.ins.store.salvaged.Add(uint64(rec.Salvaged))
+	d.ins.store.corrupt.Add(uint64(rec.Corrupt))
 
-	// The post-load bookkeeping every recovery needs, regardless of
-	// which format the bytes were in.
 	d.mu.Lock()
 	d.registerLoadedLocked(d.cfg.Clock())
 	d.mu.Unlock()
@@ -210,10 +159,10 @@ func OpenCacheStore(fsys storage.FS, base string, d *Directory) (*CacheStore, st
 // keeps serving either way, degraded to snapshot-cadence durability.
 func (cs *CacheStore) appendBatch(batch [][]byte) {
 	if err := cs.store.Append(batch...); err != nil {
-		cs.ins.appendErrs.Inc()
+		cs.dir.ins.store.appendErrs.Inc()
 		return
 	}
-	cs.ins.appended.Add(uint64(len(batch)))
+	cs.dir.ins.store.appended.Add(uint64(len(batch)))
 }
 
 // Checkpoint folds the live cache into a fresh snapshot generation and
@@ -246,10 +195,10 @@ func (cs *CacheStore) Checkpoint() error {
 		return nil
 	})
 	if err != nil {
-		cs.ins.checkpointErrs.Inc()
+		d.ins.store.checkpointErrs.Inc()
 		return err
 	}
-	cs.ins.compactions.Inc()
+	d.ins.store.compactions.Inc()
 	return nil
 }
 
@@ -275,13 +224,14 @@ type CacheStoreStats struct {
 
 // Stats samples the persistence counters.
 func (cs *CacheStore) Stats() CacheStoreStats {
+	ins := &cs.dir.ins.store
 	return CacheStoreStats{
-		Compactions:      cs.ins.compactions.Value(),
-		CheckpointErrors: cs.ins.checkpointErrs.Value(),
-		Appended:         cs.ins.appended.Value(),
-		AppendErrors:     cs.ins.appendErrs.Value(),
-		Salvaged:         cs.ins.salvaged.Value(),
-		Corrupt:          cs.ins.corrupt.Value(),
+		Compactions:      ins.compactions.Value(),
+		CheckpointErrors: ins.checkpointErrs.Value(),
+		Appended:         ins.appended.Value(),
+		AppendErrors:     ins.appendErrs.Value(),
+		Salvaged:         ins.salvaged.Value(),
+		Corrupt:          ins.corrupt.Value(),
 		JournalRecords:   cs.store.JournalRecords(),
 		Broken:           cs.store.Broken(),
 	}
@@ -297,8 +247,10 @@ func (cs *CacheStore) Close() error {
 	d.jmu.Lock()
 	defer d.jmu.Unlock()
 	d.mu.Lock()
-	d.journal = nil
-	d.jqueue = nil
+	if d.journal == cs {
+		d.journal = nil
+		d.jqueue = nil
+	}
 	d.mu.Unlock()
 	return cs.store.Close()
 }

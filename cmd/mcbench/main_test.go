@@ -108,7 +108,6 @@ func TestRunCompareInjected2xSlowdown(t *testing.T) {
 		{"name":"SAPDecodeZeroCopy","ns_per_op":40,"allocs_per_op":0},
 		{"name":"UDPRecvBatch","ns_per_op":450,"allocs_per_op":0},
 		{"name":"CheckpointJournalAppend","ns_per_op":500},
-		{"name":"CheckpointSnapshotLegacy","ns_per_op":50000},
 		{"name":"ClashObserveReannounce1k","ns_per_op":40},
 		{"name":"ClashObserveReannounce10k","ns_per_op":52},
 		{"name":"SessionMarshalSDP","ns_per_op":550,"allocs_per_op":1},
@@ -135,11 +134,8 @@ func budgetReport() benchReport {
 		Micro: []microBenchResult{
 			{Name: "AllocateHybridBatch16", NsPerOp: 400},
 			{Name: "SAPDecodeZeroCopy", NsPerOp: 40, AllocsOp: 0},
-			{Name: "SAPDecodeLegacy", NsPerOp: 100, AllocsOp: 1, BytesOp: 128},
-			{Name: "UDPRecvLegacy", NsPerOp: 800, AllocsOp: 2, DgramsPerSec: 1.2e6, BatchDepth: 1},
 			{Name: "UDPRecvBatch", NsPerOp: 450, AllocsOp: 0, DgramsPerSec: 2.2e6, BatchDepth: 30},
 			{Name: "CheckpointJournalAppend", NsPerOp: 500},
-			{Name: "CheckpointSnapshotLegacy", NsPerOp: 50000},
 			{Name: "ClashObserveReannounce1k", NsPerOp: 40},
 			{Name: "ClashObserveReannounce10k", NsPerOp: 52},
 			{Name: "SessionMarshalSDP", NsPerOp: 550, AllocsOp: 1, BytesOp: 352},
@@ -152,6 +148,18 @@ func budgetReport() benchReport {
 	}
 }
 
+// micro returns the named row of r for a test to spoil.
+func micro(t *testing.T, r *benchReport, name string) *microBenchResult {
+	t.Helper()
+	for i := range r.Micro {
+		if r.Micro[i].Name == name {
+			return &r.Micro[i]
+		}
+	}
+	t.Fatalf("fixture has no micro %q", name)
+	return nil
+}
+
 func TestBudgetFailuresCleanReport(t *testing.T) {
 	if fails := budgetFailures(budgetReport()); len(fails) != 0 {
 		t.Fatalf("budgets flagged a compliant report: %v", fails)
@@ -160,7 +168,7 @@ func TestBudgetFailuresCleanReport(t *testing.T) {
 
 func TestBudgetFailuresHybridBatchTooSlow(t *testing.T) {
 	r := budgetReport()
-	r.Micro[0].NsPerOp = 1500 // per address: past the 1µs target
+	micro(t, &r, "AllocateHybridBatch16").NsPerOp = 1500 // per address: past the 1µs target
 	if fails := budgetFailures(r); len(fails) != 1 {
 		t.Fatalf("slow batched Hybrid not caught: %v", fails)
 	}
@@ -168,7 +176,7 @@ func TestBudgetFailuresHybridBatchTooSlow(t *testing.T) {
 
 func TestBudgetFailuresAllocRegression(t *testing.T) {
 	r := budgetReport()
-	r.Micro[4].AllocsOp = 1 // steady-state receive must stay at zero
+	micro(t, &r, "UDPRecvBatch").AllocsOp = 1 // steady-state receive must stay at zero
 	if fails := budgetFailures(r); len(fails) != 1 {
 		t.Fatalf("alloc regression not caught: %v", fails)
 	}
@@ -176,7 +184,7 @@ func TestBudgetFailuresAllocRegression(t *testing.T) {
 
 func TestBudgetFailuresDecodeAllocRegression(t *testing.T) {
 	r := budgetReport()
-	r.Micro[1].AllocsOp = 1 // zero-copy SAP decode must stay at zero
+	micro(t, &r, "SAPDecodeZeroCopy").AllocsOp = 1 // zero-copy SAP decode must stay at zero
 	if fails := budgetFailures(r); len(fails) != 1 {
 		t.Fatalf("decode alloc regression not caught: %v", fails)
 	}
@@ -184,7 +192,7 @@ func TestBudgetFailuresDecodeAllocRegression(t *testing.T) {
 
 func TestBudgetFailuresBatchDepthCollapse(t *testing.T) {
 	r := budgetReport()
-	r.Micro[4].BatchDepth = 1 // recvmmsg silently degraded to 1:1
+	micro(t, &r, "UDPRecvBatch").BatchDepth = 1 // recvmmsg silently degraded to 1:1
 	if fails := budgetFailures(r); len(fails) != 1 {
 		t.Fatalf("batch-depth collapse not caught: %v", fails)
 	}
@@ -200,18 +208,18 @@ func TestBudgetFailuresMissingMicros(t *testing.T) {
 
 func TestBudgetFailuresListenerPath(t *testing.T) {
 	r := budgetReport()
-	r.Micro[8].NsPerOp = 400 // tracker Observe scaling with the cache again
+	micro(t, &r, "ClashObserveReannounce10k").NsPerOp = 400 // tracker Observe scaling with the cache again
 	if fails := budgetFailures(r); len(fails) != 1 {
 		t.Fatalf("population-dependent tracker Observe not caught: %v", fails)
 	}
 	r = budgetReport()
-	r.Micro[7].AllocsOp = 1
+	micro(t, &r, "ClashObserveReannounce1k").AllocsOp = 1
 	if fails := budgetFailures(r); len(fails) != 1 {
 		t.Fatalf("allocating tracker Observe not caught: %v", fails)
 	}
 	r = budgetReport()
-	r.Micro[9].AllocsOp = 27  // fmt is back in MarshalSDP
-	r.Micro[10].NsPerOp = 350 // and in Key
+	micro(t, &r, "SessionMarshalSDP").AllocsOp = 27 // fmt is back in MarshalSDP
+	micro(t, &r, "SessionKey").NsPerOp = 350        // and in Key
 	if fails := budgetFailures(r); len(fails) != 2 {
 		t.Fatalf("codec regressions not caught: %v", fails)
 	}
@@ -219,35 +227,56 @@ func TestBudgetFailuresListenerPath(t *testing.T) {
 
 func TestBudgetFailuresDirectoryRebuilds(t *testing.T) {
 	r := budgetReport()
-	r.Micro[12].NsPerOp = 50000 // admission sorting the cache per unknown session again
+	micro(t, &r, "DirAdmitUnknown10k").NsPerOp = 50000 // admission sorting the cache per unknown session again
 	if fails := budgetFailures(r); len(fails) != 1 {
 		t.Fatalf("population-dependent admission not caught: %v", fails)
 	}
 	r = budgetReport()
-	r.Micro[14].AllocsOp = 45 // the view rebuilt by append per create again
+	micro(t, &r, "DirCreateSession10k").AllocsOp = 45 // the view rebuilt by append per create again
 	if fails := budgetFailures(r); len(fails) != 1 {
 		t.Fatalf("population-dependent create allocations not caught: %v", fails)
 	}
 	r = budgetReport()
-	r.Micro = r.Micro[:14] // DirCreateSession10k not measured
+	r.Micro = r.Micro[:len(r.Micro)-1] // DirCreateSession10k not measured
 	if fails := budgetFailures(r); len(fails) != 1 {
 		t.Fatalf("missing directory micro not caught: %v", fails)
 	}
 }
 
+// The O(delta)-vs-O(sessions) claim used to be a ratio against a frozen
+// full-snapshot writer; an append that costs what a snapshot did is now
+// caught by the absolute budget.
 func TestBudgetFailuresCheckpointRatioCollapse(t *testing.T) {
 	r := budgetReport()
-	r.Micro[5].NsPerOp = 40000 // append nearly as slow as a full snapshot
+	micro(t, &r, "CheckpointJournalAppend").NsPerOp = 40000 // an append that rewrites something
 	if fails := budgetFailures(r); len(fails) != 1 {
 		t.Fatalf("O(sessions)-cost journal append not caught: %v", fails)
+	}
+}
+
+// The budgets that replaced the races against frozen baselines.
+func TestBudgetFailuresAbsoluteBudgets(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		spoil func(*microBenchResult)
+	}{
+		{"CheckpointJournalAppend", func(m *microBenchResult) { m.AllocsOp = 1 }}, // the frame buffer no longer reused
+		{"SAPDecodeZeroCopy", func(m *microBenchResult) { m.NsPerOp = 300 }},      // several times the zero-copy decode
+		{"UDPRecvBatch", func(m *microBenchResult) { m.NsPerOp = 1600 }},          // dearer than one read per datagram ever was
+	} {
+		r := budgetReport()
+		c.spoil(micro(t, &r, c.name))
+		if fails := budgetFailures(r); len(fails) != 1 {
+			t.Errorf("spoiled %s not caught: %v", c.name, fails)
+		}
 	}
 }
 
 func TestBudgetFailuresDepthGateLinuxOnly(t *testing.T) {
 	r := budgetReport()
 	r.GOOS = "darwin"
-	r.Micro[4].BatchDepth = 1 // fine off linux: no recvmmsg there
-	r.Micro[4].NsPerOp = 900  // and no mandated speedup either
+	micro(t, &r, "UDPRecvBatch").BatchDepth = 1 // fine off linux: no recvmmsg there
+	micro(t, &r, "UDPRecvBatch").NsPerOp = 1900 // and no per-datagram budget either
 	if fails := budgetFailures(r); len(fails) != 0 {
 		t.Fatalf("non-linux report held to linux-only gates: %v", fails)
 	}

@@ -19,6 +19,7 @@ import (
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/sap"
 	"sessiondir/internal/session"
+	"sessiondir/internal/storage"
 	"sessiondir/internal/transport"
 )
 
@@ -195,11 +196,12 @@ func countCachedSessions(t *testing.T, path string) int {
 		t.Fatal(err)
 	}
 	defer dir.Close()
-	n, err := dir.LoadCacheFile(path)
+	cs, _, err := sessiondir.OpenCacheStore(storage.NewOSFS(filepath.Dir(path)), filepath.Base(path), dir)
 	if err != nil {
 		t.Fatalf("loading checkpoint %s: %v", path, err)
 	}
-	return n
+	defer cs.Close() // opened to read: nothing is buffered
+	return cs.Loaded()
 }
 
 // TestShutdownDrainSavesTailBurst pins the shutdown ordering: a burst

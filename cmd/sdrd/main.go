@@ -182,8 +182,8 @@ func run() error {
 				log.Printf("cache recovery: %s", note)
 			}
 			if rec.Corrupt > 0 {
-				log.Printf("cache load: quarantined %d corrupt checkpoint file(s) %v, salvaged %d entries (starting cold otherwise)",
-					rec.Corrupt, rec.Quarantined, rec.Salvaged+cs.Loaded())
+				log.Printf("cache load: quarantined %d corrupt checkpoint file(s) %v, salvaged %d record(s) from before the damage (starting cold otherwise)",
+					rec.Corrupt, rec.Quarantined, rec.Salvaged)
 			}
 			if n := cs.Loaded(); n > 0 {
 				log.Printf("loaded %d cached sessions from %s", n, *cacheFile)

@@ -3,7 +3,6 @@ package sessiondir
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/netip"
 	"sort"
 	"sync"
@@ -277,8 +276,8 @@ type outMsg struct {
 }
 
 // dirInstruments holds the directory's registry-backed counters. The
-// legacy Metrics struct is now a snapshot view over these; every hot-path
-// update is a single atomic add.
+// Metrics struct is a snapshot view over these; every hot-path update is
+// a single atomic add.
 type dirInstruments struct {
 	announcementsSent *obs.Counter
 	deletionsSent     *obs.Counter
@@ -301,6 +300,7 @@ type dirInstruments struct {
 	degradedDefenses  *obs.Counter
 	degradedLearns    *obs.Counter
 	packetBytes       *obs.Histogram
+	store             cacheStoreInstruments
 }
 
 // packetSizeBounds buckets received datagram sizes: SAP announcements
@@ -329,6 +329,12 @@ func newDirInstruments(r *obs.Registry) (dirInstruments, error) {
 		{&ins.evictions, "dir_admission_evictions_total", "cached sessions displaced to stay inside the budget"},
 		{&ins.degradedDefenses, "dir_degraded_defenses_suppressed_total", "phase-3 defenses suppressed under overload degradation"},
 		{&ins.degradedLearns, "dir_degraded_learns_shed_total", "unknown sessions shed without an admission scan at degradation level 2"},
+		{&ins.store.checkpointErrs, "cache_checkpoint_errors_total", "cache checkpoint (snapshot compaction) attempts that failed"},
+		{&ins.store.compactions, "cache_checkpoint_compactions_total", "successful cache snapshot compactions"},
+		{&ins.store.appendErrs, "cache_journal_append_errors_total", "journal delta batches refused or failed by the store"},
+		{&ins.store.appended, "cache_journal_records_total", "session deltas durably appended to the cache journal"},
+		{&ins.store.salvaged, "cache_recovery_salvaged_total", "records salvaged from damaged checkpoint files"},
+		{&ins.store.corrupt, "cache_recovery_corrupt_total", "checkpoint files found corrupt at recovery (quarantined)"},
 	}
 	for _, c := range counters {
 		m, err := r.Counter(c.name, c.help)
@@ -352,9 +358,9 @@ func newDirInstruments(r *obs.Registry) (dirInstruments, error) {
 }
 
 // registerGauges exposes the directory's population state as registry
-// views. Each callback takes d.mu, so scrapes must never run under it —
-// the registry is only read from scrape paths (HTTP, bench snapshots),
-// never from inside the directory.
+// views. Every callback but dir_cache_sessions takes d.mu, so scrapes
+// must never run under it — the registry is only read from scrape paths
+// (HTTP, bench snapshots), never from inside the directory.
 func (d *Directory) registerGauges() error {
 	gauges := []struct {
 		name, help string
@@ -931,8 +937,8 @@ func (d *Directory) applyParsedLocked(p *parsedPacket) {
 		d.trace.Record(obs.TraceEvent{At: d.ms(now), Kind: obs.TraceLearn, Key: key})
 		d.emit(Event{Kind: EventSessionLearned, Key: key, Desc: desc})
 		// Only fresh observations are journaled; pure LastHeard
-		// refreshes ride on the next snapshot (interval-granularity
-		// timestamps, same as the legacy checkpoint format).
+		// refreshes ride on the next snapshot, so a recovered timestamp
+		// is at most one checkpoint interval old.
 		d.journalLocked(encodeLearn(e))
 	}
 	if idx, ok := d.space.Index(desc.Group); ok {
@@ -1198,34 +1204,9 @@ func (d *Directory) Close() {
 	d.closed = true
 }
 
-// SaveCache persists the listened-session cache (own sessions are not
-// included; they are re-announced on restart anyway). sdr kept such a
-// cache so restarts come up with a complete picture — the "local caching
-// servers" of §2.3.
-func (d *Directory) SaveCache(w io.Writer) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.cache.Save(w)
-}
-
-// LoadCache merges a persisted cache, registering each loaded session
-// with the clash tracker so its address is defended from the start.
-// Returns the number of sessions loaded.
-func (d *Directory) LoadCache(r io.Reader) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	now := d.cfg.Clock()
-	n, err := d.cache.Load(r, now)
-	if err != nil {
-		return n, err
-	}
-	d.registerLoadedLocked(now)
-	return n, nil
-}
-
-// registerLoadedLocked is the post-recovery bookkeeping shared by
-// LoadCache and OpenCacheStore, run after persisted entries have been
-// merged into the cache. Caller holds d.mu.
+// registerLoadedLocked is OpenCacheStore's post-recovery bookkeeping,
+// run after persisted entries have been merged into the cache. Caller
+// holds d.mu.
 func (d *Directory) registerLoadedLocked(now time.Time) {
 	// Budget enforcement before tracker registration: a checkpoint larger
 	// than MaxSessions (saved under a bigger budget, or adversarially

@@ -1,7 +1,6 @@
 package sessiondir
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net/netip"
@@ -16,6 +15,7 @@ import (
 	"sessiondir/internal/sap"
 	"sessiondir/internal/session"
 	"sessiondir/internal/stats"
+	"sessiondir/internal/storage"
 	"sessiondir/internal/transport"
 )
 
@@ -154,7 +154,7 @@ func TestDirectoryIndicesMatchRebuilds(t *testing.T) {
 
 	// One checkpoint, bigger than the budget below, for the load-then-trim
 	// sequences.
-	var checkpoint bytes.Buffer
+	var checkpoint *storage.MemFS
 	{
 		bus := transport.NewBus()
 		clk := newFakeClock()
@@ -167,9 +167,7 @@ func TestDirectoryIndicesMatchRebuilds(t *testing.T) {
 				clk.Advance(time.Second)
 			}
 		}
-		if err := donor.SaveCache(&checkpoint); err != nil {
-			t.Fatal(err)
-		}
+		checkpoint = checkpointOf(t, donor)
 	}
 
 	for _, shards := range []int{1, 4, 8} {
@@ -199,9 +197,8 @@ func TestDirectoryIndicesMatchRebuilds(t *testing.T) {
 			if seed%2 == 0 {
 				// The heard view is switched on over the loaded population
 				// by the first create, some ops in.
-				if _, err := d.LoadCache(bytes.NewReader(checkpoint.Bytes())); err != nil {
-					t.Fatal(err)
-				}
+				cs, _ := reopen(t, checkpoint, d)
+				_ = cs.Close() // load only: the checkpoint is shared and never rewritten
 				checkIndices(t, d, self)
 			}
 			ownKeys := func() []string {

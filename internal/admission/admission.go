@@ -189,9 +189,6 @@ func (c *Controller) Allow(origin netip.Addr, now time.Time) bool {
 	return true
 }
 
-// Origins reports how many origins the limiter currently tracks.
-func (c *Controller) Origins() int { return len(c.buckets) }
-
 // gcBuckets reclaims bucket-table space: fully-refilled buckets are idle
 // senders whose state is reconstructible, so they go first; if the table
 // is still over budget (an active many-origin flood) the fullest buckets

@@ -24,8 +24,8 @@ func TestAllowUnlimitedByDefault(t *testing.T) {
 			t.Fatal("zero config must admit everything")
 		}
 	}
-	if c.Origins() != 0 {
-		t.Fatalf("unlimited limiter tracked %d origins, want 0", c.Origins())
+	if n := c.Stats().Origins; n != 0 {
+		t.Fatalf("unlimited limiter tracked %d origins, want 0", n)
 	}
 }
 
@@ -76,7 +76,7 @@ func TestBucketTableBounded(t *testing.T) {
 	for i := 0; i < 10_000; i++ {
 		c.Allow(origin(i), now)
 	}
-	if got := c.Origins(); got > 64 {
+	if got := c.Stats().Origins; got > 64 {
 		t.Fatalf("bucket table grew to %d origins under churn, budget 64", got)
 	}
 }

@@ -170,8 +170,8 @@ func benchAllocateBatch(b *testing.B, a Allocator, k int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/addr")
 }
 
-func BenchmarkAllocateBatchHybrid16(b *testing.B)  { benchAllocateBatch(b, NewHybrid(4096), 16) }
-func BenchmarkAllocateBatchHybrid64(b *testing.B)  { benchAllocateBatch(b, NewHybrid(4096), 64) }
+func BenchmarkAllocateBatchHybrid16(b *testing.B) { benchAllocateBatch(b, NewHybrid(4096), 16) }
+func BenchmarkAllocateBatchHybrid64(b *testing.B) { benchAllocateBatch(b, NewHybrid(4096), 64) }
 func BenchmarkAllocateBatchAdaptive16(b *testing.B) {
 	benchAllocateBatch(b, NewAdaptive(4096, AdaptiveConfig{GapFraction: 0.2}), 16)
 }

@@ -215,6 +215,40 @@ func (c *Cache) ObserveKeyed(key string, d *session.Description, now time.Time) 
 	return e, fresh
 }
 
+// Restore merges one persisted entry: entries stale relative to now are
+// skipped, and fresher in-memory state wins over disk state (version
+// upgrades excepted). The journaled store replays snapshot and journal
+// records through this one entry at a time. Reports whether the entry
+// was added as new.
+func (c *Cache) Restore(desc *session.Description, first, last, now time.Time) bool {
+	if now.Sub(last) > c.Timeout {
+		return false // stale on disk
+	}
+	key := desc.Key()
+	if existing, ok := c.entries[key]; ok {
+		// In-memory state is at least as fresh; only upgrade versions.
+		if desc.Version > existing.Desc.Version && !existing.Deleted {
+			c.adBytes -= existing.adBytes
+			existing.Desc = desc
+			existing.adBytes = c.adSize(desc)
+			c.adBytes += existing.adBytes
+			c.indexUpdate(existing)
+		}
+		return false
+	}
+	e := &Entry{
+		Desc:       desc,
+		FirstHeard: first,
+		LastHeard:  last,
+		adBytes:    c.adSize(desc),
+	}
+	c.entries[key] = e
+	c.live++
+	c.adBytes += e.adBytes
+	c.indexAdd(e)
+	return true
+}
+
 // Delete marks a session deleted (explicit SAP deletion packet).
 func (c *Cache) Delete(key string, now time.Time) {
 	if e, ok := c.entries[key]; ok {

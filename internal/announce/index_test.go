@@ -235,7 +235,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 				}
 			}
 			// Emptying the cache empties the indices.
-			for _, e := range s.All() {
+			for _, e := range allEntries(s) {
 				s.Remove(e.Desc.Key())
 			}
 			checkIndexInvariants(t, s, indexSelf)

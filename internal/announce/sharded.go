@@ -1,7 +1,6 @@
 package announce
 
 import (
-	"io"
 	"sort"
 	"strings"
 	"sync"
@@ -29,11 +28,11 @@ import (
 //     serially, touching only the shards its batch names.
 //
 // Determinism: shard selection is a pure function of the key, every scan
-// merges in shard index order, and Expire/Save sort globally, so for any
-// fixed shard count a seeded run replays bit-identically — and every
-// consumer of All/Live is order-insensitive (or sorts), so results are
-// also identical *across* shard counts. A Sharded with one shard is the
-// unsharded oracle.
+// merges in shard index order, and Expire and the checkpoint writer sort
+// globally, so for any fixed shard count a seeded run replays
+// bit-identically — and every consumer of Live/AllGrouped is
+// order-insensitive (or sorts), so results are also identical *across*
+// shard counts. A Sharded with one shard is the unsharded oracle.
 //
 // The eviction order and the allocator view (index.go) are per-shard
 // structures too: each shard's heap, per-origin counts and view are
@@ -84,9 +83,6 @@ func NewSharded(timeout time.Duration, shards int) *Sharded {
 	s.Timeout = s.shards[0].c.Timeout
 	return s
 }
-
-// ShardCount reports the number of stripes.
-func (s *Sharded) ShardCount() int { return len(s.shards) }
 
 // originOf extracts the origin prefix of a session key ("origin/id").
 func originOf(key string) string {
@@ -241,18 +237,6 @@ func (s *Sharded) Expire(now time.Time) []string {
 	return evicted
 }
 
-// All returns every entry including tombstones, concatenated in shard
-// order (deterministic for a fixed shard count; consumers are
-// order-insensitive, see the type comment).
-func (s *Sharded) All() []*Entry {
-	return gatherShards(s, func(i int) []*Entry {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		return sh.c.All()
-	})
-}
-
 // Live returns all live entries, concatenated in shard order.
 func (s *Sharded) Live() []*Entry {
 	return gatherShards(s, func(i int) []*Entry {
@@ -296,14 +280,6 @@ func gatherShards[T any](s *Sharded, fn func(i int) []T) []T {
 	return par.Gather(s.scanWorkers(), len(s.shards), fn)
 }
 
-// Save writes all live entries to w in globally sorted key order, so a
-// checkpoint's bytes do not depend on the shard count that produced it.
-func (s *Sharded) Save(w io.Writer) error {
-	live := s.Live()
-	SortByKey(live)
-	return saveEntries(w, live)
-}
-
 // SortByKey sorts entries by session key and returns the keys in the
 // same order. Each key is built once, not once per comparison.
 func SortByKey(entries []*Entry) []string {
@@ -326,9 +302,4 @@ func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
 func (b byKey) Swap(i, j int) {
 	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 	b.entries[i], b.entries[j] = b.entries[j], b.entries[i]
-}
-
-// Load merges persisted entries with Cache.Load's semantics.
-func (s *Sharded) Load(r io.Reader, now time.Time) (int, error) {
-	return loadEntries(r, s.Restore, now)
 }

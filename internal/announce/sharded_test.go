@@ -1,7 +1,6 @@
 package announce
 
 import (
-	"bytes"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -88,7 +87,7 @@ func TestShardedMatchesFlatCacheOracle(t *testing.T) {
 					flat.TotalAdBytes(), sharded.TotalAdBytes())
 			}
 		}
-		fs, ss := flatStates(flat.All()), flatStates(sharded.All())
+		fs, ss := flatStates(flat.All()), flatStates(allEntries(sharded))
 		if len(fs) != len(ss) {
 			t.Fatalf("shards=%d: %d entries vs %d", shards, len(fs), len(ss))
 		}
@@ -100,6 +99,15 @@ func TestShardedMatchesFlatCacheOracle(t *testing.T) {
 	}
 }
 
+// allEntries flattens AllGrouped: every entry, tombstones included.
+func allEntries(s *Sharded) []*Entry {
+	var out []*Entry
+	for _, g := range s.AllGrouped() {
+		out = append(out, g...)
+	}
+	return out
+}
+
 // The incremental live/adBytes accounting must equal a from-scratch
 // recomputation over the entries at any point — exactness is what lets
 // the admission budget trust O(1) Len/TotalAdBytes across shards.
@@ -108,7 +116,7 @@ func TestShardedAccountingMatchesRecount(t *testing.T) {
 	rng := stats.NewRNG(7)
 	now := time.Unix(2000, 0)
 	recount := func() (live, adBytes int) {
-		for _, e := range s.All() {
+		for _, e := range allEntries(s) {
 			if !e.Deleted {
 				live++
 				if data, err := e.Desc.MarshalSDP(); err == nil {
@@ -159,55 +167,6 @@ func TestShardedExpireSorted(t *testing.T) {
 	}
 	if !sort.StringsAreSorted(evicted) {
 		t.Fatalf("evictions not sorted: %v", evicted)
-	}
-}
-
-// Save must produce byte-identical snapshots at any shard count, and
-// Load must land the same entries regardless of the reader's count.
-func TestShardedSaveLoadAcrossShardCounts(t *testing.T) {
-	now := time.Unix(4000, 0)
-	populate := func(shards int) *Sharded {
-		s := NewSharded(time.Hour, shards)
-		for host := byte(1); host <= 20; host++ {
-			for id := uint64(0); id < 5; id++ {
-				s.Observe(odesc(host, id, id+1), now.Add(time.Duration(host)*time.Second))
-			}
-		}
-		s.Delete("10.0.0.3/2", now.Add(time.Minute))
-		return s
-	}
-	var want []byte
-	for _, shards := range []int{1, 4, 8} {
-		var buf bytes.Buffer
-		if err := populate(shards).Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = buf.Bytes()
-			continue
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("snapshot bytes differ between shard counts (shards=%d)", shards)
-		}
-	}
-
-	loaded := NewSharded(time.Hour, 8)
-	n, err := loaded.Load(bytes.NewReader(want), now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("loaded nothing")
-	}
-	got := flatStates(loaded.Live())
-	src := flatStates(populate(1).Live())
-	if len(got) != len(src) {
-		t.Fatalf("loaded %d live entries, want %d", len(got), len(src))
-	}
-	for i := range src {
-		if got[i].key != src[i].key || got[i].version != src[i].version {
-			t.Fatalf("entry %d: %+v vs %+v", i, got[i], src[i])
-		}
 	}
 }
 

@@ -39,9 +39,9 @@ func Workers(requested int) int {
 // per-partition slices in partition order. Because each partition's
 // result lands in its own slot and the concatenation order is the
 // partition index, the output is bit-identical at any worker count: the
-// parallel simulation core (sharded caches, partitioned event wheels,
-// the partitioned session world) leans on exactly this property for its
-// deterministic merge step.
+// parallel simulation core (sharded caches, the partitioned session
+// world) leans on exactly this property for its deterministic merge
+// step.
 func Gather[T any](workers, parts int, fn func(p int) []T) []T {
 	if parts <= 0 {
 		return nil

@@ -185,23 +185,6 @@ func internPayloadType(b []byte) string {
 	return string(b)
 }
 
-// DecodeCopy parses data into p like Decode, but copies the payload
-// (and payload type) into fresh allocations so p retains nothing of
-// data. Use it when the packet outlives the input buffer — chaos
-// recorders, test captures — and the aliasing contract of Decode is a
-// liability rather than a win. It is also the legacy-cost baseline the
-// SAPDecode benchmarks compare against.
-func (p *Packet) DecodeCopy(data []byte) error {
-	if err := p.Decode(data); err != nil {
-		return err
-	}
-	p.Payload = append([]byte(nil), p.Payload...)
-	if p.PayloadType != "" && p.PayloadType != PayloadTypeSDP {
-		p.PayloadType = string(append([]byte(nil), p.PayloadType...))
-	}
-	return nil
-}
-
 func looksLikeMIME(b []byte) bool {
 	slash := false
 	for _, c := range b {

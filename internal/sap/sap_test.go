@@ -292,29 +292,3 @@ func TestInternPayloadType(t *testing.T) {
 		t.Fatalf("payload type %q", got.PayloadType)
 	}
 }
-
-// TestDecodeCopyDoesNotAlias is DecodeCopy's retention contract:
-// mutating the wire buffer after DecodeCopy must not show through.
-func TestDecodeCopyDoesNotAlias(t *testing.T) {
-	wire, _ := samplePacket().Marshal(nil)
-	var got Packet
-	if err := got.DecodeCopy(wire); err != nil {
-		t.Fatal(err)
-	}
-	old := got.Payload[0]
-	wire[len(wire)-len(got.Payload)] = old + 1
-	if got.Payload[0] != old {
-		t.Fatal("DecodeCopy payload aliases the input buffer")
-	}
-}
-
-func BenchmarkDecodeCopy(b *testing.B) {
-	wire, _ := samplePacket().Marshal(nil)
-	var p Packet
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := p.DecodeCopy(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

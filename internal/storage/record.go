@@ -65,17 +65,12 @@ type fileImage struct {
 	reason  string   // human-readable classification detail
 }
 
-// hasMagic reports whether data begins with this package's file magic —
-// the dispatch point between the framed format and the legacy
-// line-oriented "sdcache v1" text format.
+// hasMagic reports whether data begins with this package's file magic.
+// A file without it is some other program's: parseFile classifies it
+// corrupt, so it is quarantined rather than overwritten.
 func hasMagic(data []byte) bool {
 	return len(data) >= len(recMagic) && string(data[:len(recMagic)]) == recMagic
 }
-
-// HasMagic reports whether data begins with the framed-format file
-// magic — the public format sniff for readers that also accept the
-// legacy text format.
-func HasMagic(data []byte) bool { return hasMagic(data) }
 
 // parseFile classifies data per the grammar above. It never fails: any
 // input yields an image, with torn/corrupt describing what was wrong

@@ -66,9 +66,6 @@ type Recovery struct {
 	// the snapshot already contains their deltas (the crash window
 	// between snapshot rename and journal rotation — normal).
 	StaleJournals int
-	// Legacy reports that base held a pre-framing file which the
-	// caller's legacy reader claimed.
-	Legacy bool
 	// Notes carries human-readable classification details for logs.
 	Notes []string
 }
@@ -81,10 +78,6 @@ type OpenOptions struct {
 	// bytes the application cannot decode) and quarantines it; recovery
 	// continues.
 	Replay func(payload []byte) error
-	// Legacy, if non-nil, is offered the raw content of base when it
-	// lacks the framed-format magic. Returning nil claims the file as a
-	// legacy-format snapshot; an error sends it to quarantine instead.
-	Legacy func(data []byte) error
 }
 
 // Open reads base and base+".journal", replays every recoverable
@@ -172,15 +165,6 @@ func (s *Store) recoverFile(name string, wantKind byte, opts OpenOptions, rec *R
 	}
 	if data == nil {
 		return 0, false, nil
-	}
-	if !hasMagic(data) && opts.Legacy != nil {
-		if lerr := opts.Legacy(data); lerr == nil {
-			rec.Legacy = true
-			rec.note("snapshot %s in legacy format: loaded, will be rewritten on next compact", name)
-			return 0, false, nil
-		} else {
-			rec.note("snapshot %s: legacy reader rejected it: %v", name, lerr)
-		}
 	}
 	img := parseFile(data)
 	if img.corrupt || (img.kind != 0 && img.kind != wantKind) {

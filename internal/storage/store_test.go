@@ -191,43 +191,32 @@ func TestStoreStaleJournalDiscarded(t *testing.T) {
 	}
 }
 
-func TestStoreLegacyFormatClaimed(t *testing.T) {
+// A file at base that lacks the magic is some other program's, or some
+// other version's: it is set aside byte for byte, never deleted, nothing
+// of it is replayed, and the store starts cold.
+func TestStoreForeignFileQuarantined(t *testing.T) {
 	fs := NewMemFS()
-	legacyBody := "sdcache v1\nentry 1 2 3\nfoo"
-	if err := fs.WriteFile("cache", []byte(legacyBody)); err != nil {
+	foreign := []byte("cache v0\nentry 1 2 3\nfoo")
+	if err := fs.WriteFile("cache", foreign); err != nil {
 		t.Fatal(err)
 	}
-	var got string
-	s, rec := mustOpen(t, fs, "cache", OpenOptions{
-		Replay: (&collector{}).replay,
-		Legacy: func(data []byte) error {
-			got = string(data)
-			return nil
-		},
-	})
-	if got != legacyBody {
-		t.Fatalf("legacy reader saw %q", got)
+	var c collector
+	s, rec := mustOpen(t, fs, "cache", OpenOptions{Replay: c.replay})
+	if rec.Corrupt != 1 || rec.Salvaged != 0 || len(c.recs) != 0 {
+		t.Fatalf("foreign file misclassified: %+v, replayed %v", rec, c.recs)
 	}
-	if !rec.Legacy || rec.Corrupt != 0 {
-		t.Fatalf("legacy misclassified: %+v", rec)
+	if !reflect.DeepEqual(rec.Quarantined, []string{"cache.corrupt-1"}) {
+		t.Fatalf("quarantined as %v", rec.Quarantined)
 	}
-	// The first compact upgrades the file to the framed format.
-	compactWith(t, s, "upgraded")
+	if q, err := fs.ReadFile("cache.corrupt-1"); err != nil || string(q) != string(foreign) {
+		t.Fatalf("quarantined copy %q (err %v), want the original bytes", q, err)
+	}
+	// The first compact writes a framed file at the vacated name.
+	compactWith(t, s, "fresh")
 	s.Close()
 	data, err := fs.ReadFile("cache")
 	if err != nil || !hasMagic(data) {
 		t.Fatalf("post-compact snapshot not framed (err %v)", err)
-	}
-
-	// A rejected legacy file is corruption: quarantined, cold start.
-	fs2 := NewMemFS()
-	fs2.WriteFile("cache", []byte("not a cache at all"))
-	_, rec2 := mustOpen(t, fs2, "cache", OpenOptions{
-		Replay: (&collector{}).replay,
-		Legacy: func([]byte) error { return errors.New("nope") },
-	})
-	if rec2.Corrupt != 1 || len(rec2.Quarantined) != 1 {
-		t.Fatalf("rejected legacy file not quarantined: %+v", rec2)
 	}
 }
 

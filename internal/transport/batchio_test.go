@@ -373,12 +373,13 @@ func TestSendBatchMatchesSequentialSend(t *testing.T) {
 	}
 }
 
-// --- Receive-path micro-benchmarks (mirrored into BENCH.json) ---
+// --- Receive-path micro-benchmark (mirrored into BENCH.json) ---
 
-func benchRecv(b *testing.B, mode RecvBenchMode) {
+// BenchmarkUDPBatchThroughput is the shipping batched zero-copy path.
+func BenchmarkUDPBatchThroughput(b *testing.B) {
 	const perRound = 64
 	rounds := (b.N + perRound - 1) / perRound
-	res, err := RecvThroughput(mode, rounds, perRound, 64)
+	res, err := RecvThroughput(rounds, perRound, 64)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -390,10 +391,3 @@ func benchRecv(b *testing.B, mode RecvBenchMode) {
 	b.ReportMetric(res.BatchDepth(), "dgram/syscall")
 	b.ReportMetric(res.AllocsPerDatagram, "allocs/dgram")
 }
-
-// BenchmarkUDPRecvLegacy is the frozen pre-batching baseline the gate
-// compares against.
-func BenchmarkUDPRecvLegacy(b *testing.B) { benchRecv(b, RecvLegacy) }
-
-// BenchmarkUDPBatchThroughput is the shipping batched zero-copy path.
-func BenchmarkUDPBatchThroughput(b *testing.B) { benchRecv(b, RecvBatched) }

@@ -5,7 +5,6 @@ import (
 	"net"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 )
 
@@ -13,36 +12,16 @@ import (
 //
 // RecvThroughput measures the cost of *draining* datagrams in isolation:
 // each round queues perRound datagrams on a loopback socket while no
-// reader is running, then drains them with the selected receive style,
-// timing only the drain. Keeping the fill outside the clock is what lets
-// the number answer "how fast can the receive path retire a backlog" —
-// the question SAP announcement bursts ask — rather than blending in
-// sender-side syscall cost, which is identical across styles.
+// reader is running, then drains them the way the UDP read loop does —
+// platform batchConn (recvmmsg on linux), pooled buffers, lock-free
+// handler, zero-copy hand-off — timing only the drain. Keeping the fill
+// outside the clock is what lets the number answer "how fast can the
+// receive path retire a backlog" — the question SAP announcement bursts
+// ask — rather than blending in sender-side syscall cost.
 //
-// Both the transport's own benchmarks and cmd/mcbench call this, so the
+// Both the transport's own benchmark and cmd/mcbench call this, so the
 // number in BENCH.json and the number a `go test -bench` run prints come
 // from the same code path.
-
-// RecvBenchMode selects the receive style under measurement.
-type RecvBenchMode int
-
-const (
-	// RecvLegacy reproduces the pre-batching read loop: one ReadFromUDP
-	// per datagram, a mutex-guarded handler fetch, and a make+copy hand-
-	// off. It exists as the fixed baseline the batched path is gated
-	// against (≥10x in BENCH.json), so it must not be "improved".
-	RecvLegacy RecvBenchMode = iota
-	// RecvBatched is the shipping path: platform batchConn (recvmmsg on
-	// linux), pooled buffers, lock-free handler, zero-copy hand-off.
-	RecvBatched
-)
-
-func (m RecvBenchMode) String() string {
-	if m == RecvLegacy {
-		return "legacy"
-	}
-	return "batched"
-}
 
 // RecvThroughputResult aggregates the timed drains.
 type RecvThroughputResult struct {
@@ -51,14 +30,13 @@ type RecvThroughputResult struct {
 	DrainNs   int64 // time spent draining, fill excluded
 	// AllocsPerDatagram is the mean heap allocations per drained
 	// datagram, measured after a warm-up round with GC paused so pool
-	// reuse is observable (the steady-state gate wants exactly 0 for the
-	// batched path).
+	// reuse is observable (the steady-state gate wants exactly 0).
 	AllocsPerDatagram float64
 }
 
 // BatchDepth is the mean datagrams retired per receive call — the
-// syscall amortization factor (1.0 for the legacy and portable paths,
-// up to readBatchSize for recvmmsg).
+// syscall amortization factor (1.0 for the portable path, up to
+// readBatchSize for recvmmsg).
 func (r RecvThroughputResult) BatchDepth() float64 {
 	if r.Reads == 0 {
 		return 0
@@ -87,7 +65,7 @@ func (r RecvThroughputResult) DatagramsPerSec() float64 {
 // stay well under the socket buffer (64 datagrams of ≤1 kB is safe
 // everywhere); dropped datagrams are tolerated via a drain deadline so a
 // lossy kernel buffer skews the number instead of hanging the run.
-func RecvThroughput(mode RecvBenchMode, rounds, perRound, payloadLen int) (RecvThroughputResult, error) {
+func RecvThroughput(rounds, perRound, payloadLen int) (RecvThroughputResult, error) {
 	var res RecvThroughputResult
 	rx, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -106,101 +84,27 @@ func RecvThroughput(mode RecvBenchMode, rounds, perRound, payloadLen int) (RecvT
 		payload[i] = byte(i)
 	}
 
-	drain, reads := newDrainer(mode, rx)
-	fill := func() (int, error) {
-		for i := 0; i < perRound; i++ {
-			if _, err := tx.WriteToUDPAddrPort(payload, dst); err != nil {
-				return 0, fmt.Errorf("transport: bench fill: %w", err)
-			}
-		}
-		return perRound, nil
-	}
-
-	// Warm-up round: page in both paths and seed the buffer pool, so the
-	// measured rounds see steady state.
-	if _, err := fill(); err != nil {
-		return res, err
-	}
-	if _, _, err := drain(perRound); err != nil {
-		return res, err
-	}
-
-	// GC off while measuring: a collection mid-run would empty the
-	// buffer pool and bill the refill to whichever round it landed on.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	*reads = 0
-	for r := 0; r < rounds; r++ {
-		if _, err := fill(); err != nil {
-			return res, err
-		}
-		got, ns, err := drain(perRound)
-		if err != nil {
-			return res, err
-		}
-		res.Datagrams += got
-		res.DrainNs += ns
-	}
-	res.Reads = *reads
-	runtime.ReadMemStats(&ms1)
-	if res.Datagrams > 0 {
-		res.AllocsPerDatagram = float64(ms1.Mallocs-ms0.Mallocs) / float64(res.Datagrams)
-	}
-	return res, nil
-}
-
-// newDrainer builds the mode's drain function — receive up to want
-// datagrams (stopping early at the deadline if some were dropped) and
-// report how many arrived and how long the drain took — plus a counter
-// of receive calls made, for the batch-depth metric.
-func newDrainer(mode RecvBenchMode, rx *net.UDPConn) (func(want int) (int, int64, error), *int) {
-	reads := new(int)
-	// The handler mirrors what a subscribed directory costs the loop: an
-	// indirect call that releases the buffer.
-	if mode == RecvLegacy {
-		buf := make([]byte, maxDatagram+1)
-		var mu sync.Mutex
-		handler := Handler(func(Message) {})
-		return func(want int) (int, int64, error) {
-			got := 0
-			start := time.Now() //mclint:detrand the harness measures real elapsed time; that is the product
-			_ = rx.SetReadDeadline(start.Add(2 * time.Second))
-			for got < want {
-				n, addr, err := rx.ReadFromUDP(buf)
-				*reads++
-				if err != nil {
-					if ne, ok := err.(net.Error); ok && ne.Timeout() {
-						break // fill was lossy; measure what arrived
-					}
-					return got, time.Since(start).Nanoseconds(), err //mclint:detrand timing is the measurement
-				}
-				mu.Lock() //mclint:looplock frozen legacy baseline: the per-datagram lock is what we benchmark against
-				h := handler
-				mu.Unlock()
-				data := make([]byte, n)
-				copy(data, buf[:n])
-				h(Message{From: addr.AddrPort(), Data: data})
-				got++
-			}
-			return got, time.Since(start).Nanoseconds(), nil //mclint:detrand timing is the measurement
-		}, reads
-	}
+	// drain receives up to want datagrams (stopping early at the deadline
+	// if some were dropped) and reports how many arrived and how long it
+	// took; reads counts receive calls, for the batch-depth metric.
+	reads := 0
 	pool := newBufPool(maxDatagram + 1)
 	bc := newBatchConn(rx)
 	slots := make([]rxSlot, readBatchSize)
 	for i := range slots {
 		slots[i].buf = pool.get()
 	}
+	// The handler mirrors what a subscribed directory costs the loop: an
+	// indirect call that releases the buffer.
 	handler := Handler(func(m Message) { m.Release() })
 	hp := &handler
-	return func(want int) (int, int64, error) {
+	drain := func(want int) (int, int64, error) {
 		got := 0
 		start := time.Now() //mclint:detrand the harness measures real elapsed time; that is the product
 		_ = rx.SetReadDeadline(start.Add(2 * time.Second))
 		for got < want {
 			n, err := bc.ReadBatch(slots)
-			*reads++
+			reads++
 			if err != nil {
 				if ne, ok := err.(net.Error); ok && ne.Timeout() {
 					break
@@ -216,5 +120,46 @@ func newDrainer(mode RecvBenchMode, rx *net.UDPConn) (func(want int) (int, int64
 			got += n
 		}
 		return got, time.Since(start).Nanoseconds(), nil //mclint:detrand timing is the measurement
-	}, reads
+	}
+	fill := func() (int, error) {
+		for i := 0; i < perRound; i++ {
+			if _, err := tx.WriteToUDPAddrPort(payload, dst); err != nil {
+				return 0, fmt.Errorf("transport: bench fill: %w", err)
+			}
+		}
+		return perRound, nil
+	}
+
+	// Warm-up round: page in the path and seed the buffer pool, so the
+	// measured rounds see steady state.
+	if _, err := fill(); err != nil {
+		return res, err
+	}
+	if _, _, err := drain(perRound); err != nil {
+		return res, err
+	}
+
+	// GC off while measuring: a collection mid-run would empty the
+	// buffer pool and bill the refill to whichever round it landed on.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	reads = 0
+	for r := 0; r < rounds; r++ {
+		if _, err := fill(); err != nil {
+			return res, err
+		}
+		got, ns, err := drain(perRound)
+		if err != nil {
+			return res, err
+		}
+		res.Datagrams += got
+		res.DrainNs += ns
+	}
+	res.Reads = reads
+	runtime.ReadMemStats(&ms1)
+	if res.Datagrams > 0 {
+		res.AllocsPerDatagram = float64(ms1.Mallocs-ms0.Mallocs) / float64(res.Datagrams)
+	}
+	return res, nil
 }

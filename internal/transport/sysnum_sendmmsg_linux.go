@@ -8,6 +8,6 @@ package transport
 // datagram (sysnum_sendmmsg_fallback_linux.go); receive-side batching is
 // unaffected.
 const (
-	haveSendmmsg             = true
-	sysSENDMMSG      uintptr = 307
+	haveSendmmsg         = true
+	sysSENDMMSG  uintptr = 307
 )

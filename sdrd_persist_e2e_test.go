@@ -36,11 +36,12 @@ func countCachedOffline(t *testing.T, path string) int {
 		t.Fatal(err)
 	}
 	defer dir.Close()
-	n, err := dir.LoadCacheFile(path)
+	cs, _, err := sessiondir.OpenCacheStore(storage.NewOSFS(filepath.Dir(path)), filepath.Base(path), dir)
 	if err != nil {
 		t.Fatalf("loading checkpoint %s: %v", path, err)
 	}
-	return n
+	defer cs.Close() // opened to read: nothing is buffered
+	return cs.Loaded()
 }
 
 // buildSdrd compiles the daemon once into the test's temp dir so the kill
@@ -257,8 +258,8 @@ func TestSdrdCorruptCacheColdStart(t *testing.T) {
 	bin := buildSdrd(t)
 	ports := freePorts(t, 1)
 	cache := filepath.Join(t.TempDir(), "sd.cache")
-	// A truncated header torn mid-entry: Load must error, sdrd must log it
-	// and run cold rather than die.
+	// Not a framed checkpoint: a foreign file at the cache path. sdrd must
+	// quarantine it, log it, and run cold rather than die.
 	if err := os.WriteFile(cache, []byte("sdcache v1\nentry 100 200 4096\nchopped"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestSdrdCorruptCacheColdStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !storage.HasMagic(b) || strings.Contains(string(b), "chopped") {
+	if !strings.HasPrefix(string(b), "SDST") || strings.Contains(string(b), "chopped") {
 		t.Fatalf("exit did not replace the corrupt cache: %q", b)
 	}
 	// The corrupt original was quarantined, not destroyed: an operator
