@@ -10,11 +10,14 @@ build:
 test:
 	$(GO) test ./...
 
-# The concurrency regression gate: exercises the parallel experiment
-# engine, the sharded scope cache, and the determinism tests under the
-# race detector.
+# The concurrency regression gate: the trial-parallel experiment engine,
+# the sharded scope and session caches, the determinism tests, and one
+# Directory driven from six goroutines at once, under the race detector.
+# The last runs again at three core counts: how its callers interleave
+# depends on how many of them run at a time.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2,4 -count 3 -run TestDirectoryConcurrentUse .
 
 vet:
 	$(GO) vet ./...

@@ -10,8 +10,9 @@
 // Quick scale (default) finishes in minutes; -full reproduces the paper's
 // parameter ranges and can run for hours, as the originals did.
 //
-// -workers sets the experiment engine's concurrency (0 = GOMAXPROCS,
-// 1 = serial); output is bit-identical at any worker count. -json appends
+// -workers sets the experiment engine's concurrency over trials and sweep
+// points (0 = GOMAXPROCS, 1 = serial; the occupancy sweep is always
+// serial); output is bit-identical at any worker count. -json appends
 // a machine-readable benchmark record — wall time per experiment plus
 // allocation micro-benchmarks and a registry snapshot from a seeded fleet
 // scenario — for tracking perf across commits.
@@ -26,8 +27,9 @@
 // The gate is tiered: "quick" (every PR) checks figure timings and the
 // micro budgets; "full" (nightly) additionally requires the
 // directory-scale occupancy sweep — a run of ≥100k sessions inside an
-// absolute wall budget, placing ≥90% of its target — and ratio-gates the
-// sweep's wall times. -merge lets the two tiers share one BENCH.json:
+// absolute wall budget, placing ≥90% of its target — ratio-gates the
+// sweep's wall times, and fails a row whose seeded outcome differs from
+// the baseline's. -merge lets the two tiers share one BENCH.json:
 //
 //	mcbench -experiment fig5,fig12 -json BENCH.json
 //	mcbench -experiment occupancy -full -json BENCH.json -merge
@@ -50,6 +52,7 @@ import (
 
 	"sessiondir"
 	"sessiondir/internal/allocator"
+	"sessiondir/internal/announce"
 	"sessiondir/internal/clash"
 	"sessiondir/internal/experiments"
 	"sessiondir/internal/mcast"
@@ -93,7 +96,6 @@ type occupancyRecord struct {
 	Algorithm    string  `json:"algorithm"`
 	Sessions     int     `json:"sessions"`
 	SpaceSize    uint32  `json:"space_size"`
-	Partitions   int     `json:"partitions"`
 	Placed       int     `json:"placed"`
 	FillClashes  int     `json:"fill_clashes"`
 	ChurnClashes int     `json:"churn_clashes"`
@@ -105,6 +107,12 @@ type occupancyRecord struct {
 // occupancyKey identifies a record across reports for the ratio gate.
 func (o occupancyRecord) key() string {
 	return fmt.Sprintf("%s/%d", o.Algorithm, o.Sessions)
+}
+
+// outcome renders the columns the seed alone determines.
+func (o occupancyRecord) outcome() string {
+	return fmt.Sprintf("space=%d placed=%d fill-clash=%d churn-clash=%d exhausted=%d",
+		o.SpaceSize, o.Placed, o.FillClashes, o.ChurnClashes, o.Exhausted)
 }
 
 type microBenchResult struct {
@@ -227,8 +235,35 @@ func microBenches() []microBenchResult {
 	}))
 
 	out = append(out, checkpointMicros()...)
+	out = append(out, shardScanMicros()...)
 	out = append(out, listenerMicros()...)
 	out = append(out, directoryMicros()...)
+	return out
+}
+
+// shardScanMicros times the one intra-call fan-out the tree keeps,
+// announce.Sharded's parallel shard scans: an Expire pass over 16384 live
+// entries (twice parallelScanMin; nothing is due, so the walk is all there
+// is) at one shard, serial, and at eight, a goroutine per shard. Recorded
+// beside the report's gomaxprocs, not gated: one core would flake a ratio.
+func shardScanMicros() []microBenchResult {
+	var out []microBenchResult
+	base := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
+	for _, shards := range []int{1, 8} {
+		c := announce.NewSharded(time.Hour, shards)
+		for i := 0; i < 16384; i++ {
+			c.Observe(&session.Description{ID: uint64(i), Version: 1, TTL: 127,
+				Origin: netip.AddrFrom4([4]byte{10, 2, byte(i >> 8), byte(i)}),
+				Group:  netip.AddrFrom4([4]byte{224, 2, byte(i >> 8), byte(i)})}, base)
+		}
+		out = append(out, runMicro(fmt.Sprintf("ShardedExpire16kShards%d", shards), 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if n := len(c.Expire(base.Add(time.Minute))); n != 0 {
+					b.Fatalf("%d entries expired a minute in", n)
+				}
+			}
+		}))
+	}
 	return out
 }
 
@@ -778,8 +813,9 @@ func parseCompareArgs(args []string) (oldPath, newPath string, opts compareOpts,
 
 // compareReports checks every timing metric present in both reports.
 // Returned warnings are informational (past tolerance); failures are past
-// the fail ratio. Metrics only present on one side are ignored — adding
-// or retiring a benchmark must not fail the gate.
+// the fail ratio, or a full-tier occupancy row whose seeded outcome moved.
+// Metrics only present on one side are ignored — adding or retiring a
+// benchmark must not fail the gate.
 func compareReports(oldR, newR benchReport, opts compareOpts) (warnings, failures []string) {
 	type metric struct {
 		name       string
@@ -806,6 +842,11 @@ func compareReports(oldR, newR benchReport, opts compareOpts) (warnings, failure
 		for _, o := range newR.Occupancy {
 			if old, ok := oldOcc[o.key()]; ok {
 				metrics = append(metrics, metric{"occupancy " + o.key() + " wall_ms", old.WallMs, o.WallMs})
+				// The outcome columns are pure functions of the seed: a
+				// difference is a behaviour change, never noise.
+				if was, is := old.outcome(), o.outcome(); was != is {
+					failures = append(failures, fmt.Sprintf("occupancy %s seeded outcome changed: %s -> %s", o.key(), was, is))
+				}
 			}
 		}
 	}
@@ -924,7 +965,7 @@ func main() {
 		id       = flag.String("experiment", "all", "experiment id (see -list), comma-separated ids, or 'all'")
 		full     = flag.Bool("full", false, "paper-scale parameters (slow)")
 		outDir   = flag.String("outdir", "", "also write each experiment's output to <outdir>/<id>.txt")
-		workers  = flag.Int("workers", 0, "engine concurrency: 0 = GOMAXPROCS, 1 = serial (output identical either way)")
+		workers  = flag.Int("workers", 0, "engine concurrency over trials and sweep points: 0 = GOMAXPROCS, 1 = serial (output identical either way; the occupancy sweep is always serial)")
 		jsonPath = flag.String("json", "", "write a machine-readable benchmark record (wall times + allocation micro-benches) to this file")
 		merge    = flag.Bool("merge", false, "merge into an existing -json file instead of replacing it: figures merge by id, occupancy is replaced only when this run regenerated it")
 		compare  = flag.Bool("compare", false, "compare two benchmark records: mcbench -compare old.json new.json [-tolerance 25%] [-fail-ratio 2] [-tier quick|full]")
@@ -1004,7 +1045,6 @@ func main() {
 						Algorithm:    res.Algorithm,
 						Sessions:     res.Sessions,
 						SpaceSize:    res.SpaceSize,
-						Partitions:   res.Partitions,
 						Placed:       res.Placed,
 						FillClashes:  res.FillClashes,
 						ChurnClashes: res.ChurnClashes,

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -70,6 +71,40 @@ func TestCompareReportsIgnoresUnmatchedMetrics(t *testing.T) {
 	warnings, failures := compareReports(oldR, newR, compareOpts{tolerancePct: 25, failRatio: 2})
 	if len(warnings) != 0 || len(failures) != 0 {
 		t.Fatalf("unmatched metrics flagged: warnings=%v failures=%v", warnings, failures)
+	}
+}
+
+// On the full tier an occupancy row's seeded outcome is part of the gate:
+// a clash count that moved fails however good the wall time looks, and
+// the quick tier (whose reports carry stale occupancy rows) stays silent.
+func TestCompareReportsFullTierOccupancyOutcome(t *testing.T) {
+	row := occupancyRecord{Algorithm: "IR", Sessions: 100000, SpaceSize: 131072,
+		Placed: 100000, FillClashes: 3502, ChurnClashes: 710, WallMs: 44000}
+	oldR, newR := baselineReport(), baselineReport()
+	oldR.Occupancy = []occupancyRecord{row}
+	full := compareOpts{tolerancePct: 25, failRatio: 2, tier: "full"}
+
+	row.WallMs = 50000 // +14%: inside the band, same outcome
+	newR.Occupancy = []occupancyRecord{row}
+	if warnings, failures := compareReports(oldR, newR, full); len(warnings) != 0 || len(failures) != 0 {
+		t.Fatalf("same outcome flagged: warnings=%v failures=%v", warnings, failures)
+	}
+
+	row.WallMs, row.ChurnClashes = 20000, 711 // faster, and wrong
+	newR.Occupancy = []occupancyRecord{row}
+	_, failures := compareReports(oldR, newR, full)
+	if len(failures) != 1 || !strings.Contains(failures[0], "IR/100000 seeded outcome changed") ||
+		!strings.Contains(failures[0], "churn-clash=710") || !strings.Contains(failures[0], "churn-clash=711") {
+		t.Fatalf("moved churn-clash count not failed by name: %v", failures)
+	}
+	if warnings, failures := compareReports(oldR, newR, compareOpts{tolerancePct: 25, failRatio: 2, tier: "quick"}); len(warnings) != 0 || len(failures) != 0 {
+		t.Fatalf("quick tier read the occupancy rows: warnings=%v failures=%v", warnings, failures)
+	}
+
+	// A row only one side has is a retired or added run, not a change.
+	newR.Occupancy[0].Sessions = 50000
+	if _, failures := compareReports(oldR, newR, full); len(failures) != 0 {
+		t.Fatalf("unmatched occupancy row failed: %v", failures)
 	}
 }
 

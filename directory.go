@@ -14,7 +14,6 @@ import (
 	"sessiondir/internal/clash"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/obs"
-	"sessiondir/internal/par"
 	"sessiondir/internal/sap"
 	"sessiondir/internal/session"
 	"sessiondir/internal/stats"
@@ -121,10 +120,11 @@ type Config struct {
 	// between re-announcements.
 	StaleAfter time.Duration
 	// Shards stripes the listened-session cache into per-origin shards
-	// (0 or 1 = a single shard, the unsharded layout). Sharding changes
-	// scaling, never behaviour: all order-sensitive mutations stay
-	// serialised under the directory mutex, and a seeded run replays
-	// bit-identically at any shard count (see DESIGN.md §17).
+	// (0 or 1 = a single shard, the unsharded layout). Mutations stay
+	// serialised under the directory mutex at any count; it only sets how
+	// many ways the whole-cache scans (expiry, checkpoints) split once the
+	// cache is large, never behaviour: a seeded run replays bit-identically
+	// at any shard count (see announce.Sharded and DESIGN.md §17).
 	Shards int
 	// Seed drives the randomised choices (0 = arbitrary fixed seed).
 	Seed uint64
@@ -282,11 +282,7 @@ type dirInstruments struct {
 	announcementsSent *obs.Counter
 	deletionsSent     *obs.Counter
 	packetsReceived   *obs.Counter
-	// packetsMalformed is striped: the batched receive path bumps it from
-	// the parallel parse phase, one stripe per worker, and the registry
-	// folds the stripes back into the single dir_packets_malformed_total
-	// name every consumer already scrapes.
-	packetsMalformed  *obs.ShardedCounter
+	packetsMalformed  *obs.Counter
 	sessionsLearned   *obs.Counter
 	sessionsExpired   *obs.Counter
 	clashMoves        *obs.Counter
@@ -317,6 +313,7 @@ func newDirInstruments(r *obs.Registry) (dirInstruments, error) {
 		{&ins.announcementsSent, "dir_announcements_sent_total", "SAP announcements transmitted (own + defended)"},
 		{&ins.deletionsSent, "dir_deletions_sent_total", "SAP deletions transmitted"},
 		{&ins.packetsReceived, "dir_packets_received_total", "well-formed SAP packets processed"},
+		{&ins.packetsMalformed, "dir_packets_malformed_total", "undecodable packets or payloads dropped"},
 		{&ins.sessionsLearned, "dir_sessions_learned_total", "distinct sessions (or new versions) cached"},
 		{&ins.sessionsExpired, "dir_sessions_expired_total", "cached sessions that timed out"},
 		{&ins.clashMoves, "dir_clash_moves_total", "phase-2 address moves of our own sessions"},
@@ -343,12 +340,6 @@ func newDirInstruments(r *obs.Registry) (dirInstruments, error) {
 		}
 		*c.dst = m
 	}
-	sc, err := r.ShardedCounter("dir_packets_malformed_total",
-		"undecodable packets or payloads dropped", par.Workers(0))
-	if err != nil {
-		return ins, err
-	}
-	ins.packetsMalformed = sc
 	h, err := r.Histogram("dir_packet_size_bytes", "received datagram sizes, pre-decode", packetSizeBounds)
 	if err != nil {
 		return ins, err
@@ -372,8 +363,8 @@ func (d *Directory) registerGauges() error {
 			return float64(len(d.owned))
 		}},
 		{"dir_cache_sessions", "listened-session cache occupancy, tombstones included", func() float64 {
-			// Lock-free: the sharded cache mirrors per-shard totals in
-			// atomics, so a scrape storm cannot contend with the packet path.
+			// Lock-free, the one gauge that is: the sharded cache mirrors
+			// per-shard totals in atomics.
 			return float64(d.cache.Size())
 		}},
 		{"dir_admission_origins", "origins tracked by the per-origin rate limiter", func() float64 {
@@ -810,23 +801,23 @@ type parsedPacket struct {
 }
 
 // parsePacket is the pure pre-lock half of the receive path: decode,
-// payload-type check, SDP parse, and the pre-decode observability
-// (size histogram, malformed stripe). Safe to run concurrently across a
-// batch; stripe spreads the malformed counter's contention.
-func (d *Directory) parsePacket(data []byte, stripe int) parsedPacket {
+// payload-type check, SDP parse, and the pre-decode observability (size
+// histogram, malformed counter — both atomic, the only state it touches,
+// so concurrent receivers parse without waiting on each other).
+func (d *Directory) parsePacket(data []byte) parsedPacket {
 	d.ins.packetBytes.Observe(int64(len(data)))
 	var p parsedPacket
 	if err := p.pkt.DecodeMaybeCompressed(data); err != nil {
-		d.ins.packetsMalformed.Inc(stripe)
+		d.ins.packetsMalformed.Inc()
 		return p // malformed packets are dropped silently, as SAP requires
 	}
 	if p.pkt.EffectivePayloadType() != sap.PayloadTypeSDP {
-		d.ins.packetsMalformed.Inc(stripe)
+		d.ins.packetsMalformed.Inc()
 		return p
 	}
 	desc, err := session.ParseSDP(p.pkt.Payload)
 	if err != nil {
-		d.ins.packetsMalformed.Inc(stripe)
+		d.ins.packetsMalformed.Inc()
 		return p
 	}
 	p.desc = desc
@@ -839,7 +830,7 @@ func (d *Directory) parsePacket(data []byte, stripe int) parsedPacket {
 // receive buffer is released as soon as the apply phase returns; nothing
 // parsed out of it aliases the buffer (see parsedPacket).
 func (d *Directory) onPacket(m transport.Message) {
-	p := d.parsePacket(m.Data, 0)
+	p := d.parsePacket(m.Data)
 	d.mu.Lock()
 	d.applyParsedLocked(&p)
 	d.mu.Unlock()
@@ -847,30 +838,19 @@ func (d *Directory) onPacket(m transport.Message) {
 	d.flush()
 }
 
-// batchParseMin is the smallest receive batch worth fanning the parse
-// phase across workers; below it the handoff costs more than the SDP
-// parses it overlaps.
-const batchParseMin = 8
-
-// HandleBatch is the epoch-batched receive path: the parse phase runs
-// across the whole batch first (in parallel when the batch is big
-// enough), then one lock epoch applies the parsed packets serially in
-// arrival order. Applying in arrival order is what preserves the
+// HandleBatch is the epoch-batched receive path: onPacket's two halves
+// with the lock taken once per batch instead of once per datagram. The
+// whole batch is parsed first, outside the lock; one lock epoch then
+// applies the parsed packets in arrival order, which is what preserves the
 // bit-identical replay contract — the protocol state transitions and RNG
-// draws are exactly those of len(ms) sequential onPacket calls — while
-// the parse fan-out and the single lock acquisition per batch buy the
-// throughput.
+// draws are exactly those of len(ms) sequential onPacket calls.
 func (d *Directory) HandleBatch(ms []transport.Message) {
 	if len(ms) == 0 {
 		return
 	}
 	parsed := make([]parsedPacket, len(ms))
-	if len(ms) >= batchParseMin {
-		par.For(0, len(ms), func(i int) { parsed[i] = d.parsePacket(ms[i].Data, i) })
-	} else {
-		for i := range ms {
-			parsed[i] = d.parsePacket(ms[i].Data, i)
-		}
+	for i := range ms {
+		parsed[i] = d.parsePacket(ms[i].Data)
 	}
 	d.mu.Lock()
 	for i := range parsed {
@@ -883,7 +863,7 @@ func (d *Directory) HandleBatch(ms []transport.Message) {
 	d.flush()
 }
 
-// applyParsedLocked is the serial half of the receive path: admission,
+// applyParsedLocked is the locked half of the receive path: admission,
 // validation, cache and clash-tracker mutation. Caller holds d.mu; calls
 // across a batch must run in arrival order.
 func (d *Directory) applyParsedLocked(p *parsedPacket) {

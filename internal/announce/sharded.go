@@ -14,18 +14,16 @@ import (
 // Sharded is the listened-session store striped into per-origin shards.
 // Each shard is a plain Cache behind its own RWMutex, selected by a hash
 // of the session key's origin prefix (keys are "origin/id", so every
-// session of one announcer lands in one shard). The directory still
-// serialises all order-sensitive mutations under its own mutex — the
-// shards exist so that
-//
-//   - the O(cache) scans that remain (expiry, the degradation
-//     fresh-count, checkpoints, the once-per-start load trim) can run
-//     per-shard and merge in shard order, parallelising when the
-//     population is large;
-//   - occupancy gauges and the bandwidth budget read per-shard atomics,
-//     so scrapes never contend with the packet path;
-//   - the epoch-batched receive path parses in parallel and applies
-//     serially, touching only the shards its batch names.
+// session of one announcer lands in one shard). The directory serialises
+// every mutation and nearly every read under its own mutex, so the shard
+// locks never contend in this program. What the shard count changes is
+// how the O(cache) scans that remain run — Expire on every Step, Live for
+// checkpoints and Sessions snapshots, AllGrouped for the once-per-start
+// load trim: per shard, merged in shard order, on one goroutine per shard
+// once the population reaches parallelScanMin. The per-shard atomic
+// totals are summed without a lock; only the dir_cache_sessions gauge and
+// CacheSize use that outside the directory mutex — the other gauges and
+// the bandwidth-budget read run inside it.
 //
 // Determinism: shard selection is a pure function of the key, every scan
 // merges in shard index order, and Expire and the checkpoint writer sort

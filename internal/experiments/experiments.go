@@ -41,7 +41,6 @@ type Scale struct {
 	OccSessions []int
 	OccSpace    uint32
 	OccChurn    int // 0 = sessions/10
-	OccParts    int // session-set partitions (0 = sim default)
 
 	// Figures 14/18 (analytic responder surfaces).
 	RespReceivers []int

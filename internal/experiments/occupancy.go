@@ -41,15 +41,13 @@ func OccupancyConfigs(s Scale) ([]sim.OccupancyConfig, error) {
 	for _, alg := range occAlgorithms() {
 		for _, sessions := range s.OccSessions {
 			cfgs = append(cfgs, sim.OccupancyConfig{
-				Graph:      g,
-				Cache:      cache,
-				Alloc:      alg.Make(s.OccSpace),
-				Dist:       mcast.DS4(),
-				Sessions:   sessions,
-				Churn:      s.OccChurn,
-				Partitions: s.OccParts,
-				Workers:    s.Workers,
-				Seed:       s.Seed,
+				Graph:    g,
+				Cache:    cache,
+				Alloc:    alg.Make(s.OccSpace),
+				Dist:     mcast.DS4(),
+				Sessions: sessions,
+				Churn:    s.OccChurn,
+				Seed:     s.Seed,
 			})
 		}
 	}

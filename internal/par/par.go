@@ -25,23 +25,13 @@ func Workers(requested int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// For runs fn(i) for every i in [0, n) on up to workers goroutines
-// (0 means GOMAXPROCS). Tasks are handed out dynamically, so uneven task
-// costs balance across workers. For returns when every call has finished.
-//
-// fn is invoked exactly once per index; invocations may be concurrent, so
-// fn must only touch shared state that is safe for concurrent use (its own
-// result slot, pre-split RNGs, concurrency-safe caches). If any fn panics,
-// For waits for the remaining workers and re-panics the first panic value
-// in the caller's goroutine, matching a serial loop's behaviour.
 // Gather runs fn(p) for every partition p in [0, parts) — concurrently,
 // under For's scheduling and panic semantics — and concatenates the
 // per-partition slices in partition order. Because each partition's
 // result lands in its own slot and the concatenation order is the
 // partition index, the output is bit-identical at any worker count: the
-// parallel simulation core (sharded caches, the partitioned session
-// world) leans on exactly this property for its deterministic merge
-// step.
+// sharded session cache's per-shard scans lean on exactly this property
+// for their deterministic merge step.
 func Gather[T any](workers, parts int, fn func(p int) []T) []T {
 	if parts <= 0 {
 		return nil
@@ -59,6 +49,15 @@ func Gather[T any](workers, parts int, fn func(p int) []T) []T {
 	return out
 }
 
+// For runs fn(i) for every i in [0, n) on up to workers goroutines
+// (0 means GOMAXPROCS). Tasks are handed out dynamically, so uneven task
+// costs balance across workers. For returns when every call has finished.
+//
+// fn is invoked exactly once per index; invocations may be concurrent, so
+// fn must only touch shared state that is safe for concurrent use (its own
+// result slot, pre-split RNGs, concurrency-safe caches). If any fn panics,
+// For waits for the remaining workers and re-panics the first panic value
+// in the caller's goroutine, matching a serial loop's behaviour.
 func For(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return

@@ -44,16 +44,22 @@ type World struct {
 
 // NewWorld returns an empty world over g with its own private scope cache.
 func NewWorld(g *topology.Graph) *World {
-	return NewWorldWithCache(g, topology.NewReachCache(g))
+	return NewWorldWithCache(g, nil)
 }
 
 // NewWorldWithCache returns an empty world over g backed by a shared scope
 // cache — the form the parallel experiment engine uses, so every trial of
 // a sweep reuses one cache's trees and reach sets instead of recomputing
-// them per trial.
+// them per trial. A nil cache means a private one.
 func NewWorldWithCache(g *topology.Graph, cache *topology.ReachCache) *World {
+	if cache == nil {
+		cache = topology.NewReachCache(g)
+	}
 	return &World{Graph: g, Cache: cache}
 }
+
+// Len returns the live session count.
+func (w *World) Len() int { return len(w.Sessions) }
 
 // VisibleAt returns the sessions whose announcements reach the observer,
 // in allocator form. The returned slice is backed by a per-world scratch
@@ -61,11 +67,12 @@ func NewWorldWithCache(g *topology.Graph, cache *topology.ReachCache) *World {
 // not be retained (the Allocator contract already forbids retention).
 func (w *World) VisibleAt(observer topology.NodeID) []allocator.SessionInfo {
 	out := w.visScratch[:0]
-	for i := range w.Sessions {
-		if w.Sessions[i].reach.Contains(observer) {
+	sessions := w.Sessions
+	for i := range sessions {
+		if sessions[i].reach.Contains(observer) {
 			out = append(out, allocator.SessionInfo{
-				Addr: w.Sessions[i].Addr,
-				TTL:  w.Sessions[i].TTL,
+				Addr: sessions[i].Addr,
+				TTL:  sessions[i].TTL,
 			})
 		}
 	}
@@ -86,7 +93,7 @@ func (w *World) Clashes(origin topology.NodeID, ttl mcast.TTL, addr mcast.Addr) 
 	return false
 }
 
-// clashesAt returns the index of a live session clashing with session i,
+// clashIndex returns the index of a live session clashing with session i,
 // or -1.
 func (w *World) clashIndex(i int) int {
 	s := &w.Sessions[i]

@@ -2,182 +2,24 @@ package sim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"sessiondir/internal/allocator"
 	"sessiondir/internal/mcast"
-	"sessiondir/internal/par"
 	"sessiondir/internal/stats"
 	"sessiondir/internal/topology"
 )
 
-// parallelVisMin is the resident-session count below which the
-// partitioned visibility scan stays serial: the per-partition handoff
-// only pays for itself once each partition holds thousands of reach
-// tests. The scan's output is identical either way.
-const parallelVisMin = 4096
+// PartitionedWorld is World under the name benchmark/simscript.go compiles
+// against. It exists for benchmark/ only and goes with the benchmark PR
+// that re-points the probes (ROADMAP item 4).
+type PartitionedWorld = World
 
-// handle locates one session inside a PartitionedWorld: the partition it
-// lives in and its index there.
-type handle struct {
-	part int32
-	idx  int32
-}
-
-// PartitionedWorld is World scaled out: the resident session set is
-// striped across partitions so the O(sessions) hot paths — the
-// visibility scan behind every allocation, the clash check behind every
-// placement — fan out across workers and merge in partition order.
-//
-// Determinism: the world also keeps a global order index that mirrors
-// exactly the session order a serial World would hold (Add appends;
-// RemoveAt swap-removes through the index the way World.RemoveAt
-// swap-removes its slice). Workload draws (victim selection, origins,
-// TTLs) therefore consume the same RNG stream at any partition count,
-// and the visibility scan's merge concatenates partitions in index
-// order — a fixed permutation of the serial scan's output. Every
-// consumer of that view is order-insensitive (the allocators build
-// commutative band counts and a used-address bitset before drawing), so
-// occupancy runs are bit-identical across partition AND worker counts,
-// including the one-partition serial oracle.
-type PartitionedWorld struct {
-	Graph *topology.Graph
-	Cache *topology.ReachCache
-	// parts holds the resident sessions, striped round-robin at Add time.
-	parts [][]Session
-	// order mirrors the serial World's Sessions order: order[k] locates
-	// the session a serial world would hold at index k.
-	order []handle
-	// ords is the reverse map: ords[p][i] is the global order index of
-	// parts[p][i], maintained so swap-removes stay O(1).
-	ords [][]int
-	// workers caps scan concurrency (0 = GOMAXPROCS).
-	workers int
-	// scratch backs the per-partition visibility scans; visScratch is the
-	// merged view handed to the allocator. Valid until the next VisibleAt.
-	scratch    [][]allocator.SessionInfo
-	visScratch []allocator.SessionInfo
-}
-
-// NewPartitionedWorld returns an empty world over g striped into parts
-// partitions (min 1), scanning with up to workers goroutines. A shared
-// ReachCache may be passed (nil = a private one).
-func NewPartitionedWorld(g *topology.Graph, cache *topology.ReachCache, parts, workers int) *PartitionedWorld {
-	if parts < 1 {
-		parts = 1
-	}
-	if cache == nil {
-		cache = topology.NewReachCache(g)
-	}
-	return &PartitionedWorld{
-		Graph:   g,
-		Cache:   cache,
-		parts:   make([][]Session, parts),
-		ords:    make([][]int, parts),
-		workers: workers,
-		scratch: make([][]allocator.SessionInfo, parts),
-	}
-}
-
-// Len returns the resident session count.
-func (w *PartitionedWorld) Len() int { return len(w.order) }
-
-// Add appends a session, striping it round-robin by arrival index.
-func (w *PartitionedWorld) Add(origin topology.NodeID, ttl mcast.TTL, addr mcast.Addr) {
-	p := len(w.order) % len(w.parts)
-	w.parts[p] = append(w.parts[p], Session{
-		Origin: origin,
-		TTL:    ttl,
-		Addr:   addr,
-		reach:  w.Cache.Reach(origin, ttl),
-	})
-	w.ords[p] = append(w.ords[p], len(w.order))
-	w.order = append(w.order, handle{part: int32(p), idx: int32(len(w.parts[p]) - 1)})
-}
-
-// RemoveAt deletes the session a serial World would hold at index k,
-// with World.RemoveAt's swap-remove semantics on the order index — so a
-// workload drawing victim indices from an RNG removes the same sessions
-// at any partition count.
-func (w *PartitionedWorld) RemoveAt(k int) {
-	h := w.order[k]
-	p := int(h.part)
-	li := len(w.parts[p]) - 1
-	if int(h.idx) != li {
-		// Swap-remove inside the partition; re-point the moved session's
-		// order entry.
-		w.parts[p][h.idx] = w.parts[p][li]
-		moved := w.ords[p][li]
-		w.ords[p][h.idx] = moved
-		w.order[moved] = handle{part: h.part, idx: h.idx}
-	}
-	w.parts[p][li] = Session{} // drop the reach pointer
-	w.parts[p] = w.parts[p][:li]
-	w.ords[p] = w.ords[p][:li]
-
-	last := len(w.order) - 1
-	if k != last {
-		w.order[k] = w.order[last]
-		lh := w.order[k]
-		w.ords[lh.part][lh.idx] = k
-	}
-	w.order = w.order[:last]
-}
-
-// VisibleAt returns the sessions whose announcements reach the observer,
-// merged in partition order. Backed by per-world scratch: valid until
-// the next VisibleAt call, not to be retained (the Allocator contract
-// already forbids retention).
-func (w *PartitionedWorld) VisibleAt(observer topology.NodeID) []allocator.SessionInfo {
-	workers := w.workers
-	if len(w.order) < parallelVisMin || len(w.parts) == 1 {
-		workers = 1
-	}
-	par.For(workers, len(w.parts), func(p int) {
-		out := w.scratch[p][:0]
-		sessions := w.parts[p]
-		for i := range sessions {
-			if sessions[i].reach.Contains(observer) {
-				out = append(out, allocator.SessionInfo{
-					Addr: sessions[i].Addr,
-					TTL:  sessions[i].TTL,
-				})
-			}
-		}
-		w.scratch[p] = out
-	})
-	merged := w.visScratch[:0]
-	for p := range w.scratch {
-		merged = append(merged, w.scratch[p]...)
-	}
-	w.visScratch = merged
-	return merged
-}
-
-// Clashes reports whether a session at (origin, ttl, addr) clashes with
-// any resident session — same address, intersecting scopes. The
-// partitioned scan early-exits once any partition finds a clash; the
-// boolean is scan-order-independent.
-func (w *PartitionedWorld) Clashes(origin topology.NodeID, ttl mcast.TTL, addr mcast.Addr) bool {
-	reach := w.Cache.Reach(origin, ttl)
-	workers := w.workers
-	if len(w.order) < parallelVisMin || len(w.parts) == 1 {
-		workers = 1
-	}
-	var found atomic.Bool
-	par.For(workers, len(w.parts), func(p int) {
-		sessions := w.parts[p]
-		for i := range sessions {
-			if sessions[i].Addr == addr && sessions[i].reach.Intersects(reach) {
-				found.Store(true)
-				return
-			}
-			if i&1023 == 1023 && found.Load() {
-				return // another partition already found one
-			}
-		}
-	})
-	return found.Load()
+// NewPartitionedWorld returns an empty World over g (nil cache = a private
+// one); the last two arguments, once a partition and a worker count, are
+// ignored. Like PartitionedWorld it exists for benchmark/ only and goes
+// with the same benchmark PR.
+func NewPartitionedWorld(g *topology.Graph, cache *topology.ReachCache, _, _ int) *World {
+	return NewWorldWithCache(g, cache)
 }
 
 // OccupancyConfig drives one occupancy run: fill the world to a resident
@@ -196,12 +38,7 @@ type OccupancyConfig struct {
 	// Churn is the number of remove-and-replace operations after fill
 	// (0 = Sessions/10).
 	Churn int
-	// Partitions stripes the session set (0 = 8).
-	Partitions int
-	// Workers caps scan concurrency: 0 = GOMAXPROCS, 1 = serial. Results
-	// are bit-identical for every value.
-	Workers int
-	Seed    uint64
+	Seed  uint64
 }
 
 // OccupancyResult is the outcome of one occupancy run.
@@ -209,7 +46,6 @@ type OccupancyResult struct {
 	Algorithm    string
 	Sessions     int     // configured resident target
 	SpaceSize    uint32  // the allocator's address space
-	Partitions   int     // stripes used
 	Placed       int     // sessions resident after the fill phase
 	FillClashes  int     // clashing placements during fill
 	ChurnClashes int     // clashing placements during churn
@@ -217,8 +53,7 @@ type OccupancyResult struct {
 	Occupancy    float64 // resident sessions / address space at end of fill
 }
 
-// RunOccupancy executes one occupancy run. Deterministic for a fixed
-// Seed at any Partitions/Workers combination (see PartitionedWorld).
+// RunOccupancy executes one occupancy run. Deterministic for a fixed Seed.
 func RunOccupancy(cfg OccupancyConfig) OccupancyResult {
 	if cfg.Alloc == nil {
 		panic("sim: OccupancyConfig.Alloc is required")
@@ -229,17 +64,13 @@ func RunOccupancy(cfg OccupancyConfig) OccupancyResult {
 	if cfg.Churn == 0 {
 		cfg.Churn = cfg.Sessions / 10
 	}
-	if cfg.Partitions < 1 {
-		cfg.Partitions = 8
-	}
 	rng := stats.NewRNG(cfg.Seed)
-	w := NewPartitionedWorld(cfg.Graph, cfg.Cache, cfg.Partitions, cfg.Workers)
+	w := NewWorldWithCache(cfg.Graph, cfg.Cache)
 	n := cfg.Graph.NumNodes()
 	res := OccupancyResult{
-		Algorithm:  cfg.Alloc.Name(),
-		Sessions:   cfg.Sessions,
-		SpaceSize:  cfg.Alloc.Size(),
-		Partitions: cfg.Partitions,
+		Algorithm: cfg.Alloc.Name(),
+		Sessions:  cfg.Sessions,
+		SpaceSize: cfg.Alloc.Size(),
 	}
 
 	place := func(clashes *int) {
@@ -272,7 +103,7 @@ func RunOccupancy(cfg OccupancyConfig) OccupancyResult {
 
 // String renders a result as a table row.
 func (r OccupancyResult) String() string {
-	return fmt.Sprintf("%-18s sessions=%-7d space=%-7d parts=%-2d placed=%-7d occ=%5.1f%% fill-clash=%-6d churn-clash=%-6d exhausted=%d",
-		r.Algorithm, r.Sessions, r.SpaceSize, r.Partitions, r.Placed,
+	return fmt.Sprintf("%-18s sessions=%-7d space=%-7d placed=%-7d occ=%5.1f%% fill-clash=%-6d churn-clash=%-6d exhausted=%d",
+		r.Algorithm, r.Sessions, r.SpaceSize, r.Placed,
 		r.Occupancy*100, r.FillClashes, r.ChurnClashes, r.Exhausted)
 }

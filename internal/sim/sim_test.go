@@ -70,13 +70,21 @@ func TestWorldRemoveAt(t *testing.T) {
 	w.Add(1, 191, 2)
 	w.Add(2, 191, 3)
 	w.RemoveAt(0)
-	if len(w.Sessions) != 2 {
-		t.Fatalf("len = %d", len(w.Sessions))
+	if w.Len() != 2 {
+		t.Fatalf("Len = %d", w.Len())
 	}
 	for _, s := range w.Sessions {
 		if s.Addr == 1 {
 			t.Fatal("removed session still present")
 		}
+	}
+	// Drain to empty: the swap-remove must hold up when the victim is the
+	// last slot, and an empty world shows nothing and clashes with nothing.
+	w.RemoveAt(1)
+	w.RemoveAt(0)
+	if w.Len() != 0 || len(w.VisibleAt(0)) != 0 || w.Clashes(0, 191, 2) {
+		t.Fatalf("after drain: Len %d, visible %d, clash %v",
+			w.Len(), len(w.VisibleAt(0)), w.Clashes(0, 191, 2))
 	}
 }
 

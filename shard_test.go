@@ -265,7 +265,7 @@ func TestCreateSessionBatchPartialFailureAcrossShards(t *testing.T) {
 // origin for the batch-ingest tests.
 func shardAnnouncePacket(t *testing.T, origin string, id uint64) []byte {
 	t.Helper()
-	desc := &session.Description{
+	return announceWire(t, &session.Description{
 		ID:      id,
 		Version: 1,
 		Origin:  netip.MustParseAddr(origin),
@@ -273,7 +273,12 @@ func shardAnnouncePacket(t *testing.T, origin string, id uint64) []byte {
 		Group:   netip.AddrFrom4([4]byte{224, 2, 128, byte(id)}),
 		TTL:     127,
 		Media:   []session.Media{{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"}},
-	}
+	})
+}
+
+// announceWire marshals desc as the SAP announcement its origin sends.
+func announceWire(t *testing.T, desc *session.Description) []byte {
+	t.Helper()
 	payload, err := desc.MarshalSDP()
 	if err != nil {
 		t.Fatal(err)
@@ -291,8 +296,8 @@ func shardAnnouncePacket(t *testing.T, origin string, id uint64) []byte {
 	return wire
 }
 
-// HandleBatch (the epoch-batched ingest: parallel parse, serial apply in
-// arrival order) must land exactly the state that per-message delivery
+// HandleBatch (the epoch-batched ingest: parse the batch, then apply it in
+// arrival order under one lock epoch) must land exactly the state that per-message delivery
 // does — including the malformed counter and learned-event order.
 func TestHandleBatchMatchesSequentialDelivery(t *testing.T) {
 	mkDir := func(log *eventLog) *Directory {
@@ -316,9 +321,9 @@ func TestHandleBatchMatchesSequentialDelivery(t *testing.T) {
 	for i, w := range wires {
 		ms[i] = transport.Message{Data: w}
 	}
-	batchDir.HandleBatch(ms) // len >= the parallel-parse threshold
+	batchDir.HandleBatch(ms) // one lock epoch for the lot
 	for _, w := range wires {
-		seqDir.HandleBatch([]transport.Message{{Data: w}}) // serial path
+		seqDir.HandleBatch([]transport.Message{{Data: w}}) // one per datagram
 	}
 
 	state := func(d *Directory, log *eventLog) string {
