@@ -39,9 +39,11 @@ lint-json:
 # The fault-injection convergence gate: directory fleets under loss,
 # duplication, corruption, reordering, and partition/heal cycles must
 # converge, stay clash-free, and replay deterministically from their
-# seeds (DESIGN.md §10). Runs under the race detector; wall time is tiny
+# seeds (DESIGN.md §10) — and, first, the fault model those schedules
+# draw their fates from. Runs under the race detector; wall time is tiny
 # because the harness uses virtual time.
 chaos:
+	$(GO) test -race -count=1 ./internal/fault
 	$(GO) test -race -count=1 -run TestChaos ./internal/chaos
 
 # The adversarial resilience gate: hostile agents (flooder, poisoner,

@@ -10,6 +10,7 @@ import (
 	"syscall"
 	"time"
 
+	"sessiondir/internal/fault"
 	"sessiondir/internal/relay"
 	"sessiondir/internal/sap"
 	"sessiondir/internal/session"
@@ -30,7 +31,7 @@ type schedule struct {
 	freezeFor     time.Duration // SIGSTOP one daemon this long (0 = skip)
 	partitionHold time.Duration // how long the partition stays up
 	convergeWait  time.Duration // post-heal convergence deadline
-	baseline      relay.LinkProfile
+	baseline      fault.Profile
 }
 
 // quickSchedule is the CI tier: bounded around a minute end to end.
@@ -42,7 +43,7 @@ func quickSchedule() schedule {
 		waveGap:       1500 * time.Millisecond,
 		partitionHold: 8 * time.Second,
 		convergeWait:  25 * time.Second,
-		baseline: relay.LinkProfile{
+		baseline: fault.Profile{
 			Loss: 0.05, Duplicate: 0.02, Corrupt: 0.01,
 			DelayMin: time.Millisecond, DelayMax: 10 * time.Millisecond,
 		},
@@ -60,7 +61,7 @@ func extendedSchedule() schedule {
 		freezeFor:     5 * time.Second,
 		partitionHold: 15 * time.Second,
 		convergeWait:  45 * time.Second,
-		baseline: relay.LinkProfile{
+		baseline: fault.Profile{
 			Loss: 0.10, Duplicate: 0.05, Corrupt: 0.02,
 			DelayMin: time.Millisecond, DelayMax: 25 * time.Millisecond,
 		},

@@ -537,8 +537,8 @@ func New(cfg Config) (*Directory, error) {
 	cfg.Transport.Subscribe(d.onPacket)
 	if bs, ok := cfg.Transport.(transport.BatchSubscriber); ok {
 		// Transports that retire whole receive batches (UDP's recvmmsg
-		// loop) hand them to the epoch-batched path: parse in parallel,
-		// apply serially in arrival order under one lock epoch.
+		// loop) hand them to the epoch-batched path: parse the batch,
+		// then apply it in arrival order under one lock epoch.
 		bs.SubscribeBatch(d.HandleBatch)
 	}
 	return d, nil

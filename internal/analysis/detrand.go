@@ -40,6 +40,7 @@ var DetRand = &Analyzer{
 		"sessiondir/internal/obs",
 		"sessiondir/internal/relay",
 		"sessiondir/internal/storage",
+		"sessiondir/internal/fault",
 	},
 	Run: runDetRand,
 }

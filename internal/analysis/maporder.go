@@ -49,6 +49,7 @@ var MapOrder = &Analyzer{
 		"sessiondir/internal/obs",
 		"sessiondir/internal/relay",
 		"sessiondir/internal/storage",
+		"sessiondir/internal/fault",
 	},
 	Run: runMapOrder,
 }

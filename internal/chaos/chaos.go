@@ -23,6 +23,7 @@ import (
 
 	"sessiondir"
 	"sessiondir/internal/clash"
+	"sessiondir/internal/fault"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/obs"
 	"sessiondir/internal/session"
@@ -206,13 +207,13 @@ func (h *Harness) CreateSessions() error {
 	return nil
 }
 
-// SetFaults installs profile as the ingress fault process of every live
-// agent — independent per-receiver loss, the paper's tail-loss regime.
-// Egress stays clean so a packet's fate is decided per receiver.
-func (h *Harness) SetFaults(profile transport.FaultProfile) {
+// SetFaults installs profile as the receive-side fault process of every
+// live agent — independent per-receiver loss, the paper's tail-loss
+// regime.
+func (h *Harness) SetFaults(profile fault.Profile) {
 	for _, a := range h.agents {
 		if a.alive {
-			a.Fault.SetProfiles(transport.FaultProfile{}, profile)
+			a.Fault.SetProfile(profile)
 		}
 	}
 }
@@ -220,7 +221,7 @@ func (h *Harness) SetFaults(profile transport.FaultProfile) {
 // ClearFaults removes all fault profiles and flushes every delay queue so
 // no packet is stranded once the fault phase of a schedule ends.
 func (h *Harness) ClearFaults() {
-	h.SetFaults(transport.FaultProfile{})
+	h.SetFaults(fault.Profile{})
 	h.FlushDelayed()
 }
 
@@ -228,7 +229,7 @@ func (h *Harness) ClearFaults() {
 func (h *Harness) FlushDelayed() {
 	for _, a := range h.agents {
 		if a.alive {
-			_, _ = a.Fault.FlushDelayed() // send errors = injected loss; announce repair covers it
+			a.Fault.FlushDelayed()
 		}
 	}
 }
@@ -282,7 +283,7 @@ func (h *Harness) Run(events []Event, duration time.Duration) {
 		}
 		for _, a := range h.agents {
 			if a.alive {
-				_, _ = a.Fault.Step(now) // delayed-send errors = loss; repaired by re-announcement
+				a.Fault.Step(now)
 			}
 		}
 		for _, a := range h.agents {

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"sessiondir/internal/fault"
 	"sessiondir/internal/session"
-	"sessiondir/internal/transport"
 )
 
 func chaosStart() time.Time {
@@ -17,12 +17,12 @@ func chaosStart() time.Time {
 // receiver, frequent duplication, occasional single-bit corruption, and
 // delays long enough (relative to the 1 s tick) to reorder packets across
 // several ticks.
-func heavyFaults() transport.FaultProfile {
-	return transport.FaultProfile{
+func heavyFaults() fault.Profile {
+	return fault.Profile{
 		Loss:      0.20,
 		Duplicate: 0.15,
 		Corrupt:   0.01,
-		Delay:     transport.UniformDelay(0, 1200*time.Millisecond),
+		DelayMax:  1200 * time.Millisecond,
 	}
 }
 
@@ -174,9 +174,9 @@ func TestChaosClashCorrectionTerminates(t *testing.T) {
 		// Duplicated, delayed clash reports stress the termination
 		// argument: a stale or repeated report must not re-trigger moves.
 		{At: 20 * time.Second, Do: func(h *Harness) {
-			h.SetFaults(transport.FaultProfile{
+			h.SetFaults(fault.Profile{
 				Duplicate: 0.5,
-				Delay:     transport.UniformDelay(0, 2*time.Second),
+				DelayMax:  2 * time.Second,
 			})
 		}},
 		{At: 60 * time.Second, Do: func(h *Harness) { h.Heal() }},
@@ -228,7 +228,7 @@ func TestChaosSilencedAgentExpires(t *testing.T) {
 
 	schedule := []Event{
 		{At: 10 * time.Second, Do: func(h *Harness) {
-			h.SetFaults(transport.FaultProfile{Loss: 0.2})
+			h.SetFaults(fault.Profile{Loss: 0.2})
 		}},
 		{At: 60 * time.Second, Do: func(h *Harness) { h.Kill(3) }},
 		{At: 120 * time.Second, Do: func(h *Harness) { h.ClearFaults() }},

@@ -2,6 +2,7 @@ package des
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -101,8 +102,10 @@ func TestNetValidation(t *testing.T) {
 	if _, err := NewNet(e, NetConfig{}); err == nil {
 		t.Fatal("nil graph accepted")
 	}
-	if _, err := NewNet(e, NetConfig{Graph: lineTopo(t, 2), Loss: 1.0}); err == nil {
-		t.Fatal("loss=1 accepted")
+	for _, loss := range []float64{1.0, -0.1, math.NaN()} {
+		if _, err := NewNet(e, NetConfig{Graph: lineTopo(t, 2), Loss: loss}); err == nil {
+			t.Fatalf("loss=%v accepted", loss)
+		}
 	}
 	net, err := NewNet(e, NetConfig{Graph: lineTopo(t, 2)})
 	if err != nil {

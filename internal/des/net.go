@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"sessiondir/internal/fault"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/stats"
 	"sessiondir/internal/topology"
@@ -22,9 +23,11 @@ type Net struct {
 	engine *Engine
 	graph  *topology.Graph
 	cache  *topology.ReachCache
-	loss   float64
-	rng    *stats.RNG
-	nodes  map[topology.NodeID]*Endpoint
+	// link is the one loss process every (sender, receiver) pair shares,
+	// drawn from the network's single stream rng in delivery order.
+	link  fault.Process
+	rng   *stats.RNG
+	nodes map[topology.NodeID]*Endpoint
 	// order is the attached nodes in ascending NodeID — the delivery
 	// iteration order. Iterating the map directly would draw loss
 	// decisions (and assign same-timestamp event sequence numbers) in
@@ -66,14 +69,14 @@ func NewNet(engine *Engine, cfg NetConfig) (*Net, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("des: NetConfig.Graph is required")
 	}
-	if cfg.Loss < 0 || cfg.Loss >= 1 {
+	if !(cfg.Loss >= 0 && cfg.Loss < 1) { // written so that NaN fails
 		return nil, fmt.Errorf("des: loss %v outside [0,1)", cfg.Loss)
 	}
 	return &Net{
 		engine: engine,
 		graph:  cfg.Graph,
 		cache:  topology.NewReachCache(cfg.Graph),
-		loss:   cfg.Loss,
+		link:   fault.Process{Profile: fault.Profile{Loss: cfg.Loss}},
 		rng:    stats.NewRNG(cfg.Seed ^ 0xde5),
 		nodes:  make(map[topology.NodeID]*Endpoint),
 	}, nil
@@ -125,7 +128,7 @@ func (e *Endpoint) Send(_ context.Context, data []byte, scope mcast.TTL) error {
 		if n.filter != nil && !n.filter(e.node, node) {
 			continue // scripted partition or link failure
 		}
-		if n.rng.Bool(n.loss) {
+		if n.link.Next(n.rng, len(data)).Drop {
 			continue // lost on the way to this receiver
 		}
 		delayMs := tree.DelayFromRoot(node)

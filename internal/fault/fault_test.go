@@ -1,0 +1,279 @@
+package fault
+
+import (
+	"bytes"
+	"math"
+	"strings"
+	"testing"
+	"time"
+
+	"sessiondir/internal/stats"
+)
+
+func TestValidate(t *testing.T) {
+	good := []Profile{
+		{},
+		{Loss: 1, Duplicate: 0, Corrupt: 1e-3},
+		{DelayMin: time.Second, DelayMax: time.Second},
+		{Burst: &GilbertElliott{PGB: 0.05, PBG: 0.2, LossBad: 1}},
+	}
+	for _, p := range good {
+		if err := p.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v", p, err)
+		}
+	}
+	bad := []Profile{
+		{Loss: -0.1},
+		{Duplicate: 1.1},
+		{Corrupt: math.NaN()},
+		{Loss: math.Inf(1)},
+		{Burst: &GilbertElliott{PGB: 1.5}},
+		{Burst: &GilbertElliott{PBG: -1}},
+		{Burst: &GilbertElliott{LossGood: math.NaN()}},
+		{Burst: &GilbertElliott{LossBad: 2}},
+		{DelayMin: -time.Millisecond},
+		{DelayMin: 10 * time.Millisecond, DelayMax: 5 * time.Millisecond},
+	}
+	for _, p := range bad {
+		if err := p.Validate(); err == nil {
+			t.Errorf("Validate(%+v) accepted", p)
+		}
+	}
+}
+
+func TestParseProfile(t *testing.T) {
+	ok := []struct {
+		in   string
+		want Profile
+	}{
+		{"", Profile{}},
+		{"loss=1e-3", Profile{Loss: 1e-3}},
+		{"loss=0.25 dup=0.1 corrupt=0.01 delay=1ms:20ms",
+			Profile{Loss: 0.25, Duplicate: 0.1, Corrupt: 0.01, DelayMin: time.Millisecond, DelayMax: 20 * time.Millisecond}},
+		{"LOSS=1 delay=5ms:5ms", Profile{Loss: 1, DelayMin: 5 * time.Millisecond, DelayMax: 5 * time.Millisecond}},
+	}
+	for _, c := range ok {
+		got, err := ParseProfile(strings.Fields(c.in))
+		if err != nil || got != c.want {
+			t.Errorf("ParseProfile(%q) = %+v, %v; want %+v", c.in, got, err, c.want)
+		}
+	}
+	for _, in := range []string{
+		"loss=NaN", "dup=nan", "corrupt=+Inf", "loss=-0.1", "loss=1.1", "loss=", "loss",
+		"delay=5ms", "delay=-1ms:5ms", "delay=10ms:5ms", "delay=x:1s", "burst=0.1",
+	} {
+		if p, err := ParseProfile(strings.Fields(in)); err == nil {
+			t.Errorf("ParseProfile(%q) accepted: %+v", in, p)
+		}
+	}
+}
+
+// FuzzParseProfile: the control socket hands this parser bytes from the
+// network. It must never panic, and whatever it accepts must be a profile
+// Validate accepts — in particular, no NaN probability.
+func FuzzParseProfile(f *testing.F) {
+	for _, seed := range []string{
+		"loss=0.25 dup=0.1 corrupt=0.01 delay=1ms:20ms", "loss=NaN", "delay=1h:1ns", "=", "loss==1", "delay=:",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		p, err := ParseProfile(strings.Fields(in))
+		if err != nil {
+			return
+		}
+		if verr := p.Validate(); verr != nil {
+			t.Fatalf("ParseProfile(%q) accepted %+v, which Validate rejects: %v", in, p, verr)
+		}
+	})
+}
+
+// TestNextDrawAccounting pins how many values each kind of fate takes
+// from the stream: after Next, a twin RNG advanced by that many draws is
+// in the same state. This is the draw order, stated as numbers.
+func TestNextDrawAccounting(t *testing.T) {
+	full := Profile{Loss: 0.5, Duplicate: 0.5, Corrupt: 0.5, DelayMax: time.Second}
+	// Seeds are searched for, not assumed: the first one whose first fate
+	// has the wanted shape.
+	seedWhere := func(p Profile, want func(Fate) bool) uint64 {
+		for seed := uint64(1); seed < 1000; seed++ {
+			proc := Process{Profile: p}
+			if want(proc.Next(stats.NewRNG(seed), 64)) {
+				return seed
+			}
+		}
+		t.Fatal("no seed under 1000 produces the wanted fate")
+		return 0
+	}
+	cases := []struct {
+		name  string
+		p     Profile
+		seed  uint64
+		draws int
+	}{
+		{"zero profile", Profile{}, 1, 0},
+		{"certain fates draw nothing but the bit", Profile{Loss: 0, Duplicate: 1, Corrupt: 1}, 1, 1},
+		{"loss only", Profile{Loss: 0.5}, 1, 1},
+		{"loss that drops stops the draws", full, seedWhere(full, func(f Fate) bool { return f.Drop }), 1},
+		{"delivered clean: loss, dup, corrupt, delay", full,
+			seedWhere(full, func(f Fate) bool { return !f.Drop && !f.Dup && f.CorruptBit < 0 }), 4},
+		{"delivered corrupted: + bit", full,
+			seedWhere(full, func(f Fate) bool { return !f.Drop && !f.Dup && f.CorruptBit >= 0 }), 5},
+		{"delivered duplicated and corrupted: + bit + dup delay", full,
+			seedWhere(full, func(f Fate) bool { return f.Dup && f.CorruptBit >= 0 }), 6},
+		{"burst chain: transition, burst loss, loss", Profile{Loss: 0.5, Burst: &GilbertElliott{PGB: 0.5, PBG: 0.5, LossGood: 0.001, LossBad: 0.001}}, 1, 3},
+	}
+	for _, c := range cases {
+		rng, twin := stats.NewRNG(c.seed), stats.NewRNG(c.seed)
+		proc := Process{Profile: c.p}
+		proc.Next(rng, 64)
+		for i := 0; i < c.draws; i++ {
+			twin.Uint64()
+		}
+		if rng.Uint64() != twin.Uint64() {
+			t.Errorf("%s: Next did not take exactly %d draws", c.name, c.draws)
+		}
+	}
+}
+
+func TestNextCountsAndEmptyPayload(t *testing.T) {
+	proc := Process{Profile: Profile{Duplicate: 1, Corrupt: 1}}
+	rng := stats.NewRNG(5)
+	if f := proc.Next(rng, 0); f.CorruptBit != -1 || !f.Dup {
+		t.Fatalf("empty payload: %+v (nothing to flip, still duplicated)", f)
+	}
+	for i := 0; i < 9; i++ {
+		if f := proc.Next(rng, 4); f.CorruptBit < 0 || f.CorruptBit >= 32 {
+			t.Fatalf("corrupt bit %d outside a 4-byte payload", f.CorruptBit)
+		}
+	}
+	if want := (Stats{Packets: 10, Duplicated: 10, Corrupted: 9}); proc.Stats != want {
+		t.Fatalf("stats %+v, want %+v", proc.Stats, want)
+	}
+	proc.Profile = Profile{Loss: 1}
+	if f := proc.Next(rng, 4); !f.Drop || f.BurstDrop {
+		t.Fatalf("loss=1: %+v", f)
+	}
+	if proc.Packets != 11 || proc.Dropped != 1 {
+		t.Fatalf("counters did not carry over a profile swap: %+v", proc.Stats)
+	}
+}
+
+func TestLossIsDeterministicPerSeed(t *testing.T) {
+	pattern := func(seed uint64) []bool {
+		proc := Process{Profile: Profile{Loss: 0.5}}
+		rng := stats.NewRNG(seed)
+		var out []bool
+		for i := 0; i < 64; i++ {
+			out = append(out, proc.Next(rng, 4).Drop)
+		}
+		return out
+	}
+	a, b, c := pattern(7), pattern(7), pattern(8)
+	same := true
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("same seed diverged at packet %d", i)
+		}
+		if a[i] != c[i] {
+			same = false
+		}
+	}
+	if same {
+		t.Fatal("different seeds produced identical 64-packet patterns")
+	}
+}
+
+func TestGilbertElliottBursts(t *testing.T) {
+	// A chain that is lossless in Good and total-loss in Bad, with slow
+	// transitions, must produce drops in runs, not salt-and-pepper.
+	proc := Process{Profile: Profile{Burst: &GilbertElliott{
+		PGB: 0.05, PBG: 0.2, LossGood: 0, LossBad: 1,
+	}}}
+	rng := stats.NewRNG(3)
+	// Mean burst length should approach 1/PBG = 5; an i.i.d. process at
+	// the same overall rate would sit near 1/(1-rate) ≈ 1.3.
+	runs, runLen, total := 0, 0, 0
+	for i := 0; i < 2000; i++ {
+		f := proc.Next(rng, 4)
+		if f.Drop != f.BurstDrop {
+			t.Fatalf("packet %d: drop not attributed to the chain: %+v", i, f)
+		}
+		if f.Drop {
+			runLen++
+			continue
+		}
+		if runLen > 0 {
+			runs++
+			total += runLen
+			runLen = 0
+		}
+	}
+	if runLen > 0 {
+		runs++
+		total += runLen
+	}
+	if proc.BurstDropped == 0 || proc.BurstDropped != proc.Dropped {
+		t.Fatalf("burst stats: %+v", proc.Stats)
+	}
+	if runs == 0 {
+		t.Fatal("no loss bursts at all")
+	}
+	if mean := float64(total) / float64(runs); mean < 2.5 {
+		t.Fatalf("mean burst length %.2f, want clearly bursty (≥2.5)", mean)
+	}
+}
+
+func TestFlipCopiesAndFlipsOneBit(t *testing.T) {
+	orig := []byte{0x00, 0xff, 0x0f}
+	got := Flip(orig, 9) // byte 1, bit 1
+	if !bytes.Equal(got, []byte{0x00, 0xfd, 0x0f}) {
+		t.Fatalf("Flip = %x", got)
+	}
+	if !bytes.Equal(orig, []byte{0x00, 0xff, 0x0f}) {
+		t.Fatal("Flip mutated its input")
+	}
+}
+
+func TestLinkRNGIsPairUnique(t *testing.T) {
+	first := func(seed uint64, i, j int) uint64 { return LinkRNG(seed, i, j).Uint64() }
+	if first(9, 0, 1) != first(9, 0, 1) {
+		t.Fatal("same (seed, i, j) gave two streams")
+	}
+	seen := map[uint64][2]int{}
+	for i := 0; i < 8; i++ {
+		for j := 0; j < 8; j++ {
+			v := first(9, i, j)
+			if prev, dup := seen[v]; dup {
+				t.Fatalf("links %v and %v share a stream", prev, [2]int{i, j})
+			}
+			seen[v] = [2]int{i, j}
+		}
+	}
+	if first(9, 0, 1) == first(10, 0, 1) {
+		t.Fatal("stream does not depend on the seed")
+	}
+}
+
+func TestGroups(t *testing.T) {
+	var healed Groups
+	if healed.Blocked(0, 1) {
+		t.Fatal("nil Groups must connect everyone")
+	}
+	g := Partition([]int{0, 1}, []int{2})
+	for _, c := range []struct {
+		i, j    int
+		blocked bool
+	}{
+		{0, 1, false}, {1, 0, false}, // same group
+		{0, 2, true}, {2, 0, true}, // across groups
+		{0, 3, true}, {3, 0, true}, {3, 3, true}, // 3 is named nowhere: severed both ways
+	} {
+		if got := g.Blocked(c.i, c.j); got != c.blocked {
+			t.Errorf("Blocked(%d, %d) = %v, want %v", c.i, c.j, got, c.blocked)
+		}
+	}
+	if !Partition().Blocked(0, 1) {
+		t.Fatal("Partition() with no groups must sever everyone")
+	}
+}

@@ -7,7 +7,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
+
+	"sessiondir/internal/fault"
 )
 
 // The relay control protocol: one UDP datagram per command, one reply
@@ -106,7 +107,7 @@ func (r *Relay) handleCommand(line string) string {
 		if err != nil {
 			return "ERR " + err.Error()
 		}
-		p, err := parseProfile(fields[3:])
+		p, err := fault.ParseProfile(fields[3:])
 		if err != nil {
 			return "ERR " + err.Error()
 		}
@@ -164,46 +165,4 @@ func parseEndpoint(tok string) (int, error) {
 		return 0, fmt.Errorf("bad endpoint %q (index or *)", tok)
 	}
 	return idx, nil
-}
-
-func parseProfile(kvs []string) (LinkProfile, error) {
-	var p LinkProfile
-	for _, kv := range kvs {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return p, fmt.Errorf("bad option %q (want key=value)", kv)
-		}
-		switch strings.ToLower(k) {
-		case "loss", "dup", "corrupt":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 || f > 1 {
-				return p, fmt.Errorf("bad probability %q", kv)
-			}
-			switch strings.ToLower(k) {
-			case "loss":
-				p.Loss = f
-			case "dup":
-				p.Duplicate = f
-			case "corrupt":
-				p.Corrupt = f
-			}
-		case "delay":
-			lo, hi, ok := strings.Cut(v, ":")
-			if !ok {
-				return p, fmt.Errorf("bad delay %q (want min:max)", kv)
-			}
-			dlo, err := time.ParseDuration(lo)
-			if err != nil || dlo < 0 {
-				return p, fmt.Errorf("bad delay min %q", lo)
-			}
-			dhi, err := time.ParseDuration(hi)
-			if err != nil || dhi < dlo {
-				return p, fmt.Errorf("bad delay max %q", hi)
-			}
-			p.DelayMin, p.DelayMax = dlo, dhi
-		default:
-			return p, fmt.Errorf("unknown option %q", k)
-		}
-	}
-	return p, nil
 }

@@ -31,6 +31,7 @@ func TestControlHandleCommand(t *testing.T) {
 		{"partition x|y", "ERR"},
 		{"partition 0|0", "ERR"},
 		{"link 0 1 loss=2", "ERR"},
+		{"link * * loss=NaN", "ERR"}, // NaN compares false with everything: it must not pass a range check
 		{"link 0 1 delay=5ms", "ERR"},
 		{"link a b", "ERR"},
 	}
@@ -60,7 +61,7 @@ func TestControlAppliesState(t *testing.T) {
 		t.Fatal(got)
 	}
 	r.mu.Lock()
-	p := r.linkFor(0, 1).profile
+	p := r.linkFor(0, 1).Profile
 	r.mu.Unlock()
 	if p.Loss != 1 {
 		t.Fatalf("link 0→1 loss = %g after control set, want 1", p.Loss)
@@ -114,12 +115,14 @@ func TestControlOverUDP(t *testing.T) {
 	}
 }
 
+// TestParseProfileRejectsNegativeDelay: the control socket refuses a delay
+// window no link could run (the parser's own table is in internal/fault).
 func TestParseProfileRejectsNegativeDelay(t *testing.T) {
-	if _, err := parseProfile([]string{"delay=-1ms:5ms"}); err == nil {
-		t.Fatal("negative delay min accepted")
-	}
-	if _, err := parseProfile([]string{"delay=10ms:5ms"}); err == nil {
-		t.Fatal("inverted delay range accepted")
+	r := mustRelay(t, Config{Seed: 25})
+	for _, cmd := range []string{"link * * delay=-1ms:5ms", "link * * delay=10ms:5ms"} {
+		if got := r.handleCommand(cmd); !strings.HasPrefix(got, "ERR") {
+			t.Errorf("handleCommand(%q) = %q, want ERR", cmd, got)
+		}
 	}
 }
 

@@ -7,14 +7,17 @@
 //
 // The relay is the process-level counterpart of transport.FaultTransport
 // (DESIGN.md §10): FaultTransport injects faults into an in-process Bus
-// on virtual time; the relay injects the same fault vocabulary between
-// *processes* on wall time. Its determinism model is necessarily weaker
-// and is stated precisely here:
+// on virtual time; the relay injects the same fates — drawn by the same
+// fault.Process.Next, in the same order — between *processes* on wall
+// time. Its determinism model is necessarily weaker and is stated
+// precisely here:
 //
-//   - Each directed link (i→j) owns a stats.RNG derived from the relay
-//     seed and the pair (i, j) alone — not from attachment order or any
-//     global draw sequence. The fault fate of the k-th packet to
-//     traverse link (i→j) is therefore a pure function of (seed, i, j, k).
+//   - Each directed link (i→j) owns the stream fault.LinkRNG(seed, i, j),
+//     a function of the relay seed and the pair alone — not of attachment
+//     order or any global draw sequence. The fate of the k-th packet to
+//     traverse link (i→j) is therefore a function of (seed, i, j), the
+//     link's profile history and the lengths of packets 0..k, and the
+//     same fates come out of fault.Process.Next run in-process.
 //   - Each attachment's ingress socket is read by one goroutine, and a
 //     single sender's datagrams arrive on it in send order on loopback,
 //     so per-link packet sequences — and hence per-link fault schedules —
@@ -35,29 +38,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sessiondir/internal/fault"
 	"sessiondir/internal/obs"
 	"sessiondir/internal/stats"
 )
 
 // maxDatagram matches the transport layer's default datagram cap.
 const maxDatagram = 64 * 1024
-
-// LinkProfile is the fault process applied to one directed link. The
-// zero value forwards everything unchanged.
-type LinkProfile struct {
-	// Loss is the independent per-packet drop probability.
-	Loss float64
-	// Duplicate is the probability a packet is forwarded twice; the copy
-	// samples its own delay, so duplicates also arrive reordered.
-	Duplicate float64
-	// Corrupt is the probability a single uniformly chosen bit of the
-	// forwarded copy is flipped (receivers must quarantine it).
-	Corrupt float64
-	// DelayMin and DelayMax bound a uniform per-packet forwarding delay.
-	// Both zero means forward inline; DelayMax > DelayMin yields
-	// reordering between packets whose sampled delays cross.
-	DelayMin, DelayMax time.Duration
-}
 
 // Config assembles a Relay.
 type Config struct {
@@ -82,13 +69,11 @@ type Stats struct {
 	Pending        int    // delayed copies not yet delivered
 }
 
-// link is one directed (from, to) fault process. RNG draws happen in a
-// fixed per-packet order (loss, duplicate, corrupt, delay, dup-delay,
-// corrupt bit indices) so a link's schedule is a pure function of its
-// packet sequence.
+// link is one directed (from, to) fault process and the stream it draws
+// from.
 type link struct {
-	profile LinkProfile
-	rng     *stats.RNG
+	fault.Process
+	rng *stats.RNG
 }
 
 // attachment is one relayed endpoint: daemons send to in's address, and
@@ -99,9 +84,9 @@ type attachment struct {
 	dest  netip.AddrPort
 }
 
-// delivery is one decided forwarding: data is always an owned copy by
-// the time it leaves the decision phase if it needs one (corruption or
-// delay); inline uncorrupted sends borrow the read buffer.
+// delivery is one decided forwarding: data is an owned copy when the
+// packet was corrupted or either copy is delayed; clean inline sends
+// borrow the read buffer (consumed before forward returns).
 type delivery struct {
 	data  []byte
 	to    netip.AddrPort
@@ -119,8 +104,7 @@ type Relay struct {
 	mu     sync.Mutex
 	atts   []*attachment
 	links  map[[2]int]*link
-	groups map[int]int // attachment index → partition group; absent = severed
-	parted bool
+	groups fault.Groups // by attachment index; nil = healed
 	closed bool
 
 	forwarded      atomic.Uint64
@@ -156,7 +140,6 @@ func New(cfg Config) (*Relay, error) {
 		cfg:    cfg,
 		egress: egress,
 		links:  make(map[[2]int]*link),
-		groups: make(map[int]int),
 	}
 	if cfg.Obs != nil {
 		if err := r.registerObs(cfg.Obs); err != nil {
@@ -206,14 +189,10 @@ func (r *Relay) Attach(dest netip.AddrPort) (netip.AddrPort, int, error) {
 		_ = in.Close() // relay gone; nothing to undo
 		return netip.AddrPort{}, 0, fmt.Errorf("relay: closed")
 	}
+	// An endpoint attached mid-partition is in no group, hence severed
+	// until the next Partition or Heal — matching Bus semantics.
 	a := &attachment{index: len(r.atts), in: in, dest: dest}
 	r.atts = append(r.atts, a)
-	if r.parted {
-		// Endpoints attached mid-partition are severed until the next
-		// Partition or Heal names them, matching Bus semantics.
-	} else {
-		r.groups[a.index] = 0
-	}
 	r.mu.Unlock()
 	r.wg.Add(1)
 	go r.readLoop(a)
@@ -222,18 +201,12 @@ func (r *Relay) Attach(dest netip.AddrPort) (netip.AddrPort, int, error) {
 }
 
 // linkFor returns (creating on first use) the directed link i→j. Caller
-// holds r.mu. The RNG seed mixes the pair into the relay seed with two
-// odd 64-bit constants so streams are pair-unique and independent of
-// attachment or traffic order.
+// holds r.mu.
 func (r *Relay) linkFor(i, j int) *link {
 	k := [2]int{i, j}
 	l, ok := r.links[k]
 	if !ok {
-		seed := r.cfg.Seed ^ (uint64(i+1) * 0x9e3779b97f4a7c15) ^ (uint64(j+1) * 0xbf58476d1ce4e5b9)
-		if seed == 0 {
-			seed = 1 // 0 would ask stats.NewRNG for its fixed default stream
-		}
-		l = &link{rng: stats.NewRNG(seed)}
+		l = &link{rng: fault.LinkRNG(r.cfg.Seed, i, j)}
 		r.links[k] = l
 	}
 	return l
@@ -242,7 +215,7 @@ func (r *Relay) linkFor(i, j int) *link {
 // SetLink installs profile on the directed link from→to; -1 for either
 // side is a wildcard over all current attachments. Future attachments
 // start with clean links regardless of past wildcards.
-func (r *Relay) SetLink(from, to int, p LinkProfile) {
+func (r *Relay) SetLink(from, to int, p fault.Profile) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := len(r.atts)
@@ -254,7 +227,7 @@ func (r *Relay) SetLink(from, to int, p LinkProfile) {
 			if j == i || (to >= 0 && j != to) {
 				continue
 			}
-			r.linkFor(i, j).profile = p
+			r.linkFor(i, j).Profile = p
 		}
 	}
 }
@@ -263,36 +236,17 @@ func (r *Relay) SetLink(from, to int, p LinkProfile) {
 // indices; endpoints in no group are severed from everyone. Packets
 // whose endpoints share a group still flow (with their link faults).
 func (r *Relay) Partition(groups ...[]int) {
+	part := fault.Partition(groups...)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.parted = true
-	r.groups = make(map[int]int)
-	for gi, g := range groups {
-		for _, idx := range g {
-			r.groups[idx] = gi
-		}
-	}
+	r.groups = part
 }
 
 // Heal removes any active partition.
 func (r *Relay) Heal() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.parted = false
-	r.groups = make(map[int]int)
-	for i := range r.atts {
-		r.groups[i] = 0
-	}
-}
-
-// blockedLocked reports whether the active partition severs i→j.
-func (r *Relay) blockedLocked(i, j int) bool {
-	if !r.parted {
-		return false
-	}
-	gi, oki := r.groups[i]
-	gj, okj := r.groups[j]
-	return !oki || !okj || gi != gj
+	r.groups = nil
 }
 
 // SeveredLinks counts the directed attachment pairs the active partition
@@ -300,13 +254,10 @@ func (r *Relay) blockedLocked(i, j int) bool {
 func (r *Relay) SeveredLinks() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.parted {
-		return 0
-	}
 	n := 0
 	for i := range r.atts {
 		for j := range r.atts {
-			if i != j && r.blockedLocked(i, j) {
+			if i != j && r.groups.Blocked(i, j) {
 				n++
 			}
 		}
@@ -342,8 +293,9 @@ func (r *Relay) readLoop(a *attachment) {
 }
 
 // forward runs the decision phase for one ingress datagram under the
-// lock — fixing each link's draw order — then performs inline sends and
-// schedules delayed ones outside it.
+// lock — so each link's packet sequence, and with it its draw order, is
+// well defined — then performs inline sends and schedules delayed ones
+// outside it.
 func (r *Relay) forward(from int, data []byte) {
 	r.mu.Lock()
 	if r.closed {
@@ -355,56 +307,41 @@ func (r *Relay) forward(from int, data []byte) {
 		if j == from {
 			continue
 		}
-		if r.blockedLocked(from, j) {
+		if r.groups.Blocked(from, j) {
 			r.partitionDrops.Add(1)
 			continue
 		}
 		l := r.linkFor(from, j)
-		p := l.profile
-		// Fixed per-packet draw order; every draw happens even for fates
-		// that end up dropped, so one decision never shifts the next
-		// packet's schedule.
-		lost := p.Loss > 0 && l.rng.Bool(p.Loss)
-		dup := p.Duplicate > 0 && l.rng.Bool(p.Duplicate)
-		corrupt := p.Corrupt > 0 && l.rng.Bool(p.Corrupt)
-		delay := sampleDelay(l.rng, p)
-		var dupDelay time.Duration
-		if dup {
-			dupDelay = sampleDelay(l.rng, p)
+		fate := l.Next(l.rng, len(data))
+		if fate.Drop {
+			r.dropped.Add(1)
+			continue
+		}
+		// Both copies of a duplicated packet share one payload: nothing
+		// writes to it after this point.
+		payload := data
+		switch {
+		case fate.CorruptBit >= 0:
+			payload = fault.Flip(data, fate.CorruptBit)
+		case fate.Delay > 0 || fate.DupDelay > 0:
+			payload = append([]byte(nil), data...)
 		}
 		dest := r.atts[j].dest
-		if lost {
-			r.dropped.Add(1)
-		} else {
-			out = append(out, r.makeDelivery(data, dest, corrupt, delay, l.rng))
-		}
-		if dup {
-			// The duplicate of a lost packet still flows: that models the
-			// network duplicating upstream of the loss point.
+		out = append(out, delivery{data: payload, to: dest, delay: fate.Delay})
+		copies := uint64(1)
+		if fate.Dup {
 			r.duplicated.Add(1)
-			out = append(out, r.makeDelivery(data, dest, corrupt, dupDelay, l.rng))
+			out = append(out, delivery{data: payload, to: dest, delay: fate.DupDelay})
+			copies = 2
+		}
+		if fate.CorruptBit >= 0 {
+			r.corrupted.Add(copies) // the counter is in forwarded copies
 		}
 	}
 	r.mu.Unlock()
 	for _, d := range out {
 		r.dispatch(d)
 	}
-}
-
-// makeDelivery builds one forwarding: corrupted or delayed copies own
-// their bytes; clean inline sends borrow the caller's buffer (consumed
-// before forward returns). Caller holds r.mu.
-func (r *Relay) makeDelivery(data []byte, to netip.AddrPort, corrupt bool, delay time.Duration, rng *stats.RNG) delivery {
-	payload := data
-	if corrupt || delay > 0 {
-		payload = append([]byte(nil), data...)
-	}
-	if corrupt && len(payload) > 0 {
-		bit := rng.IntN(len(payload) * 8)
-		payload[bit/8] ^= 1 << (bit % 8)
-		r.corrupted.Add(1)
-	}
-	return delivery{data: payload, to: to, delay: delay}
 }
 
 // dispatch sends one decided delivery, inline or after its delay.
@@ -459,13 +396,6 @@ func (r *Relay) send(data []byte, to netip.AddrPort) {
 		return // receiver gone or buffer full: indistinguishable from link loss
 	}
 	r.forwarded.Add(1)
-}
-
-func sampleDelay(rng *stats.RNG, p LinkProfile) time.Duration {
-	if p.DelayMax <= p.DelayMin {
-		return p.DelayMin
-	}
-	return p.DelayMin + time.Duration(rng.Float64()*float64(p.DelayMax-p.DelayMin))
 }
 
 // Close shuts every socket and drops undelivered delayed copies. Safe to

@@ -1,13 +1,16 @@
 package relay
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"net/netip"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"sessiondir/internal/fault"
 	"sessiondir/internal/obs"
 )
 
@@ -130,7 +133,7 @@ func TestRelayLossScheduleReplaysBySeed(t *testing.T) {
 		if _, _, err := r.Attach(b.addr); err != nil {
 			t.Fatal(err)
 		}
-		r.SetLink(-1, -1, LinkProfile{Loss: 0.5})
+		r.SetLink(-1, -1, fault.Profile{Loss: 0.5})
 		send := newSender(t)
 		for i := 0; i < n; i++ {
 			if _, err := send.WriteToUDPAddrPort([]byte(fmt.Sprintf("pkt-%04d", i)), inA); err != nil {
@@ -234,7 +237,7 @@ func TestRelayCorruptFlipsExactlyOneBit(t *testing.T) {
 	if _, _, err := r.Attach(b.addr); err != nil {
 		t.Fatal(err)
 	}
-	r.SetLink(0, 1, LinkProfile{Corrupt: 1})
+	r.SetLink(0, 1, fault.Profile{Corrupt: 1})
 	orig := []byte("payload-under-test")
 	send := newSender(t)
 	if _, err := send.WriteToUDPAddrPort(orig, inA); err != nil {
@@ -269,7 +272,7 @@ func TestRelayDuplicateDeliversTwice(t *testing.T) {
 	if _, _, err := r.Attach(b.addr); err != nil {
 		t.Fatal(err)
 	}
-	r.SetLink(0, 1, LinkProfile{Duplicate: 1})
+	r.SetLink(0, 1, fault.Profile{Duplicate: 1})
 	send := newSender(t)
 	if _, err := send.WriteToUDPAddrPort([]byte("twin"), inA); err != nil {
 		t.Fatal(err)
@@ -290,7 +293,7 @@ func TestRelayDelayDeliversLate(t *testing.T) {
 	if _, _, err := r.Attach(b.addr); err != nil {
 		t.Fatal(err)
 	}
-	r.SetLink(0, 1, LinkProfile{DelayMin: 60 * time.Millisecond, DelayMax: 80 * time.Millisecond})
+	r.SetLink(0, 1, fault.Profile{DelayMin: 60 * time.Millisecond, DelayMax: 80 * time.Millisecond})
 	send := newSender(t)
 	start := time.Now()
 	if _, err := send.WriteToUDPAddrPort([]byte("later"), inA); err != nil {
@@ -327,7 +330,7 @@ func TestRelayCloseCancelsPendingDelays(t *testing.T) {
 	if _, _, err := r.Attach(b.addr); err != nil {
 		t.Fatal(err)
 	}
-	r.SetLink(0, 1, LinkProfile{DelayMin: time.Minute, DelayMax: 2 * time.Minute})
+	r.SetLink(0, 1, fault.Profile{DelayMin: time.Minute, DelayMax: 2 * time.Minute})
 	send := newSender(t)
 	if _, err := send.WriteToUDPAddrPort([]byte("stranded"), inA); err != nil {
 		t.Fatal(err)
@@ -359,4 +362,159 @@ func TestRelayRequiresSeed(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New accepted a zero seed")
 	}
+}
+
+// inProcessDeliveries is what link i→j of a relay seeded with seed must
+// deliver for payloads sent in this order, computed without any socket:
+// the same fault.Process over the same fault.LinkRNG stream.
+func inProcessDeliveries(seed uint64, i, j int, p fault.Profile, payloads [][]byte) [][]byte {
+	proc := fault.Process{Profile: p}
+	rng := fault.LinkRNG(seed, i, j)
+	var out [][]byte
+	for _, pl := range payloads {
+		f := proc.Next(rng, len(pl))
+		if f.Drop {
+			continue
+		}
+		if f.CorruptBit >= 0 {
+			pl = fault.Flip(pl, f.CorruptBit)
+		}
+		out = append(out, pl)
+		if f.Dup {
+			out = append(out, pl)
+		}
+	}
+	return out
+}
+
+// sendPaced pushes payloads into attachment from's ingress socket, and
+// every 32 packets waits until the relay has decided them all, so no
+// socket queue can overflow and silently shorten the link's sequence.
+func sendPaced(t *testing.T, r *Relay, in netip.AddrPort, from, to int, payloads [][]byte) {
+	t.Helper()
+	send := newSender(t)
+	r.mu.Lock()
+	l := r.linkFor(from, to)
+	base := l.Packets
+	r.mu.Unlock()
+	for k, pl := range payloads {
+		if _, err := send.WriteToUDPAddrPort(pl, in); err != nil {
+			t.Fatal(err)
+		}
+		if k%32 != 31 && k != len(payloads)-1 {
+			continue
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			r.mu.Lock()
+			decided := l.Packets - base
+			r.mu.Unlock()
+			if decided == uint64(k+1) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("relay decided %d of %d packets sent on link %d→%d", decided, k+1, from, to)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+func numbered(prefix string, n int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		// Varying lengths: the corrupt-bit draw is bounded by the length.
+		out[i] = []byte(fmt.Sprintf("%s%04d%s", prefix, i, strings.Repeat("x", i%23)))
+	}
+	return out
+}
+
+func assertSameDeliveries(t *testing.T, got, want [][]byte) {
+	t.Helper()
+	for k := 0; k < len(got) && k < len(want); k++ {
+		if !bytes.Equal(got[k], want[k]) {
+			t.Fatalf("delivery %d: relay forwarded %q, in-process link says %q", k, got[k], want[k])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("relay forwarded %d copies, in-process link says %d", len(got), len(want))
+	}
+}
+
+// TestRelayFatesMatchInProcessLink is the cross-level replay property: a
+// seed that fails at process level reproduces in-process, because the
+// relay's link 0→1 and fault.Process.Next over fault.LinkRNG(seed, 0, 1)
+// drop the same packets, duplicate the same packets and flip the same
+// bit. With no delay, arrival order on loopback is send order, so the two
+// delivery sequences must be equal element for element.
+func TestRelayFatesMatchInProcessLink(t *testing.T) {
+	const seed = 0x5eed
+	t.Run("fates", func(t *testing.T) {
+		profile := fault.Profile{Loss: 0.3, Duplicate: 0.2, Corrupt: 0.25}
+		r := mustRelay(t, Config{Seed: seed})
+		a, b := newEndpoint(t), newEndpoint(t)
+		inA, _, err := r.Attach(a.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := r.Attach(b.addr); err != nil {
+			t.Fatal(err)
+		}
+		r.SetLink(0, 1, profile)
+		payloads := numbered("pkt-", 600)
+		sendPaced(t, r, inA, 0, 1, payloads)
+		assertSameDeliveries(t, b.drain(300*time.Millisecond), inProcessDeliveries(seed, 0, 1, profile, payloads))
+		if s := r.Stats(); s.Dropped == 0 || s.Duplicated == 0 || s.Corrupted == 0 {
+			t.Fatalf("schedule did not exercise every fate: %+v", s)
+		}
+	})
+
+	// A link's stream depends on (seed, i, j) alone: creating the links,
+	// attaching the third endpoint and carrying the other links' traffic
+	// in a different order leaves link 0→1's fates where they were.
+	t.Run("order-independent", func(t *testing.T) {
+		profile := fault.Profile{Loss: 0.4, Duplicate: 0.3}
+		from0 := numbered("from0-", 100)
+		link01 := func(othersFirst bool) [][]byte {
+			r := mustRelay(t, Config{Seed: seed})
+			eps := []*endpoint{newEndpoint(t), newEndpoint(t), newEndpoint(t)}
+			ins := make([]netip.AddrPort, len(eps))
+			attach := func(i int) {
+				in, idx, err := r.Attach(eps[i].addr)
+				if err != nil || idx != i {
+					t.Fatalf("attach %d: index %d, err %v", i, idx, err)
+				}
+				ins[i] = in
+			}
+			if othersFirst {
+				attach(0)
+				attach(1)
+				r.SetLink(1, 0, profile)
+				sendPaced(t, r, ins[1], 1, 0, numbered("from1-", 50))
+				attach(2)
+				r.SetLink(2, -1, profile)
+				sendPaced(t, r, ins[2], 2, 1, numbered("from2-", 50))
+				r.SetLink(-1, -1, profile)
+				sendPaced(t, r, ins[0], 0, 1, from0)
+			} else {
+				attach(0)
+				attach(1)
+				attach(2)
+				r.SetLink(-1, -1, profile)
+				sendPaced(t, r, ins[0], 0, 1, from0)
+				sendPaced(t, r, ins[2], 2, 1, numbered("from2-", 50))
+				sendPaced(t, r, ins[1], 1, 0, numbered("from1-", 50))
+			}
+			var got [][]byte
+			for _, p := range eps[1].drain(300 * time.Millisecond) {
+				if bytes.HasPrefix(p, []byte("from0-")) {
+					got = append(got, p)
+				}
+			}
+			return got
+		}
+		want := inProcessDeliveries(seed, 0, 1, profile, from0)
+		assertSameDeliveries(t, link01(false), want)
+		assertSameDeliveries(t, link01(true), want)
+	})
 }

@@ -91,7 +91,7 @@ func ParseFaultSpec(spec string) (seed uint64, prof FaultProfile, err error) {
 			continue
 		}
 		p, err := strconv.ParseFloat(v, 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) { // written so that NaN fails: rng.Bool(NaN) never fires
 			return 0, prof, fmt.Errorf("storage: fault spec %s=%q: want a probability in [0,1]", k, v)
 		}
 		switch k {

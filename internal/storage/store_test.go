@@ -279,6 +279,28 @@ func TestStoreBrokenAfterFaultHealsByCompact(t *testing.T) {
 	}
 }
 
+// TestParseFaultSpec covers the -storage-faults flag syntax. NaN is the
+// case that matters: it fails every comparison, so a plain range check
+// lets it through, and rng.Bool(NaN) then never fires — a schedule that
+// believes it injects faults and injects none.
+func TestParseFaultSpec(t *testing.T) {
+	seed, prof, err := ParseFaultSpec("seed=9, write=1e-3,short=1,nospace=0,sync=0.2,meta=0.1,read=0.5")
+	want := FaultProfile{WriteErr: 1e-3, ShortWrite: 1, NoSpace: 0, SyncErr: 0.2, MetaErr: 0.1, ReadErr: 0.5}
+	if err != nil || seed != 9 || prof != want {
+		t.Fatalf("ParseFaultSpec = %d, %+v, %v; want 9, %+v", seed, prof, err, want)
+	}
+	if seed, prof, err := ParseFaultSpec(""); err != nil || seed != 1 || prof != (FaultProfile{}) {
+		t.Fatalf("empty spec = %d, %+v, %v; want seed 1 and no faults", seed, prof, err)
+	}
+	for _, spec := range []string{
+		"write=NaN", "sync=nan", "write=+Inf", "write=-0.1", "write=1.1", "write=", "write", "seed=x", "bogus=0.1",
+	} {
+		if _, prof, err := ParseFaultSpec(spec); err == nil {
+			t.Errorf("ParseFaultSpec(%q) accepted: %+v", spec, prof)
+		}
+	}
+}
+
 func TestFaultFSDeterministicReplay(t *testing.T) {
 	script := func(seed uint64) []string {
 		ffs := NewFaultFS(NewMemFS(), seed, FaultProfile{

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"sessiondir/internal/fault"
 	"sessiondir/internal/mcast"
 )
 
@@ -19,11 +20,10 @@ type Bus struct {
 	endpoints map[int]*BusEndpoint
 	nextID    int
 	policy    Policy
-	// partition maps endpoint id → group index while a partition is
-	// active (nil = fully connected). The map is built complete before
-	// being published and never mutated afterwards, so snapshots taken
+	// partition is the active split by endpoint id (nil = fully
+	// connected). It is never mutated once published, so snapshots taken
 	// under mu may be read lock-free.
-	partition map[int]int
+	partition fault.Groups
 }
 
 // Policy decides per-packet delivery between two endpoints. Returning
@@ -51,12 +51,7 @@ func (b *Bus) SetPolicy(p Policy) {
 // and repair them with Heal. Calling Partition again replaces the
 // previous layout.
 func (b *Bus) Partition(groups ...[]int) {
-	part := make(map[int]int)
-	for gi, g := range groups {
-		for _, id := range g {
-			part[id] = gi
-		}
-	}
+	part := fault.Partition(groups...)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.partition = part
@@ -129,12 +124,8 @@ func (e *BusEndpoint) Send(_ context.Context, data []byte, scope mcast.TTL) erro
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i].id < candidates[j].id })
 
 	for _, r := range candidates {
-		if part != nil {
-			sg, okS := part[e.id]
-			rg, okR := part[r.id]
-			if !okS || !okR || sg != rg {
-				continue // severed by the active partition
-			}
+		if part.Blocked(e.id, r.id) {
+			continue // severed by the active partition
 		}
 		if policy != nil && !policy(e.id, r.id, scope) {
 			continue

@@ -1,35 +1,34 @@
 package transport
 
 import (
+	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net/netip"
 	"sort"
 	"sync"
 	"time"
 
+	"sessiondir/internal/fault"
 	"sessiondir/internal/mcast"
-	"sessiondir/internal/obs"
 	"sessiondir/internal/stats"
 )
 
 // FaultTransport decorates any Transport with deterministic fault
-// injection: packet loss (independent per packet or bursty via a
-// Gilbert–Elliott chain), duplication, per-packet delay (which yields
-// reordering whenever the sampled delays are not monotone), and single-bit
-// corruption. Faults are applied independently on the egress path (Send)
-// and the ingress path (messages arriving from the inner transport), so a
-// fleet of agents each wrapped in its own FaultTransport sees independent
-// per-receiver loss — the tail-loss regime of the paper's §2.3 — while
-// sender-side faults model a lossy first hop shared by every receiver.
+// injection on the receive side: every message arriving from the inner
+// transport draws its fate from one fault.Process — loss (independent or
+// bursty), duplication, single-bit corruption, and a per-packet delay that
+// reorders whenever the sampled delays are not monotone. A fleet of agents
+// each wrapped in its own FaultTransport therefore sees independent
+// per-receiver loss, the tail-loss regime of the paper's §2.3. Send passes
+// through untouched.
 //
 // Every random decision is drawn from the seeded stats.RNG handed to
-// NewFault, in a fixed per-packet order, and delayed delivery is driven by
-// an injected Clock plus explicit Step calls instead of goroutines and
-// timers. Two runs that apply the same calls in the same order therefore
-// produce bit-identical fault schedules — the detrand contract — and a
-// chaos test failure replays exactly from its seed.
+// NewFault, in internal/fault's one draw order, and delayed delivery is
+// driven by an injected Clock plus explicit Step calls instead of
+// goroutines and timers. Two runs that apply the same calls in the same
+// order therefore produce bit-identical fault schedules — the detrand
+// contract — and a chaos test failure replays exactly from its seed.
 //
 // Partitions are not modelled here: they are a property of the fabric, not
 // of one endpoint, and live on Bus (see Bus.Partition / Bus.Heal).
@@ -39,168 +38,41 @@ type FaultTransport struct {
 
 	mu      sync.Mutex
 	rng     *stats.RNG
-	egress  dirState
-	ingress dirState
+	proc    fault.Process
+	delayed uint64
 	handler Handler
-	queue   []faultEntry
-	seq     uint64
+	queue   []faultEntry // in enqueue order
 	closed  bool
-}
-
-// FaultProfile describes the fault processes applied to one direction of
-// packet flow. The zero value injects nothing.
-type FaultProfile struct {
-	// Loss is the independent per-packet drop probability.
-	Loss float64
-	// Burst, when non-nil, adds Gilbert–Elliott bursty loss on top of
-	// Loss: a two-state chain whose bad state drops packets in runs.
-	Burst *GilbertElliott
-	// Duplicate is the probability a packet is delivered twice. The copy
-	// draws its own delay, so duplicates also arrive reordered.
-	Duplicate float64
-	// Corrupt is the probability a single uniformly chosen bit of the
-	// packet is flipped (the receiver's parser must quarantine it).
-	Corrupt float64
-	// Delay, when non-nil, samples a per-packet delivery delay. Delayed
-	// packets sit in the transport until a Step call reaches their due
-	// time. A nil Delay (or a zero sample) delivers inline.
-	Delay DelaySampler
-}
-
-// DelaySampler draws a per-packet delay from rng. Implementations must use
-// only rng for randomness so runs stay reproducible.
-type DelaySampler func(rng *stats.RNG) time.Duration
-
-// UniformDelay returns a sampler uniform over [lo, hi).
-func UniformDelay(lo, hi time.Duration) DelaySampler {
-	return func(rng *stats.RNG) time.Duration {
-		if hi <= lo {
-			return lo
-		}
-		return lo + time.Duration(rng.Float64()*float64(hi-lo))
-	}
-}
-
-// GilbertElliott parameterises the classic two-state bursty loss chain:
-// in the Good state packets drop with probability LossGood, in the Bad
-// state with LossBad; the chain moves Good→Bad with probability PGB per
-// packet and Bad→Good with PBG. Mean burst length is 1/PBG packets.
-type GilbertElliott struct {
-	PGB, PBG          float64
-	LossGood, LossBad float64
 }
 
 // FaultConfig assembles a FaultTransport.
 type FaultConfig struct {
-	// Egress faults apply to packets this endpoint sends.
-	Egress FaultProfile
-	// Ingress faults apply to packets this endpoint receives.
-	Ingress FaultProfile
+	// Profile is the fault process applied to packets this endpoint
+	// receives.
+	Profile fault.Profile
 	// RNG drives every fault decision. Required: ambient randomness is
 	// banned in this package, so there is no fallback seed.
 	RNG *stats.RNG
 	// Clock stamps due times for delayed packets (nil = SystemClock; use
 	// a ManualClock in tests so Step can run on virtual time).
 	Clock Clock
-	// Obs, when non-nil, registers the fault counters (per-direction
-	// packets/drops/duplicates/corruptions/delays and the pending-queue
-	// gauge) as registry views over Stats(); fault decisions themselves
-	// are untouched, so a seeded schedule replays identically with or
-	// without a registry attached.
-	Obs *obs.Registry
 }
 
-// FaultStats counts injected faults per direction.
+// FaultStats counts the faults injected so far.
 type FaultStats struct {
-	Egress, Ingress DirStats
+	fault.Stats
+	// Delayed counts packets (or copies) that entered the delay queue.
+	Delayed uint64
 	// Pending is the number of delayed packets awaiting a Step.
 	Pending int
 }
 
-// DirStats counts one direction's fault decisions.
-type DirStats struct {
-	Packets      uint64 // packets offered to the fault process
-	Dropped      uint64 // total drops (independent + bursty)
-	BurstDropped uint64 // drops decided by the Gilbert–Elliott chain
-	Duplicated   uint64
-	Corrupted    uint64
-	Delayed      uint64 // packets (or copies) that entered the delay queue
-}
-
-// dirState is one direction's fault process: profile, burst-chain state,
-// and counters. All access is under FaultTransport.mu.
-type dirState struct {
-	profile FaultProfile
-	geBad   bool
-	stats   DirStats
-}
-
-// sendPlan is the outcome of the per-packet fault draw.
-type sendPlan struct {
-	drop       bool
-	dup        bool
-	corruptBit int // bit index to flip, -1 = none
-	delay      time.Duration
-	dupDelay   time.Duration
-}
-
-// plan draws one packet's fate. Draw order is fixed (burst chain, loss,
-// duplication, corruption, delay, duplicate delay) so a seed fully
-// determines the schedule. Called with FaultTransport.mu held; it touches
-// only state owned by that mutex.
-func (s *dirState) plan(rng *stats.RNG, n int) sendPlan {
-	s.stats.Packets++
-	p := s.profile
-	if ge := p.Burst; ge != nil {
-		if s.geBad {
-			if rng.Bool(ge.PBG) {
-				s.geBad = false
-			}
-		} else if rng.Bool(ge.PGB) {
-			s.geBad = true
-		}
-		lp := ge.LossGood
-		if s.geBad {
-			lp = ge.LossBad
-		}
-		if rng.Bool(lp) {
-			s.stats.Dropped++
-			s.stats.BurstDropped++
-			return sendPlan{drop: true, corruptBit: -1}
-		}
-	}
-	if rng.Bool(p.Loss) {
-		s.stats.Dropped++
-		return sendPlan{drop: true, corruptBit: -1}
-	}
-	pl := sendPlan{corruptBit: -1}
-	if rng.Bool(p.Duplicate) {
-		pl.dup = true
-		s.stats.Duplicated++
-	}
-	if n > 0 && rng.Bool(p.Corrupt) {
-		pl.corruptBit = rng.IntN(n * 8)
-		s.stats.Corrupted++
-	}
-	if p.Delay != nil {
-		pl.delay = p.Delay(rng)
-		if pl.dup {
-			pl.dupDelay = p.Delay(rng)
-		}
-	}
-	return pl
-}
-
-// faultEntry is one delayed packet (either direction). Due times are
-// int64 nanoseconds so queue scans under the mutex are pure arithmetic
-// (the lockscope rule: no calls — not even time.Time methods — while a
-// lock is held).
+// faultEntry is one delayed packet. Due times are int64 nanoseconds so
+// queue scans under the mutex are pure arithmetic (the lockscope rule: no
+// calls — not even time.Time methods — while a lock is held).
 type faultEntry struct {
 	dueNanos int64
-	seq      uint64 // FIFO tie-break for equal due times
-	inbound  bool
 	data     []byte
-	scope    mcast.TTL
 	from     netip.AddrPort
 }
 
@@ -215,114 +87,44 @@ func NewFault(inner Transport, cfg FaultConfig) (*FaultTransport, error) {
 	if cfg.RNG == nil {
 		return nil, fmt.Errorf("transport: FaultConfig.RNG is required (seeded determinism contract)")
 	}
-	for _, p := range []FaultProfile{cfg.Egress, cfg.Ingress} {
-		for _, prob := range []float64{p.Loss, p.Duplicate, p.Corrupt} {
-			if prob < 0 || prob > 1 {
-				return nil, fmt.Errorf("transport: fault probability %v outside [0,1]", prob)
-			}
-		}
+	if err := cfg.Profile.Validate(); err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
 	}
 	clk := cfg.Clock
 	if clk == nil {
 		clk = SystemClock{}
 	}
 	f := &FaultTransport{
-		inner:   inner,
-		clk:     clk,
-		rng:     cfg.RNG,
-		egress:  dirState{profile: cfg.Egress},
-		ingress: dirState{profile: cfg.Ingress},
-	}
-	if cfg.Obs != nil {
-		if err := f.registerObs(cfg.Obs); err != nil {
-			return nil, err
-		}
+		inner: inner,
+		clk:   clk,
+		rng:   cfg.RNG,
+		proc:  fault.Process{Profile: cfg.Profile},
 	}
 	inner.Subscribe(f.onRecv)
 	return f, nil
 }
 
-// registerObs exposes the fault counters as registry views. Each
-// callback snapshots Stats() at scrape time, so the per-packet fault
-// path never touches the registry.
-func (f *FaultTransport) registerObs(r *obs.Registry) error {
-	dirs := []struct {
-		prefix string
-		pick   func(FaultStats) DirStats
-	}{
-		{"fault_egress_", func(s FaultStats) DirStats { return s.Egress }},
-		{"fault_ingress_", func(s FaultStats) DirStats { return s.Ingress }},
-	}
-	for _, d := range dirs {
-		pick := d.pick
-		counters := []struct {
-			name, help string
-			get        func(DirStats) uint64
-		}{
-			{"packets_total", "packets offered to the fault process", func(s DirStats) uint64 { return s.Packets }},
-			{"dropped_total", "injected drops (independent + bursty)", func(s DirStats) uint64 { return s.Dropped }},
-			{"burst_dropped_total", "drops decided by the Gilbert-Elliott chain", func(s DirStats) uint64 { return s.BurstDropped }},
-			{"duplicated_total", "injected duplicate deliveries", func(s DirStats) uint64 { return s.Duplicated }},
-			{"corrupted_total", "injected single-bit corruptions", func(s DirStats) uint64 { return s.Corrupted }},
-			{"delayed_total", "packets routed through the delay queue", func(s DirStats) uint64 { return s.Delayed }},
-		}
-		for _, c := range counters {
-			get := c.get
-			if err := r.CounterFunc(d.prefix+c.name, c.help, func() uint64 { return get(pick(f.Stats())) }); err != nil {
-				return fmt.Errorf("transport: %w", err)
-			}
-		}
-	}
-	if err := r.GaugeFunc("fault_pending", "delayed packets awaiting a Step",
-		func() float64 { return float64(f.Stats().Pending) }); err != nil {
-		return fmt.Errorf("transport: %w", err)
-	}
-	return nil
-}
-
-// SetProfiles swaps both fault profiles atomically. Chaos schedules use
-// this to turn faults on and off mid-run; burst-chain state and counters
-// carry over.
-func (f *FaultTransport) SetProfiles(egress, ingress FaultProfile) {
+// SetProfile swaps the fault profile. Chaos schedules use this to turn
+// faults on and off mid-run; burst-chain state and counters carry over.
+func (f *FaultTransport) SetProfile(p fault.Profile) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.egress.profile = egress
-	f.ingress.profile = ingress
+	f.proc.Profile = p
 }
 
-// Send implements Transport, applying the egress fault profile.
+// Send implements Transport. Outbound packets are not faulted: a packet's
+// fate is decided per receiver.
 func (f *FaultTransport) Send(ctx context.Context, data []byte, scope mcast.TTL) error {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	closed := f.closed
+	f.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	pl := f.egress.plan(f.rng, len(data)) //mclint:lockscope pure RNG/state arithmetic on fields owned by mu; no I/O, callbacks, or other locks
-	f.mu.Unlock()
-	if pl.drop {
-		return nil // injected loss: the caller sees a successful best-effort send
-	}
-	out := data
-	if pl.corruptBit >= 0 {
-		out = corruptCopy(data, pl.corruptBit)
-	}
-	var errs []error
-	if pl.delay > 0 {
-		f.enqueue(faultEntry{data: cloneBytes(out), scope: scope}, pl.delay)
-	} else if err := f.inner.Send(ctx, out, scope); err != nil {
-		errs = append(errs, err)
-	}
-	if pl.dup {
-		if pl.dupDelay > 0 {
-			f.enqueue(faultEntry{data: cloneBytes(out), scope: scope}, pl.dupDelay)
-		} else if err := f.inner.Send(ctx, out, scope); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
+	return f.inner.Send(ctx, data, scope)
 }
 
-// onRecv is the inner transport's handler: the ingress fault path.
+// onRecv is the inner transport's handler: the fault path.
 func (f *FaultTransport) onRecv(m Message) {
 	f.mu.Lock()
 	if f.closed {
@@ -330,33 +132,33 @@ func (f *FaultTransport) onRecv(m Message) {
 		m.Release() // late arrival after Close: return the buffer, not just the message
 		return
 	}
-	pl := f.ingress.plan(f.rng, len(m.Data)) //mclint:lockscope pure RNG/state arithmetic on fields owned by mu; no I/O, callbacks, or other locks
+	fate := f.proc.Next(f.rng, len(m.Data)) //mclint:lockscope pure RNG/state arithmetic on fields owned by mu; no I/O, callbacks, or other locks
 	h := f.handler
 	f.mu.Unlock()
-	if pl.drop {
+	if fate.Drop {
 		m.Release()
 		return
 	}
 	data := m.Data
-	if pl.corruptBit >= 0 {
-		data = corruptCopy(data, pl.corruptBit)
+	if fate.CorruptBit >= 0 {
+		data = fault.Flip(data, fate.CorruptBit)
 	}
 	deliver := func(d []byte, delay time.Duration) {
 		if delay > 0 {
-			f.enqueue(faultEntry{inbound: true, data: cloneBytes(d), from: m.From}, delay)
+			f.enqueue(faultEntry{data: bytes.Clone(d), from: m.From}, delay)
 			return
 		}
 		if h != nil {
-			h(Message{From: m.From, Data: cloneBytes(d)})
+			h(Message{From: m.From, Data: bytes.Clone(d)})
 		}
 	}
-	deliver(data, pl.delay)
-	if pl.dup {
-		deliver(data, pl.dupDelay)
+	deliver(data, fate.Delay)
+	if fate.Dup {
+		deliver(data, fate.DupDelay)
 	}
-	// Every delivery path cloned the payload (and corruptCopy already
-	// copied), so the receive buffer can go back to its pool. Releasing
-	// draws nothing from the RNG: seeded replays stay bit-identical.
+	// Every delivery path cloned the payload (and Flip already copied), so
+	// the receive buffer can go back to its pool. Releasing draws nothing
+	// from the RNG: seeded replays stay bit-identical.
 	m.Release()
 }
 
@@ -369,40 +171,31 @@ func (f *FaultTransport) enqueue(e faultEntry, delay time.Duration) {
 		return
 	}
 	e.dueNanos = dueNanos
-	f.seq++
-	e.seq = f.seq
 	f.queue = append(f.queue, e)
-	if e.inbound {
-		f.ingress.stats.Delayed++
-	} else {
-		f.egress.stats.Delayed++
-	}
+	f.delayed++
 	f.mu.Unlock()
 }
 
 // Step delivers every queued packet whose due time is at or before now, in
 // (due, enqueue-order) order, and returns how many it delivered. Delivery
-// runs outside the lock, so handlers and the inner transport may re-enter
-// the FaultTransport (e.g. a directory reacting to a delayed clash report
-// by sending a defense). Send errors of delayed packets are joined into
-// the returned error; loss of a delayed packet is indistinguishable from
-// network loss, which the announce schedule already repairs.
-func (f *FaultTransport) Step(now time.Time) (int, error) {
+// runs outside the lock, so handlers may re-enter the FaultTransport (e.g.
+// a directory reacting to a delayed clash report by sending a defense).
+func (f *FaultTransport) Step(now time.Time) int {
 	return f.deliverDue(now.UnixNano(), false)
 }
 
 // FlushDelayed delivers every queued packet regardless of due time —
 // chaos schedules call it when the fault phase ends so no packet is
 // stranded in a queue that will never be stepped again.
-func (f *FaultTransport) FlushDelayed() (int, error) {
+func (f *FaultTransport) FlushDelayed() int {
 	return f.deliverDue(0, true)
 }
 
-func (f *FaultTransport) deliverDue(nowNanos int64, all bool) (int, error) {
+func (f *FaultTransport) deliverDue(nowNanos int64, all bool) int {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
-		return 0, nil
+		return 0
 	}
 	var due []faultEntry
 	rest := f.queue[:0]
@@ -416,35 +209,21 @@ func (f *FaultTransport) deliverDue(nowNanos int64, all bool) (int, error) {
 	f.queue = rest
 	h := f.handler
 	f.mu.Unlock()
-	if len(due) == 0 {
-		return 0, nil
-	}
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].dueNanos != due[j].dueNanos {
-			return due[i].dueNanos < due[j].dueNanos
-		}
-		return due[i].seq < due[j].seq
-	})
-	var errs []error
-	for _, e := range due {
-		if e.inbound {
-			if h != nil {
-				h(Message{From: e.from, Data: e.data})
-			}
-			continue
-		}
-		if err := f.inner.Send(context.Background(), e.data, e.scope); err != nil {
-			errs = append(errs, err)
+	// Stable: equal due times keep the queue's enqueue order.
+	sort.SliceStable(due, func(i, j int) bool { return due[i].dueNanos < due[j].dueNanos })
+	if h != nil {
+		for _, e := range due {
+			h(Message{From: e.from, Data: e.data})
 		}
 	}
-	return len(due), errors.Join(errs...)
+	return len(due)
 }
 
 // Stats returns a snapshot of the fault counters.
 func (f *FaultTransport) Stats() FaultStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return FaultStats{Egress: f.egress.stats, Ingress: f.ingress.stats, Pending: len(f.queue)}
+	return FaultStats{Stats: f.proc.Stats, Delayed: f.delayed, Pending: len(f.queue)}
 }
 
 // Subscribe implements Transport. The handler receives ingress traffic
@@ -471,18 +250,4 @@ func (f *FaultTransport) Close() error {
 	f.handler = nil
 	f.mu.Unlock()
 	return f.inner.Close()
-}
-
-func cloneBytes(b []byte) []byte {
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	return cp
-}
-
-// corruptCopy returns a copy of data with bit (little-endian within the
-// byte) flipped.
-func corruptCopy(data []byte, bit int) []byte {
-	cp := cloneBytes(data)
-	cp[bit/8] ^= 1 << (bit % 8)
-	return cp
 }

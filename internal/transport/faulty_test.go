@@ -3,12 +3,14 @@ package transport
 import (
 	"context"
 	"errors"
+	"math"
 	"net/netip"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"sessiondir/internal/fault"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/stats"
 )
@@ -17,24 +19,24 @@ func testClockStart() time.Time {
 	return time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
 }
 
-// faultPair wires sender → receiver over a Bus with the given egress
-// profile on the sender, returning the fault transport and the receiver's
-// message log.
-func faultPair(t *testing.T, cfg FaultConfig) (*FaultTransport, *msgLog) {
+// faultPair wires sender → receiver over a Bus with the receiver behind a
+// FaultTransport built from cfg, returning the clean sender, the fault
+// transport and the log of what came out of it.
+func faultPair(t *testing.T, cfg FaultConfig) (*BusEndpoint, *FaultTransport, *msgLog) {
 	t.Helper()
 	bus := NewBus()
 	send, recv := bus.Endpoint(), bus.Endpoint()
-	ft, err := NewFault(send, cfg)
+	ft, err := NewFault(recv, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	log := &msgLog{}
-	recv.Subscribe(log.add)
+	ft.Subscribe(log.add)
 	t.Cleanup(func() {
 		_ = ft.Close()
-		_ = recv.Close()
+		_ = send.Close()
 	})
-	return ft, log
+	return send, ft, log
 }
 
 type msgLog struct {
@@ -68,16 +70,22 @@ func TestFaultRequiresRNG(t *testing.T) {
 	if _, err := NewFault(nil, FaultConfig{RNG: stats.NewRNG(1)}); err == nil {
 		t.Fatal("nil inner accepted")
 	}
-	if _, err := NewFault(bus.Endpoint(), FaultConfig{RNG: stats.NewRNG(1), Egress: FaultProfile{Loss: 1.5}}); err == nil {
-		t.Fatal("out-of-range probability accepted")
+	for _, p := range []fault.Profile{
+		{Loss: 1.5},
+		{Corrupt: math.NaN()},
+		{DelayMin: time.Second, DelayMax: time.Millisecond},
+	} {
+		if _, err := NewFault(bus.Endpoint(), FaultConfig{RNG: stats.NewRNG(1), Profile: p}); err == nil {
+			t.Fatalf("invalid profile accepted: %+v", p)
+		}
 	}
 }
 
 func TestFaultZeroProfilePassesThrough(t *testing.T) {
-	ft, log := faultPair(t, FaultConfig{RNG: stats.NewRNG(1)})
+	send, ft, log := faultPair(t, FaultConfig{RNG: stats.NewRNG(1)})
 	ctx := context.Background()
 	for i := 0; i < 50; i++ {
-		if err := ft.Send(ctx, []byte("packet"), 127); err != nil {
+		if err := send.Send(ctx, []byte("packet"), 127); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,129 +93,68 @@ func TestFaultZeroProfilePassesThrough(t *testing.T) {
 		t.Fatalf("delivered %d of 50 with zero profile", log.count())
 	}
 	st := ft.Stats()
-	if st.Egress.Dropped != 0 || st.Egress.Packets != 50 {
+	if st.Dropped != 0 || st.Packets != 50 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
 
+// TestFaultSendIsNotFaulted: a packet's fate is decided per receiver, so
+// even a total-loss profile leaves the outbound path alone.
+func TestFaultSendIsNotFaulted(t *testing.T) {
+	send, ft, _ := faultPair(t, FaultConfig{RNG: stats.NewRNG(1), Profile: fault.Profile{Loss: 1}})
+	back := &msgLog{}
+	send.Subscribe(back.add)
+	for i := 0; i < 10; i++ {
+		if err := ft.Send(context.Background(), []byte("out"), 127); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if back.count() != 10 {
+		t.Fatalf("peer heard %d of 10 sent through the fault transport", back.count())
+	}
+	if st := ft.Stats(); st.Packets != 0 {
+		t.Fatalf("outbound packets were offered to the fault process: %+v", st)
+	}
+}
+
 func TestFaultTotalLossAndStats(t *testing.T) {
-	ft, log := faultPair(t, FaultConfig{RNG: stats.NewRNG(2), Egress: FaultProfile{Loss: 1}})
+	send, ft, log := faultPair(t, FaultConfig{RNG: stats.NewRNG(2), Profile: fault.Profile{Loss: 1}})
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
-		if err := ft.Send(ctx, []byte("x0x0"), 1); err != nil {
+		if err := send.Send(ctx, []byte("x0x0"), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if log.count() != 0 {
 		t.Fatalf("delivered %d with loss=1", log.count())
 	}
-	if st := ft.Stats(); st.Egress.Dropped != 20 {
-		t.Fatalf("dropped = %d", st.Egress.Dropped)
-	}
-}
-
-func TestFaultLossIsDeterministicPerSeed(t *testing.T) {
-	pattern := func(seed uint64) []bool {
-		ft, log := faultPair(t, FaultConfig{RNG: stats.NewRNG(seed), Egress: FaultProfile{Loss: 0.5}})
-		ctx := context.Background()
-		var out []bool
-		for i := 0; i < 64; i++ {
-			before := log.count()
-			if err := ft.Send(ctx, []byte{byte(i), 1, 2, 3}, 1); err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, log.count() > before)
-		}
-		return out
-	}
-	a, b, c := pattern(7), pattern(7), pattern(8)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at packet %d", i)
-		}
-	}
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical 64-packet patterns")
-	}
-}
-
-func TestFaultGilbertElliottBursts(t *testing.T) {
-	// A chain that is lossless in Good and total-loss in Bad, with slow
-	// transitions, must produce drops in runs, not salt-and-pepper.
-	ft, log := faultPair(t, FaultConfig{
-		RNG: stats.NewRNG(3),
-		Egress: FaultProfile{Burst: &GilbertElliott{
-			PGB: 0.05, PBG: 0.2, LossGood: 0, LossBad: 1,
-		}},
-	})
-	ctx := context.Background()
-	var delivered []bool
-	for i := 0; i < 2000; i++ {
-		before := log.count()
-		if err := ft.Send(ctx, []byte("bbbb"), 1); err != nil {
-			t.Fatal(err)
-		}
-		delivered = append(delivered, log.count() > before)
-	}
-	st := ft.Stats()
-	if st.Egress.BurstDropped == 0 || st.Egress.BurstDropped != st.Egress.Dropped {
-		t.Fatalf("burst stats: %+v", st.Egress)
-	}
-	// Mean burst length should approach 1/PBG = 5; an i.i.d. process at
-	// the same overall rate would sit near 1/(1-rate) ≈ 1.3.
-	runs, runLen := 0, 0
-	total := 0
-	for _, ok := range delivered {
-		if !ok {
-			runLen++
-			continue
-		}
-		if runLen > 0 {
-			runs++
-			total += runLen
-			runLen = 0
-		}
-	}
-	if runLen > 0 {
-		runs++
-		total += runLen
-	}
-	if runs == 0 {
-		t.Fatal("no loss bursts at all")
-	}
-	if mean := float64(total) / float64(runs); mean < 2.5 {
-		t.Fatalf("mean burst length %.2f, want clearly bursty (≥2.5)", mean)
+	if st := ft.Stats(); st.Dropped != 20 {
+		t.Fatalf("dropped = %d", st.Dropped)
 	}
 }
 
 func TestFaultDuplication(t *testing.T) {
-	ft, log := faultPair(t, FaultConfig{RNG: stats.NewRNG(4), Egress: FaultProfile{Duplicate: 1}})
+	send, ft, log := faultPair(t, FaultConfig{RNG: stats.NewRNG(4), Profile: fault.Profile{Duplicate: 1}})
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		if err := ft.Send(ctx, []byte("dupe"), 1); err != nil {
+		if err := send.Send(ctx, []byte("dupe"), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if log.count() != 20 {
 		t.Fatalf("delivered %d, want every packet twice", log.count())
 	}
-	if st := ft.Stats(); st.Egress.Duplicated != 10 {
-		t.Fatalf("duplicated = %d", st.Egress.Duplicated)
+	if st := ft.Stats(); st.Duplicated != 10 {
+		t.Fatalf("duplicated = %d", st.Duplicated)
 	}
 }
 
 func TestFaultCorruptionFlipsExactlyOneBit(t *testing.T) {
-	ft, log := faultPair(t, FaultConfig{RNG: stats.NewRNG(5), Egress: FaultProfile{Corrupt: 1}})
+	send, _, log := faultPair(t, FaultConfig{RNG: stats.NewRNG(5), Profile: fault.Profile{Corrupt: 1}})
 	ctx := context.Background()
 	orig := []byte("corrupt me, deterministically")
 	for i := 0; i < 25; i++ {
-		if err := ft.Send(ctx, orig, 1); err != nil {
+		if err := send.Send(ctx, orig, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,48 +184,33 @@ func TestFaultCorruptionFlipsExactlyOneBit(t *testing.T) {
 
 func TestFaultDelayAndReordering(t *testing.T) {
 	clk := NewManualClock(testClockStart())
-	// Scripted delays: first packet 3 s, second 1 s → arrival order flips.
-	delays := []time.Duration{3 * time.Second, time.Second}
-	i := 0
-	sampler := func(*stats.RNG) time.Duration {
-		d := delays[i%len(delays)]
-		i++
-		return d
-	}
-	bus := NewBus()
-	send, recv := bus.Endpoint(), bus.Endpoint()
-	ft, err := NewFault(send, FaultConfig{
-		RNG:    stats.NewRNG(6),
-		Clock:  clk,
-		Egress: FaultProfile{Delay: sampler},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := &msgLog{}
-	recv.Subscribe(log.add)
+	send, ft, log := faultPair(t, FaultConfig{RNG: stats.NewRNG(6), Clock: clk})
+	fixed := func(d time.Duration) fault.Profile { return fault.Profile{DelayMin: d, DelayMax: d} }
 
+	// Scripted delays: first packet 3 s, second 1 s → arrival order flips.
 	ctx := context.Background()
-	if err := ft.Send(ctx, []byte("first"), 1); err != nil {
+	ft.SetProfile(fixed(3 * time.Second))
+	if err := send.Send(ctx, []byte("first"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := ft.Send(ctx, []byte("second"), 1); err != nil {
+	ft.SetProfile(fixed(time.Second))
+	if err := send.Send(ctx, []byte("second"), 1); err != nil {
 		t.Fatal(err)
 	}
 	if log.count() != 0 {
 		t.Fatal("delayed packet delivered before Step")
 	}
-	if st := ft.Stats(); st.Pending != 2 || st.Egress.Delayed != 2 {
+	if st := ft.Stats(); st.Pending != 2 || st.Delayed != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if n, err := ft.Step(clk.Advance(500 * time.Millisecond)); n != 0 || err != nil {
-		t.Fatalf("early step delivered %d, err %v", n, err)
+	if n := ft.Step(clk.Advance(500 * time.Millisecond)); n != 0 {
+		t.Fatalf("early step delivered %d", n)
 	}
-	if n, err := ft.Step(clk.Advance(time.Second)); n != 1 || err != nil {
-		t.Fatalf("step at 1.5s delivered %d, err %v", n, err)
+	if n := ft.Step(clk.Advance(time.Second)); n != 1 {
+		t.Fatalf("step at 1.5s delivered %d", n)
 	}
-	if n, err := ft.Step(clk.Advance(2 * time.Second)); n != 1 || err != nil {
-		t.Fatalf("step at 3.5s delivered %d, err %v", n, err)
+	if n := ft.Step(clk.Advance(2 * time.Second)); n != 1 {
+		t.Fatalf("step at 3.5s delivered %d", n)
 	}
 	got := log.all()
 	if string(got[0]) != "second" || string(got[1]) != "first" {
@@ -288,19 +220,19 @@ func TestFaultDelayAndReordering(t *testing.T) {
 
 func TestFaultFlushDelayed(t *testing.T) {
 	clk := NewManualClock(testClockStart())
-	ft, log := faultPair(t, FaultConfig{
-		RNG:    stats.NewRNG(7),
-		Clock:  clk,
-		Egress: FaultProfile{Delay: UniformDelay(time.Minute, time.Hour)},
+	send, ft, log := faultPair(t, FaultConfig{
+		RNG:     stats.NewRNG(7),
+		Clock:   clk,
+		Profile: fault.Profile{DelayMin: time.Minute, DelayMax: time.Hour},
 	})
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		if err := ft.Send(ctx, []byte("held"), 1); err != nil {
+		if err := send.Send(ctx, []byte("held"), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n, err := ft.FlushDelayed(); n != 5 || err != nil {
-		t.Fatalf("flushed %d, err %v", n, err)
+	if n := ft.FlushDelayed(); n != 5 {
+		t.Fatalf("flushed %d", n)
 	}
 	if log.count() != 5 {
 		t.Fatalf("delivered %d after flush", log.count())
@@ -311,14 +243,13 @@ func TestFaultFlushDelayed(t *testing.T) {
 }
 
 func TestFaultIngressIndependentPerReceiver(t *testing.T) {
-	// One sender, two receivers each behind their own ingress-lossy
-	// FaultTransport: the loss patterns must differ (independent draws),
-	// which egress-side loss cannot express.
+	// One sender, two receivers each behind their own lossy FaultTransport:
+	// the loss patterns must differ (independent draws).
 	bus := NewBus()
 	send := bus.Endpoint()
 	mk := func(seed uint64) *msgLog {
 		ep := bus.Endpoint()
-		ft, err := NewFault(ep, FaultConfig{RNG: stats.NewRNG(seed), Ingress: FaultProfile{Loss: 0.5}})
+		ft, err := NewFault(ep, FaultConfig{RNG: stats.NewRNG(seed), Profile: fault.Profile{Loss: 0.5}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +285,7 @@ func TestFaultIngressIndependentPerReceiver(t *testing.T) {
 }
 
 func TestFaultClosedSemantics(t *testing.T) {
-	ft, _ := faultPair(t, FaultConfig{RNG: stats.NewRNG(8)})
+	_, ft, _ := faultPair(t, FaultConfig{RNG: stats.NewRNG(8)})
 	if err := ft.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -364,8 +295,8 @@ func TestFaultClosedSemantics(t *testing.T) {
 	if err := ft.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := ft.Step(testClockStart()); n != 0 || err != nil {
-		t.Fatalf("step on closed: %d, %v", n, err)
+	if n := ft.Step(testClockStart()); n != 0 {
+		t.Fatalf("step on closed delivered %d", n)
 	}
 }
 

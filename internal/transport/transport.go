@@ -66,11 +66,11 @@ type BatchHandler func([]Message)
 // whole batch to one handler call. A registered BatchHandler takes
 // precedence over the per-message Handler; pass nil to fall back.
 // Consumers with an epoch-batched ingest path (the directory) use this
-// to amortise their lock to one acquisition per batch and to parse the
-// batch in parallel. Decorating transports (fault injection, rate
-// limiting) deliberately do not implement BatchSubscriber: their
-// per-packet decisions — and therefore seeded replay schedules — are
-// identical whether delivery batches or not.
+// to amortise their lock to one acquisition per batch. Decorating
+// transports (fault injection, rate limiting) deliberately do not
+// implement BatchSubscriber: their per-packet decisions — and therefore
+// seeded replay schedules — are identical whether delivery batches or
+// not.
 type BatchSubscriber interface {
 	SubscribeBatch(BatchHandler)
 }
