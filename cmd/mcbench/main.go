@@ -163,6 +163,9 @@ func microBenches() []microBenchResult {
 	}{
 		{"AllocateAdaptive", allocator.NewAdaptive(4096, allocator.AdaptiveConfig{GapFraction: 0.2}), 127},
 		{"AllocateInformedRandom", allocator.NewInformedRandom(4096), 63},
+		// A second fixed-band rule under the -compare ratio gate: neither
+		// it nor IR may pay for the class counts only adaptive rules read.
+		{"AllocateIPR7", allocator.NewStaticPartitioned(4096, allocator.IPR7Separators()), 127},
 		{"AllocateHybrid", allocator.NewHybrid(4096), 127},
 	}
 	var out []microBenchResult
@@ -344,7 +347,11 @@ func (a *nextAddrAllocator) Allocate(view []allocator.SessionInfo, _ mcast.TTL, 
 }
 
 func (a *nextAddrAllocator) AllocateBatch(view []allocator.SessionInfo, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
-	return allocator.AllocateBatchSerial(a, view, ttl, k, dst, rng)
+	for i := 0; i < k; i++ {
+		addr, _ := a.Allocate(view, ttl, rng) // never fails
+		dst = append(dst, addr)
+	}
+	return dst, nil
 }
 
 // directoryMicros measures the two Directory operations that used to

@@ -626,7 +626,7 @@ func (d *Directory) registerOwnedLocked(c session.Description, addr mcast.Addr, 
 // allocator's per-call view scan: consecutive descriptions with the same
 // scope share a single AllocateBatch, which computes band/partition state
 // once for the whole run (the addresses are bit-identical to sequential
-// CreateSession calls; see allocator.AllocateBatchSerial). Results align
+// CreateSession calls; see allocator.Allocator.AllocateBatch). Results align
 // with descs by index. On error the sessions created before the failure
 // stay created and are returned with it — callers retrying a partial
 // burst should resubmit only the tail.

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"sessiondir/internal/mcast"
-	"sessiondir/internal/stats"
 )
 
 // DefaultTargetOccupancy is the paper's 67% band occupancy target, chosen
@@ -46,48 +45,43 @@ type AdaptiveConfig struct {
 // a reliable announcement mechanism — all sites that could clash compute
 // compatible layouts, and no clash occurs from layout disagreement alone.
 type Adaptive struct {
-	size      uint32
+	core
 	gapFrac   float64
 	occupancy float64
 	pm        *PartitionMap
-	name      string
+}
+
+// resolved returns cfg with its defaults filled in — name is the display
+// name when cfg gives none — and panics on a gap fraction outside [0,1) or
+// a target occupancy outside (0,1]. NewAdaptive and NewCategoryAdaptive
+// both read their parameters through it.
+func (cfg AdaptiveConfig) resolved(name string) AdaptiveConfig {
+	if !(cfg.GapFraction >= 0 && cfg.GapFraction < 1) { // also false for NaN
+		panic(fmt.Sprintf("allocator: gap fraction %v outside [0,1)", cfg.GapFraction))
+	}
+	if cfg.TargetOccupancy == 0 {
+		cfg.TargetOccupancy = DefaultTargetOccupancy
+	}
+	if !(cfg.TargetOccupancy > 0 && cfg.TargetOccupancy <= 1) {
+		panic(fmt.Sprintf("allocator: target occupancy %v outside (0,1]", cfg.TargetOccupancy))
+	}
+	if cfg.Margin == 0 {
+		cfg.Margin = 2
+	}
+	if cfg.Name == "" {
+		cfg.Name = name
+	}
+	return cfg
 }
 
 // NewAdaptive returns a Deterministic Adaptive IPRMA allocator.
 func NewAdaptive(size uint32, cfg AdaptiveConfig) *Adaptive {
 	validateSize(size)
-	if cfg.GapFraction < 0 || cfg.GapFraction >= 1 {
-		panic(fmt.Sprintf("allocator: gap fraction %v outside [0,1)", cfg.GapFraction))
-	}
-	occ := cfg.TargetOccupancy
-	if occ == 0 {
-		occ = DefaultTargetOccupancy
-	}
-	if occ <= 0 || occ > 1 {
-		panic(fmt.Sprintf("allocator: target occupancy %v outside (0,1]", occ))
-	}
-	margin := cfg.Margin
-	if margin == 0 {
-		margin = 2
-	}
-	name := cfg.Name
-	if name == "" {
-		name = fmt.Sprintf("AIPR (%d%% gap)", int(math.Round(cfg.GapFraction*100)))
-	}
-	return &Adaptive{
-		size:      size,
-		gapFrac:   cfg.GapFraction,
-		occupancy: occ,
-		pm:        NewPartitionMap(margin),
-		name:      name,
-	}
+	cfg = cfg.resolved(fmt.Sprintf("AIPR (%d%% gap)", int(math.Round(cfg.GapFraction*100))))
+	a := &Adaptive{gapFrac: cfg.GapFraction, occupancy: cfg.TargetOccupancy, pm: NewPartitionMap(cfg.Margin)}
+	a.core = core{name: cfg.Name, size: size, classOf: a.pm.classOf, classes: a.pm.NumClasses(), adaptive: true, rule: a}
+	return a
 }
-
-// Name implements Allocator.
-func (a *Adaptive) Name() string { return a.name }
-
-// Size implements Allocator.
-func (a *Adaptive) Size() uint32 { return a.size }
 
 // PartitionMap exposes the TTL-class mapping (for introspection/tests).
 func (a *Adaptive) PartitionMap() *PartitionMap { return a.pm }
@@ -107,66 +101,59 @@ type Band struct {
 // minimum single-address width, as in the paper's "initial band allocation
 // allocates only a single address to each band".
 func (a *Adaptive) Layout(visible []SessionInfo) []Band {
-	counts := a.classCounts(visible)
-	return a.layoutFromCounts(counts)
-}
-
-func (a *Adaptive) classCounts(visible []SessionInfo) []int {
-	counts := make([]int, a.pm.NumClasses())
-	for _, s := range visible {
-		counts[a.pm.ClassOf(s.TTL)]++
-	}
-	return counts
-}
-
-func (a *Adaptive) layoutFromCounts(counts []int) []Band {
-	bands := make([]Band, 0, a.pm.NumClasses())
-	a.walkBands(counts, func(c int, start, width uint32) bool {
-		bands = append(bands, Band{
-			Class: c,
-			Low:   a.pm.LowTTL(c),
-			Start: start,
-			Width: width,
-			Count: counts[c],
-		})
+	f := a.fold(visible)
+	defer foldPool.Put(f)
+	bands := make([]Band, 0, len(f.counts))
+	walkFig8(a.size, a.gapFrac, a.occupancy, f.counts, func(c int, start, width uint32) bool {
+		bands = append(bands, Band{Class: c, Low: a.pm.LowTTL(c), Start: start, Width: width, Count: f.counts[c]})
 		return true
 	})
 	return bands
 }
 
-// walkBands runs the Figure-8 cursor walk top-down, yielding each band's
-// bounds in descending TTL order; yield returning false stops the walk.
-// It is the single source of truth for band placement, shared by Layout
-// (which materialises []Band) and Allocate (which needs one band's bounds
-// without allocating).
-func (a *Adaptive) walkBands(counts []int, yield func(c int, start, width uint32) bool) {
-	cursor := int64(a.size) // exclusive top of the next band
-	for c := a.pm.NumClasses() - 1; c >= 0; c-- {
-		width := int64(a.bandWidth(counts[c]))
+// band is DAIPR's rule: walk down from the top of the space to the class.
+func (a *Adaptive) band(counts []int, cls int) (start, width uint32) {
+	walkFig8(a.size, a.gapFrac, a.occupancy, counts, func(c int, s, w uint32) bool {
+		start, width = s, w
+		return c != cls
+	})
+	return start, width
+}
+
+// walkFig8 runs the Figure-8 cursor walk over the bands whose session
+// counts are given bottom-up: from the last, at the top of the space,
+// downward, yielding each band's bounds until yield returns false. A band
+// is a single address when empty, else wide enough to hold its sessions at
+// the target occupancy; a band holding sessions leaves a gap below it. It
+// is the single source of truth for band placement: Adaptive.Layout and
+// CategoryAdaptive.Layout materialise what it yields, Adaptive.band stops
+// it at one class.
+func walkFig8(size uint32, gapFrac, occupancy float64, counts []int, yield func(i int, start, width uint32) bool) {
+	cursor := int64(size) // exclusive top of the next band
+	for i := len(counts) - 1; i >= 0; i-- {
+		width := int64(1)
+		if counts[i] > 0 {
+			width = int64(math.Ceil(float64(counts[i]) / occupancy))
+		}
 		start := cursor - width
 		if start < 0 {
 			start = 0
-			if width > int64(a.size) {
-				width = int64(a.size)
+			if width > int64(size) {
+				width = int64(size)
 			}
 		}
-		if !yield(c, uint32(start), uint32(width)) {
+		if !yield(i, uint32(start), uint32(width)) {
 			return
 		}
 		cursor = start
-		if counts[c] > 0 {
-			cursor -= gapBelow(a.size, a.gapFrac)
+		if counts[i] > 0 {
+			cursor -= gapBelow(size, gapFrac)
 		}
 		if cursor < 0 {
 			cursor = 0
 		}
 	}
 }
-
-// maxStackClasses bounds the on-stack class-count scratch in Allocate.
-// The §2.4.1 rule yields at most 256 classes (one per TTL value), so the
-// heap fallback below is unreachable in practice but kept for safety.
-const maxStackClasses = 256
 
 // expectedActiveBands is the band-count assumption the inter-band gap
 // budget is divided by: TTL values cluster on a handful of conventional
@@ -186,53 +173,4 @@ func gapBelow(size uint32, gapFrac float64) int64 {
 		return 0
 	}
 	return int64(math.Ceil(float64(size) * gapFrac / expectedActiveBands))
-}
-
-// bandWidth returns the width a band with the given visible session count
-// wants: a single address when empty, else enough to hold the sessions at
-// the target occupancy.
-func (a *Adaptive) bandWidth(count int) uint32 {
-	if count <= 0 {
-		return 1
-	}
-	return uint32(math.Ceil(float64(count) / a.occupancy))
-}
-
-// Allocate implements Allocator. The hot path is allocation-free: class
-// counts live in an on-stack scratch, the band walk yields bounds without
-// materialising a layout, and the used-address view is a pooled bitset.
-func (a *Adaptive) Allocate(visible []SessionInfo, ttl mcast.TTL, rng *stats.RNG) (mcast.Addr, error) {
-	var countsBuf [maxStackClasses]int
-	var counts []int
-	if n := a.pm.NumClasses(); n <= len(countsBuf) {
-		counts = countsBuf[:n]
-	} else {
-		counts = make([]int, n)
-	}
-	for _, s := range visible {
-		counts[a.pm.ClassOf(s.TTL)]++
-	}
-	cls := a.pm.ClassOf(ttl)
-	var bandStart, bandWidth uint32
-	found := false
-	a.walkBands(counts, func(c int, start, width uint32) bool {
-		if c == cls {
-			bandStart, bandWidth, found = start, width, true
-			return false
-		}
-		return true
-	})
-	if !found {
-		return 0, fmt.Errorf("allocator: no band for TTL %d (bug)", ttl)
-	}
-	// Allocate in the band; when it is (visibly) full, expand downward —
-	// the paper's band growth pushing lower bands down the space. The
-	// expansion may stray into lower bands' territory: that is precisely
-	// the clash risk the inter-band gaps exist to absorb.
-	used := acquireUsed(a.size, visible)
-	defer releaseUsed(used)
-	if addr, ok := expandingPick(bandStart, bandWidth, used, rng); ok {
-		return addr, nil
-	}
-	return 0, fmt.Errorf("%w (class %d, TTL %d, %s)", ErrSpaceFull, cls, ttl, a.name)
 }

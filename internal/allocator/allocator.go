@@ -52,11 +52,9 @@ type Allocator interface {
 	// pass, appending them to dst and returning the extended slice. The
 	// result is bit-identical to k sequential Allocate calls in which each
 	// freshly allocated session is appended to the view between calls, but
-	// band/partition state and the used-address view are computed once per
-	// batch instead of once per address (see batch.go). On failure the
+	// the view is folded into class counts and the used-address set once
+	// per batch instead of once per address (see batch.go). On failure the
 	// addresses allocated before the error are returned alongside it.
-	// Implementations without a custom batch path may delegate to
-	// AllocateBatchSerial, which is the semantic oracle.
 	AllocateBatch(visible []SessionInfo, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error)
 }
 
@@ -124,28 +122,47 @@ func validateSize(size uint32) {
 	}
 }
 
-// Catalog returns one instance of every algorithm the paper simulates,
-// configured as in Figures 5 and 12, over a space of the given size.
-// It is the menu the experiment drivers and the mcbench tool iterate over.
-func Catalog(size uint32) []Allocator {
-	return []Allocator{
-		NewRandom(size),
-		NewInformedRandom(size),
-		NewStaticPartitioned(size, IPR3Separators()),
-		NewStaticPartitioned(size, IPR7Separators()),
-		NewAdaptive(size, AdaptiveConfig{GapFraction: 0.2, Name: "AIPR-1 (20% gap)"}),
-		NewAdaptive(size, AdaptiveConfig{GapFraction: 0.5, Name: "AIPR-2 (50% gap)"}),
-		NewAdaptive(size, AdaptiveConfig{GapFraction: 0.6, Name: "AIPR-3 (60% gap)"}),
-		NewAdaptive(size, AdaptiveConfig{GapFraction: 0.7, Name: "AIPR-4 (70% gap)"}),
-		NewHybrid(size),
+// catalog is the menu: every algorithm the paper simulates, configured as
+// in Figures 5 and 12, under the name its rows print.
+var catalog = []struct {
+	name string
+	make func(size uint32, name string) Allocator
+}{
+	{"R", func(size uint32, _ string) Allocator { return NewRandom(size) }},
+	{"IR", func(size uint32, _ string) Allocator { return NewInformedRandom(size) }},
+	{"IPR 3-band", func(size uint32, _ string) Allocator { return NewStaticPartitioned(size, IPR3Separators()) }},
+	{"IPR 7-band", func(size uint32, _ string) Allocator { return NewStaticPartitioned(size, IPR7Separators()) }},
+	{"AIPR-1 (20% gap)", aipr(0.2)},
+	{"AIPR-2 (50% gap)", aipr(0.5)},
+	{"AIPR-3 (60% gap)", aipr(0.6)},
+	{"AIPR-4 (70% gap)", aipr(0.7)},
+	{"AIPR-H (hybrid)", func(size uint32, _ string) Allocator { return NewHybrid(size) }},
+}
+
+// aipr makes the Figure-12 adaptive allocator with the given gap share,
+// under its catalog name.
+func aipr(gap float64) func(size uint32, name string) Allocator {
+	return func(size uint32, name string) Allocator {
+		return NewAdaptive(size, AdaptiveConfig{GapFraction: gap, Name: name})
 	}
 }
 
-// ByName returns the catalog allocator with the given Name.
+// Catalog returns one instance of every catalog algorithm over a space of
+// the given size.
+func Catalog(size uint32) []Allocator {
+	all := make([]Allocator, len(catalog))
+	for i, c := range catalog {
+		all[i] = c.make(size, c.name)
+	}
+	return all
+}
+
+// ByName returns the catalog allocator with the given Name — the lookup
+// the experiment drivers' algorithm lists resolve through.
 func ByName(size uint32, name string) (Allocator, error) {
-	for _, a := range Catalog(size) {
-		if a.Name() == name {
-			return a, nil
+	for _, c := range catalog {
+		if c.name == name {
+			return c.make(size, name), nil
 		}
 	}
 	return nil, fmt.Errorf("allocator: unknown algorithm %q", name)

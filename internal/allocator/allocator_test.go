@@ -2,6 +2,7 @@ package allocator
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -312,20 +313,34 @@ func TestAdaptiveExpandsIntoGapWhenBandFull(t *testing.T) {
 	}
 }
 
+// One AdaptiveConfig resolution serves both constructors: what one rejects
+// the other must too (NewCategoryAdaptive used to accept any occupancy, and
+// a negative one laid a band out past the end of the space).
 func TestAdaptiveConfigValidation(t *testing.T) {
-	for _, bad := range []AdaptiveConfig{
-		{GapFraction: -0.1},
-		{GapFraction: 1.0},
-		{GapFraction: 0.2, TargetOccupancy: 1.5},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("config %+v did not panic", bad)
-				}
+	constructors := map[string]func(AdaptiveConfig){
+		"NewAdaptive":         func(cfg AdaptiveConfig) { NewAdaptive(100, cfg) },
+		"NewCategoryAdaptive": func(cfg AdaptiveConfig) { NewCategoryAdaptive(100, cfg) },
+	}
+	for name, construct := range constructors {
+		for _, bad := range []AdaptiveConfig{
+			{GapFraction: -0.1},
+			{GapFraction: 1.0},
+			{GapFraction: math.NaN()},
+			{GapFraction: 0.2, TargetOccupancy: 1.5},
+			{GapFraction: 0.2, TargetOccupancy: -0.5},
+			{GapFraction: 0.2, TargetOccupancy: math.NaN()},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: config %+v did not panic", name, bad)
+					}
+				}()
+				construct(bad)
 			}()
-			NewAdaptive(100, bad)
-		}()
+		}
+		construct(AdaptiveConfig{GapFraction: 0.2, TargetOccupancy: 1}) // the bounds' inclusive end
+		construct(AdaptiveConfig{})
 	}
 }
 
@@ -410,8 +425,17 @@ func TestCatalogNamesUnique(t *testing.T) {
 			t.Fatalf("%s size %d", a.Name(), a.Size())
 		}
 	}
-	if _, err := ByName(100, "IPR 7-band"); err != nil {
-		t.Fatal(err)
+	// Every name resolves to the algorithm that prints it: the experiment
+	// drivers' menus (Figures 5, 12, 13 and the occupancy sweep, all nine
+	// between them) are lists of these names.
+	for _, a := range cat {
+		got, err := ByName(100, a.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Name() != a.Name() || got.Size() != 100 {
+			t.Fatalf("ByName(100, %q) = %s over %d addresses", a.Name(), got.Name(), got.Size())
+		}
 	}
 	if _, err := ByName(100, "bogus"); err == nil {
 		t.Fatal("expected error")

@@ -1,8 +1,6 @@
 package allocator
 
 import (
-	"fmt"
-
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/stats"
 )
@@ -10,162 +8,19 @@ import (
 // Batch allocation.
 //
 // A burst of session creations — a conference fan-out, a flash crowd, a
-// MANET renumbering wave — used to pay the full per-Allocate setup cost k
-// times: the band/partition layout is recomputed from the visible set and
-// the used-address bitset is rebuilt from scratch on every call, so the
-// O(len(visible)) scan dominates (BENCH.json: AllocateHybrid ~5.1µs/op
-// against ~0.6µs for IR on the same view). AllocateBatch computes that
-// state once and hands out k addresses per recomputation: the visible
-// set is folded into band counts and the used bitset a single time, and
-// each subsequent pick only appends its own address to both.
+// MANET renumbering wave — would pay the full per-Allocate setup cost k
+// times: the O(len(visible)) fold of the view into class counts and the
+// used-address bitset, which dominates a single allocation. AllocateBatch
+// folds once and hands out k addresses, each pick adding only its own
+// address to both.
 //
-// The contract every implementation honours (and batch_test.go pins):
-// AllocateBatch is bit-identical to k sequential Allocate calls where the
-// view grows by the freshly allocated session between calls. Batching is
-// an amortisation, never a behaviour change — the clash dynamics the
-// paper measures are untouched.
-
-// AllocateBatchSerial implements the AllocateBatch contract for any
-// Allocator by literally running k sequential Allocate calls with view
-// extension. It is the semantic oracle the custom batch paths are tested
-// against, and a correct (if slow) fallback for external implementations.
-// Allocated addresses are appended to dst; on failure the addresses
-// allocated before the error are returned with it.
-func AllocateBatchSerial(a Allocator, visible []SessionInfo, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
-	view := make([]SessionInfo, len(visible), len(visible)+k)
-	copy(view, visible)
-	for i := 0; i < k; i++ {
-		addr, err := a.Allocate(view, ttl, rng)
-		if err != nil {
-			return dst, err
-		}
-		dst = append(dst, addr)
-		view = append(view, SessionInfo{Addr: addr, TTL: ttl})
-	}
-	return dst, nil
-}
-
-// AllocateBatch implements Allocator: k uniform draws. R ignores the
-// visible set entirely, so there is no setup to amortise and intra-batch
-// duplicates are as possible as inter-site ones — that is the algorithm.
-func (r *Random) AllocateBatch(_ []SessionInfo, _ mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
-	for i := 0; i < k; i++ {
-		dst = append(dst, mcast.Addr(rng.IntN(int(r.size))))
-	}
-	return dst, nil
-}
-
-// AllocateBatch implements Allocator. The used bitset is built once from
-// the view; each pick marks its own address so later picks in the batch
-// see it, exactly as sequential allocation with view extension would.
-func (r *InformedRandom) AllocateBatch(visible []SessionInfo, _ mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
-	used := acquireUsed(r.size, visible)
-	defer releaseUsed(used)
-	for i := 0; i < k; i++ {
-		a, ok := pickFreeInRange(0, r.size, used, rng)
-		if !ok {
-			return dst, ErrSpaceFull
-		}
-		used.add(a)
-		dst = append(dst, a)
-	}
-	return dst, nil
-}
-
-// AllocateBatch implements Allocator. The band bounds are fixed by the
-// TTL, so the whole batch shares one band lookup and one used bitset.
-func (p *StaticPartitioned) AllocateBatch(visible []SessionInfo, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
-	band := p.BandOf(ttl)
-	start, width := p.BandRange(band)
-	used := acquireUsed(p.size, visible)
-	defer releaseUsed(used)
-	for i := 0; i < k; i++ {
-		a, ok := pickFreeInRange(start, width, used, rng)
-		if !ok {
-			return dst, fmt.Errorf("%w (band %d of %s for TTL %d)", ErrSpaceFull, band, p.name, ttl)
-		}
-		used.add(a)
-		dst = append(dst, a)
-	}
-	return dst, nil
-}
-
-// AllocateBatch implements Allocator. Class counts and the used bitset
-// are folded from the view once; each pick re-walks the band cursor from
-// the updated counts (pure arithmetic over the class list, no rescan of
-// the view) so band growth within the batch matches sequential allocation
-// exactly.
-func (a *Adaptive) AllocateBatch(visible []SessionInfo, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
-	var countsBuf [maxStackClasses]int
-	var counts []int
-	if n := a.pm.NumClasses(); n <= len(countsBuf) {
-		counts = countsBuf[:n]
-	} else {
-		counts = make([]int, n)
-	}
-	for _, s := range visible {
-		counts[a.pm.ClassOf(s.TTL)]++
-	}
-	cls := a.pm.ClassOf(ttl)
-	used := acquireUsed(a.size, visible)
-	defer releaseUsed(used)
-	for i := 0; i < k; i++ {
-		var bandStart, bandWidth uint32
-		found := false
-		a.walkBands(counts, func(c int, start, width uint32) bool {
-			if c == cls {
-				bandStart, bandWidth, found = start, width, true
-				return false
-			}
-			return true
-		})
-		if !found {
-			return dst, fmt.Errorf("allocator: no band for TTL %d (bug)", ttl)
-		}
-		addr, ok := expandingPick(bandStart, bandWidth, used, rng)
-		if !ok {
-			return dst, fmt.Errorf("%w (class %d, TTL %d, %s)", ErrSpaceFull, cls, ttl, a.name)
-		}
-		used.add(addr)
-		counts[cls]++
-		dst = append(dst, addr)
-	}
-	return dst, nil
-}
-
-// AllocateBatch implements Allocator — the amortisation AIPR-H needs
-// most, since its per-Allocate cost is dominated by folding the view into
-// per-band counts (seven TTL comparisons per visible session). The fold
-// and the used bitset happen once; each pick re-runs only the seven-band
-// cursor walk from the updated counts.
-func (h *Hybrid) AllocateBatch(visible []SessionInfo, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
-	var countsBuf [16]int
-	counts := countsBuf[:len(h.seps)+1]
-	for _, s := range visible {
-		counts[h.bandOf(s.TTL)]++
-	}
-	target := h.bandOf(ttl)
-	used := acquireUsed(h.size, visible)
-	defer releaseUsed(used)
-	for i := 0; i < k; i++ {
-		var bandStart, bandWidth uint32
-		h.walkBands(counts, func(j int, start, width uint32) bool {
-			if j == target {
-				bandStart, bandWidth = start, width
-				return false
-			}
-			return true
-		})
-		addr, ok := expandingPick(bandStart, bandWidth, used, rng)
-		if !ok {
-			return dst, fmt.Errorf("%w (band %d, TTL %d, %s)", ErrSpaceFull, target, ttl, h.name)
-		}
-		used.add(addr)
-		counts[target]++
-		dst = append(dst, addr)
-	}
-	return dst, nil
-}
+// The contract every implementation honours (and batch_test.go pins
+// against k literal Allocate calls): AllocateBatch is bit-identical to k
+// sequential Allocate calls where the view grows by the freshly allocated
+// session between calls. Batching is an amortisation, never a behaviour
+// change — the clash dynamics the paper measures are untouched. For the
+// algorithms built on core it holds by construction: Allocate is
+// AllocateBatch with k = 1.
 
 // AllocateBatch implements Allocator, delegating to the inner batch path
 // and counting per-address outcomes so instrumented totals agree with

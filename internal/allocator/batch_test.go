@@ -21,6 +21,25 @@ func mkBatchView(n int, size uint32, seed uint64) []SessionInfo {
 	return view
 }
 
+// AllocateBatchSerial is the AllocateBatch contract spelled out: k
+// sequential Allocate calls, the view extended by each freshly allocated
+// session before the next. It is the oracle the batch paths are compared
+// with, here and in FuzzAllocate. Allocated addresses are appended to dst;
+// on failure the addresses allocated before the error are returned with it.
+func AllocateBatchSerial(a Allocator, visible []SessionInfo, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
+	view := make([]SessionInfo, len(visible), len(visible)+k)
+	copy(view, visible)
+	for i := 0; i < k; i++ {
+		addr, err := a.Allocate(view, ttl, rng)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, addr)
+		view = append(view, SessionInfo{Addr: addr, TTL: ttl})
+	}
+	return dst, nil
+}
+
 // TestAllocateBatchMatchesSerial pins the batch contract for every
 // catalog allocator: AllocateBatch must be bit-identical to k sequential
 // Allocate calls with view extension (AllocateBatchSerial), address for

@@ -2,7 +2,6 @@ package allocator
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"sessiondir/internal/mcast"
@@ -50,27 +49,13 @@ type CategoryBand struct {
 // meaning and defaults as for NewAdaptive.
 func NewCategoryAdaptive(size uint32, cfg AdaptiveConfig) *CategoryAdaptive {
 	validateSize(size)
-	if cfg.GapFraction < 0 || cfg.GapFraction >= 1 {
-		panic(fmt.Sprintf("allocator: gap fraction %v outside [0,1)", cfg.GapFraction))
-	}
-	occ := cfg.TargetOccupancy
-	if occ == 0 {
-		occ = DefaultTargetOccupancy
-	}
-	margin := cfg.Margin
-	if margin == 0 {
-		margin = 2
-	}
-	name := cfg.Name
-	if name == "" {
-		name = "Category-AIPR"
-	}
+	cfg = cfg.resolved("Category-AIPR")
 	return &CategoryAdaptive{
 		size:      size,
 		gapFrac:   cfg.GapFraction,
-		occupancy: occ,
-		pm:        NewPartitionMap(margin),
-		name:      name,
+		occupancy: cfg.TargetOccupancy,
+		pm:        NewPartitionMap(cfg.Margin),
+		name:      cfg.Name,
 	}
 }
 
@@ -102,44 +87,29 @@ func (a *CategoryAdaptive) Layout(visible []CategorySession, reqTTL mcast.TTL, r
 		keys = append(keys, k)
 	}
 	// Total order: scope (class) descending is primary, category name
-	// ascending is secondary — the footnote's prescription.
+	// ascending is secondary — the footnote's prescription. walkFig8 lays
+	// out from the last band down, so the keys are sorted bottom-up.
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].class != keys[j].class {
-			return keys[i].class > keys[j].class
+			return keys[i].class < keys[j].class
 		}
-		return keys[i].category < keys[j].category
+		return keys[i].category > keys[j].category
 	})
-
-	bands := make([]CategoryBand, 0, len(keys))
-	cursor := int64(a.size)
-	for _, k := range keys {
-		count := counts[k]
-		width := int64(1)
-		if count > 0 {
-			width = int64(math.Ceil(float64(count) / a.occupancy))
-		}
-		start := cursor - width
-		if start < 0 {
-			start = 0
-			if width > int64(a.size) {
-				width = int64(a.size)
-			}
-		}
-		bands = append(bands, CategoryBand{
-			Class:    k.class,
-			Category: k.category,
-			Start:    uint32(start),
-			Width:    uint32(width),
-			Count:    count,
-		})
-		cursor = start
-		if count > 0 {
-			cursor -= gapBelow(a.size, a.gapFrac)
-		}
-		if cursor < 0 {
-			cursor = 0
-		}
+	ordered := make([]int, len(keys))
+	for i, k := range keys {
+		ordered[i] = counts[k]
 	}
+	bands := make([]CategoryBand, 0, len(keys))
+	walkFig8(a.size, a.gapFrac, a.occupancy, ordered, func(i int, start, width uint32) bool {
+		bands = append(bands, CategoryBand{
+			Class:    keys[i].class,
+			Category: keys[i].category,
+			Start:    start,
+			Width:    width,
+			Count:    ordered[i],
+		})
+		return true
+	})
 	return bands
 }
 
@@ -159,15 +129,12 @@ func (a *CategoryAdaptive) Allocate(visible []CategorySession, ttl mcast.TTL, ca
 	if !found {
 		return 0, fmt.Errorf("allocator: no band for TTL %d category %q (bug)", ttl, category)
 	}
-	used := usedPool.Get().(*usedSet)
-	used.reset(a.size)
+	f := newFolded(a.size, 0)
+	defer foldPool.Put(f)
 	for _, s := range visible {
-		if uint32(s.Addr) < a.size {
-			used.add(s.Addr)
-		}
+		f.used.mark(s.Addr)
 	}
-	defer releaseUsed(used)
-	if addr, ok := expandingPick(band.Start, band.Width, used, rng); ok {
+	if addr, ok := expandingPick(band.Start, band.Width, &f.used, rng); ok {
 		return addr, nil
 	}
 	return 0, fmt.Errorf("%w (class %d, category %q, %s)", ErrSpaceFull, reqClass, category, a.name)

@@ -1,11 +1,9 @@
 package allocator
 
 import (
-	"fmt"
 	"math"
 
 	"sessiondir/internal/mcast"
-	"sessiondir/internal/stats"
 )
 
 // Hybrid is AIPR-H from Figure 12: a hybrid of IPR 7-band and AIPR-1.
@@ -19,13 +17,12 @@ import (
 //     position unless forced, and when pushed while under 67% occupancy it
 //     is reduced in width rather than displaced further.
 type Hybrid struct {
-	size      uint32
+	core
 	occupancy float64
 	seps      []mcast.TTL
 	initTop   []uint32 // initial top (exclusive) per band, descending order
 	initWidth uint32
 	perGap    uint32
-	name      string
 }
 
 // NewHybrid returns an AIPR-H allocator over a space of the given size.
@@ -42,13 +39,13 @@ func NewHybrid(size uint32) *Hybrid {
 		initWidth = 1
 	}
 	h := &Hybrid{
-		size:      size,
 		occupancy: DefaultTargetOccupancy,
 		seps:      seps,
 		initWidth: initWidth,
 		perGap:    perGap,
-		name:      "AIPR-H (hybrid)",
 	}
+	h.core = core{name: "AIPR-H (hybrid)", size: size, adaptive: true, rule: h}
+	h.tabulate(nBands, h.bandOf)
 	// Initial tops, highest band first at the very top of the space.
 	h.initTop = make([]uint32, nBands)
 	cursor := size
@@ -70,48 +67,41 @@ func minU32(a, b uint32) uint32 {
 	return b
 }
 
-// Name implements Allocator.
-func (h *Hybrid) Name() string { return h.name }
-
-// Size implements Allocator.
-func (h *Hybrid) Size() uint32 { return h.size }
-
-// bandOf mirrors StaticPartitioned.BandOf but numbers bands from the top:
-// band 0 is the highest TTL band.
-func (h *Hybrid) bandOf(t mcast.TTL) int {
-	b := 0
-	for _, s := range h.seps {
-		if t >= s {
-			b++
-		}
-	}
-	return len(h.seps) - b
-}
+// bandOf is IPR-7's TTL → band mapping numbered from the top: band 0 is
+// the highest-TTL band. The core's class table is tabulated from it.
+func (h *Hybrid) bandOf(t mcast.TTL) int { return len(h.seps) - separatorsUpTo(h.seps, t) }
 
 // Layout computes the seven bands, ordered highest TTL first.
 func (h *Hybrid) Layout(visible []SessionInfo) []Band {
-	nBands := len(h.seps) + 1
-	counts := make([]int, nBands)
-	for _, s := range visible {
-		counts[h.bandOf(s.TTL)]++
-	}
+	f := h.fold(visible)
+	defer foldPool.Put(f)
+	nBands := len(f.counts)
 	bands := make([]Band, 0, nBands)
-	h.walkBands(counts, func(i int, start, width uint32) bool {
+	h.walkBands(f.counts, func(i int, start, width uint32) bool {
 		bands = append(bands, Band{
 			Class: nBands - 1 - i, // class index ascending with TTL
 			Low:   h.lowTTLOfBand(i),
 			Start: start,
 			Width: width,
-			Count: counts[i],
+			Count: f.counts[i],
 		})
 		return true
 	})
 	return bands
 }
 
+// band is AIPR-H's rule: walk down from the top of the space to the band.
+func (h *Hybrid) band(counts []int, cls int) (start, width uint32) {
+	h.walkBands(counts, func(i int, s, w uint32) bool {
+		start, width = s, w
+		return i != cls
+	})
+	return start, width
+}
+
 // walkBands runs the hybrid's push-and-shrink cursor walk top-down (band 0
 // is the highest-TTL band), yielding each band's bounds; yield returning
-// false stops the walk. Shared by Layout and the allocation-free Allocate.
+// false stops the walk. Shared by Layout and band.
 func (h *Hybrid) walkBands(counts []int, yield func(i int, start, width uint32) bool) {
 	cursor := h.size
 	for i := 0; i < len(counts); i++ {
@@ -151,30 +141,4 @@ func (h *Hybrid) lowTTLOfBand(i int) mcast.TTL {
 		return 0
 	}
 	return h.seps[idx-1]
-}
-
-// Allocate implements Allocator. Like Adaptive.Allocate, the hot path is
-// allocation-free: on-stack band counts, a walk that stops at the target
-// band, and a pooled used-address bitset.
-func (h *Hybrid) Allocate(visible []SessionInfo, ttl mcast.TTL, rng *stats.RNG) (mcast.Addr, error) {
-	var countsBuf [16]int
-	counts := countsBuf[:len(h.seps)+1]
-	for _, s := range visible {
-		counts[h.bandOf(s.TTL)]++
-	}
-	target := h.bandOf(ttl)
-	var bandStart, bandWidth uint32
-	h.walkBands(counts, func(i int, start, width uint32) bool {
-		if i == target {
-			bandStart, bandWidth = start, width
-			return false
-		}
-		return true
-	})
-	used := acquireUsed(h.size, visible)
-	defer releaseUsed(used)
-	if addr, ok := expandingPick(bandStart, bandWidth, used, rng); ok {
-		return addr, nil
-	}
-	return 0, fmt.Errorf("%w (band %d, TTL %d, %s)", ErrSpaceFull, target, ttl, h.name)
 }

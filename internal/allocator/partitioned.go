@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"sessiondir/internal/mcast"
-	"sessiondir/internal/stats"
 )
 
 // StaticPartitioned is the paper's IPR k-band algorithm (§2.1–2.2): the
@@ -17,9 +16,8 @@ import (
 // partitioning of Figure 3, while {2, 16, 32, 48, 64, 128} (IPR 7-band)
 // gives each of the paper's workload TTLs its own band.
 type StaticPartitioned struct {
-	size       uint32
+	core
 	separators []mcast.TTL
-	name       string
 }
 
 // IPR3Separators returns the Figure-5 3-band separators (TTLs 15 and 64).
@@ -43,26 +41,25 @@ func NewStaticPartitioned(size uint32, separators []mcast.TTL) *StaticPartitione
 	if uint32(bands) > size {
 		panic(fmt.Sprintf("allocator: %d bands exceed space of %d", bands, size))
 	}
-	return &StaticPartitioned{
-		size:       size,
-		separators: append([]mcast.TTL(nil), separators...),
-		name:       fmt.Sprintf("IPR %d-band", bands),
+	if bands > int(mcast.MaxTTL)+1 {
+		panic(fmt.Sprintf("allocator: %d bands exceed the %d TTL values", bands, int(mcast.MaxTTL)+1))
 	}
+	p := &StaticPartitioned{separators: append([]mcast.TTL(nil), separators...)}
+	p.core = core{name: fmt.Sprintf("IPR %d-band", bands), size: size, rule: p}
+	p.tabulate(bands, p.BandOf)
+	return p
 }
-
-// Name implements Allocator.
-func (p *StaticPartitioned) Name() string { return p.name }
-
-// Size implements Allocator.
-func (p *StaticPartitioned) Size() uint32 { return p.size }
 
 // NumBands returns the number of TTL bands.
 func (p *StaticPartitioned) NumBands() int { return len(p.separators) + 1 }
 
 // BandOf returns the band index of a TTL: the count of separators ≤ t.
-func (p *StaticPartitioned) BandOf(t mcast.TTL) int {
+func (p *StaticPartitioned) BandOf(t mcast.TTL) int { return separatorsUpTo(p.separators, t) }
+
+// separatorsUpTo counts the separators ≤ t.
+func separatorsUpTo(separators []mcast.TTL, t mcast.TTL) int {
 	b := 0
-	for _, s := range p.separators {
+	for _, s := range separators {
 		if t >= s {
 			b++
 		}
@@ -79,16 +76,6 @@ func (p *StaticPartitioned) BandRange(b int) (start, width uint32) {
 	return start, end - start
 }
 
-// Allocate implements Allocator: informed-random within the TTL's band.
-// When a band fills completely the allocator fails — the paper's IPR-7
-// curves are "limited by higher scope bands filling completely".
-func (p *StaticPartitioned) Allocate(visible []SessionInfo, ttl mcast.TTL, rng *stats.RNG) (mcast.Addr, error) {
-	start, width := p.BandRange(p.BandOf(ttl))
-	used := acquireUsed(p.size, visible)
-	defer releaseUsed(used)
-	a, ok := pickFreeInRange(start, width, used, rng)
-	if !ok {
-		return 0, fmt.Errorf("%w (band %d of %s for TTL %d)", ErrSpaceFull, p.BandOf(ttl), p.name, ttl)
-	}
-	return a, nil
-}
+// band is IPR's rule: the fixed range of the scope's band, whatever the
+// view holds.
+func (p *StaticPartitioned) band(_ []int, cls int) (start, width uint32) { return p.BandRange(cls) }

@@ -29,33 +29,29 @@ func (r *Random) Allocate(_ []SessionInfo, _ mcast.TTL, rng *stats.RNG) (mcast.A
 	return mcast.Addr(rng.IntN(int(r.size))), nil
 }
 
+// AllocateBatch implements Allocator: k uniform draws. R ignores the
+// visible set entirely, so there is no setup to amortise and intra-batch
+// duplicates are as possible as inter-site ones — that is the algorithm.
+func (r *Random) AllocateBatch(_ []SessionInfo, _ mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
+	for i := 0; i < k; i++ {
+		dst = append(dst, mcast.Addr(rng.IntN(int(r.size))))
+	}
+	return dst, nil
+}
+
 // InformedRandom is the paper's algorithm IR: uniform over the addresses
 // not currently visible in any session announcement. Figure 5's perhaps
 // surprising result is that IR is *not* much better than R: the sessions
 // that matter for clashes are exactly the ones scoping hides.
-type InformedRandom struct {
-	size uint32
-}
+type InformedRandom struct{ core }
 
 // NewInformedRandom returns an IR allocator over a space of the given size.
 func NewInformedRandom(size uint32) *InformedRandom {
 	validateSize(size)
-	return &InformedRandom{size: size}
+	r := &InformedRandom{}
+	r.core = core{name: "IR", size: size, classes: 1, rule: r}
+	return r
 }
 
-// Name implements Allocator.
-func (r *InformedRandom) Name() string { return "IR" }
-
-// Size implements Allocator.
-func (r *InformedRandom) Size() uint32 { return r.size }
-
-// Allocate implements Allocator.
-func (r *InformedRandom) Allocate(visible []SessionInfo, _ mcast.TTL, rng *stats.RNG) (mcast.Addr, error) {
-	used := acquireUsed(r.size, visible)
-	defer releaseUsed(used)
-	a, ok := pickFreeInRange(0, r.size, used, rng)
-	if !ok {
-		return 0, ErrSpaceFull
-	}
-	return a, nil
-}
+// band is IR's rule: one band for every scope, the whole space.
+func (r *InformedRandom) band([]int, int) (start, width uint32) { return 0, r.size }

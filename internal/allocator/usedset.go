@@ -2,43 +2,17 @@ package allocator
 
 import (
 	"math/bits"
-	"sync"
 
 	"sessiondir/internal/mcast"
 )
 
-// usedSet is a word-parallel bitset over address indices, replacing the
-// former map[mcast.Addr]bool presence view. Instances are pooled so the
-// per-Allocate hot path performs no heap allocation in steady state:
-// acquire with acquireUsed, release with releaseUsed.
+// usedSet is a word-parallel bitset over address indices: the addresses a
+// view shows in use. It lives inside a pooled folded (core.go), so the
+// allocation hot path performs no heap allocation in steady state.
 type usedSet struct {
 	words []uint64
 	size  uint32
 }
-
-// usedPool recycles usedSet backing arrays across Allocate calls. Pooling
-// (rather than a per-allocator scratch field) keeps Allocator values
-// stateless and therefore safe to share between the experiment engine's
-// workers.
-var usedPool = sync.Pool{New: func() any { return new(usedSet) }}
-
-// acquireUsed returns a cleared bitset over [0, size) with every visible
-// session's address marked. Out-of-range addresses are ignored: they can
-// never collide with an allocation from this space, matching the old map's
-// behaviour (present but never queried).
-func acquireUsed(size uint32, visible []SessionInfo) *usedSet {
-	u := usedPool.Get().(*usedSet)
-	u.reset(size)
-	for _, s := range visible {
-		if uint32(s.Addr) < size {
-			u.add(s.Addr)
-		}
-	}
-	return u
-}
-
-// releaseUsed returns a bitset to the pool.
-func releaseUsed(u *usedSet) { usedPool.Put(u) }
 
 func (u *usedSet) reset(size uint32) {
 	n := int(size+63) / 64
@@ -52,6 +26,14 @@ func (u *usedSet) reset(size uint32) {
 }
 
 func (u *usedSet) add(a mcast.Addr) { u.words[a>>6] |= 1 << (uint(a) & 63) }
+
+// mark adds a view's address. One outside the space is ignored: it can
+// never collide with an allocation from this space.
+func (u *usedSet) mark(a mcast.Addr) {
+	if uint32(a) < u.size {
+		u.add(a)
+	}
+}
 
 func (u *usedSet) has(a mcast.Addr) bool {
 	return u.words[a>>6]&(1<<(uint(a)&63)) != 0

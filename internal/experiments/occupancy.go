@@ -10,22 +10,10 @@ import (
 	"sessiondir/internal/topology"
 )
 
-// occAlgorithms returns the occupancy-sweep allocator factories: the
-// informed-random baseline and the adaptive hybrid the daemon ships
-// with. The sweep is a scale gate, not a Figure-5 reprise, so two
-// algorithms suffice.
-func occAlgorithms() []struct {
-	Name string
-	Make func(size uint32) allocator.Allocator
-} {
-	return []struct {
-		Name string
-		Make func(size uint32) allocator.Allocator
-	}{
-		{"IR", func(size uint32) allocator.Allocator { return allocator.NewInformedRandom(size) }},
-		{"AIPR-H (hybrid)", func(size uint32) allocator.Allocator { return allocator.NewHybrid(size) }},
-	}
-}
+// occAlgorithms are the occupancy sweep's algorithms: the informed-random
+// baseline and the adaptive hybrid the daemon ships with. The sweep is a
+// scale gate, not a Figure-5 reprise, so two suffice.
+var occAlgorithms = []string{"IR", "AIPR-H (hybrid)"}
 
 // OccupancyConfigs expands a Scale into the occupancy run matrix
 // (algorithm × resident target) over one shared topology and reach
@@ -38,12 +26,16 @@ func OccupancyConfigs(s Scale) ([]sim.OccupancyConfig, error) {
 	}
 	cache := topology.NewReachCache(g)
 	var cfgs []sim.OccupancyConfig
-	for _, alg := range occAlgorithms() {
+	for _, name := range occAlgorithms {
 		for _, sessions := range s.OccSessions {
+			alloc, err := allocator.ByName(s.OccSpace, name)
+			if err != nil {
+				return nil, err
+			}
 			cfgs = append(cfgs, sim.OccupancyConfig{
 				Graph:    g,
 				Cache:    cache,
-				Alloc:    alg.Make(s.OccSpace),
+				Alloc:    alloc,
 				Dist:     mcast.DS4(),
 				Sessions: sessions,
 				Churn:    s.OccChurn,

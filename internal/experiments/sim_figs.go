@@ -10,51 +10,25 @@ import (
 	"sessiondir/internal/topology"
 )
 
-// fig5Algorithms returns the four Figure-5 algorithm factories.
-func fig5Algorithms() []struct {
-	Name string
-	Make func(size uint32) allocator.Allocator
-} {
-	return []struct {
-		Name string
-		Make func(size uint32) allocator.Allocator
-	}{
-		{"R", func(size uint32) allocator.Allocator { return allocator.NewRandom(size) }},
-		{"IR", func(size uint32) allocator.Allocator { return allocator.NewInformedRandom(size) }},
-		{"IPR 3-band", func(size uint32) allocator.Allocator {
-			return allocator.NewStaticPartitioned(size, allocator.IPR3Separators())
-		}},
-		{"IPR 7-band", func(size uint32) allocator.Allocator {
-			return allocator.NewStaticPartitioned(size, allocator.IPR7Separators())
-		}},
-	}
-}
+// The algorithms each figure compares, by allocator.ByName name, in the
+// order their rows print.
+var (
+	fig5Algorithms  = []string{"R", "IR", "IPR 3-band", "IPR 7-band"}
+	fig12Algorithms = []string{"AIPR-1 (20% gap)", "AIPR-2 (50% gap)", "AIPR-3 (60% gap)", "AIPR-4 (70% gap)",
+		"AIPR-H (hybrid)", "IPR 3-band", "IPR 7-band"}
+	// The paper plots AIPR-1, AIPR-2 and the two static schemes.
+	fig13Algorithms = []string{"AIPR-1 (20% gap)", "AIPR-2 (50% gap)", "IPR 3-band", "IPR 7-band"}
+)
 
-// fig12Algorithms returns the seven Figure-12 algorithm factories.
-func fig12Algorithms() []struct {
-	Name string
-	Make func(size uint32) allocator.Allocator
-} {
-	mkAdaptive := func(gap float64, name string) func(uint32) allocator.Allocator {
-		return func(size uint32) allocator.Allocator {
-			return allocator.NewAdaptive(size, allocator.AdaptiveConfig{GapFraction: gap, Name: name})
+// algorithm returns the factory of a catalog algorithm, in the form the
+// sweeps take it.
+func algorithm(name string) func(size uint32) allocator.Allocator {
+	return func(size uint32) allocator.Allocator {
+		a, err := allocator.ByName(size, name)
+		if err != nil {
+			panic(err) // a name in this package that the catalog lacks
 		}
-	}
-	return []struct {
-		Name string
-		Make func(size uint32) allocator.Allocator
-	}{
-		{"AIPR-1 (20% gap)", mkAdaptive(0.2, "AIPR-1 (20% gap)")},
-		{"AIPR-2 (50% gap)", mkAdaptive(0.5, "AIPR-2 (50% gap)")},
-		{"AIPR-3 (60% gap)", mkAdaptive(0.6, "AIPR-3 (60% gap)")},
-		{"AIPR-4 (70% gap)", mkAdaptive(0.7, "AIPR-4 (70% gap)")},
-		{"AIPR-H (hybrid)", func(size uint32) allocator.Allocator { return allocator.NewHybrid(size) }},
-		{"IPR 3-band", func(size uint32) allocator.Allocator {
-			return allocator.NewStaticPartitioned(size, allocator.IPR3Separators())
-		}},
-		{"IPR 7-band", func(size uint32) allocator.Allocator {
-			return allocator.NewStaticPartitioned(size, allocator.IPR7Separators())
-		}},
+		return a
 	}
 }
 
@@ -68,12 +42,12 @@ func RunFig5(w io.Writer, s Scale) error {
 	}
 	fmt.Fprintf(w, "# Figure 5: allocations before clash (Mbone %d nodes, %d trials)\n",
 		g.NumNodes(), s.Fig5Trials)
-	for _, alg := range fig5Algorithms() {
+	for _, name := range fig5Algorithms {
 		pts := sim.RunFig5(sim.Fig5Config{
 			Graph:      g,
 			SpaceSizes: s.Fig5Spaces,
 			Dists:      s.Fig5Dists,
-			MakeAlloc:  alg.Make,
+			MakeAlloc:  algorithm(name),
 			Trials:     s.Fig5Trials,
 			Seed:       s.Seed,
 			Workers:    s.Workers,
@@ -128,13 +102,12 @@ func RunTTLTable(w io.Writer, s Scale) error {
 }
 
 // RunFig12 regenerates Figure 12: steady-state sustainable populations.
-func RunFig12(w io.Writer, s Scale) error { return runFig12(w, s, false) }
+func RunFig12(w io.Writer, s Scale) error { return runFig12(w, s, fig12Algorithms, false) }
 
 // RunFig13 regenerates Figure 13: the same-source/same-TTL upper bound.
-// The paper plots AIPR-1, AIPR-2 and the two static schemes.
-func RunFig13(w io.Writer, s Scale) error { return runFig13(w, s) }
+func RunFig13(w io.Writer, s Scale) error { return runFig12(w, s, fig13Algorithms, true) }
 
-func runFig12(w io.Writer, s Scale, upper bool) error {
+func runFig12(w io.Writer, s Scale, algorithms []string, upper bool) error {
 	g, err := mbone(s)
 	if err != nil {
 		return err
@@ -144,49 +117,14 @@ func runFig12(w io.Writer, s Scale, upper bool) error {
 		tag = "Figure 13 (upper bound)"
 	}
 	fmt.Fprintf(w, "# %s: max sessions at ≤50%% clash probability, DS4, %d reps\n", tag, s.Fig12Reps)
-	for _, alg := range fig12Algorithms() {
+	for _, name := range algorithms {
 		pts := sim.RunFig12(sim.Fig12Config{
 			Graph:      g,
 			SpaceSizes: s.Fig12Spaces,
-			MakeAlloc:  alg.Make,
+			MakeAlloc:  algorithm(name),
 			Dist:       mcast.DS4(),
 			Reps:       s.Fig12Reps,
 			UpperBound: upper,
-			Seed:       s.Seed,
-			Workers:    s.Workers,
-		})
-		for _, p := range pts {
-			fmt.Fprintln(w, p.String())
-		}
-	}
-	return nil
-}
-
-func runFig13(w io.Writer, s Scale) error {
-	g, err := mbone(s)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "# Figure 13 (upper bound): max sessions at ≤50%% clash probability, DS4, %d reps\n", s.Fig12Reps)
-	algs := fig12Algorithms()
-	selected := []string{"AIPR-1 (20% gap)", "AIPR-2 (50% gap)", "IPR 3-band", "IPR 7-band"}
-	for _, alg := range algs {
-		keep := false
-		for _, name := range selected {
-			if alg.Name == name {
-				keep = true
-			}
-		}
-		if !keep {
-			continue
-		}
-		pts := sim.RunFig12(sim.Fig12Config{
-			Graph:      g,
-			SpaceSizes: s.Fig12Spaces,
-			MakeAlloc:  alg.Make,
-			Dist:       mcast.DS4(),
-			Reps:       s.Fig12Reps,
-			UpperBound: true,
 			Seed:       s.Seed,
 			Workers:    s.Workers,
 		})

@@ -241,6 +241,24 @@ func TestSteadyStateUpperBoundGentler(t *testing.T) {
 	}
 }
 
+// A nil scope cache means a private one, as NewWorldWithCache documents:
+// the estimate equals the shared-cache one for the same seed.
+// (RunSteadyStateOnce used to build its World by struct literal and
+// nil-dereferenced here.)
+func TestClashProbabilityNilCacheIsPrivate(t *testing.T) {
+	g := testMbone(t, 200)
+	cfg := SteadyStateConfig{
+		Alloc:    allocator.NewInformedRandom(64),
+		Dist:     mcast.DS4(),
+		Sessions: 30,
+	}
+	shared := ClashProbability(g, topology.NewReachCache(g), cfg, 6, stats.NewRNG(4))
+	private := ClashProbability(g, nil, cfg, 6, stats.NewRNG(4))
+	if private != shared {
+		t.Fatalf("nil cache: clash probability %v, shared cache %v", private, shared)
+	}
+}
+
 func TestRunFig12Shape(t *testing.T) {
 	g := testMbone(t, 400)
 	pts := RunFig12(Fig12Config{

@@ -72,7 +72,7 @@ func RunSteadyStateOnce(g *topology.Graph, cache *topology.ReachCache, cfg Stead
 	if repairPasses == 0 {
 		repairPasses = 20
 	}
-	w := &World{Graph: g, Cache: cache}
+	w := NewWorldWithCache(g, cache)
 	load := cfg.workload(g)
 
 	// Step 1: populate without regard for clashes (addresses via the
