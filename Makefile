@@ -11,8 +11,8 @@ test:
 	$(GO) test ./...
 
 # The concurrency regression gate: the trial-parallel experiment engine,
-# the sharded scope and session caches, the determinism tests, and one
-# Directory driven from six goroutines at once, under the race detector.
+# the striped scope cache (topology.ReachCache), the determinism tests, and
+# one Directory driven from six goroutines at once, under the race detector.
 # The last runs again at three core counts: how its callers interleave
 # depends on how many of them run at a time.
 race:

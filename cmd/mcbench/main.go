@@ -238,36 +238,41 @@ func microBenches() []microBenchResult {
 	}))
 
 	out = append(out, checkpointMicros()...)
-	out = append(out, shardScanMicros()...)
+	out = append(out, cacheScanMicros()...)
 	out = append(out, listenerMicros()...)
 	out = append(out, directoryMicros()...)
 	return out
 }
 
-// shardScanMicros times the one intra-call fan-out the tree keeps,
-// announce.Sharded's parallel shard scans: an Expire pass over 16384 live
-// entries (twice parallelScanMin; nothing is due, so the walk is all there
-// is) at one shard, serial, and at eight, a goroutine per shard. Recorded
-// beside the report's gomaxprocs, not gated: one core would flake a ratio.
-func shardScanMicros() []microBenchResult {
-	var out []microBenchResult
+// cacheScanMicros times the whole-cache walks over 16384 live entries:
+// Expire, which Step makes once a virtual second (nothing is due, so the
+// walk is all there is) — the baseline an O(due) Step (ROADMAP item 2(c))
+// must beat — and Live, the checkpoint's and Sessions' walk.
+func cacheScanMicros() []microBenchResult {
 	base := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
-	for _, shards := range []int{1, 8} {
-		c := announce.NewSharded(time.Hour, shards)
-		for i := 0; i < 16384; i++ {
-			c.Observe(&session.Description{ID: uint64(i), Version: 1, TTL: 127,
-				Origin: netip.AddrFrom4([4]byte{10, 2, byte(i >> 8), byte(i)}),
-				Group:  netip.AddrFrom4([4]byte{224, 2, byte(i >> 8), byte(i)})}, base)
-		}
-		out = append(out, runMicro(fmt.Sprintf("ShardedExpire16kShards%d", shards), 1, func(b *testing.B) {
+	c := announce.NewCache(time.Hour)
+	for i := 0; i < 16384; i++ {
+		c.Observe(&session.Description{ID: uint64(i), Version: 1, TTL: 127,
+			Origin: netip.AddrFrom4([4]byte{10, 2, byte(i >> 8), byte(i)}),
+			Group:  netip.AddrFrom4([4]byte{224, 2, byte(i >> 8), byte(i)})}, base)
+	}
+	now := base.Add(time.Minute)
+	return []microBenchResult{
+		runMicro("CacheExpire16k", 1, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if n := len(c.Expire(base.Add(time.Minute))); n != 0 {
+				if n := len(c.Expire(now)); n != 0 {
 					b.Fatalf("%d entries expired a minute in", n)
 				}
 			}
-		}))
+		}),
+		runMicro("CacheLive16k", 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if n := len(c.Live()); n != 16384 {
+					b.Fatalf("%d live entries of 16384", n)
+				}
+			}
+		}),
 	}
-	return out
 }
 
 // listenerMicros measures the middle of the listener path, the stages
@@ -888,6 +893,25 @@ func compareReports(oldR, newR benchReport, opts compareOpts) (warnings, failure
 	return warnings, failures
 }
 
+// retiredMicros names the baseline's micro rows that the new report no
+// longer has. Every -json run produces every micro, so a missing one was
+// deleted or renamed (a missing figure only means -experiment left it
+// out). runCompare prints them as notes: a retired benchmark leaves the
+// gate without failing it, but not unseen.
+func retiredMicros(oldR, newR benchReport) []string {
+	have := make(map[string]bool, len(newR.Micro))
+	for _, m := range newR.Micro {
+		have[m.Name] = true
+	}
+	var gone []string
+	for _, m := range oldR.Micro {
+		if !have[m.Name] {
+			gone = append(gone, m.Name)
+		}
+	}
+	return gone
+}
+
 // mergeReports overlays a fresh run onto a previous record so one file
 // can carry tiers produced by separate invocations (quick figures on
 // every PR, the -full occupancy sweep nightly). Figure timings merge by
@@ -950,6 +974,9 @@ func runCompare(args []string) int {
 	}
 	fmt.Printf("compare %s -> %s: tier %s, tolerance %.0f%%, fail ratio %.2gx\n",
 		oldPath, newPath, opts.tier, opts.tolerancePct, opts.failRatio)
+	for _, name := range retiredMicros(oldR, newR) {
+		fmt.Printf("note: baseline micro %s is not in the new report\n", name)
+	}
 	for _, w := range warnings {
 		// GitHub Actions renders ::warning:: as a PR annotation; locally it
 		// is just a greppable prefix.

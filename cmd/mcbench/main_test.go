@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,6 +72,38 @@ func TestCompareReportsIgnoresUnmatchedMetrics(t *testing.T) {
 	warnings, failures := compareReports(oldR, newR, compareOpts{tolerancePct: 25, failRatio: 2})
 	if len(warnings) != 0 || len(failures) != 0 {
 		t.Fatalf("unmatched metrics flagged: warnings=%v failures=%v", warnings, failures)
+	}
+	// A micro only the baseline has is named in a note, and that is all.
+	if gone := retiredMicros(oldR, newR); len(gone) != 1 || gone[0] != "Retired" {
+		t.Fatalf("retired micros = %v, want the one", gone)
+	}
+}
+
+// TestRunCompareRetiredBaselineRows: a committed baseline that still holds
+// rows the program no longer produces (BENCH.json after a micro is deleted
+// or renamed) passes the gate end to end.
+func TestRunCompareRetiredBaselineRows(t *testing.T) {
+	oldR, newR := budgetReport(), budgetReport()
+	oldR.Micro = append(oldR.Micro,
+		microBenchResult{Name: "ShardedExpire16kShards1", NsPerOp: 1},
+		microBenchResult{Name: "ShardedExpire16kShards8", NsPerOp: 1})
+	newR.Micro = append(newR.Micro, microBenchResult{Name: "CacheExpire16k", NsPerOp: 600000})
+	dir := t.TempDir()
+	paths := [2]string{filepath.Join(dir, "old.json"), filepath.Join(dir, "new.json")}
+	for i, r := range []benchReport{oldR, newR} {
+		buf, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(paths[i], buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if code := runCompare(paths[:]); code != 0 {
+		t.Fatalf("retired baseline rows failed the gate: exit %d", code)
+	}
+	if gone := retiredMicros(oldR, newR); len(gone) != 2 {
+		t.Fatalf("retired micros = %v, want both ShardedExpire rows", gone)
 	}
 }
 

@@ -75,7 +75,6 @@ func run() error {
 		originBurst  = flag.Float64("origin-burst", 0, "per-origin token-bucket depth in packets (0 = max(8, 4x rate))")
 		staleAfter   = flag.Duration("stale-after", 0, "cached sessions unheard this long become evictable under budget pressure (0 = cache timeout / 4)")
 		cacheTimeout = flag.Duration("cache-timeout", 0, "expire unheard sessions after this long (0 = one hour)")
-		shards       = flag.Int("shards", 0, "stripe the session cache across this many per-origin shards; behaviour is identical at any count, it only sets how many ways the whole-cache scans (expiry, checkpoints) split once the cache passes 8192 sessions (0 or 1 = unsharded)")
 
 		seed            = flag.Uint64("seed", 0, "RNG seed for allocation and clash timing (0 = derive from -origin and PID so identically configured daemons diverge)")
 		announceInitial = flag.Duration("announce-initial", 0, "first re-announcement delay, doubling each round and capping at 4x (0 = paper's 5s schedule; lower only for tests/chaos harnesses)")
@@ -123,7 +122,6 @@ func run() error {
 		OriginBurst:  *originBurst,
 		StaleAfter:   *staleAfter,
 		CacheTimeout: *cacheTimeout,
-		Shards:       *shards,
 		Backoff:      backoffFor(*announceInitial),
 		Seed:         seedVal,
 		Obs:          reg,

@@ -40,7 +40,6 @@ func TestDirectoryConcurrentUse(t *testing.T) {
 			Space:     space,
 			Clock:     clk.Now,
 			Seed:      42,
-			Shards:    4,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -149,7 +148,13 @@ func TestDirectoryConcurrentUse(t *testing.T) {
 		if m := d.Metrics(); m.PacketsMalformed > fedMalformed {
 			t.Errorf("PacketsMalformed %d mid-run, only %d will ever be fed", m.PacketsMalformed, fedMalformed)
 		}
-		_ = d.Registry().Snapshot()
+		// The scrape reads the cache's size while batches land: every
+		// gauge must take d.mu to do it.
+		for _, mv := range d.Registry().Snapshot() {
+			if mv.Name == "dir_cache_sessions" && mv.Value > float64(len(fedKeys)) {
+				t.Errorf("dir_cache_sessions = %v mid-run, only %d sessions will ever be fed", mv.Value, len(fedKeys))
+			}
+		}
 	})
 	alongside(func(i int) {
 		if err := cs.Checkpoint(); err != nil {

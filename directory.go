@@ -119,12 +119,10 @@ type Config struct {
 	// steady announcement interval or live sessions become flood-evictable
 	// between re-announcements.
 	StaleAfter time.Duration
-	// Shards stripes the listened-session cache into per-origin shards
-	// (0 or 1 = a single shard, the unsharded layout). Mutations stay
-	// serialised under the directory mutex at any count; it only sets how
-	// many ways the whole-cache scans (expiry, checkpoints) split once the
-	// cache is large, never behaviour: a seeded run replays bit-identically
-	// at any shard count (see announce.Sharded and DESIGN.md §17).
+	// Shards is ignored: the cache is one announce.Cache under the
+	// directory mutex (DESIGN.md §17.1). The field is here because
+	// benchmark/dirscript.go sets it, and goes with the benchmark PR that
+	// stops (ROADMAP item 8).
 	Shards int
 	// Seed drives the randomised choices (0 = arbitrary fixed seed).
 	Seed uint64
@@ -201,7 +199,7 @@ type Directory struct {
 	mu    sync.Mutex
 	rng   *stats.RNG
 	owned map[string]*ownedSession
-	cache *announce.Sharded
+	cache *announce.Cache
 	// ownView is the owned sessions' share of the allocator view, kept
 	// current where owned changes; the cache keeps the heard share, from
 	// the first allocation on (heardView), so a directory that only ever
@@ -349,9 +347,9 @@ func newDirInstruments(r *obs.Registry) (dirInstruments, error) {
 }
 
 // registerGauges exposes the directory's population state as registry
-// views. Every callback but dir_cache_sessions takes d.mu, so scrapes
-// must never run under it — the registry is only read from scrape paths
-// (HTTP, bench snapshots), never from inside the directory.
+// views. Every callback takes d.mu, so scrapes must never run under it —
+// the registry is only read from scrape paths (HTTP, bench snapshots),
+// never from inside the directory.
 func (d *Directory) registerGauges() error {
 	gauges := []struct {
 		name, help string
@@ -363,9 +361,7 @@ func (d *Directory) registerGauges() error {
 			return float64(len(d.owned))
 		}},
 		{"dir_cache_sessions", "listened-session cache occupancy, tombstones included", func() float64 {
-			// Lock-free, the one gauge that is: the sharded cache mirrors
-			// per-shard totals in atomics.
-			return float64(d.cache.Size())
+			return float64(d.CacheSize())
 		}},
 		{"dir_admission_origins", "origins tracked by the per-origin rate limiter", func() float64 {
 			d.mu.Lock()
@@ -500,7 +496,7 @@ func New(cfg Config) (*Directory, error) {
 		alloc: alloc,
 		rng:   stats.NewRNG(seed),
 		owned: make(map[string]*ownedSession),
-		cache: announce.NewSharded(cfg.CacheTimeout, cfg.Shards),
+		cache: announce.NewCache(cfg.CacheTimeout),
 		epoch: cfg.Clock(),
 		reg:   reg,
 		trace: cfg.Trace,
@@ -1034,36 +1030,30 @@ func (d *Directory) admitNewLocked(desc *session.Description, key string, now ti
 }
 
 // candidatesLocked builds the admission view of the cache by scanning it,
-// one group per shard, for the once-per-start load trim (and as the tests'
-// reference: the packet path plans over the order the cache maintains).
-// Own sessions are excluded: they are never eviction candidates. Group and
-// intra-group order are irrelevant — the grouped planners impose a total
-// deterministic order of their own, so budget accounting is exact at any
-// shard count.
-func (d *Directory) candidatesLocked() [][]admission.Candidate {
-	grouped := d.cache.AllGrouped()
-	groups := make([][]admission.Candidate, len(grouped))
-	for i, entries := range grouped {
-		cands := make([]admission.Candidate, 0, len(entries))
-		for _, e := range entries {
-			if e.Desc.Origin == d.cfg.Origin {
-				continue
-			}
-			key := e.Desc.Key()
-			if d.owned[key] != nil {
-				continue
-			}
-			cands = append(cands, admission.Candidate{
-				Key:       key,
-				Origin:    e.Desc.Origin,
-				TTL:       e.Desc.TTL,
-				LastHeard: e.LastHeard,
-				Deleted:   e.Deleted,
-			})
+// for the once-per-start load trim (and as the tests' reference: the
+// packet path plans over the order the cache maintains). Own sessions are
+// excluded: they are never eviction candidates. The order is irrelevant —
+// the planners impose a total deterministic order of their own.
+func (d *Directory) candidatesLocked() []admission.Candidate {
+	entries := d.cache.All()
+	cands := make([]admission.Candidate, 0, len(entries))
+	for _, e := range entries {
+		if e.Desc.Origin == d.cfg.Origin {
+			continue
 		}
-		groups[i] = cands
+		key := e.Desc.Key()
+		if d.owned[key] != nil {
+			continue
+		}
+		cands = append(cands, admission.Candidate{
+			Key:       key,
+			Origin:    e.Desc.Origin,
+			TTL:       e.Desc.TTL,
+			LastHeard: e.LastHeard,
+			Deleted:   e.Deleted,
+		})
 	}
-	return groups
+	return cands
 }
 
 // applyActionsLocked executes clash protocol reactions.
@@ -1193,7 +1183,7 @@ func (d *Directory) registerLoadedLocked(now time.Time) {
 	// grown) must trim deterministically, not over-admit — and evicted
 	// entries must never reach the clash tracker.
 	if d.cfg.MaxSessions > 0 || d.cfg.MaxPerOrigin > 0 {
-		for _, k := range d.admit.TrimPlanGrouped(d.candidatesLocked()) {
+		for _, k := range d.admit.TrimPlan(d.candidatesLocked()) {
 			d.cache.Remove(k)
 			d.ins.evictions.Inc()
 			d.trace.Record(obs.TraceEvent{At: d.ms(now), Kind: obs.TraceEvict, Key: k})

@@ -312,7 +312,7 @@ func (c *Controller) PlanNew(cands []Candidate, origin netip.Addr, now time.Time
 }
 
 // Order is a cache's eviction order kept current at the cache's mutation
-// sites (announce.Sharded provides it), as PlanNewOrdered reads it. The
+// sites (announce.Cache provides it), as PlanNewOrdered reads it. The
 // candidates are what PlanNew would be handed — every cached entry except
 // the listener's own sessions — and "in eviction order" and "evictable"
 // mean exactly evictionOrder and evictable above.
@@ -368,36 +368,13 @@ func (c *Controller) PlanNewOrdered(o Order, origin netip.Addr, now time.Time) D
 	return d
 }
 
-// flattenGroups concatenates per-shard candidate groups in group order
-// with a single allocation. Both planners impose their own total
-// deterministic order (evictionOrder) and count commutatively, so the
-// concatenation order cannot influence any decision — which is exactly
-// the property the grouped equivalence tests pin.
-func flattenGroups(groups [][]Candidate) []Candidate {
-	total := 0
-	for _, g := range groups {
-		total += len(g)
-	}
-	flat := make([]Candidate, 0, total)
-	for _, g := range groups {
-		flat = append(flat, g...)
-	}
-	return flat
-}
-
-// PlanNewGrouped is PlanNew over per-shard candidate groups, as produced
-// by a sharded cache. The decision — outcome and eviction set — is
-// identical to PlanNew over any flattening of the groups: budget
-// accounting stays exact across shards because the planner's ordering
-// and counting never depend on input order.
+// PlanNewGrouped is PlanNew over the concatenation of groups — the entry
+// point of the sharded cache's per-shard candidate lists. The cache is no
+// longer sharded (DESIGN.md §17.1); benchmark/shadow.go still compiles
+// against this name, and it goes with the benchmark PR that re-points the
+// probes (ROADMAP item 8).
 func (c *Controller) PlanNewGrouped(groups [][]Candidate, origin netip.Addr, now time.Time) Decision {
-	return c.PlanNew(flattenGroups(groups), origin, now)
-}
-
-// TrimPlanGrouped is TrimPlan over per-shard candidate groups, with the
-// same exactness guarantee as PlanNewGrouped.
-func (c *Controller) TrimPlanGrouped(groups [][]Candidate) []string {
-	return c.TrimPlan(flattenGroups(groups))
+	return c.PlanNew(slices.Concat(groups...), origin, now)
 }
 
 // TrimPlan returns the keys to evict so that the population fits both the

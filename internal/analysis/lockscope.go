@@ -5,6 +5,7 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 )
 
@@ -26,16 +27,6 @@ import (
 // state past the join. Function literals are analyzed separately with an
 // empty held set — a goroutine or stored callback does not inherit the
 // creating goroutine's locks.
-//
-// The striped-shard idiom is NOT a finding: when the held mutex is
-// reached through a local drawn from an indexed element
-// (`sh := &s.shards[i]; sh.mu.Lock()`), calls reached through that same
-// local (`sh.c.Observe(...)`, `sh.sync()`) are the critical section —
-// the stripe exists precisely so this work runs under a lock nobody
-// else contends for. Calls rooted anywhere else remain findings even
-// under a stripe lock: cross-shard work (or caller-supplied callbacks)
-// under one stripe's mutex reintroduces exactly the coupling the
-// striping removed.
 //
 // False positives (a deliberate, documented call under a lock) carry an
 // //mclint:lockscope waiver with the justification.
@@ -68,36 +59,18 @@ func runLockScope(pass *Pass) {
 	}
 }
 
-// heldLock is one held mutex: where it was locked, and — when its
-// receiver is reached through a stripe local — the object of that local.
-type heldLock struct {
-	pos    token.Pos
-	stripe types.Object // nil unless the mutex is <stripeLocal>.<field>
-}
-
 // lockState walks one function body tracking which mutexes are held.
 type lockState struct {
 	pass *Pass
-	held map[string]heldLock // mutex expr (printed) → lock info
-	// stripes holds locals assigned from an indexed element
-	// (`sh := &s.shards[i]`) — the only roots whose under-lock calls
-	// get the striping exemption.
-	stripes map[types.Object]bool
+	held map[string]token.Pos // mutex expr (printed) → where it was locked
 }
 
 func newLockState(pass *Pass) *lockState {
-	return &lockState{pass: pass, held: map[string]heldLock{}, stripes: map[types.Object]bool{}}
+	return &lockState{pass: pass, held: map[string]token.Pos{}}
 }
 
 func (ls *lockState) clone() *lockState {
-	c := newLockState(ls.pass)
-	for k, v := range ls.held {
-		c.held[k] = v
-	}
-	for k := range ls.stripes {
-		c.stripes[k] = true
-	}
-	return c
+	return &lockState{pass: ls.pass, held: maps.Clone(ls.held)}
 }
 
 // stmts scans a statement list in order; the receiver's held set is the
@@ -130,7 +103,6 @@ func (ls *lockState) stmt(s ast.Stmt) (terminates bool) {
 		for _, e := range s.Lhs {
 			ls.expr(e)
 		}
-		ls.noteStripes(s)
 	case *ast.DeclStmt, *ast.EmptyStmt:
 		if d, ok := s.(*ast.DeclStmt); ok {
 			ls.expr(d.Decl)
@@ -275,7 +247,7 @@ func (ls *lockState) call(call *ast.CallExpr) {
 	if mutex, method, ok := ls.mutexOp(call); ok {
 		switch method {
 		case "Lock", "RLock":
-			ls.held[mutex] = heldLock{pos: call.Pos(), stripe: ls.stripeRoot(call)}
+			ls.held[mutex] = call.Pos()
 		case "Unlock", "RUnlock":
 			delete(ls.held, mutex)
 		}
@@ -293,9 +265,6 @@ func (ls *lockState) call(call *ast.CallExpr) {
 	ls.expr(call.Fun)
 	if len(ls.held) == 0 {
 		return
-	}
-	if ls.stripeCall(call) {
-		return // the striping idiom: stripe-rooted work under the stripe's own lock
 	}
 	mutex, pos := ls.oldestHeld()
 	ls.pass.Reportf(call.Pos(),
@@ -351,146 +320,27 @@ func mutexOp(pass *Pass, call *ast.CallExpr) (mutex, method string, ok bool) {
 	return "", "", false
 }
 
-// noteStripes records locals assigned from an indexed element —
-// `sh := &s.shards[i]` (or without the &) marks sh as a stripe root.
-func (ls *lockState) noteStripes(s *ast.AssignStmt) {
-	if len(s.Lhs) != len(s.Rhs) {
-		return
-	}
-	for i, rhs := range s.Rhs {
-		if _, isIndex := unwrapToIndex(rhs); !isIndex {
-			continue
-		}
-		id, ok := s.Lhs[i].(*ast.Ident)
-		if !ok {
-			continue
-		}
-		if obj := identObj(ls.pass, id); obj != nil {
-			ls.stripes[obj] = true
-		}
-	}
-}
-
-// stripeRoot resolves a Lock call's receiver to its stripe local, or nil
-// when the mutex is not reached through one.
-func (ls *lockState) stripeRoot(call *ast.CallExpr) types.Object {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	root := rootIdent(sel.X)
-	if root == nil {
-		return nil
-	}
-	if obj := identObj(ls.pass, root); obj != nil && ls.stripes[obj] {
-		return obj
-	}
-	return nil
-}
-
-// stripeCall reports whether every held mutex is stripe-rooted and the
-// call is reached through one of those same stripe locals.
-func (ls *lockState) stripeCall(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	root := rootIdent(sel.X)
-	if root == nil {
-		return false
-	}
-	obj := identObj(ls.pass, root)
-	if obj == nil {
-		return false
-	}
-	match := false
-	for _, h := range ls.held {
-		if h.stripe == nil {
-			return false
-		}
-		if h.stripe == obj {
-			match = true
-		}
-	}
-	return match
-}
-
 // oldestHeld picks the longest-held mutex for the diagnostic (and, being
 // position-based, keeps the message deterministic when several are held).
 func (ls *lockState) oldestHeld() (string, token.Pos) {
 	var bestName string
 	var bestPos token.Pos
-	for name, h := range ls.held {
-		if bestName == "" || h.pos < bestPos {
-			bestName, bestPos = name, h.pos
+	for name, pos := range ls.held {
+		if bestName == "" || pos < bestPos {
+			bestName, bestPos = name, pos
 		}
 	}
 	return bestName, bestPos
 }
 
-func intersect(a, b map[string]heldLock) map[string]heldLock {
-	out := map[string]heldLock{}
+func intersect(a, b map[string]token.Pos) map[string]token.Pos {
+	out := map[string]token.Pos{}
 	for k, v := range a {
 		if _, ok := b[k]; ok {
 			out[k] = v
 		}
 	}
 	return out
-}
-
-// unwrapToIndex strips parens and a leading & down to an index
-// expression, reporting whether one is there.
-func unwrapToIndex(e ast.Expr) (*ast.IndexExpr, bool) {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return nil, false
-			}
-			e = x.X
-		case *ast.IndexExpr:
-			return x, true
-		default:
-			return nil, false
-		}
-	}
-}
-
-// rootIdent walks a selector/index/deref chain to its base identifier
-// (`sh.c.entries[k]` → sh), or nil for other expression shapes.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return nil
-			}
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// identObj resolves an identifier to its object, whether this mention
-// defines or uses it.
-func identObj(pass *Pass, id *ast.Ident) types.Object {
-	if obj := pass.Info.Defs[id]; obj != nil {
-		return obj
-	}
-	return pass.Info.Uses[id]
 }
 
 func exprString(e ast.Expr) string {

@@ -4,7 +4,7 @@ import "testing"
 
 func TestLockScopeFixture(t *testing.T) {
 	diags := runFixture(t, "lockscope", LockScope)
-	if len(diags) != 6 {
-		t.Errorf("got %d diagnostics, want 6:\n%s", len(diags), diagnosticSummary(diags))
+	if len(diags) != 3 {
+		t.Errorf("got %d diagnostics, want 3:\n%s", len(diags), diagnosticSummary(diags))
 	}
 }

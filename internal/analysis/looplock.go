@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // LoopLock flags per-iteration mutex acquisition: a sync.Mutex/RWMutex
 // Lock, RLock, TryLock, or TryRLock sitting inside a for/range body (or
@@ -16,13 +13,6 @@ import (
 // repository's answer is to hoist the acquisition (lock once around the
 // loop), load the shared value through an atomic (atomic.Pointer for
 // the transport handler), or snapshot under the lock before iterating.
-//
-// The striped-shard scan is NOT a finding: when the lock's receiver
-// depends on the loop variable (`s.shards[i].mu.RLock()` inside
-// `for i := range s.shards`, directly or through a derived local like
-// `sh := &s.shards[i]`), each pass acquires a *different* mutex — that
-// is one acquisition per lock, not N acquisitions of one lock, and it
-// is exactly how the sharded session cache walks its stripes.
 //
 // Per-iteration locking of a single mutex that is the point — a drain
 // loop deliberately re-taking the lock each round so senders interleave
@@ -43,7 +33,7 @@ var LoopLock = &Analyzer{
 
 func runLoopLock(pass *Pass) {
 	for _, f := range pass.Files {
-		loopLockScan(pass, f, false, nil)
+		loopLockScan(pass, f, false)
 	}
 }
 
@@ -51,45 +41,25 @@ func runLoopLock(pass *Pass) {
 // inLoop. Loop bodies (and conditions/posts, which re-run per
 // iteration) set it; function literals clear it — a callback defined
 // inside a loop executes later, not once per pass of this loop.
-//
-// loopVars carries the objects that change value each pass: the loop's
-// own variables plus any local assigned from an expression mentioning
-// one (`sh := &s.shards[i]`). A lock whose receiver mentions such an
-// object is the striped pattern and is not reported.
-func loopLockScan(pass *Pass, n ast.Node, inLoop bool, loopVars map[types.Object]bool) {
+func loopLockScan(pass *Pass, n ast.Node, inLoop bool) {
 	if n == nil {
 		return
 	}
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			loopLockScan(pass, n.Body, false, nil)
+			loopLockScan(pass, n.Body, false)
 			return false
 		case *ast.ForStmt:
-			vars := copyObjSet(loopVars)
-			if n.Init != nil {
-				loopLockScan(pass, n.Init, inLoop, loopVars)
-				addAssignedObjs(pass, n.Init, vars) // i in `for i := 0; ...; i++`
-			}
-			loopLockScan(pass, n.Cond, true, vars)
-			loopLockScan(pass, n.Post, true, vars)
-			loopLockScan(pass, n.Body, true, vars)
+			loopLockScan(pass, n.Init, inLoop)
+			loopLockScan(pass, n.Cond, true)
+			loopLockScan(pass, n.Post, true)
+			loopLockScan(pass, n.Body, true)
 			return false
 		case *ast.RangeStmt:
-			loopLockScan(pass, n.X, inLoop, loopVars) // the range operand evaluates once
-			vars := copyObjSet(loopVars)
-			addIdentObj(pass, n.Key, vars)
-			addIdentObj(pass, n.Value, vars)
-			loopLockScan(pass, n.Body, true, vars)
+			loopLockScan(pass, n.X, inLoop) // the range operand evaluates once
+			loopLockScan(pass, n.Body, true)
 			return false
-		case *ast.AssignStmt:
-			// Taint propagation: a local computed from a loop-dependent
-			// value is itself loop-dependent (ast.Inspect visits in
-			// syntactic order, so the taint lands before later uses).
-			if inLoop && loopVars != nil && exprReferencesAny(pass, n.Rhs, loopVars) {
-				addAssignedObjs(pass, n, loopVars)
-			}
-			return true
 		case *ast.CallExpr:
 			if !inLoop {
 				return true
@@ -97,10 +67,6 @@ func loopLockScan(pass *Pass, n ast.Node, inLoop bool, loopVars map[types.Object
 			if mutex, method, ok := mutexOp(pass, n); ok {
 				switch method {
 				case "Lock", "RLock", "TryLock", "TryRLock":
-					sel := n.Fun.(*ast.SelectorExpr) // guaranteed by mutexOp
-					if loopVars != nil && exprReferencesAny(pass, []ast.Expr{sel.X}, loopVars) {
-						return true // striped: a different mutex each pass
-					}
 					pass.Reportf(n.Pos(),
 						"%s.%s acquired inside a loop body; hoist the lock, snapshot the data, or use an atomic — or waive with //mclint:looplock",
 						mutex, method)
@@ -110,56 +76,4 @@ func loopLockScan(pass *Pass, n ast.Node, inLoop bool, loopVars map[types.Object
 		}
 		return true
 	})
-}
-
-func copyObjSet(src map[types.Object]bool) map[types.Object]bool {
-	out := make(map[types.Object]bool, len(src))
-	for k := range src {
-		out[k] = true
-	}
-	return out
-}
-
-// addIdentObj records the object behind a (possibly defining) identifier.
-func addIdentObj(pass *Pass, e ast.Expr, set map[types.Object]bool) {
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return
-	}
-	if obj := pass.Info.Defs[id]; obj != nil {
-		set[obj] = true
-		return
-	}
-	if obj := pass.Info.Uses[id]; obj != nil {
-		set[obj] = true
-	}
-}
-
-// addAssignedObjs records every identifier assigned by an init/assign
-// statement.
-func addAssignedObjs(pass *Pass, s ast.Stmt, set map[types.Object]bool) {
-	assign, ok := s.(*ast.AssignStmt)
-	if !ok {
-		return
-	}
-	for _, lhs := range assign.Lhs {
-		addIdentObj(pass, lhs, set)
-	}
-}
-
-// exprReferencesAny reports whether any expression mentions one of the
-// given objects.
-func exprReferencesAny(pass *Pass, exprs []ast.Expr, set map[types.Object]bool) bool {
-	found := false
-	for _, e := range exprs {
-		ast.Inspect(e, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				if obj := pass.Info.Uses[id]; obj != nil && set[obj] {
-					found = true
-				}
-			}
-			return !found
-		})
-	}
-	return found
 }

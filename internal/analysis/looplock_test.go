@@ -4,7 +4,7 @@ import "testing"
 
 func TestLoopLockFixture(t *testing.T) {
 	diags := runFixture(t, "looplock", LoopLock)
-	if len(diags) != 4 {
-		t.Errorf("got %d diagnostics, want 4:\n%s", len(diags), diagnosticSummary(diags))
+	if len(diags) != 3 {
+		t.Errorf("got %d diagnostics, want 3:\n%s", len(diags), diagnosticSummary(diags))
 	}
 }

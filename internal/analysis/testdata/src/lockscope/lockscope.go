@@ -81,61 +81,3 @@ func (c *counter) conversionsAllowed(x int) {
 	defer c.mu.Unlock()
 	c.n["x"] = int(uint32(x))
 }
-
-type stripe struct {
-	mu sync.Mutex
-	n  map[string]int
-}
-
-func (s *stripe) bump(k string) { s.n[k]++ }
-
-type stripedCounter struct {
-	stripes []stripe
-}
-
-// stripeOwnCall is the striping idiom: the lock and the call are both
-// reached through the same local drawn from an indexed element, so the
-// call IS the critical section. No finding.
-func (c *stripedCounter) stripeOwnCall(i int, k string) {
-	sh := &c.stripes[i]
-	sh.mu.Lock()
-	sh.bump(k)
-	sh.mu.Unlock()
-}
-
-// stripeDeferredUnlock keeps the stripe lock to function end; calls
-// through the stripe local stay exempt.
-func (c *stripedCounter) stripeDeferredUnlock(i int, k string) {
-	sh := &c.stripes[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.bump(k)
-}
-
-// stripeForeignCall: a call not reached through the locked stripe gets
-// no exemption.
-func (c *stripedCounter) stripeForeignCall(i int, k string) {
-	sh := &c.stripes[i]
-	sh.mu.Lock()
-	note(k) // want `note called while "sh\.mu" is held`
-	sh.mu.Unlock()
-}
-
-// stripeCrossStripe: touching a *different* stripe under this stripe's
-// lock reintroduces cross-shard coupling — still a finding.
-func (c *stripedCounter) stripeCrossStripe(i, j int, k string) {
-	sh := &c.stripes[i]
-	other := &c.stripes[j]
-	sh.mu.Lock()
-	other.bump(k) // want `other\.bump called while "sh\.mu" is held`
-	sh.mu.Unlock()
-}
-
-// plainPointerNotStripe: a pointer copy that is not an indexed element
-// is not a stripe; calls through it under its lock are findings.
-func plainPointerNotStripe(s *stripe, k string) {
-	m := s
-	m.mu.Lock()
-	m.bump(k) // want `m\.bump called while "m\.mu" is held`
-	m.mu.Unlock()
-}

@@ -79,47 +79,6 @@ func (f *feed) loopInsideClosure(pkts [][]byte) func() {
 	}
 }
 
-type striped struct {
-	shards []feed
-}
-
-// stripedViaLocal walks the stripes locking each one in turn through a
-// derived local — the receiver depends on the loop variable, so every
-// pass acquires a *different* mutex. This is the sharded-cache scan
-// idiom, not per-iteration re-acquisition; no finding.
-func (s *striped) stripedViaLocal() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.queue)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// stripedDirect locks through the indexed element without a local —
-// same striping, same exemption.
-func (s *striped) stripedDirect() {
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-		s.shards[i].queue = nil
-		s.shards[i].mu.Unlock()
-	}
-}
-
-// pinnedShard re-locks one fixed stripe every pass: the receiver is
-// loop-invariant, so this is the real per-iteration pattern and still a
-// finding.
-func (s *striped) pinnedShard(pkts [][]byte) {
-	for range pkts {
-		sh := &s.shards[0]
-		sh.mu.Lock() // want `sh\.mu\.Lock acquired inside a loop body`
-		sh.queue = nil
-		sh.mu.Unlock()
-	}
-}
-
 // drainUntilQuiescent re-takes the lock each round on purpose so
 // producers can interleave — the waivable shape.
 func (f *feed) drainUntilQuiescent(send func([]byte)) {

@@ -145,9 +145,10 @@ func (c *Cache) adSize(d *session.Description) int {
 	return len(data) + 8 // + SAP header
 }
 
-// Cache is the listened-session store. It is not safe for concurrent use;
-// the directory agent serialises access (or wraps shards of it in
-// Sharded, which adds the striped locking).
+// Cache is the listened-session store: one entry map with the eviction
+// order and allocator view of index.go riding on it. It is not safe for
+// concurrent use; the directory agent serialises every access under its
+// own mutex (DESIGN.md §17.1 records why there is no finer lock).
 type Cache struct {
 	entries map[string]*Entry
 	// live and adBytes are running totals over non-deleted entries,
@@ -181,7 +182,8 @@ func NewCache(timeout time.Duration) *Cache {
 }
 
 // Observe records an announcement, returning the entry and whether the
-// session (or a new version of it) was previously unknown.
+// session (or a new version of it) was previously unknown — in which case
+// the entry now holds d and Get returns it.
 func (c *Cache) Observe(d *session.Description, now time.Time) (*Entry, bool) {
 	return c.ObserveKeyed(d.Key(), d, now)
 }
@@ -198,8 +200,11 @@ func (c *Cache) ObserveKeyed(key string, d *session.Description, now time.Time) 
 		c.indexAdd(e)
 		return e, true
 	}
-	fresh := d.Version > e.Desc.Version || e.Deleted
+	// An older version replaces nothing — not even a tombstone, which
+	// stays deleted — so it is never fresh.
+	fresh := false
 	if d.Version >= e.Desc.Version {
+		fresh = d.Version > e.Desc.Version || e.Deleted
 		if e.Deleted {
 			c.live++
 		} else {
@@ -306,9 +311,7 @@ func (c *Cache) Len() int { return c.live }
 // Expire evicts entries unheard for Timeout (and deleted entries unheard
 // for Timeout/10), returning the evicted keys in sorted order. The sort
 // matters: expiry order reaches the trace, the event stream, and the
-// journal, all of which must replay identically from a seed, and it is
-// what lets a sharded cache's per-shard expiries merge into the same
-// sequence the unsharded cache produces.
+// journal, all of which must replay identically from a seed.
 func (c *Cache) Expire(now time.Time) []string {
 	var evicted []string
 	for key, e := range c.entries { //mclint:maporder evictions are sorted before returning
@@ -334,7 +337,7 @@ func (c *Cache) Expire(now time.Time) []string {
 // unspecified); the admission layer builds eviction candidates from it.
 func (c *Cache) All() []*Entry {
 	out := make([]*Entry, 0, len(c.entries))
-	for _, e := range c.entries { //mclint:maporder consumers are order-insensitive or sort (see Sharded doc)
+	for _, e := range c.entries { //mclint:maporder consumers are order-insensitive or sort
 		out = append(out, e)
 	}
 	return out
@@ -343,7 +346,7 @@ func (c *Cache) All() []*Entry {
 // Live returns all live entries (iteration order unspecified).
 func (c *Cache) Live() []*Entry {
 	out := make([]*Entry, 0, len(c.entries))
-	for _, e := range c.entries { //mclint:maporder consumers are order-insensitive or sort (see Sharded doc)
+	for _, e := range c.entries { //mclint:maporder consumers are order-insensitive or sort
 		if !e.Deleted {
 			out = append(out, e)
 		}
@@ -352,8 +355,7 @@ func (c *Cache) Live() []*Entry {
 }
 
 // CountFresh counts live entries heard within staleAfter of now — the
-// degradation tiers' pressure signal. The count is commutative over
-// entries, so per-shard counts sum to exactly this scan's result.
+// degradation tiers' pressure signal.
 func (c *Cache) CountFresh(now time.Time, staleAfter time.Duration) int {
 	fresh := 0
 	for _, e := range c.entries { //mclint:maporder commutative count
@@ -369,3 +371,27 @@ func (c *Cache) CountFresh(now time.Time, staleAfter time.Duration) int {
 // for invalid cached descriptions. Maintained incrementally, so this is
 // O(1) — it runs on every announcement send.
 func (c *Cache) TotalAdBytes() int { return c.adBytes }
+
+// SortByKey sorts entries by session key and returns the keys in the
+// same order. Each key is built once, not once per comparison.
+func SortByKey(entries []*Entry) []string {
+	keys := make([]string, len(entries))
+	for i, e := range entries {
+		keys[i] = e.Desc.Key()
+	}
+	sort.Sort(byKey{keys, entries})
+	return keys
+}
+
+// byKey sorts entries and their keys together.
+type byKey struct {
+	keys    []string
+	entries []*Entry
+}
+
+func (b byKey) Len() int           { return len(b.keys) }
+func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byKey) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.entries[i], b.entries[j] = b.entries[j], b.entries[i]
+}

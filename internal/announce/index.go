@@ -153,83 +153,47 @@ func (c *Cache) indexDrop(e *Entry) {
 	c.view.Remove(&e.viewPos)
 }
 
-// appendEvictable appends the tracked entries a newcomer may displace, in
-// no particular order; with fromOrigin set, only that origin's.
-func (c *Cache) appendEvictable(dst []*Entry, origin netip.Addr, fromOrigin bool, now time.Time, staleAfter time.Duration) []*Entry {
-	for _, e := range c.order {
-		if e.evictable(now, staleAfter) && (!fromOrigin || e.Desc.Origin == origin) {
-			dst = append(dst, e)
-		}
-	}
-	return dst
-}
-
 // Candidates is the number of entries in the eviction order: everything
 // cached, tombstones included, except the tracking directory's own origin.
-func (s *Sharded) Candidates() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += len(sh.c.order)
-		sh.mu.RUnlock()
-	}
-	return n
-}
+// (With the three methods after it, this is admission.Order.)
+func (c *Cache) Candidates() int { return len(c.order) }
 
 // CandidatesFrom is how many of the candidates origin announced.
-func (s *Sharded) CandidatesFrom(origin netip.Addr) int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += int(sh.c.perOrigin[origin])
-		sh.mu.RUnlock()
-	}
-	return n
-}
+func (c *Cache) CandidatesFrom(origin netip.Addr) int { return int(c.perOrigin[origin]) }
 
 // AppendEvictable appends to dst the keys of the first n evictable
 // candidates in eviction order (fewer if fewer exist).
-func (s *Sharded) AppendEvictable(dst []string, n int, now time.Time, staleAfter time.Duration) []string {
+func (c *Cache) AppendEvictable(dst []string, n int, now time.Time, staleAfter time.Duration) []string {
 	if n != 1 {
-		return s.appendEvictable(dst, n, netip.Addr{}, false, now, staleAfter)
+		return c.appendEvictable(dst, n, netip.Addr{}, false, now, staleAfter)
 	}
-	// The case every admission into a full budget takes: the first in
-	// order is the least of the shard heads, and since evictable entries
-	// sort first, either it is evictable or nothing is.
-	s.rlockAll()
-	defer s.runlockAll()
-	var head *Entry
-	for i := range s.shards {
-		if o := s.shards[i].c.order; len(o) > 0 && (head == nil || evictsBefore(o[0], head)) {
-			head = o[0]
-		}
-	}
-	if head != nil && head.evictable(now, staleAfter) {
-		dst = append(dst, head.Desc.Key())
+	// The case every admission into a full budget takes: evictable entries
+	// sort first, so either the head of the order is evictable or nothing is.
+	if len(c.order) > 0 && c.order[0].evictable(now, staleAfter) {
+		dst = append(dst, c.order[0].Desc.Key())
 	}
 	return dst
 }
 
 // AppendEvictableFrom is AppendEvictable restricted to origin's entries.
-func (s *Sharded) AppendEvictableFrom(dst []string, origin netip.Addr, n int, now time.Time, staleAfter time.Duration) []string {
-	return s.appendEvictable(dst, n, origin, true, now, staleAfter)
+func (c *Cache) AppendEvictableFrom(dst []string, origin netip.Addr, n int, now time.Time, staleAfter time.Duration) []string {
+	return c.appendEvictable(dst, n, origin, true, now, staleAfter)
 }
 
 // appendEvictable is the general case — an origin at its quota, or a
-// cache more than one entry over budget: collect what is evictable, sort
-// it, take n. It costs a pass over the order, but none of the per-entry
-// key strings and candidate copies a fresh scan would build.
-func (s *Sharded) appendEvictable(dst []string, n int, origin netip.Addr, fromOrigin bool, now time.Time, staleAfter time.Duration) []string {
+// cache more than one entry over budget: collect what is evictable (with
+// fromOrigin set, only that origin's), sort it, take n. It costs a pass
+// over the order, but none of the per-entry key strings and candidate
+// copies a fresh scan would build.
+func (c *Cache) appendEvictable(dst []string, n int, origin netip.Addr, fromOrigin bool, now time.Time, staleAfter time.Duration) []string {
 	if n <= 0 {
 		return dst
 	}
-	s.rlockAll()
-	defer s.runlockAll()
 	var found []*Entry
-	for i := range s.shards {
-		found = s.shards[i].c.appendEvictable(found, origin, fromOrigin, now, staleAfter)
+	for _, e := range c.order {
+		if e.evictable(now, staleAfter) && (!fromOrigin || e.Desc.Origin == origin) {
+			found = append(found, e)
+		}
 	}
 	sort.Slice(found, func(i, j int) bool { return evictsBefore(found[i], found[j]) })
 	for _, e := range found[:min(n, len(found))] {
@@ -238,65 +202,13 @@ func (s *Sharded) appendEvictable(dst []string, n int, origin netip.Addr, fromOr
 	return dst
 }
 
-// rlockAll takes every shard's read lock, in shard order (writers hold one
-// shard at a time, so the order cannot deadlock): for the queries that
-// compare entries of different shards.
-func (s *Sharded) rlockAll() {
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-	}
-}
-
-func (s *Sharded) runlockAll() {
-	for i := range s.shards {
-		s.shards[i].mu.RUnlock()
-	}
-}
-
-// TrackOrder starts maintaining the eviction order in every shard; see
-// Cache.TrackOrder.
-func (s *Sharded) TrackOrder(self netip.Addr) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.c.TrackOrder(self)
-		sh.mu.Unlock()
-	}
-}
-
-// TrackView starts maintaining the allocator view in every shard; see
-// Cache.TrackView.
-func (s *Sharded) TrackView(space mcast.AddrSpace) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.c.TrackView(space)
-		sh.mu.Unlock()
-	}
-}
-
 // ViewLen is the number of sessions in the allocator view.
-func (s *Sharded) ViewLen() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += sh.c.view.Len()
-		sh.mu.RUnlock()
-	}
-	return n
-}
+func (c *Cache) ViewLen() int { return c.view.Len() }
 
 // AppendView appends the allocator view — every live cached session
-// inside the tracked space, in shard order — to dst.
-func (s *Sharded) AppendView(dst []allocator.SessionInfo) []allocator.SessionInfo {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		dst = sh.c.view.AppendTo(dst)
-		sh.mu.RUnlock()
-	}
-	return dst
+// inside the tracked space — to dst.
+func (c *Cache) AppendView(dst []allocator.SessionInfo) []allocator.SessionInfo {
+	return c.view.AppendTo(dst)
 }
 
 // ViewSet is a multiset of allocator.SessionInfo with O(1) insert, update

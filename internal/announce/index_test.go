@@ -21,27 +21,25 @@ var (
 )
 
 // scanCandidates is the rebuild the eviction order replaces: the
-// directory's old candidatesLocked, a walk of every shard that builds one
+// directory's old candidatesLocked, a walk of the cache that builds one
 // admission.Candidate (and one key string) per entry not announced by self.
-func scanCandidates(s *Sharded, self netip.Addr) []admission.Candidate {
+func scanCandidates(s *Cache, self netip.Addr) []admission.Candidate {
 	var cands []admission.Candidate
-	for _, group := range s.AllGrouped() {
-		for _, e := range group {
-			if e.Desc.Origin == self {
-				continue
-			}
-			cands = append(cands, admission.Candidate{
-				Key: e.Desc.Key(), Origin: e.Desc.Origin, TTL: e.Desc.TTL,
-				LastHeard: e.LastHeard, Deleted: e.Deleted,
-			})
+	for _, e := range s.All() {
+		if e.Desc.Origin == self {
+			continue
 		}
+		cands = append(cands, admission.Candidate{
+			Key: e.Desc.Key(), Origin: e.Desc.Origin, TTL: e.Desc.TTL,
+			LastHeard: e.LastHeard, Deleted: e.Deleted,
+		})
 	}
 	return cands
 }
 
 // scanView is the rebuild the allocator view replaces: the heard half of
 // the directory's old viewLocked, sorted so multisets compare.
-func scanView(s *Sharded, space mcast.AddrSpace) []allocator.SessionInfo {
+func scanView(s *Cache, space mcast.AddrSpace) []allocator.SessionInfo {
 	var view []allocator.SessionInfo
 	for _, e := range s.Live() {
 		if idx, ok := space.Index(e.Desc.Group); ok {
@@ -61,57 +59,53 @@ func sortView(v []allocator.SessionInfo) []allocator.SessionInfo {
 	return v
 }
 
-// checkIndexInvariants verifies, shard by shard, that the heap is a heap
-// in evictsBefore order whose members know their slots, that it holds
-// exactly the entries not announced by self, that the per-origin counts
-// are exact with no zero left behind, and that every view member's owner
-// points back at its slot.
-func checkIndexInvariants(t *testing.T, s *Sharded, self netip.Addr) {
+// checkIndexInvariants verifies that the heap is a heap in evictsBefore
+// order whose members know their slots, that it holds exactly the entries
+// not announced by self, that the per-origin counts are exact with no zero
+// left behind, and that every view member's owner points back at its slot.
+func checkIndexInvariants(t *testing.T, c *Cache, self netip.Addr) {
 	t.Helper()
-	for si := range s.shards {
-		c := s.shards[si].c
-		counts := map[netip.Addr]int32{}
-		for i, e := range c.order {
-			if int(e.heapPos) != i+1 {
-				t.Fatalf("shard %d: order[%d] records slot %d", si, i, e.heapPos)
-			}
-			if i > 0 && evictsBefore(e, c.order[(i-1)/2]) {
-				t.Fatalf("shard %d: order[%d] evicts before its parent", si, i)
-			}
-			counts[e.Desc.Origin]++
+	counts := map[netip.Addr]int32{}
+	for i, e := range c.order {
+		if int(e.heapPos) != i+1 {
+			t.Fatalf("order[%d] records slot %d", i, e.heapPos)
 		}
-		tracked, inView := 0, 0
-		for key, e := range c.entries {
-			if want := e.Desc.Origin != self; (e.heapPos > 0) != want {
-				t.Fatalf("shard %d: %s in order = %v, want %v", si, key, e.heapPos > 0, want)
-			}
-			if e.heapPos > 0 {
-				tracked++
-				if c.order[e.heapPos-1] != e {
-					t.Fatalf("shard %d: %s's slot %d holds another entry", si, key, e.heapPos)
-				}
-			}
-			if e.viewPos > 0 {
-				inView++
-				if c.view.slots[e.viewPos-1] != &e.viewPos {
-					t.Fatalf("shard %d: %s's view slot %d belongs to another entry", si, key, e.viewPos)
-				}
+		if i > 0 && evictsBefore(e, c.order[(i-1)/2]) {
+			t.Fatalf("order[%d] evicts before its parent", i)
+		}
+		counts[e.Desc.Origin]++
+	}
+	tracked, inView := 0, 0
+	for key, e := range c.entries {
+		if want := e.Desc.Origin != self; (e.heapPos > 0) != want {
+			t.Fatalf("%s in order = %v, want %v", key, e.heapPos > 0, want)
+		}
+		if e.heapPos > 0 {
+			tracked++
+			if c.order[e.heapPos-1] != e {
+				t.Fatalf("%s's slot %d holds another entry", key, e.heapPos)
 			}
 		}
-		if tracked != len(c.order) {
-			t.Fatalf("shard %d: order holds %d entries, the cache %d candidates", si, len(c.order), tracked)
+		if e.viewPos > 0 {
+			inView++
+			if c.view.slots[e.viewPos-1] != &e.viewPos {
+				t.Fatalf("%s's view slot %d belongs to another entry", key, e.viewPos)
+			}
 		}
-		if inView != c.view.Len() || len(c.view.slots) != c.view.Len() {
-			t.Fatalf("shard %d: view holds %d members (%d slots), %d entries claim one", si, c.view.Len(), len(c.view.slots), inView)
-		}
-		if !reflect.DeepEqual(counts, map[netip.Addr]int32(c.perOrigin)) {
-			t.Fatalf("shard %d: per-origin counts %v, want %v", si, c.perOrigin, counts)
-		}
+	}
+	if tracked != len(c.order) {
+		t.Fatalf("order holds %d entries, the cache %d candidates", len(c.order), tracked)
+	}
+	if inView != c.view.Len() || len(c.view.slots) != c.view.Len() {
+		t.Fatalf("view holds %d members (%d slots), %d entries claim one", c.view.Len(), len(c.view.slots), inView)
+	}
+	if !reflect.DeepEqual(counts, map[netip.Addr]int32(c.perOrigin)) {
+		t.Fatalf("per-origin counts %v, want %v", c.perOrigin, counts)
 	}
 }
 
-// TestIndicesMatchFullScanReference drives a sharded cache with both
-// indices on through seeded op sequences — new sessions, refreshes, version
+// TestIndicesMatchFullScanReference drives a cache with both indices on
+// through seeded op sequences — new sessions, refreshes, version
 // bumps that change scope and address, deletions, resurrections, evictions,
 // expiry, restores with arbitrary timestamps, clocks that stand still (long
 // runs of equal LastHeard) or step backwards, entries of the tracker's own
@@ -136,10 +130,12 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 	seen := map[admission.Outcome]int{}
 	multi, tieBroken := 0, 0
 
-	for _, shards := range []int{1, 4, 8} {
+	// salt keeps the 24 op sequences the test ran when it also looped over
+	// shard counts 1, 4 and 8 (the count was part of the generator's seed).
+	for _, salt := range []uint64{1, 4, 8} {
 		for seed := uint64(1); seed <= 8; seed++ {
-			s := NewSharded(time.Hour, shards)
-			ops := stats.NewRNG(seed<<8 | uint64(shards))
+			s := NewCache(time.Hour)
+			ops := stats.NewRNG(seed<<8 | salt)
 			now := time.Unix(1_000_000, 0)
 			// Half the sequences switch the indices on over a populated
 			// cache, as a directory's first allocation does for the view.
@@ -209,15 +205,15 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 
 				checkIndexInvariants(t, s, indexSelf)
 				if got, want := sortView(s.AppendView(nil)), scanView(s, indexSpace); !reflect.DeepEqual(got, want) || s.ViewLen() != len(want) {
-					t.Fatalf("shards=%d seed %d step %d: view %v (len %d), rebuilt %v", shards, seed, step, got, s.ViewLen(), want)
+					t.Fatalf("salt %d seed %d step %d: view %v (len %d), rebuilt %v", salt, seed, step, got, s.ViewLen(), want)
 				}
 				cands := scanCandidates(s, indexSelf)
 				for _, origin := range []netip.Addr{d.Origin, indexSelf, netip.AddrFrom4([4]byte{10, 9, 9, 9})} {
 					for pi, p := range planners {
 						got, want := p.PlanNewOrdered(s, origin, now), p.PlanNew(cands, origin, now)
 						if got.Outcome != want.Outcome || fmt.Sprint(got.Evict) != fmt.Sprint(want.Evict) {
-							t.Fatalf("shards=%d seed %d step %d budget %d origin %s:\n ordered %v %v\n PlanNew %v %v",
-								shards, seed, step, pi, origin, got.Outcome, got.Evict, want.Outcome, want.Evict)
+							t.Fatalf("salt %d seed %d step %d budget %d origin %s:\n ordered %v %v\n PlanNew %v %v",
+								salt, seed, step, pi, origin, got.Outcome, got.Evict, want.Outcome, want.Evict)
 						}
 						seen[got.Outcome]++
 						if len(got.Evict) > 1 {
@@ -235,17 +231,13 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 				}
 			}
 			// Emptying the cache empties the indices.
-			for _, e := range allEntries(s) {
+			for _, e := range s.All() {
 				s.Remove(e.Desc.Key())
 			}
 			checkIndexInvariants(t, s, indexSelf)
-			if s.Candidates() != 0 || s.ViewLen() != 0 {
-				t.Fatalf("shards=%d seed %d: %d candidates and %d view members left in an empty cache", shards, seed, s.Candidates(), s.ViewLen())
-			}
-			for si := range s.shards {
-				if n := len(s.shards[si].c.perOrigin); n != 0 {
-					t.Fatalf("shards=%d seed %d: shard %d still counts %d origins", shards, seed, si, n)
-				}
+			if s.Candidates() != 0 || s.ViewLen() != 0 || len(s.perOrigin) != 0 {
+				t.Fatalf("salt %d seed %d: %d candidates, %d view members and %d counted origins left in an empty cache",
+					salt, seed, s.Candidates(), s.ViewLen(), len(s.perOrigin))
 			}
 		}
 	}
@@ -265,7 +257,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 // TestEvictionOrderTieBreakIsKeyStringOrder pins the last tie-break on the
 // case where string order and numeric order disagree.
 func TestEvictionOrderTieBreakIsKeyStringOrder(t *testing.T) {
-	s := NewSharded(time.Hour, 4)
+	s := NewCache(time.Hour)
 	s.TrackOrder(indexSelf)
 	heard := time.Unix(1000, 0)
 	for _, host := range []byte{9, 10} {
@@ -291,7 +283,7 @@ func TestEvictionOrderTieBreakIsKeyStringOrder(t *testing.T) {
 // one view overwrite, no allocation — also when the refreshed entry ties
 // with others on LastHeard and scope, so that the fix compares keys.
 func TestIndexedRefreshAllocatesNothing(t *testing.T) {
-	s := NewSharded(0, 2)
+	s := NewCache(0)
 	s.TrackOrder(indexSelf)
 	s.TrackView(indexSpace)
 	now := time.Unix(0, 0)

@@ -25,30 +25,6 @@ func Workers(requested int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Gather runs fn(p) for every partition p in [0, parts) — concurrently,
-// under For's scheduling and panic semantics — and concatenates the
-// per-partition slices in partition order. Because each partition's
-// result lands in its own slot and the concatenation order is the
-// partition index, the output is bit-identical at any worker count: the
-// sharded session cache's per-shard scans lean on exactly this property
-// for their deterministic merge step.
-func Gather[T any](workers, parts int, fn func(p int) []T) []T {
-	if parts <= 0 {
-		return nil
-	}
-	chunks := make([][]T, parts)
-	For(workers, parts, func(p int) { chunks[p] = fn(p) })
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
-	}
-	out := make([]T, 0, total)
-	for _, c := range chunks {
-		out = append(out, c...)
-	}
-	return out
-}
-
 // For runs fn(i) for every i in [0, n) on up to workers goroutines
 // (0 means GOMAXPROCS). Tasks are handed out dynamically, so uneven task
 // costs balance across workers. For returns when every call has finished.

@@ -76,28 +76,3 @@ func TestForPropagatesPanic(t *testing.T) {
 		}
 	})
 }
-
-func TestGatherConcatenatesInPartOrder(t *testing.T) {
-	fn := func(p int) []int {
-		out := make([]int, p)
-		for i := range out {
-			out[i] = p*100 + i
-		}
-		return out
-	}
-	want := Gather(1, 6, fn)
-	for _, workers := range []int{2, 8, 0} {
-		got := Gather(workers, 6, fn)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: len %d want %d", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d slot %d: %d want %d", workers, i, got[i], want[i])
-			}
-		}
-	}
-	if got := Gather(4, 0, fn); got != nil {
-		t.Fatalf("zero parts: %v", got)
-	}
-}

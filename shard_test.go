@@ -2,6 +2,7 @@ package sessiondir
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"net/netip"
 	"sort"
@@ -17,10 +18,18 @@ import (
 	"sessiondir/internal/transport"
 )
 
-// newShardedDirectory builds a directory like newDirectory but with the
-// cache striped over the given shard count and an admission budget tight
-// enough that scripted floods exercise eviction.
-func newShardedDirectory(t *testing.T, bus *transport.Bus, clk *fakeClock, origin string, shards int, log *eventLog) *Directory {
+// The golden digests in this file were recorded at the last commit that had
+// announce.Sharded (8d625ae), by running these scenarios, unchanged, against
+// directories at Config.Shards 1, 4 and 8 — all three agreed on every
+// digest. They are what makes the one-cache directory answer to the striped
+// one's output and not to itself; a digest that moves means protocol
+// behaviour moved. CHANGES.md (PR 21) says how they were taken.
+
+func digest(s string) string { return fmt.Sprintf("%x", sha256.Sum256([]byte(s))) }
+
+// newFloodedDirectory builds a directory like newDirectory but with an
+// admission budget tight enough that scripted floods exercise eviction.
+func newFloodedDirectory(t *testing.T, bus *transport.Bus, clk *fakeClock, origin string, log *eventLog) *Directory {
 	t.Helper()
 	const spaceSize = 128
 	cfg := Config{
@@ -30,7 +39,6 @@ func newShardedDirectory(t *testing.T, bus *transport.Bus, clk *fakeClock, origi
 		Allocator:    allocator.NewAdaptive(spaceSize, allocator.AdaptiveConfig{GapFraction: 0.2}),
 		Clock:        clk.Now,
 		Seed:         42,
-		Shards:       shards,
 		MaxSessions:  24,
 		MaxPerOrigin: 10,
 		StaleAfter:   2 * time.Minute,
@@ -47,18 +55,18 @@ func newShardedDirectory(t *testing.T, bus *transport.Bus, clk *fakeClock, origi
 	return d
 }
 
-// runShardScenario scripts a deterministic multi-agent run — three
-// unsharded peers flooding announcements at a sharded observed directory
-// under a virtual clock, with deletions, malformed injections, admission
-// pressure and an aging phase — and returns a replay fingerprint: the
-// observed directory's full event sequence, cached/owned session state
-// and metrics snapshot.
-func runShardScenario(t *testing.T, shards int) string {
+// runShardScenario scripts a deterministic multi-agent run — three peers
+// flooding announcements at an observed directory under a virtual clock,
+// with deletions, malformed injections, admission pressure and an aging
+// phase — and returns a replay fingerprint in three parts: the observed
+// directory's full event sequence, its cached/owned session state (before
+// and after aging) and its metrics snapshot.
+func runShardScenario(t *testing.T) (events, sessions, metrics string) {
 	t.Helper()
 	bus := transport.NewBus()
 	clk := newFakeClock()
 	log := &eventLog{}
-	obsDir := newShardedDirectory(t, bus, clk, "10.0.0.1", shards, log)
+	obsDir := newFloodedDirectory(t, bus, clk, "10.0.0.1", log)
 	defer obsDir.Close()
 
 	var peers []*Directory
@@ -83,7 +91,7 @@ func runShardScenario(t *testing.T, shards int) string {
 			t.Fatal(err)
 		}
 		if round%3 == 0 {
-			// Undecodable junk: lands in the sharded malformed counter.
+			// Undecodable junk: lands in the malformed counter.
 			if err := raw.Send(context.Background(), []byte{0xff, 0x00, 0x01}, 127); err != nil {
 				t.Fatal(err)
 			}
@@ -107,6 +115,16 @@ func runShardScenario(t *testing.T, shards int) string {
 		}
 		tp.Close()
 	}
+	var ev, ss, ms strings.Builder
+	sessionSet := func(label string) {
+		var keys []string
+		for _, s := range obsDir.Sessions() {
+			keys = append(keys, fmt.Sprintf("%s@%s", s.Key(), s.Group))
+		}
+		sort.Strings(keys)
+		fmt.Fprintf(&ss, "%s %v\n", label, keys)
+	}
+	sessionSet("sessions-before-aging")
 	// Silence every announcer, then age the cache through the expiry path.
 	for _, p := range peers {
 		p.Close()
@@ -115,149 +133,129 @@ func runShardScenario(t *testing.T, shards int) string {
 		obsDir.Step(clk.Advance(30 * time.Minute))
 	}
 
-	var b strings.Builder
 	log.mu.Lock()
 	for _, e := range log.events {
-		fmt.Fprintf(&b, "event %s %s\n", e.Kind, e.Key)
+		fmt.Fprintf(&ev, "event %s %s\n", e.Kind, e.Key)
 	}
 	log.mu.Unlock()
-	var keys []string
-	for _, s := range obsDir.Sessions() {
-		keys = append(keys, fmt.Sprintf("%s@%s", s.Key(), s.Group))
-	}
-	sort.Strings(keys)
-	fmt.Fprintf(&b, "sessions %v\n", keys)
+	sessionSet("sessions")
 	for _, own := range obsDir.OwnSessions() {
-		fmt.Fprintf(&b, "own %s@%s\n", own.Key(), own.Group)
+		fmt.Fprintf(&ss, "own %s@%s\n", own.Key(), own.Group)
 	}
 	for _, mv := range obsDir.Registry().Snapshot() {
-		fmt.Fprintf(&b, "metric %s %s %v\n", mv.Name, mv.Kind, mv.Value)
+		fmt.Fprintf(&ms, "metric %s %s %v\n", mv.Name, mv.Kind, mv.Value)
 	}
-	return b.String()
+	return ev.String(), ss.String(), ms.String()
 }
 
-// The PR's acceptance criterion: sharded Directory replay is
-// bit-identical to the unsharded oracle for pinned seeds at shard counts
+// The collapse's acceptance criterion: the one-cache directory replays the
+// scripted scenario exactly as the sharded directory did at shard counts
 // 1, 4 and 8 — same events in the same order, same cache, same metrics.
 func TestShardReplayBitIdentical(t *testing.T) {
-	oracle := runShardScenario(t, 1) // Shards<=1 is the unsharded layout
-	if !strings.Contains(oracle, "event session-evicted") ||
-		!strings.Contains(oracle, "event session-expired") {
-		t.Fatalf("scenario lost its teeth: no eviction/expiry pressure in oracle run:\n%s", oracle)
+	events, sessions, metrics := runShardScenario(t)
+	if !strings.Contains(events, "event session-evicted") ||
+		!strings.Contains(events, "event session-expired") {
+		t.Fatalf("scenario lost its teeth: no eviction/expiry pressure:\n%s", events)
 	}
-	for _, shards := range []int{4, 8} {
-		got := runShardScenario(t, shards)
-		if got != oracle {
-			t.Fatalf("shards=%d replay diverges from unsharded oracle:\n--- sharded\n%s\n--- oracle\n%s", shards, got, oracle)
+	for _, part := range []struct{ name, got, golden string }{
+		{"event stream", events, "d119b2dd538dd06e3fed8836c3da1b9477183d54a0b3ee3be11e18853b131c70"},
+		{"session sets", sessions, "43e4467738fddad462724059b82c747e57426d9d26f58ff7f4c647171d651930"},
+		{"metrics", metrics, "630f97b4dea3b0abe23b45733d3b8af7ca2d7ad6552fb0eab7dc6083ee685aa2"},
+	} {
+		if d := digest(part.got); d != part.golden {
+			t.Errorf("%s diverge from the sharded directory's: digest %s, golden %s:\n%s", part.name, d, part.golden, part.got)
 		}
 	}
 }
 
 // Eviction ordering under sustained admission pressure must match the
-// unsharded oracle exactly: the planners impose a total order on
-// candidates, so shard-grouped candidate delivery may not reorder who
-// gets displaced.
+// sharded directory's exactly: who gets displaced, in what sequence.
 func TestShardEvictionOrderMatchesOracle(t *testing.T) {
-	evictions := func(shards int) []string {
-		bus := transport.NewBus()
-		clk := newFakeClock()
-		log := &eventLog{}
-		d := newShardedDirectory(t, bus, clk, "10.0.0.1", shards, log)
-		defer d.Close()
-		// Flood from many distinct origins so candidates span shards.
-		for i := 0; i < 60; i++ {
-			p, _ := newDirectory(t, bus, clk, fmt.Sprintf("10.0.%d.%d", i/8+1, i%8+2), 128, uint64(100+i), nil)
-			if _, err := p.CreateSession(testDesc(fmt.Sprintf("f%d", i), 127)); err != nil {
-				t.Fatal(err)
-			}
-			now := clk.Advance(3 * time.Second)
-			d.Step(now)
-			p.Step(now)
-			p.Close()
+	bus := transport.NewBus()
+	clk := newFakeClock()
+	log := &eventLog{}
+	d := newFloodedDirectory(t, bus, clk, "10.0.0.1", log)
+	defer d.Close()
+	// Flood from many distinct origins.
+	for i := 0; i < 60; i++ {
+		p, _ := newDirectory(t, bus, clk, fmt.Sprintf("10.0.%d.%d", i/8+1, i%8+2), 128, uint64(100+i), nil)
+		if _, err := p.CreateSession(testDesc(fmt.Sprintf("f%d", i), 127)); err != nil {
+			t.Fatal(err)
 		}
-		var out []string
-		log.mu.Lock()
-		for _, e := range log.events {
-			if e.Kind == EventSessionEvicted {
-				out = append(out, e.Key)
-			}
-		}
-		log.mu.Unlock()
-		return out
+		now := clk.Advance(3 * time.Second)
+		d.Step(now)
+		p.Step(now)
+		p.Close()
 	}
-	oracle := evictions(1)
-	if len(oracle) == 0 {
-		t.Fatal("flood produced no evictions; the scenario is not exercising admission")
-	}
-	for _, shards := range []int{4, 8} {
-		if got := evictions(shards); fmt.Sprint(got) != fmt.Sprint(oracle) {
-			t.Fatalf("shards=%d eviction order diverges:\n got    %v\n oracle %v", shards, got, oracle)
+	var evicted []string
+	log.mu.Lock()
+	for _, e := range log.events {
+		if e.Kind == EventSessionEvicted {
+			evicted = append(evicted, e.Key)
 		}
+	}
+	log.mu.Unlock()
+	const golden = "8ed640387fe3f752481a3b865a1ba41b33a379d8995a5541d6f0637b187d95e8"
+	if got := digest(strings.Join(evicted, "\n")); len(evicted) != 18 || got != golden {
+		t.Fatalf("%d evictions with digest %s; the sharded directory made 18 with %s:\n%v", len(evicted), got, golden, evicted)
 	}
 }
 
-// Cross-shard CreateSessionBatch partial failure: when the space runs
-// out mid-batch — against a view assembled from entries spread across
-// shards — the sessions created before the failure stay created, the
-// error surfaces, and the outcome is identical to the unsharded oracle.
+// CreateSessionBatch partial failure: when the space runs out mid-batch —
+// against a view holding several origins' announcements — the sessions
+// created before the failure stay created, the error surfaces, and the
+// outcome is the one the sharded directory produced at any shard count.
 func TestCreateSessionBatchPartialFailureAcrossShards(t *testing.T) {
-	run := func(shards int) (created []string, errStr string, cacheLen int) {
-		bus := transport.NewBus()
-		clk := newFakeClock()
-		const spaceSize = 16
-		d, err := New(Config{
-			Origin:       netip.MustParseAddr("10.0.0.1"),
-			Transport:    bus.Endpoint(),
-			Space:        mcast.SyntheticSpace(spaceSize),
-			Allocator:    allocator.NewInformedRandom(spaceSize),
-			Clock:        clk.Now,
-			Seed:         7,
-			Shards:       shards,
-			RecentWindow: 30 * time.Second,
-			Delay:        clash.NewUniformDelay(1000, 1001),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.Close()
-		// Seed the cache with announcements from several origins so the
-		// batch's allocator view crosses shards.
-		for i := 0; i < 6; i++ {
-			p, _ := newDirectory(t, bus, clk, fmt.Sprintf("10.0.%d.2", i+1), spaceSize, uint64(50+i), nil)
-			if _, cerr := p.CreateSession(testDesc(fmt.Sprintf("peer%d", i), 127)); cerr != nil {
-				t.Fatal(cerr)
-			}
-			now := clk.Advance(time.Second)
-			d.Step(now)
-			p.Step(now)
-			p.Close()
-		}
-		descs := make([]*session.Description, 16)
-		for i := range descs {
-			descs[i] = testDesc(fmt.Sprintf("b%d", i), 127)
-		}
-		out, berr := d.CreateSessionBatch(descs)
-		for _, c := range out {
-			created = append(created, fmt.Sprintf("%s@%s", c.Key(), c.Group))
-		}
-		if berr == nil {
-			t.Fatalf("shards=%d: a 16-session batch into a %d-address space with peers resident should partially fail", shards, spaceSize)
-		}
-		if len(out) == 0 {
-			t.Fatalf("shards=%d: partial failure created nothing", shards)
-		}
-		if len(out) != len(d.OwnSessions()) {
-			t.Fatalf("shards=%d: %d returned but %d owned", shards, len(out), len(d.OwnSessions()))
-		}
-		return created, berr.Error(), d.CacheSize()
+	bus := transport.NewBus()
+	clk := newFakeClock()
+	const spaceSize = 16
+	d, err := New(Config{
+		Origin:       netip.MustParseAddr("10.0.0.1"),
+		Transport:    bus.Endpoint(),
+		Space:        mcast.SyntheticSpace(spaceSize),
+		Allocator:    allocator.NewInformedRandom(spaceSize),
+		Clock:        clk.Now,
+		Seed:         7,
+		RecentWindow: 30 * time.Second,
+		Delay:        clash.NewUniformDelay(1000, 1001),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantCreated, wantErr, wantLen := run(1)
-	for _, shards := range []int{4, 8} {
-		gotCreated, gotErr, gotLen := run(shards)
-		if fmt.Sprint(gotCreated) != fmt.Sprint(wantCreated) || gotErr != wantErr || gotLen != wantLen {
-			t.Fatalf("shards=%d partial batch diverges:\n got  %v %q len=%d\n want %v %q len=%d",
-				shards, gotCreated, gotErr, gotLen, wantCreated, wantErr, wantLen)
+	defer d.Close()
+	// Seed the cache with announcements from several origins.
+	for i := 0; i < 6; i++ {
+		p, _ := newDirectory(t, bus, clk, fmt.Sprintf("10.0.%d.2", i+1), spaceSize, uint64(50+i), nil)
+		if _, cerr := p.CreateSession(testDesc(fmt.Sprintf("peer%d", i), 127)); cerr != nil {
+			t.Fatal(cerr)
 		}
+		now := clk.Advance(time.Second)
+		d.Step(now)
+		p.Step(now)
+		p.Close()
+	}
+	descs := make([]*session.Description, 16)
+	for i := range descs {
+		descs[i] = testDesc(fmt.Sprintf("b%d", i), 127)
+	}
+	out, berr := d.CreateSessionBatch(descs)
+	if berr == nil {
+		t.Fatalf("a 16-session batch into a %d-address space with peers resident should partially fail", spaceSize)
+	}
+	if len(out) != len(d.OwnSessions()) {
+		t.Fatalf("%d returned but %d owned", len(out), len(d.OwnSessions()))
+	}
+	// Recorded from the sharded directory: thirteen created, at these
+	// addresses of 232.1.0.0/28 in this order, over six cached peers.
+	var groups []byte
+	for _, c := range out {
+		groups = append(groups, c.Group.As4()[3])
+	}
+	wantGroups := []byte{6, 7, 13, 0, 12, 15, 1, 14, 5, 11, 8, 9, 10}
+	const wantErr = "sessiondir: allocate batch: allocator: no free address visible for requested scope (class 0, TTL 127, IR)"
+	if string(groups) != string(wantGroups) || berr.Error() != wantErr || d.CacheSize() != 6 {
+		t.Fatalf("partial batch diverges:\n got  %v %q cache=%d\n want %v %q cache=6",
+			groups, berr, d.CacheSize(), wantGroups, wantErr)
 	}
 }
 
@@ -302,7 +300,7 @@ func announceWire(t *testing.T, desc *session.Description) []byte {
 func TestHandleBatchMatchesSequentialDelivery(t *testing.T) {
 	mkDir := func(log *eventLog) *Directory {
 		clk := newFakeClock()
-		return newShardedDirectory(t, transport.NewBus(), clk, "10.0.0.1", 4, log)
+		return newFloodedDirectory(t, transport.NewBus(), clk, "10.0.0.1", log)
 	}
 	var wires [][]byte
 	for i := 0; i < 24; i++ {
