@@ -40,10 +40,11 @@ lint-json:
 # duplication, corruption, reordering, and partition/heal cycles must
 # converge, stay clash-free, and replay deterministically from their
 # seeds (DESIGN.md §10) — and, first, the fault model those schedules
-# draw their fates from. Runs under the race detector; wall time is tiny
-# because the harness uses virtual time.
+# draw their fates from and the fabric (des.Net, des.Fleet) that applies
+# them. Runs under the race detector; wall time is tiny because the
+# harness uses virtual time.
 chaos:
-	$(GO) test -race -count=1 ./internal/fault
+	$(GO) test -race -count=1 ./internal/fault ./internal/des
 	$(GO) test -race -count=1 -run TestChaos ./internal/chaos
 
 # The adversarial resilience gate: hostile agents (flooder, poisoner,

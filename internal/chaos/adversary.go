@@ -5,6 +5,7 @@ import (
 	"net/netip"
 	"time"
 
+	"sessiondir/internal/des"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/sap"
 	"sessiondir/internal/session"
@@ -13,7 +14,7 @@ import (
 )
 
 // AdversaryKind selects a hostile behaviour. Adversaries speak raw SAP on
-// the bus — they are not directories, so nothing constrains them to the
+// the network — they are not directories, so nothing constrains them to the
 // protocol's good manners. Each kind models one attack the admission
 // layer (or the clash protocol itself) must absorb.
 type AdversaryKind int
@@ -72,7 +73,8 @@ type AdversaryConfig struct {
 	// modelling a spoofing flooder that sidesteps per-origin defences
 	// (0 = 1: all packets from Origin).
 	Origins int
-	// Start and Stop bound the active window in elapsed virtual time
+	// Start and Stop bound the active window in virtual time since
+	// Config.Start — absolute, however the run is split into Run calls
 	// (Stop 0 = active until the run ends).
 	Start, Stop time.Duration
 	// TTL is the announced scope of forged sessions (0 = 127).
@@ -83,8 +85,8 @@ type AdversaryConfig struct {
 // adversaries must not be a memory leak in long schedules either.
 const maxRecorded = 512
 
-// Adversary is one hostile agent on the bus. It records the honest
-// traffic it overhears (adversaries eavesdrop; the bus is multicast) and
+// Adversary is one hostile agent on the network. It records the honest
+// traffic it overhears (adversaries eavesdrop; the network is multicast) and
 // spends its per-tick packet budget according to its kind. All of its
 // random choices come from an RNG split off the harness root, so hostile
 // schedules replay bit-identically like everything else.
@@ -92,7 +94,7 @@ type Adversary struct {
 	Index int
 
 	cfg   AdversaryConfig
-	ep    *transport.BusEndpoint
+	ep    *des.Endpoint
 	rng   *stats.RNG
 	space mcast.AddrSpace
 
@@ -111,12 +113,20 @@ func (a *Adversary) Sent() uint64 { return a.sent }
 // Heard reports how many honest announcements the adversary recorded.
 func (a *Adversary) Heard() int { return len(a.descs) }
 
-// AddAdversary attaches a hostile agent to the fabric. Adversaries join
-// the same Bus as the fleet, overhear everything, and are stepped each
-// tick after scheduled events and before transports and directories, in
-// the order they were added.
+// AddAdversary attaches a hostile agent to the fabric, at the lowest
+// node no one else is attached to. Adversaries join the same des.Net as
+// the fleet, overhear whatever scope and faults let reach them, and spend
+// their packet budget once a Tick on the engine, in the order they were
+// added. It panics when the topology has no node left.
 func (h *Harness) AddAdversary(cfg AdversaryConfig) *Adversary {
 	idx := len(h.advs)
+	var ep *des.Endpoint
+	for ; ep == nil; h.advNode++ {
+		if int(h.advNode) >= h.cfg.Graph.NumNodes() {
+			panic("chaos: no unattached node left for an adversary")
+		}
+		ep, _ = h.fleet.Net.Attach(h.advNode) // fails only for a node already taken: try the next
+	}
 	if !cfg.Origin.IsValid() {
 		cfg.Origin = netip.AddrFrom4([4]byte{192, 0, 2, byte(200 + idx)})
 	}
@@ -132,12 +142,13 @@ func (h *Harness) AddAdversary(cfg AdversaryConfig) *Adversary {
 	a := &Adversary{
 		Index: idx,
 		cfg:   cfg,
-		ep:    h.bus.Endpoint(),
+		ep:    ep,
 		rng:   h.root.Split(),
 		space: h.space,
 	}
 	a.ep.Subscribe(a.record)
 	h.advs = append(h.advs, a)
+	h.fleet.Engine.Every(h.cfg.Tick, func() { a.step(h.fleet.Engine.Now().Sub(h.cfg.Start)) })
 	return a
 }
 
@@ -156,7 +167,7 @@ func (a *Adversary) record(m transport.Message) {
 	if err != nil || desc.Origin != p.Origin {
 		return
 	}
-	// The bus hands every recipient its own copy and this handler never
+	// The network hands every recipient its own copy and this handler never
 	// Releases, so retaining m.Data directly is safe — no second
 	// defensive copy needed (buflease verifies handlers that do Release
 	// never retain).
@@ -164,7 +175,8 @@ func (a *Adversary) record(m transport.Message) {
 	a.descs = append(a.descs, desc)
 }
 
-// active reports whether the adversary sends during this tick.
+// active reports whether the adversary sends in the tick ending elapsed
+// after Config.Start.
 func (a *Adversary) active(elapsed time.Duration) bool {
 	if elapsed <= a.cfg.Start {
 		return false

@@ -263,7 +263,7 @@ func TestAdversaryDeterministicReplay(t *testing.T) {
 		if ma, mb := a.agents[i].Dir.Metrics(), b.agents[i].Dir.Metrics(); ma != mb {
 			t.Fatalf("agent %d metrics differ:\n%+v\nvs:\n%+v", i, ma, mb)
 		}
-		if sa, sb := a.agents[i].Fault.Stats(), b.agents[i].Fault.Stats(); sa != sb {
+		if sa, sb := a.agents[i].Endpoint.Stats(), b.agents[i].Endpoint.Stats(); sa != sb {
 			t.Fatalf("agent %d fault stats differ:\n%+v\nvs:\n%+v", i, sa, sb)
 		}
 	}
@@ -277,5 +277,27 @@ func TestAdversaryDeterministicReplay(t *testing.T) {
 	assertHonestSurvive(t, a)
 	if _, ok, dissent := a.Converged(); !ok {
 		t.Fatalf("gauntlet did not converge; agents %v disagree", dissent)
+	}
+}
+
+// TestAdversaryWindowIsAbsolute: Start and Stop are measured from
+// Config.Start, not from the latest Run call — a window that closed during
+// one Run must not re-open in the next.
+func TestAdversaryWindowIsAbsolute(t *testing.T) {
+	h := newHostileFleet(t, 7005)
+	adv := h.AddAdversary(AdversaryConfig{
+		Kind:  Flooder,
+		Rate:  3,
+		Start: 60 * time.Second,
+		Stop:  120 * time.Second,
+	})
+	h.Run(nil, 200*time.Second)
+	first := adv.Sent()
+	if first != 60*3 {
+		t.Fatalf("sent %d packets in the 60 s window, want %d", first, 60*3)
+	}
+	h.Run(nil, 200*time.Second)
+	if again := adv.Sent(); again != first {
+		t.Fatalf("the window re-opened in the second Run: %d more packets", again-first)
 	}
 }

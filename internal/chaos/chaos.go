@@ -1,34 +1,36 @@
 // Package chaos is the fault-injection convergence harness: it runs a
-// fleet of session-directory agents on an in-process Bus, each behind its
-// own FaultTransport, through a scripted schedule of loss, duplication,
-// corruption, delay, partition, and crash events — all on a ManualClock
-// with every random decision drawn from one seeded stats.RNG tree. A run
-// is therefore a pure function of (Config, schedule): a failing seed
-// replays bit-identically, which is what makes soft-state convergence
-// claims testable at all.
+// des.Fleet of session-directory agents on a des.Net — the one in-process
+// faulty fabric — through a scripted schedule of loss, duplication,
+// corruption, delay, partition, and crash events, all on the des.Engine's
+// virtual clock with every random decision drawn from one seeded
+// stats.RNG tree. A run is therefore a pure function of (Config,
+// schedule): a failing seed replays bit-identically, which is what makes
+// soft-state convergence claims testable at all.
 //
 // The invariants it checks are the paper's §2.2–§3 soft-state promises:
 // once faults stop, every agent's cache converges to the same session set
 // (announce–listen repairs loss), clash correction terminates rather than
 // live-locking (no two live agents keep swapping addresses forever), and
-// state whose announcer has gone silent is eventually evicted.
+// state whose announcer has gone silent is eventually evicted. On a
+// Config.Graph with TTL scoping, "the same session set" becomes "exactly
+// the sessions whose scope reaches the agent".
 package chaos
 
 import (
 	"fmt"
-	"net/netip"
 	"sort"
 	"strings"
 	"time"
 
 	"sessiondir"
 	"sessiondir/internal/clash"
+	"sessiondir/internal/des"
 	"sessiondir/internal/fault"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/obs"
 	"sessiondir/internal/session"
 	"sessiondir/internal/stats"
-	"sessiondir/internal/transport"
+	"sessiondir/internal/topology"
 )
 
 // Config assembles a Harness.
@@ -42,7 +44,8 @@ type Config struct {
 	// Start is the virtual-time origin. Required (the harness never reads
 	// the wall clock).
 	Start time.Time
-	// Tick is the virtual step size (0 = 1 s, the directory's own cadence).
+	// Tick is the period of every directory's timer step and every
+	// adversary's packet budget (0 = 1 s, the directory's own cadence).
 	Tick time.Duration
 	// SpaceSize is the synthetic address-space size (0 = 256). Small spaces
 	// force clashes, which is the point of several schedules.
@@ -54,6 +57,13 @@ type Config struct {
 	// CacheTimeout expires unheard sessions (0 = the directory default of
 	// one hour; set it near the schedule length to test eviction).
 	CacheTimeout time.Duration
+
+	// Graph and Nodes place the fleet on a topology: agent i attaches at
+	// Nodes[i] and hears what TTL scoping lets reach it. Both unset is the
+	// flat fabric — a hub with one spoke per agent, everyone two 1 ms hops
+	// from everyone — where every scope reaches every agent.
+	Graph *topology.Graph
+	Nodes []topology.NodeID
 
 	// Admission budgets, passed through to every agent's directory (zero
 	// values disable each mechanism, matching sessiondir.Config). Hostile
@@ -71,47 +81,66 @@ type Config struct {
 	TraceCap int
 }
 
-// Agent is one directory instance and its fault-injecting transport.
+// Agent is one directory instance and its attachment to the fabric.
 type Agent struct {
 	Index int
 	Dir   *sessiondir.Directory
-	Fault *transport.FaultTransport
+	// Endpoint is where the agent hears the network; its Stats are the
+	// fates its receive side drew.
+	Endpoint *des.Endpoint
 	// Trace is the agent's event ring (nil unless Config.TraceCap > 0).
 	Trace *obs.Trace
 
-	ep    *transport.BusEndpoint
 	alive bool
 }
 
 // Alive reports whether the agent is still running (i.e. not Killed).
 func (a *Agent) Alive() bool { return a.alive }
 
-// Event is one scripted schedule entry: Do runs once the run's elapsed
-// virtual time reaches At. Events fire in At order (ties in slice order)
-// before that tick's transport and directory steps.
+// Event is one scripted schedule entry: Do runs at virtual time At,
+// measured from the Run call the event was passed to. Events fire in At
+// order (ties in slice order).
 type Event struct {
 	At time.Duration
 	Do func(h *Harness)
 }
 
-// Harness owns the fleet, the shared manual clock, and the Bus fabric.
-// It is not safe for concurrent use; a chaos run is single-threaded on
-// purpose (concurrency would re-introduce scheduling nondeterminism).
+// Harness owns the fleet and, through it, the engine whose clock
+// everything runs on and the network. It is not safe for concurrent use;
+// a chaos run is single-threaded on purpose (concurrency would
+// re-introduce scheduling nondeterminism).
 type Harness struct {
 	cfg    Config
-	clk    *transport.ManualClock
-	bus    *transport.Bus
+	fleet  *des.Fleet
 	agents []*Agent
 	// root is retained after construction so adversaries added later draw
 	// from the same seeded RNG tree as the fleet.
 	root  *stats.RNG
 	space mcast.AddrSpace
 	advs  []*Adversary
+	// advNode is where the search for the next adversary's node starts.
+	advNode topology.NodeID
 }
 
-// New builds the fleet: one Bus, one ManualClock, and per agent a
-// FaultTransport-wrapped endpoint plus a Directory with an injected clock
-// and a seed split off the harness root RNG.
+// spareSpokes is how many spokes the flat fabric has beyond one per agent,
+// for adversaries to attach to (the gauntlet, the largest hostile
+// schedule, adds five).
+const spareSpokes = 8
+
+// star builds the flat fabric: node 0 is a hub no agent attaches to, every
+// other node a spoke one 1 ms, threshold-1 link away.
+func star(spokes int) *topology.Graph {
+	g := topology.NewGraph(spokes + 1)
+	for i := 1; i <= spokes; i++ {
+		g.MustAddLink(0, topology.NodeID(i), 1, 1, 1)
+	}
+	return g
+}
+
+// New builds the fleet: one des.Engine started at Config.Start, one
+// des.Net over the topology, and a des.Fleet of directories whose clocks
+// are the engine's and whose seeds, like the network's, come off the
+// harness root RNG.
 func New(cfg Config) (*Harness, error) {
 	if cfg.Agents < 2 {
 		return nil, fmt.Errorf("chaos: need at least 2 agents, got %d", cfg.Agents)
@@ -131,51 +160,49 @@ func New(cfg Config) (*Harness, error) {
 	if cfg.TTL == 0 {
 		cfg.TTL = 127
 	}
+	if cfg.Graph == nil {
+		if cfg.Nodes != nil {
+			return nil, fmt.Errorf("chaos: Nodes without a Graph")
+		}
+		cfg.Graph = star(cfg.Agents + spareSpokes)
+		for i := 1; i <= cfg.Agents; i++ {
+			cfg.Nodes = append(cfg.Nodes, topology.NodeID(i))
+		}
+	} else if len(cfg.Nodes) != cfg.Agents {
+		return nil, fmt.Errorf("chaos: %d agents but %d nodes", cfg.Agents, len(cfg.Nodes))
+	}
 
 	h := &Harness{
 		cfg:   cfg,
-		clk:   transport.NewManualClock(cfg.Start),
-		bus:   transport.NewBus(),
 		root:  stats.NewRNG(cfg.Seed),
 		space: mcast.SyntheticSpace(cfg.SpaceSize),
 	}
-	root := h.root
-	for i := 0; i < cfg.Agents; i++ {
-		ep := h.bus.Endpoint()
-		ft, err := transport.NewFault(ep, transport.FaultConfig{
-			RNG:   root.Split(),
-			Clock: h.clk,
+	engine := des.NewEngine(cfg.Start)
+	net, err := des.NewNet(engine, des.NetConfig{Graph: cfg.Graph, Seed: h.root.Uint64()})
+	if err != nil {
+		return nil, err
+	}
+	h.fleet, err = des.NewFleet(engine, net, des.FleetConfig{
+		Nodes:        cfg.Nodes,
+		Space:        cfg.SpaceSize,
+		Delay:        clash.NewExponentialDelay(0, 3200, 200),
+		StepPeriod:   cfg.Tick,
+		Seed:         h.root.Uint64(),
+		CacheTimeout: cfg.CacheTimeout,
+		MaxSessions:  cfg.MaxSessions,
+		MaxPerOrigin: cfg.MaxPerOrigin,
+		OriginRate:   cfg.OriginRate,
+		OriginBurst:  cfg.OriginBurst,
+		StaleAfter:   cfg.StaleAfter,
+		TraceCap:     cfg.TraceCap,
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, dir := range h.fleet.Dirs {
+		h.agents = append(h.agents, &Agent{
+			Index: i, Dir: dir, Endpoint: h.fleet.Endpoints[i], Trace: h.fleet.Traces[i], alive: true,
 		})
-		if err != nil {
-			return nil, err
-		}
-		dirSeed := root.Uint64()
-		if dirSeed == 0 {
-			dirSeed = 1 // 0 means "pick a default" to the Directory
-		}
-		var trace *obs.Trace
-		if cfg.TraceCap > 0 {
-			trace = obs.NewTrace(cfg.TraceCap)
-		}
-		dir, err := sessiondir.New(sessiondir.Config{
-			Origin:       netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i&0xff) + 1}),
-			Transport:    ft,
-			Space:        mcast.SyntheticSpace(cfg.SpaceSize),
-			CacheTimeout: cfg.CacheTimeout,
-			Delay:        clash.NewExponentialDelay(0, 3200, 200),
-			Clock:        h.clk.Now,
-			Seed:         dirSeed,
-			MaxSessions:  cfg.MaxSessions,
-			MaxPerOrigin: cfg.MaxPerOrigin,
-			OriginRate:   cfg.OriginRate,
-			OriginBurst:  cfg.OriginBurst,
-			StaleAfter:   cfg.StaleAfter,
-			Trace:        trace,
-		})
-		if err != nil {
-			return nil, err
-		}
-		h.agents = append(h.agents, &Agent{Index: i, Dir: dir, Fault: ft, Trace: trace, ep: ep, alive: true})
 	}
 	return h, nil
 }
@@ -184,11 +211,12 @@ func New(cfg Config) (*Harness, error) {
 func (h *Harness) Agent(i int) *Agent { return h.agents[i] }
 
 // Now returns the current virtual time.
-func (h *Harness) Now() time.Time { return h.clk.Now() }
+func (h *Harness) Now() time.Time { return h.fleet.Engine.Now() }
 
 // CreateSessions makes each agent announce SessionsPerAgent sessions.
-// Announcements propagate immediately (the Bus is synchronous), subject to
-// whatever faults are already installed.
+// The announcements are in flight when it returns and arrive, subject to
+// whatever faults are already installed, once Run advances the clock past
+// the path delay.
 func (h *Harness) CreateSessions() error {
 	for _, a := range h.agents {
 		for j := 0; j < h.cfg.SessionsPerAgent; j++ {
@@ -208,90 +236,60 @@ func (h *Harness) CreateSessions() error {
 }
 
 // SetFaults installs profile as the receive-side fault process of every
-// live agent — independent per-receiver loss, the paper's tail-loss
-// regime.
+// endpoint on the network — independent per-receiver loss, the paper's
+// tail-loss regime. An invalid profile is a bug in the schedule and
+// panics.
 func (h *Harness) SetFaults(profile fault.Profile) {
-	for _, a := range h.agents {
-		if a.alive {
-			a.Fault.SetProfile(profile)
-		}
+	if err := h.fleet.Net.SetProfile(profile); err != nil {
+		panic(err)
 	}
 }
 
-// ClearFaults removes all fault profiles and flushes every delay queue so
-// no packet is stranded once the fault phase of a schedule ends.
-func (h *Harness) ClearFaults() {
-	h.SetFaults(fault.Profile{})
-	h.FlushDelayed()
-}
+// ClearFaults removes the fault profile. Packets already delayed still
+// arrive when they come due, so none is stranded.
+func (h *Harness) ClearFaults() { h.SetFaults(fault.Profile{}) }
 
-// FlushDelayed drains every live agent's delay queue immediately.
-func (h *Harness) FlushDelayed() {
-	for _, a := range h.agents {
-		if a.alive {
-			a.Fault.FlushDelayed()
-		}
-	}
-}
-
-// Partition splits the fabric by agent index; agents in no group are cut
-// off. Compare Bus.Partition, which speaks endpoint IDs.
+// Partition splits the fabric by agent index; agents in no group — and
+// every adversary — are cut off.
 func (h *Harness) Partition(groups ...[]int) {
-	idGroups := make([][]int, len(groups))
+	nodes := make([][]int, len(groups))
 	for gi, g := range groups {
 		for _, idx := range g {
-			idGroups[gi] = append(idGroups[gi], h.agents[idx].ep.ID())
+			nodes[gi] = append(nodes[gi], int(h.fleet.Nodes[idx]))
 		}
 	}
-	h.bus.Partition(idGroups...)
+	h.fleet.Net.SetLinkFilter(des.PartitionGroups(fault.Partition(nodes...)))
 }
 
 // Heal removes any active partition.
-func (h *Harness) Heal() { h.bus.Heal() }
+func (h *Harness) Heal() { h.fleet.Net.SetLinkFilter(nil) }
 
-// Kill stops agent i for good: its directory closes and its transport
-// (including the bus endpoint) shuts down, so the fleet stops hearing its
-// announcements — the silent-announcer case whose state must expire.
+// Kill stops agent i for good: its directory closes and its endpoint
+// detaches, so the fleet stops hearing its announcements — the
+// silent-announcer case whose state must expire.
 func (h *Harness) Kill(i int) {
 	a := h.agents[i]
 	if !a.alive {
 		return
 	}
 	a.alive = false
-	a.Dir.Close()
-	_ = a.Fault.Close() // bus endpoints do not fail on close
+	h.fleet.Kill(i)
 }
 
-// Run executes the schedule over the given virtual duration. Each tick:
-// due events fire, then adversaries spend their packet budgets (in the
-// order they were added), then every live agent's delay queue is stepped,
-// then every live directory's timers run. Agents are always visited in
-// index order — iteration order is part of the determinism contract.
+// Run schedules events on the engine, each at its At after the current
+// virtual time, and advances the clock by duration. Directory timers and
+// adversaries tick on the engine the whole while, so everything that
+// shares an instant runs in one fixed order — the order it was scheduled
+// in. An event due after duration is dropped, not carried into a later
+// Run.
 func (h *Harness) Run(events []Event, duration time.Duration) {
-	evs := append([]Event(nil), events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
-	for elapsed := time.Duration(0); elapsed < duration; {
-		elapsed += h.cfg.Tick
-		now := h.clk.Advance(h.cfg.Tick)
-		for len(evs) > 0 && evs[0].At <= elapsed {
-			ev := evs[0]
-			evs = evs[1:]
-			ev.Do(h)
-		}
-		for _, adv := range h.advs {
-			adv.step(elapsed)
-		}
-		for _, a := range h.agents {
-			if a.alive {
-				a.Fault.Step(now)
-			}
-		}
-		for _, a := range h.agents {
-			if a.alive {
-				a.Dir.Step(now)
-			}
+	start := h.fleet.Engine.Now()
+	for _, ev := range events {
+		if ev.At <= duration {
+			h.fleet.Engine.Schedule(start.Add(ev.At), func() { ev.Do(h) })
 		}
 	}
+	h.fleet.Engine.RunFor(duration)
 }
 
 // Fingerprint summarises agent i's view of the world: one sorted

@@ -92,7 +92,7 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		if ma != mb {
 			t.Fatalf("agent %d metrics diverged between identical runs:\nrun 1: %+v\nrun 2: %+v", i, ma, mb)
 		}
-		sa, sb := a.Agent(i).Fault.Stats(), b.Agent(i).Fault.Stats()
+		sa, sb := a.Agent(i).Endpoint.Stats(), b.Agent(i).Endpoint.Stats()
 		if sa != sb {
 			t.Fatalf("agent %d fault schedule diverged between identical runs:\nrun 1: %+v\nrun 2: %+v", i, sa, sb)
 		}

@@ -9,28 +9,22 @@ import (
 
 // The replay tests in this package compare a run with itself, so a change
 // to the order in which fault draws are made moves both sides and passes.
-// These digests were recorded at the commit before internal/fault existed
-// (PR 18) and pin the schedules themselves: the same seed must still
+// These digests pin the schedules themselves: the same seed must still
 // produce the same caches, the same injected fates and the same directory
-// counters.
-
-// faultCounters is the receive-side fault accounting of one agent, by
-// field so the digest survives a reshaping of the stats struct (it was
-// Stats().Ingress when the digests were recorded).
-func faultCounters(a *Agent) (packets, dropped, burst, dup, corrupt, delayed uint64, pending int) {
-	s := a.Fault.Stats()
-	return s.Packets, s.Dropped, s.BurstDropped, s.Duplicated, s.Corrupted, s.Delayed, s.Pending
-}
+// counters. They were recorded once, when the harness moved onto des.Net
+// (delivery gained a path delay and the fates one network-wide stream);
+// until then they were the digests of the commit before internal/fault
+// existed.
 
 // runDigest hashes, per agent, the cache fingerprint, the receive-side
-// fault counters, the delay queue depth and every directory counter.
+// fault counters and every directory counter.
 func runDigest(h *Harness) string {
 	sum := sha256.New()
 	for i, a := range h.agents {
 		fmt.Fprintf(sum, "agent %d\n%s\n", i, h.Fingerprint(i))
-		packets, dropped, burst, dup, corrupt, delayed, pending := faultCounters(a)
-		fmt.Fprintf(sum, "fault packets=%d dropped=%d burst=%d dup=%d corrupt=%d delayed=%d pending=%d\n",
-			packets, dropped, burst, dup, corrupt, delayed, pending)
+		s := a.Endpoint.Stats()
+		fmt.Fprintf(sum, "fault packets=%d dropped=%d burst=%d dup=%d corrupt=%d\n",
+			s.Packets, s.Dropped, s.BurstDropped, s.Duplicated, s.Corrupted)
 		m := a.Dir.Metrics()
 		fmt.Fprintf(sum, "dir ann=%d del=%d recv=%d malformed=%d learned=%d expired=%d moves=%d own=%d third=%d",
 			m.AnnouncementsSent, m.DeletionsSent, m.PacketsReceived, m.PacketsMalformed,
@@ -51,9 +45,9 @@ func TestChaosGoldenSchedules(t *testing.T) {
 		seed uint64
 		want string
 	}{
-		{"flagship", runFlagship, 1998, "cbfe64d190ab429b75ccfda90c63c498e51d2d3dc9f90d985c353f6b00dcb4bf"},
-		{"flagship", runFlagship, 42, "d38e43def332a3bf8bd0b4924abe2319c55958ab4f29ef383d9796d0742a7d41"},
-		{"gauntlet", runGauntlet, 4242, "da7eeb2c2d79378e182e1d149d039a492d12c7ccf4339c47f489483e3b227664"},
+		{"flagship", runFlagship, 1998, "fb2507a79d09b86d178e516f737e873c2e29a8f4579e98bb5ecbc9581c6d9cbe"},
+		{"flagship", runFlagship, 42, "a9fbe83be3bda3877a99e22ba7d8c867d4d12a6769c6d9e38ab1d061e3d0e516"},
+		{"gauntlet", runGauntlet, 4242, "e1e2a4ecff8c3b5452c8c3298f1e5791de90dacfb9fd4413a3d106ce3f397736"},
 	}
 	for _, c := range cases {
 		if got := runDigest(c.run(t, c.seed)); got != c.want {

@@ -1,11 +1,15 @@
 // Package des is a discrete-event network simulator that drives *real*
 // session directory agents (the root sessiondir package) over a topology
-// with per-link delay, TTL scoping, and packet loss — the conditions the
-// paper's §2.3 analysis reduces to the "invisible fraction" i. It is the
-// integration substrate: the same production code paths that run over UDP
-// run here under virtual time, so loss/recovery behaviour (back-off
-// schedules, third-party defense timing) can be measured in seconds of
-// real time rather than hours.
+// with per-link delay, TTL scoping, and the whole of internal/fault's
+// packet-fault model — loss (the conditions the paper's §2.3 analysis
+// reduces to the "invisible fraction" i), bursts, duplication, bit
+// corruption, delay and reordering, partitions. Net is the one in-process
+// faulty fabric: the resolution and discovery experiments and the chaos
+// harness (internal/chaos) all run on it. It is the integration substrate:
+// the same production code paths that run over UDP run here under virtual
+// time, so loss/recovery behaviour (back-off schedules, third-party
+// defense timing) can be measured in seconds of real time rather than
+// hours.
 package des
 
 import (

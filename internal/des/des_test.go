@@ -2,11 +2,11 @@ package des
 
 import (
 	"context"
-	"math"
 	"sync"
 	"testing"
 	"time"
 
+	"sessiondir/internal/fault"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/topology"
 	"sessiondir/internal/transport"
@@ -102,11 +102,6 @@ func TestNetValidation(t *testing.T) {
 	if _, err := NewNet(e, NetConfig{}); err == nil {
 		t.Fatal("nil graph accepted")
 	}
-	for _, loss := range []float64{1.0, -0.1, math.NaN()} {
-		if _, err := NewNet(e, NetConfig{Graph: lineTopo(t, 2), Loss: loss}); err == nil {
-			t.Fatalf("loss=%v accepted", loss)
-		}
-	}
 	net, err := NewNet(e, NetConfig{Graph: lineTopo(t, 2)})
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +162,7 @@ func TestNetScopedDelayedDelivery(t *testing.T) {
 func TestNetLossRate(t *testing.T) {
 	e := NewEngine(simStart())
 	g := lineTopo(t, 2)
-	net, err := NewNet(e, NetConfig{Graph: g, Loss: 0.3, Seed: 2})
+	net, err := NewNet(e, NetConfig{Graph: g, Profile: fault.Profile{Loss: 0.3}, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

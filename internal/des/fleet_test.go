@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sessiondir"
+	"sessiondir/internal/fault"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/session"
 	"sessiondir/internal/stats"
@@ -25,7 +26,7 @@ func mboneNet(t *testing.T, engine *Engine, loss float64) (*Net, *topology.Graph
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := NewNet(engine, NetConfig{Graph: g, Loss: loss, Seed: 6})
+	net, err := NewNet(engine, NetConfig{Graph: g, Profile: fault.Profile{Loss: loss}, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestFleetClashResolutionUnderLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := NewNet(engine, NetConfig{Graph: g, Loss: 0.05, Seed: 11})
+	net, err := NewNet(engine, NetConfig{Graph: g, Profile: fault.Profile{Loss: 0.05}, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

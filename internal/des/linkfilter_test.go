@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"sessiondir/internal/fault"
+	"sessiondir/internal/mcast"
 	"sessiondir/internal/stats"
 	"sessiondir/internal/topology"
 	"sessiondir/internal/transport"
@@ -34,6 +36,81 @@ func TestLinkFilterBlocksAndHeals(t *testing.T) {
 	e.RunFor(time.Second)
 	if got != 1 {
 		t.Fatalf("healed deliveries = %d", got)
+	}
+}
+
+// TestNetPartitionGroupsAndHeal: a fault.Groups partition delivers only
+// within a group, cuts a node named in no group off entirely, and is
+// repaired by removing the filter.
+func TestNetPartitionGroupsAndHeal(t *testing.T) {
+	e := NewEngine(simStart())
+	net, err := NewNet(e, NetConfig{Graph: lineTopo(t, 3), Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eps [3]*Endpoint
+	var got [3]int
+	for i := range eps {
+		if eps[i], err = net.Attach(topology.NodeID(i)); err != nil {
+			t.Fatal(err)
+		}
+		eps[i].Subscribe(func(transport.Message) { got[i]++ })
+	}
+	send := func(from int) {
+		t.Helper()
+		if err := eps[from].Send(nil, []byte("x"), 255); err != nil {
+			t.Fatal(err)
+		}
+		e.RunFor(time.Second)
+	}
+
+	// {0,1} | {2}: 0→1 delivered, 0→2 and 2→anyone severed.
+	net.SetLinkFilter(PartitionGroups(fault.Partition([]int{0, 1}, []int{2})))
+	send(0)
+	send(2)
+	if got != [3]int{0, 1, 0} {
+		t.Fatalf("partitioned delivery: %v", got)
+	}
+	// A node in no group is cut off entirely.
+	net.SetLinkFilter(PartitionGroups(fault.Partition([]int{0, 2})))
+	send(0)
+	send(1)
+	if got != [3]int{0, 1, 1} {
+		t.Fatalf("unlisted node not isolated: %v", got)
+	}
+	// Severed packets draw no fate: a partition never shifts a schedule.
+	if st := eps[1].Stats(); st.Packets != 1 {
+		t.Fatalf("severed packets were offered to the fault process: %+v", st)
+	}
+	// Heal restores full connectivity.
+	net.SetLinkFilter(nil)
+	send(0)
+	if got != [3]int{0, 2, 2} {
+		t.Fatalf("heal did not restore delivery: %v", got)
+	}
+}
+
+// TestNetPartitionComposesWithScope: inside one group TTL scoping still
+// applies — both the partition and the scope must admit a packet.
+func TestNetPartitionComposesWithScope(t *testing.T) {
+	e := NewEngine(simStart())
+	net, err := NewNet(e, NetConfig{Graph: lineTopo(t, 4), Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, _ := net.Attach(0)
+	dst, _ := net.Attach(3)
+	got := 0
+	dst.Subscribe(func(transport.Message) { got++ })
+	net.SetLinkFilter(PartitionGroups(fault.Partition([]int{0, 3})))
+	for _, ttl := range []mcast.TTL{2, 255} { // node 3 is three hops out
+		if err := src.Send(nil, []byte("x"), ttl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.RunFor(time.Second)
+	if got != 1 {
+		t.Fatalf("scope not applied inside the partition: %d delivered, want 1", got)
 	}
 }
 

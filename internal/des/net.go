@@ -1,6 +1,7 @@
 package des
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/netip"
@@ -14,31 +15,43 @@ import (
 	"sessiondir/internal/transport"
 )
 
-// Net simulates scoped multicast over a topology: a packet sent from an
-// attached node with TTL t is delivered to every other attached node
-// inside Reach(sender, t), after the shortest-path delay, unless lost
-// (independent per-receiver loss, modelling tail loss on the distribution
-// tree).
+// Net simulates scoped multicast over a topology and is the one
+// in-process faulty fabric: a packet sent from an attached node with TTL
+// t is offered to every other attached node inside Reach(sender, t), and
+// each receiver draws its own fault.Fate for it — dropped, duplicated,
+// one bit flipped, delayed — before it arrives after the shortest-path
+// delay plus whatever delay the fate added. Every receiver missing a
+// different subset is the tail-loss regime of the paper's §2.3.
+//
+// A delivery is an ordinary engine event, so a delayed packet needs no
+// queue of its own and reordering is just two events whose times crossed.
 type Net struct {
 	engine *Engine
 	graph  *topology.Graph
 	cache  *topology.ReachCache
-	// link is the one loss process every (sender, receiver) pair shares,
-	// drawn from the network's single stream rng in delivery order.
-	link  fault.Process
+	// profile is what SetProfile last installed; an endpoint attached
+	// later starts with it.
+	profile fault.Profile
+	// rng is the network's single stream: every fate is drawn from it in
+	// delivery order (sends in engine order, receivers in ascending
+	// node). One stream, not one per link: the engine is single-threaded,
+	// so nothing is gained by splitting it, and a loss-only profile draws
+	// exactly one Bool per in-scope receiver — what the resolution and
+	// discovery experiments were recorded on.
 	rng   *stats.RNG
 	nodes map[topology.NodeID]*Endpoint
 	// order is the attached nodes in ascending NodeID — the delivery
-	// iteration order. Iterating the map directly would draw loss
-	// decisions (and assign same-timestamp event sequence numbers) in
-	// randomized map order, breaking seed replay.
+	// iteration order. Iterating the map directly would draw fates (and
+	// assign same-timestamp event sequence numbers) in randomized map
+	// order, breaking seed replay.
 	order  []topology.NodeID
 	filter LinkFilter
 }
 
-// LinkFilter lets tests script partitions and link failures: return false
-// to drop all traffic from src's node to dst's node. Applied on top of
-// scope and loss.
+// LinkFilter scripts partitions and link failures: return false to drop
+// all traffic from src's node to dst's node. Applied on top of scope and
+// before the fault process, so a severed packet draws nothing and a
+// partition never shifts a schedule.
 type LinkFilter func(src, dst topology.NodeID) bool
 
 // SetLinkFilter installs (or, with nil, removes) a delivery filter. Takes
@@ -55,13 +68,21 @@ func Partition(sideA func(topology.NodeID) bool) LinkFilter {
 	}
 }
 
+// PartitionGroups is the LinkFilter of a fault.Groups over node ids:
+// nodes in different groups — or in no group — are severed.
+func PartitionGroups(g fault.Groups) LinkFilter {
+	return func(src, dst topology.NodeID) bool {
+		return !g.Blocked(int(src), int(dst))
+	}
+}
+
 // NetConfig parameterises a simulated network.
 type NetConfig struct {
 	Graph *topology.Graph
-	// Loss is the independent per-receiver packet loss probability
-	// (the paper's §2.3 uses 2%).
-	Loss float64
-	Seed uint64
+	// Profile is the fault process every receiver starts with (the
+	// paper's §2.3 uses 2% independent loss).
+	Profile fault.Profile
+	Seed    uint64
 }
 
 // NewNet builds a simulated network on the engine.
@@ -69,17 +90,32 @@ func NewNet(engine *Engine, cfg NetConfig) (*Net, error) {
 	if cfg.Graph == nil {
 		return nil, fmt.Errorf("des: NetConfig.Graph is required")
 	}
-	if !(cfg.Loss >= 0 && cfg.Loss < 1) { // written so that NaN fails
-		return nil, fmt.Errorf("des: loss %v outside [0,1)", cfg.Loss)
+	if err := cfg.Profile.Validate(); err != nil {
+		return nil, fmt.Errorf("des: %w", err)
 	}
 	return &Net{
-		engine: engine,
-		graph:  cfg.Graph,
-		cache:  topology.NewReachCache(cfg.Graph),
-		link:   fault.Process{Profile: fault.Profile{Loss: cfg.Loss}},
-		rng:    stats.NewRNG(cfg.Seed ^ 0xde5),
-		nodes:  make(map[topology.NodeID]*Endpoint),
+		engine:  engine,
+		graph:   cfg.Graph,
+		cache:   topology.NewReachCache(cfg.Graph),
+		profile: cfg.Profile,
+		rng:     stats.NewRNG(cfg.Seed ^ 0xde5),
+		nodes:   make(map[topology.NodeID]*Endpoint),
 	}, nil
+}
+
+// SetProfile swaps the fault profile of every attached receiver, for
+// packets sent after the call. Schedules use it to turn faults on and off
+// mid-run; each receiver's burst-chain state and counters carry over, and
+// packets already delayed still arrive when their events come due.
+func (n *Net) SetProfile(p fault.Profile) error {
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("des: %w", err)
+	}
+	n.profile = p
+	for _, node := range n.order {
+		n.nodes[node].proc.Profile = p
+	}
+	return nil
 }
 
 // Attach creates the transport endpoint for a node. One endpoint per node.
@@ -90,7 +126,7 @@ func (n *Net) Attach(node topology.NodeID) (*Endpoint, error) {
 	if _, dup := n.nodes[node]; dup {
 		return nil, fmt.Errorf("des: node %d already attached", node)
 	}
-	ep := &Endpoint{net: n, node: node}
+	ep := &Endpoint{net: n, node: node, proc: fault.Process{Profile: n.profile}}
 	n.nodes[node] = ep
 	at := sort.Search(len(n.order), func(i int) bool { return n.order[i] >= node })
 	n.order = append(n.order, 0)
@@ -101,8 +137,11 @@ func (n *Net) Attach(node topology.NodeID) (*Endpoint, error) {
 
 // Endpoint implements transport.Transport over the simulated network.
 type Endpoint struct {
-	net     *Net
-	node    topology.NodeID
+	net  *Net
+	node topology.NodeID
+	// proc is this receiver's fault process: the profile in force, its
+	// burst-chain state and its counters.
+	proc    fault.Process
 	handler transport.Handler
 	closed  bool
 }
@@ -112,7 +151,13 @@ var _ transport.Transport = (*Endpoint)(nil)
 // Node returns the endpoint's topology node.
 func (e *Endpoint) Node() topology.NodeID { return e.node }
 
-// Send implements transport.Transport: scoped, delayed, lossy delivery.
+// Stats returns the fates drawn so far for packets offered to this
+// receiver.
+func (e *Endpoint) Stats() fault.Stats { return e.proc.Stats }
+
+// Send implements transport.Transport: scoped, delayed, faulted delivery.
+// Outbound packets are not faulted as such: a packet's fate is decided
+// per receiver.
 func (e *Endpoint) Send(_ context.Context, data []byte, scope mcast.TTL) error {
 	if e.closed {
 		return transport.ErrClosed
@@ -122,27 +167,41 @@ func (e *Endpoint) Send(_ context.Context, data []byte, scope mcast.TTL) error {
 	tree := n.cache.Tree(e.node)
 	for _, node := range n.order {
 		target := n.nodes[node]
-		if target == nil || node == e.node || !reach.Contains(node) {
+		if node == e.node || !reach.Contains(node) {
 			continue
 		}
 		if n.filter != nil && !n.filter(e.node, node) {
 			continue // scripted partition or link failure
 		}
-		if n.link.Next(n.rng, len(data)).Drop {
+		fate := target.proc.Next(n.rng, len(data))
+		if fate.Drop {
 			continue // lost on the way to this receiver
 		}
-		delayMs := tree.DelayFromRoot(node)
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		tgt := target
-		n.engine.After(time.Duration(delayMs*float64(time.Millisecond)), func() {
-			if tgt.closed || tgt.handler == nil {
-				return
-			}
-			tgt.handler(transport.Message{Data: cp})
-		})
+		// Each delivery gets its own copy: handlers own their Data.
+		var cp []byte
+		if fate.CorruptBit >= 0 {
+			cp = fault.Flip(data, fate.CorruptBit)
+		} else {
+			cp = bytes.Clone(data)
+		}
+		path := time.Duration(tree.DelayFromRoot(node) * float64(time.Millisecond))
+		target.deliverAfter(path+fate.Delay, cp)
+		if fate.Dup {
+			target.deliverAfter(path+fate.DupDelay, bytes.Clone(cp))
+		}
 	}
 	return nil
+}
+
+// deliverAfter schedules one arrival. A receiver closed while the packet
+// is in flight gets nothing.
+func (e *Endpoint) deliverAfter(d time.Duration, data []byte) {
+	e.net.engine.After(d, func() {
+		if e.closed || e.handler == nil {
+			return
+		}
+		e.handler(transport.Message{Data: data})
+	})
 }
 
 // Subscribe implements transport.Transport.

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sessiondir/internal/fault"
 	"sessiondir/internal/stats"
 	"sessiondir/internal/topology"
 )
@@ -23,7 +24,7 @@ func TestFleetSoakChurnUnderLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := NewNet(engine, NetConfig{Graph: g, Loss: 0.05, Seed: 78})
+	net, err := NewNet(engine, NetConfig{Graph: g, Profile: fault.Profile{Loss: 0.05}, Seed: 78})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"sessiondir"
 	"sessiondir/internal/announce"
 	"sessiondir/internal/des"
+	"sessiondir/internal/fault"
 	"sessiondir/internal/session"
 	"sessiondir/internal/stats"
 	"sessiondir/internal/topology"
@@ -48,9 +49,9 @@ func RunDiscovery(w io.Writer, s Scale) error {
 			for trial := 0; trial < trials; trial++ {
 				engine := des.NewEngine(time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC))
 				net, err := des.NewNet(engine, des.NetConfig{
-					Graph: g,
-					Loss:  loss,
-					Seed:  s.Seed + uint64(trial)*101,
+					Graph:   g,
+					Profile: fault.Profile{Loss: loss},
+					Seed:    s.Seed + uint64(trial)*101,
 				})
 				if err != nil {
 					return err

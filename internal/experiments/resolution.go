@@ -9,6 +9,7 @@ import (
 	"sessiondir"
 	"sessiondir/internal/clash"
 	"sessiondir/internal/des"
+	"sessiondir/internal/fault"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/session"
 	"sessiondir/internal/stats"
@@ -53,9 +54,9 @@ func RunResolution(w io.Writer, s Scale) error {
 		for trial := 0; trial < trials; trial++ {
 			engine := des.NewEngine(time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC))
 			net, err := des.NewNet(engine, des.NetConfig{
-				Graph: g,
-				Loss:  0.02,
-				Seed:  s.Seed + uint64(trial)*31,
+				Graph:   g,
+				Profile: fault.Profile{Loss: 0.02},
+				Seed:    s.Seed + uint64(trial)*31,
 			})
 			if err != nil {
 				return err

@@ -2,10 +2,10 @@
 // happen to a packet (loss, bursty loss, duplication, single-bit
 // corruption, delay and hence reordering), the order in which the seeded
 // draws that decide it are made, how a directed link's stream derives
-// from a run seed, and what a partition is. transport.FaultTransport (one
-// stream per receiver, virtual clock), the UDP relay (one LinkRNG stream
-// per directed link, wall clock), des.Net (one stream per network, loss
-// only) and transport.Bus (partitions) all call it and carry no copy.
+// from a run seed, and what a partition is. des.Net (in-process: one
+// stream per network, one Process per receiver, virtual clock) and the UDP
+// relay (between processes: one LinkRNG stream and Process per directed
+// link, wall clock) both call it and carry no copy.
 //
 // The draw order, per packet, is: burst-chain transition, burst loss,
 // independent loss — stop here if the packet is dropped — duplication,

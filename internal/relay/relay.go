@@ -5,11 +5,10 @@
 // delay (which yields reordering whenever the sampled delays are not
 // monotone) — plus runtime-controllable partitions.
 //
-// The relay is the process-level counterpart of transport.FaultTransport
-// (DESIGN.md §10): FaultTransport injects faults into an in-process Bus
-// on virtual time; the relay injects the same fates — drawn by the same
-// fault.Process.Next, in the same order — between *processes* on wall
-// time. Its determinism model is necessarily weaker and is stated
+// The relay is the process-level counterpart of des.Net (DESIGN.md §10):
+// des.Net injects faults between simulated endpoints on virtual time; the
+// relay injects the same fates — drawn by the same fault.Process.Next, in
+// the same order — between *processes* on wall time. Its determinism model is necessarily weaker and is stated
 // precisely here:
 //
 //   - Each directed link (i→j) owns the stream fault.LinkRNG(seed, i, j),

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"sessiondir/internal/fault"
 	"sessiondir/internal/mcast"
 )
 
@@ -20,15 +19,12 @@ type Bus struct {
 	endpoints map[int]*BusEndpoint
 	nextID    int
 	policy    Policy
-	// partition is the active split by endpoint id (nil = fully
-	// connected). It is never mutated once published, so snapshots taken
-	// under mu may be read lock-free.
-	partition fault.Groups
 }
 
 // Policy decides per-packet delivery between two endpoints. Returning
-// deliver=false drops the packet (loss or out-of-scope); delayed delivery
-// is not modelled here (the DES handles that in simulations).
+// deliver=false drops the packet (out-of-scope or severed); loss, delay
+// and the other packet faults are not modelled here (des.Net is the
+// faulty in-process fabric).
 type Policy func(from, to int, scope mcast.TTL) (deliver bool)
 
 // NewBus returns an empty bus delivering everything everywhere.
@@ -41,28 +37,6 @@ func (b *Bus) SetPolicy(p Policy) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.policy = p
-}
-
-// Partition splits the fabric into isolated groups of endpoint IDs:
-// packets are delivered only between endpoints of the same group, and an
-// endpoint named in no group is cut off entirely. The partition composes
-// with any Policy (both must admit a packet) and applies to packets sent
-// after the call — chaos schedules script network splits with Partition
-// and repair them with Heal. Calling Partition again replaces the
-// previous layout.
-func (b *Bus) Partition(groups ...[]int) {
-	part := fault.Partition(groups...)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.partition = part
-}
-
-// Heal removes any active partition: the fabric is fully connected again
-// (subject to the Policy, which Heal does not touch).
-func (b *Bus) Heal() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.partition = nil
 }
 
 // Endpoint creates a new attached endpoint.
@@ -108,7 +82,6 @@ func (e *BusEndpoint) Send(_ context.Context, data []byte, scope mcast.TTL) erro
 	// (attaching an endpoint, changing the policy).
 	e.bus.mu.Lock()
 	policy := e.bus.policy
-	part := e.bus.partition
 	candidates := make([]*BusEndpoint, 0, len(e.bus.endpoints))
 	for id, other := range e.bus.endpoints {
 		if id != e.id {
@@ -118,15 +91,12 @@ func (e *BusEndpoint) Send(_ context.Context, data []byte, scope mcast.TTL) erro
 	e.bus.mu.Unlock()
 
 	// Deliver in ascending endpoint-ID order. The endpoints map iterates
-	// in a different order every run; with fault-injecting receivers each
-	// drawing from a seeded RNG on receipt, delivery order is part of the
-	// deterministic-replay contract, so it must not leak map order.
+	// in a different order every run; receivers react to what they hear
+	// (and draw from seeded RNGs when they do), so delivery order is part
+	// of the deterministic-replay contract and must not leak map order.
 	sort.Slice(candidates, func(i, j int) bool { return candidates[i].id < candidates[j].id })
 
 	for _, r := range candidates {
-		if part.Blocked(e.id, r.id) {
-			continue // severed by the active partition
-		}
 		if policy != nil && !policy(e.id, r.id, scope) {
 			continue
 		}

@@ -1,13 +1,10 @@
 package transport
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Clock abstracts the wall clock so time-dependent transport components
 // (and their tests) can run on synthetic time. Production code uses
-// SystemClock; tests advance a ManualClock by hand instead of sleeping.
+// SystemClock; tests substitute a hand-advanced fake instead of sleeping.
 // This is the seam that keeps the package under mclint's detrand analyzer:
 // SystemClock.Now is the one sanctioned wall-clock read.
 type Clock interface {
@@ -20,33 +17,4 @@ type SystemClock struct{}
 // Now implements Clock.
 func (SystemClock) Now() time.Time {
 	return time.Now() //mclint:detrand SystemClock is the deliberate production wall-clock boundary; everything else takes an injected Clock
-}
-
-// ManualClock is a hand-advanced Clock for tests and the chaos harness:
-// time moves only when Advance is called, so fault schedules and back-off
-// timers run in microseconds of real time and identically on every run.
-// Safe for concurrent use.
-type ManualClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-// NewManualClock returns a clock frozen at start.
-func NewManualClock(start time.Time) *ManualClock {
-	return &ManualClock{t: start}
-}
-
-// Now implements Clock.
-func (c *ManualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-// Advance moves the clock forward by d and returns the new time.
-func (c *ManualClock) Advance(d time.Duration) time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d) //mclint:lockscope time.Time.Add is pure arithmetic on the field mu owns; no I/O or callbacks
-	return c.t
 }

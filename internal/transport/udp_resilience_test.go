@@ -4,9 +4,12 @@ import (
 	"context"
 	"net"
 	"net/netip"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"sessiondir/internal/stats"
 )
 
 // Resilience tests: socket rebind after external close, graceful drain
@@ -141,5 +144,126 @@ func TestBufPoolReturnsCounter(t *testing.T) {
 	p.put(nil)
 	if n := p.returns.Load(); n != 1 {
 		t.Fatalf("returns = %d after foreign puts, want still 1", n)
+	}
+}
+
+func TestNextReadBackoffSchedule(t *testing.T) {
+	rng := stats.NewRNG(42)
+	cur := time.Duration(0)
+	seen := make([]time.Duration, 0, 16)
+	for i := 0; i < 16; i++ {
+		cur = nextReadBackoff(cur, rng)
+		seen = append(seen, cur)
+		lo := time.Duration(float64(readBackoffMin) * (1 - readBackoffJitter))
+		if cur < lo {
+			t.Fatalf("backoff %v below jittered floor %v", cur, lo)
+		}
+		if cur > readBackoffMax {
+			t.Fatalf("backoff %v above cap %v", cur, readBackoffMax)
+		}
+	}
+	// The schedule must actually grow toward the cap.
+	if seen[len(seen)-1] < readBackoffMax/2 {
+		t.Fatalf("backoff never approached the cap: %v", seen)
+	}
+	if seen[0] > 4*readBackoffMin {
+		t.Fatalf("first backoff %v too large", seen[0])
+	}
+}
+
+func TestUDPSendFanoutAggregatesErrors(t *testing.T) {
+	// An IPv6 peer on a udp4 socket fails the write synchronously; the
+	// fan-out must keep going so the healthy peer still receives, and the
+	// returned error must name the failed peer.
+	recv, err := NewUDP(UDPConfig{Peers: []netip.AddrPort{netip.MustParseAddrPort("127.0.0.1:1")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	msgs := make(chan Message, 1)
+	recv.Subscribe(func(m Message) { msgs <- m })
+
+	badA := netip.MustParseAddrPort("[::1]:9")
+	badB := netip.MustParseAddrPort("[::2]:9")
+	send, err := NewUDP(UDPConfig{Peers: []netip.AddrPort{badA, recv.LocalAddr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+
+	ctx := context.Background()
+	serr := send.Send(ctx, []byte("fanout survives"), 127)
+	if serr == nil {
+		t.Fatal("send to an IPv6 peer over a udp4 socket reported success")
+	}
+	if !strings.Contains(serr.Error(), "::1") {
+		t.Fatalf("error does not name the failed peer: %v", serr)
+	}
+	select {
+	case m := <-msgs:
+		if string(m.Data) != "fanout survives" {
+			t.Fatalf("got %q", m.Data)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("healthy peer never received: fan-out stopped at the first error")
+	}
+
+	// With every peer failing, the joined error must name each of them.
+	allBad, err := NewUDP(UDPConfig{Peers: []netip.AddrPort{badA, badB}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer allBad.Close()
+	serr = allBad.Send(ctx, []byte("doomed"), 127)
+	if serr == nil {
+		t.Fatal("all-peers-failed send reported success")
+	}
+	for _, want := range []string{"::1", "::2"} {
+		if !strings.Contains(serr.Error(), want) {
+			t.Fatalf("aggregate error missing peer %s: %v", want, serr)
+		}
+	}
+}
+
+func TestUDPOversizedQuarantine(t *testing.T) {
+	recv, err := NewUDP(UDPConfig{
+		Peers:     []netip.AddrPort{netip.MustParseAddrPort("127.0.0.1:1")},
+		MaxPacket: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	msgs := make(chan Message, 2)
+	recv.Subscribe(func(m Message) { msgs <- m })
+
+	send, err := NewUDP(UDPConfig{Peers: []netip.AddrPort{recv.LocalAddr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+
+	ctx := context.Background()
+	if err := send.Send(ctx, make([]byte, 32), 127); err != nil {
+		t.Fatal(err)
+	}
+	if err := send.Send(ctx, []byte("small ok"), 127); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-msgs:
+		if string(m.Data) != "small ok" {
+			t.Fatalf("oversized datagram leaked through: %q", m.Data)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("in-bounds datagram never arrived")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for recv.Metrics().Oversized == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	m := recv.Metrics()
+	if m.Oversized != 1 || m.Received != 1 {
+		t.Fatalf("metrics: %+v", m)
 	}
 }
