@@ -7,6 +7,7 @@ import (
 
 	"sessiondir/internal/announce"
 	"sessiondir/internal/obs"
+	"sessiondir/internal/sap"
 	"sessiondir/internal/session"
 	"sessiondir/internal/storage"
 )
@@ -65,7 +66,7 @@ func encodeLearn(e *announce.Entry) []byte {
 	}
 	buf := make([]byte, 0, 1+8+8+len(sdp))
 	buf = append(buf, deltaLearn)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(e.FirstHeard.Unix()))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(e.FirstHeard))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(e.LastHeard.Unix()))
 	return append(buf, sdp...)
 }
@@ -98,7 +99,11 @@ func (d *Directory) applyCacheRecord(p []byte) (bool, error) {
 		if err != nil {
 			return false, fmt.Errorf("learn record SDP: %w", err)
 		}
-		return d.cache.Restore(desc, time.Unix(first, 0), time.Unix(last, 0), now), nil
+		// The digest of the record's own bytes, which desc was parsed from
+		// just now: a re-announcement that spells the session this way is
+		// known unchanged from the first one after recovery.
+		digest := sap.PayloadDigest(d.digestSeed, p[17:])
+		return d.cache.Restore(desc, digest, time.Unix(first, 0), time.Unix(last, 0), now), nil
 	case deltaDelete:
 		d.cache.Delete(string(p[1:]), now)
 	case deltaExpire, deltaEvict:

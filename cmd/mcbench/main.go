@@ -278,7 +278,10 @@ func cacheScanMicros() []microBenchResult {
 // listenerMicros measures the middle of the listener path, the stages
 // between SAP decode and the journal that every re-announcement of a
 // known session crosses: the clash tracker's Observe at two cache sizes
-// (its cost must not depend on the population) and the session codec.
+// (its cost must not depend on the population), the session codec in both
+// directions, the inflate of a compressed datagram, and the payload digest
+// that lets an unchanged re-announcement skip the parse (PayloadDigest's
+// unit is the byte: its ns_per_op is the reciprocal of GB/s).
 func listenerMicros() []microBenchResult {
 	var out []microBenchResult
 	for _, c := range []struct {
@@ -316,12 +319,45 @@ func listenerMicros() []microBenchResult {
 			{Type: "video", Port: 20002, Proto: "RTP/AVP", Format: "31"},
 		},
 	}
+	payload, err := desc.MarshalSDP()
+	if err != nil {
+		panic(err)
+	}
+	pkt := sap.Packet{Type: sap.Announce, MsgIDHash: sap.MsgIDHashOf(payload), Origin: desc.Origin, Payload: payload}
+	compressed, err := pkt.MarshalCompressed(nil)
+	if err != nil {
+		panic(err)
+	}
 	return append(out,
 		runMicro("SessionMarshalSDP", 1, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := desc.MarshalSDP(); err != nil {
 					b.Fatal(err)
 				}
+			}
+		}),
+		runMicro("SessionParseSDP", 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := session.ParseSDP(payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}),
+		runMicro("SAPDecodeCompressed", 1, func(b *testing.B) {
+			var p sap.Packet
+			for i := 0; i < b.N; i++ {
+				if err := p.DecodeMaybeCompressed(compressed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}),
+		runMicro("PayloadDigest", len(payload), func(b *testing.B) {
+			var sum uint64
+			for i := 0; i < b.N; i++ {
+				sum += sap.PayloadDigest(uint64(i), payload)
+			}
+			if sum == 0 {
+				b.Fatal("every digest was 0")
 			}
 		}),
 		runMicro("SessionKey", 1, func(b *testing.B) {
@@ -366,7 +402,11 @@ func (a *nextAddrAllocator) AllocateBatch(view []allocator.SessionInfo, ttl mcas
 // session (view handed to the allocator, session registered and announced;
 // the withdrawal that keeps the owned population constant is inside the
 // timed op). With the eviction order and the allocator view kept at the
-// cache's mutation sites the 10k figures stay near the 1k ones.
+// cache's mutation sites the 10k figures stay near the 1k ones. Third, the
+// datagram a listener mostly hears: DirRefreshKnown is a 32-datagram
+// HandleBatch of unchanged re-announcements, walking the whole cached
+// population batch by batch; its unit is the datagram, its allocations are
+// per batch.
 func directoryMicros() []microBenchResult {
 	var out []microBenchResult
 	origin := netip.MustParseAddr("10.0.0.1")
@@ -445,6 +485,26 @@ func directoryMicros() []microBenchResult {
 			}
 		}))
 		create.Close()
+
+		listen := newDir(0)
+		listen.HandleBatch(wires[:n])
+		const batch = 32
+		at := 0
+		out = append(out, runMicro(fmt.Sprintf("DirRefreshKnown%dk", n/1000), batch, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				now = now.Add(time.Second)
+				listen.HandleBatch(wires[at : at+batch])
+				if at += batch; at+batch > n {
+					at = 0
+				}
+			}
+		}))
+		for _, mv := range listen.Registry().Snapshot() {
+			if mv.Name == "dir_refresh_fast_total" && mv.Value == 0 {
+				panic("DirRefreshKnown: no datagram took the refresh path")
+			}
+		}
+		listen.Close()
 	}
 	return out
 }
@@ -549,6 +609,10 @@ func sampleSAPWire() []byte {
 	return wire
 }
 
+// refreshBatchAllocs is DirRefreshKnown's allocation budget per 32-datagram
+// batch: 0.1 per datagram, rounded down.
+const refreshBatchAllocs = 3
+
 // budgetFailures enforces the absolute perf budgets on a fresh report —
 // unlike the ratio gate these do not need a baseline, so a report that
 // merely keeps pace with a slow ancestor still cannot pass while blowing
@@ -572,7 +636,12 @@ func sampleSAPWire() []byte {
 //   - admitting an unknown session into a full budget, and creating a
 //     session, at most 1.5x dearer at 10k cached sessions than at 1k and
 //     with no more allocations (the eviction order and the allocator view
-//     are kept at the cache's mutation sites, not rebuilt per call).
+//     are kept at the cache's mutation sites, not rebuilt per call);
+//   - the listener's two paths: an unchanged re-announcement refreshed at
+//     no more than 0.1 allocations per datagram at either cache size (the
+//     10k/1k time ratio is recorded, not gated), on a payload digest that
+//     allocates nothing and runs at 2 GB/s or better; and the miss — a
+//     parse in at most 4 allocations, a compressed decode in at most 3.
 func budgetFailures(r benchReport) []string {
 	micro := make(map[string]microBenchResult, len(r.Micro))
 	for _, m := range r.Micro {
@@ -632,6 +701,27 @@ func budgetFailures(r benchReport) []string {
 			fails = append(fails, fmt.Sprintf("budget: %s %.0f ns and %d allocs/op, budget < %.0f ns and ≤ 1 alloc",
 				c.name, m.NsPerOp, m.AllocsOp, c.maxNs))
 		}
+	}
+	for _, c := range []struct {
+		name      string
+		maxAllocs int64
+		what      string
+	}{
+		{"SessionParseSDP", 4, "the Description, one string, one []string, one []Media"},
+		{"SAPDecodeCompressed", 3, "the inflate state is pooled"},
+		{"DirRefreshKnown1k", refreshBatchAllocs, "per 32-datagram batch: 0.1 per datagram"},
+		{"DirRefreshKnown10k", refreshBatchAllocs, "per 32-datagram batch: 0.1 per datagram"},
+	} {
+		if m, ok := micro[c.name]; !ok {
+			fails = append(fails, fmt.Sprintf("budget: micro %s missing from report", c.name))
+		} else if m.AllocsOp > c.maxAllocs {
+			fails = append(fails, fmt.Sprintf("budget: %s %d allocs/op, budget ≤ %d (%s)", c.name, m.AllocsOp, c.maxAllocs, c.what))
+		}
+	}
+	if m, ok := micro["PayloadDigest"]; !ok {
+		fails = append(fails, "budget: micro PayloadDigest missing from report")
+	} else if m.AllocsOp != 0 || m.NsPerOp > 0.5 {
+		fails = append(fails, fmt.Sprintf("budget: PayloadDigest %.2f ns/byte and %d allocs/op, budget ≤ 0.5 ns/byte (2 GB/s) and 0 allocs", m.NsPerOp, m.AllocsOp))
 	}
 	batch, haveBatch := micro["UDPRecvBatch"]
 	if !haveBatch {

@@ -180,6 +180,11 @@ func TestRunCompareInjected2xSlowdown(t *testing.T) {
 		{"name":"ClashObserveReannounce10k","ns_per_op":52},
 		{"name":"SessionMarshalSDP","ns_per_op":550,"allocs_per_op":1},
 		{"name":"SessionKey","ns_per_op":70,"allocs_per_op":1},
+		{"name":"SessionParseSDP","ns_per_op":1500,"allocs_per_op":4},
+		{"name":"SAPDecodeCompressed","ns_per_op":4000,"allocs_per_op":2},
+		{"name":"PayloadDigest","ns_per_op":0.1},
+		{"name":"DirRefreshKnown1k","ns_per_op":700,"allocs_per_op":1},
+		{"name":"DirRefreshKnown10k","ns_per_op":900,"allocs_per_op":1},
 		{"name":"DirAdmitUnknown1k","ns_per_op":5400,"allocs_per_op":22},
 		{"name":"DirAdmitUnknown10k","ns_per_op":6700,"allocs_per_op":22},
 		{"name":"DirCreateSession1k","ns_per_op":7200,"allocs_per_op":32},
@@ -208,6 +213,11 @@ func budgetReport() benchReport {
 			{Name: "ClashObserveReannounce10k", NsPerOp: 52},
 			{Name: "SessionMarshalSDP", NsPerOp: 550, AllocsOp: 1, BytesOp: 352},
 			{Name: "SessionKey", NsPerOp: 70, AllocsOp: 1, BytesOp: 24},
+			{Name: "SessionParseSDP", NsPerOp: 1500, AllocsOp: 4, BytesOp: 640},
+			{Name: "SAPDecodeCompressed", NsPerOp: 4000, AllocsOp: 2, BytesOp: 400},
+			{Name: "PayloadDigest", NsPerOp: 0.1},
+			{Name: "DirRefreshKnown1k", NsPerOp: 700, AllocsOp: 1, BytesOp: 4864},
+			{Name: "DirRefreshKnown10k", NsPerOp: 900, AllocsOp: 1, BytesOp: 4864},
 			{Name: "DirAdmitUnknown1k", NsPerOp: 5400, AllocsOp: 22},
 			{Name: "DirAdmitUnknown10k", NsPerOp: 6700, AllocsOp: 22},
 			{Name: "DirCreateSession1k", NsPerOp: 7200, AllocsOp: 32},
@@ -269,8 +279,8 @@ func TestBudgetFailuresBatchDepthCollapse(t *testing.T) {
 func TestBudgetFailuresMissingMicros(t *testing.T) {
 	r := budgetReport()
 	r.Micro = nil
-	if fails := budgetFailures(r); len(fails) != 9 {
-		t.Fatalf("missing micros should produce nine failures, got: %v", fails)
+	if fails := budgetFailures(r); len(fails) != 14 {
+		t.Fatalf("missing micros should produce fourteen failures, got: %v", fails)
 	}
 }
 
@@ -290,6 +300,30 @@ func TestBudgetFailuresListenerPath(t *testing.T) {
 	micro(t, &r, "SessionKey").NsPerOp = 350        // and in Key
 	if fails := budgetFailures(r); len(fails) != 2 {
 		t.Fatalf("codec regressions not caught: %v", fails)
+	}
+	r = budgetReport()
+	micro(t, &r, "SessionParseSDP").AllocsOp = 29     // a string per line is back in ParseSDP
+	micro(t, &r, "SAPDecodeCompressed").AllocsOp = 10 // and a zlib reader per datagram
+	if fails := budgetFailures(r); len(fails) != 2 {
+		t.Fatalf("allocating parse and inflate not caught: %v", fails)
+	}
+	r = budgetReport()
+	micro(t, &r, "DirRefreshKnown10k").AllocsOp = 32 * 28 // every re-announcement parsed again
+	micro(t, &r, "PayloadDigest").NsPerOp = 0.9           // a byte-at-a-time digest: 1.1 GB/s
+	if fails := budgetFailures(r); len(fails) != 2 {
+		t.Fatalf("parsed refreshes and a slow digest not caught: %v", fails)
+	}
+	r = budgetReport()
+	micro(t, &r, "DirRefreshKnown10k").NsPerOp = 9000 // the 10k/1k ratio is recorded, not gated
+	if fails := budgetFailures(r); len(fails) != 0 {
+		t.Fatalf("DirRefreshKnown's size ratio is gated: %v", fails)
+	}
+	for _, name := range []string{"SessionParseSDP", "SAPDecodeCompressed", "PayloadDigest", "DirRefreshKnown1k"} {
+		r = budgetReport()
+		micro(t, &r, name).Name = "gone"
+		if fails := budgetFailures(r); len(fails) != 1 {
+			t.Fatalf("a report without %s: %v", name, fails)
+		}
 	}
 }
 

@@ -200,6 +200,9 @@ type Directory struct {
 	rng   *stats.RNG
 	owned map[string]*ownedSession
 	cache *announce.Cache
+	// digestSeed keys sap.PayloadDigest for this directory: the resolved
+	// Config.Seed, so a replay digests every payload as the recording did.
+	digestSeed uint64
 	// ownView is the owned sessions' share of the allocator view, kept
 	// current where owned changes; the cache keeps the heard share, from
 	// the first allocation on (heardView), so a directory that only ever
@@ -293,6 +296,7 @@ type dirInstruments struct {
 	evictions         *obs.Counter
 	degradedDefenses  *obs.Counter
 	degradedLearns    *obs.Counter
+	refreshFast       *obs.Counter
 	packetBytes       *obs.Histogram
 	store             cacheStoreInstruments
 }
@@ -324,6 +328,7 @@ func newDirInstruments(r *obs.Registry) (dirInstruments, error) {
 		{&ins.evictions, "dir_admission_evictions_total", "cached sessions displaced to stay inside the budget"},
 		{&ins.degradedDefenses, "dir_degraded_defenses_suppressed_total", "phase-3 defenses suppressed under overload degradation"},
 		{&ins.degradedLearns, "dir_degraded_learns_shed_total", "unknown sessions shed without an admission scan at degradation level 2"},
+		{&ins.refreshFast, "dir_refresh_fast_total", "re-announcements refreshed without a parse"},
 		{&ins.store.checkpointErrs, "cache_checkpoint_errors_total", "cache checkpoint (snapshot compaction) attempts that failed"},
 		{&ins.store.compactions, "cache_checkpoint_compactions_total", "successful cache snapshot compactions"},
 		{&ins.store.appendErrs, "cache_journal_append_errors_total", "journal delta batches refused or failed by the store"},
@@ -491,16 +496,17 @@ func New(cfg Config) (*Directory, error) {
 		return nil, fmt.Errorf("sessiondir: %w", err)
 	}
 	d := &Directory{
-		cfg:   cfg,
-		space: cfg.Space,
-		alloc: alloc,
-		rng:   stats.NewRNG(seed),
-		owned: make(map[string]*ownedSession),
-		cache: announce.NewCache(cfg.CacheTimeout),
-		epoch: cfg.Clock(),
-		reg:   reg,
-		trace: cfg.Trace,
-		ins:   ins,
+		cfg:        cfg,
+		space:      cfg.Space,
+		alloc:      alloc,
+		rng:        stats.NewRNG(seed),
+		owned:      make(map[string]*ownedSession),
+		cache:      announce.NewCache(cfg.CacheTimeout),
+		epoch:      cfg.Clock(),
+		digestSeed: seed,
+		reg:        reg,
+		trace:      cfg.Trace,
+		ins:        ins,
 	}
 	if cfg.MaxSessions > 0 || cfg.MaxPerOrigin > 0 {
 		// Without a budget nothing is ever evicted, and the listener path
@@ -533,7 +539,7 @@ func New(cfg Config) (*Directory, error) {
 	cfg.Transport.Subscribe(d.onPacket)
 	if bs, ok := cfg.Transport.(transport.BatchSubscriber); ok {
 		// Transports that retire whole receive batches (UDP's recvmmsg
-		// loop) hand them to the epoch-batched path: parse the batch,
+		// loop) hand them to the epoch-batched path: decode the batch,
 		// then apply it in arrival order under one lock epoch.
 		bs.SubscribeBatch(d.HandleBatch)
 	}
@@ -783,24 +789,34 @@ func (d *Directory) OwnSessions() []*session.Description {
 	return out
 }
 
-// parsedPacket is the outcome of the lock-free parse phase of packet
-// handling: the decoded SAP header and a freshly parsed description
-// (ok), or a malformed verdict (!ok, already counted). Nothing in it
-// aliases the receive buffer — ParseSDP copies into fresh strings and
-// the apply phase never touches pkt.Payload — so the buffer may be
-// released once the apply phase is done with the batch.
+// parsedPacket is the outcome of the lock-free half of packet handling: the
+// decoded SAP header, the digest of the payload and a guess at the session
+// key (ok), or a malformed verdict (!ok, already counted). pkt.Payload
+// aliases the receive buffer (an inflated payload is its own) and the
+// locked half reads it — to parse it, unless the digest shows it need not —
+// so the buffer's lease is held until the locked half is done with the
+// packet; the Description parsed out of it aliases nothing.
 type parsedPacket struct {
-	pkt  sap.Packet
+	pkt sap.Packet
+	// desc and key are set once the payload has been parsed, which the
+	// locked half does for every packet it cannot treat as a refresh. A
+	// packet that arrives there with desc already set is not parsed again.
 	desc *session.Description
-	key  string // desc.Key(), built here so the serial apply phase need not
-	ok   bool
+	key  string
+	// digest is sap.PayloadDigest of the payload; peek[:peekLen] is what
+	// session.PeekKey made of its o= line.
+	digest  uint64
+	peek    [40]byte
+	peekLen uint8
+	ok      bool
 }
 
-// parsePacket is the pure pre-lock half of the receive path: decode,
-// payload-type check, SDP parse, and the pre-decode observability (size
-// histogram, malformed counter — both atomic, the only state it touches,
-// so concurrent receivers parse without waiting on each other).
-func (d *Directory) parsePacket(data []byte) parsedPacket {
+// decodePacket is the pure pre-lock half of the receive path: SAP decode
+// (and inflate), payload-type check, payload digest and key peek, and the
+// pre-decode observability (size histogram, malformed counter — both
+// atomic, the only state it touches, so concurrent receivers decode
+// without waiting on each other).
+func (d *Directory) decodePacket(data []byte) parsedPacket {
 	d.ins.packetBytes.Observe(int64(len(data)))
 	var p parsedPacket
 	if err := p.pkt.DecodeMaybeCompressed(data); err != nil {
@@ -811,22 +827,18 @@ func (d *Directory) parsePacket(data []byte) parsedPacket {
 		d.ins.packetsMalformed.Inc()
 		return p
 	}
-	desc, err := session.ParseSDP(p.pkt.Payload)
-	if err != nil {
-		d.ins.packetsMalformed.Inc()
-		return p
-	}
-	p.desc = desc
-	p.key = desc.Key()
+	p.digest = sap.PayloadDigest(d.digestSeed, p.pkt.Payload)
+	p.peekLen = uint8(len(session.PeekKey(p.peek[:0], p.pkt.Payload)))
 	p.ok = true
 	return p
 }
 
 // onPacket is the per-message transport receive path. The message's
-// receive buffer is released as soon as the apply phase returns; nothing
-// parsed out of it aliases the buffer (see parsedPacket).
+// receive buffer stays leased through the locked half, which may parse the
+// payload in it, and is released as soon as that returns; nothing kept
+// from the packet aliases the buffer (see parsedPacket).
 func (d *Directory) onPacket(m transport.Message) {
-	p := d.parsePacket(m.Data)
+	p := d.decodePacket(m.Data)
 	d.mu.Lock()
 	d.applyParsedLocked(&p)
 	d.mu.Unlock()
@@ -836,17 +848,19 @@ func (d *Directory) onPacket(m transport.Message) {
 
 // HandleBatch is the epoch-batched receive path: onPacket's two halves
 // with the lock taken once per batch instead of once per datagram. The
-// whole batch is parsed first, outside the lock; one lock epoch then
-// applies the parsed packets in arrival order, which is what preserves the
-// bit-identical replay contract — the protocol state transitions and RNG
-// draws are exactly those of len(ms) sequential onPacket calls.
+// whole batch is decoded first, outside the lock; one lock epoch then
+// applies the packets in arrival order — refreshing, or parsing and
+// applying, each in its turn — which is what preserves the bit-identical
+// replay contract: the protocol state transitions and RNG draws are
+// exactly those of len(ms) sequential onPacket calls. The receive buffers
+// are released after the epoch, which reads the payloads in them.
 func (d *Directory) HandleBatch(ms []transport.Message) {
 	if len(ms) == 0 {
 		return
 	}
 	parsed := make([]parsedPacket, len(ms))
 	for i := range ms {
-		parsed[i] = d.parsePacket(ms[i].Data)
+		parsed[i] = d.decodePacket(ms[i].Data)
 	}
 	d.mu.Lock()
 	for i := range parsed {
@@ -859,12 +873,29 @@ func (d *Directory) HandleBatch(ms []transport.Message) {
 	d.flush()
 }
 
-// applyParsedLocked is the locked half of the receive path: admission,
+// applyParsedLocked is the locked half of the receive path: the parse
+// (unless the payload is one the cache already holds), admission,
 // validation, cache and clash-tracker mutation. Caller holds d.mu; calls
 // across a batch must run in arrival order.
 func (d *Directory) applyParsedLocked(p *parsedPacket) {
 	if !p.ok || d.closed {
 		return
+	}
+	// An unchanged re-announcement of a cached session (refresh != nil) is
+	// not parsed; everything else is, here, under the lock and not ahead of
+	// it: whether a packet needs parsing depends on what the packets before
+	// it left in the cache, and one receive loop feeds this (DESIGN.md
+	// §17.1).
+	var refresh *announce.Entry
+	if p.desc == nil {
+		if refresh = d.unchangedLocked(p); refresh == nil {
+			desc, err := session.ParseSDP(p.pkt.Payload)
+			if err != nil {
+				d.ins.packetsMalformed.Inc()
+				return
+			}
+			p.desc, p.key = desc, desc.Key()
+		}
 	}
 	pkt := &p.pkt
 	desc := p.desc
@@ -877,6 +908,16 @@ func (d *Directory) applyParsedLocked(p *parsedPacket) {
 	// be amplified into defense storms either.
 	if !d.admit.Allow(pkt.Origin, now) {
 		d.ins.quotaDrops.Inc()
+		return
+	}
+
+	if refresh != nil {
+		// What the rest of this function comes to for this datagram:
+		// validation passes, the cache changes nothing but LastHeard, and
+		// the tracker sees the address and scope it has.
+		d.ins.refreshFast.Inc()
+		d.cache.Touch(refresh, now)
+		d.observeClashLocked(refresh.Key(), refresh.Desc, now)
 		return
 	}
 
@@ -908,7 +949,7 @@ func (d *Directory) applyParsedLocked(p *parsedPacket) {
 		}
 	}
 
-	if e, fresh := d.cache.ObserveKeyed(key, desc, now); fresh {
+	if e, fresh := d.cache.ObserveParsed(key, desc, p.digest, now); fresh {
 		d.ins.sessionsLearned.Inc()
 		d.trace.Record(obs.TraceEvent{At: d.ms(now), Kind: obs.TraceLearn, Key: key})
 		d.emit(Event{Kind: EventSessionLearned, Key: key, Desc: desc})
@@ -917,6 +958,35 @@ func (d *Directory) applyParsedLocked(p *parsedPacket) {
 		// is at most one checkpoint interval old.
 		d.journalLocked(encodeLearn(e))
 	}
+	d.observeClashLocked(key, desc, now)
+}
+
+// unchangedLocked recognises the datagram a listener mostly hears — the
+// unchanged re-announcement of a session it has cached — without parsing
+// it, and returns that session's entry. The payload's digest is the digest
+// of the bytes the cached description was parsed from, so the payload is
+// those bytes and parsing it would yield that description again:
+// validateAnnounceLocked would pass it and ObserveParsed would change
+// nothing but LastHeard. Everything the digest cannot vouch for returns
+// nil and is parsed: a key we own (an echo must match what we announce
+// now, not what we once did), a tombstone (Unchanged finds live entries
+// only), a header origin that is not the session's, a deletion, a cached
+// description validation would turn away for its scope.
+func (d *Directory) unchangedLocked(p *parsedPacket) *announce.Entry {
+	if p.pkt.Type != sap.Announce {
+		return nil
+	}
+	peek := p.peek[:p.peekLen]
+	e, ok := d.cache.Unchanged(peek, p.digest)
+	if !ok || p.pkt.Origin != e.Desc.Origin || e.Desc.TTL == 0 || d.owned[string(peek)] != nil {
+		return nil
+	}
+	return e
+}
+
+// observeClashLocked shows the clash tracker one heard announcement and
+// carries out what it answers.
+func (d *Directory) observeClashLocked(key string, desc *session.Description, now time.Time) {
 	if idx, ok := d.space.Index(desc.Group); ok {
 		actions := d.tracker.Observe(clash.Observation{
 			Key:  clash.SessionKey(key),

@@ -5,6 +5,7 @@
 package announce
 
 import (
+	"container/heap"
 	"net/netip"
 	"sort"
 	"time"
@@ -113,36 +114,50 @@ func (b Backoff) MeanDiscoveryDelay(loss, networkDelay float64) float64 {
 
 // Entry is one cached session announcement.
 type Entry struct {
-	Desc       *session.Description
-	FirstHeard time.Time
+	Desc *session.Description
+	// FirstHeard is when the session entered the cache, in Unix seconds:
+	// its one reader is the journal's learn record, which stores seconds.
+	FirstHeard int64
 	LastHeard  time.Time
 	// Deleted marks an explicit SAP deletion (kept briefly to squelch
 	// stale re-announcements from slow caches).
 	Deleted bool
 	// heapPos and viewPos are the entry's slots in its cache's eviction
 	// order and allocator view (1-based, 0 = not in it; see index.go).
-	// They sit in what was padding after Deleted: the entry stays in the
-	// 80-byte size class.
 	heapPos, viewPos int32
 	// adBytes is the announcement size this entry contributes to the
 	// bandwidth budget while live, cached at Observe/Restore time so the
 	// running total can be maintained incrementally (and released exactly
 	// on delete/evict without re-marshalling).
-	adBytes int
+	adBytes int32
+	// digest is 0 or the digest of the exact bytes Desc was parsed from
+	// (sap.PayloadDigest under the owning directory's seed): every site
+	// that assigns Desc assigns it too. A payload that arrives with the
+	// same digest is this description again, and need not be parsed to be
+	// known so (Unchanged).
+	digest uint64
+	// key is Desc.Key(), the key the cache holds the entry under — kept
+	// so that refreshing an entry, and ordering entries, builds no string.
+	// With FirstHeard in seconds and adBytes in 32 bits it fits the entry
+	// into the 80-byte size class it was in without it.
+	key string
 }
+
+// Key is Desc.Key(), for an entry a Cache holds.
+func (e *Entry) Key() string { return e.key }
 
 // adSize is the bandwidth-budget cost of one announcement: SDP payload
 // plus the SAP header, or a nominal size for descriptions that cannot
 // marshal (matching the lazy accounting TotalAdBytes historically used).
 // It measures by marshalling into the cache's scratch buffer, so a
 // refresh of a known session allocates nothing.
-func (c *Cache) adSize(d *session.Description) int {
+func (c *Cache) adSize(d *session.Description) int32 {
 	data, err := d.AppendSDP(c.scratch[:0])
 	c.scratch = data[:0]
 	if err != nil {
 		return 256
 	}
-	return len(data) + 8 // + SAP header
+	return int32(len(data) + 8) // + SAP header
 }
 
 // Cache is the listened-session store: one entry map with the eviction
@@ -188,15 +203,21 @@ func (c *Cache) Observe(d *session.Description, now time.Time) (*Entry, bool) {
 	return c.ObserveKeyed(d.Key(), d, now)
 }
 
-// ObserveKeyed is Observe for a caller that already holds key = d.Key()
-// (the receive path computes it once per packet, in its parse phase).
+// ObserveKeyed is Observe for a caller that already holds key = d.Key().
 func (c *Cache) ObserveKeyed(key string, d *session.Description, now time.Time) (*Entry, bool) {
+	return c.ObserveParsed(key, d, 0, now)
+}
+
+// ObserveParsed is ObserveKeyed for a caller that parsed d from a payload
+// and holds that payload's digest (0 = none): if the entry takes d it
+// takes the digest with it, and Unchanged will know the payload again.
+func (c *Cache) ObserveParsed(key string, d *session.Description, digest uint64, now time.Time) (*Entry, bool) {
 	e, ok := c.entries[key]
 	if !ok {
-		e = &Entry{Desc: d, FirstHeard: now, LastHeard: now, adBytes: c.adSize(d)}
+		e = &Entry{Desc: d, FirstHeard: now.Unix(), LastHeard: now, adBytes: c.adSize(d), digest: digest, key: key}
 		c.entries[key] = e
 		c.live++
-		c.adBytes += e.adBytes
+		c.adBytes += int(e.adBytes)
 		c.indexAdd(e)
 		return e, true
 	}
@@ -208,24 +229,49 @@ func (c *Cache) ObserveKeyed(key string, d *session.Description, now time.Time) 
 		if e.Deleted {
 			c.live++
 		} else {
-			c.adBytes -= e.adBytes
+			c.adBytes -= int(e.adBytes)
 		}
-		e.Desc = d
+		e.Desc, e.digest = d, digest
 		e.Deleted = false
 		e.adBytes = c.adSize(d)
-		c.adBytes += e.adBytes
+		c.adBytes += int(e.adBytes)
 	}
 	e.LastHeard = now
 	c.indexUpdate(e)
 	return e, fresh
 }
 
+// Unchanged returns the live entry under key whose description was parsed
+// from a payload with this digest, if there is one: the payload in hand
+// is then that announcement again, byte for byte. key is only where to
+// look (session.PeekKey's guess will do): the digest is what identifies
+// the bytes, and the entry found is filed under the key those bytes parse
+// to, so a wrong guess finds nothing or an entry with another digest.
+func (c *Cache) Unchanged(key []byte, digest uint64) (*Entry, bool) {
+	e, ok := c.entries[string(key)]
+	if !ok || e.Deleted || digest == 0 || e.digest != digest {
+		return nil, false
+	}
+	return e, true
+}
+
+// Touch records that e's announcement was heard again, unchanged: what
+// ObserveParsed does for a description equal to the one the entry holds,
+// without one to give it.
+func (c *Cache) Touch(e *Entry, now time.Time) {
+	e.LastHeard = now
+	if e.heapPos > 0 {
+		heap.Fix(&c.order, int(e.heapPos-1))
+	}
+}
+
 // Restore merges one persisted entry: entries stale relative to now are
 // skipped, and fresher in-memory state wins over disk state (version
 // upgrades excepted). The journaled store replays snapshot and journal
-// records through this one entry at a time. Reports whether the entry
-// was added as new.
-func (c *Cache) Restore(desc *session.Description, first, last, now time.Time) bool {
+// records through this one entry at a time, with the digest of the
+// record's own SDP bytes (0 = none). Reports whether the entry was added
+// as new.
+func (c *Cache) Restore(desc *session.Description, digest uint64, first, last, now time.Time) bool {
 	if now.Sub(last) > c.Timeout {
 		return false // stale on disk
 	}
@@ -233,23 +279,25 @@ func (c *Cache) Restore(desc *session.Description, first, last, now time.Time) b
 	if existing, ok := c.entries[key]; ok {
 		// In-memory state is at least as fresh; only upgrade versions.
 		if desc.Version > existing.Desc.Version && !existing.Deleted {
-			c.adBytes -= existing.adBytes
-			existing.Desc = desc
+			c.adBytes -= int(existing.adBytes)
+			existing.Desc, existing.digest = desc, digest
 			existing.adBytes = c.adSize(desc)
-			c.adBytes += existing.adBytes
+			c.adBytes += int(existing.adBytes)
 			c.indexUpdate(existing)
 		}
 		return false
 	}
 	e := &Entry{
 		Desc:       desc,
-		FirstHeard: first,
+		FirstHeard: first.Unix(),
 		LastHeard:  last,
 		adBytes:    c.adSize(desc),
+		digest:     digest,
+		key:        key,
 	}
 	c.entries[key] = e
 	c.live++
-	c.adBytes += e.adBytes
+	c.adBytes += int(e.adBytes)
 	c.indexAdd(e)
 	return true
 }
@@ -259,7 +307,7 @@ func (c *Cache) Delete(key string, now time.Time) {
 	if e, ok := c.entries[key]; ok {
 		if !e.Deleted {
 			c.live--
-			c.adBytes -= e.adBytes
+			c.adBytes -= int(e.adBytes)
 		}
 		e.Deleted = true
 		e.LastHeard = now
@@ -292,7 +340,7 @@ func (c *Cache) Remove(key string) {
 	if e, ok := c.entries[key]; ok {
 		if !e.Deleted {
 			c.live--
-			c.adBytes -= e.adBytes
+			c.adBytes -= int(e.adBytes)
 		}
 		delete(c.entries, key)
 		c.indexDrop(e)
@@ -322,7 +370,7 @@ func (c *Cache) Expire(now time.Time) []string {
 		if now.Sub(e.LastHeard) > limit {
 			if !e.Deleted {
 				c.live--
-				c.adBytes -= e.adBytes
+				c.adBytes -= int(e.adBytes)
 			}
 			delete(c.entries, key)
 			c.indexDrop(e)

@@ -85,7 +85,7 @@ func TestCacheObserve(t *testing.T) {
 	c := NewCache(time.Hour)
 	now := time.Unix(1000, 0)
 	e, fresh := c.Observe(desc(1, 1), now)
-	if !fresh || e.FirstHeard != now {
+	if !fresh || e.FirstHeard != now.Unix() {
 		t.Fatal("first observation should be fresh")
 	}
 	// Same version re-announcement: not fresh.
@@ -181,5 +181,74 @@ func TestCacheRefreshAllocatesNothing(t *testing.T) {
 	}
 	if got, want := c.TotalAdBytes(), len(sdp)+8; got != want {
 		t.Fatalf("TotalAdBytes = %d, want %d", got, want)
+	}
+}
+
+// TestDigestFollowsTheDescription: an entry's digest is 0 or that of the
+// bytes its description was parsed from, so it changes hands exactly when
+// the description does — at every site that assigns one.
+func TestDigestFollowsTheDescription(t *testing.T) {
+	c := NewCache(time.Hour)
+	now := time.Unix(1000, 0)
+	key := []byte(desc(1, 2).Key())
+	known := func(digest uint64) bool {
+		_, ok := c.Unchanged(key, digest)
+		return ok
+	}
+
+	e, _ := c.ObserveParsed(string(key), desc(1, 2), 11, now)
+	if !known(11) || known(12) || known(0) || e.Key() != string(key) {
+		t.Fatalf("a new entry: known(11) %v, known(12) %v, known(0) %v, key %q", known(11), known(12), known(0), e.Key())
+	}
+	if _, ok := c.Unchanged([]byte("10.9.9.9/1"), 11); ok {
+		t.Fatal("a digest was found under a key it was not filed under")
+	}
+	// An older version is not taken, and neither is its digest.
+	c.ObserveParsed(string(key), desc(1, 1), 13, now)
+	if known(13) || !known(11) {
+		t.Fatal("an ignored older version changed the digest")
+	}
+	// The same version from other bytes replaces both.
+	c.ObserveParsed(string(key), desc(1, 2), 14, now)
+	if known(11) || !known(14) {
+		t.Fatal("a description replaced at the same version kept the old digest")
+	}
+	// A description that did not come from a payload has none.
+	c.Observe(desc(1, 2), now)
+	if known(14) {
+		t.Fatal("a description observed without a digest kept its predecessor's")
+	}
+	// Tombstones are never unchanged; a resurrection brings its own digest.
+	c.ObserveParsed(string(key), desc(1, 2), 15, now)
+	c.Delete(string(key), now)
+	if known(15) {
+		t.Fatal("a tombstone passed for an unchanged entry")
+	}
+	c.ObserveParsed(string(key), desc(1, 2), 16, now)
+	if !known(16) {
+		t.Fatal("a resurrected entry does not know its digest")
+	}
+	// Restore: a new entry and a version upgrade take the record's digest,
+	// a record the cache ignores leaves things alone.
+	c.Restore(desc(1, 3), 17, now, now, now)
+	if !known(17) {
+		t.Fatal("a restored upgrade did not bring its digest")
+	}
+	c.Restore(desc(1, 3), 18, now, now, now)
+	if known(18) || !known(17) {
+		t.Fatal("an ignored record changed the digest")
+	}
+	other := []byte(desc(2, 1).Key())
+	c.Restore(desc(2, 1), 19, now, now, now)
+	if _, ok := c.Unchanged(other, 19); !ok {
+		t.Fatal("a restored entry does not know its record's digest")
+	}
+
+	// Touch is the whole of an unchanged refresh.
+	later := now.Add(time.Minute)
+	e, _ = c.Unchanged(other, 19)
+	c.Touch(e, later)
+	if !e.LastHeard.Equal(later) || e.FirstHeard != now.Unix() {
+		t.Fatalf("touched entry: first heard %d, last heard %v", e.FirstHeard, e.LastHeard)
 	}
 }

@@ -1,7 +1,6 @@
 package announce
 
 import (
-	"bytes"
 	"container/heap"
 	"net/netip"
 	"sort"
@@ -38,9 +37,8 @@ func evictsBefore(a, b *Entry) bool {
 		return a.Desc.TTL < b.Desc.TTL
 	}
 	// Key order is string order, not address order ("10.0.0.10/1" sorts
-	// before "10.0.0.9/1"), so the keys are spelled out — on the stack.
-	var ka, kb [64]byte
-	return bytes.Compare(a.Desc.AppendKey(ka[:0]), b.Desc.AppendKey(kb[:0])) < 0
+	// before "10.0.0.9/1").
+	return a.key < b.key
 }
 
 // evictable reports whether a newcomer may displace e: tombstones and
@@ -170,7 +168,7 @@ func (c *Cache) AppendEvictable(dst []string, n int, now time.Time, staleAfter t
 	// The case every admission into a full budget takes: evictable entries
 	// sort first, so either the head of the order is evictable or nothing is.
 	if len(c.order) > 0 && c.order[0].evictable(now, staleAfter) {
-		dst = append(dst, c.order[0].Desc.Key())
+		dst = append(dst, c.order[0].key)
 	}
 	return dst
 }
@@ -197,7 +195,7 @@ func (c *Cache) appendEvictable(dst []string, n int, origin netip.Addr, fromOrig
 	}
 	sort.Slice(found, func(i, j int) bool { return evictsBefore(found[i], found[j]) })
 	for _, e := range found[:min(n, len(found))] {
-		dst = append(dst, e.Desc.Key())
+		dst = append(dst, e.key)
 	}
 	return dst
 }

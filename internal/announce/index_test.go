@@ -77,6 +77,9 @@ func checkIndexInvariants(t *testing.T, c *Cache, self netip.Addr) {
 	}
 	tracked, inView := 0, 0
 	for key, e := range c.entries {
+		if e.key != key || key != e.Desc.Key() {
+			t.Fatalf("entry filed under %q records key %q, its description has %q", key, e.key, e.Desc.Key())
+		}
 		if want := e.Desc.Origin != self; (e.heapPos > 0) != want {
 			t.Fatalf("%s in order = %v, want %v", key, e.heapPos > 0, want)
 		}
@@ -172,8 +175,11 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 					// state has it.
 					s.Observe(d, now)
 				case op < 11:
-					// A refresh that changes nothing but LastHeard.
-					if e, ok := s.Peek(d.Key()); ok {
+					// A refresh that changes nothing but LastHeard: observing
+					// the description again, or — a live entry only — Touch.
+					if e, ok := s.Peek(d.Key()); ok && step%2 == 0 && !e.Deleted {
+						s.Touch(e, now)
+					} else if ok {
 						s.ObserveKeyed(d.Key(), e.Desc, now)
 					}
 				case op < 13:
@@ -184,7 +190,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 					s.Expire(now)
 				case op < 17:
 					last := now.Add(-time.Duration(ops.IntN(50)) * time.Minute)
-					s.Restore(d, last.Add(-time.Hour), last, now)
+					s.Restore(d, 0, last.Add(-time.Hour), last, now)
 				default:
 					// An admission as the directory performs it: plan, evict,
 					// and cache the newcomer unless it was turned away.
@@ -300,6 +306,17 @@ func TestIndexedRefreshAllocatesNothing(t *testing.T) {
 		s.ObserveKeyed(key, again, now)
 	}); n != 0 {
 		t.Fatalf("same-version refresh moving to the back: %v allocs, want 0", n)
+	}
+	s.ObserveParsed(key, again, 42, now)
+	if n := testing.AllocsPerRun(100, func() {
+		now = now.Add(time.Second)
+		e, ok := s.Unchanged([]byte(key), 42)
+		if !ok {
+			t.Fatal("the entry does not know its own digest")
+		}
+		s.Touch(e, now)
+	}); n != 0 {
+		t.Fatalf("refresh by digest: %v allocs, want 0", n)
 	}
 }
 

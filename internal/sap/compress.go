@@ -5,6 +5,7 @@ import (
 	"compress/zlib"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // SAP optionally carries zlib-compressed payloads (the C header bit).
@@ -46,10 +47,65 @@ func (p *Packet) MarshalCompressed(dst []byte) ([]byte, error) {
 	return append(dst, body.Bytes()...), nil
 }
 
+// inflater is the per-datagram inflate state worth keeping: the zlib
+// reader with its flate window and Huffman tables (40 kB to build, reset
+// in place through zlib.Resetter) and the buffer the stream inflates
+// into. Nothing in a pooled inflater refers to a datagram.
+type inflater struct {
+	src bytes.Reader
+	zr  io.ReadCloser // nil until a stream with a valid zlib header has come by
+	out []byte
+}
+
+// inflateBufKeep is the largest output buffer an inflater takes back to
+// the pool: announcements are ~1 kB, and one bomb must not pin
+// maxDecompressed bytes per pooled inflater.
+const inflateBufKeep = 16 << 10
+
+var inflaters = sync.Pool{New: func() any { return &inflater{out: make([]byte, 0, 2048)} }}
+
+// inflate inflates the zlib stream in data into inf.out, refusing output
+// beyond maxDecompressed. The result is valid until the inflater's next
+// use.
+func (inf *inflater) inflate(data []byte) ([]byte, error) {
+	inf.src.Reset(data)
+	defer inf.src.Reset(nil)
+	var err error
+	if inf.zr == nil {
+		inf.zr, err = zlib.NewReader(&inf.src)
+	} else {
+		err = inf.zr.(zlib.Resetter).Reset(&inf.src, nil)
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := inf.out[:0]
+	for {
+		if len(out) == cap(out) {
+			out = append(out, 0)[:len(out)]
+		}
+		n, err := inf.zr.Read(out[len(out):cap(out)])
+		out = out[:len(out)+n]
+		if len(out) > maxDecompressed {
+			return nil, fmt.Errorf("inflated payload exceeds %d bytes", maxDecompressed)
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if cap(out) <= inflateBufKeep {
+		inf.out = out
+	}
+	return out, nil
+}
+
 // DecodeMaybeCompressed decodes data like Decode but also accepts
 // compressed packets, inflating them transparently. Unlike Decode, the
-// payload of a compressed packet is a fresh allocation (it cannot alias
-// the wire buffer).
+// payload of a compressed packet is a fresh, exactly-sized allocation (it
+// cannot alias the wire buffer); the inflate state behind it is pooled.
 func (p *Packet) DecodeMaybeCompressed(data []byte) error {
 	if len(data) < headerLenIPv4 {
 		return fmt.Errorf("%w (%d bytes)", ErrTooShort, len(data))
@@ -64,17 +120,11 @@ func (p *Packet) DecodeMaybeCompressed(data []byte) error {
 	if len(data) < headerLenIPv4+authLen {
 		return fmt.Errorf("%w (auth data truncated)", ErrTooShort)
 	}
-	zr, err := zlib.NewReader(bytes.NewReader(data[headerLenIPv4+authLen:]))
+	inf := inflaters.Get().(*inflater)
+	defer inflaters.Put(inf)
+	inflated, err := inf.inflate(data[headerLenIPv4+authLen:])
 	if err != nil {
 		return fmt.Errorf("sap: inflate: %w", err)
-	}
-	defer zr.Close() //nolint:errcheck // read errors surface below
-	inflated, err := io.ReadAll(io.LimitReader(zr, maxDecompressed+1))
-	if err != nil {
-		return fmt.Errorf("sap: inflate: %w", err)
-	}
-	if len(inflated) > maxDecompressed {
-		return fmt.Errorf("sap: inflated payload exceeds %d bytes", maxDecompressed)
 	}
 	// Rebuild an uncompressed packet image and decode it normally so the
 	// payload-type parsing stays in one place.

@@ -122,3 +122,56 @@ func TestCompressedRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDecodeCompressedAllocations pins the pooled inflate: the payload
+// image is the one allocation a compressed decode needs, zlib's checksum
+// object a second; a reader built per datagram cost ten and 40 kB.
+func TestDecodeCompressedAllocations(t *testing.T) {
+	wire, err := samplePacket().MarshalCompressed(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Packet
+	if n := testing.AllocsPerRun(200, func() {
+		if err := p.DecodeMaybeCompressed(wire); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Fatalf("compressed decode: %v allocs, want <= 3", n)
+	}
+}
+
+// TestPooledInflateKeepsNothing: a payload decoded after a failed or a
+// larger stream went through the same pooled state is its own, and an
+// earlier result is not rewritten by a later decode.
+func TestPooledInflateKeepsNothing(t *testing.T) {
+	small := samplePacket()
+	big := samplePacket()
+	big.Payload = bytes.Repeat([]byte("a=tool:sdr v2.4a6\r\n"), 4000) // outgrows the kept buffer
+	smallWire, _ := small.MarshalCompressed(nil)
+	bigWire, _ := big.MarshalCompressed(nil)
+	bad := append([]byte(nil), smallWire...)
+	bad[len(bad)-3] ^= 0xff // checksum
+
+	var first, got Packet
+	if err := first.DecodeMaybeCompressed(smallWire); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := got.DecodeMaybeCompressed(bad); err == nil {
+			t.Fatal("corrupt stream accepted")
+		}
+		if err := got.DecodeMaybeCompressed(bigWire); err != nil || !bytes.Equal(got.Payload, big.Payload) {
+			t.Fatalf("big payload after a failure: err %v, %d bytes", err, len(got.Payload))
+		}
+		if err := got.DecodeMaybeCompressed(smallWire); err != nil || !bytes.Equal(got.Payload, small.Payload) {
+			t.Fatalf("small payload after a big one: err %v, %q", err, got.Payload)
+		}
+	}
+	if !bytes.Equal(first.Payload, small.Payload) {
+		t.Fatalf("an earlier decode's payload was rewritten: %q", first.Payload)
+	}
+	if cap(got.Payload) > len(got.Payload)+headerLenIPv4+len(PayloadTypeSDP)+1 {
+		t.Fatalf("payload of %d bytes sits in %d: not exactly sized", len(got.Payload), cap(got.Payload))
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"net/netip"
 )
 
@@ -90,6 +91,40 @@ func MsgIDHashOf(payload []byte) uint16 {
 		h = (h*31 + uint32(b)) & 0xffffffff
 	}
 	return uint16(h ^ (h >> 16))
+}
+
+// PayloadDigest is a seeded 64-bit digest of a payload, never 0. Where the
+// 16-bit MsgIDHashOf on the wire can only hint that a payload is one
+// already seen, 64 bits under a seed the sender does not know can stand as
+// the proof: a listener keeps the digest of the bytes it parsed and skips
+// the parse when the same bytes come round again. The seed is the
+// caller's (a directory derives it from its configured seed, never from
+// process entropy, so a replay digests as the recording did). It folds
+// sixteen bytes per 64×64→128-bit multiply, wyhash-fashion; it is not a
+// cryptographic hash and does not need to be (DESIGN.md §11).
+func PayloadDigest(seed uint64, p []byte) uint64 {
+	const k0, k1, k2 = 0xa0761d6478bd642f, 0xe7037ed1a0b428db, 0x8ebc6af09c88c6e3
+	mix := func(a, b uint64) uint64 {
+		hi, lo := bits.Mul64(a, b)
+		return hi ^ lo
+	}
+	// The lane key depends on the seed, so no fixed eight bytes zero a
+	// multiplicand; the length goes in first, so the zero padding of the
+	// last block is unambiguous.
+	lane := mix(seed^k0, k1) | 1
+	h := mix(seed^uint64(len(p)), k2)
+	for ; len(p) >= 16; p = p[16:] {
+		h = mix(binary.LittleEndian.Uint64(p)^lane, binary.LittleEndian.Uint64(p[8:])^h)
+	}
+	if len(p) > 0 {
+		var tail [16]byte
+		copy(tail[:], p)
+		h = mix(binary.LittleEndian.Uint64(tail[:])^lane, binary.LittleEndian.Uint64(tail[8:])^h)
+	}
+	if h = mix(h^lane, k0); h == 0 {
+		return 1
+	}
+	return h
 }
 
 // Marshal appends the wire form of p to dst and returns the result.

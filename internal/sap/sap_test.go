@@ -292,3 +292,50 @@ func TestInternPayloadType(t *testing.T) {
 		t.Fatalf("payload type %q", got.PayloadType)
 	}
 }
+
+// TestPayloadDigest: every byte, the length and the seed reach the digest,
+// and 0 — "no digest" to its users — is never returned.
+func TestPayloadDigest(t *testing.T) {
+	payload := samplePacket().Payload
+	base := PayloadDigest(7, payload)
+	if base != PayloadDigest(7, append([]byte(nil), payload...)) {
+		t.Fatal("digest of equal bytes differs")
+	}
+	if base == PayloadDigest(8, payload) {
+		t.Error("seed does not reach the digest")
+	}
+	seen := map[uint64]int{base: -1}
+	for i := range payload {
+		mutated := append([]byte(nil), payload...)
+		mutated[i] ^= 0x20
+		d := PayloadDigest(7, mutated)
+		if j, dup := seen[d]; dup {
+			t.Errorf("flipping byte %d collides with %d", i, j)
+		}
+		seen[d] = i
+	}
+	for n := 0; n <= 40; n++ {
+		zeros := make([]byte, n)
+		d := PayloadDigest(7, zeros)
+		if d == 0 {
+			t.Errorf("digest of %d zero bytes is 0", n)
+		}
+		if j, dup := seen[d]; dup {
+			t.Errorf("%d zero bytes collide with %d", n, j)
+		}
+		seen[d] = 1000 + n
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = PayloadDigest(7, payload) }); n != 0 {
+		t.Errorf("PayloadDigest: %v allocs, want 0", n)
+	}
+}
+
+func BenchmarkPayloadDigest(b *testing.B) {
+	payload := bytes.Repeat([]byte("a=tool:sdr v2.4a6\r\n"), 21) // 399 bytes
+	b.SetBytes(int64(len(payload)))
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += PayloadDigest(uint64(i), payload)
+	}
+	_ = sink
+}

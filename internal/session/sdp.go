@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 	"unicode/utf8"
 
 	"sessiondir/internal/mcast"
@@ -158,138 +159,388 @@ func appendTextLine(b []byte, prefix, s string) []byte {
 
 // ParseSDP parses the SDP subset back into a Description.
 //
-// data may alias a pooled receive buffer (the zero-copy decode path):
-// the parser walks it line by line without duplicating the payload, and
-// every string the Description retains is a fresh per-line copy, so the
-// result stays valid after the buffer is released. Ignored lines cost
-// nothing.
+// data may alias a pooled receive buffer (the zero-copy decode path) and
+// is not retained. The parser walks it in place, twice. The first walk
+// checks every line and reads the numbers and addresses, and counts what
+// the Description will keep; the second copies exactly that much: all
+// retained text into one backing string, every attribute line into one
+// []string the session and its media share window by window, the media
+// into one []Media. A parse therefore allocates at most four times, and a
+// cached Description holds no slack. Ignored lines cost nothing. Fields
+// split where strings.Fields would split them, and any number or address
+// not in its plainest spelling goes to strconv or netip for the verdict.
 func ParseSDP(data []byte) (*Description, error) {
 	d := &Description{}
+	var keep retained
+	if err := d.scanSDP(data, &keep); err != nil {
+		return nil, err
+	}
+	d.retainSDP(&keep)
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// retained is what scanSDP found that the Description keeps by copy: the
+// last o= user, s= and i= texts (a repeated line overrides the earlier
+// one), and the totals the a= and m= lines come to.
+type retained struct {
+	user, name, info []byte
+	lines            []byte // data from its first a= or m= line on
+	text             int    // bytes of attribute and media text
+	attrs, media     int
+}
+
+// scanSDP checks data line by line and stores everything in d that is not
+// text or a slice.
+func (d *Description) scanSDP(data []byte, keep *retained) error {
 	sawV, sawO, sawS, sawC, sawT := false, false, false, false, false
 	rest := data
 	for lineNo := 1; len(rest) > 0; lineNo++ {
-		var lineB []byte
-		if i := bytes.IndexByte(rest, '\n'); i >= 0 {
-			lineB, rest = rest[:i], rest[i+1:]
-		} else {
-			lineB, rest = rest, nil
-		}
-		lineB = bytes.TrimRight(lineB, "\r")
-		if len(lineB) == 0 {
+		from := rest
+		var line []byte
+		line, rest = cutLine(rest)
+		if len(line) == 0 {
 			continue
 		}
-		if len(lineB) < 2 || lineB[1] != '=' {
-			return nil, fmt.Errorf("sdp: line %d: malformed %q", lineNo, lineB)
+		if len(line) < 2 || line[1] != '=' {
+			return fmt.Errorf("sdp: line %d: malformed %q", lineNo, line)
 		}
-		// One small copy per meaningful line; the switch below may retain
-		// val (or substrings of it) in the Description.
-		key, val := lineB[0], string(lineB[2:])
-		switch key {
+		if keep.lines == nil && (line[0] == 'a' || line[0] == 'm') {
+			keep.lines = from
+		}
+		val := line[2:]
+		switch line[0] {
 		case 'v':
-			if val != "0" {
-				return nil, fmt.Errorf("sdp: unsupported version %q", val)
+			if string(val) != "0" {
+				return fmt.Errorf("sdp: unsupported version %q", val)
 			}
 			sawV = true
 		case 'o':
-			f := strings.Fields(val)
-			if len(f) != 6 || f[3] != "IN" || f[4] != "IP4" {
-				return nil, fmt.Errorf("sdp: malformed origin %q", val)
+			var f [6][]byte
+			if fields(val, f[:]) != 6 || string(f[3]) != "IN" || string(f[4]) != "IP4" {
+				return fmt.Errorf("sdp: malformed origin %q", val)
 			}
-			id, err := strconv.ParseUint(f[1], 10, 64)
+			id, err := parseUint(f[1], 64)
 			if err != nil {
-				return nil, fmt.Errorf("sdp: origin sess-id: %w", err)
+				return fmt.Errorf("sdp: origin sess-id: %w", err)
 			}
-			ver, err := strconv.ParseUint(f[2], 10, 64)
+			ver, err := parseUint(f[2], 64)
 			if err != nil {
-				return nil, fmt.Errorf("sdp: origin sess-version: %w", err)
+				return fmt.Errorf("sdp: origin sess-version: %w", err)
 			}
-			addr, err := netip.ParseAddr(f[5])
+			addr, err := parseAddr(f[5])
 			if err != nil {
-				return nil, fmt.Errorf("sdp: origin address: %w", err)
+				return fmt.Errorf("sdp: origin address: %w", err)
 			}
-			d.OriginUser, d.ID, d.Version, d.Origin = f[0], id, ver, addr
+			keep.user, d.ID, d.Version, d.Origin = f[0], id, ver, addr
 			sawO = true
 		case 's':
-			d.Name = val
+			keep.name = val
 			sawS = true
 		case 'i':
-			d.Info = val
+			keep.info = val
 		case 'c':
-			f := strings.Fields(val)
-			if len(f) != 3 || f[0] != "IN" || f[1] != "IP4" {
-				return nil, fmt.Errorf("sdp: malformed connection %q", val)
+			var f [3][]byte
+			if fields(val, f[:]) != 3 || string(f[0]) != "IN" || string(f[1]) != "IP4" {
+				return fmt.Errorf("sdp: malformed connection %q", val)
 			}
-			addrTTL := strings.SplitN(f[2], "/", 2)
-			addr, err := netip.ParseAddr(addrTTL[0])
+			group, ttl, scoped := bytes.Cut(f[2], []byte("/"))
+			addr, err := parseAddr(group)
 			if err != nil {
-				return nil, fmt.Errorf("sdp: connection address: %w", err)
+				return fmt.Errorf("sdp: connection address: %w", err)
 			}
 			d.Group = addr
-			if len(addrTTL) == 2 {
-				ttl, err := strconv.ParseUint(addrTTL[1], 10, 8)
+			if scoped {
+				v, err := parseUint(ttl, 8)
 				if err != nil {
-					return nil, fmt.Errorf("sdp: connection TTL: %w", err)
+					return fmt.Errorf("sdp: connection TTL: %w", err)
 				}
-				d.TTL = mcast.TTL(ttl)
+				d.TTL = mcast.TTL(v)
 			}
 			sawC = true
 		case 't':
-			f := strings.Fields(val)
-			if len(f) != 2 {
-				return nil, fmt.Errorf("sdp: malformed time %q", val)
+			var f [2][]byte
+			if fields(val, f[:]) != 2 {
+				return fmt.Errorf("sdp: malformed time %q", val)
 			}
-			start, err := strconv.ParseUint(f[0], 10, 64)
+			start, err := parseUint(f[0], 64)
 			if err != nil {
-				return nil, fmt.Errorf("sdp: start time: %w", err)
+				return fmt.Errorf("sdp: start time: %w", err)
 			}
-			stop, err := strconv.ParseUint(f[1], 10, 64)
+			stop, err := parseUint(f[1], 64)
 			if err != nil {
-				return nil, fmt.Errorf("sdp: stop time: %w", err)
+				return fmt.Errorf("sdp: stop time: %w", err)
 			}
 			d.Start, d.Stop = fromNTP(start), fromNTP(stop)
 			sawT = true
 		case 'b':
 			// Only the AS (application-specific, kbps) modifier is used.
-			if rest, ok := strings.CutPrefix(val, "AS:"); ok {
-				kbps, err := strconv.Atoi(rest)
+			if as, ok := bytes.CutPrefix(val, []byte("AS:")); ok {
+				kbps, err := parseInt(as)
 				if err != nil || kbps < 0 {
-					return nil, fmt.Errorf("sdp: malformed bandwidth %q", val)
+					return fmt.Errorf("sdp: malformed bandwidth %q", val)
 				}
 				d.BandwidthKbps = kbps
 			}
 		case 'a':
-			// Attributes attach to the most recent m= line, or to the
-			// session if none has appeared yet.
-			if len(d.Media) > 0 {
-				m := &d.Media[len(d.Media)-1]
-				m.Attributes = append(m.Attributes, val)
-			} else {
-				d.Attributes = append(d.Attributes, val)
-			}
+			keep.attrs++
+			keep.text += len(val)
 		case 'm':
-			f := strings.Fields(val)
-			if len(f) < 4 {
-				return nil, fmt.Errorf("sdp: malformed media %q", val)
+			var f [3][]byte // type, port, proto; the format is what follows
+			n, format := fieldsAndRest(val, f[:])
+			formatLen, formatFields := 0, 0
+			for {
+				var w []byte
+				if w, format = nextField(format); len(w) == 0 {
+					break
+				}
+				formatLen += len(w)
+				formatFields++
 			}
-			port, err := strconv.ParseUint(f[1], 10, 16)
-			if err != nil {
-				return nil, fmt.Errorf("sdp: media port: %w", err)
+			if n < 3 || formatFields == 0 {
+				return fmt.Errorf("sdp: malformed media %q", val)
 			}
-			d.Media = append(d.Media, Media{
-				Type:   f[0],
-				Port:   uint16(port),
-				Proto:  f[2],
-				Format: strings.Join(f[3:], " "),
-			})
+			if _, err := parseUint(f[1], 16); err != nil {
+				return fmt.Errorf("sdp: media port: %w", err)
+			}
+			keep.media++
+			keep.text += len(f[0]) + len(f[2]) + formatLen + formatFields - 1
 		default:
 			// Unknown lines are ignored, as SDP requires.
 		}
 	}
 	if !sawV || !sawO || !sawS || !sawC || !sawT {
-		return nil, fmt.Errorf("sdp: missing mandatory line (v/o/s/c/t)")
+		return fmt.Errorf("sdp: missing mandatory line (v/o/s/c/t)")
 	}
-	if err := d.Validate(); err != nil {
-		return nil, err
+	return nil
+}
+
+// retainSDP copies into d what scanSDP counted, from lines it has already
+// checked.
+func (d *Description) retainSDP(keep *retained) {
+	var text textArena
+	text.Grow(len(keep.user) + len(keep.name) + len(keep.info) + keep.text)
+	d.OriginUser, d.Name, d.Info = text.keep(keep.user), text.keep(keep.name), text.keep(keep.info)
+	var attrs []string
+	if keep.attrs > 0 {
+		attrs = make([]string, 0, keep.attrs)
 	}
-	return d, nil
+	if keep.media > 0 {
+		d.Media = make([]Media, 0, keep.media)
+	}
+	// Attributes attach to the most recent m= line, or to the session if
+	// none has appeared yet. Either way an owner's a= lines are consecutive,
+	// so its list is a window of attrs, capped so that appending to one
+	// list cannot reach into the next.
+	owner := &d.Attributes
+	for rest := keep.lines; len(rest) > 0; {
+		var line []byte
+		line, rest = cutLine(rest)
+		if len(line) < 2 {
+			continue
+		}
+		val := line[2:]
+		switch line[0] {
+		case 'a':
+			attrs = append(attrs, text.keep(val))
+			*owner = attrs[len(attrs)-len(*owner)-1 : len(attrs) : len(attrs)]
+		case 'm':
+			var f [3][]byte
+			_, format := fieldsAndRest(val, f[:])
+			port, _ := parseUint(f[1], 16)
+			m := Media{Type: text.keep(f[0]), Port: uint16(port), Proto: text.keep(f[2])}
+			// The format is the remaining fields joined by single spaces.
+			start := text.Len()
+			for i := 0; ; i++ {
+				var w []byte
+				if w, format = nextField(format); len(w) == 0 {
+					break
+				}
+				if i > 0 {
+					text.WriteByte(' ')
+				}
+				text.Write(w)
+			}
+			m.Format = text.String()[start:]
+			d.Media = append(d.Media, m)
+			owner = &d.Media[len(d.Media)-1].Attributes
+		}
+	}
+}
+
+// textArena is the one backing string of a parsed Description. Grown once
+// to the exact total, it never moves, so the strings cut from it while it
+// fills stay valid.
+type textArena struct{ strings.Builder }
+
+func (t *textArena) keep(b []byte) string {
+	start := t.Len()
+	t.Write(b)
+	return t.String()[start:]
+}
+
+// cutLine cuts the first line off data and drops its line end: the LF and
+// any CRs before it.
+func cutLine(data []byte) (line, rest []byte) {
+	line = data
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		line, rest = data[:i], data[i+1:]
+	}
+	for len(line) > 0 && line[len(line)-1] == '\r' {
+		line = line[:len(line)-1]
+	}
+	return line, rest
+}
+
+// nextField returns the first field of b — a run of bytes that are not
+// white space — and what follows it; an empty field means b holds none.
+// White space is what strings.Fields splits at: unicode.IsSpace of each
+// rune, a byte that is not UTF-8 counting as U+FFFD.
+func nextField(b []byte) (field, rest []byte) {
+	// The usual case first: printable ASCII between single spaces.
+	lo := 0
+	for lo < len(b) && b[lo] == ' ' {
+		lo++
+	}
+	hi := lo
+	for hi < len(b) && b[hi] > ' ' && b[hi] < utf8.RuneSelf {
+		hi++
+	}
+	if hi > lo && (hi == len(b) || b[hi] == ' ') {
+		return b[lo:hi], b[hi:]
+	}
+	start := -1
+	for i := 0; i < len(b); {
+		c, w := b[i], 1
+		space := c == ' ' || c >= '\t' && c <= '\r' // unicode.IsSpace below U+0080
+		if c >= utf8.RuneSelf {
+			var r rune
+			r, w = utf8.DecodeRune(b[i:])
+			space = unicode.IsSpace(r)
+		}
+		if space {
+			if start >= 0 {
+				return b[start:i], b[i:]
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += w
+	}
+	if start < 0 {
+		return nil, nil
+	}
+	return b[start:], nil
+}
+
+// fieldsAndRest stores the first len(dst) fields of b in dst and returns
+// how many of them there were and what follows the last one.
+func fieldsAndRest(b []byte, dst [][]byte) (n int, rest []byte) {
+	for n < len(dst) {
+		if dst[n], b = nextField(b); len(dst[n]) == 0 {
+			break
+		}
+		n++
+	}
+	return n, b
+}
+
+// fields stores the first len(dst) fields of b in dst and returns how many
+// b has, counting one past len(dst) at most.
+func fields(b []byte, dst [][]byte) int {
+	n, rest := fieldsAndRest(b, dst)
+	if extra, _ := nextField(rest); len(extra) > 0 {
+		n++
+	}
+	return n
+}
+
+// parseUint is strconv.ParseUint(string(b), 10, bitSize). A run of at most
+// nineteen digits, which cannot overflow, is read in place; strconv judges
+// everything else, so what is accepted and every error are its own.
+func parseUint(b []byte, bitSize int) (uint64, error) {
+	if v, ok := decimal(b); ok && (bitSize == 64 || v>>bitSize == 0) {
+		return v, nil
+	}
+	return strconv.ParseUint(string(b), 10, bitSize)
+}
+
+// parseInt is strconv.Atoi(string(b)), with the same in-place reading of
+// plain digits (eighteen fit an int; signs go to strconv).
+func parseInt(b []byte) (int, error) {
+	if v, ok := decimal(b); ok && len(b) <= 18 {
+		return int(v), nil
+	}
+	return strconv.Atoi(string(b))
+}
+
+func decimal(b []byte) (v uint64, ok bool) {
+	if len(b) == 0 || len(b) > 19 {
+		return 0, false
+	}
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + uint64(c-'0')
+	}
+	return v, true
+}
+
+// parseAddr is netip.ParseAddr(string(b)): a dotted quad the way
+// netip prints one is read in place, netip judges every other spelling.
+func parseAddr(b []byte) (netip.Addr, error) {
+	if quad, ok := dottedQuad(b); ok {
+		return netip.AddrFrom4(quad), nil
+	}
+	return netip.ParseAddr(string(b))
+}
+
+// dottedQuad reads four dot-separated octets, each one to three digits
+// with no leading zero and at most 255, and nothing else.
+func dottedQuad(b []byte) (quad [4]byte, ok bool) {
+	for i := range quad {
+		n := 0
+		for n < len(b) && n < 3 && b[n] >= '0' && b[n] <= '9' {
+			n++
+		}
+		v, ok := decimal(b[:n])
+		if !ok || v > 255 || (n > 1 && b[0] == '0') {
+			return quad, false
+		}
+		quad[i], b = byte(v), b[n:]
+		if i < 3 {
+			if len(b) == 0 || b[0] != '.' {
+				return quad, false
+			}
+			b = b[1:]
+		}
+	}
+	return quad, len(b) == 0
+}
+
+// PeekKey appends to dst the key — Key() — of the description in payload
+// as its first o= line spells it: the raw address field, '/', the raw
+// sess-id field. It parses nothing, so what it returns is a lookup hint,
+// never an identity: a payload that spells either field other than Key
+// would (leading zeros, an IPv6 form), or that a later o= line overrides,
+// yields a key its description does not have. dst comes back unchanged
+// when there is no o= line with six fields or the key does not fit dst's
+// spare capacity (the longest IPv4 key is 36 bytes).
+func PeekKey(dst, payload []byte) []byte {
+	for rest := payload; len(rest) > 0; {
+		var line []byte
+		line, rest = cutLine(rest)
+		if len(line) < 2 || line[0] != 'o' || line[1] != '=' {
+			continue
+		}
+		var f [6][]byte
+		if n, _ := fieldsAndRest(line[2:], f[:]); n == 6 && len(f[5])+1+len(f[1]) <= cap(dst)-len(dst) {
+			dst = append(append(append(dst, f[5]...), '/'), f[1]...)
+		}
+		break
+	}
+	return dst
 }

@@ -337,7 +337,7 @@ func TestCacheStoreJournalReplay(t *testing.T) {
 func TestCacheStoreUndecodableRecord(t *testing.T) {
 	clk := newFakeClock()
 	good := peerDesc("10.0.1.1", 1, mcast.SyntheticSpace(64), 1, 127)
-	learn := encodeLearn(&announce.Entry{Desc: good, FirstHeard: clk.Now(), LastHeard: clk.Now()})
+	learn := encodeLearn(&announce.Entry{Desc: good, FirstHeard: clk.Now().Unix(), LastHeard: clk.Now()})
 	for name, bad := range map[string][]byte{
 		"empty":        {},
 		"short learn":  {deltaLearn, 1, 2, 3},

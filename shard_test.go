@@ -143,6 +143,11 @@ func runShardScenario(t *testing.T) (events, sessions, metrics string) {
 		fmt.Fprintf(&ss, "own %s@%s\n", own.Key(), own.Group)
 	}
 	for _, mv := range obsDir.Registry().Snapshot() {
+		if mv.Name == "dir_refresh_fast_total" {
+			// Younger than the golden below, which the sharded directory
+			// recorded; how a refresh is handled is not what it pins.
+			continue
+		}
 		fmt.Fprintf(&ms, "metric %s %s %v\n", mv.Name, mv.Kind, mv.Value)
 	}
 	return ev.String(), ss.String(), ms.String()
