@@ -22,10 +22,10 @@ race:
 vet:
 	$(GO) vet ./...
 
-# The determinism, concurrency & ownership gate: runs every analyzer
-# registered in internal/analysis (detrand, maporder, lockscope,
-# looplock, errdrop, metricname, buflease, atomicfield) over the module
-# — new analyzers are picked up automatically. Nonzero exit on any
+# The determinism & concurrency gate: runs every analyzer registered in
+# internal/analysis (detrand, maporder, lockscope, looplock, errdrop,
+# metricname, atomicfield) over the module — new analyzers are picked up
+# automatically. Nonzero exit on any
 # finding; see DESIGN.md §9 and §14 for the rules and the waiver syntax.
 # LINTFLAGS passes extra mclint flags through (CI uses
 # LINTFLAGS=-format=github for inline PR annotations).

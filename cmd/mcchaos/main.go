@@ -13,8 +13,7 @@
 //     cache with listened state intact;
 //   - degradation and degradation-decay: overload tiers engage under
 //     the crowd and relax once it goes stale;
-//   - health and pool-leak: probes stay green and no pooled receive
-//     buffers leak;
+//   - health: probes stay green;
 //   - storage-faults: a daemon whose journaled cache runs over an
 //     injected-fault disk (-storage-faults) counts checkpoint/append
 //     errors, may degrade /readyz — and nothing else: it keeps serving,

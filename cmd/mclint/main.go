@@ -9,8 +9,6 @@
 //	looplock    no per-iteration mutex acquisition inside loop bodies
 //	errdrop     no silently discarded errors on the network paths
 //	metricname  obs registry metric names are snake_case and unique
-//	buflease    transport.Message buffer ownership: no use after Release,
-//	            no double/skipped Release, no escaping Data aliases
 //	atomicfield no struct fields mixing sync/atomic and plain access
 //
 // Findings print as file:line:col: analyzer: message and make the exit

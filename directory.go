@@ -230,7 +230,7 @@ type Directory struct {
 	// outbox holds packets built under mu and transmitted after unlock, so
 	// synchronous transports whose recipients react immediately (the
 	// in-process Bus) cannot re-enter and deadlock.
-	outbox []outMsg
+	outbox []transport.Datagram
 	// journal, when attached (OpenCacheStore), receives encoded cache
 	// deltas; jqueue accumulates them under mu at each mutation site and
 	// flush drains them outside mu. jmu serializes drains and
@@ -269,11 +269,6 @@ type Metrics struct {
 	// Degradation counters (zero unless the cache crossed a tier).
 	DegradedDefenses uint64 // phase-3 defenses suppressed at level ≥ 1
 	DegradedLearns   uint64 // unknown sessions shed without an admission scan at level 2
-}
-
-type outMsg struct {
-	data []byte
-	ttl  mcast.TTL
 }
 
 // dirInstruments holds the directory's registry-backed counters. The
@@ -403,13 +398,9 @@ func (d *Directory) flush() {
 			d.mu.Unlock()
 			return
 		}
-		msgs := d.outbox
+		batch := d.outbox
 		d.outbox = nil
 		d.mu.Unlock()
-		batch := make([]transport.Datagram, len(msgs))
-		for i, m := range msgs {
-			batch[i] = transport.Datagram{Data: m.data, Scope: m.ttl}
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		_ = transport.SendAll(ctx, d.cfg.Transport, batch) // transient errors: next interval retries
 		cancel()
@@ -730,7 +721,7 @@ func (d *Directory) sendDescLocked(desc *session.Description, typ sap.MessageTyp
 	if err != nil {
 		return err
 	}
-	d.outbox = append(d.outbox, outMsg{data: wire, ttl: desc.TTL})
+	d.outbox = append(d.outbox, transport.Datagram{Data: wire, Scope: desc.TTL})
 	return nil
 }
 
@@ -792,10 +783,10 @@ func (d *Directory) OwnSessions() []*session.Description {
 // parsedPacket is the outcome of the lock-free half of packet handling: the
 // decoded SAP header, the digest of the payload and a guess at the session
 // key (ok), or a malformed verdict (!ok, already counted). pkt.Payload
-// aliases the receive buffer (an inflated payload is its own) and the
-// locked half reads it — to parse it, unless the digest shows it need not —
-// so the buffer's lease is held until the locked half is done with the
-// packet; the Description parsed out of it aliases nothing.
+// aliases the datagram (an inflated payload is its own), which is on loan
+// until the receive handler returns; the locked half reads it — to parse
+// it, unless the digest shows it need not — inside that call, and the
+// Description parsed out of it aliases nothing.
 type parsedPacket struct {
 	pkt sap.Packet
 	// desc and key are set once the payload has been parsed, which the
@@ -833,16 +824,14 @@ func (d *Directory) decodePacket(data []byte) parsedPacket {
 	return p
 }
 
-// onPacket is the per-message transport receive path. The message's
-// receive buffer stays leased through the locked half, which may parse the
-// payload in it, and is released as soon as that returns; nothing kept
-// from the packet aliases the buffer (see parsedPacket).
+// onPacket is the per-message transport receive path. m.Data is valid
+// only until it returns, and nothing kept from the packet aliases it (see
+// parsedPacket).
 func (d *Directory) onPacket(m transport.Message) {
 	p := d.decodePacket(m.Data)
 	d.mu.Lock()
 	d.applyParsedLocked(&p)
 	d.mu.Unlock()
-	m.Release()
 	d.flush()
 }
 
@@ -852,8 +841,8 @@ func (d *Directory) onPacket(m transport.Message) {
 // applies the packets in arrival order — refreshing, or parsing and
 // applying, each in its turn — which is what preserves the bit-identical
 // replay contract: the protocol state transitions and RNG draws are
-// exactly those of len(ms) sequential onPacket calls. The receive buffers
-// are released after the epoch, which reads the payloads in them.
+// exactly those of len(ms) sequential onPacket calls. As in onPacket, the
+// datagrams are read only inside the call and nothing is kept from them.
 func (d *Directory) HandleBatch(ms []transport.Message) {
 	if len(ms) == 0 {
 		return
@@ -867,9 +856,6 @@ func (d *Directory) HandleBatch(ms []transport.Message) {
 		d.applyParsedLocked(&parsed[i])
 	}
 	d.mu.Unlock()
-	for i := range ms {
-		ms[i].Release()
-	}
 	d.flush()
 }
 

@@ -87,10 +87,9 @@ func dumpLive(group string, port uint16) {
 	log.Printf("listening on %s:%d", g, port)
 
 	tr.Subscribe(func(m transport.Message) {
-		// Everything below either aliases the receive buffer briefly or
-		// retains only fresh strings (ParseSDP copies per line), so the
-		// pooled buffer can go straight back to the read loop.
-		defer m.Release()
+		// m.Data is valid until this handler returns. Everything below
+		// either aliases it only that long or keeps fresh strings
+		// (ParseSDP copies what it keeps).
 		var pkt sap.Packet
 		if err := pkt.Decode(m.Data); err != nil {
 			log.Printf("%s: undecodable SAP packet: %v", m.From, err)

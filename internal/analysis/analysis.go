@@ -104,7 +104,7 @@ const WaiverDiagnostic = "mclint"
 // All returns the full analyzer registry in fixed order. Waiver comments
 // are validated against this set regardless of -only/-skip selection.
 func All() []*Analyzer {
-	return []*Analyzer{DetRand, MapOrder, LockScope, LoopLock, ErrDrop, MetricName, BufLease, AtomicField}
+	return []*Analyzer{DetRand, MapOrder, LockScope, LoopLock, ErrDrop, MetricName, AtomicField}
 }
 
 // ByName returns the registered analyzer with the given name, or nil.

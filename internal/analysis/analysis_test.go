@@ -13,16 +13,16 @@ func TestSelect(t *testing.T) {
 		wantNames  []string
 		wantErr    bool
 	}{
-		{"", "", []string{"detrand", "maporder", "lockscope", "looplock", "errdrop", "metricname", "buflease", "atomicfield"}, false},
+		{"", "", []string{"detrand", "maporder", "lockscope", "looplock", "errdrop", "metricname", "atomicfield"}, false},
 		{"detrand", "", []string{"detrand"}, false},
 		{"maporder,errdrop", "", []string{"maporder", "errdrop"}, false},
-		{"buflease,atomicfield", "", []string{"buflease", "atomicfield"}, false},
-		{"", "errdrop", []string{"detrand", "maporder", "lockscope", "looplock", "metricname", "buflease", "atomicfield"}, false},
-		{"", "detrand, maporder", []string{"lockscope", "looplock", "errdrop", "metricname", "buflease", "atomicfield"}, false},
+		{"metricname,atomicfield", "", []string{"metricname", "atomicfield"}, false},
+		{"", "errdrop", []string{"detrand", "maporder", "lockscope", "looplock", "metricname", "atomicfield"}, false},
+		{"", "detrand, maporder", []string{"lockscope", "looplock", "errdrop", "metricname", "atomicfield"}, false},
 		{"nosuch", "", nil, true},
 		{"", "nosuch", nil, true},
 		{"detrand", "errdrop", nil, true}, // -only and -skip are exclusive
-		{"", "detrand,maporder,lockscope,looplock,errdrop,metricname,buflease,atomicfield", nil, true}, // empty selection
+		{"", "detrand,maporder,lockscope,looplock,errdrop,metricname,atomicfield", nil, true}, // empty selection
 	}
 	for _, c := range cases {
 		got, err := Select(c.only, c.skip)

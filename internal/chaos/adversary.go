@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
 	"time"
@@ -167,11 +168,8 @@ func (a *Adversary) record(m transport.Message) {
 	if err != nil || desc.Origin != p.Origin {
 		return
 	}
-	// The network hands every recipient its own copy and this handler never
-	// Releases, so retaining m.Data directly is safe — no second
-	// defensive copy needed (buflease verifies handlers that do Release
-	// never retain).
-	a.wire = append(a.wire, m.Data)
+	// m.Data is on loan for this call only; the replayer keeps a copy.
+	a.wire = append(a.wire, bytes.Clone(m.Data))
 	a.descs = append(a.descs, desc)
 }
 

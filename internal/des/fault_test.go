@@ -1,6 +1,7 @@
 package des
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/bits"
@@ -15,10 +16,11 @@ import (
 // The fabric's fault behaviour, stated on the fabric: what each part of a
 // fault.Profile does to packets crossing a Net.
 
-// heard logs what a receiver was delivered.
+// heard logs what a receiver was delivered — in copies, since Data is only
+// on loan for the handler call.
 type heard struct{ msgs [][]byte }
 
-func (h *heard) add(m transport.Message) { h.msgs = append(h.msgs, m.Data) }
+func (h *heard) add(m transport.Message) { h.msgs = append(h.msgs, bytes.Clone(m.Data)) }
 
 // faultPair attaches a sender at node 0 and a receiver at node 1 of a
 // two-node line under profile, returning both and the log of what the
@@ -132,7 +134,8 @@ func TestNetDuplication(t *testing.T) {
 
 // TestNetCorruptionFlipsExactlyOneBit: every delivery differs from what
 // was sent in exactly one bit, and a duplicate carries the same flipped
-// bit in a buffer of its own.
+// bit — in a buffer of its own, or it would arrive as the poison its
+// original was overwritten with.
 func TestNetCorruptionFlipsExactlyOneBit(t *testing.T) {
 	e, _, send, _, got := faultPair(t, 5, fault.Profile{Corrupt: 1, Duplicate: 1})
 	orig := []byte("corrupt me, deterministically")
@@ -159,12 +162,35 @@ func TestNetCorruptionFlipsExactlyOneBit(t *testing.T) {
 		if string(msgs[i]) != string(msgs[i+1]) {
 			t.Fatalf("duplicate %d carries a different bit: %q vs %q", i/2, msgs[i], msgs[i+1])
 		}
-		if &msgs[i][0] == &msgs[i+1][0] {
-			t.Fatalf("duplicate %d shares its original's buffer", i/2)
-		}
 	}
 	if string(orig) != "corrupt me, deterministically" {
 		t.Fatal("sender's buffer was mutated")
+	}
+}
+
+// TestNetDataIsValidForTheCallOnly: during the handler call Data is what
+// was sent, in a copy private to the delivery; once the handler returns
+// the Net poisons that copy, so a retained alias cannot go unnoticed —
+// in any seeded run, on any schedule.
+func TestNetDataIsValidForTheCallOnly(t *testing.T) {
+	e, _, send, recv, _ := faultPair(t, 7, fault.Profile{Duplicate: 1})
+	var during []string
+	var retained [][]byte
+	recv.Subscribe(func(m transport.Message) {
+		during = append(during, string(m.Data))
+		retained = append(retained, m.Data) // the bug the poison exists to expose
+	})
+	orig := []byte("on loan")
+	sendN(t, send, 1, orig)
+	orig[0] = 'X' // in flight: the sender's slice must not show through
+	e.RunFor(time.Second)
+	if len(during) != 2 || during[0] != "on loan" || during[1] != "on loan" {
+		t.Fatalf("Data during the calls = %q, want the packet and its duplicate as sent", during)
+	}
+	for i, b := range retained {
+		if want := bytes.Repeat([]byte{0xDB}, len(orig)); !bytes.Equal(b, want) {
+			t.Fatalf("delivery %d after its handler returned = %q, want it poisoned", i, b)
+		}
 	}
 }
 

@@ -177,7 +177,7 @@ func (e *Endpoint) Send(_ context.Context, data []byte, scope mcast.TTL) error {
 		if fate.Drop {
 			continue // lost on the way to this receiver
 		}
-		// Each delivery gets its own copy: handlers own their Data.
+		// Each delivery gets its own copy, poisoned once it has been handled.
 		var cp []byte
 		if fate.CorruptBit >= 0 {
 			cp = fault.Flip(data, fate.CorruptBit)
@@ -193,14 +193,18 @@ func (e *Endpoint) Send(_ context.Context, data []byte, scope mcast.TTL) error {
 	return nil
 }
 
-// deliverAfter schedules one arrival. A receiver closed while the packet
-// is in flight gets nothing.
+// deliverAfter schedules one arrival of data, which it owns. A receiver
+// closed while the packet is in flight gets nothing. The bytes are
+// overwritten as soon as the handler returns: Message.Data is valid for
+// the call only, and a handler that kept an alias reads garbage in every
+// seeded run instead of some time later on a real socket's reused ring.
 func (e *Endpoint) deliverAfter(d time.Duration, data []byte) {
 	e.net.engine.After(d, func() {
 		if e.closed || e.handler == nil {
 			return
 		}
 		e.handler(transport.Message{Data: data})
+		transport.Poison(data)
 	})
 }
 

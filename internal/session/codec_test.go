@@ -407,7 +407,7 @@ func TestParseSDPAllocations(t *testing.T) {
 	}
 }
 
-// TestParseSDPRetainsNothing: data may be a pooled receive buffer, so the
+// TestParseSDPRetainsNothing: data may be a datagram on loan, so the
 // result must not change when the buffer is rewritten — and attribute
 // lists that share an array must not grow into each other.
 func TestParseSDPRetainsNothing(t *testing.T) {

@@ -159,7 +159,7 @@ func appendTextLine(b []byte, prefix, s string) []byte {
 
 // ParseSDP parses the SDP subset back into a Description.
 //
-// data may alias a pooled receive buffer (the zero-copy decode path) and
+// data may alias a received datagram on loan (the zero-copy decode path) and
 // is not retained. The parser walks it in place, twice. The first walk
 // checks every line and reads the numbers and addresses, and counts what
 // the Description will keep; the second copies exactly that much: all

@@ -25,11 +25,12 @@ import (
 // the preallocated ring under 2 MB at the 64 kB default datagram cap.
 const readBatchSize = 32
 
-// rxSlot is one ring entry: a pooled full-capacity buffer plus the
-// per-datagram results of the last ReadBatch that filled it.
+// rxSlot is one ring entry: the slot's own full-length buffer, read into
+// in place by every ReadBatch, plus the per-datagram results of the last
+// call that filled it.
 type rxSlot struct {
-	buf  *[]byte // pooled, always full length; owner swaps it out on handoff
-	n    int     // bytes received
+	buf  []byte // allocated once by the ring's owner, always full length
+	n    int    // bytes received
 	from netip.AddrPort
 }
 
@@ -45,7 +46,7 @@ type txPkt struct {
 // WriteBatch may be called concurrently with it but not with itself.
 type batchConn interface {
 	// ReadBatch blocks until at least one datagram is available, fills
-	// slots[0..m) — reading each datagram into (*slots[i].buf) at full
+	// slots[0..m) — reading each datagram into slots[i].buf at full
 	// length and recording its size and source — and returns m. It never
 	// blocks waiting for a second datagram: whatever is queued beyond the
 	// first is taken only if it is already there. Deadline and close
@@ -63,7 +64,7 @@ type singleConn struct {
 }
 
 func (c *singleConn) ReadBatch(slots []rxSlot) (int, error) {
-	n, from, err := c.conn.ReadFromUDPAddrPort(*slots[0].buf)
+	n, from, err := c.conn.ReadFromUDPAddrPort(slots[0].buf)
 	if err != nil {
 		return 0, err
 	}

@@ -79,10 +79,10 @@ func (c *mmsgConn) ReadBatch(slots []rxSlot) (int, error) {
 		c.iovs = make([]syscall.Iovec, len(slots))
 		c.names = make([]syscall.RawSockaddrInet4, len(slots))
 	}
-	// Re-point the headers every call: slot buffers rotate through the
-	// pool between calls, and the kernel overwrites Namelen/Len in place.
+	// Rebuild the headers every call: the kernel overwrites Namelen/Len
+	// in place, and a caller may pass a different ring.
 	for i := range slots {
-		b := *slots[i].buf
+		b := slots[i].buf
 		c.iovs[i].Base = &b[0]
 		c.iovs[i].SetLen(len(b))
 		c.hdrs[i] = mmsghdr{Hdr: syscall.Msghdr{

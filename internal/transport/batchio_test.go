@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
-	"runtime/debug"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -33,9 +35,9 @@ func withBatchConn(t testing.TB, mk func(*net.UDPConn) batchConn, fn func()) {
 	fn()
 }
 
-// recvRecord is one observed Message, copied out of the zero-copy buffer
-// before Release as the ownership contract requires of retaining
-// handlers.
+// recvRecord is one observed Message, copied out of the ring slot
+// before the handler returns, as the loan contract requires of handlers
+// that keep bytes.
 type recvRecord struct {
 	payload string
 	from    netip.AddrPort
@@ -64,7 +66,6 @@ func conformanceRun(t *testing.T, mk func(*net.UDPConn) batchConn) ([]recvRecord
 	got := make(chan recvRecord, 64)
 	tr.Subscribe(func(m Message) {
 		got <- recvRecord{payload: string(m.Data), from: m.From}
-		m.Release()
 	})
 
 	tx, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -172,7 +173,7 @@ func TestBatchConnConformance(t *testing.T) {
 
 // TestBatchConnDrainsBacklog: the platform implementation must deliver a
 // burst larger than one batch completely and in one piece (no loss, no
-// duplication) — the recvmmsg ring rotation is the code under test.
+// duplication) — reading into the same ring again is the code under test.
 func TestBatchConnDrainsBacklog(t *testing.T) {
 	for name, mk := range batchConnImpls() {
 		t.Run(name, func(t *testing.T) {
@@ -193,7 +194,6 @@ func TestBatchConnDrainsBacklog(t *testing.T) {
 			seen := make(chan string, burst)
 			tr.Subscribe(func(m Message) {
 				seen <- string(m.Data)
-				m.Release()
 			})
 			tx, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 			if err != nil {
@@ -219,39 +219,16 @@ func TestBatchConnDrainsBacklog(t *testing.T) {
 					t.Fatalf("payload %q delivered %d times", p, n)
 				}
 			}
-			if m := tr.Metrics(); m.PoolMisses > burst+readBatchSize+1 {
-				t.Errorf("pool misses %d suggest recycling is broken (burst %d)", m.PoolMisses, burst)
-			}
 		})
 	}
 }
 
-// TestMessageReleaseIdempotent: double release must be a no-op, and
-// releasing a non-pooled message must not panic.
-func TestMessageReleaseIdempotent(t *testing.T) {
-	p := newBufPool(64)
-	b := p.get()
-	m := Message{Data: (*b)[:4], pool: p, buf: b}
-	m.Release()
-	m.Release() // second release: cleared provenance makes it a no-op
-	var plain Message
-	plain.Release() // bus/DES messages carry no pool
-	if h, ms := p.hits.Load(), p.misses.Load(); ms != 1 || h != 0 {
-		t.Fatalf("pool hits=%d misses=%d, want 0/1", h, ms)
-	}
-	// sync.Pool deliberately drops a fraction of Puts under the race
-	// detector, so the round-trip is only deterministic without it.
-	if !raceEnabled {
-		if got := p.get(); got != b {
-			t.Fatal("released buffer did not return to the pool")
-		}
-	}
-}
-
-// TestUDPReadLoopZeroAllocSteadyState pins the tentpole's allocation
-// claim: once the pool is warm, receiving and releasing a datagram
-// performs zero heap allocations across the whole read loop, for both
-// the platform and the portable fallback implementations.
+// TestUDPReadLoopZeroAllocSteadyState pins the receive path's allocation
+// claim: after a warm-up batch, receiving a datagram performs zero heap
+// allocations across the whole read loop, for both the platform and the
+// portable fallback implementations — and a garbage collection between
+// bursts changes nothing, because the ring is the loop's own memory and
+// not a cache the collector may empty.
 func TestUDPReadLoopZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -272,10 +249,7 @@ func TestUDPReadLoopZeroAllocSteadyState(t *testing.T) {
 			defer tr.Close()
 
 			done := make(chan struct{}, 1)
-			tr.Subscribe(func(m Message) {
-				m.Release() // release before signalling so the loop's refill hits the pool
-				done <- struct{}{}
-			})
+			tr.Subscribe(func(Message) { done <- struct{}{} })
 			tx, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 			if err != nil {
 				t.Fatal(err)
@@ -284,18 +258,20 @@ func TestUDPReadLoopZeroAllocSteadyState(t *testing.T) {
 			dst := tr.LocalAddr()
 			payload := make([]byte, 512)
 
-			// GC off so a collection cannot empty the sync.Pool mid-measure;
 			// AllocsPerRun counts mallocs process-wide, including the read
-			// loop goroutine, which is exactly what we want to pin.
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			avg := testing.AllocsPerRun(200, func() {
-				if _, err := tx.WriteToUDPAddrPort(payload, dst); err != nil {
-					t.Fatal(err)
+			// loop goroutine, which is exactly what we want to pin; its own
+			// unmeasured first call is the warm-up batch.
+			for burst := 0; burst < 3; burst++ {
+				avg := testing.AllocsPerRun(100, func() {
+					if _, err := tx.WriteToUDPAddrPort(payload, dst); err != nil {
+						t.Fatal(err)
+					}
+					<-done
+				})
+				if avg != 0 {
+					t.Errorf("%s burst %d: %.2f allocs per datagram, want 0", name, burst, avg)
 				}
-				<-done
-			})
-			if avg != 0 {
-				t.Errorf("%s steady-state receive: %.2f allocs/op, want 0", name, avg)
+				runtime.GC()
 			}
 		})
 	}
@@ -335,7 +311,6 @@ func TestSendBatchMatchesSequentialSend(t *testing.T) {
 				mu.Lock()
 				got = append(got, string(m.Data))
 				mu.Unlock()
-				m.Release()
 				gotCh <- struct{}{}
 			})
 
@@ -370,6 +345,56 @@ func TestSendBatchMatchesSequentialSend(t *testing.T) {
 				t.Fatalf("received %d datagrams, want %d", len(got), len(batch))
 			}
 		})
+	}
+}
+
+// failFirstConn is a batchConn whose first WriteBatch fails and takes
+// the socket down with it, so every TTL sockopt after it fails too.
+type failFirstConn struct {
+	singleConn
+	failed bool
+}
+
+var errFirstWrite = errors.New("first WriteBatch failed")
+
+func (c *failFirstConn) WriteBatch([]txPkt) error {
+	if c.failed {
+		return nil
+	}
+	c.failed = true
+	_ = c.conn.Close()
+	return errFirstWrite
+}
+
+// TestSendBatchJoinsErrorsAcrossScopeRuns: a TTL failure on a later
+// same-scope run must neither discard the errors earlier runs collected
+// nor stop the runs after it — the batch reports what k Sends would.
+func TestSendBatchJoinsErrorsAcrossScopeRuns(t *testing.T) {
+	var tr *UDPTransport
+	withBatchConn(t, func(c *net.UDPConn) batchConn {
+		return &failFirstConn{singleConn: singleConn{conn: c}}
+	}, func() {
+		var err error
+		tr, err = NewUDP(UDPConfig{Peers: []netip.AddrPort{netip.MustParseAddrPort("127.0.0.1:9")}})
+		if err != nil {
+			t.Fatalf("NewUDP: %v", err)
+		}
+	})
+	defer tr.Close()
+	// Multicast mode from here on (the read loop never looks at group):
+	// SendBatch splits the batch by scope and sets the TTL once per run.
+	tr.group = &net.UDPAddr{IP: net.IPv4(239, 255, 77, 77), Port: 9}
+
+	err := tr.SendBatch(t.Context(), []Datagram{
+		{Data: []byte("run-1"), Scope: 16},
+		{Data: []byte("run-2"), Scope: 127},
+		{Data: []byte("run-3"), Scope: 16},
+	})
+	if !errors.Is(err, errFirstWrite) {
+		t.Fatalf("the first run's write error was dropped: %v", err)
+	}
+	if n := strings.Count(err.Error(), "set TTL"); n != 2 {
+		t.Fatalf("%d TTL errors joined, want one for each of the two later runs: %v", n, err)
 	}
 }
 

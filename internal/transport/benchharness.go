@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"runtime/debug"
 	"time"
 )
 
@@ -13,11 +12,11 @@ import (
 // RecvThroughput measures the cost of *draining* datagrams in isolation:
 // each round queues perRound datagrams on a loopback socket while no
 // reader is running, then drains them the way the UDP read loop does —
-// platform batchConn (recvmmsg on linux), pooled buffers, lock-free
-// handler, zero-copy hand-off — timing only the drain. Keeping the fill
-// outside the clock is what lets the number answer "how fast can the
-// receive path retire a backlog" — the question SAP announcement bursts
-// ask — rather than blending in sender-side syscall cost.
+// platform batchConn (recvmmsg on linux), a ring read into in place,
+// lock-free handler, zero-copy loan — timing only the drain. Keeping the
+// fill outside the clock is what lets the number answer "how fast can
+// the receive path retire a backlog" — the question SAP announcement
+// bursts ask — rather than blending in sender-side syscall cost.
 //
 // Both the transport's own benchmark and cmd/mcbench call this, so the
 // number in BENCH.json and the number a `go test -bench` run prints come
@@ -29,8 +28,8 @@ type RecvThroughputResult struct {
 	Reads     int   // receive calls (≈ syscalls) used to drain them
 	DrainNs   int64 // time spent draining, fill excluded
 	// AllocsPerDatagram is the mean heap allocations per drained
-	// datagram, measured after a warm-up round with GC paused so pool
-	// reuse is observable (the steady-state gate wants exactly 0).
+	// datagram, measured after a warm-up round (the steady-state gate
+	// wants exactly 0).
 	AllocsPerDatagram float64
 }
 
@@ -88,15 +87,14 @@ func RecvThroughput(rounds, perRound, payloadLen int) (RecvThroughputResult, err
 	// if some were dropped) and reports how many arrived and how long it
 	// took; reads counts receive calls, for the batch-depth metric.
 	reads := 0
-	pool := newBufPool(maxDatagram + 1)
 	bc := newBatchConn(rx)
 	slots := make([]rxSlot, readBatchSize)
 	for i := range slots {
-		slots[i].buf = pool.get()
+		slots[i].buf = make([]byte, maxDatagram+1)
 	}
-	// The handler mirrors what a subscribed directory costs the loop: an
-	// indirect call that releases the buffer.
-	handler := Handler(func(m Message) { m.Release() })
+	// The handler mirrors what a subscription costs the loop: an indirect
+	// call per datagram.
+	handler := Handler(func(Message) {})
 	hp := &handler
 	drain := func(want int) (int, int64, error) {
 		got := 0
@@ -114,8 +112,7 @@ func RecvThroughput(rounds, perRound, payloadLen int) (RecvThroughputResult, err
 			h := hp
 			for i := 0; i < n; i++ {
 				s := &slots[i]
-				(*h)(Message{From: s.from, Data: (*s.buf)[:s.n], pool: pool, buf: s.buf})
-				s.buf = pool.get()
+				(*h)(Message{From: s.from, Data: s.buf[:s.n]})
 			}
 			got += n
 		}
@@ -130,8 +127,8 @@ func RecvThroughput(rounds, perRound, payloadLen int) (RecvThroughputResult, err
 		return perRound, nil
 	}
 
-	// Warm-up round: page in the path and seed the buffer pool, so the
-	// measured rounds see steady state.
+	// Warm-up round: page in the path and the ring, so the measured
+	// rounds see steady state.
 	if _, err := fill(); err != nil {
 		return res, err
 	}
@@ -139,9 +136,6 @@ func RecvThroughput(rounds, perRound, payloadLen int) (RecvThroughputResult, err
 		return res, err
 	}
 
-	// GC off while measuring: a collection mid-run would empty the
-	// buffer pool and bill the refill to whichever round it landed on.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	reads = 0

@@ -113,10 +113,23 @@ func (e *BusEndpoint) deliver(data []byte) {
 	if closed || h == nil {
 		return
 	}
-	// Each recipient gets its own copy: handlers own their Data.
+	// Each recipient gets a private copy so that it can be poisoned the
+	// moment the handler returns: a handler that kept an alias of Data
+	// past the call — which UDP's reused ring would corrupt some time
+	// later — reads garbage here at once, in every Bus-driven test.
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	h(Message{Data: cp})
+	Poison(cp)
+}
+
+// Poison overwrites b, a delivered Message.Data whose handler has
+// returned, with 0xDB. The in-process fabrics (Bus, des.Net) call it so
+// the loan contract is checked wherever they carry traffic.
+func Poison(b []byte) {
+	for i := range b {
+		b[i] = 0xDB
+	}
 }
 
 // Subscribe implements Transport.

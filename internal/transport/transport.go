@@ -17,48 +17,28 @@ type Message struct {
 	// From is the sender's address (zero for in-process transports that
 	// don't model addressing).
 	From netip.AddrPort
-	// Data is the packet contents. The receiver owns the message: Data
-	// (and anything aliasing it, such as a zero-copy SAP decode) stays
-	// valid until Release is called, and a handler that keeps Data past
-	// its return must either copy it first or never call Release.
+	// Data is the packet contents, on loan for the duration of the
+	// handler call: Data (and anything aliasing it, such as a zero-copy
+	// SAP decode) is valid until the handler returns, after which the
+	// transport reuses the bytes. A handler that keeps bytes copies them.
 	Data []byte
-
-	// pool and buf carry the receive buffer's provenance for transports
-	// that pool buffers (UDP). Both are nil for in-process transports,
-	// making Release a no-op there.
-	pool *bufPool
-	buf  *[]byte
 }
 
-// Release returns the message's receive buffer to the owning transport's
-// pool. The ownership contract (DESIGN.md §13):
-//
-//   - Data is valid until Release; after Release it must not be touched.
-//   - Call Release at most once, after the last use of Data.
-//   - Not calling Release is safe — the buffer falls to the garbage
-//     collector — but defeats pooling, so steady-state consumers (the
-//     directory) always release.
-//
-// Release on a message from a non-pooling transport (Bus, DES, fault
-// deliveries) is a no-op.
-func (m *Message) Release() {
-	if m.pool != nil && m.buf != nil {
-		m.pool.put(m.buf)
-		m.pool, m.buf = nil, nil
-	}
-}
+// Release does nothing: a received datagram is borrowed for the handler
+// call, not leased, so there is nothing to hand back. It remains only
+// because benchmark/udpprobe.go calls it, and leaves with the other
+// shims of ROADMAP item 8.
+func (m *Message) Release() {}
 
 // Handler consumes received messages. Handlers are invoked sequentially
-// per transport; they must not block for long. The handler receives
-// ownership of the message — see Message.Release for the buffer
-// contract.
+// per transport; they must not block for long. The message's Data is
+// only valid until the handler returns (DESIGN.md §13).
 type Handler func(Message)
 
 // BatchHandler consumes a whole receive batch at once — every datagram
-// one receive syscall retired. The handler owns each Message per the
-// Release contract, but NOT the slice: it is the transport's scratch,
-// valid only for the duration of the call (a handler keeping messages
-// past its return must copy them out first).
+// one receive syscall retired. Neither the slice nor any Message's Data
+// outlives the call: both are the transport's scratch, read into again
+// as soon as the handler returns.
 type BatchHandler func([]Message)
 
 // BatchSubscriber is implemented by transports whose receive path

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/netip"
@@ -81,16 +82,36 @@ func TestBusPolicyScopesDelivery(t *testing.T) {
 	}
 }
 
-func TestBusHandlerOwnsData(t *testing.T) {
+// keep copies what a test handler holds past its return: Data is only
+// on loan for the call.
+func keep(m Message) Message {
+	m.Data = bytes.Clone(m.Data)
+	return m
+}
+
+// TestBusDataIsValidForTheCallOnly: during the handler call Data is what
+// was sent, in a copy private to the recipient; once the handler returns
+// the Bus poisons that copy, so a retained alias cannot go unnoticed.
+func TestBusDataIsValidForTheCallOnly(t *testing.T) {
 	bus := NewBus()
 	a, b := bus.Endpoint(), bus.Endpoint()
-	var captured []byte
-	b.Subscribe(func(m Message) { captured = m.Data })
 	payload := []byte("mutable")
+	var during string
+	var retained []byte
+	b.Subscribe(func(m Message) {
+		payload[0] = 'X' // the sender's slice must not show through
+		during = string(m.Data)
+		retained = m.Data // the bug the poison exists to expose
+	})
 	a.Send(context.Background(), payload, 1) //nolint:errcheck
-	payload[0] = 'X'
-	if string(captured) != "mutable" {
-		t.Fatalf("handler data aliases the sender's buffer: %q", captured)
+	if during != "mutable" {
+		t.Fatalf("Data during the call = %q, want what was sent, unaliased", during)
+	}
+	if want := bytes.Repeat([]byte{0xDB}, len(payload)); !bytes.Equal(retained, want) {
+		t.Fatalf("Data after the handler returned = %q, want it poisoned", retained)
+	}
+	if string(payload) != "Xutable" {
+		t.Fatalf("the sender's own slice was touched: %q", payload)
 	}
 }
 
@@ -127,7 +148,7 @@ func TestUDPUnicastFanout(t *testing.T) {
 	defer recv.Close()
 
 	msgs := make(chan Message, 4)
-	recv.Subscribe(func(m Message) { msgs <- m })
+	recv.Subscribe(func(m Message) { msgs <- keep(m) })
 
 	send, err := NewUDP(UDPConfig{Peers: []netip.AddrPort{recv.LocalAddr()}})
 	if err != nil {
@@ -218,7 +239,7 @@ func TestUDPMulticastOrSkip(t *testing.T) {
 	}
 	defer recv.Close()
 	msgs := make(chan Message, 1)
-	recv.Subscribe(func(m Message) { msgs <- m })
+	recv.Subscribe(func(m Message) { msgs <- keep(m) })
 
 	send, err := NewUDP(UDPConfig{Group: grp, Port: 19876})
 	if err != nil {
@@ -253,7 +274,7 @@ type msgLog struct {
 func (l *msgLog) add(m Message) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.msgs = append(l.msgs, m.Data)
+	l.msgs = append(l.msgs, keep(m).Data)
 }
 
 func (l *msgLog) count() int {

@@ -84,9 +84,6 @@ type UDPMetrics struct {
 	ReadErrors  uint64 // socket read failures (each backed off before retry)
 	ReadBatches uint64 // ReadBatch calls that returned datagrams (≈ receive syscalls)
 	Rebinds     uint64 // socket rebinds after persistent read failures
-	PoolHits    uint64 // receive buffers served from the pool
-	PoolMisses  uint64 // receive buffers freshly allocated
-	PoolReturns uint64 // receive buffers handed back via Message.Release
 }
 
 // udpIO pairs a socket with its platform batch reader/writer. The pair
@@ -101,7 +98,6 @@ type udpIO struct {
 type UDPTransport struct {
 	io     atomic.Pointer[udpIO]        // current socket generation
 	mkConn func() (*net.UDPConn, error) // reopens the socket at the same address/group
-	pool   *bufPool                     // receive buffers, returned via Message.Release
 	group  *net.UDPAddr                 // nil in unicast mode
 	peers  []netip.AddrPort
 	local  netip.AddrPort
@@ -126,8 +122,8 @@ type UDPTransport struct {
 	handler  atomic.Pointer[Handler]
 	bhandler atomic.Pointer[BatchHandler]
 	// rxBatch is the readLoop's scratch slice for whole-batch delivery,
-	// reused across syscalls (the BatchHandler contract forbids keeping
-	// the slice past the call).
+	// reused across syscalls (the BatchHandler contract lends the slice
+	// for the call only).
 	rxBatch []Message
 	// batchSizes, when observability is enabled, records how many
 	// datagrams each receive syscall retired.
@@ -179,9 +175,6 @@ func (t *UDPTransport) registerObs(r *obs.Registry) error {
 		{"udp_read_errors_total", "socket read failures, each backed off before retry", &t.readErrors},
 		{"udp_read_batches_total", "receive syscalls that returned datagrams (batched reads)", &t.readBatches},
 		{"udp_rebind_total", "socket rebinds after persistent read failures", &t.rebinds},
-		{"udp_rx_pool_hits_total", "receive buffers served from the pool", &t.pool.hits},
-		{"udp_rx_pool_misses_total", "receive buffers freshly allocated on pool miss", &t.pool.misses},
-		{"udp_rx_pool_returns_total", "receive buffers returned to the pool via Message.Release", &t.pool.returns},
 	}
 	for _, v := range views {
 		if err := r.CounterFunc(v.name, v.help, v.src.Load); err != nil {
@@ -248,11 +241,8 @@ func newUnicastUDP(cfg UDPConfig) (*UDPTransport, error) {
 	return t, nil
 }
 
-// initIO sets up the batched I/O path: the buffer pool (one spare byte
-// past the cap distinguishes "exactly MaxPacket" from "kernel truncated
-// something larger") and the platform batchConn.
+// initIO records the bound address and sets up the platform batchConn.
 func (t *UDPTransport) initIO(conn *net.UDPConn) {
-	t.pool = newBufPool(t.maxPkt + 1)
 	t.local = conn.LocalAddr().(*net.UDPAddr).AddrPort()
 	t.loopDone = make(chan struct{})
 	t.io.Store(&udpIO{conn: conn, bc: newBatchConnFn(conn)})
@@ -306,16 +296,20 @@ func (t *UDPTransport) applyTTL(conn *net.UDPConn, ttl int) error {
 
 // readLoop drains the socket through the batchConn: one blocking call
 // retires up to readBatchSize datagrams (a single recvmmsg on linux),
-// each handed to the handler in its pooled receive buffer with no copy.
-// The slot's buffer is immediately replaced from the pool, so the
-// handler owns what it was given until it calls Message.Release. The
-// loop body takes no locks: the handler pointer is an atomic load once
-// per batch, and all counters are atomics.
+// each handed to the handler in the ring slot it was read into, with no
+// copy. The ring is allocated once and read into again in place: this
+// goroutine is the only reader and calls the handler synchronously, so
+// the next ReadBatch cannot start until every handler has returned —
+// which is exactly how long Message.Data is on loan. The loop body takes
+// no locks: the handler pointer is an atomic load once per batch, and
+// all counters are atomics.
 func (t *UDPTransport) readLoop() {
 	defer close(t.loopDone)
 	slots := make([]rxSlot, readBatchSize)
 	for i := range slots {
-		slots[i].buf = t.pool.get()
+		// One spare byte past the cap distinguishes "exactly MaxPacket"
+		// from "kernel truncated something larger".
+		slots[i].buf = make([]byte, t.maxPkt+1)
 	}
 	// The jitter source is deterministic (seeded from the local port) per
 	// the detrand rule; jitter only needs to decorrelate daemons, and
@@ -379,10 +373,9 @@ func (t *UDPTransport) readLoop() {
 			}
 			t.received.Add(1)
 			if h == nil && bh == nil {
-				continue // nobody listening; reuse the slot buffer in place
+				continue // nobody listening
 			}
-			m := Message{From: s.from, Data: (*s.buf)[:s.n], pool: t.pool, buf: s.buf}
-			s.buf = t.pool.get() // ownership moves to the handler
+			m := Message{From: s.from, Data: s.buf[:s.n]}
 			if bh != nil {
 				t.rxBatch = append(t.rxBatch, m)
 				continue
@@ -497,9 +490,6 @@ func (t *UDPTransport) Metrics() UDPMetrics {
 		ReadErrors:  t.readErrors.Load(),
 		ReadBatches: t.readBatches.Load(),
 		Rebinds:     t.rebinds.Load(),
-		PoolHits:    t.pool.hits.Load(),
-		PoolMisses:  t.pool.misses.Load(),
-		PoolReturns: t.pool.returns.Load(),
 	}
 }
 
@@ -573,15 +563,16 @@ func (t *UDPTransport) SendBatch(ctx context.Context, batch []Datagram) error {
 	group := t.group.AddrPort()
 	pkts := make([]txPkt, 0, len(batch))
 	var errs []error
-	for i := 0; i < len(batch); {
+	for i, j := 0, 0; i < len(batch); i = j {
 		// TTL is a socket option, so a batch can only share a syscall
 		// while the scope holds; split at each scope change.
-		j := i
 		for j < len(batch) && batch[j].Scope == batch[i].Scope {
 			j++
 		}
 		if err := t.applyTTL(cur.conn, int(batch[i].Scope)); err != nil {
-			return fmt.Errorf("transport: set TTL: %w", err)
+			// As Send would: this run is not sent, the runs after it are.
+			errs = append(errs, fmt.Errorf("transport: set TTL: %w", err))
+			continue
 		}
 		pkts = pkts[:0]
 		for _, d := range batch[i:j] {
@@ -590,7 +581,6 @@ func (t *UDPTransport) SendBatch(ctx context.Context, batch []Datagram) error {
 		if err := cur.bc.WriteBatch(pkts); err != nil {
 			errs = append(errs, err)
 		}
-		i = j
 	}
 	return errors.Join(errs...)
 }

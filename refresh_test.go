@@ -33,11 +33,13 @@ func (s *sentLog) Subscribe(transport.Handler) {}
 func (s *sentLog) LocalAddr() netip.AddrPort   { return netip.AddrPort{} }
 func (s *sentLog) Close() error                { return nil }
 
-// refreshSide is one of the two directories TestRefreshFastPathMatchesFullParse
-// drives, with everything it can be observed through. salt > 0 marks the
-// side whose payloads each get a unique ignored line.
+// refreshSide is one of the two directories runRefreshScript drives, with
+// everything it can be observed through. salt > 0 marks the side whose
+// payloads each get a unique ignored line; ring, the side whose datagrams
+// arrive on loan (see deliver).
 type refreshSide struct {
 	salt  int
+	ring  [][]byte
 	d     *Directory
 	tx    *sentLog
 	log   *eventLog
@@ -131,6 +133,31 @@ func (s *refreshSide) datagram(t *testing.T, w wire, n int) transport.Message {
 	return transport.Message{Data: data}
 }
 
+// deliver hands the directory one receive batch. A side without a ring
+// gets fresh slices nothing ever writes to again. A side with one gets the
+// batch the way a transport lends it: in buffers that are overwritten the
+// moment the receive call returns and used again for the next batch, so
+// anything the directory kept from a datagram past that call is garbage by
+// the time it is looked at.
+func (s *refreshSide) deliver(ms []transport.Message) {
+	if s.ring == nil {
+		s.d.HandleBatch(ms)
+		return
+	}
+	for i := range ms {
+		s.ring[i] = append(s.ring[i][:0], ms[i].Data...)
+		ms[i].Data = s.ring[i]
+	}
+	if len(ms) == 1 {
+		s.d.onPacket(ms[0])
+	} else {
+		s.d.HandleBatch(ms)
+	}
+	for i := range ms {
+		transport.Poison(s.ring[i])
+	}
+}
+
 func renderSessions(descs []*session.Description) string {
 	lines := make([]string, 0, len(descs))
 	for _, d := range descs {
@@ -152,8 +179,9 @@ func (s *refreshSide) refreshed() float64 {
 }
 
 // observe renders everything that changed since the last call, and
-// everything that has a current value.
-func (s *refreshSide) observe(t *testing.T) string {
+// everything that has a current value. With a salted twin, what only the
+// salt moves is left out.
+func (s *refreshSide) observe(t *testing.T, saltedTwin bool) string {
 	t.Helper()
 	var b strings.Builder
 	fmt.Fprintf(&b, "sessions:\n%s\nown:\n%s\n", renderSessions(s.d.Sessions()), renderSessions(s.d.OwnSessions()))
@@ -187,7 +215,7 @@ func (s *refreshSide) observe(t *testing.T) string {
 		fmt.Fprintf(&b, "file %s %s\n", name, digest(string(data)))
 	}
 	for _, mv := range s.d.Registry().Snapshot() {
-		if mv.Name == "dir_refresh_fast_total" || strings.HasPrefix(mv.Name, "dir_packet_size_bytes") {
+		if saltedTwin && (mv.Name == "dir_refresh_fast_total" || strings.HasPrefix(mv.Name, "dir_packet_size_bytes")) {
 			continue // how refreshes were handled, and the salt's length
 		}
 		fmt.Fprintf(&b, "metric %s %v\n", mv.Name, mv.Value)
@@ -211,18 +239,42 @@ func TestRefreshFastPathMatchesFullParse(t *testing.T) {
 		budgets bool
 	}{{1, false}, {1, true}, {32, false}, {32, true}} {
 		t.Run(fmt.Sprintf("batch%d/budgets=%v", c.batch, c.budgets), func(t *testing.T) {
-			runRefreshScript(t, 1998, c.batch, c.budgets)
+			runRefreshScript(t, 1998, c.batch, c.budgets, &refreshSide{salt: 1})
 		})
 	}
 }
 
-func runRefreshScript(t *testing.T, seed uint64, batch int, budgets bool) {
-	clk := newFakeClock()
-	sides := []*refreshSide{
-		{fs: storage.NewMemFS()},          // as-is
-		{salt: 1, fs: storage.NewMemFS()}, // salted
+// TestDirectoryRetainsNothingFromDatagrams is the receive contract seen
+// from the directory: Message.Data is valid until the receive call returns
+// and not a moment longer. The same script drives twins that differ only
+// in where their datagrams live — side "as-is" in fresh slices, side "on
+// loan" in a ring of reused buffers poisoned after every HandleBatch (and,
+// at batch size 1, every onPacket). Both take the refresh path, both parse
+// zero-copy out of the datagram, and if either kept a single byte of one —
+// a Description string aliasing the payload, a payload stashed for later —
+// the on-loan side would show it as 0xDB where the other shows the session.
+// (Bus and des.Net poison their deliveries the same way, but only reach
+// onPacket; UDP and the benchmark come in through HandleBatch.)
+func TestDirectoryRetainsNothingFromDatagrams(t *testing.T) {
+	for _, c := range []struct {
+		batch   int
+		budgets bool
+	}{{1, false}, {32, false}, {32, true}} {
+		t.Run(fmt.Sprintf("batch%d/budgets=%v", c.batch, c.budgets), func(t *testing.T) {
+			runRefreshScript(t, 1998, c.batch, c.budgets, &refreshSide{ring: make([][]byte, 32)})
+		})
 	}
+}
+
+// runRefreshScript drives an as-is side and its twin — which receives the
+// same datagrams salted, or on loan — through one seeded script, comparing
+// everything observable after every op.
+func runRefreshScript(t *testing.T, seed uint64, batch int, budgets bool, twin *refreshSide) {
+	clk := newFakeClock()
+	sides := []*refreshSide{{}, twin}
+	salted := twin.salt > 0
 	for _, s := range sides {
+		s.fs = storage.NewMemFS()
 		s.open(t, clk, budgets)
 		defer func() { s.d.Close() }()
 	}
@@ -283,16 +335,16 @@ func runRefreshScript(t *testing.T, seed uint64, batch int, budgets bool) {
 			for i, w := range pending {
 				ms[i] = s.datagram(t, w, sentN+i)
 			}
-			s.d.HandleBatch(ms)
+			s.deliver(ms)
 		}
 		sentN += len(pending)
 		pending = pending[:0]
 	}
 	compare := func() {
 		t.Helper()
-		want := asIs.observe(t)
-		if got := sides[1].observe(t); got != want {
-			t.Fatalf("step %d (%s): the sides differ.\n--- as-is\n%s\n--- salted\n%s", step, strings.Join(what, ", "), want, got)
+		want := asIs.observe(t, salted)
+		if got := twin.observe(t, salted); got != want {
+			t.Fatalf("step %d (%s): the sides differ.\n--- as-is\n%s\n--- twin\n%s", step, strings.Join(what, ", "), want, got)
 		}
 		what = what[:0]
 		// Evictions, expiries and sheds the script did not predict.
@@ -413,7 +465,7 @@ func runRefreshScript(t *testing.T, seed uint64, batch int, budgets bool) {
 				if own, err = asIs.d.CreateSession(testDesc("ours", 127)); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := sides[1].d.CreateSession(testDesc("ours", 127)); err != nil {
+				if _, err := twin.d.CreateSession(testDesc("ours", 127)); err != nil {
 					t.Fatal(err)
 				}
 				send(wire{typ: sap.Announce, origin: own.Origin, payload: sdpOf(own)})
@@ -469,7 +521,7 @@ func runRefreshScript(t *testing.T, seed uint64, batch int, budgets bool) {
 	compare()
 
 	hits := asIs.refreshedBefore + asIs.refreshed() - burstHits
-	if never := sides[1].refreshedBefore + sides[1].refreshed(); never != 0 {
+	if never := twin.refreshedBefore + twin.refreshed(); salted && never != 0 {
 		t.Errorf("the salted side refreshed %v datagrams without parsing them", never)
 	}
 	if hits < 0.9*float64(unchanged) {
