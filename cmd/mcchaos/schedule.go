@@ -133,34 +133,6 @@ func crowdDesc(i int) *session.Description {
 	}
 }
 
-// ctlCmd sends one relay control command and returns the reply,
-// retrying because the control protocol is stateless resend-to-repair.
-func ctlCmd(ctl netip.AddrPort, cmd string) (string, error) {
-	c, err := net.DialUDP("udp4", nil, net.UDPAddrFromAddrPort(ctl))
-	if err != nil {
-		return "", err
-	}
-	defer func() { _ = c.Close() }()
-	buf := make([]byte, 4096)
-	for attempt := 0; attempt < 3; attempt++ {
-		if _, err = c.Write([]byte(cmd)); err != nil {
-			return "", err
-		}
-		if err = c.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
-			return "", err
-		}
-		var n int
-		if n, err = c.Read(buf); err == nil {
-			reply := string(buf[:n])
-			if strings.HasPrefix(reply, "ERR") {
-				return reply, fmt.Errorf("relay control: %s", reply)
-			}
-			return reply, nil
-		}
-	}
-	return "", fmt.Errorf("relay control %q: no reply: %w", cmd, err)
-}
-
 // run executes the schedule against a fresh fleet and returns whether
 // every invariant held. Setup failures return an error (exit code 2
 // territory); invariant failures return (false, nil) after writing a
@@ -169,18 +141,13 @@ func (sc schedule) run(v *verdict, n int, seed uint64, sdrdBin, artifacts string
 	v.logf("mcchaos schedule=%s n=%d seed=%d", sc.name, n, seed)
 	rng := stats.NewRNG(seed)
 
-	// The relay and its control server. The orchestrator drives
-	// partitions through the UDP control protocol — the same surface an
-	// external operator would use — rather than in-process calls.
+	// The relay runs in this process; the schedule steers its links and
+	// partitions by method call.
 	r, err := relay.New(relay.Config{Seed: seed})
 	if err != nil {
 		return false, err
 	}
 	defer func() { _ = r.Close() }()
-	ctl, err := r.ServeControl()
-	if err != nil {
-		return false, err
-	}
 
 	// Reserve each slot's sockets, attach it to the relay, spawn it.
 	f := newFleet(sdrdBin, artifacts, seed, n)
@@ -343,11 +310,8 @@ func (sc schedule) run(v *verdict, n int, seed uint64, sdrdBin, artifacts string
 	}
 
 	groups := splitGroups(rng, n)
-	spec := formatGroups(groups)
-	v.logf("phase partition groups=%s", spec)
-	if _, err := ctlCmd(ctl, "partition "+spec); err != nil {
-		return false, err
-	}
+	v.logf("phase partition groups=%s", formatGroups(groups))
+	r.Partition(groups...)
 	partitionOK := r.SeveredLinks() > 0
 	v.invariant("partition-active", partitionOK)
 
@@ -386,9 +350,7 @@ func (sc schedule) run(v *verdict, n int, seed uint64, sdrdBin, artifacts string
 	ownKey[victimIdx] = row.key
 
 	time.Sleep(sc.partitionHold)
-	if _, err := ctlCmd(ctl, "heal"); err != nil {
-		return false, err
-	}
+	r.Heal()
 	v.logf("phase heal")
 
 	// Post-heal convergence: every live daemon must list every honest
@@ -506,8 +468,7 @@ func sortInts(s []int) {
 	}
 }
 
-// formatGroups renders groups in the control protocol's syntax, e.g.
-// "0,2|1,3".
+// formatGroups renders groups for the verdict log, e.g. "0,2|1,3".
 func formatGroups(groups [][]int) string {
 	var parts []string
 	for _, g := range groups {

@@ -65,7 +65,6 @@ func run() error {
 		duration   = flag.Duration("for", 0, "exit after this long (0 = run until signal)")
 		cacheFile  = flag.String("cache", "", "persist the session cache to this file (journaled checkpoints) across restarts")
 		checkpoint = flag.Duration("checkpoint", time.Minute, "with -cache, fold the journal into a fresh snapshot at this interval (0 = only on exit)")
-		budget     = flag.Int("budget", 0, "outbound bandwidth budget in bits/second (0 = unlimited; SAP convention is 4000)")
 
 		storageFaults = flag.String("storage-faults", "", `with -cache, inject deterministic disk faults, e.g. "seed=7,write=0.02,short=0.01,nospace=0.01,sync=0.05" (chaos harness use)`)
 
@@ -87,16 +86,7 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("transport: %w", err)
 	}
-	var tr transport.Transport = udp
-	if *budget > 0 {
-		limited, err := transport.NewRateLimited(tr, *budget, 0, nil)
-		if err != nil {
-			return fmt.Errorf("budget: %w", err)
-		}
-		tr = limited
-		log.Printf("outbound budget: %d bits/second", *budget)
-	}
-	defer func() { _ = tr.Close() }() // exiting anyway; socket errors have nowhere to go
+	defer func() { _ = udp.Close() }() // exiting anyway; socket errors have nowhere to go
 
 	originAddr, err := netip.ParseAddr(*origin)
 	if err != nil {
@@ -115,7 +105,7 @@ func run() error {
 
 	dir, err := sessiondir.New(sessiondir.Config{
 		Origin:       originAddr,
-		Transport:    tr,
+		Transport:    udp,
 		MaxSessions:  *maxSessions,
 		MaxPerOrigin: *maxPerOrigin,
 		OriginRate:   *originRate,

@@ -3,7 +3,9 @@ package sessiondir
 import (
 	"context"
 	"fmt"
+	"maps"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -388,7 +390,7 @@ func (d *Directory) registerGauges() error {
 }
 
 // flush transmits queued packets outside the lock. Reactions triggered at
-// recipients may enqueue more packets here (via onPacket); the loop drains
+// recipients may enqueue more packets here (via HandleBatch); the loop drains
 // until quiescent.
 func (d *Directory) flush() {
 	for {
@@ -459,7 +461,7 @@ func New(cfg Config) (*Directory, error) {
 			cfg.Allocator.Size(), cfg.Space.Size)
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = time.Now
+		cfg.Clock = time.Now //mclint:detrand the production default; every deterministic caller injects Config.Clock
 	}
 	if cfg.Backoff == (announce.Backoff{}) {
 		cfg.Backoff = announce.DefaultBackoff(announce.MinInterval)
@@ -527,13 +529,7 @@ func New(cfg Config) (*Directory, error) {
 	if err := d.registerGauges(); err != nil {
 		return nil, fmt.Errorf("sessiondir: %w", err)
 	}
-	cfg.Transport.Subscribe(d.onPacket)
-	if bs, ok := cfg.Transport.(transport.BatchSubscriber); ok {
-		// Transports that retire whole receive batches (UDP's recvmmsg
-		// loop) hand them to the epoch-batched path: decode the batch,
-		// then apply it in arrival order under one lock epoch.
-		bs.SubscribeBatch(d.HandleBatch)
-	}
+	cfg.Transport.Subscribe(d.HandleBatch)
 	return d, nil
 }
 
@@ -751,31 +747,33 @@ func (d *Directory) withdrawSession(key string) error {
 	return nil
 }
 
-// Sessions returns a snapshot of all known live sessions (cached + owned).
+// Sessions returns a snapshot of all known live sessions (cached + owned),
+// in key order.
 func (d *Directory) Sessions() []*session.Description {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var out []*session.Description
-	seen := map[string]bool{}
-	for _, own := range d.owned {
-		out = append(out, own.desc)
-		seen[own.desc.Key()] = true
+	live := d.cache.Live()
+	byKey := make(map[string]*session.Description, len(live)+len(d.owned))
+	for _, e := range live {
+		byKey[e.Key()] = e.Desc
 	}
-	for _, e := range d.cache.Live() {
-		if !seen[e.Desc.Key()] {
-			out = append(out, e.Desc)
-		}
+	for key, own := range d.owned {
+		byKey[key] = own.desc // our own copy over whatever we heard of it
+	}
+	out := make([]*session.Description, 0, len(byKey))
+	for _, key := range slices.Sorted(maps.Keys(byKey)) {
+		out = append(out, byKey[key])
 	}
 	return out
 }
 
-// OwnSessions returns the sessions this directory announces.
+// OwnSessions returns the sessions this directory announces, in key order.
 func (d *Directory) OwnSessions() []*session.Description {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out := make([]*session.Description, 0, len(d.owned))
-	for _, own := range d.owned {
-		out = append(out, own.desc)
+	for _, key := range slices.Sorted(maps.Keys(d.owned)) {
+		out = append(out, d.owned[key].desc)
 	}
 	return out
 }
@@ -824,30 +822,26 @@ func (d *Directory) decodePacket(data []byte) parsedPacket {
 	return p
 }
 
-// onPacket is the per-message transport receive path. m.Data is valid
-// only until it returns, and nothing kept from the packet aliases it (see
+// HandleBatch is the receive path, the directory's transport.Handler: the
+// lock is taken once per batch, not once per datagram. The whole batch is
+// decoded first, outside the lock; one lock epoch then applies the
+// packets in arrival order — refreshing, or parsing and applying, each in
+// its turn — then the outbox is flushed. That is what preserves the
+// bit-identical replay contract: the protocol state transitions and RNG
+// draws are exactly those of len(ms) batches of one. The datagrams are
+// read only inside the call and nothing is kept from them (see
 // parsedPacket).
-func (d *Directory) onPacket(m transport.Message) {
-	p := d.decodePacket(m.Data)
-	d.mu.Lock()
-	d.applyParsedLocked(&p)
-	d.mu.Unlock()
-	d.flush()
-}
-
-// HandleBatch is the epoch-batched receive path: onPacket's two halves
-// with the lock taken once per batch instead of once per datagram. The
-// whole batch is decoded first, outside the lock; one lock epoch then
-// applies the packets in arrival order — refreshing, or parsing and
-// applying, each in its turn — which is what preserves the bit-identical
-// replay contract: the protocol state transitions and RNG draws are
-// exactly those of len(ms) sequential onPacket calls. As in onPacket, the
-// datagrams are read only inside the call and nothing is kept from them.
 func (d *Directory) HandleBatch(ms []transport.Message) {
 	if len(ms) == 0 {
 		return
 	}
-	parsed := make([]parsedPacket, len(ms))
+	// A batch of one — all the in-process fabrics deliver — decodes on the
+	// stack.
+	var one [1]parsedPacket
+	parsed := one[:]
+	if len(ms) > 1 {
+		parsed = make([]parsedPacket, len(ms))
+	}
 	for i := range ms {
 		parsed[i] = d.decodePacket(ms[i].Data)
 	}
@@ -1188,7 +1182,7 @@ func (d *Directory) step(now time.Time) {
 	// and any fault-injecting transport's RNG draws), so it must be
 	// identical run to run for a chaos schedule to replay from its seed.
 	var due []string
-	for key, own := range d.owned {
+	for key, own := range d.owned { //mclint:maporder due keys are sorted before use
 		if !own.nextAnnounce.After(now) {
 			due = append(due, key)
 		}

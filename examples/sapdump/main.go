@@ -86,21 +86,23 @@ func dumpLive(group string, port uint16) {
 	defer tr.Close()
 	log.Printf("listening on %s:%d", g, port)
 
-	tr.Subscribe(func(m transport.Message) {
-		// m.Data is valid until this handler returns. Everything below
+	tr.Subscribe(func(ms []transport.Message) {
+		// Each m.Data is valid until this handler returns. Everything below
 		// either aliases it only that long or keeps fresh strings
 		// (ParseSDP copies what it keeps).
-		var pkt sap.Packet
-		if err := pkt.Decode(m.Data); err != nil {
-			log.Printf("%s: undecodable SAP packet: %v", m.From, err)
-			return
+		for _, m := range ms {
+			var pkt sap.Packet
+			if err := pkt.Decode(m.Data); err != nil {
+				log.Printf("%s: undecodable SAP packet: %v", m.From, err)
+				continue
+			}
+			desc, err := session.ParseSDP(pkt.Payload)
+			if err != nil {
+				log.Printf("%s: %s from %s (non-SDP payload)", m.From, pkt.Type, pkt.Origin)
+				continue
+			}
+			log.Printf("%s: %s %q group=%s ttl=%d", m.From, pkt.Type, desc.Name, desc.Group, desc.TTL)
 		}
-		desc, err := session.ParseSDP(pkt.Payload)
-		if err != nil {
-			log.Printf("%s: %s from %s (non-SDP payload)", m.From, pkt.Type, pkt.Origin)
-			return
-		}
-		log.Printf("%s: %s %q group=%s ttl=%d", m.From, pkt.Type, desc.Name, desc.Group, desc.TTL)
 	})
 
 	sig := make(chan os.Signal, 1)

@@ -26,6 +26,7 @@ var DetRand = &Analyzer{
 	Doc: "forbid wall-clock reads and ambient randomness in deterministic packages; " +
 		"the only sanctioned entropy is stats.RNG",
 	Packages: []string{
+		"sessiondir",
 		"sessiondir/internal/sim",
 		"sessiondir/internal/allocator",
 		"sessiondir/internal/announce",

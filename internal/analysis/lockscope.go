@@ -35,7 +35,6 @@ var LockScope = &Analyzer{
 	Doc: "forbid function calls while a sync.Mutex/RWMutex is held; " +
 		"compute outside the lock, mutate state inside it",
 	Packages: []string{
-		"sessiondir/internal/announce",
 		"sessiondir/internal/des",
 		"sessiondir/internal/topology",
 		"sessiondir/internal/transport",

@@ -23,7 +23,6 @@ var LoopLock = &Analyzer{
 		"hoist the lock, snapshot, or use an atomic",
 	Packages: []string{
 		"sessiondir",
-		"sessiondir/internal/announce",
 		"sessiondir/internal/des",
 		"sessiondir/internal/storage",
 		"sessiondir/internal/transport",

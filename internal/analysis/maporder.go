@@ -36,6 +36,7 @@ var MapOrder = &Analyzer{
 	Doc: "flag range-over-map in deterministic packages unless the body is provably " +
 		"order-insensitive or carries an //mclint:maporder waiver",
 	Packages: []string{
+		"sessiondir",
 		"sessiondir/internal/sim",
 		"sessiondir/internal/allocator",
 		"sessiondir/internal/announce",

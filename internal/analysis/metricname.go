@@ -28,7 +28,6 @@ var MetricName = &Analyzer{
 		"sessiondir/internal/obs",
 		"sessiondir/internal/allocator",
 		"sessiondir/internal/transport",
-		"sessiondir/internal/relay",
 		"sessiondir/internal/storage",
 	},
 	Run: runMetricName,

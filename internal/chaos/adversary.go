@@ -156,21 +156,23 @@ func (h *Harness) AddAdversary(cfg AdversaryConfig) *Adversary {
 // record stores overheard announcements, bounded. It keeps whatever is
 // internally consistent — an adversary cannot tell honest traffic from
 // another adversary's well-formed forgeries, and doesn't care.
-func (a *Adversary) record(m transport.Message) {
-	if len(a.wire) >= maxRecorded {
-		return
+func (a *Adversary) record(ms []transport.Message) {
+	for _, m := range ms {
+		if len(a.wire) >= maxRecorded {
+			return
+		}
+		var p sap.Packet
+		if err := p.DecodeMaybeCompressed(m.Data); err != nil || p.Type != sap.Announce {
+			continue
+		}
+		desc, err := session.ParseSDP(p.Payload)
+		if err != nil || desc.Origin != p.Origin {
+			continue
+		}
+		// m.Data is on loan for this call only; the replayer keeps a copy.
+		a.wire = append(a.wire, bytes.Clone(m.Data))
+		a.descs = append(a.descs, desc)
 	}
-	var p sap.Packet
-	if err := p.DecodeMaybeCompressed(m.Data); err != nil || p.Type != sap.Announce {
-		return
-	}
-	desc, err := session.ParseSDP(p.Payload)
-	if err != nil || desc.Origin != p.Origin {
-		return
-	}
-	// m.Data is on loan for this call only; the replayer keeps a copy.
-	a.wire = append(a.wire, bytes.Clone(m.Data))
-	a.descs = append(a.descs, desc)
 }
 
 // active reports whether the adversary sends in the tick ending elapsed

@@ -136,7 +136,7 @@ func TestNetScopedDelayedDelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := node
-		ep.Subscribe(func(transport.Message) {
+		ep.Subscribe(func([]transport.Message) {
 			mu.Lock()
 			got[n] = append(got[n], e.Now())
 			mu.Unlock()
@@ -169,7 +169,7 @@ func TestNetLossRate(t *testing.T) {
 	src, _ := net.Attach(0)
 	dst, _ := net.Attach(1)
 	received := 0
-	dst.Subscribe(func(transport.Message) { received++ })
+	dst.Subscribe(func(ms []transport.Message) { received += len(ms) })
 	const sent = 5000
 	for i := 0; i < sent; i++ {
 		if err := src.Send(context.Background(), []byte("x"), 10); err != nil {
@@ -189,7 +189,7 @@ func TestNetClosedEndpoint(t *testing.T) {
 	src, _ := net.Attach(0)
 	dst, _ := net.Attach(1)
 	delivered := false
-	dst.Subscribe(func(transport.Message) { delivered = true })
+	dst.Subscribe(func([]transport.Message) { delivered = true })
 	dst.Close()
 	if err := src.Send(context.Background(), []byte("x"), 10); err != nil {
 		t.Fatal(err)

@@ -20,7 +20,11 @@ import (
 // on loan for the handler call.
 type heard struct{ msgs [][]byte }
 
-func (h *heard) add(m transport.Message) { h.msgs = append(h.msgs, bytes.Clone(m.Data)) }
+func (h *heard) add(ms []transport.Message) {
+	for _, m := range ms {
+		h.msgs = append(h.msgs, bytes.Clone(m.Data))
+	}
+}
 
 // faultPair attaches a sender at node 0 and a receiver at node 1 of a
 // two-node line under profile, returning both and the log of what the
@@ -176,9 +180,11 @@ func TestNetDataIsValidForTheCallOnly(t *testing.T) {
 	e, _, send, recv, _ := faultPair(t, 7, fault.Profile{Duplicate: 1})
 	var during []string
 	var retained [][]byte
-	recv.Subscribe(func(m transport.Message) {
-		during = append(during, string(m.Data))
-		retained = append(retained, m.Data) // the bug the poison exists to expose
+	recv.Subscribe(func(ms []transport.Message) {
+		for _, m := range ms {
+			during = append(during, string(m.Data))
+			retained = append(retained, m.Data) // the bug the poison exists to expose
+		}
 	})
 	orig := []byte("on loan")
 	sendN(t, send, 1, orig)
@@ -253,7 +259,11 @@ func TestNetFatesIndependentPerReceiver(t *testing.T) {
 			t.Fatal(err)
 		}
 		eps[i] = ep
-		ep.Subscribe(func(m transport.Message) { heard[i] = append(heard[i], m.Data[0]) })
+		ep.Subscribe(func(ms []transport.Message) {
+			for _, m := range ms {
+				heard[i] = append(heard[i], m.Data[0])
+			}
+		})
 	}
 	for i := 0; i < 64; i++ {
 		if err := send.Send(context.Background(), []byte{byte(i), 9, 9, 9}, 10); err != nil {

@@ -21,7 +21,7 @@ func TestLinkFilterBlocksAndHeals(t *testing.T) {
 	src, _ := net.Attach(0)
 	dst, _ := net.Attach(3)
 	got := 0
-	dst.Subscribe(func(transport.Message) { got++ })
+	dst.Subscribe(func(ms []transport.Message) { got += len(ms) })
 
 	// Partition: nodes 0-1 vs 2-3.
 	net.SetLinkFilter(Partition(func(n topology.NodeID) bool { return n < 2 }))
@@ -54,7 +54,7 @@ func TestNetPartitionGroupsAndHeal(t *testing.T) {
 		if eps[i], err = net.Attach(topology.NodeID(i)); err != nil {
 			t.Fatal(err)
 		}
-		eps[i].Subscribe(func(transport.Message) { got[i]++ })
+		eps[i].Subscribe(func(ms []transport.Message) { got[i] += len(ms) })
 	}
 	send := func(from int) {
 		t.Helper()
@@ -101,7 +101,7 @@ func TestNetPartitionComposesWithScope(t *testing.T) {
 	src, _ := net.Attach(0)
 	dst, _ := net.Attach(3)
 	got := 0
-	dst.Subscribe(func(transport.Message) { got++ })
+	dst.Subscribe(func(ms []transport.Message) { got += len(ms) })
 	net.SetLinkFilter(PartitionGroups(fault.Partition([]int{0, 3})))
 	for _, ttl := range []mcast.TTL{2, 255} { // node 3 is three hops out
 		if err := src.Send(nil, []byte("x"), ttl); err != nil {

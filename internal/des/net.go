@@ -193,17 +193,18 @@ func (e *Endpoint) Send(_ context.Context, data []byte, scope mcast.TTL) error {
 	return nil
 }
 
-// deliverAfter schedules one arrival of data, which it owns. A receiver
-// closed while the packet is in flight gets nothing. The bytes are
-// overwritten as soon as the handler returns: Message.Data is valid for
-// the call only, and a handler that kept an alias reads garbage in every
-// seeded run instead of some time later on a real socket's reused ring.
+// deliverAfter schedules one arrival of data, which it owns, as a batch
+// of one. A receiver closed while the packet is in flight gets nothing.
+// The bytes are overwritten as soon as the handler returns: Message.Data
+// is valid for the call only, and a handler that kept an alias reads
+// garbage in every seeded run instead of some time later on a real
+// socket's reused ring.
 func (e *Endpoint) deliverAfter(d time.Duration, data []byte) {
 	e.net.engine.After(d, func() {
 		if e.closed || e.handler == nil {
 			return
 		}
-		e.handler(transport.Message{Data: data})
+		e.handler([]transport.Message{{Data: data}})
 		transport.Poison(data)
 	})
 }

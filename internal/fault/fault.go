@@ -20,8 +20,6 @@ package fault
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"sessiondir/internal/stats"
@@ -77,44 +75,6 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("fault: delay window %s:%s negative or inverted", p.DelayMin, p.DelayMax)
 	}
 	return nil
-}
-
-// ParseProfile parses "loss=f dup=f corrupt=f delay=min:max" options (any
-// subset, any order), the syntax of the relay's control socket.
-func ParseProfile(kvs []string) (Profile, error) {
-	var p Profile
-	probs := map[string]*float64{"loss": &p.Loss, "dup": &p.Duplicate, "corrupt": &p.Corrupt}
-	for _, kv := range kvs {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return p, fmt.Errorf("bad option %q (want key=value)", kv)
-		}
-		switch key := strings.ToLower(k); key {
-		case "loss", "dup", "corrupt":
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || !validProb(f) {
-				return p, fmt.Errorf("bad probability %q", kv)
-			}
-			*probs[key] = f
-		case "delay":
-			lo, hi, ok := strings.Cut(v, ":")
-			if !ok {
-				return p, fmt.Errorf("bad delay %q (want min:max)", kv)
-			}
-			dlo, err := time.ParseDuration(lo)
-			if err != nil || dlo < 0 {
-				return p, fmt.Errorf("bad delay min %q", lo)
-			}
-			dhi, err := time.ParseDuration(hi)
-			if err != nil || dhi < dlo {
-				return p, fmt.Errorf("bad delay max %q", hi)
-			}
-			p.DelayMin, p.DelayMax = dlo, dhi
-		default:
-			return p, fmt.Errorf("unknown option %q", k)
-		}
-	}
-	return p, nil
 }
 
 // Stats counts one process's decisions.

@@ -3,7 +3,6 @@ package fault
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -39,53 +38,6 @@ func TestValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) accepted", p)
 		}
 	}
-}
-
-func TestParseProfile(t *testing.T) {
-	ok := []struct {
-		in   string
-		want Profile
-	}{
-		{"", Profile{}},
-		{"loss=1e-3", Profile{Loss: 1e-3}},
-		{"loss=0.25 dup=0.1 corrupt=0.01 delay=1ms:20ms",
-			Profile{Loss: 0.25, Duplicate: 0.1, Corrupt: 0.01, DelayMin: time.Millisecond, DelayMax: 20 * time.Millisecond}},
-		{"LOSS=1 delay=5ms:5ms", Profile{Loss: 1, DelayMin: 5 * time.Millisecond, DelayMax: 5 * time.Millisecond}},
-	}
-	for _, c := range ok {
-		got, err := ParseProfile(strings.Fields(c.in))
-		if err != nil || got != c.want {
-			t.Errorf("ParseProfile(%q) = %+v, %v; want %+v", c.in, got, err, c.want)
-		}
-	}
-	for _, in := range []string{
-		"loss=NaN", "dup=nan", "corrupt=+Inf", "loss=-0.1", "loss=1.1", "loss=", "loss",
-		"delay=5ms", "delay=-1ms:5ms", "delay=10ms:5ms", "delay=x:1s", "burst=0.1",
-	} {
-		if p, err := ParseProfile(strings.Fields(in)); err == nil {
-			t.Errorf("ParseProfile(%q) accepted: %+v", in, p)
-		}
-	}
-}
-
-// FuzzParseProfile: the control socket hands this parser bytes from the
-// network. It must never panic, and whatever it accepts must be a profile
-// Validate accepts — in particular, no NaN probability.
-func FuzzParseProfile(f *testing.F) {
-	for _, seed := range []string{
-		"loss=0.25 dup=0.1 corrupt=0.01 delay=1ms:20ms", "loss=NaN", "delay=1h:1ns", "=", "loss==1", "delay=:",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, in string) {
-		p, err := ParseProfile(strings.Fields(in))
-		if err != nil {
-			return
-		}
-		if verr := p.Validate(); verr != nil {
-			t.Fatalf("ParseProfile(%q) accepted %+v, which Validate rejects: %v", in, p, verr)
-		}
-	})
 }
 
 // TestNextDrawAccounting pins how many values each kind of fate takes

@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"sessiondir/internal/fault"
-	"sessiondir/internal/obs"
 	"sessiondir/internal/stats"
 )
 
@@ -50,11 +49,6 @@ type Config struct {
 	// Seed derives every link's RNG stream. Required non-zero so a run
 	// can always name the seed it replays from.
 	Seed uint64
-	// Obs, when non-nil, registers the relay counters
-	// (relay_forwarded_total, relay_dropped_total, relay_duplicated_total,
-	// relay_corrupted_total, relay_delayed_total,
-	// relay_partition_drops_total) and the relay_partitions_active gauge.
-	Obs *obs.Registry
 }
 
 // Stats is a snapshot of the relay's aggregate forwarding decisions.
@@ -121,8 +115,6 @@ type Relay struct {
 	timers []*time.Timer
 
 	wg sync.WaitGroup
-
-	ctl *controlServer // non-nil once ServeControl has bound
 }
 
 // New opens a relay. Attach endpoints, then point each daemon's peer
@@ -135,43 +127,11 @@ func New(cfg Config) (*Relay, error) {
 	if err != nil {
 		return nil, fmt.Errorf("relay: egress socket: %w", err)
 	}
-	r := &Relay{
+	return &Relay{
 		cfg:    cfg,
 		egress: egress,
 		links:  make(map[[2]int]*link),
-	}
-	if cfg.Obs != nil {
-		if err := r.registerObs(cfg.Obs); err != nil {
-			_ = egress.Close() // registration failed before the relay was shared
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
-func (r *Relay) registerObs(reg *obs.Registry) error {
-	views := []struct {
-		name, help string
-		src        *atomic.Uint64
-	}{
-		{"relay_forwarded_total", "copies forwarded to endpoints, duplicates included", &r.forwarded},
-		{"relay_dropped_total", "packets dropped by per-link loss draws", &r.dropped},
-		{"relay_duplicated_total", "extra copies created by duplication draws", &r.duplicated},
-		{"relay_corrupted_total", "forwarded copies with one flipped bit", &r.corrupted},
-		{"relay_delayed_total", "copies that sat in the delay queue", &r.delayed},
-		{"relay_partition_drops_total", "packets severed by an active partition", &r.partitionDrops},
-	}
-	for _, v := range views {
-		if err := reg.CounterFunc(v.name, v.help, v.src.Load); err != nil {
-			return fmt.Errorf("relay: %w", err)
-		}
-	}
-	if err := reg.GaugeFunc("relay_partitions_active",
-		"directed links currently severed by the active partition",
-		func() float64 { return float64(r.SeveredLinks()) }); err != nil {
-		return fmt.Errorf("relay: %w", err)
-	}
-	return nil
+	}, nil
 }
 
 // Attach binds a fresh ingress socket for one endpoint whose deliveries
@@ -407,7 +367,6 @@ func (r *Relay) Close() error {
 	}
 	r.closed = true
 	atts := r.atts
-	ctl := r.ctl
 	// Cancel pending delayed deliveries so Close does not wait out their
 	// delays. A Stop that loses the race to a firing callback returns
 	// false and that callback does its own bookkeeping (and sees closed).
@@ -421,9 +380,6 @@ func (r *Relay) Close() error {
 	r.mu.Unlock()
 	for _, a := range atts {
 		_ = a.in.Close() // shutdown path; read loops exit on the close error
-	}
-	if ctl != nil {
-		_ = ctl.conn.Close() // same: unblocks the control loop
 	}
 	err := r.egress.Close()
 	r.wg.Wait()

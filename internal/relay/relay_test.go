@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"sessiondir/internal/fault"
-	"sessiondir/internal/obs"
 )
 
 // endpoint is a raw UDP listener standing in for a daemon: it records
@@ -172,8 +171,7 @@ func TestRelayLossScheduleReplaysBySeed(t *testing.T) {
 }
 
 func TestRelayPartitionBlocksAndHeals(t *testing.T) {
-	reg := obs.NewRegistry()
-	r := mustRelay(t, Config{Seed: 3, Obs: reg})
+	r := mustRelay(t, Config{Seed: 3})
 	a, b := newEndpoint(t), newEndpoint(t)
 	inA, _, err := r.Attach(a.addr)
 	if err != nil {
@@ -208,22 +206,8 @@ func TestRelayPartitionBlocksAndHeals(t *testing.T) {
 	if got := b.drain(300 * time.Millisecond); len(got) != 1 || string(got[0]) != "healed" {
 		t.Fatalf("post-heal delivery = %q, want one \"healed\"", got)
 	}
-
-	// The obs surface must expose the same picture.
-	var sawGauge bool
-	for _, mv := range reg.Snapshot() {
-		if mv.Name == "relay_partition_drops_total" && mv.Value != 1 {
-			t.Fatalf("relay_partition_drops_total = %v, want 1", mv.Value)
-		}
-		if mv.Name == "relay_partitions_active" {
-			sawGauge = true
-			if mv.Value != 0 {
-				t.Fatalf("relay_partitions_active after heal = %v, want 0", mv.Value)
-			}
-		}
-	}
-	if !sawGauge {
-		t.Fatal("relay_partitions_active gauge not registered")
+	if s := r.Stats(); s.PartitionDrops != 1 {
+		t.Fatalf("PartitionDrops after heal = %d, want still 1", s.PartitionDrops)
 	}
 }
 

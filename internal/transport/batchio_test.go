@@ -64,8 +64,10 @@ func conformanceRun(t *testing.T, mk func(*net.UDPConn) batchConn) ([]recvRecord
 	defer tr.Close()
 
 	got := make(chan recvRecord, 64)
-	tr.Subscribe(func(m Message) {
-		got <- recvRecord{payload: string(m.Data), from: m.From}
+	tr.Subscribe(func(ms []Message) {
+		for _, m := range ms {
+			got <- recvRecord{payload: string(m.Data), from: m.From}
+		}
 	})
 
 	tx, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -192,8 +194,10 @@ func TestBatchConnDrainsBacklog(t *testing.T) {
 
 			const burst = 3*readBatchSize + 5 // forces several ring rotations
 			seen := make(chan string, burst)
-			tr.Subscribe(func(m Message) {
-				seen <- string(m.Data)
+			tr.Subscribe(func(ms []Message) {
+				for _, m := range ms {
+					seen <- string(m.Data)
+				}
 			})
 			tx, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 			if err != nil {
@@ -249,7 +253,7 @@ func TestUDPReadLoopZeroAllocSteadyState(t *testing.T) {
 			defer tr.Close()
 
 			done := make(chan struct{}, 1)
-			tr.Subscribe(func(Message) { done <- struct{}{} })
+			tr.Subscribe(func([]Message) { done <- struct{}{} })
 			tx, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 			if err != nil {
 				t.Fatal(err)
@@ -307,11 +311,13 @@ func TestSendBatchMatchesSequentialSend(t *testing.T) {
 			var mu sync.Mutex
 			var got []string
 			gotCh := make(chan struct{}, 32)
-			rx.Subscribe(func(m Message) {
-				mu.Lock()
-				got = append(got, string(m.Data))
-				mu.Unlock()
-				gotCh <- struct{}{}
+			rx.Subscribe(func(ms []Message) {
+				for _, m := range ms {
+					mu.Lock()
+					got = append(got, string(m.Data))
+					mu.Unlock()
+					gotCh <- struct{}{}
+				}
 			})
 
 			batch := []Datagram{

@@ -113,13 +113,14 @@ func (e *BusEndpoint) deliver(data []byte) {
 	if closed || h == nil {
 		return
 	}
-	// Each recipient gets a private copy so that it can be poisoned the
-	// moment the handler returns: a handler that kept an alias of Data
-	// past the call — which UDP's reused ring would corrupt some time
-	// later — reads garbage here at once, in every Bus-driven test.
+	// Each recipient gets a private copy, in a batch of one, so that it can
+	// be poisoned the moment the handler returns: a handler that kept an
+	// alias of Data past the call — which UDP's reused ring would corrupt
+	// some time later — reads garbage here at once, in every Bus-driven
+	// test.
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	h(Message{Data: cp})
+	h([]Message{{Data: cp}})
 	Poison(cp)
 }
 

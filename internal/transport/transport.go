@@ -30,30 +30,13 @@ type Message struct {
 // shims of ROADMAP item 8.
 func (m *Message) Release() {}
 
-// Handler consumes received messages. Handlers are invoked sequentially
-// per transport; they must not block for long. The message's Data is
-// only valid until the handler returns (DESIGN.md §13).
-type Handler func(Message)
-
-// BatchHandler consumes a whole receive batch at once — every datagram
-// one receive syscall retired. Neither the slice nor any Message's Data
-// outlives the call: both are the transport's scratch, read into again
-// as soon as the handler returns.
-type BatchHandler func([]Message)
-
-// BatchSubscriber is implemented by transports whose receive path
-// retires datagrams in batches (UDP's recvmmsg loop) and can hand the
-// whole batch to one handler call. A registered BatchHandler takes
-// precedence over the per-message Handler; pass nil to fall back.
-// Consumers with an epoch-batched ingest path (the directory) use this
-// to amortise their lock to one acquisition per batch. Decorating
-// transports (fault injection, rate limiting) deliberately do not
-// implement BatchSubscriber: their per-packet decisions — and therefore
-// seeded replay schedules — are identical whether delivery batches or
-// not.
-type BatchSubscriber interface {
-	SubscribeBatch(BatchHandler)
-}
+// Handler consumes received messages a batch at a time: every datagram
+// one receive syscall retired on UDP, a batch of one on the in-process
+// fabrics. Batches are never empty and keep arrival order. Handlers are
+// invoked sequentially per transport and must not block for long.
+// Neither the slice nor any Message's Data outlives the call: both are
+// the transport's, used again once the handler returns (DESIGN.md §13).
+type Handler func([]Message)
 
 // Datagram is one outbound packet of a batch transmission.
 type Datagram struct {
@@ -69,10 +52,7 @@ type BatchSender interface {
 }
 
 // SendAll transmits a batch through t's BatchSender fast path when it has
-// one, falling back to sequential Send calls. Decorating transports
-// (fault injection, rate limiting) deliberately do not implement
-// BatchSender: their per-packet decisions — and therefore seeded replay
-// schedules — are identical whether the caller batches or not.
+// one (UDP's sendmmsg), falling back to sequential Send calls.
 func SendAll(ctx context.Context, t Transport, batch []Datagram) error {
 	if bs, ok := t.(BatchSender); ok {
 		return bs.SendBatch(ctx, batch)

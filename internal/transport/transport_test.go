@@ -23,9 +23,11 @@ func TestBusDeliversToOthersNotSelf(t *testing.T) {
 	got := map[int][]string{}
 	sub := func(ep *BusEndpoint) {
 		id := ep.ID()
-		ep.Subscribe(func(m Message) {
+		ep.Subscribe(func(ms []Message) {
 			mu.Lock()
-			got[id] = append(got[id], string(m.Data))
+			for _, m := range ms {
+				got[id] = append(got[id], string(m.Data))
+			}
 			mu.Unlock()
 		})
 	}
@@ -63,9 +65,9 @@ func TestBusPolicyScopesDelivery(t *testing.T) {
 	counts := map[int]int{}
 	for _, ep := range []*BusEndpoint{b, c} {
 		id := ep.ID()
-		ep.Subscribe(func(Message) {
+		ep.Subscribe(func(ms []Message) {
 			mu.Lock()
-			counts[id]++
+			counts[id] += len(ms)
 			mu.Unlock()
 		})
 	}
@@ -89,6 +91,15 @@ func keep(m Message) Message {
 	return m
 }
 
+// keepAll is a handler that sends a kept copy of every datagram to ch.
+func keepAll(ch chan<- Message) Handler {
+	return func(ms []Message) {
+		for _, m := range ms {
+			ch <- keep(m)
+		}
+	}
+}
+
 // TestBusDataIsValidForTheCallOnly: during the handler call Data is what
 // was sent, in a copy private to the recipient; once the handler returns
 // the Bus poisons that copy, so a retained alias cannot go unnoticed.
@@ -98,10 +109,10 @@ func TestBusDataIsValidForTheCallOnly(t *testing.T) {
 	payload := []byte("mutable")
 	var during string
 	var retained []byte
-	b.Subscribe(func(m Message) {
+	b.Subscribe(func(ms []Message) {
 		payload[0] = 'X' // the sender's slice must not show through
-		during = string(m.Data)
-		retained = m.Data // the bug the poison exists to expose
+		during = string(ms[0].Data)
+		retained = ms[0].Data // the bug the poison exists to expose
 	})
 	a.Send(context.Background(), payload, 1) //nolint:errcheck
 	if during != "mutable" {
@@ -132,7 +143,7 @@ func TestBusClosedEndpointNotDelivered(t *testing.T) {
 	bus := NewBus()
 	a, b := bus.Endpoint(), bus.Endpoint()
 	delivered := false
-	b.Subscribe(func(Message) { delivered = true })
+	b.Subscribe(func([]Message) { delivered = true })
 	b.Close()
 	a.Send(context.Background(), []byte("x"), 1) //nolint:errcheck
 	if delivered {
@@ -148,7 +159,7 @@ func TestUDPUnicastFanout(t *testing.T) {
 	defer recv.Close()
 
 	msgs := make(chan Message, 4)
-	recv.Subscribe(func(m Message) { msgs <- keep(m) })
+	recv.Subscribe(keepAll(msgs))
 
 	send, err := NewUDP(UDPConfig{Peers: []netip.AddrPort{recv.LocalAddr()}})
 	if err != nil {
@@ -190,8 +201,8 @@ func TestUDPBidirectional(t *testing.T) {
 
 	fromA := make(chan string, 1)
 	fromB := make(chan string, 1)
-	a.Subscribe(func(m Message) { fromB <- string(m.Data) })
-	b.Subscribe(func(m Message) { fromA <- string(m.Data) })
+	a.Subscribe(func(ms []Message) { fromB <- string(ms[0].Data) })
+	b.Subscribe(func(ms []Message) { fromA <- string(ms[0].Data) })
 
 	ctx := context.Background()
 	if err := a.Send(ctx, []byte("ping"), 15); err != nil {
@@ -239,7 +250,7 @@ func TestUDPMulticastOrSkip(t *testing.T) {
 	}
 	defer recv.Close()
 	msgs := make(chan Message, 1)
-	recv.Subscribe(func(m Message) { msgs <- keep(m) })
+	recv.Subscribe(keepAll(msgs))
 
 	send, err := NewUDP(UDPConfig{Group: grp, Port: 19876})
 	if err != nil {
@@ -271,10 +282,12 @@ type msgLog struct {
 	msgs [][]byte
 }
 
-func (l *msgLog) add(m Message) {
+func (l *msgLog) add(ms []Message) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.msgs = append(l.msgs, keep(m).Data)
+	for _, m := range ms {
+		l.msgs = append(l.msgs, keep(m).Data)
+	}
 }
 
 func (l *msgLog) count() int {
@@ -334,7 +347,7 @@ func TestBusCloseSendRace(t *testing.T) {
 	bus := NewBus()
 	stable := bus.Endpoint()
 	defer stable.Close()
-	stable.Subscribe(func(Message) {})
+	stable.Subscribe(func([]Message) {})
 
 	var wg sync.WaitGroup
 	ctx := context.Background()
@@ -344,7 +357,7 @@ func TestBusCloseSendRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				ep := bus.Endpoint()
-				ep.Subscribe(func(Message) {})
+				ep.Subscribe(func([]Message) {})
 				_ = ep.Send(ctx, []byte("churn"), 127)
 				_ = stable.Send(ctx, []byte("stable"), 127)
 				if i%5 == 0 {

@@ -116,14 +116,12 @@ type UDPTransport struct {
 	drainQuiet atomic.Int64 // quiet window, ns
 	drainStop  atomic.Int64 // hard deadline, unix ns
 
-	// handler and bhandler are looked up lock-free once per batch; the
-	// mutex below only guards the close handshake, never the per-datagram
-	// path. When both are set, bhandler wins (whole-batch delivery).
-	handler  atomic.Pointer[Handler]
-	bhandler atomic.Pointer[BatchHandler]
-	// rxBatch is the readLoop's scratch slice for whole-batch delivery,
-	// reused across syscalls (the BatchHandler contract lends the slice
-	// for the call only).
+	// handler is looked up lock-free once per batch; the mutex below only
+	// guards the close handshake, never the per-datagram path.
+	handler atomic.Pointer[Handler]
+	// rxBatch is the readLoop's scratch slice for the handler's batch,
+	// reused across syscalls (the Handler contract lends the slice for the
+	// call only).
 	rxBatch []Message
 	// batchSizes, when observability is enabled, records how many
 	// datagrams each receive syscall retired.
@@ -136,9 +134,8 @@ type UDPTransport struct {
 }
 
 var (
-	_ Transport       = (*UDPTransport)(nil)
-	_ BatchSender     = (*UDPTransport)(nil)
-	_ BatchSubscriber = (*UDPTransport)(nil)
+	_ Transport   = (*UDPTransport)(nil)
+	_ BatchSender = (*UDPTransport)(nil)
 )
 
 // NewUDP opens a UDP transport. With Peers set it uses unicast fan-out;
@@ -296,13 +293,13 @@ func (t *UDPTransport) applyTTL(conn *net.UDPConn, ttl int) error {
 
 // readLoop drains the socket through the batchConn: one blocking call
 // retires up to readBatchSize datagrams (a single recvmmsg on linux),
-// each handed to the handler in the ring slot it was read into, with no
-// copy. The ring is allocated once and read into again in place: this
-// goroutine is the only reader and calls the handler synchronously, so
-// the next ReadBatch cannot start until every handler has returned —
-// which is exactly how long Message.Data is on loan. The loop body takes
-// no locks: the handler pointer is an atomic load once per batch, and
-// all counters are atomics.
+// and the accepted ones go to the handler in one call, each in the ring
+// slot it was read into, with no copy. The ring is allocated once and
+// read into again in place: this goroutine is the only reader and calls
+// the handler synchronously, so the next ReadBatch cannot start until the
+// handler has returned — which is exactly how long Message.Data is on
+// loan. The loop body takes no locks: the handler pointer is an atomic
+// load once per batch, and all counters are atomics.
 func (t *UDPTransport) readLoop() {
 	defer close(t.loopDone)
 	slots := make([]rxSlot, readBatchSize)
@@ -359,7 +356,6 @@ func (t *UDPTransport) readLoop() {
 			hist.Observe(int64(n))
 		}
 		h := t.handler.Load()
-		bh := t.bhandler.Load()
 		t.rxBatch = t.rxBatch[:0]
 		for i := 0; i < n; i++ {
 			s := &slots[i]
@@ -372,18 +368,10 @@ func (t *UDPTransport) readLoop() {
 				continue
 			}
 			t.received.Add(1)
-			if h == nil && bh == nil {
-				continue // nobody listening
-			}
-			m := Message{From: s.from, Data: s.buf[:s.n]}
-			if bh != nil {
-				t.rxBatch = append(t.rxBatch, m)
-				continue
-			}
-			(*h)(m)
+			t.rxBatch = append(t.rxBatch, Message{From: s.from, Data: s.buf[:s.n]})
 		}
-		if bh != nil && len(t.rxBatch) > 0 {
-			(*bh)(t.rxBatch)
+		if h != nil && len(t.rxBatch) > 0 {
+			(*h)(t.rxBatch)
 		}
 	}
 }
@@ -596,17 +584,10 @@ func (t *UDPTransport) Subscribe(h Handler) {
 	t.handler.Store(&h)
 }
 
-// SubscribeBatch implements BatchSubscriber: the read loop hands each
-// receive syscall's accepted datagrams to h in one call instead of one
-// Handler call per datagram. Overrides the per-message handler while
-// set; pass nil to revert.
-func (t *UDPTransport) SubscribeBatch(h BatchHandler) {
-	if h == nil {
-		t.bhandler.Store(nil)
-		return
-	}
-	t.bhandler.Store(&h)
-}
+// SubscribeBatch is Subscribe. It remains only because
+// benchmark/udpprobe.go calls it, and leaves with the other shims of
+// ROADMAP item 8.
+func (t *UDPTransport) SubscribeBatch(h Handler) { t.Subscribe(h) }
 
 // LocalAddr implements Transport.
 func (t *UDPTransport) LocalAddr() netip.AddrPort { return t.local }
@@ -622,6 +603,5 @@ func (t *UDPTransport) Close() error {
 	close(t.done)
 	t.mu.Unlock()
 	t.handler.Store(nil)
-	t.bhandler.Store(nil)
 	return t.io.Load().conn.Close()
 }

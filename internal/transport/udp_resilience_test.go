@@ -58,8 +58,8 @@ func newInjector(t *testing.T) *net.UDPConn {
 func TestRebindAfterSocketClosed(t *testing.T) {
 	tr := newUnicastForTest(t)
 	var got atomic.Uint64
-	tr.Subscribe(func(Message) {
-		got.Add(1)
+	tr.Subscribe(func(ms []Message) {
+		got.Add(uint64(len(ms)))
 	})
 
 	_ = tr.io.Load().conn.Close() // simulate the socket dying under the loop
@@ -87,8 +87,8 @@ func TestRebindAfterSocketClosed(t *testing.T) {
 func TestDrainCloseDeliversTailBurst(t *testing.T) {
 	tr := newUnicastForTest(t)
 	var got atomic.Uint64
-	tr.Subscribe(func(Message) {
-		got.Add(1)
+	tr.Subscribe(func(ms []Message) {
+		got.Add(uint64(len(ms)))
 	})
 
 	inj := newInjector(t)
@@ -158,7 +158,7 @@ func TestUDPSendFanoutAggregatesErrors(t *testing.T) {
 	}
 	defer recv.Close()
 	msgs := make(chan Message, 1)
-	recv.Subscribe(func(m Message) { msgs <- keep(m) })
+	recv.Subscribe(keepAll(msgs))
 
 	badA := netip.MustParseAddrPort("[::1]:9")
 	badB := netip.MustParseAddrPort("[::2]:9")
@@ -212,7 +212,7 @@ func TestUDPOversizedQuarantine(t *testing.T) {
 	}
 	defer recv.Close()
 	msgs := make(chan Message, 2)
-	recv.Subscribe(func(m Message) { msgs <- keep(m) })
+	recv.Subscribe(keepAll(msgs))
 
 	send, err := NewUDP(UDPConfig{Peers: []netip.AddrPort{recv.LocalAddr()}})
 	if err != nil {

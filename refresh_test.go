@@ -148,11 +148,7 @@ func (s *refreshSide) deliver(ms []transport.Message) {
 		s.ring[i] = append(s.ring[i][:0], ms[i].Data...)
 		ms[i].Data = s.ring[i]
 	}
-	if len(ms) == 1 {
-		s.d.onPacket(ms[0])
-	} else {
-		s.d.HandleBatch(ms)
-	}
+	s.d.HandleBatch(ms)
 	for i := range ms {
 		transport.Poison(s.ring[i])
 	}
@@ -248,13 +244,12 @@ func TestRefreshFastPathMatchesFullParse(t *testing.T) {
 // from the directory: Message.Data is valid until the receive call returns
 // and not a moment longer. The same script drives twins that differ only
 // in where their datagrams live — side "as-is" in fresh slices, side "on
-// loan" in a ring of reused buffers poisoned after every HandleBatch (and,
-// at batch size 1, every onPacket). Both take the refresh path, both parse
-// zero-copy out of the datagram, and if either kept a single byte of one —
-// a Description string aliasing the payload, a payload stashed for later —
-// the on-loan side would show it as 0xDB where the other shows the session.
-// (Bus and des.Net poison their deliveries the same way, but only reach
-// onPacket; UDP and the benchmark come in through HandleBatch.)
+// loan" in a ring of reused buffers poisoned after every HandleBatch. Both
+// take the refresh path, both parse zero-copy out of the datagram, and if
+// either kept a single byte of one — a Description string aliasing the
+// payload, a payload stashed for later — the on-loan side would show it as
+// 0xDB where the other shows the session. (Bus and des.Net poison their
+// deliveries the same way, in batches of one.)
 func TestDirectoryRetainsNothingFromDatagrams(t *testing.T) {
 	for _, c := range []struct {
 		batch   int

@@ -10,7 +10,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os/exec"
 	"strings"
 	"testing"
 	"time"
@@ -49,8 +48,7 @@ func TestSdrdHTTPDebugScrape(t *testing.T) {
 	udpPorts := freePorts(t, 2)
 	debugAddr := fmt.Sprintf("127.0.0.1:%d", freeTCPPort(t))
 
-	var out strings.Builder
-	cmd := exec.Command("go", "run", "./cmd/sdrd",
+	cmd, out := startSdrd(t, buildSdrd(t),
 		"-origin", "127.0.0.1",
 		"-listen", fmt.Sprintf("127.0.0.1:%d", udpPorts[0]),
 		"-peers", fmt.Sprintf("127.0.0.1:%d", udpPorts[1]),
@@ -58,17 +56,8 @@ func TestSdrdHTTPDebugScrape(t *testing.T) {
 		"-ttl", "63",
 		"-seed", "7",
 		"-http-debug", debugAddr,
-		"-for", "12s", // long enough to compile+start+scrape; Wait blocks until the child exits
+		"-for", scaled(2*time.Minute).String(), // a backstop: the test stops it
 	)
-	cmd.Stdout = &out
-	cmd.Stderr = &out
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-	}()
 
 	// Poll /metrics until the daemon is up and has announced.
 	var metrics string
@@ -125,4 +114,5 @@ func TestSdrdHTTPDebugScrape(t *testing.T) {
 	if !strings.Contains(vars, "memstats") {
 		t.Errorf("/debug/vars missing memstats:\n%s", vars)
 	}
+	stopSdrd(t, cmd, out)
 }

@@ -5,11 +5,13 @@ package sessiondir_test
 // README's -peers example promises.
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"os/exec"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -33,60 +35,103 @@ func freePorts(t *testing.T, n int) []int {
 	return ports
 }
 
+// syncBuffer is a daemon's log: exec's copying goroutine writes it while
+// the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// startSdrd runs the daemon binary itself — not `go run`, whose child a
+// signal would miss — logging to a buffer the test reads as it goes. A
+// daemon the test has not stopped is killed at cleanup.
+func startSdrd(t *testing.T, bin string, args ...string) (*exec.Cmd, *syncBuffer) {
+	t.Helper()
+	out := &syncBuffer{}
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout = out
+	cmd.Stderr = out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = cmd.Process.Kill()
+		_ = cmd.Wait()
+	})
+	return cmd, out
+}
+
+// stopSdrd ends a daemon with SIGTERM, as an operator would, and fails
+// unless it exits cleanly in time.
+func stopSdrd(t *testing.T, cmd *exec.Cmd, out *syncBuffer) {
+	t.Helper()
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	select {
+	case err := <-exited:
+		if err != nil || !strings.Contains(out.String(), "sdrd exiting") {
+			t.Fatalf("daemon did not exit cleanly on SIGTERM (%v):\n%s", err, out.String())
+		}
+	case <-time.After(scaled(30 * time.Second)):
+		t.Fatalf("daemon still running 30s after SIGTERM:\n%s", out.String())
+	}
+}
+
+// waitForLog polls until every daemon log contains its wanted string.
+func waitForLog(t *testing.T, timeout time.Duration, outs []*syncBuffer, wants []string) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for i := 0; i < len(outs); {
+		if strings.Contains(outs[i].String(), wants[i]) {
+			i++
+			continue
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon %d never logged %q:\n%s", i+1, wants[i], outs[i].String())
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
 func TestSdrdBinaryEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns the toolchain")
 	}
+	bin := buildSdrd(t)
 	ports := freePorts(t, 2)
 	addr1 := fmt.Sprintf("127.0.0.1:%d", ports[0])
 	addr2 := fmt.Sprintf("127.0.0.1:%d", ports[1])
 
-	run := func(listen, peer, announceName string) (*exec.Cmd, *strings.Builder) {
-		var out strings.Builder
-		cmd := exec.Command("go", "run", "./cmd/sdrd",
+	run := func(listen, peer, announceName string) (*exec.Cmd, *syncBuffer) {
+		return startSdrd(t, bin,
 			"-origin", "127.0.0.1",
 			"-listen", listen,
 			"-peers", peer,
 			"-announce", announceName,
 			"-ttl", "63",
-			"-for", scaled(8*time.Second).String(),
+			"-for", scaled(2*time.Minute).String(), // a backstop: the test stops them
 		)
-		cmd.Stdout = &out
-		cmd.Stderr = &out
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		return cmd, &out
 	}
-
 	cmd1, out1 := run(addr1, addr2, "alpha-session")
 	cmd2, out2 := run(addr2, addr1, "beta-session")
 
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); _ = cmd1.Wait() }()
-	go func() { defer wg.Done(); _ = cmd2.Wait() }()
-
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(scaled(2 * time.Minute)):
-		_ = cmd1.Process.Kill()
-		_ = cmd2.Process.Kill()
-		t.Fatal("daemons did not exit")
-	}
-
-	// Each daemon must have learned the other's session.
-	if !strings.Contains(out1.String(), "beta-session") {
-		t.Fatalf("daemon 1 never saw beta-session:\n%s", out1.String())
-	}
-	if !strings.Contains(out2.String(), "alpha-session") {
-		t.Fatalf("daemon 2 never saw alpha-session:\n%s", out2.String())
-	}
-	for i, out := range []*strings.Builder{out1, out2} {
-		if !strings.Contains(out.String(), "sdrd exiting") {
-			t.Fatalf("daemon %d did not exit cleanly:\n%s", i+1, out.String())
-		}
-	}
+	// Each daemon must learn the other's session.
+	waitForLog(t, scaled(time.Minute), []*syncBuffer{out1, out2}, []string{"beta-session", "alpha-session"})
+	stopSdrd(t, cmd1, out1)
+	stopSdrd(t, cmd2, out2)
 }
