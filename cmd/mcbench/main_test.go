@@ -188,7 +188,9 @@ func TestRunCompareInjected2xSlowdown(t *testing.T) {
 		{"name":"DirAdmitUnknown1k","ns_per_op":5400,"allocs_per_op":22},
 		{"name":"DirAdmitUnknown10k","ns_per_op":6700,"allocs_per_op":22},
 		{"name":"DirCreateSession1k","ns_per_op":7200,"allocs_per_op":32},
-		{"name":"DirCreateSession10k","ns_per_op":9400,"allocs_per_op":32}]}`), 0o644); err != nil {
+		{"name":"DirCreateSession10k","ns_per_op":9400,"allocs_per_op":32},
+		{"name":"DirStep1k","ns_per_op":40},
+		{"name":"DirStep10k","ns_per_op":40}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if code := runCompare([]string{oldPath, newPath, "-tolerance", "25%"}); code == 0 {
@@ -220,6 +222,8 @@ func budgetReport() benchReport {
 			{Name: "DirRefreshKnown10k", NsPerOp: 900, AllocsOp: 1, BytesOp: 4864},
 			{Name: "DirAdmitUnknown1k", NsPerOp: 5400, AllocsOp: 22},
 			{Name: "DirAdmitUnknown10k", NsPerOp: 6700, AllocsOp: 22},
+			{Name: "DirStep1k", NsPerOp: 40},
+			{Name: "DirStep10k", NsPerOp: 40},
 			{Name: "DirCreateSession1k", NsPerOp: 7200, AllocsOp: 32},
 			{Name: "DirCreateSession10k", NsPerOp: 9400, AllocsOp: 32},
 		},
@@ -279,8 +283,8 @@ func TestBudgetFailuresBatchDepthCollapse(t *testing.T) {
 func TestBudgetFailuresMissingMicros(t *testing.T) {
 	r := budgetReport()
 	r.Micro = nil
-	if fails := budgetFailures(r); len(fails) != 14 {
-		t.Fatalf("missing micros should produce fourteen failures, got: %v", fails)
+	if fails := budgetFailures(r); len(fails) != 16 {
+		t.Fatalf("missing micros should produce sixteen failures, got: %v", fails)
 	}
 }
 
@@ -342,6 +346,28 @@ func TestBudgetFailuresDirectoryRebuilds(t *testing.T) {
 	r.Micro = r.Micro[:len(r.Micro)-1] // DirCreateSession10k not measured
 	if fails := budgetFailures(r); len(fails) != 1 {
 		t.Fatalf("missing directory micro not caught: %v", fails)
+	}
+}
+
+// A tick with nothing due is held to zero allocations at both cache sizes,
+// and its size ratio is recorded, not gated.
+func TestBudgetFailuresDirStep(t *testing.T) {
+	for _, name := range []string{"DirStep1k", "DirStep10k"} {
+		r := budgetReport()
+		micro(t, &r, name).AllocsOp = 1 // a tick that builds something per call
+		if fails := budgetFailures(r); len(fails) != 1 {
+			t.Fatalf("allocating %s not caught: %v", name, fails)
+		}
+		r = budgetReport()
+		micro(t, &r, name).Name = "gone"
+		if fails := budgetFailures(r); len(fails) != 1 {
+			t.Fatalf("a report without %s: %v", name, fails)
+		}
+	}
+	r := budgetReport()
+	micro(t, &r, "DirStep10k").NsPerOp = 4000 // a full cache scan per tick: slow, but not gated yet
+	if fails := budgetFailures(r); len(fails) != 0 {
+		t.Fatalf("DirStep's size ratio is gated: %v", fails)
 	}
 }
 

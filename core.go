@@ -38,14 +38,12 @@ type core struct {
 	// digestSeed keys sap.PayloadDigest for this directory: the resolved
 	// Config.Seed, so a replay digests every payload as the recording did.
 	digestSeed uint64
-	// ownView is the owned sessions' share of the allocator view, kept
-	// current where owned changes; the cache keeps the heard share, from
-	// the first allocation on (heardView), so a directory that only ever
-	// listens does not carry one. viewBuf is the buffer view joins the two
-	// shares in.
+	// ownView is the directory's own allocator view: the owned sessions,
+	// filed where owned changes, and — from the first allocation on
+	// (heardView), so a directory that only ever listens does not carry
+	// them — the cache's share, which the cache files into the same set.
 	ownView   announce.ViewSet
 	heardView bool
-	viewBuf   []allocator.SessionInfo
 	admit     *admission.Controller
 	tracker   *clash.Tracker
 	epoch     time.Time
@@ -67,24 +65,81 @@ type core struct {
 	journaling bool
 	reporting  bool
 	fx         effects
+	// dueBuf is step's list of owned keys due for re-announcement, kept
+	// from one tick to the next.
+	dueBuf []string
 
 	trace *obs.Trace
 	ins   dirInstruments
 }
 
 // effects is what the core has done to the outside world since the last
-// flush, each list in the order the core did it.
+// flush, each list in the order the core did it. The datagrams' bytes are
+// written into an arena, which each Datagram.Data slices: the transport
+// borrows them for the send call, and the flush that sent them hands the
+// buffers back to the core to be filled again (recycled). The arena is
+// filled chunk by chunk — wire is the chunk being filled — so a burst
+// copies nothing it has already written.
 type effects struct {
 	dgrams  []transport.Datagram
+	wire    []byte
 	journal [][]byte
 	events  []Event
 }
 
+const (
+	// wireChunk is the size of an arena chunk. When the chunk being
+	// filled has no room for the next datagram, sendDesc starts another
+	// and leaves the full one to the datagrams that slice it.
+	wireChunk = 4 << 10
+	// headerRoom is at least what sap.Packet.AppendHeader writes: eight
+	// bytes and the payload type.
+	headerRoom = 32
+	// keepSlots bounds the datagram and event buffers a flush hands back
+	// (and only a chunk of wireChunk bytes is handed back): a burst that
+	// grew them past it — a Step re-announcing a crowd, a large batch
+	// create — leaves them to the collector rather than resident in every
+	// directory.
+	keepSlots = 16
+)
+
+// recycled returns fx's datagram, arena and event buffers emptied for the
+// core to fill again — nothing of what was sent stays reachable through
+// them — or nil for any that outgrew what is kept. The journal batch is
+// the store's once handed over, and is not reused.
+func (fx *effects) recycled() effects {
+	var out effects
+	if cap(fx.wire) <= wireChunk {
+		out.wire = fx.wire[:0]
+	}
+	out.dgrams = emptied(fx.dgrams)
+	out.events = emptied(fx.events)
+	return out
+}
+
+// emptied returns s cleared and cut to length 0 for reuse, or nil if it
+// grew past keepSlots.
+func emptied[T any](s []T) []T {
+	if cap(s) > keepSlots {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
 type ownedSession struct {
-	desc          *session.Description
-	announceCount int
+	desc *session.Description
+	// key is desc.Key(), the key the session is owned under, and hash the
+	// SAP message id hash of desc's payload once hashed is set. desc is
+	// only ever replaced (registerOwned, a clash move), never modified, so
+	// both hold until it is: a re-announcement or a deletion builds no key
+	// and hashes nothing.
+	key           string
 	nextAnnounce  time.Time
+	announceCount int32
 	viewPos       int32 // slot in core.ownView
+	hash          uint16
+	hashed        bool
 }
 
 // parsedPacket is a decoded datagram (Directory.decodePacket): the SAP
@@ -202,7 +257,7 @@ func (c *core) registerOwned(desc session.Description, addr mcast.Addr, now time
 		return nil, err
 	}
 	key := desc.Key()
-	own := &ownedSession{desc: &desc}
+	own := &ownedSession{desc: &desc, key: key}
 	c.owned[key] = own
 	c.ownView.Put(&own.viewPos, allocator.SessionInfo{Addr: addr, TTL: desc.TTL})
 	c.tracker.AnnounceOwn(clash.SessionKey(key), addr, desc.TTL, c.ms(now))
@@ -219,24 +274,21 @@ func (c *core) registerOwned(desc session.Description, addr mcast.Addr, now time
 // view returns the allocator view: every live cached session plus our
 // own, expressed as address indices. Sessions outside the managed space
 // (foreign blocks) are ignored, as sdr does; a session both owned and
-// heard back appears twice. Both shares are kept current at their
-// mutation sites, so this is two copies into viewBuf, not a cache scan.
-// The result is valid until the next call.
+// heard back appears twice. Both shares are kept current in one set at
+// their mutation sites, so this is the set's members in place — no cache
+// scan, no copy. The result is valid until the view next changes.
 func (c *core) view() []allocator.SessionInfo {
 	if !c.heardView {
-		c.cache.TrackView(c.cfg.Space)
+		c.cache.TrackView(c.cfg.Space, &c.ownView)
 		c.heardView = true
 	}
-	if n := c.cache.ViewLen() + c.ownView.Len(); cap(c.viewBuf) < n {
-		c.viewBuf = make([]allocator.SessionInfo, 0, n+n/8)
-	}
-	return c.ownView.AppendTo(c.cache.AppendView(c.viewBuf[:0]))
+	return c.ownView.Members()
 }
 
 // announceOwn sends one SAP announcement for an owned session and
 // schedules the next per the back-off schedule.
 func (c *core) announceOwn(own *ownedSession, now time.Time) error {
-	if err := c.sendDesc(own.desc, sap.Announce); err != nil {
+	if err := c.sendOwn(own, sap.Announce); err != nil {
 		return err
 	}
 	steady := announce.SteadyInterval(c.cache.TotalAdBytes(), announce.DefaultBandwidthBps)
@@ -244,36 +296,56 @@ func (c *core) announceOwn(own *ownedSession, now time.Time) error {
 	if b.Steady < steady {
 		b.Steady = steady
 	}
-	own.nextAnnounce = now.Add(b.IntervalAfter(own.announceCount))
+	own.nextAnnounce = now.Add(b.IntervalAfter(int(own.announceCount)))
 	own.announceCount++
 	c.ins.announcementsSent.Inc()
 	if idx, ok := c.cfg.Space.Index(own.desc.Group); ok {
-		c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceAnnounce, Key: own.desc.Key(), Addr: uint32(idx)})
+		c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceAnnounce, Key: own.key, Addr: uint32(idx)})
 	}
-	c.report(EventAnnounceSent, own.desc.Key(), own.desc)
+	c.report(EventAnnounceSent, own.key, own.desc)
 	return nil
 }
 
-// sendDesc marshals a description and queues it for transmission with the
-// session's own scope (announcements travel exactly as far as the
-// session's data).
-func (c *core) sendDesc(desc *session.Description, typ sap.MessageType) error {
-	payload, err := desc.MarshalSDP()
+// sendOwn queues a datagram of one of our sessions, hashing its payload
+// the first time own.desc goes out.
+func (c *core) sendOwn(own *ownedSession, typ sap.MessageType) error {
+	hash, err := c.sendDesc(own.desc, typ, own.hash, own.hashed)
 	if err != nil {
 		return err
 	}
-	pkt := sap.Packet{
-		Type:      typ,
-		MsgIDHash: sap.MsgIDHashOf(payload),
-		Origin:    desc.Origin,
-		Payload:   payload,
-	}
-	wire, err := pkt.Marshal(nil)
-	if err != nil {
-		return err
-	}
-	c.fx.dgrams = append(c.fx.dgrams, transport.Datagram{Data: wire, Scope: desc.TTL})
+	own.hash, own.hashed = hash, true
 	return nil
+}
+
+// sendDesc queues desc for transmission with the session's own scope
+// (announcements travel exactly as far as the session's data). The
+// datagram is written into the effects arena: the SAP header, then the
+// SDP payload appended behind it. hash is the payload's message id hash
+// if known; if not, it is computed over the appended payload and patched
+// into the header. sendDesc returns it. On error nothing is queued.
+func (c *core) sendDesc(desc *session.Description, typ sap.MessageType, hash uint16, known bool) (uint16, error) {
+	w := c.fx.wire
+	if need := headerRoom + desc.SDPSizeHint(); cap(w)-len(w) < need {
+		w = make([]byte, 0, max(wireChunk, need))
+		c.fx.wire = w
+	}
+	start := len(w)
+	pkt := sap.Packet{Type: typ, MsgIDHash: hash, Origin: desc.Origin}
+	w, err := pkt.AppendHeader(w)
+	if err != nil {
+		return 0, err
+	}
+	body := len(w)
+	if w, err = desc.AppendSDP(w); err != nil {
+		return 0, err
+	}
+	if !known {
+		hash = sap.MsgIDHashOf(w[body:])
+		sap.PutMsgIDHash(w[start:], hash)
+	}
+	c.fx.wire = w
+	c.fx.dgrams = append(c.fx.dgrams, transport.Datagram{Data: w[start:len(w):len(w)], Scope: desc.TTL})
+	return hash, nil
 }
 
 // withdraw deletes one of our sessions, sending a SAP deletion.
@@ -285,7 +357,7 @@ func (c *core) withdraw(key string, now time.Time) error {
 	delete(c.owned, key)
 	c.ownView.Remove(&own.viewPos)
 	c.tracker.Forget(clash.SessionKey(key))
-	if err := c.sendDesc(own.desc, sap.Delete); err != nil {
+	if err := c.sendOwn(own, sap.Delete); err != nil {
 		return err
 	}
 	c.ins.deletionsSent.Inc()
@@ -574,6 +646,7 @@ func (c *core) applyActions(actions []clash.Action, now time.Time) {
 				continue // space exhausted: keep the clashing address
 			}
 			own.desc = own.desc.WithGroup(c.cfg.Space.Group(addr))
+			own.hashed = false    // a new payload: hashed when next sent
 			own.announceCount = 0 // restart the fast back-off phase
 			c.ownView.Put(&own.viewPos, allocator.SessionInfo{Addr: addr, TTL: own.desc.TTL})
 			c.tracker.AnnounceOwn(clash.SessionKey(key), addr, own.desc.TTL, c.ms(now))
@@ -592,7 +665,7 @@ func (c *core) applyActions(actions []clash.Action, now time.Time) {
 				continue
 			}
 			if e, ok := c.cache.Get(key); ok {
-				if err := c.sendDesc(e.Desc, sap.Announce); err == nil {
+				if _, err := c.sendDesc(e.Desc, sap.Announce, 0, false); err == nil {
 					c.ins.clashDefensesThrd.Inc()
 					c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceDefendOther, Key: key})
 					c.report(EventDefendedOther, key, e.Desc)
@@ -613,7 +686,7 @@ func (c *core) step(now time.Time) {
 	// transmission order is observable (it drives receivers' clash timing
 	// and any fault-injecting transport's RNG draws), so it must be
 	// identical run to run for a chaos schedule to replay from its seed.
-	var due []string
+	due := c.dueBuf[:0]
 	for key, own := range c.owned { //mclint:maporder due keys are sorted before use
 		if !own.nextAnnounce.After(now) {
 			due = append(due, key)
@@ -623,6 +696,7 @@ func (c *core) step(now time.Time) {
 	for _, key := range due {
 		_ = c.announceOwn(c.owned[key], now) // transient send errors retry next interval
 	}
+	c.dueBuf = emptied(due)
 	c.applyActions(c.tracker.Due(c.ms(now)), now)
 	for _, key := range c.cache.Expire(now) {
 		c.tracker.Forget(clash.SessionKey(key))

@@ -309,10 +309,13 @@ func (d *Directory) registerGauges() error {
 // flush carries out what the core queued, in the order journal → events →
 // datagrams and with no lock held, so OnEvent may call back in and a
 // synchronous transport's recipients may answer at once. It loops until
-// nothing is left, since either may have queued more.
+// nothing is left, since either may have queued more. The datagrams are
+// lent to the transport for the send call (Transport.Send retains
+// nothing), so once it returns their buffers go back to the core.
 func (d *Directory) flush() {
+	var sent effects
 	for {
-		fx := d.takeEffects()
+		fx := d.takeEffects(sent)
 		if len(fx.events) == 0 && len(fx.dgrams) == 0 {
 			return
 		}
@@ -320,22 +323,26 @@ func (d *Directory) flush() {
 			d.cfg.OnEvent(e)
 		}
 		if len(fx.dgrams) > 0 {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			_ = transport.SendAll(ctx, d.cfg.Transport, fx.dgrams) // transient errors: next interval retries
-			cancel()
+			// No deadline here: the transport bounds its own writes.
+			_ = transport.SendAll(context.Background(), d.cfg.Transport, fx.dgrams) // transient errors: next interval retries
 		}
+		sent = fx.recycled()
 	}
 }
 
-// takeEffects swaps out what the core has queued and hands the journal
-// records to the attached store, under drainMu; the append runs outside
-// d.mu, so disk latency never blocks the packet path.
-func (d *Directory) takeEffects() effects {
+// takeEffects swaps out what the core has queued for sent, the emptied
+// buffers of the last round, and hands the journal records to the
+// attached store, under drainMu; the append runs outside d.mu, so disk
+// latency never blocks the packet path. Every set of buffers has one
+// holder at a time — the core, or the one flush that took it — also when
+// a flush runs inside another's send (a synchronous transport whose
+// recipients answer at once) or on another goroutine.
+func (d *Directory) takeEffects(sent effects) effects {
 	d.drainMu.Lock()
 	defer d.drainMu.Unlock()
 	d.mu.Lock()
 	fx := d.fx
-	d.fx = effects{}
+	d.fx = sent
 	j := d.journal
 	d.mu.Unlock()
 	if j != nil && len(fx.journal) > 0 {
@@ -419,7 +426,7 @@ func New(cfg Config) (*Directory, error) {
 	}
 	staleAfter := cfg.StaleAfter
 	if staleAfter <= 0 {
-		staleAfter = d.cache.Timeout / 4
+		staleAfter = d.cache.Timeout() / 4
 	}
 	d.staleAfter = staleAfter
 	d.admit = admission.New(admission.Config{
@@ -450,7 +457,8 @@ func (d *Directory) Registry() *obs.Registry { return d.reg }
 
 // CreateSession allocates a multicast address for desc (overwriting
 // desc.Group), registers it as owned, and announces it immediately.
-// The returned description is the directory's own copy.
+// The returned description is the directory's own copy, the one it goes
+// on announcing: it must not be modified.
 func (d *Directory) CreateSession(desc *session.Description) (*session.Description, error) {
 	out, err := (*session.Description)(nil), errClosed
 	d.mu.Lock()
@@ -467,9 +475,10 @@ func (d *Directory) CreateSession(desc *session.Description) (*session.Descripti
 // scope share a single AllocateBatch, which computes band/partition state
 // once for the whole run (the addresses are bit-identical to sequential
 // CreateSession calls; see allocator.Allocator.AllocateBatch). Results align
-// with descs by index. On error the sessions created before the failure
-// stay created and are returned with it — callers retrying a partial
-// burst should resubmit only the tail.
+// with descs by index and, like CreateSession's, must not be modified. On
+// error the sessions created before the failure stay created and are
+// returned with it — callers retrying a partial burst should resubmit only
+// the tail.
 func (d *Directory) CreateSessionBatch(descs []*session.Description) ([]*session.Description, error) {
 	out, err := []*session.Description(nil), errClosed
 	d.mu.Lock()
@@ -515,7 +524,8 @@ func (d *Directory) Sessions() []*session.Description {
 	return out
 }
 
-// OwnSessions returns the sessions this directory announces, in key order.
+// OwnSessions returns the sessions this directory announces, in key order:
+// its own copies, which must not be modified.
 func (d *Directory) OwnSessions() []*session.Description {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -379,5 +379,14 @@ func TestAdmitAndCreateAllocationsIndependentOfCacheSize(t *testing.T) {
 	if d := create[0] - create[1]; d < -2 || d > 2 {
 		t.Errorf("CreateSession: %v allocs at 1k cached sessions, %v at 10k", create[0], create[1])
 	}
+	// What a create keeps — its copy of the description and of the media,
+	// the key, the owned record, the clash tracker's entry — and the Bus
+	// sending the announcement; the datagram itself is written into the
+	// recycled arena of the last flush.
+	for i, n := range create {
+		if n > 8 {
+			t.Errorf("CreateSession at %dk cached sessions: %v allocs, want <= 8", []int{1, 10}[i], n)
+		}
+	}
 	t.Logf("allocs per admission %v, per create %v", admit[0], create[0])
 }

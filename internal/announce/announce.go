@@ -175,16 +175,30 @@ type Cache struct {
 	// serialises access to the cache serialises it too).
 	scratch []byte
 	// The eviction order (nil perOrigin = not tracked; entries of origin
-	// self stay out of it) and the allocator view (a zero space holds no
-	// group, so an untracked view stays empty). See index.go.
+	// self stay out of it) and the allocator view the entries are filed
+	// in (nil until tracked; a zero space holds no group, so nothing is
+	// filed until then). See index.go.
 	order     evictHeap
 	perOrigin map[netip.Addr]int32
 	self      netip.Addr
-	view      ViewSet
+	view      *ViewSet
 	space     mcast.AddrSpace
-	// Timeout evicts sessions not re-announced for this long. RFC 2974
-	// uses max(1 h, 10×interval).
-	Timeout time.Duration
+	// timeout evicts sessions not re-announced for this long. RFC 2974
+	// uses max(1 h, 10×interval). It is fixed at NewCache: bound relies on
+	// that.
+	timeout time.Duration
+	// bound is a lower bound on every entry's deadline, LastHeard + limit
+	// (zero: no entry to bound), so an Expire at or before it has nothing
+	// to do. It is lowered wherever a deadline can move earlier — an entry
+	// added, a tombstone made, LastHeard set back by a clock that stepped
+	// backwards — and recomputed exactly by every Expire that scans.
+	// Removing an entry leaves it where it is: still a lower bound.
+	// Deadlines compare as time.Time does (by monotonic reading when both
+	// have one), so, like the eviction order, the bound is exact while the
+	// cache's instants come from one clock; where recovered wall-only
+	// instants sit beside monotonic ones, a step of the wall clock can hold
+	// an expiry back until the next scan.
+	bound time.Time
 }
 
 // NewCache returns an empty cache with the given expiry timeout
@@ -193,7 +207,36 @@ func NewCache(timeout time.Duration) *Cache {
 	if timeout <= 0 {
 		timeout = time.Hour
 	}
-	return &Cache{entries: make(map[string]*Entry), Timeout: timeout}
+	return &Cache{entries: make(map[string]*Entry), timeout: timeout}
+}
+
+// Timeout is the expiry timeout the cache was made with.
+func (c *Cache) Timeout() time.Duration { return c.timeout }
+
+// limit is how long e may go unheard before Expire removes it: the
+// timeout, or a tenth of it for a tombstone.
+func (c *Cache) limit(e *Entry) time.Duration {
+	if e.Deleted {
+		return c.timeout / 10
+	}
+	return c.timeout
+}
+
+// lowerBound brings bound down to e's deadline if that is earlier.
+func (c *Cache) lowerBound(e *Entry) {
+	if d := e.LastHeard.Add(c.limit(e)); c.bound.IsZero() || d.Before(c.bound) {
+		c.bound = d
+	}
+}
+
+// heard sets e's LastHeard to now; a clock that went backwards moves e's
+// deadline earlier, and the bound with it.
+func (c *Cache) heard(e *Entry, now time.Time) {
+	back := now.Before(e.LastHeard)
+	e.LastHeard = now
+	if back {
+		c.lowerBound(e)
+	}
 }
 
 // Observe records an announcement, returning the entry and whether the
@@ -219,6 +262,7 @@ func (c *Cache) ObserveParsed(key string, d *session.Description, digest uint64,
 		c.live++
 		c.adBytes += int(e.adBytes)
 		c.indexAdd(e)
+		c.lowerBound(e)
 		return e, true
 	}
 	// An older version replaces nothing — not even a tombstone, which
@@ -236,7 +280,7 @@ func (c *Cache) ObserveParsed(key string, d *session.Description, digest uint64,
 		e.adBytes = c.adSize(d)
 		c.adBytes += int(e.adBytes)
 	}
-	e.LastHeard = now
+	c.heard(e, now)
 	c.indexUpdate(e)
 	return e, fresh
 }
@@ -259,7 +303,7 @@ func (c *Cache) Unchanged(key []byte, digest uint64) (*Entry, bool) {
 // ObserveParsed does for a description equal to the one the entry holds,
 // without one to give it.
 func (c *Cache) Touch(e *Entry, now time.Time) {
-	e.LastHeard = now
+	c.heard(e, now)
 	if e.heapPos > 0 {
 		heap.Fix(&c.order, int(e.heapPos-1))
 	}
@@ -272,7 +316,7 @@ func (c *Cache) Touch(e *Entry, now time.Time) {
 // record's own SDP bytes (0 = none). Reports whether the entry was added
 // as new.
 func (c *Cache) Restore(desc *session.Description, digest uint64, first, last, now time.Time) bool {
-	if now.Sub(last) > c.Timeout {
+	if now.Sub(last) > c.timeout {
 		return false // stale on disk
 	}
 	key := desc.Key()
@@ -299,6 +343,7 @@ func (c *Cache) Restore(desc *session.Description, digest uint64, first, last, n
 	c.live++
 	c.adBytes += int(e.adBytes)
 	c.indexAdd(e)
+	c.lowerBound(e)
 	return true
 }
 
@@ -312,6 +357,7 @@ func (c *Cache) Delete(key string, now time.Time) {
 		e.Deleted = true
 		e.LastHeard = now
 		c.indexUpdate(e)
+		c.lowerBound(e) // a tombstone's limit is a tenth of the timeout
 	}
 }
 
@@ -359,23 +405,28 @@ func (c *Cache) Len() int { return c.live }
 // Expire evicts entries unheard for Timeout (and deleted entries unheard
 // for Timeout/10), returning the evicted keys in sorted order. The sort
 // matters: expiry order reaches the trace, the event stream, and the
-// journal, all of which must replay identically from a seed.
+// journal, all of which must replay identically from a seed. Until now
+// passes the earliest deadline's bound nothing can be due, and Expire
+// returns without looking at an entry; a call past it scans them all and
+// sets the bound to the earliest deadline among those that stay.
 func (c *Cache) Expire(now time.Time) []string {
+	if !now.After(c.bound) {
+		return nil
+	}
 	var evicted []string
-	for key, e := range c.entries { //mclint:maporder evictions are sorted before returning
-		limit := c.Timeout
-		if e.Deleted {
-			limit = c.Timeout / 10
+	c.bound = time.Time{}
+	for key, e := range c.entries { //mclint:maporder evictions are sorted before returning; the bound is a minimum
+		if now.Sub(e.LastHeard) <= c.limit(e) {
+			c.lowerBound(e)
+			continue
 		}
-		if now.Sub(e.LastHeard) > limit {
-			if !e.Deleted {
-				c.live--
-				c.adBytes -= int(e.adBytes)
-			}
-			delete(c.entries, key)
-			c.indexDrop(e)
-			evicted = append(evicted, key)
+		if !e.Deleted {
+			c.live--
+			c.adBytes -= int(e.adBytes)
 		}
+		delete(c.entries, key)
+		c.indexDrop(e)
+		evicted = append(evicted, key)
 	}
 	sort.Strings(evicted)
 	return evicted

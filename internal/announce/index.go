@@ -18,7 +18,9 @@ import (
 //   - the eviction order (TrackOrder): a min-heap over the entries in
 //     admission's eviction preference plus a count of entries per origin;
 //   - the allocator view (TrackView): the live entries whose group lies in
-//     the managed space, as a multiset of allocator.SessionInfo.
+//     the managed space, as members of a multiset of
+//     allocator.SessionInfo that the caller owns and may add its own
+//     sessions to, so that it hands its allocator one slice.
 //
 // Both are off until asked for, and both are covered by whatever
 // serialises the Cache itself.
@@ -94,10 +96,12 @@ func (c *Cache) TrackOrder(self netip.Addr) {
 	}
 }
 
-// TrackView starts maintaining the allocator view of the current and all
-// future entries, as address indices into space; call it once.
-func (c *Cache) TrackView(space mcast.AddrSpace) {
-	c.space = space
+// TrackView starts filing the current and all future live entries inside
+// space into view, as address indices, and keeping them current there;
+// call it once. The set is the caller's, which may file members of its own
+// in it: the cache adds, moves and removes only its entries'.
+func (c *Cache) TrackView(space mcast.AddrSpace, view *ViewSet) {
+	c.space, c.view = space, view
 	for _, e := range c.entries { //mclint:maporder the view is a multiset
 		c.viewSync(e)
 	}
@@ -200,15 +204,6 @@ func (c *Cache) appendEvictable(dst []string, n int, origin netip.Addr, fromOrig
 	return dst
 }
 
-// ViewLen is the number of sessions in the allocator view.
-func (c *Cache) ViewLen() int { return c.view.Len() }
-
-// AppendView appends the allocator view — every live cached session
-// inside the tracked space — to dst.
-func (c *Cache) AppendView(dst []allocator.SessionInfo) []allocator.SessionInfo {
-	return c.view.AppendTo(dst)
-}
-
 // ViewSet is a multiset of allocator.SessionInfo with O(1) insert, update
 // and removal, for views kept current instead of rebuilt. A member's owner
 // stores the member's slot in an int32 of its own (1-based, 0 = not a
@@ -249,7 +244,6 @@ func (v *ViewSet) Remove(slot *int32) {
 // Len is the number of members.
 func (v *ViewSet) Len() int { return len(v.infos) }
 
-// AppendTo appends the members to dst.
-func (v *ViewSet) AppendTo(dst []allocator.SessionInfo) []allocator.SessionInfo {
-	return append(dst, v.infos...)
-}
+// Members returns the members in place, valid until the set next
+// changes; the caller must not modify them.
+func (v *ViewSet) Members() []allocator.SessionInfo { return v.infos }

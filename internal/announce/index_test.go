@@ -107,15 +107,34 @@ func checkIndexInvariants(t *testing.T, c *Cache, self netip.Addr) {
 	}
 }
 
+// dueAt is the scan Expire's bound lets it skip: every key unheard past its
+// limit at now, sorted.
+func dueAt(s *Cache, now time.Time) []string {
+	var due []string
+	for key, e := range s.entries {
+		limit := s.timeout
+		if e.Deleted {
+			limit = s.timeout / 10
+		}
+		if now.Sub(e.LastHeard) > limit {
+			due = append(due, key)
+		}
+	}
+	sort.Strings(due)
+	return due
+}
+
 // TestIndicesMatchFullScanReference drives a cache with both indices on
 // through seeded op sequences — new sessions, refreshes, version
 // bumps that change scope and address, deletions, resurrections, evictions,
 // expiry, restores with arbitrary timestamps, clocks that stand still (long
 // runs of equal LastHeard) or step backwards, entries of the tracker's own
-// origin — and after every op requires that planning over the maintained
-// order equals PlanNew over a fresh scan (outcome, evictions and their
-// sequence) under several budgets, that the view equals the rebuilt one as
-// a multiset, and that the index invariants hold.
+// origin — and after every op requires that Expire at that instant removes
+// exactly what a full scan finds due (whether its bound let it skip the
+// scan or not), that planning over the maintained order equals PlanNew
+// over a fresh scan (outcome, evictions and their sequence) under several
+// budgets, that the view equals the rebuilt one as a multiset, and that the
+// index invariants hold.
 func TestIndicesMatchFullScanReference(t *testing.T) {
 	const staleAfter = 10 * time.Minute
 	budgets := []admission.Config{
@@ -132,6 +151,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 	ttls := []mcast.TTL{1, 15, 63, 127}
 	seen := map[admission.Outcome]int{}
 	multi, tieBroken := 0, 0
+	skipped, scannedEmpty, expired := 0, 0, 0
 
 	// salt keeps the 24 op sequences the test ran when it also looped over
 	// shard counts 1, 4 and 8 (the count was part of the generator's seed).
@@ -157,7 +177,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 			for step := 0; step < 1200; step++ {
 				if step == trackAt {
 					s.TrackOrder(indexSelf)
-					s.TrackView(indexSpace)
+					s.TrackView(indexSpace, &ViewSet{})
 				}
 				switch r := ops.IntN(10); {
 				case r < 4: // mostly the clock stands still
@@ -205,13 +225,31 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 						s.Observe(d, now)
 					}
 				}
+
+				// What a directory's Step does next, against the scan.
+				want := dueAt(s, now)
+				skip := !now.After(s.bound)
+				got := s.Expire(now)
+				if fmt.Sprint(got) != fmt.Sprint(want) || (skip && got != nil) {
+					t.Fatalf("salt %d seed %d step %d: Expire (skipping the scan: %v) removed %v, a full scan finds %v due",
+						salt, seed, step, skip, got, want)
+				}
+				switch {
+				case skip:
+					skipped++
+				case len(got) == 0:
+					scannedEmpty++
+				default:
+					expired++
+				}
+
 				if step < trackAt {
 					continue
 				}
 
 				checkIndexInvariants(t, s, indexSelf)
-				if got, want := sortView(s.AppendView(nil)), scanView(s, indexSpace); !reflect.DeepEqual(got, want) || s.ViewLen() != len(want) {
-					t.Fatalf("salt %d seed %d step %d: view %v (len %d), rebuilt %v", salt, seed, step, got, s.ViewLen(), want)
+				if got, want := sortView(append([]allocator.SessionInfo(nil), s.view.Members()...)), scanView(s, indexSpace); !reflect.DeepEqual(got, want) || s.view.Len() != len(want) {
+					t.Fatalf("salt %d seed %d step %d: view %v (len %d), rebuilt %v", salt, seed, step, got, s.view.Len(), want)
 				}
 				cands := scanCandidates(s, indexSelf)
 				for _, origin := range []netip.Addr{d.Origin, indexSelf, netip.AddrFrom4([4]byte{10, 9, 9, 9})} {
@@ -241,9 +279,9 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 				s.Remove(e.Desc.Key())
 			}
 			checkIndexInvariants(t, s, indexSelf)
-			if s.Candidates() != 0 || s.ViewLen() != 0 || len(s.perOrigin) != 0 {
+			if s.Candidates() != 0 || s.view.Len() != 0 || len(s.perOrigin) != 0 {
 				t.Fatalf("salt %d seed %d: %d candidates, %d view members and %d counted origins left in an empty cache",
-					salt, seed, s.Candidates(), s.ViewLen(), len(s.perOrigin))
+					salt, seed, s.Candidates(), s.view.Len(), len(s.perOrigin))
 			}
 		}
 	}
@@ -257,6 +295,71 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 	}
 	if tieBroken == 0 {
 		t.Error("no state ever had two candidates tied up to the key")
+	}
+	// The bound is conservative, not exact, between scans: a scan that
+	// finds nothing is allowed, and happens after removals and refreshes.
+	if skipped == 0 || scannedEmpty == 0 || expired == 0 {
+		t.Errorf("expiry probes: %d skipped the scan, %d scanned and found nothing, %d expired something: the generator no longer reaches one of them",
+			skipped, scannedEmpty, expired)
+	}
+	t.Logf("expiry probes: %d skipped the scan, %d scanned and found nothing, %d expired something", skipped, scannedEmpty, expired)
+}
+
+// TestExpireBoundFollowsDeadlinesBack: the three ways an entry's deadline
+// can move earlier — a refresh (Touch or ObserveParsed) by a clock that
+// stepped backwards, and a deletion — each lower the bound, so the entry
+// expires on time even when it is the only one in the cache.
+func TestExpireBoundFollowsDeadlinesBack(t *testing.T) {
+	t0 := time.Unix(1_000_000, 0)
+	for _, c := range []struct {
+		name     string
+		back     func(s *Cache, e *Entry)
+		deadline time.Time
+	}{
+		{"touch", func(s *Cache, e *Entry) { s.Touch(e, t0.Add(-10*time.Minute)) }, t0.Add(50 * time.Minute)},
+		{"observe", func(s *Cache, e *Entry) { s.ObserveKeyed(e.key, e.Desc, t0.Add(-10*time.Minute)) }, t0.Add(50 * time.Minute)},
+		{"delete", func(s *Cache, e *Entry) { s.Delete(e.key, t0) }, t0.Add(6 * time.Minute)},
+	} {
+		s := NewCache(time.Hour)
+		e, _ := s.Observe(odesc(2, 1, 1), t0)
+		c.back(s, e)
+		if got := s.Expire(c.deadline); got != nil {
+			t.Fatalf("%s: Expire at the new deadline removed %v", c.name, got)
+		}
+		if got := s.Expire(c.deadline.Add(time.Nanosecond)); len(got) != 1 {
+			t.Fatalf("%s: Expire just past the new deadline removed %v, want the entry", c.name, got)
+		}
+	}
+}
+
+// TestExpireNothingDueAllocatesNothing pins the bound's fast path: an
+// Expire before the earliest deadline returns nil without allocating, at
+// every cache size, and the first Expire past it removes exactly the
+// entry whose deadline it was.
+func TestExpireNothingDueAllocatesNothing(t *testing.T) {
+	for _, n := range []int{1000, 10000} {
+		s := NewCache(time.Hour)
+		s.TrackOrder(indexSelf)
+		s.TrackView(indexSpace, &ViewSet{})
+		now := time.Unix(1_000_000, 0)
+		for i := 0; i < n; i++ {
+			s.Observe(odesc(byte(2+i%200), uint64(i), 1), now.Add(time.Duration(i)*time.Millisecond))
+		}
+		now = now.Add(time.Duration(n) * time.Millisecond)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if got := s.Expire(now); got != nil {
+				t.Fatalf("n=%d: Expire with nothing due removed %v", n, got)
+			}
+		}); allocs != 0 {
+			t.Errorf("n=%d: an Expire with nothing due allocates %v times", n, allocs)
+		}
+		first := odesc(2, 0, 1).Key()
+		if got := s.Expire(time.Unix(1_000_000, 0).Add(time.Hour + time.Nanosecond)); len(got) != 1 || got[0] != first {
+			t.Fatalf("n=%d: one nanosecond past the first deadline Expire removed %v, want [%s]", n, got, first)
+		}
+		if want := time.Unix(1_000_000, 0).Add(time.Hour + time.Millisecond); !s.bound.Equal(want) {
+			t.Fatalf("n=%d: after the scan the bound is %v, want the next deadline %v", n, s.bound, want)
+		}
 	}
 }
 
@@ -291,7 +394,7 @@ func TestEvictionOrderTieBreakIsKeyStringOrder(t *testing.T) {
 func TestIndexedRefreshAllocatesNothing(t *testing.T) {
 	s := NewCache(0)
 	s.TrackOrder(indexSelf)
-	s.TrackView(indexSpace)
+	s.TrackView(indexSpace, &ViewSet{})
 	now := time.Unix(0, 0)
 	for id := uint64(1); id <= 200; id++ {
 		s.Observe(odesc(byte(2+id%7), id, 1), now)

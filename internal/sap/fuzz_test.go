@@ -6,7 +6,8 @@ import (
 )
 
 // Native fuzz targets. Without -fuzz they run the seed corpus as ordinary
-// tests; with `go test -fuzz=FuzzDecode ./internal/sap` they explore.
+// tests; with `go test -fuzz='^FuzzDecode$' ./internal/sap` one explores
+// (-fuzz must match exactly one target, hence the anchors).
 
 func FuzzDecode(f *testing.F) {
 	wire, _ := samplePacket().Marshal(nil)
@@ -20,6 +21,53 @@ func FuzzDecode(f *testing.F) {
 		_ = p.Decode(data) // must not panic
 		var q Packet
 		_ = q.DecodeMaybeCompressed(data) // must not panic
+	})
+}
+
+// msgIDHashReference is MsgIDHashOf as it was first written, one byte per
+// step: the oracle the four-bytes-per-step fold must equal.
+func msgIDHashReference(payload []byte) uint16 {
+	var h uint32 = 0x811c
+	for _, b := range payload {
+		h = (h*31 + uint32(b)) & 0xffffffff
+	}
+	return uint16(h ^ (h >> 16))
+}
+
+// FuzzMsgIDHashMatchesReference checks MsgIDHashOf against the byte loop
+// for any payload, and that a packet built the way a sender builds one in
+// place — AppendHeader, the payload behind it, the hash patched in with
+// PutMsgIDHash — is the packet Marshal writes.
+func FuzzMsgIDHashMatchesReference(f *testing.F) {
+	f.Add([]byte(""), false)
+	f.Add([]byte("abc"), true)
+	f.Add([]byte("v=0\r\no=- 1 1 IN IP4 10.0.0.1\r\ns=fuzz\r\n"), false)
+	f.Add(bytes.Repeat([]byte{0xff}, 67), true)
+	f.Fuzz(func(t *testing.T, payload []byte, del bool) {
+		want := msgIDHashReference(payload)
+		if got := MsgIDHashOf(payload); got != want {
+			t.Fatalf("MsgIDHashOf(%q) = %#04x, the byte loop %#04x", payload, got, want)
+		}
+		p := samplePacket()
+		p.Payload = payload
+		if del {
+			p.Type = Delete
+		}
+		p.MsgIDHash = want
+		marshalled, err := p.Marshal(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.MsgIDHash = 0
+		wire, err := p.AppendHeader([]byte("prefix"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire = append(wire, payload...)[len("prefix"):]
+		PutMsgIDHash(wire, MsgIDHashOf(wire[len(wire)-len(payload):]))
+		if !bytes.Equal(wire, marshalled) {
+			t.Fatalf("built in place % x\nmarshalled     % x", wire, marshalled)
+		}
 	})
 }
 

@@ -85,12 +85,26 @@ type Packet struct {
 
 // MsgIDHashOf computes the 16-bit message id hash of a payload: a stable
 // non-cryptographic fold, sufficient to distinguish payload versions.
+// The fold is h = h·31 + b over the bytes, mod 2³², taken four bytes per
+// step by Horner's rule: four such steps are h·31⁴ + b₀·31³ + b₁·31² +
+// b₂·31 + b₃, the same value with one dependent multiply instead of four.
 func MsgIDHashOf(payload []byte) uint16 {
+	const p2, p3, p4 = 31 * 31, 31 * 31 * 31, 31 * 31 * 31 * 31
 	var h uint32 = 0x811c
+	for ; len(payload) >= 4; payload = payload[4:] {
+		h = h*p4 + uint32(payload[0])*p3 + uint32(payload[1])*p2 + uint32(payload[2])*31 + uint32(payload[3])
+	}
 	for _, b := range payload {
-		h = (h*31 + uint32(b)) & 0xffffffff
+		h = h*31 + uint32(b)
 	}
 	return uint16(h ^ (h >> 16))
+}
+
+// PutMsgIDHash sets the message id hash of the marshalled packet wire, for
+// a sender that appended the payload behind AppendHeader and hashed it
+// there.
+func PutMsgIDHash(wire []byte, h uint16) {
+	binary.BigEndian.PutUint16(wire[2:4], h)
 }
 
 // PayloadDigest is a seeded 64-bit digest of a payload, never 0. Where the
@@ -130,8 +144,19 @@ func PayloadDigest(seed uint64, p []byte) uint64 {
 // Marshal appends the wire form of p to dst and returns the result.
 // The origin must be IPv4.
 func (p *Packet) Marshal(dst []byte) ([]byte, error) {
+	dst, err := p.AppendHeader(dst)
+	if err != nil {
+		return nil, err
+	}
+	return append(dst, p.Payload...), nil
+}
+
+// AppendHeader appends the wire form of p up to its payload — the SAP
+// header and the payload type — to dst, for a sender that appends the
+// payload itself. On error dst comes back unchanged.
+func (p *Packet) AppendHeader(dst []byte) ([]byte, error) {
 	if !p.Origin.Is4() {
-		return nil, fmt.Errorf("%w (origin %s)", ErrIPv6, p.Origin)
+		return dst, fmt.Errorf("%w (origin %s)", ErrIPv6, p.Origin)
 	}
 	flags := byte(Version << flagVersionShift)
 	if p.Type == Delete {
@@ -146,9 +171,7 @@ func (p *Packet) Marshal(dst []byte) ([]byte, error) {
 		pt = PayloadTypeSDP
 	}
 	dst = append(dst, pt...)
-	dst = append(dst, 0)
-	dst = append(dst, p.Payload...)
-	return dst, nil
+	return append(dst, 0), nil
 }
 
 // Decode parses data into p. The payload (and payload type) alias data.

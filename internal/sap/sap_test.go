@@ -169,6 +169,20 @@ func TestMsgIDHash(t *testing.T) {
 	if MsgIDHashOf([]byte("hello")) != a {
 		t.Fatal("hash not deterministic")
 	}
+	// The values on the wire, recorded from the byte-at-a-time fold: every
+	// sender and listener in a scope must agree on them. The lengths cover
+	// no whole four-byte step, one step and a tail, and many steps.
+	for payload, want := range map[string]uint16{
+		"":       0x811c,
+		"v":      0xa2d5,
+		"hello":  0xbfee,
+		"hello!": 0xb9ef,
+		"v=0\r\no=- 4711 3 IN IP4 10.1.2.3\r\ns=golden\r\nc=IN IP4 224.2.128.99/127\r\nt=0 0\r\n": 0x0bdc,
+	} {
+		if got := MsgIDHashOf([]byte(payload)); got != want {
+			t.Errorf("MsgIDHashOf(%q) = %#04x, want %#04x", payload, got, want)
+		}
+	}
 }
 
 func TestMessageTypeString(t *testing.T) {

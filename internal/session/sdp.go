@@ -60,7 +60,7 @@ func (d *Description) AppendSDP(dst []byte) ([]byte, error) {
 		user = "-"
 	}
 	b := dst
-	if n := d.sdpSizeHint(); cap(b)-len(b) < n {
+	if n := d.SDPSizeHint(); cap(b)-len(b) < n {
 		// Not slices.Grow: under the race detector it allocates twice,
 		// which would fail the allocation pins in the -race CI job.
 		b = append(make([]byte, 0, len(dst)+n), dst...)
@@ -114,10 +114,11 @@ func (d *Description) AppendSDP(dst []byte) ([]byte, error) {
 	return b, nil
 }
 
-// sdpSizeHint estimates the marshalled size from above for the usual
+// SDPSizeHint estimates the marshalled size from above for the usual
 // description (IPv4 origin, valid UTF-8): exact text lengths plus the
-// widest the numbers and addresses can print.
-func (d *Description) sdpSizeHint() int {
+// widest the numbers and addresses can print. AppendSDP into a buffer
+// with this much spare capacity does not allocate.
+func (d *Description) SDPSizeHint() int {
 	// The v= o= s= i= c= b= t= framing comes to 186 bytes with "-" for the
 	// user, every number at its widest and both addresses as dotted quads.
 	const framing = 192

@@ -1,9 +1,10 @@
 package transport
 
 import (
+	"cmp"
 	"context"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 
 	"sessiondir/internal/mcast"
@@ -94,7 +95,7 @@ func (e *BusEndpoint) Send(_ context.Context, data []byte, scope mcast.TTL) erro
 	// in a different order every run; receivers react to what they hear
 	// (and draw from seeded RNGs when they do), so delivery order is part
 	// of the deterministic-replay contract and must not leak map order.
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i].id < candidates[j].id })
+	slices.SortFunc(candidates, func(a, b *BusEndpoint) int { return cmp.Compare(a.id, b.id) })
 
 	for _, r := range candidates {
 		if policy != nil && !policy(e.id, r.id, scope) {

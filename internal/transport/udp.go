@@ -481,7 +481,21 @@ func (t *UDPTransport) Metrics() UDPMetrics {
 	}
 }
 
-// Send implements Transport. In unicast mode a failure for one peer does
+// sendTimeout bounds a send whose ctx carries no deadline of its own: a
+// socket that cannot take a datagram in this long is failing, and the
+// sender's next announcement interval retries what it lost.
+const sendTimeout = 5 * time.Second
+
+// writeDeadline is ctx's deadline, or sendTimeout from now if it has none.
+func writeDeadline(ctx context.Context) time.Time {
+	if dl, ok := ctx.Deadline(); ok {
+		return dl
+	}
+	return time.Now().Add(sendTimeout) //mclint:detrand a real socket write deadline; wall time is the boundary here
+}
+
+// Send implements Transport. The write is bounded by ctx's deadline, or by
+// sendTimeout if it has none. In unicast mode a failure for one peer does
 // not stop the fan-out: every remaining peer is still attempted and the
 // per-peer errors are aggregated with errors.Join.
 func (t *UDPTransport) Send(ctx context.Context, data []byte, scope mcast.TTL) error {
@@ -492,12 +506,10 @@ func (t *UDPTransport) Send(ctx context.Context, data []byte, scope mcast.TTL) e
 		return ErrClosed
 	}
 	cur := t.io.Load()
-	if dl, ok := ctx.Deadline(); ok {
-		if err := cur.conn.SetWriteDeadline(dl); err != nil {
-			return fmt.Errorf("transport: set deadline: %w", err)
-		}
-		defer func() { _ = cur.conn.SetWriteDeadline(time.Time{}) }() // best-effort reset
+	if err := cur.conn.SetWriteDeadline(writeDeadline(ctx)); err != nil {
+		return fmt.Errorf("transport: set deadline: %w", err)
 	}
+	defer func() { _ = cur.conn.SetWriteDeadline(time.Time{}) }() // best-effort reset
 	if t.group != nil {
 		if err := t.applyTTL(cur.conn, int(scope)); err != nil {
 			return fmt.Errorf("transport: set TTL: %w", err)
@@ -517,10 +529,10 @@ func (t *UDPTransport) Send(ctx context.Context, data []byte, scope mcast.TTL) e
 	return errors.Join(errs...)
 }
 
-// SendBatch implements BatchSender: semantically k Sends, but runs of
-// same-scope datagrams share one TTL sockopt and go out in a single
-// sendmmsg on linux. In unicast mode every datagram fans out to every
-// peer in one batch. The data slices are not retained.
+// SendBatch implements BatchSender: semantically k Sends (bounded as Send
+// is), but runs of same-scope datagrams share one TTL sockopt and go out
+// in a single sendmmsg on linux. In unicast mode every datagram fans out
+// to every peer in one batch. The data slices are not retained.
 func (t *UDPTransport) SendBatch(ctx context.Context, batch []Datagram) error {
 	if len(batch) == 0 {
 		return nil
@@ -532,12 +544,10 @@ func (t *UDPTransport) SendBatch(ctx context.Context, batch []Datagram) error {
 		return ErrClosed
 	}
 	cur := t.io.Load()
-	if dl, ok := ctx.Deadline(); ok {
-		if err := cur.conn.SetWriteDeadline(dl); err != nil {
-			return fmt.Errorf("transport: set deadline: %w", err)
-		}
-		defer func() { _ = cur.conn.SetWriteDeadline(time.Time{}) }() // best-effort reset
+	if err := cur.conn.SetWriteDeadline(writeDeadline(ctx)); err != nil {
+		return fmt.Errorf("transport: set deadline: %w", err)
 	}
+	defer func() { _ = cur.conn.SetWriteDeadline(time.Time{}) }() // best-effort reset
 	if t.group == nil {
 		// Unicast fan-out: batch × peers, errors joined like Send's loop.
 		pkts := make([]txPkt, 0, len(batch)*len(t.peers))
