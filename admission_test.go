@@ -1,6 +1,7 @@
 package sessiondir
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"testing"
@@ -41,7 +42,7 @@ func (f *forge) send(typ sap.MessageType, sapOrigin netip.Addr, desc *session.De
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	if err := f.ep.Send(nil, wire, desc.TTL); err != nil {
+	if err := f.ep.SendBatch(context.Background(), oneDgram(wire, desc.TTL)); err != nil {
 		f.t.Fatal(err)
 	}
 }

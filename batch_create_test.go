@@ -1,6 +1,7 @@
 package sessiondir
 
 import (
+	"net/netip"
 	"strings"
 	"testing"
 
@@ -119,5 +120,57 @@ func TestCreateSessionBatchPartialFailure(t *testing.T) {
 	}
 	if n := len(d.OwnSessions()); n != len(got) {
 		t.Fatalf("%d owned sessions, but %d returned", n, len(got))
+	}
+}
+
+// TestAllocatorCountersAtEverySite: the directory counts its allocator's
+// work at each of the three places it allocates — a create, a batch create
+// and a clash move — one pick per address handed out, one failure per call
+// that found the visible space full, one move per owned session moved.
+func TestAllocatorCountersAtEverySite(t *testing.T) {
+	clk := newFakeClock()
+	d, _ := newDirectory(t, transport.NewBus(), clk, "10.0.0.1", 8, 5, nil)
+	defer d.Close()
+	counter := func(suffix string) float64 {
+		t.Helper()
+		for _, mv := range d.Registry().Snapshot() {
+			if strings.HasPrefix(mv.Name, "allocator_") && strings.HasSuffix(mv.Name, "_"+suffix+"_total") {
+				return mv.Value
+			}
+		}
+		t.Fatalf("no allocator_*_%s_total registered", suffix)
+		return 0
+	}
+
+	own, err := d.CreateSession(batchDesc("own", 127))
+	if err != nil {
+		t.Fatal(err)
+	}
+	intruder := &session.Description{
+		ID: 50, Version: 1, Origin: netip.MustParseAddr("10.0.9.9"), Name: "intruder",
+		Group: own.Group, TTL: own.TTL,
+		Media: []session.Media{{Type: "audio", Port: 5004, Proto: "RTP/AVP", Format: "0"}},
+	}
+	d.HandleBatch([]transport.Message{{Data: announceWire(t, intruder)}})
+	if got := counter("moves"); got != 1 {
+		t.Fatalf("moves = %v after a clash on a fresh session, want 1", got)
+	}
+
+	descs := make([]*session.Description, 8) // more than the space has left
+	for i := range descs {
+		descs[i] = batchDesc("b", 127)
+	}
+	batch, err := d.CreateSessionBatch(descs)
+	if err == nil {
+		t.Fatal("a batch larger than the free space succeeded")
+	}
+	if _, err := d.CreateSession(batchDesc("late", 127)); err == nil {
+		t.Fatal("a create into a full space succeeded")
+	}
+	if got, want := counter("picks"), float64(1+1+len(batch)); got != want {
+		t.Fatalf("picks = %v, want %v: the create, the move and the batch's %d", got, want, len(batch))
+	}
+	if got := counter("failures"); got != 2 {
+		t.Fatalf("failures = %v, want 2: the batch and the create that found the space full", got)
 	}
 }

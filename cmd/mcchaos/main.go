@@ -1,3 +1,5 @@
+//go:build unix
+
 // Command mcchaos orchestrates process-level chaos against a fleet of
 // real sdrd daemons: it wires them together through the deterministic
 // UDP fault relay (internal/relay), applies a seeded fault schedule —
@@ -26,6 +28,8 @@
 //
 // Exit codes: 0 all invariants held, 1 an invariant failed, 2 setup
 // error (the run could not be carried out).
+//
+// mcchaos builds on Unix only: its freezes need SIGSTOP and SIGCONT.
 package main
 
 import (

@@ -29,8 +29,7 @@ import (
 type core struct {
 	// cfg is the resolved Config. The core reads its protocol parameters;
 	// the clock, transport and event hook in it are the Directory's to call.
-	cfg   Config
-	alloc *allocator.Instrumented
+	cfg Config
 
 	rng   *stats.RNG
 	owned map[string]*ownedSession
@@ -195,7 +194,7 @@ func (c *core) journalKey(kind byte, key string) {
 // announces the directory's own copy of it.
 func (c *core) create(desc *session.Description, now time.Time) (*session.Description, error) {
 	mine := c.prepOwnCopy(desc, now)
-	addr, err := c.alloc.Allocate(c.view(), mine.TTL, c.rng)
+	addr, err := c.allocate(mine.TTL)
 	if err != nil {
 		return nil, fmt.Errorf("sessiondir: allocate: %w", err)
 	}
@@ -214,7 +213,11 @@ func (c *core) createBatch(descs []*session.Description, now time.Time) ([]*sess
 			j++
 		}
 		var allocErr error
-		addrs, allocErr = c.alloc.AllocateBatch(c.view(), descs[i].TTL, j-i, addrs[:0], c.rng)
+		addrs, allocErr = c.cfg.Allocator.AllocateBatch(c.view(), descs[i].TTL, j-i, addrs[:0], c.rng)
+		c.ins.allocPicks.Add(uint64(len(addrs)))
+		if allocErr != nil {
+			c.ins.allocFailures.Inc()
+		}
 		// Register whatever the run yielded even when it ran out mid-way:
 		// sequential creates would have made exactly these before hitting
 		// the same failure.
@@ -283,6 +286,18 @@ func (c *core) view() []allocator.SessionInfo {
 		c.heardView = true
 	}
 	return c.ownView.Members()
+}
+
+// allocate picks an address for a session of scope ttl from the current
+// view, counted.
+func (c *core) allocate(ttl mcast.TTL) (mcast.Addr, error) {
+	addr, err := c.cfg.Allocator.Allocate(c.view(), ttl, c.rng)
+	if err != nil {
+		c.ins.allocFailures.Inc()
+		return addr, err
+	}
+	c.ins.allocPicks.Inc()
+	return addr, nil
 }
 
 // announceOwn sends one SAP announcement for an owned session and
@@ -641,7 +656,7 @@ func (c *core) applyActions(actions []clash.Action, now time.Time) {
 			if !ok {
 				continue
 			}
-			addr, err := c.alloc.Allocate(c.view(), own.desc.TTL, c.rng)
+			addr, err := c.allocate(own.desc.TTL)
 			if err != nil {
 				continue // space exhausted: keep the clashing address
 			}
@@ -652,7 +667,7 @@ func (c *core) applyActions(actions []clash.Action, now time.Time) {
 			c.tracker.AnnounceOwn(clash.SessionKey(key), addr, own.desc.TTL, c.ms(now))
 			if err := c.announceOwn(own, now); err == nil {
 				c.ins.clashMoves.Inc()
-				c.alloc.Moves.Inc()
+				c.ins.allocMoves.Inc()
 				c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceClashMove, Key: key, Addr: uint32(addr)})
 				c.report(EventAddressChanged, key, own.desc)
 			}

@@ -215,6 +215,11 @@ type dirInstruments struct {
 	refreshFast       *obs.Counter
 	packetBytes       *obs.Histogram
 	store             cacheStoreInstruments
+	// The allocator's counters: addresses it handed out, calls that found
+	// the visible space full, and clash moves of owned sessions.
+	allocPicks    *obs.Counter
+	allocFailures *obs.Counter
+	allocMoves    *obs.Counter
 }
 
 // packetSizeBounds buckets received datagram sizes: SAP announcements
@@ -222,12 +227,19 @@ type dirInstruments struct {
 // dense and the tail covers the UDP maximum.
 var packetSizeBounds = []int64{64, 128, 256, 512, 1024, 4096, 16384, 65536}
 
-func newDirInstruments(r *obs.Registry) (dirInstruments, error) {
+// newDirInstruments registers the directory's counters on r. The
+// allocator's are named after its display name, e.g. AIPR-1 (20% gap) →
+// allocator_aipr_1_20_gap_picks_total.
+func newDirInstruments(r *obs.Registry, allocName string) (dirInstruments, error) {
 	var ins dirInstruments
+	alloc := "allocator_" + obs.Sanitize(allocName) + "_"
 	counters := []struct {
 		dst        **obs.Counter
 		name, help string
 	}{
+		{&ins.allocPicks, alloc + "picks_total", "successful address allocations by " + allocName},
+		{&ins.allocFailures, alloc + "failures_total", "failed address allocations (space visibly full) by " + allocName},
+		{&ins.allocMoves, alloc + "moves_total", "clash-driven re-allocations of owned sessions by " + allocName},
 		{&ins.announcementsSent, "dir_announcements_sent_total", "SAP announcements transmitted (own + defended)"},
 		{&ins.deletionsSent, "dir_deletions_sent_total", "SAP deletions transmitted"},
 		{&ins.packetsReceived, "dir_packets_received_total", "well-formed SAP packets processed"},
@@ -310,8 +322,8 @@ func (d *Directory) registerGauges() error {
 // datagrams and with no lock held, so OnEvent may call back in and a
 // synchronous transport's recipients may answer at once. It loops until
 // nothing is left, since either may have queued more. The datagrams are
-// lent to the transport for the send call (Transport.Send retains
-// nothing), so once it returns their buffers go back to the core.
+// lent to the transport for the SendBatch call, which retains nothing, so
+// once it returns their buffers go back to the core.
 func (d *Directory) flush() {
 	var sent effects
 	for {
@@ -324,7 +336,7 @@ func (d *Directory) flush() {
 		}
 		if len(fx.dgrams) > 0 {
 			// No deadline here: the transport bounds its own writes.
-			_ = transport.SendAll(context.Background(), d.cfg.Transport, fx.dgrams) // transient errors: next interval retries
+			_ = d.cfg.Transport.SendBatch(context.Background(), fx.dgrams) // transient errors: next interval retries
 		}
 		sent = fx.recycled()
 	}
@@ -396,18 +408,13 @@ func New(cfg Config) (*Directory, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	alloc, err := allocator.Instrument(cfg.Allocator, reg)
-	if err != nil {
-		return nil, fmt.Errorf("sessiondir: %w", err)
-	}
-	ins, err := newDirInstruments(reg)
+	ins, err := newDirInstruments(reg, cfg.Allocator.Name())
 	if err != nil {
 		return nil, fmt.Errorf("sessiondir: %w", err)
 	}
 	d := &Directory{
 		core: core{
 			cfg:        cfg,
-			alloc:      alloc,
 			rng:        stats.NewRNG(seed),
 			owned:      make(map[string]*ownedSession),
 			cache:      announce.NewCache(cfg.CacheTimeout),

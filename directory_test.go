@@ -92,6 +92,11 @@ func testDesc(name string, ttl mcast.TTL) *session.Description {
 	}
 }
 
+// oneDgram is a batch of one datagram.
+func oneDgram(data []byte, scope mcast.TTL) []transport.Datagram {
+	return []transport.Datagram{{Data: data, Scope: scope}}
+}
+
 func TestDirectoryConfigValidation(t *testing.T) {
 	bus := transport.NewBus()
 	if _, err := New(Config{Transport: bus.Endpoint()}); err == nil {

@@ -1,6 +1,7 @@
 package sessiondir
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"testing"
@@ -63,7 +64,7 @@ func FuzzAdmission(f *testing.F) {
 				if end > len(data) {
 					end = len(data)
 				}
-				_ = attacker.Send(nil, data[i:end], 127)
+				_ = attacker.SendBatch(context.Background(), oneDgram(data[i:end], 127))
 			case 1, 2: // announce: id/version/group from fuzz bytes
 				desc := &session.Description{
 					ID:      uint64(a % 8),
@@ -129,5 +130,5 @@ func sendFuzz(ep *transport.BusEndpoint, typ sap.MessageType, origin netip.Addr,
 	if err != nil {
 		return
 	}
-	_ = ep.Send(nil, wire, desc.TTL)
+	_ = ep.SendBatch(context.Background(), oneDgram(wire, desc.TTL))
 }

@@ -53,8 +53,12 @@ type Allocator interface {
 	// result is bit-identical to k sequential Allocate calls in which each
 	// freshly allocated session is appended to the view between calls, but
 	// the view is folded into class counts and the used-address set once
-	// per batch instead of once per address (see batch.go). On failure the
-	// addresses allocated before the error are returned alongside it.
+	// per batch instead of once per address: a burst of creations pays the
+	// O(len(visible)) fold once, each pick adding only its own address.
+	// Batching is an amortisation, never a behaviour change; for the
+	// algorithms built on core, Allocate is AllocateBatch with k = 1. On
+	// failure the addresses allocated before the error are returned
+	// alongside it.
 	AllocateBatch(visible []SessionInfo, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error)
 }
 

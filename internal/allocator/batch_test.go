@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"sessiondir/internal/mcast"
-	"sessiondir/internal/obs"
 	"sessiondir/internal/stats"
 )
 
@@ -141,31 +140,6 @@ func TestAllocateBatchAppendsToDst(t *testing.T) {
 	}
 	if len(got) != 5 || got[0] != 99 {
 		t.Fatalf("got %v, want sentinel 99 preserved and 4 appended", got)
-	}
-}
-
-// TestInstrumentedBatchCounts: the instrumented wrapper counts one pick
-// per allocated address and one failure per failed batch.
-func TestInstrumentedBatchCounts(t *testing.T) {
-	ins, err := Instrument(NewInformedRandom(16), obs.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ins.AllocateBatch(nil, 127, 8, nil, stats.NewRNG(1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := ins.Picks.Value(); got != 8 {
-		t.Fatalf("picks = %d, want 8", got)
-	}
-	var view []SessionInfo
-	for i := 0; i < 16; i++ {
-		view = append(view, SessionInfo{Addr: mcast.Addr(i), TTL: 127})
-	}
-	if _, err := ins.AllocateBatch(view, 127, 1, nil, stats.NewRNG(1)); err == nil {
-		t.Fatal("expected exhaustion")
-	}
-	if got := ins.Failures.Value(); got != 1 {
-		t.Fatalf("failures = %d, want 1", got)
 	}
 }
 

@@ -26,7 +26,6 @@ var MetricName = &Analyzer{
 	Packages: []string{
 		"sessiondir",
 		"sessiondir/internal/obs",
-		"sessiondir/internal/allocator",
 		"sessiondir/internal/transport",
 		"sessiondir/internal/storage",
 	},

@@ -243,17 +243,13 @@ func (c *Cache) heard(e *Entry, now time.Time) {
 // session (or a new version of it) was previously unknown — in which case
 // the entry now holds d and Get returns it.
 func (c *Cache) Observe(d *session.Description, now time.Time) (*Entry, bool) {
-	return c.ObserveKeyed(d.Key(), d, now)
+	return c.ObserveParsed(d.Key(), d, 0, now)
 }
 
-// ObserveKeyed is Observe for a caller that already holds key = d.Key().
-func (c *Cache) ObserveKeyed(key string, d *session.Description, now time.Time) (*Entry, bool) {
-	return c.ObserveParsed(key, d, 0, now)
-}
-
-// ObserveParsed is ObserveKeyed for a caller that parsed d from a payload
-// and holds that payload's digest (0 = none): if the entry takes d it
-// takes the digest with it, and Unchanged will know the payload again.
+// ObserveParsed is Observe for a caller that already holds key = d.Key(),
+// and, if it parsed d from a payload, that payload's digest (0 = none): if
+// the entry takes d it takes the digest with it, and Unchanged will know
+// the payload again.
 func (c *Cache) ObserveParsed(key string, d *session.Description, digest uint64, now time.Time) (*Entry, bool) {
 	e, ok := c.entries[key]
 	if !ok {

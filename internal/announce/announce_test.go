@@ -172,8 +172,8 @@ func TestCacheRefreshAllocatesNothing(t *testing.T) {
 	c.Observe(desc(1, 1), now)
 	again := desc(1, 1)
 	key := again.Key()
-	if n := testing.AllocsPerRun(100, func() { c.ObserveKeyed(key, again, now) }); n != 0 {
-		t.Fatalf("same-version ObserveKeyed: %v allocs, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { c.ObserveParsed(key, again, 0, now) }); n != 0 {
+		t.Fatalf("same-version ObserveParsed: %v allocs, want 0", n)
 	}
 	sdp, err := again.MarshalSDP()
 	if err != nil {

@@ -200,7 +200,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 					if e, ok := s.Peek(d.Key()); ok && step%2 == 0 && !e.Deleted {
 						s.Touch(e, now)
 					} else if ok {
-						s.ObserveKeyed(d.Key(), e.Desc, now)
+						s.ObserveParsed(d.Key(), e.Desc, 0, now)
 					}
 				case op < 13:
 					s.Delete(d.Key(), now)
@@ -317,7 +317,7 @@ func TestExpireBoundFollowsDeadlinesBack(t *testing.T) {
 		deadline time.Time
 	}{
 		{"touch", func(s *Cache, e *Entry) { s.Touch(e, t0.Add(-10*time.Minute)) }, t0.Add(50 * time.Minute)},
-		{"observe", func(s *Cache, e *Entry) { s.ObserveKeyed(e.key, e.Desc, t0.Add(-10*time.Minute)) }, t0.Add(50 * time.Minute)},
+		{"observe", func(s *Cache, e *Entry) { s.ObserveParsed(e.key, e.Desc, 0, t0.Add(-10*time.Minute)) }, t0.Add(50 * time.Minute)},
 		{"delete", func(s *Cache, e *Entry) { s.Delete(e.key, t0) }, t0.Add(6 * time.Minute)},
 	} {
 		s := NewCache(time.Hour)
@@ -401,12 +401,12 @@ func TestIndexedRefreshAllocatesNothing(t *testing.T) {
 	}
 	again := odesc(4, 100, 1)
 	key := again.Key()
-	if n := testing.AllocsPerRun(100, func() { s.ObserveKeyed(key, again, now) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { s.ObserveParsed(key, again, 0, now) }); n != 0 {
 		t.Fatalf("same-version refresh among ties: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		now = now.Add(time.Second)
-		s.ObserveKeyed(key, again, now)
+		s.ObserveParsed(key, again, 0, now)
 	}); n != 0 {
 		t.Fatalf("same-version refresh moving to the back: %v allocs, want 0", n)
 	}

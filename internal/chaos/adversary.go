@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/netip"
 	"time"
@@ -235,7 +236,12 @@ func (a *Adversary) send(typ sap.MessageType, origin netip.Addr, desc *session.D
 	if err != nil {
 		return
 	}
-	if a.ep.Send(nil, wireBytes, desc.TTL) == nil {
+	a.transmit(wireBytes, desc.TTL)
+}
+
+// transmit puts one datagram on the network, counting it if it left.
+func (a *Adversary) transmit(data []byte, ttl mcast.TTL) {
+	if a.ep.SendBatch(context.Background(), []transport.Datagram{{Data: data, Scope: ttl}}) == nil {
 		a.sent++
 	}
 }
@@ -300,10 +306,7 @@ func (a *Adversary) replay() {
 	if len(a.wire) == 0 {
 		return
 	}
-	pkt := a.wire[a.rng.IntN(len(a.wire))]
-	if a.ep.Send(nil, pkt, a.cfg.TTL) == nil {
-		a.sent++
-	}
+	a.transmit(a.wire[a.rng.IntN(len(a.wire))], a.cfg.TTL)
 }
 
 // forgeDelete sends a deletion naming a recorded honest session. The SAP

@@ -143,7 +143,7 @@ func TestNetScopedDelayedDelivery(t *testing.T) {
 		})
 	}
 	// TTL 3 reaches nodes 1,2 but not 4 (needs TTL 5).
-	if err := src.Send(context.Background(), []byte("x"), mcast.TTL(3)); err != nil {
+	if err := src.SendBatch(context.Background(), oneDgram([]byte("x"), mcast.TTL(3))); err != nil {
 		t.Fatal(err)
 	}
 	e.RunFor(time.Second)
@@ -172,7 +172,7 @@ func TestNetLossRate(t *testing.T) {
 	dst.Subscribe(func(ms []transport.Message) { received += len(ms) })
 	const sent = 5000
 	for i := 0; i < sent; i++ {
-		if err := src.Send(context.Background(), []byte("x"), 10); err != nil {
+		if err := src.SendBatch(context.Background(), oneDgram([]byte("x"), 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +191,7 @@ func TestNetClosedEndpoint(t *testing.T) {
 	delivered := false
 	dst.Subscribe(func([]transport.Message) { delivered = true })
 	dst.Close()
-	if err := src.Send(context.Background(), []byte("x"), 10); err != nil {
+	if err := src.SendBatch(context.Background(), oneDgram([]byte("x"), 10)); err != nil {
 		t.Fatal(err)
 	}
 	e.RunFor(time.Second)
@@ -199,10 +199,12 @@ func TestNetClosedEndpoint(t *testing.T) {
 		t.Fatal("closed endpoint received a packet")
 	}
 	src.Close()
-	if err := src.Send(context.Background(), []byte("x"), 10); err == nil {
+	if err := src.SendBatch(context.Background(), oneDgram([]byte("x"), 10)); err == nil {
 		t.Fatal("closed endpoint sent a packet")
 	}
-	if src.LocalAddr().IsValid() {
-		t.Fatal("simulated endpoint should be unnumbered")
-	}
+}
+
+// oneDgram is a batch of one datagram.
+func oneDgram(data []byte, scope mcast.TTL) []transport.Datagram {
+	return []transport.Datagram{{Data: data, Scope: scope}}
 }

@@ -52,7 +52,7 @@ func faultPair(t *testing.T, seed uint64, profile fault.Profile) (*Engine, *Net,
 func sendN(t *testing.T, ep *Endpoint, n int, data []byte) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := ep.Send(context.Background(), data, 10); err != nil {
+		if err := ep.SendBatch(context.Background(), oneDgram(data, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,7 +266,7 @@ func TestNetFatesIndependentPerReceiver(t *testing.T) {
 		})
 	}
 	for i := 0; i < 64; i++ {
-		if err := send.Send(context.Background(), []byte{byte(i), 9, 9, 9}, 10); err != nil {
+		if err := send.SendBatch(context.Background(), oneDgram([]byte{byte(i), 9, 9, 9}, 10)); err != nil {
 			t.Fatal(err)
 		}
 	}

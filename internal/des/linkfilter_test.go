@@ -1,6 +1,7 @@
 package des
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -25,14 +26,14 @@ func TestLinkFilterBlocksAndHeals(t *testing.T) {
 
 	// Partition: nodes 0-1 vs 2-3.
 	net.SetLinkFilter(Partition(func(n topology.NodeID) bool { return n < 2 }))
-	src.Send(nil, []byte("blocked"), 255) //nolint:errcheck
+	src.SendBatch(context.Background(), oneDgram([]byte("blocked"), 255)) //nolint:errcheck
 	e.RunFor(time.Second)
 	if got != 0 {
 		t.Fatal("partitioned packet delivered")
 	}
 	// Heal.
 	net.SetLinkFilter(nil)
-	src.Send(nil, []byte("ok"), 255) //nolint:errcheck
+	src.SendBatch(context.Background(), oneDgram([]byte("ok"), 255)) //nolint:errcheck
 	e.RunFor(time.Second)
 	if got != 1 {
 		t.Fatalf("healed deliveries = %d", got)
@@ -58,7 +59,7 @@ func TestNetPartitionGroupsAndHeal(t *testing.T) {
 	}
 	send := func(from int) {
 		t.Helper()
-		if err := eps[from].Send(nil, []byte("x"), 255); err != nil {
+		if err := eps[from].SendBatch(context.Background(), oneDgram([]byte("x"), 255)); err != nil {
 			t.Fatal(err)
 		}
 		e.RunFor(time.Second)
@@ -104,7 +105,7 @@ func TestNetPartitionComposesWithScope(t *testing.T) {
 	dst.Subscribe(func(ms []transport.Message) { got += len(ms) })
 	net.SetLinkFilter(PartitionGroups(fault.Partition([]int{0, 3})))
 	for _, ttl := range []mcast.TTL{2, 255} { // node 3 is three hops out
-		if err := src.Send(nil, []byte("x"), ttl); err != nil {
+		if err := src.SendBatch(context.Background(), oneDgram([]byte("x"), ttl)); err != nil {
 			t.Fatal(err)
 		}
 	}

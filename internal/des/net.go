@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net/netip"
 	"sort"
 	"time"
 
@@ -155,13 +154,23 @@ func (e *Endpoint) Node() topology.NodeID { return e.node }
 // receiver.
 func (e *Endpoint) Stats() fault.Stats { return e.proc.Stats }
 
-// Send implements transport.Transport: scoped, delayed, faulted delivery.
-// Outbound packets are not faulted as such: a packet's fate is decided
-// per receiver.
-func (e *Endpoint) Send(_ context.Context, data []byte, scope mcast.TTL) error {
+// SendBatch implements transport.Transport: scoped, delayed, faulted
+// delivery of each datagram in order, each arriving on its own as a batch
+// of one. Outbound packets are not faulted as such: a packet's fate is
+// decided per receiver, and the fates of one datagram are all drawn before
+// the next datagram's.
+func (e *Endpoint) SendBatch(_ context.Context, batch []transport.Datagram) error {
 	if e.closed {
 		return transport.ErrClosed
 	}
+	for _, d := range batch {
+		e.send(d.Data, d.Scope)
+	}
+	return nil
+}
+
+// send offers one datagram to every attached node in scope.
+func (e *Endpoint) send(data []byte, scope mcast.TTL) {
 	n := e.net
 	reach := n.cache.Reach(e.node, scope)
 	tree := n.cache.Tree(e.node)
@@ -190,7 +199,6 @@ func (e *Endpoint) Send(_ context.Context, data []byte, scope mcast.TTL) error {
 			target.deliverAfter(path+fate.DupDelay, bytes.Clone(cp))
 		}
 	}
-	return nil
 }
 
 // deliverAfter schedules one arrival of data, which it owns, as a batch
@@ -211,9 +219,6 @@ func (e *Endpoint) deliverAfter(d time.Duration, data []byte) {
 
 // Subscribe implements transport.Transport.
 func (e *Endpoint) Subscribe(h transport.Handler) { e.handler = h }
-
-// LocalAddr implements transport.Transport (simulated nodes are unnumbered).
-func (e *Endpoint) LocalAddr() netip.AddrPort { return netip.AddrPort{} }
 
 // Close implements transport.Transport.
 func (e *Endpoint) Close() error {

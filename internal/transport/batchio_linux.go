@@ -4,6 +4,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"net/netip"
 	"os"
@@ -117,8 +118,14 @@ func (c *mmsgConn) WriteBatch(pkts []txPkt) error {
 	iovs := make([]syscall.Iovec, len(pkts))
 	names := make([]syscall.RawSockaddrInet4, len(pkts))
 	for i, p := range pkts {
-		names[i].Family = syscall.AF_INET
-		names[i].Addr = p.to.Addr().As4()
+		if a := p.to.Addr().Unmap(); a.Is4() {
+			names[i].Family = syscall.AF_INET
+			names[i].Addr = a.As4()
+		} else {
+			// No IPv4 address to put here: the AF_INET socket refuses the
+			// message with EAFNOSUPPORT, and the send loop skips it.
+			names[i].Family = syscall.AF_INET6
+		}
 		putInet4Port(&names[i], p.to.Port())
 		if len(p.data) > 0 {
 			iovs[i].Base = &p.data[0]
@@ -131,6 +138,12 @@ func (c *mmsgConn) WriteBatch(pkts []txPkt) error {
 			Iovlen:  1,
 		}
 	}
+	// sendmmsg stops at the first message it cannot send: it returns how
+	// many before it went out, or, when that message is the first, fails
+	// with its errno. So an errno belongs to pkts[sent], which is recorded
+	// and skipped, and the call is reissued for the rest — every packet is
+	// tried, as singleConn tries them.
+	var errs []error
 	sent := 0
 	for sent < len(hdrs) {
 		var n int
@@ -149,13 +162,15 @@ func (c *mmsgConn) WriteBatch(pkts []txPkt) error {
 			return true
 		})
 		if err != nil {
-			return err
+			return errors.Join(append(errs, err)...) // deadline or closed socket: the rest would fail alike
 		}
 		if opErr != 0 {
-			return os.NewSyscallError("sendmmsg", opErr)
+			errs = append(errs, fmt.Errorf("transport: send to %s: %w", pkts[sent].to, os.NewSyscallError("sendmmsg", opErr)))
+			sent++ // skip the packet the kernel refused
+			continue
 		}
 		if n <= 0 {
-			return errors.New("transport: sendmmsg made no progress")
+			return errors.Join(append(errs, errors.New("transport: sendmmsg made no progress"))...)
 		}
 		sent += n
 	}
@@ -164,7 +179,7 @@ func (c *mmsgConn) WriteBatch(pkts []txPkt) error {
 	runtime.KeepAlive(iovs)
 	runtime.KeepAlive(names)
 	runtime.KeepAlive(pkts)
-	return nil
+	return errors.Join(errs...)
 }
 
 // inet4AddrPort converts a kernel-filled IPv4 sockaddr. The port is

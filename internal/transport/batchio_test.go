@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -281,9 +282,9 @@ func TestUDPReadLoopZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestSendBatchScopeRuns: a multicast SendBatch must deliver every
-// datagram and set the TTL once per scope run, not once per datagram.
-// Uses the unicast path's advisory TTL counter via a stub setTTL.
+// TestSendBatchMatchesSequentialSend: a batch whose scope changes mid-way
+// delivers every datagram, through either batchConn, as the datagrams
+// sent one by one would have been.
 func TestSendBatchMatchesSequentialSend(t *testing.T) {
 	for name, mk := range batchConnImpls() {
 		t.Run(name, func(t *testing.T) {
@@ -326,8 +327,8 @@ func TestSendBatchMatchesSequentialSend(t *testing.T) {
 				{Data: []byte("pkt-c-ttl127"), Scope: 127},
 				{Data: []byte("pkt-d-ttl16"), Scope: 16},
 			}
-			if err := SendAll(t.Context(), txT, batch); err != nil {
-				t.Fatalf("SendAll: %v", err)
+			if err := txT.SendBatch(t.Context(), batch); err != nil {
+				t.Fatalf("SendBatch: %v", err)
 			}
 			for i := 0; i < len(batch); i++ {
 				select {
@@ -349,6 +350,57 @@ func TestSendBatchMatchesSequentialSend(t *testing.T) {
 			}
 			if len(got) != len(batch) {
 				t.Fatalf("received %d datagrams, want %d", len(got), len(batch))
+			}
+		})
+	}
+}
+
+// TestWriteBatchTriesEveryDatagram: a datagram that cannot go out — one
+// larger than any UDP datagram (EMSGSIZE), one to an IPv6 peer of an IPv4
+// socket — is reported, naming its destination, and skipped; the
+// datagrams after it still go out. In a unicast fan-out the refused one
+// may be the first peer of a batch, and stopping there would silence
+// every later peer.
+func TestWriteBatchTriesEveryDatagram(t *testing.T) {
+	for name, mk := range batchConnImpls() {
+		t.Run(name, func(t *testing.T) {
+			rx, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rx.Close()
+			tx, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tx.Close()
+			to := rx.LocalAddr().(*net.UDPAddr).AddrPort()
+			v6 := netip.MustParseAddrPort("[::1]:9")
+
+			err = mk(tx).WriteBatch([]txPkt{
+				{data: []byte("first"), to: to},
+				{data: make([]byte, 70000), to: to},
+				{data: []byte("v6"), to: v6},
+				{data: []byte("third"), to: to},
+			})
+			if !errors.Is(err, syscall.EMSGSIZE) || !strings.Contains(err.Error(), "send to "+to.String()) {
+				t.Fatalf("WriteBatch error = %v, want EMSGSIZE for the send to %s", err, to)
+			}
+			if !strings.Contains(err.Error(), "send to "+v6.String()) {
+				t.Fatalf("WriteBatch error = %v, want one for the send to %s", err, v6)
+			}
+			buf := make([]byte, 64)
+			for _, want := range []string{"first", "third"} {
+				if err := rx.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+					t.Fatal(err)
+				}
+				n, err := rx.Read(buf)
+				if err != nil {
+					t.Fatalf("waiting for %q: %v", want, err)
+				}
+				if got := string(buf[:n]); got != want {
+					t.Fatalf("received %q, want %q", got, want)
+				}
 			}
 		})
 	}

@@ -3,15 +3,14 @@ package transport
 import (
 	"cmp"
 	"context"
-	"net/netip"
 	"slices"
 	"sync"
 
 	"sessiondir/internal/mcast"
 )
 
-// Bus is an in-process multicast fabric: every endpoint's Send is delivered
-// to every other endpoint whose scope predicate admits the packet. It
+// Bus is an in-process multicast fabric: every datagram an endpoint sends
+// is delivered to every other endpoint whose Policy admits it. It
 // models a lossless, ordered, zero-delay network unless a Policy says
 // otherwise — exactly what unit and integration tests want, and a
 // convenient substrate for the examples.
@@ -65,11 +64,15 @@ var _ Transport = (*BusEndpoint)(nil)
 // ID returns the endpoint's bus-unique id (useful in Policy functions).
 func (e *BusEndpoint) ID() int { return e.id }
 
-// Send implements Transport. Delivery is synchronous: all recipient
-// handlers run before Send returns, which makes tests deterministic.
-// The sender does not receive its own packets (matching IP_MULTICAST_LOOP
-// disabled, which is how the agents are wired).
-func (e *BusEndpoint) Send(_ context.Context, data []byte, scope mcast.TTL) error {
+// SendBatch implements Transport. Each datagram in turn is delivered, as
+// a batch of one, to every other endpoint the Policy admits it to, over
+// the bus as it stood when the call began (a recipient closed since gets
+// nothing). Delivery is synchronous — all recipient handlers for one
+// datagram run before the next is offered, and all before SendBatch
+// returns — which makes tests deterministic. The sender does not receive
+// its own packets (matching IP_MULTICAST_LOOP disabled, which is how the
+// agents are wired).
+func (e *BusEndpoint) SendBatch(_ context.Context, batch []Datagram) error {
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()
@@ -97,11 +100,13 @@ func (e *BusEndpoint) Send(_ context.Context, data []byte, scope mcast.TTL) erro
 	// of the deterministic-replay contract and must not leak map order.
 	slices.SortFunc(candidates, func(a, b *BusEndpoint) int { return cmp.Compare(a.id, b.id) })
 
-	for _, r := range candidates {
-		if policy != nil && !policy(e.id, r.id, scope) {
-			continue
+	for _, d := range batch {
+		for _, r := range candidates {
+			if policy != nil && !policy(e.id, r.id, d.Scope) {
+				continue
+			}
+			r.deliver(d.Data)
 		}
-		r.deliver(data)
 	}
 	return nil
 }
@@ -140,9 +145,6 @@ func (e *BusEndpoint) Subscribe(h Handler) {
 	defer e.mu.Unlock()
 	e.handler = h
 }
-
-// LocalAddr implements Transport; bus endpoints have no network address.
-func (e *BusEndpoint) LocalAddr() netip.AddrPort { return netip.AddrPort{} }
 
 // Close implements Transport.
 func (e *BusEndpoint) Close() error {

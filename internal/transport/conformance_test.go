@@ -3,6 +3,7 @@ package transport_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/netip"
 	"sync"
@@ -10,16 +11,22 @@ import (
 	"time"
 
 	"sessiondir/internal/des"
+	"sessiondir/internal/mcast"
 	"sessiondir/internal/topology"
 	"sessiondir/internal/transport"
 )
 
-// fabric is one implementation of the receive contract under test.
+// fabric is one implementation of the send and receive contracts under
+// test.
 type fabric struct {
 	name string
-	// poisons: the in-process fabrics overwrite each delivered Data with
-	// 0xDB once the handler returns.
-	poisons bool
+	// inProcess marks Bus and des.Net, which go further than the contracts
+	// require and than UDP can: they deliver each datagram on its own, as a
+	// batch of one; they overwrite each delivered Data with 0xDB once the
+	// handler returns; and they drop a datagram whose scope cannot reach
+	// the receiver — TTL 1 never leaves the sender's node — where UDP's
+	// unicast fan-out carries the scope in-band only and delivers it.
+	inProcess bool
 	// open returns a sender, a receiver, and settle, which returns once
 	// the first sent datagrams have reached the receiver — and its
 	// handler, on the in-process fabrics — or could not, as the receiver
@@ -29,13 +36,14 @@ type fabric struct {
 
 func fabrics() []fabric {
 	return []fabric{
-		{name: "bus", poisons: true, open: func(t *testing.T) (transport.Transport, transport.Transport, func(int)) {
+		{name: "bus", inProcess: true, open: func(t *testing.T) (transport.Transport, transport.Transport, func(int)) {
 			bus := transport.NewBus()
+			bus.SetPolicy(func(_, _ int, scope mcast.TTL) bool { return scope > 1 })
 			tx, rx := bus.Endpoint(), bus.Endpoint()
 			t.Cleanup(func() { _ = tx.Close(); _ = rx.Close() })
 			return tx, rx, func(int) {} // delivery is synchronous
 		}},
-		{name: "des", poisons: true, open: func(t *testing.T) (transport.Transport, transport.Transport, func(int)) {
+		{name: "des", inProcess: true, open: func(t *testing.T) (transport.Transport, transport.Transport, func(int)) {
 			g := topology.NewGraph(2)
 			g.MustAddLink(0, 1, 1, 1, 10)
 			e := des.NewEngine(time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC))
@@ -117,7 +125,7 @@ func TestReceiveContract(t *testing.T) {
 			send := func(k int) {
 				t.Helper()
 				for i := 0; i < k; i++ {
-					if err := tx.Send(ctx, []byte(fmt.Sprintf("dgram-%03d", sent)), 15); err != nil {
+					if err := tx.SendBatch(ctx, []transport.Datagram{{Data: []byte(fmt.Sprintf("dgram-%03d", sent)), Scope: 15}}); err != nil {
 						t.Fatal(err)
 					}
 					sent++
@@ -146,7 +154,7 @@ func TestReceiveContract(t *testing.T) {
 					t.Fatalf("datagram %d = %q, want %q: send order not kept", i, p, want)
 				}
 			}
-			if f.poisons {
+			if f.inProcess {
 				for i, a := range log.aliases {
 					if !bytes.Equal(a, bytes.Repeat([]byte{0xDB}, len(a))) {
 						t.Fatalf("datagram %d's Data after the handler returned = %q, want it poisoned", i, a)
@@ -169,11 +177,68 @@ func TestReceiveContract(t *testing.T) {
 			for i := 0; i < n; i++ {
 				// A closed receiver may make the send fail (UDP's ICMP port
 				// unreachable); either way nothing may arrive.
-				_ = tx.Send(ctx, []byte("after-close"), 15)
+				_ = tx.SendBatch(ctx, []transport.Datagram{{Data: []byte("after-close"), Scope: 15}})
 			}
 			settle(sent + n)
 			if got := log.count(); got != n {
 				t.Fatalf("%d datagrams delivered after Close", got-n)
+			}
+		})
+	}
+}
+
+// TestSendBatchContract: every transport takes a batch of datagrams with
+// mixed scopes and delivers the ones in scope in batch order; the
+// in-process fabrics deliver each as a batch of one and filter the
+// out-of-scope ones. Once the sender is closed, SendBatch returns
+// ErrClosed.
+func TestSendBatchContract(t *testing.T) {
+	batch := []transport.Datagram{
+		{Data: []byte("scoped-0"), Scope: 15},
+		{Data: []byte("local-1"), Scope: 1},
+		{Data: []byte("scoped-2"), Scope: 127},
+		{Data: []byte("scoped-3"), Scope: 15},
+		{Data: []byte("local-4"), Scope: 1},
+		{Data: []byte("scoped-5"), Scope: 63},
+	}
+	for _, f := range fabrics() {
+		t.Run(f.name, func(t *testing.T) {
+			tx, rx, settle := f.open(t)
+			log := &batchLog{}
+			rx.Subscribe(log.handle)
+			if err := tx.SendBatch(context.Background(), batch); err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for _, d := range batch {
+				if d.Scope > 1 || !f.inProcess {
+					want = append(want, string(d.Data))
+				}
+			}
+			settle(len(want))
+			deadline := time.Now().Add(5 * time.Second)
+			for log.count() < len(want) && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			log.mu.Lock()
+			if fmt.Sprint(log.payloads) != fmt.Sprint(want) {
+				t.Errorf("delivered %q, want %q", log.payloads, want)
+			}
+			if f.inProcess {
+				for _, size := range log.sizes {
+					if size != 1 {
+						t.Errorf("handler batch sizes %v, want every datagram on its own", log.sizes)
+						break
+					}
+				}
+			}
+			log.mu.Unlock()
+
+			if err := tx.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.SendBatch(context.Background(), batch); !errors.Is(err, transport.ErrClosed) {
+				t.Fatalf("SendBatch on a closed transport = %v, want ErrClosed", err)
 			}
 		})
 	}

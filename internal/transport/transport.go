@@ -38,48 +38,32 @@ func (m *Message) Release() {}
 // the transport's, used again once the handler returns (DESIGN.md §13).
 type Handler func([]Message)
 
-// Datagram is one outbound packet of a batch transmission.
+// Datagram is one outbound packet: its bytes and its scope TTL.
 type Datagram struct {
 	Data  []byte
 	Scope mcast.TTL
 }
 
-// BatchSender is implemented by transports that can transmit several
-// datagrams per syscall (sendmmsg). Semantics match calling Send for
-// each datagram in order; per-datagram errors are joined.
+// BatchSender is the send contract. SendBatch transmits every datagram of
+// batch, in order, each with its own scope, and joins the per-datagram
+// errors: one datagram that cannot go out does not stop the ones after it.
+// The batch and its Data are borrowed for the call; nothing is retained
+// once it returns (DESIGN.md §13). A batch of one is a single send.
 type BatchSender interface {
 	SendBatch(ctx context.Context, batch []Datagram) error
 }
 
-// SendAll transmits a batch through t's BatchSender fast path when it has
-// one (UDP's sendmmsg), falling back to sequential Send calls.
-func SendAll(ctx context.Context, t Transport, batch []Datagram) error {
-	if bs, ok := t.(BatchSender); ok {
-		return bs.SendBatch(ctx, batch)
-	}
-	var errs []error
-	for _, d := range batch {
-		if err := t.Send(ctx, d.Data, d.Scope); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// Transport carries SAP datagrams between directory agents.
+// Transport carries SAP datagrams between directory agents: a batch out
+// through SendBatch, batches in through the subscribed Handler.
 type Transport interface {
-	// Send transmits data with the given scope TTL. The data slice is not
-	// retained after Send returns.
-	Send(ctx context.Context, data []byte, scope mcast.TTL) error
+	BatchSender
 	// Subscribe registers the receive handler. Only one handler may be
 	// active; Subscribe replaces any previous one. Pass nil to stop
 	// receiving.
 	Subscribe(h Handler)
-	// LocalAddr identifies this endpoint (zero if not applicable).
-	LocalAddr() netip.AddrPort
-	// Close releases resources; Send and Subscribe are invalid afterwards.
+	// Close releases resources; SendBatch returns ErrClosed afterwards.
 	Close() error
 }
 
-// ErrClosed is returned by Send on a closed transport.
+// ErrClosed is returned by SendBatch on a closed transport.
 var ErrClosed = errors.New("transport: closed")

@@ -35,7 +35,7 @@ func TestBusDeliversToOthersNotSelf(t *testing.T) {
 	sub(b)
 	sub(c)
 
-	if err := a.Send(context.Background(), []byte("hello"), 127); err != nil {
+	if err := a.SendBatch(context.Background(), oneDgram([]byte("hello"), 127)); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -72,8 +72,8 @@ func TestBusPolicyScopesDelivery(t *testing.T) {
 		})
 	}
 	ctx := context.Background()
-	a.Send(ctx, []byte("x"), 15)  //nolint:errcheck
-	a.Send(ctx, []byte("y"), 127) //nolint:errcheck
+	a.SendBatch(ctx, oneDgram([]byte("x"), 15))  //nolint:errcheck
+	a.SendBatch(ctx, oneDgram([]byte("y"), 127)) //nolint:errcheck
 	mu.Lock()
 	defer mu.Unlock()
 	if counts[b.ID()] != 2 {
@@ -82,6 +82,11 @@ func TestBusPolicyScopesDelivery(t *testing.T) {
 	if counts[c.ID()] != 1 {
 		t.Fatalf("c count = %d", counts[c.ID()])
 	}
+}
+
+// oneDgram is a batch of one datagram.
+func oneDgram(data []byte, scope mcast.TTL) []Datagram {
+	return []Datagram{{Data: data, Scope: scope}}
 }
 
 // keep copies what a test handler holds past its return: Data is only
@@ -114,7 +119,7 @@ func TestBusDataIsValidForTheCallOnly(t *testing.T) {
 		during = string(ms[0].Data)
 		retained = ms[0].Data // the bug the poison exists to expose
 	})
-	a.Send(context.Background(), payload, 1) //nolint:errcheck
+	a.SendBatch(context.Background(), oneDgram(payload, 1)) //nolint:errcheck
 	if during != "mutable" {
 		t.Fatalf("Data during the call = %q, want what was sent, unaliased", during)
 	}
@@ -130,7 +135,7 @@ func TestBusClosedSend(t *testing.T) {
 	bus := NewBus()
 	a := bus.Endpoint()
 	a.Close()
-	if err := a.Send(context.Background(), []byte("x"), 1); !errors.Is(err, ErrClosed) {
+	if err := a.SendBatch(context.Background(), oneDgram([]byte("x"), 1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v", err)
 	}
 	// Double close is fine.
@@ -145,7 +150,7 @@ func TestBusClosedEndpointNotDelivered(t *testing.T) {
 	delivered := false
 	b.Subscribe(func([]Message) { delivered = true })
 	b.Close()
-	a.Send(context.Background(), []byte("x"), 1) //nolint:errcheck
+	a.SendBatch(context.Background(), oneDgram([]byte("x"), 1)) //nolint:errcheck
 	if delivered {
 		t.Fatal("closed endpoint received a packet")
 	}
@@ -169,7 +174,7 @@ func TestUDPUnicastFanout(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	if err := send.Send(ctx, []byte("sap packet"), 127); err != nil {
+	if err := send.SendBatch(ctx, oneDgram([]byte("sap packet"), 127)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -205,10 +210,10 @@ func TestUDPBidirectional(t *testing.T) {
 	b.Subscribe(func(ms []Message) { fromA <- string(ms[0].Data) })
 
 	ctx := context.Background()
-	if err := a.Send(ctx, []byte("ping"), 15); err != nil {
+	if err := a.SendBatch(ctx, oneDgram([]byte("ping"), 15)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Send(ctx, []byte("pong"), 15); err != nil {
+	if err := b.SendBatch(ctx, oneDgram([]byte("pong"), 15)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
@@ -233,7 +238,7 @@ func TestUDPClosedSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.Close()
-	if err := tr.Send(context.Background(), []byte("x"), 1); !errors.Is(err, ErrClosed) {
+	if err := tr.SendBatch(context.Background(), oneDgram([]byte("x"), 1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v", err)
 	}
 	if err := tr.Close(); err != nil {
@@ -258,7 +263,7 @@ func TestUDPMulticastOrSkip(t *testing.T) {
 	}
 	defer send.Close()
 	// ≥ 4 bytes: shorter datagrams are quarantined as runts by the read loop.
-	if err := send.Send(context.Background(), []byte("mc-hello"), 1); err != nil {
+	if err := send.SendBatch(context.Background(), oneDgram([]byte("mc-hello"), 1)); err != nil {
 		t.Skipf("multicast send failed: %v", err)
 	}
 	select {
@@ -321,13 +326,13 @@ func TestBusAsymmetricPolicyConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			_ = a.Send(ctx, []byte("from-a"), 15)
+			_ = a.SendBatch(ctx, oneDgram([]byte("from-a"), 15))
 		}
 	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			_ = b.Send(ctx, []byte("from-b"), 127)
+			_ = b.SendBatch(ctx, oneDgram([]byte("from-b"), 127))
 		}
 	}()
 	wg.Wait()
@@ -358,15 +363,15 @@ func TestBusCloseSendRace(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				ep := bus.Endpoint()
 				ep.Subscribe(func([]Message) {})
-				_ = ep.Send(ctx, []byte("churn"), 127)
-				_ = stable.Send(ctx, []byte("stable"), 127)
+				_ = ep.SendBatch(ctx, oneDgram([]byte("churn"), 127))
+				_ = stable.SendBatch(ctx, oneDgram([]byte("stable"), 127))
 				if i%5 == 0 {
 					bus.SetPolicy(func(from, to int, _ mcast.TTL) bool { return from != to })
 				} else {
 					bus.SetPolicy(nil)
 				}
 				_ = ep.Close()
-				_ = ep.Send(ctx, []byte("after-close"), 127)
+				_ = ep.SendBatch(ctx, oneDgram([]byte("after-close"), 127))
 			}
 		}(w)
 	}

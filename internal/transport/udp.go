@@ -133,10 +133,7 @@ type UDPTransport struct {
 	loopDone chan struct{} // closed when readLoop exits (drain or close)
 }
 
-var (
-	_ Transport   = (*UDPTransport)(nil)
-	_ BatchSender = (*UDPTransport)(nil)
-)
+var _ Transport = (*UDPTransport)(nil)
 
 // NewUDP opens a UDP transport. With Peers set it uses unicast fan-out;
 // otherwise it joins the multicast group (which requires a multicast-
@@ -494,45 +491,13 @@ func writeDeadline(ctx context.Context) time.Time {
 	return time.Now().Add(sendTimeout) //mclint:detrand a real socket write deadline; wall time is the boundary here
 }
 
-// Send implements Transport. The write is bounded by ctx's deadline, or by
-// sendTimeout if it has none. In unicast mode a failure for one peer does
-// not stop the fan-out: every remaining peer is still attempted and the
-// per-peer errors are aggregated with errors.Join.
-func (t *UDPTransport) Send(ctx context.Context, data []byte, scope mcast.TTL) error {
-	t.mu.Lock()
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	cur := t.io.Load()
-	if err := cur.conn.SetWriteDeadline(writeDeadline(ctx)); err != nil {
-		return fmt.Errorf("transport: set deadline: %w", err)
-	}
-	defer func() { _ = cur.conn.SetWriteDeadline(time.Time{}) }() // best-effort reset
-	if t.group != nil {
-		if err := t.applyTTL(cur.conn, int(scope)); err != nil {
-			return fmt.Errorf("transport: set TTL: %w", err)
-		}
-		if _, err := cur.conn.WriteToUDP(data, t.group); err != nil {
-			return fmt.Errorf("transport: send: %w", err)
-		}
-		return nil
-	}
-	var errs []error
-	for _, p := range t.peers {
-		ua := net.UDPAddrFromAddrPort(p)
-		if _, err := cur.conn.WriteToUDP(data, ua); err != nil {
-			errs = append(errs, fmt.Errorf("transport: send to %s: %w", p, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// SendBatch implements BatchSender: semantically k Sends (bounded as Send
-// is), but runs of same-scope datagrams share one TTL sockopt and go out
-// in a single sendmmsg on linux. In unicast mode every datagram fans out
-// to every peer in one batch. The data slices are not retained.
+// SendBatch implements Transport. The writes are bounded by ctx's
+// deadline, or by sendTimeout if it has none. In multicast mode runs of
+// same-scope datagrams share one TTL sockopt and go out in a single
+// sendmmsg on linux; in unicast mode every datagram fans out to every
+// peer in one batch. A datagram (or peer) that fails does not stop the
+// rest: every one is attempted and the errors are joined. The data slices
+// are not retained.
 func (t *UDPTransport) SendBatch(ctx context.Context, batch []Datagram) error {
 	if len(batch) == 0 {
 		return nil
@@ -549,7 +514,7 @@ func (t *UDPTransport) SendBatch(ctx context.Context, batch []Datagram) error {
 	}
 	defer func() { _ = cur.conn.SetWriteDeadline(time.Time{}) }() // best-effort reset
 	if t.group == nil {
-		// Unicast fan-out: batch × peers, errors joined like Send's loop.
+		// Unicast fan-out: batch × peers, one error per failed pair.
 		pkts := make([]txPkt, 0, len(batch)*len(t.peers))
 		for _, d := range batch {
 			for _, p := range t.peers {
@@ -568,7 +533,7 @@ func (t *UDPTransport) SendBatch(ctx context.Context, batch []Datagram) error {
 			j++
 		}
 		if err := t.applyTTL(cur.conn, int(batch[i].Scope)); err != nil {
-			// As Send would: this run is not sent, the runs after it are.
+			// This run is not sent; the runs after it are.
 			errs = append(errs, fmt.Errorf("transport: set TTL: %w", err))
 			continue
 		}
@@ -599,7 +564,8 @@ func (t *UDPTransport) Subscribe(h Handler) {
 // ROADMAP item 8.
 func (t *UDPTransport) SubscribeBatch(h Handler) { t.Subscribe(h) }
 
-// LocalAddr implements Transport.
+// LocalAddr is the socket's bound address (in unicast mode, what peers
+// send to).
 func (t *UDPTransport) LocalAddr() netip.AddrPort { return t.local }
 
 // Close implements Transport.

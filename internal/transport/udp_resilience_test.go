@@ -104,7 +104,7 @@ func TestDrainCloseDeliversTailBurst(t *testing.T) {
 	if n := got.Load(); n != burst {
 		t.Fatalf("drain delivered %d of %d datagrams", n, burst)
 	}
-	if err := tr.Send(context.Background(), []byte("data"), 1); err != ErrClosed {
+	if err := tr.SendBatch(context.Background(), oneDgram([]byte("data"), 1)); err != ErrClosed {
 		t.Fatalf("Send after DrainClose = %v, want ErrClosed", err)
 	}
 }
@@ -169,7 +169,7 @@ func TestUDPSendFanoutAggregatesErrors(t *testing.T) {
 	defer send.Close()
 
 	ctx := context.Background()
-	serr := send.Send(ctx, []byte("fanout survives"), 127)
+	serr := send.SendBatch(ctx, oneDgram([]byte("fanout survives"), 127))
 	if serr == nil {
 		t.Fatal("send to an IPv6 peer over a udp4 socket reported success")
 	}
@@ -191,7 +191,7 @@ func TestUDPSendFanoutAggregatesErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer allBad.Close()
-	serr = allBad.Send(ctx, []byte("doomed"), 127)
+	serr = allBad.SendBatch(ctx, oneDgram([]byte("doomed"), 127))
 	if serr == nil {
 		t.Fatal("all-peers-failed send reported success")
 	}
@@ -221,10 +221,10 @@ func TestUDPOversizedQuarantine(t *testing.T) {
 	defer send.Close()
 
 	ctx := context.Background()
-	if err := send.Send(ctx, make([]byte, 32), 127); err != nil {
+	if err := send.SendBatch(ctx, oneDgram(make([]byte, 32), 127)); err != nil {
 		t.Fatal(err)
 	}
-	if err := send.Send(ctx, []byte("small ok"), 127); err != nil {
+	if err := send.SendBatch(ctx, oneDgram([]byte("small ok"), 127)); err != nil {
 		t.Fatal(err)
 	}
 	select {

@@ -25,12 +25,13 @@ import (
 // sentLog is a transport that keeps what its directory sends.
 type sentLog struct{ sent [][]byte }
 
-func (s *sentLog) Send(_ context.Context, data []byte, _ mcast.TTL) error {
-	s.sent = append(s.sent, append([]byte(nil), data...))
+func (s *sentLog) SendBatch(_ context.Context, batch []transport.Datagram) error {
+	for _, d := range batch {
+		s.sent = append(s.sent, append([]byte(nil), d.Data...))
+	}
 	return nil
 }
 func (s *sentLog) Subscribe(transport.Handler) {}
-func (s *sentLog) LocalAddr() netip.AddrPort   { return netip.AddrPort{} }
 func (s *sentLog) Close() error                { return nil }
 
 // refreshSide is one of the two directories runRefreshScript drives, with

@@ -92,7 +92,7 @@ func runShardScenario(t *testing.T) (events, sessions, metrics string) {
 		}
 		if round%3 == 0 {
 			// Undecodable junk: lands in the malformed counter.
-			if err := raw.Send(context.Background(), []byte{0xff, 0x00, 0x01}, 127); err != nil {
+			if err := raw.SendBatch(context.Background(), oneDgram([]byte{0xff, 0x00, 0x01}, 127)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -162,11 +162,10 @@ func TestDirectoryMetricsMalformed(t *testing.T) {
 	// Fire garbage at B: a runt (under the 4-byte SAP header minimum) is
 	// quarantined by the transport read loop and never reaches the
 	// directory; a full-size undecodable packet is counted one layer up.
-	ctx := context.Background()
-	if err := ta.Send(ctx, []byte{0xff, 0x00, 0x01}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := ta.Send(ctx, []byte{0xff, 0x00, 0x01, 0x02, 0x03}, 1); err != nil {
+	if err := ta.SendBatch(context.Background(), []transport.Datagram{
+		{Data: []byte{0xff, 0x00, 0x01}, Scope: 1},
+		{Data: []byte{0xff, 0x00, 0x01, 0x02, 0x03}, Scope: 1},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(scaled(2 * time.Second))
