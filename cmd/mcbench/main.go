@@ -62,6 +62,7 @@ import (
 	"sessiondir/internal/sim"
 	"sessiondir/internal/stats"
 	"sessiondir/internal/storage"
+	"sessiondir/internal/topology"
 	"sessiondir/internal/transport"
 )
 
@@ -241,7 +242,68 @@ func microBenches() []microBenchResult {
 	out = append(out, cacheScanMicros()...)
 	out = append(out, listenerMicros()...)
 	out = append(out, directoryMicros()...)
+	out = append(out, simMicros()...)
 	return out
+}
+
+// simMicros times the occupancy simulator's two questions per placement
+// over a world of Hybrid-placed DS4 residents on the 400-node Mbone (the
+// sim_occupancy setting): the view at an observer, at 1k and 10k residents
+// (the world walks the scope classes holding sessions and copies the
+// visible ones, so the 10k/1k ratio follows the visible count, not the
+// world), and whether a placement clashes, which reads only the residents
+// at its address.
+func simMicros() []microBenchResult {
+	g, err := topology.GenerateMbone(topology.MboneConfig{Nodes: 400}, stats.NewRNG(1998))
+	if err != nil {
+		panic(err)
+	}
+	dist := mcast.DS4()
+	cache := topology.NewReachCache(g)
+	for n := 0; n < g.NumNodes(); n++ {
+		for _, ttl := range dist.Support() {
+			cache.Reach(topology.NodeID(n), ttl)
+		}
+	}
+	const space = 16384
+	world := func(residents int) *sim.World {
+		w := sim.NewWorldWithCache(g, cache)
+		alloc := allocator.NewHybrid(space)
+		rng := stats.NewRNG(5)
+		for w.Len() < residents {
+			origin, ttl := topology.NodeID(rng.IntN(g.NumNodes())), dist.Sample(rng.IntN)
+			if addr, err := alloc.Allocate(w.VisibleAt(origin), ttl, rng); err == nil {
+				w.Add(origin, ttl, addr)
+			}
+		}
+		return w
+	}
+	var out []microBenchResult
+	var w *sim.World // left at 10k residents for SimClashes10k
+	for _, n := range []int{1000, 10000} {
+		w = world(n)
+		out = append(out, runMicro(fmt.Sprintf("SimVisibleAt%dk", n/1000), 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				w.VisibleAt(topology.NodeID(i % g.NumNodes()))
+			}
+		}))
+	}
+	rng := stats.NewRNG(6)
+	type probe struct {
+		origin topology.NodeID
+		ttl    mcast.TTL
+		addr   mcast.Addr
+	}
+	probes := make([]probe, 4096)
+	for i := range probes {
+		probes[i] = probe{topology.NodeID(rng.IntN(g.NumNodes())), dist.Sample(rng.IntN), mcast.Addr(rng.IntN(space))}
+	}
+	return append(out, runMicro("SimClashes10k", 1, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p := probes[i%len(probes)]
+			w.Clashes(p.origin, p.ttl, p.addr)
+		}
+	}))
 }
 
 // cacheScanMicros times the cache's answers over 16384 live entries:
@@ -661,7 +723,10 @@ const refreshBatchAllocs = 3
 //     parse in at most 4 allocations, a compressed decode in at most 3;
 //   - a directory tick with nothing due allocation-free at either cache
 //     size (its 10k/1k time ratio is recorded, not gated, until the
-//     micros' estimator can be trusted with one).
+//     micros' estimator can be trusted with one);
+//   - the occupancy simulator's view and clash test allocation-free, the
+//     view at 1k and 10k residents (its 10k/1k ratio recorded, not gated,
+//     as DirStep's is).
 func budgetFailures(r benchReport) []string {
 	micro := make(map[string]microBenchResult, len(r.Micro))
 	for _, m := range r.Micro {
@@ -733,6 +798,9 @@ func budgetFailures(r benchReport) []string {
 		{"DirRefreshKnown10k", refreshBatchAllocs, "per 32-datagram batch: 0.1 per datagram"},
 		{"DirStep1k", 0, "a tick with nothing due"},
 		{"DirStep10k", 0, "a tick with nothing due"},
+		{"SimVisibleAt1k", 0, "the view is copied into the world's scratch"},
+		{"SimVisibleAt10k", 0, "the view is copied into the world's scratch"},
+		{"SimClashes10k", 0, "a walk of one address's residents"},
 	} {
 		if m, ok := micro[c.name]; !ok {
 			fails = append(fails, fmt.Sprintf("budget: micro %s missing from report", c.name))

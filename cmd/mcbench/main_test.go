@@ -190,7 +190,10 @@ func TestRunCompareInjected2xSlowdown(t *testing.T) {
 		{"name":"DirCreateSession1k","ns_per_op":7200,"allocs_per_op":32},
 		{"name":"DirCreateSession10k","ns_per_op":9400,"allocs_per_op":32},
 		{"name":"DirStep1k","ns_per_op":40},
-		{"name":"DirStep10k","ns_per_op":40}]}`), 0o644); err != nil {
+		{"name":"DirStep10k","ns_per_op":40},
+		{"name":"SimVisibleAt1k","ns_per_op":1500},
+		{"name":"SimVisibleAt10k","ns_per_op":8000},
+		{"name":"SimClashes10k","ns_per_op":60}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if code := runCompare([]string{oldPath, newPath, "-tolerance", "25%"}); code == 0 {
@@ -224,6 +227,9 @@ func budgetReport() benchReport {
 			{Name: "DirAdmitUnknown10k", NsPerOp: 6700, AllocsOp: 22},
 			{Name: "DirStep1k", NsPerOp: 40},
 			{Name: "DirStep10k", NsPerOp: 40},
+			{Name: "SimVisibleAt1k", NsPerOp: 1500},
+			{Name: "SimVisibleAt10k", NsPerOp: 8000},
+			{Name: "SimClashes10k", NsPerOp: 60},
 			{Name: "DirCreateSession1k", NsPerOp: 7200, AllocsOp: 32},
 			{Name: "DirCreateSession10k", NsPerOp: 9400, AllocsOp: 32},
 		},
@@ -283,8 +289,8 @@ func TestBudgetFailuresBatchDepthCollapse(t *testing.T) {
 func TestBudgetFailuresMissingMicros(t *testing.T) {
 	r := budgetReport()
 	r.Micro = nil
-	if fails := budgetFailures(r); len(fails) != 16 {
-		t.Fatalf("missing micros should produce sixteen failures, got: %v", fails)
+	if fails := budgetFailures(r); len(fails) != 19 {
+		t.Fatalf("missing micros should produce nineteen failures, got: %v", fails)
 	}
 }
 
@@ -368,6 +374,28 @@ func TestBudgetFailuresDirStep(t *testing.T) {
 	micro(t, &r, "DirStep10k").NsPerOp = 4000 // a full cache scan per tick: slow, but not gated yet
 	if fails := budgetFailures(r); len(fails) != 0 {
 		t.Fatalf("DirStep's size ratio is gated: %v", fails)
+	}
+}
+
+// The simulator's view and clash test are held to zero allocations, and
+// the view's 10k/1k ratio is recorded, not gated.
+func TestBudgetFailuresSimWorld(t *testing.T) {
+	for _, name := range []string{"SimVisibleAt1k", "SimVisibleAt10k", "SimClashes10k"} {
+		r := budgetReport()
+		micro(t, &r, name).AllocsOp = 1 // a view built per call
+		if fails := budgetFailures(r); len(fails) != 1 {
+			t.Fatalf("allocating %s not caught: %v", name, fails)
+		}
+		r = budgetReport()
+		micro(t, &r, name).Name = "gone"
+		if fails := budgetFailures(r); len(fails) != 1 {
+			t.Fatalf("a report without %s: %v", name, fails)
+		}
+	}
+	r := budgetReport()
+	micro(t, &r, "SimVisibleAt10k").NsPerOp = 150000 // a scan of every resident: slow, but not gated
+	if fails := budgetFailures(r); len(fails) != 0 {
+		t.Fatalf("SimVisibleAt's size ratio is gated: %v", fails)
 	}
 }
 

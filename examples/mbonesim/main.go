@@ -36,10 +36,11 @@ func main() {
 	fmt.Printf("\nworkload ds4 (mostly local sessions), space of %d addresses, %d trials:\n\n", space, trials)
 	fmt.Printf("%-20s %s\n", "algorithm", "mean allocations before first clash")
 	root := stats.NewRNG(7)
+	cache := topology.NewReachCache(g) // one set of trees for every trial
 	for _, alg := range algorithms {
 		var s stats.Summary
 		for i := 0; i < trials; i++ {
-			w := sim.NewWorld(g)
+			w := sim.NewWorldWithCache(g, cache)
 			res := sim.FillUntilClash(w, sim.FillConfig{Alloc: alg, Dist: mcast.DS4()}, root.Split())
 			s.Add(float64(res.Allocations))
 		}

@@ -21,110 +21,6 @@ import (
 	"sessiondir/internal/topology"
 )
 
-// Session is one live simulated session.
-type Session struct {
-	Origin topology.NodeID
-	TTL    mcast.TTL
-	Addr   mcast.Addr
-	reach  *topology.NodeSet
-}
-
-// World is the state of one allocation simulation: the topology, the scope
-// cache and the live session set. A World belongs to a single trial (one
-// goroutine); the ReachCache it references may be shared across many
-// concurrent worlds.
-type World struct {
-	Graph    *topology.Graph
-	Cache    *topology.ReachCache
-	Sessions []Session
-	// visScratch backs VisibleAt so the per-allocation hot path does not
-	// allocate O(sessions) per step.
-	visScratch []allocator.SessionInfo
-}
-
-// NewWorld returns an empty world over g with its own private scope cache.
-func NewWorld(g *topology.Graph) *World {
-	return NewWorldWithCache(g, nil)
-}
-
-// NewWorldWithCache returns an empty world over g backed by a shared scope
-// cache — the form the parallel experiment engine uses, so every trial of
-// a sweep reuses one cache's trees and reach sets instead of recomputing
-// them per trial. A nil cache means a private one.
-func NewWorldWithCache(g *topology.Graph, cache *topology.ReachCache) *World {
-	if cache == nil {
-		cache = topology.NewReachCache(g)
-	}
-	return &World{Graph: g, Cache: cache}
-}
-
-// Len returns the live session count.
-func (w *World) Len() int { return len(w.Sessions) }
-
-// VisibleAt returns the sessions whose announcements reach the observer,
-// in allocator form. The returned slice is backed by a per-world scratch
-// buffer: it is valid until the next VisibleAt call on this world and must
-// not be retained (the Allocator contract already forbids retention).
-func (w *World) VisibleAt(observer topology.NodeID) []allocator.SessionInfo {
-	out := w.visScratch[:0]
-	sessions := w.Sessions
-	for i := range sessions {
-		if sessions[i].reach.Contains(observer) {
-			out = append(out, allocator.SessionInfo{
-				Addr: sessions[i].Addr,
-				TTL:  sessions[i].TTL,
-			})
-		}
-	}
-	w.visScratch = out
-	return out
-}
-
-// Clashes reports whether a session at (origin, ttl, addr) clashes with
-// any live session: same address and intersecting scope sets, so that
-// somewhere in the network both sessions' data would arrive on one group.
-func (w *World) Clashes(origin topology.NodeID, ttl mcast.TTL, addr mcast.Addr) bool {
-	reach := w.Cache.Reach(origin, ttl)
-	for i := range w.Sessions {
-		if w.Sessions[i].Addr == addr && w.Sessions[i].reach.Intersects(reach) {
-			return true
-		}
-	}
-	return false
-}
-
-// clashIndex returns the index of a live session clashing with session i,
-// or -1.
-func (w *World) clashIndex(i int) int {
-	s := &w.Sessions[i]
-	for j := range w.Sessions {
-		if j == i {
-			continue
-		}
-		if w.Sessions[j].Addr == s.Addr && w.Sessions[j].reach.Intersects(s.reach) {
-			return j
-		}
-	}
-	return -1
-}
-
-// Add appends a session.
-func (w *World) Add(origin topology.NodeID, ttl mcast.TTL, addr mcast.Addr) {
-	w.Sessions = append(w.Sessions, Session{
-		Origin: origin,
-		TTL:    ttl,
-		Addr:   addr,
-		reach:  w.Cache.Reach(origin, ttl),
-	})
-}
-
-// RemoveAt deletes session i (order not preserved).
-func (w *World) RemoveAt(i int) {
-	last := len(w.Sessions) - 1
-	w.Sessions[i] = w.Sessions[last]
-	w.Sessions = w.Sessions[:last]
-}
-
 // FillConfig parameterises a Figure-5 fill-until-clash run.
 type FillConfig struct {
 	Alloc allocator.Allocator

@@ -73,8 +73,8 @@ func TestWorldRemoveAt(t *testing.T) {
 	if w.Len() != 2 {
 		t.Fatalf("Len = %d", w.Len())
 	}
-	for _, s := range w.Sessions {
-		if s.Addr == 1 {
+	for i := range w.Len() {
+		if w.At(i).Addr == 1 {
 			t.Fatal("removed session still present")
 		}
 	}
@@ -132,12 +132,13 @@ func TestFillUntilClashScopedBreaksIR(t *testing.T) {
 	// The paper's central observation: once sessions are scoped, IR loses
 	// its advantage because the dangerous sessions are invisible.
 	g := testMbone(t, 800)
+	cache := topology.NewReachCache(g) // shared: the trees are most of a trial
 	const space = 512
 	rng := stats.NewRNG(7)
 	mean := func(mk func() allocator.Allocator) float64 {
 		var s stats.Summary
 		for i := 0; i < 25; i++ {
-			w := NewWorld(g)
+			w := NewWorldWithCache(g, cache)
 			res := FillUntilClash(w, FillConfig{Alloc: mk(), Dist: mcast.DS4()}, rng.Split())
 			s.Add(float64(res.Allocations))
 		}
@@ -155,12 +156,13 @@ func TestFillUntilClashScopedBreaksIR(t *testing.T) {
 // the Figure-5 separation must be statistical signal, not trial noise.
 func TestIPR7BeatsIRSignificantly(t *testing.T) {
 	g := testMbone(t, 800)
+	cache := topology.NewReachCache(g) // shared: the trees are most of a trial
 	const space = 512
 	rng := stats.NewRNG(8)
 	sample := func(mk func() allocator.Allocator) *stats.Summary {
 		var s stats.Summary
 		for i := 0; i < 20; i++ {
-			w := NewWorld(g)
+			w := NewWorldWithCache(g, cache)
 			res := FillUntilClash(w, FillConfig{Alloc: mk(), Dist: mcast.DS4()}, rng.Split())
 			s.Add(float64(res.Allocations))
 		}

@@ -90,17 +90,17 @@ func RunSteadyStateOnce(g *topology.Graph, cache *topology.ReachCache, cfg Stead
 	repaired := false
 	for pass := 0; pass < repairPasses; pass++ {
 		dirty := false
-		for i := range w.Sessions {
+		for i := range w.Len() {
 			if w.clashIndex(i) < 0 {
 				continue
 			}
 			dirty = true
-			s := &w.Sessions[i]
+			s := w.At(i)
 			addr, err := cfg.Alloc.Allocate(w.VisibleAt(s.Origin), s.TTL, rng)
 			if err != nil {
 				return SteadyStateResult{Exhausted: true}
 			}
-			s.Addr = addr
+			w.SetAddr(i, addr)
 		}
 		if !dirty {
 			repaired = true
@@ -116,8 +116,8 @@ func RunSteadyStateOnce(g *topology.Graph, cache *topology.ReachCache, cfg Stead
 	// Step 3: churn.
 	clashes := 0
 	for i := 0; i < cfg.Sessions; i++ {
-		victim := rng.IntN(len(w.Sessions))
-		departed := w.Sessions[victim]
+		victim := rng.IntN(w.Len())
+		departed := w.At(victim)
 		w.RemoveAt(victim)
 		origin, ttl := load.Replace(departed, rng)
 		addr, err := cfg.Alloc.Allocate(w.VisibleAt(origin), ttl, rng)

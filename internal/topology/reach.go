@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"sync"
 
@@ -12,12 +13,19 @@ import (
 type NodeSet struct {
 	words []uint64
 	n     int
+	id    int // dense class id a ReachCache gave it; 0 if none did
 }
 
 // NewNodeSet returns an empty set over n nodes.
 func NewNodeSet(n int) *NodeSet {
 	return &NodeSet{words: make([]uint64, (n+63)/64), n: n}
 }
+
+// ID returns the set's scope class: a ReachCache hands out one *NodeSet per
+// distinct member set, numbered densely from 1 in publication order, so
+// two sets from the same cache have equal ids exactly when they have equal
+// members (and are then the same pointer). Sets no cache built have id 0.
+func (s *NodeSet) ID() int { return s.id }
 
 // Add inserts v.
 func (s *NodeSet) Add(v NodeID) { s.words[v>>6] |= 1 << (uint(v) & 63) }
@@ -124,16 +132,27 @@ const reachShards = 16
 // repeatedly; a run over the 1864-node Mbone touches only a few thousand
 // distinct (source, TTL) pairs.
 //
+// Many keys share one set: on the 400-node Mbone the 2 800 (source, DS4
+// TTL) keys hold 556 distinct sets, since at the wider TTLs every source
+// inside one scoped region reaches the same region. The cache interns
+// them: a miss publishes the set already held with the same members, if
+// there is one, so each distinct set is one *NodeSet with its own dense
+// ID — the scope classes sim.World chains its sessions by.
+//
 // The cache is safe for concurrent use: the parallel experiment engine
 // shares one cache across all workers of a sweep. Locks are sharded by
 // source node; lookups take a shard read-lock, and a miss computes the
 // tree/set outside any lock before publishing it (a racing duplicate
 // computation is possible but harmless — the first published value wins
-// and Reach is a pure function, so duplicates are identical). Returned
-// *NodeSet and *Tree values are shared and must be treated as read-only.
+// and Reach is a pure function, so duplicates are identical). A set miss
+// takes one more lock, the intern table's. Returned *NodeSet and *Tree
+// values are shared and must be treated as read-only.
 type ReachCache struct {
 	g      *Graph
 	shards [reachShards]reachShard
+
+	internMu sync.Mutex
+	interned map[string]*NodeSet // member words, little-endian → the set
 }
 
 type reachShard struct {
@@ -149,7 +168,7 @@ type reachKey struct {
 
 // NewReachCache returns an empty cache over g.
 func NewReachCache(g *Graph) *ReachCache {
-	c := &ReachCache{g: g}
+	c := &ReachCache{g: g, interned: make(map[string]*NodeSet)}
 	for i := range c.shards {
 		c.shards[i].trees = make(map[NodeID]*Tree)
 		c.shards[i].sets = make(map[reachKey]*NodeSet)
@@ -191,15 +210,43 @@ func (c *ReachCache) Reach(src NodeID, ttl mcast.TTL) *NodeSet {
 	if s != nil {
 		return s
 	}
-	s = Reach(c.g, c.Tree(src), ttl)
+	s = c.intern(Reach(c.g, c.Tree(src), ttl))
 	sh.mu.Lock()
 	if prev := sh.sets[k]; prev != nil {
-		s = prev
+		s = prev // the same pointer: both went through intern
 	} else {
 		sh.sets[k] = s
 	}
 	sh.mu.Unlock()
 	return s
+}
+
+// intern returns the published set with s's members, publishing s under
+// the next class ID if there is none.
+func (c *ReachCache) intern(s *NodeSet) *NodeSet {
+	key := make([]byte, 0, 8*len(s.words))
+	for _, w := range s.words {
+		key = binary.LittleEndian.AppendUint64(key, w)
+	}
+	k := string(key)
+	c.internMu.Lock()
+	if prev := c.interned[k]; prev != nil {
+		s = prev
+	} else {
+		s.id = len(c.interned) + 1
+		c.interned[k] = s
+	}
+	c.internMu.Unlock()
+	return s
+}
+
+// Classes returns how many distinct sets the cache has published so far:
+// every ID it has handed out is in [1, Classes()].
+func (c *ReachCache) Classes() int {
+	c.internMu.Lock()
+	n := len(c.interned)
+	c.internMu.Unlock()
+	return n
 }
 
 // Visible reports whether an observer node sees announcements for a session

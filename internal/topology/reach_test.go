@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -104,6 +105,95 @@ func TestReachCacheConcurrent(t *testing.T) {
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
+	}
+}
+
+// memberKey renders a set's members for comparing sets by content.
+func memberKey(s *NodeSet) string { return fmt.Sprint(s.Members()) }
+
+// TestReachCacheInterns: over every (node, DS4 TTL) key of an Mbone, two
+// keys' sets have equal IDs exactly when they have equal members, equal
+// IDs are one pointer, and the IDs are 1..Classes() with none skipped.
+func TestReachCacheInterns(t *testing.T) {
+	g, err := GenerateMbone(MboneConfig{Nodes: 400}, stats.NewRNG(1998))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewReachCache(g)
+	idOf := map[string]int{}
+	byID := map[int]*NodeSet{}
+	keys := 0
+	for node := 0; node < g.NumNodes(); node++ {
+		for _, ttl := range mcast.DS4().Support() {
+			s := cache.Reach(NodeID(node), ttl)
+			keys++
+			if id, seen := idOf[memberKey(s)]; seen && id != s.ID() {
+				t.Fatalf("equal members under ids %d and %d", id, s.ID())
+			}
+			idOf[memberKey(s)] = s.ID()
+			if prev, seen := byID[s.ID()]; seen && prev != s {
+				t.Fatalf("id %d names two pointers", s.ID())
+			}
+			byID[s.ID()] = s
+		}
+	}
+	if len(byID) != len(idOf) {
+		t.Fatalf("%d ids for %d distinct member sets", len(byID), len(idOf))
+	}
+	for id := 1; id <= len(byID); id++ {
+		if byID[id] == nil {
+			t.Fatalf("id %d of %d never handed out", id, len(byID))
+		}
+	}
+	if cache.Classes() != len(byID) {
+		t.Fatalf("Classes() = %d, %d distinct sets", cache.Classes(), len(byID))
+	}
+	t.Logf("%d keys, %d distinct sets", keys, len(byID))
+	if id := NewNodeSet(g.NumNodes()).ID(); id != 0 {
+		t.Fatalf("a set no cache built has id %d", id)
+	}
+}
+
+// TestReachCacheInternsUnderRace: 16 goroutines racing Reach over the same
+// keys on a fresh cache end up holding one pointer per distinct set, and
+// the cache numbers exactly that many classes. Run under -race.
+func TestReachCacheInternsUnderRace(t *testing.T) {
+	g, err := GenerateMbone(MboneConfig{Nodes: 150}, stats.NewRNG(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ttls := mcast.DS4().Support()
+	cache := NewReachCache(g)
+	const workers = 16
+	got := make([][]*NodeSet, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = make([]*NodeSet, g.NumNodes()*len(ttls))
+			for i := range got[w] {
+				k := (i*11 + w*13) % len(got[w]) // each worker in its own order (11 ∤ 150·7)
+				got[w][k] = cache.Reach(NodeID(k/len(ttls)), ttls[k%len(ttls)])
+			}
+		}()
+	}
+	wg.Wait()
+	pointerOf := map[string]*NodeSet{}
+	for k := range got[0] {
+		for w := range workers {
+			if got[w][k] != got[0][k] {
+				t.Fatalf("key %d: worker %d holds a different pointer from worker 0", k, w)
+			}
+		}
+		key := memberKey(got[0][k])
+		if prev, seen := pointerOf[key]; seen && prev != got[0][k] {
+			t.Fatalf("key %d: equal members published as two pointers", k)
+		}
+		pointerOf[key] = got[0][k]
+	}
+	if cache.Classes() != len(pointerOf) {
+		t.Fatalf("Classes() = %d, %d distinct sets", cache.Classes(), len(pointerOf))
 	}
 }
 
