@@ -246,13 +246,14 @@ func microBenches() []microBenchResult {
 	return out
 }
 
-// simMicros times the occupancy simulator's two questions per placement
-// over a world of Hybrid-placed DS4 residents on the 400-node Mbone (the
-// sim_occupancy setting): the view at an observer, at 1k and 10k residents
-// (the world walks the scope classes holding sessions and copies the
-// visible ones, so the 10k/1k ratio follows the visible count, not the
-// world), and whether a placement clashes, which reads only the residents
-// at its address.
+// simMicros times the occupancy simulator over a world of Hybrid-placed
+// DS4 residents on the 400-node Mbone (the sim_occupancy setting): the
+// view at an observer, at 1k and 10k residents (the world copies the
+// session blocks of the scope classes the cache lists under the observer,
+// so the 10k/1k ratio follows the visible count, not the world); whether a
+// placement clashes, which reads only the residents at its address; and
+// one whole churn placement at 10k residents: remove a resident, view,
+// allocate, test for a clash, add.
 func simMicros() []microBenchResult {
 	g, err := topology.GenerateMbone(topology.MboneConfig{Nodes: 400}, stats.NewRNG(1998))
 	if err != nil {
@@ -298,10 +299,23 @@ func simMicros() []microBenchResult {
 	for i := range probes {
 		probes[i] = probe{topology.NodeID(rng.IntN(g.NumNodes())), dist.Sample(rng.IntN), mcast.Addr(rng.IntN(space))}
 	}
-	return append(out, runMicro("SimClashes10k", 1, func(b *testing.B) {
+	out = append(out, runMicro("SimClashes10k", 1, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p := probes[i%len(probes)]
 			w.Clashes(p.origin, p.ttl, p.addr)
+		}
+	}))
+	alloc := allocator.NewHybrid(space)
+	return append(out, runMicro("SimPlace10k", 1, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			p := probes[i%len(probes)]
+			w.RemoveAt(rng.IntN(w.Len()))
+			addr, err := alloc.Allocate(w.VisibleAt(p.origin), p.ttl, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w.Clashes(p.origin, p.ttl, addr)
+			w.Add(p.origin, p.ttl, addr)
 		}
 	}))
 }
@@ -801,6 +815,7 @@ func budgetFailures(r benchReport) []string {
 		{"SimVisibleAt1k", 0, "the view is copied into the world's scratch"},
 		{"SimVisibleAt10k", 0, "the view is copied into the world's scratch"},
 		{"SimClashes10k", 0, "a walk of one address's residents"},
+		{"SimPlace10k", 0, "a churn placement reuses the world's chunks and view"},
 	} {
 		if m, ok := micro[c.name]; !ok {
 			fails = append(fails, fmt.Sprintf("budget: micro %s missing from report", c.name))

@@ -193,7 +193,8 @@ func TestRunCompareInjected2xSlowdown(t *testing.T) {
 		{"name":"DirStep10k","ns_per_op":40},
 		{"name":"SimVisibleAt1k","ns_per_op":1500},
 		{"name":"SimVisibleAt10k","ns_per_op":8000},
-		{"name":"SimClashes10k","ns_per_op":60}]}`), 0o644); err != nil {
+		{"name":"SimClashes10k","ns_per_op":60},
+		{"name":"SimPlace10k","ns_per_op":3000}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if code := runCompare([]string{oldPath, newPath, "-tolerance", "25%"}); code == 0 {
@@ -230,6 +231,7 @@ func budgetReport() benchReport {
 			{Name: "SimVisibleAt1k", NsPerOp: 1500},
 			{Name: "SimVisibleAt10k", NsPerOp: 8000},
 			{Name: "SimClashes10k", NsPerOp: 60},
+			{Name: "SimPlace10k", NsPerOp: 3000},
 			{Name: "DirCreateSession1k", NsPerOp: 7200, AllocsOp: 32},
 			{Name: "DirCreateSession10k", NsPerOp: 9400, AllocsOp: 32},
 		},
@@ -289,8 +291,8 @@ func TestBudgetFailuresBatchDepthCollapse(t *testing.T) {
 func TestBudgetFailuresMissingMicros(t *testing.T) {
 	r := budgetReport()
 	r.Micro = nil
-	if fails := budgetFailures(r); len(fails) != 19 {
-		t.Fatalf("missing micros should produce nineteen failures, got: %v", fails)
+	if fails := budgetFailures(r); len(fails) != 20 {
+		t.Fatalf("missing micros should produce twenty failures, got: %v", fails)
 	}
 }
 
@@ -377,10 +379,10 @@ func TestBudgetFailuresDirStep(t *testing.T) {
 	}
 }
 
-// The simulator's view and clash test are held to zero allocations, and
-// the view's 10k/1k ratio is recorded, not gated.
+// The simulator's view, clash test and whole placement are held to zero
+// allocations, and the view's 10k/1k ratio is recorded, not gated.
 func TestBudgetFailuresSimWorld(t *testing.T) {
-	for _, name := range []string{"SimVisibleAt1k", "SimVisibleAt10k", "SimClashes10k"} {
+	for _, name := range []string{"SimVisibleAt1k", "SimVisibleAt10k", "SimClashes10k", "SimPlace10k"} {
 		r := budgetReport()
 		micro(t, &r, name).AllocsOp = 1 // a view built per call
 		if fails := budgetFailures(r); len(fails) != 1 {

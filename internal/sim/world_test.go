@@ -59,13 +59,48 @@ func sortedView(v []allocator.SessionInfo) []allocator.SessionInfo {
 	return v
 }
 
+// removeAt is RemoveAt's swap-with-last on the scan's list.
+func (o *scanWorld) removeAt(i int) {
+	last := len(o.sessions) - 1
+	o.sessions[i] = o.sessions[last]
+	o.sessions = o.sessions[:last]
+}
+
+// checkScan fails the test unless w answers as the scan of o's sessions
+// does after op: the order and contents of the session list, whether
+// clashIndex finds a clash for every session, VisibleAt as a multiset at
+// four sampled observers and Clashes at four sampled probes.
+func checkScan(t *testing.T, op int, w *World, o *scanWorld, rng *stats.RNG, space int) {
+	t.Helper()
+	n, dist := w.Graph.NumNodes(), mcast.DS4()
+	if w.Len() != len(o.sessions) {
+		t.Fatalf("op %d: Len %d, scan holds %d", op, w.Len(), len(o.sessions))
+	}
+	for i, want := range o.sessions {
+		if got := w.At(i); got != want {
+			t.Fatalf("op %d: At(%d) = %+v, scan has %+v", op, i, got, want)
+		}
+		if got := w.clashIndex(i) >= 0; got != o.clashesWith(i) {
+			t.Fatalf("op %d: clashIndex(%d) finds a clash: %v, scan: %v", op, i, got, !got)
+		}
+	}
+	for k := 0; k < 4; k++ {
+		obs := topology.NodeID(rng.IntN(n))
+		if got, want := sortedView(w.VisibleAt(obs)), sortedView(o.visibleAt(obs)); !slices.Equal(got, want) {
+			t.Fatalf("op %d: VisibleAt(%d) = %v, scan %v", op, obs, got, want)
+		}
+		origin, ttl, addr := topology.NodeID(rng.IntN(n)), dist.Sample(rng.IntN), mcast.Addr(rng.IntN(space+2))
+		if got, want := w.Clashes(origin, ttl, addr), o.clashes(origin, ttl, addr); got != want {
+			t.Fatalf("op %d: Clashes(%d, %d, %d) = %v, scan %v", op, origin, ttl, addr, got, want)
+		}
+	}
+}
+
 // TestWorldIndexMatchesScan drives a world through a seeded mix of Add,
 // RemoveAt (the last slot and classes emptied included) and SetAddr, and
 // after every op checks its indexed answers against a scan of the same
-// sessions: the order and contents of the session list, VisibleAt as a
-// multiset at sampled observers, Clashes at sampled probes, and whether
-// clashIndex finds a clash for every session. A small address space keeps
-// the address chains several long.
+// sessions (checkScan). A small address space keeps the address chains
+// several long.
 func TestWorldIndexMatchesScan(t *testing.T) {
 	g := testMbone(t, 400)
 	cache := topology.NewReachCache(g)
@@ -90,9 +125,7 @@ func TestWorldIndexMatchesScan(t *testing.T) {
 				removedLast++
 			}
 			gone := o.sessions[i]
-			last := len(o.sessions) - 1
-			o.sessions[i] = o.sessions[last]
-			o.sessions = o.sessions[:last]
+			o.removeAt(i)
 			if !slices.ContainsFunc(o.sessions, func(s Session) bool { return o.reach(s) == o.reach(gone) }) {
 				emptiedClass++
 			}
@@ -107,32 +140,115 @@ func TestWorldIndexMatchesScan(t *testing.T) {
 			o.sessions = append(o.sessions, s)
 			w.Add(s.Origin, s.TTL, s.Addr)
 		}
-
-		if w.Len() != len(o.sessions) {
-			t.Fatalf("op %d: Len %d, scan holds %d", op, w.Len(), len(o.sessions))
-		}
-		for i, want := range o.sessions {
-			if got := w.At(i); got.Origin != want.Origin || got.TTL != want.TTL || got.Addr != want.Addr {
-				t.Fatalf("op %d: At(%d) = %+v, scan has %+v", op, i, got, want)
-			}
-			if got := w.clashIndex(i) >= 0; got != o.clashesWith(i) {
-				t.Fatalf("op %d: clashIndex(%d) finds a clash: %v, scan: %v", op, i, got, !got)
-			}
-		}
-		for k := 0; k < 4; k++ {
-			obs := topology.NodeID(rng.IntN(n))
-			if got, want := sortedView(w.VisibleAt(obs)), sortedView(o.visibleAt(obs)); !slices.Equal(got, want) {
-				t.Fatalf("op %d: VisibleAt(%d) = %v, scan %v", op, obs, got, want)
-			}
-			origin, ttl, addr := topology.NodeID(rng.IntN(n)), dist.Sample(rng.IntN), mcast.Addr(rng.IntN(space+2))
-			if got, want := w.Clashes(origin, ttl, addr), o.clashes(origin, ttl, addr); got != want {
-				t.Fatalf("op %d: Clashes(%d, %d, %d) = %v, scan %v", op, origin, ttl, addr, got, want)
-			}
-		}
+		checkScan(t, op, w, o, rng, space)
 	}
 	if removedLast == 0 || emptiedClass == 0 || moved == 0 {
 		t.Fatalf("mix missed a case: %d last-slot removals, %d classes emptied, %d moves", removedLast, emptiedClass, moved)
 	}
+}
+
+// TestWorldChunksMatchScan places every session at one of six (origin,
+// TTL) sites, so at most six scope classes hold them all and classes run
+// to several chunks, and drives the world through cycles of growth and
+// drain, checking it against the scan after every op (checkScan). The mix
+// must make class sizes cross multiples of chunkLen upwards and
+// downwards, take a recycled head chunk off the free list, and remove a
+// class's tail member, once also when it is the world's last session.
+// Then a world drained to empty and refilled with the same sessions must
+// take no new chunk.
+func TestWorldChunksMatchScan(t *testing.T) {
+	g := testMbone(t, 400)
+	cache := topology.NewReachCache(g)
+	w := NewWorldWithCache(g, cache)
+	o := &scanWorld{cache: cache}
+	dist := mcast.DS4()
+	rng := stats.NewRNG(31)
+	const space = 64
+	type site struct {
+		origin topology.NodeID
+		ttl    mcast.TTL
+	}
+	sites := make([]site, 6)
+	for i := range sites {
+		sites[i] = site{topology.NodeID(rng.IntN(g.NumNodes())), dist.Sample(rng.IntN)}
+	}
+	add := func() {
+		s := sites[rng.IntN(len(sites))]
+		o.sessions = append(o.sessions, Session{Origin: s.origin, Addr: mcast.Addr(rng.IntN(space)), TTL: s.ttl})
+		w.Add(s.origin, s.ttl, o.sessions[len(o.sessions)-1].Addr)
+	}
+	// tailOf returns the session in the last slot of session j's class.
+	tailOf := func(j int) int {
+		c := &w.classes[w.sessions[j].class]
+		ch, k := w.slot(c.head*chunkLen + (c.n-1)%chunkLen)
+		return int(ch.owner[k])
+	}
+	var up, down, reused, tails, lastTails int
+	for op := 0; op < 2400; op++ {
+		// Grow towards 200 sessions for 500 ops, then drain for 300: the
+		// world empties completely each cycle.
+		growing := op%800 < 500
+		switch r := rng.IntN(10); {
+		case w.Len() > 0 && (r < 3 || !growing && r < 9):
+			i := rng.IntN(w.Len())
+			switch rng.IntN(4) {
+			case 0:
+				i = w.Len() - 1
+			case 1:
+				i = tailOf(i)
+			}
+			class := w.sessions[i].class
+			if i == tailOf(i) {
+				tails++
+				if i == w.Len()-1 {
+					lastTails++
+				}
+			}
+			o.removeAt(i)
+			w.RemoveAt(i)
+			if c := w.classes[class]; c.n > 0 && c.n%chunkLen == 0 {
+				down++
+			}
+		case w.Len() > 0 && r < 4:
+			i, addr := rng.IntN(w.Len()), mcast.Addr(rng.IntN(space))
+			o.sessions[i].Addr = addr
+			w.SetAddr(i, addr)
+		default:
+			free := w.free
+			add()
+			if c := w.classes[w.sessions[w.Len()-1].class]; c.n > 1 && c.n%chunkLen == 1 {
+				up++
+			}
+			if free != none && w.free != free {
+				reused++
+			}
+		}
+		checkScan(t, op, w, o, rng, space)
+	}
+
+	for w.Len() < 200 {
+		add()
+	}
+	kept, carved := slices.Clone(o.sessions), w.carved
+	for w.Len() > 0 {
+		i := rng.IntN(w.Len())
+		o.removeAt(i)
+		w.RemoveAt(i)
+	}
+	for _, s := range kept {
+		o.sessions = append(o.sessions, s)
+		w.Add(s.Origin, s.TTL, s.Addr)
+	}
+	checkScan(t, -1, w, o, rng, space)
+	if w.carved != carved {
+		t.Fatalf("draining and refilling %d sessions carved %d new chunks, want 0 (every one on the free list)", len(kept), w.carved-carved)
+	}
+	if up == 0 || down == 0 || reused == 0 || tails == 0 || lastTails == 0 {
+		t.Fatalf("mix missed a case: %d classes grew past a chunk, %d shrank to a chunk boundary, %d free chunks reused, %d tail removals, %d of them the last session",
+			up, down, reused, tails, lastTails)
+	}
+	t.Logf("%d classes grew past a chunk, %d shrank to a chunk boundary, %d free chunks reused, %d tail removals (%d the last session)",
+		up, down, reused, tails, lastTails)
 }
 
 // TestWorldPlacementAllocatesNothing: over a warmed cache, the four calls

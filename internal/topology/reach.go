@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"sessiondir/internal/mcast"
 )
@@ -137,7 +138,9 @@ const reachShards = 16
 // inside one scoped region reaches the same region. The cache interns
 // them: a miss publishes the set already held with the same members, if
 // there is one, so each distinct set is one *NodeSet with its own dense
-// ID — the scope classes sim.World chains its sessions by.
+// ID — the scope classes sim.World stores its sessions by. Publishing a
+// set also lists its ID under each of its members (Containing), so the
+// classes an observer sees are found without testing every class.
 //
 // The cache is safe for concurrent use: the parallel experiment engine
 // shares one cache across all workers of a sweep. Locks are sharded by
@@ -145,7 +148,8 @@ const reachShards = 16
 // tree/set outside any lock before publishing it (a racing duplicate
 // computation is possible but harmless — the first published value wins
 // and Reach is a pure function, so duplicates are identical). A set miss
-// takes one more lock, the intern table's. Returned *NodeSet and *Tree
+// takes one more lock, the intern table's; Containing takes none, so the
+// workers' placements never wait on each other. Returned *NodeSet and *Tree
 // values are shared and must be treated as read-only.
 type ReachCache struct {
 	g      *Graph
@@ -153,6 +157,11 @@ type ReachCache struct {
 
 	internMu sync.Mutex
 	interned map[string]*NodeSet // member words, little-endian → the set
+	// containing[v] lists, in publication order, the IDs of the published
+	// sets that hold node v. Under internMu, each publication replaces the
+	// list with a copy one longer; a published list never changes, so
+	// Containing reads it without a lock.
+	containing []atomic.Pointer[[]int32]
 }
 
 type reachShard struct {
@@ -168,7 +177,7 @@ type reachKey struct {
 
 // NewReachCache returns an empty cache over g.
 func NewReachCache(g *Graph) *ReachCache {
-	c := &ReachCache{g: g, interned: make(map[string]*NodeSet)}
+	c := &ReachCache{g: g, interned: make(map[string]*NodeSet), containing: make([]atomic.Pointer[[]int32], g.NumNodes())}
 	for i := range c.shards {
 		c.shards[i].trees = make(map[NodeID]*Tree)
 		c.shards[i].sets = make(map[reachKey]*NodeSet)
@@ -222,19 +231,31 @@ func (c *ReachCache) Reach(src NodeID, ttl mcast.TTL) *NodeSet {
 }
 
 // intern returns the published set with s's members, publishing s under
-// the next class ID if there is none.
+// the next class ID if there is none, and listing that ID under each
+// member. The members are read out before the lock is taken.
 func (c *ReachCache) intern(s *NodeSet) *NodeSet {
 	key := make([]byte, 0, 8*len(s.words))
 	for _, w := range s.words {
 		key = binary.LittleEndian.AppendUint64(key, w)
 	}
 	k := string(key)
+	members := s.Members()
 	c.internMu.Lock()
 	if prev := c.interned[k]; prev != nil {
 		s = prev
 	} else {
 		s.id = len(c.interned) + 1
 		c.interned[k] = s
+		for _, v := range members {
+			var old []int32
+			if l := c.containing[v].Load(); l != nil { //mclint:lockscope atomic read of the list this publication replaces
+				old = *l
+			}
+			ids := make([]int32, len(old)+1) // a copy: a published list never changes
+			copy(ids, old)
+			ids[len(old)] = int32(s.id)
+			c.containing[v].Store(&ids) //mclint:lockscope atomic publication; internMu orders the replacements of one list
+		}
 	}
 	c.internMu.Unlock()
 	return s
@@ -247,6 +268,18 @@ func (c *ReachCache) Classes() int {
 	n := len(c.interned)
 	c.internMu.Unlock()
 	return n
+}
+
+// Containing returns the IDs of the published sets that hold node v, in
+// ascending order, without taking a lock. The slice is shared and must not
+// be modified; a later publication replaces the cache's list with a longer
+// copy, so the slice a caller holds stays valid and is a prefix of every
+// later one. Its capacity is its length, so a caller's append copies.
+func (c *ReachCache) Containing(v NodeID) []int32 {
+	if l := c.containing[v].Load(); l != nil {
+		return *l
+	}
+	return nil
 }
 
 // Visible reports whether an observer node sees announcements for a session

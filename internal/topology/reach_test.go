@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -194,6 +195,95 @@ func TestReachCacheInternsUnderRace(t *testing.T) {
 	}
 	if cache.Classes() != len(pointerOf) {
 		t.Fatalf("Classes() = %d, %d distinct sets", cache.Classes(), len(pointerOf))
+	}
+}
+
+// checkContaining fails the test unless, for every node v, Containing(v)
+// lists exactly the ids in byID whose set holds v, ascending: the brute
+// force, which has no duplicates.
+func checkContaining(t *testing.T, g *Graph, cache *ReachCache, byID map[int]*NodeSet) {
+	t.Helper()
+	for v := range NodeID(g.NumNodes()) {
+		var want []int32
+		for id := 1; id <= len(byID); id++ {
+			if byID[id].Contains(v) {
+				want = append(want, int32(id))
+			}
+		}
+		if got := cache.Containing(v); !slices.Equal(got, want) {
+			t.Fatalf("Containing(%d) = %v, brute force %v", v, got, want)
+		}
+	}
+}
+
+// TestReachCacheContaining: after every (node, DS4 TTL) key of a 400-node
+// Mbone is interned, each node's Containing list is the brute-force list
+// of the classes holding it.
+func TestReachCacheContaining(t *testing.T) {
+	g, err := GenerateMbone(MboneConfig{Nodes: 400}, stats.NewRNG(1998))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewReachCache(g)
+	byID := map[int]*NodeSet{}
+	for node := range NodeID(g.NumNodes()) {
+		for _, ttl := range mcast.DS4().Support() {
+			s := cache.Reach(node, ttl)
+			byID[s.ID()] = s
+		}
+	}
+	checkContaining(t, g, cache, byID)
+}
+
+// TestReachCacheContainingUnderRace: 16 goroutines racing Reach and
+// Containing on a fresh cache end with every node's list equal to the
+// brute force, and the list each worker took of one node mid-race still
+// reads as it did then, as a prefix of that node's final list. Run under
+// -race.
+func TestReachCacheContainingUnderRace(t *testing.T) {
+	g, err := GenerateMbone(MboneConfig{Nodes: 150}, stats.NewRNG(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ttls := mcast.DS4().Support()
+	cache := NewReachCache(g)
+	const workers = 16
+	keys := g.NumNodes() * len(ttls)
+	sets := make([][]*NodeSet, workers)
+	mid := make([][]int32, workers)     // the slice Containing returned mid-race
+	midCopy := make([][]int32, workers) // what it held then
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sets[w] = make([]*NodeSet, keys)
+			for i := range keys {
+				k := (i*11 + w*13) % keys // each worker in its own order (11 ∤ 150·7)
+				sets[w][k] = cache.Reach(NodeID(k/len(ttls)), ttls[k%len(ttls)])
+				cache.Containing(NodeID(k / len(ttls)))
+				if i == keys/2 {
+					mid[w] = cache.Containing(NodeID(w))
+					midCopy[w] = slices.Clone(mid[w])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	byID := map[int]*NodeSet{}
+	for _, ws := range sets {
+		for _, s := range ws {
+			byID[s.ID()] = s
+		}
+	}
+	checkContaining(t, g, cache, byID)
+	for w := range workers {
+		if !slices.Equal(mid[w], midCopy[w]) {
+			t.Fatalf("worker %d: node %d's list taken mid-race changed from %v to %v", w, w, midCopy[w], mid[w])
+		}
+		if final := cache.Containing(NodeID(w)); !slices.Equal(final[:len(mid[w])], mid[w]) {
+			t.Fatalf("worker %d: node %d's list taken mid-race %v is not a prefix of its final %v", w, w, mid[w], final)
+		}
 	}
 }
 
