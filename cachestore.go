@@ -52,19 +52,48 @@ type cacheStoreInstruments struct {
 	corrupt        *obs.Counter
 }
 
-// encodeLearn frames one cache entry as a learn delta / snapshot
-// record. Returns nil (skip) for descriptions that cannot marshal: one
-// invalid cached description must not fail the whole checkpoint.
+// learnHeader is a learn record's length before its SDP bytes.
+const learnHeader = 1 + 8 + 8
+
+// encodeLearn frames one cache entry as a learn delta in a buffer of
+// exactly its length. Returns nil (skip) for descriptions that cannot
+// marshal: one invalid cached description must not fail the whole
+// checkpoint.
 func encodeLearn(e *announce.Entry) []byte {
-	sdp, err := e.Desc.MarshalSDP()
-	if err != nil {
-		return nil
+	if p := appendLearn(make([]byte, 0, learnHeader+e.Desc.SDPLen()), e); len(p) > 0 {
+		return p
 	}
-	buf := make([]byte, 0, 1+8+8+len(sdp))
-	buf = append(buf, deltaLearn)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(e.FirstHeard))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(e.LastHeard.Unix()))
-	return append(buf, sdp...)
+	return nil
+}
+
+// appendLearn appends e's learn record to dst, or nothing if its
+// description cannot marshal.
+func appendLearn(dst []byte, e *announce.Entry) []byte {
+	rec := binary.BigEndian.AppendUint64(append(dst, deltaLearn), uint64(e.FirstHeard))
+	rec = binary.BigEndian.AppendUint64(rec, uint64(e.LastHeard.Unix()))
+	if rec, err := e.Desc.AppendSDP(rec); err == nil {
+		return rec
+	}
+	return dst
+}
+
+// snapshotRecords sorts live by key and encodes its learn records into
+// one arena of exactly their total length.
+func snapshotRecords(live []*announce.Entry) [][]byte {
+	announce.SortByKey(live)
+	size := 0
+	for _, e := range live {
+		size += learnHeader + e.Desc.SDPLen()
+	}
+	arena := make([]byte, 0, size)
+	records := make([][]byte, 0, len(live))
+	for _, e := range live {
+		start := len(arena)
+		if arena = appendLearn(arena, e); len(arena) > start {
+			records = append(records, arena[start:len(arena):len(arena)])
+		}
+	}
+	return records
 }
 
 // encodeKeyDelta frames a delete/expire/evict delta.
@@ -139,14 +168,7 @@ func (cs *CacheStore) Checkpoint() error {
 	d.drainMu.Lock()
 	defer d.drainMu.Unlock()
 	d.mu.Lock()
-	live := d.cache.Live()
-	announce.SortByKey(live)
-	entries := make([][]byte, 0, len(live))
-	for _, e := range live {
-		if p := encodeLearn(e); p != nil {
-			entries = append(entries, p)
-		}
-	}
+	entries := snapshotRecords(d.cache.Live())
 	d.fx.journal = nil
 	d.mu.Unlock()
 

@@ -183,8 +183,8 @@ func TestRunCompareInjected2xSlowdown(t *testing.T) {
 		{"name":"SessionParseSDP","ns_per_op":1500,"allocs_per_op":4},
 		{"name":"SAPDecodeCompressed","ns_per_op":4000,"allocs_per_op":2},
 		{"name":"PayloadDigest","ns_per_op":0.1},
-		{"name":"DirRefreshKnown1k","ns_per_op":700,"allocs_per_op":1},
-		{"name":"DirRefreshKnown10k","ns_per_op":900,"allocs_per_op":1},
+		{"name":"DirRefreshKnown1k","ns_per_op":700,"allocs_per_op":0},
+		{"name":"DirRefreshKnown10k","ns_per_op":900,"allocs_per_op":0},
 		{"name":"DirAdmitUnknown1k","ns_per_op":5400,"allocs_per_op":22},
 		{"name":"DirAdmitUnknown10k","ns_per_op":6700,"allocs_per_op":22},
 		{"name":"DirCreateSession1k","ns_per_op":7200,"allocs_per_op":32},
@@ -222,8 +222,8 @@ func budgetReport() benchReport {
 			{Name: "SessionParseSDP", NsPerOp: 1500, AllocsOp: 4, BytesOp: 640},
 			{Name: "SAPDecodeCompressed", NsPerOp: 4000, AllocsOp: 2, BytesOp: 400},
 			{Name: "PayloadDigest", NsPerOp: 0.1},
-			{Name: "DirRefreshKnown1k", NsPerOp: 700, AllocsOp: 1, BytesOp: 4864},
-			{Name: "DirRefreshKnown10k", NsPerOp: 900, AllocsOp: 1, BytesOp: 4864},
+			{Name: "DirRefreshKnown1k", NsPerOp: 700},
+			{Name: "DirRefreshKnown10k", NsPerOp: 900},
 			{Name: "DirAdmitUnknown1k", NsPerOp: 5400, AllocsOp: 22},
 			{Name: "DirAdmitUnknown10k", NsPerOp: 6700, AllocsOp: 22},
 			{Name: "DirStep1k", NsPerOp: 40},
@@ -324,6 +324,11 @@ func TestBudgetFailuresListenerPath(t *testing.T) {
 	micro(t, &r, "PayloadDigest").NsPerOp = 0.9           // a byte-at-a-time digest: 1.1 GB/s
 	if fails := budgetFailures(r); len(fails) != 2 {
 		t.Fatalf("parsed refreshes and a slow digest not caught: %v", fails)
+	}
+	r = budgetReport()
+	micro(t, &r, "DirRefreshKnown1k").AllocsOp = 1 // a decode slice made per batch again
+	if fails := budgetFailures(r); len(fails) != 1 {
+		t.Fatalf("an allocating refresh batch not caught: %v", fails)
 	}
 	r = budgetReport()
 	micro(t, &r, "DirRefreshKnown10k").NsPerOp = 9000 // the 10k/1k ratio is recorded, not gated

@@ -340,7 +340,7 @@ func (c *core) sendOwn(own *ownedSession, typ sap.MessageType) error {
 // into the header. sendDesc returns it. On error nothing is queued.
 func (c *core) sendDesc(desc *session.Description, typ sap.MessageType, hash uint16, known bool) (uint16, error) {
 	w := c.fx.wire
-	if need := headerRoom + desc.SDPSizeHint(); cap(w)-len(w) < need {
+	if need := headerRoom + desc.SDPLen(); cap(w)-len(w) < need {
 		w = make([]byte, 0, max(wireChunk, need))
 		c.fx.wire = w
 	}
@@ -830,8 +830,8 @@ func (c *core) registerLoaded(now time.Time) {
 	// can draw suppression delays from the RNG when loaded entries clash,
 	// so registration order must be reproducible.
 	live := c.cache.Live()
-	keys := announce.SortByKey(live)
-	for i, e := range live {
-		c.observe(keys[i], e.Desc, now) // registered, not reacted to
+	announce.SortByKey(live)
+	for _, e := range live {
+		c.observe(e.Key(), e.Desc, now) // registered, not reacted to
 	}
 }

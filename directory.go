@@ -573,18 +573,16 @@ func (d *Directory) decodePacket(data []byte) parsedPacket {
 // preserves the bit-identical replay contract: the protocol state
 // transitions and RNG draws are exactly those of len(ms) batches of one.
 // The datagrams are read only inside the call and nothing is kept from
-// them (see parsedPacket).
+// them (see parsedPacket and decodeScratch).
 func (d *Directory) HandleBatch(ms []transport.Message) {
 	if len(ms) == 0 {
 		return
 	}
-	// A batch of one — all the in-process fabrics deliver — decodes on the
-	// stack.
-	var one [1]parsedPacket
-	parsed := one[:]
-	if len(ms) > 1 {
-		parsed = make([]parsedPacket, len(ms))
+	scratch := decodeScratch.Get().(*[]parsedPacket)
+	if cap(*scratch) < len(ms) {
+		*scratch = make([]parsedPacket, len(ms))
 	}
+	parsed := (*scratch)[:len(ms)]
 	for i := range ms {
 		parsed[i] = d.decodePacket(ms[i].Data)
 	}
@@ -596,8 +594,15 @@ func (d *Directory) HandleBatch(ms []transport.Message) {
 		}
 	}
 	d.mu.Unlock()
+	clear(parsed)
+	decodeScratch.Put(scratch)
 	d.flush()
 }
+
+// decodeScratch recycles HandleBatch's decoded packets across batches and
+// receivers. A slice goes back cleared, so no payload on loan and nothing
+// parsed from one stays reachable from the pool.
+var decodeScratch = sync.Pool{New: func() any { return new([]parsedPacket) }}
 
 // Step runs all timer-driven work due at the given instant: scheduled
 // re-announcements, third-party defenses, and cache expiry. Tests drive

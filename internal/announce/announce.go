@@ -7,7 +7,9 @@ package announce
 import (
 	"container/heap"
 	"net/netip"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"sessiondir/internal/mcast"
@@ -149,15 +151,12 @@ func (e *Entry) Key() string { return e.key }
 // adSize is the bandwidth-budget cost of one announcement: SDP payload
 // plus the SAP header, or a nominal size for descriptions that cannot
 // marshal (matching the lazy accounting TotalAdBytes historically used).
-// It measures by marshalling into the cache's scratch buffer, so a
-// refresh of a known session allocates nothing.
-func (c *Cache) adSize(d *session.Description) int32 {
-	data, err := d.AppendSDP(c.scratch[:0])
-	c.scratch = data[:0]
-	if err != nil {
+// It counts the payload (session.Description.SDPLen) without writing it.
+func adSize(d *session.Description) int32 {
+	if d.Validate() != nil {
 		return 256
 	}
-	return int32(len(data) + 8) // + SAP header
+	return int32(d.SDPLen() + 8) // + SAP header
 }
 
 // Cache is the listened-session store: one entry map with the eviction
@@ -171,9 +170,6 @@ type Cache struct {
 	// they sit on the announcement-scheduling path of every send.
 	live    int
 	adBytes int
-	// scratch is adSize's marshal buffer, reused across calls (whoever
-	// serialises access to the cache serialises it too).
-	scratch []byte
 	// The eviction order (nil perOrigin = not tracked; entries of origin
 	// self stay out of it) and the allocator view the entries are filed
 	// in (nil until tracked; a zero space holds no group, so nothing is
@@ -253,7 +249,7 @@ func (c *Cache) Observe(d *session.Description, now time.Time) (*Entry, bool) {
 func (c *Cache) ObserveParsed(key string, d *session.Description, digest uint64, now time.Time) (*Entry, bool) {
 	e, ok := c.entries[key]
 	if !ok {
-		e = &Entry{Desc: d, FirstHeard: now.Unix(), LastHeard: now, adBytes: c.adSize(d), digest: digest, key: key}
+		e = &Entry{Desc: d, FirstHeard: now.Unix(), LastHeard: now, adBytes: adSize(d), digest: digest, key: key}
 		c.entries[key] = e
 		c.live++
 		c.adBytes += int(e.adBytes)
@@ -273,7 +269,7 @@ func (c *Cache) ObserveParsed(key string, d *session.Description, digest uint64,
 		}
 		e.Desc, e.digest = d, digest
 		e.Deleted = false
-		e.adBytes = c.adSize(d)
+		e.adBytes = adSize(d)
 		c.adBytes += int(e.adBytes)
 	}
 	c.heard(e, now)
@@ -321,7 +317,7 @@ func (c *Cache) Restore(desc *session.Description, digest uint64, first, last, n
 		if desc.Version > existing.Desc.Version && !existing.Deleted {
 			c.adBytes -= int(existing.adBytes)
 			existing.Desc, existing.digest = desc, digest
-			existing.adBytes = c.adSize(desc)
+			existing.adBytes = adSize(desc)
 			c.adBytes += int(existing.adBytes)
 			c.indexUpdate(existing)
 		}
@@ -331,7 +327,7 @@ func (c *Cache) Restore(desc *session.Description, digest uint64, first, last, n
 		Desc:       desc,
 		FirstHeard: first.Unix(),
 		LastHeard:  last,
-		adBytes:    c.adSize(desc),
+		adBytes:    adSize(desc),
 		digest:     digest,
 		key:        key,
 	}
@@ -467,26 +463,7 @@ func (c *Cache) CountFresh(now time.Time, staleAfter time.Duration) int {
 // O(1) — it runs on every announcement send.
 func (c *Cache) TotalAdBytes() int { return c.adBytes }
 
-// SortByKey sorts entries by session key and returns the keys in the
-// same order. Each key is built once, not once per comparison.
-func SortByKey(entries []*Entry) []string {
-	keys := make([]string, len(entries))
-	for i, e := range entries {
-		keys[i] = e.Desc.Key()
-	}
-	sort.Sort(byKey{keys, entries})
-	return keys
-}
-
-// byKey sorts entries and their keys together.
-type byKey struct {
-	keys    []string
-	entries []*Entry
-}
-
-func (b byKey) Len() int           { return len(b.keys) }
-func (b byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
-func (b byKey) Swap(i, j int) {
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
-	b.entries[i], b.entries[j] = b.entries[j], b.entries[i]
+// SortByKey sorts entries, which a Cache holds, by Entry.Key.
+func SortByKey(entries []*Entry) {
+	slices.SortFunc(entries, func(a, b *Entry) int { return strings.Compare(a.key, b.key) })
 }

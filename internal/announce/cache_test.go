@@ -89,18 +89,22 @@ func TestShardedExpireSorted(t *testing.T) {
 }
 
 func TestSortByKey(t *testing.T) {
-	var entries []*Entry
+	c := NewCache(time.Hour)
+	now := time.Unix(4000, 0)
 	for _, host := range []byte{9, 2, 11, 2, 1} {
-		entries = append(entries, &Entry{Desc: odesc(host, uint64(host)*3%7, 1)})
+		c.Observe(odesc(host, uint64(host)*3%7, 1), now)
 	}
-	keys := SortByKey(entries)
-	if !sort.StringsAreSorted(keys) {
-		t.Fatalf("keys not sorted: %v", keys)
-	}
-	for i, e := range entries {
-		if e.Desc.Key() != keys[i] {
-			t.Fatalf("entry %d is %s, key says %s", i, e.Desc.Key(), keys[i])
+	entries := c.Live()
+	SortByKey(entries)
+	var keys []string
+	for _, e := range entries {
+		if e.Key() != e.Desc.Key() {
+			t.Fatalf("entry %s is held under %s", e.Desc.Key(), e.Key())
 		}
+		keys = append(keys, e.Key())
+	}
+	if len(keys) != 4 || !sort.StringsAreSorted(keys) {
+		t.Fatalf("keys not sorted: %v", keys)
 	}
 }
 

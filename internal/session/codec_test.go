@@ -206,6 +206,12 @@ func FuzzMarshalSDPMatchesReference(f *testing.F) {
 		uint64(7), uint64(1), int64(0), int64(5), -4, uint8(0))
 	f.Add("x", "", "", "", "", "not an address", "10.0.0.1", // both invalid: the errors must agree
 		uint64(1), uint64(1), int64(0), int64(0), 0, uint8(15))
+	// Every number at a power of ten, where a decimal width turns over;
+	// CR, LF and bytes past ASCII on either side of an eight-byte word.
+	f.Add("1234567\r", "seven b\nno CR after", "\xff234567\xfe2345678", "clean 8!", "0123456789abcdef", "fe80::1", "224.2.0.1",
+		uint64(10), uint64(100), int64(0), int64(0), 1000, uint8(10))
+	f.Add("é", "\r\n\r\n\r\n\r\n", "ascii only, no line end at all", "\xc3", "ok", "2001:db8::10", "239.1.10.100",
+		uint64(9999999999), uint64(1e19), int64(0), int64(0), 10, uint8(100))
 	f.Fuzz(func(t *testing.T, user, name, info, attr, mattr, origin, group string,
 		id, version uint64, start, stop int64, kbps int, ttl uint8) {
 		d := &Description{
@@ -239,12 +245,30 @@ func FuzzMarshalSDPMatchesReference(f *testing.F) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("MarshalSDP differs from the reference:\n%q\n%q", got, want)
 		}
+		if err == nil && (d.SDPLen() != len(want) || cap(got) != len(got)) {
+			t.Fatalf("SDPLen() = %d, MarshalSDP writes %d bytes into %d: %q", d.SDPLen(), len(got), cap(got), got)
+		}
+		for _, text := range []string{user, name, info, attr, mattr} {
+			if got, want := textClean(text), refTextClean(text); got != want {
+				t.Fatalf("textClean(%q) = %v, reference %v", text, got, want)
+			}
+		}
 		// Appending must leave what dst already holds alone, error or not.
 		appended, _ := d.AppendSDP([]byte("prefix"))
 		if !bytes.Equal(appended, append([]byte("prefix"), want...)) {
 			t.Fatalf("AppendSDP onto a prefix: %q", appended)
 		}
 	})
+}
+
+// refTextClean is textClean a byte at a time.
+func refTextClean(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\r' || s[i] == '\n' || s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestCodecAllocations pins the codec's share of the listener fast path:
@@ -262,6 +286,10 @@ func TestCodecAllocations(t *testing.T) {
 	buf := make([]byte, 0, 1024)
 	if n := testing.AllocsPerRun(100, func() { _, _ = d.AppendSDP(buf) }); n != 0 {
 		t.Errorf("AppendSDP into a large enough buffer: %v allocs, want 0", n)
+	}
+	d.Origin = netip.MustParseAddr("2001:db8::1")
+	if n := testing.AllocsPerRun(100, func() { _ = d.SDPLen() }); n != 0 {
+		t.Errorf("SDPLen: %v allocs, want 0", n)
 	}
 }
 
@@ -333,6 +361,14 @@ func parseSeeds(t testing.TB) [][]byte {
 		"v=0\r\r\n\n\r\no=- 1 2 IN IP4 10.0.0.1\r\r\ns=x\nc=IN IP4 224.1.2.3/15\nt=0 0",
 		"v=0\no=- 1 2 IN IP4 10.0.0.1\ns=x\nc=IN IP4 224.1.2.3/15\nt=0 0\nz\n",
 		"v=0\no=a 1 2 IN IP4 10.0.0.1\no=bb 3 4 IN IP4 10.0.0.2\ns=first\ns=second\ni=one\ni=\nc=IN IP4 224.1.2.3/15\nc=IN IP4 224.1.2.4\nt=0 0\na=s1\na=\nm=audio 1 p f\na=m1\nm=video 2 q g h\nm=text 3 r i\na=m3a\na=m3b\n",
+		// The o= line as the key peek sees it: first in the payload, five
+		// fields then a line end, bytes past ASCII before and after the
+		// address, a NUL inside a field, a seventh field.
+		"o=- 1 2 IN IP4 10.0.0.1\r\nv=0\ns=x\nc=IN IP4 224.1.2.3/15\nt=0 0\n",
+		"v=0\no=- 1 2 IN IP4\n10.0.0.1 x\ns=x\nc=IN IP4 224.1.2.3/15\nt=0 0\n",
+		"v=0\no=- 1 2 IN IP4 10.0.0.1 tail\ns=x\nc=IN IP4 224.1.2.3/15\nt=0 0\n",
+		"v=0\no=- 1 2 IN IP4 10.0.0.1\xff\ns=x\nc=IN IP4 224.1.2.3/15\nt=0 0\n",
+		"v=0\no=\x00 1\x00 2 IN IP4 10.0.0.1 \xff extra\ns=x\nc=IN IP4 224.1.2.3/15\nt=0 0\n",
 	} {
 		seeds = append(seeds, []byte(s))
 	}
@@ -368,6 +404,31 @@ func checkParseMatchesReference(t *testing.T, data []byte) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ParseSDP(%q) differs from the reference:\n%+v\n%+v", data, got, want)
 	}
+	var wide [40]byte
+	var narrow [12]byte
+	for _, buf := range [][]byte{wide[:0], narrow[:0], narrow[:3]} {
+		if got, want := PeekKey(buf, data), refPeekKey(buf, data); !bytes.Equal(got, want) {
+			t.Fatalf("PeekKey(%q) into %d of %d = %q, reference %q", data, len(buf), cap(buf), got, want)
+		}
+	}
+}
+
+// refPeekKey is PeekKey as it was before it skipped the fields it does not
+// keep: every line cut, all six fields split out.
+func refPeekKey(dst, payload []byte) []byte {
+	for rest := payload; len(rest) > 0; {
+		var line []byte
+		line, rest = cutLine(rest)
+		if len(line) < 2 || line[0] != 'o' || line[1] != '=' {
+			continue
+		}
+		var f [6][]byte
+		if n, _ := fieldsAndRest(line[2:], f[:]); n == 6 && len(f[5])+1+len(f[1]) <= cap(dst)-len(dst) {
+			dst = append(append(append(dst, f[5]...), '/'), f[1]...)
+		}
+		break
+	}
+	return dst
 }
 
 func TestParseSDPMatchesReferenceOnSeeds(t *testing.T) {

@@ -48,9 +48,10 @@ func (d *Description) MarshalSDP() ([]byte, error) {
 }
 
 // AppendSDP appends the description's SDP form to dst and returns the
-// extended slice; on error dst comes back unchanged. It sizes dst once up
-// front, so marshalling into a nil or a recycled buffer allocates at most
-// once (free text with invalid UTF-8 may outgrow the estimate).
+// extended slice; on error dst comes back unchanged. A full dst (nil, say)
+// is grown once, by exactly SDPLen. Into spare capacity it appends as
+// append does, so a caller that reuses buffers sizes them by SDPLen and
+// the length is not counted twice.
 func (d *Description) AppendSDP(dst []byte) ([]byte, error) {
 	if err := d.Validate(); err != nil {
 		return dst, err
@@ -60,10 +61,10 @@ func (d *Description) AppendSDP(dst []byte) ([]byte, error) {
 		user = "-"
 	}
 	b := dst
-	if n := d.SDPSizeHint(); cap(b)-len(b) < n {
+	if cap(b) == len(b) {
 		// Not slices.Grow: under the race detector it allocates twice,
 		// which would fail the allocation pins in the -race CI job.
-		b = append(make([]byte, 0, len(dst)+n), dst...)
+		b = append(make([]byte, 0, len(dst)+d.SDPLen()), dst...)
 	}
 	b = append(b, "v=0\r\no="...)
 	b = append(b, user...)
@@ -114,26 +115,81 @@ func (d *Description) AppendSDP(dst []byte) ([]byte, error) {
 	return b, nil
 }
 
-// SDPSizeHint estimates the marshalled size from above for the usual
-// description (IPv4 origin, valid UTF-8): exact text lengths plus the
-// widest the numbers and addresses can print. AppendSDP into a buffer
-// with this much spare capacity does not allocate.
-func (d *Description) SDPSizeHint() int {
-	// The v= o= s= i= c= b= t= framing comes to 186 bytes with "-" for the
-	// user, every number at its widest and both addresses as dotted quads.
-	const framing = 192
-	n := framing + len(d.OriginUser) + len(d.Name) + len(d.Info)
+// SDPLen is the exact number of bytes AppendSDP writes for a description
+// that passes Validate, counted line by line without writing them.
+func (d *Description) SDPLen() int {
+	n := len("v=0\r\no=  \r\n") + max(len(d.OriginUser), len("-")) + decimalLen(d.ID) + decimalLen(d.Version) +
+		len(" IN IP4 ") + addrLen(d.Origin) + textLineLen(d.Name) +
+		len("c=IN IP4 /\r\n") + addrLen(d.Group) + decimalLen(uint64(d.TTL)) +
+		len("t= \r\n") + decimalLen(toNTP(d.Start)) + decimalLen(toNTP(d.Stop))
+	if d.Info != "" {
+		n += textLineLen(d.Info)
+	}
+	if d.BandwidthKbps > 0 {
+		n += len("b=AS:\r\n") + decimalLen(uint64(d.BandwidthKbps))
+	}
 	for _, a := range d.Attributes {
-		n += len("a=\r\n") + len(a)
+		n += textLineLen(a)
 	}
 	for i := range d.Media {
 		m := &d.Media[i]
-		n += len("m= 65535  \r\n") + len(m.Type) + len(m.Proto) + len(m.Format)
+		n += len("m=   \r\n") + len(m.Type) + decimalLen(uint64(m.Port)) + len(m.Proto) + len(m.Format)
 		for _, a := range m.Attributes {
-			n += len("a=\r\n") + len(a)
+			n += textLineLen(a)
 		}
 	}
 	return n
+}
+
+// decimalLen is len(strconv.AppendUint(nil, v, 10)).
+func decimalLen(v uint64) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
+}
+
+// addrLen is len(appendAddr(nil, a)).
+func addrLen(a netip.Addr) int {
+	var buf [48]byte
+	return len(appendAddr(buf[:0], a))
+}
+
+// textLineLen is len(appendTextLine(nil, prefix, s)) for a two-byte prefix.
+// Ranging over s yields U+FFFD, three bytes, for each invalid byte, and CR
+// and LF are one byte wide like the space that replaces them.
+func textLineLen(s string) int {
+	n := len("a=\r\n") + len(s)
+	if !textClean(s) {
+		n = len("a=\r\n")
+		for _, r := range s {
+			n += utf8.RuneLen(r)
+		}
+	}
+	return n
+}
+
+// textClean reports whether free text goes out as it is: no CR, no LF and
+// only ASCII. It tests eight bytes at a time.
+func textClean(s string) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for ; len(s) >= 8; s = s[8:] {
+		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+		// With no high bit set in w, (x-ones)&^x has one exactly where a
+		// byte of x is zero, that is where a byte of w is CR or LF.
+		cr, lf := w^(ones*'\r'), w^(ones*'\n')
+		if (w|(cr-ones)&^cr|(lf-ones)&^lf)&highs != 0 {
+			return false
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == '\r' || c == '\n' || c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
 }
 
 // appendTextLine appends prefix, the free text s and CRLF. CR and LF in s
@@ -141,11 +197,7 @@ func (d *Description) SDPSizeHint() int {
 // valid UTF-8 become U+FFFD.
 func appendTextLine(b []byte, prefix, s string) []byte {
 	b = append(b, prefix...)
-	clean := true
-	for i := 0; i < len(s) && clean; i++ {
-		clean = s[i] != '\r' && s[i] != '\n' && s[i] < utf8.RuneSelf
-	}
-	if clean {
+	if textClean(s) {
 		b = append(b, s...)
 	} else {
 		for _, r := range s {
@@ -531,17 +583,41 @@ func dottedQuad(b []byte) (quad [4]byte, ok bool) {
 // when there is no o= line with six fields or the key does not fit dst's
 // spare capacity (the longest IPv4 key is 36 bytes).
 func PeekKey(dst, payload []byte) []byte {
-	for rest := payload; len(rest) > 0; {
-		var line []byte
-		line, rest = cutLine(rest)
-		if len(line) < 2 || line[0] != 'o' || line[1] != '=' {
-			continue
+	line := payload
+	if !bytes.HasPrefix(line, []byte("o=")) {
+		i := bytes.Index(payload, []byte("\no="))
+		if i < 0 {
+			return dst
 		}
-		var f [6][]byte
-		if n, _ := fieldsAndRest(line[2:], f[:]); n == 6 && len(f[5])+1+len(f[1]) <= cap(dst)-len(dst) {
-			dst = append(append(append(dst, f[5]...), '/'), f[1]...)
+		line = payload[i+1:]
+	}
+	// The usual o= line: printable ASCII fields between single spaces, the
+	// sixth ending the line. Anything else goes to nextField.
+	var id, addr []byte
+	n := 0
+	for rest := line[2:]; n < 6; n++ {
+		lo := 0
+		for lo < len(rest) && rest[lo] == ' ' {
+			lo++
 		}
-		break
+		hi := lo
+		for hi < len(rest) && rest[hi] > ' ' && rest[hi] < utf8.RuneSelf {
+			hi++
+		}
+		if hi == lo || hi < len(rest) && rest[hi] != ' ' && (n < 5 || rest[hi] > '\r' || rest[hi] < '\t') {
+			var f [6][]byte
+			line, _ = cutLine(line)
+			n, _ = fieldsAndRest(line[2:], f[:])
+			id, addr = f[1], f[5]
+			break
+		}
+		if n == 1 {
+			id = rest[lo:hi]
+		}
+		addr, rest = rest[lo:hi], rest[hi:] // the sixth field, once n is 5
+	}
+	if n == 6 && len(addr)+1+len(id) <= cap(dst)-len(dst) {
+		dst = append(append(append(dst, addr...), '/'), id...)
 	}
 	return dst
 }

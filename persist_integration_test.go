@@ -2,15 +2,19 @@ package sessiondir
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"sessiondir/internal/announce"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/sap"
+	"sessiondir/internal/stats"
 	"sessiondir/internal/storage"
 	"sessiondir/internal/transport"
 )
@@ -446,5 +450,74 @@ func TestCheckpointBytesIndependentOfShardCount(t *testing.T) {
 	defer r.Close()
 	if _, rec := reopen(t, fs, r); rec.SnapshotRecords != 32 || r.CacheSize() != 32 {
 		t.Fatalf("8 of 40 sessions were deleted: snapshot %+v, cache %d", rec, r.CacheSize())
+	}
+}
+
+// refEncodeLearn is encodeLearn as it was when it marshalled the SDP into
+// one buffer and copied it into a second: the record-identity oracle.
+func refEncodeLearn(e *announce.Entry) []byte {
+	sdp, err := e.Desc.MarshalSDP()
+	if err != nil {
+		return nil
+	}
+	buf := make([]byte, 0, 1+8+8+len(sdp))
+	buf = append(buf, deltaLearn)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(e.FirstHeard))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(e.LastHeard.Unix()))
+	return append(buf, sdp...)
+}
+
+// TestLearnRecordsMatchReference: journal learn records and a checkpoint's
+// snapshot records are byte for byte what refEncodeLearn writes, over
+// seeded caches whose descriptions carry CR and LF, invalid UTF-8, IPv6
+// origins, zero and set times, and one description that cannot marshal.
+// Each journal record fills its buffer exactly, and a snapshot of valid
+// descriptions is two allocations however many records it holds.
+func TestLearnRecordsMatchReference(t *testing.T) {
+	texts := []string{"plain", "line\r\nbreak", "bad\xffutf8\xc3", "é and U+FFFD �", "exactly eight", ""}
+	origins := []string{"10.0.0.1", "192.168.200.9", "2001:db8::7", "::ffff:10.1.2.3"}
+	for _, seed := range []uint64{1, 7, 1998} {
+		rng := stats.NewRNG(seed)
+		space := mcast.SyntheticSpace(1024)
+		cache := announce.NewCache(time.Hour)
+		now := time.Unix(904658400, 0)
+		for i := 0; i < 200; i++ {
+			d := peerDesc(origins[rng.IntN(len(origins))], rng.Uint64()>>rng.IntN(64), space, mcast.Addr(rng.IntN(1024)), mcast.TTL(rng.IntN(256)))
+			d.Version = uint64(rng.IntN(1000))
+			d.Name += texts[rng.IntN(len(texts))]
+			d.Info = texts[rng.IntN(len(texts))]
+			d.BandwidthKbps = rng.IntN(3) * 64
+			d.Attributes = []string{texts[rng.IntN(len(texts))], "tool:sdr"}
+			d.Media[0].Attributes = []string{texts[rng.IntN(len(texts))]}
+			if rng.IntN(2) == 0 {
+				d.Start, d.Stop = now, now.Add(time.Duration(rng.IntN(1e6))*time.Second)
+			}
+			if i == 100 {
+				d.Group = netip.MustParseAddr("10.9.9.9") // cannot marshal
+			}
+			now = now.Add(time.Duration(rng.IntN(5000)) * time.Millisecond)
+			e, _ := cache.Observe(d, now)
+			got, want := encodeLearn(e), refEncodeLearn(e)
+			if !bytes.Equal(got, want) || len(got) != cap(got) {
+				t.Fatalf("seed %d: learn record %d of %s (cap %d):\n%q\nreference\n%q", seed, i, e.Key(), cap(got), got, want)
+			}
+		}
+		live := cache.Live()
+		var want [][]byte
+		slices.SortFunc(live, func(a, b *announce.Entry) int { return strings.Compare(a.Desc.Key(), b.Desc.Key()) })
+		for _, e := range live {
+			if p := refEncodeLearn(e); p != nil {
+				want = append(want, p)
+			}
+		}
+		slices.Reverse(live)
+		if got := snapshotRecords(live); !slices.EqualFunc(got, want, bytes.Equal) {
+			t.Fatalf("seed %d: %d snapshot records differ from the reference's %d", seed, len(got), len(want))
+		}
+		// Validate's error for the one invalid description allocates.
+		valid := slices.DeleteFunc(live, func(e *announce.Entry) bool { return e.Desc.Validate() != nil })
+		if n := testing.AllocsPerRun(10, func() { snapshotRecords(valid) }); n != 2 {
+			t.Errorf("seed %d: a snapshot of %d records: %v allocs, want 2", seed, len(valid), n)
+		}
 	}
 }

@@ -534,11 +534,15 @@ func runRefreshScript(t *testing.T, seed uint64, batch int, budgets bool, twin *
 		batch, budgets, sentN, unchanged, hits, ran)
 }
 
-// TestRefreshBatchAllocations pins the refresh path at no allocation per
-// datagram: a batch of 32 unchanged re-announcements costs the batch's one
-// slice of decoded packets — with the eviction order kept (a budget set,
-// so every touch fixes the heap) and without.
+// TestRefreshBatchAllocations pins the refresh path at no allocation: a
+// batch of 32 unchanged re-announcements decodes into a recycled slice and
+// allocates nothing — with the eviction order kept (a budget set, so every
+// touch fixes the heap) and without.
 func TestRefreshBatchAllocations(t *testing.T) {
+	want := 0.0
+	if raceEnabled {
+		want = 1 // the pool may drop the slice, which is then made again
+	}
 	for _, budget := range []int{0, 1000} {
 		clk := newFakeClock()
 		d, err := New(Config{
@@ -557,8 +561,8 @@ func TestRefreshBatchAllocations(t *testing.T) {
 			clk.Advance(time.Second)
 			d.HandleBatch(ms)
 		})
-		if got := d.Registry().Snapshot(); allocs > 1 {
-			t.Errorf("budget %d: %v allocs per batch of 32 unchanged re-announcements, want <= 1", budget, allocs)
+		if got := d.Registry().Snapshot(); allocs > want {
+			t.Errorf("budget %d: %v allocs per batch of 32 unchanged re-announcements, want <= %v", budget, allocs, want)
 		} else if m := d.Metrics(); m.SessionsLearned != 32 || m.PacketsReceived != 32*52 {
 			t.Errorf("budget %d: %d learned, %d received: not 51 batches of refreshes\n%v", budget, m.SessionsLearned, m.PacketsReceived, got)
 		}
