@@ -243,7 +243,28 @@ func microBenches() []microBenchResult {
 	out = append(out, listenerMicros()...)
 	out = append(out, directoryMicros()...)
 	out = append(out, simMicros()...)
+	out = append(out, treeMicro())
 	return out
+}
+
+// spTreeAllocs is SPTree1864's allocation budget: one per router. The
+// tree's own arrays and child lists take fewer; a heap push that boxed its
+// item would add one per router reached on top.
+const spTreeAllocs = 1864
+
+// treeMicro times a shortest-path tree over the paper's 1864-router Mbone
+// map, from a different root each op: the unit of the occupancy
+// simulator's set-up, which builds one per origin it reaches from.
+func treeMicro() microBenchResult {
+	g, err := topology.GenerateMbone(topology.MboneConfig{Nodes: 1864}, stats.NewRNG(1998))
+	if err != nil {
+		panic(err)
+	}
+	return runMicro("SPTree1864", 1, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			topology.NewSPTree(g, topology.NodeID(i%g.NumNodes()))
+		}
+	})
 }
 
 // simMicros times the occupancy simulator over a world of Hybrid-placed
@@ -483,16 +504,20 @@ func (a *nextAddrAllocator) AllocateBatch(view []allocator.SessionInfo, ttl mcas
 // datagram a listener mostly hears: DirRefreshKnown is a 32-datagram
 // HandleBatch of unchanged re-announcements, walking the whole cached
 // population batch by batch; its unit is the datagram, its allocations are
-// per batch.
+// per batch. Last, the two calls a budget adds to a full cache's steady
+// state: a tick with nothing due, which also counts the fresh entries for
+// the overload tier (DirStep, DirStepBudgeted), and a newcomer from an
+// origin at its quota of fresh sessions (DirAdmitAtQuota).
 func directoryMicros() []microBenchResult {
 	var out []microBenchResult
 	origin := netip.MustParseAddr("10.0.0.1")
 	base := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
 	space := mcast.SAPDynamicSpace()
-	wireOf := func(i int) transport.Message {
+	// wireOf is the announcement of session i by origin 10.1.o/256.o%256.
+	wireOf := func(i, o int) transport.Message {
 		d := &session.Description{
 			ID: uint64(i), Version: 1,
-			Origin: netip.AddrFrom4([4]byte{10, 1, byte(i / 100 >> 8), byte(i / 100)}),
+			Origin: netip.AddrFrom4([4]byte{10, 1, byte(o >> 8), byte(o)}),
 			Name:   "mcbench directory sample",
 			Group:  space.Group(mcast.Addr(i % int(space.Size))), TTL: 127,
 			Media: []session.Media{{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"}},
@@ -510,11 +535,11 @@ func directoryMicros() []microBenchResult {
 	}
 	for _, n := range []int{1000, 10000} {
 		now := base
-		newDir := func(budget int) *sessiondir.Directory {
+		newDir := func(budget, perOrigin int) *sessiondir.Directory {
 			d, err := sessiondir.New(sessiondir.Config{
 				Origin: origin, Transport: transport.NewBus().Endpoint(), Clock: func() time.Time { return now },
 				Allocator: &nextAddrAllocator{size: space.Size},
-				Seed:      5, MaxSessions: budget, StaleAfter: time.Minute,
+				Seed:      5, MaxSessions: budget, MaxPerOrigin: perOrigin, StaleAfter: time.Minute,
 			})
 			if err != nil {
 				panic(err)
@@ -528,9 +553,9 @@ func directoryMicros() []microBenchResult {
 		// evicting the head of the order.
 		wires := make([]transport.Message, 2*n)
 		for i := range wires {
-			wires[i] = wireOf(i)
+			wires[i] = wireOf(i, i/100) // a hundred sessions per origin
 		}
-		admit := newDir(n)
+		admit := newDir(n, 0)
 		admit.HandleBatch(wires[:n])
 		now = now.Add(2 * time.Minute)
 		next := n
@@ -546,7 +571,7 @@ func directoryMicros() []microBenchResult {
 		}
 		admit.Close()
 
-		create := newDir(0)
+		create := newDir(0, 0)
 		create.HandleBatch(wires[:n])
 		desc := &session.Description{Name: "mcbench own", TTL: 127,
 			Media: []session.Media{{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"}}}
@@ -563,7 +588,7 @@ func directoryMicros() []microBenchResult {
 		}))
 		create.Close()
 
-		listen := newDir(0)
+		listen := newDir(0, 0)
 		listen.HandleBatch(wires[:n])
 		const batch = 32
 		at := 0
@@ -586,7 +611,7 @@ func directoryMicros() []microBenchResult {
 		// A timer tick with nothing due — what almost every tick of a
 		// listener is: no owned session to re-announce, no defence, and no
 		// cached session within a microsecond-per-tick run of its expiry.
-		tick := newDir(0)
+		tick := newDir(0, 0)
 		tick.HandleBatch(wires[:n])
 		out = append(out, runMicro(fmt.Sprintf("DirStep%dk", n/1000), 1, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -598,6 +623,41 @@ func directoryMicros() []microBenchResult {
 			panic(fmt.Sprintf("DirStep: %d sessions expired, cache %d of %d: not a tick with nothing due", m.SessionsExpired, tick.CacheSize(), n))
 		}
 		tick.Close()
+
+		// The same tick under a full session budget, which also takes the
+		// fresh count for the overload tier: the cache's memo answers it.
+		budgeted := newDir(n, 0)
+		budgeted.HandleBatch(wires[:n])
+		out = append(out, runMicro(fmt.Sprintf("DirStepBudgeted%dk", n/1000), 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				now = now.Add(time.Microsecond)
+				budgeted.Step(now)
+			}
+		}))
+		if m := budgeted.Metrics(); m.SessionsExpired != 0 || budgeted.CacheSize() != n {
+			panic(fmt.Sprintf("DirStepBudgeted: %d sessions expired, cache %d of %d: not a tick with nothing due", m.SessionsExpired, budgeted.CacheSize(), n))
+		}
+		budgeted.Close()
+
+		// A never-seen session from an origin at its quota of a hundred,
+		// all of them fresh: the planner finds nothing of the origin's to
+		// evict and denies it, having looked only at the top of the order.
+		quota := newDir(0, 100)
+		quota.HandleBatch(wires[:n])
+		crowd := make([]transport.Message, 256)
+		for i := range crowd {
+			crowd[i] = wireOf(2*n+i, 0)
+		}
+		out = append(out, runMicro(fmt.Sprintf("DirAdmitAtQuota%dk", n/1000), 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				now = now.Add(time.Microsecond)
+				quota.HandleBatch(crowd[i%len(crowd) : i%len(crowd)+1])
+			}
+		}))
+		if m := quota.Metrics(); m.QuotaDrops == 0 || m.SessionsLearned != uint64(n) || quota.CacheSize() != n {
+			panic(fmt.Sprintf("DirAdmitAtQuota: %d quota drops, %d learned, cache %d of %d: not every newcomer denied", m.QuotaDrops, m.SessionsLearned, quota.CacheSize(), n))
+		}
+		quota.Close()
 	}
 	return out
 }
@@ -736,8 +796,14 @@ const refreshBatchAllocs = 0
 //     allocates nothing and runs at 2 GB/s or better; and the miss — a
 //     parse in at most 4 allocations, a compressed decode in at most 3;
 //   - a directory tick with nothing due allocation-free at either cache
-//     size (its 10k/1k time ratio is recorded, not gated, until the
-//     micros' estimator can be trusted with one);
+//     size, with and without a session budget (their 10k/1k time ratios
+//     are recorded, not gated, until the micros' estimator can be trusted
+//     with one);
+//   - a never-seen session denied at its origin's quota with the same
+//     allocations at 1k and 10k cached sessions (ratio recorded, not
+//     gated, as DirStep's is);
+//   - a shortest-path tree over the 1864-router Mbone in fewer
+//     allocations than routers (spTreeAllocs);
 //   - the occupancy simulator's view and clash test allocation-free, the
 //     view at 1k and 10k residents (its 10k/1k ratio recorded, not gated,
 //     as DirStep's is).
@@ -790,6 +856,13 @@ func budgetFailures(r benchReport) []string {
 				name, at10k.NsPerOp, at10k.NsPerOp/at1k.NsPerOp, at1k.NsPerOp))
 		}
 	}
+	switch at1k, at10k := micro["DirAdmitAtQuota1k"], micro["DirAdmitAtQuota10k"]; {
+	case at1k.Name == "" || at10k.Name == "":
+		fails = append(fails, "budget: micro DirAdmitAtQuota1k or DirAdmitAtQuota10k missing from report")
+	case at10k.AllocsOp != at1k.AllocsOp:
+		fails = append(fails, fmt.Sprintf("budget: DirAdmitAtQuota %d allocs/op at 10k cached sessions, %d at 1k, budget: the same (a denial reads the top of the order, not the cache)",
+			at10k.AllocsOp, at1k.AllocsOp))
+	}
 	for _, c := range []struct {
 		name  string
 		maxNs float64
@@ -812,6 +885,9 @@ func budgetFailures(r benchReport) []string {
 		{"DirRefreshKnown10k", refreshBatchAllocs, "per 32-datagram batch, which decodes into a recycled slice"},
 		{"DirStep1k", 0, "a tick with nothing due"},
 		{"DirStep10k", 0, "a tick with nothing due"},
+		{"DirStepBudgeted1k", 0, "a budgeted tick with nothing due: the fresh count is kept, not taken"},
+		{"DirStepBudgeted10k", 0, "a budgeted tick with nothing due: the fresh count is kept, not taken"},
+		{"SPTree1864", spTreeAllocs, "fewer than one per router: a heap push allocates nothing"},
 		{"SimVisibleAt1k", 0, "the view is copied into the world's scratch"},
 		{"SimVisibleAt10k", 0, "the view is copied into the world's scratch"},
 		{"SimClashes10k", 0, "a walk of one address's residents"},

@@ -191,6 +191,11 @@ func TestRunCompareInjected2xSlowdown(t *testing.T) {
 		{"name":"DirCreateSession10k","ns_per_op":9400,"allocs_per_op":32},
 		{"name":"DirStep1k","ns_per_op":40},
 		{"name":"DirStep10k","ns_per_op":40},
+		{"name":"DirStepBudgeted1k","ns_per_op":160},
+		{"name":"DirStepBudgeted10k","ns_per_op":150},
+		{"name":"DirAdmitAtQuota1k","ns_per_op":1700,"allocs_per_op":4},
+		{"name":"DirAdmitAtQuota10k","ns_per_op":2000,"allocs_per_op":4},
+		{"name":"SPTree1864","ns_per_op":340000,"allocs_per_op":1440},
 		{"name":"SimVisibleAt1k","ns_per_op":1500},
 		{"name":"SimVisibleAt10k","ns_per_op":8000},
 		{"name":"SimClashes10k","ns_per_op":60},
@@ -228,6 +233,11 @@ func budgetReport() benchReport {
 			{Name: "DirAdmitUnknown10k", NsPerOp: 6700, AllocsOp: 22},
 			{Name: "DirStep1k", NsPerOp: 40},
 			{Name: "DirStep10k", NsPerOp: 40},
+			{Name: "DirStepBudgeted1k", NsPerOp: 160},
+			{Name: "DirStepBudgeted10k", NsPerOp: 150},
+			{Name: "DirAdmitAtQuota1k", NsPerOp: 1700, AllocsOp: 4},
+			{Name: "DirAdmitAtQuota10k", NsPerOp: 2000, AllocsOp: 4},
+			{Name: "SPTree1864", NsPerOp: 340000, AllocsOp: 1440},
 			{Name: "SimVisibleAt1k", NsPerOp: 1500},
 			{Name: "SimVisibleAt10k", NsPerOp: 8000},
 			{Name: "SimClashes10k", NsPerOp: 60},
@@ -291,8 +301,8 @@ func TestBudgetFailuresBatchDepthCollapse(t *testing.T) {
 func TestBudgetFailuresMissingMicros(t *testing.T) {
 	r := budgetReport()
 	r.Micro = nil
-	if fails := budgetFailures(r); len(fails) != 20 {
-		t.Fatalf("missing micros should produce twenty failures, got: %v", fails)
+	if fails := budgetFailures(r); len(fails) != 24 {
+		t.Fatalf("missing micros should produce twenty-four failures, got: %v", fails)
 	}
 }
 
@@ -381,6 +391,42 @@ func TestBudgetFailuresDirStep(t *testing.T) {
 	micro(t, &r, "DirStep10k").NsPerOp = 4000 // a full cache scan per tick: slow, but not gated yet
 	if fails := budgetFailures(r); len(fails) != 0 {
 		t.Fatalf("DirStep's size ratio is gated: %v", fails)
+	}
+}
+
+// A budgeted tick is held to zero allocations and a denial at the quota to
+// the same allocations at both cache sizes; their size ratios are recorded,
+// not gated. A shortest-path tree is held under one allocation per router.
+func TestBudgetFailuresBudgetedDirectory(t *testing.T) {
+	for _, name := range []string{"DirStepBudgeted1k", "DirStepBudgeted10k", "DirAdmitAtQuota1k", "DirAdmitAtQuota10k", "SPTree1864"} {
+		r := budgetReport()
+		micro(t, &r, name).Name = "gone"
+		if fails := budgetFailures(r); len(fails) != 1 {
+			t.Fatalf("a report without %s: %v", name, fails)
+		}
+	}
+	for _, name := range []string{"DirStepBudgeted1k", "DirStepBudgeted10k"} {
+		r := budgetReport()
+		micro(t, &r, name).AllocsOp = 1 // a tick that builds something per call
+		if fails := budgetFailures(r); len(fails) != 1 {
+			t.Fatalf("allocating %s not caught: %v", name, fails)
+		}
+	}
+	r := budgetReport()
+	micro(t, &r, "DirAdmitAtQuota10k").AllocsOp = 5 // a denial that collects something per cached entry
+	if fails := budgetFailures(r); len(fails) != 1 {
+		t.Fatalf("population-dependent denial allocations not caught: %v", fails)
+	}
+	r = budgetReport()
+	micro(t, &r, "SPTree1864").AllocsOp = 5158 // every push boxed through container/heap again
+	if fails := budgetFailures(r); len(fails) != 1 {
+		t.Fatalf("a boxing heap push not caught: %v", fails)
+	}
+	r = budgetReport()
+	micro(t, &r, "DirStepBudgeted10k").NsPerOp = 370000 // a fresh-count scan per tick: slow, but not gated yet
+	micro(t, &r, "DirAdmitAtQuota10k").NsPerOp = 210000 // a walk of the whole order per denial: likewise
+	if fails := budgetFailures(r); len(fails) != 0 {
+		t.Fatalf("a budgeted size ratio is gated: %v", fails)
 	}
 }
 

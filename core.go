@@ -744,10 +744,13 @@ func (c *core) step(now time.Time) {
 //	          cache still turns over, and the level decays on its own
 //	          once the flood's entries go stale.
 //
-// The fresh count is O(cache) to take, so only the once-per-second tick
-// (step) recounts and stores the tier, and the packet path reads that.
-// Scrapes and DegradationLevel recount without storing: reading the tier
-// must not change what the packet path does.
+// The cache keeps the fresh count where it changes (announce.Cache.
+// CountFresh: a memo, rescanned only when the clock passes the instant its
+// earliest counted entry goes stale or steps back), so taking it is O(1) on
+// most ticks. Still only the once-per-second tick (step) stores the tier,
+// and the packet path reads that. Scrapes and DegradationLevel compute it
+// without storing it: reading the tier must not change what the packet
+// path does, and the memo a read may re-arm answers exactly as a scan.
 //
 // Level 2 was introduced to bound what was then an O(cache) candidate scan
 // per unknown session. The cache now keeps its eviction order current and
@@ -763,14 +766,19 @@ const (
 	degradeMinBudget   = 32 // smallest MaxSessions where level 2 can engage
 )
 
-// degradeLevelAt maps the fresh cache occupancy at now onto the overload
-// tiers, in integer percent. It stores nothing.
+// degradeLevelAt is the overload tier at now. It stores no tier; the
+// cache's fresh count may re-arm its memo, which changes no answer.
 func (c *core) degradeLevelAt(now time.Time) int {
-	max := c.cfg.MaxSessions
-	if max <= 0 {
+	if c.cfg.MaxSessions <= 0 {
 		return 0
 	}
-	fresh := c.cache.CountFresh(now, c.staleAfter)
+	return c.degradeLevelOf(c.cache.CountFresh(now, c.staleAfter))
+}
+
+// degradeLevelOf maps a fresh cache occupancy onto the overload tiers, in
+// integer percent of MaxSessions, which must be set.
+func (c *core) degradeLevelOf(fresh int) int {
+	max := c.cfg.MaxSessions
 	switch {
 	case fresh*100 >= max*degradeL2Pct && max >= degradeMinBudget:
 		return 2

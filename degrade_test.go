@@ -165,12 +165,16 @@ func TestDegradationSamplesAdmissions(t *testing.T) {
 }
 
 // TestScrapeDoesNotSteerAdmission: reading the overload tier — a metrics
-// scrape, DegradationLevel — computes it and stores nothing, so a cache
+// scrape, DegradationLevel — computes it and stores no tier, so a cache
 // filled to level 2 between Steps admits exactly as it would unobserved:
 // the packet path still acts on the last Step's tier (level 0 here), and
-// the budget sheds the overflow.
+// the budget sheds the overflow. Nor does a read at a later instant, when
+// the flood has gone stale, carry over to the next Step, which counts the
+// cache at its own instant: the fresh-count memo that read re-armed is
+// rescanned for a clock that stepped back.
 func TestScrapeDoesNotSteerAdmission(t *testing.T) {
-	run := func(scrape bool) Metrics {
+	const later = 10*time.Minute + time.Second // past StaleAfter
+	run := func(scrape bool) (Metrics, Metrics) {
 		bus := transport.NewBus()
 		clk := newFakeClock()
 		d := newBudgetedDirectory(t, bus, clk, 100)
@@ -184,13 +188,37 @@ func TestScrapeDoesNotSteerAdmission(t *testing.T) {
 			}
 		}
 		fillCache(t, f, space, 40, 200)
-		return d.Metrics()
+		first := d.Metrics()
+
+		d.Step(clk.Now())
+		if scrape {
+			clk.Advance(later)
+			if lvl := d.DegradationLevel(); lvl != 0 {
+				t.Fatalf("every entry stale: level %d, want 0", lvl)
+			}
+			d.Registry().Snapshot()
+			clk.Advance(-later)
+			if lvl := d.DegradationLevel(); lvl != 2 {
+				t.Fatalf("back between Steps: level %d, want 2", lvl)
+			}
+			clk.Advance(later)
+			d.Registry().Snapshot()
+			clk.Advance(-later)
+		}
+		d.Step(clk.Now())
+		fillCache(t, f, space, 40, 400)
+		return first, d.Metrics()
 	}
-	quiet, scraped := run(false), run(true)
+	quiet, quietLater := run(false)
+	scraped, scrapedLater := run(true)
 	if quiet.DegradedLearns != 0 || quiet.Shed != 35 {
 		t.Fatalf("unobserved: DegradedLearns %d, Shed %d; want 0 and 35", quiet.DegradedLearns, quiet.Shed)
 	}
-	if scraped != quiet {
-		t.Fatalf("a scrape changed what the directory admitted:\n scraped %+v\n quiet   %+v", scraped, quiet)
+	if quietLater.DegradedLearns != 30 {
+		t.Fatalf("unobserved, after a Step at level 2: DegradedLearns %d, want 30", quietLater.DegradedLearns)
+	}
+	if scraped != quiet || scrapedLater != quietLater {
+		t.Fatalf("a scrape changed what the directory admitted:\n scraped %+v then %+v\n quiet   %+v then %+v",
+			scraped, scrapedLater, quiet, quietLater)
 	}
 }

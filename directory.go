@@ -124,7 +124,7 @@ type Config struct {
 	// Shards is ignored: the cache is one announce.Cache under the
 	// directory mutex (DESIGN.md §17.1). The field is here because
 	// benchmark/dirscript.go sets it, and goes with the benchmark PR that
-	// stops (ROADMAP item 8).
+	// stops (ROADMAP item 7).
 	Shards int
 	// Seed drives the randomised choices (0 = arbitrary fixed seed).
 	Seed uint64
@@ -666,8 +666,9 @@ func (d *Directory) Metrics() Metrics {
 
 // DegradationLevel reports the overload tier at this instant: 0 normal,
 // 1 phase-3 defenses suppressed, 2 listen-cache admissions sampled. Also
-// exported as the shed_degradation_level gauge. Reading it stores
-// nothing; the packet path acts on the tier of the last Step.
+// exported as the shed_degradation_level gauge. Reading it stores no
+// tier — the packet path acts on the tier of the last Step — though it
+// may re-arm the cache's fresh-count memo, which changes no decision.
 func (d *Directory) DegradationLevel() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

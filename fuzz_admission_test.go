@@ -16,8 +16,8 @@ import (
 // FuzzAdmission drives the full receive path — rate limit, validation,
 // budget — with attacker-shaped traffic from one hostile origin: raw
 // fuzz bytes on the wire, plus announce/delete/clash-report sequences
-// whose shape (session IDs, versions, groups, deletions, clock skips)
-// is decoded from the fuzz input. Invariants: no panic, the cache never
+// whose shape (session IDs, versions, groups, deletions, clock skips
+// forward and back) is decoded from the fuzz input. Invariants: no panic, the cache never
 // exceeds MaxSessions, owned sessions survive whatever arrives, and after
 // every packet the indices kept at the cache's mutation sites plan and
 // view exactly what a rebuild from a scan would (checkIndices).
@@ -28,6 +28,10 @@ func FuzzAdmission(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08})
 	f.Add([]byte("v=0\r\no=- 1 1 IN IP4 10.0.0.9\r\ns=x\r\n"))
 	f.Add([]byte{0xff, 0x00, 0xff, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70})
+	// Past StaleAfter and back: announce, let 400 s pass (every entry
+	// stale), announce again, step back 200 s (the first ones fresh again)
+	// and on — the fresh count's memo must rescan each way.
+	f.Add([]byte{1, 1, 1, 1, 2, 1, 4, 200, 0, 4, 200, 0, 1, 3, 1, 4, 200, 1, 1, 4, 2, 4, 150, 0, 4, 100, 1})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bus := transport.NewBus()
@@ -90,8 +94,12 @@ func FuzzAdmission(f *testing.F) {
 					victim = own
 				}
 				sendFuzz(attacker, sap.Delete, hostile, victim)
-			case 4: // time passes; expiry and refill paths run
-				clk.Advance(time.Duration(a) * time.Second)
+			case 4: // time passes (b odd: steps back); expiry and refill paths run
+				dt := time.Duration(a) * time.Second
+				if b%2 == 1 {
+					dt = -dt
+				}
+				clk.Advance(dt)
 				dir.Step(clk.Now())
 			}
 			// The maintained eviction order and allocator view must agree

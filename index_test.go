@@ -51,9 +51,10 @@ func sortedView(v []allocator.SessionInfo) []allocator.SessionInfo {
 
 // checkIndices compares the directory's maintained indices with the scans
 // they replaced: the allocator view with scanView as a multiset (once the
-// first allocation has switched the heard share on), and — when a budget is
-// set — the plan over the maintained eviction order with PlanNew over
-// candidates, for a newcomer from each given origin.
+// first allocation has switched the heard share on), the overload tier
+// read through the cache's fresh-count memo with the tier of a recount,
+// and — when a budget is set — the plan over the maintained eviction order
+// with PlanNew over candidates, for a newcomer from each given origin.
 func checkIndices(t testing.TB, d *Directory, origins ...netip.Addr) {
 	t.Helper()
 	d.mu.Lock()
@@ -67,6 +68,20 @@ func checkIndices(t testing.TB, d *Directory, origins ...netip.Addr) {
 		return
 	}
 	now := d.cfg.Clock()
+	if d.cfg.MaxSessions > 0 {
+		fresh := 0
+		for _, e := range d.cache.Live() {
+			if now.Sub(e.LastHeard) < d.staleAfter {
+				fresh++
+			}
+		}
+		if got, want := d.degradeLevelAt(now), d.degradeLevelOf(fresh); got != want {
+			t.Fatalf("overload tier %d from the fresh-count memo, %d from a recount of %d fresh", got, want, fresh)
+		}
+		if got := d.cache.CountFresh(now, d.staleAfter); got != fresh {
+			t.Fatalf("fresh-count memo %d, a recount %d", got, fresh)
+		}
+	}
 	for _, origin := range origins {
 		got := d.admit.PlanNewOrdered(d.cache, origin, now)
 		want := d.admit.PlanNew(d.candidates(), origin, now)

@@ -372,7 +372,7 @@ func (c *Controller) PlanNewOrdered(o Order, origin netip.Addr, now time.Time) D
 // point of the sharded cache's per-shard candidate lists. The cache is no
 // longer sharded (DESIGN.md §17.1); benchmark/shadow.go still compiles
 // against this name, and it goes with the benchmark PR that re-points the
-// probes (ROADMAP item 8).
+// probes (ROADMAP item 7).
 func (c *Controller) PlanNewGrouped(groups [][]Candidate, origin netip.Addr, now time.Time) Decision {
 	return c.PlanNew(slices.Concat(groups...), origin, now)
 }

@@ -195,6 +195,50 @@ type Cache struct {
 	// instants sit beside monotonic ones, a step of the wall clock can hold
 	// an expiry back until the next scan.
 	bound time.Time
+	// fresh is CountFresh's memo, kept at the same mutation sites once the
+	// first CountFresh has armed it.
+	fresh freshCount
+}
+
+// freshCount is the memo that lets CountFresh answer without a scan. Once
+// armed by a scan at instant at, n is the number of live entries heard
+// within staleAfter of at, kept exact at every mutation site (leave before
+// an entry changes or goes, enter after it changes or comes), and bound is
+// a lower bound on the instant the earliest counted entry turns stale
+// (zero: none counted). For any now from at up to bound the counted entries
+// are all still fresh, and the others — tombstones, and entries already
+// stale at at — all still stale, so n is the count at now. Like Cache.bound
+// it is exact while the cache's instants come from one clock.
+type freshCount struct {
+	armed      bool
+	at         time.Time
+	staleAfter time.Duration
+	n          int
+	bound      time.Time
+}
+
+// counts reports whether the memo counts e.
+func (f *freshCount) counts(e *Entry) bool {
+	return f.armed && !e.Deleted && f.at.Sub(e.LastHeard) < f.staleAfter
+}
+
+// leave uncounts e before it changes or leaves the cache.
+func (f *freshCount) leave(e *Entry) {
+	if f.counts(e) {
+		f.n--
+	}
+}
+
+// enter counts e, after it entered the cache or changed, if it is fresh
+// at the memo's instant, lowering the bound to the instant it turns stale.
+func (f *freshCount) enter(e *Entry) {
+	if !f.counts(e) {
+		return
+	}
+	f.n++
+	if d := e.LastHeard.Add(f.staleAfter); f.bound.IsZero() || d.Before(f.bound) {
+		f.bound = d
+	}
 }
 
 // NewCache returns an empty cache with the given expiry timeout
@@ -255,8 +299,10 @@ func (c *Cache) ObserveParsed(key string, d *session.Description, digest uint64,
 		c.adBytes += int(e.adBytes)
 		c.indexAdd(e)
 		c.lowerBound(e)
+		c.fresh.enter(e)
 		return e, true
 	}
+	c.fresh.leave(e)
 	// An older version replaces nothing — not even a tombstone, which
 	// stays deleted — so it is never fresh.
 	fresh := false
@@ -273,6 +319,7 @@ func (c *Cache) ObserveParsed(key string, d *session.Description, digest uint64,
 		c.adBytes += int(e.adBytes)
 	}
 	c.heard(e, now)
+	c.fresh.enter(e)
 	c.indexUpdate(e)
 	return e, fresh
 }
@@ -293,9 +340,16 @@ func (c *Cache) Unchanged(key []byte, digest uint64) (*Entry, bool) {
 
 // Touch records that e's announcement was heard again, unchanged: what
 // ObserveParsed does for a description equal to the one the entry holds,
-// without one to give it.
+// without one to give it. The fresh count costs it one branch until a
+// CountFresh arms it.
 func (c *Cache) Touch(e *Entry, now time.Time) {
-	c.heard(e, now)
+	if c.fresh.armed {
+		c.fresh.leave(e)
+		c.heard(e, now)
+		c.fresh.enter(e)
+	} else {
+		c.heard(e, now)
+	}
 	if e.heapPos > 0 {
 		heap.Fix(&c.order, int(e.heapPos-1))
 	}
@@ -336,12 +390,14 @@ func (c *Cache) Restore(desc *session.Description, digest uint64, first, last, n
 	c.adBytes += int(e.adBytes)
 	c.indexAdd(e)
 	c.lowerBound(e)
+	c.fresh.enter(e)
 	return true
 }
 
 // Delete marks a session deleted (explicit SAP deletion packet).
 func (c *Cache) Delete(key string, now time.Time) {
 	if e, ok := c.entries[key]; ok {
+		c.fresh.leave(e)
 		if !e.Deleted {
 			c.live--
 			c.adBytes -= int(e.adBytes)
@@ -376,6 +432,7 @@ func (c *Cache) Peek(key string) (*Entry, bool) {
 // eviction must actually release the slot.
 func (c *Cache) Remove(key string) {
 	if e, ok := c.entries[key]; ok {
+		c.fresh.leave(e)
 		if !e.Deleted {
 			c.live--
 			c.adBytes -= int(e.adBytes)
@@ -412,6 +469,7 @@ func (c *Cache) Expire(now time.Time) []string {
 			c.lowerBound(e)
 			continue
 		}
+		c.fresh.leave(e)
 		if !e.Deleted {
 			c.live--
 			c.adBytes -= int(e.adBytes)
@@ -446,15 +504,22 @@ func (c *Cache) Live() []*Entry {
 }
 
 // CountFresh counts live entries heard within staleAfter of now — the
-// degradation tiers' pressure signal.
+// degradation tiers' pressure signal. The fresh count answers it while now
+// is neither before the instant of its last scan nor past its bound and
+// staleAfter is the one it was taken with; any other call — the first, a
+// clock that stepped back, an entry that has since gone stale, another
+// staleAfter — scans the entries once and re-arms it there. The answer is
+// the scan's either way.
 func (c *Cache) CountFresh(now time.Time, staleAfter time.Duration) int {
-	fresh := 0
-	for _, e := range c.entries { //mclint:maporder commutative count
-		if !e.Deleted && now.Sub(e.LastHeard) < staleAfter {
-			fresh++
-		}
+	f := &c.fresh
+	if f.armed && staleAfter == f.staleAfter && !now.Before(f.at) && (f.bound.IsZero() || now.Before(f.bound)) {
+		return f.n
 	}
-	return fresh
+	*f = freshCount{armed: true, at: now, staleAfter: staleAfter}
+	for _, e := range c.entries { //mclint:maporder commutative count; the bound is a minimum
+		f.enter(e)
+	}
+	return f.n
 }
 
 // TotalAdBytes is the summed announcement size of live entries for the

@@ -3,7 +3,7 @@ package announce
 import (
 	"container/heap"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"sessiondir/internal/allocator"
@@ -11,19 +11,23 @@ import (
 )
 
 // Two indices ride on a Cache, kept current at the same mutation sites
-// that keep live and adBytes current (ObserveParsed, Delete, Remove,
-// Expire, Restore), so that neither the admission gate nor the allocator
-// has to rebuild its picture of the cache per call:
+// that keep live, adBytes and the fresh count current (ObserveParsed,
+// Touch, Delete, Remove, Expire, Restore), so that neither the admission
+// gate nor the allocator has to rebuild its picture of the cache per call:
 //
 //   - the eviction order (TrackOrder): a min-heap over the entries in
-//     admission's eviction preference plus a count of entries per origin;
+//     admission's eviction preference plus a count of entries per origin.
+//     Evictable entries sort first, so they are a subtree at the heap's
+//     root: asking for them walks that subtree and stops at the first
+//     entry on each branch that is not, whatever the cache holds besides;
 //   - the allocator view (TrackView): the live entries whose group lies in
 //     the managed space, as members of a multiset of
 //     allocator.SessionInfo that the caller owns and may add its own
 //     sessions to, so that it hands its allocator one slice.
 //
-// Both are off until asked for, and both are covered by whatever
-// serialises the Cache itself.
+// Both are off until asked for, as is the fresh count (announce.go) until
+// the first CountFresh, and all are covered by whatever serialises the
+// Cache itself.
 
 // evictsBefore is the total order admission evicts in (the comparator of
 // admission's evictionOrder, which stays the specification): tombstones,
@@ -184,20 +188,45 @@ func (c *Cache) AppendEvictableFrom(dst []string, origin netip.Addr, n int, now 
 
 // appendEvictable is the general case — an origin at its quota, or a
 // cache more than one entry over budget: collect what is evictable (with
-// fromOrigin set, only that origin's), sort it, take n. It costs a pass
-// over the order, but none of the per-entry key strings and candidate
-// copies a fresh scan would build.
+// fromOrigin set, only that origin's), sort it, take n. Evictable entries
+// sort first, so every ancestor of one in the heap is evictable too: they
+// form a subtree at the root, which the walk reads depth first, descending
+// only below evictable entries. It costs the evictable entries and the
+// non-evictable children that end each branch, not a pass over the order.
+// The stack holds one pending sibling per level and the two children just
+// found, so with at most 2³¹ entries (heapPos is an int32) 64 slots are
+// more than it can need.
 func (c *Cache) appendEvictable(dst []string, n int, origin netip.Addr, fromOrigin bool, now time.Time, staleAfter time.Duration) []string {
-	if n <= 0 {
+	if n <= 0 || len(c.order) == 0 {
 		return dst
 	}
 	var found []*Entry
-	for _, e := range c.order {
-		if e.evictable(now, staleAfter) && (!fromOrigin || e.Desc.Origin == origin) {
+	var stack [64]int32
+	top := 1 // stack[0] = 0, the root
+	for top > 0 {
+		top--
+		i := int(stack[top])
+		e := c.order[i]
+		if !e.evictable(now, staleAfter) {
+			continue
+		}
+		if !fromOrigin || e.Desc.Origin == origin {
 			found = append(found, e)
 		}
+		for child := 2*i + 1; child <= 2*i+2 && child < len(c.order); child++ {
+			stack[top] = int32(child)
+			top++
+		}
 	}
-	sort.Slice(found, func(i, j int) bool { return evictsBefore(found[i], found[j]) })
+	slices.SortFunc(found, func(a, b *Entry) int {
+		switch {
+		case a == b:
+			return 0
+		case evictsBefore(a, b):
+			return -1
+		}
+		return 1 // the order is total
+	})
 	for _, e := range found[:min(n, len(found))] {
 		dst = append(dst, e.key)
 	}

@@ -124,6 +124,35 @@ func dueAt(s *Cache, now time.Time) []string {
 	return due
 }
 
+// freshAt is the scan the fresh count replaces: live entries heard within
+// staleAfter of now.
+func freshAt(s *Cache, now time.Time, staleAfter time.Duration) int {
+	fresh := 0
+	for _, e := range s.entries {
+		if !e.Deleted && now.Sub(e.LastHeard) < staleAfter {
+			fresh++
+		}
+	}
+	return fresh
+}
+
+// evictableAt is the scan the heap walk replaces: the keys of every
+// evictable candidate (only origin's, if from), in eviction order.
+func evictableAt(s *Cache, now time.Time, staleAfter time.Duration, origin netip.Addr, from bool) []string {
+	var found []*Entry
+	for _, e := range s.order {
+		if e.evictable(now, staleAfter) && (!from || e.Desc.Origin == origin) {
+			found = append(found, e)
+		}
+	}
+	sort.Slice(found, func(i, j int) bool { return evictsBefore(found[i], found[j]) })
+	keys := []string{}
+	for _, e := range found {
+		keys = append(keys, e.key)
+	}
+	return keys
+}
+
 // TestIndicesMatchFullScanReference drives a cache with both indices on
 // through seeded op sequences — new sessions, refreshes, version
 // bumps that change scope and address, deletions, resurrections, evictions,
@@ -133,8 +162,12 @@ func dueAt(s *Cache, now time.Time) []string {
 // exactly what a full scan finds due (whether its bound let it skip the
 // scan or not), that planning over the maintained order equals PlanNew
 // over a fresh scan (outcome, evictions and their sequence) under several
-// budgets, that the view equals the rebuilt one as a multiset, and that the
-// index invariants hold.
+// budgets, that the view equals the rebuilt one as a multiset, that the
+// index invariants hold, that the walk off the top of the eviction heap
+// finds what a sorted scan of the whole order does, and that CountFresh
+// equals a scan — at now, and every few ops also exactly staleAfter later
+// (an entry heard at now is then stale), back at now again, and under
+// another staleAfter — whether its memo answered or rescanned.
 func TestIndicesMatchFullScanReference(t *testing.T) {
 	const staleAfter = 10 * time.Minute
 	budgets := []admission.Config{
@@ -152,6 +185,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 	seen := map[admission.Outcome]int{}
 	multi, tieBroken := 0, 0
 	skipped, scannedEmpty, expired := 0, 0, 0
+	answered, rescanned, belowTombstone := 0, 0, 0
 
 	// salt keeps the 24 op sequences the test ran when it also looped over
 	// shard counts 1, 4 and 8 (the count was part of the generator's seed).
@@ -243,6 +277,31 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 					expired++
 				}
 
+				probes := []struct {
+					at         time.Time
+					staleAfter time.Duration
+				}{{now, staleAfter}}
+				switch step % 8 {
+				case 3:
+					probes = append(probes, probes[0], probes[0])
+					probes[1].at = now.Add(staleAfter)
+				case 6:
+					probes = append(probes, probes[0], probes[0])
+					probes[1].staleAfter = staleAfter / 2
+				}
+				for _, p := range probes {
+					want, memo := freshAt(s, p.at, p.staleAfter), s.fresh
+					if got := s.CountFresh(p.at, p.staleAfter); got != want {
+						t.Fatalf("salt %d seed %d step %d: CountFresh(now%+v, %v) = %d (memo %+v), a scan counts %d",
+							salt, seed, step, p.at.Sub(now), p.staleAfter, got, memo, want)
+					}
+					if s.fresh == memo {
+						answered++
+					} else {
+						rescanned++
+					}
+				}
+
 				if step < trackAt {
 					continue
 				}
@@ -250,6 +309,22 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 				checkIndexInvariants(t, s, indexSelf)
 				if got, want := sortView(append([]allocator.SessionInfo(nil), s.view.Members()...)), scanView(s, indexSpace); !reflect.DeepEqual(got, want) || s.view.Len() != len(want) {
 					t.Fatalf("salt %d seed %d step %d: view %v (len %d), rebuilt %v", salt, seed, step, got, s.view.Len(), want)
+				}
+				all := evictableAt(s, now, staleAfter, netip.Addr{}, false)
+				if got := s.AppendEvictable([]string{}, len(all)+1, now, staleAfter); !reflect.DeepEqual(got, all) {
+					t.Fatalf("salt %d seed %d step %d: the heap walk found %v evictable, a scan %v", salt, seed, step, got, all)
+				}
+				for _, origin := range []netip.Addr{d.Origin, netip.AddrFrom4([4]byte{10, 0, 0, 2})} {
+					want := evictableAt(s, now, staleAfter, origin, true)
+					if got := s.AppendEvictableFrom([]string{}, origin, len(want)+1, now, staleAfter); !reflect.DeepEqual(got, want) {
+						t.Fatalf("salt %d seed %d step %d: the heap walk found %v evictable from %s, a scan %v", salt, seed, step, got, origin, want)
+					}
+				}
+				for i := 1; i < len(s.order); i++ {
+					if parent := s.order[(i-1)/2]; parent.Deleted && !s.order[i].Deleted && s.order[i].evictable(now, staleAfter) {
+						belowTombstone++
+						break
+					}
 				}
 				cands := scanCandidates(s, indexSelf)
 				for _, origin := range []netip.Addr{d.Origin, indexSelf, netip.AddrFrom4([4]byte{10, 9, 9, 9})} {
@@ -303,6 +378,78 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 			skipped, scannedEmpty, expired)
 	}
 	t.Logf("expiry probes: %d skipped the scan, %d scanned and found nothing, %d expired something", skipped, scannedEmpty, expired)
+	if answered == 0 || rescanned == 0 {
+		t.Errorf("fresh-count probes: %d answered by the memo, %d rescanned: the generator no longer reaches one of them", answered, rescanned)
+	}
+	if belowTombstone == 0 {
+		t.Error("no heap ever held a stale entry directly below a tombstone: the walk's descent past tombstones is untested")
+	}
+	t.Logf("fresh-count probes: %d answered by the memo, %d rescanned; %d heaps with a stale entry below a tombstone", answered, rescanned, belowTombstone)
+}
+
+// TestFreshCountAtItsEdges walks the fresh count's memo through the cases
+// it must rescan for and the mutations it must follow, each against a scan
+// and each with whether the memo (rather than a rescan) answered.
+func TestFreshCountAtItsEdges(t *testing.T) {
+	const staleAfter = 10 * time.Minute
+	t0 := time.Unix(1_000_000, 0)
+	s := NewCache(time.Hour)
+	a, _ := s.Observe(odesc(2, 1, 1), t0)
+	s.Observe(odesc(3, 2, 1), t0.Add(time.Minute))
+	for _, c := range []struct {
+		name       string
+		do         func()
+		at         time.Time
+		staleAfter time.Duration
+		want       int
+		answered   bool
+	}{
+		{"the first call scans", nil, t0, staleAfter, 2, false},
+		{"a nanosecond before the first goes stale", nil, t0.Add(staleAfter - 1), staleAfter, 2, true},
+		{"exactly staleAfter old is stale", nil, t0.Add(staleAfter), staleAfter, 1, false},
+		{"a touch counts a stale entry again", func() { s.Touch(a, t0.Add(staleAfter+time.Second)) },
+			t0.Add(staleAfter + time.Second), staleAfter, 2, true},
+		{"a restored entry heard long ago is stale", func() {
+			s.Restore(odesc(4, 3, 1), 0, t0.Add(-time.Hour), t0.Add(-staleAfter), t0.Add(staleAfter))
+		}, t0.Add(staleAfter + time.Second), staleAfter, 2, true},
+		{"a restored entry heard lately is fresh", func() {
+			s.Restore(odesc(5, 4, 1), 0, t0, t0.Add(staleAfter), t0.Add(staleAfter))
+		}, t0.Add(staleAfter + time.Second), staleAfter, 3, true},
+		{"a clock that stepped back", nil, t0.Add(-time.Second), staleAfter, 4, false},
+		{"another staleAfter", nil, t0.Add(-time.Second), staleAfter / 20, 3, false},
+		{"a deletion", func() { s.Delete(a.Key(), t0) }, t0.Add(-time.Second), staleAfter / 20, 2, true},
+		{"a removal", func() { s.Remove(odesc(5, 4, 1).Key()) }, t0.Add(-time.Second), staleAfter / 20, 1, true},
+		{"a resurrection", func() { s.Observe(odesc(2, 1, 2), t0) }, t0, staleAfter / 20, 2, true},
+		{"an expiry", func() { s.Expire(t0.Add(2 * time.Hour)) }, t0, staleAfter / 20, 0, true},
+	} {
+		if c.do != nil {
+			c.do()
+		}
+		want, memo := freshAt(s, c.at, c.staleAfter), s.fresh
+		if want != c.want {
+			t.Fatalf("%s: the scan counts %d, the case expects %d", c.name, want, c.want)
+		}
+		if got := s.CountFresh(c.at, c.staleAfter); got != want {
+			t.Fatalf("%s: CountFresh = %d (memo %+v), a scan counts %d", c.name, got, memo, want)
+		}
+		if answered := s.fresh == memo; answered != c.answered {
+			t.Fatalf("%s: answered by the memo = %v, want %v", c.name, answered, c.answered)
+		}
+	}
+}
+
+// TestUnarmedTouchKeepsNoCount: a cache whose CountFresh was never called
+// (a directory with no session budget) keeps no fresh count, so its
+// refreshes pay nothing for one.
+func TestUnarmedTouchKeepsNoCount(t *testing.T) {
+	s := NewCache(time.Hour)
+	now := time.Unix(1_000_000, 0)
+	e, _ := s.Observe(odesc(2, 1, 1), now)
+	s.Touch(e, now.Add(time.Second))
+	s.Delete(e.Key(), now.Add(2*time.Second))
+	if s.fresh != (freshCount{}) {
+		t.Fatalf("a cache never asked for its fresh count keeps one: %+v", s.fresh)
+	}
 }
 
 // TestExpireBoundFollowsDeadlinesBack: the three ways an entry's deadline

@@ -6,7 +6,7 @@ import "time"
 // the store was once striped into per-origin shards with a lock each, and
 // is one Cache under the directory's mutex since DESIGN.md §17.1's verdict.
 // It exists for benchmark/ only and goes with the benchmark PR that
-// re-points the probes (ROADMAP item 8), as do the two shims below.
+// re-points the probes (ROADMAP item 7), as do the two shims below.
 type Sharded = Cache
 
 // NewSharded is NewCache; the second argument, once a shard count, is

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"container/heap"
 	"math"
 	"sync"
 )
@@ -29,25 +28,57 @@ type pqItem struct {
 	delay  float64
 }
 
+// pq is a binary min-heap of pqItems under less. push and pop are
+// container/heap's up and down on the typed slice, so an item is never
+// boxed into an interface. less is a total order (its last tie-break is
+// the node id), so the pop sequence — and with it every tree — is the one
+// any correct heap yields.
 type pq []pqItem
 
-func (q pq) Len() int      { return len(q) }
-func (q pq) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q pq) Less(i, j int) bool {
-	if q[i].metric != q[j].metric {
-		return q[i].metric < q[j].metric
+func (a pqItem) less(b pqItem) bool {
+	if a.metric != b.metric {
+		return a.metric < b.metric
 	}
 	// Tie-break on delay then node id for determinism across runs.
-	if q[i].delay != q[j].delay {
-		return q[i].delay < q[j].delay
+	if a.delay != b.delay {
+		return a.delay < b.delay
 	}
-	return q[i].node < q[j].node
+	return a.node < b.node
 }
-func (q *pq) Push(x any) { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() any {
-	old := *q
-	it := old[len(old)-1]
-	*q = old[:len(old)-1]
+
+func (q *pq) push(it pqItem) {
+	*q = append(*q, it)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !h[j].less(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *pq) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h[r].less(h[j]) {
+			j = r
+		}
+		if !h[j].less(h[i]) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	it := h[n]
+	*q = h[:n]
 	return it
 }
 
@@ -73,8 +104,8 @@ func NewSPTree(g *Graph, src NodeID) *Tree {
 	t.depth[src] = 0
 	q := pq{{node: src}}
 	done := make([]bool, n)
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
+	for len(q) > 0 {
+		it := q.pop()
 		u := it.node
 		if done[u] {
 			continue
@@ -91,7 +122,7 @@ func NewSPTree(g *Graph, src NodeID) *Tree {
 				t.depth[e.To] = t.depth[u] + 1
 				t.metric[e.To] = int32(nd)
 				t.delay[e.To] = t.delay[u] + e.Delay
-				heap.Push(&q, pqItem{node: e.To, metric: nd, delay: t.delay[e.To]})
+				q.push(pqItem{node: e.To, metric: nd, delay: t.delay[e.To]})
 			}
 		}
 	}

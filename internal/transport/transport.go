@@ -27,7 +27,7 @@ type Message struct {
 // Release does nothing: a received datagram is borrowed for the handler
 // call, not leased, so there is nothing to hand back. It remains only
 // because benchmark/udpprobe.go calls it, and leaves with the other
-// shims of ROADMAP item 8.
+// shims of ROADMAP item 7.
 func (m *Message) Release() {}
 
 // Handler consumes received messages a batch at a time: every datagram

@@ -561,7 +561,7 @@ func (t *UDPTransport) Subscribe(h Handler) {
 
 // SubscribeBatch is Subscribe. It remains only because
 // benchmark/udpprobe.go calls it, and leaves with the other shims of
-// ROADMAP item 8.
+// ROADMAP item 7.
 func (t *UDPTransport) SubscribeBatch(h Handler) { t.Subscribe(h) }
 
 // LocalAddr is the socket's bound address (in unicast mode, what peers
