@@ -25,8 +25,8 @@ vet:
 
 # The determinism & concurrency gate: runs every analyzer registered in
 # internal/analysis (detrand, maporder, lockscope, looplock, errdrop,
-# metricname, atomicfield) over the module — new analyzers are picked up
-# automatically. Nonzero exit on any
+# metricname, atomicfield, unused) over the module — new analyzers are
+# picked up automatically. Nonzero exit on any
 # finding; see DESIGN.md §9 and §14 for the rules and the waiver syntax.
 # LINTFLAGS passes extra mclint flags through (CI uses
 # LINTFLAGS=-format=github for inline PR annotations).

@@ -40,26 +40,23 @@ type daemon struct {
 	// this slot's journaled cache runs over an injected-fault disk.
 	storageFaults string
 
-	cmd     *exec.Cmd
-	logFile *os.File
-	exited  chan error
+	cmd    *exec.Cmd
+	exited chan error
 }
 
 // fleet manages the daemon slots of one chaos run.
 type fleet struct {
-	sdrd      string // sdrd binary path
-	artifacts string
-	master    uint64 // master seed; per-daemon seeds are mixed from it
-	ds        []*daemon
-	client    *http.Client
+	sdrd   string // sdrd binary path
+	master uint64 // master seed; per-daemon seeds are mixed from it
+	ds     []*daemon
+	client *http.Client
 }
 
 func newFleet(sdrd, artifacts string, master uint64, n int) *fleet {
 	f := &fleet{
-		sdrd:      sdrd,
-		artifacts: artifacts,
-		master:    master,
-		client:    &http.Client{Timeout: 2 * time.Second},
+		sdrd:   sdrd,
+		master: master,
+		client: &http.Client{Timeout: 2 * time.Second},
 	}
 	for i := 0; i < n; i++ {
 		f.ds = append(f.ds, &daemon{
@@ -147,7 +144,6 @@ func (f *fleet) spawn(d *daemon) error {
 		return fmt.Errorf("daemon %d: start: %w", d.idx, err)
 	}
 	d.cmd = cmd
-	d.logFile = logFile
 	d.exited = make(chan error, 1)
 	go func(c *exec.Cmd, lf *os.File, ch chan error) {
 		ch <- c.Wait()
@@ -254,7 +250,6 @@ func (f *fleet) metrics(d *daemon) (map[string]float64, error) {
 type sessRow struct {
 	key   string
 	group string
-	name  string
 }
 
 // originOf extracts the origin half of a session key ("origin/id").
@@ -281,7 +276,7 @@ func (f *fleet) sessions(d *daemon) ([]sessRow, error) {
 		if len(parts) != 4 {
 			return nil, fmt.Errorf("daemon %d: bad /sessions line %q", d.idx, line)
 		}
-		rows = append(rows, sessRow{key: parts[0], group: parts[1], name: parts[3]})
+		rows = append(rows, sessRow{key: parts[0], group: parts[1]})
 	}
 	return rows, nil
 }

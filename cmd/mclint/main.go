@@ -10,6 +10,7 @@
 //	errdrop     no silently discarded errors on the network paths
 //	metricname  obs registry metric names are snake_case and unique
 //	atomicfield no struct fields mixing sync/atomic and plain access
+//	unused      no declaration that only tests (or only benchmark/) reference
 //
 // Findings print as file:line:col: analyzer: message and make the exit
 // status nonzero, so `make lint` gates CI. A finding can be waived at

@@ -93,9 +93,6 @@ type Config struct {
 	Backoff announce.Backoff
 	// CacheTimeout expires unheard sessions (0 = one hour).
 	CacheTimeout time.Duration
-	// RecentWindow is the clash protocol's "just announced" window
-	// (0 = 30 s).
-	RecentWindow time.Duration
 	// Delay is the third-party defence delay distribution
 	// (nil = exponential over [0 s, 3.2 s] with a 200 ms RTT).
 	Delay clash.DelayDist
@@ -125,7 +122,7 @@ type Config struct {
 	// directory mutex (DESIGN.md §17.1). The field is here because
 	// benchmark/dirscript.go sets it, and goes with the benchmark PR that
 	// stops (ROADMAP item 7).
-	Shards int
+	Shards int //mclint:unused pinned by benchmark/dirscript.go
 	// Seed drives the randomised choices (0 = arbitrary fixed seed).
 	Seed uint64
 	// OnEvent, if set, receives observability events in the order the
@@ -363,6 +360,10 @@ func (d *Directory) takeEffects(sent effects) effects {
 	return fx
 }
 
+// recentWindow is the clash protocol's "just announced" window (§3): an
+// own announcement younger than this makes us the mover in a race.
+const recentWindow = 30 * time.Second
+
 // errClosed is what a closed directory answers every mutator with.
 var errClosed = errors.New("sessiondir: closed")
 
@@ -393,9 +394,6 @@ func New(cfg Config) (*Directory, error) {
 	}
 	if cfg.Backoff == (announce.Backoff{}) {
 		cfg.Backoff = announce.DefaultBackoff(announce.MinInterval)
-	}
-	if cfg.RecentWindow == 0 {
-		cfg.RecentWindow = 30 * time.Second
 	}
 	if cfg.Delay == nil {
 		cfg.Delay = clash.NewExponentialDelay(0, 3200, 200)
@@ -448,7 +446,7 @@ func New(cfg Config) (*Directory, error) {
 		RNG: stats.NewRNG(seed ^ 0xad3155_0bad),
 	})
 	d.tracker = clash.NewTracker(clash.TrackerConfig{
-		RecentWindow: float64(cfg.RecentWindow.Milliseconds()),
+		RecentWindow: float64(recentWindow.Milliseconds()),
 		Delay:        cfg.Delay,
 	}, d.rng.Split())
 	if err := d.registerGauges(); err != nil {
@@ -486,7 +484,7 @@ func (d *Directory) CreateSession(desc *session.Description) (*session.Descripti
 // error the sessions created before the failure stay created and are
 // returned with it — callers retrying a partial burst should resubmit only
 // the tail.
-func (d *Directory) CreateSessionBatch(descs []*session.Description) ([]*session.Description, error) {
+func (d *Directory) CreateSessionBatch(descs []*session.Description) ([]*session.Description, error) { //mclint:unused pinned by benchmark/dirscript.go
 	out, err := []*session.Description(nil), errClosed
 	d.mu.Lock()
 	if !d.closed {

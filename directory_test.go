@@ -71,8 +71,7 @@ func newDirectory(t *testing.T, bus *transport.Bus, clk *fakeClock, origin strin
 		Clock:     clk.Now,
 		Seed:      seed,
 		// Tight, deterministic clash parameters for tests.
-		RecentWindow: 30 * time.Second,
-		Delay:        clash.NewUniformDelay(1000, 1001),
+		Delay: clash.NewUniformDelay(1000, 1001),
 	}
 	if log != nil {
 		cfg.OnEvent = log.add

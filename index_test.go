@@ -202,7 +202,6 @@ func TestDirectoryIndicesMatchRebuilds(t *testing.T) {
 				MaxPerOrigin: 5,
 				StaleAfter:   2 * time.Minute,
 				CacheTimeout: 10 * time.Minute,
-				RecentWindow: 30 * time.Second,
 				Delay:        clash.NewUniformDelay(1000, 1001),
 			})
 			if err != nil {

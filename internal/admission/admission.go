@@ -85,20 +85,6 @@ const (
 	DenyQuota
 )
 
-// String implements fmt.Stringer.
-func (o Outcome) String() string {
-	switch o {
-	case Admit:
-		return "admit"
-	case Shed:
-		return "shed"
-	case DenyQuota:
-		return "deny-quota"
-	default:
-		return "outcome-?"
-	}
-}
-
 // Decision is an admission plan: evict the named keys, then admit or not.
 // Evictions are valid regardless of Outcome (they only ever name stale or
 // deleted entries, which reclaiming is always correct).
@@ -373,7 +359,7 @@ func (c *Controller) PlanNewOrdered(o Order, origin netip.Addr, now time.Time) D
 // longer sharded (DESIGN.md §17.1); benchmark/shadow.go still compiles
 // against this name, and it goes with the benchmark PR that re-points the
 // probes (ROADMAP item 7).
-func (c *Controller) PlanNewGrouped(groups [][]Candidate, origin netip.Addr, now time.Time) Decision {
+func (c *Controller) PlanNewGrouped(groups [][]Candidate, origin netip.Addr, now time.Time) Decision { //mclint:unused pinned by benchmark/shadow.go
 	return c.PlanNew(slices.Concat(groups...), origin, now)
 }
 

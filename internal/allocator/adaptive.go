@@ -53,8 +53,8 @@ type Adaptive struct {
 
 // resolved returns cfg with its defaults filled in — name is the display
 // name when cfg gives none — and panics on a gap fraction outside [0,1) or
-// a target occupancy outside (0,1]. NewAdaptive and NewCategoryAdaptive
-// both read their parameters through it.
+// a target occupancy outside (0,1]. NewAdaptive reads its parameters
+// through it.
 func (cfg AdaptiveConfig) resolved(name string) AdaptiveConfig {
 	if !(cfg.GapFraction >= 0 && cfg.GapFraction < 1) { // also false for NaN
 		panic(fmt.Sprintf("allocator: gap fraction %v outside [0,1)", cfg.GapFraction))
@@ -82,9 +82,6 @@ func NewAdaptive(size uint32, cfg AdaptiveConfig) *Adaptive {
 	a.core = core{name: cfg.Name, size: size, classOf: a.pm.classOf, classes: a.pm.NumClasses(), adaptive: true, rule: a}
 	return a
 }
-
-// PartitionMap exposes the TTL-class mapping (for introspection/tests).
-func (a *Adaptive) PartitionMap() *PartitionMap { return a.pm }
 
 // Band is one laid-out address band: [Start, Start+Width).
 type Band struct {
@@ -125,9 +122,8 @@ func (a *Adaptive) band(counts []int, cls int) (start, width uint32) {
 // downward, yielding each band's bounds until yield returns false. A band
 // is a single address when empty, else wide enough to hold its sessions at
 // the target occupancy; a band holding sessions leaves a gap below it. It
-// is the single source of truth for band placement: Adaptive.Layout and
-// CategoryAdaptive.Layout materialise what it yields, Adaptive.band stops
-// it at one class.
+// is the single source of truth for band placement: Adaptive.Layout
+// materialises what it yields, Adaptive.band stops it at one class.
 func walkFig8(size uint32, gapFrac, occupancy float64, counts []int, yield func(i int, start, width uint32) bool) {
 	cursor := int64(size) // exclusive top of the next band
 	for i := len(counts) - 1; i >= 0; i-- {

@@ -151,16 +151,6 @@ func aipr(gap float64) func(size uint32, name string) Allocator {
 	}
 }
 
-// Catalog returns one instance of every catalog algorithm over a space of
-// the given size.
-func Catalog(size uint32) []Allocator {
-	all := make([]Allocator, len(catalog))
-	for i, c := range catalog {
-		all[i] = c.make(size, c.name)
-	}
-	return all
-}
-
 // ByName returns the catalog allocator with the given Name — the lookup
 // the experiment drivers' algorithm lists resolve through.
 func ByName(size uint32, name string) (Allocator, error) {

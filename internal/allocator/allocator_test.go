@@ -313,13 +313,11 @@ func TestAdaptiveExpandsIntoGapWhenBandFull(t *testing.T) {
 	}
 }
 
-// One AdaptiveConfig resolution serves both constructors: what one rejects
-// the other must too (NewCategoryAdaptive used to accept any occupancy, and
-// a negative one laid a band out past the end of the space).
+// AdaptiveConfig resolution rejects a gap or occupancy it cannot lay out
+// (a negative occupancy once laid a band out past the end of the space).
 func TestAdaptiveConfigValidation(t *testing.T) {
 	constructors := map[string]func(AdaptiveConfig){
-		"NewAdaptive":         func(cfg AdaptiveConfig) { NewAdaptive(100, cfg) },
-		"NewCategoryAdaptive": func(cfg AdaptiveConfig) { NewCategoryAdaptive(100, cfg) },
+		"NewAdaptive": func(cfg AdaptiveConfig) { NewAdaptive(100, cfg) },
 	}
 	for name, construct := range constructors {
 		for _, bad := range []AdaptiveConfig{

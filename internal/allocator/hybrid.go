@@ -72,7 +72,7 @@ func minU32(a, b uint32) uint32 {
 func (h *Hybrid) bandOf(t mcast.TTL) int { return len(h.seps) - separatorsUpTo(h.seps, t) }
 
 // Layout computes the seven bands, ordered highest TTL first.
-func (h *Hybrid) Layout(visible []SessionInfo) []Band {
+func (h *Hybrid) Layout(visible []SessionInfo) []Band { //mclint:unused allocator tests check AIPR-H's band layout through it
 	f := h.fold(visible)
 	defer foldPool.Put(f)
 	nBands := len(f.counts)

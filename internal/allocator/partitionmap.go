@@ -11,7 +11,6 @@ import (
 // n(t) = ceil(32·t / (255·margin)). With the paper's margin of safety of 2
 // there are 55 classes.
 type PartitionMap struct {
-	margin  int
 	lows    []mcast.TTL // ascending lowest TTL per class
 	classOf [256]uint8  // TTL → class index
 }
@@ -19,7 +18,7 @@ type PartitionMap struct {
 // NewPartitionMap builds the mapping for the given margin of safety.
 func NewPartitionMap(margin int) *PartitionMap {
 	bounds := analytic.PartitionLowerBounds(margin)
-	pm := &PartitionMap{margin: margin}
+	pm := &PartitionMap{}
 	pm.lows = make([]mcast.TTL, len(bounds))
 	for i, b := range bounds {
 		pm.lows[i] = mcast.TTL(b)
@@ -34,9 +33,6 @@ func NewPartitionMap(margin int) *PartitionMap {
 	return pm
 }
 
-// Margin returns the margin of safety the map was built with.
-func (pm *PartitionMap) Margin() int { return pm.margin }
-
 // NumClasses returns the number of TTL classes (55 for margin 2).
 func (pm *PartitionMap) NumClasses() int { return len(pm.lows) }
 
@@ -45,11 +41,3 @@ func (pm *PartitionMap) ClassOf(t mcast.TTL) int { return int(pm.classOf[t]) }
 
 // LowTTL returns the lowest TTL of class c.
 func (pm *PartitionMap) LowTTL(c int) mcast.TTL { return pm.lows[c] }
-
-// HighTTL returns the highest TTL of class c.
-func (pm *PartitionMap) HighTTL(c int) mcast.TTL {
-	if c+1 < len(pm.lows) {
-		return pm.lows[c+1] - 1
-	}
-	return mcast.MaxTTL
-}

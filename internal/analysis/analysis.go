@@ -63,9 +63,21 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
+	// Module is every package the run loaded, this one included, for an
+	// analyzer whose rule spans packages. It is read-only.
+	Module *Module
 
 	analyzer *Analyzer
 	diags    *[]Diagnostic
+}
+
+// A Module is the set of packages one run loaded, shared by all its
+// passes. memo keeps what an analyzer computes once per run, not once
+// per package; loader type-checks any other module package on demand.
+type Module struct {
+	Packages []*Package // ascending import path
+	loader   *Loader
+	memo     map[*Analyzer]any
 }
 
 // Reportf records a diagnostic at pos.
@@ -78,6 +90,25 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Col:      position.Column,
 		Message:  fmt.Sprintf(format, args...),
 	})
+}
+
+// reportWaiver records a finding about a waiver comment itself. Like an
+// unknown analyzer name, it is reported as the "mclint" pseudo-analyzer,
+// which no waiver can suppress.
+func (p *Pass) reportWaiver(pos token.Pos, format string, args ...any) {
+	p.Reportf(pos, format, args...)
+	(*p.diags)[len(*p.diags)-1].Analyzer = WaiverDiagnostic
+}
+
+// once returns what compute returned the first time a pass of this
+// analyzer asked, in this run.
+func (p *Pass) once(compute func() any) any {
+	v, ok := p.Module.memo[p.analyzer]
+	if !ok {
+		v = compute()
+		p.Module.memo[p.analyzer] = v
+	}
+	return v
 }
 
 // TypeOf returns the type of e, or nil if unknown.
@@ -104,7 +135,7 @@ const WaiverDiagnostic = "mclint"
 // All returns the full analyzer registry in fixed order. Waiver comments
 // are validated against this set regardless of -only/-skip selection.
 func All() []*Analyzer {
-	return []*Analyzer{DetRand, MapOrder, LockScope, LoopLock, ErrDrop, MetricName, AtomicField}
+	return []*Analyzer{DetRand, MapOrder, LockScope, LoopLock, ErrDrop, MetricName, AtomicField, Unused}
 }
 
 // ByName returns the registered analyzer with the given name, or nil.

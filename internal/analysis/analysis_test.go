@@ -13,16 +13,16 @@ func TestSelect(t *testing.T) {
 		wantNames  []string
 		wantErr    bool
 	}{
-		{"", "", []string{"detrand", "maporder", "lockscope", "looplock", "errdrop", "metricname", "atomicfield"}, false},
+		{"", "", []string{"detrand", "maporder", "lockscope", "looplock", "errdrop", "metricname", "atomicfield", "unused"}, false},
 		{"detrand", "", []string{"detrand"}, false},
 		{"maporder,errdrop", "", []string{"maporder", "errdrop"}, false},
 		{"metricname,atomicfield", "", []string{"metricname", "atomicfield"}, false},
-		{"", "errdrop", []string{"detrand", "maporder", "lockscope", "looplock", "metricname", "atomicfield"}, false},
-		{"", "detrand, maporder", []string{"lockscope", "looplock", "errdrop", "metricname", "atomicfield"}, false},
+		{"", "errdrop", []string{"detrand", "maporder", "lockscope", "looplock", "metricname", "atomicfield", "unused"}, false},
+		{"", "detrand, maporder", []string{"lockscope", "looplock", "errdrop", "metricname", "atomicfield", "unused"}, false},
 		{"nosuch", "", nil, true},
 		{"", "nosuch", nil, true},
 		{"detrand", "errdrop", nil, true}, // -only and -skip are exclusive
-		{"", "detrand,maporder,lockscope,looplock,errdrop,metricname,atomicfield", nil, true}, // empty selection
+		{"", "detrand,maporder,lockscope,looplock,errdrop,metricname,atomicfield,unused", nil, true}, // empty selection
 	}
 	for _, c := range cases {
 		got, err := Select(c.only, c.skip)

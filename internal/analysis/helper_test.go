@@ -22,7 +22,7 @@ func runFixture(t *testing.T, name string, analyzers ...*Analyzer) []Diagnostic 
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
-	diags := RunFixture(pkg, analyzers...)
+	diags := RunFixture(l, pkg, analyzers...)
 	checkWants(t, pkg, diags)
 	return diags
 }

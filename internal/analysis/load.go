@@ -113,16 +113,6 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 	return l.loadDir(dir, importPath)
 }
 
-// LoadDir type-checks the single package in dir under the given import
-// path without requiring it to live inside the module tree. Fixture
-// packages under testdata/ are loaded this way.
-func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
-	if p, ok := l.pkgs[importPath]; ok {
-		return p, nil
-	}
-	return l.loadDir(dir, importPath)
-}
-
 func (l *Loader) moduleDirFor(importPath string) (string, bool) {
 	if importPath == l.ModulePath {
 		return l.ModuleDir, true

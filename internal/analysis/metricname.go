@@ -11,10 +11,10 @@ import (
 // MetricName statically enforces the obs registry's naming contract on
 // literal metric names: snake_case (`^[a-z][a-z0-9_]*$`) and no two
 // registration sites in a package claiming the same name. The registry
-// re-checks both at runtime (error from the plain constructors, panic
-// from the Must variants), but a bad literal name is a programming error
-// the build should catch, not a scrape-time surprise — and a duplicate
-// registration panics only on the code path that reaches it.
+// re-checks both at runtime (an error from the constructor), but a bad
+// literal name is a programming error the build should catch, not a
+// scrape-time surprise — and a duplicate registration fails only on the
+// code path that reaches it.
 //
 // Dynamic names (obs.Sanitize over an allocator's display name, say)
 // are out of static reach and stay the runtime check's job.
@@ -35,16 +35,10 @@ var MetricName = &Analyzer{
 // registryMethods are the obs.Registry registration entry points; each
 // takes the metric name as its first argument.
 var registryMethods = map[string]bool{
-	"Counter":         true,
-	"MustCounter":     true,
-	"Gauge":           true,
-	"MustGauge":       true,
-	"CounterFunc":     true,
-	"MustCounterFunc": true,
-	"GaugeFunc":       true,
-	"MustGaugeFunc":   true,
-	"Histogram":       true,
-	"MustHistogram":   true,
+	"Counter":     true,
+	"CounterFunc": true,
+	"GaugeFunc":   true,
+	"Histogram":   true,
 }
 
 func runMetricName(pass *Pass) {

@@ -9,54 +9,44 @@ func RunModule(l *Loader, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if analyzers == nil {
 		analyzers = All()
 	}
-	paths := targetUnion(analyzers)
-	var diags []Diagnostic
-	for _, path := range paths {
+	mod := &Module{loader: l, memo: map[*Analyzer]any{}}
+	for _, path := range targetUnion(analyzers) {
 		pkg, err := l.Load(path)
 		if err != nil {
 			return nil, err
 		}
-		diags = append(diags, RunPackage(pkg, analyzers)...)
+		mod.Packages = append(mod.Packages, pkg)
+	}
+	var diags []Diagnostic
+	for _, pkg := range mod.Packages {
+		diags = append(diags, runPackage(mod, pkg, analyzers)...)
 	}
 	sortDiagnostics(diags)
 	return diags, nil
 }
 
-// RunPackage runs the applicable subset of analyzers over one loaded
+// runPackage runs the applicable subset of analyzers over one loaded
 // package, validates the package's waiver comments, and returns the
 // diagnostics that survive waiving (unsorted).
-func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+func runPackage(mod *Module, pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	waivers := collectWaivers(pkg, &diags)
 	for _, a := range analyzers {
 		if !a.AppliesTo(pkg.Path) {
 			continue
 		}
-		runOne(pkg, a, &diags)
+		runOne(mod, pkg, a, &diags)
 	}
 	return applyWaivers(diags, waivers)
 }
 
-// RunFixture runs the given analyzers over pkg unconditionally (ignoring
-// their package targeting) with waiver processing — the entry point for
-// analyzer tests over fixture packages.
-func RunFixture(pkg *Package, analyzers ...*Analyzer) []Diagnostic {
-	var diags []Diagnostic
-	waivers := collectWaivers(pkg, &diags)
-	for _, a := range analyzers {
-		runOne(pkg, a, &diags)
-	}
-	diags = applyWaivers(diags, waivers)
-	sortDiagnostics(diags)
-	return diags
-}
-
-func runOne(pkg *Package, a *Analyzer, diags *[]Diagnostic) {
+func runOne(mod *Module, pkg *Package, a *Analyzer, diags *[]Diagnostic) {
 	a.Run(&Pass{
 		Fset:     pkg.Fset,
 		Files:    pkg.Files,
 		Pkg:      pkg.Pkg,
 		Info:     pkg.Info,
+		Module:   mod,
 		analyzer: a,
 		diags:    diags,
 	})

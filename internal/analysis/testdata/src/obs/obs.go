@@ -4,26 +4,17 @@
 // exercises it without importing the module under analysis.
 package obs
 
-// Counter, Gauge, and Histogram are opaque stand-ins for the real
-// instrument types.
+// Counter and Histogram are opaque stand-ins for the real instrument
+// types.
 type Counter struct{}
-type Gauge struct{}
 type Histogram struct{}
 
 // Registry mimics the registration surface of the real obs.Registry.
 type Registry struct{}
 
 func (r *Registry) Counter(name, help string) (*Counter, error)           { return &Counter{}, nil }
-func (r *Registry) MustCounter(name, help string) *Counter                { return &Counter{} }
-func (r *Registry) Gauge(name, help string) (*Gauge, error)               { return &Gauge{}, nil }
-func (r *Registry) MustGauge(name, help string) *Gauge                    { return &Gauge{} }
 func (r *Registry) CounterFunc(name, help string, fn func() uint64) error { return nil }
-func (r *Registry) MustCounterFunc(name, help string, fn func() uint64)   {}
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) error  { return nil }
-func (r *Registry) MustGaugeFunc(name, help string, fn func() float64)    {}
 func (r *Registry) Histogram(name, help string, bounds []int64) (*Histogram, error) {
 	return &Histogram{}, nil
-}
-func (r *Registry) MustHistogram(name, help string, bounds []int64) *Histogram {
-	return &Histogram{}
 }

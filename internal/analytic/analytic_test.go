@@ -121,20 +121,6 @@ func TestBirthdayMatchesMonteCarlo(t *testing.T) {
 	}
 }
 
-func TestBirthdayCurveShape(t *testing.T) {
-	curve := BirthdayCurve(10000, 400, 50)
-	if len(curve) != 9 {
-		t.Fatalf("curve length %d", len(curve))
-	}
-	if curve[0].P != 0 {
-		t.Fatal("p(0) != 0")
-	}
-	// Figure 4: by 400 allocations from 10000, clash is near-certain.
-	if last := curve[len(curve)-1]; last.P < 0.99 {
-		t.Fatalf("p(400) = %v, want ≈1", last.P)
-	}
-}
-
 func TestClashFreeProbabilityEdges(t *testing.T) {
 	if ClashFreeProbability(100, 0, 0.001) != 1 {
 		t.Fatal("m=0 should be clash-free")
@@ -185,24 +171,6 @@ func TestAllocationsAtHalfOrdering(t *testing.T) {
 	m := AllocationsAtHalf(n, 0.001)
 	if float64(m) < math.Sqrt(float64(n)) || m > n {
 		t.Fatalf("m = %d outside (√n, n)", m)
-	}
-}
-
-func TestFig6CurveMonotoneSpace(t *testing.T) {
-	curve := Fig6Curve(100, 1000000, 2, 0.001)
-	if len(curve) < 8 {
-		t.Fatalf("curve too short: %d", len(curve))
-	}
-	for i := 1; i < len(curve); i++ {
-		if curve[i].Allocations < curve[i-1].Allocations {
-			t.Fatalf("allocations fell as space grew at %v", curve[i])
-		}
-	}
-	// Packing fraction m/n worsens as n grows (the paper's key point).
-	first := float64(curve[0].Allocations) / float64(curve[0].SpaceSize)
-	last := float64(curve[len(curve)-1].Allocations) / float64(curve[len(curve)-1].SpaceSize)
-	if last >= first {
-		t.Fatalf("packing fraction did not degrade: %v → %v", first, last)
 	}
 }
 

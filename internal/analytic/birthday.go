@@ -39,22 +39,3 @@ func BirthdayMedian(n int) int {
 	}
 	return lo
 }
-
-// BirthdayCurve returns (k, p) pairs for k = 0..maxK step by step — the
-// series Figure 4 plots for n = 10000, k up to 400.
-func BirthdayCurve(n, maxK, step int) []BirthdayPoint {
-	if step < 1 {
-		step = 1
-	}
-	var out []BirthdayPoint
-	for k := 0; k <= maxK; k += step {
-		out = append(out, BirthdayPoint{K: k, P: BirthdayClashProbability(n, k)})
-	}
-	return out
-}
-
-// BirthdayPoint is one point of the Figure-4 curve.
-type BirthdayPoint struct {
-	K int     // addresses allocated
-	P float64 // probability at least two collide
-}

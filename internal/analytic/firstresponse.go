@@ -12,7 +12,7 @@ import "math"
 // (milliseconds): d1 + (d2−d1)/(n+1), the expectation of the minimum of n
 // uniform variates. Network propagation to and from the responders adds on
 // top; callers typically add one RTT.
-func FirstResponseUniform(n int, d1, d2 float64) float64 {
+func FirstResponseUniform(n int, d1, d2 float64) float64 { //mclint:unused reference formula for Fig 15/16's first-response delay, checked by its tests
 	if n <= 0 {
 		return math.Inf(1)
 	}
@@ -27,7 +27,7 @@ func FirstResponseUniform(n int, d1, d2 float64) float64 {
 // maximum RTT r over [d1, d2]. Computed by numeric integration of
 // E[min] = ∫ (1−F(t))^n dt with F(t) = (2^(t/r) − 1)/(2^d − 1): there is
 // no tidy closed form, but the integrand is smooth and the window short.
-func FirstResponseExp(n int, d1, d2, r float64) float64 {
+func FirstResponseExp(n int, d1, d2, r float64) float64 { //mclint:unused reference formula for Fig 15/16's first-response delay, checked by its tests
 	if n <= 0 {
 		return math.Inf(1)
 	}

@@ -60,32 +60,6 @@ func AllocationsAtHalf(n int, invisibleFrac float64) int {
 	return lo
 }
 
-// Fig6Point is one point of a Figure-6 curve.
-type Fig6Point struct {
-	SpaceSize   int // n: addresses in the partition
-	Allocations int // m at which clash probability reaches 0.5
-}
-
-// Fig6Curve computes a Figure-6 curve for the given invisible fraction
-// over logarithmically spaced partition sizes from minN to maxN.
-func Fig6Curve(minN, maxN int, pointsPerDecade int, invisibleFrac float64) []Fig6Point {
-	if minN < 2 || maxN < minN || pointsPerDecade < 1 {
-		return nil
-	}
-	var out []Fig6Point
-	ratio := math.Pow(10, 1/float64(pointsPerDecade))
-	last := -1
-	for x := float64(minN); x <= float64(maxN)*1.0000001; x *= ratio {
-		n := int(math.Round(x))
-		if n == last {
-			continue
-		}
-		last = n
-		out = append(out, Fig6Point{SpaceSize: n, Allocations: AllocationsAtHalf(n, invisibleFrac)})
-	}
-	return out
-}
-
 // Figure6InvisibleFractions are the i values the paper plots: i = 0.01m,
 // 0.001m, 0.0001m, 0.00001m.
 func Figure6InvisibleFractions() []float64 {
@@ -127,7 +101,7 @@ func RequiredInvisibleFraction(n, m int) float64 {
 // delay d, and re-announcement interval T, delay ≈ (1−p)·d + p·T (the
 // paper's (0.98·0.2)+(0.02·600) = 12 s example, with the second-loss term
 // dropped as the paper does).
-func MeanDiscoveryDelay(loss float64, networkDelay, reannounceInterval float64) float64 {
+func MeanDiscoveryDelay(loss float64, networkDelay, reannounceInterval float64) float64 { //mclint:unused §2.3's reference formula; the root back-off ablation benchmark reads it
 	return (1-loss)*networkDelay + loss*reannounceInterval
 }
 

@@ -449,7 +449,7 @@ func (c *Cache) Size() int {
 }
 
 // Len returns the number of live entries.
-func (c *Cache) Len() int { return c.live }
+func (c *Cache) Len() int { return c.live } //mclint:unused pinned by benchmark/shadow.go
 
 // Expire evicts entries unheard for Timeout (and deleted entries unheard
 // for Timeout/10), returning the evicted keys in sorted order. The sort

@@ -1,4 +1,4 @@
-package chaos
+package chaos //mclint:unused a test harness by design: only its own tests drive the fleets it builds
 
 import (
 	"bytes"

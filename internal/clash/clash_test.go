@@ -124,21 +124,6 @@ func TestExponentialDelayPropertyInWindow(t *testing.T) {
 	}
 }
 
-func TestBuckets(t *testing.T) {
-	if got := NewExponentialDelay(0, 800, 200).Buckets(); got != 4 {
-		t.Fatalf("buckets = %d", got)
-	}
-	if got := NewExponentialDelay(0, 100, 200).Buckets(); got != 1 {
-		t.Fatalf("buckets = %d", got)
-	}
-}
-
-func TestMillis(t *testing.T) {
-	if Millis(1500).Milliseconds() != 1500 {
-		t.Fatal("Millis conversion")
-	}
-}
-
 func newTracker(t *testing.T) *Tracker {
 	t.Helper()
 	return NewTracker(TrackerConfig{
@@ -323,20 +308,6 @@ func TestTrackerRequiresDelay(t *testing.T) {
 		}
 	}()
 	NewTracker(TrackerConfig{RecentWindow: 10}, stats.NewRNG(1))
-}
-
-func TestActionKindString(t *testing.T) {
-	for k, want := range map[ActionKind]string{
-		ActionNone:          "none",
-		ActionResendOwn:     "resend-own",
-		ActionModifyAddress: "modify-address",
-		ActionDefendOther:   "defend-other",
-		ActionKind(99):      "ActionKind(99)",
-	} {
-		if got := k.String(); got != want {
-			t.Errorf("%d: %q want %q", int(k), got, want)
-		}
-	}
 }
 
 // refTracker is the tracker as it was before the address index: the same

@@ -7,7 +7,6 @@ package clash
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"sessiondir/internal/stats"
 )
@@ -96,18 +95,3 @@ func (e ExponentialDelay) Name() string { return "exponential" }
 
 // Window implements DelayDist.
 func (e ExponentialDelay) Window() (float64, float64) { return e.D1, e.D2 }
-
-// Buckets returns d, the number of RTT-sized buckets in the window — the
-// parameter of Equations 2 and 4.
-func (e ExponentialDelay) Buckets() int {
-	d := int((e.D2 - e.D1) / e.RTT)
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
-// Millis converts a millisecond delay to a time.Duration.
-func Millis(ms float64) time.Duration {
-	return time.Duration(ms * float64(time.Millisecond))
-}

@@ -14,7 +14,6 @@ package des
 
 import (
 	"container/heap"
-	"fmt"
 	"time"
 )
 
@@ -112,12 +111,4 @@ func (e *Engine) RunUntil(deadline time.Time) int {
 // RunFor advances the clock by d.
 func (e *Engine) RunFor(d time.Duration) int {
 	return e.RunUntil(e.now.Add(d))
-}
-
-// Pending returns the number of queued events (diagnostics).
-func (e *Engine) Pending() int { return e.events.Len() }
-
-// String implements fmt.Stringer.
-func (e *Engine) String() string {
-	return fmt.Sprintf("des.Engine{now: %s, pending: %d}", e.now.Format(time.RFC3339), e.events.Len())
 }

@@ -58,15 +58,6 @@ type LinkFilter func(src, dst topology.NodeID) bool
 // delivered (they left the failed region before the cut).
 func (n *Net) SetLinkFilter(f LinkFilter) { n.filter = f }
 
-// Partition is a convenience LinkFilter: communication is allowed only
-// within each side of the cut. Membership is decided by the given
-// predicate (true = side A).
-func Partition(sideA func(topology.NodeID) bool) LinkFilter {
-	return func(src, dst topology.NodeID) bool {
-		return sideA(src) == sideA(dst)
-	}
-}
-
 // PartitionGroups is the LinkFilter of a fault.Groups over node ids:
 // nodes in different groups — or in no group — are severed.
 func PartitionGroups(g fault.Groups) LinkFilter {
@@ -147,12 +138,9 @@ type Endpoint struct {
 
 var _ transport.Transport = (*Endpoint)(nil)
 
-// Node returns the endpoint's topology node.
-func (e *Endpoint) Node() topology.NodeID { return e.node }
-
 // Stats returns the fates drawn so far for packets offered to this
 // receiver.
-func (e *Endpoint) Stats() fault.Stats { return e.proc.Stats }
+func (e *Endpoint) Stats() fault.Stats { return e.proc.Stats } //mclint:unused the chaos tests compare per-agent fault fates with it
 
 // SendBatch implements transport.Transport: scoped, delayed, faulted
 // delivery of each datagram in order, each arriving on its own as a batch

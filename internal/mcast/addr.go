@@ -33,7 +33,7 @@ func SAPDynamicSpace() AddrSpace {
 
 // AdminScopedSpace returns the IPv4 administratively scoped block
 // 239.255.0.0/16 (the "IPv4 local scope" commonly used for site sessions).
-func AdminScopedSpace(size uint32) AddrSpace {
+func AdminScopedSpace(size uint32) AddrSpace { //mclint:unused pinned by benchmark/gen.go
 	if size == 0 || size > 1<<16 {
 		size = 1 << 16
 	}
@@ -84,9 +84,4 @@ func IsMulticast(a netip.Addr) bool {
 	}
 	b := a.As4()
 	return b[0] >= 224 && b[0] <= 239
-}
-
-// String renders the space as "base+size".
-func (s AddrSpace) String() string {
-	return fmt.Sprintf("%s+%d", s.Base, s.Size)
 }

@@ -79,15 +79,6 @@ func TestIsMulticast(t *testing.T) {
 	}
 }
 
-func TestTTLToStayWithin(t *testing.T) {
-	cases := map[uint8]TTL{16: 15, 48: 47, 64: 63, 128: 127, 0: 0, 1: 0}
-	for threshold, want := range cases {
-		if got := TTLToStayWithin(threshold); got != want {
-			t.Errorf("TTLToStayWithin(%d) = %d want %d", threshold, got, want)
-		}
-	}
-}
-
 func TestScopeNames(t *testing.T) {
 	cases := map[TTL]string{
 		0:   "host",
@@ -161,16 +152,6 @@ func TestDistributionSampleFrequencies(t *testing.T) {
 	want = 1.0 / 22.0
 	if got < want-0.01 || got > want+0.01 {
 		t.Fatalf("TTL191 frequency %v want ~%v", got, want)
-	}
-}
-
-func TestDistributionByName(t *testing.T) {
-	d, err := DistributionByName("ds3")
-	if err != nil || d.Name != "ds3" {
-		t.Fatalf("ds3 lookup: %v %v", d, err)
-	}
-	if _, err := DistributionByName("nope"); err == nil {
-		t.Fatal("expected error for unknown name")
 	}
 }
 

@@ -1,39 +1,13 @@
 package mcast
 
-import "fmt"
-
 // TTL is an IPv4 time-to-live value as used for Mbone scope control.
 type TTL uint8
 
 // MaxTTL is the largest possible TTL value.
 const MaxTTL TTL = 255
 
-// Canonical Mbone scope TTLs. By convention, traffic meant to stay inside a
-// zone whose boundary threshold is y is sent with TTL y−1 (§2.4.1), hence
-// the 15/31/47/63/127 values for thresholds 16/32/48/64/128.
-const (
-	TTLHost         TTL = 0   // never leaves the host
-	TTLSubnet       TTL = 1   // local subnet only
-	TTLSite         TTL = 15  // site (threshold 16)
-	TTLRegion       TTL = 31  // region / campus cluster (threshold 32)
-	TTLCountryEU    TTL = 47  // within a European country (threshold 48)
-	TTLContinent    TTL = 63  // within a continent (threshold 64)
-	TTLWorld        TTL = 127 // intercontinental (threshold 128)
-	TTLUnrestricted TTL = 191 // "global" as announced by sdr
-)
-
-// TTLToStayWithin returns the TTL a sender should use for traffic that
-// must not escape a zone whose boundary threshold is y: y−1 (§2.4.1's
-// convention, which also guarantees A-hears-B symmetry inside the zone).
-func TTLToStayWithin(boundaryThreshold uint8) TTL {
-	if boundaryThreshold == 0 {
-		return 0
-	}
-	return TTL(boundaryThreshold - 1)
-}
-
 // ScopeName returns the conventional human-readable name for a scope TTL.
-func ScopeName(t TTL) string {
+func ScopeName(t TTL) string { //mclint:unused the root package's ExampleDirectory_CreateSession prints scopes with it
 	switch {
 	case t == 0:
 		return "host"
@@ -89,16 +63,6 @@ func DS4() TTLDistribution {
 // Distributions returns all four workload distributions in order.
 func Distributions() []TTLDistribution {
 	return []TTLDistribution{DS1(), DS2(), DS3(), DS4()}
-}
-
-// DistributionByName returns the named distribution.
-func DistributionByName(name string) (TTLDistribution, error) {
-	for _, d := range Distributions() {
-		if d.Name == name {
-			return d, nil
-		}
-	}
-	return TTLDistribution{}, fmt.Errorf("mcast: unknown TTL distribution %q", name)
 }
 
 // Sample draws one TTL. The caller supplies the uniform variate source as a

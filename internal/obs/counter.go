@@ -24,27 +24,6 @@ func (c *Counter) sample(name string, out []MetricValue) []MetricValue {
 	return append(out, MetricValue{Name: name, Kind: "counter", Value: float64(c.v.Load())})
 }
 
-// Gauge is an integer gauge: a value that can go up and down (cache
-// occupancy, queue depth). Updates are single atomics.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the value by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (g *Gauge) kind() string { return "gauge" }
-
-func (g *Gauge) sample(name string, out []MetricValue) []MetricValue {
-	return append(out, MetricValue{Name: name, Kind: "gauge", Value: float64(g.v.Load())})
-}
-
 // counterFunc adapts an external monotone counter into the registry;
 // the function runs at collection time only.
 type counterFunc func() uint64

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync/atomic"
-
-	"sessiondir/internal/stats"
 )
 
 // Histogram is a fixed-bucket histogram over int64 observations (byte
@@ -15,9 +13,7 @@ import (
 //
 // It deliberately complements stats.IntHistogram (the simulators'
 // exact-count histogram): that one grows to the data and is single-
-// threaded; this one is bounded and concurrent. ObserveIntHistogram
-// bridges the two, folding an experiment's exact histogram into the
-// registry's fixed buckets so both report through one schema.
+// threaded; this one is bounded and concurrent.
 type Histogram struct {
 	bounds []int64 // ascending inclusive upper bounds
 	counts []atomic.Uint64
@@ -50,22 +46,6 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[i].Add(1)
 	h.sum.Add(v)
 	h.total.Add(1)
-}
-
-// ObserveIntHistogram folds every observation of src into h. src must
-// not be mutated concurrently.
-func (h *Histogram) ObserveIntHistogram(src *stats.IntHistogram) {
-	for v := 0; v <= src.Max(); v++ {
-		if n := src.Count(v); n > 0 {
-			i := 0
-			for i < len(h.bounds) && int64(v) > h.bounds[i] {
-				i++
-			}
-			h.counts[i].Add(uint64(n))
-			h.sum.Add(int64(v) * n)
-			h.total.Add(uint64(n))
-		}
-	}
 }
 
 // Count returns the number of observations.

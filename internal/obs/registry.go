@@ -1,5 +1,6 @@
 // Package obs is the observability layer: a dependency-free metrics
-// registry (counters, gauges, fixed-bucket histograms) with atomic,
+// registry (counters, function-read counters and gauges, fixed-bucket
+// histograms) with atomic,
 // allocation-free hot-path updates, plus a structured event tracer
 // (trace.go) whose ring buffer records typed protocol events on virtual
 // time. Every runtime layer — the directory, admission control, the
@@ -15,11 +16,9 @@
 // bit-identical with tracing on.
 //
 // Metric names are validated at registration time: they must be
-// snake_case (`^[a-z][a-z0-9_]*$`) and unique within their registry.
-// The error-returning constructors are the production path; the Must
-// variants panic and are for wiring code and tests where a bad name is a
-// programming error. mclint's metricname analyzer enforces the same rule
-// statically on literal names.
+// snake_case (`^[a-z][a-z0-9_]*$`) and unique within their registry;
+// a constructor returns an error otherwise. mclint's metricname analyzer
+// enforces the same rule statically on literal names.
 package obs
 
 import (
@@ -126,13 +125,6 @@ func (r *Registry) register(name, help string, m metric) error {
 	return nil
 }
 
-// mustRegister is the panic wrapper shared by the Must constructors.
-func mustRegister(err error) {
-	if err != nil {
-		panic(err)
-	}
-}
-
 // Counter registers a new counter. Errors on an invalid or duplicate
 // name — the production registration path.
 func (r *Registry) Counter(name, help string) (*Counter, error) {
@@ -141,29 +133,6 @@ func (r *Registry) Counter(name, help string) (*Counter, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// MustCounter is Counter, panicking on error.
-func (r *Registry) MustCounter(name, help string) *Counter {
-	c, err := r.Counter(name, help)
-	mustRegister(err)
-	return c
-}
-
-// Gauge registers a new integer gauge.
-func (r *Registry) Gauge(name, help string) (*Gauge, error) {
-	g := &Gauge{}
-	if err := r.register(name, help, g); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// MustGauge is Gauge, panicking on error.
-func (r *Registry) MustGauge(name, help string) *Gauge {
-	g, err := r.Gauge(name, help)
-	mustRegister(err)
-	return g
 }
 
 // CounterFunc registers a counter whose value is read from fn at
@@ -175,20 +144,10 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64) error {
 	return r.register(name, help, counterFunc(fn))
 }
 
-// MustCounterFunc is CounterFunc, panicking on error.
-func (r *Registry) MustCounterFunc(name, help string, fn func() uint64) {
-	mustRegister(r.CounterFunc(name, help, fn))
-}
-
 // GaugeFunc registers a gauge whose value is read from fn at collection
 // time, under the same rules as CounterFunc.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) error {
 	return r.register(name, help, gaugeFunc(fn))
-}
-
-// MustGaugeFunc is GaugeFunc, panicking on error.
-func (r *Registry) MustGaugeFunc(name, help string, fn func() float64) {
-	mustRegister(r.GaugeFunc(name, help, fn))
 }
 
 // Histogram registers a fixed-bucket histogram. bounds are ascending
@@ -202,13 +161,6 @@ func (r *Registry) Histogram(name, help string, bounds []int64) (*Histogram, err
 		return nil, err
 	}
 	return h, nil
-}
-
-// MustHistogram is Histogram, panicking on error.
-func (r *Registry) MustHistogram(name, help string, bounds []int64) *Histogram {
-	h, err := r.Histogram(name, help, bounds)
-	mustRegister(err)
-	return h
 }
 
 // sortedNames returns the registered names in lexical order. Caller must

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"sessiondir/internal/stats"
 )
 
 func TestValidName(t *testing.T) {
@@ -255,26 +253,5 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		if allocs := testing.AllocsPerRun(1000, tc.fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f per op, want 0", tc.name, allocs)
 		}
-	}
-}
-
-func TestObserveIntHistogram(t *testing.T) {
-	var src stats.IntHistogram
-	src.AddN(3, 5)
-	src.AddN(20, 2)
-	src.Add(100)
-
-	r := NewRegistry()
-	h := r.MustHistogram("h_v", "", []int64{10, 50})
-	h.ObserveIntHistogram(&src)
-	if h.Count() != 8 {
-		t.Errorf("count = %d, want 8", h.Count())
-	}
-	if h.Sum() != 3*5+20*2+100 {
-		t.Errorf("sum = %d, want %d", h.Sum(), 3*5+20*2+100)
-	}
-	_, cum := h.Buckets()
-	if cum[0] != 5 || cum[1] != 7 || cum[2] != 8 {
-		t.Errorf("cumulative = %v, want [5 7 8]", cum)
 	}
 }

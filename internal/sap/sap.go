@@ -49,7 +49,6 @@ const PayloadTypeSDP = "application/sdp"
 const (
 	flagVersionShift = 5      // V: 3 bits
 	flagAddrType     = 1 << 4 // A: 0 = IPv4, 1 = IPv6
-	flagReserved     = 1 << 3 // R
 	flagMessageType  = 1 << 2 // T: 0 = announce, 1 = delete
 	flagEncrypted    = 1 << 1 // E
 	flagCompressed   = 1 << 0 // C

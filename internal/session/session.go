@@ -103,17 +103,6 @@ func (d *Description) Validate() error {
 	return nil
 }
 
-// Active reports whether the session is within its advertised time bounds.
-func (d *Description) Active(now time.Time) bool {
-	if !d.Start.IsZero() && now.Before(d.Start) {
-		return false
-	}
-	if !d.Stop.IsZero() && now.After(d.Stop) {
-		return false
-	}
-	return true
-}
-
 // WithGroup returns a copy with a new group address and bumped version —
 // the clash-resolution "modified address" re-announcement.
 func (d *Description) WithGroup(group netip.Addr) *Description {

@@ -80,24 +80,6 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestActive(t *testing.T) {
-	d := sampleDesc()
-	if d.Active(d.Start.Add(-time.Hour)) {
-		t.Fatal("active before start")
-	}
-	if !d.Active(d.Start.Add(time.Hour)) {
-		t.Fatal("inactive during window")
-	}
-	if d.Active(d.Stop.Add(time.Hour)) {
-		t.Fatal("active after stop")
-	}
-	unbounded := sampleDesc()
-	unbounded.Start, unbounded.Stop = time.Time{}, time.Time{}
-	if !unbounded.Active(time.Now()) {
-		t.Fatal("unbounded session inactive")
-	}
-}
-
 func TestSDPRoundTrip(t *testing.T) {
 	d := sampleDesc()
 	data, err := d.MarshalSDP()

@@ -12,13 +12,13 @@ import (
 // PartitionedWorld is World under the name benchmark/simscript.go compiles
 // against. It exists for benchmark/ only and goes with the benchmark PR
 // that re-points the probes (ROADMAP item 4).
-type PartitionedWorld = World
+type PartitionedWorld = World //mclint:unused pinned by benchmark/simscript.go
 
 // NewPartitionedWorld returns an empty World over g (nil cache = a private
 // one); the last two arguments, once a partition and a worker count, are
 // ignored. Like PartitionedWorld it exists for benchmark/ only and goes
 // with the same benchmark PR.
-func NewPartitionedWorld(g *topology.Graph, cache *topology.ReachCache, _, _ int) *World {
+func NewPartitionedWorld(g *topology.Graph, cache *topology.ReachCache, _, _ int) *World { //mclint:unused pinned by benchmark/simscript.go
 	return NewWorldWithCache(g, cache)
 }
 

@@ -87,11 +87,6 @@ type World struct {
 	visScratch []allocator.SessionInfo
 }
 
-// NewWorld returns an empty world over g with its own private scope cache.
-func NewWorld(g *topology.Graph) *World {
-	return NewWorldWithCache(g, nil)
-}
-
 // NewWorldWithCache returns an empty world over g backed by a shared scope
 // cache — the form the parallel experiment engine uses, so every trial of
 // a sweep reuses one cache's trees and reach sets instead of recomputing

@@ -13,7 +13,7 @@ import (
 //
 // All inputs must be positive; it returns an error otherwise or when
 // fewer than two distinct x values are supplied.
-func PowerLawFit(xs, ys []float64) (exponent, logCoeff float64, err error) {
+func PowerLawFit(xs, ys []float64) (exponent, logCoeff float64, err error) { //mclint:unused sim's TestFig5ScalingExponents fits Fig 5's growth exponents with it
 	if len(xs) != len(ys) {
 		return 0, 0, fmt.Errorf("stats: PowerLawFit length mismatch %d vs %d", len(xs), len(ys))
 	}
@@ -39,24 +39,4 @@ func PowerLawFit(xs, ys []float64) (exponent, logCoeff float64, err error) {
 	exponent = (n*sxy - sx*sy) / den
 	logCoeff = (sy - exponent*sx) / n
 	return exponent, logCoeff, nil
-}
-
-// Correlation returns the Pearson correlation coefficient of xs and ys,
-// or NaN for degenerate inputs.
-func Correlation(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return math.NaN()
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }

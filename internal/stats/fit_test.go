@@ -74,18 +74,3 @@ func TestPowerLawFitRecoversExponentProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCorrelation(t *testing.T) {
-	if c := Correlation([]float64{1, 2, 3}, []float64{2, 4, 6}); math.Abs(c-1) > 1e-12 {
-		t.Fatalf("perfect positive = %v", c)
-	}
-	if c := Correlation([]float64{1, 2, 3}, []float64{6, 4, 2}); math.Abs(c+1) > 1e-12 {
-		t.Fatalf("perfect negative = %v", c)
-	}
-	if !math.IsNaN(Correlation([]float64{1, 1}, []float64{2, 3})) {
-		t.Fatal("constant xs should be NaN")
-	}
-	if !math.IsNaN(Correlation([]float64{1}, []float64{2})) {
-		t.Fatal("single point should be NaN")
-	}
-}

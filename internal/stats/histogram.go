@@ -28,40 +28,17 @@ func (h *IntHistogram) Add(v int) {
 	h.total++
 }
 
-// AddN records n observations of v.
-func (h *IntHistogram) AddN(v int, n int64) {
-	if n <= 0 {
-		return
-	}
-	h.Add(v)
-	h.counts[v] += n - 1
-	h.total += n - 1
-}
-
 // Count returns the number of observations of v.
-func (h *IntHistogram) Count(v int) int64 {
+func (h *IntHistogram) Count(v int) int64 { //mclint:unused topology's hop-count tests read histograms with it
 	if v < 0 || v >= len(h.counts) {
 		return 0
 	}
 	return h.counts[v]
 }
 
-// Total returns the number of observations recorded.
-func (h *IntHistogram) Total() int64 { return h.total }
-
 // Max returns the largest value observed, or -1 if empty.
 func (h *IntHistogram) Max() int {
 	for v := len(h.counts) - 1; v >= 0; v-- {
-		if h.counts[v] > 0 {
-			return v
-		}
-	}
-	return -1
-}
-
-// Min returns the smallest value observed, or -1 if empty.
-func (h *IntHistogram) Min() int {
-	for v := 0; v < len(h.counts); v++ {
 		if h.counts[v] > 0 {
 			return v
 		}
@@ -93,32 +70,6 @@ func (h *IntHistogram) Mean() float64 {
 	return sum / float64(h.total)
 }
 
-// Quantile returns the smallest value v such that at least q of the mass is
-// at or below v. q is clamped to [0,1]. Returns -1 if empty.
-func (h *IntHistogram) Quantile(q float64) int {
-	if h.total == 0 {
-		return -1
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(q * float64(h.total))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for v, c := range h.counts {
-		cum += c
-		if cum >= target {
-			return v
-		}
-	}
-	return h.Max()
-}
-
 // Normalized returns the histogram as value→fraction pairs in value order,
 // omitting zero buckets. This is the form Figure 10 plots.
 func (h *IntHistogram) Normalized() []BinFraction {
@@ -141,7 +92,7 @@ type BinFraction struct {
 }
 
 // String renders a compact textual view, useful in test failures.
-func (h *IntHistogram) String() string {
+func (h *IntHistogram) String() string { //mclint:unused topology's hop-count tests print histograms with it
 	var b strings.Builder
 	fmt.Fprintf(&b, "hist{n=%d", h.total)
 	for _, bin := range h.Normalized() {

@@ -53,29 +53,6 @@ func TestHistogramAddNegativePanics(t *testing.T) {
 	h.Add(-1)
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	var h IntHistogram
-	for v := 1; v <= 100; v++ {
-		h.Add(v)
-	}
-	if q := h.Quantile(0.5); q != 50 {
-		t.Fatalf("median = %d", q)
-	}
-	if q := h.Quantile(0); q != 1 {
-		t.Fatalf("q0 = %d", q)
-	}
-	if q := h.Quantile(1); q != 100 {
-		t.Fatalf("q1 = %d", q)
-	}
-	if q := h.Quantile(2); q != 100 { // clamped
-		t.Fatalf("q2 = %d", q)
-	}
-	var empty IntHistogram
-	if empty.Quantile(0.5) != -1 {
-		t.Fatal("empty quantile should be -1")
-	}
-}
-
 func TestHistogramNormalized(t *testing.T) {
 	var h IntHistogram
 	h.AddN(0, 1)
@@ -214,14 +191,5 @@ func TestQuantile(t *testing.T) {
 	// Input order preserved.
 	if xs[0] != 3 {
 		t.Fatal("input modified")
-	}
-}
-
-func TestMean(t *testing.T) {
-	if m := Mean([]float64{1, 2, 3}); math.Abs(m-2) > 1e-12 {
-		t.Fatalf("Mean = %v", m)
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Fatal("empty Mean should be NaN")
 	}
 }

@@ -53,17 +53,14 @@ func (g *RNG) Bool(p float64) bool {
 	return g.r.Float64() < p
 }
 
-// ExpFloat64 returns an exponentially distributed value with rate 1.
-func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
-
 // NormFloat64 returns a standard normal value.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
+func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() } //mclint:unused benchmark/estimator_test.go and stats' t-test tests draw normals with it
 
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 
 // Shuffle randomises the order of n elements using the provided swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
+func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) } //mclint:unused pinned by benchmark/workloads.go
 
 // Pick returns a uniformly chosen element of xs. It panics on an empty slice.
 func Pick[T any](g *RNG, xs []T) T {

@@ -40,22 +40,6 @@ func (s *Summary) N() int64 { return s.n }
 // Mean returns the sample mean (0 when empty).
 func (s *Summary) Mean() float64 { return s.mean }
 
-// Min returns the smallest observation (0 when empty).
-func (s *Summary) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the largest observation (0 when empty).
-func (s *Summary) Max() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.max
-}
-
 // Variance returns the unbiased sample variance (0 for n < 2).
 func (s *Summary) Variance() float64 {
 	if s.n < 2 {
@@ -77,7 +61,7 @@ func (s *Summary) StdErr() float64 {
 
 // Quantile returns the q-quantile of xs using linear interpolation between
 // order statistics. xs is not modified. Returns NaN on empty input.
-func Quantile(xs []float64, q float64) float64 {
+func Quantile(xs []float64, q float64) float64 { //mclint:unused pinned by benchmark/estimator.go
 	if len(xs) == 0 {
 		return math.NaN()
 	}
@@ -98,16 +82,4 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Mean returns the arithmetic mean of xs (NaN on empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }

@@ -28,7 +28,7 @@ func WelchT(a, b *Summary) (t float64, df float64) {
 // the ~99% two-sided critical value for the Welch degrees of freedom
 // (approximated: 2.58 for large df, inflated for small samples). It is a
 // pragmatic gate for test assertions, not a full p-value machinery.
-func SignificantlyGreater(a, b *Summary) bool {
+func SignificantlyGreater(a, b *Summary) bool { //mclint:unused sim's TestIPR7BeatsIRSignificantly compares Fig 5's curves with it
 	t, df := WelchT(a, b)
 	if math.IsNaN(t) {
 		return false

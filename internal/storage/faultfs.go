@@ -128,7 +128,7 @@ func NewFaultFS(under FS, seed uint64, prof FaultProfile) *FaultFS {
 // that fails for a while and then recovers. Determinism is preserved:
 // fates remain a pure function of (seed, profile sequence, op
 // sequence).
-func (f *FaultFS) SetProfile(prof FaultProfile) {
+func (f *FaultFS) SetProfile(prof FaultProfile) { //mclint:unused des's and storage's fault tests change profiles mid-run with it
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.prof = prof
@@ -138,7 +138,7 @@ func (f *FaultFS) SetProfile(prof FaultProfile) {
 // proceed (still subject to fault draws), and every operation after
 // them returns ErrCrashed. n = 0 crashes immediately; a negative n
 // disarms.
-func (f *FaultFS) SetCrashAfter(n int64) {
+func (f *FaultFS) SetCrashAfter(n int64) { //mclint:unused storage's crash-point tests arm a crash with it
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.crash = n
@@ -150,14 +150,14 @@ func (f *FaultFS) SetCrashAfter(n int64) {
 // Ops returns how many fallible operations have been attempted —
 // including ones that drew a fault or hit the crash point. Run a
 // scenario once without a crash point to size a crash-point sweep.
-func (f *FaultFS) Ops() int64 {
+func (f *FaultFS) Ops() int64 { //mclint:unused storage's crash-point tests count operations with it
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.ops
 }
 
 // Crashed reports whether the crash point has been reached.
-func (f *FaultFS) Crashed() bool {
+func (f *FaultFS) Crashed() bool { //mclint:unused storage's crash-point tests detect the crash with it
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.dead
@@ -166,7 +166,7 @@ func (f *FaultFS) Crashed() bool {
 // Fates returns the recorded outcome of every operation so far, in
 // order — the replay-identity witness: two same-seed runs over the same
 // op sequence must return identical slices.
-func (f *FaultFS) Fates() []string {
+func (f *FaultFS) Fates() []string { //mclint:unused storage's fault tests replay fates with it
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return append([]string(nil), f.fates...)

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"io/fs"
 	"sort"
@@ -19,7 +18,7 @@ const (
 	// CrashLoseUnsynced drops everything past each file's last Sync and
 	// every namespace operation since the last SyncRoot — the most
 	// adversarial outcome the durability contract permits.
-	CrashLoseUnsynced CrashMode = iota
+	CrashLoseUnsynced CrashMode = iota //mclint:unused names the zero CrashMode; storage's tests crash with it
 	// CrashKeepUnsynced keeps all written data (the kernel happened to
 	// flush everything) while still reverting unsynced namespace
 	// operations. Recovery must accept this too: a crash may preserve
@@ -37,24 +36,6 @@ const (
 	// its content is caught by exactly this mode.
 	CrashKeepNamespace
 )
-
-func (m CrashMode) String() string {
-	switch m {
-	case CrashLoseUnsynced:
-		return "lose-unsynced"
-	case CrashKeepUnsynced:
-		return "keep-unsynced"
-	case CrashTornTail:
-		return "torn-tail"
-	case CrashKeepNamespace:
-		return "keep-namespace"
-	default:
-		return fmt.Sprintf("crash-mode-%d", int(m))
-	}
-}
-
-// CrashModes lists every mode, for crash-point enumeration sweeps.
-var CrashModes = []CrashMode{CrashLoseUnsynced, CrashKeepUnsynced, CrashTornTail, CrashKeepNamespace}
 
 // memInode is one file's content. Handles reference inodes, not names,
 // so a handle kept across a Rename (the store keeps its journal handle
@@ -182,7 +163,7 @@ func (m *MemFS) SyncRoot() error {
 // torn-tail lengths and bit flips come from a stats.RNG seeded here,
 // never from ambient randomness. Outstanding handles become stale and
 // error on use; reopen after recovery, as a real process restart would.
-func (m *MemFS) Crash(mode CrashMode, seed uint64) {
+func (m *MemFS) Crash(mode CrashMode, seed uint64) { //mclint:unused storage's crash-point and store tests simulate a crash with it
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if seed == 0 {
@@ -226,7 +207,7 @@ func (m *MemFS) Crash(mode CrashMode, seed uint64) {
 }
 
 // ReadFile is a test convenience: the current content of name.
-func (m *MemFS) ReadFile(name string) ([]byte, error) {
+func (m *MemFS) ReadFile(name string) ([]byte, error) { //mclint:unused pinned by benchmark/dirscript.go
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ino, ok := m.cur[name]
@@ -238,7 +219,7 @@ func (m *MemFS) ReadFile(name string) ([]byte, error) {
 
 // WriteFile is a test convenience: name gets content, fully durable (as
 // if written, synced, and root-synced).
-func (m *MemFS) WriteFile(name string, data []byte) error {
+func (m *MemFS) WriteFile(name string, data []byte) error { //mclint:unused pinned by benchmark/dirscript.go
 	if err := validName(name); err != nil {
 		return err
 	}

@@ -407,13 +407,6 @@ func (s *Store) JournalRecords() int {
 	return s.journalRecs
 }
 
-// Gen returns the current durable generation.
-func (s *Store) Gen() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gen
-}
-
 // Broken reports whether Append is refusing work until a Compact
 // succeeds.
 func (s *Store) Broken() bool {

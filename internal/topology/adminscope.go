@@ -32,15 +32,12 @@ func NewAdminZone(name string, g *Graph, members []NodeID) (*AdminZone, error) {
 	return &AdminZone{Name: name, members: set}, nil
 }
 
-// Contains reports zone membership.
-func (z *AdminZone) Contains(n NodeID) bool { return z.members.Contains(n) }
-
 // Members returns the zone's reach set: admin-scoped traffic from any
 // member reaches exactly the members.
 func (z *AdminZone) Members() *NodeSet { return z.members }
 
 // Size returns the member count.
-func (z *AdminZone) Size() int { return z.members.Len() }
+func (z *AdminZone) Size() int { return z.members.Len() } //mclint:unused sim's admin-zone tests check the zones cover the graph with it
 
 // ZonesFromCountries derives one administrative zone per labelled country
 // of a generated Mbone — the typical late-90s deployment pattern where
@@ -69,14 +66,4 @@ func ZonesFromCountries(g *Graph) ([]*AdminZone, error) {
 		zones = append(zones, z)
 	}
 	return zones, nil
-}
-
-// ZoneOf returns the zone containing n, or nil.
-func ZoneOf(zones []*AdminZone, n NodeID) *AdminZone {
-	for _, z := range zones {
-		if z.Contains(n) {
-			return z
-		}
-	}
-	return nil
 }

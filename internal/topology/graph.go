@@ -166,26 +166,3 @@ func (g *Graph) LargestComponent() []NodeID {
 	}
 	return best
 }
-
-// MaxThresholdOnPath is a diagnostic helper: it returns the maximum link
-// threshold along the metric-shortest path from a to b, or -1 if b is
-// unreachable from a. Used by tests to validate generated boundary nesting.
-func (g *Graph) MaxThresholdOnPath(a, b NodeID) int {
-	t := NewSPTree(g, a)
-	if !t.Reached(b) {
-		return -1
-	}
-	maxTh := 0
-	for v := b; v != a; {
-		p := t.Parent(v)
-		e, ok := g.EdgeBetween(NodeID(p), v)
-		if !ok {
-			return -1
-		}
-		if int(e.Threshold) > maxTh {
-			maxTh = int(e.Threshold)
-		}
-		v = NodeID(p)
-	}
-	return maxTh
-}

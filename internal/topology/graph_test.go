@@ -281,13 +281,3 @@ func TestReachCacheConsistency(t *testing.T) {
 		t.Fatal("node3 should not see node0's TTL15 announcements")
 	}
 }
-
-func TestMaxThresholdOnPath(t *testing.T) {
-	g := lineGraph(t, 4, []uint8{1, 48, 16})
-	if got := g.MaxThresholdOnPath(0, 3); got != 48 {
-		t.Fatalf("max threshold = %d", got)
-	}
-	if got := g.MaxThresholdOnPath(0, 1); got != 1 {
-		t.Fatalf("max threshold = %d", got)
-	}
-}

@@ -101,7 +101,6 @@ func dist(a, b Node) float64 {
 // queries in roughly O(1) for uniformly random points; it keeps the
 // generator usable at the paper's 51200-node scale.
 type nnIndex struct {
-	side     float64
 	cells    int
 	cellSize float64
 	buckets  [][]nnPoint
@@ -118,7 +117,6 @@ func newNNIndex(side float64, expected int) *nnIndex {
 		cells = 1
 	}
 	return &nnIndex{
-		side:     side,
 		cells:    cells,
 		cellSize: side / float64(cells),
 		buckets:  make([][]nnPoint, cells*cells),

@@ -18,9 +18,6 @@ type MboneConfig struct {
 	Nodes int
 }
 
-// DefaultMboneConfig matches the paper's 1864-router connected map.
-func DefaultMboneConfig() MboneConfig { return MboneConfig{Nodes: 1864} }
-
 // Threshold conventions used on the late-1990s Mbone (paper §1–2):
 const (
 	thresholdNone    = 1  // ordinary link, no scope boundary
@@ -76,9 +73,8 @@ func GenerateMbone(cfg MboneConfig, rng *stats.RNG) (*Graph, error) {
 	}
 
 	b := &mboneBuilder{
-		g:      NewGraph(0),
-		rng:    rng,
-		budget: cfg.Nodes,
+		g:   NewGraph(0),
+		rng: rng,
 	}
 
 	gateways := make(map[string]NodeID)     // country -> gateway backbone router
@@ -159,9 +155,8 @@ func specOf(name string) countrySpec {
 }
 
 type mboneBuilder struct {
-	g      *Graph
-	rng    *stats.RNG
-	budget int
+	g   *Graph
+	rng *stats.RNG
 }
 
 func (b *mboneBuilder) addNode(n Node) NodeID {
@@ -265,21 +260,10 @@ func (b *mboneBuilder) buildSite(spec countrySpec, hub NodeID, hubIdx, siteIdx, 
 }
 
 // NodesInCountry returns the ids of all routers labelled with country.
-func NodesInCountry(g *Graph, country string) []NodeID {
+func NodesInCountry(g *Graph, country string) []NodeID { //mclint:unused sim's, des's and topology's tests pick a country's routers with it
 	var out []NodeID
 	for i, n := range g.Nodes {
 		if n.Country == country {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
-
-// NodesInContinent returns the ids of all routers labelled with continent.
-func NodesInContinent(g *Graph, continent string) []NodeID {
-	var out []NodeID
-	for i, n := range g.Nodes {
-		if n.Continent == continent {
 			out = append(out, NodeID(i))
 		}
 	}

@@ -13,13 +13,12 @@ import (
 // ("scope") sets compactly so visibility and clash tests are word-parallel.
 type NodeSet struct {
 	words []uint64
-	n     int
 	id    int // dense class id a ReachCache gave it; 0 if none did
 }
 
 // NewNodeSet returns an empty set over n nodes.
 func NewNodeSet(n int) *NodeSet {
-	return &NodeSet{words: make([]uint64, (n+63)/64), n: n}
+	return &NodeSet{words: make([]uint64, (n+63)/64)}
 }
 
 // ID returns the set's scope class: a ReachCache hands out one *NodeSet per
@@ -44,9 +43,6 @@ func (s *NodeSet) Len() int {
 	}
 	return total
 }
-
-// Universe returns the size of the node universe the set is over.
-func (s *NodeSet) Universe() int { return s.n }
 
 // Intersects reports whether s and t share any member.
 //
@@ -280,11 +276,4 @@ func (c *ReachCache) Containing(v NodeID) []int32 {
 		return *l
 	}
 	return nil
-}
-
-// Visible reports whether an observer node sees announcements for a session
-// originated at src with the given scope TTL: announcements are multicast
-// with the same scope as the session they describe (§1).
-func (c *ReachCache) Visible(observer, src NodeID, ttl mcast.TTL) bool {
-	return c.Reach(src, ttl).Contains(observer)
 }

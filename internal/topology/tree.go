@@ -146,21 +146,12 @@ func (t *Tree) buildChildren() {
 	}
 }
 
-// Reached reports whether v is attached to the tree.
-func (t *Tree) Reached(v NodeID) bool { return v == t.Root || t.parent[v] >= 0 }
-
-// Parent returns v's parent, or -1 for the root / unreached nodes.
-func (t *Tree) Parent(v NodeID) NodeID { return t.parent[v] }
-
 // Depth returns v's hop count from the root (-1 if unreached).
 func (t *Tree) Depth(v NodeID) int32 { return t.depth[v] }
 
 // DelayFromRoot returns the cumulative link delay from the root to v in
 // milliseconds (meaningless for unreached nodes).
 func (t *Tree) DelayFromRoot(v NodeID) float64 { return t.delay[v] }
-
-// MetricFromRoot returns the cumulative DVMRP metric from the root to v.
-func (t *Tree) MetricFromRoot(v NodeID) int32 { return t.metric[v] }
 
 // Children returns v's children. The slice is owned by the tree.
 func (t *Tree) Children(v NodeID) []NodeID { return t.children[v] }

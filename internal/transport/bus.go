@@ -62,7 +62,7 @@ type BusEndpoint struct {
 var _ Transport = (*BusEndpoint)(nil)
 
 // ID returns the endpoint's bus-unique id (useful in Policy functions).
-func (e *BusEndpoint) ID() int { return e.id }
+func (e *BusEndpoint) ID() int { return e.id } //mclint:unused the root package's directory tests write bus policies over endpoint ids with it
 
 // SendBatch implements Transport. Each datagram in turn is delivered, as
 // a batch of one, to every other endpoint the Policy admits it to, over

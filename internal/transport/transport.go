@@ -28,7 +28,7 @@ type Message struct {
 // call, not leased, so there is nothing to hand back. It remains only
 // because benchmark/udpprobe.go calls it, and leaves with the other
 // shims of ROADMAP item 7.
-func (m *Message) Release() {}
+func (m *Message) Release() {} //mclint:unused pinned by benchmark/udpprobe.go
 
 // Handler consumes received messages a batch at a time: every datagram
 // one receive syscall retired on UDP, a batch of one on the in-process

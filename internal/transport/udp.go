@@ -562,7 +562,7 @@ func (t *UDPTransport) Subscribe(h Handler) {
 // SubscribeBatch is Subscribe. It remains only because
 // benchmark/udpprobe.go calls it, and leaves with the other shims of
 // ROADMAP item 7.
-func (t *UDPTransport) SubscribeBatch(h Handler) { t.Subscribe(h) }
+func (t *UDPTransport) SubscribeBatch(h Handler) { t.Subscribe(h) } //mclint:unused pinned by benchmark/udpprobe.go
 
 // LocalAddr is the socket's bound address (in unicast mode, what peers
 // send to).

@@ -68,7 +68,6 @@ func (s *refreshSide) open(t *testing.T, clk *fakeClock, budgets bool) {
 		Clock:        clk.Now,
 		Seed:         77,
 		CacheTimeout: 40 * time.Minute,
-		RecentWindow: 30 * time.Second,
 		Delay:        clash.NewUniformDelay(1000, 1001),
 		OnEvent:      s.log.add,
 		Trace:        s.trace,

@@ -62,14 +62,13 @@ func runSendContract(t *testing.T, l *lender) []lent {
 	const spaceSize = 64
 	clk := newFakeClock()
 	d, err := New(Config{
-		Origin:       netip.MustParseAddr("10.0.0.1"),
-		Transport:    l,
-		Space:        mcast.SyntheticSpace(spaceSize),
-		Allocator:    allocator.NewAdaptive(spaceSize, allocator.AdaptiveConfig{GapFraction: 0.2}),
-		Clock:        clk.Now,
-		Seed:         3,
-		RecentWindow: 30 * time.Second,
-		Delay:        clash.NewUniformDelay(1000, 1001),
+		Origin:    netip.MustParseAddr("10.0.0.1"),
+		Transport: l,
+		Space:     mcast.SyntheticSpace(spaceSize),
+		Allocator: allocator.NewAdaptive(spaceSize, allocator.AdaptiveConfig{GapFraction: 0.2}),
+		Clock:     clk.Now,
+		Seed:      3,
+		Delay:     clash.NewUniformDelay(1000, 1001),
 	})
 	if err != nil {
 		t.Fatal(err)

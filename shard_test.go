@@ -42,7 +42,6 @@ func newFloodedDirectory(t *testing.T, bus *transport.Bus, clk *fakeClock, origi
 		MaxSessions:  24,
 		MaxPerOrigin: 10,
 		StaleAfter:   2 * time.Minute,
-		RecentWindow: 30 * time.Second,
 		Delay:        clash.NewUniformDelay(1000, 1001),
 	}
 	if log != nil {
@@ -215,14 +214,13 @@ func TestCreateSessionBatchPartialFailureAcrossShards(t *testing.T) {
 	clk := newFakeClock()
 	const spaceSize = 16
 	d, err := New(Config{
-		Origin:       netip.MustParseAddr("10.0.0.1"),
-		Transport:    bus.Endpoint(),
-		Space:        mcast.SyntheticSpace(spaceSize),
-		Allocator:    allocator.NewInformedRandom(spaceSize),
-		Clock:        clk.Now,
-		Seed:         7,
-		RecentWindow: 30 * time.Second,
-		Delay:        clash.NewUniformDelay(1000, 1001),
+		Origin:    netip.MustParseAddr("10.0.0.1"),
+		Transport: bus.Endpoint(),
+		Space:     mcast.SyntheticSpace(spaceSize),
+		Allocator: allocator.NewInformedRandom(spaceSize),
+		Clock:     clk.Now,
+		Seed:      7,
+		Delay:     clash.NewUniformDelay(1000, 1001),
 	})
 	if err != nil {
 		t.Fatal(err)
