@@ -5,8 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"sessiondir/internal/allocator"
+	"sessiondir/internal/clash"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/session"
+	"sessiondir/internal/stats"
 	"sessiondir/internal/transport"
 )
 
@@ -172,5 +175,112 @@ func TestAllocatorCountersAtEverySite(t *testing.T) {
 	}
 	if got := counter("failures"); got != 2 {
 		t.Fatalf("failures = %v, want 2: the batch and the create that found the space full", got)
+	}
+}
+
+// countingAllocator wraps an Allocator by embedding it, as a caller that
+// counts its allocator's calls does; the embedding hides AllocateFrom, so
+// it is no allocator.StateAllocator.
+type countingAllocator struct {
+	allocator.Allocator
+	calls, batches int
+}
+
+func (a *countingAllocator) Allocate(visible []allocator.SessionInfo, ttl mcast.TTL, rng *stats.RNG) (mcast.Addr, error) {
+	a.calls++
+	return a.Allocator.Allocate(visible, ttl, rng)
+}
+
+func (a *countingAllocator) AllocateBatch(visible []allocator.SessionInfo, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
+	a.batches++
+	return a.Allocator.AllocateBatch(visible, ttl, k, dst, rng)
+}
+
+// TestWrappedAllocatorSeesEveryCall: a configured allocator that reads
+// only slices is called at every create — Allocate for one session,
+// AllocateBatch for a batch — and, handed the members the directory lists
+// for it, picks what the same allocator unwrapped picks from the State,
+// across heard sessions that come, change address and go.
+func TestWrappedAllocatorSeesEveryCall(t *testing.T) {
+	clk := newFakeClock()
+	bare, _ := newDirectory(t, transport.NewBus(), clk, "10.0.0.1", 256, 7, nil)
+	defer bare.Close()
+	counter := &countingAllocator{Allocator: allocator.NewAdaptive(256, allocator.AdaptiveConfig{GapFraction: 0.2})}
+	wrapped, err := New(Config{
+		Origin:    netip.MustParseAddr("10.0.0.1"),
+		Transport: transport.NewBus().Endpoint(),
+		Space:     mcast.SyntheticSpace(256),
+		Allocator: counter,
+		Clock:     clk.Now,
+		Seed:      7,
+		Delay:     clash.NewUniformDelay(1000, 1001),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wrapped.Close()
+
+	space := mcast.SyntheticSpace(256)
+	heard := func(id uint64, version uint64, addr mcast.Addr, ttl mcast.TTL) {
+		desc := &session.Description{
+			ID: id, Version: version, Origin: netip.MustParseAddr("10.0.9.9"), Name: "heard",
+			Group: space.Group(addr), TTL: ttl,
+			Media: []session.Media{{Type: "audio", Port: 5004, Proto: "RTP/AVP", Format: "0"}},
+		}
+		msgs := []transport.Message{{Data: announceWire(t, desc)}}
+		bare.HandleBatch(msgs)
+		wrapped.HandleBatch(msgs)
+	}
+	same := func(step string, a, b []*session.Description) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d sessions unwrapped, %d wrapped", step, len(a), len(b))
+		}
+		for i := range a {
+			if a[i].Group != b[i].Group {
+				t.Fatalf("%s: session %d at %s unwrapped, %s wrapped", step, i, a[i].Group, b[i].Group)
+			}
+		}
+	}
+	create := func(step string, ttl mcast.TTL) *session.Description {
+		t.Helper()
+		a, errA := bare.CreateSession(batchDesc("s", ttl))
+		b, errB := wrapped.CreateSession(batchDesc("s", ttl))
+		if errA != nil || errB != nil {
+			t.Fatalf("%s: %v, %v", step, errA, errB)
+		}
+		same(step, []*session.Description{a}, []*session.Description{b})
+		return a
+	}
+
+	for i := uint64(0); i < 40; i++ {
+		heard(100+i, 1, mcast.Addr(i*6), mcast.TTL(15+i*5))
+	}
+	create("after hearing", 127)
+	heard(100, 2, 250, 15) // moved
+	heard(101, 2, 250, 20) // moved onto the same address
+	own := create("after the moves", 63)
+	if err := bare.WithdrawSession(own.Key()); err != nil {
+		t.Fatal(err)
+	}
+	if err := wrapped.WithdrawSession(own.Key()); err != nil {
+		t.Fatal(err)
+	}
+	create("after a withdrawal", 63)
+	descs := func() []*session.Description {
+		out := make([]*session.Description, 5)
+		for i := range out {
+			out[i] = batchDesc("b", 191)
+		}
+		return out
+	}
+	a, errA := bare.CreateSessionBatch(descs())
+	b, errB := wrapped.CreateSessionBatch(descs())
+	if errA != nil || errB != nil {
+		t.Fatalf("batch: %v, %v", errA, errB)
+	}
+	same("batch", a, b)
+	if counter.calls != 3 || counter.batches != 1 {
+		t.Fatalf("the wrapper saw %d Allocate and %d AllocateBatch calls, want 3 and 1", counter.calls, counter.batches)
 	}
 }

@@ -467,40 +467,15 @@ func listenerMicros() []microBenchResult {
 		}))
 }
 
-// nextAddrAllocator hands out addresses in turn without reading the view:
-// DirCreateSession times the directory's share of a create — assembling the
-// view, registering, announcing — not an allocation algorithm's pass over
-// that view, which the Allocate* micros time on their own and which is
-// linear in the view by design.
-type nextAddrAllocator struct {
-	size uint32
-	next mcast.Addr
-}
-
-func (a *nextAddrAllocator) Name() string { return "next-address (mcbench)" }
-func (a *nextAddrAllocator) Size() uint32 { return a.size }
-
-func (a *nextAddrAllocator) Allocate(view []allocator.SessionInfo, _ mcast.TTL, _ *stats.RNG) (mcast.Addr, error) {
-	a.next = (a.next + 1) % mcast.Addr(a.size)
-	return a.next, nil
-}
-
-func (a *nextAddrAllocator) AllocateBatch(view []allocator.SessionInfo, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
-	for i := 0; i < k; i++ {
-		addr, _ := a.Allocate(view, ttl, rng) // never fails
-		dst = append(dst, addr)
-	}
-	return dst, nil
-}
-
 // directoryMicros measures the two Directory operations that used to
 // rebuild a picture of the whole cache per call, each at 1k and 10k cached
 // sessions: admitting a never-seen session into a full session budget
 // (datagram in, one stale entry evicted, newcomer cached) and creating a
-// session (view handed to the allocator, session registered and announced;
-// the withdrawal that keeps the owned population constant is inside the
-// timed op). With the eviction order and the allocator view kept at the
-// cache's mutation sites the 10k figures stay near the 1k ones. Third, the
+// session (an address picked by the default AIPR-1 from the directory's
+// allocator state, session registered and announced; the withdrawal that
+// keeps the owned population constant is inside the timed op). With the
+// eviction order and the allocator state kept at the cache's mutation
+// sites the 10k figures stay near the 1k ones. Third, the
 // datagram a listener mostly hears: DirRefreshKnown is a 32-datagram
 // HandleBatch of unchanged re-announcements, walking the whole cached
 // population batch by batch; its unit is the datagram, its allocations are
@@ -538,8 +513,7 @@ func directoryMicros() []microBenchResult {
 		newDir := func(budget, perOrigin int) *sessiondir.Directory {
 			d, err := sessiondir.New(sessiondir.Config{
 				Origin: origin, Transport: transport.NewBus().Endpoint(), Clock: func() time.Time { return now },
-				Allocator: &nextAddrAllocator{size: space.Size},
-				Seed:      5, MaxSessions: budget, MaxPerOrigin: perOrigin, StaleAfter: time.Minute,
+				Seed: 5, MaxSessions: budget, MaxPerOrigin: perOrigin, StaleAfter: time.Minute,
 			})
 			if err != nil {
 				panic(err)

@@ -37,16 +37,19 @@ type core struct {
 	// digestSeed keys sap.PayloadDigest for this directory: the resolved
 	// Config.Seed, so a replay digests every payload as the recording did.
 	digestSeed uint64
-	// ownView is the directory's own allocator view: the owned sessions,
-	// filed where owned changes, and — from the first allocation on
-	// (heardView), so a directory that only ever listens does not carry
-	// them — the cache's share, which the cache files into the same set.
-	ownView   announce.ViewSet
-	heardView bool
-	admit     *admission.Controller
-	tracker   *clash.Tracker
-	epoch     time.Time
-	nextID    uint64
+	// state is the allocator's view, kept current: every owned session,
+	// filed where owned changes, and every live cached session inside the
+	// space, which the cache files in it. A session both owned and heard
+	// back is filed twice; one outside the space (a foreign block, ignored
+	// as sdr does) is not filed.
+	state *allocator.State
+	// pick receives a single allocated address: a local array would move
+	// to the heap through the allocator's interface call.
+	pick    [1]mcast.Addr
+	admit   *admission.Controller
+	tracker *clash.Tracker
+	epoch   time.Time
+	nextID  uint64
 	// degradeTick counts unknown-session packets seen at degradation
 	// level 2; every degradeAdmitSample-th one takes the full admission
 	// path so the cache keeps turning over.
@@ -136,7 +139,7 @@ type ownedSession struct {
 	key           string
 	nextAnnounce  time.Time
 	announceCount int32
-	viewPos       int32 // slot in core.ownView
+	addr          mcast.Addr // desc.Group's index in the space, filed in core.state
 	hash          uint16
 	hashed        bool
 }
@@ -194,11 +197,11 @@ func (c *core) journalKey(kind byte, key string) {
 // announces the directory's own copy of it.
 func (c *core) create(desc *session.Description, now time.Time) (*session.Description, error) {
 	mine := c.prepOwnCopy(desc, now)
-	addr, err := c.allocate(mine.TTL)
+	picked, err := c.allocate(mine.TTL, 1, c.pick[:0])
 	if err != nil {
 		return nil, fmt.Errorf("sessiondir: allocate: %w", err)
 	}
-	return c.registerOwned(mine, addr, now)
+	return c.registerOwned(mine, picked[0], now)
 }
 
 // createBatch is create over several descriptions, one allocator pass per
@@ -213,11 +216,7 @@ func (c *core) createBatch(descs []*session.Description, now time.Time) ([]*sess
 			j++
 		}
 		var allocErr error
-		addrs, allocErr = c.cfg.Allocator.AllocateBatch(c.view(), descs[i].TTL, j-i, addrs[:0], c.rng)
-		c.ins.allocPicks.Add(uint64(len(addrs)))
-		if allocErr != nil {
-			c.ins.allocFailures.Inc()
-		}
+		addrs, allocErr = c.allocate(descs[i].TTL, j-i, addrs[:0])
 		// Register whatever the run yielded even when it ran out mid-way:
 		// sequential creates would have made exactly these before hitting
 		// the same failure.
@@ -260,44 +259,32 @@ func (c *core) registerOwned(desc session.Description, addr mcast.Addr, now time
 		return nil, err
 	}
 	key := desc.Key()
-	own := &ownedSession{desc: &desc, key: key}
+	own := &ownedSession{desc: &desc, key: key, addr: addr}
 	c.owned[key] = own
-	c.ownView.Put(&own.viewPos, allocator.SessionInfo{Addr: addr, TTL: desc.TTL})
+	c.state.Add(addr, desc.TTL)
 	c.tracker.AnnounceOwn(clash.SessionKey(key), addr, desc.TTL, c.ms(now))
 	c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceAllocate, Key: key, Addr: uint32(addr)})
 	if err := c.announceOwn(own, now); err != nil {
 		delete(c.owned, key)
-		c.ownView.Remove(&own.viewPos)
+		c.state.Remove(addr, desc.TTL)
 		c.tracker.Forget(clash.SessionKey(key))
 		return nil, err
 	}
 	return &desc, nil
 }
 
-// view returns the allocator view: every live cached session plus our
-// own, expressed as address indices. Sessions outside the managed space
-// (foreign blocks) are ignored, as sdr does; a session both owned and
-// heard back appears twice. Both shares are kept current in one set at
-// their mutation sites, so this is the set's members in place — no cache
-// scan, no copy. The result is valid until the view next changes.
-func (c *core) view() []allocator.SessionInfo {
-	if !c.heardView {
-		c.cache.TrackView(c.cfg.Space, &c.ownView)
-		c.heardView = true
-	}
-	return c.ownView.Members()
-}
-
-// allocate picks an address for a session of scope ttl from the current
-// view, counted.
-func (c *core) allocate(ttl mcast.TTL) (mcast.Addr, error) {
-	addr, err := c.cfg.Allocator.Allocate(c.view(), ttl, c.rng)
+// allocate picks addresses for k sessions of scope ttl from the allocator
+// state, appending them to dst, counted. The state is left as it was: the
+// caller files what it registers. A configured allocator that is not an
+// allocator.StateAllocator, such as one wrapped to count its calls, is
+// handed the members the state lists for it (allocator.StateFor).
+func (c *core) allocate(ttl mcast.TTL, k int, dst []mcast.Addr) ([]mcast.Addr, error) {
+	got, err := allocator.AllocateFrom(c.cfg.Allocator, c.state, ttl, k, dst, c.rng)
+	c.ins.allocPicks.Add(uint64(len(got) - len(dst)))
 	if err != nil {
 		c.ins.allocFailures.Inc()
-		return addr, err
 	}
-	c.ins.allocPicks.Inc()
-	return addr, nil
+	return got, err
 }
 
 // announceOwn sends one SAP announcement for an owned session and
@@ -314,9 +301,7 @@ func (c *core) announceOwn(own *ownedSession, now time.Time) error {
 	own.nextAnnounce = now.Add(b.IntervalAfter(int(own.announceCount)))
 	own.announceCount++
 	c.ins.announcementsSent.Inc()
-	if idx, ok := c.cfg.Space.Index(own.desc.Group); ok {
-		c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceAnnounce, Key: own.key, Addr: uint32(idx)})
-	}
+	c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceAnnounce, Key: own.key, Addr: uint32(own.addr)})
 	c.report(EventAnnounceSent, own.key, own.desc)
 	return nil
 }
@@ -370,7 +355,7 @@ func (c *core) withdraw(key string, now time.Time) error {
 		return fmt.Errorf("sessiondir: not our session: %s", key)
 	}
 	delete(c.owned, key)
-	c.ownView.Remove(&own.viewPos)
+	c.state.Remove(own.addr, own.desc.TTL)
 	c.tracker.Forget(clash.SessionKey(key))
 	if err := c.sendOwn(own, sap.Delete); err != nil {
 		return err
@@ -656,14 +641,17 @@ func (c *core) applyActions(actions []clash.Action, now time.Time) {
 			if !ok {
 				continue
 			}
-			addr, err := c.allocate(own.desc.TTL)
+			picked, err := c.allocate(own.desc.TTL, 1, c.pick[:0])
 			if err != nil {
 				continue // space exhausted: keep the clashing address
 			}
+			addr := picked[0]
+			c.state.Remove(own.addr, own.desc.TTL)
+			c.state.Add(addr, own.desc.TTL)
 			own.desc = own.desc.WithGroup(c.cfg.Space.Group(addr))
+			own.addr = addr
 			own.hashed = false    // a new payload: hashed when next sent
 			own.announceCount = 0 // restart the fast back-off phase
-			c.ownView.Put(&own.viewPos, allocator.SessionInfo{Addr: addr, TTL: own.desc.TTL})
 			c.tracker.AnnounceOwn(clash.SessionKey(key), addr, own.desc.TTL, c.ms(now))
 			if err := c.announceOwn(own, now); err == nil {
 				c.ins.clashMoves.Inc()

@@ -424,6 +424,8 @@ func New(cfg Config) (*Directory, error) {
 		},
 		reg: reg,
 	}
+	d.state = allocator.StateFor(cfg.Allocator)
+	d.cache.TrackState(cfg.Space, d.state)
 	if d.budgeted() {
 		// Without a budget nothing is ever evicted, and the listener path
 		// is spared the upkeep.
@@ -475,11 +477,11 @@ func (d *Directory) CreateSession(desc *session.Description) (*session.Descripti
 	return out, err
 }
 
-// CreateSessionBatch creates several sessions in one pass, amortising the
-// allocator's per-call view scan: consecutive descriptions with the same
-// scope share a single AllocateBatch, which computes band/partition state
-// once for the whole run (the addresses are bit-identical to sequential
-// CreateSession calls; see allocator.Allocator.AllocateBatch). Results align
+// CreateSessionBatch creates several sessions in one pass: consecutive
+// descriptions with the same scope share a single allocator.AllocateFrom,
+// which sums the class counts once for the whole run (the addresses are
+// bit-identical to sequential CreateSession calls; see
+// allocator.Allocator.AllocateBatch). Results align
 // with descs by index and, like CreateSession's, must not be modified. On
 // error the sessions created before the failure stay created and are
 // returned with it — callers retrying a partial burst should resubmit only

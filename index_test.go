@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -20,7 +19,7 @@ import (
 )
 
 // scanView is the rebuild view used to do on every allocation,
-// kept as the reference the maintained view is compared against: every
+// kept as the reference the maintained state is compared against: every
 // live cached session plus every owned one, so a session both owned and
 // heard back counts twice.
 func scanView(d *Directory) []allocator.SessionInfo {
@@ -38,20 +37,18 @@ func scanView(d *Directory) []allocator.SessionInfo {
 	return view
 }
 
-func sortedView(v []allocator.SessionInfo) []allocator.SessionInfo {
-	out := append([]allocator.SessionInfo(nil), v...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Addr != out[j].Addr {
-			return out[i].Addr < out[j].Addr
-		}
-		return out[i].TTL < out[j].TTL
-	})
-	return out
+// scanState is scanView folded into an allocator.State.
+func scanState(d *Directory) *allocator.State {
+	s := allocator.NewState(d.cfg.Space.Size)
+	for _, v := range scanView(d) {
+		s.Add(v.Addr, v.TTL)
+	}
+	return s
 }
 
 // checkIndices compares the directory's maintained indices with the scans
-// they replaced: the allocator view with scanView as a multiset (once the
-// first allocation has switched the heard share on), the overload tier
+// they replaced: the allocator state with one folded from scanView, the
+// overload tier
 // read through the cache's fresh-count memo with the tier of a recount,
 // and — when a budget is set — the plan over the maintained eviction order
 // with PlanNew over candidates, for a newcomer from each given origin.
@@ -59,10 +56,8 @@ func checkIndices(t testing.TB, d *Directory, origins ...netip.Addr) {
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.heardView {
-		if got, want := sortedView(d.view()), sortedView(scanView(d)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("maintained view %v\nrebuilt view    %v", got, want)
-		}
+	if want := scanState(d); !reflect.DeepEqual(d.state, want) {
+		t.Fatalf("maintained allocator state %+v\nrebuilt                   %+v", d.state, want)
 	}
 	if d.cfg.MaxSessions <= 0 && d.cfg.MaxPerOrigin <= 0 {
 		return
@@ -107,8 +102,8 @@ func failNextAnnounce(d *Directory, fn func()) {
 }
 
 // TestCreateRollbackRetainsNothing: a create that allocates and then fails
-// to announce leaves no owned session, no view member, and no address the
-// clash tracker would go on defending.
+// to announce leaves no owned session, the allocator state as it was, and
+// no address the clash tracker would go on defending.
 func TestCreateRollbackRetainsNothing(t *testing.T) {
 	bus := transport.NewBus()
 	clk := newFakeClock()
@@ -119,16 +114,19 @@ func TestCreateRollbackRetainsNothing(t *testing.T) {
 	desc := testDesc("doomed", 127)
 	desc.ID = 777
 	var err error
+	d.mu.Lock()
+	before := scanState(d)
+	d.mu.Unlock()
 	failNextAnnounce(d, func() { _, err = d.CreateSession(desc) })
 	if !errors.Is(err, sap.ErrIPv6) {
 		t.Fatalf("CreateSession error = %v, want %v", err, sap.ErrIPv6)
 	}
 	d.mu.Lock()
-	owned, inView := len(d.owned), d.ownView.Len()
+	owned, unchanged := len(d.owned), reflect.DeepEqual(d.state, before)
 	_, tracked := d.tracker.CachedAddr(clash.SessionKey("2001:db8::1/777"))
 	d.mu.Unlock()
-	if owned != 0 || inView != 0 || tracked {
-		t.Fatalf("after the failed create: %d owned, %d in the view, tracker still holds the address: %v", owned, inView, tracked)
+	if owned != 0 || !unchanged || tracked {
+		t.Fatalf("after the failed create: %d owned, allocator state unchanged: %v, tracker still holds the address: %v", owned, unchanged, tracked)
 	}
 	checkIndices(t, d)
 
@@ -144,8 +142,10 @@ func TestCreateRollbackRetainsNothing(t *testing.T) {
 	checkIndices(t, d)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.owned) != 1 || d.ownView.Len() != 1 {
-		t.Fatalf("%d owned, %d in the view, want 1 and 1 (%s)", len(d.owned), d.ownView.Len(), good.Key())
+	want := allocator.NewState(d.cfg.Space.Size)
+	want.Add(d.owned[good.Key()].addr, good.TTL)
+	if len(d.owned) != 1 || !reflect.DeepEqual(d.state, want) {
+		t.Fatalf("%d owned, allocator state %+v, want 1 and only %s filed", len(d.owned), d.state, good.Key())
 	}
 }
 
@@ -157,7 +157,7 @@ func TestCreateRollbackRetainsNothing(t *testing.T) {
 // rolled back; forged clashes that move an owned session; budget evictions;
 // Steps across the expiry horizon; and, for half the sequences, a start
 // from an over-budget checkpoint that is trimmed on load — and after every
-// op compares view and plan with the rebuilds (checkIndices).
+// op compares allocator state and plan with the rebuilds (checkIndices).
 func TestDirectoryIndicesMatchRebuilds(t *testing.T) {
 	const spaceSize = 64
 	space := mcast.SyntheticSpace(spaceSize)
@@ -210,8 +210,8 @@ func TestDirectoryIndicesMatchRebuilds(t *testing.T) {
 			f := newForge(t, bus)
 			ops := stats.NewRNG(seed<<8 | salt)
 			if seed%2 == 0 {
-				// The heard view is switched on over the loaded population
-				// by the first create, some ops in.
+				// The loaded population enters the allocator state as it
+				// is restored.
 				cs, _ := reopen(t, checkpoint, d)
 				_ = cs.Close() // load only: the checkpoint is shared and never rewritten
 				checkIndices(t, d, self)
@@ -254,7 +254,7 @@ func TestDirectoryIndicesMatchRebuilds(t *testing.T) {
 					f.send(sap.Announce, self, peer)
 				case op < 14:
 					// One of our own announcements heard back: from then on
-					// the session is in the view twice.
+					// the session is in the allocator state twice.
 					if keys := ownKeys(); len(keys) > 0 {
 						f.send(sap.Announce, self, ownDesc(keys[ops.IntN(len(keys))]))
 						heardBack++

@@ -98,11 +98,10 @@ type Band struct {
 // minimum single-address width, as in the paper's "initial band allocation
 // allocates only a single address to each band".
 func (a *Adaptive) Layout(visible []SessionInfo) []Band {
-	f := a.fold(visible)
-	defer foldPool.Put(f)
-	bands := make([]Band, 0, len(f.counts))
-	walkFig8(a.size, a.gapFrac, a.occupancy, f.counts, func(c int, start, width uint32) bool {
-		bands = append(bands, Band{Class: c, Low: a.pm.LowTTL(c), Start: start, Width: width, Count: f.counts[c]})
+	counts := a.countsOf(visible)
+	bands := make([]Band, 0, len(counts))
+	walkFig8(a.size, a.gapFrac, a.occupancy, counts, func(c int, start, width uint32) bool {
+		bands = append(bands, Band{Class: c, Low: a.pm.LowTTL(c), Start: start, Width: width, Count: counts[c]})
 		return true
 	})
 	return bands

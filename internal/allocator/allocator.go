@@ -32,15 +32,15 @@ var ErrSpaceFull = errors.New("allocator: no free address visible for requested 
 
 // An Allocator picks multicast addresses for new sessions.
 //
-// Allocate receives the set of sessions currently visible at the
-// allocating site (it must not retain or modify the slice) and the scope
-// TTL of the new session, and returns an address index in [0, Size()).
-// Implementations are deterministic given the rng stream.
+// It reads the view of the allocating site — the sessions visible there —
+// as a slice (it must not retain or modify it), and returns index values in
+// [0, Size()), deterministic given the rng stream. A StateAllocator can
+// also read the view as a State the caller keeps current.
 //
 // All allocators in this package are immutable after construction, so a
 // single instance may be shared by concurrent experiment workers as long
-// as each worker passes its own *stats.RNG (RNGs are not concurrency-safe;
-// derive per-worker streams with Split).
+// as each worker passes its own *stats.RNG and State (neither is
+// concurrency-safe; derive per-worker streams with Split).
 type Allocator interface {
 	// Name identifies the algorithm in experiment output, e.g. "IPR 7-band".
 	Name() string
@@ -52,14 +52,42 @@ type Allocator interface {
 	// pass, appending them to dst and returning the extended slice. The
 	// result is bit-identical to k sequential Allocate calls in which each
 	// freshly allocated session is appended to the view between calls, but
-	// the view is folded into class counts and the used-address set once
-	// per batch instead of once per address: a burst of creations pays the
-	// O(len(visible)) fold once, each pick adding only its own address.
-	// Batching is an amortisation, never a behaviour change; for the
-	// algorithms built on core, Allocate is AllocateBatch with k = 1. On
-	// failure the addresses allocated before the error are returned
+	// the view is folded once per batch instead of once per address. For
+	// the algorithms built on core, Allocate is AllocateBatch with k = 1.
+	// On failure the addresses allocated before the error are returned
 	// alongside it.
 	AllocateBatch(visible []SessionInfo, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error)
+}
+
+// A StateAllocator is an Allocator that also reads its view as a State.
+// Every allocator in this package is one. A type that wraps an Allocator
+// by embedding it is not, so AllocateFrom hands the wrapper a slice, and
+// the wrapper sees every call.
+type StateAllocator interface {
+	Allocator
+	// AllocateFrom is AllocateBatch over the view s holds, at a cost that
+	// does not grow with it. Each pick is in s while the later ones are
+	// made, and out of it again on return, so s is left as it was found.
+	AllocateFrom(s *State, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error)
+}
+
+// AllocateFrom picks addresses for k sessions of scope ttl from the view s
+// holds, appending them to dst, and leaves s as it found it; s comes from
+// StateFor(a). A StateAllocator reads s itself. Any other Allocator gets
+// the members s lists: through Allocate when k is 1, and through
+// AllocateBatch otherwise.
+func AllocateFrom(a Allocator, s *State, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
+	if sa, ok := a.(StateAllocator); ok {
+		return sa.AllocateFrom(s, ttl, k, dst, rng)
+	}
+	if k != 1 {
+		return a.AllocateBatch(s.list, ttl, k, dst, rng)
+	}
+	addr, err := a.Allocate(s.list, ttl, rng)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, addr), nil
 }
 
 // pickFreeInRange returns a uniformly random address in [start, start+width)
@@ -130,23 +158,23 @@ func validateSize(size uint32) {
 // in Figures 5 and 12, under the name its rows print.
 var catalog = []struct {
 	name string
-	make func(size uint32, name string) Allocator
+	make func(size uint32, name string) StateAllocator
 }{
-	{"R", func(size uint32, _ string) Allocator { return NewRandom(size) }},
-	{"IR", func(size uint32, _ string) Allocator { return NewInformedRandom(size) }},
-	{"IPR 3-band", func(size uint32, _ string) Allocator { return NewStaticPartitioned(size, IPR3Separators()) }},
-	{"IPR 7-band", func(size uint32, _ string) Allocator { return NewStaticPartitioned(size, IPR7Separators()) }},
+	{"R", func(size uint32, _ string) StateAllocator { return NewRandom(size) }},
+	{"IR", func(size uint32, _ string) StateAllocator { return NewInformedRandom(size) }},
+	{"IPR 3-band", func(size uint32, _ string) StateAllocator { return NewStaticPartitioned(size, IPR3Separators()) }},
+	{"IPR 7-band", func(size uint32, _ string) StateAllocator { return NewStaticPartitioned(size, IPR7Separators()) }},
 	{"AIPR-1 (20% gap)", aipr(0.2)},
 	{"AIPR-2 (50% gap)", aipr(0.5)},
 	{"AIPR-3 (60% gap)", aipr(0.6)},
 	{"AIPR-4 (70% gap)", aipr(0.7)},
-	{"AIPR-H (hybrid)", func(size uint32, _ string) Allocator { return NewHybrid(size) }},
+	{"AIPR-H (hybrid)", func(size uint32, _ string) StateAllocator { return NewHybrid(size) }},
 }
 
 // aipr makes the Figure-12 adaptive allocator with the given gap share,
 // under its catalog name.
-func aipr(gap float64) func(size uint32, name string) Allocator {
-	return func(size uint32, name string) Allocator {
+func aipr(gap float64) func(size uint32, name string) StateAllocator {
+	return func(size uint32, name string) StateAllocator {
 		return NewAdaptive(size, AdaptiveConfig{GapFraction: gap, Name: name})
 	}
 }

@@ -2,6 +2,7 @@ package allocator
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"sessiondir/internal/mcast"
@@ -14,15 +15,15 @@ import (
 // a rule is the decision.
 
 // rule places the band [start, start+width) of scope class cls. counts
-// holds the visible sessions per class, and is empty for a rule whose
-// bands do not depend on them.
+// holds the visible sessions per class, and is nil for a rule whose bands
+// do not depend on them.
 type rule interface {
 	band(counts []int, cls int) (start, width uint32)
 }
 
 // core implements Allocator for InformedRandom, StaticPartitioned, Adaptive
 // and Hybrid, which embed it and supply the rule. It is immutable once
-// built; per-call state lives in a pooled folded.
+// built; per-call state lives in the caller's State and in pooled scratch.
 type core struct {
 	name    string
 	size    uint32
@@ -30,15 +31,14 @@ type core struct {
 	classes int
 	// adaptive rules place bands from the class counts and let a full band
 	// grow downward (Figure 8); the others have fixed bands, fail when one
-	// fills, and never read the counts — so fold does not take them: with
-	// one class, IR would serialise a view's worth of increments on a
-	// single slot (measured 2.7× on Allocate over 500 sessions).
+	// fills, and never read the counts, so the pick loop does not sum them.
 	adaptive bool
 	rule     rule
 }
 
-// tabulate records a rule's TTL → class mapping, so that folding a view
-// costs a table read per session, not the rule's own comparisons.
+// tabulate records a rule's TTL → class mapping, so that summing a
+// State's TTL counts into classes costs a table read per TTL present, not
+// the rule's own comparisons.
 func (c *core) tabulate(classes int, classOf func(mcast.TTL) int) {
 	c.classes = classes
 	for t := range c.classOf {
@@ -52,49 +52,65 @@ func (c *core) Name() string { return c.name }
 // Size implements Allocator.
 func (c *core) Size() uint32 { return c.size }
 
-// folded is a view reduced to what allocation reads: the used-address
-// bitset and, for adaptive rules, the sessions per class.
-type folded struct {
-	used   usedSet
-	counts []int
-}
-
-// foldPool recycles folded values across calls. Pooling (rather than a
-// scratch field on the allocator) keeps Allocator values stateless and
-// safe to share between the experiment engine's workers. counts lives
-// here and not on Allocate's stack because it reaches the rule through an
+// scratch is what a call works in: the State a slice view is folded into
+// and the class counts the rule reads. It is pooled rather than a field
+// of the allocator, which keeps Allocator values stateless and safe to
+// share between the experiment engine's workers; and the counts live here
+// and not on the pick loop's stack because they reach the rule through an
 // interface call, which would move a stack buffer to the heap.
-var foldPool = sync.Pool{New: func() any { return new(folded) }}
-
-// newFolded returns a pooled folded with an empty bitset over [0, size)
-// and zeroed counts for the given number of classes. Return it with
-// foldPool.Put.
-func newFolded(size uint32, classes int) *folded {
-	f := foldPool.Get().(*folded)
-	f.used.reset(size)
-	if cap(f.counts) < classes {
-		f.counts = make([]int, classes)
-	}
-	f.counts = f.counts[:classes]
-	clear(f.counts)
-	return f
+type scratch struct {
+	state  State
+	counts [256]int // classOf's range
 }
 
-// fold reduces a view in one pass over it.
-func (c *core) fold(visible []SessionInfo) *folded {
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// fold reduces a view to what the pick loop reads: it marks the view's
+// addresses in s's bitset, emptied over the space first, and returns, for
+// a rule that reads them, the sessions per class, counted in buf (nil for
+// any other rule). s's TTL counts, and its count of a shared address's
+// members (a map write each, 3× the fold of 500 random sessions), are
+// left as they are: in the pooled State a slice view is folded into they
+// are empty, and the pick loop, which neither reads them nor removes
+// anything but its own picks, leaves them so.
+func (c *core) fold(s *State, buf *[256]int, visible []SessionInfo) []int {
+	s.used.reset(c.size)
+	words, size := s.used.words, c.size
 	if !c.adaptive {
-		f := newFolded(c.size, 0)
-		for _, s := range visible {
-			f.used.mark(s.Addr)
+		for _, v := range visible {
+			if uint32(v.Addr) < size {
+				words[v.Addr>>6] |= 1 << (v.Addr & 63)
+			}
 		}
-		return f
+		return nil
 	}
-	f := newFolded(c.size, c.classes)
-	for _, s := range visible {
-		f.counts[c.classOf[s.TTL]]++
-		f.used.mark(s.Addr)
+	counts := buf[:c.classes]
+	clear(counts)
+	for _, v := range visible {
+		counts[c.classOf[v.TTL]]++
+		if uint32(v.Addr) < size {
+			words[v.Addr>>6] |= 1 << (v.Addr & 63)
+		}
 	}
-	return f
+	return counts
+}
+
+// classCounts sets counts[i] to the members of class i in s, reading only
+// the TTLs s holds.
+func (c *core) classCounts(s *State, counts []int) {
+	clear(counts)
+	for w, word := range s.present {
+		for ; word != 0; word &= word - 1 {
+			t := w<<6 | bits.TrailingZeros64(word)
+			counts[c.classOf[t]] += int(s.ttls[t])
+		}
+	}
+}
+
+// countsOf returns a view's class counts, folded as AllocateBatch folds it.
+func (c *core) countsOf(visible []SessionInfo) []int {
+	var s State
+	return c.fold(&s, new([256]int), visible)
 }
 
 // Allocate implements Allocator: a batch of one.
@@ -107,16 +123,36 @@ func (c *core) Allocate(visible []SessionInfo, ttl mcast.TTL, rng *stats.RNG) (m
 	return got[0], nil
 }
 
-// AllocateBatch implements Allocator. The view is folded once; each pick
-// marks its own address and bumps its class, so the next pick sees what a
-// sequential Allocate over the extended view would: the band is placed
-// again from the updated counts, pure arithmetic over the class list.
+// AllocateBatch implements Allocator: the pick loop over the view folded.
 func (c *core) AllocateBatch(visible []SessionInfo, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
-	f := c.fold(visible)
-	defer foldPool.Put(f)
-	cls := int(c.classOf[ttl])
-	for i := 0; i < k; i++ {
-		start, width := c.rule.band(f.counts, cls)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	counts := c.fold(&sc.state, &sc.counts, visible)
+	return c.pick(&sc.state, counts, ttl, k, dst, rng)
+}
+
+// AllocateFrom implements StateAllocator: the pick loop over s.
+func (c *core) AllocateFrom(s *State, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
+	if !c.adaptive {
+		return c.pick(s, nil, ttl, k, dst, rng)
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	counts := sc.counts[:c.classes]
+	c.classCounts(s, counts)
+	return c.pick(s, counts, ttl, k, dst, rng)
+}
+
+// pick is the pick loop over s and its class counts (nil for a rule that
+// does not read them). Each pick is added to s and bumps its class, so the
+// next pick sees what a sequential Allocate over the extended view would:
+// the band is placed again from the updated counts, pure arithmetic over
+// the class list. The picks leave s before it returns.
+func (c *core) pick(s *State, counts []int, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
+	cls, first := int(c.classOf[ttl]), len(dst)
+	var err error
+	for len(dst)-first < k {
+		start, width := c.rule.band(counts, cls)
 		var addr mcast.Addr
 		var ok bool
 		if c.adaptive {
@@ -124,20 +160,24 @@ func (c *core) AllocateBatch(visible []SessionInfo, ttl mcast.TTL, k int, dst []
 			// growth pushing lower bands down the space. It may stray
 			// into their territory: that is the clash risk the inter-band
 			// gaps exist to absorb.
-			addr, ok = expandingPick(start, width, &f.used, rng)
+			addr, ok = expandingPick(start, width, &s.used, rng)
 		} else {
 			// A fixed band that fills fails: the paper's IPR-7 curves are
 			// "limited by higher scope bands filling completely".
-			addr, ok = pickFreeInRange(start, width, &f.used, rng)
+			addr, ok = pickFreeInRange(start, width, &s.used, rng)
 		}
 		if !ok {
-			return dst, fmt.Errorf("%w (class %d, TTL %d, %s)", ErrSpaceFull, cls, ttl, c.name)
+			err = fmt.Errorf("%w (class %d, TTL %d, %s)", ErrSpaceFull, cls, ttl, c.name)
+			break
 		}
-		f.used.add(addr)
+		s.Add(addr, ttl)
 		if c.adaptive {
-			f.counts[cls]++
+			counts[cls]++
 		}
 		dst = append(dst, addr)
 	}
-	return dst, nil
+	for _, a := range dst[first:] {
+		s.Remove(a, ttl)
+	}
+	return dst, err
 }

@@ -1,7 +1,10 @@
 package allocator
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"sessiondir/internal/mcast"
@@ -27,12 +30,23 @@ func fuzzView(raw []byte) []SessionInfo {
 	return view
 }
 
+// sliceOnly wraps an Allocator as a caller's counting wrapper does: by
+// embedding it, which hides AllocateFrom.
+type sliceOnly struct{ Allocator }
+
 // FuzzAllocate holds every catalog algorithm, on any view, to the contract
 // of the Allocator interface: AllocateBatch equals the serial oracle
 // address for address and error for error (so a failing batch returns the
 // addresses picked before the failure), addresses are inside the space,
 // the caller's view comes back untouched, and — R aside — no address is
-// visible in the view or handed out twice within the batch.
+// visible in the view or handed out twice within the batch. The view is
+// also filed in a State the long way round, interleaved with extra members
+// (half of them at a view member's address) that are then removed again:
+// AllocateFrom on it must equal AllocateBatch over the slice, and leave it
+// equal to the view folded afresh. A State made for an allocator wrapped
+// so that it reads only slices (sliceOnly) is filed the same way: it must
+// list exactly the view's members, and AllocateFrom, handing the wrapper
+// that list, must pick what AllocateBatch did.
 func FuzzAllocate(f *testing.F) {
 	span := func(lo, hi int, ttl byte) []byte {
 		var raw []byte
@@ -91,6 +105,43 @@ func FuzzAllocate(f *testing.F) {
 				t.Fatalf("%s: address %d is visible in the view, or was already picked in this batch", a.Name(), addr)
 			}
 			inView[addr] = true
+		}
+
+		state, listed := NewState(fuzzSpace), StateFor(sliceOnly{a})
+		var extras []SessionInfo
+		for i, v := range view {
+			if i%2 == 0 {
+				x := SessionInfo{Addr: v.Addr, TTL: v.TTL + 1}
+				if i%4 == 2 {
+					x.Addr = mcast.Addr(i % fuzzSpace)
+				}
+				state.Add(x.Addr, x.TTL)
+				listed.Add(x.Addr, x.TTL)
+				extras = append(extras, x)
+			}
+			state.Add(v.Addr, v.TTL)
+			listed.Add(v.Addr, v.TTL)
+		}
+		for _, x := range extras {
+			state.Remove(x.Addr, x.TTL)
+			listed.Remove(x.Addr, x.TTL)
+		}
+		fromList, listErr := AllocateFrom(sliceOnly{a}, listed, ttl, k, nil, stats.NewRNG(seed))
+		if fmt.Sprint(listErr) != fmt.Sprint(gotErr) || fmt.Sprint(fromList) != fmt.Sprint(got) {
+			t.Fatalf("%s: AllocateFrom over a listed State picked %v (error %v), AllocateBatch %v (error %v)", a.Name(), fromList, listErr, got, gotErr)
+		}
+		byMember := func(x, y SessionInfo) int {
+			return cmp.Or(cmp.Compare(x.Addr, y.Addr), cmp.Compare(x.TTL, y.TTL))
+		}
+		if !slices.Equal(slices.SortedFunc(slices.Values(listed.list), byMember), slices.SortedFunc(slices.Values(view), byMember)) {
+			t.Fatalf("%s: a listed State lists %v, not the view %v", a.Name(), listed.list, view)
+		}
+		fromState, stateErr := a.AllocateFrom(state, ttl, k, nil, stats.NewRNG(seed))
+		if fmt.Sprint(stateErr) != fmt.Sprint(gotErr) || fmt.Sprint(fromState) != fmt.Sprint(got) {
+			t.Fatalf("%s: AllocateFrom picked %v (error %v), AllocateBatch %v (error %v)", a.Name(), fromState, stateErr, got, gotErr)
+		}
+		if !state.equal(foldState(fuzzSpace, view)) {
+			t.Fatalf("%s: AllocateFrom left the State %+v, not the view folded afresh", a.Name(), state)
 		}
 	})
 }

@@ -73,17 +73,16 @@ func (h *Hybrid) bandOf(t mcast.TTL) int { return len(h.seps) - separatorsUpTo(h
 
 // Layout computes the seven bands, ordered highest TTL first.
 func (h *Hybrid) Layout(visible []SessionInfo) []Band { //mclint:unused allocator tests check AIPR-H's band layout through it
-	f := h.fold(visible)
-	defer foldPool.Put(f)
-	nBands := len(f.counts)
+	counts := h.countsOf(visible)
+	nBands := len(counts)
 	bands := make([]Band, 0, nBands)
-	h.walkBands(f.counts, func(i int, start, width uint32) bool {
+	h.walkBands(counts, func(i int, start, width uint32) bool {
 		bands = append(bands, Band{
 			Class: nBands - 1 - i, // class index ascending with TTL
 			Low:   h.lowTTLOfBand(i),
 			Start: start,
 			Width: width,
-			Count: f.counts[i],
+			Count: counts[i],
 		})
 		return true
 	})

@@ -39,6 +39,12 @@ func (r *Random) AllocateBatch(_ []SessionInfo, _ mcast.TTL, k int, dst []mcast.
 	return dst, nil
 }
 
+// AllocateFrom implements StateAllocator: k uniform draws, the State ignored
+// as any view is.
+func (r *Random) AllocateFrom(_ *State, ttl mcast.TTL, k int, dst []mcast.Addr, rng *stats.RNG) ([]mcast.Addr, error) {
+	return r.AllocateBatch(nil, ttl, k, dst, rng)
+}
+
 // InformedRandom is the paper's algorithm IR: uniform over the addresses
 // not currently visible in any session announcement. Figure 5's perhaps
 // surprising result is that IR is *not* much better than R: the sessions

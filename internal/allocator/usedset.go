@@ -7,8 +7,7 @@ import (
 )
 
 // usedSet is a word-parallel bitset over address indices: the addresses a
-// view shows in use. It lives inside a pooled folded (core.go), so the
-// allocation hot path performs no heap allocation in steady state.
+// view shows in use. It lives inside a State (state.go).
 type usedSet struct {
 	words []uint64
 	size  uint32
@@ -25,15 +24,8 @@ func (u *usedSet) reset(size uint32) {
 	u.size = size
 }
 
-func (u *usedSet) add(a mcast.Addr) { u.words[a>>6] |= 1 << (uint(a) & 63) }
-
-// mark adds a view's address. One outside the space is ignored: it can
-// never collide with an allocation from this space.
-func (u *usedSet) mark(a mcast.Addr) {
-	if uint32(a) < u.size {
-		u.add(a)
-	}
-}
+func (u *usedSet) add(a mcast.Addr)    { u.words[a>>6] |= 1 << (uint(a) & 63) }
+func (u *usedSet) remove(a mcast.Addr) { u.words[a>>6] &^= 1 << (uint(a) & 63) }
 
 func (u *usedSet) has(a mcast.Addr) bool {
 	return u.words[a>>6]&(1<<(uint(a)&63)) != 0

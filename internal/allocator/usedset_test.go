@@ -81,8 +81,8 @@ func TestUsedSetResetClearsReusedWords(t *testing.T) {
 }
 
 func TestAcquireUsedIgnoresOutOfRange(t *testing.T) {
-	f := NewInformedRandom(10).fold([]SessionInfo{{Addr: 3, TTL: 1}, {Addr: 500, TTL: 1}})
-	defer foldPool.Put(f)
+	var f State
+	NewInformedRandom(10).fold(&f, nil, []SessionInfo{{Addr: 3, TTL: 1}, {Addr: 500, TTL: 1}})
 	if !f.used.has(3) {
 		t.Fatal("in-range address not marked")
 	}
@@ -92,8 +92,9 @@ func TestAcquireUsedIgnoresOutOfRange(t *testing.T) {
 }
 
 // The allocation hot path performs no heap allocation in steady state, for
-// every catalog algorithm and both entry points: the fold is pooled, and
-// Allocate's one-address batch stays on its stack. (A budget of "at most
+// every catalog algorithm and all three entry points: the fold is pooled,
+// Allocate's one-address batch stays on its stack, and AllocateFrom adds
+// its picks to the caller's State and takes them out again. (A budget of "at most
 // 2" would have let a counts buffer escaping to the heap through the rule
 // interface pass.)
 func TestAllocateHotPathAllocationFree(t *testing.T) {
@@ -104,6 +105,7 @@ func TestAllocateHotPathAllocationFree(t *testing.T) {
 		view = append(view, SessionInfo{Addr: mcast.Addr(rng.IntN(4096)), TTL: d.Sample(rng.IntN)})
 	}
 	dst := make([]mcast.Addr, 0, 16)
+	state := foldState(4096, view)
 	for _, a := range Catalog(4096) {
 		a := a
 		calls := []struct {
@@ -116,6 +118,10 @@ func TestAllocateHotPathAllocationFree(t *testing.T) {
 			}},
 			{"AllocateBatch into dst", func() error {
 				_, err := a.AllocateBatch(view, 127, cap(dst), dst[:0], rng)
+				return err
+			}},
+			{"AllocateFrom into dst", func() error {
+				_, err := a.AllocateFrom(state, 127, cap(dst), dst[:0], rng)
 				return err
 			}},
 		}

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"sessiondir/internal/allocator"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/session"
 )
@@ -124,9 +125,9 @@ type Entry struct {
 	// Deleted marks an explicit SAP deletion (kept briefly to squelch
 	// stale re-announcements from slow caches).
 	Deleted bool
-	// heapPos and viewPos are the entry's slots in its cache's eviction
-	// order and allocator view (1-based, 0 = not in it; see index.go).
-	heapPos, viewPos int32
+	// heapPos is the entry's slot in its cache's eviction order (1-based,
+	// 0 = not in it; see index.go).
+	heapPos int32
 	// adBytes is the announcement size this entry contributes to the
 	// bandwidth budget while live, cached at Observe/Restore time so the
 	// running total can be maintained incrementally (and released exactly
@@ -160,7 +161,7 @@ func adSize(d *session.Description) int32 {
 }
 
 // Cache is the listened-session store: one entry map with the eviction
-// order and allocator view of index.go riding on it. It is not safe for
+// order and allocator state of index.go riding on it. It is not safe for
 // concurrent use; the directory agent serialises every access under its
 // own mutex (DESIGN.md §17.1 records why there is no finer lock).
 type Cache struct {
@@ -171,13 +172,12 @@ type Cache struct {
 	live    int
 	adBytes int
 	// The eviction order (nil perOrigin = not tracked; entries of origin
-	// self stay out of it) and the allocator view the entries are filed
-	// in (nil until tracked; a zero space holds no group, so nothing is
-	// filed until then). See index.go.
+	// self stay out of it) and the allocator state the entries are filed
+	// in (nil = not tracked). See index.go.
 	order     evictHeap
 	perOrigin map[netip.Addr]int32
 	self      netip.Addr
-	view      *ViewSet
+	state     *allocator.State
 	space     mcast.AddrSpace
 	// timeout evicts sessions not re-announced for this long. RFC 2974
 	// uses max(1 h, 10×interval). It is fixed at NewCache: bound relies on
@@ -269,6 +269,46 @@ func (c *Cache) lowerBound(e *Entry) {
 	}
 }
 
+// add files a new entry under its key.
+func (c *Cache) add(e *Entry) {
+	c.entries[e.key] = e
+	c.orderAdd(e)
+	c.lowerBound(e)
+	c.enter(e)
+}
+
+// drop takes an entry out of the cache.
+func (c *Cache) drop(e *Entry) {
+	c.leave(e)
+	delete(c.entries, e.key)
+	c.orderDrop(e)
+}
+
+// leave uncounts e — from live and adBytes, the fresh count and the
+// allocator state — before it changes or leaves the cache; enter counts
+// it after it came or changed. A tombstone counts in none of them.
+func (c *Cache) leave(e *Entry) {
+	if !e.Deleted {
+		c.live--
+		c.adBytes -= int(e.adBytes)
+	}
+	c.fresh.leave(e)
+	if idx, ok := c.member(e); ok {
+		c.state.Remove(idx, e.Desc.TTL)
+	}
+}
+
+func (c *Cache) enter(e *Entry) {
+	if !e.Deleted {
+		c.live++
+		c.adBytes += int(e.adBytes)
+	}
+	c.fresh.enter(e)
+	if idx, ok := c.member(e); ok {
+		c.state.Add(idx, e.Desc.TTL)
+	}
+}
+
 // heard sets e's LastHeard to now; a clock that went backwards moves e's
 // deadline earlier, and the bound with it.
 func (c *Cache) heard(e *Entry, now time.Time) {
@@ -294,33 +334,20 @@ func (c *Cache) ObserveParsed(key string, d *session.Description, digest uint64,
 	e, ok := c.entries[key]
 	if !ok {
 		e = &Entry{Desc: d, FirstHeard: now.Unix(), LastHeard: now, adBytes: adSize(d), digest: digest, key: key}
-		c.entries[key] = e
-		c.live++
-		c.adBytes += int(e.adBytes)
-		c.indexAdd(e)
-		c.lowerBound(e)
-		c.fresh.enter(e)
+		c.add(e)
 		return e, true
 	}
-	c.fresh.leave(e)
+	c.leave(e)
 	// An older version replaces nothing — not even a tombstone, which
 	// stays deleted — so it is never fresh.
 	fresh := false
 	if d.Version >= e.Desc.Version {
 		fresh = d.Version > e.Desc.Version || e.Deleted
-		if e.Deleted {
-			c.live++
-		} else {
-			c.adBytes -= int(e.adBytes)
-		}
-		e.Desc, e.digest = d, digest
-		e.Deleted = false
-		e.adBytes = adSize(d)
-		c.adBytes += int(e.adBytes)
+		e.Desc, e.digest, e.Deleted, e.adBytes = d, digest, false, adSize(d)
 	}
 	c.heard(e, now)
-	c.fresh.enter(e)
-	c.indexUpdate(e)
+	c.enter(e)
+	c.orderFix(e)
 	return e, fresh
 }
 
@@ -369,11 +396,10 @@ func (c *Cache) Restore(desc *session.Description, digest uint64, first, last, n
 	if existing, ok := c.entries[key]; ok {
 		// In-memory state is at least as fresh; only upgrade versions.
 		if desc.Version > existing.Desc.Version && !existing.Deleted {
-			c.adBytes -= int(existing.adBytes)
-			existing.Desc, existing.digest = desc, digest
-			existing.adBytes = adSize(desc)
-			c.adBytes += int(existing.adBytes)
-			c.indexUpdate(existing)
+			c.leave(existing)
+			existing.Desc, existing.digest, existing.adBytes = desc, digest, adSize(desc)
+			c.enter(existing)
+			c.orderFix(existing)
 		}
 		return false
 	}
@@ -385,26 +411,17 @@ func (c *Cache) Restore(desc *session.Description, digest uint64, first, last, n
 		digest:     digest,
 		key:        key,
 	}
-	c.entries[key] = e
-	c.live++
-	c.adBytes += int(e.adBytes)
-	c.indexAdd(e)
-	c.lowerBound(e)
-	c.fresh.enter(e)
+	c.add(e)
 	return true
 }
 
 // Delete marks a session deleted (explicit SAP deletion packet).
 func (c *Cache) Delete(key string, now time.Time) {
 	if e, ok := c.entries[key]; ok {
-		c.fresh.leave(e)
-		if !e.Deleted {
-			c.live--
-			c.adBytes -= int(e.adBytes)
-		}
+		c.leave(e) // a tombstone is not counted again
 		e.Deleted = true
 		e.LastHeard = now
-		c.indexUpdate(e)
+		c.orderFix(e)
 		c.lowerBound(e) // a tombstone's limit is a tenth of the timeout
 	}
 }
@@ -432,13 +449,7 @@ func (c *Cache) Peek(key string) (*Entry, bool) {
 // eviction must actually release the slot.
 func (c *Cache) Remove(key string) {
 	if e, ok := c.entries[key]; ok {
-		c.fresh.leave(e)
-		if !e.Deleted {
-			c.live--
-			c.adBytes -= int(e.adBytes)
-		}
-		delete(c.entries, key)
-		c.indexDrop(e)
+		c.drop(e)
 	}
 }
 
@@ -469,13 +480,7 @@ func (c *Cache) Expire(now time.Time) []string {
 			c.lowerBound(e)
 			continue
 		}
-		c.fresh.leave(e)
-		if !e.Deleted {
-			c.live--
-			c.adBytes -= int(e.adBytes)
-		}
-		delete(c.entries, key)
-		c.indexDrop(e)
+		c.drop(e)
 		evicted = append(evicted, key)
 	}
 	sort.Strings(evicted)

@@ -20,10 +20,11 @@ import (
 //     Evictable entries sort first, so they are a subtree at the heap's
 //     root: asking for them walks that subtree and stops at the first
 //     entry on each branch that is not, whatever the cache holds besides;
-//   - the allocator view (TrackView): the live entries whose group lies in
-//     the managed space, as members of a multiset of
-//     allocator.SessionInfo that the caller owns and may add its own
-//     sessions to, so that it hands its allocator one slice.
+//   - the allocator state (TrackState): the live entries whose group lies
+//     in the managed space, filed as members of an allocator.State that
+//     the caller owns and may file its own sessions in, so that its
+//     allocator reads one State. Like the fresh count, an entry leaves it
+//     before it changes or goes and enters it after it changes or comes.
 //
 // Both are off until asked for, as is the fresh count (announce.go) until
 // the first CountFresh, and all are covered by whatever serialises the
@@ -100,15 +101,12 @@ func (c *Cache) TrackOrder(self netip.Addr) {
 	}
 }
 
-// TrackView starts filing the current and all future live entries inside
-// space into view, as address indices, and keeping them current there;
-// call it once. The set is the caller's, which may file members of its own
-// in it: the cache adds, moves and removes only its entries'.
-func (c *Cache) TrackView(space mcast.AddrSpace, view *ViewSet) {
-	c.space, c.view = space, view
-	for _, e := range c.entries { //mclint:maporder the view is a multiset
-		c.viewSync(e)
-	}
+// TrackState starts filing every live entry inside space into state, as
+// address indices, and keeping them current there; call it once, before
+// the first entry. The State is the caller's, which may file members of
+// its own in it: the cache adds and removes only its entries'.
+func (c *Cache) TrackState(space mcast.AddrSpace, state *allocator.State) {
+	c.space, c.state = space, state
 }
 
 func (c *Cache) orderAdd(e *Entry) {
@@ -119,33 +117,27 @@ func (c *Cache) orderAdd(e *Entry) {
 	c.perOrigin[e.Desc.Origin]++
 }
 
-// viewSync makes the view agree with e: a member while live and inside
-// the space, at its current address and scope.
-func (c *Cache) viewSync(e *Entry) {
-	if idx, ok := c.space.Index(e.Desc.Group); ok && !e.Deleted {
-		c.view.Put(&e.viewPos, allocator.SessionInfo{Addr: idx, TTL: e.Desc.TTL})
-	} else {
-		c.view.Remove(&e.viewPos)
+// member reports the address e is filed at in the tracked allocator
+// state, if it is filed there: while live, with its group inside the
+// space.
+func (c *Cache) member(e *Entry) (mcast.Addr, bool) {
+	if c.state == nil || e.Deleted {
+		return 0, false
 	}
+	return c.space.Index(e.Desc.Group)
 }
 
-// indexAdd enters a new entry into the indices.
-func (c *Cache) indexAdd(e *Entry) {
-	c.orderAdd(e)
-	c.viewSync(e)
-}
-
-// indexUpdate re-places an entry whose LastHeard, Deleted or Desc changed.
+// orderFix re-places an entry whose LastHeard, Deleted or Desc changed.
 // An entry's origin is part of its key, so the per-origin count stands.
-func (c *Cache) indexUpdate(e *Entry) {
+func (c *Cache) orderFix(e *Entry) {
 	if e.heapPos > 0 {
 		heap.Fix(&c.order, int(e.heapPos-1))
 	}
-	c.viewSync(e)
 }
 
-// indexDrop takes an entry that is leaving the cache out of the indices.
-func (c *Cache) indexDrop(e *Entry) {
+// orderDrop takes an entry that is leaving the cache out of the eviction
+// order.
+func (c *Cache) orderDrop(e *Entry) {
 	if e.heapPos > 0 {
 		heap.Remove(&c.order, int(e.heapPos-1))
 		// Zero counts are deleted so the table tracks resident origins,
@@ -156,7 +148,6 @@ func (c *Cache) indexDrop(e *Entry) {
 			delete(c.perOrigin, e.Desc.Origin)
 		}
 	}
-	c.view.Remove(&e.viewPos)
 }
 
 // Candidates is the number of entries in the eviction order: everything
@@ -232,47 +223,3 @@ func (c *Cache) appendEvictable(dst []string, n int, origin netip.Addr, fromOrig
 	}
 	return dst
 }
-
-// ViewSet is a multiset of allocator.SessionInfo with O(1) insert, update
-// and removal, for views kept current instead of rebuilt. A member's owner
-// stores the member's slot in an int32 of its own (1-based, 0 = not a
-// member) and names the member by a pointer to it; the set rewrites that
-// int32 when it moves the member. Order within the set is arbitrary and
-// changes on removal — allocators treat a view as a multiset. Not safe
-// for concurrent use.
-type ViewSet struct {
-	infos []allocator.SessionInfo
-	slots []*int32 // slots[i] points at the int32 holding i+1
-}
-
-// Put inserts the member named by slot, or overwrites it if present.
-func (v *ViewSet) Put(slot *int32, si allocator.SessionInfo) {
-	if *slot > 0 {
-		v.infos[*slot-1] = si
-		return
-	}
-	v.infos = append(roomForOne(v.infos), si)
-	v.slots = append(roomForOne(v.slots), slot)
-	*slot = int32(len(v.infos))
-}
-
-// Remove deletes the member named by slot, if present, by moving the last
-// member into its place.
-func (v *ViewSet) Remove(slot *int32) {
-	if *slot == 0 {
-		return
-	}
-	i, last := int(*slot-1), len(v.infos)-1
-	v.infos[i], v.slots[i] = v.infos[last], v.slots[last]
-	*v.slots[i] = int32(i + 1)
-	v.slots[last] = nil
-	v.infos, v.slots = v.infos[:last], v.slots[:last]
-	*slot = 0
-}
-
-// Len is the number of members.
-func (v *ViewSet) Len() int { return len(v.infos) } //mclint:unused the root package's index tests count the owned view with it
-
-// Members returns the members in place, valid until the set next
-// changes; the caller must not modify them.
-func (v *ViewSet) Members() []allocator.SessionInfo { return v.infos }

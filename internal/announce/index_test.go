@@ -37,32 +37,22 @@ func scanCandidates(s *Cache, self netip.Addr) []admission.Candidate {
 	return cands
 }
 
-// scanView is the rebuild the allocator view replaces: the heard half of
-// the directory's old viewLocked, sorted so multisets compare.
-func scanView(s *Cache, space mcast.AddrSpace) []allocator.SessionInfo {
-	var view []allocator.SessionInfo
+// scanState is the rebuild the allocator state replaces: the heard half of
+// the directory's old viewLocked, folded into a State.
+func scanState(s *Cache, space mcast.AddrSpace) *allocator.State {
+	state := allocator.NewState(space.Size)
 	for _, e := range s.Live() {
 		if idx, ok := space.Index(e.Desc.Group); ok {
-			view = append(view, allocator.SessionInfo{Addr: idx, TTL: e.Desc.TTL})
+			state.Add(idx, e.Desc.TTL)
 		}
 	}
-	return sortView(view)
-}
-
-func sortView(v []allocator.SessionInfo) []allocator.SessionInfo {
-	sort.Slice(v, func(i, j int) bool {
-		if v[i].Addr != v[j].Addr {
-			return v[i].Addr < v[j].Addr
-		}
-		return v[i].TTL < v[j].TTL
-	})
-	return v
+	return state
 }
 
 // checkIndexInvariants verifies that the heap is a heap in evictsBefore
 // order whose members know their slots, that it holds exactly the entries
-// not announced by self, that the per-origin counts are exact with no zero
-// left behind, and that every view member's owner points back at its slot.
+// not announced by self, and that the per-origin counts are exact with no
+// zero left behind.
 func checkIndexInvariants(t *testing.T, c *Cache, self netip.Addr) {
 	t.Helper()
 	counts := map[netip.Addr]int32{}
@@ -75,7 +65,7 @@ func checkIndexInvariants(t *testing.T, c *Cache, self netip.Addr) {
 		}
 		counts[e.Desc.Origin]++
 	}
-	tracked, inView := 0, 0
+	tracked := 0
 	for key, e := range c.entries {
 		if e.key != key || key != e.Desc.Key() {
 			t.Fatalf("entry filed under %q records key %q, its description has %q", key, e.key, e.Desc.Key())
@@ -89,18 +79,9 @@ func checkIndexInvariants(t *testing.T, c *Cache, self netip.Addr) {
 				t.Fatalf("%s's slot %d holds another entry", key, e.heapPos)
 			}
 		}
-		if e.viewPos > 0 {
-			inView++
-			if c.view.slots[e.viewPos-1] != &e.viewPos {
-				t.Fatalf("%s's view slot %d belongs to another entry", key, e.viewPos)
-			}
-		}
 	}
 	if tracked != len(c.order) {
 		t.Fatalf("order holds %d entries, the cache %d candidates", len(c.order), tracked)
-	}
-	if inView != c.view.Len() || len(c.view.slots) != c.view.Len() {
-		t.Fatalf("view holds %d members (%d slots), %d entries claim one", c.view.Len(), len(c.view.slots), inView)
 	}
 	if !reflect.DeepEqual(counts, map[netip.Addr]int32(c.perOrigin)) {
 		t.Fatalf("per-origin counts %v, want %v", c.perOrigin, counts)
@@ -162,7 +143,7 @@ func evictableAt(s *Cache, now time.Time, staleAfter time.Duration, origin netip
 // exactly what a full scan finds due (whether its bound let it skip the
 // scan or not), that planning over the maintained order equals PlanNew
 // over a fresh scan (outcome, evictions and their sequence) under several
-// budgets, that the view equals the rebuilt one as a multiset, that the
+// budgets, that the allocator state equals one folded from a scan, that the
 // index invariants hold, that the walk off the top of the eviction heap
 // finds what a sorted scan of the whole order does, and that CountFresh
 // equals a scan — at now, and every few ops also exactly staleAfter later
@@ -192,10 +173,11 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 	for _, salt := range []uint64{1, 4, 8} {
 		for seed := uint64(1); seed <= 8; seed++ {
 			s := NewCache(time.Hour)
+			s.TrackState(indexSpace, allocator.NewState(indexSpace.Size))
 			ops := stats.NewRNG(seed<<8 | salt)
 			now := time.Unix(1_000_000, 0)
-			// Half the sequences switch the indices on over a populated
-			// cache, as a directory's first allocation does for the view.
+			// Half the sequences switch the eviction order on over a
+			// populated cache.
 			trackAt := 0
 			if seed%2 == 0 {
 				trackAt = 150
@@ -211,7 +193,6 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 			for step := 0; step < 1200; step++ {
 				if step == trackAt {
 					s.TrackOrder(indexSelf)
-					s.TrackView(indexSpace, &ViewSet{})
 				}
 				switch r := ops.IntN(10); {
 				case r < 4: // mostly the clock stands still
@@ -302,14 +283,14 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 					}
 				}
 
+				if want := scanState(s, indexSpace); !reflect.DeepEqual(s.state, want) {
+					t.Fatalf("salt %d seed %d step %d: allocator state %+v, rebuilt %+v", salt, seed, step, s.state, want)
+				}
 				if step < trackAt {
 					continue
 				}
 
 				checkIndexInvariants(t, s, indexSelf)
-				if got, want := sortView(append([]allocator.SessionInfo(nil), s.view.Members()...)), scanView(s, indexSpace); !reflect.DeepEqual(got, want) || s.view.Len() != len(want) {
-					t.Fatalf("salt %d seed %d step %d: view %v (len %d), rebuilt %v", salt, seed, step, got, s.view.Len(), want)
-				}
 				all := evictableAt(s, now, staleAfter, netip.Addr{}, false)
 				if got := s.AppendEvictable([]string{}, len(all)+1, now, staleAfter); !reflect.DeepEqual(got, all) {
 					t.Fatalf("salt %d seed %d step %d: the heap walk found %v evictable, a scan %v", salt, seed, step, got, all)
@@ -354,9 +335,9 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 				s.Remove(e.Desc.Key())
 			}
 			checkIndexInvariants(t, s, indexSelf)
-			if s.Candidates() != 0 || s.view.Len() != 0 || len(s.perOrigin) != 0 {
-				t.Fatalf("salt %d seed %d: %d candidates, %d view members and %d counted origins left in an empty cache",
-					salt, seed, s.Candidates(), s.view.Len(), len(s.perOrigin))
+			if empty := allocator.NewState(indexSpace.Size); s.Candidates() != 0 || !reflect.DeepEqual(s.state, empty) || len(s.perOrigin) != 0 {
+				t.Fatalf("salt %d seed %d: %d candidates, allocator state %+v and %d counted origins left in an empty cache",
+					salt, seed, s.Candidates(), s.state, len(s.perOrigin))
 			}
 		}
 	}
@@ -487,7 +468,7 @@ func TestExpireNothingDueAllocatesNothing(t *testing.T) {
 	for _, n := range []int{1000, 10000} {
 		s := NewCache(time.Hour)
 		s.TrackOrder(indexSelf)
-		s.TrackView(indexSpace, &ViewSet{})
+		s.TrackState(indexSpace, allocator.NewState(indexSpace.Size))
 		now := time.Unix(1_000_000, 0)
 		for i := 0; i < n; i++ {
 			s.Observe(odesc(byte(2+i%200), uint64(i), 1), now.Add(time.Duration(i)*time.Millisecond))
@@ -536,17 +517,22 @@ func TestEvictionOrderTieBreakIsKeyStringOrder(t *testing.T) {
 
 // TestIndexedRefreshAllocatesNothing extends the listener fast-path pin to
 // a cache with both indices on: a same-version refresh is one heap fix and
-// one view overwrite, no allocation — also when the refreshed entry ties
-// with others on LastHeard and scope, so that the fix compares keys.
+// the entry leaving and re-entering the allocator state, no allocation —
+// also when the refreshed entry ties with others on LastHeard and scope,
+// so that the fix compares keys, and shares its address with others, so
+// that the state counts it beyond the first.
 func TestIndexedRefreshAllocatesNothing(t *testing.T) {
 	s := NewCache(0)
 	s.TrackOrder(indexSelf)
-	s.TrackView(indexSpace, &ViewSet{})
+	s.TrackState(indexSpace, allocator.NewState(indexSpace.Size))
 	now := time.Unix(0, 0)
 	for id := uint64(1); id <= 200; id++ {
 		s.Observe(odesc(byte(2+id%7), id, 1), now)
 	}
-	again := odesc(4, 100, 1)
+	// Origin 9 is new, and its session 11 shares group 224.2.128.11, inside
+	// the space, with 10.0.0.6's.
+	again := odesc(9, 11, 1)
+	s.Observe(again, now)
 	key := again.Key()
 	if n := testing.AllocsPerRun(100, func() { s.ObserveParsed(key, again, 0, now) }); n != 0 {
 		t.Fatalf("same-version refresh among ties: %v allocs, want 0", n)

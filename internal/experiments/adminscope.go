@@ -39,7 +39,7 @@ func RunAdminScope(w io.Writer, s Scale) error {
 			}, rng.Split())
 			ttl.Add(float64(res.Allocations))
 		}
-		admin := sim.FillAdminZones(zones, func() allocator.Allocator {
+		admin := sim.FillAdminZones(zones, func() allocator.StateAllocator {
 			return allocator.NewInformedRandom(space)
 		}, int(space)*len(zones)*2, rng.Split())
 		fmt.Fprintf(w, "%7d   %23.1f   %12d   %13d\n",

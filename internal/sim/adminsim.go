@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sessiondir/internal/allocator"
+	"sessiondir/internal/mcast"
 	"sessiondir/internal/stats"
 	"sessiondir/internal/topology"
 )
@@ -22,42 +23,22 @@ type AdminFillResult struct {
 	ZonesFull   int
 }
 
-// addrSet is a slice-backed address membership set. The fill loop only
-// ever asks "is this address taken?", but backing it with a bitset (not a
-// map) keeps the set impossible to iterate in randomized order — the
-// mclint/maporder audit class — and avoids per-address map overhead.
-type addrSet struct {
-	words []uint64
-}
-
-func (s *addrSet) has(a uint32) bool {
-	w := int(a >> 6)
-	return w < len(s.words) && s.words[w]&(1<<(a&63)) != 0
-}
-
-func (s *addrSet) add(a uint32) {
-	w := int(a >> 6)
-	for w >= len(s.words) {
-		s.words = append(s.words, 0)
-	}
-	s.words[w] |= 1 << (a & 63)
-}
-
 // FillAdminZones allocates sessions with admin scoping until every zone's
 // space is exhausted or maxSessions is reached, counting clashes. The
 // allocator sees the zone-local view (perfect, by admin-scope symmetry).
-func FillAdminZones(zones []*topology.AdminZone, alloc func() allocator.Allocator, maxSessions int, rng *stats.RNG) AdminFillResult {
+func FillAdminZones(zones []*topology.AdminZone, alloc func() allocator.StateAllocator, maxSessions int, rng *stats.RNG) AdminFillResult {
 	type zoneState struct {
-		alloc allocator.Allocator
-		used  []allocator.SessionInfo
-		inUse addrSet
+		alloc allocator.StateAllocator
+		state *allocator.State // the zone's sessions
 		full  bool
 	}
 	states := make([]*zoneState, len(zones))
 	for i := range zones {
-		states[i] = &zoneState{alloc: alloc()}
+		a := alloc()
+		states[i] = &zoneState{alloc: a, state: allocator.NewState(a.Size())}
 	}
 	var res AdminFillResult
+	var pick [1]mcast.Addr
 	live := len(zones)
 	for res.Allocations < maxSessions && live > 0 {
 		zi := rng.IntN(len(zones))
@@ -67,18 +48,17 @@ func FillAdminZones(zones []*topology.AdminZone, alloc func() allocator.Allocato
 		}
 		// Admin-scoped sessions use the zone-relative TTL convention of a
 		// fixed in-zone scope; TTL plays no partitioning role here.
-		addr, err := st.alloc.Allocate(st.used, 255, rng)
+		got, err := st.alloc.AllocateFrom(st.state, 255, 1, pick[:0], rng)
 		if err != nil {
 			st.full = true
 			live--
 			res.ZonesFull++
 			continue
 		}
-		if st.inUse.has(uint32(addr)) {
+		if st.state.Has(got[0]) {
 			res.Clashes++
 		}
-		st.inUse.add(uint32(addr))
-		st.used = append(st.used, allocator.SessionInfo{Addr: addr, TTL: 255})
+		st.state.Add(got[0], 255)
 		res.Allocations++
 	}
 	return res

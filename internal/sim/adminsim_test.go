@@ -57,7 +57,7 @@ func TestAdminScopingMakesIREasy(t *testing.T) {
 		t.Fatal(err)
 	}
 	const space = 64
-	res := FillAdminZones(zones, func() allocator.Allocator {
+	res := FillAdminZones(zones, func() allocator.StateAllocator {
 		return allocator.NewInformedRandom(space)
 	}, 100000, stats.NewRNG(31))
 	if res.Clashes != 0 {
@@ -89,7 +89,7 @@ func TestAdminVsTTLScoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adminRes := FillAdminZones(zones, func() allocator.Allocator {
+	adminRes := FillAdminZones(zones, func() allocator.StateAllocator {
 		return allocator.NewInformedRandom(space)
 	}, 100000, stats.NewRNG(32))
 
