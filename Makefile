@@ -43,10 +43,13 @@ lint-json:
 # seeds (DESIGN.md §10) — and, first, the fault model those schedules
 # draw their fates from and the fabric (des.Net, des.Fleet) that applies
 # them. Runs under the race detector; wall time is tiny because the
-# harness uses virtual time.
+# harness uses virtual time. Last, the resolution/discovery golden, the
+# other recorded digest of des.Net's delivery order (without -race: it
+# reruns both experiments, 0.25 s plain).
 chaos:
 	$(GO) test -race -count=1 ./internal/fault ./internal/des
 	$(GO) test -race -count=1 -run TestChaos ./internal/chaos
+	$(GO) test -count=1 -run TestResolutionDiscoveryGolden ./internal/experiments
 
 # The adversarial resilience gate: hostile agents (flooder, poisoner,
 # clash-forger, replayer, delete-forger) against a budget-bounded fleet.

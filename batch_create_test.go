@@ -8,6 +8,7 @@ import (
 	"sessiondir/internal/allocator"
 	"sessiondir/internal/clash"
 	"sessiondir/internal/mcast"
+	"sessiondir/internal/obs"
 	"sessiondir/internal/session"
 	"sessiondir/internal/stats"
 	"sessiondir/internal/transport"
@@ -94,7 +95,7 @@ func TestCreateSessionBatchMixedScopes(t *testing.T) {
 	if n := len(d.OwnSessions()); n != len(ttls) {
 		t.Fatalf("%d owned sessions, want %d", n, len(ttls))
 	}
-	if n := log.count(EventAnnounceSent); n != len(ttls) {
+	if n := log.count(obs.TraceAnnounce); n != len(ttls) {
 		t.Fatalf("%d announcements, want %d", n, len(ttls))
 	}
 }
@@ -128,8 +129,9 @@ func TestCreateSessionBatchPartialFailure(t *testing.T) {
 
 // TestAllocatorCountersAtEverySite: the directory counts its allocator's
 // work at each of the three places it allocates — a create, a batch create
-// and a clash move — one pick per address handed out, one failure per call
-// that found the visible space full, one move per owned session moved.
+// and a clash move — one pick per address handed out and one failure per
+// call that found the visible space full; a move counts once, in
+// dir_clash_moves_total.
 func TestAllocatorCountersAtEverySite(t *testing.T) {
 	clk := newFakeClock()
 	d, _ := newDirectory(t, transport.NewBus(), clk, "10.0.0.1", 8, 5, nil)
@@ -155,7 +157,7 @@ func TestAllocatorCountersAtEverySite(t *testing.T) {
 		Media: []session.Media{{Type: "audio", Port: 5004, Proto: "RTP/AVP", Format: "0"}},
 	}
 	d.HandleBatch([]transport.Message{{Data: announceWire(t, intruder)}})
-	if got := counter("moves"); got != 1 {
+	if got := d.Metrics().ClashAddressChanges; got != 1 {
 		t.Fatalf("moves = %v after a clash on a fresh session, want 1", got)
 	}
 

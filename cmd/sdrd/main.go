@@ -115,8 +115,11 @@ func run() error {
 		Backoff:      backoffFor(*announceInitial),
 		Seed:         seedVal,
 		Obs:          reg,
-		Trace:        trace,
 		OnEvent: func(e sessiondir.Event) {
+			trace.Record(e.TraceEvent) // a nil ring records nothing
+			if e.Kind == obs.TraceAllocate || e.Kind == obs.TraceShed {
+				return // an announce follows each allocate; a flood sheds by the thousand
+			}
 			if e.Desc != nil {
 				log.Printf("%s: %s (%s ttl=%d)", e.Kind, e.Desc.Name, e.Desc.Group, e.Desc.TTL)
 			} else {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sessiondir/internal/mcast"
+	"sessiondir/internal/obs"
 	"sessiondir/internal/sap"
 	"sessiondir/internal/session"
 	"sessiondir/internal/storage"
@@ -38,7 +39,7 @@ func TestDirectoryConcurrentUse(t *testing.T) {
 	// no directory lock held, so it may call back in: a learned session is
 	// in the cache by the time its event is delivered (nothing is evicted
 	// or expires in this run).
-	var events [EventSessionEvicted + 1]atomic.Uint64
+	var events [obs.TraceDelete + 1]atomic.Uint64
 	newDir := func() *Directory {
 		var d *Directory
 		d, err := New(Config{
@@ -195,8 +196,8 @@ func TestDirectoryConcurrentUse(t *testing.T) {
 		counter uint64
 	}{
 		{EventSessionLearned, m.SessionsLearned},
-		{EventAnnounceSent, m.AnnouncementsSent},
-		{EventDeleteSent, m.DeletionsSent},
+		{obs.TraceAnnounce, m.AnnouncementsSent},
+		{obs.TraceDelete, m.DeletionsSent},
 	} {
 		if got := events[c.kind].Load(); got != c.counter {
 			t.Errorf("%d %s events delivered, counter reads %d", got, c.kind, c.counter)

@@ -24,8 +24,9 @@ import (
 // records, ticks — each come with the instant the caller read; it reads
 // no clock, takes no lock and calls no code it was handed. What it does to
 // the outside world it appends to fx, in order, for the Directory to carry
-// out after unlocking. Obs counters and the trace are bumped directly:
-// they are lock-free, draw no randomness and never feed back.
+// out after unlocking, its decisions among them, one record each. Obs
+// counters are bumped directly: they are lock-free, draw no randomness and
+// never feed back.
 type core struct {
 	// cfg is the resolved Config. The core reads its protocol parameters;
 	// the clock, transport and event hook in it are the Directory's to call.
@@ -63,7 +64,7 @@ type core struct {
 	staleAfter time.Duration
 
 	// journaling (a CacheStore is attached) and reporting (someone takes
-	// events): effects nobody takes are not built.
+	// decision records): effects nobody takes are not built.
 	journaling bool
 	reporting  bool
 	fx         effects
@@ -71,8 +72,7 @@ type core struct {
 	// from one tick to the next.
 	dueBuf []string
 
-	trace *obs.Trace
-	ins   dirInstruments
+	ins dirInstruments
 }
 
 // effects is what the core has done to the outside world since the last
@@ -168,10 +168,16 @@ func (c *core) ms(t time.Time) float64 {
 	return float64(t.Sub(c.epoch)) / float64(time.Millisecond)
 }
 
-// report queues an observability event.
-func (c *core) report(kind EventKind, key string, desc *session.Description) {
+// record queues the record of one protocol decision: its kind, the
+// session's key, the address index where the decision picked or announced
+// one (else 0) and the session's description where it has one, stamped
+// with now on the tracker's millisecond timeline.
+func (c *core) record(kind EventKind, key string, addr mcast.Addr, desc *session.Description, now time.Time) {
 	if c.reporting {
-		c.fx.events = append(c.fx.events, Event{Kind: kind, Key: key, Desc: desc})
+		c.fx.events = append(c.fx.events, Event{
+			TraceEvent: obs.TraceEvent{At: c.ms(now), Kind: kind, Key: key, Addr: uint32(addr)},
+			Desc:       desc,
+		})
 	}
 }
 
@@ -263,8 +269,10 @@ func (c *core) registerOwned(desc session.Description, addr mcast.Addr, now time
 	c.owned[key] = own
 	c.state.Add(addr, desc.TTL)
 	c.tracker.AnnounceOwn(clash.SessionKey(key), addr, desc.TTL, c.ms(now))
-	c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceAllocate, Key: key, Addr: uint32(addr)})
+	queued := len(c.fx.events)
+	c.record(obs.TraceAllocate, key, addr, own.desc, now)
 	if err := c.announceOwn(own, now); err != nil {
+		c.fx.events = c.fx.events[:queued] // nothing was allocated after all
 		delete(c.owned, key)
 		c.state.Remove(addr, desc.TTL)
 		c.tracker.Forget(clash.SessionKey(key))
@@ -301,8 +309,7 @@ func (c *core) announceOwn(own *ownedSession, now time.Time) error {
 	own.nextAnnounce = now.Add(b.IntervalAfter(int(own.announceCount)))
 	own.announceCount++
 	c.ins.announcementsSent.Inc()
-	c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceAnnounce, Key: own.key, Addr: uint32(own.addr)})
-	c.report(EventAnnounceSent, own.key, own.desc)
+	c.record(obs.TraceAnnounce, own.key, own.addr, own.desc, now)
 	return nil
 }
 
@@ -361,8 +368,7 @@ func (c *core) withdraw(key string, now time.Time) error {
 		return err
 	}
 	c.ins.deletionsSent.Inc()
-	c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceDelete, Key: key})
-	c.report(EventDeleteSent, key, own.desc)
+	c.record(obs.TraceDelete, key, 0, own.desc, now)
 	return nil
 }
 
@@ -427,7 +433,7 @@ func (c *core) apply(p *parsedPacket, now time.Time) {
 			c.degradeTick++
 			if c.degradeTick%degradeAdmitSample != 0 {
 				c.ins.degradedLearns.Inc()
-				c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceShed, Key: key})
+				c.record(obs.TraceShed, key, 0, desc, now)
 				return
 			}
 		}
@@ -440,8 +446,7 @@ func (c *core) apply(p *parsedPacket, now time.Time) {
 
 	if e, fresh := c.cache.ObserveParsed(key, desc, p.digest, now); fresh {
 		c.ins.sessionsLearned.Inc()
-		c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceLearn, Key: key})
-		c.report(EventSessionLearned, key, desc)
+		c.record(obs.TraceLearn, key, 0, desc, now)
 		// Only fresh observations are journaled; pure LastHeard
 		// refreshes ride on the next snapshot, so a recovered timestamp
 		// is at most one checkpoint interval old.
@@ -575,7 +580,7 @@ func (c *core) admitNew(desc *session.Description, key string, now time.Time) bo
 	switch dec.Outcome {
 	case admission.Shed:
 		c.ins.shed.Inc()
-		c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceShed, Key: key})
+		c.record(obs.TraceShed, key, 0, desc, now)
 		return false
 	case admission.DenyQuota:
 		c.ins.quotaDrops.Inc()
@@ -587,8 +592,7 @@ func (c *core) admitNew(desc *session.Description, key string, now time.Time) bo
 // evicted accounts for one session the admission layer displaced.
 func (c *core) evicted(key string, now time.Time) {
 	c.ins.evictions.Inc()
-	c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceEvict, Key: key})
-	c.report(EventSessionEvicted, key, nil)
+	c.record(obs.TraceEvict, key, 0, nil, now)
 	c.journalKey(deltaEvict, key)
 }
 
@@ -632,8 +636,7 @@ func (c *core) applyActions(actions []clash.Action, now time.Time) {
 			if own, ok := c.owned[key]; ok {
 				if err := c.announceOwn(own, now); err == nil {
 					c.ins.clashDefensesOwn.Inc()
-					c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceDefendOwn, Key: key})
-					c.report(EventDefendedOwn, key, own.desc)
+					c.record(obs.TraceDefendOwn, key, 0, own.desc, now)
 				}
 			}
 		case clash.ActionModifyAddress:
@@ -655,9 +658,7 @@ func (c *core) applyActions(actions []clash.Action, now time.Time) {
 			c.tracker.AnnounceOwn(clash.SessionKey(key), addr, own.desc.TTL, c.ms(now))
 			if err := c.announceOwn(own, now); err == nil {
 				c.ins.clashMoves.Inc()
-				c.ins.allocMoves.Inc()
-				c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceClashMove, Key: key, Addr: uint32(addr)})
-				c.report(EventAddressChanged, key, own.desc)
+				c.record(obs.TraceClashMove, key, addr, own.desc, now)
 			}
 		case clash.ActionDefendOther:
 			if degraded {
@@ -670,8 +671,7 @@ func (c *core) applyActions(actions []clash.Action, now time.Time) {
 			if e, ok := c.cache.Get(key); ok {
 				if _, err := c.sendDesc(e.Desc, sap.Announce, 0, false); err == nil {
 					c.ins.clashDefensesThrd.Inc()
-					c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceDefendOther, Key: key})
-					c.report(EventDefendedOther, key, e.Desc)
+					c.record(obs.TraceDefendOther, key, 0, e.Desc, now)
 				}
 			}
 		}
@@ -704,8 +704,7 @@ func (c *core) step(now time.Time) {
 	for _, key := range c.cache.Expire(now) {
 		c.tracker.Forget(clash.SessionKey(key))
 		c.ins.sessionsExpired.Inc()
-		c.trace.Record(obs.TraceEvent{At: c.ms(now), Kind: obs.TraceExpire, Key: key})
-		c.report(EventSessionExpired, key, nil)
+		c.record(obs.TraceExpire, key, 0, nil, now)
 		c.journalKey(deltaExpire, key)
 	}
 }

@@ -22,57 +22,32 @@ import (
 	"sessiondir/internal/transport"
 )
 
-// EventKind labels directory observability events.
-type EventKind int
+// EventKind labels a protocol decision. The vocabulary is obs.TraceKind's,
+// the one /trace prints; the names below alias the kinds callers outside
+// the directory switch on.
+type EventKind = obs.TraceKind
 
 const (
-	// EventAnnounceSent: we transmitted an announcement (own or defended).
-	EventAnnounceSent EventKind = iota
-	// EventSessionLearned: a previously unknown session appeared.
-	EventSessionLearned
-	// EventSessionExpired: a cached session timed out.
-	EventSessionExpired
-	// EventAddressChanged: one of our sessions moved due to a clash.
-	EventAddressChanged
-	// EventDefendedOwn: we re-announced to defend a long-standing session.
-	EventDefendedOwn
+	// EventSessionLearned: a previously unknown session (or a new version
+	// of one) entered the cache.
+	EventSessionLearned = obs.TraceLearn
+	// EventAddressChanged: one of our sessions moved address (clash
+	// phase 2).
+	EventAddressChanged = obs.TraceClashMove //mclint:unused pinned by benchmark/dirscript.go
 	// EventDefendedOther: we re-announced another site's session (phase 3).
-	EventDefendedOther
-	// EventDeleteSent: we withdrew one of our sessions.
-	EventDeleteSent
+	EventDefendedOther = obs.TraceDefendOther
 	// EventSessionEvicted: the admission layer displaced a cached session
 	// to stay inside the configured budget.
-	EventSessionEvicted
+	EventSessionEvicted = obs.TraceEvict //mclint:unused pinned by benchmark/dirscript.go
 )
 
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EventAnnounceSent:
-		return "announce-sent"
-	case EventSessionLearned:
-		return "session-learned"
-	case EventSessionExpired:
-		return "session-expired"
-	case EventAddressChanged:
-		return "address-changed"
-	case EventDefendedOwn:
-		return "defended-own"
-	case EventDefendedOther:
-		return "defended-other"
-	case EventDeleteSent:
-		return "delete-sent"
-	case EventSessionEvicted:
-		return "session-evicted"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event is one observability notification.
+// Event is the record of one protocol decision: the trace fields — At in
+// the directory's virtual milliseconds, Kind, Key, and Addr, the address
+// index for allocate, announce and clash-move (else 0) — and the session's
+// description where the decision concerns one the directory holds or has
+// just parsed (nil for evict and expire).
 type Event struct {
-	Kind EventKind
-	Key  string // session key
+	obs.TraceEvent
 	Desc *session.Description
 }
 
@@ -125,23 +100,20 @@ type Config struct {
 	Shards int //mclint:unused pinned by benchmark/dirscript.go
 	// Seed drives the randomised choices (0 = arbitrary fixed seed).
 	Seed uint64
-	// OnEvent, if set, receives observability events in the order the
-	// directory produced them. It runs with no directory lock held — after
-	// the state change, before the datagrams it announces are sent — so it
-	// may call back into the Directory. Callers on several goroutines may
-	// deliver events concurrently.
+	// OnEvent, if set, receives one Event per protocol decision — allocate,
+	// announce, delete, learn, expire, clash move, both defenses, evict and
+	// shed — in the order the directory made them. It runs with no
+	// directory lock held — after the state change, before the datagrams
+	// it announces are sent — so it may call back into the Directory.
+	// Callers on several goroutines may deliver their events concurrently,
+	// so the batches of two callers may interleave. A trace ring is one
+	// such listener: record each event's TraceEvent into an obs.Trace.
 	OnEvent func(Event)
 	// Obs, when non-nil, is the registry the directory registers its
 	// instruments on (nil = a private registry, reachable via Registry()).
 	// One directory per registry: a second directory on the same registry
 	// fails New with a duplicate-name error.
 	Obs *obs.Registry
-	// Trace, when non-nil, receives one structured event per protocol
-	// decision (allocate, announce, clash move, defense, learn, expire,
-	// evict, shed, delete), stamped with the directory's virtual-time
-	// milliseconds. Recording is lock-free and draws no randomness, so
-	// tracing a seeded chaos run does not perturb its schedule.
-	Trace *obs.Trace
 }
 
 // Directory is a session directory agent: announcer, listener, address
@@ -166,7 +138,10 @@ type Directory struct {
 
 // Metrics are the directory's operational counters, as exposed by sdrd.
 type Metrics struct {
-	AnnouncementsSent   uint64 // SAP announcements transmitted (own + defended)
+	// AnnouncementsSent counts announcements of our own sessions: the
+	// scheduled ones, phase-1 defenses and re-announcements after a move.
+	// Phase-3 defenses of others' sessions count in ClashDefensesThird.
+	AnnouncementsSent   uint64
 	DeletionsSent       uint64
 	PacketsReceived     uint64 // well-formed SAP packets processed
 	PacketsMalformed    uint64 // undecodable packets or payloads dropped
@@ -212,11 +187,10 @@ type dirInstruments struct {
 	refreshFast       *obs.Counter
 	packetBytes       *obs.Histogram
 	store             cacheStoreInstruments
-	// The allocator's counters: addresses it handed out, calls that found
-	// the visible space full, and clash moves of owned sessions.
+	// The allocator's counters: addresses it handed out, and calls that
+	// found the visible space full.
 	allocPicks    *obs.Counter
 	allocFailures *obs.Counter
-	allocMoves    *obs.Counter
 }
 
 // packetSizeBounds buckets received datagram sizes: SAP announcements
@@ -236,8 +210,7 @@ func newDirInstruments(r *obs.Registry, allocName string) (dirInstruments, error
 	}{
 		{&ins.allocPicks, alloc + "picks_total", "successful address allocations by " + allocName},
 		{&ins.allocFailures, alloc + "failures_total", "failed address allocations (space visibly full) by " + allocName},
-		{&ins.allocMoves, alloc + "moves_total", "clash-driven re-allocations of owned sessions by " + allocName},
-		{&ins.announcementsSent, "dir_announcements_sent_total", "SAP announcements transmitted (own + defended)"},
+		{&ins.announcementsSent, "dir_announcements_sent_total", "SAP announcements of our own sessions (scheduled, phase-1 defenses, after a move)"},
 		{&ins.deletionsSent, "dir_deletions_sent_total", "SAP deletions transmitted"},
 		{&ins.packetsReceived, "dir_packets_received_total", "well-formed SAP packets processed"},
 		{&ins.packetsMalformed, "dir_packets_malformed_total", "undecodable packets or payloads dropped"},
@@ -419,7 +392,6 @@ func New(cfg Config) (*Directory, error) {
 			epoch:      cfg.Clock(),
 			digestSeed: seed,
 			reporting:  cfg.OnEvent != nil,
-			trace:      cfg.Trace,
 			ins:        ins,
 		},
 		reg: reg,

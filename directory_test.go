@@ -9,6 +9,7 @@ import (
 	"sessiondir/internal/allocator"
 	"sessiondir/internal/clash"
 	"sessiondir/internal/mcast"
+	"sessiondir/internal/obs"
 	"sessiondir/internal/session"
 	"sessiondir/internal/transport"
 )
@@ -190,25 +191,25 @@ func TestDirectoryReannouncementSchedule(t *testing.T) {
 	if _, err := a.CreateSession(testDesc("s", 63)); err != nil {
 		t.Fatal(err)
 	}
-	if got := logA.count(EventAnnounceSent); got != 1 {
+	if got := logA.count(obs.TraceAnnounce); got != 1 {
 		t.Fatalf("initial announcements = %d", got)
 	}
 	// 5 s back-off: stepping just before does nothing, just after fires.
 	a.Step(clk.Advance(4 * time.Second))
-	if got := logA.count(EventAnnounceSent); got != 1 {
+	if got := logA.count(obs.TraceAnnounce); got != 1 {
 		t.Fatalf("early step announced: %d", got)
 	}
 	a.Step(clk.Advance(2 * time.Second))
-	if got := logA.count(EventAnnounceSent); got != 2 {
+	if got := logA.count(obs.TraceAnnounce); got != 2 {
 		t.Fatalf("after 6 s: %d announcements", got)
 	}
 	// Next interval doubles to 10 s.
 	a.Step(clk.Advance(8 * time.Second))
-	if got := logA.count(EventAnnounceSent); got != 2 {
+	if got := logA.count(obs.TraceAnnounce); got != 2 {
 		t.Fatalf("after 8 more seconds: %d", got)
 	}
 	a.Step(clk.Advance(3 * time.Second))
-	if got := logA.count(EventAnnounceSent); got != 3 {
+	if got := logA.count(obs.TraceAnnounce); got != 3 {
 		t.Fatalf("after 11 more seconds: %d", got)
 	}
 }
@@ -248,7 +249,7 @@ func TestDirectoryClashResolutionRecentMoves(t *testing.T) {
 	// Chain (synchronous bus): A re-announces → B defends (phase 1) →
 	// A hears the defense, is recent (announced 6 s ago) → moves (phase 2).
 
-	if got := logB.count(EventDefendedOwn); got != 1 {
+	if got := logB.count(obs.TraceDefendOwn); got != 1 {
 		t.Fatalf("B defend events = %d", got)
 	}
 	if got := logA.count(EventAddressChanged); got != 1 {
@@ -398,8 +399,8 @@ func TestDirectoryCacheExpiry(t *testing.T) {
 	if len(b.Sessions()) != 0 {
 		t.Fatalf("stale session survived expiry: %v", b.Sessions())
 	}
-	if logB.count(EventSessionExpired) != 1 {
-		t.Fatalf("expiry events = %d", logB.count(EventSessionExpired))
+	if logB.count(obs.TraceExpire) != 1 {
+		t.Fatalf("expiry events = %d", logB.count(obs.TraceExpire))
 	}
 }
 
@@ -410,23 +411,5 @@ func TestDirectoryClosedRefusesWork(t *testing.T) {
 	a.Close()
 	if _, err := a.CreateSession(testDesc("late", 63)); err == nil {
 		t.Fatal("closed directory created a session")
-	}
-}
-
-func TestEventKindString(t *testing.T) {
-	kinds := []EventKind{
-		EventAnnounceSent, EventSessionLearned, EventSessionExpired,
-		EventAddressChanged, EventDefendedOwn, EventDefendedOther, EventDeleteSent,
-	}
-	seen := map[string]bool{}
-	for _, k := range kinds {
-		s := k.String()
-		if s == "" || seen[s] {
-			t.Fatalf("bad name for %d: %q", int(k), s)
-		}
-		seen[s] = true
-	}
-	if EventKind(99).String() != "EventKind(99)" {
-		t.Fatal("unknown kind")
 	}
 }

@@ -57,8 +57,6 @@ type Config struct {
 	// re-announcements become flood-evictable (0 = 15 minutes, three
 	// missed steady announcements at the RFC 2974 floor).
 	StaleAfter time.Duration
-	// MaxOrigins bounds the rate limiter's bucket table (0 = 4096).
-	MaxOrigins int
 	// RNG drives the limiter's early-drop band. Required when OriginRate
 	// is set; a seeded stream keeps chaos runs replayable.
 	RNG *stats.RNG
@@ -122,6 +120,10 @@ func (c *Controller) Stats() Stats {
 	return Stats{Origins: len(c.buckets), BucketGCs: c.bucketGCs}
 }
 
+// maxOrigins bounds the rate limiter's bucket table: past it, gcBuckets
+// halves the table.
+const maxOrigins = 4096
+
 // New returns a Controller. The zero-valued Config admits everything.
 func New(cfg Config) *Controller {
 	if cfg.OriginBurst <= 0 {
@@ -132,9 +134,6 @@ func New(cfg Config) *Controller {
 	}
 	if cfg.StaleAfter <= 0 {
 		cfg.StaleAfter = 15 * time.Minute
-	}
-	if cfg.MaxOrigins <= 0 {
-		cfg.MaxOrigins = 4096
 	}
 	return &Controller{cfg: cfg, buckets: make(map[netip.Addr]*bucket)}
 }
@@ -150,7 +149,7 @@ func (c *Controller) Allow(origin netip.Addr, now time.Time) bool {
 	}
 	b, ok := c.buckets[origin]
 	if !ok {
-		if len(c.buckets) >= c.cfg.MaxOrigins {
+		if len(c.buckets) >= maxOrigins {
 			c.gcBuckets(now)
 		}
 		b = &bucket{tokens: c.cfg.OriginBurst, last: now}
@@ -194,7 +193,7 @@ func (c *Controller) gcBuckets(now time.Time) {
 		}
 		return addrs[i].Less(addrs[j])
 	})
-	target := c.cfg.MaxOrigins / 2
+	target := maxOrigins / 2
 	for _, a := range addrs {
 		if len(c.buckets) <= target {
 			return

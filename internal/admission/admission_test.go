@@ -71,13 +71,16 @@ func TestAllowDeterministicReplay(t *testing.T) {
 }
 
 func TestBucketTableBounded(t *testing.T) {
-	c := New(Config{OriginRate: 1, MaxOrigins: 64, RNG: stats.NewRNG(7)})
+	c := New(Config{OriginRate: 1, RNG: stats.NewRNG(7)})
 	now := t0()
-	for i := 0; i < 10_000; i++ {
+	for i := 0; i < 3*maxOrigins; i++ {
 		c.Allow(origin(i), now)
 	}
-	if got := c.Stats().Origins; got > 64 {
-		t.Fatalf("bucket table grew to %d origins under churn, budget 64", got)
+	if got := c.Stats().Origins; got > maxOrigins {
+		t.Fatalf("bucket table grew to %d origins under churn, budget %d", got, maxOrigins)
+	}
+	if c.Stats().BucketGCs == 0 {
+		t.Fatal("the churn never reached the bound")
 	}
 }
 

@@ -3,6 +3,9 @@ package chaos
 import (
 	"testing"
 	"time"
+
+	"sessiondir"
+	"sessiondir/internal/mcast"
 )
 
 // honestKeys returns every key the honest fleet's own sessions carry.
@@ -45,14 +48,16 @@ func newHostileFleet(t *testing.T, seed uint64) *Harness {
 		Agents:           4,
 		Seed:             seed,
 		Start:            chaosStart(),
-		SpaceSize:        64,
 		SessionsPerAgent: 2,
-		CacheTimeout:     600 * time.Second,
-		MaxSessions:      16,
-		MaxPerOrigin:     4,
-		OriginRate:       5,
-		OriginBurst:      40,
-		StaleAfter:       400 * time.Second,
+		Dir: sessiondir.Config{
+			Space:        mcast.SyntheticSpace(64),
+			CacheTimeout: 600 * time.Second,
+			MaxSessions:  16,
+			MaxPerOrigin: 4,
+			OriginRate:   5,
+			OriginBurst:  40,
+			StaleAfter:   400 * time.Second,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"sessiondir"
-	"sessiondir/internal/clash"
 	"sessiondir/internal/des"
 	"sessiondir/internal/fault"
 	"sessiondir/internal/mcast"
@@ -47,16 +46,19 @@ type Config struct {
 	// Tick is the period of every directory's timer step and every
 	// adversary's packet budget (0 = 1 s, the directory's own cadence).
 	Tick time.Duration
-	// SpaceSize is the synthetic address-space size (0 = 256). Small spaces
-	// force clashes, which is the point of several schedules.
-	SpaceSize uint32
 	// SessionsPerAgent is how many sessions each agent creates up front.
 	SessionsPerAgent int
 	// TTL is the scope of every created session (0 = 127).
 	TTL mcast.TTL
-	// CacheTimeout expires unheard sessions (0 = the directory default of
-	// one hour; set it near the schedule length to test eviction).
-	CacheTimeout time.Duration
+	// Dir is the configuration the agents' directories share, as
+	// des.FleetConfig.Dir: the fleet fills in each agent's origin,
+	// transport, clock and event listener, its seed comes off Seed's RNG
+	// tree, and a zero Space is a 256-address synthetic space. Small spaces
+	// force clashes, which is the point of several schedules; a
+	// CacheTimeout near the schedule length tests eviction; hostile
+	// schedules set the admission budgets to assert the fleet survives
+	// within them.
+	Dir sessiondir.Config
 
 	// Graph and Nodes place the fleet on a topology: agent i attaches at
 	// Nodes[i] and hears what TTL scoping lets reach it. Both unset is the
@@ -65,19 +67,11 @@ type Config struct {
 	Graph *topology.Graph
 	Nodes []topology.NodeID
 
-	// Admission budgets, passed through to every agent's directory (zero
-	// values disable each mechanism, matching sessiondir.Config). Hostile
-	// schedules set these to assert the fleet survives within them.
-	MaxSessions  int
-	MaxPerOrigin int
-	OriginRate   float64
-	OriginBurst  float64
-	StaleAfter   time.Duration
-
-	// TraceCap, when > 0, attaches an obs event ring of this capacity to
-	// every agent's directory (reachable as Agent.Trace). Recording draws
-	// no randomness, so a traced run must replay bit-identically to an
-	// untraced one — the replay tests assert exactly that.
+	// TraceCap, when > 0, gives every agent an obs event ring of this
+	// capacity, filled from its directory's events (reachable as
+	// Agent.Trace). Recording draws no randomness, so a traced run must
+	// replay bit-identically to an untraced one — the replay tests assert
+	// exactly that.
 	TraceCap int
 }
 
@@ -154,8 +148,8 @@ func New(cfg Config) (*Harness, error) {
 	if cfg.Tick == 0 {
 		cfg.Tick = time.Second
 	}
-	if cfg.SpaceSize == 0 {
-		cfg.SpaceSize = 256
+	if cfg.Dir.Space.Size == 0 {
+		cfg.Dir.Space = mcast.SyntheticSpace(256)
 	}
 	if cfg.TTL == 0 {
 		cfg.TTL = 127
@@ -175,26 +169,20 @@ func New(cfg Config) (*Harness, error) {
 	h := &Harness{
 		cfg:   cfg,
 		root:  stats.NewRNG(cfg.Seed),
-		space: mcast.SyntheticSpace(cfg.SpaceSize),
+		space: cfg.Dir.Space,
 	}
 	engine := des.NewEngine(cfg.Start)
 	net, err := des.NewNet(engine, des.NetConfig{Graph: cfg.Graph, Seed: h.root.Uint64()})
 	if err != nil {
 		return nil, err
 	}
+	dir := cfg.Dir
+	dir.Seed = h.root.Uint64()
 	h.fleet, err = des.NewFleet(engine, net, des.FleetConfig{
-		Nodes:        cfg.Nodes,
-		Space:        cfg.SpaceSize,
-		Delay:        clash.NewExponentialDelay(0, 3200, 200),
-		StepPeriod:   cfg.Tick,
-		Seed:         h.root.Uint64(),
-		CacheTimeout: cfg.CacheTimeout,
-		MaxSessions:  cfg.MaxSessions,
-		MaxPerOrigin: cfg.MaxPerOrigin,
-		OriginRate:   cfg.OriginRate,
-		OriginBurst:  cfg.OriginBurst,
-		StaleAfter:   cfg.StaleAfter,
-		TraceCap:     cfg.TraceCap,
+		Nodes:      cfg.Nodes,
+		Dir:        dir,
+		StepPeriod: cfg.Tick,
+		TraceCap:   cfg.TraceCap,
 	})
 	if err != nil {
 		return nil, err

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"sessiondir"
 	"sessiondir/internal/fault"
+	"sessiondir/internal/mcast"
 	"sessiondir/internal/session"
 )
 
@@ -40,9 +42,9 @@ func runFlagshipTraced(t *testing.T, seed uint64, traceCap int) *Harness {
 		Agents:           8,
 		Seed:             seed,
 		Start:            chaosStart(),
-		SpaceSize:        64,
 		SessionsPerAgent: 2,
 		TraceCap:         traceCap,
+		Dir:              sessiondir.Config{Space: mcast.SyntheticSpace(64)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +143,10 @@ func TestChaosTraceReplayBitIdentical(t *testing.T) {
 // address-change counter stops moving (no livelock).
 func TestChaosClashCorrectionTerminates(t *testing.T) {
 	h, err := New(Config{
-		Agents:    4,
-		Seed:      7,
-		Start:     chaosStart(),
-		SpaceSize: 16,
+		Agents: 4,
+		Seed:   7,
+		Start:  chaosStart(),
+		Dir:    sessiondir.Config{Space: mcast.SyntheticSpace(16)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -210,9 +212,11 @@ func TestChaosSilencedAgentExpires(t *testing.T) {
 		Agents:           4,
 		Seed:             11,
 		Start:            chaosStart(),
-		SpaceSize:        64,
 		SessionsPerAgent: 1,
-		CacheTimeout:     300 * time.Second,
+		Dir: sessiondir.Config{
+			Space:        mcast.SyntheticSpace(64),
+			CacheTimeout: 300 * time.Second,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

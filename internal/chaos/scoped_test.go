@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sessiondir"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/session"
 	"sessiondir/internal/stats"
@@ -64,7 +65,7 @@ func runScoped(t *testing.T, seed uint64) *scopedRun {
 		// scope. That copy is never refreshed and must be gone by the end
 		// of the run; 450 s still spans the partition for everything that
 		// is (steady re-announcement is every 300 s).
-		CacheTimeout: 450 * time.Second,
+		Dir: sessiondir.Config{CacheTimeout: 450 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)

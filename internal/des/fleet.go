@@ -6,9 +6,6 @@ import (
 	"time"
 
 	"sessiondir"
-	"sessiondir/internal/announce"
-	"sessiondir/internal/clash"
-	"sessiondir/internal/mcast"
 	"sessiondir/internal/obs"
 	"sessiondir/internal/topology"
 )
@@ -24,8 +21,8 @@ type Fleet struct {
 	// Endpoints are the directories' attachments to Net, by index (their
 	// Stats are the fates each directory's receive side drew).
 	Endpoints []*Endpoint
-	// Traces are the directories' event rings, by index (nil entries
-	// unless FleetConfig.TraceCap > 0).
+	// Traces are the directories' event rings, by index, filled from their
+	// events (nil entries unless FleetConfig.TraceCap > 0).
 	Traces []*obs.Trace
 }
 
@@ -33,31 +30,20 @@ type Fleet struct {
 type FleetConfig struct {
 	// Nodes lists where to attach one directory each.
 	Nodes []topology.NodeID
-	// Space is the shared allocation space size.
-	Space uint32
-	// Backoff overrides the announcement schedule (zero = library default).
-	Backoff announce.Backoff
-	// Delay overrides the third-party defence delay distribution
-	// (nil = library default exponential).
-	Delay clash.DelayDist
+	// Dir is the configuration the directories share. NewFleet fills in
+	// each one's Origin (from its node and index), Transport (its
+	// endpoint), Clock (the engine's), Seed (Dir.Seed + index·7919) and
+	// OnEvent. Allocator and Obs, if set, are shared by every directory:
+	// leave Obs nil, since one registry takes one directory.
+	Dir sessiondir.Config
 	// StepPeriod is how often each directory's timer step runs
 	// (0 = 500 ms, finer than the real daemon's 1 s to keep virtual-time
 	// tests crisp).
 	StepPeriod time.Duration
 	// OnEvent receives every directory's events, tagged by index.
 	OnEvent func(idx int, e sessiondir.Event)
-	Seed    uint64
-
-	// CacheTimeout and the admission budgets are passed through to every
-	// directory (zero values mean what they mean in sessiondir.Config).
-	CacheTimeout time.Duration
-	MaxSessions  int
-	MaxPerOrigin int
-	OriginRate   float64
-	OriginBurst  float64
-	StaleAfter   time.Duration
 	// TraceCap, when > 0, gives every directory an obs event ring of this
-	// capacity (Fleet.Traces).
+	// capacity (Fleet.Traces), filled from its events.
 	TraceCap int
 }
 
@@ -66,9 +52,6 @@ type FleetConfig struct {
 func NewFleet(engine *Engine, net *Net, cfg FleetConfig) (*Fleet, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("des: fleet needs nodes")
-	}
-	if cfg.Space == 0 {
-		cfg.Space = 256
 	}
 	step := cfg.StepPeriod
 	if step == 0 {
@@ -80,32 +63,17 @@ func NewFleet(engine *Engine, net *Net, cfg FleetConfig) (*Fleet, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Synthesise a stable origin address from the node id.
-		origin := netip.AddrFrom4([4]byte{10, byte(node >> 8), byte(node), byte(i)})
 		var trace *obs.Trace
 		if cfg.TraceCap > 0 {
 			trace = obs.NewTrace(cfg.TraceCap)
 		}
-		dcfg := sessiondir.Config{
-			Origin:       origin,
-			Transport:    ep,
-			Space:        mcast.SyntheticSpace(cfg.Space),
-			Clock:        engine.Now,
-			Seed:         cfg.Seed + uint64(i)*7919,
-			Backoff:      cfg.Backoff,
-			Delay:        cfg.Delay,
-			CacheTimeout: cfg.CacheTimeout,
-			MaxSessions:  cfg.MaxSessions,
-			MaxPerOrigin: cfg.MaxPerOrigin,
-			OriginRate:   cfg.OriginRate,
-			OriginBurst:  cfg.OriginBurst,
-			StaleAfter:   cfg.StaleAfter,
-			Trace:        trace,
-		}
-		if cfg.OnEvent != nil {
-			idx := i
-			dcfg.OnEvent = func(e sessiondir.Event) { cfg.OnEvent(idx, e) }
-		}
+		dcfg := cfg.Dir
+		// Synthesise a stable origin address from the node id.
+		dcfg.Origin = netip.AddrFrom4([4]byte{10, byte(node >> 8), byte(node), byte(i)})
+		dcfg.Transport = ep
+		dcfg.Clock = engine.Now
+		dcfg.Seed = cfg.Dir.Seed + uint64(i)*7919
+		dcfg.OnEvent = agentEvents(i, cfg.OnEvent, trace)
 		d, err := sessiondir.New(dcfg)
 		if err != nil {
 			return nil, err
@@ -117,6 +85,21 @@ func NewFleet(engine *Engine, net *Net, cfg FleetConfig) (*Fleet, error) {
 		engine.Every(step, func() { dir.Step(engine.Now()) })
 	}
 	return f, nil
+}
+
+// agentEvents is directory idx's event listener: it records each event
+// into trace and hands it to onEvent, tagged with idx. With neither there
+// is no listener, and the directory builds no records.
+func agentEvents(idx int, onEvent func(int, sessiondir.Event), trace *obs.Trace) func(sessiondir.Event) {
+	if onEvent == nil && trace == nil {
+		return nil
+	}
+	return func(e sessiondir.Event) {
+		trace.Record(e.TraceEvent)
+		if onEvent != nil {
+			onEvent(idx, e)
+		}
+	}
 }
 
 // Kill stops directory i for good: it closes and its endpoint detaches,

@@ -52,8 +52,7 @@ func TestFleetEventualConsistencyUnderLoss(t *testing.T) {
 	net, g := mboneNet(t, engine, 0.2)
 	fleet, err := NewFleet(engine, net, FleetConfig{
 		Nodes: pickNodes(g, 8, 1),
-		Space: 256,
-		Seed:  9,
+		Dir:   sessiondir.Config{Space: mcast.SyntheticSpace(256), Seed: 9},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,8 +89,7 @@ func TestFleetScopedVisibility(t *testing.T) {
 	}
 	fleet, err := NewFleet(engine, net, FleetConfig{
 		Nodes: []topology.NodeID{uk[0], uk[len(uk)-1], us[0]},
-		Space: 128,
-		Seed:  10,
+		Dir:   sessiondir.Config{Space: mcast.SyntheticSpace(128), Seed: 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +127,7 @@ func TestFleetClashResolutionUnderLoss(t *testing.T) {
 	us := topology.NodesInCountry(g, "US")
 	fleet, err := NewFleet(engine, net, FleetConfig{
 		Nodes: []topology.NodeID{uk[0], us[0]},
-		Space: 2,
-		Seed:  12,
+		Dir:   sessiondir.Config{Space: mcast.SyntheticSpace(2), Seed: 12},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,8 +161,7 @@ func TestFleetThirdPartyDefenseUnderDES(t *testing.T) {
 	var moved int
 	fleet, err := NewFleet(engine, net, FleetConfig{
 		Nodes: nodes,
-		Space: 2,
-		Seed:  13,
+		Dir:   sessiondir.Config{Space: mcast.SyntheticSpace(2), Seed: 13},
 		OnEvent: func(idx int, e sessiondir.Event) {
 			if e.Kind == sessiondir.EventAddressChanged {
 				moved++

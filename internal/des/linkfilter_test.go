@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"sessiondir"
 	"sessiondir/internal/fault"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/stats"
@@ -134,8 +135,7 @@ func TestFleetPartitionHealEndToEnd(t *testing.T) {
 	us := topology.NodesInCountry(g, "US")
 	fleet, err := NewFleet(engine, net, FleetConfig{
 		Nodes: []topology.NodeID{uk[0], us[0]},
-		Space: 2,
-		Seed:  11,
+		Dir:   sessiondir.Config{Space: mcast.SyntheticSpace(2), Seed: 11},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"sessiondir/internal/fault"
@@ -37,13 +36,12 @@ type Net struct {
 	// so nothing is gained by splitting it, and a loss-only profile draws
 	// exactly one Bool per in-scope receiver — what the resolution and
 	// discovery experiments were recorded on.
-	rng   *stats.RNG
-	nodes map[topology.NodeID]*Endpoint
-	// order is the attached nodes in ascending NodeID — the delivery
-	// iteration order. Iterating the map directly would draw fates (and
-	// assign same-timestamp event sequence numbers) in randomized map
-	// order, breaking seed replay.
-	order  []topology.NodeID
+	rng *stats.RNG
+	// eps is the endpoint attached at each node, nil where none is. A
+	// datagram visits the nodes of its reach set in ascending NodeID — the
+	// delivery order every fate draw (and every same-timestamp event
+	// sequence number) follows, so seed replay holds.
+	eps    []*Endpoint
 	filter LinkFilter
 }
 
@@ -89,7 +87,7 @@ func NewNet(engine *Engine, cfg NetConfig) (*Net, error) {
 		cache:   topology.NewReachCache(cfg.Graph),
 		profile: cfg.Profile,
 		rng:     stats.NewRNG(cfg.Seed ^ 0xde5),
-		nodes:   make(map[topology.NodeID]*Endpoint),
+		eps:     make([]*Endpoint, cfg.Graph.NumNodes()),
 	}, nil
 }
 
@@ -102,8 +100,10 @@ func (n *Net) SetProfile(p fault.Profile) error {
 		return fmt.Errorf("des: %w", err)
 	}
 	n.profile = p
-	for _, node := range n.order {
-		n.nodes[node].proc.Profile = p
+	for _, ep := range n.eps {
+		if ep != nil {
+			ep.proc.Profile = p
+		}
 	}
 	return nil
 }
@@ -113,15 +113,11 @@ func (n *Net) Attach(node topology.NodeID) (*Endpoint, error) {
 	if int(node) < 0 || int(node) >= n.graph.NumNodes() {
 		return nil, fmt.Errorf("des: node %d outside graph", node)
 	}
-	if _, dup := n.nodes[node]; dup {
+	if n.eps[node] != nil {
 		return nil, fmt.Errorf("des: node %d already attached", node)
 	}
 	ep := &Endpoint{net: n, node: node, proc: fault.Process{Profile: n.profile}}
-	n.nodes[node] = ep
-	at := sort.Search(len(n.order), func(i int) bool { return n.order[i] >= node })
-	n.order = append(n.order, 0)
-	copy(n.order[at+1:], n.order[at:])
-	n.order[at] = node
+	n.eps[node] = ep
 	return ep, nil
 }
 
@@ -160,11 +156,10 @@ func (e *Endpoint) SendBatch(_ context.Context, batch []transport.Datagram) erro
 // send offers one datagram to every attached node in scope.
 func (e *Endpoint) send(data []byte, scope mcast.TTL) {
 	n := e.net
-	reach := n.cache.Reach(e.node, scope)
 	tree := n.cache.Tree(e.node)
-	for _, node := range n.order {
-		target := n.nodes[node]
-		if node == e.node || !reach.Contains(node) {
+	for node := range n.cache.Reach(e.node, scope).All() {
+		target := n.eps[node]
+		if target == nil || node == e.node {
 			continue
 		}
 		if n.filter != nil && !n.filter(e.node, node) {
@@ -212,11 +207,8 @@ func (e *Endpoint) Subscribe(h transport.Handler) { e.handler = h }
 func (e *Endpoint) Close() error {
 	e.closed = true
 	e.handler = nil
-	delete(e.net.nodes, e.node)
-	order := e.net.order
-	at := sort.Search(len(order), func(i int) bool { return order[i] >= e.node })
-	if at < len(order) && order[at] == e.node {
-		e.net.order = append(order[:at], order[at+1:]...)
+	if e.net.eps[e.node] == e {
+		e.net.eps[e.node] = nil
 	}
 	return nil
 }

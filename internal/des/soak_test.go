@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"sessiondir"
 	"sessiondir/internal/fault"
+	"sessiondir/internal/mcast"
 	"sessiondir/internal/stats"
 	"sessiondir/internal/topology"
 )
@@ -31,8 +33,7 @@ func TestFleetSoakChurnUnderLoss(t *testing.T) {
 	const agents = 6
 	fleet, err := NewFleet(engine, net, FleetConfig{
 		Nodes: pickNodes(g, agents, 3),
-		Space: 64,
-		Seed:  79,
+		Dir:   sessiondir.Config{Space: mcast.SyntheticSpace(64), Seed: 79},
 	})
 	if err != nil {
 		t.Fatal(err)

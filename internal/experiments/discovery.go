@@ -10,6 +10,7 @@ import (
 	"sessiondir/internal/announce"
 	"sessiondir/internal/des"
 	"sessiondir/internal/fault"
+	"sessiondir/internal/mcast"
 	"sessiondir/internal/session"
 	"sessiondir/internal/stats"
 	"sessiondir/internal/topology"
@@ -65,10 +66,12 @@ func RunDiscovery(w io.Writer, s Scale) error {
 				learnedAt := make(map[int]time.Time)
 				var createdAt time.Time
 				fleet, err := des.NewFleet(engine, net, des.FleetConfig{
-					Nodes:   nodes,
-					Space:   128,
-					Backoff: sched.b,
-					Seed:    s.Seed + uint64(trial)*13,
+					Nodes: nodes,
+					Dir: sessiondir.Config{
+						Space:   mcast.SyntheticSpace(128),
+						Backoff: sched.b,
+						Seed:    s.Seed + uint64(trial)*13,
+					},
 					OnEvent: func(idx int, e sessiondir.Event) {
 						if idx > 0 && e.Kind == sessiondir.EventSessionLearned {
 							if _, dup := learnedAt[idx]; !dup {

@@ -70,9 +70,11 @@ func RunResolution(w io.Writer, s Scale) error {
 			defenseCount := 0
 			fleet, err := des.NewFleet(engine, net, des.FleetConfig{
 				Nodes: nodes, // index 0: the doomed originator
-				Space: 2,
-				Delay: dd.d,
-				Seed:  s.Seed + uint64(trial)*17,
+				Dir: sessiondir.Config{
+					Space: mcast.SyntheticSpace(2),
+					Delay: dd.d,
+					Seed:  s.Seed + uint64(trial)*17,
+				},
 				OnEvent: func(_ int, e sessiondir.Event) {
 					if e.Kind == sessiondir.EventDefendedOther {
 						defenseCount++

@@ -10,13 +10,16 @@ import (
 // TraceKind labels one structured trace event. The taxonomy follows the
 // protocol's observable decisions (DESIGN.md §12): address allocations,
 // the three clash-correction phases, announce/learn/expire soft-state
-// transitions, and the admission layer's eviction/shed verdicts.
+// transitions, and the admission layer's eviction/shed verdicts. It is
+// the directory's one event vocabulary (sessiondir.EventKind aliases it).
 type TraceKind uint8
 
 const (
 	// TraceAllocate: an address was allocated for an owned session.
 	TraceAllocate TraceKind = iota
-	// TraceAnnounce: an announcement for an owned session was sent.
+	// TraceAnnounce: an announcement of one of our own sessions was sent —
+	// a scheduled one, a phase-1 defense or the first after a move. A
+	// phase-3 defense of another site's session is TraceDefendOther.
 	TraceAnnounce
 	// TraceClashMove: an owned session moved address (clash phase 2).
 	TraceClashMove

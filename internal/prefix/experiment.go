@@ -74,25 +74,15 @@ func RunExperiment(cfg ExperimentConfig) (Result, error) {
 	{
 		used := map[mcast.Addr]bool{}
 		var live []mcast.Addr
+		space := []Block{{Start: 0, Size: cfg.SpaceSize}}
 		alloc := func() {
-			// Informed random with invisible fraction: in-use addresses are
-			// each unseen with probability InvisibleFlat.
-			var candidates []mcast.Addr
-			for a := uint32(0); a < cfg.SpaceSize; a++ {
-				addr := mcast.Addr(a)
-				if used[addr] && !rng.Bool(cfg.InvisibleFlat) {
-					continue
-				}
-				candidates = append(candidates, addr)
-			}
-			if len(candidates) == 0 {
+			a, clash, ok := informedPick(space, used, cfg.InvisibleFlat, rng)
+			if !ok {
 				return
 			}
-			a := candidates[rng.IntN(len(candidates))]
-			if used[a] {
+			if clash {
 				res.FlatClashes++
 			}
-			used[a] = true
 			live = append(live, a)
 			res.FlatAllocations++
 		}

@@ -282,24 +282,37 @@ func (r *RegionAllocator) Allocate(invisibleLocal float64, rng *stats.RNG) (mcas
 	if len(blocks) == 0 {
 		return 0, false, fmt.Errorf("prefix: region %d holds no active blocks", r.Region)
 	}
-	// Build the candidate set the allocator *believes* free.
+	a, clash, ok := informedPick(blocks, r.used, invisibleLocal, rng)
+	if !ok {
+		return 0, false, fmt.Errorf("prefix: region %d blocks full", r.Region)
+	}
+	return a, clash, nil
+}
+
+// informedPick is informed-random allocation under imperfect visibility:
+// each in-use address of blocks is unseen with probability invisible (one
+// draw per in-use address, in address order), and the pick is uniform over
+// the addresses that look free. It marks the pick used and reports whether
+// it already was — a clash. ok is false, and nothing is drawn after the
+// visibility draws, when nothing looks free.
+func informedPick(blocks []Block, used map[mcast.Addr]bool, invisible float64, rng *stats.RNG) (a mcast.Addr, clash, ok bool) {
 	var candidates []mcast.Addr
 	for _, b := range blocks {
 		for off := uint32(0); off < b.Size; off++ {
 			a := mcast.Addr(b.Start + off)
-			if r.used[a] && !rng.Bool(invisibleLocal) {
+			if used[a] && !rng.Bool(invisible) {
 				continue // visible in-use address
 			}
 			candidates = append(candidates, a)
 		}
 	}
 	if len(candidates) == 0 {
-		return 0, false, fmt.Errorf("prefix: region %d blocks full", r.Region)
+		return 0, false, false
 	}
-	a := candidates[rng.IntN(len(candidates))]
-	clash := r.used[a]
-	r.used[a] = true
-	return a, clash, nil
+	a = candidates[rng.IntN(len(candidates))]
+	clash = used[a]
+	used[a] = true
+	return a, clash, true
 }
 
 // Free releases an address.

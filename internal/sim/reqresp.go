@@ -54,12 +54,12 @@ type ReqRespConfig struct {
 	// packet, modelling queueing (§3's "random per-hop amount on a
 	// per-packet basis").
 	JitterPerHop float64
-	// MaxExactSenders bounds the number of per-sender shortest-path
-	// computations in ShortestPathTree mode; past it, pair delays fall
-	// back to shared-tree distances (the paper found the two differ only
-	// marginally). 0 means 256.
-	MaxExactSenders int
 }
+
+// maxExactSenders bounds the number of per-sender shortest-path
+// computations in ShortestPathTree mode; past it, pair delays fall back to
+// shared-tree distances (the paper found the two differ only marginally).
+const maxExactSenders = 256
 
 // ReqRespResult summarises one run.
 type ReqRespResult struct {
@@ -71,26 +71,21 @@ type ReqRespResult struct {
 
 // delayModel abstracts pairwise delivery delay for a run.
 type delayModel struct {
-	g        *topology.Graph
-	mode     TreeMode
-	shared   *topology.Tree
-	spts     map[topology.NodeID]*topology.Tree
-	maxExact int
-	jitter   float64
-	rng      *stats.RNG
+	g      *topology.Graph
+	mode   TreeMode
+	shared *topology.Tree
+	spts   map[topology.NodeID]*topology.Tree
+	jitter float64
+	rng    *stats.RNG
 }
 
 func newDelayModel(cfg *ReqRespConfig, rng *stats.RNG) *delayModel {
 	m := &delayModel{
-		g:        cfg.Graph,
-		mode:     cfg.Mode,
-		spts:     make(map[topology.NodeID]*topology.Tree),
-		maxExact: cfg.MaxExactSenders,
-		jitter:   cfg.JitterPerHop,
-		rng:      rng,
-	}
-	if m.maxExact == 0 {
-		m.maxExact = 256
+		g:      cfg.Graph,
+		mode:   cfg.Mode,
+		spts:   make(map[topology.NodeID]*topology.Tree),
+		jitter: cfg.JitterPerHop,
+		rng:    rng,
 	}
 	m.shared = topology.NewSharedTree(cfg.Graph, cfg.Core)
 	return m
@@ -107,7 +102,7 @@ func (m *delayModel) base(src, dst topology.NodeID) (float64, int32) {
 	if t, ok := m.spts[src]; ok {
 		return t.DelayFromRoot(dst), t.Depth(dst)
 	}
-	if len(m.spts) < m.maxExact {
+	if len(m.spts) < maxExactSenders {
 		t := topology.NewSPTree(m.g, src)
 		m.spts[src] = t
 		return t.DelayFromRoot(dst), t.Depth(dst)

@@ -34,8 +34,6 @@ type SteadyStateConfig struct {
 	// clustering experiment uses CommunityWorkload). nil selects
 	// RandomWorkload over Dist, wrapped per UpperBound.
 	Workload Workload
-	// RepairPasses bounds step 2's clash-elimination sweeps.
-	RepairPasses int
 	// Workers caps ClashProbability's concurrency across repetitions:
 	// 0 means GOMAXPROCS, 1 forces the serial path. Estimates are
 	// bit-identical for every worker count (per-rep RNGs are pre-split in
@@ -63,14 +61,13 @@ type SteadyStateResult struct {
 	Exhausted bool // an allocation failed outright (space full)
 }
 
+// repairPasses bounds step 2's clash-elimination sweeps.
+const repairPasses = 20
+
 // RunSteadyStateOnce performs one repetition of the §2.6 method.
 func RunSteadyStateOnce(g *topology.Graph, cache *topology.ReachCache, cfg SteadyStateConfig, rng *stats.RNG) SteadyStateResult {
 	if cfg.Sessions < 1 {
 		panic("sim: SteadyStateConfig.Sessions must be >= 1")
-	}
-	repairPasses := cfg.RepairPasses
-	if repairPasses == 0 {
-		repairPasses = 20
 	}
 	w := NewWorldWithCache(g, cache)
 	load := cfg.workload(g)

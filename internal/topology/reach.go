@@ -2,6 +2,7 @@ package topology
 
 import (
 	"encoding/binary"
+	"iter"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -67,15 +68,25 @@ func (s *NodeSet) Intersects(t *NodeSet) bool {
 	return false
 }
 
+// All yields the members in ascending order, allocating nothing.
+func (s *NodeSet) All() iter.Seq[NodeID] {
+	return func(yield func(NodeID) bool) {
+		for wi, w := range s.words {
+			for w != 0 {
+				if !yield(NodeID(wi*64 + bits.TrailingZeros64(w))) {
+					return
+				}
+				w &= w - 1
+			}
+		}
+	}
+}
+
 // Members returns the members in ascending order.
 func (s *NodeSet) Members() []NodeID {
 	out := make([]NodeID, 0, s.Len())
-	for wi, w := range s.words {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			out = append(out, NodeID(wi*64+b))
-			w &= w - 1
-		}
+	for v := range s.All() {
+		out = append(out, v)
 	}
 	return out
 }

@@ -50,6 +50,41 @@ func TestNodeSetIntersectsMismatchedUniverses(t *testing.T) {
 	}
 }
 
+// TestNodeSetAllAscendingWithoutAllocating: All yields the members in
+// ascending order across word boundaries, stops when the loop breaks, and
+// allocates nothing — des.Net walks it once per datagram.
+func TestNodeSetAllAscendingWithoutAllocating(t *testing.T) {
+	s := NewNodeSet(200)
+	want := []NodeID{0, 5, 63, 64, 130, 199}
+	for _, v := range []NodeID{199, 64, 0, 130, 5, 63} {
+		s.Add(v)
+	}
+	var got []NodeID
+	for v := range s.All() {
+		got = append(got, v)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("All yielded %v, want %v", got, want)
+	}
+	var first []NodeID
+	for v := range s.All() {
+		if first = append(first, v); len(first) == 2 {
+			break
+		}
+	}
+	if !slices.Equal(first, want[:2]) {
+		t.Fatalf("a loop broken after two members saw %v", first)
+	}
+	var sum NodeID
+	if allocs := testing.AllocsPerRun(100, func() {
+		for v := range s.All() {
+			sum += v
+		}
+	}); allocs != 0 {
+		t.Fatalf("All allocates %v times a walk", allocs)
+	}
+}
+
 // TestReachCacheConcurrent exercises the sharded cache from many
 // goroutines over overlapping (src, ttl) keys. Run under -race (the
 // Makefile's race target does) this is the regression test for the

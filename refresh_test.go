@@ -14,7 +14,6 @@ import (
 	"sessiondir/internal/announce"
 	"sessiondir/internal/clash"
 	"sessiondir/internal/mcast"
-	"sessiondir/internal/obs"
 	"sessiondir/internal/sap"
 	"sessiondir/internal/session"
 	"sessiondir/internal/stats"
@@ -44,12 +43,10 @@ type refreshSide struct {
 	d     *Directory
 	tx    *sentLog
 	log   *eventLog
-	trace *obs.Trace
 	fs    *storage.MemFS
 	store *CacheStore
 	// How much of each growing stream the last comparison covered.
 	seenEvents, seenSent int
-	seenTrace            uint64
 	// refreshedBefore is dir_refresh_fast_total summed over the directories
 	// restarts have closed.
 	refreshedBefore float64
@@ -58,8 +55,8 @@ type refreshSide struct {
 func (s *refreshSide) open(t *testing.T, clk *fakeClock, budgets bool) {
 	t.Helper()
 	const spaceSize = 256
-	s.tx, s.log, s.trace = &sentLog{}, &eventLog{}, obs.NewTrace(1<<15)
-	s.seenEvents, s.seenSent, s.seenTrace = 0, 0, 0
+	s.tx, s.log = &sentLog{}, &eventLog{}
+	s.seenEvents, s.seenSent = 0, 0
 	cfg := Config{
 		Origin:       netip.MustParseAddr("10.0.0.1"),
 		Transport:    s.tx,
@@ -70,7 +67,6 @@ func (s *refreshSide) open(t *testing.T, clk *fakeClock, budgets bool) {
 		CacheTimeout: 40 * time.Minute,
 		Delay:        clash.NewUniformDelay(1000, 1001),
 		OnEvent:      s.log.add,
-		Trace:        s.trace,
 	}
 	if budgets {
 		cfg.MaxSessions, cfg.MaxPerOrigin, cfg.StaleAfter = 20, 6, 3*time.Minute
@@ -183,17 +179,10 @@ func (s *refreshSide) observe(t *testing.T, saltedTwin bool) string {
 	fmt.Fprintf(&b, "sessions:\n%s\nown:\n%s\n", renderSessions(s.d.Sessions()), renderSessions(s.d.OwnSessions()))
 	s.log.mu.Lock()
 	for _, e := range s.log.events[s.seenEvents:] {
-		fmt.Fprintf(&b, "event %s %s\n", e.Kind, e.Key)
+		fmt.Fprintf(&b, "event %+v\n", e.TraceEvent)
 	}
 	s.seenEvents = len(s.log.events)
 	s.log.mu.Unlock()
-	if total := s.trace.Total(); total > s.seenTrace {
-		events := s.trace.Events()
-		for _, e := range events[len(events)-int(total-s.seenTrace):] {
-			fmt.Fprintf(&b, "trace %+v\n", e)
-		}
-		s.seenTrace = total
-	}
 	for _, data := range s.tx.sent[s.seenSent:] {
 		fmt.Fprintf(&b, "sent %x\n", data)
 	}
@@ -225,8 +214,8 @@ func (s *refreshSide) observe(t *testing.T, saltedTwin bool) string {
 // path; side "salted" receives each payload with a unique ignored line
 // appended, parses the same description from it, and can never take it.
 // Whatever either can be observed through — sessions, own sessions,
-// events, trace, emitted datagrams, journal and snapshot files, metrics —
-// must be the same after every op. The script is made of the cases the
+// decision records (kind, key, time, address), emitted datagrams, journal
+// and snapshot files, metrics — must be the same after every op. The script is made of the cases the
 // refresh path has to leave alone: tombstones, owned keys, forged header
 // origins, rate-limited origins, edits at the same version.
 func TestRefreshFastPathMatchesFullParse(t *testing.T) {

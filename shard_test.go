@@ -13,6 +13,7 @@ import (
 	"sessiondir/internal/allocator"
 	"sessiondir/internal/clash"
 	"sessiondir/internal/mcast"
+	"sessiondir/internal/obs"
 	"sessiondir/internal/sap"
 	"sessiondir/internal/session"
 	"sessiondir/internal/transport"
@@ -52,6 +53,20 @@ func newFloodedDirectory(t *testing.T, bus *transport.Bus, clk *fakeClock, origi
 		t.Fatal(err)
 	}
 	return d
+}
+
+// shardedEventNames are the decision kinds the sharded directory reported
+// as events, by the names it gave them: it recorded no allocate or shed
+// event.
+var shardedEventNames = map[EventKind]string{
+	obs.TraceAnnounce:    "announce-sent",
+	obs.TraceLearn:       "session-learned",
+	obs.TraceExpire:      "session-expired",
+	obs.TraceClashMove:   "address-changed",
+	obs.TraceDefendOwn:   "defended-own",
+	obs.TraceDefendOther: "defended-other",
+	obs.TraceDelete:      "delete-sent",
+	obs.TraceEvict:       "session-evicted",
 }
 
 // runShardScenario scripts a deterministic multi-agent run — three peers
@@ -134,18 +149,31 @@ func runShardScenario(t *testing.T) (events, sessions, metrics string) {
 
 	log.mu.Lock()
 	for _, e := range log.events {
-		fmt.Fprintf(&ev, "event %s %s\n", e.Kind, e.Key)
+		if name, ok := shardedEventNames[e.Kind]; ok {
+			fmt.Fprintf(&ev, "event %s %s\n", name, e.Key)
+		}
 	}
 	log.mu.Unlock()
 	sessionSet("sessions")
 	for _, own := range obsDir.OwnSessions() {
 		fmt.Fprintf(&ss, "own %s@%s\n", own.Key(), own.Group)
 	}
-	for _, mv := range obsDir.Registry().Snapshot() {
+	snap := obsDir.Registry().Snapshot()
+	for _, mv := range snap {
 		if mv.Name == "dir_refresh_fast_total" {
 			// Younger than the golden below, which the sharded directory
 			// recorded; how a refresh is handled is not what it pins.
 			continue
+		}
+		if alloc, ok := strings.CutSuffix(mv.Name, "_picks_total"); ok && strings.HasPrefix(alloc, "allocator_") {
+			// The sharded directory also exported its clash moves as
+			// allocator_<name>_moves_total, bumped with
+			// dir_clash_moves_total and sorting just before the picks.
+			for _, moves := range snap {
+				if moves.Name == "dir_clash_moves_total" {
+					fmt.Fprintf(&ms, "metric %s_moves_total %s %v\n", alloc, moves.Kind, moves.Value)
+				}
+			}
 		}
 		fmt.Fprintf(&ms, "metric %s %s %v\n", mv.Name, mv.Kind, mv.Value)
 	}
