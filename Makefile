@@ -40,12 +40,15 @@ lint-json:
 # The fault-injection convergence gate: directory fleets under loss,
 # duplication, corruption, reordering, and partition/heal cycles must
 # converge, stay clash-free, and replay deterministically from their
-# seeds (DESIGN.md §10) — and, first, the fault model those schedules
-# draw their fates from and the fabric (des.Net, des.Fleet) that applies
-# them. Runs under the race detector; wall time is tiny because the
-# harness uses virtual time. Last, the resolution/discovery golden, the
-# other recorded digest of des.Net's delivery order (without -race: it
-# reruns both experiments, 0.25 s plain).
+# seeds (DESIGN.md §10) — the flagship, clash-termination,
+# silenced-agent and scoped schedules, and mcchaos's quick and extended
+# schedules run in process for seeds 1-20 (TestChaosSchedules) — and,
+# first, the fault model those schedules draw their fates from and the
+# fabric (des.Net, des.Fleet) that applies them. Runs under the race
+# detector; wall time is small because the harness uses virtual time.
+# Last, the resolution/discovery golden, the other recorded digest of
+# des.Net's delivery order (without -race: it reruns both experiments,
+# 0.25 s plain).
 chaos:
 	$(GO) test -race -count=1 ./internal/fault ./internal/des
 	$(GO) test -race -count=1 -run TestChaos ./internal/chaos
@@ -62,8 +65,8 @@ adversary:
 # The process-level chaos gate: real sdrd daemons wired through the
 # deterministic UDP fault relay, driven by the mcchaos orchestrator —
 # flash crowds, SIGKILL+restart from checkpoint, partition/heal — with
-# race-built binaries and seed-replayable verdicts (DESIGN.md §15).
-# Quick tier, bounded around a minute of wall time.
+# race-built binaries; the verdict must equal the in-process run's for
+# the seed (DESIGN.md §15). Quick tier, about half a minute of wall time.
 proc-chaos:
 	$(GO) test -count=1 -run TestProcChaosQuick ./cmd/mcchaos
 

@@ -2,6 +2,7 @@ package sessiondir
 
 import (
 	"encoding/binary"
+	"time"
 
 	"sessiondir/internal/announce"
 	"sessiondir/internal/obs"
@@ -241,3 +242,52 @@ func (cs *CacheStore) Close() error {
 	d.mu.Unlock()
 	return cs.store.Close()
 }
+
+// checkpointFailLimit is how many checkpoints in a row must fail before a
+// Checkpointer reports the store degraded.
+const checkpointFailLimit = 3
+
+// A Checkpointer paces a CacheStore's checkpoints as sdrd runs them:
+// every interval while the journal holds deltas to fold or a failure to
+// heal, and after a failure again with doubling backoff capped at 8× the
+// interval. After checkpointFailLimit consecutive failures the store is
+// degraded — sdrd's /readyz answers 503 storage-degraded — until a
+// checkpoint succeeds; the directory keeps serving the protocol either
+// way. Not safe for concurrent use: one driver calls Tick.
+type Checkpointer struct {
+	store    *CacheStore
+	interval time.Duration
+	delay    time.Duration
+	fails    int
+}
+
+// NewCheckpointer paces cs's checkpoints at interval, which must be
+// positive. The caller runs the first Tick one interval on.
+func NewCheckpointer(cs *CacheStore, interval time.Duration) *Checkpointer {
+	return &Checkpointer{store: cs, interval: interval, delay: interval}
+}
+
+// Tick runs the checkpoint that is due, unless there is nothing to fold
+// and nothing to heal, and returns how long to wait before the next Tick
+// and the checkpoint's error, already counted.
+func (c *Checkpointer) Tick() (next time.Duration, err error) {
+	// An idle journal skips the O(sessions) rewrite: appends carry
+	// durability meanwhile.
+	if c.store.JournalRecords() == 0 && !c.store.Broken() && c.fails == 0 {
+		return c.delay, nil
+	}
+	if err := c.store.Checkpoint(); err != nil {
+		c.fails++
+		c.delay = min(2*c.delay, 8*c.interval)
+		return c.delay, err
+	}
+	c.fails, c.delay = 0, c.interval
+	return c.delay, nil
+}
+
+// Failures reports how many checkpoints in a row have failed.
+func (c *Checkpointer) Failures() int { return c.fails }
+
+// Degraded reports whether checkpointFailLimit or more checkpoints in a
+// row have failed.
+func (c *Checkpointer) Degraded() bool { return c.fails >= checkpointFailLimit }

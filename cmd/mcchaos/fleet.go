@@ -3,25 +3,33 @@
 package main
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/netip"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
+
+	"sessiondir/internal/chaos"
+	"sessiondir/internal/fault"
+	"sessiondir/internal/relay"
 )
 
-// The fleet layer: spawning, signalling and scraping real sdrd
-// processes. Everything here talks to daemons the way a supervisor
-// would — argv, signals, and the HTTP debug surface — never through
-// in-process shortcuts, so the harness exercises the same machinery an
-// operator's deployment does.
+// The process backend of chaos.Schedule: spawning, signalling and
+// scraping real sdrd processes wired together through the UDP fault
+// relay. Everything here talks to daemons the way a supervisor would —
+// argv, signals, and the HTTP debug surface — never through in-process
+// shortcuts, so the schedule exercises the same machinery an operator's
+// deployment does.
 
 // daemon is one sdrd process slot. The slot (index, origin, listen
 // address, relay attachment, cache file) outlives individual processes:
@@ -50,13 +58,29 @@ type fleet struct {
 	master uint64 // master seed; per-daemon seeds are mixed from it
 	ds     []*daemon
 	client *http.Client
+	relay  *relay.Relay
+	// inject sends scripted datagrams straight at the daemons' listen
+	// sockets, past the relay: injected traffic is part of the script, so
+	// it must arrive deterministically, unfaulted.
+	inject *net.UDPConn
 }
 
-func newFleet(sdrd, artifacts string, master uint64, n int) *fleet {
+func newFleet(sdrd, artifacts string, master uint64, n int) (*fleet, error) {
+	r, err := relay.New(relay.Config{Seed: master})
+	if err != nil {
+		return nil, err
+	}
+	inj, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		_ = r.Close()
+		return nil, err
+	}
 	f := &fleet{
 		sdrd:   sdrd,
 		master: master,
 		client: &http.Client{Timeout: 2 * time.Second},
+		relay:  r,
+		inject: inj,
 	}
 	for i := 0; i < n; i++ {
 		f.ds = append(f.ds, &daemon{
@@ -66,7 +90,122 @@ func newFleet(sdrd, artifacts string, master uint64, n int) *fleet {
 			logPath:   filepath.Join(artifacts, fmt.Sprintf("daemon-%d.log", i)),
 		})
 	}
-	return f
+	return f, nil
+}
+
+// close stops every daemon, then the injector and the relay, and logs
+// what the relay did.
+func (f *fleet) close() {
+	f.stopAll()
+	_ = f.inject.Close()
+	s := f.relay.Stats()
+	log.Printf("relay: forwarded=%d dropped=%d duplicated=%d corrupted=%d delayed=%d partition_drops=%d",
+		s.Forwarded, s.Dropped, s.Duplicated, s.Corrupted, s.Delayed, s.PartitionDrops)
+	_ = f.relay.Close()
+}
+
+// Spawn reserves each slot's sockets, attaches it to the relay, starts
+// every daemon and waits until each is ready.
+func (f *fleet) Spawn(diskAgent int, diskFaults string) error {
+	var err error
+	for _, d := range f.ds {
+		if d.listen, err = reservePort("udp"); err != nil {
+			return err
+		}
+		if d.http, err = reservePort("tcp"); err != nil {
+			return err
+		}
+		if d.ingress, _, err = f.relay.Attach(d.listen); err != nil {
+			return err
+		}
+		if d.idx == diskAgent {
+			d.storageFaults = diskFaults
+		}
+	}
+	for _, d := range f.ds {
+		if err := f.spawn(d); err != nil {
+			return err
+		}
+	}
+	for _, d := range f.ds {
+		if err := f.waitReady(d, 10*time.Second); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// SetFaults installs profile on every relay link.
+func (f *fleet) SetFaults(p fault.Profile) { f.relay.SetLink(-1, -1, p) }
+
+// Partition installs the partition in the relay.
+func (f *fleet) Partition(groups ...[]int) int {
+	f.relay.Partition(groups...)
+	return f.relay.SeveredLinks()
+}
+
+// Heal removes the relay's partition.
+func (f *fleet) Heal() { f.relay.Heal() }
+
+// Inject sends copies of pkt to every daemon's listen socket.
+func (f *fleet) Inject(pkt []byte, copies int) error {
+	for _, d := range f.ds {
+		for range copies {
+			if _, err := f.inject.WriteToUDPAddrPort(pkt, d.listen); err != nil {
+				return fmt.Errorf("inject to daemon %d: %w", d.idx, err)
+			}
+		}
+	}
+	return nil
+}
+
+// Kill SIGKILLs daemon i and waits for the process to exit.
+func (f *fleet) Kill(i int) error {
+	d := f.ds[i]
+	if err := d.signal(syscall.SIGKILL); err != nil {
+		return err
+	}
+	return d.waitExit(5 * time.Second)
+}
+
+// Restart spawns daemon i's next incarnation over its cache file and
+// waits until it is ready.
+func (f *fleet) Restart(i int) error {
+	d := f.ds[i]
+	d.incarnation++
+	if err := f.spawn(d); err != nil {
+		return err
+	}
+	return f.waitReady(d, 10*time.Second)
+}
+
+// Freeze SIGSTOPs daemon i.
+func (f *fleet) Freeze(i int) error { return f.ds[i].signal(syscall.SIGSTOP) }
+
+// Thaw SIGCONTs daemon i.
+func (f *fleet) Thaw(i int) error { return f.ds[i].signal(syscall.SIGCONT) }
+
+// Run does the events at their times on the wall clock.
+func (f *fleet) Run(events []chaos.Event, d time.Duration) {
+	start := time.Now()
+	events = slices.Clone(events)
+	slices.SortStableFunc(events, func(a, b chaos.Event) int { return cmp.Compare(a.At, b.At) })
+	for _, ev := range events {
+		if ev.At > d {
+			break
+		}
+		time.Sleep(time.Until(start.Add(ev.At)))
+		ev.Do(f)
+	}
+	time.Sleep(time.Until(start.Add(d)))
+}
+
+// Health probes daemon i's /healthz and /readyz.
+func (f *fleet) Health(i int) (live, ready bool) {
+	body, code, err := f.get(f.ds[i], "/healthz")
+	live = err == nil && code == http.StatusOK && strings.TrimSpace(body) == "ok"
+	_, code, err = f.get(f.ds[i], "/readyz")
+	return live, err == nil && code == http.StatusOK
 }
 
 // reservePort binds an ephemeral loopback port, records it, and
@@ -93,23 +232,6 @@ func reservePort(network string) (netip.AddrPort, error) {
 	return netip.AddrPort{}, fmt.Errorf("reservePort: unknown network %q", network)
 }
 
-// mixSeed derives one daemon incarnation's RNG seed from the master
-// seed. Mixing the incarnation in matters: a restarted daemon with its
-// dead predecessor's seed would re-allocate the predecessor's group and
-// mirror-clash with its own ghost in every survivor's cache.
-func mixSeed(master uint64, idx, incarnation int) uint64 {
-	z := master ^ uint64(idx+1)*0x9e3779b97f4a7c15 ^ uint64(incarnation+1)*0xbf58476d1ce4e5b9
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	if z == 0 {
-		return 1 // zero asks sdrd to derive its own seed; we need control
-	}
-	return z
-}
-
 // spawn starts (or restarts) the daemon in its slot. Daemon logs append
 // to one file per slot across incarnations so a restart's history reads
 // as one stream.
@@ -124,13 +246,13 @@ func (f *fleet) spawn(d *daemon) error {
 		"-listen", d.listen.String(),
 		"-peers", d.ingress.String(),
 		"-announce", fmt.Sprintf("chaos-%d", d.idx),
-		"-ttl", "15",
-		"-seed", strconv.FormatUint(mixSeed(f.master, d.idx, d.incarnation), 10),
-		"-announce-initial", "2s",
-		"-max-sessions", "64",
-		"-stale-after", "4s",
+		"-ttl", strconv.Itoa(chaos.AgentTTL),
+		"-seed", strconv.FormatUint(chaos.MixSeed(f.master, d.idx, d.incarnation), 10),
+		"-announce-initial", chaos.AgentAnnounceInitial.String(),
+		"-max-sessions", strconv.Itoa(chaos.AgentMaxSessions),
+		"-stale-after", chaos.AgentStaleAfter.String(),
 		"-cache", d.cacheFile,
-		"-checkpoint", "500ms",
+		"-checkpoint", chaos.AgentCheckpoint.String(),
 		"-http-debug", d.http.String(),
 	}
 	if d.storageFaults != "" {
@@ -217,16 +339,16 @@ func (f *fleet) waitReady(d *daemon, timeout time.Duration) error {
 	}
 }
 
-// metrics scrapes and parses /metrics into name → value. Histogram
-// bucket lines carry labels and are skipped; the invariants only read
-// scalar families.
-func (f *fleet) metrics(d *daemon) (map[string]float64, error) {
-	body, code, err := f.get(d, "/metrics")
+// Metrics scrapes and parses daemon i's /metrics into name → value.
+// Histogram bucket lines carry labels and are skipped; the invariants
+// only read scalar families.
+func (f *fleet) Metrics(i int) (map[string]float64, error) {
+	body, code, err := f.get(f.ds[i], "/metrics")
 	if err != nil {
 		return nil, err
 	}
 	if code != http.StatusOK {
-		return nil, fmt.Errorf("daemon %d: /metrics status %d", d.idx, code)
+		return nil, fmt.Errorf("daemon %d: /metrics status %d", i, code)
 	}
 	out := make(map[string]float64)
 	for _, line := range strings.Split(body, "\n") {
@@ -246,53 +368,33 @@ func (f *fleet) metrics(d *daemon) (map[string]float64, error) {
 	return out, nil
 }
 
-// sessRow is one parsed /sessions line: key, group, ttl, name.
-type sessRow struct {
-	key   string
-	group string
-}
-
-// originOf extracts the origin half of a session key ("origin/id").
-func originOf(key string) string {
-	o, _, _ := strings.Cut(key, "/")
-	return o
-}
-
-// sessions scrapes and parses the daemon's live session table.
-func (f *fleet) sessions(d *daemon) ([]sessRow, error) {
+// Sessions scrapes and parses daemon i's live session table: one line
+// per session, key, group, TTL and name. A row is the daemon's own when
+// its key's origin is the daemon's.
+func (f *fleet) Sessions(i int) ([]chaos.Row, error) {
+	d := f.ds[i]
 	body, code, err := f.get(d, "/sessions")
 	if err != nil {
 		return nil, err
 	}
 	if code != http.StatusOK {
-		return nil, fmt.Errorf("daemon %d: /sessions status %d", d.idx, code)
+		return nil, fmt.Errorf("daemon %d: /sessions status %d", i, code)
 	}
-	var rows []sessRow
+	var rows []chaos.Row
 	for _, line := range strings.Split(body, "\n") {
 		if line == "" {
 			continue
 		}
 		parts := strings.SplitN(line, "\t", 4)
 		if len(parts) != 4 {
-			return nil, fmt.Errorf("daemon %d: bad /sessions line %q", d.idx, line)
+			return nil, fmt.Errorf("daemon %d: bad /sessions line %q", i, line)
 		}
-		rows = append(rows, sessRow{key: parts[0], group: parts[1]})
+		group, err := netip.ParseAddr(parts[1])
+		if err != nil {
+			return nil, fmt.Errorf("daemon %d: /sessions group %q: %w", i, parts[1], err)
+		}
+		origin, _, _ := strings.Cut(parts[0], "/")
+		rows = append(rows, chaos.Row{Key: parts[0], Group: group, Own: origin == d.origin.String()})
 	}
 	return rows, nil
-}
-
-// ownRow finds the daemon's own announcement in its session table:
-// the row whose key origin matches the daemon's origin and is not a
-// known ghost of a previous incarnation.
-func (f *fleet) ownRow(d *daemon, ghosts map[string]bool) (sessRow, bool, error) {
-	rows, err := f.sessions(d)
-	if err != nil {
-		return sessRow{}, false, err
-	}
-	for _, r := range rows {
-		if originOf(r.key) == d.origin.String() && !ghosts[r.key] {
-			return r, true, nil
-		}
-	}
-	return sessRow{}, false, nil
 }

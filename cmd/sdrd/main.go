@@ -60,7 +60,7 @@ func run() error {
 		port       = flag.Uint("port", transport.DefaultSAPPort, "SAP UDP port")
 		peers      = flag.String("peers", "", "comma-separated unicast peers (disables multicast)")
 		listen     = flag.String("listen", "", "unicast listen address (with -peers)")
-		announce   = flag.String("announce", "", "announce a session with this name")
+		sessName   = flag.String("announce", "", "announce a session with this name")
 		ttl        = flag.Uint("ttl", 127, "scope TTL for the announced session")
 		duration   = flag.Duration("for", 0, "exit after this long (0 = run until signal)")
 		cacheFile  = flag.String("cache", "", "persist the session cache to this file (journaled checkpoints) across restarts")
@@ -112,7 +112,7 @@ func run() error {
 		OriginBurst:  *originBurst,
 		StaleAfter:   *staleAfter,
 		CacheTimeout: *cacheTimeout,
-		Backoff:      backoffFor(*announceInitial),
+		Backoff:      announce.CompressedBackoff(*announceInitial),
 		Seed:         seedVal,
 		Obs:          reg,
 		OnEvent: func(e sessiondir.Event) {
@@ -196,9 +196,9 @@ func run() error {
 		}
 	}
 
-	if *announce != "" {
+	if *sessName != "" {
 		desc, err := dir.CreateSession(&session.Description{
-			Name: *announce,
+			Name: *sessName,
 			TTL:  mcast.TTL(*ttl),
 			Media: []session.Media{
 				{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"},
@@ -242,19 +242,14 @@ func run() error {
 	// durable as a journal append, so an unclean exit (OOM kill, power
 	// loss) costs at most the deltas of one in-flight batch; the
 	// compaction itself is crash-atomic (write-new, fsync, rename).
-	//
-	// A failed checkpoint is retried with doubling backoff capped at 8x
-	// the configured interval, and after checkpointFailLimit consecutive
-	// failures /readyz degrades to 503 storage-degraded — the daemon keeps
-	// serving the protocol, it just stops claiming durability. The first
-	// success heals both.
+	// sessiondir.Checkpointer holds the retry rule: failures back off, and
+	// persistent ones degrade /readyz to 503 storage-degraded — the daemon
+	// keeps serving the protocol, it just stops claiming durability. The
+	// first success heals both.
 	if cstore != nil && *checkpoint > 0 {
 		go func() {
-			const checkpointFailLimit = 3
-			maxDelay := 8 * (*checkpoint)
-			fails := 0
-			delay := *checkpoint
-			timer := time.NewTimer(delay)
+			ck := sessiondir.NewCheckpointer(cstore, *checkpoint)
+			timer := time.NewTimer(*checkpoint)
 			defer timer.Stop()
 			for {
 				select {
@@ -262,30 +257,15 @@ func run() error {
 					return
 				case <-timer.C:
 				}
-				// Nothing to fold and nothing to heal: skip the O(sessions)
-				// rewrite. Journal appends carry durability while idle.
-				if cstore.JournalRecords() == 0 && !cstore.Broken() && fails == 0 {
-					timer.Reset(delay)
-					continue
+				failed := ck.Failures()
+				next, err := ck.Tick()
+				storageOK.Store(!ck.Degraded())
+				if err != nil {
+					log.Printf("cache checkpoint: %v (attempt %d, next retry in %v)", err, ck.Failures(), next)
+				} else if failed > 0 {
+					log.Printf("cache checkpoint: recovered after %d failed attempts", failed)
 				}
-				if err := cstore.Checkpoint(); err != nil {
-					fails++
-					if delay *= 2; delay > maxDelay {
-						delay = maxDelay
-					}
-					if fails >= checkpointFailLimit {
-						storageOK.Store(false)
-					}
-					log.Printf("cache checkpoint: %v (attempt %d, next retry in %v)", err, fails, delay)
-				} else {
-					if fails > 0 {
-						log.Printf("cache checkpoint: recovered after %d failed attempts", fails)
-					}
-					fails = 0
-					delay = *checkpoint
-					storageOK.Store(true)
-				}
-				timer.Reset(delay)
+				timer.Reset(next)
 			}
 		}()
 	}
@@ -386,25 +366,6 @@ func openTransport(group string, port uint16, peers, listen string, reg *obs.Reg
 	}
 	log.Printf("joined %s:%d", g, port)
 	return tr, nil
-}
-
-// backoffFor maps -announce-initial onto the paper's doubling schedule:
-// zero keeps the library default (5 s start), anything else moves the
-// starting point and caps the steady interval at 4x the start. Without
-// the cap a compressed schedule still doubles off past any short test
-// window (2s start → announcements at 0,2,6,14,30,62 s), leaving a peer
-// that missed one lossy packet with nothing to relearn from; the cap
-// keeps a periodic refresh (…,22,30,38 s) inside the window.
-func backoffFor(initial time.Duration) announce.Backoff {
-	if initial <= 0 {
-		return announce.Backoff{}
-	}
-	b := announce.DefaultBackoff(0)
-	b.Initial = initial
-	if s := 4 * initial; s < b.Steady {
-		b.Steady = s
-	}
-	return b
 }
 
 // deriveSeed gives each daemon its own RNG stream by default. Two daemons

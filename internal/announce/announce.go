@@ -72,6 +72,23 @@ func DefaultBackoff(steady time.Duration) Backoff {
 	return Backoff{Initial: 5 * time.Second, Factor: 2, Steady: steady}
 }
 
+// CompressedBackoff is the paper's doubling schedule started at initial,
+// with Steady at 4× initial: sdrd's -announce-initial, for tests and chaos
+// harnesses that cannot wait out the 5 s start. Zero is the zero Backoff,
+// which a Directory replaces with its default. A Directory raises Steady
+// to the bandwidth-derived SteadyInterval, never under MinInterval, so
+// the announcements keep doubling past 4× initial (a 2 s start announces
+// at 0, 2, 6, 14, 30, 62 s).
+func CompressedBackoff(initial time.Duration) Backoff {
+	if initial <= 0 {
+		return Backoff{}
+	}
+	b := DefaultBackoff(0)
+	b.Initial = initial
+	b.Steady = min(b.Steady, 4*initial)
+	return b
+}
+
 // IntervalAfter returns the delay between the n-th announcement and the
 // next (n = 0 is the delay after the very first announcement).
 func (b Backoff) IntervalAfter(n int) time.Duration {

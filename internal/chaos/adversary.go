@@ -1,4 +1,4 @@
-package chaos //mclint:unused a test harness by design: only its own tests drive the fleets it builds
+package chaos
 
 import (
 	"bytes"
@@ -44,24 +44,6 @@ const (
 	// its own origin — the deletion-spoofing attack.
 	DeleteForger
 )
-
-// String implements fmt.Stringer.
-func (k AdversaryKind) String() string {
-	switch k {
-	case Flooder:
-		return "flooder"
-	case Poisoner:
-		return "poisoner"
-	case ClashForger:
-		return "clash-forger"
-	case Replayer:
-		return "replayer"
-	case DeleteForger:
-		return "delete-forger"
-	default:
-		return "adversary-?"
-	}
-}
 
 // AdversaryConfig parameterises one hostile agent.
 type AdversaryConfig struct {
@@ -109,18 +91,12 @@ type Adversary struct {
 	descs []*session.Description
 }
 
-// Sent reports how many packets the adversary has transmitted.
-func (a *Adversary) Sent() uint64 { return a.sent }
-
-// Heard reports how many honest announcements the adversary recorded.
-func (a *Adversary) Heard() int { return len(a.descs) }
-
 // AddAdversary attaches a hostile agent to the fabric, at the lowest
 // node no one else is attached to. Adversaries join the same des.Net as
 // the fleet, overhear whatever scope and faults let reach them, and spend
 // their packet budget once a Tick on the engine, in the order they were
 // added. It panics when the topology has no node left.
-func (h *Harness) AddAdversary(cfg AdversaryConfig) *Adversary {
+func (h *Harness) AddAdversary(cfg AdversaryConfig) *Adversary { //mclint:unused the adversary tests attach their hostile agents with it
 	idx := len(h.advs)
 	var ep *des.Endpoint
 	for ; ep == nil; h.advNode++ {
@@ -146,7 +122,7 @@ func (h *Harness) AddAdversary(cfg AdversaryConfig) *Adversary {
 		cfg:   cfg,
 		ep:    ep,
 		rng:   h.root.Split(),
-		space: h.space,
+		space: h.cfg.Dir.Space,
 	}
 	a.ep.Subscribe(a.record)
 	h.advs = append(h.advs, a)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sessiondir"
+	"sessiondir/internal/fault"
 	"sessiondir/internal/mcast"
 )
 
@@ -45,10 +46,9 @@ func assertHonestSurvive(t *testing.T, h *Harness) {
 func newHostileFleet(t *testing.T, seed uint64) *Harness {
 	t.Helper()
 	h, err := New(Config{
-		Agents:           4,
-		Seed:             seed,
-		Start:            chaosStart(),
-		SessionsPerAgent: 2,
+		Agents: 4,
+		Seed:   seed,
+		Start:  chaosStart(),
 		Dir: sessiondir.Config{
 			Space:        mcast.SyntheticSpace(64),
 			CacheTimeout: 600 * time.Second,
@@ -62,7 +62,7 @@ func newHostileFleet(t *testing.T, seed uint64) *Harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.CreateSessions(); err != nil {
+	if err := h.CreateSessions(2); err != nil {
 		t.Fatal(err)
 	}
 	return h
@@ -248,8 +248,8 @@ func runGauntlet(t *testing.T, seed uint64) *Harness {
 		})
 	}
 	schedule := []Event{
-		{At: 90 * time.Second, Do: func(h *Harness) { h.SetFaults(heavyFaults()) }},
-		{At: 300 * time.Second, Do: func(h *Harness) { h.ClearFaults() }},
+		{At: 90 * time.Second, Do: func(b Backend) { b.SetFaults(heavyFaults()) }},
+		{At: 300 * time.Second, Do: func(b Backend) { b.SetFaults(fault.Profile{}) }},
 	}
 	h.Run(schedule, 1200*time.Second)
 	return h

@@ -14,21 +14,26 @@
 // state whose announcer has gone silent is eventually evicted. On a
 // Config.Graph with TTL scoping, "the same session set" becomes "exactly
 // the sessions whose scope reaches the agent".
+//
+// A scripted step is an Event on a Backend. Schedule is the scenario
+// cmd/mcchaos runs against real sdrd processes; its runner, Schedule.Run,
+// evaluates the invariants once for both backends: Harness (InProcess)
+// on virtual time, and mcchaos's process fleet on the wall clock.
 package chaos
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"sessiondir"
+	"sessiondir/internal/announce"
 	"sessiondir/internal/des"
 	"sessiondir/internal/fault"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/obs"
 	"sessiondir/internal/session"
 	"sessiondir/internal/stats"
+	"sessiondir/internal/storage"
 	"sessiondir/internal/topology"
 )
 
@@ -46,8 +51,6 @@ type Config struct {
 	// Tick is the period of every directory's timer step and every
 	// adversary's packet budget (0 = 1 s, the directory's own cadence).
 	Tick time.Duration
-	// SessionsPerAgent is how many sessions each agent creates up front.
-	SessionsPerAgent int
 	// TTL is the scope of every created session (0 = 127).
 	TTL mcast.TTL
 	// Dir is the configuration the agents' directories share, as
@@ -86,17 +89,10 @@ type Agent struct {
 	Trace *obs.Trace
 
 	alive bool
-}
-
-// Alive reports whether the agent is still running (i.e. not Killed).
-func (a *Agent) Alive() bool { return a.alive }
-
-// Event is one scripted schedule entry: Do runs at virtual time At,
-// measured from the Run call the event was passed to. Events fire in At
-// order (ties in slice order).
-type Event struct {
-	At time.Duration
-	Do func(h *Harness)
+	// fs holds the agent's journaled cache, and ckpt paces the current
+	// incarnation's checkpoints (both nil until Spawn).
+	fs   storage.FS
+	ckpt *sessiondir.Checkpointer
 }
 
 // Harness owns the fleet and, through it, the engine whose clock
@@ -107,11 +103,10 @@ type Harness struct {
 	cfg    Config
 	fleet  *des.Fleet
 	agents []*Agent
-	// root is retained after construction so adversaries added later draw
-	// from the same seeded RNG tree as the fleet.
-	root  *stats.RNG
-	space mcast.AddrSpace
-	advs  []*Adversary
+	// root is retained after construction so adversaries added later and
+	// restarted agents draw from the same seeded RNG tree as the fleet.
+	root *stats.RNG
+	advs []*Adversary
 	// advNode is where the search for the next adversary's node starts.
 	advNode topology.NodeID
 }
@@ -167,9 +162,8 @@ func New(cfg Config) (*Harness, error) {
 	}
 
 	h := &Harness{
-		cfg:   cfg,
-		root:  stats.NewRNG(cfg.Seed),
-		space: cfg.Dir.Space,
+		cfg:  cfg,
+		root: stats.NewRNG(cfg.Seed),
 	}
 	engine := des.NewEngine(cfg.Start)
 	net, err := des.NewNet(engine, des.NetConfig{Graph: cfg.Graph, Seed: h.root.Uint64()})
@@ -195,31 +189,154 @@ func New(cfg Config) (*Harness, error) {
 	return h, nil
 }
 
-// Agent returns agent i.
-func (h *Harness) Agent(i int) *Agent { return h.agents[i] }
+// announce makes agent a create and announce a session called name.
+func (h *Harness) announce(a *Agent, name string) error {
+	_, err := a.Dir.CreateSession(&session.Description{
+		Name:  name,
+		TTL:   h.cfg.TTL,
+		Media: []session.Media{{Type: "audio", Port: 5004, Proto: "RTP/AVP", Format: "0"}},
+	})
+	if err != nil {
+		return fmt.Errorf("chaos: agent %d session %q: %w", a.Index, name, err)
+	}
+	return nil
+}
 
-// Now returns the current virtual time.
-func (h *Harness) Now() time.Time { return h.fleet.Engine.Now() }
+// InProcess is the in-process Backend for a Schedule: n agents on the flat
+// fabric, set up as cmd/mcchaos sets up its sdrd daemons — the SAP dynamic
+// space, TTL-15 sessions, a 64-session budget, stale after 4 s, the 2 s
+// compressed announcement schedule and sdrd's 1 s timer step, which puts
+// a Step, and with it the overload tier the packet path acts on, inside
+// each crowd wave gap.
+func InProcess(n int, seed uint64) (*Harness, error) { //mclint:unused the in-process schedule tests here and in cmd/mcchaos run on it
+	return New(Config{
+		Agents: n,
+		Seed:   seed,
+		Start:  time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC),
+		TTL:    AgentTTL,
+		Dir: sessiondir.Config{
+			Space:       mcast.SAPDynamicSpace(),
+			Backoff:     announce.CompressedBackoff(AgentAnnounceInitial),
+			MaxSessions: AgentMaxSessions,
+			StaleAfter:  AgentStaleAfter,
+		},
+	})
+}
 
-// CreateSessions makes each agent announce SessionsPerAgent sessions.
-// The announcements are in flight when it returns and arrive, subject to
-// whatever faults are already installed, once Run advances the clock past
-// the path delay.
-func (h *Harness) CreateSessions() error {
+// spawnGap is how long after one agent Spawn brings up the next: daemons
+// spawned one after another come up a few milliseconds apart, long enough
+// for each to hear its predecessors' first announcements before it
+// allocates. Brought up at one instant, every agent would see the same
+// empty cache and pick the same address.
+const spawnGap = 10 * time.Millisecond
+
+// Spawn implements Backend: each agent opens a journaled cache over its
+// own storage.MemFS (agent diskAgent's under a storage.FaultFS built from
+// diskFaults), paces its checkpoints with a sessiondir.Checkpointer, and
+// announces one session — sdrd's startup with -cache, -checkpoint and
+// -announce.
+func (h *Harness) Spawn(diskAgent int, diskFaults string) error {
 	for _, a := range h.agents {
-		for j := 0; j < h.cfg.SessionsPerAgent; j++ {
-			_, err := a.Dir.CreateSession(&session.Description{
-				Name: fmt.Sprintf("chaos-%d-%d", a.Index, j),
-				TTL:  h.cfg.TTL,
-				Media: []session.Media{
-					{Type: "audio", Port: 5004, Proto: "RTP/AVP", Format: "0"},
-				},
-			})
+		if a.Index > 0 {
+			h.Run(nil, spawnGap)
+		}
+		a.fs = storage.NewMemFS()
+		if a.Index == diskAgent {
+			seed, prof, err := storage.ParseFaultSpec(diskFaults)
 			if err != nil {
-				return fmt.Errorf("chaos: agent %d session %d: %w", a.Index, j, err)
+				return err
 			}
+			a.fs = storage.NewFaultFS(a.fs, seed, prof)
+		}
+		if err := h.bringUp(a); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// bringUp starts agent a's incarnation as sdrd starts: recover the cache
+// from the store, take the first checkpoint (a failure only delays
+// durability), start the checkpoint cadence, announce.
+func (h *Harness) bringUp(a *Agent) error {
+	cs, _, err := sessiondir.OpenCacheStore(a.fs, "agent.cache", a.Dir)
+	if err != nil {
+		return err
+	}
+	_ = cs.Checkpoint() // counted in cache_checkpoint_errors_total; the cadence retries
+	ck := sessiondir.NewCheckpointer(cs, AgentCheckpoint)
+	a.ckpt = ck
+	var tick func()
+	tick = func() {
+		if a.ckpt == ck { // else this incarnation is dead
+			next, _ := ck.Tick() // counted, and retried after next
+			h.fleet.Engine.After(next, tick)
+		}
+	}
+	h.fleet.Engine.After(AgentCheckpoint, tick)
+	return h.announce(a, fmt.Sprintf("chaos-%d", a.Index))
+}
+
+// Sessions implements Backend.
+func (h *Harness) Sessions(i int) ([]Row, error) {
+	d := h.agents[i].Dir
+	own := make(map[string]bool)
+	for _, s := range d.OwnSessions() {
+		own[s.Key()] = true
+	}
+	var rows []Row
+	for _, s := range d.Sessions() {
+		rows = append(rows, Row{Key: s.Key(), Group: s.Group, Own: own[s.Key()]})
+	}
+	return rows, nil
+}
+
+// Metrics implements Backend from agent i's own registry.
+func (h *Harness) Metrics(i int) (map[string]float64, error) {
+	m := make(map[string]float64)
+	for _, s := range h.agents[i].Dir.Registry().Snapshot() {
+		m[s.Name] = s.Value
+	}
+	return m, nil
+}
+
+// Health implements Backend: a running agent is live, and ready unless
+// its checkpoints are degraded.
+func (h *Harness) Health(i int) (live, ready bool) {
+	a := h.agents[i]
+	return a.alive, a.alive && (a.ckpt == nil || !a.ckpt.Degraded())
+}
+
+// Inject implements Backend: each live agent hears the copies at once.
+func (h *Harness) Inject(pkt []byte, copies int) error {
+	for _, a := range h.agents {
+		for range copies {
+			a.Endpoint.Deliver(pkt)
+		}
+	}
+	return nil
+}
+
+// Restart implements Backend: a new Directory, seeded from the harness
+// RNG, over the agent's store, on an endpoint re-attached at its node.
+func (h *Harness) Restart(i int) error {
+	a := h.agents[i]
+	if err := h.fleet.Restart(i, h.root.Uint64()); err != nil {
+		return err
+	}
+	a.Dir, a.Endpoint, a.alive = h.fleet.Dirs[i], h.fleet.Endpoints[i], true
+	return h.bringUp(a)
+}
+
+// Freeze implements Backend.
+func (h *Harness) Freeze(i int) error {
+	h.fleet.Freeze(i)
+	return nil
+}
+
+// Thaw implements Backend.
+func (h *Harness) Thaw(i int) error {
+	h.fleet.Thaw(i)
 	return nil
 }
 
@@ -233,43 +350,49 @@ func (h *Harness) SetFaults(profile fault.Profile) {
 	}
 }
 
-// ClearFaults removes the fault profile. Packets already delayed still
-// arrive when they come due, so none is stranded.
-func (h *Harness) ClearFaults() { h.SetFaults(fault.Profile{}) }
-
 // Partition splits the fabric by agent index; agents in no group — and
-// every adversary — are cut off.
-func (h *Harness) Partition(groups ...[]int) {
+// every adversary — are cut off. It returns how many directed links
+// between agents it severed.
+func (h *Harness) Partition(groups ...[]int) int {
 	nodes := make([][]int, len(groups))
 	for gi, g := range groups {
 		for _, idx := range g {
 			nodes[gi] = append(nodes[gi], int(h.fleet.Nodes[idx]))
 		}
 	}
-	h.fleet.Net.SetLinkFilter(des.PartitionGroups(fault.Partition(nodes...)))
+	keep := des.PartitionGroups(fault.Partition(nodes...))
+	h.fleet.Net.SetLinkFilter(keep)
+	severed := 0
+	for _, src := range h.fleet.Nodes {
+		for _, dst := range h.fleet.Nodes {
+			if src != dst && !keep(src, dst) {
+				severed++
+			}
+		}
+	}
+	return severed
 }
 
 // Heal removes any active partition.
 func (h *Harness) Heal() { h.fleet.Net.SetLinkFilter(nil) }
 
-// Kill stops agent i for good: its directory closes and its endpoint
-// detaches, so the fleet stops hearing its announcements — the
-// silent-announcer case whose state must expire.
-func (h *Harness) Kill(i int) {
+// Kill stops agent i: its directory closes and its endpoint detaches, so
+// the fleet stops hearing its announcements — the silent-announcer case
+// whose state must expire, or a crash until Restart.
+func (h *Harness) Kill(i int) error {
 	a := h.agents[i]
-	if !a.alive {
-		return
+	if a.alive {
+		a.alive, a.ckpt = false, nil
+		h.fleet.Kill(i)
 	}
-	a.alive = false
-	h.fleet.Kill(i)
+	return nil
 }
 
-// Run schedules events on the engine, each at its At after the current
-// virtual time, and advances the clock by duration. Directory timers and
-// adversaries tick on the engine the whole while, so everything that
-// shares an instant runs in one fixed order — the order it was scheduled
-// in. An event due after duration is dropped, not carried into a later
-// Run.
+// Run implements Backend: it schedules events on the engine, each at its
+// At after the current virtual time, and advances the clock by duration.
+// Directory timers and adversaries tick on the engine the whole while, so
+// everything that shares an instant runs in one fixed order — the order
+// it was scheduled in.
 func (h *Harness) Run(events []Event, duration time.Duration) {
 	start := h.fleet.Engine.Now()
 	for _, ev := range events {
@@ -278,93 +401,4 @@ func (h *Harness) Run(events []Event, duration time.Duration) {
 		}
 	}
 	h.fleet.Engine.RunFor(duration)
-}
-
-// Fingerprint summarises agent i's view of the world: one sorted
-// "key addr" line per live session it knows. Two agents with equal
-// fingerprints agree on the session set and every address.
-func (h *Harness) Fingerprint(i int) string {
-	descs := h.agents[i].Dir.Sessions()
-	lines := make([]string, 0, len(descs))
-	for _, d := range descs {
-		lines = append(lines, d.Key()+" "+d.Group.String())
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
-
-// Converged reports whether every live agent holds the same fingerprint,
-// returning that fingerprint and, on disagreement, the dissenting agents.
-func (h *Harness) Converged() (fp string, ok bool, dissent []int) {
-	first := -1
-	for _, a := range h.agents {
-		if !a.alive {
-			continue
-		}
-		f := h.Fingerprint(a.Index)
-		if first < 0 {
-			first, fp, ok = a.Index, f, true
-			continue
-		}
-		if f != fp {
-			ok = false
-			dissent = append(dissent, a.Index)
-		}
-	}
-	return fp, ok, dissent
-}
-
-// AddressClashes returns every multicast address currently announced by
-// more than one live agent's *own* sessions — the allocations the clash
-// protocol exists to keep distinct. Empty means clash-free.
-func (h *Harness) AddressClashes() []string {
-	type owned struct{ addr, key string }
-	var all []owned
-	for _, a := range h.agents {
-		if !a.alive {
-			continue
-		}
-		for _, d := range a.Dir.OwnSessions() {
-			all = append(all, owned{addr: d.Group.String(), key: d.Key()})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].addr != all[j].addr {
-			return all[i].addr < all[j].addr
-		}
-		return all[i].key < all[j].key
-	})
-	var clashes []string
-	for i := 1; i < len(all); i++ {
-		if all[i].addr == all[i-1].addr && all[i].key != all[i-1].key {
-			clashes = append(clashes, fmt.Sprintf("%s: %s vs %s", all[i].addr, all[i-1].key, all[i].key))
-		}
-	}
-	return clashes
-}
-
-// TotalAddressChanges sums phase-2 clash moves across live agents — the
-// quantity that must go quiet for clash correction to count as terminated.
-func (h *Harness) TotalAddressChanges() uint64 {
-	var n uint64
-	for _, a := range h.agents {
-		if a.alive {
-			n += a.Dir.Metrics().ClashAddressChanges
-		}
-	}
-	return n
-}
-
-// SessionCount returns how many sessions agent i currently knows.
-func (h *Harness) SessionCount(i int) int { return len(h.agents[i].Dir.Sessions()) }
-
-// Knows reports whether agent i currently caches a session with the given
-// key.
-func (h *Harness) Knows(i int, key string) bool {
-	for _, d := range h.agents[i].Dir.Sessions() {
-		if d.Key() == key {
-			return true
-		}
-	}
-	return false
 }

@@ -39,24 +39,23 @@ func runFlagship(t *testing.T, seed uint64) *Harness {
 func runFlagshipTraced(t *testing.T, seed uint64, traceCap int) *Harness {
 	t.Helper()
 	h, err := New(Config{
-		Agents:           8,
-		Seed:             seed,
-		Start:            chaosStart(),
-		SessionsPerAgent: 2,
-		TraceCap:         traceCap,
-		Dir:              sessiondir.Config{Space: mcast.SyntheticSpace(64)},
+		Agents:   8,
+		Seed:     seed,
+		Start:    chaosStart(),
+		TraceCap: traceCap,
+		Dir:      sessiondir.Config{Space: mcast.SyntheticSpace(64)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.CreateSessions(); err != nil {
+	if err := h.CreateSessions(2); err != nil {
 		t.Fatal(err)
 	}
 	schedule := []Event{
-		{At: 10 * time.Second, Do: func(h *Harness) { h.SetFaults(heavyFaults()) }},
-		{At: 60 * time.Second, Do: func(h *Harness) { h.Partition([]int{0, 1, 2, 3}, []int{4, 5, 6, 7}) }},
-		{At: 180 * time.Second, Do: func(h *Harness) { h.Heal() }},
-		{At: 240 * time.Second, Do: func(h *Harness) { h.ClearFaults() }},
+		{At: 10 * time.Second, Do: func(b Backend) { b.SetFaults(heavyFaults()) }},
+		{At: 60 * time.Second, Do: func(b Backend) { b.Partition([]int{0, 1, 2, 3}, []int{4, 5, 6, 7}) }},
+		{At: 180 * time.Second, Do: func(b Backend) { b.Heal() }},
+		{At: 240 * time.Second, Do: func(b Backend) { b.SetFaults(fault.Profile{}) }},
 	}
 	h.Run(schedule, 600*time.Second)
 	return h
@@ -90,11 +89,11 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		if fa != fb {
 			t.Fatalf("agent %d diverged between identical runs:\n--- run 1:\n%s\n--- run 2:\n%s", i, fa, fb)
 		}
-		ma, mb := a.Agent(i).Dir.Metrics(), b.Agent(i).Dir.Metrics()
+		ma, mb := a.agents[i].Dir.Metrics(), b.agents[i].Dir.Metrics()
 		if ma != mb {
 			t.Fatalf("agent %d metrics diverged between identical runs:\nrun 1: %+v\nrun 2: %+v", i, ma, mb)
 		}
-		sa, sb := a.Agent(i).Endpoint.Stats(), b.Agent(i).Endpoint.Stats()
+		sa, sb := a.agents[i].Endpoint.Stats(), b.agents[i].Endpoint.Stats()
 		if sa != sb {
 			t.Fatalf("agent %d fault schedule diverged between identical runs:\nrun 1: %+v\nrun 2: %+v", i, sa, sb)
 		}
@@ -114,10 +113,10 @@ func TestChaosTraceReplayBitIdentical(t *testing.T) {
 		if fp != ft {
 			t.Fatalf("agent %d: tracing changed the run:\n--- untraced:\n%s\n--- traced:\n%s", i, fp, ft)
 		}
-		if mp, mt := plain.Agent(i).Dir.Metrics(), traced.Agent(i).Dir.Metrics(); mp != mt {
+		if mp, mt := plain.agents[i].Dir.Metrics(), traced.agents[i].Dir.Metrics(); mp != mt {
 			t.Fatalf("agent %d: tracing changed the metrics:\nuntraced: %+v\ntraced:   %+v", i, mp, mt)
 		}
-		ea, eb := traced.Agent(i).Trace.Events(), traced2.Agent(i).Trace.Events()
+		ea, eb := traced.agents[i].Trace.Events(), traced2.agents[i].Trace.Events()
 		if len(ea) == 0 {
 			t.Fatalf("agent %d recorded no trace events", i)
 		}
@@ -130,7 +129,7 @@ func TestChaosTraceReplayBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if plain.Agent(0).Trace != nil {
+	if plain.agents[0].Trace != nil {
 		t.Fatal("untraced run grew a trace")
 	}
 }
@@ -152,7 +151,7 @@ func TestChaosClashCorrectionTerminates(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(i int, name string) {
-		if _, err := h.Agent(i).Dir.CreateSession(&session.Description{
+		if _, err := h.agents[i].Dir.CreateSession(&session.Description{
 			Name: name,
 			TTL:  127,
 			Media: []session.Media{
@@ -163,10 +162,10 @@ func TestChaosClashCorrectionTerminates(t *testing.T) {
 		}
 	}
 	schedule := []Event{
-		{At: 5 * time.Second, Do: func(h *Harness) { h.Partition([]int{0, 1}, []int{2, 3}) }},
+		{At: 5 * time.Second, Do: func(b Backend) { b.Partition([]int{0, 1}, []int{2, 3}) }},
 		// Allocate blind on both sides of the split: 12 sessions into 16
 		// addresses guarantees overlap between the halves.
-		{At: 10 * time.Second, Do: func(h *Harness) {
+		{At: 10 * time.Second, Do: func(b Backend) {
 			for i := 0; i < 4; i++ {
 				for j := 0; j < 3; j++ {
 					mk(i, fmt.Sprintf("split-%d-%d", i, j))
@@ -175,14 +174,14 @@ func TestChaosClashCorrectionTerminates(t *testing.T) {
 		}},
 		// Duplicated, delayed clash reports stress the termination
 		// argument: a stale or repeated report must not re-trigger moves.
-		{At: 20 * time.Second, Do: func(h *Harness) {
+		{At: 20 * time.Second, Do: func(b Backend) {
 			h.SetFaults(fault.Profile{
 				Duplicate: 0.5,
 				DelayMax:  2 * time.Second,
 			})
 		}},
-		{At: 60 * time.Second, Do: func(h *Harness) { h.Heal() }},
-		{At: 240 * time.Second, Do: func(h *Harness) { h.ClearFaults() }},
+		{At: 60 * time.Second, Do: func(b Backend) { b.Heal() }},
+		{At: 240 * time.Second, Do: func(b Backend) { b.SetFaults(fault.Profile{}) }},
 	}
 	h.Run(schedule, 600*time.Second)
 
@@ -209,10 +208,9 @@ func TestChaosClashCorrectionTerminates(t *testing.T) {
 // survivor's cache once the cache timeout passes without a re-announcement.
 func TestChaosSilencedAgentExpires(t *testing.T) {
 	h, err := New(Config{
-		Agents:           4,
-		Seed:             11,
-		Start:            chaosStart(),
-		SessionsPerAgent: 1,
+		Agents: 4,
+		Seed:   11,
+		Start:  chaosStart(),
 		Dir: sessiondir.Config{
 			Space:        mcast.SyntheticSpace(64),
 			CacheTimeout: 300 * time.Second,
@@ -221,21 +219,21 @@ func TestChaosSilencedAgentExpires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.CreateSessions(); err != nil {
+	if err := h.CreateSessions(1); err != nil {
 		t.Fatal(err)
 	}
-	victim := h.Agent(3).Dir.OwnSessions()
+	victim := h.agents[3].Dir.OwnSessions()
 	if len(victim) != 1 {
 		t.Fatalf("agent 3 owns %d sessions", len(victim))
 	}
 	victimKey := victim[0].Key()
 
 	schedule := []Event{
-		{At: 10 * time.Second, Do: func(h *Harness) {
+		{At: 10 * time.Second, Do: func(b Backend) {
 			h.SetFaults(fault.Profile{Loss: 0.2})
 		}},
-		{At: 60 * time.Second, Do: func(h *Harness) { h.Kill(3) }},
-		{At: 120 * time.Second, Do: func(h *Harness) { h.ClearFaults() }},
+		{At: 60 * time.Second, Do: func(b Backend) { _ = b.Kill(3) }},
+		{At: 120 * time.Second, Do: func(b Backend) { b.SetFaults(fault.Profile{}) }},
 	}
 	h.Run(schedule, 900*time.Second)
 

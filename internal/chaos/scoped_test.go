@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sessiondir"
+	"sessiondir/internal/fault"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/session"
 	"sessiondir/internal/stats"
@@ -77,7 +78,7 @@ func runScoped(t *testing.T, seed uint64) *scopedRun {
 	}
 
 	mk := func(i int, name string, ttl mcast.TTL) {
-		if _, err := h.Agent(i).Dir.CreateSession(&session.Description{
+		if _, err := h.agents[i].Dir.CreateSession(&session.Description{
 			Name:  name,
 			TTL:   ttl,
 			Media: []session.Media{{Type: "audio", Port: 5004, Proto: "RTP/AVP", Format: "0"}},
@@ -106,14 +107,14 @@ func runScoped(t *testing.T, seed uint64) *scopedRun {
 		// re-announcement does not re-arm it), so whether the pair
 		// untangle must not hang on one packet's fate. 8 s covers the
 		// 3.2 s suppression delay, a timer tick and the path both ways.
-		{At: 2 * time.Second, Do: func(h *Harness) {
+		{At: 2 * time.Second, Do: func(b Backend) {
 			mk(blindA, "blind-a", blindTTL)
 			mk(blindB, "blind-b", blindTTL)
 		}},
-		{At: 10 * time.Second, Do: func(h *Harness) { h.SetFaults(heavyFaults()) }},
-		{At: 60 * time.Second, Do: func(h *Harness) { h.Partition(europe, rest) }},
-		{At: 180 * time.Second, Do: func(h *Harness) { h.Heal() }},
-		{At: 240 * time.Second, Do: func(h *Harness) { h.ClearFaults() }},
+		{At: 10 * time.Second, Do: func(b Backend) { b.SetFaults(heavyFaults()) }},
+		{At: 60 * time.Second, Do: func(b Backend) { b.Partition(europe, rest) }},
+		{At: 180 * time.Second, Do: func(b Backend) { b.Heal() }},
+		{At: 240 * time.Second, Do: func(b Backend) { b.SetFaults(fault.Profile{}) }},
 	}
 	// 1000 s, not the flagship's 600: a corrupted packet that still parses
 	// with a flipped version digit outranks the honest announcements until
@@ -124,7 +125,7 @@ func runScoped(t *testing.T, seed uint64) *scopedRun {
 }
 
 // ownedBy returns agent i's own sessions.
-func ownedBy(h *Harness, i int) []*session.Description { return h.Agent(i).Dir.OwnSessions() }
+func ownedBy(h *Harness, i int) []*session.Description { return h.agents[i].Dir.OwnSessions() }
 
 func TestChaosScopedConvergenceOnMbone(t *testing.T) {
 	r := runScoped(t, 1998)
@@ -184,7 +185,7 @@ func TestChaosScopedConvergenceOnMbone(t *testing.T) {
 		t.Fatalf("agent %d lost its TTL-%d session", i, blindTTL)
 		return nil
 	}
-	if h.Agent(observer).Dir.Metrics().ClashDefensesThird == 0 {
+	if h.agents[observer].Dir.Metrics().ClashDefensesThird == 0 {
 		t.Fatal("the observer never defended: the schedule failed to force the blind clash")
 	}
 	if a, b := blind(blindA), blind(blindB); a.Group == b.Group {

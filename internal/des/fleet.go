@@ -22,8 +22,12 @@ type Fleet struct {
 	// Stats are the fates each directory's receive side drew).
 	Endpoints []*Endpoint
 	// Traces are the directories' event rings, by index, filled from their
-	// events (nil entries unless FleetConfig.TraceCap > 0).
+	// events (nil entries unless FleetConfig.TraceCap > 0). A restarted
+	// directory records into its predecessor's ring.
 	Traces []*obs.Trace
+
+	cfg    FleetConfig
+	frozen []bool
 }
 
 // FleetConfig parameterises a fleet.
@@ -57,34 +61,48 @@ func NewFleet(engine *Engine, net *Net, cfg FleetConfig) (*Fleet, error) {
 	if step == 0 {
 		step = 500 * time.Millisecond
 	}
-	f := &Fleet{Engine: engine, Net: net, Nodes: cfg.Nodes}
-	for i, node := range cfg.Nodes {
-		ep, err := net.Attach(node)
-		if err != nil {
-			return nil, err
-		}
-		var trace *obs.Trace
+	n := len(cfg.Nodes)
+	f := &Fleet{
+		Engine: engine, Net: net, Nodes: cfg.Nodes,
+		Dirs: make([]*sessiondir.Directory, n), Endpoints: make([]*Endpoint, n), Traces: make([]*obs.Trace, n),
+		cfg: cfg, frozen: make([]bool, n),
+	}
+	for i := range cfg.Nodes {
 		if cfg.TraceCap > 0 {
-			trace = obs.NewTrace(cfg.TraceCap)
+			f.Traces[i] = obs.NewTrace(cfg.TraceCap)
 		}
-		dcfg := cfg.Dir
-		// Synthesise a stable origin address from the node id.
-		dcfg.Origin = netip.AddrFrom4([4]byte{10, byte(node >> 8), byte(node), byte(i)})
-		dcfg.Transport = ep
-		dcfg.Clock = engine.Now
-		dcfg.Seed = cfg.Dir.Seed + uint64(i)*7919
-		dcfg.OnEvent = agentEvents(i, cfg.OnEvent, trace)
-		d, err := sessiondir.New(dcfg)
-		if err != nil {
+		if err := f.start(i, cfg.Dir.Seed+uint64(i)*7919); err != nil {
 			return nil, err
 		}
-		f.Dirs = append(f.Dirs, d)
-		f.Endpoints = append(f.Endpoints, ep)
-		f.Traces = append(f.Traces, trace)
-		dir := d
-		engine.Every(step, func() { dir.Step(engine.Now()) })
+		engine.Every(step, func() {
+			if !f.frozen[i] {
+				f.Dirs[i].Step(engine.Now())
+			}
+		})
 	}
 	return f, nil
+}
+
+// start attaches directory i, seeded with seed, at its node.
+func (f *Fleet) start(i int, seed uint64) error {
+	node := f.Nodes[i]
+	ep, err := f.Net.Attach(node)
+	if err != nil {
+		return err
+	}
+	dcfg := f.cfg.Dir
+	// Synthesise a stable origin address from the node id.
+	dcfg.Origin = netip.AddrFrom4([4]byte{10, byte(node >> 8), byte(node), byte(i)})
+	dcfg.Transport = ep
+	dcfg.Clock = f.Engine.Now
+	dcfg.Seed = seed
+	dcfg.OnEvent = agentEvents(i, f.cfg.OnEvent, f.Traces[i])
+	d, err := sessiondir.New(dcfg)
+	if err != nil {
+		return err
+	}
+	f.Dirs[i], f.Endpoints[i] = d, ep
+	return nil
 }
 
 // agentEvents is directory idx's event listener: it records each event
@@ -102,13 +120,33 @@ func agentEvents(idx int, onEvent func(int, sessiondir.Event), trace *obs.Trace)
 	}
 }
 
-// Kill stops directory i for good: it closes and its endpoint detaches,
-// so the fleet stops hearing it — the silent announcer whose state must
-// expire. Its timer step stays scheduled and does nothing (a closed
-// directory's Step is a no-op).
+// Kill stops directory i: it closes and its endpoint detaches, so the
+// fleet stops hearing it — the silent announcer whose state must expire,
+// or a crashed daemon until Restart. Its timer step stays scheduled and
+// does nothing (a closed directory's Step is a no-op).
 func (f *Fleet) Kill(i int) {
 	f.Dirs[i].Close()
 	_ = f.Endpoints[i].Close() // simulated endpoints do not fail on close
+}
+
+// Restart brings directory i back after Kill as a new incarnation: a new
+// Directory seeded with seed, on a new endpoint at the same node, with the
+// same origin. Its timer steps run on the old schedule.
+func (f *Fleet) Restart(i int, seed uint64) error { return f.start(i, seed) }
+
+// Freeze stops directory i as SIGSTOP stops a daemon: until Thaw it takes
+// no timer step and hears nothing — what reaches it meanwhile is lost —
+// so it sends nothing either.
+func (f *Fleet) Freeze(i int) {
+	f.frozen[i] = true
+	f.Endpoints[i].Subscribe(nil)
+}
+
+// Thaw resumes directory i. Its next timer step catches up on everything
+// that came due while it was frozen.
+func (f *Fleet) Thaw(i int) {
+	f.frozen[i] = false
+	f.Endpoints[i].Subscribe(f.Dirs[i].HandleBatch)
 }
 
 // Close shuts every directory down.

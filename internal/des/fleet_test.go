@@ -220,3 +220,55 @@ func TestFleetValidation(t *testing.T) {
 		t.Fatal("empty fleet accepted")
 	}
 }
+
+// TestFleetFreezeAndRestart: a frozen directory neither steps nor hears,
+// so an announcement made while it is frozen reaches it only from a
+// re-announcement after Thaw; a killed directory restarts as a new one at
+// the same node and origin, which the timer steps then drive.
+func TestFleetFreezeAndRestart(t *testing.T) {
+	engine := NewEngine(simStart())
+	net, g := mboneNet(t, engine, 0)
+	fleet, err := NewFleet(engine, net, FleetConfig{
+		Nodes: pickNodes(g, 2, 1),
+		Dir:   sessiondir.Config{Space: mcast.SyntheticSpace(256), Seed: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+
+	fleet.Freeze(1)
+	if _, err := fleet.Dirs[0].CreateSession(testDesc("s", 191)); err != nil {
+		t.Fatal(err)
+	}
+	engine.RunFor(4 * time.Second) // the first re-announcement is due at 5 s
+	if n := len(fleet.Dirs[1].Sessions()); n != 0 {
+		t.Fatalf("frozen directory heard %d sessions", n)
+	}
+	fleet.Thaw(1)
+	engine.RunFor(2 * time.Second)
+	if n := len(fleet.Dirs[1].Sessions()); n != 1 {
+		t.Fatalf("thawed directory knows %d sessions, want the re-announced one", n)
+	}
+
+	before, err := fleet.Dirs[1].CreateSession(testDesc("before", 191))
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine.RunFor(time.Second)
+	fleet.Kill(1)
+	if err := fleet.Restart(1, 77); err != nil {
+		t.Fatal(err)
+	}
+	again, err := fleet.Dirs[1].CreateSession(testDesc("again", 191))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Origin != before.Origin {
+		t.Fatalf("restarted directory announces from %s, its predecessor from %s", again.Origin, before.Origin)
+	}
+	engine.RunFor(time.Minute)
+	if n := len(fleet.Dirs[0].Sessions()); n != 3 {
+		t.Fatalf("directory 0 knows %d sessions, want its own and both incarnations'", n)
+	}
+}

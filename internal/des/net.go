@@ -186,18 +186,25 @@ func (e *Endpoint) send(data []byte, scope mcast.TTL) {
 
 // deliverAfter schedules one arrival of data, which it owns, as a batch
 // of one. A receiver closed while the packet is in flight gets nothing.
-// The bytes are overwritten as soon as the handler returns: Message.Data
-// is valid for the call only, and a handler that kept an alias reads
-// garbage in every seeded run instead of some time later on a real
-// socket's reused ring.
 func (e *Endpoint) deliverAfter(d time.Duration, data []byte) {
-	e.net.engine.After(d, func() {
-		if e.closed || e.handler == nil {
-			return
-		}
-		e.handler([]transport.Message{{Data: data}})
-		transport.Poison(data)
-	})
+	e.net.engine.After(d, func() { e.deliver(data) })
+}
+
+// Deliver hands the handler a copy of data now, as a batch of one: a
+// datagram from outside the fabric, which neither scope nor faults nor
+// partitions touch. A closed or unsubscribed endpoint hears nothing.
+func (e *Endpoint) Deliver(data []byte) { e.deliver(bytes.Clone(data)) }
+
+// deliver hands the handler data, which it owns. The bytes are overwritten
+// as soon as the handler returns: Message.Data is valid for the call only,
+// and a handler that kept an alias reads garbage in every seeded run
+// instead of some time later on a real socket's reused ring.
+func (e *Endpoint) deliver(data []byte) {
+	if e.closed || e.handler == nil {
+		return
+	}
+	e.handler([]transport.Message{{Data: data}})
+	transport.Poison(data)
 }
 
 // Subscribe implements transport.Transport.

@@ -56,11 +56,6 @@ type ReqRespConfig struct {
 	JitterPerHop float64
 }
 
-// maxExactSenders bounds the number of per-sender shortest-path
-// computations in ShortestPathTree mode; past it, pair delays fall back to
-// shared-tree distances (the paper found the two differ only marginally).
-const maxExactSenders = 256
-
 // ReqRespResult summarises one run.
 type ReqRespResult struct {
 	Responses        int     // responses actually sent
@@ -99,17 +94,12 @@ func (m *delayModel) base(src, dst topology.NodeID) (float64, int32) {
 	if m.mode == SharedTree {
 		return m.shared.TreeDelay(src, dst), m.shared.TreeHops(src, dst)
 	}
-	if t, ok := m.spts[src]; ok {
-		return t.DelayFromRoot(dst), t.Depth(dst)
-	}
-	if len(m.spts) < maxExactSenders {
-		t := topology.NewSPTree(m.g, src)
+	t, ok := m.spts[src]
+	if !ok {
+		t = topology.NewSPTree(m.g, src)
 		m.spts[src] = t
-		return t.DelayFromRoot(dst), t.Depth(dst)
 	}
-	// Fallback: shared-tree distance approximates the SPT distance on
-	// these largely tree-like topologies.
-	return m.shared.TreeDelay(src, dst), m.shared.TreeHops(src, dst)
+	return t.DelayFromRoot(dst), t.Depth(dst)
 }
 
 // packetDelay returns one packet's delivery delay src→dst including
@@ -182,21 +172,12 @@ func RunReqResp(cfg ReqRespConfig, rng *stats.RNG) ReqRespResult {
 	}
 	sureSuppressDelay := 4*maxRootDelay + cfg.JitterPerHop*float64(4*maxDepth)
 
-	// Exact suppression checks are bounded: the earliest senders have the
-	// most slack, so checking them first makes the bound a very mild
-	// approximation that only engages deep in the implosion regime.
-	const maxExactChecks = 2048
-
 	for _, mb := range members {
 		suppressed := false
 		if len(senders) > 0 && mb.sendAt >= senders[0].sentAt+sureSuppressDelay {
 			suppressed = true
 		} else {
-			checks := len(senders)
-			if checks > maxExactChecks {
-				checks = maxExactChecks
-			}
-			for _, sd := range senders[:checks] {
+			for _, sd := range senders {
 				// An earlier response that arrives before (or exactly at)
 				// our send time cancels it.
 				if sd.sentAt+model.packetDelay(sd.node, mb.node) <= mb.sendAt {

@@ -128,7 +128,7 @@ func NewFaultFS(under FS, seed uint64, prof FaultProfile) *FaultFS {
 // that fails for a while and then recovers. Determinism is preserved:
 // fates remain a pure function of (seed, profile sequence, op
 // sequence).
-func (f *FaultFS) SetProfile(prof FaultProfile) { //mclint:unused des's and storage's fault tests change profiles mid-run with it
+func (f *FaultFS) SetProfile(prof FaultProfile) { //mclint:unused des's, storage's and the root package's fault tests change profiles mid-run with it
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.prof = prof

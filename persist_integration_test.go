@@ -521,3 +521,49 @@ func TestLearnRecordsMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointerBacksOffAndDegrades pins sdrd's checkpoint cadence: an
+// idle journal skips the rewrite, failures double the wait up to 8× the
+// interval, the third failure in a row degrades the store, and the first
+// success restores the interval and heals it.
+func TestCheckpointerBacksOffAndDegrades(t *testing.T) {
+	bus := transport.NewBus()
+	clk := newFakeClock()
+	a, _ := newDirectory(t, bus, clk, "10.0.0.1", 64, 31, nil)
+	b, _ := newDirectory(t, bus, clk, "10.0.0.2", 64, 32, nil)
+	fs := storage.NewFaultFS(storage.NewMemFS(), 5, storage.FaultProfile{})
+	cs, _, err := OpenCacheStore(fs, testCacheBase, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cs.Close() }()
+	if err := cs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	ck := NewCheckpointer(cs, time.Second)
+	tick := func(wantNext time.Duration, wantErr bool, wantFails int, wantDegraded bool) {
+		t.Helper()
+		next, err := ck.Tick()
+		if next != wantNext || (err != nil) != wantErr || ck.Failures() != wantFails || ck.Degraded() != wantDegraded {
+			t.Fatalf("Tick: next %v err %v failures %d degraded %v; want %v, error %v, %d, %v",
+				next, err, ck.Failures(), ck.Degraded(), wantNext, wantErr, wantFails, wantDegraded)
+		}
+	}
+	compactions := cs.Stats().Compactions
+	tick(time.Second, false, 0, false)
+	if got := cs.Stats().Compactions; got != compactions {
+		t.Fatalf("an idle journal was rewritten: %d compactions, want %d", got, compactions)
+	}
+
+	fs.SetProfile(storage.FaultProfile{WriteErr: 1})
+	if _, err := b.CreateSession(testDesc("journaled", 127)); err != nil {
+		t.Fatal(err)
+	}
+	tick(2*time.Second, true, 1, false)
+	tick(4*time.Second, true, 2, false)
+	tick(8*time.Second, true, 3, true)
+	tick(8*time.Second, true, 4, true)
+
+	fs.SetProfile(storage.FaultProfile{})
+	tick(time.Second, false, 0, false)
+}
