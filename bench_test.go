@@ -58,21 +58,19 @@ func benchRunner(b *testing.B, id string) {
 	}
 }
 
-func BenchmarkFig01PartitionPDF(b *testing.B)       { benchRunner(b, "fig1") }
-func BenchmarkFig04Birthday(b *testing.B)           { benchRunner(b, "fig4") }
-func BenchmarkFig05FillUntilClash(b *testing.B)     { benchRunner(b, "fig5") }
-func BenchmarkFig06Equation1(b *testing.B)          { benchRunner(b, "fig6") }
-func BenchmarkFig08DAIPRLayout(b *testing.B)        { benchRunner(b, "fig8") }
-func BenchmarkFig10HopHistogram(b *testing.B)       { benchRunner(b, "fig10") }
-func BenchmarkFig11PartitionMap(b *testing.B)       { benchRunner(b, "fig11") }
-func BenchmarkFig12SteadyState(b *testing.B)        { benchRunner(b, "fig12") }
-func BenchmarkFig13UpperBound(b *testing.B)         { benchRunner(b, "fig13") }
-func BenchmarkFig14UniformResponders(b *testing.B)  { benchRunner(b, "fig14") }
-func BenchmarkFig15ReqRespSim(b *testing.B)         { benchRunner(b, "fig15") }
-func BenchmarkFig16FirstResponseDelay(b *testing.B) { benchRunner(b, "fig16") }
-func BenchmarkFig18ExpResponders(b *testing.B)      { benchRunner(b, "fig18") }
-func BenchmarkFig19DelayVsResponses(b *testing.B)   { benchRunner(b, "fig19") }
-func BenchmarkTTLTable(b *testing.B)                { benchRunner(b, "ttltable") }
+func BenchmarkFig01PartitionPDF(b *testing.B)      { benchRunner(b, "fig1") }
+func BenchmarkFig04Birthday(b *testing.B)          { benchRunner(b, "fig4") }
+func BenchmarkFig05FillUntilClash(b *testing.B)    { benchRunner(b, "fig5") }
+func BenchmarkFig06Equation1(b *testing.B)         { benchRunner(b, "fig6") }
+func BenchmarkFig08DAIPRLayout(b *testing.B)       { benchRunner(b, "fig8") }
+func BenchmarkFig10HopHistogram(b *testing.B)      { benchRunner(b, "fig10") }
+func BenchmarkFig11PartitionMap(b *testing.B)      { benchRunner(b, "fig11") }
+func BenchmarkFig12SteadyState(b *testing.B)       { benchRunner(b, "fig12") }
+func BenchmarkFig13UpperBound(b *testing.B)        { benchRunner(b, "fig13") }
+func BenchmarkFig14UniformResponders(b *testing.B) { benchRunner(b, "fig14") }
+func BenchmarkFig15ReqRespSim(b *testing.B)        { benchRunner(b, "fig15") }
+func BenchmarkFig18ExpResponders(b *testing.B)     { benchRunner(b, "fig18") }
+func BenchmarkTTLTable(b *testing.B)               { benchRunner(b, "ttltable") }
 
 // --- Ablation benches (design choices from DESIGN.md §5) ---
 

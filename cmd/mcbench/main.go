@@ -5,14 +5,14 @@
 //	mcbench -list
 //	mcbench -experiment fig5
 //	mcbench -experiment all -full
-//	mcbench -experiment fig5,fig12 -workers 8 -json BENCH.json
+//	GOMAXPROCS=8 mcbench -experiment fig5,fig12 -json BENCH.json
 //
 // Quick scale (default) finishes in minutes; -full reproduces the paper's
-// parameter ranges and can run for hours, as the originals did.
+// parameter ranges (-experiment all -full took 5 min 16 s on 2 cores).
 //
-// -workers sets the experiment engine's concurrency over trials and sweep
-// points (0 = GOMAXPROCS, 1 = serial; the occupancy sweep is always
-// serial); output is bit-identical at any worker count. -json appends
+// The experiment engine fans trials and sweep points out over GOMAXPROCS
+// workers (the occupancy sweep is always serial); output is bit-identical
+// at any GOMAXPROCS. -json appends
 // a machine-readable benchmark record — wall time per experiment plus
 // allocation micro-benchmarks and a registry snapshot from a seeded fleet
 // scenario — for tracking perf across commits.
@@ -70,7 +70,6 @@ import (
 type benchReport struct {
 	Timestamp  string             `json:"timestamp"`
 	Scale      string             `json:"scale"`
-	Workers    int                `json:"workers"` // 0 = GOMAXPROCS
 	GOMAXPROCS int                `json:"gomaxprocs"`
 	GoVersion  string             `json:"go_version"`
 	GOOS       string             `json:"goos,omitempty"` // budget gates that need recvmmsg apply on linux only
@@ -1244,7 +1243,6 @@ func main() {
 		id       = flag.String("experiment", "all", "experiment id (see -list), comma-separated ids, or 'all'")
 		full     = flag.Bool("full", false, "paper-scale parameters (slow)")
 		outDir   = flag.String("outdir", "", "also write each experiment's output to <outdir>/<id>.txt")
-		workers  = flag.Int("workers", 0, "engine concurrency over trials and sweep points: 0 = GOMAXPROCS, 1 = serial (output identical either way; the occupancy sweep is always serial)")
 		jsonPath = flag.String("json", "", "write a machine-readable benchmark record (wall times + allocation micro-benches) to this file")
 		merge    = flag.Bool("merge", false, "merge into an existing -json file instead of replacing it: figures merge by id, occupancy is replaced only when this run regenerated it")
 		compare  = flag.Bool("compare", false, "compare two benchmark records: mcbench -compare old.json new.json [-tolerance 25%] [-fail-ratio 2] [-tier quick|full]")
@@ -1273,7 +1271,6 @@ func main() {
 	if *full {
 		scale = experiments.Full()
 	}
-	scale.Workers = *workers
 
 	var runners []experiments.Runner
 	if *id == "all" {
@@ -1293,7 +1290,6 @@ func main() {
 	report := benchReport{
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 		Scale:      scale.Name,
-		Workers:    *workers,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
@@ -1338,7 +1334,7 @@ func main() {
 	}
 
 	for _, r := range runners {
-		fmt.Printf("==== %s: %s (scale=%s workers=%d) ====\n", r.ID, r.Description, scale.Name, *workers)
+		fmt.Printf("==== %s: %s (scale=%s) ====\n", r.ID, r.Description, scale.Name)
 		start := time.Now()
 		var out io.Writer = os.Stdout
 		var file *os.File

@@ -44,7 +44,7 @@ func main() {
 	case *kind == "mbone":
 		g, err = topology.GenerateMbone(topology.MboneConfig{Nodes: *nodes}, rng)
 	case *kind == "grid":
-		g, err = topology.GenerateGrid(topology.GridConfig{Nodes: *nodes, RedundantLinks: true}, rng)
+		g, err = topology.GenerateGrid(*nodes, rng)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown kind %q (mbone | grid)\n", *kind)
 		os.Exit(2)

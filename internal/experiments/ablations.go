@@ -38,10 +38,9 @@ func RunAblations(w io.Writer, s Scale) error {
 					Name:        fmt.Sprintf("AIPR gap=%.0f%%", gap*100),
 				})
 			},
-			Dist:    mcast.DS4(),
-			Reps:    s.Fig12Reps,
-			Workers: s.Workers,
-			Seed:    s.Seed,
+			Dist: mcast.DS4(),
+			Reps: s.Fig12Reps,
+			Seed: s.Seed,
 		})
 		fmt.Fprintf(w, "gap=%.0f%%  space=%d  max_allocs=%d\n", gap*100, space, pts[0].MaxAllocs)
 	}
@@ -59,10 +58,9 @@ func RunAblations(w io.Writer, s Scale) error {
 					Name:            fmt.Sprintf("AIPR occ=%.0f%%", occ*100),
 				})
 			},
-			Dist:    mcast.DS4(),
-			Reps:    s.Fig12Reps,
-			Workers: s.Workers,
-			Seed:    s.Seed,
+			Dist: mcast.DS4(),
+			Reps: s.Fig12Reps,
+			Seed: s.Seed,
 		})
 		fmt.Fprintf(w, "occupancy=%.0f%%  space=%d  max_allocs=%d\n", occ*100, space, pts[0].MaxAllocs)
 	}
@@ -80,10 +78,9 @@ func RunAblations(w io.Writer, s Scale) error {
 					Name:        fmt.Sprintf("AIPR margin=%d", margin),
 				})
 			},
-			Dist:    mcast.DS4(),
-			Reps:    s.Fig12Reps,
-			Workers: s.Workers,
-			Seed:    s.Seed,
+			Dist: mcast.DS4(),
+			Reps: s.Fig12Reps,
+			Seed: s.Seed,
 		})
 		fmt.Fprintf(w, "margin=%d (%d partitions)  space=%d  max_allocs=%d\n",
 			margin, analytic.PartitionCount(margin), space, pts[0].MaxAllocs)

@@ -43,11 +43,11 @@ func RunClustering(w io.Writer, s Scale) error {
 		}
 		random := sim.RunFig12(sim.Fig12Config{
 			Graph: g, SpaceSizes: []uint32{space}, MakeAlloc: mk,
-			Dist: mcast.DS4(), Reps: s.Fig12Reps, Seed: s.Seed, Workers: s.Workers,
+			Dist: mcast.DS4(), Reps: s.Fig12Reps, Seed: s.Seed,
 		})
 		clustered := sim.RunFig12(sim.Fig12Config{
 			Graph: g, SpaceSizes: []uint32{space}, MakeAlloc: mk,
-			Dist: mcast.DS4(), Reps: s.Fig12Reps, Workload: cw, Seed: s.Seed, Workers: s.Workers,
+			Dist: mcast.DS4(), Reps: s.Fig12Reps, Workload: cw, Seed: s.Seed,
 		})
 		fmt.Fprintf(w, "%4.0f%%   %12d   %15d\n",
 			gap*100, random[0].MaxAllocs, clustered[0].MaxAllocs)

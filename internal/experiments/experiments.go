@@ -3,8 +3,8 @@
 // returns machine-readable results where callers need them.
 //
 // Runners take a Scale: Quick keeps unit tests and benchmarks fast, Full
-// reproduces the paper's parameter ranges (hours of CPU, as the paper's
-// own simulations were).
+// reproduces the paper's parameter ranges (mcbench -experiment all -full
+// took 5 min 16 s on 2 cores).
 package experiments
 
 import (
@@ -35,12 +35,11 @@ type Scale struct {
 	Fig12Reps   int
 
 	// Occupancy sweep (the mcbench -full perf tier): resident-session
-	// targets, address space, and churn operations for the
-	// directory-scale fill + churn runs (Figures 5/12 shape, but sessions
-	// persist past their first clash).
+	// targets and address space for the directory-scale fill + churn runs
+	// (Figures 5/12 shape, but sessions persist past their first clash;
+	// each run churns sessions/10 replacements).
 	OccSessions []int
 	OccSpace    uint32
-	OccChurn    int // 0 = sessions/10
 
 	// Figures 14/18 (analytic responder surfaces).
 	RespReceivers []int
@@ -52,11 +51,6 @@ type Scale struct {
 	RRTrials     int
 
 	Seed uint64
-
-	// Workers is the experiment engine's concurrency: 0 means GOMAXPROCS,
-	// 1 forces serial execution. Results are bit-identical at any worker
-	// count (see internal/par); the knob only trades wall-clock for cores.
-	Workers int
 }
 
 // Quick returns a scale suitable for CI: minutes, not hours.
@@ -123,10 +117,8 @@ func All() []Runner {
 		{"fig12", "steady-state churn: adaptive vs static allocators", RunFig12},
 		{"fig13", "steady-state upper bound (same-source replacement)", RunFig13},
 		{"fig14", "Eq 2: responder bound, uniform delay buckets", RunFig14},
-		{"fig15", "simulated responders: SPT/shared × jitter", RunFig15},
-		{"fig16", "delay of first response (same simulations)", RunFig16},
+		{"fig15", "Figs 15/16/19: simulated responders (SPT/shared × jitter), first-response delay, uniform vs exponential", RunFig15},
 		{"fig18", "Eq 4 + simulation: exponential delay buckets", RunFig18},
-		{"fig19", "responses vs first-response delay: uniform vs exponential", RunFig19},
 		{"ttltable", "most frequent / max hop count per TTL (§2.4.1 table)", RunTTLTable},
 		{"ablation", "design-choice ablations (gaps, occupancy, margin, backoff)", RunAblations},
 		{"hierarchy", "§4.1 extension: flat vs prefix-hierarchical allocation", RunHierarchy},

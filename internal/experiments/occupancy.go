@@ -38,7 +38,6 @@ func OccupancyConfigs(s Scale) ([]sim.OccupancyConfig, error) {
 				Alloc:    alloc,
 				Dist:     mcast.DS4(),
 				Sessions: sessions,
-				Churn:    s.OccChurn,
 				Seed:     s.Seed,
 			})
 		}

@@ -50,7 +50,6 @@ func RunFig5(w io.Writer, s Scale) error {
 			MakeAlloc:  algorithm(name),
 			Trials:     s.Fig5Trials,
 			Seed:       s.Seed,
-			Workers:    s.Workers,
 		})
 		for _, p := range pts {
 			fmt.Fprintln(w, p.String())
@@ -126,7 +125,6 @@ func runFig12(w io.Writer, s Scale, algorithms []string, upper bool) error {
 			Reps:       s.Fig12Reps,
 			UpperBound: upper,
 			Seed:       s.Seed,
-			Workers:    s.Workers,
 		})
 		for _, p := range pts {
 			fmt.Fprintln(w, p.String())
@@ -135,10 +133,31 @@ func runFig12(w io.Writer, s Scale, algorithms []string, upper bool) error {
 	return nil
 }
 
-// RunFig15 regenerates Figure 15: simulated responder counts for the four
-// routing/jitter variants (A: SPT, delay≈distance; B: shared; C: SPT +
-// jitter; D: shared + jitter) across group sizes and D2 windows.
+// RunFig15 regenerates Figures 15, 16 and 19 from one set of
+// request–response sweeps over the same group sizes and D2 windows:
+//
+//   - A: SPT, delay ≈ distance;
+//   - B: shared tree, delay ≈ distance;
+//   - C: SPT + jitter;
+//   - D: shared tree + jitter;
+//   - E: shared tree with exponentially distributed response delays.
+//
+// Figure 15 plots the responder counts of A–D, Figure 16 the
+// first-response delays of A, and Figure 19 responses against
+// first-response delay for uniform (B) and exponential (E) delays.
 func RunFig15(w io.Writer, s Scale) error {
+	sweep := func(mode sim.TreeMode, jitter, exp bool) ([]sim.Fig15Point, error) {
+		return sim.RunFig15(sim.Fig15Config{
+			GroupSizes: s.RRGroupSizes,
+			D2Millis:   s.RRD2Millis,
+			Mode:       mode,
+			Jitter:     jitter,
+			Exp:        exp,
+			Trials:     s.RRTrials,
+			Seed:       s.Seed,
+		})
+	}
+
 	fmt.Fprintln(w, "# Figure 15: simulated request-response responders (uniform delay)")
 	variants := []struct {
 		label  string
@@ -150,69 +169,35 @@ func RunFig15(w io.Writer, s Scale) error {
 		{"C: spt,   distance+random", sim.ShortestPathTree, true},
 		{"D: shared, distance+random", sim.SharedTree, true},
 	}
-	for _, v := range variants {
+	pts := make([][]sim.Fig15Point, len(variants))
+	for i, v := range variants {
 		fmt.Fprintf(w, "## %s\n", v.label)
-		pts, err := sim.RunFig15(sim.Fig15Config{
-			GroupSizes: s.RRGroupSizes,
-			D2Millis:   s.RRD2Millis,
-			Mode:       v.mode,
-			Jitter:     v.jitter,
-			Trials:     s.RRTrials,
-			Seed:       s.Seed,
-		})
-		if err != nil {
+		var err error
+		if pts[i], err = sweep(v.mode, v.jitter, false); err != nil {
 			return err
 		}
-		for _, p := range pts {
+		for _, p := range pts[i] {
 			fmt.Fprintln(w, p.String())
 		}
 	}
-	return nil
-}
 
-// RunFig16 regenerates Figure 16: the delay before the first response for
-// the Figure-15 variant A (shortest path trees, delay ≈ distance).
-func RunFig16(w io.Writer, s Scale) error {
-	fmt.Fprintln(w, "# Figure 16: first-response delay (spt, uniform delay)")
-	pts, err := sim.RunFig15(sim.Fig15Config{
-		GroupSizes: s.RRGroupSizes,
-		D2Millis:   s.RRD2Millis,
-		Mode:       sim.ShortestPathTree,
-		Trials:     s.RRTrials,
-		Seed:       s.Seed,
-	})
-	if err != nil {
-		return err
-	}
-	for _, p := range pts {
+	fmt.Fprintln(w, "\n# Figure 16: first-response delay (spt, uniform delay)")
+	for _, p := range pts[0] {
 		fmt.Fprintf(w, "D2=%-10.0f n=%-6d mean_first=%9.1fms max_first=%9.1fms\n",
 			p.D2Millis, p.GroupSize, p.MeanFirstMs, p.MaxFirstMs)
 	}
-	return nil
-}
 
-// RunFig19 regenerates Figure 19: mean responses vs mean first-response
-// delay for uniform and exponential random delays, one curve per D2.
-func RunFig19(w io.Writer, s Scale) error {
-	fmt.Fprintln(w, "# Figure 19: responses vs first-response delay")
-	for _, exp := range []bool{false, true} {
-		label := "uniform"
-		if exp {
-			label = "exponential"
-		}
-		fmt.Fprintf(w, "## %s random delay\n", label)
-		pts, err := sim.RunFig15(sim.Fig15Config{
-			GroupSizes: s.RRGroupSizes,
-			D2Millis:   s.RRD2Millis,
-			Mode:       sim.SharedTree,
-			Exp:        exp,
-			Trials:     s.RRTrials,
-			Seed:       s.Seed,
-		})
-		if err != nil {
-			return err
-		}
-		for _, p := range pts {
+	exponential, err := sweep(sim.SharedTree, false, true)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(w, "\n# Figure 19: responses vs first-response delay")
+	for _, c := range []struct {
+		label string
+		pts   []sim.Fig15Point
+	}{{"uniform", pts[1]}, {"exponential", exponential}} {
+		fmt.Fprintf(w, "## %s random delay\n", c.label)
+		for _, p := range c.pts {
 			fmt.Fprintf(w, "D2=%-10.0f n=%-6d responses=%8.2f first=%8.3fs\n",
 				p.D2Millis, p.GroupSize, p.MeanResponses, p.MeanFirstMs/1000)
 		}

@@ -20,10 +20,7 @@ import (
 func RunStrategies(w io.Writer, s Scale) error {
 	groupSize := s.RRGroupSizes[len(s.RRGroupSizes)-1]
 	root := stats.NewRNG(s.Seed)
-	g, err := topology.GenerateGrid(topology.GridConfig{
-		Nodes:          groupSize,
-		RedundantLinks: true,
-	}, root.Split())
+	g, err := topology.GenerateGrid(groupSize, root.Split())
 	if err != nil {
 		return err
 	}
@@ -79,23 +76,10 @@ func RunStrategies(w io.Writer, s Scale) error {
 		groupSize, d2, s.RRTrials)
 	fmt.Fprintln(w, "# strategy              responses   first_response")
 	for _, st := range strategies {
-		var responses, first stats.Summary
-		for trial := 0; trial < s.RRTrials; trial++ {
-			rng := root.Split()
-			cfg := sim.ReqRespConfig{
-				Graph:     g,
-				Mode:      sim.SharedTree,
-				Requester: topology.NodeID(rng.IntN(g.NumNodes())),
-				Members:   members,
-			}
-			st.cfg(&cfg)
-			r := sim.RunReqResp(cfg, rng)
-			responses.Add(float64(r.Responses))
-			if r.FirstArrivalAt >= 0 {
-				first.Add(r.FirstArrivalAt)
-			}
-		}
-		fmt.Fprintf(w, "%-22s %9.2f   %11.1fms\n", st.name, responses.Mean(), first.Mean())
+		cfg := sim.ReqRespConfig{Graph: g, Mode: sim.SharedTree, Members: members}
+		st.cfg(&cfg)
+		ts := sim.RunTrials(cfg, s.RRTrials, root)
+		fmt.Fprintf(w, "%-22s %9.2f   %11.1fms\n", st.name, ts.Responses.Mean(), ts.First.Mean())
 	}
 	fmt.Fprintln(w, "# ranking reaches ~1 response but requires agreed ranks; the")
 	fmt.Fprintln(w, "# exponential distribution needs no shared knowledge at all (§3.1)")

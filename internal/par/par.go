@@ -16,29 +16,20 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a requested worker count: values > 0 are taken as-is,
-// anything else means GOMAXPROCS.
-func Workers(requested int) int {
-	if requested > 0 {
-		return requested
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// For runs fn(i) for every i in [0, n) on up to workers goroutines
-// (0 means GOMAXPROCS). Tasks are handed out dynamically, so uneven task
-// costs balance across workers. For returns when every call has finished.
+// For runs fn(i) for every i in [0, n) on up to GOMAXPROCS goroutines.
+// Tasks are handed out dynamically, so uneven task costs balance across
+// workers. For returns when every call has finished.
 //
 // fn is invoked exactly once per index; invocations may be concurrent, so
 // fn must only touch shared state that is safe for concurrent use (its own
 // result slot, pre-split RNGs, concurrency-safe caches). If any fn panics,
 // For waits for the remaining workers and re-panics the first panic value
 // in the caller's goroutine, matching a serial loop's behaviour.
-func For(workers, n int, fn func(i int)) {
+func For(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	workers = Workers(workers)
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}

@@ -86,16 +86,13 @@ type Fig5Config struct {
 	MakeAlloc func(size uint32) allocator.Allocator
 	Trials    int
 	Seed      uint64
-	// Workers caps the engine's concurrency: 0 means GOMAXPROCS, 1 forces
-	// the serial path. Results are bit-identical for every worker count —
-	// trial RNGs are pre-split in submission order and aggregated by index.
-	Workers int
 }
 
 // RunFig5 sweeps space sizes × distributions for one algorithm, averaging
 // allocations-before-clash over trials. Trials run in parallel across
-// Workers goroutines sharing one scope cache; output is deterministic for
-// a fixed Seed regardless of worker count.
+// GOMAXPROCS goroutines sharing one scope cache; output is deterministic
+// for a fixed Seed regardless of GOMAXPROCS — trial RNGs are pre-split in
+// submission order and aggregated by index.
 func RunFig5(cfg Fig5Config) []Fig5Point {
 	if cfg.Trials < 1 {
 		cfg.Trials = 1
@@ -119,7 +116,7 @@ func RunFig5(cfg Fig5Config) []Fig5Point {
 	}
 	cache := topology.NewReachCache(cfg.Graph)
 	results := make([]FillResult, len(tasks))
-	par.For(cfg.Workers, len(tasks), func(i int) {
+	par.For(len(tasks), func(i int) {
 		t := tasks[i]
 		w := NewWorldWithCache(cfg.Graph, cache)
 		al := cfg.MakeAlloc(t.size)

@@ -15,7 +15,7 @@ func TestReqRespLargeGroup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-group request-response")
 	}
-	g, err := topology.GenerateGrid(topology.GridConfig{Nodes: 12800, RedundantLinks: true}, stats.NewRNG(31))
+	g, err := topology.GenerateGrid(12800, stats.NewRNG(31))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sessiondir/internal/allocator"
@@ -19,12 +20,29 @@ func parallelTestGraph(t *testing.T) *topology.Graph {
 	return g
 }
 
+// matchesSerial runs run with GOMAXPROCS at 1, then at 2, 4 and 8, fails
+// t if a parallel result differs from the serial one, and restores
+// GOMAXPROCS afterwards. No test in this package is t.Parallel, so nothing
+// else runs while GOMAXPROCS is changed.
+func matchesSerial[T any](t *testing.T, run func() T) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	serial := run()
+	for _, procs := range []int{2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		if got := run(); !reflect.DeepEqual(got, serial) {
+			t.Fatalf("GOMAXPROCS=%d diverges from serial:\n got  %+v\n want %+v", procs, got, serial)
+		}
+	}
+}
+
 // The parallel engine's contract: RunFig5 output is bit-identical at any
-// worker count because per-trial RNGs are pre-split in submission order and
+// GOMAXPROCS because per-trial RNGs are pre-split in submission order and
 // summaries are folded serially by index.
 func TestRunFig5ParallelMatchesSerial(t *testing.T) {
 	g := parallelTestGraph(t)
-	mk := func(workers int) []Fig5Point {
+	matchesSerial(t, func() []Fig5Point {
 		return RunFig5(Fig5Config{
 			Graph:      g,
 			SpaceSizes: []uint32{50, 100},
@@ -32,55 +50,36 @@ func TestRunFig5ParallelMatchesSerial(t *testing.T) {
 			MakeAlloc:  func(size uint32) allocator.Allocator { return allocator.NewInformedRandom(size) },
 			Trials:     6,
 			Seed:       1998,
-			Workers:    workers,
 		})
-	}
-	serial := mk(1)
-	for _, workers := range []int{2, 4, 8} {
-		if got := mk(workers); !reflect.DeepEqual(got, serial) {
-			t.Fatalf("workers=%d diverges from serial:\n got  %+v\n want %+v", workers, got, serial)
-		}
-	}
+	})
 }
 
 // Same contract for the steady-state estimator behind Figures 12/13.
 func TestClashProbabilityParallelMatchesSerial(t *testing.T) {
 	g := parallelTestGraph(t)
 	cache := topology.NewReachCache(g)
-	run := func(workers int) float64 {
+	matchesSerial(t, func() float64 {
 		return ClashProbability(g, cache, SteadyStateConfig{
 			Alloc:    allocator.NewHybrid(100),
 			Dist:     mcast.DS4(),
 			Sessions: 30,
-			Workers:  workers,
 		}, 12, stats.NewRNG(77))
-	}
-	serial := run(1)
-	for _, workers := range []int{2, 8} {
-		if got := run(workers); got != serial {
-			t.Fatalf("workers=%d: p=%v, serial p=%v", workers, got, serial)
-		}
-	}
+	})
 }
 
 // And for the full Figure-12 sweep, which nests ClashProbability probes.
 func TestRunFig12ParallelMatchesSerial(t *testing.T) {
 	g := parallelTestGraph(t)
-	run := func(workers int) []Fig12Point {
+	matchesSerial(t, func() []Fig12Point {
 		return RunFig12(Fig12Config{
 			Graph:      g,
 			SpaceSizes: []uint32{50},
 			MakeAlloc: func(size uint32) allocator.Allocator {
 				return allocator.NewStaticPartitioned(size, allocator.IPR3Separators())
 			},
-			Dist:    mcast.DS4(),
-			Reps:    8,
-			Seed:    1998,
-			Workers: workers,
+			Dist: mcast.DS4(),
+			Reps: 8,
+			Seed: 1998,
 		})
-	}
-	serial := run(1)
-	if got := run(6); !reflect.DeepEqual(got, serial) {
-		t.Fatalf("parallel Fig12 diverges:\n got  %+v\n want %+v", got, serial)
-	}
+	})
 }

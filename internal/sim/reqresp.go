@@ -225,17 +225,48 @@ func (p Fig15Point) String() string {
 		p.Mode, p.Jitter, p.DelayName, p.D2Millis, p.GroupSize, p.MeanResponses, p.MeanFirstMs, p.MaxFirstMs)
 }
 
+// TrialStats folds repeated request–response runs.
+type TrialStats struct {
+	Responses  stats.Summary // responses sent, one sample a trial
+	First      stats.Summary // first arrival at the requester, for each trial that had one
+	MaxFirstMs float64       // the latest of those first arrivals
+}
+
+// RunTrials runs trials request–response exchanges of cfg. Each trial
+// splits its own RNG from root, draws the requester from it and hands it
+// to RunReqResp; cfg.Requester is ignored.
+func RunTrials(cfg ReqRespConfig, trials int, root *stats.RNG) TrialStats {
+	var ts TrialStats
+	for trial := 0; trial < trials; trial++ {
+		rng := root.Split()
+		cfg.Requester = topology.NodeID(rng.IntN(cfg.Graph.NumNodes()))
+		r := RunReqResp(cfg, rng)
+		ts.Responses.Add(float64(r.Responses))
+		if r.FirstArrivalAt >= 0 {
+			ts.First.Add(r.FirstArrivalAt)
+			ts.MaxFirstMs = max(ts.MaxFirstMs, r.FirstArrivalAt)
+		}
+	}
+	return ts
+}
+
+// The sweeps' fixed parameters (§3): a member may respond at once (the
+// delay window starts at D1 = 0), queueing adds up to 2 ms per hop when
+// jitter is on, and the exponential distribution's r is a 200 ms RTT.
+const (
+	jitterPerHopMs = 2
+	rttMillis      = 200
+)
+
 // Fig15Config drives the request–response sweeps.
 type Fig15Config struct {
-	// Graphs maps group size → topology (the group is all nodes).
+	// GroupSizes are the sizes of the Doar topologies; the group is every
+	// node.
 	GroupSizes []int
 	D2Millis   []float64
-	D1Millis   float64
 	Mode       TreeMode
-	Jitter     bool    // per-hop queueing jitter on/off
-	JitterMs   float64 // per-hop jitter bound; 0 means 2 ms
-	Exp        bool    // exponential (Fig 18/19) vs uniform delay
-	RTTMillis  float64 // r for the exponential distribution
+	Jitter     bool // per-hop queueing jitter on/off
+	Exp        bool // exponential (Fig 18/19) vs uniform delay
 	Trials     int
 	Seed       uint64
 }
@@ -246,19 +277,14 @@ func RunFig15(cfg Fig15Config) ([]Fig15Point, error) {
 	if cfg.Trials < 1 {
 		cfg.Trials = 3
 	}
-	if cfg.RTTMillis <= 0 {
-		cfg.RTTMillis = 200
-	}
-	if cfg.JitterMs <= 0 {
-		cfg.JitterMs = 2
+	jitter := 0.0
+	if cfg.Jitter {
+		jitter = jitterPerHopMs
 	}
 	root := stats.NewRNG(cfg.Seed)
 	var out []Fig15Point
 	for _, size := range cfg.GroupSizes {
-		g, err := topology.GenerateGrid(topology.GridConfig{
-			Nodes:          size,
-			RedundantLinks: true,
-		}, root.Split())
+		g, err := topology.GenerateGrid(size, root.Split())
 		if err != nil {
 			return nil, err
 		}
@@ -269,44 +295,26 @@ func RunFig15(cfg Fig15Config) ([]Fig15Point, error) {
 		for _, d2 := range cfg.D2Millis {
 			var delay clash.DelayDist
 			if cfg.Exp {
-				delay = clash.NewExponentialDelay(cfg.D1Millis, d2, cfg.RTTMillis)
+				delay = clash.NewExponentialDelay(0, d2, rttMillis)
 			} else {
-				delay = clash.NewUniformDelay(cfg.D1Millis, d2)
+				delay = clash.NewUniformDelay(0, d2)
 			}
-			var responses, first stats.Summary
-			maxFirst := 0.0
-			for trial := 0; trial < cfg.Trials; trial++ {
-				rng := root.Split()
-				jit := 0.0
-				if cfg.Jitter {
-					jit = cfg.JitterMs
-				}
-				r := RunReqResp(ReqRespConfig{
-					Graph:        g,
-					Mode:         cfg.Mode,
-					Core:         0,
-					Requester:    topology.NodeID(rng.IntN(g.NumNodes())),
-					Members:      members,
-					Delay:        delay,
-					JitterPerHop: jit,
-				}, rng)
-				responses.Add(float64(r.Responses))
-				if r.FirstArrivalAt >= 0 {
-					first.Add(r.FirstArrivalAt)
-					if r.FirstArrivalAt > maxFirst {
-						maxFirst = r.FirstArrivalAt
-					}
-				}
-			}
+			ts := RunTrials(ReqRespConfig{
+				Graph:        g,
+				Mode:         cfg.Mode,
+				Members:      members,
+				Delay:        delay,
+				JitterPerHop: jitter,
+			}, cfg.Trials, root)
 			out = append(out, Fig15Point{
 				Mode:          cfg.Mode,
 				Jitter:        cfg.Jitter,
 				DelayName:     delay.Name(),
 				D2Millis:      d2,
 				GroupSize:     size,
-				MeanResponses: responses.Mean(),
-				MeanFirstMs:   first.Mean(),
-				MaxFirstMs:    maxFirst,
+				MeanResponses: ts.Responses.Mean(),
+				MeanFirstMs:   ts.First.Mean(),
+				MaxFirstMs:    ts.MaxFirstMs,
 				Trials:        cfg.Trials,
 			})
 		}

@@ -288,7 +288,7 @@ func TestRunFig12Shape(t *testing.T) {
 
 func gridForReqResp(t testing.TB, n int) *topology.Graph {
 	t.Helper()
-	g, err := topology.GenerateGrid(topology.GridConfig{Nodes: n, RedundantLinks: true}, stats.NewRNG(21))
+	g, err := topology.GenerateGrid(n, stats.NewRNG(21))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,14 +32,10 @@ type SteadyStateConfig struct {
 	UpperBound bool
 	// Workload overrides the session placement process entirely (the
 	// clustering experiment uses CommunityWorkload). nil selects
-	// RandomWorkload over Dist, wrapped per UpperBound.
+	// RandomWorkload over Dist, wrapped per UpperBound. ClashProbability
+	// shares Workload and Alloc across its workers, so both must be
+	// immutable, which every implementation in this repo is.
 	Workload Workload
-	// Workers caps ClashProbability's concurrency across repetitions:
-	// 0 means GOMAXPROCS, 1 forces the serial path. Estimates are
-	// bit-identical for every worker count (per-rep RNGs are pre-split in
-	// submission order). Alloc and Workload are shared across workers and
-	// must be immutable, which every implementation in this repo is.
-	Workers int
 }
 
 // workload resolves the effective Workload for a run over graph g.
@@ -130,9 +126,9 @@ func RunSteadyStateOnce(g *topology.Graph, cache *topology.ReachCache, cfg Stead
 }
 
 // ClashProbability estimates P(≥1 clash during n replacements) over reps
-// repetitions. Repetitions run in parallel across cfg.Workers goroutines
+// repetitions. Repetitions run in parallel across GOMAXPROCS goroutines
 // sharing the scope cache; the estimate is deterministic for a fixed rng
-// state regardless of worker count.
+// state regardless of GOMAXPROCS.
 func ClashProbability(g *topology.Graph, cache *topology.ReachCache, cfg SteadyStateConfig, reps int, rng *stats.RNG) float64 {
 	if reps < 1 {
 		reps = 1
@@ -144,7 +140,7 @@ func ClashProbability(g *topology.Graph, cache *topology.ReachCache, cfg SteadyS
 		rngs[r] = rng.Split()
 	}
 	results := make([]SteadyStateResult, reps)
-	par.For(cfg.Workers, reps, func(r int) {
+	par.For(reps, func(r int) {
 		results[r] = RunSteadyStateOnce(g, cache, cfg, rngs[r])
 	})
 	hits := 0
@@ -177,9 +173,6 @@ type Fig12Config struct {
 	// Workload optionally overrides the churn process (see SteadyStateConfig).
 	Workload Workload
 	Seed     uint64
-	// Workers is the engine concurrency for the probe repetitions
-	// (see SteadyStateConfig.Workers).
-	Workers int
 }
 
 // RunFig12 finds, for each space size, the acceptability threshold of §2.6:
@@ -212,7 +205,6 @@ func RunFig12(cfg Fig12Config) []Fig12Point {
 				Sessions:   n,
 				UpperBound: cfg.UpperBound,
 				Workload:   cfg.Workload,
-				Workers:    cfg.Workers,
 			}, cfg.Reps, root.Split())
 		}
 		smoothed := stats.MedianFilter(probs, 3)

@@ -9,7 +9,7 @@ import (
 
 func TestGridGeneratorBasics(t *testing.T) {
 	rng := stats.NewRNG(1)
-	g, err := GenerateGrid(GridConfig{Nodes: 500, RedundantLinks: true}, rng)
+	g, err := GenerateGrid(500, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +37,11 @@ func TestGridGeneratorBasics(t *testing.T) {
 }
 
 func TestGridGeneratorDeterministic(t *testing.T) {
-	g1, err := GenerateGrid(GridConfig{Nodes: 200}, stats.NewRNG(9))
+	g1, err := GenerateGrid(200, stats.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := GenerateGrid(GridConfig{Nodes: 200}, stats.NewRNG(9))
+	g2, err := GenerateGrid(200, stats.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestGridGeneratorDeterministic(t *testing.T) {
 }
 
 func TestGridGeneratorRejectsTiny(t *testing.T) {
-	if _, err := GenerateGrid(GridConfig{Nodes: 1}, stats.NewRNG(1)); err == nil {
+	if _, err := GenerateGrid(1, stats.NewRNG(1)); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -66,7 +66,7 @@ func TestGridNearestNeighborLinksAreLocal(t *testing.T) {
 	// link distance of the last quarter must be well below that of the
 	// first few backbone links.
 	rng := stats.NewRNG(5)
-	g, err := GenerateGrid(GridConfig{Nodes: 1000}, rng)
+	g, err := GenerateGrid(1000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,53 +7,30 @@ import (
 	"sessiondir/internal/stats"
 )
 
-// GridConfig parameterises the Doar-style topology generator of §3.
-type GridConfig struct {
-	// Nodes is the number of routers to place.
-	Nodes int
-	// GridSide is the side length of the square coordinate grid; 0 picks
-	// a side proportional to sqrt(Nodes) so density is scale-free.
-	GridSide float64
-	// RedundantLinks adds the paper's extra random links to nodes
-	// n/30..n/20, providing the redundant backbone paths that
-	// differentiate shortest-path from shared trees.
-	RedundantLinks bool
-	// DelayPerUnit converts grid distance to link delay in milliseconds.
-	// 0 picks a default such that the network's delay diameter is a few
-	// hundred milliseconds, matching the paper's R = 200 ms framing.
-	DelayPerUnit float64
-}
-
-// GenerateGrid builds a topology per the paper's §3 recipe:
+// GenerateGrid builds a topology of n routers per the paper's §3 recipe:
 //
-//   - the "space" is a square grid and nodes are allocated coordinates on it;
+//   - the "space" is a square grid, its side proportional to sqrt(n) so
+//     density is scale-free, and nodes are allocated coordinates on it;
 //   - each new node is connected to its nearest neighbour already placed, so
 //     the earliest nodes form long "backbone" links and later nodes cluster
 //     (a tree similar to CBT / sparse-mode PIM shared trees);
-//   - optionally, nodes with index in [n/30, n/20) are additionally connected
-//     to a random pre-existing node, providing redundant backbone links that
+//   - nodes with index in [n/30, n/20) are additionally connected to a
+//     random pre-existing node, providing redundant backbone links that
 //     source-based shortest path trees can exploit.
 //
 // Link delays are proportional to grid distance (§3: "link delays were
-// primarily based on distance between the nodes forming the link"); random
-// per-packet queueing jitter is a simulation-time concern, not a property of
-// the topology. All links carry threshold 1 (no scope boundaries: the
-// request–response experiments do not use scoping) and metric 1.
-func GenerateGrid(cfg GridConfig, rng *stats.RNG) (*Graph, error) {
-	n := cfg.Nodes
+// primarily based on distance between the nodes forming the link"),
+// scaled so the corner-to-corner distance is about 100 ms one-way, giving
+// RTTs around the paper's R = 200 ms. Random per-packet queueing jitter is
+// a simulation-time concern, not a property of the topology. All links
+// carry threshold 1 (no scope boundaries: the request–response experiments
+// do not use scoping) and metric 1.
+func GenerateGrid(n int, rng *stats.RNG) (*Graph, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("topology: grid generator needs >= 2 nodes, got %d", n)
 	}
-	side := cfg.GridSide
-	if side <= 0 {
-		side = math.Sqrt(float64(n)) * 10
-	}
-	delayPerUnit := cfg.DelayPerUnit
-	if delayPerUnit <= 0 {
-		// Normalise so that the expected corner-to-corner distance is
-		// roughly 100 ms one-way, giving RTTs around the paper's 200 ms.
-		delayPerUnit = 100 / (side * math.Sqrt2)
-	}
+	side := math.Sqrt(float64(n)) * 10
+	delayPerUnit := 100 / (side * math.Sqrt2)
 
 	g := NewGraph(n)
 	idx := newNNIndex(side, n)
@@ -70,23 +47,20 @@ func GenerateGrid(cfg GridConfig, rng *stats.RNG) (*Graph, error) {
 		}
 		idx.insert(x, y, NodeID(i))
 	}
-	if cfg.RedundantLinks {
-		lo, hi := n/30, n/20
-		for i := lo; i < hi; i++ {
-			// Connect to a random pre-existing node that is not already
-			// a neighbour.
-			for attempt := 0; attempt < 8; attempt++ {
-				j := NodeID(rng.IntN(i))
-				if j == NodeID(i) {
-					continue
-				}
-				if _, dup := g.EdgeBetween(NodeID(i), j); dup {
-					continue
-				}
-				d := dist(g.Nodes[i], g.Nodes[j])
-				g.MustAddLink(NodeID(i), j, 1, 1, math.Max(d*delayPerUnit, 1e-3))
-				break
+	for i := n / 30; i < n/20; i++ {
+		// Connect to a random pre-existing node that is not already a
+		// neighbour.
+		for attempt := 0; attempt < 8; attempt++ {
+			j := NodeID(rng.IntN(i))
+			if j == NodeID(i) {
+				continue
 			}
+			if _, dup := g.EdgeBetween(NodeID(i), j); dup {
+				continue
+			}
+			d := dist(g.Nodes[i], g.Nodes[j])
+			g.MustAddLink(NodeID(i), j, 1, 1, math.Max(d*delayPerUnit, 1e-3))
+			break
 		}
 	}
 	return g, nil
