@@ -336,6 +336,51 @@ func TestAdmissionOriginRateLimit(t *testing.T) {
 	}
 }
 
+// TestAdmissionRateBeforeParse: the token bucket is charged before the
+// payload is read. An origin flooding SAP-valid datagrams whose SDP does
+// not parse has only its burst's worth parsed (and counted malformed); the
+// rest are dropped by the rate limit unread, and counted as received and
+// as quota drops. Another origin is unaffected.
+func TestAdmissionRateBeforeParse(t *testing.T) {
+	bus := transport.NewBus()
+	clk := newFakeClock()
+	dir, err := New(Config{
+		Origin:      netip.MustParseAddr("10.0.0.1"),
+		Transport:   bus.Endpoint(),
+		Space:       mcast.SyntheticSpace(256),
+		Clock:       clk.Now,
+		Seed:        1,
+		OriginRate:  1,
+		OriginBurst: 8,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
+	flooder := netip.MustParseAddr("10.0.0.9")
+	payload := []byte("v=0\r\nnot sdp\r\n")
+	pkt := sap.Packet{Type: sap.Announce, MsgIDHash: sap.MsgIDHashOf(payload), Origin: flooder, Payload: payload}
+	wire, err := pkt.Marshal(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := bus.Endpoint()
+	for i := 0; i < 40; i++ {
+		if err := ep.SendBatch(context.Background(), oneDgram(wire, 127)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := dir.Metrics(); m.PacketsMalformed != 8 || m.QuotaDrops != 32 || m.PacketsReceived != 32 {
+		t.Fatalf("40 unparseable datagrams past an 8-token burst: %d malformed, %d quota drops, %d received; want 8, 32, 32",
+			m.PacketsMalformed, m.QuotaDrops, m.PacketsReceived)
+	}
+	other := peerDesc("10.0.0.10", 1, mcast.SyntheticSpace(256), 200, 127)
+	newForge(t, bus).send(sap.Announce, other.Origin, other)
+	if !knowsKey(dir, other.Key()) {
+		t.Fatal("innocent origin rate-limited by the flooder's bucket")
+	}
+}
+
 // TestAdmissionLoadCacheOverBudget: loading a checkpoint larger than
 // MaxSessions must trim deterministically, never over-admit.
 func TestAdmissionLoadCacheOverBudget(t *testing.T) {

@@ -23,9 +23,13 @@ import (
 //	'E' | session key            (expiry: entry dropped)
 //	'V' | session key            (eviction: entry dropped)
 //
-// Snapshot records reuse the 'L' encoding, one per live session —
-// tombstones are not persisted (a restart may briefly resurrect a
-// deleted session; the deletion's re-announcement squelches it).
+// A journal 'L' record holds the payload as heard: the bytes the entry's
+// description was parsed from, so its digest is theirs and a recovered
+// entry knows its sender's next unchanged announcement however the
+// sender spells it. Snapshot records reuse the 'L' encoding, one per live
+// session, with the description re-encoded — tombstones are not persisted
+// (a restart may briefly resurrect a deleted session; the deletion's
+// re-announcement squelches it).
 type CacheStore struct {
 	store  *storage.Store
 	dir    *Directory
@@ -56,23 +60,16 @@ type cacheStoreInstruments struct {
 // learnHeader is a learn record's length before its SDP bytes.
 const learnHeader = 1 + 8 + 8
 
-// encodeLearn frames one cache entry as a learn delta in a buffer of
-// exactly its length. Returns nil (skip) for descriptions that cannot
-// marshal: one invalid cached description must not fail the whole
-// checkpoint.
-func encodeLearn(e *announce.Entry) []byte {
-	if p := appendLearn(make([]byte, 0, learnHeader+e.Desc.SDPLen()), e); len(p) > 0 {
-		return p
-	}
-	return nil
+// appendLearnHeader appends the header of e's learn record to dst.
+func appendLearnHeader(dst []byte, e *announce.Entry) []byte {
+	rec := binary.BigEndian.AppendUint64(append(dst, deltaLearn), uint64(e.FirstHeard))
+	return binary.BigEndian.AppendUint64(rec, uint64(e.LastHeard.Unix()))
 }
 
-// appendLearn appends e's learn record to dst, or nothing if its
-// description cannot marshal.
+// appendLearn appends e's learn record, its description re-encoded, to
+// dst, or nothing if the description cannot marshal.
 func appendLearn(dst []byte, e *announce.Entry) []byte {
-	rec := binary.BigEndian.AppendUint64(append(dst, deltaLearn), uint64(e.FirstHeard))
-	rec = binary.BigEndian.AppendUint64(rec, uint64(e.LastHeard.Unix()))
-	if rec, err := e.Desc.AppendSDP(rec); err == nil {
+	if rec, err := e.Desc.AppendSDP(appendLearnHeader(dst, e)); err == nil {
 		return rec
 	}
 	return dst

@@ -481,7 +481,8 @@ func listenerMicros() []microBenchResult {
 // per batch. Last, the two calls a budget adds to a full cache's steady
 // state: a tick with nothing due, which also counts the fresh entries for
 // the overload tier (DirStep, DirStepBudgeted), and a newcomer from an
-// origin at its quota of fresh sessions (DirAdmitAtQuota).
+// origin at its quota of fresh sessions (DirAdmitAtQuota), also beside a
+// third of the cache gone stale (DirAdmitAtQuotaStale).
 func directoryMicros() []microBenchResult {
 	var out []microBenchResult
 	origin := netip.MustParseAddr("10.0.0.1")
@@ -631,6 +632,25 @@ func directoryMicros() []microBenchResult {
 			panic(fmt.Sprintf("DirAdmitAtQuota: %d quota drops, %d learned, cache %d of %d: not every newcomer denied", m.QuotaDrops, m.SessionsLearned, quota.CacheSize(), n))
 		}
 		quota.Close()
+
+		// The same denial when a third of the cache is stale sessions of
+		// other origins, which a walk of the order for the origin's
+		// evictable entries would visit: the origin's counts show it has
+		// none, so the planner denies it without one.
+		stale := newDir(0, 100)
+		stale.HandleBatch(wires[n-n/3 : n])
+		now = now.Add(2 * time.Minute)
+		stale.HandleBatch(wires[:n-n/3])
+		out = append(out, runMicro(fmt.Sprintf("DirAdmitAtQuotaStale%dk", n/1000), 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				now = now.Add(time.Microsecond)
+				stale.HandleBatch(crowd[i%len(crowd) : i%len(crowd)+1])
+			}
+		}))
+		if m := stale.Metrics(); m.QuotaDrops == 0 || m.SessionsLearned != uint64(n) || m.Evictions != 0 || stale.CacheSize() != n {
+			panic(fmt.Sprintf("DirAdmitAtQuotaStale: %d quota drops, %d learned, %d evicted, cache %d of %d: not every newcomer denied", m.QuotaDrops, m.SessionsLearned, m.Evictions, stale.CacheSize(), n))
+		}
+		stale.Close()
 	}
 	return out
 }
@@ -773,8 +793,8 @@ const refreshBatchAllocs = 0
 //     are recorded, not gated, until the micros' estimator can be trusted
 //     with one);
 //   - a never-seen session denied at its origin's quota with the same
-//     allocations at 1k and 10k cached sessions (ratio recorded, not
-//     gated, as DirStep's is);
+//     allocations at 1k and 10k cached sessions, with and without a third
+//     of the cache stale (ratios recorded, not gated, as DirStep's is);
 //   - a shortest-path tree over the 1864-router Mbone in fewer
 //     allocations than routers (spTreeAllocs);
 //   - the occupancy simulator's view and clash test allocation-free, the
@@ -829,12 +849,14 @@ func budgetFailures(r benchReport) []string {
 				name, at10k.NsPerOp, at10k.NsPerOp/at1k.NsPerOp, at1k.NsPerOp))
 		}
 	}
-	switch at1k, at10k := micro["DirAdmitAtQuota1k"], micro["DirAdmitAtQuota10k"]; {
-	case at1k.Name == "" || at10k.Name == "":
-		fails = append(fails, "budget: micro DirAdmitAtQuota1k or DirAdmitAtQuota10k missing from report")
-	case at10k.AllocsOp != at1k.AllocsOp:
-		fails = append(fails, fmt.Sprintf("budget: DirAdmitAtQuota %d allocs/op at 10k cached sessions, %d at 1k, budget: the same (a denial reads the top of the order, not the cache)",
-			at10k.AllocsOp, at1k.AllocsOp))
+	for _, name := range []string{"DirAdmitAtQuota", "DirAdmitAtQuotaStale"} {
+		switch at1k, at10k := micro[name+"1k"], micro[name+"10k"]; {
+		case at1k.Name == "" || at10k.Name == "":
+			fails = append(fails, fmt.Sprintf("budget: micro %s1k or %s10k missing from report", name, name))
+		case at10k.AllocsOp != at1k.AllocsOp:
+			fails = append(fails, fmt.Sprintf("budget: %s %d allocs/op at 10k cached sessions, %d at 1k, budget: the same (a denial reads the origin's counts or the top of the order, not the cache)",
+				name, at10k.AllocsOp, at1k.AllocsOp))
+		}
 	}
 	for _, c := range []struct {
 		name  string

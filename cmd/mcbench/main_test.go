@@ -195,6 +195,8 @@ func TestRunCompareInjected2xSlowdown(t *testing.T) {
 		{"name":"DirStepBudgeted10k","ns_per_op":150},
 		{"name":"DirAdmitAtQuota1k","ns_per_op":1700,"allocs_per_op":4},
 		{"name":"DirAdmitAtQuota10k","ns_per_op":2000,"allocs_per_op":4},
+		{"name":"DirAdmitAtQuotaStale1k","ns_per_op":1700,"allocs_per_op":4},
+		{"name":"DirAdmitAtQuotaStale10k","ns_per_op":2000,"allocs_per_op":4},
 		{"name":"SPTree1864","ns_per_op":340000,"allocs_per_op":1440},
 		{"name":"SimVisibleAt1k","ns_per_op":1500},
 		{"name":"SimVisibleAt10k","ns_per_op":8000},
@@ -237,6 +239,8 @@ func budgetReport() benchReport {
 			{Name: "DirStepBudgeted10k", NsPerOp: 150},
 			{Name: "DirAdmitAtQuota1k", NsPerOp: 1700, AllocsOp: 4},
 			{Name: "DirAdmitAtQuota10k", NsPerOp: 2000, AllocsOp: 4},
+			{Name: "DirAdmitAtQuotaStale1k", NsPerOp: 1700, AllocsOp: 4},
+			{Name: "DirAdmitAtQuotaStale10k", NsPerOp: 2000, AllocsOp: 4},
 			{Name: "SPTree1864", NsPerOp: 340000, AllocsOp: 1440},
 			{Name: "SimVisibleAt1k", NsPerOp: 1500},
 			{Name: "SimVisibleAt10k", NsPerOp: 8000},
@@ -301,8 +305,8 @@ func TestBudgetFailuresBatchDepthCollapse(t *testing.T) {
 func TestBudgetFailuresMissingMicros(t *testing.T) {
 	r := budgetReport()
 	r.Micro = nil
-	if fails := budgetFailures(r); len(fails) != 24 {
-		t.Fatalf("missing micros should produce twenty-four failures, got: %v", fails)
+	if fails := budgetFailures(r); len(fails) != 25 {
+		t.Fatalf("missing micros should produce twenty-five failures, got: %v", fails)
 	}
 }
 
@@ -398,7 +402,7 @@ func TestBudgetFailuresDirStep(t *testing.T) {
 // the same allocations at both cache sizes; their size ratios are recorded,
 // not gated. A shortest-path tree is held under one allocation per router.
 func TestBudgetFailuresBudgetedDirectory(t *testing.T) {
-	for _, name := range []string{"DirStepBudgeted1k", "DirStepBudgeted10k", "DirAdmitAtQuota1k", "DirAdmitAtQuota10k", "SPTree1864"} {
+	for _, name := range []string{"DirStepBudgeted1k", "DirStepBudgeted10k", "DirAdmitAtQuota1k", "DirAdmitAtQuota10k", "DirAdmitAtQuotaStale1k", "DirAdmitAtQuotaStale10k", "SPTree1864"} {
 		r := budgetReport()
 		micro(t, &r, name).Name = "gone"
 		if fails := budgetFailures(r); len(fails) != 1 {
@@ -412,19 +416,22 @@ func TestBudgetFailuresBudgetedDirectory(t *testing.T) {
 			t.Fatalf("allocating %s not caught: %v", name, fails)
 		}
 	}
-	r := budgetReport()
-	micro(t, &r, "DirAdmitAtQuota10k").AllocsOp = 5 // a denial that collects something per cached entry
-	if fails := budgetFailures(r); len(fails) != 1 {
-		t.Fatalf("population-dependent denial allocations not caught: %v", fails)
+	for _, name := range []string{"DirAdmitAtQuota10k", "DirAdmitAtQuotaStale10k"} {
+		r := budgetReport()
+		micro(t, &r, name).AllocsOp = 5 // a denial that collects something per cached entry
+		if fails := budgetFailures(r); len(fails) != 1 {
+			t.Fatalf("population-dependent denial allocations in %s not caught: %v", name, fails)
+		}
 	}
-	r = budgetReport()
+	r := budgetReport()
 	micro(t, &r, "SPTree1864").AllocsOp = 5158 // every push boxed through container/heap again
 	if fails := budgetFailures(r); len(fails) != 1 {
 		t.Fatalf("a boxing heap push not caught: %v", fails)
 	}
 	r = budgetReport()
-	micro(t, &r, "DirStepBudgeted10k").NsPerOp = 370000 // a fresh-count scan per tick: slow, but not gated yet
-	micro(t, &r, "DirAdmitAtQuota10k").NsPerOp = 210000 // a walk of the whole order per denial: likewise
+	micro(t, &r, "DirStepBudgeted10k").NsPerOp = 370000     // a fresh-count scan per tick: slow, but not gated yet
+	micro(t, &r, "DirAdmitAtQuota10k").NsPerOp = 210000     // a walk of the whole order per denial: likewise
+	micro(t, &r, "DirAdmitAtQuotaStale10k").NsPerOp = 70000 // a walk of the stale third per denial: likewise
 	if fails := budgetFailures(r); len(fails) != 0 {
 		t.Fatalf("a budgeted size ratio is gated: %v", fails)
 	}

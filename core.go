@@ -152,7 +152,8 @@ type ownedSession struct {
 type parsedPacket struct {
 	pkt sap.Packet
 	// desc and key are set once apply has parsed the payload; a packet
-	// that arrives with desc set is not parsed again.
+	// that arrives with desc set is not parsed again, and desc must be
+	// what the payload parses to: the learn record journals the payload.
 	desc *session.Description
 	key  string
 	// digest is sap.PayloadDigest of the payload; peek[:peekLen] is what
@@ -181,14 +182,14 @@ func (c *core) record(kind EventKind, key string, addr mcast.Addr, desc *session
 	}
 }
 
-// journalLearn queues a learn record; an unencodable entry is skipped,
-// for the next checkpoint snapshot to cover.
-func (c *core) journalLearn(e *announce.Entry) {
-	if !c.journaling {
-		return
-	}
-	if p := encodeLearn(e); p != nil {
-		c.fx.journal = append(c.fx.journal, p)
+// journalLearn queues e's learn record with sdp, the payload e's
+// description was parsed from as heard: the preimage of e's digest, so a
+// recovered entry knows its sender's next unchanged announcement. The
+// payload is on loan, so the record copies it.
+func (c *core) journalLearn(e *announce.Entry, sdp []byte) {
+	if c.journaling {
+		rec := appendLearnHeader(make([]byte, 0, learnHeader+len(sdp)), e)
+		c.fx.journal = append(c.fx.journal, append(rec, sdp...))
 	}
 }
 
@@ -372,12 +373,23 @@ func (c *core) withdraw(key string, now time.Time) error {
 	return nil
 }
 
-// apply is the receive path past the decode: the parse (unless the
-// payload is one the cache already holds), admission, validation, cache
-// and clash-tracker mutation. Calls across a batch must run in arrival
-// order.
+// apply is the receive path past the decode: the rate check, the parse
+// (unless the payload is one the cache already holds), admission,
+// validation, cache and clash-tracker mutation. Calls across a batch must
+// run in arrival order.
 func (c *core) apply(p *parsedPacket, now time.Time) {
 	if !p.ok {
+		return
+	}
+	// Per-origin rate limiting covers everything a peer can make us
+	// process, the parse included: the origin is the SAP header's, so the
+	// bucket is charged before the payload is read. Every decoded datagram
+	// spends a token, an unparseable one too. Dropped packets trigger no
+	// reactions at all, so they cannot be amplified into defense storms
+	// either.
+	if !c.admit.Allow(p.pkt.Origin, now) {
+		c.ins.packetsReceived.Inc()
+		c.ins.quotaDrops.Inc()
 		return
 	}
 	// An unchanged re-announcement of a cached session (refresh != nil) is
@@ -397,14 +409,6 @@ func (c *core) apply(p *parsedPacket, now time.Time) {
 	}
 	c.ins.packetsReceived.Inc()
 	pkt, desc, key := &p.pkt, p.desc, p.key
-
-	// Per-origin rate limiting covers everything a peer can make us
-	// process. Dropped packets trigger no reactions at all, so they cannot
-	// be amplified into defense storms either.
-	if !c.admit.Allow(pkt.Origin, now) {
-		c.ins.quotaDrops.Inc()
-		return
-	}
 
 	if refresh != nil {
 		// What the rest of this function comes to for this datagram:
@@ -450,7 +454,7 @@ func (c *core) apply(p *parsedPacket, now time.Time) {
 		// Only fresh observations are journaled; pure LastHeard
 		// refreshes ride on the next snapshot, so a recovered timestamp
 		// is at most one checkpoint interval old.
-		c.journalLearn(e)
+		c.journalLearn(e, pkt.Payload)
 	}
 	c.applyActions(c.observe(key, desc, now), now)
 }
@@ -795,7 +799,9 @@ func (c *core) restore(p []byte, now time.Time) (bool, error) {
 		}
 		// The digest of the record's own bytes, which desc was parsed from
 		// just now: a re-announcement that spells the session this way is
-		// known unchanged from the first one after recovery.
+		// known unchanged from the first one after recovery. A journal
+		// record holds the payload as heard, so this is the digest the
+		// entry had before the restart, whatever the sender's spelling.
 		digest := sap.PayloadDigest(c.digestSeed, p[17:])
 		return c.cache.Restore(desc, digest, time.Unix(first, 0), time.Unix(last, 0), now), nil
 	case deltaDelete:

@@ -143,8 +143,8 @@ type Metrics struct {
 	// Phase-3 defenses of others' sessions count in ClashDefensesThird.
 	AnnouncementsSent   uint64
 	DeletionsSent       uint64
-	PacketsReceived     uint64 // well-formed SAP packets processed
-	PacketsMalformed    uint64 // undecodable packets or payloads dropped
+	PacketsReceived     uint64 // well-formed SAP packets processed, rate-limited ones included
+	PacketsMalformed    uint64 // undecodable packets or payloads dropped (a payload is read only within its origin's rate)
 	SessionsLearned     uint64 // distinct sessions (or new versions) cached
 	SessionsExpired     uint64
 	ClashAddressChanges uint64 // phase-2 moves of our own sessions

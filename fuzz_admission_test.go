@@ -14,10 +14,11 @@ import (
 )
 
 // FuzzAdmission drives the full receive path — rate limit, validation,
-// budget — with attacker-shaped traffic from one hostile origin: raw
-// fuzz bytes on the wire, plus announce/delete/clash-report sequences
-// whose shape (session IDs, versions, groups, deletions, clock skips
-// forward and back) is decoded from the fuzz input. Invariants: no panic, the cache never
+// budget — with attacker-shaped traffic from one hostile origin beside a
+// bystander origin whose sessions go stale as the clock moves: raw fuzz
+// bytes on the wire, plus announce/delete/clash-report sequences whose
+// shape (session IDs, versions, groups, deletions, clock skips forward
+// and back) is decoded from the fuzz input. Invariants: no panic, the cache never
 // exceeds MaxSessions, owned sessions survive whatever arrives, and after
 // every packet the indices kept at the cache's mutation sites plan and
 // view exactly what a rebuild from a scan would (checkIndices).
@@ -32,6 +33,11 @@ func FuzzAdmission(f *testing.F) {
 	// stale), announce again, step back 200 s (the first ones fresh again)
 	// and on — the fresh count's memo must rescan each way.
 	f.Add([]byte{1, 1, 1, 1, 2, 1, 4, 200, 0, 4, 200, 0, 1, 3, 1, 4, 200, 1, 1, 4, 2, 4, 150, 0, 4, 100, 1})
+	// The bystander's two sessions go stale, the hostile origin fills its
+	// quota of two with fresh ones and sends a third: the planner denies it
+	// from the origin's counts while stale entries of another fill the
+	// cache.
+	f.Add([]byte{2, 1, 1, 2, 2, 1, 4, 200, 0, 4, 200, 0, 1, 3, 1, 1, 4, 2, 1, 5, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bus := transport.NewBus()
@@ -58,6 +64,7 @@ func FuzzAdmission(f *testing.F) {
 
 		attacker := bus.Endpoint()
 		hostile := netip.MustParseAddr("10.0.0.66")
+		bystander := netip.MustParseAddr("10.0.0.77")
 		space := mcast.SyntheticSpace(32)
 
 		for i := 0; i+2 < len(data); i += 3 {
@@ -69,17 +76,21 @@ func FuzzAdmission(f *testing.F) {
 					end = len(data)
 				}
 				_ = attacker.SendBatch(context.Background(), oneDgram(data[i:end], 127))
-			case 1, 2: // announce: id/version/group from fuzz bytes
+			case 1, 2: // announce: id/version/group from fuzz bytes; 2 is the bystander's
+				origin := hostile
+				if op%5 == 2 {
+					origin = bystander
+				}
 				desc := &session.Description{
 					ID:      uint64(a % 8),
 					Version: uint64(b % 4),
-					Origin:  hostile,
+					Origin:  origin,
 					Name:    fmt.Sprintf("h%d", a),
 					Group:   space.Group(mcast.Addr(b % 32)),
 					TTL:     mcast.TTL(a),
 					Media:   []session.Media{{Type: "audio", Port: 5004, Proto: "RTP/AVP", Format: "0"}},
 				}
-				sendFuzz(attacker, sap.Announce, hostile, desc)
+				sendFuzz(attacker, sap.Announce, origin, desc)
 			case 3: // delete, sometimes naming the owned session
 				victim := &session.Description{
 					ID:      uint64(a % 8),
@@ -104,7 +115,7 @@ func FuzzAdmission(f *testing.F) {
 			}
 			// The maintained eviction order and allocator view must agree
 			// with a fresh scan after whatever just arrived.
-			checkIndices(t, dir, hostile)
+			checkIndices(t, dir, hostile, bystander)
 		}
 
 		if n := dir.CacheSize(); n > 4+1 { // +1: own session tombstoneless echo

@@ -350,9 +350,20 @@ func heardDesc(i int) *session.Description {
 }
 
 // admitUnknown applies one announcement the way the receive path does
-// after parsing it.
+// after parsing it: with the payload desc was parsed from and its digest,
+// so a learn record journals the bytes the entry's digest is of.
 func admitUnknown(d *Directory, desc *session.Description) {
-	p := parsedPacket{pkt: sap.Packet{Type: sap.Announce, Origin: desc.Origin}, desc: desc, key: desc.Key(), ok: true}
+	payload, err := desc.MarshalSDP()
+	if err != nil {
+		panic(err)
+	}
+	p := parsedPacket{
+		pkt:    sap.Packet{Type: sap.Announce, Origin: desc.Origin, Payload: payload},
+		desc:   desc,
+		key:    desc.Key(),
+		digest: sap.PayloadDigest(d.digestSeed, payload),
+		ok:     true,
+	}
 	d.mu.Lock()
 	d.apply(&p, d.cfg.Clock())
 	d.mu.Unlock()

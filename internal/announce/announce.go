@@ -192,7 +192,7 @@ type Cache struct {
 	// self stay out of it) and the allocator state the entries are filed
 	// in (nil = not tracked). See index.go.
 	order     evictHeap
-	perOrigin map[netip.Addr]int32
+	perOrigin map[netip.Addr]originIndex
 	self      netip.Addr
 	state     *allocator.State
 	space     mcast.AddrSpace
@@ -327,12 +327,17 @@ func (c *Cache) enter(e *Entry) {
 }
 
 // heard sets e's LastHeard to now; a clock that went backwards moves e's
-// deadline earlier, and the bound with it.
+// deadline earlier, and the bound with it, and its origin's bound in the
+// eviction order. LastHeard keeps the wall reading only (Round(0)), as a
+// restored entry's does, so that every LastHeard compares with every
+// other, and with now, on one clock.
 func (c *Cache) heard(e *Entry, now time.Time) {
+	now = now.Round(0)
 	back := now.Before(e.LastHeard)
 	e.LastHeard = now
 	if back {
 		c.lowerBound(e)
+		c.lowerOriginBound(e)
 	}
 }
 
@@ -350,11 +355,12 @@ func (c *Cache) Observe(d *session.Description, now time.Time) (*Entry, bool) {
 func (c *Cache) ObserveParsed(key string, d *session.Description, digest uint64, now time.Time) (*Entry, bool) {
 	e, ok := c.entries[key]
 	if !ok {
-		e = &Entry{Desc: d, FirstHeard: now.Unix(), LastHeard: now, adBytes: adSize(d), digest: digest, key: key}
+		e = &Entry{Desc: d, FirstHeard: now.Unix(), LastHeard: now.Round(0), adBytes: adSize(d), digest: digest, key: key}
 		c.add(e)
 		return e, true
 	}
 	c.leave(e)
+	wasDeleted := e.Deleted
 	// An older version replaces nothing — not even a tombstone, which
 	// stays deleted — so it is never fresh.
 	fresh := false
@@ -364,7 +370,7 @@ func (c *Cache) ObserveParsed(key string, d *session.Description, digest uint64,
 	}
 	c.heard(e, now)
 	c.enter(e)
-	c.orderFix(e)
+	c.orderFix(e, wasDeleted)
 	return e, fresh
 }
 
@@ -416,7 +422,7 @@ func (c *Cache) Restore(desc *session.Description, digest uint64, first, last, n
 			c.leave(existing)
 			existing.Desc, existing.digest, existing.adBytes = desc, digest, adSize(desc)
 			c.enter(existing)
-			c.orderFix(existing)
+			c.orderFix(existing, false)
 		}
 		return false
 	}
@@ -436,9 +442,10 @@ func (c *Cache) Restore(desc *session.Description, digest uint64, first, last, n
 func (c *Cache) Delete(key string, now time.Time) {
 	if e, ok := c.entries[key]; ok {
 		c.leave(e) // a tombstone is not counted again
+		wasDeleted := e.Deleted
 		e.Deleted = true
-		e.LastHeard = now
-		c.orderFix(e)
+		c.heard(e, now)
+		c.orderFix(e, wasDeleted)
 		c.lowerBound(e) // a tombstone's limit is a tenth of the timeout
 	}
 }
@@ -485,16 +492,19 @@ func (c *Cache) Len() int { return c.live } //mclint:unused pinned by benchmark/
 // journal, all of which must replay identically from a seed. Until now
 // passes the earliest deadline's bound nothing can be due, and Expire
 // returns without looking at an entry; a call past it scans them all and
-// sets the bound to the earliest deadline among those that stay.
+// sets the bound to the earliest deadline among those that stay, and the
+// eviction order's per-origin bounds to the earliest LastHeard.
 func (c *Cache) Expire(now time.Time) []string {
 	if !now.After(c.bound) {
 		return nil
 	}
 	var evicted []string
 	c.bound = time.Time{}
+	c.unboundOrigins()
 	for key, e := range c.entries { //mclint:maporder evictions are sorted before returning; the bound is a minimum
 		if now.Sub(e.LastHeard) <= c.limit(e) {
 			c.lowerBound(e)
+			c.lowerOriginBound(e)
 			continue
 		}
 		c.drop(e)

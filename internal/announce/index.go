@@ -16,10 +16,13 @@ import (
 // gate nor the allocator has to rebuild its picture of the cache per call:
 //
 //   - the eviction order (TrackOrder): a min-heap over the entries in
-//     admission's eviction preference plus a count of entries per origin.
-//     Evictable entries sort first, so they are a subtree at the heap's
-//     root: asking for them walks that subtree and stops at the first
-//     entry on each branch that is not, whatever the cache holds besides;
+//     admission's eviction preference plus, per origin, a count of its
+//     entries and of its tombstones and a lower bound on their LastHeard
+//     (originIndex). Evictable entries sort first, so they are a subtree at
+//     the heap's root: asking for them walks that subtree and stops at the
+//     first entry on each branch that is not, whatever the cache holds
+//     besides; asking for one origin's needs no walk while its counts
+//     prove it has none;
 //   - the allocator state (TrackState): the live entries whose group lies
 //     in the managed space, filed as members of an allocator.State that
 //     the caller owns and may file its own sessions in, so that its
@@ -53,6 +56,20 @@ func evictsBefore(a, b *Entry) bool {
 // eviction order the evictable entries come first.
 func (e *Entry) evictable(now time.Time, staleAfter time.Duration) bool {
 	return e.Deleted || now.Sub(e.LastHeard) > staleAfter
+}
+
+// originIndex is what the eviction order keeps per origin: n, how many
+// candidates it announced; tombs, how many of them are tombstones; and
+// heard, a lower bound on their LastHeard. heard is lowered wherever an
+// entry is added or its LastHeard set back, and recomputed exactly by
+// every Expire that scans; an entry leaving or heard again leaves it where
+// it is, still a lower bound. So while an origin has no tombstone and
+// heard is within staleAfter of now, none of its entries is evictable.
+// Every LastHeard is a wall reading (Cache.heard), so the bound and the
+// entries it bounds are measured from now on the same clock.
+type originIndex struct {
+	n, tombs int32
+	heard    time.Time
 }
 
 // evictHeap is the eviction order as a container/heap; every entry knows
@@ -95,7 +112,7 @@ func roomForOne[T any](s []T) []T {
 // not count against its budgets.
 func (c *Cache) TrackOrder(self netip.Addr) {
 	c.self = self
-	c.perOrigin = make(map[netip.Addr]int32)
+	c.perOrigin = make(map[netip.Addr]originIndex)
 	for _, e := range c.entries { //mclint:maporder heap layout varies with insertion order, the order it yields does not
 		c.orderAdd(e)
 	}
@@ -114,7 +131,15 @@ func (c *Cache) orderAdd(e *Entry) {
 		return
 	}
 	heap.Push(&c.order, e)
-	c.perOrigin[e.Desc.Origin]++
+	o := c.perOrigin[e.Desc.Origin]
+	if o.n == 0 || e.LastHeard.Before(o.heard) {
+		o.heard = e.LastHeard
+	}
+	o.n++
+	if e.Deleted {
+		o.tombs++
+	}
+	c.perOrigin[e.Desc.Origin] = o
 }
 
 // member reports the address e is filed at in the tracked allocator
@@ -127,11 +152,47 @@ func (c *Cache) member(e *Entry) (mcast.Addr, bool) {
 	return c.space.Index(e.Desc.Group)
 }
 
-// orderFix re-places an entry whose LastHeard, Deleted or Desc changed.
-// An entry's origin is part of its key, so the per-origin count stands.
-func (c *Cache) orderFix(e *Entry) {
-	if e.heapPos > 0 {
-		heap.Fix(&c.order, int(e.heapPos-1))
+// orderFix re-places an entry whose LastHeard, Deleted or Desc changed;
+// wasDeleted is whether it was a tombstone before. An entry's origin is
+// part of its key, so the per-origin count stands; a LastHeard set back
+// has lowered the origin's bound already (heard).
+func (c *Cache) orderFix(e *Entry, wasDeleted bool) {
+	if e.heapPos == 0 {
+		return
+	}
+	heap.Fix(&c.order, int(e.heapPos-1))
+	if e.Deleted != wasDeleted {
+		o := c.perOrigin[e.Desc.Origin]
+		if e.Deleted {
+			o.tombs++
+		} else {
+			o.tombs--
+		}
+		c.perOrigin[e.Desc.Origin] = o
+	}
+}
+
+// unboundOrigins clears every origin's bound before a scanning Expire,
+// whose pass over the entries sets it again, exactly, through
+// lowerOriginBound: the zero time marks an origin none of its entries
+// has reached yet.
+func (c *Cache) unboundOrigins() {
+	for origin, o := range c.perOrigin { //mclint:maporder each origin is reset on its own
+		o.heard = time.Time{}
+		c.perOrigin[origin] = o
+	}
+}
+
+// lowerOriginBound lowers the bound of e's origin, if e is in the order,
+// to e's LastHeard: after a clock that stepped back has set it earlier,
+// and as Expire's step of the recomputation unboundOrigins starts.
+func (c *Cache) lowerOriginBound(e *Entry) {
+	if e.heapPos == 0 {
+		return
+	}
+	if o := c.perOrigin[e.Desc.Origin]; o.heard.IsZero() || e.LastHeard.Before(o.heard) {
+		o.heard = e.LastHeard
+		c.perOrigin[e.Desc.Origin] = o
 	}
 }
 
@@ -142,11 +203,15 @@ func (c *Cache) orderDrop(e *Entry) {
 		heap.Remove(&c.order, int(e.heapPos-1))
 		// Zero counts are deleted so the table tracks resident origins,
 		// not every origin ever heard.
-		if n := c.perOrigin[e.Desc.Origin] - 1; n > 0 {
-			c.perOrigin[e.Desc.Origin] = n
-		} else {
+		o := c.perOrigin[e.Desc.Origin]
+		if o.n--; o.n == 0 {
 			delete(c.perOrigin, e.Desc.Origin)
+			return
 		}
+		if e.Deleted {
+			o.tombs--
+		}
+		c.perOrigin[e.Desc.Origin] = o
 	}
 }
 
@@ -156,7 +221,7 @@ func (c *Cache) orderDrop(e *Entry) {
 func (c *Cache) Candidates() int { return len(c.order) }
 
 // CandidatesFrom is how many of the candidates origin announced.
-func (c *Cache) CandidatesFrom(origin netip.Addr) int { return int(c.perOrigin[origin]) }
+func (c *Cache) CandidatesFrom(origin netip.Addr) int { return int(c.perOrigin[origin].n) }
 
 // AppendEvictable appends to dst the keys of the first n evictable
 // candidates in eviction order (fewer if fewer exist).
@@ -173,13 +238,27 @@ func (c *Cache) AppendEvictable(dst []string, n int, now time.Time, staleAfter t
 }
 
 // AppendEvictableFrom is AppendEvictable restricted to origin's entries.
+// An origin at its quota with every entry fresh — what a flood from one
+// origin mostly is — is answered from its counts, without a walk.
 func (c *Cache) AppendEvictableFrom(dst []string, origin netip.Addr, n int, now time.Time, staleAfter time.Duration) []string {
+	if c.noneEvictableFrom(origin, now, staleAfter) {
+		return dst
+	}
 	return c.appendEvictable(dst, n, origin, true, now, staleAfter)
 }
 
-// appendEvictable is the general case — an origin at its quota, or a
-// cache more than one entry over budget: collect what is evictable (with
-// fromOrigin set, only that origin's), sort it, take n. Evictable entries
+// noneEvictableFrom reports whether origin's counts prove that none of its
+// candidates is evictable at now: it has none, or no tombstone and no
+// entry heard more than staleAfter before now. The answer is exact.
+func (c *Cache) noneEvictableFrom(origin netip.Addr, now time.Time, staleAfter time.Duration) bool {
+	o := c.perOrigin[origin]
+	return o.n == 0 || o.tombs == 0 && now.Sub(o.heard) <= staleAfter
+}
+
+// appendEvictable is the general case — an origin at its quota with an
+// entry that may be evictable, or a cache more than one entry over
+// budget: collect what is evictable (with fromOrigin set, only that
+// origin's), sort it, take n. Evictable entries
 // sort first, so every ancestor of one in the heap is evictable too: they
 // form a subtree at the root, which the walk reads depth first, descending
 // only below evictable entries. It costs the evictable entries and the

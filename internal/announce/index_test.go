@@ -49,13 +49,31 @@ func scanState(s *Cache, space mcast.AddrSpace) *allocator.State {
 	return state
 }
 
+// originsAt is the scan the per-origin index replaces: each origin's
+// candidates and tombstones counted, and the earliest LastHeard among them.
+func originsAt(c *Cache) map[netip.Addr]originIndex {
+	origins := map[netip.Addr]originIndex{}
+	for _, e := range c.order {
+		o := origins[e.Desc.Origin]
+		if o.n == 0 || e.LastHeard.Before(o.heard) {
+			o.heard = e.LastHeard
+		}
+		o.n++
+		if e.Deleted {
+			o.tombs++
+		}
+		origins[e.Desc.Origin] = o
+	}
+	return origins
+}
+
 // checkIndexInvariants verifies that the heap is a heap in evictsBefore
 // order whose members know their slots, that it holds exactly the entries
 // not announced by self, and that the per-origin counts are exact with no
-// zero left behind.
-func checkIndexInvariants(t *testing.T, c *Cache, self netip.Addr) {
+// zero left behind and each origin's bound at or below its earliest
+// LastHeard — exactly there if exact (after an Expire that scanned).
+func checkIndexInvariants(t *testing.T, c *Cache, self netip.Addr, exact bool) {
 	t.Helper()
-	counts := map[netip.Addr]int32{}
 	for i, e := range c.order {
 		if int(e.heapPos) != i+1 {
 			t.Fatalf("order[%d] records slot %d", i, e.heapPos)
@@ -63,7 +81,6 @@ func checkIndexInvariants(t *testing.T, c *Cache, self netip.Addr) {
 		if i > 0 && evictsBefore(e, c.order[(i-1)/2]) {
 			t.Fatalf("order[%d] evicts before its parent", i)
 		}
-		counts[e.Desc.Origin]++
 	}
 	tracked := 0
 	for key, e := range c.entries {
@@ -83,8 +100,16 @@ func checkIndexInvariants(t *testing.T, c *Cache, self netip.Addr) {
 	if tracked != len(c.order) {
 		t.Fatalf("order holds %d entries, the cache %d candidates", len(c.order), tracked)
 	}
-	if !reflect.DeepEqual(counts, map[netip.Addr]int32(c.perOrigin)) {
-		t.Fatalf("per-origin counts %v, want %v", c.perOrigin, counts)
+	want := originsAt(c)
+	if len(want) != len(c.perOrigin) {
+		t.Fatalf("%d origins indexed, want %d: %v", len(c.perOrigin), len(want), c.perOrigin)
+	}
+	for origin, w := range want {
+		got := c.perOrigin[origin]
+		if got.n != w.n || got.tombs != w.tombs || w.heard.Before(got.heard) || exact && !got.heard.Equal(w.heard) {
+			t.Fatalf("origin %s indexed as %d candidates, %d tombstones, heard from %v; a scan finds %d, %d, earliest heard %v (exact: %v)",
+				origin, got.n, got.tombs, got.heard, w.n, w.tombs, w.heard, exact)
+		}
 	}
 }
 
@@ -148,7 +173,14 @@ func evictableAt(s *Cache, now time.Time, staleAfter time.Duration, origin netip
 // finds what a sorted scan of the whole order does, and that CountFresh
 // equals a scan — at now, and every few ops also exactly staleAfter later
 // (an entry heard at now is then stale), back at now again, and under
-// another staleAfter — whether its memo answered or rescanned.
+// another staleAfter — whether its memo answered or rescanned. The walk
+// for one origin's entries is checked the same way, whether the origin's
+// counts answered it or it walked; scripted cases after the sequences take
+// the per-origin bound through its edges: an origin at its quota, all
+// fresh, beside stale entries of another; its oldest entry going stale
+// while the others are touched; a tombstone made and revived; a Restore
+// heard before the bound; a clock that steps back. Both answers must
+// occur.
 func TestIndicesMatchFullScanReference(t *testing.T) {
 	const staleAfter = 10 * time.Minute
 	budgets := []admission.Config{
@@ -167,6 +199,63 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 	multi, tieBroken := 0, 0
 	skipped, scannedEmpty, expired := 0, 0, 0
 	answered, rescanned, belowTombstone := 0, 0, 0
+	unwalked, walked := 0, 0
+
+	// checkOrder compares the eviction order with scans at now: the index
+	// invariants (the per-origin bounds exact if exact), the walk off the
+	// top of the heap with a sorted scan of the whole order, the walk for
+	// each of origins' entries (unwalked when the origin's counts answered
+	// it, walked otherwise) with a scan of that origin's, and planning a
+	// newcomer from each of planFor over the order with PlanNew over a
+	// fresh scan (outcome, evictions and their sequence) under every
+	// budget.
+	checkOrder := func(at string, s *Cache, now time.Time, exact bool, origins, planFor []netip.Addr) {
+		t.Helper()
+		checkIndexInvariants(t, s, indexSelf, exact)
+		all := evictableAt(s, now, staleAfter, netip.Addr{}, false)
+		if got := s.AppendEvictable([]string{}, len(all)+1, now, staleAfter); !reflect.DeepEqual(got, all) {
+			t.Fatalf("%s: the heap walk found %v evictable, a scan %v", at, got, all)
+		}
+		for _, origin := range origins {
+			if s.noneEvictableFrom(origin, now, staleAfter) {
+				unwalked++
+			} else {
+				walked++
+			}
+			want := evictableAt(s, now, staleAfter, origin, true)
+			if got := s.AppendEvictableFrom([]string{}, origin, len(want)+1, now, staleAfter); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: the heap walk found %v evictable from %s (index %+v), a scan %v", at, got, origin, s.perOrigin[origin], want)
+			}
+		}
+		for i := 1; i < len(s.order); i++ {
+			if parent := s.order[(i-1)/2]; parent.Deleted && !s.order[i].Deleted && s.order[i].evictable(now, staleAfter) {
+				belowTombstone++
+				break
+			}
+		}
+		cands := scanCandidates(s, indexSelf)
+		for _, origin := range planFor {
+			for pi, p := range planners {
+				got, want := p.PlanNewOrdered(s, origin, now), p.PlanNew(cands, origin, now)
+				if got.Outcome != want.Outcome || fmt.Sprint(got.Evict) != fmt.Sprint(want.Evict) {
+					t.Fatalf("%s budget %d origin %s:\n ordered %v %v\n PlanNew %v %v",
+						at, pi, origin, got.Outcome, got.Evict, want.Outcome, want.Evict)
+				}
+				seen[got.Outcome]++
+				if len(got.Evict) > 1 {
+					multi++
+				}
+			}
+		}
+		// How often the last tie-break decides: the head and some other
+		// candidate agree on everything but the key.
+		for _, c := range cands[min(1, len(cands)):] {
+			if h := cands[0]; c.Deleted == h.Deleted && c.LastHeard.Equal(h.LastHeard) && c.TTL == h.TTL {
+				tieBroken++
+				break
+			}
+		}
+	}
 
 	// salt keeps the 24 op sequences the test ran when it also looped over
 	// shard counts 1, 4 and 8 (the count was part of the generator's seed).
@@ -290,57 +379,103 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 					continue
 				}
 
-				checkIndexInvariants(t, s, indexSelf)
-				all := evictableAt(s, now, staleAfter, netip.Addr{}, false)
-				if got := s.AppendEvictable([]string{}, len(all)+1, now, staleAfter); !reflect.DeepEqual(got, all) {
-					t.Fatalf("salt %d seed %d step %d: the heap walk found %v evictable, a scan %v", salt, seed, step, got, all)
-				}
-				for _, origin := range []netip.Addr{d.Origin, netip.AddrFrom4([4]byte{10, 0, 0, 2})} {
-					want := evictableAt(s, now, staleAfter, origin, true)
-					if got := s.AppendEvictableFrom([]string{}, origin, len(want)+1, now, staleAfter); !reflect.DeepEqual(got, want) {
-						t.Fatalf("salt %d seed %d step %d: the heap walk found %v evictable from %s, a scan %v", salt, seed, step, got, origin, want)
-					}
-				}
-				for i := 1; i < len(s.order); i++ {
-					if parent := s.order[(i-1)/2]; parent.Deleted && !s.order[i].Deleted && s.order[i].evictable(now, staleAfter) {
-						belowTombstone++
-						break
-					}
-				}
-				cands := scanCandidates(s, indexSelf)
-				for _, origin := range []netip.Addr{d.Origin, indexSelf, netip.AddrFrom4([4]byte{10, 9, 9, 9})} {
-					for pi, p := range planners {
-						got, want := p.PlanNewOrdered(s, origin, now), p.PlanNew(cands, origin, now)
-						if got.Outcome != want.Outcome || fmt.Sprint(got.Evict) != fmt.Sprint(want.Evict) {
-							t.Fatalf("salt %d seed %d step %d budget %d origin %s:\n ordered %v %v\n PlanNew %v %v",
-								salt, seed, step, pi, origin, got.Outcome, got.Evict, want.Outcome, want.Evict)
-						}
-						seen[got.Outcome]++
-						if len(got.Evict) > 1 {
-							multi++
-						}
-					}
-				}
-				// How often the last tie-break decides: the head and some
-				// other candidate agree on everything but the key.
-				for _, c := range cands[min(1, len(cands)):] {
-					if h := cands[0]; c.Deleted == h.Deleted && c.LastHeard.Equal(h.LastHeard) && c.TTL == h.TTL {
-						tieBroken++
-						break
-					}
-				}
+				checkOrder(fmt.Sprintf("salt %d seed %d step %d", salt, seed, step), s, now, !skip,
+					[]netip.Addr{d.Origin, netip.AddrFrom4([4]byte{10, 0, 0, 2})},
+					[]netip.Addr{d.Origin, indexSelf, netip.AddrFrom4([4]byte{10, 9, 9, 9})})
 			}
 			// Emptying the cache empties the indices.
 			for _, e := range s.All() {
 				s.Remove(e.Desc.Key())
 			}
-			checkIndexInvariants(t, s, indexSelf)
+			checkIndexInvariants(t, s, indexSelf, true)
 			if empty := allocator.NewState(indexSpace.Size); s.Candidates() != 0 || !reflect.DeepEqual(s.state, empty) || len(s.perOrigin) != 0 {
 				t.Fatalf("salt %d seed %d: %d candidates, allocator state %+v and %d counted origins left in an empty cache",
 					salt, seed, s.Candidates(), s.state, len(s.perOrigin))
 			}
 		}
 	}
+
+	// The per-origin bound's edges, scripted: each case checked like a
+	// step above, and required to be answered from origin's counts, or
+	// walked, as the case says.
+	{
+		s := NewCache(time.Hour)
+		s.TrackState(indexSpace, allocator.NewState(indexSpace.Size))
+		s.TrackOrder(indexSelf)
+		a, b, e := netip.AddrFrom4([4]byte{10, 0, 0, 2}), netip.AddrFrom4([4]byte{10, 0, 0, 3}), netip.AddrFrom4([4]byte{10, 0, 0, 6})
+		now := time.Unix(2_000_000, 0)
+		for id := uint64(1); id <= 3; id++ {
+			s.Observe(odesc(3, id, 1), now)
+		}
+		now = now.Add(staleAfter + time.Minute)
+		var as []*Entry
+		for id := uint64(1); id <= 3; id++ {
+			entry, _ := s.Observe(odesc(2, id, 1), now)
+			as = append(as, entry)
+		}
+		touchAll := func() {
+			for _, entry := range as {
+				s.Touch(entry, now)
+			}
+		}
+		for _, c := range []struct {
+			name     string
+			do       func()
+			origin   netip.Addr
+			unwalked bool
+			exact    bool
+		}{
+			{"at its quota, every entry fresh, beside another origin's stale ones", nil, a, true, true},
+			{"a tombstone made", func() { s.Delete(as[1].Key(), now) }, a, false, true},
+			{"the tombstone revived", func() { s.Observe(odesc(2, 2, 2), now) }, a, true, true},
+			{"its oldest entry goes stale while the others are touched", func() {
+				now = now.Add(staleAfter / 2)
+				s.Touch(as[1], now)
+				s.Touch(as[2], now)
+				now = now.Add(staleAfter/2 + time.Second)
+			}, a, false, true},
+			{"the stale entry heard again leaves the bound where it was", func() { s.Touch(as[0], now) }, a, false, false},
+			{"an Expire that scans makes the bound exact", func() {
+				other := odesc(4, 1, 1)
+				s.Observe(other, now)
+				s.Delete(other.Key(), now)
+				now = now.Add(s.timeout/10 + time.Second)
+				touchAll()
+				if got := s.Expire(now); !reflect.DeepEqual(got, []string{other.Key()}) {
+					t.Fatalf("Expire removed %v, want the tombstone %s", got, other.Key())
+				}
+			}, a, true, true},
+			{"the clock steps back, one entry is heard, the clock recovers", func() {
+				back := now
+				now = now.Add(-2 * staleAfter)
+				s.Touch(as[0], now)
+				now = back
+			}, a, false, true},
+			{"another origin's entries, all fresh", func() {
+				for id := uint64(1); id <= 3; id++ {
+					s.Observe(odesc(6, id, 1), now)
+				}
+			}, e, true, true},
+			{"a Restore heard before the bound", func() {
+				last := now.Add(-2 * staleAfter)
+				s.Restore(odesc(6, 4, 1), 0, last, last, now)
+			}, e, false, true},
+			{"the restored entry removed leaves the bound where it was", func() { s.Remove(odesc(6, 4, 1).Key()) }, e, false, false},
+		} {
+			if c.do != nil {
+				c.do()
+			}
+			if got := s.noneEvictableFrom(c.origin, now, staleAfter); got != c.unwalked {
+				t.Fatalf("bound case %q: %s answered from its counts (%+v) = %v, want %v", c.name, c.origin, s.perOrigin[c.origin], got, c.unwalked)
+			}
+			checkOrder("bound case "+c.name, s, now, c.exact, []netip.Addr{a, b, e}, []netip.Addr{a, e})
+		}
+	}
+	if unwalked == 0 || walked == 0 {
+		t.Errorf("per-origin walks: %d answered from the origin's counts, %d walked: the generator no longer reaches one of them", unwalked, walked)
+	}
+	t.Logf("per-origin walks: %d answered from the origin's counts, %d walked", unwalked, walked)
+
 	for _, o := range []admission.Outcome{admission.Admit, admission.Shed, admission.DenyQuota} {
 		if seen[o] == 0 {
 			t.Errorf("no plan ever came out %v: the generator no longer reaches that outcome", o)
@@ -488,6 +623,34 @@ func TestExpireNothingDueAllocatesNothing(t *testing.T) {
 		if want := time.Unix(1_000_000, 0).Add(time.Hour + time.Millisecond); !s.bound.Equal(want) {
 			t.Fatalf("n=%d: after the scan the bound is %v, want the next deadline %v", n, s.bound, want)
 		}
+	}
+}
+
+// TestLastHeardIsAWallReading pins what makes the per-origin bound exact
+// under a real clock: an entry heard, heard again, deleted or heard back
+// in time keeps the wall reading only, as a restored entry does, so a
+// bound set by one and an entry measured by another use the same clock.
+func TestLastHeardIsAWallReading(t *testing.T) {
+	s := NewCache(time.Hour)
+	s.TrackOrder(indexSelf)
+	now := time.Now() // carries a monotonic reading
+	wall := func(at string, e *Entry) {
+		t.Helper()
+		if e.LastHeard != e.LastHeard.Round(0) {
+			t.Fatalf("%s: LastHeard %v keeps a monotonic reading", at, e.LastHeard)
+		}
+	}
+	d := odesc(7, 1, 1)
+	e, _ := s.Observe(d, now)
+	wall("a new entry", e)
+	s.Touch(e, now.Add(time.Second))
+	wall("a touch", e)
+	s.Observe(odesc(7, 1, 2), now.Add(-time.Second))
+	wall("heard back in time", e)
+	s.Delete(d.Key(), now.Add(2*time.Second))
+	wall("a tombstone", e)
+	if o := s.perOrigin[d.Origin]; o.heard != o.heard.Round(0) {
+		t.Fatalf("the origin's bound %v keeps a monotonic reading", o.heard)
 	}
 }
 

@@ -14,7 +14,10 @@ import (
 // counters. They were recorded once, when the harness moved onto des.Net
 // (delivery gained a path delay and the fates one network-wide stream);
 // until then they were the digests of the commit before internal/fault
-// existed.
+// existed. The gauntlet's was recorded again when the per-origin rate
+// check moved ahead of the SDP parse: its adversaries' unparseable
+// payloads now spend their origin's tokens, and past the burst count as
+// quota drops instead of malformed packets.
 
 // runDigest hashes, per agent, the cache fingerprint, the receive-side
 // fault counters and every directory counter.
@@ -47,7 +50,7 @@ func TestChaosGoldenSchedules(t *testing.T) {
 	}{
 		{"flagship", runFlagship, 1998, "fb2507a79d09b86d178e516f737e873c2e29a8f4579e98bb5ecbc9581c6d9cbe"},
 		{"flagship", runFlagship, 42, "a9fbe83be3bda3877a99e22ba7d8c867d4d12a6769c6d9e38ab1d061e3d0e516"},
-		{"gauntlet", runGauntlet, 4242, "e1e2a4ecff8c3b5452c8c3298f1e5791de90dacfb9fd4413a3d106ce3f397736"},
+		{"gauntlet", runGauntlet, 4242, "9c8cf7fd0bee628889e6e4591fb48a5ac7c1a36941f9646021dbfa8a1c1f34e2"},
 	}
 	for _, c := range cases {
 		if got := runDigest(c.run(t, c.seed)); got != c.want {

@@ -2,6 +2,7 @@ package sessiondir
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -341,7 +342,7 @@ func TestCacheStoreJournalReplay(t *testing.T) {
 func TestCacheStoreUndecodableRecord(t *testing.T) {
 	clk := newFakeClock()
 	good := peerDesc("10.0.1.1", 1, mcast.SyntheticSpace(64), 1, 127)
-	learn := encodeLearn(&announce.Entry{Desc: good, FirstHeard: clk.Now().Unix(), LastHeard: clk.Now()})
+	learn := refEncodeLearn(&announce.Entry{Desc: good, FirstHeard: clk.Now().Unix(), LastHeard: clk.Now()})
 	for name, bad := range map[string][]byte{
 		"empty":        {},
 		"short learn":  {deltaLearn, 1, 2, 3},
@@ -453,26 +454,34 @@ func TestCheckpointBytesIndependentOfShardCount(t *testing.T) {
 	}
 }
 
-// refEncodeLearn is encodeLearn as it was when it marshalled the SDP into
-// one buffer and copied it into a second: the record-identity oracle.
+// refEncodeLearn is a snapshot record as it was written when the SDP was
+// marshalled into one buffer and copied into a second: the
+// record-identity oracle.
 func refEncodeLearn(e *announce.Entry) []byte {
 	sdp, err := e.Desc.MarshalSDP()
 	if err != nil {
 		return nil
 	}
-	buf := make([]byte, 0, 1+8+8+len(sdp))
-	buf = append(buf, deltaLearn)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(e.FirstHeard))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(e.LastHeard.Unix()))
-	return append(buf, sdp...)
+	return append(refLearnHeader(e), sdp...)
 }
 
-// TestLearnRecordsMatchReference: journal learn records and a checkpoint's
-// snapshot records are byte for byte what refEncodeLearn writes, over
-// seeded caches whose descriptions carry CR and LF, invalid UTF-8, IPv6
-// origins, zero and set times, and one description that cannot marshal.
-// Each journal record fills its buffer exactly, and a snapshot of valid
-// descriptions is two allocations however many records it holds.
+// refLearnHeader is the header of e's learn record, written field by field.
+func refLearnHeader(e *announce.Entry) []byte {
+	buf := []byte{deltaLearn}
+	buf = binary.BigEndian.AppendUint64(buf, uint64(e.FirstHeard))
+	return binary.BigEndian.AppendUint64(buf, uint64(e.LastHeard.Unix()))
+}
+
+// TestLearnRecordsMatchReference: a journal learn record is the entry's
+// times and the payload as heard, byte for byte, in a buffer of exactly
+// its length, and recovering it files an entry that knows that payload
+// again — also when the payload spells the session with a line the parser
+// ignores. A checkpoint's snapshot records are byte for byte what
+// refEncodeLearn writes. Both over seeded caches whose descriptions carry
+// CR and LF, invalid UTF-8, IPv6 origins, zero and set times, and one
+// description that cannot marshal (and so cannot have been heard). A
+// snapshot of valid descriptions is two allocations however many records
+// it holds.
 func TestLearnRecordsMatchReference(t *testing.T) {
 	texts := []string{"plain", "line\r\nbreak", "bad\xffutf8\xc3", "é and U+FFFD �", "exactly eight", ""}
 	origins := []string{"10.0.0.1", "192.168.200.9", "2001:db8::7", "::ffff:10.1.2.3"}
@@ -481,6 +490,8 @@ func TestLearnRecordsMatchReference(t *testing.T) {
 		space := mcast.SyntheticSpace(1024)
 		cache := announce.NewCache(time.Hour)
 		now := time.Unix(904658400, 0)
+		journal := core{journaling: true}
+		recovered, _ := newDirectory(t, transport.NewBus(), newFakeClock(), "10.0.0.250", 64, seed, nil)
 		for i := 0; i < 200; i++ {
 			d := peerDesc(origins[rng.IntN(len(origins))], rng.Uint64()>>rng.IntN(64), space, mcast.Addr(rng.IntN(1024)), mcast.TTL(rng.IntN(256)))
 			d.Version = uint64(rng.IntN(1000))
@@ -497,11 +508,27 @@ func TestLearnRecordsMatchReference(t *testing.T) {
 			}
 			now = now.Add(time.Duration(rng.IntN(5000)) * time.Millisecond)
 			e, _ := cache.Observe(d, now)
-			got, want := encodeLearn(e), refEncodeLearn(e)
+			payload, err := d.MarshalSDP()
+			if err != nil {
+				continue
+			}
+			if i%2 == 1 {
+				payload = fmt.Appendf(payload, "x=spelled %d\r\n", i)
+			}
+			journal.journalLearn(e, payload)
+			got, want := journal.fx.journal[len(journal.fx.journal)-1], append(refLearnHeader(e), payload...)
 			if !bytes.Equal(got, want) || len(got) != cap(got) {
 				t.Fatalf("seed %d: learn record %d of %s (cap %d):\n%q\nreference\n%q", seed, i, e.Key(), cap(got), got, want)
 			}
+			recovered.cache.Remove(e.Key())
+			if _, err := recovered.restore(got, now); err != nil {
+				t.Fatalf("seed %d: learn record %d of %s: %v", seed, i, e.Key(), err)
+			}
+			if _, ok := recovered.cache.Unchanged([]byte(e.Key()), sap.PayloadDigest(recovered.digestSeed, payload)); !ok {
+				t.Fatalf("seed %d: learn record %d of %s recovered into an entry that does not know the payload heard", seed, i, e.Key())
+			}
 		}
+		recovered.Close()
 		live := cache.Live()
 		var want [][]byte
 		slices.SortFunc(live, func(a, b *announce.Entry) int { return strings.Compare(a.Desc.Key(), b.Desc.Key()) })
@@ -519,6 +546,59 @@ func TestLearnRecordsMatchReference(t *testing.T) {
 		if n := testing.AllocsPerRun(10, func() { snapshotRecords(valid) }); n != 2 {
 			t.Errorf("seed %d: a snapshot of %d records: %v allocs, want 2", seed, len(valid), n)
 		}
+	}
+}
+
+// TestJournalRecoveryKnowsSpellingHeard: a peer that spells its session
+// with a line the parser ignores is known unchanged after a crash that
+// leaves only the journal. The learn record holds the payload as heard, so
+// the recovered entry has that payload's digest, and the peer's next
+// unchanged re-announcement is refreshed without a parse.
+func TestJournalRecoveryKnowsSpellingHeard(t *testing.T) {
+	clk := newFakeClock()
+	bus := transport.NewBus()
+	d, _ := newDirectory(t, bus, clk, "10.0.0.1", 64, 41, nil)
+	defer d.Close()
+	fs := storage.NewMemFS()
+	cs, _ := reopen(t, fs, d)
+	if err := cs.Checkpoint(); err != nil { // an empty snapshot: the journal takes what follows
+		t.Fatal(err)
+	}
+	peer := peerDesc("10.0.1.7", 7, mcast.SyntheticSpace(64), 7, 127)
+	payload, err := peer.MarshalSDP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload = append(payload, "x=spelled this way\r\n"...)
+	pkt := sap.Packet{Type: sap.Announce, MsgIDHash: sap.MsgIDHashOf(payload), Origin: peer.Origin, Payload: payload}
+	wire, err := pkt.Marshal(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bus.Endpoint().SendBatch(context.Background(), oneDgram(wire, peer.TTL)); err != nil {
+		t.Fatal(err)
+	}
+	if !knowsKey(d, peer.Key()) || cs.JournalRecords() != 1 {
+		t.Fatalf("the announcement was not learned and journaled: known %v, %d journal records", knowsKey(d, peer.Key()), cs.JournalRecords())
+	}
+	fs.Crash(storage.CrashLoseUnsynced, 1)
+
+	rbus := transport.NewBus()
+	r, _ := newDirectory(t, rbus, clk, "10.0.0.2", 64, 41, nil)
+	defer r.Close()
+	if _, rec := reopen(t, fs, r); rec.SnapshotRecords != 0 || rec.JournalRecords != 1 || !knowsKey(r, peer.Key()) {
+		t.Fatalf("recovery %+v did not restore the session from the journal alone", rec)
+	}
+	if err := rbus.Endpoint().SendBatch(context.Background(), oneDgram(wire, peer.TTL)); err != nil {
+		t.Fatal(err)
+	}
+	for _, mv := range r.Registry().Snapshot() {
+		if mv.Name == "dir_refresh_fast_total" && mv.Value != 1 {
+			t.Fatalf("dir_refresh_fast_total %v after the peer's unchanged re-announcement, want 1: the recovered entry does not know the payload heard", mv.Value)
+		}
+	}
+	if m := r.Metrics(); m.PacketsReceived != 1 || m.SessionsLearned != 0 {
+		t.Fatalf("after the re-announcement: %d received, %d learned; want 1 and 0", m.PacketsReceived, m.SessionsLearned)
 	}
 }
 

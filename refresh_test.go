@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -197,6 +198,13 @@ func (s *refreshSide) observe(t *testing.T, saltedTwin bool) string {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if saltedTwin && name == testCacheBase+".journal" {
+			// A journal learn record holds the payload as heard, salt and
+			// all: the journal is compared record by record, byte for
+			// byte, with the salt line taken off the salted side's.
+			fmt.Fprintf(&b, "file %s\n%s", name, s.journalRecords(t, data))
+			continue
+		}
 		fmt.Fprintf(&b, "file %s %s\n", name, digest(string(data)))
 	}
 	for _, mv := range s.d.Registry().Snapshot() {
@@ -208,6 +216,35 @@ func (s *refreshSide) observe(t *testing.T, saltedTwin bool) string {
 	return b.String()
 }
 
+// journalRecords renders the records of a journal file one per line, as
+// they are. On the salted side every learn record must end in the salt
+// line datagram added, and that line, which nothing else on the side
+// holds, is taken off before the record is rendered.
+func (s *refreshSide) journalRecords(t *testing.T, journal []byte) string {
+	t.Helper()
+	fs := storage.NewMemFS()
+	if err := fs.WriteFile(testCacheBase+".journal", journal); err != nil {
+		t.Fatal(err)
+	}
+	salt := regexp.MustCompile(fmt.Sprintf(`\nx=%d-[0-9]+\r\n\z`, s.salt))
+	var b strings.Builder
+	_, rec, err := storage.Open(fs, testCacheBase, storage.OpenOptions{Replay: func(p []byte) error {
+		if s.salt > 0 && len(p) > learnHeader && p[0] == deltaLearn {
+			at := salt.FindIndex(p[learnHeader:])
+			if at == nil {
+				return fmt.Errorf("learn record %q does not end in the side's salt", p)
+			}
+			p = p[:learnHeader+at[0]+1]
+		}
+		fmt.Fprintf(&b, "record %q\n", p)
+		return nil
+	}})
+	if err != nil || rec.Corrupt != 0 || rec.TornTails != 0 {
+		t.Fatalf("reading the journal back: %v, %+v", err, rec)
+	}
+	return b.String()
+}
+
 // TestRefreshFastPathMatchesFullParse drives two directories with one
 // seeded script. Side "as-is" receives every payload as the script wrote
 // it, so re-announcements reach it byte for byte and take the refresh
@@ -215,7 +252,9 @@ func (s *refreshSide) observe(t *testing.T, saltedTwin bool) string {
 // appended, parses the same description from it, and can never take it.
 // Whatever either can be observed through — sessions, own sessions,
 // decision records (kind, key, time, address), emitted datagrams, journal
-// and snapshot files, metrics — must be the same after every op. The script is made of the cases the
+// and snapshot files, metrics — must be the same after every op; the
+// journal, which holds the payloads as heard, record by record and byte
+// for byte once the salt line is off. The script is made of the cases the
 // refresh path has to leave alone: tombstones, owned keys, forged header
 // origins, rate-limited origins, edits at the same version.
 func TestRefreshFastPathMatchesFullParse(t *testing.T) {
@@ -570,7 +609,7 @@ func TestRefreshLeavesScopeCheckToValidation(t *testing.T) {
 	defer d.Close()
 	unscoped := heardDesc(1)
 	unscoped.TTL = 0
-	record := encodeLearn(&announce.Entry{Desc: unscoped, FirstHeard: clk.Now().Unix(), LastHeard: clk.Now()})
+	record := refEncodeLearn(&announce.Entry{Desc: unscoped, FirstHeard: clk.Now().Unix(), LastHeard: clk.Now()})
 	if added, err := d.restore(record, clk.Now()); err != nil || !added {
 		t.Fatalf("recovering the record: added %v, err %v", added, err)
 	}
