@@ -8,7 +8,7 @@
 //	GOMAXPROCS=8 mcbench -experiment fig5,fig12 -json BENCH.json
 //
 // Quick scale (default) finishes in minutes; -full reproduces the paper's
-// parameter ranges (-experiment all -full took 5 min 16 s on 2 cores).
+// parameter ranges (-experiment all -full took 2 min 56 s on 2 cores).
 //
 // The experiment engine fans trials and sweep points out over GOMAXPROCS
 // workers (the occupancy sweep is always serial); output is bit-identical
@@ -242,28 +242,44 @@ func microBenches() []microBenchResult {
 	out = append(out, listenerMicros()...)
 	out = append(out, directoryMicros()...)
 	out = append(out, simMicros()...)
-	out = append(out, treeMicro())
+	out = append(out, treeMicros()...)
 	return out
 }
 
-// spTreeAllocs is SPTree1864's allocation budget: one per router. The
-// tree's own arrays and child lists take fewer; a heap push that boxed its
-// item would add one per router reached on top.
-const spTreeAllocs = 1864
+// spTreeAllocs is the allocation budget of one shortest-path tree at any
+// graph size, as measured: the tree, its four per-node arrays and its flat
+// child lists, and the bucket links and sort buffer it drops. A per-node
+// child slice, or a queue that grows as paths are found, would make the
+// count grow with the graph.
+const spTreeAllocs = 9
 
-// treeMicro times a shortest-path tree over the paper's 1864-router Mbone
-// map, from a different root each op: the unit of the occupancy
-// simulator's set-up, which builds one per origin it reaches from.
-func treeMicro() microBenchResult {
-	g, err := topology.GenerateMbone(topology.MboneConfig{Nodes: 1864}, stats.NewRNG(1998))
+// treeMicros time a shortest-path tree from a different root each op over
+// the paper's 1864-router Mbone map — the unit of the occupancy
+// simulator's set-up, which builds one per origin it reaches from — and
+// over a 51 200-node Doar grid, the unit of the request–response figures
+// at paper scale.
+func treeMicros() []microBenchResult {
+	mbone, err := topology.GenerateMbone(topology.MboneConfig{Nodes: 1864}, stats.NewRNG(1998))
 	if err != nil {
 		panic(err)
 	}
-	return runMicro("SPTree1864", 1, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			topology.NewSPTree(g, topology.NodeID(i%g.NumNodes()))
-		}
-	})
+	grid, err := topology.GenerateGrid(51200, stats.NewRNG(1998))
+	if err != nil {
+		panic(err)
+	}
+	var out []microBenchResult
+	for _, c := range []struct {
+		name string
+		g    *topology.Graph
+	}{{"SPTree1864", mbone}, {"SPTreeGrid51200", grid}} {
+		g := c.g
+		out = append(out, runMicro(c.name, 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				topology.NewSPTree(g, topology.NodeID(i%g.NumNodes()))
+			}
+		}))
+	}
+	return out
 }
 
 // simMicros times the occupancy simulator over a world of Hybrid-placed
@@ -795,8 +811,9 @@ const refreshBatchAllocs = 0
 //   - a never-seen session denied at its origin's quota with the same
 //     allocations at 1k and 10k cached sessions, with and without a third
 //     of the cache stale (ratios recorded, not gated, as DirStep's is);
-//   - a shortest-path tree over the 1864-router Mbone in fewer
-//     allocations than routers (spTreeAllocs);
+//   - a shortest-path tree over the 1864-router Mbone and over a
+//     51 200-node Doar grid in the same constant allocations
+//     (spTreeAllocs);
 //   - the occupancy simulator's view and clash test allocation-free, the
 //     view at 1k and 10k residents (its 10k/1k ratio recorded, not gated,
 //     as DirStep's is).
@@ -882,7 +899,8 @@ func budgetFailures(r benchReport) []string {
 		{"DirStep10k", 0, "a tick with nothing due"},
 		{"DirStepBudgeted1k", 0, "a budgeted tick with nothing due: the fresh count is kept, not taken"},
 		{"DirStepBudgeted10k", 0, "a budgeted tick with nothing due: the fresh count is kept, not taken"},
-		{"SPTree1864", spTreeAllocs, "fewer than one per router: a heap push allocates nothing"},
+		{"SPTree1864", spTreeAllocs, "a tree's fixed arrays, at any graph size"},
+		{"SPTreeGrid51200", spTreeAllocs, "a tree's fixed arrays, at any graph size"},
 		{"SimVisibleAt1k", 0, "the view is copied into the world's scratch"},
 		{"SimVisibleAt10k", 0, "the view is copied into the world's scratch"},
 		{"SimClashes10k", 0, "a walk of one address's residents"},

@@ -197,7 +197,8 @@ func TestRunCompareInjected2xSlowdown(t *testing.T) {
 		{"name":"DirAdmitAtQuota10k","ns_per_op":2000,"allocs_per_op":4},
 		{"name":"DirAdmitAtQuotaStale1k","ns_per_op":1700,"allocs_per_op":4},
 		{"name":"DirAdmitAtQuotaStale10k","ns_per_op":2000,"allocs_per_op":4},
-		{"name":"SPTree1864","ns_per_op":340000,"allocs_per_op":1440},
+		{"name":"SPTree1864","ns_per_op":210000,"allocs_per_op":9},
+		{"name":"SPTreeGrid51200","ns_per_op":15000000,"allocs_per_op":9},
 		{"name":"SimVisibleAt1k","ns_per_op":1500},
 		{"name":"SimVisibleAt10k","ns_per_op":8000},
 		{"name":"SimClashes10k","ns_per_op":60},
@@ -241,7 +242,8 @@ func budgetReport() benchReport {
 			{Name: "DirAdmitAtQuota10k", NsPerOp: 2000, AllocsOp: 4},
 			{Name: "DirAdmitAtQuotaStale1k", NsPerOp: 1700, AllocsOp: 4},
 			{Name: "DirAdmitAtQuotaStale10k", NsPerOp: 2000, AllocsOp: 4},
-			{Name: "SPTree1864", NsPerOp: 340000, AllocsOp: 1440},
+			{Name: "SPTree1864", NsPerOp: 210000, AllocsOp: 9},
+			{Name: "SPTreeGrid51200", NsPerOp: 15000000, AllocsOp: 9},
 			{Name: "SimVisibleAt1k", NsPerOp: 1500},
 			{Name: "SimVisibleAt10k", NsPerOp: 8000},
 			{Name: "SimClashes10k", NsPerOp: 60},
@@ -305,8 +307,8 @@ func TestBudgetFailuresBatchDepthCollapse(t *testing.T) {
 func TestBudgetFailuresMissingMicros(t *testing.T) {
 	r := budgetReport()
 	r.Micro = nil
-	if fails := budgetFailures(r); len(fails) != 25 {
-		t.Fatalf("missing micros should produce twenty-five failures, got: %v", fails)
+	if fails := budgetFailures(r); len(fails) != 26 {
+		t.Fatalf("missing micros should produce twenty-six failures, got: %v", fails)
 	}
 }
 
@@ -400,9 +402,10 @@ func TestBudgetFailuresDirStep(t *testing.T) {
 
 // A budgeted tick is held to zero allocations and a denial at the quota to
 // the same allocations at both cache sizes; their size ratios are recorded,
-// not gated. A shortest-path tree is held under one allocation per router.
+// not gated. A shortest-path tree is held to a constant allocation count
+// at both graph sizes.
 func TestBudgetFailuresBudgetedDirectory(t *testing.T) {
-	for _, name := range []string{"DirStepBudgeted1k", "DirStepBudgeted10k", "DirAdmitAtQuota1k", "DirAdmitAtQuota10k", "DirAdmitAtQuotaStale1k", "DirAdmitAtQuotaStale10k", "SPTree1864"} {
+	for _, name := range []string{"DirStepBudgeted1k", "DirStepBudgeted10k", "DirAdmitAtQuota1k", "DirAdmitAtQuota10k", "DirAdmitAtQuotaStale1k", "DirAdmitAtQuotaStale10k", "SPTree1864", "SPTreeGrid51200"} {
 		r := budgetReport()
 		micro(t, &r, name).Name = "gone"
 		if fails := budgetFailures(r); len(fails) != 1 {
@@ -424,9 +427,14 @@ func TestBudgetFailuresBudgetedDirectory(t *testing.T) {
 		}
 	}
 	r := budgetReport()
-	micro(t, &r, "SPTree1864").AllocsOp = 5158 // every push boxed through container/heap again
+	micro(t, &r, "SPTree1864").AllocsOp = 1442 // a child slice per parent and a growing heap again
 	if fails := budgetFailures(r); len(fails) != 1 {
-		t.Fatalf("a boxing heap push not caught: %v", fails)
+		t.Fatalf("per-node tree allocations not caught: %v", fails)
+	}
+	r = budgetReport()
+	micro(t, &r, "SPTreeGrid51200").AllocsOp = 10 // one allocation that grows with the graph
+	if fails := budgetFailures(r); len(fails) != 1 {
+		t.Fatalf("a tree allocation over budget not caught: %v", fails)
 	}
 	r = budgetReport()
 	micro(t, &r, "DirStepBudgeted10k").NsPerOp = 370000     // a fresh-count scan per tick: slow, but not gated yet

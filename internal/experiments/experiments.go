@@ -4,7 +4,7 @@
 //
 // Runners take a Scale: Quick keeps unit tests and benchmarks fast, Full
 // reproduces the paper's parameter ranges (mcbench -experiment all -full
-// took 5 min 16 s on 2 cores).
+// took 2 min 56 s on 2 cores).
 package experiments
 
 import (

@@ -33,7 +33,8 @@ func (m TreeMode) String() string {
 // ReqRespConfig parameterises one request–response run: a requester
 // multicasts a request (a clash report solicitation); each group member
 // draws a random delay; a member sends its response unless it heard
-// another response first.
+// another response first. A packet between two nodes beyond DVMRP infinity
+// of each other on the run's tree is never delivered.
 type ReqRespConfig struct {
 	Graph *topology.Graph
 	Mode  TreeMode
@@ -61,7 +62,38 @@ type ReqRespResult struct {
 	Responses        int     // responses actually sent
 	FirstSendAt      float64 // ms: earliest response transmission
 	FirstArrivalAt   float64 // ms: earliest response arrival at the requester
-	MeanResponseRecv float64 // ms: mean arrival time of sent responses at the requester
+	MeanResponseRecv float64 // ms: mean arrival time at the requester of the responses that reach it
+}
+
+// reqRespNet is what a run needs of its graph alone: the core-rooted
+// shared tree, and the delay past the first response after which a member
+// is certainly suppressed. RunTrials builds it once for all its trials.
+type reqRespNet struct {
+	shared            *topology.Tree
+	sureSuppressDelay float64
+}
+
+func newReqRespNet(cfg *ReqRespConfig) *reqRespNet {
+	shared := topology.NewSharedTree(cfg.Graph, cfg.Core)
+	// An upper bound on any pair delay: twice the deepest root delay on the
+	// shared tree (tree paths concatenate two root paths), doubled again as
+	// slack for shortest-path-tree delays and per-hop jitter. Any member
+	// whose send time is this far past the first response is certainly
+	// suppressed — no pair computation needed.
+	var maxRootDelay float64
+	var maxDepth int32
+	for v := 0; v < cfg.Graph.NumNodes(); v++ {
+		if d := shared.DelayFromRoot(topology.NodeID(v)); d > maxRootDelay {
+			maxRootDelay = d
+		}
+		if h := shared.Depth(topology.NodeID(v)); h > maxDepth {
+			maxDepth = h
+		}
+	}
+	return &reqRespNet{
+		shared:            shared,
+		sureSuppressDelay: 4*maxRootDelay + cfg.JitterPerHop*float64(4*maxDepth),
+	}
 }
 
 // delayModel abstracts pairwise delivery delay for a run.
@@ -74,50 +106,66 @@ type delayModel struct {
 	rng    *stats.RNG
 }
 
-func newDelayModel(cfg *ReqRespConfig, rng *stats.RNG) *delayModel {
-	m := &delayModel{
+func newDelayModel(cfg *ReqRespConfig, net *reqRespNet, rng *stats.RNG) *delayModel {
+	return &delayModel{
 		g:      cfg.Graph,
 		mode:   cfg.Mode,
+		shared: net.shared,
 		spts:   make(map[topology.NodeID]*topology.Tree),
 		jitter: cfg.JitterPerHop,
 		rng:    rng,
 	}
-	m.shared = topology.NewSharedTree(cfg.Graph, cfg.Core)
-	return m
 }
 
-// base returns the jitter-free delay and hop count from src to dst.
-func (m *delayModel) base(src, dst topology.NodeID) (float64, int32) {
-	if src == dst {
-		return 0, 0
-	}
-	if m.mode == SharedTree {
-		return m.shared.TreeDelay(src, dst), m.shared.TreeHops(src, dst)
-	}
+// spt returns src's shortest-path tree, built on first use.
+func (m *delayModel) spt(src topology.NodeID) *topology.Tree {
 	t, ok := m.spts[src]
 	if !ok {
 		t = topology.NewSPTree(m.g, src)
 		m.spts[src] = t
 	}
-	return t.DelayFromRoot(dst), t.Depth(dst)
+	return t
+}
+
+// reaches reports whether a packet from src is delivered to dst at all:
+// dst must lie within DVMRP infinity of src on src's shortest-path tree,
+// or both ends within it of the core on the shared tree.
+func (m *delayModel) reaches(src, dst topology.NodeID) bool {
+	if m.mode == SharedTree {
+		return m.shared.Depth(src) >= 0 && m.shared.Depth(dst) >= 0
+	}
+	return m.spt(src).Depth(dst) >= 0
+}
+
+// base returns the jitter-free delay and hop count from src to dst, and
+// false if a packet from src never reaches dst.
+func (m *delayModel) base(src, dst topology.NodeID) (float64, int32, bool) {
+	switch {
+	case src == dst:
+		return 0, 0, true
+	case !m.reaches(src, dst):
+		return 0, 0, false
+	case m.mode == SharedTree:
+		return m.shared.TreeDelay(src, dst), m.shared.TreeHops(src, dst), true
+	}
+	t := m.spt(src)
+	return t.DelayFromRoot(dst), t.Depth(dst), true
 }
 
 // packetDelay returns one packet's delivery delay src→dst including
-// per-hop jitter (fresh per packet).
-func (m *delayModel) packetDelay(src, dst topology.NodeID) float64 {
-	d, hops := m.base(src, dst)
-	if m.jitter > 0 && hops > 0 {
+// per-hop jitter (fresh per packet), and false if it is never delivered.
+func (m *delayModel) packetDelay(src, dst topology.NodeID) (float64, bool) {
+	d, hops, ok := m.base(src, dst)
+	if ok && m.jitter > 0 && hops > 0 {
 		d += m.rng.Float64() * m.jitter * float64(hops)
 	}
-	return d
+	return d, ok
 }
 
-// RunReqResp simulates one request–response exchange.
-func RunReqResp(cfg ReqRespConfig, rng *stats.RNG) ReqRespResult {
-	if cfg.Graph == nil || cfg.Delay == nil {
-		panic("sim: ReqRespConfig.Graph and Delay are required")
-	}
-	model := newDelayModel(&cfg, rng)
+// runReqResp simulates one request–response exchange over a net built for
+// cfg's graph.
+func runReqResp(cfg *ReqRespConfig, net *reqRespNet, rng *stats.RNG) ReqRespResult {
+	model := newDelayModel(cfg, net, rng)
 
 	type member struct {
 		node   topology.NodeID
@@ -128,7 +176,10 @@ func RunReqResp(cfg ReqRespConfig, rng *stats.RNG) ReqRespResult {
 		if node == cfg.Requester {
 			continue
 		}
-		recvAt := model.packetDelay(cfg.Requester, node)
+		recvAt, ok := model.packetDelay(cfg.Requester, node)
+		if !ok {
+			continue // the request never reaches it
+		}
 		delay := cfg.Delay
 		if cfg.DelayFor != nil {
 			if d := cfg.DelayFor(node); d != nil {
@@ -154,33 +205,17 @@ func RunReqResp(cfg ReqRespConfig, rng *stats.RNG) ReqRespResult {
 	var senders []sender
 	res := ReqRespResult{FirstSendAt: -1, FirstArrivalAt: -1}
 	var recvSum float64
-
-	// An upper bound on any pair delay: twice the deepest root delay on the
-	// shared tree (tree paths concatenate two root paths), doubled again as
-	// slack for shortest-path-tree delays and per-hop jitter. Any member
-	// whose send time is this far past the first response is certainly
-	// suppressed — no pair computation needed.
-	var maxRootDelay float64
-	var maxDepth int32
-	for v := 0; v < cfg.Graph.NumNodes(); v++ {
-		if d := model.shared.DelayFromRoot(topology.NodeID(v)); d > maxRootDelay {
-			maxRootDelay = d
-		}
-		if h := model.shared.Depth(topology.NodeID(v)); h > maxDepth {
-			maxDepth = h
-		}
-	}
-	sureSuppressDelay := 4*maxRootDelay + cfg.JitterPerHop*float64(4*maxDepth)
+	arrived := 0
 
 	for _, mb := range members {
 		suppressed := false
-		if len(senders) > 0 && mb.sendAt >= senders[0].sentAt+sureSuppressDelay {
+		if len(senders) > 0 && mb.sendAt >= senders[0].sentAt+net.sureSuppressDelay && model.reaches(senders[0].node, mb.node) {
 			suppressed = true
 		} else {
 			for _, sd := range senders {
 				// An earlier response that arrives before (or exactly at)
-				// our send time cancels it.
-				if sd.sentAt+model.packetDelay(sd.node, mb.node) <= mb.sendAt {
+				// our send time cancels it; one that never arrives cannot.
+				if d, ok := model.packetDelay(sd.node, mb.node); ok && sd.sentAt+d <= mb.sendAt {
 					suppressed = true
 					break
 				}
@@ -190,18 +225,23 @@ func RunReqResp(cfg ReqRespConfig, rng *stats.RNG) ReqRespResult {
 			continue
 		}
 		senders = append(senders, sender{node: mb.node, sentAt: mb.sendAt})
-		arrival := mb.sendAt + model.packetDelay(mb.node, cfg.Requester)
-		recvSum += arrival
 		if res.FirstSendAt < 0 || mb.sendAt < res.FirstSendAt {
 			res.FirstSendAt = mb.sendAt
 		}
+		d, ok := model.packetDelay(mb.node, cfg.Requester)
+		if !ok {
+			continue // sent, but it never arrives
+		}
+		arrival := mb.sendAt + d
+		recvSum += arrival
+		arrived++
 		if res.FirstArrivalAt < 0 || arrival < res.FirstArrivalAt {
 			res.FirstArrivalAt = arrival
 		}
 	}
 	res.Responses = len(senders)
-	if res.Responses > 0 {
-		res.MeanResponseRecv = recvSum / float64(res.Responses)
+	if arrived > 0 {
+		res.MeanResponseRecv = recvSum / float64(arrived)
 	}
 	return res
 }
@@ -232,15 +272,19 @@ type TrialStats struct {
 	MaxFirstMs float64       // the latest of those first arrivals
 }
 
-// RunTrials runs trials request–response exchanges of cfg. Each trial
-// splits its own RNG from root, draws the requester from it and hands it
-// to RunReqResp; cfg.Requester is ignored.
+// RunTrials runs trials request–response exchanges of cfg over one net.
+// Each trial splits its own RNG from root and draws the requester from it;
+// cfg.Requester is ignored.
 func RunTrials(cfg ReqRespConfig, trials int, root *stats.RNG) TrialStats {
+	if cfg.Graph == nil || cfg.Delay == nil {
+		panic("sim: ReqRespConfig.Graph and Delay are required")
+	}
+	net := newReqRespNet(&cfg)
 	var ts TrialStats
 	for trial := 0; trial < trials; trial++ {
 		rng := root.Split()
 		cfg.Requester = topology.NodeID(rng.IntN(cfg.Graph.NumNodes()))
-		r := RunReqResp(cfg, rng)
+		r := runReqResp(&cfg, net, rng)
 		ts.Responses.Add(float64(r.Responses))
 		if r.FirstArrivalAt >= 0 {
 			ts.First.Add(r.FirstArrivalAt)

@@ -439,6 +439,69 @@ func TestReqRespRequesterExcluded(t *testing.T) {
 	}
 }
 
+// chainForReqResp is a path of n routers, node i to i+1, each link metric
+// 1 and 1 ms: nodes more than 31 hops apart lie beyond DVMRP infinity.
+func chainForReqResp(n int) *topology.Graph {
+	g := topology.NewGraph(n)
+	for v := 0; v+1 < n; v++ {
+		g.MustAddLink(topology.NodeID(v), topology.NodeID(v+1), 1, 1, 1)
+	}
+	return g
+}
+
+// A packet between nodes beyond DVMRP infinity of each other is never
+// delivered: a member the request does not reach does not respond, and a
+// response that cannot reach a member suppresses nobody.
+func TestReqRespUnreachedPairsAreNeverDelivered(t *testing.T) {
+	at := func(ms float64) clash.DelayDist { return clash.NewUniformDelay(ms, ms) }
+
+	// From node 0 of a 40-node chain the request reaches nodes 1..31 only.
+	// Node 1 answers first (at 1 ms) and suppresses the rest; nodes 32..39
+	// never hear the request, so none answers at 0 ms.
+	g := chainForReqResp(40)
+	r := RunReqResp(ReqRespConfig{Graph: g, Mode: ShortestPathTree, Requester: 0,
+		Members: allNodes(g), Delay: at(0)}, stats.NewRNG(1))
+	if r.Responses != 1 || r.FirstArrivalAt != 2 || r.MeanResponseRecv != 2 {
+		t.Fatalf("request beyond infinity: %+v, want one response arriving at 2 ms", r)
+	}
+
+	// From the middle of a 60-node chain both ends hear the request, but
+	// they are 59 hops apart: node 0's response (sent at 30 ms) cannot
+	// suppress node 59's (sent at 129 ms), and everyone else, answering
+	// 10 s late, is suppressed by whichever end reaches it.
+	g = chainForReqResp(60)
+	r = RunReqResp(ReqRespConfig{Graph: g, Mode: ShortestPathTree, Requester: 30,
+		Members: allNodes(g), Delay: at(10000),
+		DelayFor: func(n topology.NodeID) clash.DelayDist {
+			switch n {
+			case 0:
+				return at(0)
+			case 59:
+				return at(100)
+			}
+			return nil
+		}}, stats.NewRNG(1))
+	if r.Responses != 2 || r.FirstSendAt != 30 || r.FirstArrivalAt != 60 || r.MeanResponseRecv != 109 {
+		t.Fatalf("response beyond infinity: %+v, want two responses arriving at 60 and 158 ms", r)
+	}
+
+	// On a shared tree cored at node 0 of a 40-node chain, nodes 32..39 are
+	// off the tree: a request from node 1 reaches nodes 0 and 2..31, whose
+	// two neighbours of the requester answer at 1 ms; a request from node
+	// 35 reaches nobody.
+	g = chainForReqResp(40)
+	r = RunReqResp(ReqRespConfig{Graph: g, Mode: SharedTree, Requester: 1,
+		Members: allNodes(g), Delay: at(0)}, stats.NewRNG(1))
+	if r.Responses != 2 || r.FirstArrivalAt != 2 || r.MeanResponseRecv != 2 {
+		t.Fatalf("shared tree, requester on it: %+v, want two responses arriving at 2 ms", r)
+	}
+	r = RunReqResp(ReqRespConfig{Graph: g, Mode: SharedTree, Requester: 35,
+		Members: allNodes(g), Delay: at(0)}, stats.NewRNG(1))
+	if r.Responses != 0 || r.FirstArrivalAt != -1 {
+		t.Fatalf("shared tree, requester off it: %+v, want no response", r)
+	}
+}
+
 func TestRunFig15Sweep(t *testing.T) {
 	pts, err := RunFig15(Fig15Config{
 		GroupSizes: []int{200, 400},

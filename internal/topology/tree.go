@@ -1,7 +1,7 @@
 package topology
 
 import (
-	"math"
+	"slices"
 	"sync"
 )
 
@@ -10,81 +10,37 @@ import (
 // (CBT/PIM sparse-mode style). It stores, for each node, its parent, its
 // hop depth, and its cumulative metric and delay from the root.
 type Tree struct {
-	Root     NodeID
-	parent   []NodeID // -1 for root and unreached nodes
-	depth    []int32  // hops from root; -1 if unreached
-	metric   []int32  // cumulative DVMRP metric from root
-	delay    []float64
-	children [][]NodeID
+	Root   NodeID
+	parent []NodeID // -1 for root and unreached nodes
+	depth  []int32  // hops from root; -1 if unreached
+	metric []int32  // cumulative DVMRP metric from root
+	delay  []float64
+	// v's children are kids[first[v]:first[v+1]], in ascending node order.
+	first []int32
+	kids  []NodeID
 	// binary-lifting ancestor table, built lazily by ensureLCA. Guarded by
 	// lcaOnce so trees shared through a concurrent ReachCache stay safe.
 	up      [][]NodeID
 	lcaOnce sync.Once
 }
 
-type pqItem struct {
-	node   NodeID
-	metric int64
-	delay  float64
-}
-
-// pq is a binary min-heap of pqItems under less. push and pop are
-// container/heap's up and down on the typed slice, so an item is never
-// boxed into an interface. less is a total order (its last tie-break is
-// the node id), so the pop sequence — and with it every tree — is the one
-// any correct heap yields.
-type pq []pqItem
-
-func (a pqItem) less(b pqItem) bool {
-	if a.metric != b.metric {
-		return a.metric < b.metric
-	}
-	// Tie-break on delay then node id for determinism across runs.
-	if a.delay != b.delay {
-		return a.delay < b.delay
-	}
-	return a.node < b.node
-}
-
-func (q *pq) push(it pqItem) {
-	*q = append(*q, it)
-	h := *q
-	for j := len(h) - 1; j > 0; {
-		i := (j - 1) / 2 // parent
-		if !h[j].less(h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (q *pq) pop() pqItem {
-	h := *q
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	for i := 0; ; {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		if r := j + 1; r < n && h[r].less(h[j]) {
-			j = r
-		}
-		if !h[j].less(h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	it := h[n]
-	*q = h[:n]
-	return it
+// settled is a node of the bucket being settled with the delay that orders
+// it there: sorting bare node ids by t.delay, whose reads leave the bucket,
+// made paper-scale fig15 (51 200-node graphs) about 15 % slower.
+type settled struct {
+	delay float64
+	node  NodeID
 }
 
 // NewSPTree computes the shortest path tree rooted at src using DVMRP
 // metrics (ties broken deterministically). Nodes whose best path metric
 // reaches InfMetric are treated as unreachable, matching DVMRP's infinity.
+//
+// It is Dijkstra over one bucket per metric below InfMetric. Every link
+// costs at least 1 (AddLink), so bucket m is complete once the buckets
+// below it are settled, and settling it in (delay, node) order pops the
+// (metric, delay, node) order of a heap (DESIGN.md §8). Waiting nodes sit
+// on intrusive lists, so a tree is a fixed number of allocations.
 func NewSPTree(g *Graph, src NodeID) *Tree {
 	n := g.NumNodes()
 	t := &Tree{
@@ -93,40 +49,86 @@ func NewSPTree(g *Graph, src NodeID) *Tree {
 		depth:  make([]int32, n),
 		metric: make([]int32, n),
 		delay:  make([]float64, n),
+		first:  make([]int32, n+1),
 	}
-	dist := make([]int64, n)
-	for i := range dist {
-		dist[i] = math.MaxInt64
-		t.parent[i] = -1
-		t.depth[i] = -1
+	for i := range t.parent {
+		t.parent[i], t.depth[i], t.metric[i] = -1, -1, InfMetric
 	}
-	dist[src] = 0
-	t.depth[src] = 0
-	q := pq{{node: src}}
-	done := make([]bool, n)
-	for len(q) > 0 {
-		it := q.pop()
-		u := it.node
-		if done[u] {
-			continue
+	// next and prev thread each bucket's waiting nodes; -1 ends a list.
+	link := make([]int32, 2*n)
+	next, prev := link[:n], link[n:]
+	var head [InfMetric]int32
+	for i := range head {
+		head[i] = -1
+	}
+	t.depth[src], t.metric[src] = 0, 0
+	head[0], next[src], prev[src] = int32(src), -1, -1
+	bucket := make([]settled, 0, n)
+	for m := int32(0); m < InfMetric; m++ {
+		bucket = bucket[:0]
+		for v := head[m]; v >= 0; v = next[v] {
+			bucket = append(bucket, settled{t.delay[v], NodeID(v)})
 		}
-		done[u] = true
-		for _, e := range g.Neighbors(u) {
-			nd := dist[u] + int64(e.Metric)
-			if nd >= InfMetric {
-				continue // DVMRP metric infinity
+		slices.SortFunc(bucket, func(a, b settled) int {
+			switch {
+			case a.delay < b.delay:
+				return -1
+			case a.delay > b.delay:
+				return 1
 			}
-			if nd < dist[e.To] && !done[e.To] {
-				dist[e.To] = nd
-				t.parent[e.To] = u
-				t.depth[e.To] = t.depth[u] + 1
-				t.metric[e.To] = int32(nd)
-				t.delay[e.To] = t.delay[u] + e.Delay
-				q.push(pqItem{node: e.To, metric: nd, delay: t.delay[e.To]})
+			return int(a.node - b.node)
+		})
+		for _, s := range bucket {
+			u := s.node
+			for _, e := range g.Neighbors(u) {
+				if e.Metric >= InfMetric-m {
+					continue // DVMRP metric infinity
+				}
+				v, nm := e.To, m+e.Metric
+				if nm >= t.metric[v] {
+					continue
+				}
+				if old := t.metric[v]; old < InfMetric { // leave bucket old
+					if p := prev[v]; p >= 0 {
+						next[p] = next[v]
+					} else {
+						head[old] = next[v]
+					}
+					if nx := next[v]; nx >= 0 {
+						prev[nx] = prev[v]
+					}
+				}
+				next[v], prev[v] = head[nm], -1
+				if h := head[nm]; h >= 0 {
+					prev[h] = int32(v)
+				}
+				head[nm] = int32(v)
+				t.parent[v], t.depth[v], t.metric[v] = u, t.depth[u]+1, nm
+				t.delay[v] = t.delay[u] + e.Delay
 			}
 		}
 	}
-	t.buildChildren()
+	// Children, counted then placed in ascending node order; an unreached
+	// node's metric goes back to 0.
+	for v, p := range t.parent {
+		if p >= 0 {
+			t.first[p+1]++
+		} else if t.depth[v] < 0 {
+			t.metric[v] = 0
+		}
+	}
+	for v := 1; v <= n; v++ {
+		t.first[v] += t.first[v-1]
+	}
+	t.kids = make([]NodeID, t.first[n])
+	at := next
+	copy(at, t.first[:n])
+	for v, p := range t.parent {
+		if p >= 0 {
+			t.kids[at[p]] = NodeID(v)
+			at[p]++
+		}
+	}
 	return t
 }
 
@@ -137,15 +139,6 @@ func NewSharedTree(g *Graph, core NodeID) *Tree {
 	return NewSPTree(g, core)
 }
 
-func (t *Tree) buildChildren() {
-	t.children = make([][]NodeID, len(t.parent))
-	for v, p := range t.parent {
-		if p >= 0 {
-			t.children[p] = append(t.children[p], NodeID(v))
-		}
-	}
-}
-
 // Depth returns v's hop count from the root (-1 if unreached).
 func (t *Tree) Depth(v NodeID) int32 { return t.depth[v] }
 
@@ -154,7 +147,10 @@ func (t *Tree) Depth(v NodeID) int32 { return t.depth[v] }
 func (t *Tree) DelayFromRoot(v NodeID) float64 { return t.delay[v] }
 
 // Children returns v's children. The slice is owned by the tree.
-func (t *Tree) Children(v NodeID) []NodeID { return t.children[v] }
+func (t *Tree) Children(v NodeID) []NodeID {
+	lo, hi := t.first[v], t.first[v+1]
+	return t.kids[lo:hi:hi]
+}
 
 // ensureLCA builds the binary lifting table on first use (concurrency-safe).
 func (t *Tree) ensureLCA() {
