@@ -11,14 +11,17 @@ test:
 	$(GO) test ./...
 
 # The concurrency regression gate: the trial-parallel experiment engine,
-# the striped scope cache (topology.ReachCache), the determinism tests, and
-# one Directory driven from six goroutines at once, under the race detector.
+# the scope cache (topology.ReachCache), the determinism tests, and one
+# Directory driven from six goroutines at once, under the race detector.
 # The last runs again at three core counts: how its callers interleave
 # depends on how many of them run at a time. So does the datagram retention
-# test, since receivers share HandleBatch's pooled decode scratch.
+# test, since receivers share HandleBatch's pooled decode scratch, and so do
+# the scope cache's concurrent tests, since a hit reads a record that a miss
+# publishes without a lock.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 -count 3 -run 'TestDirectoryConcurrentUse|TestDirectoryRetainsNothingFromDatagrams' .
+	$(GO) test -race -cpu 1,2,4 -count 3 -run 'TestReachCache.*(Concurrent|UnderRace)' ./internal/topology
 
 vet:
 	$(GO) vet ./...

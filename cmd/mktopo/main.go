@@ -133,7 +133,8 @@ func main() {
 			fmt.Println("# hop stats over all sources")
 		}
 		fmt.Println("# TTL  mostfreq  mean   max")
-		for _, row := range topology.HopStatsForTTLs(g, []mcast.TTL{15, 47, 63, 127, 255}, sources) {
+		rows, _ := topology.HopStatsForTTLs(g, []mcast.TTL{15, 47, 63, 127, 255}, sources)
+		for _, row := range rows {
 			fmt.Printf("%5d  %8d  %5.1f  %4d\n", row.TTL, row.MostFrequentHop, row.MeanHop, row.MaxHop)
 		}
 	}

@@ -36,7 +36,7 @@ func main() {
 	fmt.Printf("\nworkload ds4 (mostly local sessions), space of %d addresses, %d trials:\n\n", space, trials)
 	fmt.Printf("%-20s %s\n", "algorithm", "mean allocations before first clash")
 	root := stats.NewRNG(7)
-	cache := topology.NewReachCache(g) // one set of trees for every trial
+	cache := topology.NewReachCache(g) // one set of scopes for every trial
 	for _, alg := range algorithms {
 		var s stats.Summary
 		for i := 0; i < trials; i++ {

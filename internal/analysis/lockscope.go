@@ -12,12 +12,13 @@ import (
 // LockScope enforces PR 1's compute-outside-the-lock rule in the
 // concurrent packages: while a sync.Mutex or sync.RWMutex is held, the
 // critical section may only move data — field reads/writes, builtins,
-// conversions — not call functions. Calls under a lock are how the
-// sharded ReachCache would reintroduce the serial bottleneck it was
-// built to remove (an SPT build under a shard lock stalls every worker
-// hashing to that shard), and calls into *caller-supplied* code under a
-// lock (a transport Policy, a Handler) are self-deadlocks waiting for
-// the callback to touch the locked structure.
+// conversions — not call functions. Calls under a lock are how a shared
+// cache such as ReachCache would bring back the serial bottleneck that
+// computing outside the lock removes (an SPT build under its intern lock
+// would stall every worker with a miss), and calls into
+// *caller-supplied* code under a lock (a transport Policy, a Handler)
+// are self-deadlocks waiting for the callback to touch the locked
+// structure.
 //
 // The tracking is a conservative linear scan per function: Lock/RLock
 // puts the receiver expression into the held set, Unlock/RUnlock removes

@@ -41,7 +41,10 @@ type Net struct {
 	// datagram visits the nodes of its reach set in ascending NodeID — the
 	// delivery order every fate draw (and every same-timestamp event
 	// sequence number) follows, so seed replay holds.
-	eps    []*Endpoint
+	eps []*Endpoint
+	// trees[v] is node v's shortest-path tree, built on v's first send: a
+	// datagram from v reaches each receiver after the tree's delay to it.
+	trees  []*topology.Tree
 	filter LinkFilter
 }
 
@@ -88,6 +91,7 @@ func NewNet(engine *Engine, cfg NetConfig) (*Net, error) {
 		profile: cfg.Profile,
 		rng:     stats.NewRNG(cfg.Seed ^ 0xde5),
 		eps:     make([]*Endpoint, cfg.Graph.NumNodes()),
+		trees:   make([]*topology.Tree, cfg.Graph.NumNodes()),
 	}, nil
 }
 
@@ -156,7 +160,11 @@ func (e *Endpoint) SendBatch(_ context.Context, batch []transport.Datagram) erro
 // send offers one datagram to every attached node in scope.
 func (e *Endpoint) send(data []byte, scope mcast.TTL) {
 	n := e.net
-	tree := n.cache.Tree(e.node)
+	tree := n.trees[e.node]
+	if tree == nil {
+		tree = topology.NewSPTree(n.graph, e.node)
+		n.trees[e.node] = tree
+	}
 	for node := range n.cache.Reach(e.node, scope).All() {
 		target := n.eps[node]
 		if target == nil || node == e.node {

@@ -28,7 +28,7 @@ func RunAdminScope(w io.Writer, s Scale) error {
 	fmt.Fprintf(w, "# §1 contrast: IR under admin scoping vs TTL scoping (%d zones)\n", len(zones))
 	fmt.Fprintln(w, "# space   ttl_allocs_before_clash   admin_allocs   admin_clashes")
 	rng := stats.NewRNG(s.Seed)
-	cache := topology.NewReachCache(g) // one set of trees for every trial
+	cache := topology.NewReachCache(g) // one set of scopes for every trial
 	for _, space := range s.Fig5Spaces {
 		var ttl stats.Summary
 		for trial := 0; trial < s.Fig5Trials; trial++ {

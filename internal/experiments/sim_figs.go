@@ -67,9 +67,10 @@ func RunFig10(w io.Writer, s Scale) error {
 	}
 	sources := sampleSources(g, s.HopSources, s.Seed)
 	fmt.Fprintf(w, "# Figure 10: hop-count distribution (Mbone %d nodes)\n", g.NumNodes())
-	for _, ttl := range []mcast.TTL{15, 47, 63, 127} {
-		h := topology.HopHistogram(g, ttl, sources)
-		fmt.Fprintf(w, "TTL=%d:", ttl)
+	ttls := []mcast.TTL{15, 47, 63, 127}
+	hs, _ := topology.HopHistograms(g, ttls, sources)
+	for i, h := range hs {
+		fmt.Fprintf(w, "TTL=%d:", ttls[i])
 		for _, bin := range h.Normalized() {
 			fmt.Fprintf(w, " %d:%.3f", bin.Value, bin.Fraction)
 		}
@@ -91,12 +92,12 @@ func RunTTLTable(w io.Writer, s Scale) error {
 	usage := map[mcast.TTL]string{
 		127: "Intercontinental", 63: "International", 47: "National", 16: "Local",
 	}
-	for _, row := range topology.HopStatsForTTLs(g, []mcast.TTL{127, 63, 47, 16}, sources) {
+	rows, diameter := topology.HopStatsForTTLs(g, []mcast.TTL{127, 63, 47, 16}, sources)
+	for _, row := range rows {
 		fmt.Fprintf(w, "%5d  %8d  %5.1f  %4d  %s\n",
 			row.TTL, row.MostFrequentHop, row.MeanHop, row.MaxHop, usage[row.TTL])
 	}
-	fmt.Fprintf(w, "# network diameter (hops): %d (DVMRP infinity is 32)\n",
-		topology.Diameter(g, sources))
+	fmt.Fprintf(w, "# network diameter (hops): %d (DVMRP infinity is 32)\n", diameter)
 	return nil
 }
 

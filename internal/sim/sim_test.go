@@ -132,7 +132,7 @@ func TestFillUntilClashScopedBreaksIR(t *testing.T) {
 	// The paper's central observation: once sessions are scoped, IR loses
 	// its advantage because the dangerous sessions are invisible.
 	g := testMbone(t, 800)
-	cache := topology.NewReachCache(g) // shared: the trees are most of a trial
+	cache := topology.NewReachCache(g) // shared: building the scopes is most of a trial
 	const space = 512
 	rng := stats.NewRNG(7)
 	mean := func(mk func() allocator.Allocator) float64 {
@@ -156,7 +156,7 @@ func TestFillUntilClashScopedBreaksIR(t *testing.T) {
 // the Figure-5 separation must be statistical signal, not trial noise.
 func TestIPR7BeatsIRSignificantly(t *testing.T) {
 	g := testMbone(t, 800)
-	cache := topology.NewReachCache(g) // shared: the trees are most of a trial
+	cache := topology.NewReachCache(g) // shared: building the scopes is most of a trial
 	const space = 512
 	rng := stats.NewRNG(8)
 	sample := func(mk func() allocator.Allocator) *stats.Summary {

@@ -241,7 +241,7 @@ func TestMboneHopDistributionShape(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		sources = append(sources, NodeID(rng.IntN(g.NumNodes())))
 	}
-	rows := HopStatsForTTLs(g, []mcast.TTL{15, 47, 63, 127}, sources)
+	rows, _ := HopStatsForTTLs(g, []mcast.TTL{15, 47, 63, 127}, sources)
 	byTTL := map[mcast.TTL]HopStats{}
 	for _, r := range rows {
 		byTTL[r.TTL] = r
@@ -281,14 +281,14 @@ func TestHopHistogramLine(t *testing.T) {
 	g.MustAddLink(0, 1, 1, 1, 1)
 	g.MustAddLink(1, 2, 1, 1, 1)
 	g.MustAddLink(2, 3, 1, 1, 1)
-	h := HopHistogram(g, 255, []NodeID{0})
+	hs, _ := HopHistograms(g, []mcast.TTL{255}, []NodeID{0})
 	// From node 0: hops 0,1,2,3 each once.
 	for hop := 0; hop <= 3; hop++ {
-		if h.Count(hop) != 1 {
-			t.Fatalf("hop %d count = %d; hist %s", hop, h.Count(hop), h.String())
+		if hs[0].Count(hop) != 1 {
+			t.Fatalf("hop %d count = %d; hist %s", hop, hs[0].Count(hop), hs[0].String())
 		}
 	}
-	if Diameter(g, nil) != 3 {
-		t.Fatalf("diameter = %d", Diameter(g, nil))
+	if _, d := HopHistograms(g, nil, nil); d != 3 {
+		t.Fatalf("diameter = %d", d)
 	}
 }

@@ -5,30 +5,42 @@ import (
 	"sessiondir/internal/stats"
 )
 
-// HopHistogram computes the Figure-10 curve for one TTL scope: over every
-// potential source mrouter, the histogram of the number of mrouters at each
-// hop distance that traffic sent at that TTL actually reaches. The
-// histogram is combined over all sources (the paper normalises it for
-// plotting; use IntHistogram.Normalized).
+// HopHistograms computes the Figure-10 curve for each TTL scope in ttls:
+// over every potential source mrouter, the histogram of the number of
+// mrouters at each hop distance that traffic sent at that TTL actually
+// reaches, combined over all sources (the paper normalises it for
+// plotting; use IntHistogram.Normalized). It also returns the largest hop
+// count of any source's tree, ignoring TTL thresholds: the diameter the
+// paper observes to stay under the DVMRP infinite metric of 32.
 //
 // sources limits the computation to the given source subset; pass nil for
-// all nodes (paper behaviour; O(V·(E log V))).
-func HopHistogram(g *Graph, ttl mcast.TTL, sources []NodeID) *stats.IntHistogram {
-	h := &stats.IntHistogram{}
+// all nodes (paper behaviour). Each source's tree is built once for all
+// the TTLs.
+func HopHistograms(g *Graph, ttls []mcast.TTL, sources []NodeID) ([]*stats.IntHistogram, int) {
+	hs := make([]*stats.IntHistogram, len(ttls))
+	for i := range hs {
+		hs[i] = &stats.IntHistogram{}
+	}
 	if sources == nil {
 		sources = make([]NodeID, g.NumNodes())
 		for i := range sources {
 			sources[i] = NodeID(i)
 		}
 	}
+	diameter := 0
 	for _, src := range sources {
 		t := NewSPTree(g, src)
-		r := Reach(g, t, ttl)
-		for _, v := range r.Members() {
-			h.Add(int(t.Depth(v)))
+		for v, m := range minTTLs(g, t) {
+			d := int(t.depth[v])
+			diameter = max(diameter, d)
+			for i, ttl := range ttls {
+				if m != 0 && mcast.TTL(m) <= ttl {
+					hs[i].Add(d)
+				}
+			}
 		}
 	}
-	return h
+	return hs, diameter
 }
 
 // HopStats is one row of the paper's §2.4.1 TTL table.
@@ -40,40 +52,18 @@ type HopStats struct {
 }
 
 // HopStatsForTTLs computes the §2.4.1 table (most frequent and maximum hop
-// count per TTL scope) over the given sources (nil = all).
-func HopStatsForTTLs(g *Graph, ttls []mcast.TTL, sources []NodeID) []HopStats {
-	out := make([]HopStats, 0, len(ttls))
-	for _, ttl := range ttls {
-		h := HopHistogram(g, ttl, sources)
-		out = append(out, HopStats{
-			TTL:             ttl,
+// count per TTL scope) over the given sources (nil = all), and the
+// diameter HopHistograms returns.
+func HopStatsForTTLs(g *Graph, ttls []mcast.TTL, sources []NodeID) ([]HopStats, int) {
+	hs, diameter := HopHistograms(g, ttls, sources)
+	out := make([]HopStats, len(ttls))
+	for i, h := range hs {
+		out[i] = HopStats{
+			TTL:             ttls[i],
 			MostFrequentHop: h.Mode(),
 			MeanHop:         h.Mean(),
 			MaxHop:          h.Max(),
-		})
-	}
-	return out
-}
-
-// Diameter returns the maximum hop-count eccentricity over the sampled
-// sources (nil = all nodes), ignoring TTL thresholds. This corresponds to
-// the paper's observation that the Mbone diameter stays under the DVMRP
-// infinite metric of 32.
-func Diameter(g *Graph, sources []NodeID) int {
-	if sources == nil {
-		sources = make([]NodeID, g.NumNodes())
-		for i := range sources {
-			sources[i] = NodeID(i)
 		}
 	}
-	maxHops := 0
-	for _, src := range sources {
-		t := NewSPTree(g, src)
-		for v := 0; v < g.NumNodes(); v++ {
-			if d := t.Depth(NodeID(v)); int(d) > maxHops {
-				maxHops = int(d)
-			}
-		}
-	}
-	return maxHops
+	return out, diameter
 }

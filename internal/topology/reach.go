@@ -99,46 +99,55 @@ func (s *NodeSet) Members() []NodeID {
 // a packet crosses a link only if the decremented TTL is still positive and
 // is not below the link's configured threshold. The source's own node is
 // always in the set (hosts on the source LAN receive at any TTL >= 1).
-func Reach(g *Graph, t *Tree, ttl mcast.TTL) *NodeSet {
-	set := NewNodeSet(g.NumNodes())
-	if ttl < 1 {
-		return set
-	}
-	set.Add(t.Root)
-	// DFS down the tree carrying remaining TTL.
-	type frame struct {
-		node NodeID
-		ttl  int32
-	}
-	stack := []frame{{t.Root, int32(ttl)}}
+func Reach(g *Graph, t *Tree, ttl mcast.TTL) *NodeSet { //mclint:unused the root package's BenchmarkReachComputation times it
+	return reachSet(minTTLs(g, t), ttl)
+}
+
+// minTTLs returns, for each node, the least TTL at which a packet from
+// t.Root reaches it under Reach's rule, or 0 if none does. The packet
+// crosses the link into a node at depth d with TTL-d left, so it needs
+// d+max(1, threshold) there and whatever the node's parent needed.
+func minTTLs(g *Graph, t *Tree) []uint8 {
+	need := make([]uint8, g.NumNodes())
+	need[t.Root] = 1
+	stack := []NodeID{t.Root}
 	for len(stack) > 0 {
-		f := stack[len(stack)-1]
+		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, c := range t.Children(f.node) {
-			e, ok := g.EdgeBetween(f.node, c)
+		for _, c := range t.Children(u) {
+			e, ok := g.EdgeBetween(u, c)
 			if !ok {
 				continue
 			}
-			rem := f.ttl - 1
-			if rem < 1 || rem < int32(e.Threshold) {
-				continue
+			m := max(int(need[u]), int(t.depth[c])+max(1, int(e.Threshold)))
+			if m > int(mcast.MaxTTL) {
+				continue // no TTL reaches c, nor anything below it
 			}
-			set.Add(c)
-			stack = append(stack, frame{c, rem})
+			need[c] = uint8(m)
+			stack = append(stack, c)
 		}
 	}
-	return set
+	return need
 }
 
-// reachShards is the lock-striping factor of ReachCache. Entries are
-// striped by source node, so workers simulating sessions from different
-// origins rarely contend on the same lock.
-const reachShards = 16
+// reachSet is the scope at ttl of the source whose minTTLs are need.
+func reachSet(need []uint8, ttl mcast.TTL) *NodeSet {
+	s := NewNodeSet(len(need))
+	for v, m := range need {
+		if m != 0 && mcast.TTL(m) <= ttl {
+			s.Add(NodeID(v))
+		}
+	}
+	return s
+}
 
-// ReachCache memoises Reach sets and shortest path trees keyed by
-// (source, TTL). The allocation simulations look up the same scopes
-// repeatedly; a run over the 1864-node Mbone touches only a few thousand
-// distinct (source, TTL) pairs.
+// ReachCache memoises Reach sets keyed by (source, TTL). The allocation
+// simulations look up the same scopes repeatedly; a run over the
+// 1864-node Mbone touches only a few thousand distinct (source, TTL) pairs.
+//
+// Of a source it keeps one record: minTTLs, one byte per node, from which
+// the scope at every TTL follows, and the sets asked for so far. The
+// source's tree is built on its first miss and dropped.
 //
 // Many keys share one set: on the 400-node Mbone the 2 800 (source, DS4
 // TTL) keys hold 556 distinct sets, since at the wider TTLs every source
@@ -150,17 +159,19 @@ const reachShards = 16
 // classes an observer sees are found without testing every class.
 //
 // The cache is safe for concurrent use: the parallel experiment engine
-// shares one cache across all workers of a sweep. Locks are sharded by
-// source node; lookups take a shard read-lock, and a miss computes the
-// tree/set outside any lock before publishing it (a racing duplicate
-// computation is possible but harmless — the first published value wins
-// and Reach is a pure function, so duplicates are identical). A set miss
-// takes one more lock, the intern table's; Containing takes none, so the
-// workers' placements never wait on each other. Returned *NodeSet and *Tree
-// values are shared and must be treated as read-only.
+// shares one cache across all workers of a sweep. A hit is one atomic
+// load of the source's record and takes no lock. A miss computes the set
+// outside any lock, then takes the intern table's lock to publish a copy
+// of the record one set longer (a racing duplicate computation is
+// possible but harmless: the first published set wins, and Reach is a
+// pure function). Containing takes no lock either, so the workers'
+// placements never wait on each other. Returned *NodeSet values are
+// shared and must be treated as read-only.
 type ReachCache struct {
-	g      *Graph
-	shards [reachShards]reachShard
+	g *Graph
+	// bySrc[src] is src's record, nil before its first miss. A published
+	// record never changes.
+	bySrc []atomic.Pointer[reachRecord]
 
 	internMu sync.Mutex
 	interned map[string]*NodeSet // member words, little-endian → the set
@@ -171,76 +182,54 @@ type ReachCache struct {
 	containing []atomic.Pointer[[]int32]
 }
 
-type reachShard struct {
-	mu    sync.RWMutex
-	trees map[NodeID]*Tree
-	sets  map[reachKey]*NodeSet
+// reachRecord is what a ReachCache keeps of one source.
+type reachRecord struct {
+	need   []uint8 // minTTLs of the source's tree
+	scopes []reachScope
 }
 
-type reachKey struct {
-	src NodeID
+type reachScope struct {
 	ttl mcast.TTL
+	set *NodeSet
+}
+
+// scope returns the set published for ttl, or nil; r may be nil.
+func (r *reachRecord) scope(ttl mcast.TTL) *NodeSet {
+	if r == nil {
+		return nil
+	}
+	for _, p := range r.scopes {
+		if p.ttl == ttl {
+			return p.set
+		}
+	}
+	return nil
 }
 
 // NewReachCache returns an empty cache over g.
 func NewReachCache(g *Graph) *ReachCache {
-	c := &ReachCache{g: g, interned: make(map[string]*NodeSet), containing: make([]atomic.Pointer[[]int32], g.NumNodes())}
-	for i := range c.shards {
-		c.shards[i].trees = make(map[NodeID]*Tree)
-		c.shards[i].sets = make(map[reachKey]*NodeSet)
+	n := g.NumNodes()
+	return &ReachCache{
+		g:          g,
+		bySrc:      make([]atomic.Pointer[reachRecord], n),
+		interned:   make(map[string]*NodeSet),
+		containing: make([]atomic.Pointer[[]int32], n),
 	}
-	return c
-}
-
-func (c *ReachCache) shard(src NodeID) *reachShard {
-	return &c.shards[uint32(src)%reachShards]
-}
-
-// Tree returns (building if needed) the shortest path tree rooted at src.
-func (c *ReachCache) Tree(src NodeID) *Tree {
-	sh := c.shard(src)
-	sh.mu.RLock()
-	t := sh.trees[src]
-	sh.mu.RUnlock()
-	if t != nil {
-		return t
-	}
-	t = NewSPTree(c.g, src)
-	sh.mu.Lock()
-	if prev := sh.trees[src]; prev != nil {
-		t = prev // another worker got here first; keep its tree canonical
-	} else {
-		sh.trees[src] = t
-	}
-	sh.mu.Unlock()
-	return t
 }
 
 // Reach returns (building if needed) the scope set of (src, ttl).
 func (c *ReachCache) Reach(src NodeID, ttl mcast.TTL) *NodeSet {
-	k := reachKey{src, ttl}
-	sh := c.shard(src)
-	sh.mu.RLock()
-	s := sh.sets[k]
-	sh.mu.RUnlock()
-	if s != nil {
+	rec := c.bySrc[src].Load()
+	if s := rec.scope(ttl); s != nil {
 		return s
 	}
-	s = c.intern(Reach(c.g, c.Tree(src), ttl))
-	sh.mu.Lock()
-	if prev := sh.sets[k]; prev != nil {
-		s = prev // the same pointer: both went through intern
+	var need []uint8
+	if rec != nil {
+		need = rec.need
 	} else {
-		sh.sets[k] = s
+		need = minTTLs(c.g, NewSPTree(c.g, src))
 	}
-	sh.mu.Unlock()
-	return s
-}
-
-// intern returns the published set with s's members, publishing s under
-// the next class ID if there is none, and listing that ID under each
-// member. The members are read out before the lock is taken.
-func (c *ReachCache) intern(s *NodeSet) *NodeSet {
+	s := reachSet(need, ttl)
 	key := make([]byte, 0, 8*len(s.words))
 	for _, w := range s.words {
 		key = binary.LittleEndian.AppendUint64(key, w)
@@ -248,21 +237,34 @@ func (c *ReachCache) intern(s *NodeSet) *NodeSet {
 	k := string(key)
 	members := s.Members()
 	c.internMu.Lock()
-	if prev := c.interned[k]; prev != nil {
-		s = prev
+	rec = c.bySrc[src].Load()                //mclint:lockscope atomic read of the record this publication replaces
+	if prev := rec.scope(ttl); prev != nil { //mclint:lockscope a scan of a published record, which never changes
+		s = prev // another worker got here first; both went through the intern table
 	} else {
-		s.id = len(c.interned) + 1
-		c.interned[k] = s
-		for _, v := range members {
-			var old []int32
-			if l := c.containing[v].Load(); l != nil { //mclint:lockscope atomic read of the list this publication replaces
-				old = *l
+		if prev := c.interned[k]; prev != nil {
+			s = prev
+		} else {
+			s.id = len(c.interned) + 1
+			c.interned[k] = s
+			for _, v := range members {
+				var old []int32
+				if l := c.containing[v].Load(); l != nil { //mclint:lockscope atomic read of the list this publication replaces
+					old = *l
+				}
+				ids := make([]int32, len(old)+1) // a copy: a published list never changes
+				copy(ids, old)
+				ids[len(old)] = int32(s.id)
+				c.containing[v].Store(&ids) //mclint:lockscope atomic publication; internMu orders the replacements of one list
 			}
-			ids := make([]int32, len(old)+1) // a copy: a published list never changes
-			copy(ids, old)
-			ids[len(old)] = int32(s.id)
-			c.containing[v].Store(&ids) //mclint:lockscope atomic publication; internMu orders the replacements of one list
 		}
+		var old []reachScope
+		if rec != nil {
+			need, old = rec.need, rec.scopes
+		}
+		scopes := make([]reachScope, len(old)+1) // a copy: a published record never changes
+		copy(scopes, old)
+		scopes[len(old)] = reachScope{ttl, s}
+		c.bySrc[src].Store(&reachRecord{need, scopes}) //mclint:lockscope atomic publication; internMu orders the replacements of one record
 	}
 	c.internMu.Unlock()
 	return s

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -85,8 +86,9 @@ func TestNodeSetAllAscendingWithoutAllocating(t *testing.T) {
 	}
 }
 
-// TestReachCacheConcurrent exercises the sharded cache from many
-// goroutines over overlapping (src, ttl) keys. Run under -race (the
+// TestReachCacheConcurrent exercises the cache from many goroutines over
+// overlapping (src, ttl) keys, so first misses, later misses and
+// lock-free hits of one source's record interleave. Run under -race (the
 // Makefile's race target does) this is the regression test for the
 // parallel experiment engine sharing one cache across workers.
 func TestReachCacheConcurrent(t *testing.T) {
@@ -98,6 +100,10 @@ func TestReachCacheConcurrent(t *testing.T) {
 	ttls := []mcast.TTL{15, 47, 63, 127, 191}
 
 	// Serial reference answers.
+	type reachKey struct {
+		src NodeID
+		ttl mcast.TTL
+	}
 	ref := make(map[reachKey]int)
 	refCache := NewReachCache(g)
 	for src := 0; src < 50; src++ {
@@ -127,11 +133,6 @@ func TestReachCacheConcurrent(t *testing.T) {
 				}
 				if got := set.Len(); got != ref[reachKey{src, ttl}] {
 					errs <- "concurrent reach set differs from serial reference"
-					return
-				}
-				// Shared trees must also be stable under concurrent access.
-				if tr := cache.Tree(src); tr.Root != src {
-					errs <- "tree root mismatch"
 					return
 				}
 			}
@@ -322,16 +323,16 @@ func TestReachCacheContainingUnderRace(t *testing.T) {
 	}
 }
 
-// TestReachCacheConcurrentLCA pins that lazily-built LCA tables on shared
-// trees are goroutine-safe (sync.Once), since cached trees escape to the
-// request–response simulations too.
+// TestReachCacheConcurrentLCA pins that the lazily built LCA table of a
+// tree shared by goroutines is goroutine-safe (sync.Once). A tree is
+// shared the way sim.RunTrials shares its core-rooted tree across all of
+// a sweep point's trials; a ReachCache itself keeps no tree.
 func TestReachCacheConcurrentLCA(t *testing.T) {
 	g, err := GenerateMbone(MboneConfig{Nodes: 150}, stats.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewReachCache(g)
-	tree := cache.Tree(0)
+	tree := NewSharedTree(g, 0)
 	var wg sync.WaitGroup
 	results := make([]NodeID, 8)
 	for w := 0; w < 8; w++ {
@@ -347,5 +348,118 @@ func TestReachCacheConcurrentLCA(t *testing.T) {
 		if r != results[0] {
 			t.Fatalf("concurrent LCA answers diverge: %v", results)
 		}
+	}
+}
+
+// refReach is the TTL rule as a walk down the tree carrying the TTL left,
+// the way Reach computed it before the cache kept minTTLs: the reference
+// the cache is checked against.
+func refReach(g *Graph, t *Tree, ttl mcast.TTL) *NodeSet {
+	set := NewNodeSet(g.NumNodes())
+	if ttl < 1 {
+		return set
+	}
+	set.Add(t.Root)
+	type frame struct {
+		node NodeID
+		ttl  int32
+	}
+	stack := []frame{{t.Root, int32(ttl)}}
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, c := range t.Children(f.node) {
+			e, ok := g.EdgeBetween(f.node, c)
+			if !ok {
+				continue
+			}
+			rem := f.ttl - 1
+			if rem < 1 || rem < int32(e.Threshold) {
+				continue
+			}
+			set.Add(c)
+			stack = append(stack, frame{c, rem})
+		}
+	}
+	return set
+}
+
+// TestReachCacheMatchesTreeWalk: for every source and every TTL 0–255,
+// the cache's set holds exactly the words of the tree walk (and on the
+// hand graph, so does Reach's).
+// The hand graph has a link no TTL crosses (threshold 255) with a node
+// below it, a path whose depth plus threshold is 255 and one where it is
+// 256, and low-threshold links below high-threshold ones, where a node
+// needs its parent's TTL and not only its own link's.
+func TestReachCacheMatchesTreeWalk(t *testing.T) {
+	hand := NewGraph(13)
+	for _, l := range []struct {
+		a, b NodeID
+		thr  uint8
+	}{
+		{0, 1, 255}, {1, 2, 1}, // 1 and 2 are out of every scope of 0
+		{0, 3, 1}, {3, 4, 1}, {4, 5, 1}, {5, 6, 1}, {6, 7, 1},
+		{7, 8, 250}, // depth 6: needs 256
+		{6, 9, 250}, // depth 5: needs exactly 255
+		{0, 10, 64}, {10, 11, 1}, {11, 12, 128},
+	} {
+		hand.MustAddLink(l.a, l.b, 1, l.thr, 1)
+	}
+	graphs := map[string]*Graph{"hand": hand}
+	for _, sz := range []struct {
+		nodes int
+		seed  uint64
+	}{{150, 7}, {400, 1998}} {
+		g, err := GenerateMbone(MboneConfig{Nodes: sz.nodes}, stats.NewRNG(sz.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs[fmt.Sprintf("mbone%d", sz.nodes)] = g
+	}
+	for name, g := range graphs {
+		cache := NewReachCache(g)
+		for src := range NodeID(g.NumNodes()) {
+			tree := NewSPTree(g, src)
+			for ttl := range 256 {
+				want := refReach(g, tree, mcast.TTL(ttl)).words
+				if got := cache.Reach(src, mcast.TTL(ttl)).words; !slices.Equal(got, want) {
+					t.Fatalf("%s: cache.Reach(%d, %d) = %x, tree walk %x", name, src, ttl, got, want)
+				}
+				if name != "hand" {
+					continue // Reach is the same filter over the same walk
+				}
+				if got := Reach(g, tree, mcast.TTL(ttl)).words; !slices.Equal(got, want) {
+					t.Fatalf("%s: Reach(%d, %d) = %x, tree walk %x", name, src, ttl, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestReachCacheRetainsNoTrees: a cache filled for every (node, DS4 TTL)
+// key of the 400-node Mbone, as the sim_occupancy benchmark fills it,
+// retains at most 1 MB once garbage is collected. Keeping each source's
+// tree, it held 5.2 MB. Not parallel: it reads the whole heap.
+func TestReachCacheRetainsNoTrees(t *testing.T) {
+	g, err := GenerateMbone(MboneConfig{Nodes: 400}, stats.NewRNG(1998))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	cache := NewReachCache(g)
+	for node := range NodeID(g.NumNodes()) {
+		for _, ttl := range mcast.DS4().Support() {
+			cache.Reach(node, ttl)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(cache)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d classes, %d B retained", cache.Classes(), retained)
+	if retained > 1<<20 {
+		t.Fatalf("the filled cache retains %d B, want at most 1 MB", retained)
 	}
 }

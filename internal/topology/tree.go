@@ -19,7 +19,7 @@ type Tree struct {
 	first []int32
 	kids  []NodeID
 	// binary-lifting ancestor table, built lazily by ensureLCA. Guarded by
-	// lcaOnce so trees shared through a concurrent ReachCache stay safe.
+	// lcaOnce so a tree shared by goroutines stays safe.
 	up      [][]NodeID
 	lcaOnce sync.Once
 }
