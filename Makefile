@@ -15,12 +15,13 @@ test:
 # Directory driven from six goroutines at once, under the race detector.
 # The last runs again at three core counts: how its callers interleave
 # depends on how many of them run at a time. So does the datagram retention
-# test, since receivers share HandleBatch's pooled decode scratch, and so do
-# the scope cache's concurrent tests, since a hit reads a record that a miss
-# publishes without a lock.
+# test, since receivers share HandleBatch's pooled decode scratch, the send
+# contract tests, since arena chunks pass from one flush to the next and
+# flushes nest or run on other goroutines, and the scope cache's concurrent
+# tests, since a hit reads a record that a miss publishes without a lock.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 -count 3 -run 'TestDirectoryConcurrentUse|TestDirectoryRetainsNothingFromDatagrams' .
+	$(GO) test -race -cpu 1,2,4 -count 3 -run 'TestDirectoryConcurrentUse|TestDirectoryRetainsNothingFromDatagrams|TestSendContract' .
 	$(GO) test -race -cpu 1,2,4 -count 3 -run 'TestReachCache.*(Concurrent|UnderRace)' ./internal/topology
 
 vet:

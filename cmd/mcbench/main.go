@@ -36,6 +36,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -498,7 +499,9 @@ func listenerMicros() []microBenchResult {
 // state: a tick with nothing due, which also counts the fresh entries for
 // the overload tier (DirStep, DirStepBudgeted), and a newcomer from an
 // origin at its quota of fresh sessions (DirAdmitAtQuota), also beside a
-// third of the cache gone stale (DirAdmitAtQuotaStale).
+// third of the cache gone stale (DirAdmitAtQuotaStale). And an announcer's
+// steady state: a tick that re-announces 256 owned sessions
+// (DirStepReannounce256).
 func directoryMicros() []microBenchResult {
 	var out []microBenchResult
 	origin := netip.MustParseAddr("10.0.0.1")
@@ -668,8 +671,50 @@ func directoryMicros() []microBenchResult {
 		}
 		stale.Close()
 	}
+
+	// A tick that re-announces 256 owned sessions, every one due: the
+	// owned-map walk, the sort of the due keys, and 256 datagrams written
+	// into the flush's arena with the payload length and hash each session
+	// kept from its first send. The transport keeps nothing. Its unit is
+	// the session; its allocations are per Step: 256 datagrams outgrow the
+	// arena chunks and datagram slots a flush keeps.
+	now := base
+	reannounce, err := sessiondir.New(sessiondir.Config{
+		Origin: origin, Transport: discardTransport{}, Clock: func() time.Time { return now }, Seed: 5,
+	})
+	if err != nil {
+		panic(err)
+	}
+	const owned = 256
+	for i := 0; i < owned; i++ {
+		if _, err := reannounce.CreateSession(&session.Description{Name: fmt.Sprintf("mcbench own %d", i), TTL: 127,
+			Media: []session.Media{{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"}}}); err != nil {
+			panic(err)
+		}
+	}
+	sent := reannounce.Metrics().AnnouncementsSent
+	steps := 0
+	out = append(out, runMicro("DirStepReannounce256", owned, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			now = now.Add(time.Hour) // past every session's next announcement
+			reannounce.Step(now)
+		}
+		steps += b.N
+	}))
+	if m := reannounce.Metrics(); m.AnnouncementsSent-sent != uint64(steps*owned) {
+		panic(fmt.Sprintf("DirStepReannounce256: %d announcements in %d Steps: not every session re-announced each Step", m.AnnouncementsSent-sent, steps))
+	}
+	reannounce.Close()
 	return out
 }
+
+// discardTransport sends nowhere and keeps nothing, so a micro that sends
+// times the directory alone.
+type discardTransport struct{}
+
+func (discardTransport) SendBatch(context.Context, []transport.Datagram) error { return nil }
+func (discardTransport) Subscribe(transport.Handler)                           {}
+func (discardTransport) Close() error                                          { return nil }
 
 // checkpointSessions is how many distinct learn deltas the persistence
 // micro cycles through (and how many records each rotation's snapshot

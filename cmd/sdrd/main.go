@@ -81,6 +81,14 @@ func run() error {
 	)
 	flag.Parse()
 
+	// Take SIGINT and SIGTERM before anything can see the daemon — the
+	// debug server answers while the cache loads and the first checkpoint
+	// syncs — so a stop sent the moment it answers is a clean shutdown,
+	// not the default action's kill. One that arrives during start-up is
+	// acted on as soon as the directory runs.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	reg := obs.NewRegistry()
 	udp, err := openTransport(*group, uint16(*port), *peers, *listen, reg)
 	if err != nil {
@@ -213,8 +221,6 @@ func run() error {
 	}
 	ready.Store(true)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	if *duration > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *duration)

@@ -69,7 +69,7 @@ type core struct {
 	reporting  bool
 	fx         effects
 	// dueBuf is step's list of owned keys due for re-announcement, kept
-	// from one tick to the next.
+	// from one tick to the next: it holds at most every owned key.
 	dueBuf []string
 
 	ins dirInstruments
@@ -81,10 +81,14 @@ type core struct {
 // borrows them for the send call, and the flush that sent them hands the
 // buffers back to the core to be filled again (recycled). The arena is
 // filled chunk by chunk — wire is the chunk being filled — so a burst
-// copies nothing it has already written.
+// copies nothing it has already written. chunks holds the arena's chunks
+// of wireChunk bytes, the first used of them filled this round and the
+// rest spares: a burst fills those before it allocates.
 type effects struct {
 	dgrams  []transport.Datagram
 	wire    []byte
+	chunks  [keepChunks][]byte
+	used    int
 	journal [][]byte
 	events  []Event
 }
@@ -97,32 +101,54 @@ const (
 	// headerRoom is at least what sap.Packet.AppendHeader writes: eight
 	// bytes and the payload type.
 	headerRoom = 32
-	// keepSlots bounds the datagram and event buffers a flush hands back
-	// (and only a chunk of wireChunk bytes is handed back): a burst that
-	// grew them past it — a Step re-announcing a crowd, a large batch
-	// create — leaves them to the collector rather than resident in every
-	// directory.
-	keepSlots = 16
+	// keepChunks bounds the arena a flush hands back, 16 kB, which holds
+	// about 110 announcements of 140 bytes, and keepDgrams the datagram
+	// slots: append grows a slice of 32-byte datagrams through 71 to 151
+	// slots on its way there. So a Step re-announcing that many sessions
+	// allocates nothing. keepSlots bounds the event buffer. A burst past
+	// them — a Step re-announcing a crowd, a large batch create — leaves
+	// the excess to the collector rather than resident in every directory.
+	keepChunks = 4
+	keepDgrams = 160
+	keepSlots  = 16
 )
+
+// chunk returns an empty arena chunk with room for need bytes: the next
+// spare, else a new chunk, kept as a spare while fewer than keepChunks
+// are. A chunk larger than wireChunk is never kept.
+func (fx *effects) chunk(need int) []byte {
+	if need > wireChunk {
+		return make([]byte, 0, need)
+	}
+	if fx.used == keepChunks {
+		return make([]byte, 0, wireChunk)
+	}
+	w := fx.chunks[fx.used]
+	if w == nil {
+		w = make([]byte, 0, wireChunk)
+		fx.chunks[fx.used] = w
+	}
+	fx.used++
+	return w[:0]
+}
 
 // recycled returns fx's datagram, arena and event buffers emptied for the
 // core to fill again — nothing of what was sent stays reachable through
-// them — or nil for any that outgrew what is kept. The journal batch is
-// the store's once handed over, and is not reused.
+// them — or nil for any that outgrew what is kept. Every kept chunk comes
+// back as a spare. The journal batch is the store's once handed over, and
+// is not reused.
 func (fx *effects) recycled() effects {
-	var out effects
-	if cap(fx.wire) <= wireChunk {
-		out.wire = fx.wire[:0]
+	return effects{
+		chunks: fx.chunks,
+		dgrams: emptied(fx.dgrams, keepDgrams),
+		events: emptied(fx.events, keepSlots),
 	}
-	out.dgrams = emptied(fx.dgrams)
-	out.events = emptied(fx.events)
-	return out
 }
 
 // emptied returns s cleared and cut to length 0 for reuse, or nil if it
-// grew past keepSlots.
-func emptied[T any](s []T) []T {
-	if cap(s) > keepSlots {
+// grew past keep slots.
+func emptied[T any](s []T, keep int) []T {
+	if cap(s) > keep {
 		return nil
 	}
 	clear(s)
@@ -130,18 +156,22 @@ func emptied[T any](s []T) []T {
 }
 
 type ownedSession struct {
+	// desc is &first until a clash move replaces it: a created session and
+	// its description are one allocation.
 	desc *session.Description
-	// key is desc.Key(), the key the session is owned under, and hash the
-	// SAP message id hash of desc's payload once hashed is set. desc is
-	// only ever replaced (registerOwned, a clash move), never modified, so
-	// both hold until it is: a re-announcement or a deletion builds no key
-	// and hashes nothing.
+	// key is desc.Key(), the key the session is owned under; hash and
+	// sdpLen are the SAP message id hash and the length of desc's payload
+	// once it has been sent (sdpLen > 0). desc is only ever replaced
+	// (registerOwned, a clash move), never modified, so all three hold
+	// until it is: a re-announcement or a deletion builds no key, measures
+	// nothing and hashes nothing.
 	key           string
 	nextAnnounce  time.Time
 	announceCount int32
 	addr          mcast.Addr // desc.Group's index in the space, filed in core.state
+	sdpLen        int32
 	hash          uint16
-	hashed        bool
+	first         session.Description
 }
 
 // parsedPacket is a decoded datagram (Directory.decodePacket): the SAP
@@ -266,7 +296,8 @@ func (c *core) registerOwned(desc session.Description, addr mcast.Addr, now time
 		return nil, err
 	}
 	key := desc.Key()
-	own := &ownedSession{desc: &desc, key: key, addr: addr}
+	own := &ownedSession{key: key, addr: addr, first: desc}
+	own.desc = &own.first
 	c.owned[key] = own
 	c.state.Add(addr, desc.TTL)
 	c.tracker.AnnounceOwn(clash.SessionKey(key), addr, desc.TTL, c.ms(now))
@@ -279,7 +310,7 @@ func (c *core) registerOwned(desc session.Description, addr mcast.Addr, now time
 		c.tracker.Forget(clash.SessionKey(key))
 		return nil, err
 	}
-	return &desc, nil
+	return own.desc, nil
 }
 
 // allocate picks addresses for k sessions of scope ttl from the allocator
@@ -314,38 +345,44 @@ func (c *core) announceOwn(own *ownedSession, now time.Time) error {
 	return nil
 }
 
-// sendOwn queues a datagram of one of our sessions, hashing its payload
-// the first time own.desc goes out.
+// sendOwn queues a datagram of one of our sessions, measuring and hashing
+// its payload the first time own.desc goes out.
 func (c *core) sendOwn(own *ownedSession, typ sap.MessageType) error {
-	hash, err := c.sendDesc(own.desc, typ, own.hash, own.hashed)
+	hash, n, err := c.sendDesc(own.desc, typ, own.hash, int(own.sdpLen))
 	if err != nil {
 		return err
 	}
-	own.hash, own.hashed = hash, true
+	own.hash, own.sdpLen = hash, int32(n)
 	return nil
 }
 
 // sendDesc queues desc for transmission with the session's own scope
 // (announcements travel exactly as far as the session's data). The
 // datagram is written into the effects arena: the SAP header, then the
-// SDP payload appended behind it. hash is the payload's message id hash
-// if known; if not, it is computed over the appended payload and patched
-// into the header. sendDesc returns it. On error nothing is queued.
-func (c *core) sendDesc(desc *session.Description, typ sap.MessageType, hash uint16, known bool) (uint16, error) {
+// SDP payload appended behind it. sdpLen is the payload's length and hash
+// its message id hash if known (sdpLen > 0); if not, the length is
+// counted before the payload is written, and the hash is computed over
+// the appended payload and patched into the header. sendDesc returns
+// both. On error nothing is queued.
+func (c *core) sendDesc(desc *session.Description, typ sap.MessageType, hash uint16, sdpLen int) (uint16, int, error) {
+	known := sdpLen > 0
+	if !known {
+		sdpLen = desc.SDPLen()
+	}
 	w := c.fx.wire
-	if need := headerRoom + desc.SDPLen(); cap(w)-len(w) < need {
-		w = make([]byte, 0, max(wireChunk, need))
+	if need := headerRoom + sdpLen; cap(w)-len(w) < need {
+		w = c.fx.chunk(need)
 		c.fx.wire = w
 	}
 	start := len(w)
 	pkt := sap.Packet{Type: typ, MsgIDHash: hash, Origin: desc.Origin}
 	w, err := pkt.AppendHeader(w)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	body := len(w)
 	if w, err = desc.AppendSDP(w); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if !known {
 		hash = sap.MsgIDHashOf(w[body:])
@@ -353,7 +390,7 @@ func (c *core) sendDesc(desc *session.Description, typ sap.MessageType, hash uin
 	}
 	c.fx.wire = w
 	c.fx.dgrams = append(c.fx.dgrams, transport.Datagram{Data: w[start:len(w):len(w)], Scope: desc.TTL})
-	return hash, nil
+	return hash, sdpLen, nil
 }
 
 // withdraw deletes one of our sessions, sending a SAP deletion.
@@ -657,7 +694,7 @@ func (c *core) applyActions(actions []clash.Action, now time.Time) {
 			c.state.Add(addr, own.desc.TTL)
 			own.desc = own.desc.WithGroup(c.cfg.Space.Group(addr))
 			own.addr = addr
-			own.hashed = false    // a new payload: hashed when next sent
+			own.sdpLen = 0        // a new payload: measured and hashed when next sent
 			own.announceCount = 0 // restart the fast back-off phase
 			c.tracker.AnnounceOwn(clash.SessionKey(key), addr, own.desc.TTL, c.ms(now))
 			if err := c.announceOwn(own, now); err == nil {
@@ -673,7 +710,7 @@ func (c *core) applyActions(actions []clash.Action, now time.Time) {
 				continue
 			}
 			if e, ok := c.cache.Get(key); ok {
-				if _, err := c.sendDesc(e.Desc, sap.Announce, 0, false); err == nil {
+				if _, _, err := c.sendDesc(e.Desc, sap.Announce, 0, 0); err == nil {
 					c.ins.clashDefensesThrd.Inc()
 					c.record(obs.TraceDefendOther, key, 0, e.Desc, now)
 				}
@@ -703,7 +740,8 @@ func (c *core) step(now time.Time) {
 	for _, key := range due {
 		_ = c.announceOwn(c.owned[key], now) // transient send errors retry next interval
 	}
-	c.dueBuf = emptied(due)
+	clear(due)
+	c.dueBuf = due[:0]
 	c.applyActions(c.tracker.Due(c.ms(now)), now)
 	for _, key := range c.cache.Expire(now) {
 		c.tracker.Forget(clash.SessionKey(key))

@@ -296,8 +296,8 @@ func (d *Directory) registerGauges() error {
 // once it returns their buffers go back to the core.
 func (d *Directory) flush() {
 	var sent effects
-	for {
-		fx := d.takeEffects(sent)
+	for first := true; ; first = false {
+		fx := d.takeEffects(sent, first)
 		if len(fx.events) == 0 && len(fx.dgrams) == 0 {
 			return
 		}
@@ -318,11 +318,17 @@ func (d *Directory) flush() {
 // latency never blocks the packet path. Every set of buffers has one
 // holder at a time — the core, or the one flush that took it — also when
 // a flush runs inside another's send (a synchronous transport whose
-// recipients answer at once) or on another goroutine.
-func (d *Directory) takeEffects(sent effects) effects {
+// recipients answer at once) or on another goroutine. A flush's first
+// take that finds nothing queued, as after most ticks, leaves the core
+// its buffers: swapping them for the flush's empty ones would drop them.
+func (d *Directory) takeEffects(sent effects, first bool) effects {
 	d.drainMu.Lock()
 	defer d.drainMu.Unlock()
 	d.mu.Lock()
+	if first && len(d.fx.dgrams) == 0 && len(d.fx.events) == 0 && len(d.fx.journal) == 0 {
+		d.mu.Unlock()
+		return effects{}
+	}
 	fx := d.fx
 	d.fx = sent
 	j := d.journal

@@ -8,24 +8,11 @@ package sessiondir_test
 import (
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 )
-
-// freeTCPPort reserves a TCP port by binding and releasing it.
-func freeTCPPort(t *testing.T) int {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	port := l.Addr().(*net.TCPAddr).Port
-	_ = l.Close()
-	return port
-}
 
 func httpGet(url string) (string, error) {
 	c := http.Client{Timeout: 2 * time.Second}
@@ -46,7 +33,6 @@ func TestSdrdHTTPDebugScrape(t *testing.T) {
 		t.Skip("spawns the toolchain")
 	}
 	udpPorts := freePorts(t, 2)
-	debugAddr := fmt.Sprintf("127.0.0.1:%d", freeTCPPort(t))
 
 	cmd, out := startSdrd(t, buildSdrd(t),
 		"-origin", "127.0.0.1",
@@ -55,18 +41,19 @@ func TestSdrdHTTPDebugScrape(t *testing.T) {
 		"-announce", "scrape-me",
 		"-ttl", "63",
 		"-seed", "7",
-		"-http-debug", debugAddr,
+		"-http-debug", "127.0.0.1:0",
 		"-for", scaled(2*time.Minute).String(), // a backstop: the test stops it
 	)
+	debug := debugAddr(t, out)
 
 	// Poll /metrics until the daemon is up and has announced.
 	var metrics string
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if time.Now().After(deadline) {
-			t.Fatalf("never scraped a useful /metrics; last:\n%s\ndaemon log:\n%s", metrics, out.String())
+			failDaemon(t, "never scraped a useful /metrics; last:\n"+metrics, out.String())
 		}
-		body, err := httpGet("http://" + debugAddr + "/metrics")
+		body, err := httpGet("http://" + debug + "/metrics")
 		if err == nil && strings.Contains(body, "dir_announcements_sent_total") {
 			metrics = body
 			break
@@ -99,7 +86,7 @@ func TestSdrdHTTPDebugScrape(t *testing.T) {
 		t.Errorf("announcements counter still zero after announce:\n%s", metrics)
 	}
 
-	trace, err := httpGet("http://" + debugAddr + "/trace")
+	trace, err := httpGet("http://" + debug + "/trace")
 	if err != nil {
 		t.Fatalf("/trace: %v", err)
 	}
@@ -107,7 +94,7 @@ func TestSdrdHTTPDebugScrape(t *testing.T) {
 		t.Errorf("/trace missing header or allocate event:\n%s", trace)
 	}
 
-	vars, err := httpGet("http://" + debugAddr + "/debug/vars")
+	vars, err := httpGet("http://" + debug + "/debug/vars")
 	if err != nil {
 		t.Fatalf("/debug/vars: %v", err)
 	}

@@ -85,10 +85,40 @@ func stopSdrd(t *testing.T, cmd *exec.Cmd, out *syncBuffer) {
 	select {
 	case err := <-exited:
 		if err != nil || !strings.Contains(out.String(), "sdrd exiting") {
-			t.Fatalf("daemon did not exit cleanly on SIGTERM (%v):\n%s", err, out.String())
+			failDaemon(t, fmt.Sprintf("daemon did not exit cleanly on SIGTERM (%v)", err), out.String())
 		}
 	case <-time.After(scaled(30 * time.Second)):
-		t.Fatalf("daemon still running 30s after SIGTERM:\n%s", out.String())
+		failDaemon(t, "daemon still running 30s after SIGTERM", out.String())
+	}
+}
+
+// failDaemon fails the test on check, naming it before the daemon's output
+// and again after it, so neither the head nor the tail of a long log loses
+// which check failed.
+func failDaemon(t *testing.T, check, output string) {
+	t.Helper()
+	t.Fatalf("%s\n--- daemon output ---\n%s\n--- end of daemon output; failed: %s", check, output, check)
+}
+
+// debugAddr waits for a daemon started with -http-debug 127.0.0.1:0 to log
+// the address its debug server is listening on, and returns it. The kernel
+// picks the port as the daemon binds it, so no other process can take it
+// between a test's choice and the daemon's bind.
+func debugAddr(t *testing.T, out *syncBuffer) string {
+	t.Helper()
+	const logged = "http-debug listening on http://"
+	deadline := time.Now().Add(scaled(30 * time.Second))
+	for {
+		log := out.String()
+		if i := strings.Index(log, logged); i >= 0 {
+			if addr, _, ok := strings.Cut(log[i+len(logged):], "/metrics"); ok {
+				return addr
+			}
+		}
+		if time.Now().After(deadline) {
+			failDaemon(t, "daemon never logged its http-debug address", log)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -102,7 +132,7 @@ func waitForLog(t *testing.T, timeout time.Duration, outs []*syncBuffer, wants [
 			continue
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("daemon %d never logged %q:\n%s", i+1, wants[i], outs[i].String())
+			failDaemon(t, fmt.Sprintf("daemon %d never logged %q", i+1, wants[i]), outs[i].String())
 		}
 		time.Sleep(50 * time.Millisecond)
 	}

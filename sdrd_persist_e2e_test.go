@@ -77,9 +77,11 @@ func TestSdrdKillRestartPersistence(t *testing.T) {
 	cache := filepath.Join(t.TempDir(), "sd.cache")
 
 	// A announces a session; B caches it with fast periodic checkpoints.
+	// A re-announces a second after its first announcement, which goes
+	// out before B may have bound its socket, not five.
 	announcer := exec.Command(bin,
 		"-origin", "127.0.0.1", "-listen", addrA, "-peers", addrB,
-		"-announce", "durable-session", "-ttl", "63", "-for", "60s")
+		"-announce", "durable-session", "-ttl", "63", "-announce-initial", "1s", "-for", "60s")
 	if err := announcer.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +109,7 @@ func TestSdrdKillRestartPersistence(t *testing.T) {
 		if time.Now().After(deadline) {
 			_ = listener.Process.Kill()
 			_ = listener.Wait()
-			t.Fatalf("cache never checkpointed the session; listener output:\n%s", listenerOut.String())
+			failDaemon(t, "the listener never checkpointed durable-session to its cache", listenerOut.String())
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -124,26 +126,26 @@ func TestSdrdKillRestartPersistence(t *testing.T) {
 	_ = announcer.Process.Kill()
 	_ = announcer.Wait()
 
-	debugAddr := fmt.Sprintf("127.0.0.1:%d", freeTCPPort(t))
 	restarted, out := startSdrd(t, bin,
 		"-origin", "127.0.0.2", "-listen", addrB, "-peers", addrA,
-		"-cache", cache, "-http-debug", debugAddr,
+		"-cache", cache, "-http-debug", "127.0.0.1:0",
 		"-for", scaled(2*time.Minute).String()) // a backstop: the test stops it
+	debug := debugAddr(t, out)
 	// The live session table proves the restored entry is in the
 	// directory, not just counted at load time.
 	deadline = time.Now().Add(scaled(30 * time.Second))
 	for {
-		if body, err := httpGet("http://" + debugAddr + "/sessions"); err == nil && strings.Contains(body, "durable-session") {
+		if body, err := httpGet("http://" + debug + "/sessions"); err == nil && strings.Contains(body, "durable-session") {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("restored session never listed at /sessions:\n%s", out.String())
+			failDaemon(t, "the restarted daemon never listed durable-session at /sessions", out.String())
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
 	stopSdrd(t, restarted, out)
 	if !strings.Contains(out.String(), "loaded 1 cached sessions") {
-		t.Fatalf("restart did not load the checkpointed cache:\n%s", out.String())
+		failDaemon(t, `the restarted daemon did not log "loaded 1 cached sessions"`, out.String())
 	}
 }
 

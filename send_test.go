@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -50,6 +51,44 @@ func ownedByKey(d *Directory) map[string]*session.Description {
 	return out
 }
 
+// checkSent checks the datagrams an op sent, the first of them the
+// first-th of the run: each decodes, its header's message id hash is the
+// hash of its payload, and the payload is the owned description it
+// carries as that description stood when it was sent — after the op
+// (after) for an announcement, before it (before) for a deletion.
+func checkSent(t *testing.T, op string, first int, sent []lent, before, after map[string]*session.Description) {
+	t.Helper()
+	for i, s := range sent {
+		var p sap.Packet
+		if err := p.Decode(s.data); err != nil {
+			t.Fatalf("%s: datagram %d does not decode: %v", op, first+i, err)
+		}
+		if want := sap.MsgIDHashOf(p.Payload); p.MsgIDHash != want {
+			t.Fatalf("%s: datagram %d carries message id hash %#04x, its payload hashes to %#04x", op, first+i, p.MsgIDHash, want)
+		}
+		got, err := session.ParseSDP(p.Payload)
+		if err != nil {
+			t.Fatalf("%s: datagram %d's payload does not parse: %v", op, first+i, err)
+		}
+		owned := after
+		if p.Type == sap.Delete {
+			owned = before
+		}
+		want := owned[got.Key()]
+		if want == nil {
+			t.Fatalf("%s: datagram %d (%v) is about %s, not an owned session", op, first+i, p.Type, got.Key())
+		}
+		wantPayload, err := want.MarshalSDP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(p.Payload, wantPayload) || s.scope != want.TTL || p.Origin != want.Origin {
+			t.Fatalf("%s: datagram %d (%v, scope %d, origin %s)\n%q\nis not the owned session (scope %d)\n%q",
+				op, first+i, p.Type, s.scope, p.Origin, p.Payload, want.TTL, wantPayload)
+		}
+	}
+}
+
 // runSendContract drives a directory through creates, a batch create,
 // timer re-announcements, a forged clash it moves away from, one it
 // defends against, and withdrawals, and checks every datagram its
@@ -80,36 +119,7 @@ func runSendContract(t *testing.T, l *lender) []lent {
 		t.Helper()
 		before := ownedByKey(d)
 		fn()
-		after := ownedByKey(d)
-		for i, s := range l.sent[checked:] {
-			var p sap.Packet
-			if err := p.Decode(s.data); err != nil {
-				t.Fatalf("%s: datagram %d does not decode: %v", op, checked+i, err)
-			}
-			if want := sap.MsgIDHashOf(p.Payload); p.MsgIDHash != want {
-				t.Fatalf("%s: datagram %d carries message id hash %#04x, its payload hashes to %#04x", op, checked+i, p.MsgIDHash, want)
-			}
-			got, err := session.ParseSDP(p.Payload)
-			if err != nil {
-				t.Fatalf("%s: datagram %d's payload does not parse: %v", op, checked+i, err)
-			}
-			owned := after
-			if p.Type == sap.Delete {
-				owned = before
-			}
-			want := owned[got.Key()]
-			if want == nil {
-				t.Fatalf("%s: datagram %d (%v) is about %s, not an owned session", op, checked+i, p.Type, got.Key())
-			}
-			wantPayload, err := want.MarshalSDP()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(p.Payload, wantPayload) || s.scope != want.TTL || p.Origin != want.Origin {
-				t.Fatalf("%s: datagram %d (%v, scope %d, origin %s)\n%q\nis not the owned session (scope %d)\n%q",
-					op, checked+i, p.Type, s.scope, p.Origin, p.Payload, want.TTL, wantPayload)
-			}
-		}
+		checkSent(t, op, checked, l.sent[checked:], before, ownedByKey(d))
 		checked = len(l.sent)
 	}
 	forge := func(victim *session.Description, id uint64) {
@@ -224,4 +234,267 @@ func TestNothingDueStepAllocatesNothing(t *testing.T) {
 		}
 		d.Close()
 	}
+}
+
+// answerer is a lender whose recipient answers at once, as a transport.Bus
+// peer may: inside a send call, before it copies the batch, it hands the
+// directory the datagram forge returns, if any, and the directory's answer
+// goes out from a flush nested inside this one. A directory that refilled
+// a chunk still lent to the outer call would overwrite the batch the outer
+// call then copies.
+type answerer struct {
+	lender
+	d      *Directory
+	forge  func() []byte
+	inside bool
+	nested int // datagrams sent by nested flushes
+}
+
+func (a *answerer) SendBatch(ctx context.Context, batch []transport.Datagram) error {
+	if a.inside {
+		a.nested += len(batch)
+	} else if wire := a.forge(); wire != nil {
+		a.inside = true
+		a.d.HandleBatch([]transport.Message{{Data: wire}})
+		a.inside = false
+	}
+	return a.lender.SendBatch(ctx, batch)
+}
+
+// TestSendContractAcrossChunks is TestSendContract's check over bursts
+// that fill several arena chunks per flush, over consecutive flushes that
+// refill the chunks the one before lent out: a batch create of 100
+// sessions, Steps an hour apart that re-announce every owned session (at
+// least three chunks each), withdrawals between them, and batches of 20
+// that take the burst past the chunks a flush keeps. In "nested" the
+// transport's recipient answers each Step's and withdrawal's batch with a
+// forged clash against a standing session, which the directory defends
+// from a flush nested inside the send call.
+func TestSendContractAcrossChunks(t *testing.T) {
+	for _, nested := range []bool{false, true} {
+		name := "lent"
+		if nested {
+			name = "nested"
+		}
+		t.Run(name, func(t *testing.T) { runChunkedSendContract(t, nested) })
+	}
+}
+
+func runChunkedSendContract(t *testing.T, nested bool) {
+	clk := newFakeClock()
+	a := &answerer{forge: func() []byte { return nil }}
+	var tx transport.Transport = &a.lender
+	if nested {
+		tx = a
+	}
+	d, err := New(Config{Origin: netip.MustParseAddr("10.0.0.1"), Transport: tx, Clock: clk.Now, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	a.d = d
+
+	checked := 0
+	do := func(op string, fn func()) []lent {
+		t.Helper()
+		before := ownedByKey(d)
+		fn()
+		sent := a.sent[checked:]
+		checkSent(t, op, checked, sent, before, ownedByKey(d))
+		checked = len(a.sent)
+		return sent
+	}
+	burst := func(n int) []*session.Description {
+		descs := make([]*session.Description, n)
+		for i := range descs {
+			// Names of every length from 1 to 40 bytes, so datagrams
+			// straddle chunk ends at different offsets.
+			descs[i] = testDesc(strings.Repeat("n", 1+i%40), []mcast.TTL{15, 63, 127, 191}[i%4])
+		}
+		return descs
+	}
+	var first []string
+	do("batch create", func() {
+		out, err := d.CreateSessionBatch(burst(100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, own := range out {
+			first = append(first, own.Key())
+		}
+	})
+	// Each forged clash names a session of the first batch, once it is
+	// standing, so the directory defends it rather than moving it, and
+	// never the same one twice: two intruders at one address would clash
+	// with each other, and the directory would defend a session not its
+	// own.
+	created, victim := clk.Now(), 0
+	a.forge = func() []byte {
+		if clk.Now().Sub(created) <= recentWindow {
+			return nil
+		}
+		owned := ownedByKey(d)
+		for ; victim < len(first); victim++ {
+			if own := owned[first[victim]]; own != nil {
+				victim++
+				return announceWire(t, &session.Description{
+					ID: uint64(victim), Version: 1, Origin: netip.AddrFrom4([4]byte{10, 0, 9, byte(victim)}), Name: "intruder",
+					Group: own.Group, TTL: own.TTL,
+					Media: []session.Media{{Type: "audio", Port: 5004, Proto: "RTP/AVP", Format: "0"}},
+				})
+			}
+		}
+		return nil
+	}
+	withdrawn := 0
+	for round := 0; round < 12; round++ {
+		clk.Advance(time.Hour)
+		owned := len(ownedByKey(d))
+		sent := do("step", func() { d.Step(clk.Now()) })
+		size := 0
+		for _, s := range sent {
+			size += len(s.data)
+		}
+		if len(sent) < owned || size <= 2*wireChunk {
+			t.Fatalf("round %d: a Step sent %d datagrams, %d bytes, for %d owned sessions: not a re-announcement of each, over three chunks", round, len(sent), size, owned)
+		}
+		switch round % 4 {
+		case 1:
+			for _, key := range first[withdrawn : withdrawn+3] {
+				do("withdraw", func() {
+					if err := d.WithdrawSession(key); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			withdrawn += 3
+		case 2:
+			do("batch create", func() {
+				if _, err := d.CreateSessionBatch(burst(20)); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+	if nested && a.nested < 12 {
+		t.Fatalf("%d datagrams sent from nested flushes: the forged clashes were not answered", a.nested)
+	}
+}
+
+// discard is a transport that counts what it is lent and keeps nothing.
+type discard struct{ dgrams, bytes int }
+
+func (x *discard) SendBatch(_ context.Context, batch []transport.Datagram) error {
+	for _, d := range batch {
+		x.dgrams++
+		x.bytes += len(d.Data)
+	}
+	return nil
+}
+func (x *discard) Subscribe(transport.Handler) {}
+func (x *discard) Close() error                { return nil }
+
+// TestStepReannounceAllocatesNothing pins an announcer's steady state at no
+// allocation: a Step that re-announces 100 owned sessions, three arena
+// chunks' worth, writes them into the chunks the last Step that sent
+// anything sent from — a Step with nothing due between them keeps them —
+// measuring and hashing nothing it measured before, and a withdrawal
+// sends its deletion from them too.
+func TestStepReannounceAllocatesNothing(t *testing.T) {
+	const owned = 100
+	clk := newFakeClock()
+	tx := &discard{}
+	d, err := New(Config{Origin: netip.MustParseAddr("10.0.0.1"), Transport: tx, Clock: clk.Now, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	descs := make([]*session.Description, owned)
+	for i := range descs {
+		descs[i] = testDesc(fmt.Sprintf("own %d", i), 127)
+	}
+	created, err := d.CreateSessionBatch(descs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := clk.Now()
+	step := func() {
+		now = now.Add(time.Second) // nothing is due
+		d.Step(now)
+		now = now.Add(time.Hour) // every owned session is due
+		d.Step(now)
+	}
+	step() // the due list and the arena grow to the burst
+	tx.dgrams, tx.bytes = 0, 0
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, step)
+	if steps := runs + 1; tx.dgrams != steps*owned || tx.bytes <= steps*2*wireChunk {
+		t.Fatalf("%d Steps sent %d datagrams, %d bytes: not %d re-announcements each, over three chunks", steps, tx.dgrams, tx.bytes, owned)
+	}
+	if allocs != 0 {
+		t.Errorf("a Step re-announcing %d sessions allocates %v times", owned, allocs)
+	}
+
+	keys := make([]string, len(created))
+	for i, own := range created {
+		keys[i] = own.Key()
+	}
+	next := 0
+	allocs = testing.AllocsPerRun(owned/2-1, func() {
+		if err := d.WithdrawSession(keys[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if m := d.Metrics(); m.DeletionsSent != owned/2 {
+		t.Fatalf("%d deletions sent, want %d", m.DeletionsSent, owned/2)
+	}
+	if allocs != 0 {
+		t.Errorf("a WithdrawSession allocates %v times", allocs)
+	}
+}
+
+// TestBurstLeavesABoundedArena: a burst past what a flush keeps — a batch
+// create of 1000 sessions, then a Step that re-announces them all — leaves
+// the directory at most keepChunks arena chunks of wireChunk bytes and
+// keepDgrams datagram slots; the rest goes to the collector.
+func TestBurstLeavesABoundedArena(t *testing.T) {
+	clk := newFakeClock()
+	tx := &discard{}
+	d, err := New(Config{Origin: netip.MustParseAddr("10.0.0.1"), Transport: tx, Clock: clk.Now, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	descs := make([]*session.Description, 1000)
+	for i := range descs {
+		descs[i] = testDesc(fmt.Sprintf("own %d", i), 127)
+	}
+	kept := func(what string) {
+		t.Helper()
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		chunks := 0
+		for _, c := range d.fx.chunks {
+			if c != nil {
+				chunks++
+				if cap(c) != wireChunk {
+					t.Errorf("%s: a kept chunk of %d bytes, want %d", what, cap(c), wireChunk)
+				}
+			}
+		}
+		if chunks > keepChunks || d.fx.wire != nil || cap(d.fx.dgrams) > keepDgrams {
+			t.Errorf("%s: %d chunks kept, wire of %d bytes, %d datagram slots; want at most %d chunks, no wire, %d slots",
+				what, chunks, cap(d.fx.wire), cap(d.fx.dgrams), keepChunks, keepDgrams)
+		}
+	}
+	if _, err := d.CreateSessionBatch(descs); err != nil {
+		t.Fatal(err)
+	}
+	kept("after a batch create of 1000")
+	d.Step(clk.Advance(time.Hour))
+	if tx.dgrams != 2000 || tx.bytes <= 2000*100 {
+		t.Fatalf("%d datagrams, %d bytes sent: not 1000 announcements and 1000 re-announcements", tx.dgrams, tx.bytes)
+	}
+	kept("after a Step re-announcing 1000")
 }
