@@ -23,13 +23,12 @@ import (
 //	'E' | session key            (expiry: entry dropped)
 //	'V' | session key            (eviction: entry dropped)
 //
-// A journal 'L' record holds the payload as heard: the bytes the entry's
-// description was parsed from, so its digest is theirs and a recovered
-// entry knows its sender's next unchanged announcement however the
-// sender spells it. Snapshot records reuse the 'L' encoding, one per live
-// session, with the description re-encoded — tombstones are not persisted
-// (a restart may briefly resurrect a deleted session; the deletion's
-// re-announcement squelches it).
+// An 'L' record holds the entry's payload as heard, so its digest is
+// theirs and a recovered entry knows its sender's next unchanged
+// announcement however the sender spells it. Snapshot records are the
+// same 'L' records, one per live session, written from the cache as they
+// are — tombstones are not persisted (a restart may briefly resurrect a
+// deleted session; the deletion's re-announcement squelches it).
 type CacheStore struct {
 	store  *storage.Store
 	dir    *Directory
@@ -60,36 +59,30 @@ type cacheStoreInstruments struct {
 // learnHeader is a learn record's length before its SDP bytes.
 const learnHeader = 1 + 8 + 8
 
-// appendLearnHeader appends the header of e's learn record to dst.
-func appendLearnHeader(dst []byte, e *announce.Entry) []byte {
-	rec := binary.BigEndian.AppendUint64(append(dst, deltaLearn), uint64(e.FirstHeard))
-	return binary.BigEndian.AppendUint64(rec, uint64(e.LastHeard.Unix()))
-}
+// learnLen is the length of e's learn record.
+func learnLen(e *announce.Entry) int { return learnHeader + len(e.Payload()) }
 
-// appendLearn appends e's learn record, its description re-encoded, to
-// dst, or nothing if the description cannot marshal.
+// appendLearn appends e's learn record, its payload as heard, to dst.
 func appendLearn(dst []byte, e *announce.Entry) []byte {
-	if rec, err := e.Desc.AppendSDP(appendLearnHeader(dst, e)); err == nil {
-		return rec
-	}
-	return dst
+	rec := binary.BigEndian.AppendUint64(append(dst, deltaLearn), uint64(e.FirstHeard))
+	rec = binary.BigEndian.AppendUint64(rec, uint64(e.LastHeard.Unix()))
+	return append(rec, e.Payload()...)
 }
 
-// snapshotRecords sorts live by key and encodes its learn records into
+// snapshotRecords sorts live by key and writes their learn records into
 // one arena of exactly their total length.
 func snapshotRecords(live []*announce.Entry) [][]byte {
 	announce.SortByKey(live)
 	size := 0
 	for _, e := range live {
-		size += learnHeader + e.Desc.SDPLen()
+		size += learnLen(e)
 	}
 	arena := make([]byte, 0, size)
-	records := make([][]byte, 0, len(live))
-	for _, e := range live {
+	records := make([][]byte, len(live))
+	for i, e := range live {
 		start := len(arena)
-		if arena = appendLearn(arena, e); len(arena) > start {
-			records = append(records, arena[start:len(arena):len(arena)])
-		}
+		arena = appendLearn(arena, e)
+		records[i] = arena[start:len(arena):len(arena)]
 	}
 	return records
 }

@@ -366,7 +366,7 @@ func cacheScanMicros() []microBenchResult {
 	base := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
 	c := announce.NewCache(time.Hour)
 	for i := 0; i < 16384; i++ {
-		c.Observe(&session.Description{ID: uint64(i), Version: 1, TTL: 127,
+		c.Observe(&session.Description{ID: uint64(i), Version: 1, TTL: 127, Name: "mcbench cache sample",
 			Origin: netip.AddrFrom4([4]byte{10, 2, byte(i >> 8), byte(i)}),
 			Group:  netip.AddrFrom4([4]byte{224, 2, byte(i >> 8), byte(i)})}, base)
 	}
@@ -501,7 +501,9 @@ func listenerMicros() []microBenchResult {
 // origin at its quota of fresh sessions (DirAdmitAtQuota), also beside a
 // third of the cache gone stale (DirAdmitAtQuotaStale). And an announcer's
 // steady state: a tick that re-announces 256 owned sessions
-// (DirStepReannounce256).
+// (DirStepReannounce256). And persistence at 10k heard sessions, per
+// session: a checkpoint (DirCheckpoint10k) and a cold directory's
+// recovery from it (DirRecover10k).
 func directoryMicros() []microBenchResult {
 	var out []microBenchResult
 	origin := netip.MustParseAddr("10.0.0.1")
@@ -671,6 +673,61 @@ func directoryMicros() []microBenchResult {
 		}
 		stale.Close()
 	}
+
+	// A checkpoint of a listener that heard 10 000 sessions — each entry's
+	// learn record, its payload as heard behind its times, written into a
+	// snapshot — and a cold directory's recovery from that snapshot, which
+	// scans each record's payload and copies it into the cache. The unit
+	// is the session.
+	const persisted = 10000
+	heard := make([]transport.Message, persisted)
+	for i := range heard {
+		heard[i] = wireOf(i, i/100)
+	}
+	listener := func() *sessiondir.Directory {
+		d, err := sessiondir.New(sessiondir.Config{
+			Origin: origin, Transport: discardTransport{}, Clock: func() time.Time { return base }, Seed: 5,
+		})
+		if err != nil {
+			panic(err)
+		}
+		return d
+	}
+	const cacheBase = "mcbench.cache"
+	fsys := storage.NewMemFS()
+	keeper := listener()
+	keeper.HandleBatch(heard)
+	kept, _, err := sessiondir.OpenCacheStore(fsys, cacheBase, keeper)
+	if err != nil {
+		panic(err)
+	}
+	out = append(out, runMicro("DirCheckpoint10k", persisted, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := kept.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
+	if err := kept.Close(); err != nil {
+		panic(err)
+	}
+	keeper.Close()
+	out = append(out, runMicro("DirRecover10k", persisted, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			d := listener()
+			cs, _, err := sessiondir.OpenCacheStore(fsys, cacheBase, d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if cs.Loaded() != persisted {
+				b.Fatalf("DirRecover10k: %d sessions recovered, want %d", cs.Loaded(), persisted)
+			}
+			if err := cs.Close(); err != nil {
+				b.Fatal(err)
+			}
+			d.Close()
+		}
+	}))
 
 	// A tick that re-announces 256 owned sessions, every one due: the
 	// owned-map walk, the sort of the due keys, and 256 datagrams written

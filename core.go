@@ -3,6 +3,7 @@ package sessiondir
 import (
 	"encoding/binary"
 	"fmt"
+	"net/netip"
 	"sort"
 	"time"
 
@@ -178,14 +179,10 @@ type ownedSession struct {
 // header, the payload's digest and a guess at the session key (ok), or a
 // malformed verdict (!ok, already counted). pkt.Payload aliases the
 // datagram, on loan until the receive handler returns; apply reads it
-// inside that call, and what it parses out of it aliases nothing.
+// inside that call, and what it keeps of it — the cache's copy of the
+// payload — aliases nothing.
 type parsedPacket struct {
 	pkt sap.Packet
-	// desc and key are set once apply has parsed the payload; a packet
-	// that arrives with desc set is not parsed again, and desc must be
-	// what the payload parses to: the learn record journals the payload.
-	desc *session.Description
-	key  string
 	// digest is sap.PayloadDigest of the payload; peek[:peekLen] is what
 	// session.PeekKey made of its o= line.
 	digest  uint64
@@ -212,14 +209,12 @@ func (c *core) record(kind EventKind, key string, addr mcast.Addr, desc *session
 	}
 }
 
-// journalLearn queues e's learn record with sdp, the payload e's
-// description was parsed from as heard: the preimage of e's digest, so a
-// recovered entry knows its sender's next unchanged announcement. The
-// payload is on loan, so the record copies it.
-func (c *core) journalLearn(e *announce.Entry, sdp []byte) {
+// journalLearn queues e's learn record: its payload as heard, the
+// preimage of its digest, so a recovered entry knows its sender's next
+// unchanged announcement.
+func (c *core) journalLearn(e *announce.Entry) {
 	if c.journaling {
-		rec := appendLearnHeader(make([]byte, 0, learnHeader+len(sdp)), e)
-		c.fx.journal = append(c.fx.journal, append(rec, sdp...))
+		c.fx.journal = append(c.fx.journal, appendLearn(make([]byte, 0, learnLen(e)), e))
 	}
 }
 
@@ -357,26 +352,18 @@ func (c *core) sendOwn(own *ownedSession, typ sap.MessageType) error {
 }
 
 // sendDesc queues desc for transmission with the session's own scope
-// (announcements travel exactly as far as the session's data). The
-// datagram is written into the effects arena: the SAP header, then the
-// SDP payload appended behind it. sdpLen is the payload's length and hash
-// its message id hash if known (sdpLen > 0); if not, the length is
-// counted before the payload is written, and the hash is computed over
-// the appended payload and patched into the header. sendDesc returns
-// both. On error nothing is queued.
+// (announcements travel exactly as far as the session's data): the SAP
+// header, then the SDP payload appended behind it. sdpLen is the payload's
+// length and hash its message id hash if known (sdpLen > 0); if not, the
+// length is counted before the payload is written, and the hash is
+// computed over the appended payload. sendDesc returns both. On error
+// nothing is queued.
 func (c *core) sendDesc(desc *session.Description, typ sap.MessageType, hash uint16, sdpLen int) (uint16, int, error) {
 	known := sdpLen > 0
 	if !known {
 		sdpLen = desc.SDPLen()
 	}
-	w := c.fx.wire
-	if need := headerRoom + sdpLen; cap(w)-len(w) < need {
-		w = c.fx.chunk(need)
-		c.fx.wire = w
-	}
-	start := len(w)
-	pkt := sap.Packet{Type: typ, MsgIDHash: hash, Origin: desc.Origin}
-	w, err := pkt.AppendHeader(w)
+	w, start, err := c.startDatagram(typ, hash, desc.Origin, sdpLen)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -388,9 +375,44 @@ func (c *core) sendDesc(desc *session.Description, typ sap.MessageType, hash uin
 		hash = sap.MsgIDHashOf(w[body:])
 		sap.PutMsgIDHash(w[start:], hash)
 	}
-	c.fx.wire = w
-	c.fx.dgrams = append(c.fx.dgrams, transport.Datagram{Data: w[start:len(w):len(w)], Scope: desc.TTL})
+	c.endDatagram(w, start, desc.TTL)
 	return hash, sdpLen, nil
+}
+
+// sendHeard queues an announcement of a heard session, the payload as it
+// was heard, with the session's scope: a third-party defence.
+func (c *core) sendHeard(e *announce.Entry) error {
+	payload := e.Payload()
+	w, start, err := c.startDatagram(sap.Announce, 0, e.Desc.Origin, len(payload))
+	if err != nil {
+		return err
+	}
+	body := len(w)
+	w = append(w, payload...)
+	sap.PutMsgIDHash(w[start:], sap.MsgIDHashOf(w[body:]))
+	c.endDatagram(w, start, e.Desc.TTL)
+	return nil
+}
+
+// startDatagram writes a SAP header into the effects arena, in a chunk
+// with room for an sdpLen-byte payload behind it, and returns the chunk
+// and where the datagram starts in it.
+func (c *core) startDatagram(typ sap.MessageType, hash uint16, origin netip.Addr, sdpLen int) ([]byte, int, error) {
+	w := c.fx.wire
+	if need := headerRoom + sdpLen; cap(w)-len(w) < need {
+		w = c.fx.chunk(need)
+		c.fx.wire = w
+	}
+	pkt := sap.Packet{Type: typ, MsgIDHash: hash, Origin: origin}
+	start := len(w)
+	w, err := pkt.AppendHeader(w)
+	return w, start, err
+}
+
+// endDatagram queues the datagram written into w from start on.
+func (c *core) endDatagram(w []byte, start int, scope mcast.TTL) {
+	c.fx.wire = w
+	c.fx.dgrams = append(c.fx.dgrams, transport.Datagram{Data: w[start:len(w):len(w)], Scope: scope})
 }
 
 // withdraw deletes one of our sessions, sending a SAP deletion.
@@ -429,40 +451,34 @@ func (c *core) apply(p *parsedPacket, now time.Time) {
 		c.ins.quotaDrops.Inc()
 		return
 	}
-	// An unchanged re-announcement of a cached session (refresh != nil) is
-	// not parsed; everything else is, here, and not ahead of it: whether a
-	// packet needs parsing depends on what the packets before it left in
+	// An unchanged re-announcement of a cached session is not read;
+	// everything else is scanned, here, and not ahead of it: whether a
+	// packet needs reading depends on what the packets before it left in
 	// the cache, and one receive loop feeds this (DESIGN.md §17.1).
-	var refresh *announce.Entry
-	if p.desc == nil {
-		if refresh = c.unchanged(p); refresh == nil {
-			desc, err := session.ParseSDP(p.pkt.Payload)
-			if err != nil {
-				c.ins.packetsMalformed.Inc()
-				return
-			}
-			p.desc, p.key = desc, desc.Key()
-		}
-	}
-	c.ins.packetsReceived.Inc()
-	pkt, desc, key := &p.pkt, p.desc, p.key
-
-	if refresh != nil {
+	if e := c.unchanged(p); e != nil {
 		// What the rest of this function comes to for this datagram:
 		// validation passes, the cache changes nothing but LastHeard, and
 		// the tracker sees the address and scope it has.
+		c.ins.packetsReceived.Inc()
 		c.ins.refreshFast.Inc()
-		c.cache.Touch(refresh, now)
-		c.applyActions(c.observe(refresh.Key(), refresh.Desc, now), now)
+		c.cache.Touch(e, now)
+		c.applyActions(c.observe(e.Key(), &e.Desc, now), now)
 		return
 	}
+	sum, desc, err := c.scan(p.pkt.Payload)
+	if err != nil {
+		c.ins.packetsMalformed.Inc()
+		return
+	}
+	c.ins.packetsReceived.Inc()
+	pkt, key := &p.pkt, sum.Key()
 
 	if pkt.Type == sap.Delete {
-		c.handleDelete(pkt, desc, key, now)
+		c.handleDelete(pkt, &sum, key, now)
 		return
 	}
 
-	if !c.validateAnnounce(pkt, desc, key) {
+	if !c.validateAnnounce(pkt, &sum, key) {
 		c.ins.forgedReports.Inc()
 		return
 	}
@@ -480,33 +496,57 @@ func (c *core) apply(p *parsedPacket, now time.Time) {
 		}
 		// A previously unknown session must pass the budget gate before it
 		// may occupy cache (and clash-tracker) state.
-		if !c.admitNew(desc, key, now) {
+		if !c.admitNew(sum.Origin, desc, key, now) {
 			return
 		}
 	}
 
-	if e, fresh := c.cache.ObserveParsed(key, desc, p.digest, now); fresh {
+	if e, fresh := c.cache.ObserveHeard(key, sum, pkt.Payload, p.digest, now); fresh {
 		c.ins.sessionsLearned.Inc()
 		c.record(obs.TraceLearn, key, 0, desc, now)
 		// Only fresh observations are journaled; pure LastHeard
 		// refreshes ride on the next snapshot, so a recovered timestamp
 		// is at most one checkpoint interval old.
-		c.journalLearn(e, pkt.Payload)
+		c.journalLearn(e)
 	}
-	c.applyActions(c.observe(key, desc, now), now)
+	c.applyActions(c.observe(key, &sum, now), now)
+}
+
+// scan reads what the protocol needs of a payload, with ParseSDP's
+// verdict. When someone takes decision records it parses the whole
+// description for them, once, here; the directory keeps none of it.
+func (c *core) scan(payload []byte) (session.Summary, *session.Description, error) {
+	if !c.reporting {
+		sum, err := session.ScanSDP(payload)
+		return sum, nil, err
+	}
+	desc, err := session.ParseSDP(payload)
+	if err != nil {
+		return session.Summary{}, nil, err
+	}
+	return desc.Summary(), desc, nil
+}
+
+// described is e's description, parsed on demand for a decision record,
+// or nil if nobody takes them.
+func (c *core) described(e *announce.Entry) *session.Description {
+	if !c.reporting {
+		return nil
+	}
+	return e.Description()
 }
 
 // unchanged recognises the datagram a listener mostly hears — the
-// unchanged re-announcement of a session it has cached — without parsing
+// unchanged re-announcement of a session it has cached — without reading
 // it, and returns that session's entry. The payload's digest is the digest
-// of the bytes the cached description was parsed from, so the payload is
-// those bytes and parsing it would yield that description again:
-// validateAnnounce would pass it and ObserveParsed would change nothing
-// but LastHeard. Everything the digest cannot vouch for returns nil and is
-// parsed: a key we own (an echo must match what we announce now, not what
-// we once did), a tombstone (Unchanged finds live entries only), a header
-// origin that is not the session's, a deletion, a cached description
-// validation would turn away for its scope.
+// of the payload the entry holds, so the payload is those bytes and
+// scanning it would yield the entry's summary again: validateAnnounce
+// would pass it and ObserveHeard would change nothing but LastHeard.
+// Everything the digest cannot vouch for returns nil and is scanned: a
+// key we own (an echo must match what we announce now, not what we once
+// did), a tombstone (Unchanged finds live entries only), a header origin
+// that is not the session's, a deletion, a cached session validation
+// would turn away for its scope.
 func (c *core) unchanged(p *parsedPacket) *announce.Entry {
 	if p.pkt.Type != sap.Announce {
 		return nil
@@ -521,12 +561,12 @@ func (c *core) unchanged(p *parsedPacket) *announce.Entry {
 
 // observe shows the clash tracker one heard session and returns what it
 // answers.
-func (c *core) observe(key string, desc *session.Description, now time.Time) []clash.Action {
-	idx, ok := c.cfg.Space.Index(desc.Group)
+func (c *core) observe(key string, sum *session.Summary, now time.Time) []clash.Action {
+	idx, ok := c.cfg.Space.Index(sum.Group)
 	if !ok {
 		return nil
 	}
-	return c.tracker.Observe(clash.Observation{Key: clash.SessionKey(key), Addr: idx, TTL: desc.TTL, At: c.ms(now)})
+	return c.tracker.Observe(clash.Observation{Key: clash.SessionKey(key), Addr: idx, TTL: sum.TTL, At: c.ms(now)})
 }
 
 // handleDelete validates and applies a SAP deletion. We have no
@@ -535,7 +575,7 @@ func (c *core) observe(key string, desc *session.Description, now time.Time) []c
 // whose recorded origin matches — that kills blind deletion spoofing,
 // where an attacker withdraws a victim's session without having been able
 // to observe and fully forge its announcement.
-func (c *core) handleDelete(pkt *sap.Packet, desc *session.Description, key string, now time.Time) {
+func (c *core) handleDelete(pkt *sap.Packet, sum *session.Summary, key string, now time.Time) {
 	if c.owned[key] != nil {
 		// We never withdraw our own sessions via the network; any deletion
 		// naming one of ours is forged.
@@ -546,7 +586,7 @@ func (c *core) handleDelete(pkt *sap.Packet, desc *session.Description, key stri
 	if !ok {
 		return // unknown session: nothing to delete
 	}
-	if pkt.Origin != desc.Origin || pkt.Origin != e.Desc.Origin {
+	if pkt.Origin != sum.Origin || pkt.Origin != e.Desc.Origin {
 		c.ins.forgedDeletes.Inc()
 		return
 	}
@@ -559,60 +599,74 @@ func (c *core) handleDelete(pkt *sap.Packet, desc *session.Description, key stri
 // an announcement (which is also how clashes are reported in the
 // announce–listen model) must be self-consistent and must agree with what
 // the local cache already knows before it may mutate soft state or
-// trigger clash reactions. Returns false to drop the packet.
-func (c *core) validateAnnounce(pkt *sap.Packet, desc *session.Description, key string) bool {
+// trigger clash reactions. Returns false to drop the packet. sum is what
+// pkt's payload was scanned to.
+func (c *core) validateAnnounce(pkt *sap.Packet, sum *session.Summary, key string) bool {
 	// The SAP header origin must match the session's claimed origin: a
 	// mismatch is a forgery (third-party defenses re-announce the defended
 	// session with ITS origin in both places, so they pass).
-	if pkt.Origin != desc.Origin {
+	if pkt.Origin != sum.Origin {
 		return false
 	}
 	// Scope plausibility: a TTL-0 session could not have reached us.
-	if desc.TTL == 0 {
+	if sum.TTL == 0 {
 		return false
 	}
 	if own, ok := c.owned[key]; ok {
 		// A report about one of our own sessions must match what we are
 		// actually announcing: anything else is a forged echo trying to
 		// poison our own tracker state.
-		return desc.Version == own.desc.Version &&
-			desc.Group == own.desc.Group && desc.TTL == own.desc.TTL
+		return sum.Version == own.desc.Version &&
+			sum.Group == own.desc.Group && sum.TTL == own.desc.TTL
 	}
 	e, ok := c.cache.Peek(key)
 	if !ok {
 		return true // new session: nothing to agree with yet
 	}
-	if desc.Version < e.Desc.Version {
+	if sum.Version < e.Desc.Version {
 		// Replayed stale state. The cache already ignored old versions;
 		// rejecting here keeps them out of the clash tracker too, so a
 		// replayer cannot re-trigger resolved clashes.
 		return false
 	}
-	if desc.Version == e.Desc.Version {
+	if sum.Version == e.Desc.Version {
 		if e.Deleted {
 			return false // a deleted version cannot be resurrected verbatim
 		}
 		// Same version, same content: an honest announcer bumps the
 		// version on every change, so a same-version report naming a
 		// different address or scope is a forged clash report.
-		if desc.Group != e.Desc.Group || desc.TTL != e.Desc.TTL || desc.Name != e.Desc.Name {
+		if sum.Group != e.Desc.Group || sum.TTL != e.Desc.TTL || !sameName(pkt.Payload, e) {
 			return false
 		}
 	}
 	return true
 }
 
+// sameName reports whether payload, which scanned, names its session as
+// e's payload does. Only a same-version report agreeing with e on address
+// and scope asks, so the two are parsed here, when it does.
+func sameName(payload []byte, e *announce.Entry) bool {
+	if string(payload) == e.Payload() {
+		return true
+	}
+	d, err := session.ParseSDP(payload)
+	return err == nil && d.Name == e.Description().Name
+}
+
 // budgeted reports whether a session budget is set; without one nothing
 // is ever evicted.
 func (c *core) budgeted() bool { return c.cfg.MaxSessions > 0 || c.cfg.MaxPerOrigin > 0 }
 
-// admitNew runs the budget gate for a previously unknown session, applying
-// any planned evictions. Returns false if the newcomer was shed or denied.
-func (c *core) admitNew(desc *session.Description, key string, now time.Time) bool {
+// admitNew runs the budget gate for a previously unknown session from
+// origin, applying any planned evictions; desc is its description for the
+// decision record, if one is taken. Returns false if the newcomer was
+// shed or denied.
+func (c *core) admitNew(origin netip.Addr, desc *session.Description, key string, now time.Time) bool {
 	if !c.budgeted() {
 		return true
 	}
-	dec := c.admit.PlanNewOrdered(c.cache, desc.Origin, now)
+	dec := c.admit.PlanNewOrdered(c.cache, origin, now)
 	for _, k := range dec.Evict {
 		c.cache.Remove(k)
 		c.tracker.Forget(clash.SessionKey(k))
@@ -649,7 +703,7 @@ func (c *core) candidates() []admission.Candidate {
 		if e.Desc.Origin == c.cfg.Origin {
 			continue
 		}
-		key := e.Desc.Key()
+		key := e.Key()
 		if c.owned[key] != nil {
 			continue
 		}
@@ -710,9 +764,9 @@ func (c *core) applyActions(actions []clash.Action, now time.Time) {
 				continue
 			}
 			if e, ok := c.cache.Get(key); ok {
-				if _, _, err := c.sendDesc(e.Desc, sap.Announce, 0, 0); err == nil {
+				if err := c.sendHeard(e); err == nil {
 					c.ins.clashDefensesThrd.Inc()
-					c.record(obs.TraceDefendOther, key, 0, e.Desc, now)
+					c.record(obs.TraceDefendOther, key, 0, c.described(e), now)
 				}
 			}
 		}
@@ -831,17 +885,16 @@ func (c *core) restore(p []byte, now time.Time) (bool, error) {
 		}
 		first := int64(binary.BigEndian.Uint64(p[1:9]))
 		last := int64(binary.BigEndian.Uint64(p[9:17]))
-		desc, err := session.ParseSDP(p[17:])
+		payload := p[learnHeader:]
+		sum, err := session.ScanSDP(payload)
 		if err != nil {
 			return false, fmt.Errorf("learn record SDP: %w", err)
 		}
-		// The digest of the record's own bytes, which desc was parsed from
-		// just now: a re-announcement that spells the session this way is
-		// known unchanged from the first one after recovery. A journal
-		// record holds the payload as heard, so this is the digest the
-		// entry had before the restart, whatever the sender's spelling.
-		digest := sap.PayloadDigest(c.digestSeed, p[17:])
-		return c.cache.Restore(desc, digest, time.Unix(first, 0), time.Unix(last, 0), now), nil
+		// A record holds the payload as heard, so its digest is the one the
+		// entry had before the restart, whatever the sender's spelling: the
+		// sender's next unchanged re-announcement is known as such.
+		digest := sap.PayloadDigest(c.digestSeed, payload)
+		return c.cache.Restore(sum, payload, digest, time.Unix(first, 0), time.Unix(last, 0), now), nil
 	case deltaDelete:
 		c.cache.Delete(string(p[1:]), now)
 	case deltaExpire, deltaEvict:
@@ -871,6 +924,6 @@ func (c *core) registerLoaded(now time.Time) {
 	live := c.cache.Live()
 	announce.SortByKey(live)
 	for _, e := range live {
-		c.observe(e.Key(), e.Desc, now) // registered, not reacted to
+		c.observe(e.Key(), &e.Desc, now) // registered, not reacted to
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"net/netip"
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -490,21 +491,32 @@ func (d *Directory) WithdrawSession(key string) error {
 }
 
 // Sessions returns a snapshot of all known live sessions (cached + owned),
-// in key order.
+// in key order. A heard session's description is parsed from the payload
+// the cache holds, for this call and after the lock is released: the
+// caller may keep it.
 func (d *Directory) Sessions() []*session.Description {
+	type known struct {
+		key, payload string
+		own          *session.Description
+	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	live := d.cache.Live()
-	byKey := make(map[string]*session.Description, len(live)+len(d.owned))
+	all := make([]known, 0, len(live)+len(d.owned))
 	for _, e := range live {
-		byKey[e.Key()] = e.Desc
+		if d.owned[e.Key()] == nil { // our own copy over whatever we heard of it
+			all = append(all, known{key: e.Key(), payload: e.Payload()})
+		}
 	}
 	for key, own := range d.owned {
-		byKey[key] = own.desc // our own copy over whatever we heard of it
+		all = append(all, known{key: key, own: own.desc})
 	}
-	out := make([]*session.Description, 0, len(byKey))
-	for _, key := range slices.Sorted(maps.Keys(byKey)) {
-		out = append(out, byKey[key])
+	d.mu.Unlock()
+	slices.SortFunc(all, func(a, b known) int { return strings.Compare(a.key, b.key) })
+	out := make([]*session.Description, len(all))
+	for i, s := range all {
+		if out[i] = s.own; out[i] == nil {
+			out[i] = announce.Describe(s.payload)
+		}
 	}
 	return out
 }

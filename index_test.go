@@ -349,8 +349,8 @@ func heardDesc(i int) *session.Description {
 	return peerDesc(origin.String(), uint64(1+i%100), mcast.SAPDynamicSpace(), mcast.Addr(i), 127)
 }
 
-// admitUnknown applies one announcement the way the receive path does
-// after parsing it: with the payload desc was parsed from and its digest,
+// admitUnknown applies one announcement of desc the way the receive path
+// does once it has decoded the datagram: with the payload and its digest,
 // so a learn record journals the bytes the entry's digest is of.
 func admitUnknown(d *Directory, desc *session.Description) {
 	payload, err := desc.MarshalSDP()
@@ -359,8 +359,6 @@ func admitUnknown(d *Directory, desc *session.Description) {
 	}
 	p := parsedPacket{
 		pkt:    sap.Packet{Type: sap.Announce, Origin: desc.Origin, Payload: payload},
-		desc:   desc,
-		key:    desc.Key(),
 		digest: sap.PayloadDigest(d.digestSeed, payload),
 		ok:     true,
 	}

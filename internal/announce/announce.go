@@ -6,6 +6,7 @@ package announce
 
 import (
 	"container/heap"
+	"fmt"
 	"net/netip"
 	"slices"
 	"sort"
@@ -132,49 +133,70 @@ func (b Backoff) MeanDiscoveryDelay(loss, networkDelay float64) float64 {
 	return mean
 }
 
-// Entry is one cached session announcement.
+// Entry is one cached session announcement: what the protocol reads of
+// the session, by value, and the payload it was heard as. A description
+// with everything else in it — name, media, attributes — is parsed from
+// the payload when something asks (Description); the cache holds none.
 type Entry struct {
-	Desc *session.Description
+	// Desc is the session's summary. The field keeps the name it had when
+	// it held the parsed description, for benchmark/shadow.go, which
+	// reads it; ROADMAP item 7(i) renames it.
+	Desc session.Summary
 	// FirstHeard is when the session entered the cache, in Unix seconds:
 	// its one reader is the journal's learn record, which stores seconds.
 	FirstHeard int64
 	LastHeard  time.Time
-	// Deleted marks an explicit SAP deletion (kept briefly to squelch
-	// stale re-announcements from slow caches).
-	Deleted bool
+	// key is Desc.Key(), the key the cache holds the entry under — kept
+	// so that refreshing an entry, and ordering entries, builds no string.
+	key string
+	// payload is the SDP payload Desc was read from, as heard: a copy made
+	// when the entry took it, never the datagram's bytes. It is what a
+	// checkpoint writes and a third-party defence sends, and its length
+	// plus the SAP header is the entry's share of the bandwidth budget.
+	payload string
+	// digest is 0 or the digest of payload (sap.PayloadDigest under the
+	// owning directory's seed): every site that assigns payload assigns it
+	// too. A payload that arrives with the same digest is this one again,
+	// and need not be read to be known so (Unchanged).
+	digest uint64
 	// heapPos is the entry's slot in its cache's eviction order (1-based,
 	// 0 = not in it; see index.go).
 	heapPos int32
-	// adBytes is the announcement size this entry contributes to the
-	// bandwidth budget while live, cached at Observe/Restore time so the
-	// running total can be maintained incrementally (and released exactly
-	// on delete/evict without re-marshalling).
-	adBytes int32
-	// digest is 0 or the digest of the exact bytes Desc was parsed from
-	// (sap.PayloadDigest under the owning directory's seed): every site
-	// that assigns Desc assigns it too. A payload that arrives with the
-	// same digest is this description again, and need not be parsed to be
-	// known so (Unchanged).
-	digest uint64
-	// key is Desc.Key(), the key the cache holds the entry under — kept
-	// so that refreshing an entry, and ordering entries, builds no string.
-	// With FirstHeard in seconds and adBytes in 32 bits it fits the entry
-	// into the 80-byte size class it was in without it.
-	key string
+	// Deleted marks an explicit SAP deletion (kept briefly to squelch
+	// stale re-announcements from slow caches).
+	Deleted bool
 }
 
 // Key is Desc.Key(), for an entry a Cache holds.
 func (e *Entry) Key() string { return e.key }
 
-// adSize is the bandwidth-budget cost of one announcement: SDP payload
-// plus the SAP header, or a nominal size for descriptions that cannot
-// marshal (matching the lazy accounting TotalAdBytes historically used).
-// It counts the payload (session.Description.SDPLen) without writing it.
-func adSize(d *session.Description) int32 {
-	if d.Validate() != nil {
-		return 256
+// Payload is the SDP payload the entry was heard as.
+func (e *Entry) Payload() string { return e.payload }
+
+// Description parses the entry's payload (Describe).
+func (e *Entry) Description() *session.Description { return Describe(e.payload) }
+
+// Describe parses a payload an entry held. It passed ParseSDP's checks
+// when the entry took it, so it parses; the result is the caller's.
+func Describe(payload string) *session.Description {
+	d, err := session.ParseSDPString(payload)
+	if err != nil {
+		panic(fmt.Sprintf("announce: a cached payload does not parse: %v", err))
 	}
-	return int32(d.SDPLen() + 8) // + SAP header
+	return d
+}
+
+// adBytes is the bandwidth-budget cost of e's announcement: the SDP
+// payload plus the SAP header.
+func (e *Entry) adBytes() int { return len(e.payload) + 8 }
+
+// take gives e a new payload: the bytes heard, copied, unless they are
+// those it holds.
+func (e *Entry) take(payload []byte, digest uint64) {
+	if string(payload) != e.payload {
+		e.payload = string(payload)
+	}
+	e.digest = digest
 }
 
 // Cache is the listened-session store: one entry map with the eviction
@@ -307,7 +329,7 @@ func (c *Cache) drop(e *Entry) {
 func (c *Cache) leave(e *Entry) {
 	if !e.Deleted {
 		c.live--
-		c.adBytes -= int(e.adBytes)
+		c.adBytes -= e.adBytes()
 	}
 	c.fresh.leave(e)
 	if idx, ok := c.member(e); ok {
@@ -318,7 +340,7 @@ func (c *Cache) leave(e *Entry) {
 func (c *Cache) enter(e *Entry) {
 	if !e.Deleted {
 		c.live++
-		c.adBytes += int(e.adBytes)
+		c.adBytes += e.adBytes()
 	}
 	c.fresh.enter(e)
 	if idx, ok := c.member(e); ok {
@@ -341,21 +363,37 @@ func (c *Cache) heard(e *Entry, now time.Time) {
 	}
 }
 
-// Observe records an announcement, returning the entry and whether the
-// session (or a new version of it) was previously unknown — in which case
-// the entry now holds d and Get returns it.
+// Observe records d as heard at now, as the payload MarshalSDP writes for
+// it: the adapter for callers holding a description rather than the bytes
+// of one (benchmark/shadow.go, mcbench, tests). The entry holds what that
+// payload reads back as. A description that does not come back from its
+// payload is not announceable, and the cache takes nothing from it (nil,
+// false).
 func (c *Cache) Observe(d *session.Description, now time.Time) (*Entry, bool) {
-	return c.ObserveParsed(d.Key(), d, 0, now)
+	payload, err := d.MarshalSDP()
+	if err != nil {
+		return nil, false
+	}
+	s, err := session.ScanSDP(payload)
+	if err != nil {
+		return nil, false
+	}
+	return c.ObserveHeard(s.Key(), s, payload, 0, now)
 }
 
-// ObserveParsed is Observe for a caller that already holds key = d.Key(),
-// and, if it parsed d from a payload, that payload's digest (0 = none): if
-// the entry takes d it takes the digest with it, and Unchanged will know
-// the payload again.
-func (c *Cache) ObserveParsed(key string, d *session.Description, digest uint64, now time.Time) (*Entry, bool) {
+// ObserveHeard records an announcement heard as payload, which s was read
+// from (session.ScanSDP) and key is s.Key() of, and whose digest is digest
+// (0 = none). It returns the entry and whether the session (or a new
+// version of it) was previously unknown. An entry that takes the
+// announcement — a new one, or one at a version no newer — copies payload
+// unless it holds those bytes already, and takes the digest with it, so
+// Unchanged will know the payload again. payload may be on loan: nothing
+// aliases it once the call returns.
+func (c *Cache) ObserveHeard(key string, s session.Summary, payload []byte, digest uint64, now time.Time) (*Entry, bool) {
 	e, ok := c.entries[key]
 	if !ok {
-		e = &Entry{Desc: d, FirstHeard: now.Unix(), LastHeard: now.Round(0), adBytes: adSize(d), digest: digest, key: key}
+		e = &Entry{Desc: s, FirstHeard: now.Unix(), LastHeard: now.Round(0), key: key}
+		e.take(payload, digest)
 		c.add(e)
 		return e, true
 	}
@@ -364,9 +402,10 @@ func (c *Cache) ObserveParsed(key string, d *session.Description, digest uint64,
 	// An older version replaces nothing — not even a tombstone, which
 	// stays deleted — so it is never fresh.
 	fresh := false
-	if d.Version >= e.Desc.Version {
-		fresh = d.Version > e.Desc.Version || e.Deleted
-		e.Desc, e.digest, e.Deleted, e.adBytes = d, digest, false, adSize(d)
+	if s.Version >= e.Desc.Version {
+		fresh = s.Version > e.Desc.Version || e.Deleted
+		e.Desc, e.Deleted = s, false
+		e.take(payload, digest)
 	}
 	c.heard(e, now)
 	c.enter(e)
@@ -389,8 +428,7 @@ func (c *Cache) Unchanged(key []byte, digest uint64) (*Entry, bool) {
 }
 
 // Touch records that e's announcement was heard again, unchanged: what
-// ObserveParsed does for a description equal to the one the entry holds,
-// without one to give it. The fresh count costs it one branch until a
+// ObserveHeard does for the payload the entry holds, without the payload. The fresh count costs it one branch until a
 // CountFresh arms it.
 func (c *Cache) Touch(e *Entry, now time.Time) {
 	if c.fresh.armed {
@@ -405,35 +443,30 @@ func (c *Cache) Touch(e *Entry, now time.Time) {
 	}
 }
 
-// Restore merges one persisted entry: entries stale relative to now are
-// skipped, and fresher in-memory state wins over disk state (version
-// upgrades excepted). The journaled store replays snapshot and journal
-// records through this one entry at a time, with the digest of the
-// record's own SDP bytes (0 = none). Reports whether the entry was added
-// as new.
-func (c *Cache) Restore(desc *session.Description, digest uint64, first, last, now time.Time) bool {
+// Restore merges one persisted entry, heard as payload, which s was read
+// from: entries stale relative to now are skipped, and fresher in-memory
+// state wins over disk state (version upgrades excepted). The journaled
+// store replays snapshot and journal records through this one entry at a
+// time, with the digest of the record's payload (0 = none). payload is
+// copied if it is taken. Reports whether the entry was added as new.
+func (c *Cache) Restore(s session.Summary, payload []byte, digest uint64, first, last, now time.Time) bool {
 	if now.Sub(last) > c.timeout {
 		return false // stale on disk
 	}
-	key := desc.Key()
+	key := s.Key()
 	if existing, ok := c.entries[key]; ok {
 		// In-memory state is at least as fresh; only upgrade versions.
-		if desc.Version > existing.Desc.Version && !existing.Deleted {
+		if s.Version > existing.Desc.Version && !existing.Deleted {
 			c.leave(existing)
-			existing.Desc, existing.digest, existing.adBytes = desc, digest, adSize(desc)
+			existing.Desc = s
+			existing.take(payload, digest)
 			c.enter(existing)
 			c.orderFix(existing, false)
 		}
 		return false
 	}
-	e := &Entry{
-		Desc:       desc,
-		FirstHeard: first.Unix(),
-		LastHeard:  last,
-		adBytes:    adSize(desc),
-		digest:     digest,
-		key:        key,
-	}
+	e := &Entry{Desc: s, FirstHeard: first.Unix(), LastHeard: last, key: key}
+	e.take(payload, digest)
 	c.add(e)
 	return true
 }
@@ -555,9 +588,9 @@ func (c *Cache) CountFresh(now time.Time, staleAfter time.Duration) int {
 }
 
 // TotalAdBytes is the summed announcement size of live entries for the
-// bandwidth budget: SDP payload + SAP header per entry, a nominal size
-// for invalid cached descriptions. Maintained incrementally, so this is
-// O(1) — it runs on every announcement send.
+// bandwidth budget: SDP payload as heard + SAP header per entry.
+// Maintained incrementally, so this is O(1) — it runs on every
+// announcement send.
 func (c *Cache) TotalAdBytes() int { return c.adBytes }
 
 // SortByKey sorts entries, which a Cache holds, by Entry.Key.

@@ -9,6 +9,28 @@ import (
 	"sessiondir/internal/session"
 )
 
+// heard is what a listener reads of d: its summary, and the payload it
+// arrives as.
+func heard(d *session.Description) (session.Summary, []byte) {
+	payload, err := d.MarshalSDP()
+	if err != nil {
+		panic(err)
+	}
+	return d.Summary(), payload
+}
+
+// observe is ObserveHeard of d's payload, with the given digest.
+func observe(c *Cache, d *session.Description, digest uint64, now time.Time) (*Entry, bool) {
+	s, payload := heard(d)
+	return c.ObserveHeard(d.Key(), s, payload, digest, now)
+}
+
+// restore is Restore of d's payload, with the given digest.
+func restore(c *Cache, d *session.Description, digest uint64, first, last, now time.Time) bool {
+	s, payload := heard(d)
+	return c.Restore(s, payload, digest, first, last, now)
+}
+
 func desc(id uint64, version uint64) *session.Description {
 	return &session.Description{
 		ID:      id,
@@ -163,21 +185,18 @@ func TestCacheLiveAndTotalBytes(t *testing.T) {
 }
 
 // TestCacheRefreshAllocatesNothing pins the listener fast path: hearing a
-// known session again at the same version — a new Description each time,
-// as the receive path parses one per packet — allocates nothing, while the
-// bandwidth total stays the exact marshalled size.
+// known session again at the same version, as the same bytes in another
+// datagram, allocates nothing — the entry keeps the copy it holds — while
+// the bandwidth total stays the exact payload size.
 func TestCacheRefreshAllocatesNothing(t *testing.T) {
 	c := NewCache(0)
 	now := time.Unix(0, 0)
 	c.Observe(desc(1, 1), now)
-	again := desc(1, 1)
+	again, sdp := heard(desc(1, 1))
+	sdp = append([]byte(nil), sdp...) // the same bytes, another datagram
 	key := again.Key()
-	if n := testing.AllocsPerRun(100, func() { c.ObserveParsed(key, again, 0, now) }); n != 0 {
-		t.Fatalf("same-version ObserveParsed: %v allocs, want 0", n)
-	}
-	sdp, err := again.MarshalSDP()
-	if err != nil {
-		t.Fatal(err)
+	if n := testing.AllocsPerRun(100, func() { c.ObserveHeard(key, again, sdp, 0, now) }); n != 0 {
+		t.Fatalf("same-version ObserveHeard: %v allocs, want 0", n)
 	}
 	if got, want := c.TotalAdBytes(), len(sdp)+8; got != want {
 		t.Fatalf("TotalAdBytes = %d, want %d", got, want)
@@ -196,7 +215,7 @@ func TestDigestFollowsTheDescription(t *testing.T) {
 		return ok
 	}
 
-	e, _ := c.ObserveParsed(string(key), desc(1, 2), 11, now)
+	e, _ := observe(c, desc(1, 2), 11, now)
 	if !known(11) || known(12) || known(0) || e.Key() != string(key) {
 		t.Fatalf("a new entry: known(11) %v, known(12) %v, known(0) %v, key %q", known(11), known(12), known(0), e.Key())
 	}
@@ -204,12 +223,12 @@ func TestDigestFollowsTheDescription(t *testing.T) {
 		t.Fatal("a digest was found under a key it was not filed under")
 	}
 	// An older version is not taken, and neither is its digest.
-	c.ObserveParsed(string(key), desc(1, 1), 13, now)
+	observe(c, desc(1, 1), 13, now)
 	if known(13) || !known(11) {
 		t.Fatal("an ignored older version changed the digest")
 	}
 	// The same version from other bytes replaces both.
-	c.ObserveParsed(string(key), desc(1, 2), 14, now)
+	observe(c, desc(1, 2), 14, now)
 	if known(11) || !known(14) {
 		t.Fatal("a description replaced at the same version kept the old digest")
 	}
@@ -219,27 +238,27 @@ func TestDigestFollowsTheDescription(t *testing.T) {
 		t.Fatal("a description observed without a digest kept its predecessor's")
 	}
 	// Tombstones are never unchanged; a resurrection brings its own digest.
-	c.ObserveParsed(string(key), desc(1, 2), 15, now)
+	observe(c, desc(1, 2), 15, now)
 	c.Delete(string(key), now)
 	if known(15) {
 		t.Fatal("a tombstone passed for an unchanged entry")
 	}
-	c.ObserveParsed(string(key), desc(1, 2), 16, now)
+	observe(c, desc(1, 2), 16, now)
 	if !known(16) {
 		t.Fatal("a resurrected entry does not know its digest")
 	}
 	// Restore: a new entry and a version upgrade take the record's digest,
 	// a record the cache ignores leaves things alone.
-	c.Restore(desc(1, 3), 17, now, now, now)
+	restore(c, desc(1, 3), 17, now, now, now)
 	if !known(17) {
 		t.Fatal("a restored upgrade did not bring its digest")
 	}
-	c.Restore(desc(1, 3), 18, now, now, now)
+	restore(c, desc(1, 3), 18, now, now, now)
 	if known(18) || !known(17) {
 		t.Fatal("an ignored record changed the digest")
 	}
 	other := []byte(desc(2, 1).Key())
-	c.Restore(desc(2, 1), 19, now, now, now)
+	restore(c, desc(2, 1), 19, now, now, now)
 	if _, ok := c.Unchanged(other, 19); !ok {
 		t.Fatal("a restored entry does not know its record's digest")
 	}

@@ -37,11 +37,11 @@ func TestShardedAccountingMatchesRecount(t *testing.T) {
 		for _, e := range s.All() {
 			if !e.Deleted {
 				live++
-				if data, err := e.Desc.MarshalSDP(); err == nil {
-					adBytes += len(data) + 8
-				} else {
-					adBytes += 256
+				data, err := e.Description().MarshalSDP()
+				if err != nil {
+					t.Fatal(err)
 				}
+				adBytes += len(data) + 8
 			}
 		}
 		return
@@ -135,9 +135,11 @@ func TestObserveFreshMeansReplaced(t *testing.T) {
 		d := odesc(2, 1, tc.version)
 		e, fresh := c.Observe(d, now.Add(time.Second))
 		_, live := c.Get(d.Key())
-		if fresh != tc.fresh || live != tc.live || (e.Desc == d) != tc.held {
+		_, payload := heard(d)
+		held := e.Payload() == string(payload) && e.Desc == d.Summary()
+		if fresh != tc.fresh || live != tc.live || held != tc.held {
 			t.Errorf("%s: fresh=%v live=%v held=%v, want %v %v %v",
-				tc.name, fresh, live, e.Desc == d, tc.fresh, tc.live, tc.held)
+				tc.name, fresh, live, held, tc.fresh, tc.live, tc.held)
 		}
 		wantLen := 0
 		if tc.live {

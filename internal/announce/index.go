@@ -11,7 +11,7 @@ import (
 )
 
 // Two indices ride on a Cache, kept current at the same mutation sites
-// that keep live, adBytes and the fresh count current (ObserveParsed,
+// that keep live, adBytes and the fresh count current (ObserveHeard,
 // Touch, Delete, Remove, Expire, Restore), so that neither the admission
 // gate nor the allocator has to rebuild its picture of the cache per call:
 //

@@ -113,6 +113,18 @@ func checkIndexInvariants(t *testing.T, c *Cache, self netip.Addr, exact bool) {
 	}
 }
 
+// eagerParse is what a cache that parsed every payload it took would hold
+// for d.
+func eagerParse(t *testing.T, d *session.Description) *session.Description {
+	t.Helper()
+	_, payload := heard(d)
+	parsed, err := session.ParseSDP(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parsed
+}
+
 // dueAt is the scan Expire's bound lets it skip: every key unheard past its
 // limit at now, sorted.
 func dueAt(s *Cache, now time.Time) []string {
@@ -264,6 +276,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 			s := NewCache(time.Hour)
 			s.TrackState(indexSpace, allocator.NewState(indexSpace.Size))
 			ops := stats.NewRNG(seed<<8 | salt)
+			parsed := map[string]*session.Description{}
 			now := time.Unix(1_000_000, 0)
 			// Half the sequences switch the eviction order on over a
 			// populated cache.
@@ -293,6 +306,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 					now = now.Add(time.Duration(10+ops.IntN(25)) * time.Minute)
 				}
 				d := mk()
+				eager := eagerParse(t, d)
 				switch op := ops.IntN(20); {
 				case op < 9:
 					// New session, refresh, bump or resurrection, as the key's
@@ -304,7 +318,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 					if e, ok := s.Peek(d.Key()); ok && step%2 == 0 && !e.Deleted {
 						s.Touch(e, now)
 					} else if ok {
-						s.ObserveParsed(d.Key(), e.Desc, 0, now)
+						s.ObserveHeard(e.Key(), e.Desc, []byte(e.Payload()), 0, now)
 					}
 				case op < 13:
 					s.Delete(d.Key(), now)
@@ -314,7 +328,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 					s.Expire(now)
 				case op < 17:
 					last := now.Add(-time.Duration(ops.IntN(50)) * time.Minute)
-					s.Restore(d, 0, last.Add(-time.Hour), last, now)
+					restore(s, d, 0, last.Add(-time.Hour), last, now)
 				default:
 					// An admission as the directory performs it: plan, evict,
 					// and cache the newcomer unless it was turned away.
@@ -327,6 +341,19 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 					}
 					if dec.Outcome == admission.Admit {
 						s.Observe(d, now)
+					}
+				}
+
+				// The descriptions the entries parse to on demand, against
+				// the ones an eager cache would hold: the parse of each
+				// payload the moment an entry took it.
+				if e, ok := s.Peek(d.Key()); ok && e.Desc == d.Summary() {
+					parsed[d.Key()] = eager
+				}
+				for key, e := range s.entries {
+					if got := e.Description(); !reflect.DeepEqual(got, parsed[key]) || got.Summary() != e.Desc {
+						t.Fatalf("salt %d seed %d step %d: %s parses on demand to %+v (summary %+v), eagerly to %+v",
+							salt, seed, step, key, got, e.Desc, parsed[key])
 					}
 				}
 
@@ -458,7 +485,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 			}, e, true, true},
 			{"a Restore heard before the bound", func() {
 				last := now.Add(-2 * staleAfter)
-				s.Restore(odesc(6, 4, 1), 0, last, last, now)
+				restore(s, odesc(6, 4, 1), 0, last, last, now)
 			}, e, false, true},
 			{"the restored entry removed leaves the bound where it was", func() { s.Remove(odesc(6, 4, 1).Key()) }, e, false, false},
 		} {
@@ -526,10 +553,10 @@ func TestFreshCountAtItsEdges(t *testing.T) {
 		{"a touch counts a stale entry again", func() { s.Touch(a, t0.Add(staleAfter+time.Second)) },
 			t0.Add(staleAfter + time.Second), staleAfter, 2, true},
 		{"a restored entry heard long ago is stale", func() {
-			s.Restore(odesc(4, 3, 1), 0, t0.Add(-time.Hour), t0.Add(-staleAfter), t0.Add(staleAfter))
+			restore(s, odesc(4, 3, 1), 0, t0.Add(-time.Hour), t0.Add(-staleAfter), t0.Add(staleAfter))
 		}, t0.Add(staleAfter + time.Second), staleAfter, 2, true},
 		{"a restored entry heard lately is fresh", func() {
-			s.Restore(odesc(5, 4, 1), 0, t0, t0.Add(staleAfter), t0.Add(staleAfter))
+			restore(s, odesc(5, 4, 1), 0, t0, t0.Add(staleAfter), t0.Add(staleAfter))
 		}, t0.Add(staleAfter + time.Second), staleAfter, 3, true},
 		{"a clock that stepped back", nil, t0.Add(-time.Second), staleAfter, 4, false},
 		{"another staleAfter", nil, t0.Add(-time.Second), staleAfter / 20, 3, false},
@@ -569,7 +596,7 @@ func TestUnarmedTouchKeepsNoCount(t *testing.T) {
 }
 
 // TestExpireBoundFollowsDeadlinesBack: the three ways an entry's deadline
-// can move earlier — a refresh (Touch or ObserveParsed) by a clock that
+// can move earlier — a refresh (Touch or ObserveHeard) by a clock that
 // stepped backwards, and a deletion — each lower the bound, so the entry
 // expires on time even when it is the only one in the cache.
 func TestExpireBoundFollowsDeadlinesBack(t *testing.T) {
@@ -580,7 +607,7 @@ func TestExpireBoundFollowsDeadlinesBack(t *testing.T) {
 		deadline time.Time
 	}{
 		{"touch", func(s *Cache, e *Entry) { s.Touch(e, t0.Add(-10*time.Minute)) }, t0.Add(50 * time.Minute)},
-		{"observe", func(s *Cache, e *Entry) { s.ObserveParsed(e.key, e.Desc, 0, t0.Add(-10*time.Minute)) }, t0.Add(50 * time.Minute)},
+		{"observe", func(s *Cache, e *Entry) { s.ObserveHeard(e.key, e.Desc, []byte(e.payload), 0, t0.Add(-10*time.Minute)) }, t0.Add(50 * time.Minute)},
 		{"delete", func(s *Cache, e *Entry) { s.Delete(e.key, t0) }, t0.Add(6 * time.Minute)},
 	} {
 		s := NewCache(time.Hour)
@@ -694,19 +721,19 @@ func TestIndexedRefreshAllocatesNothing(t *testing.T) {
 	}
 	// Origin 9 is new, and its session 11 shares group 224.2.128.11, inside
 	// the space, with 10.0.0.6's.
-	again := odesc(9, 11, 1)
-	s.Observe(again, now)
+	s.Observe(odesc(9, 11, 1), now)
+	again, payload := heard(odesc(9, 11, 1))
 	key := again.Key()
-	if n := testing.AllocsPerRun(100, func() { s.ObserveParsed(key, again, 0, now) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { s.ObserveHeard(key, again, payload, 0, now) }); n != 0 {
 		t.Fatalf("same-version refresh among ties: %v allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		now = now.Add(time.Second)
-		s.ObserveParsed(key, again, 0, now)
+		s.ObserveHeard(key, again, payload, 0, now)
 	}); n != 0 {
 		t.Fatalf("same-version refresh moving to the back: %v allocs, want 0", n)
 	}
-	s.ObserveParsed(key, again, 42, now)
+	s.ObserveHeard(key, again, payload, 42, now)
 	if n := testing.AllocsPerRun(100, func() {
 		now = now.Add(time.Second)
 		e, ok := s.Unchanged([]byte(key), 42)
@@ -719,10 +746,12 @@ func TestIndexedRefreshAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestEntryStaysInIts80ByteClass pins the memory budget the two slots were
-// fitted into: a 16-byte field more and every cached session costs 96.
-func TestEntryStaysInIts80ByteClass(t *testing.T) {
-	if size := reflect.TypeOf(Entry{}).Size(); size > 80 {
-		t.Fatalf("Entry is %d bytes, over the 80-byte size class", size)
+// TestEntryStaysInIts160ByteClass pins an entry's fixed size: the summary
+// by value, two times, the key and the payload's string headers, the
+// digest and the heap slot. A 16-byte field more and every cached session
+// costs 176.
+func TestEntryStaysInIts160ByteClass(t *testing.T) {
+	if size := reflect.TypeOf(Entry{}).Size(); size > 160 {
+		t.Fatalf("Entry is %d bytes, over the 160-byte size class", size)
 	}
 }

@@ -552,4 +552,12 @@ func BenchmarkParseSDP(b *testing.B) {
 			}
 		}
 	})
+	b.Run("scan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ScanSDP(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

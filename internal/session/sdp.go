@@ -9,6 +9,7 @@ import (
 	"time"
 	"unicode"
 	"unicode/utf8"
+	"unsafe"
 
 	"sessiondir/internal/mcast"
 )
@@ -235,14 +236,46 @@ func ParseSDP(data []byte) (*Description, error) {
 	return d, nil
 }
 
+// ScanSDP is ParseSDP for a caller that reads only the Summary: the same
+// walk over data and the same checks, with the same verdict and error
+// text, but nothing is copied — it allocates only on the way to an error.
+// data may alias a datagram on loan and is not retained.
+func ScanSDP(data []byte) (Summary, error) {
+	var d Description
+	var keep retained
+	if err := d.scanSDP(data, &keep); err != nil {
+		return Summary{}, err
+	}
+	// Validate's checks on what the scan read, in its order. The first
+	// that fails is left to Validate itself, on the retained description,
+	// for its error text. (A media type is never empty: scanSDP requires
+	// every m= line to have one.)
+	if len(keep.name) == 0 || !d.Origin.IsValid() || !d.Group.IsValid() || !mcast.IsMulticast(d.Group) ||
+		!d.Stop.IsZero() && !d.Start.IsZero() && d.Stop.Before(d.Start) || keep.portless {
+		d.retainSDP(&keep)
+		if err := d.Validate(); err != nil {
+			return Summary{}, err
+		}
+	}
+	return d.Summary(), nil
+}
+
+// ParseSDPString is ParseSDP of a payload held as a string, parsed in
+// place: ParseSDP neither writes nor keeps its input.
+func ParseSDPString(data string) (*Description, error) {
+	return ParseSDP(unsafe.Slice(unsafe.StringData(data), len(data)))
+}
+
 // retained is what scanSDP found that the Description keeps by copy: the
 // last o= user, s= and i= texts (a repeated line overrides the earlier
-// one), and the totals the a= and m= lines come to.
+// one), and the totals the a= and m= lines come to; and portless, whether
+// an m= line has port 0, which Validate rejects.
 type retained struct {
 	user, name, info []byte
 	lines            []byte // data from its first a= or m= line on
 	text             int    // bytes of attribute and media text
 	attrs, media     int
+	portless         bool
 }
 
 // scanSDP checks data line by line and stores everything in d that is not
@@ -355,9 +388,11 @@ func (d *Description) scanSDP(data []byte, keep *retained) error {
 			if n < 3 || formatFields == 0 {
 				return fmt.Errorf("sdp: malformed media %q", val)
 			}
-			if _, err := parseUint(f[1], 16); err != nil {
+			port, err := parseUint(f[1], 16)
+			if err != nil {
 				return fmt.Errorf("sdp: media port: %w", err)
 			}
+			keep.portless = keep.portless || port == 0
 			keep.media++
 			keep.text += len(f[0]) + len(f[2]) + formatLen + formatFields - 1
 		default:

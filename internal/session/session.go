@@ -55,18 +55,40 @@ type Description struct {
 // changes (clash resolution) do not change the key; description edits
 // bump Version instead.
 func (d *Description) Key() string {
-	// The key is built once per received packet: append into a stack
-	// buffer so the string conversion is the only allocation.
 	var buf [64]byte
-	return string(d.AppendKey(buf[:0]))
+	return string(appendKey(buf[:0], d.Origin, d.ID))
 }
 
-// AppendKey appends Key() to b, for callers that only compare keys and
-// want no string.
-func (d *Description) AppendKey(b []byte) []byte {
-	b = appendAddr(b, d.Origin)
-	b = append(b, '/')
-	return strconv.AppendUint(b, d.ID, 10)
+// Summary is what the protocol reads of the description.
+func (d *Description) Summary() Summary {
+	return Summary{Origin: d.Origin, ID: d.ID, Version: d.Version, Group: d.Group, TTL: d.TTL}
+}
+
+// Summary is what the directory's protocol reads of a heard session — its
+// identity, version, address and scope — and nothing it only displays:
+// the five fields a listener's cache, allocator and clash tracker use.
+// ScanSDP reads one from a payload without building the description.
+type Summary struct {
+	Origin  netip.Addr
+	ID      uint64
+	Version uint64
+	Group   netip.Addr
+	TTL     mcast.TTL
+}
+
+// Key is the key of the description summarised: Description.Key.
+func (s *Summary) Key() string {
+	var buf [64]byte
+	return string(appendKey(buf[:0], s.Origin, s.ID))
+}
+
+// appendKey appends the key of session id from origin to b. A key is
+// built once per received packet, in a stack buffer, so the string
+// conversion is the only allocation — none where Key is inlined and the
+// key does not escape.
+func appendKey(b []byte, origin netip.Addr, id uint64) []byte {
+	b = append(appendAddr(b, origin), '/')
+	return strconv.AppendUint(b, id, 10)
 }
 
 // appendAddr appends a.String(): AppendTo, except that it writes nothing

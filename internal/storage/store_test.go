@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -414,5 +415,51 @@ func TestQuarantineNameMapping(t *testing.T) {
 		if got := quarantineOf(in); got != want {
 			t.Errorf("quarantineOf(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestReadAllSizesItsBuffer: a file that reports its size is read into
+// one buffer of that size — a 400 kB MemFS file costs one allocation of
+// 400 kB, not io.ReadAll's regrowths — and its bytes are the file's; a
+// FaultFS handle, which reports no size, is read in full all the same.
+func TestReadAllSizesItsBuffer(t *testing.T) {
+	const size = 400 << 10
+	mem := NewMemFS()
+	want := []byte(strings.Repeat("0123456789abcdef", size/16))
+	if err := mem.WriteFile("snap", want); err != nil {
+		t.Fatal(err)
+	}
+	for name, fsys := range map[string]FS{"MemFS": mem, "FaultFS": NewFaultFS(mem, 1, FaultProfile{})} {
+		f, err := fsys.Open("snap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := readAll(f)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: read %d bytes (%v), want the file's %d", name, len(got), err, len(want))
+		}
+	}
+	const runs = 20
+	files := make([]File, runs)
+	for i := range files {
+		var err error
+		if files[i], err = mem.Open("snap"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, f := range files {
+		if _, err := readAll(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	mallocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	// The buffer, rounded up to whole pages, and the FileInfo Stat boxes;
+	// io.ReadAll's regrowths come to more than twice the file.
+	if mallocs >= 3 || bytes < size || bytes > size*5/4 {
+		t.Fatalf("reading a %d-byte file: %.1f allocations of %.0f bytes, want the buffer once", size, mallocs, bytes)
 	}
 }

@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"cmp"
 	"context"
-	"slices"
 	"sync"
 
 	"sessiondir/internal/mcast"
@@ -15,8 +13,11 @@ import (
 // otherwise — exactly what unit and integration tests want, and a
 // convenient substrate for the examples.
 type Bus struct {
-	mu        sync.Mutex
-	endpoints map[int]*BusEndpoint
+	mu sync.Mutex
+	// endpoints are the attached endpoints in ascending ID order. The
+	// slice is never written once published: attach and detach replace it
+	// with a copy, so a sender reads the one it took under mu without it.
+	endpoints []*BusEndpoint
 	nextID    int
 	policy    Policy
 }
@@ -29,7 +30,7 @@ type Policy func(from, to int, scope mcast.TTL) (deliver bool)
 
 // NewBus returns an empty bus delivering everything everywhere.
 func NewBus() *Bus {
-	return &Bus{endpoints: make(map[int]*BusEndpoint)}
+	return &Bus{}
 }
 
 // SetPolicy installs a delivery policy (nil restores deliver-all).
@@ -45,7 +46,8 @@ func (b *Bus) Endpoint() *BusEndpoint {
 	defer b.mu.Unlock()
 	ep := &BusEndpoint{bus: b, id: b.nextID}
 	b.nextID++
-	b.endpoints[ep.id] = ep
+	// IDs only grow, so appending keeps the order.
+	b.endpoints = append(b.endpoints[:len(b.endpoints):len(b.endpoints)], ep)
 	return ep
 }
 
@@ -57,6 +59,11 @@ type BusEndpoint struct {
 	mu      sync.Mutex
 	handler Handler
 	closed  bool
+	// batch is the batch of one a delivery hands the handler, unless a
+	// delivery to this endpoint is already under way (busy): a handler's
+	// own sends may deliver back to it.
+	batch [1]Message
+	busy  bool
 }
 
 var _ Transport = (*BusEndpoint)(nil)
@@ -80,29 +87,20 @@ func (e *BusEndpoint) SendBatch(_ context.Context, batch []Datagram) error {
 		return ErrClosed
 	}
 
-	// Snapshot the attached endpoints under the lock; run the Policy
-	// outside it. A Policy is caller-supplied code — invoking it with
-	// bus.mu held would deadlock the moment a policy touches the bus
-	// (attaching an endpoint, changing the policy).
+	// Take the attached endpoints under the lock; run the Policy outside
+	// it. A Policy is caller-supplied code — invoking it with bus.mu held
+	// would deadlock the moment a policy touches the bus (attaching an
+	// endpoint, changing the policy). Delivery is in ascending endpoint-ID
+	// order, the order the list keeps: receivers react to what they hear
+	// (and draw from seeded RNGs when they do), so delivery order is part
+	// of the deterministic-replay contract.
 	e.bus.mu.Lock()
-	policy := e.bus.policy
-	candidates := make([]*BusEndpoint, 0, len(e.bus.endpoints))
-	for id, other := range e.bus.endpoints {
-		if id != e.id {
-			candidates = append(candidates, other)
-		}
-	}
+	policy, endpoints := e.bus.policy, e.bus.endpoints
 	e.bus.mu.Unlock()
 
-	// Deliver in ascending endpoint-ID order. The endpoints map iterates
-	// in a different order every run; receivers react to what they hear
-	// (and draw from seeded RNGs when they do), so delivery order is part
-	// of the deterministic-replay contract and must not leak map order.
-	slices.SortFunc(candidates, func(a, b *BusEndpoint) int { return cmp.Compare(a.id, b.id) })
-
 	for _, d := range batch {
-		for _, r := range candidates {
-			if policy != nil && !policy(e.id, r.id, d.Scope) {
+		for _, r := range endpoints {
+			if r == e || policy != nil && !policy(e.id, r.id, d.Scope) {
 				continue
 			}
 			r.deliver(d.Data)
@@ -114,10 +112,16 @@ func (e *BusEndpoint) SendBatch(_ context.Context, batch []Datagram) error {
 func (e *BusEndpoint) deliver(data []byte) {
 	e.mu.Lock()
 	h := e.handler
-	closed := e.closed
-	e.mu.Unlock()
-	if closed || h == nil {
+	if e.closed || h == nil {
+		e.mu.Unlock()
 		return
+	}
+	ms := e.batch[:]
+	nested := e.busy
+	e.busy = true
+	e.mu.Unlock()
+	if nested {
+		ms = make([]Message, 1)
 	}
 	// Each recipient gets a private copy, in a batch of one, so that it can
 	// be poisoned the moment the handler returns: a handler that kept an
@@ -126,8 +130,15 @@ func (e *BusEndpoint) deliver(data []byte) {
 	// test.
 	cp := make([]byte, len(data))
 	copy(cp, data)
-	h([]Message{{Data: cp}})
+	ms[0] = Message{Data: cp}
+	h(ms)
 	Poison(cp)
+	ms[0] = Message{}
+	if !nested {
+		e.mu.Lock()
+		e.busy = false
+		e.mu.Unlock()
+	}
 }
 
 // Poison overwrites b, a delivered Message.Data whose handler has
@@ -154,7 +165,13 @@ func (e *BusEndpoint) Close() error {
 	e.mu.Unlock()
 
 	e.bus.mu.Lock()
-	delete(e.bus.endpoints, e.id)
+	kept := make([]*BusEndpoint, 0, len(e.bus.endpoints))
+	for _, r := range e.bus.endpoints {
+		if r != e {
+			kept = append(kept, r)
+		}
+	}
+	e.bus.endpoints = kept
 	e.bus.mu.Unlock()
 	return nil
 }

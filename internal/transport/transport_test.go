@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -128,6 +129,54 @@ func TestBusDataIsValidForTheCallOnly(t *testing.T) {
 	}
 	if string(payload) != "Xutable" {
 		t.Fatalf("the sender's own slice was touched: %q", payload)
+	}
+}
+
+// TestBusSendAllocatesOnlyCopies: a send allocates what the loan contract
+// needs — one copy of each datagram per recipient — and nothing per call:
+// nothing at all on an endpoint with no peer.
+func TestBusSendAllocatesOnlyCopies(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	bus := NewBus()
+	a := bus.Endpoint()
+	batch := []Datagram{{Data: []byte("one"), Scope: 1}, {Data: []byte("two"), Scope: 1}, {Data: []byte("three"), Scope: 1}}
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(100, func() { a.SendBatch(ctx, batch) }); n != 0 { //nolint:errcheck
+		t.Fatalf("a send with no peer: %v allocs, want 0", n)
+	}
+	for i := 0; i < 2; i++ {
+		bus.Endpoint().Subscribe(func([]Message) {})
+	}
+	if n := testing.AllocsPerRun(100, func() { a.SendBatch(ctx, batch) }); n != 6 { //nolint:errcheck
+		t.Fatalf("3 datagrams to 2 peers: %v allocs, want 6, one copy each", n)
+	}
+}
+
+// TestBusNestedDelivery: a handler whose own send is answered at once, so
+// that it receives a datagram while it still holds one, sees each in its
+// own batch.
+func TestBusNestedDelivery(t *testing.T) {
+	bus := NewBus()
+	a, b := bus.Endpoint(), bus.Endpoint()
+	ctx := context.Background()
+	var got []string
+	a.Subscribe(func(ms []Message) {
+		if string(ms[0].Data) == "ping" {
+			a.SendBatch(ctx, oneDgram([]byte("pong"), 1)) //nolint:errcheck
+		}
+	})
+	b.Subscribe(func(ms []Message) {
+		got = append(got, string(ms[0].Data))
+		if string(ms[0].Data) == "first" {
+			b.SendBatch(ctx, oneDgram([]byte("ping"), 1)) //nolint:errcheck
+			got = append(got, string(ms[0].Data))
+		}
+	})
+	a.SendBatch(ctx, oneDgram([]byte("first"), 1)) //nolint:errcheck
+	if want := []string{"first", "pong", "first"}; !slices.Equal(got, want) {
+		t.Fatalf("b saw %q, want %q", got, want)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"sessiondir/internal/allocator"
-	"sessiondir/internal/announce"
 	"sessiondir/internal/clash"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/sap"
@@ -185,6 +184,9 @@ func (s *refreshSide) observe(t *testing.T, saltedTwin bool) string {
 	s.seenEvents = len(s.log.events)
 	s.log.mu.Unlock()
 	for _, data := range s.tx.sent[s.seenSent:] {
+		if saltedTwin {
+			data = s.unsalted(t, data)
+		}
 		fmt.Fprintf(&b, "sent %x\n", data)
 	}
 	s.seenSent = len(s.tx.sent)
@@ -198,11 +200,11 @@ func (s *refreshSide) observe(t *testing.T, saltedTwin bool) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if saltedTwin && name == testCacheBase+".journal" {
-			// A journal learn record holds the payload as heard, salt and
-			// all: the journal is compared record by record, byte for
-			// byte, with the salt line taken off the salted side's.
-			fmt.Fprintf(&b, "file %s\n%s", name, s.journalRecords(t, data))
+		if saltedTwin && (name == testCacheBase || name == testCacheBase+".journal") {
+			// A learn record holds the payload as heard, salt and all: the
+			// snapshot and the journal are compared record by record, byte
+			// for byte, with the salt line taken off the salted side's.
+			fmt.Fprintf(&b, "file %s\n%s", name, s.fileRecords(t, name, data))
 			continue
 		}
 		fmt.Fprintf(&b, "file %s %s\n", name, digest(string(data)))
@@ -216,17 +218,50 @@ func (s *refreshSide) observe(t *testing.T, saltedTwin bool) string {
 	return b.String()
 }
 
-// journalRecords renders the records of a journal file one per line, as
-// they are. On the salted side every learn record must end in the salt
-// line datagram added, and that line, which nothing else on the side
-// holds, is taken off before the record is rendered.
-func (s *refreshSide) journalRecords(t *testing.T, journal []byte) string {
+// unsalted is a datagram the side sent as the other side would have sent
+// it. A third-party defence re-sends the payload as heard: on the salted
+// side that payload ends in the salt line datagram added, and the
+// datagram is rebuilt without it, its message id hash that of the payload
+// without it. Any other datagram comes back as it is.
+func (s *refreshSide) unsalted(t *testing.T, data []byte) []byte {
 	t.Helper()
-	fs := storage.NewMemFS()
-	if err := fs.WriteFile(testCacheBase+".journal", journal); err != nil {
+	var pkt sap.Packet
+	if err := pkt.Decode(data); err != nil {
 		t.Fatal(err)
 	}
-	salt := regexp.MustCompile(fmt.Sprintf(`\nx=%d-[0-9]+\r\n\z`, s.salt))
+	at := s.saltLine().FindIndex(pkt.Payload)
+	if at == nil {
+		return data
+	}
+	if pkt.MsgIDHash != sap.MsgIDHashOf(pkt.Payload) {
+		t.Fatalf("a re-sent payload went out under message id hash %#x, not its own", pkt.MsgIDHash)
+	}
+	pkt.Payload = pkt.Payload[:at[0]+1]
+	pkt.MsgIDHash = sap.MsgIDHashOf(pkt.Payload)
+	out, err := pkt.Marshal(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// saltLine matches the salt line this side's datagrams end in.
+func (s *refreshSide) saltLine() *regexp.Regexp {
+	return regexp.MustCompile(fmt.Sprintf(`\nx=%d-[0-9]+\r\n\z`, s.salt))
+}
+
+// fileRecords renders the records of the store's file name — the
+// snapshot or the journal — one per line, as they are. On the salted side
+// every learn record must end in the salt line datagram added, and that
+// line, which nothing else on the side holds, is taken off before the
+// record is rendered.
+func (s *refreshSide) fileRecords(t *testing.T, name string, data []byte) string {
+	t.Helper()
+	fs := storage.NewMemFS()
+	if err := fs.WriteFile(name, data); err != nil {
+		t.Fatal(err)
+	}
+	salt := s.saltLine()
 	var b strings.Builder
 	_, rec, err := storage.Open(fs, testCacheBase, storage.OpenOptions{Replay: func(p []byte) error {
 		if s.salt > 0 && len(p) > learnHeader && p[0] == deltaLearn {
@@ -240,7 +275,7 @@ func (s *refreshSide) journalRecords(t *testing.T, journal []byte) string {
 		return nil
 	}})
 	if err != nil || rec.Corrupt != 0 || rec.TornTails != 0 {
-		t.Fatalf("reading the journal back: %v, %+v", err, rec)
+		t.Fatalf("reading %s back: %v, %+v", name, err, rec)
 	}
 	return b.String()
 }
@@ -609,7 +644,7 @@ func TestRefreshLeavesScopeCheckToValidation(t *testing.T) {
 	defer d.Close()
 	unscoped := heardDesc(1)
 	unscoped.TTL = 0
-	record := refEncodeLearn(&announce.Entry{Desc: unscoped, FirstHeard: clk.Now().Unix(), LastHeard: clk.Now()})
+	record := refEncodeLearn(unscoped, clk.Now(), clk.Now())
 	if added, err := d.restore(record, clk.Now()); err != nil || !added {
 		t.Fatalf("recovering the record: added %v, err %v", added, err)
 	}
