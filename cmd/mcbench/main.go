@@ -19,11 +19,12 @@
 //
 // -compare turns mcbench into a regression gate:
 //
-//	mcbench -compare old.json new.json -tolerance 25% -fail-ratio 2 -tier quick
+//	mcbench -compare old.json new.json -tier quick
 //
-// It prints GitHub-annotation warnings for metrics past the tolerance and
-// exits nonzero only for regressions past the fail ratio, so noisy CI
-// machines inform without blocking and real cliffs still stop the merge.
+// It prints GitHub-annotation warnings for metrics more than 25% slower
+// than the baseline (tolerancePct) and exits nonzero only for regressions
+// past 2x (failRatio), so noisy CI machines inform without blocking and
+// real cliffs still stop the merge.
 // The gate is tiered: "quick" (every PR) checks figure timings and the
 // micro budgets; "full" (nightly) additionally requires the
 // directory-scale occupancy sweep — a run of ≥100k sessions inside an
@@ -46,7 +47,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -503,31 +503,15 @@ func listenerMicros() []microBenchResult {
 // steady state: a tick that re-announces 256 owned sessions
 // (DirStepReannounce256). And persistence at 10k heard sessions, per
 // session: a checkpoint (DirCheckpoint10k) and a cold directory's
-// recovery from it (DirRecover10k).
+// recovery from it (DirRecover10k). And learns beside a clash flood
+// (DirLearnClashing10k/100k, see learnClashing).
 func directoryMicros() []microBenchResult {
 	var out []microBenchResult
 	origin := netip.MustParseAddr("10.0.0.1")
 	base := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
 	space := mcast.SAPDynamicSpace()
-	// wireOf is the announcement of session i by origin 10.1.o/256.o%256.
 	wireOf := func(i, o int) transport.Message {
-		d := &session.Description{
-			ID: uint64(i), Version: 1,
-			Origin: netip.AddrFrom4([4]byte{10, 1, byte(o >> 8), byte(o)}),
-			Name:   "mcbench directory sample",
-			Group:  space.Group(mcast.Addr(i % int(space.Size))), TTL: 127,
-			Media: []session.Media{{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"}},
-		}
-		payload, err := d.MarshalSDP()
-		if err != nil {
-			panic(err)
-		}
-		pkt := sap.Packet{Type: sap.Announce, MsgIDHash: sap.MsgIDHashOf(payload), Origin: d.Origin, Payload: payload}
-		wire, err := pkt.Marshal(nil)
-		if err != nil {
-			panic(err)
-		}
-		return transport.Message{Data: wire}
+		return sampleAnnouncement(i, o, space.Group(mcast.Addr(i%int(space.Size))))
 	}
 	for _, n := range []int{1000, 10000} {
 		now := base
@@ -762,7 +746,80 @@ func directoryMicros() []microBenchResult {
 		panic(fmt.Sprintf("DirStepReannounce256: %d announcements in %d Steps: not every session re-announced each Step", m.AnnouncementsSent-sent, steps))
 	}
 	reannounce.Close()
-	return out
+	return append(out, learnClashing(10000), learnClashing(100000))
+}
+
+// sampleAnnouncement is the announcement of session i, at group, by origin
+// 10.1.o/256.o%256.
+func sampleAnnouncement(i, o int, group netip.Addr) transport.Message {
+	d := &session.Description{
+		ID: uint64(i), Version: 1,
+		Origin: netip.AddrFrom4([4]byte{10, 1, byte(o >> 8), byte(o)}),
+		Name:   "mcbench directory sample",
+		Group:  group, TTL: 127,
+		Media: []session.Media{{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"}},
+	}
+	payload, err := d.MarshalSDP()
+	if err != nil {
+		panic(err)
+	}
+	pkt := sap.Packet{Type: sap.Announce, MsgIDHash: sap.MsgIDHashOf(payload), Origin: d.Origin, Payload: payload}
+	wire, err := pkt.Marshal(nil)
+	if err != nil {
+		panic(err)
+	}
+	return transport.Message{Data: wire}
+}
+
+// learnClashing is DirLearnClashing<n/1000>k: fresh bare directories over
+// n/2 addresses each learn n sessions at random addresses, most of them
+// scheduling third-party defences, in 32-datagram batches 10 ms of virtual
+// time apart with a Step each virtual second. A learn cannot be repeated, so
+// whole fills are timed, their HandleBatch calls only: 3×10⁵ learns per
+// row, over the same 0-to-2 sessions per address at either size. Its unit
+// is the datagram; its allocations are per batch.
+func learnClashing(n int) microBenchResult {
+	const batch = 32
+	space := mcast.SyntheticSpace(uint32(n / 2))
+	rng := stats.NewRNG(5)
+	wires := make([]transport.Message, n)
+	for i := range wires {
+		wires[i] = sampleAnnouncement(i, i/100, space.Group(mcast.Addr(rng.IntN(n/2))))
+	}
+	fills := 300000 / n
+	var elapsed time.Duration
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for fill := 0; fill < fills; fill++ {
+		now := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
+		d, err := sessiondir.New(sessiondir.Config{
+			Origin: netip.MustParseAddr("10.0.0.1"), Transport: discardTransport{},
+			Clock: func() time.Time { return now }, Seed: 5, Space: space,
+		})
+		if err != nil {
+			panic(err)
+		}
+		for at := 0; at < n; at += batch {
+			start := time.Now()
+			d.HandleBatch(wires[at:min(at+batch, n)])
+			elapsed += time.Since(start)
+			if now = now.Add(10 * time.Millisecond); (at/batch+1)%100 == 0 { // a virtual second
+				d.Step(now)
+			}
+		}
+		if m := d.Metrics(); m.SessionsLearned != uint64(n) || m.ClashDefensesThird == 0 {
+			panic(fmt.Sprintf("DirLearnClashing: %d of %d sessions learned, %d third-party defences: not a clash flood", m.SessionsLearned, n, m.ClashDefensesThird))
+		}
+		d.Close()
+	}
+	runtime.ReadMemStats(&after)
+	batches := int64(fills * ((n + batch - 1) / batch))
+	return microBenchResult{
+		Name:     fmt.Sprintf("DirLearnClashing%dk", n/1000),
+		NsPerOp:  float64(elapsed.Nanoseconds()) / float64(fills*n),
+		AllocsOp: int64(after.Mallocs-before.Mallocs) / batches,
+		BytesOp:  int64(after.TotalAlloc-before.TotalAlloc) / batches,
+	}
 }
 
 // discardTransport sends nowhere and keeps nothing, so a micro that sends
@@ -910,6 +967,8 @@ const refreshBatchAllocs = 0
 //     size, with and without a session budget (their 10k/1k time ratios
 //     are recorded, not gated, until the micros' estimator can be trusted
 //     with one);
+//   - a learn beside a clash flood at most 1.5x dearer per datagram at
+//     100k sessions than at 10k (a pending defence is found by its pair);
 //   - a never-seen session denied at its origin's quota with the same
 //     allocations at 1k and 10k cached sessions, with and without a third
 //     of the cache stale (ratios recorded, not gated, as DirStep's is);
@@ -967,6 +1026,13 @@ func budgetFailures(r benchReport) []string {
 			fails = append(fails, fmt.Sprintf("budget: %s %.0f ns at 10k cached sessions is %.1fx its %.0f ns at 1k, budget ≤ 1.5x (no per-call rebuild of the cache)",
 				name, at10k.NsPerOp, at10k.NsPerOp/at1k.NsPerOp, at1k.NsPerOp))
 		}
+	}
+	switch at10k, at100k := micro["DirLearnClashing10k"], micro["DirLearnClashing100k"]; {
+	case at10k.Name == "" || at100k.Name == "":
+		fails = append(fails, "budget: micro DirLearnClashing10k or DirLearnClashing100k missing from report")
+	case at10k.NsPerOp > 0 && at100k.NsPerOp/at10k.NsPerOp > 1.5:
+		fails = append(fails, fmt.Sprintf("budget: DirLearnClashing %.0f ns/datagram at 100k sessions is %.1fx its %.0f ns at 10k, budget ≤ 1.5x (a pending defence is found by its pair, not by a scan)",
+			at100k.NsPerOp, at100k.NsPerOp/at10k.NsPerOp, at10k.NsPerOp))
 	}
 	for _, name := range []string{"DirAdmitAtQuota", "DirAdmitAtQuotaStale"} {
 		switch at1k, at10k := micro[name+"1k"], micro[name+"10k"]; {
@@ -1104,19 +1170,14 @@ func registrySnapshot() ([]obs.MetricValue, error) {
 	return out, nil
 }
 
-// compareOpts parameterise the regression gate.
-type compareOpts struct {
+// The regression gate's two thresholds.
+const (
 	// tolerancePct is the informational threshold: a metric this many
 	// percent slower than the baseline gets a warning annotation.
-	tolerancePct float64
+	tolerancePct = 25.0
 	// failRatio is the hard gate: new/old above this fails the run.
-	failRatio float64
-	// tier selects the budget set: "quick" (every PR — micro budgets
-	// only, occupancy ignored) or "full" (nightly — additionally requires
-	// the 100k-session occupancy runs and gates their wall clock and
-	// placement rate absolutely).
-	tier string
-}
+	failRatio = 2.0
+)
 
 // Full-tier absolute budgets for the occupancy sweep.
 const (
@@ -1161,52 +1222,34 @@ func fullTierFailures(r benchReport) []string {
 }
 
 // parseCompareArgs accepts the post-flag arguments of a -compare run:
-// two report files in either position, plus optional trailing
-// "-tolerance 25%", "-fail-ratio 2" and "-tier quick|full" pairs (the
-// stdlib flag package stops at the first positional, so these are
-// parsed by hand).
-func parseCompareArgs(args []string) (oldPath, newPath string, opts compareOpts, err error) {
-	opts = compareOpts{tolerancePct: 25, failRatio: 2, tier: "quick"}
+// two report files in either position, plus an optional trailing
+// "-tier quick|full" pair (the stdlib flag package stops at the first
+// positional, so it is parsed by hand). The tier selects the budget set:
+// "quick" (every PR — micro budgets only, occupancy ignored) or "full"
+// (nightly — additionally requires the 100k-session occupancy runs and
+// gates their wall clock and placement rate absolutely).
+func parseCompareArgs(args []string) (oldPath, newPath, tier string, err error) {
+	tier = "quick"
 	var files []string
 	for i := 0; i < len(args); i++ {
 		switch strings.TrimLeft(args[i], "-") {
 		case "tier":
 			if i+1 >= len(args) {
-				return "", "", opts, fmt.Errorf("-tier needs a value")
+				return "", "", tier, fmt.Errorf("-tier needs a value")
 			}
 			i++
 			if args[i] != "quick" && args[i] != "full" {
-				return "", "", opts, fmt.Errorf("bad -tier %q (quick or full)", args[i])
+				return "", "", tier, fmt.Errorf("bad -tier %q (quick or full)", args[i])
 			}
-			opts.tier = args[i]
-		case "tolerance":
-			if i+1 >= len(args) {
-				return "", "", opts, fmt.Errorf("-tolerance needs a value")
-			}
-			i++
-			v, perr := strconv.ParseFloat(strings.TrimSuffix(args[i], "%"), 64)
-			if perr != nil || v < 0 {
-				return "", "", opts, fmt.Errorf("bad -tolerance %q", args[i])
-			}
-			opts.tolerancePct = v
-		case "fail-ratio":
-			if i+1 >= len(args) {
-				return "", "", opts, fmt.Errorf("-fail-ratio needs a value")
-			}
-			i++
-			v, perr := strconv.ParseFloat(args[i], 64)
-			if perr != nil || v <= 1 {
-				return "", "", opts, fmt.Errorf("bad -fail-ratio %q (must be > 1)", args[i])
-			}
-			opts.failRatio = v
+			tier = args[i]
 		default:
 			files = append(files, args[i])
 		}
 	}
 	if len(files) != 2 {
-		return "", "", opts, fmt.Errorf("-compare needs exactly two report files, got %d", len(files))
+		return "", "", tier, fmt.Errorf("-compare needs exactly two report files, got %d", len(files))
 	}
-	return files[0], files[1], opts, nil
+	return files[0], files[1], tier, nil
 }
 
 // compareReports checks every timing metric present in both reports.
@@ -1214,7 +1257,7 @@ func parseCompareArgs(args []string) (oldPath, newPath string, opts compareOpts,
 // the fail ratio, or a full-tier occupancy row whose seeded outcome moved.
 // Metrics only present on one side are ignored — adding or retiring a
 // benchmark must not fail the gate.
-func compareReports(oldR, newR benchReport, opts compareOpts) (warnings, failures []string) {
+func compareReports(oldR, newR benchReport, tier string) (warnings, failures []string) {
 	type metric struct {
 		name       string
 		oldV, newV float64
@@ -1229,7 +1272,7 @@ func compareReports(oldR, newR benchReport, opts compareOpts) (warnings, failure
 			metrics = append(metrics, metric{"figure " + f.ID + " wall_ms", old, f.WallMs})
 		}
 	}
-	if opts.tier == "full" {
+	if tier == "full" {
 		// Occupancy wall times join the ratio gate only on the nightly
 		// tier: quick PR runs don't regenerate the sweep, so their reports
 		// carry stale rows that must not annotate unrelated changes.
@@ -1270,9 +1313,9 @@ func compareReports(oldR, newR benchReport, opts compareOpts) (warnings, failure
 		ratio := m.newV / m.oldV
 		line := fmt.Sprintf("%s: %.2f -> %.2f (%.2fx)", m.name, m.oldV, m.newV, ratio)
 		switch {
-		case ratio > opts.failRatio:
+		case ratio > failRatio:
 			failures = append(failures, line)
-		case ratio > 1+opts.tolerancePct/100:
+		case ratio > 1+tolerancePct/100:
 			warnings = append(warnings, line)
 		}
 	}
@@ -1338,7 +1381,7 @@ func readReport(path string) (benchReport, error) {
 // runCompare is the -compare entry point; the returned code is the
 // process exit status (0 ok, 1 hard regression, 2 usage/read error).
 func runCompare(args []string) int {
-	oldPath, newPath, opts, err := parseCompareArgs(args)
+	oldPath, newPath, tier, err := parseCompareArgs(args)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -1353,13 +1396,13 @@ func runCompare(args []string) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	warnings, failures := compareReports(oldR, newR, opts)
+	warnings, failures := compareReports(oldR, newR, tier)
 	failures = append(failures, budgetFailures(newR)...)
-	if opts.tier == "full" {
+	if tier == "full" {
 		failures = append(failures, fullTierFailures(newR)...)
 	}
 	fmt.Printf("compare %s -> %s: tier %s, tolerance %.0f%%, fail ratio %.2gx\n",
-		oldPath, newPath, opts.tier, opts.tolerancePct, opts.failRatio)
+		oldPath, newPath, tier, tolerancePct, failRatio)
 	for _, name := range retiredMicros(oldR, newR) {
 		fmt.Printf("note: baseline micro %s is not in the new report\n", name)
 	}
@@ -1372,7 +1415,7 @@ func runCompare(args []string) int {
 		fmt.Printf("::error title=bench regression::%s\n", f)
 	}
 	if len(failures) > 0 {
-		fmt.Printf("FAIL: %d metric(s) regressed past %.2gx\n", len(failures), opts.failRatio)
+		fmt.Printf("FAIL: %d metric(s) regressed past %.2gx\n", len(failures), failRatio)
 		return 1
 	}
 	fmt.Printf("ok: %d warning(s), no hard regressions\n", len(warnings))
@@ -1387,7 +1430,7 @@ func main() {
 		outDir   = flag.String("outdir", "", "also write each experiment's output to <outdir>/<id>.txt")
 		jsonPath = flag.String("json", "", "write a machine-readable benchmark record (wall times + allocation micro-benches) to this file")
 		merge    = flag.Bool("merge", false, "merge into an existing -json file instead of replacing it: figures merge by id, occupancy is replaced only when this run regenerated it")
-		compare  = flag.Bool("compare", false, "compare two benchmark records: mcbench -compare old.json new.json [-tolerance 25%] [-fail-ratio 2] [-tier quick|full]")
+		compare  = flag.Bool("compare", false, "compare two benchmark records: mcbench -compare old.json new.json [-tier quick|full]")
 	)
 	flag.Parse()
 

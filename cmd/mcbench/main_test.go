@@ -22,7 +22,7 @@ func TestCompareReportsWithinTolerance(t *testing.T) {
 	oldR := baselineReport()
 	newR := baselineReport()
 	newR.Figures[0].WallMs = 1100 // +10%: inside the 25% band
-	warnings, failures := compareReports(oldR, newR, compareOpts{tolerancePct: 25, failRatio: 2})
+	warnings, failures := compareReports(oldR, newR, "quick")
 	if len(warnings) != 0 || len(failures) != 0 {
 		t.Fatalf("clean run flagged: warnings=%v failures=%v", warnings, failures)
 	}
@@ -32,7 +32,7 @@ func TestCompareReportsWarnsPastTolerance(t *testing.T) {
 	oldR := baselineReport()
 	newR := baselineReport()
 	newR.Micro[0].NsPerOp = 3100 // +55%: warn, don't fail
-	warnings, failures := compareReports(oldR, newR, compareOpts{tolerancePct: 25, failRatio: 2})
+	warnings, failures := compareReports(oldR, newR, "quick")
 	if len(failures) != 0 {
 		t.Fatalf("soft regression hard-failed: %v", failures)
 	}
@@ -45,7 +45,7 @@ func TestCompareReportsFailsPastRatio(t *testing.T) {
 	oldR := baselineReport()
 	newR := baselineReport()
 	newR.Figures[1].WallMs = 1000 // 2.5x: hard fail
-	_, failures := compareReports(oldR, newR, compareOpts{tolerancePct: 25, failRatio: 2})
+	_, failures := compareReports(oldR, newR, "quick")
 	if len(failures) != 1 {
 		t.Fatalf("2.5x slowdown not failed: %v", failures)
 	}
@@ -55,7 +55,7 @@ func TestCompareReportsWarnsOnAllocGrowth(t *testing.T) {
 	oldR := baselineReport()
 	newR := baselineReport()
 	newR.Micro[1].AllocsOp = 3
-	warnings, failures := compareReports(oldR, newR, compareOpts{tolerancePct: 25, failRatio: 2})
+	warnings, failures := compareReports(oldR, newR, "quick")
 	if len(failures) != 0 {
 		t.Fatalf("alloc growth hard-failed: %v", failures)
 	}
@@ -69,7 +69,7 @@ func TestCompareReportsIgnoresUnmatchedMetrics(t *testing.T) {
 	newR := baselineReport()
 	newR.Figures = append(newR.Figures, figureTiming{ID: "fig99", WallMs: 1e9})
 	oldR.Micro = append(oldR.Micro, microBenchResult{Name: "Retired", NsPerOp: 1})
-	warnings, failures := compareReports(oldR, newR, compareOpts{tolerancePct: 25, failRatio: 2})
+	warnings, failures := compareReports(oldR, newR, "quick")
 	if len(warnings) != 0 || len(failures) != 0 {
 		t.Fatalf("unmatched metrics flagged: warnings=%v failures=%v", warnings, failures)
 	}
@@ -115,7 +115,7 @@ func TestCompareReportsFullTierOccupancyOutcome(t *testing.T) {
 		Placed: 100000, FillClashes: 3502, ChurnClashes: 710, WallMs: 44000}
 	oldR, newR := baselineReport(), baselineReport()
 	oldR.Occupancy = []occupancyRecord{row}
-	full := compareOpts{tolerancePct: 25, failRatio: 2, tier: "full"}
+	full := "full"
 
 	row.WallMs = 50000 // +14%: inside the band, same outcome
 	newR.Occupancy = []occupancyRecord{row}
@@ -130,7 +130,7 @@ func TestCompareReportsFullTierOccupancyOutcome(t *testing.T) {
 		!strings.Contains(failures[0], "churn-clash=710") || !strings.Contains(failures[0], "churn-clash=711") {
 		t.Fatalf("moved churn-clash count not failed by name: %v", failures)
 	}
-	if warnings, failures := compareReports(oldR, newR, compareOpts{tolerancePct: 25, failRatio: 2, tier: "quick"}); len(warnings) != 0 || len(failures) != 0 {
+	if warnings, failures := compareReports(oldR, newR, "quick"); len(warnings) != 0 || len(failures) != 0 {
 		t.Fatalf("quick tier read the occupancy rows: warnings=%v failures=%v", warnings, failures)
 	}
 
@@ -142,26 +142,35 @@ func TestCompareReportsFullTierOccupancyOutcome(t *testing.T) {
 }
 
 func TestParseCompareArgs(t *testing.T) {
-	oldP, newP, opts, err := parseCompareArgs([]string{"old.json", "new.json", "-tolerance", "30%", "-fail-ratio", "3"})
+	oldP, newP, tier, err := parseCompareArgs([]string{"old.json", "-tier", "full", "new.json"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if oldP != "old.json" || newP != "new.json" {
 		t.Fatalf("files = %q, %q", oldP, newP)
 	}
-	if opts.tolerancePct != 30 || opts.failRatio != 3 {
-		t.Fatalf("opts = %+v", opts)
+	if tier != "full" {
+		t.Fatalf("tier = %q", tier)
+	}
+	if _, _, tier, err := parseCompareArgs([]string{"a", "b"}); err != nil || tier != "quick" {
+		t.Fatalf("default tier: %q, %v", tier, err)
 	}
 	if _, _, _, err := parseCompareArgs([]string{"only-one.json"}); err == nil {
 		t.Fatal("single file accepted")
 	}
-	if _, _, _, err := parseCompareArgs([]string{"a", "b", "-fail-ratio", "0.5"}); err == nil {
-		t.Fatal("fail ratio <= 1 accepted")
+	if _, _, _, err := parseCompareArgs([]string{"a", "b", "-tier", "nightly"}); err == nil {
+		t.Fatal("unknown tier accepted")
+	}
+	// The thresholds are constants: a knob spelled as before is a third
+	// file, not a silently different gate.
+	if _, _, _, err := parseCompareArgs([]string{"a", "b", "-fail-ratio", "3"}); err == nil {
+		t.Fatal("-fail-ratio accepted")
 	}
 }
 
 // TestRunCompareInjected2xSlowdown is the CI acceptance fixture: a report
-// whose figure timing doubled-and-a-bit must make runCompare exit nonzero.
+// whose figure timing doubled-and-a-bit must make runCompare exit nonzero,
+// and one slowed by less than the fail ratio must pass.
 func TestRunCompareInjected2xSlowdown(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := filepath.Join(dir, "old.json")
@@ -171,46 +180,23 @@ func TestRunCompareInjected2xSlowdown(t *testing.T) {
 	}
 	// The new report carries budget-compliant micros so the absolute
 	// budgets stay quiet and only the injected slowdown drives the gate.
-	if err := os.WriteFile(newPath, []byte(`{"figures":[{"id":"fig5","wall_ms":2100}],"micro":[
-		{"name":"AllocateHybridBatch16","ns_per_op":400},
-		{"name":"SAPDecodeZeroCopy","ns_per_op":40,"allocs_per_op":0},
-		{"name":"UDPRecvBatch","ns_per_op":450,"allocs_per_op":0},
-		{"name":"CheckpointJournalAppend","ns_per_op":500},
-		{"name":"ClashObserveReannounce1k","ns_per_op":40},
-		{"name":"ClashObserveReannounce10k","ns_per_op":52},
-		{"name":"SessionMarshalSDP","ns_per_op":550,"allocs_per_op":1},
-		{"name":"SessionKey","ns_per_op":70,"allocs_per_op":1},
-		{"name":"SessionParseSDP","ns_per_op":1500,"allocs_per_op":4},
-		{"name":"SAPDecodeCompressed","ns_per_op":4000,"allocs_per_op":2},
-		{"name":"PayloadDigest","ns_per_op":0.1},
-		{"name":"DirRefreshKnown1k","ns_per_op":700,"allocs_per_op":0},
-		{"name":"DirRefreshKnown10k","ns_per_op":900,"allocs_per_op":0},
-		{"name":"DirAdmitUnknown1k","ns_per_op":5400,"allocs_per_op":22},
-		{"name":"DirAdmitUnknown10k","ns_per_op":6700,"allocs_per_op":22},
-		{"name":"DirCreateSession1k","ns_per_op":7200,"allocs_per_op":32},
-		{"name":"DirCreateSession10k","ns_per_op":9400,"allocs_per_op":32},
-		{"name":"DirStep1k","ns_per_op":40},
-		{"name":"DirStep10k","ns_per_op":40},
-		{"name":"DirStepBudgeted1k","ns_per_op":160},
-		{"name":"DirStepBudgeted10k","ns_per_op":150},
-		{"name":"DirAdmitAtQuota1k","ns_per_op":1700,"allocs_per_op":4},
-		{"name":"DirAdmitAtQuota10k","ns_per_op":2000,"allocs_per_op":4},
-		{"name":"DirAdmitAtQuotaStale1k","ns_per_op":1700,"allocs_per_op":4},
-		{"name":"DirAdmitAtQuotaStale10k","ns_per_op":2000,"allocs_per_op":4},
-		{"name":"SPTree1864","ns_per_op":210000,"allocs_per_op":9},
-		{"name":"SPTreeGrid51200","ns_per_op":15000000,"allocs_per_op":9},
-		{"name":"SimVisibleAt1k","ns_per_op":1500},
-		{"name":"SimVisibleAt10k","ns_per_op":8000},
-		{"name":"SimClashes10k","ns_per_op":60},
-		{"name":"SimPlace10k","ns_per_op":3000}]}`), 0o644); err != nil {
-		t.Fatal(err)
+	compare := func(wallMs float64) int {
+		r := budgetReport()
+		r.Figures = []figureTiming{{ID: "fig5", WallMs: wallMs}}
+		buf, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(newPath, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return runCompare([]string{oldPath, newPath})
 	}
-	if code := runCompare([]string{oldPath, newPath, "-tolerance", "25%"}); code == 0 {
-		t.Fatal("2.1x slowdown passed the gate")
+	if code := compare(2100); code != 1 {
+		t.Fatalf("2.1x slowdown: exit %d, want 1", code)
 	}
-	// And the same pair passes with the ratio raised above the slowdown.
-	if code := runCompare([]string{oldPath, newPath, "-fail-ratio", "3"}); code != 0 {
-		t.Fatalf("gate failed below the fail ratio: exit %d", code)
+	if code := compare(1900); code != 0 {
+		t.Fatalf("1.9x slowdown, below the fail ratio, failed the gate: exit %d", code)
 	}
 }
 
@@ -250,6 +236,8 @@ func budgetReport() benchReport {
 			{Name: "SimPlace10k", NsPerOp: 3000},
 			{Name: "DirCreateSession1k", NsPerOp: 7200, AllocsOp: 32},
 			{Name: "DirCreateSession10k", NsPerOp: 9400, AllocsOp: 32},
+			{Name: "DirLearnClashing10k", NsPerOp: 3000, AllocsOp: 176},
+			{Name: "DirLearnClashing100k", NsPerOp: 3600, AllocsOp: 177},
 		},
 	}
 }
@@ -307,8 +295,26 @@ func TestBudgetFailuresBatchDepthCollapse(t *testing.T) {
 func TestBudgetFailuresMissingMicros(t *testing.T) {
 	r := budgetReport()
 	r.Micro = nil
-	if fails := budgetFailures(r); len(fails) != 26 {
-		t.Fatalf("missing micros should produce twenty-six failures, got: %v", fails)
+	if fails := budgetFailures(r); len(fails) != 27 {
+		t.Fatalf("missing micros should produce twenty-seven failures, got: %v", fails)
+	}
+}
+
+func TestBudgetFailuresLearnClashing(t *testing.T) {
+	r := budgetReport()
+	micro(t, &r, "DirLearnClashing100k").NsPerOp = 30000 // every learn scanning the pending defences again
+	if fails := budgetFailures(r); len(fails) != 1 || !strings.Contains(fails[0], "DirLearnClashing") {
+		t.Fatalf("a learn that scans the pending defences not caught: %v", fails)
+	}
+	r = budgetReport()
+	micro(t, &r, "DirLearnClashing100k").NsPerOp = 4400 // 1.47x: inside the budget
+	if fails := budgetFailures(r); len(fails) != 0 {
+		t.Fatalf("a 1.47x learn failed the 1.5x budget: %v", fails)
+	}
+	r = budgetReport()
+	micro(t, &r, "DirLearnClashing10k").Name = "gone"
+	if fails := budgetFailures(r); len(fails) != 1 {
+		t.Fatalf("a report without DirLearnClashing10k: %v", fails)
 	}
 }
 

@@ -94,7 +94,7 @@ type Adversary struct {
 // AddAdversary attaches a hostile agent to the fabric, at the lowest
 // node no one else is attached to. Adversaries join the same des.Net as
 // the fleet, overhear whatever scope and faults let reach them, and spend
-// their packet budget once a Tick on the engine, in the order they were
+// their packet budget once a tick on the engine, in the order they were
 // added. It panics when the topology has no node left.
 func (h *Harness) AddAdversary(cfg AdversaryConfig) *Adversary { //mclint:unused the adversary tests attach their hostile agents with it
 	idx := len(h.advs)
@@ -126,7 +126,7 @@ func (h *Harness) AddAdversary(cfg AdversaryConfig) *Adversary { //mclint:unused
 	}
 	a.ep.Subscribe(a.record)
 	h.advs = append(h.advs, a)
-	h.fleet.Engine.Every(h.cfg.Tick, func() { a.step(h.fleet.Engine.Now().Sub(h.cfg.Start)) })
+	h.fleet.Engine.Every(tick, func() { a.step(h.fleet.Engine.Now().Sub(h.cfg.Start)) })
 	return a
 }
 

@@ -48,9 +48,6 @@ type Config struct {
 	// Start is the virtual-time origin. Required (the harness never reads
 	// the wall clock).
 	Start time.Time
-	// Tick is the period of every directory's timer step and every
-	// adversary's packet budget (0 = 1 s, the directory's own cadence).
-	Tick time.Duration
 	// TTL is the scope of every created session (0 = 127).
 	TTL mcast.TTL
 	// Dir is the configuration the agents' directories share, as
@@ -116,6 +113,10 @@ type Harness struct {
 // schedule, adds five).
 const spareSpokes = 8
 
+// tick is the period of every directory's timer step and every
+// adversary's packet budget: 1 s, the directory's own cadence.
+const tick = time.Second
+
 // star builds the flat fabric: node 0 is a hub no agent attaches to, every
 // other node a spoke one 1 ms, threshold-1 link away.
 func star(spokes int) *topology.Graph {
@@ -139,9 +140,6 @@ func New(cfg Config) (*Harness, error) {
 	}
 	if cfg.Start.IsZero() {
 		return nil, fmt.Errorf("chaos: Start is required (the harness runs on virtual time only)")
-	}
-	if cfg.Tick == 0 {
-		cfg.Tick = time.Second
 	}
 	if cfg.Dir.Space.Size == 0 {
 		cfg.Dir.Space = mcast.SyntheticSpace(256)
@@ -175,7 +173,7 @@ func New(cfg Config) (*Harness, error) {
 	h.fleet, err = des.NewFleet(engine, net, des.FleetConfig{
 		Nodes:      cfg.Nodes,
 		Dir:        dir,
-		StepPeriod: cfg.Tick,
+		StepPeriod: tick,
 		TraceCap:   cfg.TraceCap,
 	})
 	if err != nil {

@@ -20,14 +20,16 @@ import (
 // quota drops instead of malformed packets.
 
 // runDigest hashes, per agent, the cache fingerprint, the receive-side
-// fault counters and every directory counter.
+// fault counters and every directory counter. The recorded digests
+// include a burst-loss counter the fault model no longer has; it read 0
+// in every schedule, so it is hashed as the literal burst=0.
 func runDigest(h *Harness) string {
 	sum := sha256.New()
 	for i, a := range h.agents {
 		fmt.Fprintf(sum, "agent %d\n%s\n", i, h.Fingerprint(i))
 		s := a.Endpoint.Stats()
-		fmt.Fprintf(sum, "fault packets=%d dropped=%d burst=%d dup=%d corrupt=%d\n",
-			s.Packets, s.Dropped, s.BurstDropped, s.Duplicated, s.Corrupted)
+		fmt.Fprintf(sum, "fault packets=%d dropped=%d burst=0 dup=%d corrupt=%d\n",
+			s.Packets, s.Dropped, s.Duplicated, s.Corrupted)
 		m := a.Dir.Metrics()
 		fmt.Fprintf(sum, "dir ann=%d del=%d recv=%d malformed=%d learned=%d expired=%d moves=%d own=%d third=%d",
 			m.AnnouncementsSent, m.DeletionsSent, m.PacketsReceived, m.PacketsMalformed,

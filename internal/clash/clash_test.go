@@ -310,15 +310,23 @@ func TestTrackerRequiresDelay(t *testing.T) {
 	NewTracker(TrackerConfig{RecentWindow: 10}, stats.NewRNG(1))
 }
 
-// refTracker is the tracker as it was before the address index: the same
-// protocol, with every clash check a scan of the whole cache. It is the
-// oracle of TestTrackerMatchesFullScanReference.
+// refTracker is the tracker as it was before the address index and the
+// pair-keyed defences: the same protocol, with every clash check a scan of
+// the whole cache and every pending defence a record in a slice, flagged
+// done when cancelled. It is the oracle of
+// TestTrackerMatchesFullScanReference.
 type refTracker struct {
 	cfg      TrackerConfig
 	rng      *stats.RNG
 	cache    map[SessionKey]*refEntry
-	pending  []*pendingDefense
+	pending  []*refDefense
 	defenses map[defensePair]int
+}
+
+type refDefense struct {
+	defended, intruder SessionKey
+	dueAt              float64
+	done               bool
 }
 
 type refEntry struct {
@@ -426,7 +434,7 @@ func (t *refTracker) checkClash(obs Observation, ownedOnly bool) []Action {
 				armed = armed || (!p.done && p.defended == older && p.intruder == newer)
 			}
 			if !armed {
-				t.pending = append(t.pending, &pendingDefense{
+				t.pending = append(t.pending, &refDefense{
 					defended: older, intruder: newer, dueAt: obs.At + t.cfg.Delay.Sample(t.rng),
 				})
 			}
@@ -480,12 +488,13 @@ func checkIndex(t *testing.T, tr *Tracker) {
 // sessions crowded onto four addresses, owned and third-party, with the
 // clock stepping both inside and past RecentWindow — and requires the same
 // actions, the same pending-defense count and the same RNG position after
-// every op.
+// every one of 10⁵ ops. Due must hand over defences falling due together
+// in the order they were scheduled, so some Due call must return several.
 func TestTrackerMatchesFullScanReference(t *testing.T) {
 	cfg := TrackerConfig{RecentWindow: 1000, Delay: NewExponentialDelay(0, 3200, 200)}
 	sameActions := func(a, b []Action) bool { return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b)) }
 	seen := map[ActionKind]int{}
-	crowded := 0
+	crowded, severalDue := 0, 0
 	for seed := uint64(1); seed <= 20; seed++ {
 		tr := NewTracker(cfg, stats.NewRNG(seed))
 		ref := &refTracker{cfg: cfg, rng: stats.NewRNG(seed),
@@ -496,7 +505,7 @@ func TestTrackerMatchesFullScanReference(t *testing.T) {
 			keys[i] = SessionKey(fmt.Sprintf("10.0.0.%d/%d", i%5, i))
 		}
 		at := 0.0
-		for step := 0; step < 3000; step++ {
+		for step := 0; step < 5000; step++ {
 			at += float64(ops.IntN(700))
 			key := keys[ops.IntN(len(keys))]
 			addr := mcast.Addr(ops.IntN(4))
@@ -517,6 +526,9 @@ func TestTrackerMatchesFullScanReference(t *testing.T) {
 				ref.Forget(key)
 			default:
 				got, want = tr.Due(at), ref.Due(at)
+				if len(got) > 1 {
+					severalDue++
+				}
 			}
 			if !sameActions(got, want) {
 				t.Fatalf("seed %d step %d: actions %v, reference %v", seed, step, got, want)
@@ -547,8 +559,8 @@ func TestTrackerMatchesFullScanReference(t *testing.T) {
 			tr.Forget(key)
 		}
 		checkIndex(t, tr)
-		if len(tr.byAddr) != 0 {
-			t.Fatalf("seed %d: %d address chains left in an empty tracker", seed, len(tr.byAddr))
+		if len(tr.byAddr) != 0 || tr.PendingDefenses() != 0 {
+			t.Fatalf("seed %d: %d address chains and %d defences left in an empty tracker", seed, len(tr.byAddr), tr.PendingDefenses())
 		}
 	}
 	for _, k := range []ActionKind{ActionResendOwn, ActionModifyAddress, ActionDefendOther} {
@@ -558,6 +570,9 @@ func TestTrackerMatchesFullScanReference(t *testing.T) {
 	}
 	if crowded == 0 {
 		t.Error("no op ever touched an address shared by three sessions")
+	}
+	if severalDue == 0 {
+		t.Error("no Due call returned two or more defences: their order is never compared")
 	}
 }
 

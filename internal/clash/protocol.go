@@ -84,11 +84,18 @@ type cacheEntry struct {
 	owned        bool
 }
 
+// pendingPair names a phase-3 defence by the entries of the older session
+// we will re-announce and of the newer one whose move cancels it; entries,
+// not keys, so that a cancel's walk compares pointers and reads no key.
+type pendingPair struct {
+	defended, intruder *cacheEntry
+}
+
+// pendingDefense is when a defence falls due, and seq its place in
+// scheduling order, the order in which Due hands over what falls due.
 type pendingDefense struct {
-	defended SessionKey // the older session we will re-announce
-	intruder SessionKey // the newer session whose move cancels the defense
-	dueAt    float64
-	done     bool
+	dueAt float64
+	seq   uint64
 }
 
 // Tracker is the per-site clash protocol state machine. It consumes
@@ -104,8 +111,12 @@ type Tracker struct {
 	// is on exactly the chain of its addr, and an address with no entry
 	// has no head. link/unlink maintain it at every mutation site, so a
 	// clash check walks the sessions sharing one address, not the cache.
-	byAddr  map[mcast.Addr]*cacheEntry
-	pending []*pendingDefense
+	byAddr map[mcast.Addr]*cacheEntry
+	// pending holds each scheduled phase-3 defence once, under its pair;
+	// Forget drops a session's defences with its entry, so every pair
+	// names two cached entries. seq counts the defences scheduled.
+	pending map[pendingPair]pendingDefense
+	seq     uint64
 	// defenses counts phase-1 re-announcements per (ours, intruder) pair,
 	// for the post-partition tie-break (see checkClash).
 	defenses map[defensePair]int
@@ -128,6 +139,7 @@ func NewTracker(cfg TrackerConfig, rng *stats.RNG) *Tracker {
 		rng:      rng,
 		cache:    make(map[SessionKey]*cacheEntry),
 		byAddr:   make(map[mcast.Addr]*cacheEntry),
+		pending:  make(map[pendingPair]pendingDefense),
 		defenses: make(map[defensePair]int),
 	}
 }
@@ -161,8 +173,16 @@ func (t *Tracker) insert(e *cacheEntry) {
 	t.link(e)
 }
 
-// move re-homes a cached session whose address changed.
+// move re-homes a cached session whose address changed. The move
+// resolves what waited on it: the defences it intruded on and its
+// tie-break counters (the stand-off is over).
 func (t *Tracker) move(e *cacheEntry, addr mcast.Addr) {
+	for p := range t.pending {
+		if p.intruder == e {
+			delete(t.pending, p)
+		}
+	}
+	t.clearDefenseCounters(e.key)
 	t.unlink(e)
 	e.addr = addr
 	t.link(e)
@@ -179,9 +199,6 @@ func (t *Tracker) AnnounceOwn(key SessionKey, addr mcast.Addr, _ mcast.TTL, at f
 		e = &cacheEntry{key: key, addr: addr, firstSeen: at}
 		t.insert(e)
 	case e.addr != addr:
-		// Address change: any defense waiting on this key moving is done.
-		t.cancelDefensesForIntruder(key)
-		t.clearDefenseCounters(key)
 		t.move(e, addr)
 	}
 	if !e.owned {
@@ -195,13 +212,13 @@ func (t *Tracker) Forget(key SessionKey) {
 	if e, ok := t.cache[key]; ok {
 		t.unlink(e)
 		delete(t.cache, key)
-	}
-	t.clearDefenseCounters(key)
-	for _, p := range t.pending {
-		if p.defended == key || p.intruder == key {
-			p.done = true
+		for p := range t.pending {
+			if p.defended == e || p.intruder == e {
+				delete(t.pending, p)
+			}
 		}
 	}
+	t.clearDefenseCounters(key)
 }
 
 // CachedAddr returns the cached address of a session.
@@ -228,13 +245,16 @@ func (t *Tracker) Observe(obs Observation) []Action {
 	// address change by an intruder, resolves pending defenses.
 	moved := e.addr != obs.Addr
 	if moved {
-		t.cancelDefensesForIntruder(obs.Key)
-		t.clearDefenseCounters(obs.Key)
 		t.move(e, obs.Addr)
-	} else {
-		// Re-announcement at the same address: its owner is alive, so
-		// nobody needs to defend it on its behalf.
-		t.cancelDefensesFor(obs.Key)
+	} else if len(t.pending) > 0 {
+		// Re-announcement at the same address (the commonest datagram, so
+		// the length test spares it a map iteration): its owner is alive,
+		// so nobody needs to defend it on its behalf.
+		for p := range t.pending {
+			if p.defended == e {
+				delete(t.pending, p)
+			}
+		}
 	}
 	switch {
 	case e.owned:
@@ -301,41 +321,14 @@ func (t *Tracker) checkClash(seen *cacheEntry, at float64, ownedOnly bool) []Act
 			if older.firstSeen > newer.firstSeen {
 				older, newer = newer, older
 			}
-			if !t.hasPending(older.key, newer.key) {
-				t.pending = append(t.pending, &pendingDefense{
-					defended: older.key,
-					intruder: newer.key,
-					dueAt:    at + t.cfg.Delay.Sample(t.rng),
-				})
+			pair := pendingPair{defended: older, intruder: newer}
+			if _, armed := t.pending[pair]; !armed {
+				t.seq++
+				t.pending[pair] = pendingDefense{dueAt: at + t.cfg.Delay.Sample(t.rng), seq: t.seq}
 			}
 		}
 	}
 	return actions
-}
-
-func (t *Tracker) hasPending(defended, intruder SessionKey) bool {
-	for _, p := range t.pending {
-		if !p.done && p.defended == defended && p.intruder == intruder {
-			return true
-		}
-	}
-	return false
-}
-
-func (t *Tracker) cancelDefensesFor(defended SessionKey) {
-	for _, p := range t.pending {
-		if p.defended == defended {
-			p.done = true
-		}
-	}
-}
-
-func (t *Tracker) cancelDefensesForIntruder(intruder SessionKey) {
-	for _, p := range t.pending {
-		if p.intruder == intruder {
-			p.done = true
-		}
-	}
 }
 
 // clearDefenseCounters resets phase-1 tie-break state involving key, used
@@ -348,35 +341,33 @@ func (t *Tracker) clearDefenseCounters(key SessionKey) {
 	}
 }
 
-// Due returns the phase-3 defenses whose suppression delay has elapsed
-// without cancellation, marking them done. The caller re-announces the
-// returned sessions on behalf of their originators.
+// Due returns, in scheduling order, the phase-3 defenses whose
+// suppression delay has elapsed without cancellation, and drops them. The
+// caller re-announces the returned sessions on behalf of their
+// originators.
 func (t *Tracker) Due(now float64) []Action {
-	var out []Action
-	kept := t.pending[:0]
-	for _, p := range t.pending {
-		switch {
-		case p.done:
-			// drop
-		case p.dueAt <= now:
-			p.done = true
-			out = append(out, Action{Kind: ActionDefendOther, Key: p.defended, DueAt: p.dueAt})
-		default:
-			kept = append(kept, p)
+	if len(t.pending) == 0 {
+		return nil // nearly every tick: not even a map iteration
+	}
+	type dueDefense struct {
+		seq uint64
+		act Action
+	}
+	var due []dueDefense
+	for p, d := range t.pending {
+		if d.dueAt <= now {
+			due = append(due, dueDefense{d.seq, Action{Kind: ActionDefendOther, Key: p.defended.key, DueAt: d.dueAt}})
+			delete(t.pending, p)
 		}
 	}
-	t.pending = kept
+	sort.Slice(due, func(i, j int) bool { return due[i].seq < due[j].seq })
+	out := make([]Action, len(due))
+	for i, d := range due {
+		out[i] = d.act
+	}
 	return out
 }
 
 // PendingDefenses reports how many undelivered phase-3 timers exist
 // (introspection for tests).
-func (t *Tracker) PendingDefenses() int { //mclint:unused clash's tests count scheduled phase-3 defences with it
-	n := 0
-	for _, p := range t.pending {
-		if !p.done {
-			n++
-		}
-	}
-	return n
-}
+func (t *Tracker) PendingDefenses() int { return len(t.pending) } //mclint:unused clash's tests count scheduled phase-3 defences with it

@@ -1,21 +1,20 @@
 // Package fault is the one packet-fault model in the tree: what can
-// happen to a packet (loss, bursty loss, duplication, single-bit
-// corruption, delay and hence reordering), the order in which the seeded
-// draws that decide it are made, how a directed link's stream derives
-// from a run seed, and what a partition is. des.Net (in-process: one
-// stream per network, one Process per receiver, virtual clock) and the UDP
-// relay (between processes: one LinkRNG stream and Process per directed
-// link, wall clock) both call it and carry no copy.
+// happen to a packet (loss, duplication, single-bit corruption, delay and
+// hence reordering), the order in which the seeded draws that decide it
+// are made, how a directed link's stream derives from a run seed, and
+// what a partition is. des.Net (in-process: one stream per network, one
+// Process per receiver, virtual clock) and the UDP relay (between
+// processes: one LinkRNG stream and Process per directed link, wall
+// clock) both call it and carry no copy.
 //
-// The draw order, per packet, is: burst-chain transition, burst loss,
-// independent loss — stop here if the packet is dropped — duplication,
-// corruption and its bit index, delay, the duplicate's delay. A
-// probability of 0 or 1 and a window with DelayMax <= DelayMin draw
-// nothing. The k-th fate on a stream is therefore a function of the
-// stream's seed, the profile history and the lengths of packets 0..k (the
-// bit-index draw is bounded by the payload length), and replays whenever
-// the packet sequence replays. Partitions draw nothing, so splitting and
-// healing never shift a schedule.
+// The draw order, per packet, is: loss — stop here if the packet is
+// dropped — duplication, corruption and its bit index, delay, the
+// duplicate's delay. A probability of 0 or 1 and a window with DelayMax
+// <= DelayMin draw nothing. The k-th fate on a stream is therefore a
+// function of the stream's seed, the profile history and the lengths of
+// packets 0..k (the bit-index draw is bounded by the payload length), and
+// replays whenever the packet sequence replays. Partitions draw nothing,
+// so splitting and healing never shift a schedule.
 package fault
 
 import (
@@ -30,9 +29,6 @@ import (
 type Profile struct {
 	// Loss is the independent per-packet drop probability.
 	Loss float64
-	// Burst, when non-nil, adds Gilbert–Elliott bursty loss on top of
-	// Loss: a two-state chain whose bad state drops packets in runs.
-	Burst *GilbertElliott
 	// Duplicate is the probability a packet is delivered twice. The copy
 	// draws its own delay, so duplicates also arrive reordered.
 	Duplicate float64
@@ -46,15 +42,6 @@ type Profile struct {
 	DelayMin, DelayMax time.Duration
 }
 
-// GilbertElliott parameterises the classic two-state bursty loss chain:
-// in the Good state packets drop with probability LossGood, in the Bad
-// state with LossBad; the chain moves Good→Bad with probability PGB per
-// packet and Bad→Good with PBG. Mean burst length is 1/PBG packets.
-type GilbertElliott struct {
-	PGB, PBG          float64
-	LossGood, LossBad float64
-}
-
 // validProb is written so that NaN fails: rng.Bool(NaN) is never true, so
 // an accepted NaN would silently disarm the fault it configures.
 func validProb(p float64) bool { return p >= 0 && p <= 1 }
@@ -62,11 +49,7 @@ func validProb(p float64) bool { return p >= 0 && p <= 1 }
 // Validate rejects probabilities outside [0,1] (NaN included) and
 // negative or inverted delay windows.
 func (p Profile) Validate() error {
-	probs := []float64{p.Loss, p.Duplicate, p.Corrupt}
-	if ge := p.Burst; ge != nil {
-		probs = append(probs, ge.PGB, ge.PBG, ge.LossGood, ge.LossBad)
-	}
-	for _, prob := range probs {
+	for _, prob := range []float64{p.Loss, p.Duplicate, p.Corrupt} {
 		if !validProb(prob) {
 			return fmt.Errorf("fault: probability %v outside [0,1]", prob)
 		}
@@ -79,55 +62,33 @@ func (p Profile) Validate() error {
 
 // Stats counts one process's decisions.
 type Stats struct {
-	Packets      uint64 // packets offered to the fault process
-	Dropped      uint64 // total drops (independent + bursty)
-	BurstDropped uint64 // drops decided by the Gilbert–Elliott chain
-	Duplicated   uint64
-	Corrupted    uint64
+	Packets    uint64 // packets offered to the fault process
+	Dropped    uint64
+	Duplicated uint64
+	Corrupted  uint64
 }
 
 // Fate is what happens to one packet.
 type Fate struct {
 	Drop       bool
-	BurstDrop  bool // the drop was decided by the Gilbert–Elliott chain
 	Dup        bool
 	CorruptBit int // bit index to Flip in both copies, -1 = none
 	Delay      time.Duration
 	DupDelay   time.Duration
 }
 
-// Process is one stream's fault process: the profile in force, the
-// burst-chain state and the counters. Swapping Profile mid-run keeps
-// both. Not safe for concurrent use; the caller serialises Next with
-// whatever guards its RNG.
+// Process is one stream's fault process: the profile in force and the
+// counters. Swapping Profile mid-run keeps the counters. Not safe for
+// concurrent use; the caller serialises Next with whatever guards its RNG.
 type Process struct {
 	Profile
 	Stats
-	bad bool // Gilbert–Elliott chain is in the Bad state
 }
 
 // Next draws the fate of the next packet, payloadLen bytes long, from
 // rng, in the package's one draw order.
 func (s *Process) Next(rng *stats.RNG, payloadLen int) Fate {
 	s.Packets++
-	if ge := s.Burst; ge != nil {
-		if s.bad {
-			if rng.Bool(ge.PBG) {
-				s.bad = false
-			}
-		} else if rng.Bool(ge.PGB) {
-			s.bad = true
-		}
-		lp := ge.LossGood
-		if s.bad {
-			lp = ge.LossBad
-		}
-		if rng.Bool(lp) {
-			s.Dropped++
-			s.BurstDropped++
-			return Fate{Drop: true, BurstDrop: true, CorruptBit: -1}
-		}
-	}
 	if rng.Bool(s.Loss) {
 		s.Dropped++
 		return Fate{Drop: true, CorruptBit: -1}

@@ -14,7 +14,6 @@ func TestValidate(t *testing.T) {
 		{},
 		{Loss: 1, Duplicate: 0, Corrupt: 1e-3},
 		{DelayMin: time.Second, DelayMax: time.Second},
-		{Burst: &GilbertElliott{PGB: 0.05, PBG: 0.2, LossBad: 1}},
 	}
 	for _, p := range good {
 		if err := p.Validate(); err != nil {
@@ -26,10 +25,6 @@ func TestValidate(t *testing.T) {
 		{Duplicate: 1.1},
 		{Corrupt: math.NaN()},
 		{Loss: math.Inf(1)},
-		{Burst: &GilbertElliott{PGB: 1.5}},
-		{Burst: &GilbertElliott{PBG: -1}},
-		{Burst: &GilbertElliott{LossGood: math.NaN()}},
-		{Burst: &GilbertElliott{LossBad: 2}},
 		{DelayMin: -time.Millisecond},
 		{DelayMin: 10 * time.Millisecond, DelayMax: 5 * time.Millisecond},
 	}
@@ -73,7 +68,6 @@ func TestNextDrawAccounting(t *testing.T) {
 			seedWhere(full, func(f Fate) bool { return !f.Drop && !f.Dup && f.CorruptBit >= 0 }), 5},
 		{"delivered duplicated and corrupted: + bit + dup delay", full,
 			seedWhere(full, func(f Fate) bool { return f.Dup && f.CorruptBit >= 0 }), 6},
-		{"burst chain: transition, burst loss, loss", Profile{Loss: 0.5, Burst: &GilbertElliott{PGB: 0.5, PBG: 0.5, LossGood: 0.001, LossBad: 0.001}}, 1, 3},
 	}
 	for _, c := range cases {
 		rng, twin := stats.NewRNG(c.seed), stats.NewRNG(c.seed)
@@ -103,7 +97,7 @@ func TestNextCountsAndEmptyPayload(t *testing.T) {
 		t.Fatalf("stats %+v, want %+v", proc.Stats, want)
 	}
 	proc.Profile = Profile{Loss: 1}
-	if f := proc.Next(rng, 4); !f.Drop || f.BurstDrop {
+	if f := proc.Next(rng, 4); !f.Drop {
 		t.Fatalf("loss=1: %+v", f)
 	}
 	if proc.Packets != 11 || proc.Dropped != 1 {
@@ -133,46 +127,6 @@ func TestLossIsDeterministicPerSeed(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical 64-packet patterns")
-	}
-}
-
-func TestGilbertElliottBursts(t *testing.T) {
-	// A chain that is lossless in Good and total-loss in Bad, with slow
-	// transitions, must produce drops in runs, not salt-and-pepper.
-	proc := Process{Profile: Profile{Burst: &GilbertElliott{
-		PGB: 0.05, PBG: 0.2, LossGood: 0, LossBad: 1,
-	}}}
-	rng := stats.NewRNG(3)
-	// Mean burst length should approach 1/PBG = 5; an i.i.d. process at
-	// the same overall rate would sit near 1/(1-rate) ≈ 1.3.
-	runs, runLen, total := 0, 0, 0
-	for i := 0; i < 2000; i++ {
-		f := proc.Next(rng, 4)
-		if f.Drop != f.BurstDrop {
-			t.Fatalf("packet %d: drop not attributed to the chain: %+v", i, f)
-		}
-		if f.Drop {
-			runLen++
-			continue
-		}
-		if runLen > 0 {
-			runs++
-			total += runLen
-			runLen = 0
-		}
-	}
-	if runLen > 0 {
-		runs++
-		total += runLen
-	}
-	if proc.BurstDropped == 0 || proc.BurstDropped != proc.Dropped {
-		t.Fatalf("burst stats: %+v", proc.Stats)
-	}
-	if runs == 0 {
-		t.Fatal("no loss bursts at all")
-	}
-	if mean := float64(total) / float64(runs); mean < 2.5 {
-		t.Fatalf("mean burst length %.2f, want clearly bursty (≥2.5)", mean)
 	}
 }
 
