@@ -314,6 +314,10 @@ func (r *Relay) dispatch(d delivery) {
 	r.wg.Add(1)
 	var slot int
 	var tm *time.Timer
+	// The callback reads slot and tm under r.mu, so both are set under it:
+	// a timer that fires at once waits here for its registration.
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	tm = time.AfterFunc(d.delay, func() {
 		defer r.wg.Done()
 		defer r.pending.Add(-1)
@@ -327,18 +331,12 @@ func (r *Relay) dispatch(d delivery) {
 			r.send(d.data, d.to)
 		}
 	})
-	r.mu.Lock()
 	slot = r.addTimerLocked(tm)
-	r.mu.Unlock()
 }
 
 // addTimerLocked records a pending timer in the first free slot (slots
 // are never moved, so the index a timer's callback captured stays valid
-// for its lifetime). Returns the slot index. In the rare case where a
-// near-zero delay fires the callback before this registration, the
-// callback's tm-identity check simply misses and the fired timer's entry
-// stays behind as an inert non-nil slot; Close's Stop on it returns
-// false, so nothing double-counts.
+// for its lifetime). Returns the slot index.
 func (r *Relay) addTimerLocked(tm *time.Timer) int {
 	for i, t := range r.timers {
 		if t == nil {
