@@ -211,6 +211,7 @@ func budgetReport() benchReport {
 			{Name: "CheckpointJournalAppend", NsPerOp: 500},
 			{Name: "ClashObserveReannounce1k", NsPerOp: 40},
 			{Name: "ClashObserveReannounce10k", NsPerOp: 52},
+			{Name: "ClashObserveBesideFlood10k", NsPerOp: 60},
 			{Name: "SessionMarshalSDP", NsPerOp: 550, AllocsOp: 1, BytesOp: 352},
 			{Name: "SessionKey", NsPerOp: 70, AllocsOp: 1, BytesOp: 24},
 			{Name: "SessionParseSDP", NsPerOp: 1500, AllocsOp: 4, BytesOp: 640},
@@ -295,8 +296,8 @@ func TestBudgetFailuresBatchDepthCollapse(t *testing.T) {
 func TestBudgetFailuresMissingMicros(t *testing.T) {
 	r := budgetReport()
 	r.Micro = nil
-	if fails := budgetFailures(r); len(fails) != 27 {
-		t.Fatalf("missing micros should produce twenty-seven failures, got: %v", fails)
+	if fails := budgetFailures(r); len(fails) != 28 {
+		t.Fatalf("missing micros should produce twenty-eight failures, got: %v", fails)
 	}
 }
 
@@ -328,6 +329,16 @@ func TestBudgetFailuresListenerPath(t *testing.T) {
 	micro(t, &r, "ClashObserveReannounce1k").AllocsOp = 1
 	if fails := budgetFailures(r); len(fails) != 1 {
 		t.Fatalf("allocating tracker Observe not caught: %v", fails)
+	}
+	r = budgetReport()
+	micro(t, &r, "ClashObserveBesideFlood10k").NsPerOp = 130000 // the re-announcement walking every pending defence
+	if fails := budgetFailures(r); len(fails) != 1 || !strings.Contains(fails[0], "BesideFlood") {
+		t.Fatalf("a re-announcement paying for the clash flood not caught: %v", fails)
+	}
+	r = budgetReport()
+	micro(t, &r, "ClashObserveBesideFlood10k").AllocsOp = 1
+	if fails := budgetFailures(r); len(fails) != 1 {
+		t.Fatalf("allocating tracker Observe beside a flood not caught: %v", fails)
 	}
 	r = budgetReport()
 	micro(t, &r, "SessionMarshalSDP").AllocsOp = 27 // fmt is back in MarshalSDP
