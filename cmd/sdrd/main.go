@@ -76,7 +76,7 @@ func run() error {
 		cacheTimeout = flag.Duration("cache-timeout", 0, "expire unheard sessions after this long (0 = one hour)")
 
 		seed            = flag.Uint64("seed", 0, "RNG seed for allocation and clash timing (0 = derive from -origin and PID so identically configured daemons diverge)")
-		announceInitial = flag.Duration("announce-initial", 0, "first re-announcement delay, doubling each round up to the steady interval (at least 300s), so 2s announces at 0, 2, 6, 14, 30, 62s (0 = paper's 5s schedule; lower only for tests/chaos harnesses)")
+		announceInitial = flag.Duration("announce-initial", 0, "first re-announcement delay, doubling each round up to a steady 4x it (longer only if the scope's bandwidth budget needs it), so 2s announces at 0, 2, 6, 14s and every 8s after (0 = paper's 5s schedule, steady at 300s; lower only for tests/chaos harnesses)")
 		httpDebug       = flag.String("http-debug", "", "serve /metrics, /trace, /debug/vars and /debug/pprof on this address (empty = disabled)")
 	)
 	flag.Parse()

@@ -22,16 +22,17 @@ import (
 // budget for a scope (4000 bits/second, shared by all announcers).
 const DefaultBandwidthBps = 4000
 
-// MinInterval is the floor on the steady-state announcement interval
-// (RFC 2974 uses 300 s; with few sessions the budget allows faster but the
-// floor keeps chatter down).
+// MinInterval is the default steady-state announcement interval (RFC 2974
+// uses 300 s; with few sessions the budget allows faster but the default
+// keeps chatter down). A Directory's default Backoff steadies at it; an
+// explicit Backoff.Steady below it is honoured.
 const MinInterval = 300 * time.Second
 
-// SteadyInterval returns the steady-state re-announcement interval under a
-// shared bandwidth budget: each announcer sends its ad so that the whole
-// population of announcements fits in bandwidthBps.
+// SteadyInterval returns the shortest steady-state re-announcement
+// interval under a shared bandwidth budget: each announcer sends its ad so
+// that the whole population of announcements fits in bandwidthBps.
 //
-//	interval = max(MinInterval, totalAdBytes·8 / bandwidthBps)
+//	interval = totalAdBytes·8 / bandwidthBps
 //
 // totalAdBytes is the summed size of all announcements heard in the scope
 // (including our own); this is how every sdr instance independently
@@ -43,11 +44,7 @@ func SteadyInterval(totalAdBytes int, bandwidthBps int) time.Duration {
 	if totalAdBytes < 0 {
 		totalAdBytes = 0
 	}
-	iv := time.Duration(float64(totalAdBytes*8) / float64(bandwidthBps) * float64(time.Second))
-	if iv < MinInterval {
-		return MinInterval
-	}
-	return iv
+	return time.Duration(float64(totalAdBytes*8) / float64(bandwidthBps) * float64(time.Second))
 }
 
 // Backoff is the paper's non-uniform announcement schedule (§2.3, §4):
@@ -77,9 +74,9 @@ func DefaultBackoff(steady time.Duration) Backoff {
 // with Steady at 4× initial: sdrd's -announce-initial, for tests and chaos
 // harnesses that cannot wait out the 5 s start. Zero is the zero Backoff,
 // which a Directory replaces with its default. A Directory raises Steady
-// to the bandwidth-derived SteadyInterval, never under MinInterval, so
-// the announcements keep doubling past 4× initial (a 2 s start announces
-// at 0, 2, 6, 14, 30, 62 s).
+// only to the bandwidth-derived SteadyInterval, so while the scope's
+// announcements fit the budget a 2 s start announces at 0, 2, 6, 14 s and
+// every 8 s after.
 func CompressedBackoff(initial time.Duration) Backoff {
 	if initial <= 0 {
 		return Backoff{}

@@ -44,16 +44,17 @@ func desc(id uint64, version uint64) *session.Description {
 }
 
 func TestSteadyInterval(t *testing.T) {
-	// Few sessions: floor applies.
-	if got := SteadyInterval(100, DefaultBandwidthBps); got != MinInterval {
+	// Few sessions: the bandwidth bound alone, 100 B at 4000 bps = 200 ms;
+	// the 300 s floor is the default Backoff's, not this bound's.
+	if got := SteadyInterval(100, DefaultBandwidthBps); got != 200*time.Millisecond {
 		t.Fatalf("small: %v", got)
 	}
 	// 1 MB of ads at 4000 bps = 2000 s.
 	if got := SteadyInterval(1000000, DefaultBandwidthBps); got != 2000*time.Second {
 		t.Fatalf("large: %v", got)
 	}
-	// Defaults for bad inputs.
-	if got := SteadyInterval(-5, 0); got != MinInterval {
+	// Defaults for bad inputs: no ads, default bandwidth.
+	if got := SteadyInterval(-5, 0); got != 0 {
 		t.Fatalf("bad input: %v", got)
 	}
 }
