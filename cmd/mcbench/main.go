@@ -393,7 +393,8 @@ func cacheScanMicros() []microBenchResult {
 // between SAP decode and the journal that every re-announcement of a
 // known session crosses: the clash tracker's Observe at two cache sizes
 // (its cost must not depend on the population) and beside a clash flood
-// (nor on the defences pending for other sessions), the session codec in
+// (nor on the defences pending for other sessions), its Due with nothing
+// due beside that flood (what every tick asks), the session codec in
 // both directions, the inflate of a compressed datagram, and the payload
 // digest that lets an unchanged re-announcement skip the parse
 // (PayloadDigest's unit is the byte: its ns_per_op is the reciprocal of
@@ -432,6 +433,19 @@ func listenerMicros() []microBenchResult {
 		out = append(out, runMicro(c.name, 1, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				tr.Observe(known[i%len(known)])
+			}
+		}))
+		if c.flood == 0 {
+			continue
+		}
+		// The flood was heard at 0 ms, so every defence falls due after
+		// it: a tick then has nothing to hand over, and must not walk the
+		// 10k defences to find that out.
+		out = append(out, runMicro("ClashDueNothing10k", 1, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if due := tr.Due(0); len(due) != 0 {
+					b.Fatalf("%d defences due at the flood's instant", len(due))
+				}
 			}
 		}))
 	}
@@ -968,6 +982,9 @@ const refreshBatchAllocs = 0
 //     index: cost independent of the population, cache misses aside), and
 //     beside 10k pending defences that do not name it no dearer than 1.5x
 //     that (the defence hints: cost independent of the clashes elsewhere);
+//     and its Due with nothing due beside those 10k defences
+//     allocation-free and under 100 ns (the earliest due time is kept: a
+//     quiet tick walks no defence);
 //   - the session codec at one allocation per key and per marshalled
 //     description, under 300 ns and 2 µs (several times what the fmt-free
 //     appenders measure, a fraction of what fmt cost);
@@ -1036,6 +1053,13 @@ func budgetFailures(r benchReport) []string {
 	case flood.AllocsOp != 0 || re10k.NsPerOp > 0 && flood.NsPerOp/re10k.NsPerOp > 1.5:
 		fails = append(fails, fmt.Sprintf("budget: ClashObserveBesideFlood10k %.0f ns and %d allocs/op beside 10k pending defences, budget 0 allocs and ≤ 1.5x ClashObserveReannounce10k's %.0f ns (a session no defence names walks none)",
 			flood.NsPerOp, flood.AllocsOp, re10k.NsPerOp))
+	}
+	switch m, ok := micro["ClashDueNothing10k"]; {
+	case !ok:
+		fails = append(fails, "budget: micro ClashDueNothing10k missing from report")
+	case m.AllocsOp != 0 || m.NsPerOp > 100:
+		fails = append(fails, fmt.Sprintf("budget: ClashDueNothing10k %.0f ns and %d allocs/op beside 10k pending defences, budget 0 allocs and ≤ 100 ns (a tick with nothing due walks no defence)",
+			m.NsPerOp, m.AllocsOp))
 	}
 	for _, name := range []string{"DirAdmitUnknown", "DirCreateSession"} {
 		at1k, have1k := micro[name+"1k"]

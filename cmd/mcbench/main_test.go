@@ -212,6 +212,7 @@ func budgetReport() benchReport {
 			{Name: "ClashObserveReannounce1k", NsPerOp: 40},
 			{Name: "ClashObserveReannounce10k", NsPerOp: 52},
 			{Name: "ClashObserveBesideFlood10k", NsPerOp: 60},
+			{Name: "ClashDueNothing10k", NsPerOp: 5},
 			{Name: "SessionMarshalSDP", NsPerOp: 550, AllocsOp: 1, BytesOp: 352},
 			{Name: "SessionKey", NsPerOp: 70, AllocsOp: 1, BytesOp: 24},
 			{Name: "SessionParseSDP", NsPerOp: 1500, AllocsOp: 4, BytesOp: 640},
@@ -296,8 +297,8 @@ func TestBudgetFailuresBatchDepthCollapse(t *testing.T) {
 func TestBudgetFailuresMissingMicros(t *testing.T) {
 	r := budgetReport()
 	r.Micro = nil
-	if fails := budgetFailures(r); len(fails) != 28 {
-		t.Fatalf("missing micros should produce twenty-eight failures, got: %v", fails)
+	if fails := budgetFailures(r); len(fails) != 29 {
+		t.Fatalf("missing micros should produce twenty-nine failures, got: %v", fails)
 	}
 }
 
@@ -339,6 +340,16 @@ func TestBudgetFailuresListenerPath(t *testing.T) {
 	micro(t, &r, "ClashObserveBesideFlood10k").AllocsOp = 1
 	if fails := budgetFailures(r); len(fails) != 1 {
 		t.Fatalf("allocating tracker Observe beside a flood not caught: %v", fails)
+	}
+	r = budgetReport()
+	micro(t, &r, "ClashDueNothing10k").NsPerOp = 46000 // a quiet tick walking every pending defence
+	if fails := budgetFailures(r); len(fails) != 1 || !strings.Contains(fails[0], "ClashDueNothing10k") {
+		t.Fatalf("a nothing-due Due walking the defences not caught: %v", fails)
+	}
+	r = budgetReport()
+	micro(t, &r, "ClashDueNothing10k").Name = "gone"
+	if fails := budgetFailures(r); len(fails) != 1 || !strings.Contains(fails[0], "missing") {
+		t.Fatalf("a report without ClashDueNothing10k: %v", fails)
 	}
 	r = budgetReport()
 	micro(t, &r, "SessionMarshalSDP").AllocsOp = 27 // fmt is back in MarshalSDP

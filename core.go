@@ -172,7 +172,11 @@ type ownedSession struct {
 	addr          mcast.Addr // desc.Group's index in the space, filed in core.state
 	sdpLen        int32
 	hash          uint16
-	first         session.Description
+	// node is the session's clash-tracker state, bound to key: an echo of
+	// the session is observed through it, not through the cache entry the
+	// echo files (core.node).
+	node  clash.Node
+	first session.Description
 }
 
 // parsedPacket is a decoded datagram (Directory.decodePacket): the SAP
@@ -293,16 +297,24 @@ func (c *core) registerOwned(desc session.Description, addr mcast.Addr, now time
 	key := desc.Key()
 	own := &ownedSession{key: key, addr: addr, first: desc}
 	own.desc = &own.first
+	own.node.Bind(&own.key)
+	// A key tracked before it was created — heard, or owned already —
+	// hands its tracker state to the new session.
+	if prev := c.owned[key]; prev != nil {
+		c.tracker.Replace(&prev.node, &own.node)
+	} else if e, ok := c.cache.Peek(key); ok {
+		c.tracker.Replace(e.Node(), &own.node)
+	}
 	c.owned[key] = own
 	c.state.Add(addr, desc.TTL)
-	c.tracker.AnnounceOwn(clash.SessionKey(key), addr, desc.TTL, c.ms(now))
+	c.tracker.AnnounceNode(&own.node, addr, c.ms(now))
 	queued := len(c.fx.events)
 	c.record(obs.TraceAllocate, key, addr, own.desc, now)
 	if err := c.announceOwn(own, now); err != nil {
 		c.fx.events = c.fx.events[:queued] // nothing was allocated after all
 		delete(c.owned, key)
 		c.state.Remove(addr, desc.TTL)
-		c.tracker.Forget(clash.SessionKey(key))
+		c.tracker.ForgetNode(&own.node)
 		return nil, err
 	}
 	return own.desc, nil
@@ -423,7 +435,7 @@ func (c *core) withdraw(key string, now time.Time) error {
 	}
 	delete(c.owned, key)
 	c.state.Remove(own.addr, own.desc.TTL)
-	c.tracker.Forget(clash.SessionKey(key))
+	c.tracker.ForgetNode(&own.node)
 	if err := c.sendOwn(own, sap.Delete); err != nil {
 		return err
 	}
@@ -462,7 +474,7 @@ func (c *core) apply(p *parsedPacket, now time.Time) {
 		c.ins.packetsReceived.Inc()
 		c.ins.refreshFast.Inc()
 		c.cache.Touch(e, now)
-		c.applyActions(c.observe(e.Key(), &e.Desc, now), now)
+		c.applyActions(c.observe(e.Node(), &e.Desc, now), now)
 		return
 	}
 	sum, desc, err := c.scan(p.pkt.Payload)
@@ -501,7 +513,8 @@ func (c *core) apply(p *parsedPacket, now time.Time) {
 		}
 	}
 
-	if e, fresh := c.cache.ObserveHeard(key, sum, pkt.Payload, p.digest, now); fresh {
+	e, fresh := c.cache.ObserveHeard(key, sum, pkt.Payload, p.digest, now)
+	if fresh {
 		c.ins.sessionsLearned.Inc()
 		c.record(obs.TraceLearn, key, 0, desc, now)
 		// Only fresh observations are journaled; pure LastHeard
@@ -509,7 +522,7 @@ func (c *core) apply(p *parsedPacket, now time.Time) {
 		// is at most one checkpoint interval old.
 		c.journalLearn(e)
 	}
-	c.applyActions(c.observe(key, &sum, now), now)
+	c.applyActions(c.observe(c.node(key, e), &sum, now), now)
 }
 
 // scan reads what the protocol needs of a payload, with ParseSDP's
@@ -559,14 +572,26 @@ func (c *core) unchanged(p *parsedPacket) *announce.Entry {
 	return e
 }
 
-// observe shows the clash tracker one heard session and returns what it
-// answers.
-func (c *core) observe(key string, sum *session.Summary, now time.Time) []clash.Action {
+// observe shows the clash tracker one heard session, whose tracker state is
+// n, and returns what it answers. A session heard outside the space is not
+// shown: its node stays where it was, linked at its last address inside
+// the space if it had one.
+func (c *core) observe(n *clash.Node, sum *session.Summary, now time.Time) []clash.Action {
 	idx, ok := c.cfg.Space.Index(sum.Group)
 	if !ok {
 		return nil
 	}
-	return c.tracker.Observe(clash.Observation{Key: clash.SessionKey(key), Addr: idx, TTL: sum.TTL, At: c.ms(now)})
+	return c.tracker.ObserveNode(n, idx, c.ms(now))
+}
+
+// node is the tracker state of the session under key, of which e is the
+// cache entry: the owned session's node while the key is ours (e is then
+// our announcement heard back), else e's.
+func (c *core) node(key string, e *announce.Entry) *clash.Node {
+	if own := c.owned[key]; own != nil {
+		return &own.node
+	}
+	return e.Node()
 }
 
 // handleDelete validates and applies a SAP deletion. We have no
@@ -591,7 +616,7 @@ func (c *core) handleDelete(pkt *sap.Packet, sum *session.Summary, key string, n
 		return
 	}
 	c.cache.Delete(key, now)
-	c.tracker.Forget(clash.SessionKey(key))
+	c.tracker.ForgetNode(e.Node())
 	c.journalKey(deltaDelete, key)
 }
 
@@ -668,8 +693,8 @@ func (c *core) admitNew(origin netip.Addr, desc *session.Description, key string
 	}
 	dec := c.admit.PlanNewOrdered(c.cache, origin, now)
 	for _, k := range dec.Evict {
-		c.cache.Remove(k)
-		c.tracker.Forget(clash.SessionKey(k))
+		// The order holds no entry of our origin, so no owned session's.
+		c.tracker.ForgetNode(c.cache.Remove(k).Node())
 		c.evicted(k, now)
 	}
 	switch dec.Outcome {
@@ -750,7 +775,7 @@ func (c *core) applyActions(actions []clash.Action, now time.Time) {
 			own.addr = addr
 			own.sdpLen = 0        // a new payload: measured and hashed when next sent
 			own.announceCount = 0 // restart the fast back-off phase
-			c.tracker.AnnounceOwn(clash.SessionKey(key), addr, own.desc.TTL, c.ms(now))
+			c.tracker.AnnounceNode(&own.node, addr, c.ms(now))
 			if err := c.announceOwn(own, now); err == nil {
 				c.ins.clashMoves.Inc()
 				c.record(obs.TraceClashMove, key, addr, own.desc, now)
@@ -797,8 +822,11 @@ func (c *core) step(now time.Time) {
 	clear(due)
 	c.dueBuf = due[:0]
 	c.applyActions(c.tracker.Due(c.ms(now)), now)
-	for _, key := range c.cache.Expire(now) {
-		c.tracker.Forget(clash.SessionKey(key))
+	for _, e := range c.cache.ExpireEntries(now) {
+		// An owned session whose echo expired is forgotten with it, as it
+		// was when the tracker kept one record per key.
+		key := e.Key()
+		c.tracker.ForgetNode(c.node(key, e))
 		c.ins.sessionsExpired.Inc()
 		c.record(obs.TraceExpire, key, 0, nil, now)
 		c.journalKey(deltaExpire, key)
@@ -898,7 +926,9 @@ func (c *core) restore(p []byte, now time.Time) (bool, error) {
 	case deltaDelete:
 		c.cache.Delete(string(p[1:]), now)
 	case deltaExpire, deltaEvict:
-		c.cache.Remove(string(p[1:]))
+		if e := c.cache.Remove(string(p[1:])); e != nil {
+			c.tracker.ForgetNode(e.Node())
+		}
 	default:
 		return false, fmt.Errorf("unknown cache record kind %q", p[0])
 	}
@@ -914,7 +944,7 @@ func (c *core) registerLoaded(now time.Time) {
 	// entries must never reach the clash tracker.
 	if c.budgeted() {
 		for _, k := range c.admit.TrimPlan(c.candidates()) {
-			c.cache.Remove(k)
+			c.tracker.ForgetNode(c.cache.Remove(k).Node())
 			c.evicted(k, now)
 		}
 	}
@@ -924,6 +954,6 @@ func (c *core) registerLoaded(now time.Time) {
 	live := c.cache.Live()
 	announce.SortByKey(live)
 	for _, e := range live {
-		c.observe(e.Key(), &e.Desc, now) // registered, not reacted to
+		c.observe(c.node(e.Key(), e), &e.Desc, now) // registered, not reacted to
 	}
 }

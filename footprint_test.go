@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/session"
@@ -15,11 +16,13 @@ import (
 // TestCachedSessionFootprint pins the heap a bare Directory retains per
 // heard session: 10 000 sessions announced to it once each, in payloads of
 // 122 and of 254 bytes, measured after a collection with the datagrams
-// gone. A cached session is its entry (152 bytes: the summary, two times,
-// key, payload, digest), its key string and its payload as heard, plus
-// the clash tracker's entry and map slots and the cache's map slot: 467
-// and 595 bytes on linux/amd64 with Go 1.24. A cache that held a parsed
-// description per session retained 612 and 851.
+// gone. A cached session is its entry (184 bytes: the summary, two times,
+// key, payload, digest and the clash tracker's node), its key string and
+// its payload as heard, plus the tracker's slot for its address and the
+// cache's map slot: 407 and 535 bytes on linux/amd64 with Go 1.24. When
+// the tracker kept a 48-byte record of its own per session in a map by
+// key, they were 467 and 595; a cache that held a parsed description per
+// session retained 612 and 851.
 func TestCachedSessionFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what the heap holds")
@@ -28,7 +31,7 @@ func TestCachedSessionFootprint(t *testing.T) {
 	for _, c := range []struct {
 		payload int
 		limit   float64 // bytes per session: what is measured, and 7 % more
-	}{{122, 500}, {254, 640}} {
+	}{{122, 436}, {254, 573}} {
 		t.Run(fmt.Sprintf("payload%d", c.payload), func(t *testing.T) {
 			clk := newFakeClock()
 			d, err := New(Config{Origin: netip.MustParseAddr("10.0.0.1"), Transport: &sentLog{}, Clock: clk.Now, Seed: 3})
@@ -58,6 +61,15 @@ func TestCachedSessionFootprint(t *testing.T) {
 			}
 			runtime.KeepAlive(d)
 		})
+	}
+}
+
+// TestOwnedSessionFitsSizeClass pins an owned session's record: its
+// description by value, the key, the schedule, the cached send state and
+// the clash tracker's node, in the 320-byte size class.
+func TestOwnedSessionFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(ownedSession{}); n > 320 {
+		t.Fatalf("ownedSession is %d bytes, over the 320-byte size class", n)
 	}
 }
 

@@ -38,6 +38,10 @@ func FuzzAdmission(f *testing.F) {
 	// from the origin's counts while stale entries of another fill the
 	// cache.
 	f.Add([]byte{2, 1, 1, 2, 2, 1, 4, 200, 0, 4, 200, 0, 1, 3, 1, 1, 4, 2, 1, 5, 3})
+	// The owned session heard back, a hostile session at its address, and
+	// a tick: the echo is the owned session's, not a second session at
+	// the address.
+	f.Add([]byte{3, 3, 0, 1, 0, 0, 3, 3, 0, 4, 2, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bus := transport.NewBus()
@@ -91,7 +95,11 @@ func FuzzAdmission(f *testing.F) {
 					Media:   []session.Media{{Type: "audio", Port: 5004, Proto: "RTP/AVP", Format: "0"}},
 				}
 				sendFuzz(attacker, sap.Announce, origin, desc)
-			case 3: // delete, sometimes naming the owned session
+			case 3: // delete, sometimes naming the owned session, or the owned session heard back
+				if a%6 == 3 {
+					sendFuzz(attacker, sap.Announce, own.Origin, own)
+					break
+				}
 				victim := &session.Description{
 					ID:      uint64(a % 8),
 					Version: 1,

@@ -56,6 +56,7 @@ func checkIndices(t testing.TB, d *Directory, origins ...netip.Addr) {
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	checkTracker(t, d)
 	if want := scanState(d); !reflect.DeepEqual(d.state, want) {
 		t.Fatalf("maintained allocator state %+v\nrebuilt                   %+v", d.state, want)
 	}
@@ -83,6 +84,52 @@ func checkIndices(t testing.TB, d *Directory, origins ...netip.Addr) {
 		if got.Outcome != want.Outcome || fmt.Sprint(got.Evict) != fmt.Sprint(want.Evict) {
 			t.Fatalf("newcomer from %s: ordered plan %v %v, PlanNew over a scan %v %v",
 				origin, got.Outcome, got.Evict, want.Outcome, want.Evict)
+		}
+	}
+}
+
+// checkTracker asserts where the clash tracker's nodes live. Every linked
+// node is on the chain of its own address, and is an owned session's or a
+// live cache entry's whose key is not owned: an evicted, expired or deleted
+// entry's node, or the cache entry of an owned key, is never linked.
+// Conversely an owned session's node is linked at its address, and a live
+// entry's, not owned and with its group in the space, at that group's —
+// except where the tracker forgets a session the directory keeps, as it
+// did when it kept one record per key: an owned session whose echo expired
+// (its key then has no entry until heard again), and an entry of our own
+// origin whose owned session was withdrawn or rolled back while its echo
+// stayed cached. An entry whose group has left the space keeps its node at
+// its last address inside it.
+func checkTracker(t testing.TB, d *Directory) {
+	t.Helper()
+	linked := map[*clash.Node]mcast.Addr{}
+	d.tracker.EachLinked(func(chain mcast.Addr, n *clash.Node) {
+		if _, twice := linked[n]; twice {
+			t.Fatalf("node of %s is on the chains twice", n.Key())
+		}
+		linked[n] = chain
+	})
+	allowed := map[*clash.Node]bool{}
+	for key, own := range d.owned {
+		allowed[&own.node] = true
+		addr, ok := linked[&own.node]
+		if _, cached := d.cache.Peek(key); ok && addr != own.addr || !ok && cached {
+			t.Fatalf("owned session %s at %d: node linked %v at %d, echo cached %v", key, own.addr, ok, addr, cached)
+		}
+	}
+	for _, e := range d.cache.All() {
+		if e.Deleted || d.owned[e.Key()] != nil {
+			continue
+		}
+		allowed[e.Node()] = true
+		addr, ok := linked[e.Node()]
+		if idx, in := d.cfg.Space.Index(e.Desc.Group); in && (ok && addr != idx || !ok && e.Desc.Origin != d.cfg.Origin) {
+			t.Fatalf("cached session %s at %d: node linked %v at %d", e.Key(), idx, ok, addr)
+		}
+	}
+	for n := range linked {
+		if !allowed[n] {
+			t.Fatalf("the tracker links a node of %s that is neither an owned session's nor a live cache entry's whose key is not owned", n.Key())
 		}
 	}
 }
@@ -123,7 +170,8 @@ func TestCreateRollbackRetainsNothing(t *testing.T) {
 	}
 	d.mu.Lock()
 	owned, unchanged := len(d.owned), reflect.DeepEqual(d.state, before)
-	_, tracked := d.tracker.CachedAddr(clash.SessionKey("2001:db8::1/777"))
+	tracked := false
+	d.tracker.EachLinked(func(_ mcast.Addr, n *clash.Node) { tracked = tracked || n.Key() == "2001:db8::1/777" })
 	d.mu.Unlock()
 	if owned != 0 || !unchanged || tracked {
 		t.Fatalf("after the failed create: %d owned, allocator state unchanged: %v, tracker still holds the address: %v", owned, unchanged, tracked)

@@ -9,11 +9,11 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
 	"sessiondir/internal/allocator"
+	"sessiondir/internal/clash"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/session"
 )
@@ -156,6 +156,9 @@ type Entry struct {
 	// too. A payload that arrives with the same digest is this one again,
 	// and need not be read to be known so (Unchanged).
 	digest uint64
+	// node is the session's clash-tracker state, bound to key, for the
+	// directory's tracker to link while the entry is live (Node).
+	node clash.Node
 	// heapPos is the entry's slot in its cache's eviction order (1-based,
 	// 0 = not in it; see index.go).
 	heapPos int32
@@ -163,6 +166,18 @@ type Entry struct {
 	// stale re-announcements from slow caches).
 	Deleted bool
 }
+
+// newEntry is a new entry for the session s summarises, filed under key,
+// first heard at first and last heard at last.
+func newEntry(s session.Summary, key string, first int64, last time.Time) *Entry {
+	e := &Entry{Desc: s, FirstHeard: first, LastHeard: last, key: key}
+	e.node.Bind(&e.key)
+	return e
+}
+
+// Node is the entry's clash-tracker state. The cache never links it: the
+// directory's tracker does, and forgets it before the entry leaves.
+func (e *Entry) Node() *clash.Node { return &e.node }
 
 // Key is Desc.Key(), for an entry a Cache holds.
 func (e *Entry) Key() string { return e.key }
@@ -389,7 +404,7 @@ func (c *Cache) Observe(d *session.Description, now time.Time) (*Entry, bool) {
 func (c *Cache) ObserveHeard(key string, s session.Summary, payload []byte, digest uint64, now time.Time) (*Entry, bool) {
 	e, ok := c.entries[key]
 	if !ok {
-		e = &Entry{Desc: s, FirstHeard: now.Unix(), LastHeard: now.Round(0), key: key}
+		e = newEntry(s, key, now.Unix(), now.Round(0))
 		e.take(payload, digest)
 		c.add(e)
 		return e, true
@@ -462,7 +477,7 @@ func (c *Cache) Restore(s session.Summary, payload []byte, digest uint64, first,
 		}
 		return false
 	}
-	e := &Entry{Desc: s, FirstHeard: first.Unix(), LastHeard: last, key: key}
+	e := newEntry(s, key, first.Unix(), last)
 	e.take(payload, digest)
 	c.add(e)
 	return true
@@ -498,13 +513,16 @@ func (c *Cache) Peek(key string) (*Entry, bool) {
 	return e, ok
 }
 
-// Remove hard-deletes an entry (admission-layer eviction). Unlike Delete
-// it leaves no tombstone: the budget counts tombstones as occupancy, so
-// eviction must actually release the slot.
-func (c *Cache) Remove(key string) {
-	if e, ok := c.entries[key]; ok {
+// Remove hard-deletes an entry (admission-layer eviction) and returns it,
+// or nil if there was none. Unlike Delete it leaves no tombstone: the
+// budget counts tombstones as occupancy, so eviction must actually release
+// the slot.
+func (c *Cache) Remove(key string) *Entry {
+	e, ok := c.entries[key]
+	if ok {
 		c.drop(e)
 	}
+	return e
 }
 
 // Size returns the total number of entries, including deletion
@@ -517,30 +535,45 @@ func (c *Cache) Size() int {
 func (c *Cache) Len() int { return c.live } //mclint:unused pinned by benchmark/shadow.go
 
 // Expire evicts entries unheard for Timeout (and deleted entries unheard
-// for Timeout/10), returning the evicted keys in sorted order. The sort
-// matters: expiry order reaches the trace, the event stream, and the
-// journal, all of which must replay identically from a seed. Until now
-// passes the earliest deadline's bound nothing can be due, and Expire
-// returns without looking at an entry; a call past it scans them all and
-// sets the bound to the earliest deadline among those that stay, and the
-// eviction order's per-origin bounds to the earliest LastHeard.
+// for Timeout/10), returning the evicted keys in sorted order
+// (ExpireEntries).
 func (c *Cache) Expire(now time.Time) []string {
+	expired := c.ExpireEntries(now)
+	if expired == nil {
+		return nil
+	}
+	keys := make([]string, len(expired))
+	for i, e := range expired {
+		keys[i] = e.key
+	}
+	return keys
+}
+
+// ExpireEntries evicts entries unheard for Timeout (and deleted entries
+// unheard for Timeout/10), returning them in key order. The order matters:
+// expiry order reaches the trace, the event stream, and the journal, all
+// of which must replay identically from a seed. Until now passes the
+// earliest deadline's bound nothing can be due, and ExpireEntries returns
+// without looking at an entry; a call past it scans them all and sets the
+// bound to the earliest deadline among those that stay, and the eviction
+// order's per-origin bounds to the earliest LastHeard.
+func (c *Cache) ExpireEntries(now time.Time) []*Entry {
 	if !now.After(c.bound) {
 		return nil
 	}
-	var evicted []string
+	var evicted []*Entry
 	c.bound = time.Time{}
 	c.unboundOrigins()
-	for key, e := range c.entries { //mclint:maporder evictions are sorted before returning; the bound is a minimum
+	for _, e := range c.entries { //mclint:maporder evictions are sorted before returning; the bound is a minimum
 		if now.Sub(e.LastHeard) <= c.limit(e) {
 			c.lowerBound(e)
 			c.lowerOriginBound(e)
 			continue
 		}
 		c.drop(e)
-		evicted = append(evicted, key)
+		evicted = append(evicted, e)
 	}
-	sort.Strings(evicted)
+	SortByKey(evicted)
 	return evicted
 }
 

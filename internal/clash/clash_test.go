@@ -254,7 +254,7 @@ func TestTrackerForget(t *testing.T) {
 	tr.Observe(Observation{Key: "old", Addr: 9, TTL: 63, At: 0})
 	tr.Observe(Observation{Key: "new", Addr: 9, TTL: 63, At: 100})
 	tr.Forget("old")
-	if _, ok := tr.CachedAddr("old"); ok {
+	if _, ok := cachedAddr(tr, "old"); ok {
 		t.Fatal("forgot session still cached")
 	}
 	if due := tr.Due(1e9); len(due) != 0 {
@@ -262,13 +262,21 @@ func TestTrackerForget(t *testing.T) {
 	}
 }
 
+// cachedAddr is the address the keyed calls' node for key is linked at.
+func cachedAddr(tr *Tracker, key SessionKey) (mcast.Addr, bool) {
+	if k, ok := tr.keyed[key]; ok && k.node.linked {
+		return k.node.addr, true
+	}
+	return 0, false
+}
+
 func TestTrackerCachedAddr(t *testing.T) {
 	tr := newTracker(t)
 	tr.Observe(Observation{Key: "s", Addr: 3, TTL: 15, At: 0})
-	if a, ok := tr.CachedAddr("s"); !ok || a != 3 {
-		t.Fatalf("CachedAddr = %v %v", a, ok)
+	if a, ok := cachedAddr(tr, "s"); !ok || a != 3 {
+		t.Fatalf("cachedAddr = %v %v", a, ok)
 	}
-	if _, ok := tr.CachedAddr("missing"); ok {
+	if _, ok := cachedAddr(tr, "missing"); ok {
 		t.Fatal("missing key found")
 	}
 }
@@ -473,46 +481,68 @@ func (t *refTracker) Due(now float64) []Action {
 	return out
 }
 
-// checkIndex asserts the tracker's index invariants: every cached entry is
-// on exactly the chain of its address, and nothing else is on any chain;
-// every pending defence names two cached entries on one chain, each
-// carrying the hint of its role.
-func checkIndex(t *testing.T, tr *Tracker) {
+// checkIndex asserts the tracker's index invariants: the tracked nodes
+// are exactly the linked ones, each on exactly the chain of its address,
+// and nothing else is on any chain; every pending defence names two linked
+// nodes on one chain, each carrying the hint of its role; and Due's
+// earliest due time is the pending defences' earliest.
+func checkIndex(t *testing.T, tr *Tracker, tracked []*Node) {
 	t.Helper()
-	chained := 0
+	want := map[*Node]bool{}
+	for _, n := range tracked {
+		if !n.linked {
+			t.Fatalf("node %q is tracked but not linked", n.Key())
+		}
+		want[n] = true
+	}
+	chained := map[*Node]bool{}
 	for addr, head := range tr.byAddr {
 		if head == nil {
 			t.Fatalf("address %d has an empty chain", addr)
 		}
-		for e := head; e != nil; e = e.next {
-			chained++
-			if chained > len(tr.cache) {
-				t.Fatalf("chains hold more than the %d cached entries (cycle or duplicate)", len(tr.cache))
+		for n := head; n != nil; n = n.next {
+			if chained[n] {
+				t.Fatalf("node %q is on a chain twice (cycle or duplicate)", n.Key())
 			}
-			if e.addr != addr || tr.cache[e.key] != e {
-				t.Fatalf("entry %q (addr %d) is on the chain of %d, or not the cached entry", e.key, e.addr, addr)
+			chained[n] = true
+			if n.addr != addr || !want[n] || !n.linked {
+				t.Fatalf("node %q (addr %d, linked %v) is on the chain of %d, or not a tracked node", n.Key(), n.addr, n.linked, addr)
 			}
 		}
 	}
-	if chained != len(tr.cache) {
-		t.Fatalf("%d entries on chains, %d cached", chained, len(tr.cache))
+	if len(chained) != len(want) {
+		t.Fatalf("%d nodes on chains, %d tracked", len(chained), len(want))
 	}
+	earliest := math.Inf(1)
 	for _, d := range tr.pending {
 		old, intr := d.defended, d.intruder
-		if old == intr || tr.cache[old.key] != old || tr.cache[intr.key] != intr || old.addr != intr.addr {
-			t.Fatalf("defence of %q against %q: not two cached entries on one chain", old.key, intr.key)
+		if old == intr || !chained[old] || !chained[intr] || old.addr != intr.addr {
+			t.Fatalf("defence of %q against %q: not two linked nodes on one chain", old.Key(), intr.Key())
 		}
 		if !old.defended || !intr.intruding {
-			t.Fatalf("defence of %q against %q: hints defended=%v intruding=%v", old.key, intr.key, old.defended, intr.intruding)
+			t.Fatalf("defence of %q against %q: hints defended=%v intruding=%v", old.Key(), intr.Key(), old.defended, intr.intruding)
 		}
+		earliest = min(earliest, d.dueAt)
+	}
+	if tr.earliest != earliest {
+		t.Fatalf("earliest due time %v, pending defences' earliest %v", tr.earliest, earliest)
 	}
 }
 
-// TestCacheEntryFitsSizeClass pins the tracker entry, defence hints and
-// all, inside the allocator's 48-byte size class.
-func TestCacheEntryFitsSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(cacheEntry{}); n > 48 {
-		t.Fatalf("cacheEntry is %d bytes, past the 48-byte size class", n)
+// keyedNodes is every node the keyed calls keep.
+func keyedNodes(tr *Tracker) []*Node {
+	var out []*Node
+	for _, k := range tr.keyed {
+		out = append(out, &k.node)
+	}
+	return out
+}
+
+// TestNodeFitsSizeClass pins the per-session state, defence hints and
+// all, at 32 bytes: it is embedded in every cache entry and owned session.
+func TestNodeFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Node{}); n > 32 {
+		t.Fatalf("Node is %d bytes, past 32", n)
 	}
 }
 
@@ -546,7 +576,7 @@ func TestTrackerMatchesFullScanReference(t *testing.T) {
 			switch op := ops.IntN(20); {
 			case op < 11:
 				// Mostly unchanged re-announcements, as on a real listener.
-				if cur, ok := tr.CachedAddr(key); ok && ops.IntN(4) > 0 {
+				if cur, ok := cachedAddr(tr, key); ok && ops.IntN(4) > 0 {
 					addr = cur
 				}
 				obs := Observation{Key: key, Addr: addr, TTL: 127, At: at}
@@ -581,7 +611,7 @@ func TestTrackerMatchesFullScanReference(t *testing.T) {
 			if a, b := tr.rng.Uint64(), ref.rng.Uint64(); a != b {
 				t.Fatalf("seed %d step %d: RNG streams diverged", seed, step)
 			}
-			checkIndex(t, tr)
+			checkIndex(t, tr, keyedNodes(tr))
 			for e, n := tr.byAddr[addr], 0; e != nil; e = e.next {
 				if n++; n == 3 {
 					crowded++
@@ -591,7 +621,7 @@ func TestTrackerMatchesFullScanReference(t *testing.T) {
 		for _, key := range keys {
 			tr.Forget(key)
 		}
-		checkIndex(t, tr)
+		checkIndex(t, tr, keyedNodes(tr))
 		if len(tr.byAddr) != 0 || tr.PendingDefenses() != 0 {
 			t.Fatalf("seed %d: %d address chains and %d defences left in an empty tracker", seed, len(tr.byAddr), tr.PendingDefenses())
 		}

@@ -1,6 +1,7 @@
 package clash
 
 import (
+	"math"
 	"sort"
 
 	"sessiondir/internal/mcast"
@@ -72,25 +73,41 @@ type TrackerConfig struct {
 	Delay DelayDist
 }
 
-// cacheEntry is one tracked session. key and next make it a node of its
-// address's chain (see Tracker.byAddr); the field order keeps the struct
-// at 47 bytes, inside the allocator's 48-byte size class.
-type cacheEntry struct {
-	key          SessionKey
-	next         *cacheEntry
-	firstSeen    float64
-	ownFirstSent float64
-	addr         mcast.Addr
-	owned        bool
+// Node is one tracked session's clash state. It is embedded where the
+// session already lives — a directory's cache entry, its owned session —
+// and the tracker links it onto the chain of its address (see
+// Tracker.byAddr) and names it in pending defences, so the tracker holds no
+// record of its own per session. Bind gives it its session's key, which it
+// reads through the pointer and never copies. A Node's zero value is
+// unlinked; it must not be copied or dropped while linked (ForgetNode
+// unlinks it).
+type Node struct {
+	next *Node
+	key  *string
+	// at is, for a session heard from others, when the tracker first saw
+	// it; once the session is owned, when this site first announced it.
+	// No check reads the one a node does not hold: phase 3 compares two
+	// heard sessions, phases 1 and 2 time an owned one.
+	at     float64
+	addr   mcast.Addr
+	linked bool
+	owned  bool
 	// defended and intruding hint that a pending defence may name the
-	// entry in that role (see cancel).
+	// node in that role (see cancel).
 	defended, intruding bool
 }
 
+// Bind names the session whose state n holds: key is where its container
+// keeps the key string, for as long as n lives.
+func (n *Node) Bind(key *string) { n.key = key }
+
+// Key is the key of n's session.
+func (n *Node) Key() SessionKey { return SessionKey(*n.key) }
+
 // defense is a scheduled phase-3 defence of the older session against the
-// newer one; entries, not keys, so a cancel's walk reads no key.
+// newer one; nodes, not keys, so a cancel's walk reads no key.
 type defense struct {
-	defended, intruder *cacheEntry
+	defended, intruder *Node
 	dueAt              float64
 }
 
@@ -98,24 +115,34 @@ type defense struct {
 // announcement observations (including echoes of the site's own
 // announcements) and produces Actions. Not safe for concurrent use; the
 // directory agent serialises access.
+//
+// The session state it works on is the caller's Nodes (ObserveNode,
+// AnnounceNode, ForgetNode, Replace). The keyed calls (Observe,
+// AnnounceOwn, Forget) wrap them for callers that hold keys, keeping a
+// node per key for them (keyed.go).
 type Tracker struct {
-	cfg   TrackerConfig
-	rng   *stats.RNG
-	cache map[SessionKey]*cacheEntry
-	// byAddr heads, per address, the intrusive chain (cacheEntry.next) of
-	// the sessions cached at that address. Invariant: every entry of cache
-	// is on exactly the chain of its addr, and an address with no entry
-	// has no head. link/unlink maintain it at every mutation site, so a
-	// clash check walks the sessions sharing one address, not the cache.
-	byAddr map[mcast.Addr]*cacheEntry
+	cfg TrackerConfig
+	rng *stats.RNG
+	// byAddr heads, per address, the intrusive chain (Node.next) of the
+	// linked nodes at that address. Invariant: every linked node is on
+	// exactly the chain of its addr, and an address with no node has no
+	// head. link/unlink maintain it at every mutation site, so a clash
+	// check walks the sessions sharing one address, not the cache.
+	byAddr map[mcast.Addr]*Node
 	// pending holds the phase-3 defences in scheduling order. A defence
 	// lives as long as its clash: a move or Forget of either session, or
-	// the defended one heard again, cancels it. So both its entries are on
+	// the defended one heard again, cancels it. So both its nodes are on
 	// one chain, and no pair is ever scheduled twice.
 	pending []defense
+	// earliest is the earliest dueAt in pending (+Inf when none), kept by
+	// the walks that already rewrite pending and by checkClash's appends,
+	// so a Due with nothing due returns without a walk.
+	earliest float64
 	// defenses counts phase-1 re-announcements per (ours, intruder) pair,
 	// for the post-partition tie-break (see checkClash).
 	defenses map[defensePair]int
+	// keyed is the keyed calls' node per key; nothing else fills it.
+	keyed map[SessionKey]*keyedNode
 }
 
 type defensePair struct {
@@ -133,150 +160,167 @@ func NewTracker(cfg TrackerConfig, rng *stats.RNG) *Tracker {
 	return &Tracker{
 		cfg:      cfg,
 		rng:      rng,
-		cache:    make(map[SessionKey]*cacheEntry),
-		byAddr:   make(map[mcast.Addr]*cacheEntry),
+		byAddr:   make(map[mcast.Addr]*Node),
+		earliest: math.Inf(1),
 		defenses: make(map[defensePair]int),
+		keyed:    make(map[SessionKey]*keyedNode),
 	}
 }
 
-// link pushes e onto the chain of e.addr.
-func (t *Tracker) link(e *cacheEntry) {
-	e.next = t.byAddr[e.addr]
-	t.byAddr[e.addr] = e
+// link starts tracking n, heard or announced at addr at time at, on the
+// chain of addr.
+func (t *Tracker) link(n *Node, addr mcast.Addr, at float64) {
+	*n = Node{next: t.byAddr[addr], key: n.key, at: at, addr: addr, linked: true}
+	t.byAddr[addr] = n
 }
 
-// unlink removes e from the chain of e.addr.
-func (t *Tracker) unlink(e *cacheEntry) {
-	switch head := t.byAddr[e.addr]; {
-	case head != e:
+// unlink removes n from the chain of n.addr.
+func (t *Tracker) unlink(n *Node) {
+	switch head := t.byAddr[n.addr]; {
+	case head != n:
 		prev := head
-		for prev.next != e {
+		for prev.next != n {
 			prev = prev.next
 		}
-		prev.next = e.next
-	case e.next == nil:
-		delete(t.byAddr, e.addr)
+		prev.next = n.next
+	case n.next == nil:
+		delete(t.byAddr, n.addr)
 	default:
-		t.byAddr[e.addr] = e.next
+		t.byAddr[n.addr] = n.next
 	}
-	e.next = nil
+	n.next, n.linked = nil, false
 }
 
-// insert caches a new session at addr.
-func (t *Tracker) insert(e *cacheEntry) {
-	t.cache[e.key] = e
-	t.link(e)
-}
-
-// move re-homes a cached session whose address changed. The move
+// move re-homes a linked session whose address changed. The move
 // resolves what waited on it: every defence naming it (its owner is alive)
 // and its tie-break counters (the stand-off is over).
-func (t *Tracker) move(e *cacheEntry, addr mcast.Addr) {
-	t.cancel(e, true)
-	t.clearDefenseCounters(e.key)
-	t.unlink(e)
-	e.addr = addr
-	t.link(e)
+func (t *Tracker) move(n *Node, addr mcast.Addr) {
+	t.cancel(n, true)
+	t.clearDefenseCounters(n.Key())
+	t.unlink(n)
+	n.addr = addr
+	n.next, n.linked = t.byAddr[addr], true
+	t.byAddr[addr] = n
 }
 
-// AnnounceOwn records that this site announced its own session. Call it
-// for the first announcement and for address changes.
-func (t *Tracker) AnnounceOwn(key SessionKey, addr mcast.Addr, _ mcast.TTL, at float64) {
-	e := t.cache[key]
+// AnnounceNode records that this site announced its own session, whose
+// state n holds, at addr. Call it for the first announcement and for
+// address changes.
+func (t *Tracker) AnnounceNode(n *Node, addr mcast.Addr, at float64) {
 	switch {
-	case e == nil:
-		// A key not in the cache has no pending defense or tie-break
-		// counter (Forget clears both), so there is nothing to cancel.
-		e = &cacheEntry{key: key, addr: addr, firstSeen: at}
-		t.insert(e)
-	case e.addr != addr:
-		t.move(e, addr)
+	case !n.linked:
+		// An unlinked node has no pending defence or tie-break counter
+		// (ForgetNode clears both), so there is nothing to cancel.
+		t.link(n, addr, at)
+	case n.addr != addr:
+		t.move(n, addr)
 	}
-	if !e.owned {
-		e.owned = true
-		e.ownFirstSent = at
+	if !n.owned {
+		n.owned, n.at = true, at
 	}
 }
 
-// Forget drops a session (deleted or expired) from the cache.
-func (t *Tracker) Forget(key SessionKey) {
-	if e, ok := t.cache[key]; ok {
-		t.cancel(e, true)
-		t.unlink(e)
-		delete(t.cache, key)
+// ForgetNode drops a session (deleted, expired, evicted or withdrawn):
+// the defences naming it and its tie-break counters go with it, and n is
+// unlinked. An unlinked n has neither.
+func (t *Tracker) ForgetNode(n *Node) {
+	if !n.linked {
+		return
 	}
-	t.clearDefenseCounters(key)
+	t.cancel(n, true)
+	t.unlink(n)
+	t.clearDefenseCounters(n.Key())
 }
 
-// CachedAddr returns the cached address of a session.
-func (t *Tracker) CachedAddr(key SessionKey) (mcast.Addr, bool) { //mclint:unused the root package's index tests and clash's tests read the tracker's cache with it
-	if e, ok := t.cache[key]; ok {
-		return e.addr, true
+// Replace hands old's place to n, which holds the same session's state
+// from now on: its chain position, address, times and flags, and the
+// pending defences naming old. n must not be linked; an unlinked old hands
+// over nothing. A directory's owned session takes over the node of what it
+// had cached, or owned, under the same key this way.
+func (t *Tracker) Replace(old, n *Node) {
+	if !old.linked {
+		return
 	}
-	return 0, false
+	key := n.key
+	*n, *old = *old, Node{key: old.key}
+	n.key = key
+	if head := t.byAddr[n.addr]; head == old {
+		t.byAddr[n.addr] = n
+	} else {
+		for head.next != old {
+			head = head.next
+		}
+		head.next = n
+	}
+	for i := range t.pending {
+		if d := &t.pending[i]; d.defended == old {
+			d.defended = n
+		} else if d.intruder == old {
+			d.intruder = n
+		}
+	}
 }
 
-// Observe processes a received announcement and returns any immediate
+// ObserveNode processes a received announcement of the session whose state
+// n holds, at addr, heard at time at (ms), and returns any immediate
 // actions (phase 1 and 2). Phase-3 defenses are scheduled internally and
 // surface later through Due.
-func (t *Tracker) Observe(obs Observation) []Action {
-	e, ok := t.cache[obs.Key]
-	if !ok {
+func (t *Tracker) ObserveNode(n *Node, addr mcast.Addr, at float64) []Action {
+	if !n.linked {
 		// New session.
-		e = &cacheEntry{key: obs.Key, addr: obs.Addr, firstSeen: obs.At}
-		t.insert(e)
-		return t.checkClash(e, obs.At, false)
+		t.link(n, addr, at)
+		return t.checkClash(n, at, false)
 	}
 
 	// A re-announcement of a session we were waiting to defend, or an
 	// address change by an intruder, resolves pending defenses.
-	moved := e.addr != obs.Addr
+	moved := n.addr != addr
 	if moved {
-		t.move(e, obs.Addr)
+		t.move(n, addr)
 	} else {
 		// Re-announcement at the same address: its owner is alive, so
 		// nobody needs to defend it on its behalf.
-		t.cancel(e, false)
+		t.cancel(n, false)
 	}
 	switch {
-	case e.owned:
+	case n.owned:
 		// Echoes of our own session need no reaction.
 		return nil
 	case moved:
 		// Check the moved session against everything at its new address.
-		return t.checkClash(e, obs.At, false)
+		return t.checkClash(n, at, false)
 	default:
 		// An unchanged re-announcement adds nothing for third parties
 		// (no defense re-arm), but it *is* news to an owner whose
 		// session it still clashes with: the mutual-defense stand-off
 		// after a partition heal advances through exactly these
 		// re-announcements, so run the owner-only check.
-		return t.checkClash(e, obs.At, true)
+		return t.checkClash(n, at, true)
 	}
 }
 
-// checkClash reacts, per the three phases, to the other sessions cached
-// at the address of seen (the entry just observed at time at). With
+// checkClash reacts, per the three phases, to the other sessions linked
+// at the address of seen (the node just observed at time at). With
 // ownedOnly set, only owner reactions (phases 1–2) fire; third-party
 // defenses are not (re-)scheduled.
-func (t *Tracker) checkClash(seen *cacheEntry, at float64, ownedOnly bool) []Action {
-	var clashing []*cacheEntry
-	for e := t.byAddr[seen.addr]; e != nil; e = e.next {
-		if e != seen && (e.owned || !ownedOnly) {
-			clashing = append(clashing, e)
+func (t *Tracker) checkClash(seen *Node, at float64, ownedOnly bool) []Action {
+	var clashing []*Node
+	for n := t.byAddr[seen.addr]; n != nil; n = n.next {
+		if n != seen && (n.owned || !ownedOnly) {
+			clashing = append(clashing, n)
 		}
 	}
 	// Reaction order is observable — it fixes both the returned action
 	// order and the RNG draw order of phase-3 suppression delays — and
 	// chain order is insertion history, so react in ascending key order.
 	if len(clashing) > 1 {
-		sort.Slice(clashing, func(i, j int) bool { return clashing[i].key < clashing[j].key })
+		sort.Slice(clashing, func(i, j int) bool { return *clashing[i].key < *clashing[j].key })
 	}
 
 	var actions []Action
-	for _, e := range clashing {
+	for _, n := range clashing {
 		switch {
-		case e.owned && at-e.ownFirstSent > t.cfg.RecentWindow:
+		case n.owned && at-n.at > t.cfg.RecentWindow:
 			// Phase 1: our long-standing session is being squatted — defend.
 			// After a healed partition *both* sessions can be long-standing,
 			// and mutual defense would live-lock; the paper leaves this case
@@ -286,26 +330,28 @@ func (t *Tracker) checkClash(seen *cacheEntry, at float64, ownedOnly bool) []Act
 			// deterministic tie-break both sides compute identically —
 			// the lexicographically larger session key moves (the rule
 			// MADCAP-era allocators converged on).
-			pair := defensePair{ours: e.key, intruder: seen.key}
+			pair := defensePair{ours: n.Key(), intruder: seen.Key()}
 			t.defenses[pair]++
-			if t.defenses[pair] > 2 && e.key > seen.key {
-				actions = append(actions, Action{Kind: ActionModifyAddress, Key: e.key, DueAt: at})
+			if t.defenses[pair] > 2 && pair.ours > pair.intruder {
+				actions = append(actions, Action{Kind: ActionModifyAddress, Key: pair.ours, DueAt: at})
 			} else {
-				actions = append(actions, Action{Kind: ActionResendOwn, Key: e.key, DueAt: at})
+				actions = append(actions, Action{Kind: ActionResendOwn, Key: pair.ours, DueAt: at})
 			}
-		case e.owned:
+		case n.owned:
 			// Phase 2: we just announced and lost the race — move.
-			actions = append(actions, Action{Kind: ActionModifyAddress, Key: e.key, DueAt: at})
+			actions = append(actions, Action{Kind: ActionModifyAddress, Key: n.Key(), DueAt: at})
 		default:
-			// Phase 3: third party. Defend the *older* entry after a
+			// Phase 3: third party. Defend the *older* session after a
 			// suppression delay. seen was just learned or just moved, so
 			// no pending defence names it: the pair is not armed yet.
-			older, newer := e, seen
-			if older.firstSeen > newer.firstSeen {
+			older, newer := n, seen
+			if older.at > newer.at {
 				older, newer = newer, older
 			}
 			older.defended, newer.intruding = true, true
-			t.pending = append(t.pending, defense{older, newer, at + t.cfg.Delay.Sample(t.rng)})
+			due := at + t.cfg.Delay.Sample(t.rng)
+			t.pending = append(t.pending, defense{older, newer, due})
+			t.earliest = min(t.earliest, due)
 		}
 	}
 	return actions
@@ -321,43 +367,61 @@ func (t *Tracker) clearDefenseCounters(key SessionKey) {
 	}
 }
 
-// cancel drops the pending defences owed to e and, with both set, those e
-// intrudes on, keeping the rest in order. It walks only if e's hints say
+// cancel drops the pending defences owed to n and, with both set, those n
+// intrudes on, keeping the rest in order. It walks only if n's hints say
 // such a defence may exist, and clears the hints it walked for; a hint a
 // handed-over or otherwise cancelled defence left behind costs one walk.
-func (t *Tracker) cancel(e *cacheEntry, both bool) {
-	if !e.defended && !(both && e.intruding) {
+func (t *Tracker) cancel(n *Node, both bool) {
+	if !n.defended && !(both && n.intruding) {
 		return
 	}
 	kept := t.pending[:0]
+	t.earliest = math.Inf(1)
 	for _, d := range t.pending {
-		if d.defended != e && (!both || d.intruder != e) {
+		if d.defended != n && (!both || d.intruder != n) {
 			kept = append(kept, d)
+			t.earliest = min(t.earliest, d.dueAt)
 		}
 	}
 	clear(t.pending[len(kept):])
 	t.pending = kept
-	e.defended = false
-	e.intruding = e.intruding && !both
+	n.defended = false
+	n.intruding = n.intruding && !both
 }
 
 // Due returns, in scheduling order, the phase-3 defenses whose
 // suppression delay has elapsed without cancellation, and drops them. The
 // caller re-announces the returned sessions on behalf of their
-// originators.
+// originators. Before the earliest one is due it returns at once.
 func (t *Tracker) Due(now float64) []Action {
+	if !(t.earliest <= now) {
+		return nil
+	}
 	var due []Action
 	kept := t.pending[:0]
+	t.earliest = math.Inf(1)
 	for _, d := range t.pending {
 		if d.dueAt <= now {
-			due = append(due, Action{Kind: ActionDefendOther, Key: d.defended.key, DueAt: d.dueAt})
+			due = append(due, Action{Kind: ActionDefendOther, Key: d.defended.Key(), DueAt: d.dueAt})
 		} else {
 			kept = append(kept, d)
+			t.earliest = min(t.earliest, d.dueAt)
 		}
 	}
 	clear(t.pending[len(kept):])
 	t.pending = kept
 	return due
+}
+
+// EachLinked calls fn with every linked node and the address of the chain
+// it is on, in no set order: a node is linked, at that address, if fn
+// sees it.
+func (t *Tracker) EachLinked(fn func(chain mcast.Addr, n *Node)) { //mclint:unused the root package's index tests check where nodes live with it
+	for addr, head := range t.byAddr { //mclint:maporder a check's walk: order-insensitive
+		for n := head; n != nil; n = n.next {
+			fn(addr, n)
+		}
+	}
 }
 
 // PendingDefenses reports how many undelivered phase-3 timers exist
