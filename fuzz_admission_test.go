@@ -21,7 +21,8 @@ import (
 // and back) is decoded from the fuzz input. Invariants: no panic, the cache never
 // exceeds MaxSessions, owned sessions survive whatever arrives, and after
 // every packet the indices kept at the cache's mutation sites plan and
-// view exactly what a rebuild from a scan would (checkIndices).
+// view exactly what a rebuild from a scan would, and the clash tracker
+// links only the nodes checkTracker allows (checkIndices).
 func FuzzAdmission(f *testing.F) {
 	// Seeds echo the sap decode corpus plus admission-shaped scripts.
 	f.Add([]byte{})

@@ -30,13 +30,17 @@ func (t *Tracker) Observe(obs Observation) []Action {
 	return t.ObserveNode(t.nodeFor(obs.Key), obs.Addr, obs.At)
 }
 
-// nodeFor is key's node, made on first use.
+// nodeFor is key's node, made on first use (newNode).
 func (t *Tracker) nodeFor(key SessionKey) *Node {
-	k, ok := t.keyed[key]
-	if !ok {
-		k = &keyedNode{key: string(key)}
-		k.node.Bind(&k.key)
-		t.keyed[key] = k
+	if k, ok := t.keyed[key]; ok {
+		return &k.node
 	}
+	return t.newNode(key)
+}
+
+func (t *Tracker) newNode(key SessionKey) *Node {
+	k := &keyedNode{key: string(key)}
+	k.node.Bind(&k.key)
+	t.keyed[key] = k
 	return &k.node
 }
