@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -172,9 +173,8 @@ type ownedSession struct {
 	addr          mcast.Addr // desc.Group's index in the space, filed in core.state
 	sdpLen        int32
 	hash          uint16
-	// node is the session's clash-tracker state, bound to key: an echo of
-	// the session is observed through it, not through the cache entry the
-	// echo files (core.node).
+	// node is the session's clash-tracker state, bound to key and linked
+	// while the session is ours; an echo of it is not shown to the tracker.
 	node  clash.Node
 	first session.Description
 }
@@ -230,8 +230,11 @@ func (c *core) journalKey(kind byte, key string) {
 }
 
 // create allocates a multicast address for desc and registers and
-// announces the directory's own copy of it.
+// announces the directory's own copy of it, unless claimable refuses it.
 func (c *core) create(desc *session.Description, now time.Time) (*session.Description, error) {
+	if _, err := c.claimable([]*session.Description{desc}, now); err != nil {
+		return nil, err
+	}
 	mine := c.prepOwnCopy(desc, now)
 	picked, err := c.allocate(mine.TTL, 1, c.pick[:0])
 	if err != nil {
@@ -241,8 +244,10 @@ func (c *core) create(desc *session.Description, now time.Time) (*session.Descri
 }
 
 // createBatch is create over several descriptions, one allocator pass per
-// run of equal TTLs (see Directory.CreateSessionBatch).
+// run of equal TTLs (see Directory.CreateSessionBatch), up to the first
+// that claimable refuses.
 func (c *core) createBatch(descs []*session.Description, now time.Time) ([]*session.Description, error) {
+	descs, refused := c.claimable(descs, now)
 	out := make([]*session.Description, 0, len(descs))
 	addrs := make([]mcast.Addr, 0, len(descs))
 	for i := 0; i < len(descs); {
@@ -268,7 +273,25 @@ func (c *core) createBatch(descs []*session.Description, now time.Time) ([]*sess
 		}
 		i = j
 	}
-	return out, nil
+	return out, refused
+}
+
+// claimable returns descs up to the first whose copy create must refuse,
+// its key that of a session we own or of a copy before it, and the
+// refusal. It checks the IDs prepOwnCopy will give the copies, and
+// moves no counter.
+func (c *core) claimable(descs []*session.Description, now time.Time) ([]*session.Description, error) {
+	var room [32]uint64
+	ids, next := room[:0], c.nextID
+	for k, desc := range descs {
+		id := ownID(desc, now, &next)
+		key := session.Summary{Origin: c.cfg.Origin, ID: id}
+		if c.owned[key.Key()] != nil || slices.Contains(ids, id) {
+			return descs[:k], fmt.Errorf("sessiondir: already our session: %s", key.Key())
+		}
+		ids = append(ids, id)
+	}
+	return descs, nil
 }
 
 // prepOwnCopy makes the directory's own copy of a description about to be
@@ -277,14 +300,21 @@ func (c *core) prepOwnCopy(desc *session.Description, now time.Time) session.Des
 	mine := *desc
 	mine.Media = append([]session.Media(nil), desc.Media...)
 	mine.Origin = c.cfg.Origin
-	if mine.ID == 0 {
-		c.nextID++
-		mine.ID = uint64(now.UnixNano())>>16 + c.nextID
-	}
+	mine.ID = ownID(desc, now, &c.nextID)
 	if mine.Version == 0 {
 		mine.Version = 1
 	}
 	return mine
+}
+
+// ownID is the ID of desc's own copy: desc's, else one made from now and
+// the next value of a counter, which it moves.
+func ownID(desc *session.Description, now time.Time, next *uint64) uint64 {
+	if desc.ID != 0 {
+		return desc.ID
+	}
+	*next++
+	return uint64(now.UnixNano())>>16 + *next
 }
 
 // registerOwned binds an allocated address to a prepared copy, registers
@@ -298,13 +328,6 @@ func (c *core) registerOwned(desc session.Description, addr mcast.Addr, now time
 	own := &ownedSession{key: key, addr: addr, first: desc}
 	own.desc = &own.first
 	own.node.Bind(&own.key)
-	// A key tracked before it was created — heard, or owned already —
-	// hands its tracker state to the new session.
-	if prev := c.owned[key]; prev != nil {
-		c.tracker.Replace(&prev.node, &own.node)
-	} else if e, ok := c.cache.Peek(key); ok {
-		c.tracker.Replace(e.Node(), &own.node)
-	}
 	c.owned[key] = own
 	c.state.Add(addr, desc.TTL)
 	c.tracker.AnnounceNode(&own.node, addr, c.ms(now))
@@ -316,6 +339,10 @@ func (c *core) registerOwned(desc session.Description, addr mcast.Addr, now time
 		c.state.Remove(addr, desc.TTL)
 		c.tracker.ForgetNode(&own.node)
 		return nil, err
+	}
+	// What the cache holds of a key we took over is our echo from now on.
+	if e, ok := c.cache.Peek(key); ok {
+		c.tracker.ForgetNode(e.Node())
 	}
 	return own.desc, nil
 }
@@ -427,7 +454,8 @@ func (c *core) endDatagram(w []byte, start int, scope mcast.TTL) {
 	c.fx.dgrams = append(c.fx.dgrams, transport.Datagram{Data: w[start:len(w):len(w)], Scope: scope})
 }
 
-// withdraw deletes one of our sessions, sending a SAP deletion.
+// withdraw deletes one of our sessions, sending a SAP deletion, and
+// tombstones our heard-back copy as hearing the deletion would.
 func (c *core) withdraw(key string, now time.Time) error {
 	own, ok := c.owned[key]
 	if !ok {
@@ -436,6 +464,10 @@ func (c *core) withdraw(key string, now time.Time) error {
 	delete(c.owned, key)
 	c.state.Remove(own.addr, own.desc.TTL)
 	c.tracker.ForgetNode(&own.node)
+	if _, live := c.cache.Get(key); live {
+		c.cache.Delete(key, now)
+		c.journalKey(deltaDelete, key)
+	}
 	if err := c.sendOwn(own, sap.Delete); err != nil {
 		return err
 	}
@@ -522,7 +554,9 @@ func (c *core) apply(p *parsedPacket, now time.Time) {
 		// is at most one checkpoint interval old.
 		c.journalLearn(e)
 	}
-	c.applyActions(c.observe(c.node(key, e), &sum, now), now)
+	if c.owned[key] == nil { // an echo of ours was validated against own.desc
+		c.applyActions(c.observe(e.Node(), &sum, now), now)
+	}
 }
 
 // scan reads what the protocol needs of a payload, with ParseSDP's
@@ -572,26 +606,15 @@ func (c *core) unchanged(p *parsedPacket) *announce.Entry {
 	return e
 }
 
-// observe shows the clash tracker one heard session, whose tracker state is
-// n, and returns what it answers. A session heard outside the space is not
-// shown: its node stays where it was, linked at its last address inside
-// the space if it had one.
+// observe shows the clash tracker one heard session, not ours, whose
+// tracker state is n, and returns what it answers. A session heard outside
+// the space is not shown: the cache has unlinked its node (Cache.enter).
 func (c *core) observe(n *clash.Node, sum *session.Summary, now time.Time) []clash.Action {
 	idx, ok := c.cfg.Space.Index(sum.Group)
 	if !ok {
 		return nil
 	}
 	return c.tracker.ObserveNode(n, idx, c.ms(now))
-}
-
-// node is the tracker state of the session under key, of which e is the
-// cache entry: the owned session's node while the key is ours (e is then
-// our announcement heard back), else e's.
-func (c *core) node(key string, e *announce.Entry) *clash.Node {
-	if own := c.owned[key]; own != nil {
-		return &own.node
-	}
-	return e.Node()
 }
 
 // handleDelete validates and applies a SAP deletion. We have no
@@ -616,7 +639,6 @@ func (c *core) handleDelete(pkt *sap.Packet, sum *session.Summary, key string, n
 		return
 	}
 	c.cache.Delete(key, now)
-	c.tracker.ForgetNode(e.Node())
 	c.journalKey(deltaDelete, key)
 }
 
@@ -694,7 +716,7 @@ func (c *core) admitNew(origin netip.Addr, desc *session.Description, key string
 	dec := c.admit.PlanNewOrdered(c.cache, origin, now)
 	for _, k := range dec.Evict {
 		// The order holds no entry of our origin, so no owned session's.
-		c.tracker.ForgetNode(c.cache.Remove(k).Node())
+		c.cache.Remove(k)
 		c.evicted(k, now)
 	}
 	switch dec.Outcome {
@@ -822,11 +844,7 @@ func (c *core) step(now time.Time) {
 	clear(due)
 	c.dueBuf = due[:0]
 	c.applyActions(c.tracker.Due(c.ms(now)), now)
-	for _, e := range c.cache.ExpireEntries(now) {
-		// An owned session whose echo expired is forgotten with it, as it
-		// was when the tracker kept one record per key.
-		key := e.Key()
-		c.tracker.ForgetNode(c.node(key, e))
+	for _, key := range c.cache.Expire(now) {
 		c.ins.sessionsExpired.Inc()
 		c.record(obs.TraceExpire, key, 0, nil, now)
 		c.journalKey(deltaExpire, key)
@@ -926,9 +944,7 @@ func (c *core) restore(p []byte, now time.Time) (bool, error) {
 	case deltaDelete:
 		c.cache.Delete(string(p[1:]), now)
 	case deltaExpire, deltaEvict:
-		if e := c.cache.Remove(string(p[1:])); e != nil {
-			c.tracker.ForgetNode(e.Node())
-		}
+		c.cache.Remove(string(p[1:]))
 	default:
 		return false, fmt.Errorf("unknown cache record kind %q", p[0])
 	}
@@ -944,7 +960,7 @@ func (c *core) registerLoaded(now time.Time) {
 	// entries must never reach the clash tracker.
 	if c.budgeted() {
 		for _, k := range c.admit.TrimPlan(c.candidates()) {
-			c.tracker.ForgetNode(c.cache.Remove(k).Node())
+			c.cache.Remove(k)
 			c.evicted(k, now)
 		}
 	}
@@ -954,6 +970,8 @@ func (c *core) registerLoaded(now time.Time) {
 	live := c.cache.Live()
 	announce.SortByKey(live)
 	for _, e := range live {
-		c.observe(c.node(e.Key(), e), &e.Desc, now) // registered, not reacted to
+		if c.owned[e.Key()] == nil {
+			c.observe(e.Node(), &e.Desc, now) // registered, not reacted to
+		}
 	}
 }

@@ -404,7 +404,6 @@ func New(cfg Config) (*Directory, error) {
 		reg: reg,
 	}
 	d.state = allocator.StateFor(cfg.Allocator)
-	d.cache.TrackState(cfg.Space, d.state)
 	if d.budgeted() {
 		// Without a budget nothing is ever evicted, and the listener path
 		// is spared the upkeep.
@@ -430,6 +429,7 @@ func New(cfg Config) (*Directory, error) {
 		RecentWindow: float64(recentWindow.Milliseconds()),
 		Delay:        cfg.Delay,
 	}, d.rng.Split())
+	d.cache.TrackState(cfg.Space, d.state, d.tracker)
 	if err := d.registerGauges(); err != nil {
 		return nil, fmt.Errorf("sessiondir: %w", err)
 	}
@@ -444,7 +444,8 @@ func (d *Directory) Registry() *obs.Registry { return d.reg }
 // CreateSession allocates a multicast address for desc (overwriting
 // desc.Group), registers it as owned, and announces it immediately.
 // The returned description is the directory's own copy, the one it goes
-// on announcing: it must not be modified.
+// on announcing: it must not be modified. A desc with the ID of a session
+// we own is refused before anything is allocated.
 func (d *Directory) CreateSession(desc *session.Description) (*session.Description, error) {
 	out, err := (*session.Description)(nil), errClosed
 	d.mu.Lock()
@@ -464,7 +465,8 @@ func (d *Directory) CreateSession(desc *session.Description) (*session.Descripti
 // with descs by index and, like CreateSession's, must not be modified. On
 // error the sessions created before the failure stay created and are
 // returned with it — callers retrying a partial burst should resubmit only
-// the tail.
+// the tail. A description CreateSession would refuse, or with the ID of
+// one before it, is such a failure.
 func (d *Directory) CreateSessionBatch(descs []*session.Description) ([]*session.Description, error) { //mclint:unused pinned by benchmark/dirscript.go
 	out, err := []*session.Description(nil), errClosed
 	d.mu.Lock()
@@ -476,7 +478,8 @@ func (d *Directory) CreateSessionBatch(descs []*session.Description) ([]*session
 	return out, err
 }
 
-// WithdrawSession deletes one of our sessions, sending a SAP deletion. A
+// WithdrawSession deletes one of our sessions, sending a SAP deletion, and
+// its heard-back copy if one is cached, as hearing the deletion would. A
 // closed directory withdraws nothing: its sessions live on in peers'
 // caches until they expire, as after a crash.
 func (d *Directory) WithdrawSession(key string) error {

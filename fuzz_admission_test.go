@@ -43,6 +43,19 @@ func FuzzAdmission(f *testing.F) {
 	// a tick: the echo is the owned session's, not a second session at
 	// the address.
 	f.Add([]byte{3, 3, 0, 1, 0, 0, 3, 3, 0, 4, 2, 0})
+	// Ways an entry stops being a member, each of which unlinks its clash
+	// node in the cache; the fourth, a session heard again outside the
+	// space, lies outside this harness, whose groups are all in it.
+	// Expiry: the owned session heard back and a hostile session both
+	// expire (15 ticks of 255 s pass the hour), and a hostile session at
+	// the owned one's address (20 under this seed) meets the owned node,
+	// not a forgotten one.
+	f.Add([]byte{3, 3, 0, 1, 1, 1, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 1, 3, 20})
+	// A tombstone: a hostile session deleted, then heard at a new version.
+	f.Add([]byte{1, 1, 1, 3, 1, 1, 4, 10, 0, 1, 1, 2})
+	// An eviction: two bystander and two hostile sessions fill the budget,
+	// go stale, and a new bystander session evicts the oldest.
+	f.Add([]byte{2, 1, 1, 2, 2, 2, 1, 1, 3, 1, 2, 4, 4, 200, 0, 4, 200, 0, 2, 3, 6, 1, 3, 7})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bus := transport.NewBus()

@@ -88,18 +88,10 @@ func checkIndices(t testing.TB, d *Directory, origins ...netip.Addr) {
 	}
 }
 
-// checkTracker asserts where the clash tracker's nodes live. Every linked
-// node is on the chain of its own address, and is an owned session's or a
-// live cache entry's whose key is not owned: an evicted, expired or deleted
-// entry's node, or the cache entry of an owned key, is never linked.
-// Conversely an owned session's node is linked at its address, and a live
-// entry's, not owned and with its group in the space, at that group's —
-// except where the tracker forgets a session the directory keeps, as it
-// did when it kept one record per key: an owned session whose echo expired
-// (its key then has no entry until heard again), and an entry of our own
-// origin whose owned session was withdrawn or rolled back while its echo
-// stayed cached. An entry whose group has left the space keeps its node at
-// its last address inside it.
+// checkTracker asserts where the clash tracker's nodes live: it links
+// exactly each owned session's node, at the session's address, and each
+// live cache entry's whose key is not owned and whose group lies in the
+// space, at that group's address.
 func checkTracker(t testing.TB, d *Directory) {
 	t.Helper()
 	linked := map[*clash.Node]mcast.Addr{}
@@ -109,27 +101,23 @@ func checkTracker(t testing.TB, d *Directory) {
 		}
 		linked[n] = chain
 	})
-	allowed := map[*clash.Node]bool{}
-	for key, own := range d.owned {
-		allowed[&own.node] = true
-		addr, ok := linked[&own.node]
-		if _, cached := d.cache.Peek(key); ok && addr != own.addr || !ok && cached {
-			t.Fatalf("owned session %s at %d: node linked %v at %d, echo cached %v", key, own.addr, ok, addr, cached)
+	want := map[*clash.Node]mcast.Addr{}
+	for _, own := range d.owned {
+		want[&own.node] = own.addr
+	}
+	for _, e := range d.cache.Live() {
+		if idx, in := d.cfg.Space.Index(e.Desc.Group); in && d.owned[e.Key()] == nil {
+			want[e.Node()] = idx
 		}
 	}
-	for _, e := range d.cache.All() {
-		if e.Deleted || d.owned[e.Key()] != nil {
-			continue
-		}
-		allowed[e.Node()] = true
-		addr, ok := linked[e.Node()]
-		if idx, in := d.cfg.Space.Index(e.Desc.Group); in && (ok && addr != idx || !ok && e.Desc.Origin != d.cfg.Origin) {
-			t.Fatalf("cached session %s at %d: node linked %v at %d", e.Key(), idx, ok, addr)
+	for n, addr := range want {
+		if got, ok := linked[n]; !ok || got != addr {
+			t.Fatalf("session %s at %d: node linked %v at %d", n.Key(), addr, ok, got)
 		}
 	}
 	for n := range linked {
-		if !allowed[n] {
-			t.Fatalf("the tracker links a node of %s that is neither an owned session's nor a live cache entry's whose key is not owned", n.Key())
+		if _, ok := want[n]; !ok {
+			t.Fatalf("the tracker links a node of %s that is neither an owned session's nor a live, in-space cache entry's whose key is not owned", n.Key())
 		}
 	}
 }

@@ -156,8 +156,7 @@ type Entry struct {
 	// too. A payload that arrives with the same digest is this one again,
 	// and need not be read to be known so (Unchanged).
 	digest uint64
-	// node is the session's clash-tracker state, bound to key, for the
-	// directory's tracker to link while the entry is live (Node).
+	// node is the session's clash-tracker state, bound to key (Node).
 	node clash.Node
 	// heapPos is the entry's slot in its cache's eviction order (1-based,
 	// 0 = not in it; see index.go).
@@ -175,8 +174,9 @@ func newEntry(s session.Summary, key string, first int64, last time.Time) *Entry
 	return e
 }
 
-// Node is the entry's clash-tracker state. The cache never links it: the
-// directory's tracker does, and forgets it before the entry leaves.
+// Node is the entry's clash-tracker state. The directory links it while
+// the entry is a member (see member) of a key not its own; the cache
+// unlinks it where the entry stops being one.
 func (e *Entry) Node() *clash.Node { return &e.node }
 
 // Key is Desc.Key(), for an entry a Cache holds.
@@ -223,13 +223,14 @@ type Cache struct {
 	live    int
 	adBytes int
 	// The eviction order (nil perOrigin = not tracked; entries of origin
-	// self stay out of it) and the allocator state the entries are filed
-	// in (nil = not tracked). See index.go.
+	// self stay out of it), the allocator state the entries are filed in
+	// (nil = not tracked) and the tracker of their nodes. See index.go.
 	order     evictHeap
 	perOrigin map[netip.Addr]originIndex
 	self      netip.Addr
 	state     *allocator.State
 	space     mcast.AddrSpace
+	tracker   *clash.Tracker
 	// timeout evicts sessions not re-announced for this long. RFC 2974
 	// uses max(1 h, 10×interval). It is fixed at NewCache: bound relies on
 	// that.
@@ -333,6 +334,7 @@ func (c *Cache) drop(e *Entry) {
 	c.leave(e)
 	delete(c.entries, e.key)
 	c.orderDrop(e)
+	c.forget(e)
 }
 
 // leave uncounts e — from live and adBytes, the fresh count and the
@@ -357,6 +359,8 @@ func (c *Cache) enter(e *Entry) {
 	c.fresh.enter(e)
 	if idx, ok := c.member(e); ok {
 		c.state.Add(idx, e.Desc.TTL)
+	} else {
+		c.forget(e)
 	}
 }
 
@@ -492,6 +496,7 @@ func (c *Cache) Delete(key string, now time.Time) {
 		c.heard(e, now)
 		c.orderFix(e, wasDeleted)
 		c.lowerBound(e) // a tombstone's limit is a tenth of the timeout
+		c.forget(e)
 	}
 }
 
@@ -513,16 +518,13 @@ func (c *Cache) Peek(key string) (*Entry, bool) {
 	return e, ok
 }
 
-// Remove hard-deletes an entry (admission-layer eviction) and returns it,
-// or nil if there was none. Unlike Delete it leaves no tombstone: the
-// budget counts tombstones as occupancy, so eviction must actually release
-// the slot.
-func (c *Cache) Remove(key string) *Entry {
-	e, ok := c.entries[key]
-	if ok {
+// Remove hard-deletes an entry (admission-layer eviction). Unlike Delete
+// it leaves no tombstone: the budget counts tombstones as occupancy, so
+// eviction must actually release the slot.
+func (c *Cache) Remove(key string) {
+	if e, ok := c.entries[key]; ok {
 		c.drop(e)
 	}
-	return e
 }
 
 // Size returns the total number of entries, including deletion
@@ -535,45 +537,30 @@ func (c *Cache) Size() int {
 func (c *Cache) Len() int { return c.live } //mclint:unused pinned by benchmark/shadow.go
 
 // Expire evicts entries unheard for Timeout (and deleted entries unheard
-// for Timeout/10), returning the evicted keys in sorted order
-// (ExpireEntries).
+// for Timeout/10), returning their keys in sorted order. The order
+// matters: expiry order reaches the trace, the event stream, and the
+// journal, all of which must replay identically from a seed. Until now
+// passes the earliest deadline's bound nothing can be due, and Expire
+// returns without looking at an entry; a call past it scans them all and
+// sets the bound to the earliest deadline among those that stay, and the
+// eviction order's per-origin bounds to the earliest LastHeard.
 func (c *Cache) Expire(now time.Time) []string {
-	expired := c.ExpireEntries(now)
-	if expired == nil {
-		return nil
-	}
-	keys := make([]string, len(expired))
-	for i, e := range expired {
-		keys[i] = e.key
-	}
-	return keys
-}
-
-// ExpireEntries evicts entries unheard for Timeout (and deleted entries
-// unheard for Timeout/10), returning them in key order. The order matters:
-// expiry order reaches the trace, the event stream, and the journal, all
-// of which must replay identically from a seed. Until now passes the
-// earliest deadline's bound nothing can be due, and ExpireEntries returns
-// without looking at an entry; a call past it scans them all and sets the
-// bound to the earliest deadline among those that stay, and the eviction
-// order's per-origin bounds to the earliest LastHeard.
-func (c *Cache) ExpireEntries(now time.Time) []*Entry {
 	if !now.After(c.bound) {
 		return nil
 	}
-	var evicted []*Entry
+	var evicted []string
 	c.bound = time.Time{}
 	c.unboundOrigins()
-	for _, e := range c.entries { //mclint:maporder evictions are sorted before returning; the bound is a minimum
+	for _, e := range c.entries { //mclint:maporder evictions are sorted before returning, unlinks commute, and the bound is a minimum
 		if now.Sub(e.LastHeard) <= c.limit(e) {
 			c.lowerBound(e)
 			c.lowerOriginBound(e)
 			continue
 		}
 		c.drop(e)
-		evicted = append(evicted, e)
+		evicted = append(evicted, e.key)
 	}
-	SortByKey(evicted)
+	slices.Sort(evicted)
 	return evicted
 }
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sessiondir/internal/allocator"
+	"sessiondir/internal/clash"
 	"sessiondir/internal/mcast"
 )
 
@@ -28,6 +29,8 @@ import (
 //     the caller owns and may file its own sessions in, so that its
 //     allocator reads one State. Like the fresh count, an entry leaves it
 //     before it changes or goes and enters it after it changes or comes.
+//     A member's clash node may be linked in the tracker TrackState is
+//     given; the cache unlinks it wherever the entry stops being one.
 //
 // Both are off until asked for, as is the fresh count (announce.go) until
 // the first CountFresh, and all are covered by whatever serialises the
@@ -121,9 +124,11 @@ func (c *Cache) TrackOrder(self netip.Addr) {
 // TrackState starts filing every live entry inside space into state, as
 // address indices, and keeping them current there; call it once, before
 // the first entry. The State is the caller's, which may file members of
-// its own in it: the cache adds and removes only its entries'.
-func (c *Cache) TrackState(space mcast.AddrSpace, state *allocator.State) {
-	c.space, c.state = space, state
+// its own in it: the cache adds and removes only its entries'. tracker,
+// if not nil, is where the caller links its members' nodes (Entry.Node);
+// the cache unlinks a node there when its entry stops being a member.
+func (c *Cache) TrackState(space mcast.AddrSpace, state *allocator.State, tracker *clash.Tracker) {
+	c.space, c.state, c.tracker = space, state, tracker
 }
 
 func (c *Cache) orderAdd(e *Entry) {
@@ -150,6 +155,13 @@ func (c *Cache) member(e *Entry) (mcast.Addr, bool) {
 		return 0, false
 	}
 	return c.space.Index(e.Desc.Group)
+}
+
+// forget unlinks e's node, which only a member's may be linked.
+func (c *Cache) forget(e *Entry) {
+	if c.tracker != nil {
+		c.tracker.ForgetNode(&e.node)
+	}
 }
 
 // orderFix re-places an entry whose LastHeard, Deleted or Desc changed;

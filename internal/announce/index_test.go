@@ -10,6 +10,7 @@ import (
 
 	"sessiondir/internal/admission"
 	"sessiondir/internal/allocator"
+	"sessiondir/internal/clash"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/session"
 	"sessiondir/internal/stats"
@@ -35,6 +36,22 @@ func scanCandidates(s *Cache, self netip.Addr) []admission.Candidate {
 		})
 	}
 	return cands
+}
+
+// checkNodes asserts that tr links the node of no entry but a member of
+// s's allocator state, and that one at the address it is filed at: the
+// cache unlinks a node wherever its entry stops being a member.
+func checkNodes(t *testing.T, at string, s *Cache, tr *clash.Tracker) {
+	t.Helper()
+	tr.EachLinked(func(chain mcast.Addr, n *clash.Node) {
+		e, ok := s.entries[string(n.Key())]
+		if !ok || e.Node() != n {
+			t.Fatalf("%s: the tracker links the node of %s, which the cache no longer holds", at, n.Key())
+		}
+		if idx, member := s.member(e); !member || idx != chain {
+			t.Fatalf("%s: the tracker links %s at %d; a member of the state: %v, at %d", at, n.Key(), chain, member, idx)
+		}
+	})
 }
 
 // scanState is the rebuild the allocator state replaces: the heard half of
@@ -181,6 +198,7 @@ func evictableAt(s *Cache, now time.Time, staleAfter time.Duration, origin netip
 // scan or not), that planning over the maintained order equals PlanNew
 // over a fresh scan (outcome, evictions and their sequence) under several
 // budgets, that the allocator state equals one folded from a scan, that the
+// clash tracker links no node but a member's (checkNodes), that the
 // index invariants hold, that the walk off the top of the eviction heap
 // finds what a sorted scan of the whole order does, and that CountFresh
 // equals a scan — at now, and every few ops also exactly staleAfter later
@@ -274,7 +292,8 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 	for _, salt := range []uint64{1, 4, 8} {
 		for seed := uint64(1); seed <= 8; seed++ {
 			s := NewCache(time.Hour)
-			s.TrackState(indexSpace, allocator.NewState(indexSpace.Size))
+			tr := clash.NewTracker(clash.TrackerConfig{RecentWindow: 1000, Delay: clash.NewUniformDelay(1000, 1001)}, stats.NewRNG(seed))
+			s.TrackState(indexSpace, allocator.NewState(indexSpace.Size), tr)
 			ops := stats.NewRNG(seed<<8 | salt)
 			parsed := map[string]*session.Description{}
 			now := time.Unix(1_000_000, 0)
@@ -350,6 +369,13 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 				if e, ok := s.Peek(d.Key()); ok && e.Desc == d.Summary() {
 					parsed[d.Key()] = eager
 				}
+				// A directory links a member's node once the cache has it.
+				if e, ok := s.Peek(d.Key()); ok {
+					if idx, member := s.member(e); member {
+						tr.ObserveNode(e.Node(), idx, float64(now.UnixMilli()))
+					}
+				}
+				checkNodes(t, fmt.Sprintf("salt %d seed %d step %d", salt, seed, step), s, tr)
 				for key, e := range s.entries {
 					if got := e.Description(); !reflect.DeepEqual(got, parsed[key]) || got.Summary() != e.Desc {
 						t.Fatalf("salt %d seed %d step %d: %s parses on demand to %+v (summary %+v), eagerly to %+v",
@@ -365,6 +391,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 					t.Fatalf("salt %d seed %d step %d: Expire (skipping the scan: %v) removed %v, a full scan finds %v due",
 						salt, seed, step, skip, got, want)
 				}
+				checkNodes(t, fmt.Sprintf("salt %d seed %d step %d, expired", salt, seed, step), s, tr)
 				switch {
 				case skip:
 					skipped++
@@ -415,10 +442,11 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 				s.Remove(e.Desc.Key())
 			}
 			checkIndexInvariants(t, s, indexSelf, true)
-			if empty := allocator.NewState(indexSpace.Size); s.Candidates() != 0 || !reflect.DeepEqual(s.state, empty) || len(s.perOrigin) != 0 {
-				t.Fatalf("salt %d seed %d: %d candidates, allocator state %+v and %d counted origins left in an empty cache",
-					salt, seed, s.Candidates(), s.state, len(s.perOrigin))
+			if empty := allocator.NewState(indexSpace.Size); s.Candidates() != 0 || !reflect.DeepEqual(s.state, empty) || len(s.perOrigin) != 0 || tr.PendingDefenses() != 0 {
+				t.Fatalf("salt %d seed %d: %d candidates, allocator state %+v, %d counted origins and %d pending defences left in an empty cache",
+					salt, seed, s.Candidates(), s.state, len(s.perOrigin), tr.PendingDefenses())
 			}
+			checkNodes(t, fmt.Sprintf("salt %d seed %d, emptied", salt, seed), s, tr)
 		}
 	}
 
@@ -427,7 +455,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 	// walked, as the case says.
 	{
 		s := NewCache(time.Hour)
-		s.TrackState(indexSpace, allocator.NewState(indexSpace.Size))
+		s.TrackState(indexSpace, allocator.NewState(indexSpace.Size), nil)
 		s.TrackOrder(indexSelf)
 		a, b, e := netip.AddrFrom4([4]byte{10, 0, 0, 2}), netip.AddrFrom4([4]byte{10, 0, 0, 3}), netip.AddrFrom4([4]byte{10, 0, 0, 6})
 		now := time.Unix(2_000_000, 0)
@@ -630,7 +658,7 @@ func TestExpireNothingDueAllocatesNothing(t *testing.T) {
 	for _, n := range []int{1000, 10000} {
 		s := NewCache(time.Hour)
 		s.TrackOrder(indexSelf)
-		s.TrackState(indexSpace, allocator.NewState(indexSpace.Size))
+		s.TrackState(indexSpace, allocator.NewState(indexSpace.Size), nil)
 		now := time.Unix(1_000_000, 0)
 		for i := 0; i < n; i++ {
 			s.Observe(odesc(byte(2+i%200), uint64(i), 1), now.Add(time.Duration(i)*time.Millisecond))
@@ -714,7 +742,7 @@ func TestEvictionOrderTieBreakIsKeyStringOrder(t *testing.T) {
 func TestIndexedRefreshAllocatesNothing(t *testing.T) {
 	s := NewCache(0)
 	s.TrackOrder(indexSelf)
-	s.TrackState(indexSpace, allocator.NewState(indexSpace.Size))
+	s.TrackState(indexSpace, allocator.NewState(indexSpace.Size), nil)
 	now := time.Unix(0, 0)
 	for id := uint64(1); id <= 200; id++ {
 		s.Observe(odesc(byte(2+id%7), id, 1), now)

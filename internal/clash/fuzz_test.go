@@ -11,32 +11,27 @@ import (
 
 // nodeHarness drives the node calls the way a directory does: each key has
 // a cache entry's node and an owned session's node, and the key's node is
-// the owned one while the key is owned. Owning a key hands the entry's
-// node over (Replace); re-creating an owned key hands the old owned node
-// to a new one; a withdrawal forgets the owned node and ends the
-// ownership; an expiry forgets the key's node and keeps it.
+// the owned one while the key is owned. Owning a heard key forgets the
+// entry's node, a withdrawal forgets the owned node and ends the
+// ownership, and an expiry forgets a heard key's node and nothing of an
+// owned one (its echo's node is unlinked).
 type nodeHarness struct {
-	tr          *Tracker
 	keys        []string
 	entry, mine []*Node
 	owned       []bool
 }
 
-func newNodeHarness(tr *Tracker, keys []SessionKey) *nodeHarness {
-	h := &nodeHarness{tr: tr, entry: make([]*Node, len(keys)), mine: make([]*Node, len(keys)), owned: make([]bool, len(keys))}
+func newNodeHarness(keys []SessionKey) *nodeHarness {
+	h := &nodeHarness{entry: make([]*Node, len(keys)), mine: make([]*Node, len(keys)), owned: make([]bool, len(keys))}
 	for _, k := range keys {
 		h.keys = append(h.keys, string(k))
 	}
 	for i := range keys {
-		h.entry[i], h.mine[i] = h.newNode(i), h.newNode(i)
+		h.entry[i], h.mine[i] = new(Node), new(Node)
+		h.entry[i].Bind(&h.keys[i])
+		h.mine[i].Bind(&h.keys[i])
 	}
 	return h
-}
-
-func (h *nodeHarness) newNode(i int) *Node {
-	n := new(Node)
-	n.Bind(&h.keys[i])
-	return n
 }
 
 // node is key i's node.
@@ -47,21 +42,8 @@ func (h *nodeHarness) node(i int) *Node {
 	return h.entry[i]
 }
 
-func (h *nodeHarness) announce(i int, addr mcast.Addr, at float64, recreate bool) {
-	switch {
-	case !h.owned[i]:
-		h.tr.Replace(h.entry[i], h.mine[i])
-		h.owned[i] = true
-	case recreate:
-		fresh := h.newNode(i)
-		h.tr.Replace(h.mine[i], fresh)
-		h.mine[i] = fresh
-	}
-	h.tr.AnnounceNode(h.mine[i], addr, at)
-}
-
 // FuzzTrackerMatchesReference decodes one op stream from the fuzz input —
-// observations, own announcements (some re-creating an owned key),
+// observations, own announcements (some taking a heard key over),
 // withdrawals, expiries and Due calls over six keys crowded onto three
 // addresses, the clock stepping inside and past RecentWindow — and drives
 // it through the node calls (as a directory makes them), the keyed calls
@@ -72,7 +54,8 @@ func (h *nodeHarness) announce(i int, addr mcast.Addr, at float64, recreate bool
 func FuzzTrackerMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 6, 5, 13, 0, 200})
 	// A heard key is taken over, clashed with and withdrawn; another
-	// owned key is re-created, expired and heard again.
+	// owned key is announced again, its echo expires, and it is heard
+	// again.
 	f.Add([]byte{0, 1, 1, 1, 7, 2, 7, 1, 3, 0, 13, 50, 9, 7, 1, 1, 1, 10, 12, 7, 0, 0, 7, 60, 10, 1, 1, 14, 0, 250})
 	seq := stats.NewRNG(0xc1a54)
 	long := make([]byte, 3*1500)
@@ -91,7 +74,7 @@ func FuzzTrackerMatchesReference(f *testing.F) {
 		keyed := NewTracker(cfg, stats.NewRNG(1))
 		nodes := NewTracker(cfg, stats.NewRNG(1))
 		ref := &refTracker{cfg: cfg, rng: stats.NewRNG(1), cache: map[SessionKey]*refEntry{}, defenses: map[defensePair]int{}}
-		h := newNodeHarness(nodes, keys)
+		h := newNodeHarness(keys)
 		at := 0.0
 		for i := 0; i+2 < len(data); i += 3 {
 			op, a := data[i], data[i+1]
@@ -105,8 +88,15 @@ func FuzzTrackerMatchesReference(f *testing.F) {
 				viaNodes = nodes.ObserveNode(h.node(k), addr, at)
 				want = ref.Observe(Observation{Key: key, Addr: addr, TTL: 127, At: at})
 			case 7, 8, 9:
+				if !h.owned[k] {
+					// Taking a heard key over forgets what was heard of it.
+					keyed.Forget(key)
+					nodes.ForgetNode(h.entry[k])
+					ref.Forget(key)
+					h.owned[k] = true
+				}
 				keyed.AnnounceOwn(key, addr, 127, at)
-				h.announce(k, addr, at, op%16 == 9)
+				nodes.AnnounceNode(h.mine[k], addr, at)
 				ref.AnnounceOwn(key, addr, at)
 			case 10, 11:
 				keyed.Forget(key)
@@ -114,9 +104,11 @@ func FuzzTrackerMatchesReference(f *testing.F) {
 				h.owned[k] = false
 				ref.Forget(key)
 			case 12:
-				keyed.Forget(key)
-				nodes.ForgetNode(h.node(k))
-				ref.Forget(key)
+				if !h.owned[k] {
+					keyed.Forget(key)
+					nodes.ForgetNode(h.entry[k])
+					ref.Forget(key)
+				}
 			default:
 				got, viaNodes, want = keyed.Due(at), nodes.Due(at), ref.Due(at)
 			}

@@ -112,14 +112,16 @@ type defense struct {
 }
 
 // Tracker is the per-site clash protocol state machine. It consumes
-// announcement observations (including echoes of the site's own
-// announcements) and produces Actions. Not safe for concurrent use; the
-// directory agent serialises access.
+// announcement observations and the site's own announcements and produces
+// Actions. Not safe for concurrent use; the directory agent serialises
+// access.
 //
-// The session state it works on is the caller's Nodes (ObserveNode,
-// AnnounceNode, ForgetNode, Replace). The keyed calls (Observe,
-// AnnounceOwn, Forget) wrap them for callers that hold keys, keeping a
-// node per key for them (keyed.go).
+// The session state it works on is the caller's Nodes, one per session:
+// ObserveNode links a heard session's, AnnounceNode one the site owns, and
+// ForgetNode unlinks either. A directory shows it no echo of its own
+// sessions: the owned node already holds what an echo would tell. The
+// keyed calls (Observe, AnnounceOwn, Forget) wrap them for callers that
+// hold keys, keeping a node per key for them (keyed.go).
 type Tracker struct {
 	cfg TrackerConfig
 	rng *stats.RNG
@@ -232,35 +234,6 @@ func (t *Tracker) ForgetNode(n *Node) {
 	t.clearDefenseCounters(n.Key())
 }
 
-// Replace hands old's place to n, which holds the same session's state
-// from now on: its chain position, address, times and flags, and the
-// pending defences naming old. n must not be linked; an unlinked old hands
-// over nothing. A directory's owned session takes over the node of what it
-// had cached, or owned, under the same key this way.
-func (t *Tracker) Replace(old, n *Node) {
-	if !old.linked {
-		return
-	}
-	key := n.key
-	*n, *old = *old, Node{key: old.key}
-	n.key = key
-	if head := t.byAddr[n.addr]; head == old {
-		t.byAddr[n.addr] = n
-	} else {
-		for head.next != old {
-			head = head.next
-		}
-		head.next = n
-	}
-	for i := range t.pending {
-		if d := &t.pending[i]; d.defended == old {
-			d.defended = n
-		} else if d.intruder == old {
-			d.intruder = n
-		}
-	}
-}
-
 // ObserveNode processes a received announcement of the session whose state
 // n holds, at addr, heard at time at (ms), and returns any immediate
 // actions (phase 1 and 2). Phase-3 defenses are scheduled internally and
@@ -370,7 +343,7 @@ func (t *Tracker) clearDefenseCounters(key SessionKey) {
 // cancel drops the pending defences owed to n and, with both set, those n
 // intrudes on, keeping the rest in order. It walks only if n's hints say
 // such a defence may exist, and clears the hints it walked for; a hint a
-// handed-over or otherwise cancelled defence left behind costs one walk.
+// defence cancelled through the other node left behind costs one walk.
 func (t *Tracker) cancel(n *Node, both bool) {
 	if !n.defended && !(both && n.intruding) {
 		return
