@@ -121,6 +121,39 @@ func TestAdmissionDeleteSpoofing(t *testing.T) {
 	}
 }
 
+// TestAdmissionStaleDeleteReplay: a replayed deletion of an older version
+// is counted as forged and dropped. Tombstoning the live newer version
+// would make its owner's honest re-announcements read as forged
+// resurrections until the tombstone expired.
+func TestAdmissionStaleDeleteReplay(t *testing.T) {
+	bus := transport.NewBus()
+	clk := newFakeClock()
+	dir, _ := newDirectory(t, bus, clk, "10.0.0.1", 64, 1, nil)
+	f := newForge(t, bus)
+	space := mcast.SyntheticSpace(64)
+
+	v1 := peerDesc("10.0.0.2", 7, space, 5, 127)
+	f.send(sap.Announce, v1.Origin, v1)
+	f.send(sap.Delete, v1.Origin, v1)
+	v2 := *v1
+	v2.Version = 2
+	v2.Name = "peer-10.0.0.2-7 revised"
+	f.send(sap.Announce, v2.Origin, &v2)
+	if !knowsKey(dir, v2.Key()) {
+		t.Fatal("a new version after a deletion not cached")
+	}
+
+	f.send(sap.Delete, v1.Origin, v1) // the v1 deletion, replayed
+	f.send(sap.Announce, v2.Origin, &v2)
+	sessions := dir.Sessions()
+	if len(sessions) != 1 || sessions[0].Version != 2 {
+		t.Fatalf("after a replayed v1 deletion the cache lists %v, want v2 alone", sessions)
+	}
+	if m := dir.Metrics(); m.ForgedDeletes != 1 || m.ForgedReports != 0 {
+		t.Fatalf("ForgedDeletes = %d, ForgedReports = %d, want 1 and 0", m.ForgedDeletes, m.ForgedReports)
+	}
+}
+
 // TestAdmissionForgedReports: announcements that are internally
 // inconsistent or disagree with the cache without a version bump are
 // dropped and counted, and cannot poison cached state.

@@ -14,8 +14,10 @@
 // workers (the occupancy sweep is always serial); output is bit-identical
 // at any GOMAXPROCS. -json appends
 // a machine-readable benchmark record — wall time per experiment plus
-// allocation micro-benchmarks and a registry snapshot from a seeded fleet
-// scenario — for tracking perf across commits.
+// micro-benchmarks and a registry snapshot from a seeded fleet scenario —
+// for tracking perf across commits. The micros share one estimator
+// (runMicros): each row's fastest of microRounds rounds taken
+// round-robin, with its spread and every round's ns/op.
 //
 // -compare turns mcbench into a regression gate:
 //
@@ -24,7 +26,10 @@
 // It prints GitHub-annotation warnings for metrics more than 25% slower
 // than the baseline (tolerancePct) and exits nonzero only for regressions
 // past 2x (failRatio), so noisy CI machines inform without blocking and
-// real cliffs still stop the merge.
+// real cliffs still stop the merge. A micro's ratio is read over the
+// median ratio of every micro both reports carry, so a host faster or
+// slower than the baseline's moves no row, and the absolute budgets (the
+// budgets table) are checked on the new report alone.
 // The gate is tiered: "quick" (every PR) checks figure timings and the
 // micro budgets; "full" (nightly) additionally requires the
 // directory-scale occupancy sweep — a run of ≥100k sessions inside an
@@ -46,9 +51,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
-	"testing"
 	"time"
 
 	"sessiondir"
@@ -118,36 +123,158 @@ func (o occupancyRecord) outcome() string {
 
 type microBenchResult struct {
 	Name string `json:"name"`
-	// NsPerOp is per *unit of work*: per allocation for the Allocate
+	// NsPerOp is per *unit of work* — per allocation for the Allocate
 	// micros, per address for the AllocateBatch micros, per datagram for
-	// the UDPRecv micros.
+	// the UDPRecv micros — in the row's fastest round; allocations and
+	// bytes are per op, in that round.
 	NsPerOp  float64 `json:"ns_per_op"`
 	AllocsOp int64   `json:"allocs_per_op"`
 	BytesOp  int64   `json:"bytes_per_op"`
+	// Spread is the slowest round's ns_per_op over the fastest's, and
+	// RoundsNs every round's in the order they ran: a ratio budget reads
+	// two rows round by round.
+	Spread   float64   `json:"spread,omitempty"`
+	RoundsNs []float64 `json:"rounds_ns_per_op,omitempty"`
 	// Receive-micro extras (zero elsewhere): drain rate and syscall
 	// amortization (datagrams retired per receive syscall).
 	DgramsPerSec float64 `json:"dgrams_per_sec,omitempty"`
 	BatchDepth   float64 `json:"batch_depth,omitempty"`
 }
 
-// runMicro times fn under testing.Benchmark. units is how many units of
-// work (addresses of a batch, say) one b.N iteration does; ns_per_op is
-// per unit, allocations and bytes per iteration.
-func runMicro(name string, units int, fn func(b *testing.B)) microBenchResult {
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		fn(b)
-	})
-	return microBenchResult{
-		Name:     name,
-		NsPerOp:  float64(res.T.Nanoseconds()) / float64(res.N*units),
-		AllocsOp: res.AllocsPerOp(),
-		BytesOp:  res.AllocedBytesPerOp(),
+// The micro harness's estimator: each row runs microRounds rounds of n
+// ops, n calibrated once so that a round lasts about roundLength, the
+// rounds taken in passes round-robin across every row, each from a
+// collected heap. A row reports its fastest round, which a round the host
+// slowed cannot move. A ratio budget reads its two rows pass by pass, and
+// the rows it pairs sit next to each other in a pass.
+const (
+	microRounds = 5
+	roundLength = 100 * time.Millisecond
+)
+
+// microRow is one micro-benchmark: run does n ops of units units of work
+// each, and panics if a check of what they did fails.
+type microRow struct {
+	name  string
+	units int
+	run   func(n int)
+}
+
+// untimed is how much of the running row's run was set-up it keeps off
+// its clock (offClock, or the receive row's fill).
+var untimed time.Duration
+
+// offClock runs f off the running row's clock.
+func offClock(f func()) {
+	start := time.Now()
+	f()
+	untimed += time.Since(start)
+}
+
+// each is a row's run that calls op n times, counting ops across runs:
+// op(i) is the row's i-th op.
+func each(op func(i int)) func(n int) {
+	i := 0
+	return func(n int) {
+		for end := i + n; i < end; i++ {
+			op(i)
+		}
 	}
 }
 
+// must panics on err: a failed check of a row, or of its set-up.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// sample runs r's n ops once: its wall time, the part of it timed, and
+// the heap allocations and bytes it made.
+func (r microRow) sample(n int) (wall, timed time.Duration, allocs, bytes int64) {
+	var before, after runtime.MemStats
+	untimed = 0
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	r.run(n)
+	wall = time.Since(start)
+	runtime.ReadMemStats(&after)
+	return wall, wall - untimed, int64(after.Mallocs - before.Mallocs), int64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// runMicros calibrates every row, then measures them. A row's ops per
+// round grow, aiming 20 % past roundLength and at most 100× a step, until
+// one run lasts roundLength.
+func runMicros(rows []microRow) []microBenchResult {
+	ops := make([]int, len(rows))
+	for i, r := range rows {
+		for ops[i] = 1; ; {
+			wall, _, _, _ := r.sample(ops[i])
+			if wall >= roundLength {
+				break
+			}
+			ops[i] = min(max(int(float64(ops[i])*1.2*float64(roundLength)/float64(max(wall, time.Microsecond))), ops[i]+1), 100*ops[i])
+		}
+	}
+	return measureRounds(rows, ops)
+}
+
+// measureRounds runs microRounds passes over rows, ops[i] ops of row i
+// each, and reports each row's fastest round and its spread. Rows a ratio
+// budget reads run next to each other and take their rounds in turns, a
+// tenth of each round at a time, so that they meet the host's moods
+// alike.
+func measureRounds(rows []microRow, ops []int) []microBenchResult {
+	out := make([]microBenchResult, len(rows))
+	for pass := 0; pass < microRounds; pass++ {
+		round := make([]microBenchResult, len(rows)) // the pass's total ns, allocations and bytes per row
+		for lo, hi := 0, 0; lo < len(rows); lo = hi {
+			for hi = lo + 1; hi < len(rows) && ratioBudgeted(rows[hi-1].name, rows[hi].name); hi++ {
+			}
+			turns := 1
+			if hi-lo > 1 {
+				turns = 10
+			}
+			runtime.GC() // as testing.B does: no row pays for another's garbage
+			for turn := 0; turn < turns; turn++ {
+				for i := lo; i < hi; i++ {
+					if k := ops[i]*(turn+1)/turns - ops[i]*turn/turns; k > 0 {
+						_, timed, allocs, bytes := rows[i].sample(k)
+						r := &round[i]
+						r.NsPerOp, r.AllocsOp, r.BytesOp = r.NsPerOp+float64(timed), r.AllocsOp+allocs, r.BytesOp+bytes
+					}
+				}
+			}
+		}
+		for i, r := range round {
+			m, n := &out[i], int64(ops[i])
+			ns := r.NsPerOp / float64(n*int64(rows[i].units))
+			if m.RoundsNs = append(m.RoundsNs, ns); pass == 0 || ns < m.NsPerOp {
+				*m = microBenchResult{Name: rows[i].name, NsPerOp: ns, AllocsOp: r.AllocsOp / n, BytesOp: r.BytesOp / n, RoundsNs: m.RoundsNs}
+			}
+		}
+	}
+	for i := range out {
+		if m := &out[i]; m.NsPerOp > 0 {
+			m.Spread = slices.Max(m.RoundsNs) / m.NsPerOp
+		}
+	}
+	return out
+}
+
+// ratioBudgeted reports whether a ratio budget reads rows a and b.
+func ratioBudgeted(a, b string) bool {
+	return slices.ContainsFunc(budgets, func(r budget) bool {
+		return r.kind == ratioAtMost && (r.row == a && r.other == b || r.row == b && r.other == a)
+	})
+}
+
+// epoch is the virtual time every micro's clock starts at.
+var epoch = time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
+
 // microBenches mirrors the hot-path micro-benchmarks in bench_test.go so a
-// plain mcbench run can record allocs/op without the test harness.
+// plain mcbench run can record allocs/op without the test harness. Every
+// row's state is built first and lives until the rounds are over.
 func microBenches() []microBenchResult {
 	mkView := func(n int, d mcast.TTLDistribution) []allocator.SessionInfo {
 		rng := stats.NewRNG(5)
@@ -157,7 +284,8 @@ func microBenches() []microBenchResult {
 		}
 		return view
 	}
-	cases := []struct {
+	var rows []microRow
+	for _, c := range []struct {
 		name  string
 		alloc allocator.Allocator
 		ttl   mcast.TTL
@@ -168,24 +296,18 @@ func microBenches() []microBenchResult {
 		// it nor IR may pay for the class counts only adaptive rules read.
 		{"AllocateIPR7", allocator.NewStaticPartitioned(4096, allocator.IPR7Separators()), 127},
 		{"AllocateHybrid", allocator.NewHybrid(4096), 127},
-	}
-	var out []microBenchResult
-	for _, c := range cases {
-		c := c
+	} {
 		view := mkView(500, mcast.DS4())
 		rng := stats.NewRNG(5)
-		out = append(out, runMicro(c.name, 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := c.alloc.Allocate(view, c.ttl, rng); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
+		rows = append(rows, microRow{c.name, 1, each(func(int) {
+			_, err := c.alloc.Allocate(view, c.ttl, rng)
+			must(err)
+		})})
 	}
 
 	// Batch allocation micros: ns_per_op here is per ADDRESS (total time
 	// over N batches of k), which is what the <1µs/address budget gates.
-	batchCases := []struct {
+	for _, c := range []struct {
 		name  string
 		alloc allocator.Allocator
 		k     int
@@ -193,35 +315,33 @@ func microBenches() []microBenchResult {
 		{"AllocateHybridBatch16", allocator.NewHybrid(4096), 16},
 		{"AllocateHybridBatch64", allocator.NewHybrid(4096), 64},
 		{"AllocateAdaptiveBatch16", allocator.NewAdaptive(4096, allocator.AdaptiveConfig{GapFraction: 0.2}), 16},
-	}
-	for _, c := range batchCases {
-		c := c
+	} {
 		view := mkView(500, mcast.DS4())
 		rng := stats.NewRNG(5)
 		dst := make([]mcast.Addr, 0, c.k)
-		out = append(out, runMicro(c.name, c.k, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var err error
-				dst, err = c.alloc.AllocateBatch(view, 127, c.k, dst[:0], rng)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
+		rows = append(rows, microRow{c.name, c.k, each(func(int) {
+			var err error
+			dst, err = c.alloc.AllocateBatch(view, 127, c.k, dst[:0], rng)
+			must(err)
+		})})
 	}
 
 	// Receive-path micro: the batched zero-copy drain, per datagram, fill
-	// excluded (see transport.RecvThroughput).
-	if res, err := transport.RecvThroughput(200, 64, 64); err != nil {
+	// excluded (see transport.RecvThroughput). An op is a 64-datagram fill
+	// and drain; a run's two sockets and their buffers count in its
+	// allocations and bytes. Its drain rate and batch depth are over all
+	// its runs.
+	var recv transport.RecvThroughputResult
+	if _, err := transport.RecvThroughput(1, 64, 64); err != nil {
 		fmt.Fprintf(os.Stderr, "recv micro UDPRecvBatch skipped: %v\n", err)
 	} else {
-		out = append(out, microBenchResult{
-			Name:         "UDPRecvBatch",
-			NsPerOp:      res.NsPerDatagram(),
-			AllocsOp:     int64(res.AllocsPerDatagram + 0.5),
-			DgramsPerSec: res.DatagramsPerSec(),
-			BatchDepth:   res.BatchDepth(),
-		})
+		rows = append(rows, microRow{"UDPRecvBatch", 64, func(n int) {
+			start := time.Now()
+			res, err := transport.RecvThroughput(n, 64, 64)
+			must(err)
+			untimed += time.Since(start) - time.Duration(res.NsPerDatagram()*float64(n*64))
+			recv.Datagrams, recv.Reads, recv.DrainNs = recv.Datagrams+res.Datagrams, recv.Reads+res.Reads, recv.DrainNs+res.DrainNs
+		}})
 	}
 
 	// SAP decode micro: the aliasing zero-copy decode the receive path
@@ -229,21 +349,21 @@ func microBenches() []microBenchResult {
 	// with an explicit application/sdp payload type, so the number
 	// exercises the payload-type interning too.
 	sdpWire := sampleSAPWire()
-	out = append(out, runMicro("SAPDecodeZeroCopy", 1, func(b *testing.B) {
-		var p sap.Packet
-		for i := 0; i < b.N; i++ {
-			if err := p.Decode(sdpWire); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
+	var p sap.Packet
+	rows = append(rows, microRow{"SAPDecodeZeroCopy", 1, each(func(int) { must(p.Decode(sdpWire)) })})
 
-	out = append(out, checkpointMicros()...)
-	out = append(out, cacheScanMicros()...)
-	out = append(out, listenerMicros()...)
-	out = append(out, directoryMicros()...)
-	out = append(out, simMicros()...)
-	out = append(out, treeMicros()...)
+	rows = append(rows, checkpointMicro())
+	rows = append(rows, cacheScanMicros()...)
+	rows = append(rows, listenerMicros()...)
+	rows = append(rows, directoryMicros()...)
+	rows = append(rows, simMicros()...)
+	rows = append(rows, treeMicros()...)
+	out := runMicros(rows)
+	for i := range out {
+		if m := &out[i]; m.Name == "UDPRecvBatch" {
+			m.DgramsPerSec, m.BatchDepth = recv.DatagramsPerSec(), recv.BatchDepth()
+		}
+	}
 	return out
 }
 
@@ -259,28 +379,19 @@ const spTreeAllocs = 9
 // simulator's set-up, which builds one per origin it reaches from — and
 // over a 51 200-node Doar grid, the unit of the request–response figures
 // at paper scale.
-func treeMicros() []microBenchResult {
+func treeMicros() []microRow {
 	mbone, err := topology.GenerateMbone(topology.MboneConfig{Nodes: 1864}, stats.NewRNG(1998))
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	grid, err := topology.GenerateGrid(51200, stats.NewRNG(1998))
-	if err != nil {
-		panic(err)
-	}
-	var out []microBenchResult
+	must(err)
+	var rows []microRow
 	for _, c := range []struct {
 		name string
 		g    *topology.Graph
 	}{{"SPTree1864", mbone}, {"SPTreeGrid51200", grid}} {
-		g := c.g
-		out = append(out, runMicro(c.name, 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				topology.NewSPTree(g, topology.NodeID(i%g.NumNodes()))
-			}
-		}))
+		rows = append(rows, microRow{c.name, 1, each(func(root int) { topology.NewSPTree(c.g, topology.NodeID(root%c.g.NumNodes())) })})
 	}
-	return out
+	return rows
 }
 
 // simMicros times the occupancy simulator over a world of Hybrid-placed
@@ -291,11 +402,9 @@ func treeMicros() []microBenchResult {
 // placement clashes, which reads only the residents at its address; and
 // one whole churn placement at 10k residents: remove a resident, view,
 // allocate, test for a clash, add.
-func simMicros() []microBenchResult {
+func simMicros() []microRow {
 	g, err := topology.GenerateMbone(topology.MboneConfig{Nodes: 400}, stats.NewRNG(1998))
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	dist := mcast.DS4()
 	cache := topology.NewReachCache(g)
 	for n := 0; n < g.NumNodes(); n++ {
@@ -316,15 +425,12 @@ func simMicros() []microBenchResult {
 		}
 		return w
 	}
-	var out []microBenchResult
-	var w *sim.World // left at 10k residents for SimClashes10k
+	var rows []microRow
+	var w *sim.World // left at 10k residents for SimClashes10k and SimPlace10k
 	for _, n := range []int{1000, 10000} {
-		w = world(n)
-		out = append(out, runMicro(fmt.Sprintf("SimVisibleAt%dk", n/1000), 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w.VisibleAt(topology.NodeID(i % g.NumNodes()))
-			}
-		}))
+		at := world(n)
+		rows = append(rows, microRow{fmt.Sprintf("SimVisibleAt%dk", n/1000), 1, each(func(observer int) { at.VisibleAt(topology.NodeID(observer % g.NumNodes())) })})
+		w = at
 	}
 	rng := stats.NewRNG(6)
 	type probe struct {
@@ -336,25 +442,20 @@ func simMicros() []microBenchResult {
 	for i := range probes {
 		probes[i] = probe{topology.NodeID(rng.IntN(g.NumNodes())), dist.Sample(rng.IntN), mcast.Addr(rng.IntN(space))}
 	}
-	out = append(out, runMicro("SimClashes10k", 1, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+	alloc := allocator.NewHybrid(space)
+	return append(rows,
+		microRow{"SimClashes10k", 1, each(func(i int) {
 			p := probes[i%len(probes)]
 			w.Clashes(p.origin, p.ttl, p.addr)
-		}
-	}))
-	alloc := allocator.NewHybrid(space)
-	return append(out, runMicro("SimPlace10k", 1, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+		})},
+		microRow{"SimPlace10k", 1, each(func(i int) {
 			p := probes[i%len(probes)]
 			w.RemoveAt(rng.IntN(w.Len()))
 			addr, err := alloc.Allocate(w.VisibleAt(p.origin), p.ttl, rng)
-			if err != nil {
-				b.Fatal(err)
-			}
+			must(err)
 			w.Clashes(p.origin, p.ttl, addr)
 			w.Add(p.origin, p.ttl, addr)
-		}
-	}))
+		})})
 }
 
 // cacheScanMicros times the cache's answers over 16384 live entries:
@@ -362,30 +463,25 @@ func simMicros() []microBenchResult {
 // cache's earliest-deadline bound answers without walking the entries (the
 // walk it replaced read ~0.6 ms here), and Live, the checkpoint's and
 // Sessions' walk.
-func cacheScanMicros() []microBenchResult {
-	base := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
+func cacheScanMicros() []microRow {
 	c := announce.NewCache(time.Hour)
 	for i := 0; i < 16384; i++ {
 		c.Observe(&session.Description{ID: uint64(i), Version: 1, TTL: 127, Name: "mcbench cache sample",
 			Origin: netip.AddrFrom4([4]byte{10, 2, byte(i >> 8), byte(i)}),
-			Group:  netip.AddrFrom4([4]byte{224, 2, byte(i >> 8), byte(i)})}, base)
+			Group:  netip.AddrFrom4([4]byte{224, 2, byte(i >> 8), byte(i)})}, epoch)
 	}
-	now := base.Add(time.Minute)
-	return []microBenchResult{
-		runMicro("CacheExpire16k", 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if n := len(c.Expire(now)); n != 0 {
-					b.Fatalf("%d entries expired a minute in", n)
-				}
+	now := epoch.Add(time.Minute)
+	return []microRow{
+		{"CacheExpire16k", 1, each(func(int) {
+			if expired := len(c.Expire(now)); expired != 0 {
+				panic(fmt.Sprintf("CacheExpire16k: %d entries expired a minute in", expired))
 			}
-		}),
-		runMicro("CacheLive16k", 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if n := len(c.Live()); n != 16384 {
-					b.Fatalf("%d live entries of 16384", n)
-				}
+		})},
+		{"CacheLive16k", 1, each(func(int) {
+			if live := len(c.Live()); live != 16384 {
+				panic(fmt.Sprintf("CacheLive16k: %d live entries of 16384", live))
 			}
-		}),
+		})},
 	}
 }
 
@@ -399,8 +495,8 @@ func cacheScanMicros() []microBenchResult {
 // digest that lets an unchanged re-announcement skip the parse
 // (PayloadDigest's unit is the byte: its ns_per_op is the reciprocal of
 // GB/s).
-func listenerMicros() []microBenchResult {
-	var out []microBenchResult
+func listenerMicros() []microRow {
+	var rows []microRow
 	// BesideFlood re-announces 1k quiet sessions beside a clash flood:
 	// 20k sessions over the 10k addresses below theirs, a third-party
 	// defence pending at each. A thousand, so that what it adds to
@@ -430,24 +526,18 @@ func listenerMicros() []microBenchResult {
 			}
 			tr.Observe(known[i])
 		}
-		out = append(out, runMicro(c.name, 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tr.Observe(known[i%len(known)])
-			}
-		}))
+		rows = append(rows, microRow{c.name, 1, each(func(i int) { tr.Observe(known[i%len(known)]) })})
 		if c.flood == 0 {
 			continue
 		}
 		// The flood was heard at 0 ms, so every defence falls due after
 		// it: a tick then has nothing to hand over, and must not walk the
 		// 10k defences to find that out.
-		out = append(out, runMicro("ClashDueNothing10k", 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if due := tr.Due(0); len(due) != 0 {
-					b.Fatalf("%d defences due at the flood's instant", len(due))
-				}
+		rows = append(rows, microRow{"ClashDueNothing10k", 1, each(func(int) {
+			if due := tr.Due(0); len(due) != 0 {
+				panic(fmt.Sprintf("ClashDueNothing10k: %d defences due at the flood's instant", len(due)))
 			}
-		}))
+		})})
 	}
 	desc := &session.Description{
 		ID: 3141592653, Version: 3, OriginUser: "mjh",
@@ -463,96 +553,86 @@ func listenerMicros() []microBenchResult {
 		},
 	}
 	payload, err := desc.MarshalSDP()
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	pkt := sap.Packet{Type: sap.Announce, MsgIDHash: sap.MsgIDHashOf(payload), Origin: desc.Origin, Payload: payload}
 	compressed, err := pkt.MarshalCompressed(nil)
-	if err != nil {
-		panic(err)
-	}
-	return append(out,
-		runMicro("SessionMarshalSDP", 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := desc.MarshalSDP(); err != nil {
-					b.Fatal(err)
-				}
+	must(err)
+	var p sap.Packet
+	return append(rows,
+		microRow{"SessionMarshalSDP", 1, each(func(int) {
+			_, err := desc.MarshalSDP()
+			must(err)
+		})},
+		microRow{"SessionParseSDP", 1, each(func(int) {
+			_, err := session.ParseSDP(payload)
+			must(err)
+		})},
+		microRow{"SAPDecodeCompressed", 1, each(func(int) { must(p.DecodeMaybeCompressed(compressed)) })},
+		microRow{"PayloadDigest", len(payload), each(func(i int) {
+			if sap.PayloadDigest(uint64(i), payload) == 0 {
+				panic("PayloadDigest: a digest was 0")
 			}
-		}),
-		runMicro("SessionParseSDP", 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := session.ParseSDP(payload); err != nil {
-					b.Fatal(err)
-				}
+		})},
+		microRow{"SessionKey", 1, each(func(int) {
+			if desc.Key() == "" {
+				panic("SessionKey: empty key")
 			}
-		}),
-		runMicro("SAPDecodeCompressed", 1, func(b *testing.B) {
-			var p sap.Packet
-			for i := 0; i < b.N; i++ {
-				if err := p.DecodeMaybeCompressed(compressed); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		runMicro("PayloadDigest", len(payload), func(b *testing.B) {
-			var sum uint64
-			for i := 0; i < b.N; i++ {
-				sum += sap.PayloadDigest(uint64(i), payload)
-			}
-			if sum == 0 {
-				b.Fatal("every digest was 0")
-			}
-		}),
-		runMicro("SessionKey", 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if desc.Key() == "" {
-					b.Fatal("empty key")
-				}
-			}
-		}))
+		})})
 }
 
-// directoryMicros measures the two Directory operations that used to
-// rebuild a picture of the whole cache per call, each at 1k and 10k cached
-// sessions: admitting a never-seen session into a full session budget
-// (datagram in, one stale entry evicted, newcomer cached) and creating a
-// session (an address picked by the default AIPR-1 from the directory's
-// allocator state, session registered and announced; the withdrawal that
-// keeps the owned population constant is inside the timed op). With the
-// eviction order and the allocator state kept at the cache's mutation
-// sites the 10k figures stay near the 1k ones. Third, the
-// datagram a listener mostly hears: DirRefreshKnown is a 32-datagram
-// HandleBatch of unchanged re-announcements, walking the whole cached
-// population batch by batch; its unit is the datagram, its allocations are
-// per batch. Last, the two calls a budget adds to a full cache's steady
-// state: a tick with nothing due, which also counts the fresh entries for
-// the overload tier (DirStep, DirStepBudgeted), and a newcomer from an
-// origin at its quota of fresh sessions (DirAdmitAtQuota), also beside a
-// third of the cache gone stale (DirAdmitAtQuotaStale). And an announcer's
-// steady state: a tick that re-announces 256 owned sessions
-// (DirStepReannounce256). And persistence at 10k heard sessions, per
-// session: a checkpoint (DirCheckpoint10k) and a cold directory's
-// recovery from it (DirRecover10k). And learns beside a clash flood
-// (DirLearnClashing10k/100k, see learnClashing).
-func directoryMicros() []microBenchResult {
-	var out []microBenchResult
-	origin := netip.MustParseAddr("10.0.0.1")
-	base := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
+// clockedDir is a Directory on its own virtual clock, so that rows taking
+// turns never move each other's time.
+type clockedDir struct {
+	*sessiondir.Directory
+	now time.Time
+}
+
+// newClockedDir makes a directory of origin 10.0.0.1, seed 5, on a clock
+// starting at epoch.
+func newClockedDir(cfg sessiondir.Config) *clockedDir {
+	d := &clockedDir{now: epoch}
+	cfg.Origin, cfg.Seed, cfg.Clock = netip.MustParseAddr("10.0.0.1"), 5, func() time.Time { return d.now }
+	var err error
+	d.Directory, err = sessiondir.New(cfg)
+	must(err)
+	return d
+}
+
+// ownedDir is a directory that sends nowhere and owns n sessions, none due
+// for re-announcement within the next five seconds.
+func ownedDir(n int) *clockedDir {
+	d := newClockedDir(sessiondir.Config{Transport: discardTransport{}})
+	for i := 0; i < n; i++ {
+		_, err := d.CreateSession(&session.Description{Name: fmt.Sprintf("mcbench own %d", i), TTL: 127,
+			Media: []session.Media{{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"}}})
+		must(err)
+	}
+	return d
+}
+
+// directoryMicros measures Directory calls at 1k and 10k cached sessions:
+// an unknown session admitted into a full budget; a create, with the
+// withdrawal that keeps the owned population constant; a 32-datagram batch
+// of unchanged re-announcements (its unit the datagram, its allocations
+// per batch); a tick with nothing due, with and without a session budget;
+// and a newcomer denied at its origin's quota, with and without a stale
+// third of the cache. With the cache's indices kept at its mutation sites
+// each 10k figure stays near the 1k one. Then an announcer's ticks
+// (DirStepReannounce256; DirStepOwned256/16k, recorded, not gated: a tick
+// walks the owned sessions), persistence at 10k heard sessions, per
+// session (DirCheckpoint10k, DirRecover10k), and learns beside a clash
+// flood (learnClashing).
+func directoryMicros() []microRow {
+	var sized [2][]microRow // the 1k rows and the 10k rows, in one order
 	space := mcast.SAPDynamicSpace()
 	wireOf := func(i, o int) transport.Message {
 		return sampleAnnouncement(i, o, space.Group(mcast.Addr(i%int(space.Size))))
 	}
-	for _, n := range []int{1000, 10000} {
-		now := base
-		newDir := func(budget, perOrigin int) *sessiondir.Directory {
-			d, err := sessiondir.New(sessiondir.Config{
-				Origin: origin, Transport: transport.NewBus().Endpoint(), Clock: func() time.Time { return now },
-				Seed: 5, MaxSessions: budget, MaxPerOrigin: perOrigin, StaleAfter: time.Minute,
-			})
-			if err != nil {
-				panic(err)
-			}
-			return d
+	for s, n := range []int{1000, 10000} {
+		size := fmt.Sprintf("%dk", n/1000)
+		newDir := func(budget, perOrigin int) *clockedDir {
+			return newClockedDir(sessiondir.Config{Transport: transport.NewBus().Endpoint(),
+				MaxSessions: budget, MaxPerOrigin: perOrigin, StaleAfter: time.Minute})
 		}
 		// Twice the budget in distinct sessions, sent round-robin: by the
 		// time one comes round again it has long been evicted, so every
@@ -565,126 +645,106 @@ func directoryMicros() []microBenchResult {
 		}
 		admit := newDir(n, 0)
 		admit.HandleBatch(wires[:n])
-		now = now.Add(2 * time.Minute)
+		admit.now = admit.now.Add(2 * time.Minute)
 		next := n
-		out = append(out, runMicro(fmt.Sprintf("DirAdmitUnknown%dk", n/1000), 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				now = now.Add(time.Second)
+		sized[s] = append(sized[s], microRow{"DirAdmitUnknown" + size, 1, func(ops int) {
+			for i := 0; i < ops; i++ {
+				admit.now = admit.now.Add(time.Second)
 				admit.HandleBatch(wires[next%len(wires) : next%len(wires)+1])
 				next++
 			}
-		}))
-		if m := admit.Metrics(); m.Shed != 0 || admit.CacheSize() != n {
-			panic(fmt.Sprintf("DirAdmitUnknown: %d shed, cache %d of %d: not one eviction per admission", m.Shed, admit.CacheSize(), n))
-		}
-		admit.Close()
+			if m := admit.Metrics(); m.Shed != 0 || admit.CacheSize() != n {
+				panic(fmt.Sprintf("DirAdmitUnknown: %d shed, cache %d of %d: not one eviction per admission", m.Shed, admit.CacheSize(), n))
+			}
+		}})
 
 		create := newDir(0, 0)
 		create.HandleBatch(wires[:n])
 		desc := &session.Description{Name: "mcbench own", TTL: 127,
 			Media: []session.Media{{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"}}}
-		out = append(out, runMicro(fmt.Sprintf("DirCreateSession%dk", n/1000), 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				own, err := create.CreateSession(desc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := create.WithdrawSession(own.Key()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-		create.Close()
+		sized[s] = append(sized[s], microRow{"DirCreateSession" + size, 1, each(func(int) {
+			own, err := create.CreateSession(desc)
+			must(err)
+			must(create.WithdrawSession(own.Key()))
+		})})
 
 		listen := newDir(0, 0)
 		listen.HandleBatch(wires[:n])
 		const batch = 32
-		at := 0
-		out = append(out, runMicro(fmt.Sprintf("DirRefreshKnown%dk", n/1000), batch, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				now = now.Add(time.Second)
-				listen.HandleBatch(wires[at : at+batch])
-				if at += batch; at+batch > n {
-					at = 0
-				}
-			}
-		}))
+		listen.HandleBatch(wires[:batch])
 		for _, mv := range listen.Registry().Snapshot() {
 			if mv.Name == "dir_refresh_fast_total" && mv.Value == 0 {
 				panic("DirRefreshKnown: no datagram took the refresh path")
 			}
 		}
-		listen.Close()
+		sized[s] = append(sized[s], microRow{"DirRefreshKnown" + size, batch, each(func(i int) {
+			at := i % (n / batch) * batch
+			listen.now = listen.now.Add(time.Second)
+			listen.HandleBatch(wires[at : at+batch])
+		})})
 
 		// A timer tick with nothing due — what almost every tick of a
 		// listener is: no owned session to re-announce, no defence, and no
 		// cached session within a microsecond-per-tick run of its expiry.
-		tick := newDir(0, 0)
-		tick.HandleBatch(wires[:n])
-		out = append(out, runMicro(fmt.Sprintf("DirStep%dk", n/1000), 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				now = now.Add(time.Microsecond)
-				tick.Step(now)
-			}
-		}))
-		if m := tick.Metrics(); m.SessionsExpired != 0 || tick.CacheSize() != n {
-			panic(fmt.Sprintf("DirStep: %d sessions expired, cache %d of %d: not a tick with nothing due", m.SessionsExpired, tick.CacheSize(), n))
+		// Then the same tick under a full session budget, which also takes
+		// the fresh count for the overload tier: the cache's memo answers it.
+		for _, c := range []struct {
+			name   string
+			budget int
+		}{{"DirStep", 0}, {"DirStepBudgeted", n}} {
+			tick := newDir(c.budget, 0)
+			tick.HandleBatch(wires[:n])
+			sized[s] = append(sized[s], microRow{c.name + size, 1, func(ops int) {
+				for i := 0; i < ops; i++ {
+					tick.now = tick.now.Add(time.Microsecond)
+					tick.Step(tick.now)
+				}
+				if m := tick.Metrics(); m.SessionsExpired != 0 || tick.CacheSize() != n {
+					panic(fmt.Sprintf("%s: %d sessions expired, cache %d of %d: not a tick with nothing due", c.name, m.SessionsExpired, tick.CacheSize(), n))
+				}
+			}})
 		}
-		tick.Close()
-
-		// The same tick under a full session budget, which also takes the
-		// fresh count for the overload tier: the cache's memo answers it.
-		budgeted := newDir(n, 0)
-		budgeted.HandleBatch(wires[:n])
-		out = append(out, runMicro(fmt.Sprintf("DirStepBudgeted%dk", n/1000), 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				now = now.Add(time.Microsecond)
-				budgeted.Step(now)
-			}
-		}))
-		if m := budgeted.Metrics(); m.SessionsExpired != 0 || budgeted.CacheSize() != n {
-			panic(fmt.Sprintf("DirStepBudgeted: %d sessions expired, cache %d of %d: not a tick with nothing due", m.SessionsExpired, budgeted.CacheSize(), n))
-		}
-		budgeted.Close()
 
 		// A never-seen session from an origin at its quota of a hundred,
 		// all of them fresh: the planner finds nothing of the origin's to
 		// evict and denies it, having looked only at the top of the order.
-		quota := newDir(0, 100)
-		quota.HandleBatch(wires[:n])
+		// Then the same denial when a third of the cache is stale sessions
+		// of other origins, which a walk of the order for the origin's
+		// evictable entries would visit: the origin's counts show it has
+		// none, so the planner denies it without one.
 		crowd := make([]transport.Message, 256)
 		for i := range crowd {
 			crowd[i] = wireOf(2*n+i, 0)
 		}
-		out = append(out, runMicro(fmt.Sprintf("DirAdmitAtQuota%dk", n/1000), 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				now = now.Add(time.Microsecond)
-				quota.HandleBatch(crowd[i%len(crowd) : i%len(crowd)+1])
-			}
-		}))
-		if m := quota.Metrics(); m.QuotaDrops == 0 || m.SessionsLearned != uint64(n) || quota.CacheSize() != n {
-			panic(fmt.Sprintf("DirAdmitAtQuota: %d quota drops, %d learned, cache %d of %d: not every newcomer denied", m.QuotaDrops, m.SessionsLearned, quota.CacheSize(), n))
-		}
-		quota.Close()
-
-		// The same denial when a third of the cache is stale sessions of
-		// other origins, which a walk of the order for the origin's
-		// evictable entries would visit: the origin's counts show it has
-		// none, so the planner denies it without one.
+		quota := newDir(0, 100)
+		quota.HandleBatch(wires[:n])
 		stale := newDir(0, 100)
 		stale.HandleBatch(wires[n-n/3 : n])
-		now = now.Add(2 * time.Minute)
+		stale.now = stale.now.Add(2 * time.Minute)
 		stale.HandleBatch(wires[:n-n/3])
-		out = append(out, runMicro(fmt.Sprintf("DirAdmitAtQuotaStale%dk", n/1000), 1, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				now = now.Add(time.Microsecond)
-				stale.HandleBatch(crowd[i%len(crowd) : i%len(crowd)+1])
-			}
-		}))
-		if m := stale.Metrics(); m.QuotaDrops == 0 || m.SessionsLearned != uint64(n) || m.Evictions != 0 || stale.CacheSize() != n {
-			panic(fmt.Sprintf("DirAdmitAtQuotaStale: %d quota drops, %d learned, %d evicted, cache %d of %d: not every newcomer denied", m.QuotaDrops, m.SessionsLearned, m.Evictions, stale.CacheSize(), n))
+		for _, c := range []struct {
+			name string
+			d    *clockedDir
+		}{{"DirAdmitAtQuota", quota}, {"DirAdmitAtQuotaStale", stale}} {
+			sent := 0
+			sized[s] = append(sized[s], microRow{c.name + size, 1, func(ops int) {
+				for i := 0; i < ops; i++ {
+					c.d.now = c.d.now.Add(time.Microsecond)
+					c.d.HandleBatch(crowd[sent%len(crowd) : sent%len(crowd)+1])
+					sent++
+				}
+				if m := c.d.Metrics(); m.QuotaDrops == 0 || m.SessionsLearned != uint64(n) || m.Evictions != 0 || c.d.CacheSize() != n {
+					panic(fmt.Sprintf("%s: %d quota drops, %d learned, %d evicted, cache %d of %d: not every newcomer denied",
+						c.name, m.QuotaDrops, m.SessionsLearned, m.Evictions, c.d.CacheSize(), n))
+				}
+			}})
 		}
-		stale.Close()
+	}
+	// A row's two sizes run back to back in each pass, so that a ratio
+	// budget reads them at one host speed.
+	var rows []microRow
+	for i := range sized[0] {
+		rows = append(rows, sized[0][i], sized[1][i])
 	}
 
 	// A checkpoint of a listener that heard 10 000 sessions — each entry's
@@ -697,50 +757,32 @@ func directoryMicros() []microBenchResult {
 	for i := range heard {
 		heard[i] = wireOf(i, i/100)
 	}
-	listener := func() *sessiondir.Directory {
-		d, err := sessiondir.New(sessiondir.Config{
-			Origin: origin, Transport: discardTransport{}, Clock: func() time.Time { return base }, Seed: 5,
-		})
-		if err != nil {
-			panic(err)
-		}
-		return d
-	}
-	const cacheBase = "mcbench.cache"
-	fsys := storage.NewMemFS()
+	listener := func() *clockedDir { return newClockedDir(sessiondir.Config{Transport: discardTransport{}}) }
 	keeper := listener()
 	keeper.HandleBatch(heard)
-	kept, _, err := sessiondir.OpenCacheStore(fsys, cacheBase, keeper)
-	if err != nil {
-		panic(err)
+	openStore := func(fsys storage.FS) *sessiondir.CacheStore {
+		cs, _, err := sessiondir.OpenCacheStore(fsys, "mcbench.cache", keeper.Directory)
+		must(err)
+		return cs
 	}
-	out = append(out, runMicro("DirCheckpoint10k", persisted, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if err := kept.Checkpoint(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-	if err := kept.Close(); err != nil {
-		panic(err)
+	// DirRecover10k reads a file of its own, so that the checkpoints
+	// DirCheckpoint10k takes between its rounds never touch it.
+	saved := storage.NewMemFS()
+	if cs := openStore(saved); cs.Checkpoint() != nil || cs.Close() != nil {
+		panic("DirRecover10k: the snapshot to recover from was not written")
 	}
-	keeper.Close()
-	out = append(out, runMicro("DirRecover10k", persisted, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+	kept := openStore(storage.NewMemFS())
+	rows = append(rows, microRow{"DirCheckpoint10k", persisted, each(func(int) { must(kept.Checkpoint()) })},
+		microRow{"DirRecover10k", persisted, each(func(int) {
 			d := listener()
-			cs, _, err := sessiondir.OpenCacheStore(fsys, cacheBase, d)
-			if err != nil {
-				b.Fatal(err)
-			}
+			cs, _, err := sessiondir.OpenCacheStore(saved, "mcbench.cache", d.Directory)
+			must(err)
 			if cs.Loaded() != persisted {
-				b.Fatalf("DirRecover10k: %d sessions recovered, want %d", cs.Loaded(), persisted)
+				panic(fmt.Sprintf("DirRecover10k: %d sessions recovered, want %d", cs.Loaded(), persisted))
 			}
-			if err := cs.Close(); err != nil {
-				b.Fatal(err)
-			}
+			must(cs.Close())
 			d.Close()
-		}
-	}))
+		})})
 
 	// A tick that re-announces 256 owned sessions, every one due: the
 	// owned-map walk, the sort of the due keys, and 256 datagrams written
@@ -748,34 +790,35 @@ func directoryMicros() []microBenchResult {
 	// kept from its first send. The transport keeps nothing. Its unit is
 	// the session; its allocations are per Step: 256 datagrams outgrow the
 	// arena chunks and datagram slots a flush keeps.
-	now := base
-	reannounce, err := sessiondir.New(sessiondir.Config{
-		Origin: origin, Transport: discardTransport{}, Clock: func() time.Time { return now }, Seed: 5,
-	})
-	if err != nil {
-		panic(err)
-	}
 	const owned = 256
-	for i := 0; i < owned; i++ {
-		if _, err := reannounce.CreateSession(&session.Description{Name: fmt.Sprintf("mcbench own %d", i), TTL: 127,
-			Media: []session.Media{{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"}}}); err != nil {
-			panic(err)
+	reannounce := ownedDir(owned)
+	rows = append(rows, microRow{"DirStepReannounce256", owned, func(n int) {
+		sent := reannounce.Metrics().AnnouncementsSent
+		for i := 0; i < n; i++ {
+			reannounce.now = reannounce.now.Add(time.Hour) // past every session's next announcement
+			reannounce.Step(reannounce.now)
 		}
-	}
-	sent := reannounce.Metrics().AnnouncementsSent
-	steps := 0
-	out = append(out, runMicro("DirStepReannounce256", owned, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			now = now.Add(time.Hour) // past every session's next announcement
-			reannounce.Step(now)
+		if m := reannounce.Metrics(); m.AnnouncementsSent-sent != uint64(n*owned) {
+			panic(fmt.Sprintf("DirStepReannounce256: %d announcements in %d Steps: not every session re-announced each Step", m.AnnouncementsSent-sent, n))
 		}
-		steps += b.N
-	}))
-	if m := reannounce.Metrics(); m.AnnouncementsSent-sent != uint64(steps*owned) {
-		panic(fmt.Sprintf("DirStepReannounce256: %d announcements in %d Steps: not every session re-announced each Step", m.AnnouncementsSent-sent, steps))
+	}})
+	for _, c := range []struct {
+		name  string
+		owned int
+	}{{"DirStepOwned256", owned}, {"DirStepOwned16k", 16384}} {
+		quiet := ownedDir(c.owned)
+		sent := quiet.Metrics().AnnouncementsSent
+		rows = append(rows, microRow{c.name, 1, func(n int) {
+			for i := 0; i < n; i++ {
+				quiet.now = quiet.now.Add(time.Microsecond)
+				quiet.Step(quiet.now)
+			}
+			if m := quiet.Metrics(); m.AnnouncementsSent != sent {
+				panic(fmt.Sprintf("%s: %d announcements: not a tick with nothing due", c.name, m.AnnouncementsSent-sent))
+			}
+		}})
 	}
-	reannounce.Close()
-	return append(out, learnClashing(10000), learnClashing(100000))
+	return append(rows, learnClashing(10000), learnClashing(100000))
 }
 
 // sampleAnnouncement is the announcement of session i, at group, by origin
@@ -789,25 +832,21 @@ func sampleAnnouncement(i, o int, group netip.Addr) transport.Message {
 		Media: []session.Media{{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"}},
 	}
 	payload, err := d.MarshalSDP()
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	pkt := sap.Packet{Type: sap.Announce, MsgIDHash: sap.MsgIDHashOf(payload), Origin: d.Origin, Payload: payload}
 	wire, err := pkt.Marshal(nil)
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	return transport.Message{Data: wire}
 }
 
-// learnClashing is DirLearnClashing<n/1000>k: fresh bare directories over
-// n/2 addresses each learn n sessions at random addresses, most of them
+// learnClashing is DirLearnClashing<n/1000>k: a fresh bare directory over
+// n/2 addresses learns n sessions at random addresses, most of them
 // scheduling third-party defences, in 32-datagram batches 10 ms of virtual
-// time apart with a Step each virtual second. A learn cannot be repeated, so
-// whole fills are timed, their HandleBatch calls only: 3×10⁵ learns per
-// row, over the same 0-to-2 sessions per address at either size. Its unit
-// is the datagram; its allocations are per batch.
-func learnClashing(n int) microBenchResult {
+// time apart with a Step each virtual second. A learn cannot be repeated,
+// so an op is a whole fill from a collected heap, its HandleBatch calls
+// timed, over the same 0-to-2 sessions per address at either size. Its
+// unit is the datagram; its allocations are per fill.
+func learnClashing(n int) microRow {
 	const batch = 32
 	space := mcast.SyntheticSpace(uint32(n / 2))
 	rng := stats.NewRNG(5)
@@ -815,40 +854,27 @@ func learnClashing(n int) microBenchResult {
 	for i := range wires {
 		wires[i] = sampleAnnouncement(i, i/100, space.Group(mcast.Addr(rng.IntN(n/2))))
 	}
-	fills := 300000 / n
-	var elapsed time.Duration
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for fill := 0; fill < fills; fill++ {
-		now := time.Date(1998, 9, 1, 12, 0, 0, 0, time.UTC)
-		d, err := sessiondir.New(sessiondir.Config{
-			Origin: netip.MustParseAddr("10.0.0.1"), Transport: discardTransport{},
-			Clock: func() time.Time { return now }, Seed: 5, Space: space,
-		})
-		if err != nil {
-			panic(err)
-		}
-		for at := 0; at < n; at += batch {
-			start := time.Now()
-			d.HandleBatch(wires[at:min(at+batch, n)])
-			elapsed += time.Since(start)
-			if now = now.Add(10 * time.Millisecond); (at/batch+1)%100 == 0 { // a virtual second
-				d.Step(now)
+	return microRow{fmt.Sprintf("DirLearnClashing%dk", n/1000), n, func(fills int) {
+		for fill := 0; fill < fills; fill++ {
+			var d *clockedDir
+			offClock(func() {
+				runtime.GC() // the other fills' garbage is collected in none
+				d = newClockedDir(sessiondir.Config{Transport: discardTransport{}, Space: space})
+			})
+			for at := 0; at < n; at += batch {
+				d.HandleBatch(wires[at:min(at+batch, n)])
+				if d.now = d.now.Add(10 * time.Millisecond); (at/batch+1)%100 == 0 { // a virtual second
+					offClock(func() { d.Step(d.now) })
+				}
 			}
+			offClock(func() {
+				if m := d.Metrics(); m.SessionsLearned != uint64(n) || m.ClashDefensesThird == 0 {
+					panic(fmt.Sprintf("DirLearnClashing: %d of %d sessions learned, %d third-party defences: not a clash flood", m.SessionsLearned, n, m.ClashDefensesThird))
+				}
+				d.Close()
+			})
 		}
-		if m := d.Metrics(); m.SessionsLearned != uint64(n) || m.ClashDefensesThird == 0 {
-			panic(fmt.Sprintf("DirLearnClashing: %d of %d sessions learned, %d third-party defences: not a clash flood", m.SessionsLearned, n, m.ClashDefensesThird))
-		}
-		d.Close()
-	}
-	runtime.ReadMemStats(&after)
-	batches := int64(fills * ((n + batch - 1) / batch))
-	return microBenchResult{
-		Name:     fmt.Sprintf("DirLearnClashing%dk", n/1000),
-		NsPerOp:  float64(elapsed.Nanoseconds()) / float64(fills*n),
-		AllocsOp: int64(after.Mallocs-before.Mallocs) / batches,
-		BytesOp:  int64(after.TotalAlloc-before.TotalAlloc) / batches,
-	}
+	}}
 }
 
 // discardTransport sends nowhere and keeps nothing, so a micro that sends
@@ -864,11 +890,11 @@ func (discardTransport) Close() error                                          {
 // holds).
 const checkpointSessions = 1000
 
-// checkpointMicros measures the journaled store's per-delta append —
-// what the daemon pays per learned session — over an in-memory VFS. The
-// budget gate pins it in absolute terms: an append that allocates or
-// costs microseconds has started doing work that grows with something.
-func checkpointMicros() []microBenchResult {
+// checkpointMicro measures the journaled store's per-delta append — what
+// the daemon pays per learned session — over an in-memory VFS. The budget
+// gate pins it in absolute terms: an append that allocates or costs
+// microseconds has started doing work that grows with something.
+func checkpointMicro() microRow {
 	payloads := make([][]byte, checkpointSessions)
 	for i := range payloads {
 		desc := &session.Description{
@@ -881,9 +907,7 @@ func checkpointMicros() []microBenchResult {
 			Media:   []session.Media{{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"}},
 		}
 		sdp, err := desc.MarshalSDP()
-		if err != nil {
-			panic(err)
-		}
+		must(err)
 		// The journaled learn-delta framing: kind byte, two timestamps,
 		// SDP bytes — same shape sessiondir writes.
 		p := make([]byte, 0, 17+len(sdp))
@@ -892,39 +916,29 @@ func checkpointMicros() []microBenchResult {
 		payloads[i] = append(p, sdp...)
 	}
 
-	// The journal is periodically rotated outside the timer so the bench
-	// measures appends, not MemFS growth.
+	// The journal is rotated every 65536 appends, off the clock, so the
+	// micro measures appends, not MemFS growth.
 	fs := storage.NewMemFS()
 	st, _, err := storage.Open(fs, "bench.cache", storage.OpenOptions{
 		Replay: func([]byte) error { return nil },
 	})
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	rotate := func() {
-		if cerr := st.Compact(func(add func([]byte) error) error {
+		must(st.Compact(func(add func([]byte) error) error {
 			for _, p := range payloads {
 				if aerr := add(p); aerr != nil {
 					return aerr
 				}
 			}
 			return nil
-		}); cerr != nil {
-			panic(cerr)
-		}
+		}))
 	}
 	rotate()
-	return []microBenchResult{runMicro("CheckpointJournalAppend", 1, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if i%65536 == 65535 {
-				b.StopTimer()
-				rotate()
-				b.StartTimer()
-			}
-			if aerr := st.Append(payloads[i%checkpointSessions]); aerr != nil {
-				b.Fatal(aerr)
-			}
+	return microRow{"CheckpointJournalAppend", 1, each(func(i int) {
+		if i%65536 == 65535 {
+			offClock(rotate)
 		}
+		must(st.Append(payloads[i%checkpointSessions]))
 	})}
 }
 
@@ -942,9 +956,7 @@ func sampleSAPWire() []byte {
 		Media:   []session.Media{{Type: "audio", Port: 20000, Proto: "RTP/AVP", Format: "0"}},
 	}
 	payload, err := desc.MarshalSDP()
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	pkt := sap.Packet{
 		Type:        sap.Announce,
 		MsgIDHash:   sap.MsgIDHashOf(payload),
@@ -953,203 +965,169 @@ func sampleSAPWire() []byte {
 		Payload:     payload,
 	}
 	wire, err := pkt.Marshal(nil)
-	if err != nil {
-		panic(err)
-	}
+	must(err)
 	return wire
 }
 
-// refreshBatchAllocs is DirRefreshKnown's allocation budget per 32-datagram
-// batch: none, the decoded packets' slice included.
-const refreshBatchAllocs = 0
+// budgetKind is what a budget bounds.
+type budgetKind int
 
-// budgetFailures enforces the absolute perf budgets on a fresh report —
-// unlike the ratio gate these do not need a baseline, so a report that
-// merely keeps pace with a slow ancestor still cannot pass while blowing
-// the targets this PR-era hardware established:
-//
-//   - batched Hybrid allocation under 1µs per address at batch 16;
-//   - zero steady-state allocations per received datagram;
-//   - zero allocations and under 250 ns per zero-copy SAP decode (the
-//     aliasing Decode the receive path runs on every datagram);
-//   - on linux, ≥10 datagrams retired per receive syscall (recvmmsg
-//     amortization) and the batched drain under 1500 ns per datagram;
-//   - one journaled checkpoint delta append allocation-free and under
-//     5 µs: persistence between checkpoints costs O(delta), nothing that
-//     grows with the cache;
-//   - the clash tracker's Observe of a known session allocation-free and
-//     at most 1.5x dearer at 10k cached sessions than at 1k (the address
-//     index: cost independent of the population, cache misses aside), and
-//     beside 10k pending defences that do not name it no dearer than 1.5x
-//     that (the defence hints: cost independent of the clashes elsewhere);
-//     and its Due with nothing due beside those 10k defences
-//     allocation-free and under 100 ns (the earliest due time is kept: a
-//     quiet tick walks no defence);
-//   - the session codec at one allocation per key and per marshalled
-//     description, under 300 ns and 2 µs (several times what the fmt-free
-//     appenders measure, a fraction of what fmt cost);
-//   - admitting an unknown session into a full budget, and creating a
-//     session, at most 1.5x dearer at 10k cached sessions than at 1k and
-//     with no more allocations (the eviction order and the allocator view
-//     are kept at the cache's mutation sites, not rebuilt per call);
-//   - the listener's two paths: an unchanged re-announcement refreshed at
-//     no more than 0.1 allocations per datagram at either cache size (the
-//     10k/1k time ratio is recorded, not gated), on a payload digest that
-//     allocates nothing and runs at 2 GB/s or better; and the miss — a
-//     parse in at most 4 allocations, a compressed decode in at most 3;
-//   - a directory tick with nothing due allocation-free at either cache
-//     size, with and without a session budget (their 10k/1k time ratios
-//     are recorded, not gated, until the micros' estimator can be trusted
-//     with one);
-//   - a learn beside a clash flood at most 1.5x dearer per datagram at
-//     100k sessions than at 10k (scheduling looks no pending defence up);
-//   - a never-seen session denied at its origin's quota with the same
-//     allocations at 1k and 10k cached sessions, with and without a third
-//     of the cache stale (ratios recorded, not gated, as DirStep's is);
-//   - a shortest-path tree over the 1864-router Mbone and over a
-//     51 200-node Doar grid in the same constant allocations
-//     (spTreeAllocs);
-//   - the occupancy simulator's view and clash test allocation-free, the
-//     view at 1k and 10k residents (its 10k/1k ratio recorded, not gated,
-//     as DirStep's is).
+const (
+	allocsAtMost  budgetKind = iota // the row's allocs/op at most limit
+	nsAtMost                        // its ns_per_op at most limit
+	ratioAtMost                     // its ns_per_op at most limit times other's (nsRatio)
+	allocsAsOther                   // its allocs/op within limit of other's
+	depthAtLeast                    // at least limit datagrams retired per receive call
+)
+
+// budget is one absolute perf rule over a fresh report. Unlike the ratio
+// gate it needs no baseline, so a report that keeps pace with a slow
+// ancestor still cannot pass while blowing a target this hardware
+// established.
+type budget struct {
+	row   string
+	kind  budgetKind
+	limit float64
+	other string // the row a ratio or an allocation count is read against
+	why   string
+}
+
+// budgets is the gate's table, checked by budgetFailures on every -compare.
+// Size ratios not in it (DirRefreshKnown, SimVisibleAt, DirStepOwned) are
+// recorded, not gated.
+var budgets = []budget{
+	{"AllocateHybridBatch16", nsAtMost, 1000, "", "batched Hybrid allocation, per address"},
+	{"SAPDecodeZeroCopy", allocsAtMost, 0, "", "the aliasing decode the receive path runs on every datagram"},
+	{"SAPDecodeZeroCopy", nsAtMost, 250, "", "the aliasing decode the receive path runs on every datagram"},
+	{"UDPRecvBatch", allocsAtMost, 0, "", "steady-state receive"},
+	{"CheckpointJournalAppend", allocsAtMost, 0, "", "O(delta) persistence between checkpoints"},
+	{"CheckpointJournalAppend", nsAtMost, 5000, "", "O(delta) persistence between checkpoints"},
+	{"ClashObserveReannounce1k", allocsAtMost, 0, "", "a re-announcement's clash check"},
+	{"ClashObserveReannounce10k", allocsAtMost, 0, "", "a re-announcement's clash check"},
+	{"ClashObserveReannounce10k", ratioAtMost, 1.5, "ClashObserveReannounce1k", "the address index: O(1) in cache size"},
+	{"ClashObserveBesideFlood10k", allocsAtMost, 0, "", "a session no defence names walks none"},
+	{"ClashObserveBesideFlood10k", ratioAtMost, 1.5, "ClashObserveReannounce10k", "a session no defence names walks none"},
+	{"ClashDueNothing10k", allocsAtMost, 0, "", "the earliest due time is kept: a quiet tick walks no defence"},
+	{"ClashDueNothing10k", nsAtMost, 100, "", "the earliest due time is kept: a quiet tick walks no defence"},
+	{"SessionKey", allocsAtMost, 1, "", "the fmt-free appender"},
+	{"SessionKey", nsAtMost, 300, "", "the fmt-free appender"},
+	{"SessionMarshalSDP", allocsAtMost, 1, "", "the fmt-free appender"},
+	{"SessionMarshalSDP", nsAtMost, 2000, "", "the fmt-free appender"},
+	{"SessionParseSDP", allocsAtMost, 4, "", "the Description, one string, one []string, one []Media"},
+	{"SAPDecodeCompressed", allocsAtMost, 3, "", "the inflate state is pooled"},
+	{"PayloadDigest", allocsAtMost, 0, "", "the refresh path's digest"},
+	{"PayloadDigest", nsAtMost, 0.5, "", "per byte: 2 GB/s"},
+	{"DirRefreshKnown1k", allocsAtMost, 0, "", "per 32-datagram batch, which decodes into a recycled slice"},
+	{"DirRefreshKnown10k", allocsAtMost, 0, "", "per 32-datagram batch, which decodes into a recycled slice"},
+	{"DirAdmitUnknown10k", allocsAsOther, 1, "DirAdmitUnknown1k", "the eviction order is kept, not rebuilt per call"},
+	{"DirAdmitUnknown10k", ratioAtMost, 1.5, "DirAdmitUnknown1k", "the eviction order is kept, not rebuilt per call"},
+	{"DirCreateSession10k", allocsAsOther, 1, "DirCreateSession1k", "the allocator state is kept, not rebuilt per call"},
+	{"DirCreateSession10k", ratioAtMost, 1.5, "DirCreateSession1k", "the allocator state is kept, not rebuilt per call"},
+	{"DirStep1k", allocsAtMost, 0, "", "a tick with nothing due"},
+	{"DirStep10k", allocsAtMost, 0, "", "a tick with nothing due"},
+	{"DirStep10k", ratioAtMost, 1.5, "DirStep1k", "the expiry bound: a quiet tick walks no entry"},
+	{"DirStepBudgeted1k", allocsAtMost, 0, "", "the fresh count is kept, not taken"},
+	{"DirStepBudgeted10k", allocsAtMost, 0, "", "the fresh count is kept, not taken"},
+	{"DirStepBudgeted10k", ratioAtMost, 1.5, "DirStepBudgeted1k", "the fresh count is kept, not taken"},
+	{"DirAdmitAtQuota10k", allocsAsOther, 0, "DirAdmitAtQuota1k", "a denial reads the origin's counts or the top of the order"},
+	{"DirAdmitAtQuota10k", ratioAtMost, 1.5, "DirAdmitAtQuota1k", "a denial reads the origin's counts or the top of the order"},
+	{"DirAdmitAtQuotaStale10k", allocsAsOther, 0, "DirAdmitAtQuotaStale1k", "a denial reads the origin's counts, not the stale entries"},
+	{"DirAdmitAtQuotaStale10k", ratioAtMost, 1.5, "DirAdmitAtQuotaStale1k", "a denial reads the origin's counts, not the stale entries"},
+	{"DirLearnClashing100k", ratioAtMost, 1.5, "DirLearnClashing10k", "scheduling a defence looks no pending one up"},
+	{"SPTree1864", allocsAtMost, spTreeAllocs, "", "a tree's fixed arrays, at any graph size"},
+	{"SPTreeGrid51200", allocsAtMost, spTreeAllocs, "", "a tree's fixed arrays, at any graph size"},
+	{"SimVisibleAt1k", allocsAtMost, 0, "", "the view is copied into the world's scratch"},
+	{"SimVisibleAt10k", allocsAtMost, 0, "", "the view is copied into the world's scratch"},
+	{"SimClashes10k", allocsAtMost, 0, "", "a walk of one address's residents"},
+	{"SimPlace10k", allocsAtMost, 0, "", "a churn placement reuses the world's chunks and view"},
+}
+
+// linuxBudgets are checked on linux reports only, where the receive path
+// has recvmmsg.
+var linuxBudgets = []budget{
+	{"UDPRecvBatch", depthAtLeast, 10, "", "recvmmsg amortization"},
+	{"UDPRecvBatch", nsAtMost, 1500, "", "the batched drain, per datagram"},
+}
+
+// budgetFailures checks r against the budget table, and names each row a
+// rule reads that r does not carry.
 func budgetFailures(r benchReport) []string {
 	micro := make(map[string]microBenchResult, len(r.Micro))
 	for _, m := range r.Micro {
 		micro[m.Name] = m
 	}
-	var fails []string
-	if m, ok := micro["AllocateHybridBatch16"]; !ok {
-		fails = append(fails, "budget: micro AllocateHybridBatch16 missing from report")
-	} else if m.NsPerOp >= 1000 {
-		fails = append(fails, fmt.Sprintf("budget: AllocateHybridBatch16 %.0f ns/address, budget < 1000", m.NsPerOp))
-	}
-	if m, ok := micro["SAPDecodeZeroCopy"]; !ok {
-		fails = append(fails, "budget: micro SAPDecodeZeroCopy missing from report")
-	} else if m.AllocsOp != 0 || m.NsPerOp >= 250 {
-		fails = append(fails, fmt.Sprintf("budget: SAPDecodeZeroCopy %.0f ns and %d allocs/op, budget < 250 ns and 0 allocs", m.NsPerOp, m.AllocsOp))
-	}
-	if m, ok := micro["CheckpointJournalAppend"]; !ok {
-		fails = append(fails, "budget: micro CheckpointJournalAppend missing from report")
-	} else if m.AllocsOp != 0 || m.NsPerOp >= 5000 {
-		fails = append(fails, fmt.Sprintf("budget: CheckpointJournalAppend %.0f ns and %d allocs/op, budget < 5000 ns and 0 allocs (O(delta) persistence)", m.NsPerOp, m.AllocsOp))
-	}
-	re1k, have1k := micro["ClashObserveReannounce1k"]
-	re10k, have10k := micro["ClashObserveReannounce10k"]
-	switch {
-	case !have1k:
-		fails = append(fails, "budget: micro ClashObserveReannounce1k missing from report")
-	case !have10k:
-		fails = append(fails, "budget: micro ClashObserveReannounce10k missing from report")
-	case re1k.AllocsOp != 0 || re10k.AllocsOp != 0:
-		fails = append(fails, fmt.Sprintf("budget: ClashObserveReannounce %d and %d allocs/op at 1k and 10k sessions, budget 0",
-			re1k.AllocsOp, re10k.AllocsOp))
-	case re1k.NsPerOp > 0 && re10k.NsPerOp/re1k.NsPerOp > 1.5:
-		fails = append(fails, fmt.Sprintf("budget: ClashObserveReannounce %.0f ns at 10k sessions is %.1fx its %.0f ns at 1k, budget ≤ 1.5x (O(1) in cache size)",
-			re10k.NsPerOp, re10k.NsPerOp/re1k.NsPerOp, re1k.NsPerOp))
-	}
-	switch flood, ok := micro["ClashObserveBesideFlood10k"]; {
-	case !ok:
-		fails = append(fails, "budget: micro ClashObserveBesideFlood10k missing from report")
-	case flood.AllocsOp != 0 || re10k.NsPerOp > 0 && flood.NsPerOp/re10k.NsPerOp > 1.5:
-		fails = append(fails, fmt.Sprintf("budget: ClashObserveBesideFlood10k %.0f ns and %d allocs/op beside 10k pending defences, budget 0 allocs and ≤ 1.5x ClashObserveReannounce10k's %.0f ns (a session no defence names walks none)",
-			flood.NsPerOp, flood.AllocsOp, re10k.NsPerOp))
-	}
-	switch m, ok := micro["ClashDueNothing10k"]; {
-	case !ok:
-		fails = append(fails, "budget: micro ClashDueNothing10k missing from report")
-	case m.AllocsOp != 0 || m.NsPerOp > 100:
-		fails = append(fails, fmt.Sprintf("budget: ClashDueNothing10k %.0f ns and %d allocs/op beside 10k pending defences, budget 0 allocs and ≤ 100 ns (a tick with nothing due walks no defence)",
-			m.NsPerOp, m.AllocsOp))
-	}
-	for _, name := range []string{"DirAdmitUnknown", "DirCreateSession"} {
-		at1k, have1k := micro[name+"1k"]
-		at10k, have10k := micro[name+"10k"]
-		switch {
-		case !have1k || !have10k:
-			fails = append(fails, fmt.Sprintf("budget: micro %s1k or %s10k missing from report", name, name))
-		case at10k.AllocsOp > at1k.AllocsOp+1:
-			fails = append(fails, fmt.Sprintf("budget: %s %d allocs/op at 10k cached sessions, %d at 1k, budget: the same",
-				name, at10k.AllocsOp, at1k.AllocsOp))
-		case at1k.NsPerOp > 0 && at10k.NsPerOp/at1k.NsPerOp > 1.5:
-			fails = append(fails, fmt.Sprintf("budget: %s %.0f ns at 10k cached sessions is %.1fx its %.0f ns at 1k, budget ≤ 1.5x (no per-call rebuild of the cache)",
-				name, at10k.NsPerOp, at10k.NsPerOp/at1k.NsPerOp, at1k.NsPerOp))
-		}
-	}
-	switch at10k, at100k := micro["DirLearnClashing10k"], micro["DirLearnClashing100k"]; {
-	case at10k.Name == "" || at100k.Name == "":
-		fails = append(fails, "budget: micro DirLearnClashing10k or DirLearnClashing100k missing from report")
-	case at10k.NsPerOp > 0 && at100k.NsPerOp/at10k.NsPerOp > 1.5:
-		fails = append(fails, fmt.Sprintf("budget: DirLearnClashing %.0f ns/datagram at 100k sessions is %.1fx its %.0f ns at 10k, budget ≤ 1.5x (scheduling a defence looks no pending one up)",
-			at100k.NsPerOp, at100k.NsPerOp/at10k.NsPerOp, at10k.NsPerOp))
-	}
-	for _, name := range []string{"DirAdmitAtQuota", "DirAdmitAtQuotaStale"} {
-		switch at1k, at10k := micro[name+"1k"], micro[name+"10k"]; {
-		case at1k.Name == "" || at10k.Name == "":
-			fails = append(fails, fmt.Sprintf("budget: micro %s1k or %s10k missing from report", name, name))
-		case at10k.AllocsOp != at1k.AllocsOp:
-			fails = append(fails, fmt.Sprintf("budget: %s %d allocs/op at 10k cached sessions, %d at 1k, budget: the same (a denial reads the origin's counts or the top of the order, not the cache)",
-				name, at10k.AllocsOp, at1k.AllocsOp))
-		}
-	}
-	for _, c := range []struct {
-		name  string
-		maxNs float64
-	}{{"SessionKey", 300}, {"SessionMarshalSDP", 2000}} {
-		if m, ok := micro[c.name]; !ok {
-			fails = append(fails, fmt.Sprintf("budget: micro %s missing from report", c.name))
-		} else if m.AllocsOp > 1 || m.NsPerOp >= c.maxNs {
-			fails = append(fails, fmt.Sprintf("budget: %s %.0f ns and %d allocs/op, budget < %.0f ns and ≤ 1 alloc",
-				c.name, m.NsPerOp, m.AllocsOp, c.maxNs))
-		}
-	}
-	for _, c := range []struct {
-		name      string
-		maxAllocs int64
-		what      string
-	}{
-		{"SessionParseSDP", 4, "the Description, one string, one []string, one []Media"},
-		{"SAPDecodeCompressed", 3, "the inflate state is pooled"},
-		{"DirRefreshKnown1k", refreshBatchAllocs, "per 32-datagram batch, which decodes into a recycled slice"},
-		{"DirRefreshKnown10k", refreshBatchAllocs, "per 32-datagram batch, which decodes into a recycled slice"},
-		{"DirStep1k", 0, "a tick with nothing due"},
-		{"DirStep10k", 0, "a tick with nothing due"},
-		{"DirStepBudgeted1k", 0, "a budgeted tick with nothing due: the fresh count is kept, not taken"},
-		{"DirStepBudgeted10k", 0, "a budgeted tick with nothing due: the fresh count is kept, not taken"},
-		{"SPTree1864", spTreeAllocs, "a tree's fixed arrays, at any graph size"},
-		{"SPTreeGrid51200", spTreeAllocs, "a tree's fixed arrays, at any graph size"},
-		{"SimVisibleAt1k", 0, "the view is copied into the world's scratch"},
-		{"SimVisibleAt10k", 0, "the view is copied into the world's scratch"},
-		{"SimClashes10k", 0, "a walk of one address's residents"},
-		{"SimPlace10k", 0, "a churn placement reuses the world's chunks and view"},
-	} {
-		if m, ok := micro[c.name]; !ok {
-			fails = append(fails, fmt.Sprintf("budget: micro %s missing from report", c.name))
-		} else if m.AllocsOp > c.maxAllocs {
-			fails = append(fails, fmt.Sprintf("budget: %s %d allocs/op, budget ≤ %d (%s)", c.name, m.AllocsOp, c.maxAllocs, c.what))
-		}
-	}
-	if m, ok := micro["PayloadDigest"]; !ok {
-		fails = append(fails, "budget: micro PayloadDigest missing from report")
-	} else if m.AllocsOp != 0 || m.NsPerOp > 0.5 {
-		fails = append(fails, fmt.Sprintf("budget: PayloadDigest %.2f ns/byte and %d allocs/op, budget ≤ 0.5 ns/byte (2 GB/s) and 0 allocs", m.NsPerOp, m.AllocsOp))
-	}
-	batch, haveBatch := micro["UDPRecvBatch"]
-	if !haveBatch {
-		fails = append(fails, "budget: micro UDPRecvBatch missing from report")
-		return fails
-	}
-	if batch.AllocsOp != 0 {
-		fails = append(fails, fmt.Sprintf("budget: UDPRecvBatch %d allocs/datagram, budget 0", batch.AllocsOp))
-	}
+	rules := budgets
 	if r.GOOS == "linux" {
-		if batch.BatchDepth < 10 {
-			fails = append(fails, fmt.Sprintf("budget: UDPRecvBatch %.1f datagrams/syscall, budget ≥ 10 (recvmmsg)", batch.BatchDepth))
+		rules = append(slices.Clip(budgets), linuxBudgets...)
+	}
+	var fails []string
+	missing := make(map[string]bool)
+	for _, b := range rules {
+		m, haveRow := micro[b.row]
+		o, haveOther := micro[b.other]
+		if haveRow && (b.other == "" || haveOther) {
+			if fail := b.check(m, o); fail != "" {
+				fails = append(fails, fmt.Sprintf("budget: %s (%s)", fail, b.why))
+			}
+			continue
 		}
-		if batch.NsPerOp >= 1500 {
-			fails = append(fails, fmt.Sprintf("budget: UDPRecvBatch %.0f ns/datagram, budget < 1500", batch.NsPerOp))
+		for _, name := range []string{b.row, b.other} {
+			if _, ok := micro[name]; name != "" && !ok && !missing[name] {
+				missing[name] = true
+				fails = append(fails, fmt.Sprintf("budget: micro %s missing from report", name))
+			}
 		}
 	}
 	return fails
+}
+
+// check returns how m breaks b, o being the row b reads m against, or ""
+// if it does not.
+func (b budget) check(m, o microBenchResult) string {
+	switch b.kind {
+	case allocsAtMost:
+		if float64(m.AllocsOp) > b.limit {
+			return fmt.Sprintf("%s %d allocs/op, budget ≤ %g", b.row, m.AllocsOp, b.limit)
+		}
+	case nsAtMost:
+		if m.NsPerOp > b.limit {
+			return fmt.Sprintf("%s %.4g ns/op, budget ≤ %g", b.row, m.NsPerOp, b.limit)
+		}
+	case ratioAtMost:
+		if x := nsRatio(m, o); o.NsPerOp > 0 && x > b.limit {
+			return fmt.Sprintf("%s %.4g ns/op is %.2fx %s's %.4g, budget ≤ %gx", b.row, m.NsPerOp, x, b.other, o.NsPerOp, b.limit)
+		}
+	case allocsAsOther:
+		if d := m.AllocsOp - o.AllocsOp; float64(max(d, -d)) > b.limit {
+			return fmt.Sprintf("%s %d allocs/op, %s %d, budget: the same (±%g)", b.row, m.AllocsOp, b.other, o.AllocsOp, b.limit)
+		}
+	case depthAtLeast:
+		if m.BatchDepth < b.limit {
+			return fmt.Sprintf("%s %.1f datagrams/syscall, budget ≥ %g", b.row, m.BatchDepth, b.limit)
+		}
+	}
+	return ""
+}
+
+// nsRatio is a's ns_per_op over b's: when both carry their rounds, the
+// median of the per-round ratios, so that a round the host slowed for one
+// of them cannot decide it.
+func nsRatio(a, b microBenchResult) float64 {
+	if len(a.RoundsNs) == 0 || len(a.RoundsNs) != len(b.RoundsNs) || slices.Contains(b.RoundsNs, 0) {
+		return a.NsPerOp / b.NsPerOp
+	}
+	ratios := make([]float64, len(a.RoundsNs))
+	for i := range ratios {
+		ratios[i] = a.RoundsNs[i] / b.RoundsNs[i]
+	}
+	return lowerMedian(ratios)
+}
+
+// lowerMedian is the middle of xs, the lower middle for an even count. It
+// sorts xs.
+func lowerMedian(xs []float64) float64 {
+	slices.Sort(xs)
+	return xs[(len(xs)-1)/2]
 }
 
 // registrySnapshot runs a small deterministic fleet — four directories on
@@ -1303,12 +1281,15 @@ func parseCompareArgs(args []string) (oldPath, newPath, tier string, err error) 
 // compareReports checks every timing metric present in both reports.
 // Returned warnings are informational (past tolerance); failures are past
 // the fail ratio, or a full-tier occupancy row whose seeded outcome moved.
-// Metrics only present on one side are ignored — adding or retiring a
-// benchmark must not fail the gate.
+// A micro's new/old ratio is first divided by the lower median of that
+// ratio over every micro both reports carry: the host's drift between the
+// two runs cancels, and a regression of fewer than half the rows still
+// shows. Metrics only present on one side are ignored — adding or retiring
+// a benchmark must not fail the gate.
 func compareReports(oldR, newR benchReport, tier string) (warnings, failures []string) {
 	type metric struct {
-		name       string
-		oldV, newV float64
+		name              string
+		oldV, newV, drift float64
 	}
 	var metrics []metric
 	oldFig := make(map[string]float64, len(oldR.Figures))
@@ -1317,7 +1298,7 @@ func compareReports(oldR, newR benchReport, tier string) (warnings, failures []s
 	}
 	for _, f := range newR.Figures {
 		if old, ok := oldFig[f.ID]; ok {
-			metrics = append(metrics, metric{"figure " + f.ID + " wall_ms", old, f.WallMs})
+			metrics = append(metrics, metric{"figure " + f.ID + " wall_ms", old, f.WallMs, 1})
 		}
 	}
 	if tier == "full" {
@@ -1330,7 +1311,7 @@ func compareReports(oldR, newR benchReport, tier string) (warnings, failures []s
 		}
 		for _, o := range newR.Occupancy {
 			if old, ok := oldOcc[o.key()]; ok {
-				metrics = append(metrics, metric{"occupancy " + o.key() + " wall_ms", old.WallMs, o.WallMs})
+				metrics = append(metrics, metric{"occupancy " + o.key() + " wall_ms", old.WallMs, o.WallMs, 1})
 				// The outcome columns are pure functions of the seed: a
 				// difference is a behaviour change, never noise.
 				if was, is := old.outcome(), o.outcome(); was != is {
@@ -1343,23 +1324,38 @@ func compareReports(oldR, newR benchReport, tier string) (warnings, failures []s
 	for _, m := range oldR.Micro {
 		oldMicro[m.Name] = m
 	}
+	var micros []metric
+	var drifts []float64
 	for _, m := range newR.Micro {
 		old, ok := oldMicro[m.Name]
 		if !ok {
 			continue
 		}
-		metrics = append(metrics, metric{"micro " + m.Name + " ns_per_op", old.NsPerOp, m.NsPerOp})
 		if m.AllocsOp > old.AllocsOp {
 			warnings = append(warnings, fmt.Sprintf("micro %s allocs_per_op grew %d -> %d",
 				m.Name, old.AllocsOp, m.AllocsOp))
+		}
+		if old.NsPerOp > 0 && m.NsPerOp > 0 {
+			micros = append(micros, metric{"micro " + m.Name + " ns_per_op", old.NsPerOp, m.NsPerOp, 0})
+			drifts = append(drifts, m.NsPerOp/old.NsPerOp)
+		}
+	}
+	if len(drifts) > 0 {
+		drift := lowerMedian(drifts)
+		for _, m := range micros {
+			m.drift = drift
+			metrics = append(metrics, m)
 		}
 	}
 	for _, m := range metrics {
 		if m.oldV <= 0 {
 			continue // nothing meaningful to ratio against
 		}
-		ratio := m.newV / m.oldV
+		ratio := m.newV / m.oldV / m.drift
 		line := fmt.Sprintf("%s: %.2f -> %.2f (%.2fx)", m.name, m.oldV, m.newV, ratio)
+		if m.drift != 1 {
+			line = fmt.Sprintf("%s: %.2f -> %.2f (%.2fx over the micros' median drift of %.2fx)", m.name, m.oldV, m.newV, ratio, m.drift)
+		}
 		switch {
 		case ratio > failRatio:
 			failures = append(failures, line)
@@ -1602,7 +1598,7 @@ func main() {
 		fmt.Println("==== micro-benchmarks (allocation hot path) ====")
 		report.Micro = microBenches()
 		for _, m := range report.Micro {
-			fmt.Printf("%-24s %12.0f ns/op %6d B/op %4d allocs/op", m.Name, m.NsPerOp, m.BytesOp, m.AllocsOp)
+			fmt.Printf("%-26s %12.1f ns/op %5.2f spread %7d B/op %6d allocs/op", m.Name, m.NsPerOp, m.Spread, m.BytesOp, m.AllocsOp)
 			if m.DgramsPerSec > 0 {
 				fmt.Printf(" %12.0f dgram/s %6.1f dgram/syscall", m.DgramsPerSec, m.BatchDepth)
 			}

@@ -2,10 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func baselineReport() benchReport {
@@ -297,8 +299,8 @@ func TestBudgetFailuresBatchDepthCollapse(t *testing.T) {
 func TestBudgetFailuresMissingMicros(t *testing.T) {
 	r := budgetReport()
 	r.Micro = nil
-	if fails := budgetFailures(r); len(fails) != 29 {
-		t.Fatalf("missing micros should produce twenty-nine failures, got: %v", fails)
+	if fails := budgetFailures(r); len(fails) != 35 {
+		t.Fatalf("missing micros should produce thirty-five failures, one per row the budgets read, got: %v", fails)
 	}
 }
 
@@ -407,7 +409,7 @@ func TestBudgetFailuresDirectoryRebuilds(t *testing.T) {
 }
 
 // A tick with nothing due is held to zero allocations at both cache sizes,
-// and its size ratio is recorded, not gated.
+// and to at most 1.5x at 10k what it costs at 1k.
 func TestBudgetFailuresDirStep(t *testing.T) {
 	for _, name := range []string{"DirStep1k", "DirStep10k"} {
 		r := budgetReport()
@@ -422,16 +424,21 @@ func TestBudgetFailuresDirStep(t *testing.T) {
 		}
 	}
 	r := budgetReport()
-	micro(t, &r, "DirStep10k").NsPerOp = 4000 // a full cache scan per tick: slow, but not gated yet
+	micro(t, &r, "DirStep10k").NsPerOp = 4000 // a full cache scan per tick
+	if fails := budgetFailures(r); len(fails) != 1 || !strings.Contains(fails[0], "DirStep10k") {
+		t.Fatalf("a tick that scans the cache not caught: %v", fails)
+	}
+	r = budgetReport()
+	micro(t, &r, "DirStep10k").NsPerOp = 58 // 1.45x: inside the budget
 	if fails := budgetFailures(r); len(fails) != 0 {
-		t.Fatalf("DirStep's size ratio is gated: %v", fails)
+		t.Fatalf("a 1.45x tick failed the 1.5x budget: %v", fails)
 	}
 }
 
 // A budgeted tick is held to zero allocations and a denial at the quota to
-// the same allocations at both cache sizes; their size ratios are recorded,
-// not gated. A shortest-path tree is held to a constant allocation count
-// at both graph sizes.
+// the same allocations at both cache sizes, and each to at most 1.5x at 10k
+// what it costs at 1k. A shortest-path tree is held to a constant
+// allocation count at both graph sizes.
 func TestBudgetFailuresBudgetedDirectory(t *testing.T) {
 	for _, name := range []string{"DirStepBudgeted1k", "DirStepBudgeted10k", "DirAdmitAtQuota1k", "DirAdmitAtQuota10k", "DirAdmitAtQuotaStale1k", "DirAdmitAtQuotaStale10k", "SPTree1864", "SPTreeGrid51200"} {
 		r := budgetReport()
@@ -464,12 +471,19 @@ func TestBudgetFailuresBudgetedDirectory(t *testing.T) {
 	if fails := budgetFailures(r); len(fails) != 1 {
 		t.Fatalf("a tree allocation over budget not caught: %v", fails)
 	}
-	r = budgetReport()
-	micro(t, &r, "DirStepBudgeted10k").NsPerOp = 370000     // a fresh-count scan per tick: slow, but not gated yet
-	micro(t, &r, "DirAdmitAtQuota10k").NsPerOp = 210000     // a walk of the whole order per denial: likewise
-	micro(t, &r, "DirAdmitAtQuotaStale10k").NsPerOp = 70000 // a walk of the stale third per denial: likewise
-	if fails := budgetFailures(r); len(fails) != 0 {
-		t.Fatalf("a budgeted size ratio is gated: %v", fails)
+	for _, c := range []struct {
+		name string
+		ns   float64
+	}{
+		{"DirStepBudgeted10k", 370000},     // a fresh-count scan per tick
+		{"DirAdmitAtQuota10k", 210000},     // a walk of the whole order per denial
+		{"DirAdmitAtQuotaStale10k", 70000}, // a walk of the stale third per denial
+	} {
+		r = budgetReport()
+		micro(t, &r, c.name).NsPerOp = c.ns
+		if fails := budgetFailures(r); len(fails) != 1 || !strings.Contains(fails[0], c.name) {
+			t.Fatalf("a %s that walks the cache not caught: %v", c.name, fails)
+		}
 	}
 }
 
@@ -531,5 +545,95 @@ func TestBudgetFailuresDepthGateLinuxOnly(t *testing.T) {
 	micro(t, &r, "UDPRecvBatch").NsPerOp = 1900 // and no per-datagram budget either
 	if fails := budgetFailures(r); len(fails) != 0 {
 		t.Fatalf("non-linux report held to linux-only gates: %v", fails)
+	}
+}
+
+var sink []byte
+
+// The estimator reports a row's fastest round, with the slowest in its
+// spread; a ratio budget over two rows reads the median of the rounds'
+// ratios, so one round the host slowed for one row decides neither.
+// Allocations are counted per op, and what a row runs off its clock is
+// not timed. Slow and Base charge their cost to the clock (a negative
+// untimed), so that it does not depend on how busy the host is.
+func TestMeasureRoundsSlowRound(t *testing.T) {
+	passes := 0
+	rows := []microRow{
+		{"Slow", 1, func(n int) {
+			per := 2 * time.Microsecond
+			if passes++; passes == 3 {
+				per *= 8 // the host is busy this round
+			}
+			untimed -= time.Duration(n) * per
+		}},
+		{"Base", 1, func(n int) { untimed -= time.Duration(n) * time.Microsecond }},
+		{"Alloc", 1, each(func(int) { sink = make([]byte, 64) })},
+		{"OffClock", 1, each(func(int) { offClock(func() { time.Sleep(time.Millisecond) }) })},
+	}
+	out := measureRounds(rows, []int{1000, 1000, 100000, 5})
+	slow, base, alloc, off := out[0], out[1], out[2], out[3]
+	if len(slow.RoundsNs) != microRounds {
+		t.Fatalf("%d rounds recorded, want %d", len(slow.RoundsNs), microRounds)
+	}
+	if slow.NsPerOp < 2000 || slow.NsPerOp > 2500 {
+		t.Errorf("Slow reads %.0f ns/op, want its fast rounds' 2000", slow.NsPerOp)
+	}
+	if slow.Spread < 6 {
+		t.Errorf("Slow's spread %.2f does not show its 8x round", slow.Spread)
+	}
+	rule := budget{"Slow", ratioAtMost, 3, "Base", "twice Base"}
+	if r := slow.RoundsNs[2] / base.RoundsNs[2]; r <= rule.limit {
+		t.Fatalf("the slow round's ratio %.2f is inside the budget: the case tests nothing", r)
+	}
+	if fail := rule.check(slow, base); fail != "" {
+		t.Errorf("one slow round failed a ratio budget: %s", fail)
+	}
+	if alloc.AllocsOp != 1 || alloc.BytesOp != 64 {
+		t.Errorf("Alloc reads %d allocs and %d B/op, want 1 and 64", alloc.AllocsOp, alloc.BytesOp)
+	}
+	if off.NsPerOp > float64(500*time.Microsecond) {
+		t.Errorf("OffClock reads %.0f ns/op: its 1 ms off the clock was timed", off.NsPerOp)
+	}
+}
+
+// The two rows of a ratio budget take each round in turns, a tenth at a
+// time, and run every op the round owes them; a row alone runs its round
+// in one go.
+func TestMeasureRoundsRatioRowsTakeTurns(t *testing.T) {
+	var log []string
+	row := func(name string) microRow {
+		return microRow{name, 1, func(n int) { log = append(log, fmt.Sprintf("%s:%d", name, n)) }}
+	}
+	out := measureRounds([]microRow{row("DirStep1k"), row("DirStep10k"), row("Alone")}, []int{20, 30, 7})
+	want := []string{"DirStep1k:2", "DirStep10k:3"}
+	for i := 0; i < 10; i++ {
+		if log[2*i] != want[0] || log[2*i+1] != want[1] {
+			t.Fatalf("a round of the paired rows ran as %v, want them in turns of %v", log[:21], want)
+		}
+	}
+	if log[20] != "Alone:7" || len(log) != 21*microRounds || len(out[2].RoundsNs) != microRounds {
+		t.Fatalf("rows ran as %v", log)
+	}
+}
+
+// A drift every micro shares is the host's, not the change's: it cancels.
+// A row that moves alone is still caught.
+func TestCompareReportsNormalisesDrift(t *testing.T) {
+	oldR := budgetReport()
+	scaled := func(f float64) benchReport {
+		r := budgetReport()
+		for i := range r.Micro {
+			r.Micro[i].NsPerOp *= f
+		}
+		return r
+	}
+	if warnings, failures := compareReports(oldR, scaled(1.6), "quick"); len(warnings) != 0 || len(failures) != 0 {
+		t.Fatalf("a 1.6x drift of every row flagged: warnings=%v failures=%v", warnings, failures)
+	}
+	newR := budgetReport()
+	micro(t, &newR, "SessionParseSDP").NsPerOp *= 3.3
+	warnings, failures := compareReports(oldR, newR, "quick")
+	if len(warnings) != 0 || len(failures) != 1 || !strings.Contains(failures[0], "SessionParseSDP") {
+		t.Fatalf("one row at 3.3x its baseline: warnings=%v failures=%v, want it failed", warnings, failures)
 	}
 }

@@ -622,7 +622,9 @@ func (c *core) observe(n *clash.Node, sum *session.Summary, now time.Time) []cla
 // must at least be self-consistent and must name a cached announcement
 // whose recorded origin matches — that kills blind deletion spoofing,
 // where an attacker withdraws a victim's session without having been able
-// to observe and fully forge its announcement.
+// to observe and fully forge its announcement. It must also name the
+// cached version or a later one: a replayed deletion of an older version
+// would otherwise tombstone the live newer one.
 func (c *core) handleDelete(pkt *sap.Packet, sum *session.Summary, key string, now time.Time) {
 	if c.owned[key] != nil {
 		// We never withdraw our own sessions via the network; any deletion
@@ -634,7 +636,7 @@ func (c *core) handleDelete(pkt *sap.Packet, sum *session.Summary, key string, n
 	if !ok {
 		return // unknown session: nothing to delete
 	}
-	if pkt.Origin != sum.Origin || pkt.Origin != e.Desc.Origin {
+	if pkt.Origin != sum.Origin || pkt.Origin != e.Desc.Origin || sum.Version < e.Desc.Version {
 		c.ins.forgedDeletes.Inc()
 		return
 	}

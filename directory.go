@@ -157,7 +157,7 @@ type Metrics struct {
 	Shed          uint64 // new sessions dropped because the cache was full of fresh state
 	QuotaDrops    uint64 // packets dropped by per-origin rate limit or session quota
 	ForgedReports uint64 // announcements failing clash-report validation, dropped
-	ForgedDeletes uint64 // deletions whose origin did not match the cached announcement
+	ForgedDeletes uint64 // deletions whose origin did not match the cached announcement, or of an older version than it
 	Evictions     uint64 // cached sessions displaced to stay inside the budget
 
 	// Degradation counters (zero unless the cache crossed a tier).
@@ -223,7 +223,7 @@ func newDirInstruments(r *obs.Registry, allocName string) (dirInstruments, error
 		{&ins.shed, "dir_admission_shed_total", "new sessions dropped because the cache was full of fresh state"},
 		{&ins.quotaDrops, "dir_admission_quota_drops_total", "packets dropped by per-origin rate limit or session quota"},
 		{&ins.forgedReports, "dir_admission_forged_reports_total", "announcements failing clash-report validation, dropped"},
-		{&ins.forgedDeletes, "dir_admission_forged_deletes_total", "deletions whose origin did not match the cached announcement"},
+		{&ins.forgedDeletes, "dir_admission_forged_deletes_total", "deletions whose origin did not match the cached announcement, or of an older version than it"},
 		{&ins.evictions, "dir_admission_evictions_total", "cached sessions displaced to stay inside the budget"},
 		{&ins.degradedDefenses, "dir_degraded_defenses_suppressed_total", "phase-3 defenses suppressed under overload degradation"},
 		{&ins.degradedLearns, "dir_degraded_learns_shed_total", "unknown sessions shed without an admission scan at degradation level 2"},
