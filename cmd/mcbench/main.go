@@ -132,9 +132,11 @@ type microBenchResult struct {
 	BytesOp  int64   `json:"bytes_per_op"`
 	// Spread is the slowest round's ns_per_op over the fastest's, and
 	// RoundsNs every round's in the order they ran: a ratio budget reads
-	// two rows round by round.
-	Spread   float64   `json:"spread,omitempty"`
-	RoundsNs []float64 `json:"rounds_ns_per_op,omitempty"`
+	// two rows round by round. RoundsAllocs is every round's allocs/op,
+	// the range -compare reads a row's allocations over.
+	Spread       float64   `json:"spread,omitempty"`
+	RoundsNs     []float64 `json:"rounds_ns_per_op,omitempty"`
+	RoundsAllocs []int64   `json:"rounds_allocs_per_op,omitempty"`
 	// Receive-micro extras (zero elsewhere): drain rate and syscall
 	// amortization (datagrams retired per receive syscall).
 	DgramsPerSec float64 `json:"dgrams_per_sec,omitempty"`
@@ -249,8 +251,9 @@ func measureRounds(rows []microRow, ops []int) []microBenchResult {
 		for i, r := range round {
 			m, n := &out[i], int64(ops[i])
 			ns := r.NsPerOp / float64(n*int64(rows[i].units))
+			m.RoundsAllocs = append(m.RoundsAllocs, r.AllocsOp/n)
 			if m.RoundsNs = append(m.RoundsNs, ns); pass == 0 || ns < m.NsPerOp {
-				*m = microBenchResult{Name: rows[i].name, NsPerOp: ns, AllocsOp: r.AllocsOp / n, BytesOp: r.BytesOp / n, RoundsNs: m.RoundsNs}
+				*m = microBenchResult{Name: rows[i].name, NsPerOp: ns, AllocsOp: r.AllocsOp / n, BytesOp: r.BytesOp / n, RoundsNs: m.RoundsNs, RoundsAllocs: m.RoundsAllocs}
 			}
 		}
 	}
@@ -618,10 +621,11 @@ func ownedDir(n int) *clockedDir {
 // and a newcomer denied at its origin's quota, with and without a stale
 // third of the cache. With the cache's indices kept at its mutation sites
 // each 10k figure stays near the 1k one. Then an announcer's ticks
-// (DirStepReannounce256; DirStepOwned256/16k, recorded, not gated: a tick
-// walks the owned sessions), persistence at 10k heard sessions, per
-// session (DirCheckpoint10k, DirRecover10k), and learns beside a clash
-// flood (learnClashing).
+// (DirStepReannounce256; DirStepOwned256/16k, a tick with nothing due,
+// which skips the owned sessions), persistence at 10k heard sessions, per
+// session (DirCheckpoint10k; DirRecover10k, and DirRecoverBudgeted10k
+// under a budget it fills), and learns beside a clash flood
+// (learnClashing).
 func directoryMicros() []microRow {
 	var sized [2][]microRow // the 1k rows and the 10k rows, in one order
 	space := mcast.SAPDynamicSpace()
@@ -757,8 +761,7 @@ func directoryMicros() []microRow {
 	for i := range heard {
 		heard[i] = wireOf(i, i/100)
 	}
-	listener := func() *clockedDir { return newClockedDir(sessiondir.Config{Transport: discardTransport{}}) }
-	keeper := listener()
+	keeper := newClockedDir(sessiondir.Config{Transport: discardTransport{}})
 	keeper.HandleBatch(heard)
 	openStore := func(fsys storage.FS) *sessiondir.CacheStore {
 		cs, _, err := sessiondir.OpenCacheStore(fsys, "mcbench.cache", keeper.Directory)
@@ -772,17 +775,30 @@ func directoryMicros() []microRow {
 		panic("DirRecover10k: the snapshot to recover from was not written")
 	}
 	kept := openStore(storage.NewMemFS())
-	rows = append(rows, microRow{"DirCheckpoint10k", persisted, each(func(int) { must(kept.Checkpoint()) })},
-		microRow{"DirRecover10k", persisted, each(func(int) {
-			d := listener()
+	rows = append(rows, microRow{"DirCheckpoint10k", persisted, each(func(int) { must(kept.Checkpoint()) })})
+	// The same recovery under a session budget and per-origin quota that
+	// the snapshot's 10 000 sessions of 100 origins fill exactly: the cache
+	// keeps its eviction order as it restores, and the trim finds nothing
+	// over from the order's counts, without sorting the cache.
+	for _, c := range []struct {
+		name     string
+		budgeted bool
+	}{{"DirRecover10k", false}, {"DirRecoverBudgeted10k", true}} {
+		cfg := sessiondir.Config{Transport: discardTransport{}}
+		if c.budgeted {
+			cfg.MaxSessions, cfg.MaxPerOrigin = persisted, 100
+		}
+		rows = append(rows, microRow{c.name, persisted, each(func(int) {
+			d := newClockedDir(cfg)
 			cs, _, err := sessiondir.OpenCacheStore(saved, "mcbench.cache", d.Directory)
 			must(err)
-			if cs.Loaded() != persisted {
-				panic(fmt.Sprintf("DirRecover10k: %d sessions recovered, want %d", cs.Loaded(), persisted))
+			if cs.Loaded() != persisted || d.CacheSize() != persisted {
+				panic(fmt.Sprintf("%s: %d sessions recovered, %d kept, want %d", c.name, cs.Loaded(), d.CacheSize(), persisted))
 			}
 			must(cs.Close())
 			d.Close()
 		})})
+	}
 
 	// A tick that re-announces 256 owned sessions, every one due: the
 	// owned-map walk, the sort of the due keys, and 256 datagrams written
@@ -802,6 +818,10 @@ func directoryMicros() []microRow {
 			panic(fmt.Sprintf("DirStepReannounce256: %d announcements in %d Steps: not every session re-announced each Step", m.AnnouncementsSent-sent, n))
 		}
 	}})
+	// A tick of an announcer with nothing due: the owned sessions' bound
+	// on their next announcement lets it skip their walk. The clock moves
+	// a nanosecond a tick, so that the rounds stay inside the five quiet
+	// seconds.
 	for _, c := range []struct {
 		name  string
 		owned int
@@ -810,7 +830,7 @@ func directoryMicros() []microRow {
 		sent := quiet.Metrics().AnnouncementsSent
 		rows = append(rows, microRow{c.name, 1, func(n int) {
 			for i := 0; i < n; i++ {
-				quiet.now = quiet.now.Add(time.Microsecond)
+				quiet.now = quiet.now.Add(time.Nanosecond)
 				quiet.Step(quiet.now)
 			}
 			if m := quiet.Metrics(); m.AnnouncementsSent != sent {
@@ -993,8 +1013,8 @@ type budget struct {
 }
 
 // budgets is the gate's table, checked by budgetFailures on every -compare.
-// Size ratios not in it (DirRefreshKnown, SimVisibleAt, DirStepOwned) are
-// recorded, not gated.
+// Size ratios not in it (DirRefreshKnown, SimVisibleAt) are recorded, not
+// gated.
 var budgets = []budget{
 	{"AllocateHybridBatch16", nsAtMost, 1000, "", "batched Hybrid allocation, per address"},
 	{"SAPDecodeZeroCopy", allocsAtMost, 0, "", "the aliasing decode the receive path runs on every datagram"},
@@ -1033,6 +1053,10 @@ var budgets = []budget{
 	{"DirAdmitAtQuota10k", ratioAtMost, 1.5, "DirAdmitAtQuota1k", "a denial reads the origin's counts or the top of the order"},
 	{"DirAdmitAtQuotaStale10k", allocsAsOther, 0, "DirAdmitAtQuotaStale1k", "a denial reads the origin's counts, not the stale entries"},
 	{"DirAdmitAtQuotaStale10k", ratioAtMost, 1.5, "DirAdmitAtQuotaStale1k", "a denial reads the origin's counts, not the stale entries"},
+	{"DirStepOwned256", allocsAtMost, 0, "", "a tick with nothing due"},
+	{"DirStepOwned16k", allocsAtMost, 0, "", "a tick with nothing due"},
+	{"DirStepOwned16k", ratioAtMost, 1.5, "DirStepOwned256", "the re-announcement bound: a quiet tick walks no owned session"},
+	{"DirRecoverBudgeted10k", ratioAtMost, 1.2, "DirRecover10k", "the trim reads the order's counts: a budget-full recovery sorts nothing"},
 	{"DirLearnClashing100k", ratioAtMost, 1.5, "DirLearnClashing10k", "scheduling a defence looks no pending one up"},
 	{"SPTree1864", allocsAtMost, spTreeAllocs, "", "a tree's fixed arrays, at any graph size"},
 	{"SPTreeGrid51200", allocsAtMost, spTreeAllocs, "", "a tree's fixed arrays, at any graph size"},
@@ -1331,9 +1355,9 @@ func compareReports(oldR, newR benchReport, tier string) (warnings, failures []s
 		if !ok {
 			continue
 		}
-		if m.AllocsOp > old.AllocsOp {
-			warnings = append(warnings, fmt.Sprintf("micro %s allocs_per_op grew %d -> %d",
-				m.Name, old.AllocsOp, m.AllocsOp))
+		if is, was := allocRange(m), allocRange(old); is[0]-was[1] > max(is[1]-is[0], was[1]-was[0]) {
+			warnings = append(warnings, fmt.Sprintf("micro %s allocs_per_op grew %d -> %d (its rounds %d–%d, the baseline's %d–%d)",
+				m.Name, old.AllocsOp, m.AllocsOp, is[0], is[1], was[0], was[1]))
 		}
 		if old.NsPerOp > 0 && m.NsPerOp > 0 {
 			micros = append(micros, metric{"micro " + m.Name + " ns_per_op", old.NsPerOp, m.NsPerOp, 0})
@@ -1364,6 +1388,19 @@ func compareReports(oldR, newR benchReport, tier string) (warnings, failures []s
 		}
 	}
 	return warnings, failures
+}
+
+// allocRange is the fewest and the most allocs/op among m's rounds, or its
+// one figure twice for a report that does not carry them. A row warns when
+// the new run's fewest exceeds the baseline's most by more than either
+// run's own range: a count that jitters from round to round (a sync.Pool
+// miss when the goroutine changes P) jitters as much from run to run, and
+// a row whose rounds agree warns on one more.
+func allocRange(m microBenchResult) [2]int64 {
+	if len(m.RoundsAllocs) == 0 {
+		return [2]int64{m.AllocsOp, m.AllocsOp}
+	}
+	return [2]int64{slices.Min(m.RoundsAllocs), slices.Max(m.RoundsAllocs)}
 }
 
 // retiredMicros names the baseline's micro rows that the new report no

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -63,6 +64,32 @@ func TestCompareReportsWarnsOnAllocGrowth(t *testing.T) {
 	}
 	if len(warnings) != 1 {
 		t.Fatalf("warnings = %v, want the allocs_per_op growth", warnings)
+	}
+}
+
+// A row whose allocation count jitters between rounds warns only when the
+// new run's fewest exceeds the baseline's most by more than either run's
+// range; a row whose rounds agree warns on one more.
+func TestCompareReportsReadsAllocRanges(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		old, new []int64
+		warn     bool
+	}{
+		{"jitter within the baseline's range", []int64{45147, 45149, 45148}, []int64{45148, 45150, 45149}, false},
+		{"jitter past the baseline's, by its range", []int64{45147, 45149, 45148}, []int64{45150, 45150, 45150}, false},
+		{"jitter past the baseline's, by more", []int64{45147, 45149, 45148}, []int64{45152, 45153, 45152}, true},
+		{"agreeing rounds, one more", []int64{4, 4, 4}, []int64{5, 5, 5}, true},
+		{"agreeing rounds, the same", []int64{4, 4, 4}, []int64{4, 4, 4}, false},
+		{"fewer", []int64{4, 4, 4}, []int64{3, 3, 3}, false},
+	} {
+		oldR, newR := baselineReport(), baselineReport()
+		oldR.Micro[1].AllocsOp, oldR.Micro[1].RoundsAllocs = slices.Min(c.old), c.old
+		newR.Micro[1].AllocsOp, newR.Micro[1].RoundsAllocs = slices.Min(c.new), c.new
+		warnings, failures := compareReports(oldR, newR, "quick")
+		if len(failures) != 0 || (len(warnings) == 1) != c.warn || len(warnings) > 1 {
+			t.Errorf("%s: warnings %v, failures %v; want a warning: %v", c.name, warnings, failures, c.warn)
+		}
 	}
 }
 
@@ -242,6 +269,10 @@ func budgetReport() benchReport {
 			{Name: "DirCreateSession10k", NsPerOp: 9400, AllocsOp: 32},
 			{Name: "DirLearnClashing10k", NsPerOp: 3000, AllocsOp: 176},
 			{Name: "DirLearnClashing100k", NsPerOp: 3600, AllocsOp: 177},
+			{Name: "DirStepOwned256", NsPerOp: 40},
+			{Name: "DirStepOwned16k", NsPerOp: 42},
+			{Name: "DirRecover10k", NsPerOp: 1800, AllocsOp: 4},
+			{Name: "DirRecoverBudgeted10k", NsPerOp: 1900, AllocsOp: 4},
 		},
 	}
 }
@@ -299,8 +330,20 @@ func TestBudgetFailuresBatchDepthCollapse(t *testing.T) {
 func TestBudgetFailuresMissingMicros(t *testing.T) {
 	r := budgetReport()
 	r.Micro = nil
-	if fails := budgetFailures(r); len(fails) != 35 {
-		t.Fatalf("missing micros should produce thirty-five failures, one per row the budgets read, got: %v", fails)
+	if fails := budgetFailures(r); len(fails) != 39 {
+		t.Fatalf("missing micros should produce thirty-nine failures, one per row the budgets read, got: %v", fails)
+	}
+}
+
+// A quiet tick that walks the owned sessions again, and a budget-full
+// recovery that sorts the cache again, each break one budget.
+func TestBudgetFailuresOwnedStepAndBudgetedRecovery(t *testing.T) {
+	for row, ns := range map[string]float64{"DirStepOwned16k": 2000, "DirRecoverBudgeted10k": 2700} {
+		r := budgetReport()
+		micro(t, &r, row).NsPerOp = ns
+		if fails := budgetFailures(r); len(fails) != 1 || !strings.Contains(fails[0], row) {
+			t.Errorf("%s at %g ns/op: %v, want its ratio budget broken", row, ns, fails)
+		}
 	}
 }
 

@@ -60,10 +60,10 @@ type core struct {
 	// degradeLevel is the tier the last tick computed; the per-packet path
 	// reads it instead of rescanning the cache.
 	degradeLevel int
-	// staleAfter mirrors the admission controller's resolved staleness
-	// horizon; entries older than this are reclaimable, hence not counted
-	// as degradation pressure.
-	staleAfter time.Duration
+	// budget is the cache's session budget and per-origin quota, with the
+	// resolved staleness horizon: entries unheard longer are reclaimable,
+	// hence not counted as degradation pressure.
+	budget announce.Budget
 
 	// journaling (a CacheStore is attached) and reporting (someone takes
 	// decision records): effects nobody takes are not built.
@@ -73,6 +73,11 @@ type core struct {
 	// dueBuf is step's list of owned keys due for re-announcement, kept
 	// from one tick to the next: it holds at most every owned key.
 	dueBuf []string
+	// announceBound is a lower bound on every owned session's nextAnnounce
+	// (zero: none to bound), so a step before it has nothing to re-announce
+	// and skips the walk of owned. announceOwn lowers it, and each walk
+	// sets it anew; a withdrawal leaves it, still a lower bound.
+	announceBound time.Time
 
 	ins dirInstruments
 }
@@ -373,6 +378,7 @@ func (c *core) announceOwn(own *ownedSession, now time.Time) error {
 		b.Steady = steady
 	}
 	own.nextAnnounce = now.Add(b.IntervalAfter(int(own.announceCount)))
+	c.lowerAnnounceBound(own.nextAnnounce)
 	own.announceCount++
 	c.ins.announcementsSent.Inc()
 	c.record(obs.TraceAnnounce, own.key, own.addr, own.desc, now)
@@ -715,7 +721,7 @@ func (c *core) admitNew(origin netip.Addr, desc *session.Description, key string
 	if !c.budgeted() {
 		return true
 	}
-	dec := c.admit.PlanNewOrdered(c.cache, origin, now)
+	dec := c.cache.PlanNew(c.budget, origin, now)
 	for _, k := range dec.Evict {
 		// The order holds no entry of our origin, so no owned session's.
 		c.cache.Remove(k)
@@ -738,33 +744,6 @@ func (c *core) evicted(key string, now time.Time) {
 	c.ins.evictions.Inc()
 	c.record(obs.TraceEvict, key, 0, nil, now)
 	c.journalKey(deltaEvict, key)
-}
-
-// candidates builds the admission view of the cache by scanning it, for
-// the once-per-start load trim (and as the tests' reference: the packet
-// path plans over the order the cache maintains). Own sessions are
-// excluded: they are never eviction candidates. The order is irrelevant —
-// the planners impose a total deterministic order of their own.
-func (c *core) candidates() []admission.Candidate {
-	entries := c.cache.All()
-	cands := make([]admission.Candidate, 0, len(entries))
-	for _, e := range entries {
-		if e.Desc.Origin == c.cfg.Origin {
-			continue
-		}
-		key := e.Key()
-		if c.owned[key] != nil {
-			continue
-		}
-		cands = append(cands, admission.Candidate{
-			Key:       key,
-			Origin:    e.Desc.Origin,
-			TTL:       e.Desc.TTL,
-			LastHeard: e.LastHeard,
-			Deleted:   e.Deleted,
-		})
-	}
-	return cands
 }
 
 // applyActions executes clash protocol reactions.
@@ -833,23 +812,38 @@ func (c *core) step(now time.Time) {
 	// transmission order is observable (it drives receivers' clash timing
 	// and any fault-injecting transport's RNG draws), so it must be
 	// identical run to run for a chaos schedule to replay from its seed.
-	due := c.dueBuf[:0]
-	for key, own := range c.owned { //mclint:maporder due keys are sorted before use
-		if !own.nextAnnounce.After(now) {
-			due = append(due, key)
+	if !now.Before(c.announceBound) {
+		c.announceBound = time.Time{}
+		due := c.dueBuf[:0]
+		for key, own := range c.owned { //mclint:maporder due keys are sorted before use, and the bound is a minimum
+			if !own.nextAnnounce.After(now) {
+				due = append(due, key)
+			} else {
+				c.lowerAnnounceBound(own.nextAnnounce)
+			}
 		}
+		sort.Strings(due)
+		for _, key := range due {
+			if own := c.owned[key]; c.announceOwn(own, now) != nil {
+				// A failed send leaves the session due: the next step retries.
+				c.lowerAnnounceBound(own.nextAnnounce)
+			}
+		}
+		clear(due)
+		c.dueBuf = due[:0]
 	}
-	sort.Strings(due)
-	for _, key := range due {
-		_ = c.announceOwn(c.owned[key], now) // transient send errors retry next interval
-	}
-	clear(due)
-	c.dueBuf = due[:0]
 	c.applyActions(c.tracker.Due(c.ms(now)), now)
 	for _, key := range c.cache.Expire(now) {
 		c.ins.sessionsExpired.Inc()
 		c.record(obs.TraceExpire, key, 0, nil, now)
 		c.journalKey(deltaExpire, key)
+	}
+}
+
+// lowerAnnounceBound brings announceBound down to next if that is earlier.
+func (c *core) lowerAnnounceBound(next time.Time) {
+	if c.announceBound.IsZero() || next.Before(c.announceBound) {
+		c.announceBound = next
 	}
 }
 
@@ -903,7 +897,7 @@ func (c *core) degradeLevelAt(now time.Time) int {
 	if c.cfg.MaxSessions <= 0 {
 		return 0
 	}
-	return c.degradeLevelOf(c.cache.CountFresh(now, c.staleAfter))
+	return c.degradeLevelOf(c.cache.CountFresh(now, c.budget.StaleAfter))
 }
 
 // degradeLevelOf maps a fresh cache occupancy onto the overload tiers, in
@@ -961,7 +955,7 @@ func (c *core) registerLoaded(now time.Time) {
 	// grown) must trim deterministically, not over-admit — and evicted
 	// entries must never reach the clash tracker.
 	if c.budgeted() {
-		for _, k := range c.admit.TrimPlan(c.candidates()) {
+		for _, k := range c.cache.Trim(c.budget) {
 			c.cache.Remove(k)
 			c.evicted(k, now)
 		}

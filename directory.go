@@ -409,17 +409,13 @@ func New(cfg Config) (*Directory, error) {
 		// is spared the upkeep.
 		d.cache.TrackOrder(cfg.Origin)
 	}
-	staleAfter := cfg.StaleAfter
-	if staleAfter <= 0 {
-		staleAfter = d.cache.Timeout() / 4
+	d.budget = announce.Budget{MaxSessions: cfg.MaxSessions, MaxPerOrigin: cfg.MaxPerOrigin, StaleAfter: cfg.StaleAfter}
+	if d.budget.StaleAfter <= 0 {
+		d.budget.StaleAfter = d.cache.Timeout() / 4
 	}
-	d.staleAfter = staleAfter
 	d.admit = admission.New(admission.Config{
-		MaxSessions:  cfg.MaxSessions,
-		MaxPerOrigin: cfg.MaxPerOrigin,
-		OriginRate:   cfg.OriginRate,
-		OriginBurst:  cfg.OriginBurst,
-		StaleAfter:   staleAfter,
+		OriginRate:  cfg.OriginRate,
+		OriginBurst: cfg.OriginBurst,
 		// An independent stream derived from the seed, not split from d.rng:
 		// enabling admission must not shift the allocator's or the clash
 		// tracker's draw sequences.

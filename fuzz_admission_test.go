@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sessiondir/internal/mcast"
+	"sessiondir/internal/obs"
 	"sessiondir/internal/sap"
 	"sessiondir/internal/session"
 	"sessiondir/internal/transport"
@@ -18,11 +19,15 @@ import (
 // bystander origin whose sessions go stale as the clock moves: raw fuzz
 // bytes on the wire, plus announce/delete/clash-report sequences whose
 // shape (session IDs, versions, groups, deletions, clock skips forward
-// and back) is decoded from the fuzz input. Invariants: no panic, the cache never
-// exceeds MaxSessions, owned sessions survive whatever arrives, and after
-// every packet the indices kept at the cache's mutation sites plan and
-// view exactly what a rebuild from a scan would, and the clash tracker
-// links only the nodes checkTracker allows (checkIndices).
+// and back) is decoded from the fuzz input, and restarts: a checkpoint
+// recovered into a fresh directory under a smaller budget and quota, which
+// must evict what the reference trim over the checkpoint's candidates
+// does, in its order, and which the input then drives on. Invariants: no
+// panic, the cache never exceeds MaxSessions, owned sessions survive
+// whatever arrives, and after every packet the indices kept at the cache's
+// mutation sites plan and view exactly what a rebuild from a scan would,
+// and the clash tracker links only the nodes checkTracker allows
+// (checkIndices).
 func FuzzAdmission(f *testing.F) {
 	// Seeds echo the sap decode corpus plus admission-shaped scripts.
 	f.Add([]byte{})
@@ -57,24 +62,36 @@ func FuzzAdmission(f *testing.F) {
 	// go stale, and a new bystander session evicts the oldest.
 	f.Add([]byte{2, 1, 1, 2, 2, 2, 1, 1, 3, 1, 2, 4, 4, 200, 0, 4, 200, 0, 2, 3, 6, 1, 3, 7})
 
+	// A restart under a smaller budget: four sessions of two origins, two
+	// of them stale, recovered under a budget of one and a quota of one,
+	// so that each origin loses its first and then the budget the first of
+	// the rest.
+	f.Add([]byte{2, 1, 1, 2, 2, 2, 4, 200, 0, 4, 200, 0, 1, 1, 3, 1, 2, 4, 5, 0, 0, 1, 3, 5})
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bus := transport.NewBus()
 		clk := newFakeClock()
-		dir, err := New(Config{
-			Origin:       netip.MustParseAddr("10.0.0.1"),
-			Transport:    bus.Endpoint(),
-			Space:        mcast.SyntheticSpace(32),
-			Clock:        clk.Now,
-			Seed:         1,
-			MaxSessions:  4,
-			MaxPerOrigin: 2,
-			OriginRate:   50,
-			OriginBurst:  100,
-			StaleAfter:   5 * time.Minute,
-		})
-		if err != nil {
-			t.Fatal(err)
+		open := func(ep *transport.BusEndpoint, maxSessions, maxPerOrigin int, onEvent func(Event)) *Directory {
+			t.Helper()
+			dir, err := New(Config{
+				Origin:       netip.MustParseAddr("10.0.0.1"),
+				Transport:    ep,
+				Space:        mcast.SyntheticSpace(32),
+				Clock:        clk.Now,
+				Seed:         1,
+				MaxSessions:  maxSessions,
+				MaxPerOrigin: maxPerOrigin,
+				OriginRate:   50,
+				OriginBurst:  100,
+				StaleAfter:   5 * time.Minute,
+				OnEvent:      onEvent,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return dir
 		}
+		dir := open(bus.Endpoint(), 4, 2, nil)
 		own, err := dir.CreateSession(testDesc("owned", 127))
 		if err != nil {
 			t.Fatal(err)
@@ -87,7 +104,7 @@ func FuzzAdmission(f *testing.F) {
 
 		for i := 0; i+2 < len(data); i += 3 {
 			op, a, b := data[i], data[i+1], data[i+2]
-			switch op % 5 {
+			switch op % 6 {
 			case 0: // raw bytes: whatever the fuzzer dreamed up
 				end := i + 3 + int(a)
 				if end > len(data) {
@@ -134,6 +151,31 @@ func FuzzAdmission(f *testing.F) {
 				}
 				clk.Advance(dt)
 				dir.Step(clk.Now())
+			case 5: // a restart from a checkpoint under a smaller budget and quota
+				saved := checkpointOf(t, dir)
+				dir.Close()
+				// The checkpoint's candidates, recovered where nothing is trimmed.
+				bare := open(transport.NewBus().Endpoint(), 0, 0, nil)
+				reopen(t, saved, bare)
+				cands := candidatesOf(bare)
+				var evicted []string
+				dir = open(bus.Endpoint(), 1+int(a%3), 1, func(e Event) {
+					if e.Kind == obs.TraceEvict {
+						evicted = append(evicted, e.Key)
+					}
+				})
+				cs, _ := reopen(t, saved, dir)
+				_ = cs.Close() // recovery only: the checkpoint is not rewritten
+				if want := trimOf(cands, dir.budget); fmt.Sprint(evicted) != fmt.Sprint(want) {
+					t.Fatalf("recovery under %+v evicted %v, the reference trim over %d candidates %v", dir.budget, evicted, len(cands), want)
+				}
+				// The restarted directory announces its session again, under
+				// the key its heard-back copy was recovered with.
+				again := testDesc("owned", 127)
+				again.ID = own.ID
+				if own, err = dir.CreateSession(again); err != nil {
+					t.Fatal(err)
+				}
 			}
 			// The maintained eviction order and allocator view must agree
 			// with a fresh scan after whatever just arrived.

@@ -1,14 +1,19 @@
 package sessiondir
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net/netip"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"sessiondir/internal/admission"
 	"sessiondir/internal/allocator"
+	"sessiondir/internal/announce"
 	"sessiondir/internal/clash"
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/sap"
@@ -48,10 +53,11 @@ func scanState(d *Directory) *allocator.State {
 
 // checkIndices compares the directory's maintained indices with the scans
 // they replaced: the allocator state with one folded from scanView, the
-// overload tier
-// read through the cache's fresh-count memo with the tier of a recount,
-// and — when a budget is set — the plan over the maintained eviction order
-// with PlanNew over candidates, for a newcomer from each given origin.
+// re-announcement bound with every owned session's next announcement, the
+// overload tier read through the cache's fresh-count memo with the tier of
+// a recount, and — when a budget is set — the cache's plan over its
+// eviction order with admission's PlanNew over candidatesOf, for a
+// newcomer from each given origin.
 func checkIndices(t testing.TB, d *Directory, origins ...netip.Addr) {
 	t.Helper()
 	d.mu.Lock()
@@ -60,6 +66,11 @@ func checkIndices(t testing.TB, d *Directory, origins ...netip.Addr) {
 	if want := scanState(d); !reflect.DeepEqual(d.state, want) {
 		t.Fatalf("maintained allocator state %+v\nrebuilt                   %+v", d.state, want)
 	}
+	for key, own := range d.owned {
+		if own.nextAnnounce.Before(d.announceBound) {
+			t.Fatalf("%s is next announced at %v, before the bound %v a step skips its walk up to", key, own.nextAnnounce, d.announceBound)
+		}
+	}
 	if d.cfg.MaxSessions <= 0 && d.cfg.MaxPerOrigin <= 0 {
 		return
 	}
@@ -67,25 +78,81 @@ func checkIndices(t testing.TB, d *Directory, origins ...netip.Addr) {
 	if d.cfg.MaxSessions > 0 {
 		fresh := 0
 		for _, e := range d.cache.Live() {
-			if now.Sub(e.LastHeard) < d.staleAfter {
+			if now.Sub(e.LastHeard) < d.budget.StaleAfter {
 				fresh++
 			}
 		}
 		if got, want := d.degradeLevelAt(now), d.degradeLevelOf(fresh); got != want {
 			t.Fatalf("overload tier %d from the fresh-count memo, %d from a recount of %d fresh", got, want, fresh)
 		}
-		if got := d.cache.CountFresh(now, d.staleAfter); got != fresh {
+		if got := d.cache.CountFresh(now, d.budget.StaleAfter); got != fresh {
 			t.Fatalf("fresh-count memo %d, a recount %d", got, fresh)
 		}
 	}
+	ref := admission.New(admission.Config{MaxSessions: d.budget.MaxSessions, MaxPerOrigin: d.budget.MaxPerOrigin, StaleAfter: d.budget.StaleAfter})
+	cands := candidatesOf(d)
 	for _, origin := range origins {
-		got := d.admit.PlanNewOrdered(d.cache, origin, now)
-		want := d.admit.PlanNew(d.candidates(), origin, now)
+		got := d.cache.PlanNew(d.budget, origin, now)
+		want := ref.PlanNew(cands, origin, now)
 		if got.Outcome != want.Outcome || fmt.Sprint(got.Evict) != fmt.Sprint(want.Evict) {
 			t.Fatalf("newcomer from %s: ordered plan %v %v, PlanNew over a scan %v %v",
 				origin, got.Outcome, got.Evict, want.Outcome, want.Evict)
 		}
 	}
+}
+
+// candidatesOf is the admission view of d's cache, built by a scan: every
+// cached entry but those of d's own origin, which are never eviction
+// candidates.
+func candidatesOf(d *Directory) []admission.Candidate {
+	var cands []admission.Candidate
+	for _, e := range d.cache.All() {
+		if e.Desc.Origin != d.cfg.Origin {
+			cands = append(cands, admission.Candidate{Key: e.Key(), Origin: e.Desc.Origin, TTL: e.Desc.TTL, LastHeard: e.LastHeard, Deleted: e.Deleted})
+		}
+	}
+	return cands
+}
+
+// trimOf is the recovery trim over a candidate list, the reference the
+// cache's Trim is checked against: sorted into eviction order (tombstones,
+// then the longest unheard, the smallest scope, the key), each origin's
+// first entries past its quota go, then the first of the rest past the
+// budget.
+func trimOf(cands []admission.Candidate, b announce.Budget) []string {
+	ordered := slices.SortedFunc(slices.Values(cands), func(x, y admission.Candidate) int {
+		switch {
+		case x.Deleted != y.Deleted:
+			if x.Deleted {
+				return -1
+			}
+			return 1
+		case !x.LastHeard.Equal(y.LastHeard):
+			return x.LastHeard.Compare(y.LastHeard)
+		case x.TTL != y.TTL:
+			return cmp.Compare(x.TTL, y.TTL)
+		}
+		return strings.Compare(x.Key, y.Key)
+	})
+	left := map[netip.Addr]int{}
+	for _, c := range cands {
+		left[c.Origin]++
+	}
+	gone := map[string]bool{}
+	var evict []string
+	for _, c := range ordered {
+		if b.MaxPerOrigin > 0 && left[c.Origin] > b.MaxPerOrigin {
+			left[c.Origin]--
+			gone[c.Key] = true
+			evict = append(evict, c.Key)
+		}
+	}
+	for _, c := range ordered {
+		if b.MaxSessions > 0 && len(cands)-len(evict) > b.MaxSessions && !gone[c.Key] {
+			evict = append(evict, c.Key)
+		}
+	}
+	return evict
 }
 
 // checkTracker asserts where the clash tracker's nodes live: it links

@@ -3,19 +3,17 @@
 // well-behaved participants: any host may announce, and every listener
 // caches what it hears. A single hostile or buggy sender can therefore
 // grow a listener's cache without bound, exhaust its per-origin fairness,
-// or flood the shared announcement channel. This package supplies the
-// three defences the directory composes in its receive path:
-//
-//   - a per-origin token-bucket rate limit on announcements and deletions
-//     (Allow), with a bounded bucket table so origin churn cannot itself
-//     become a memory attack;
-//   - a deterministic admission plan for new sessions against a hard
-//     session budget and per-origin quota (PlanNew): stale or deleted
-//     entries are evicted first (lowest TTL scope breaking ties), and if
-//     everything cached is fresh and live the newcomer is shed instead —
-//     drop-newest, so established state is never displaced by a flood;
-//   - a deterministic trim for over-budget checkpoint loads (TrimPlan),
-//     which must get under budget even when nothing is stale.
+// or flood the shared announcement channel. The directory's defences are
+// a per-origin token-bucket rate limit on announcements and deletions
+// (Allow), with a bounded bucket table so origin churn cannot itself
+// become a memory attack — the Controller's production job — and a hard
+// session budget and per-origin quota, which the announcement cache
+// enforces over the eviction order it keeps (announce.Cache's PlanNew and
+// Trim). PlanNew here is that budget's specification over a plain
+// candidate list, which the cache's plans are tested against: stale or
+// deleted entries are evicted first (lowest TTL scope breaking ties), and
+// if everything cached is fresh and live the newcomer is shed instead —
+// drop-newest, so established state is never displaced by a flood.
 //
 // Everything is a pure function of its inputs plus the caller-supplied
 // clock reading and an explicitly seeded stats.RNG (used only for the
@@ -96,8 +94,8 @@ type bucket struct {
 	last   time.Time
 }
 
-// Controller holds the rate limiter's per-origin state. The eviction
-// planners are stateless; they live here only to share the Config.
+// Controller holds the rate limiter's per-origin state and the Config
+// that PlanNew, the budget's stateless specification, reads.
 type Controller struct {
 	cfg       Config
 	buckets   map[netip.Addr]*bucket
@@ -296,63 +294,6 @@ func (c *Controller) PlanNew(cands []Candidate, origin netip.Addr, now time.Time
 	return d
 }
 
-// Order is a cache's eviction order kept current at the cache's mutation
-// sites (announce.Cache provides it), as PlanNewOrdered reads it. The
-// candidates are what PlanNew would be handed — every cached entry except
-// the listener's own sessions — and "in eviction order" and "evictable"
-// mean exactly evictionOrder and evictable above.
-type Order interface {
-	// Candidates is the number of candidates.
-	Candidates() int
-	// CandidatesFrom is the number of candidates origin announced.
-	CandidatesFrom(origin netip.Addr) int
-	// AppendEvictable appends to dst the keys of the first n evictable
-	// candidates in eviction order, or of all of them if there are fewer.
-	AppendEvictable(dst []string, n int, now time.Time, staleAfter time.Duration) []string
-	// AppendEvictableFrom is AppendEvictable over origin's candidates only.
-	AppendEvictableFrom(dst []string, origin netip.Addr, n int, now time.Time, staleAfter time.Duration) []string
-}
-
-// PlanNewOrdered is PlanNew over a maintained Order instead of a fresh
-// candidate list: the same outcome and the same evictions in the same
-// sequence, without sorting the cache to find them. It asks only for as
-// many evictions as the newcomer needs — one, when a full budget was within
-// bounds before it arrived.
-func (c *Controller) PlanNewOrdered(o Order, origin netip.Addr, now time.Time) Decision {
-	var d Decision
-	if c.cfg.MaxPerOrigin > 0 {
-		// Reclaim the origin's own stale/deleted entries before denying it.
-		if need := o.CandidatesFrom(origin) - c.cfg.MaxPerOrigin + 1; need > 0 {
-			d.Evict = o.AppendEvictableFrom(d.Evict, origin, need, now, c.cfg.StaleAfter)
-			if len(d.Evict) < need {
-				d.Outcome = DenyQuota
-				return d
-			}
-		}
-	}
-	if c.cfg.MaxSessions > 0 {
-		reclaimed := d.Evict
-		if need := o.Candidates() - len(reclaimed) - c.cfg.MaxSessions + 1; need > 0 {
-			// What the quota step reclaimed is still in the order: ask for
-			// that many more and filter the repeats out in place.
-			got := o.AppendEvictable(reclaimed, need+len(reclaimed), now, c.cfg.StaleAfter)
-			d.Evict = got[:len(reclaimed)]
-			for _, k := range got[len(reclaimed):] {
-				if need > 0 && !slices.Contains(reclaimed, k) {
-					d.Evict = append(d.Evict, k)
-					need--
-				}
-			}
-			if need > 0 {
-				d.Outcome = Shed
-				return d
-			}
-		}
-	}
-	d.Outcome = Admit
-	return d
-}
-
 // PlanNewGrouped is PlanNew over the concatenation of groups — the entry
 // point of the sharded cache's per-shard candidate lists. The cache is no
 // longer sharded (DESIGN.md §17.1); benchmark/shadow.go still compiles
@@ -360,42 +301,4 @@ func (c *Controller) PlanNewOrdered(o Order, origin netip.Addr, now time.Time) D
 // probes (ROADMAP item 7).
 func (c *Controller) PlanNewGrouped(groups [][]Candidate, origin netip.Addr, now time.Time) Decision { //mclint:unused pinned by benchmark/shadow.go
 	return c.PlanNew(slices.Concat(groups...), origin, now)
-}
-
-// TrimPlan returns the keys to evict so that the population fits both the
-// session budget and every per-origin quota, evicting in the same
-// deterministic preference order but unconditionally — a checkpoint
-// larger than the budget must not over-admit merely because its entries
-// were recently saved.
-func (c *Controller) TrimPlan(cands []Candidate) []string {
-	ordered := evictionOrder(cands)
-	perOrigin := make(map[netip.Addr]int)
-	for _, e := range cands {
-		perOrigin[e.Origin]++
-	}
-	var evict []string
-	remaining := len(cands)
-	for _, e := range ordered {
-		if c.cfg.MaxPerOrigin > 0 && perOrigin[e.Origin] > c.cfg.MaxPerOrigin {
-			perOrigin[e.Origin]--
-			remaining--
-			evict = append(evict, e.Key)
-		}
-	}
-	if c.cfg.MaxSessions > 0 && remaining > c.cfg.MaxSessions {
-		over := make(map[string]bool, len(evict))
-		for _, k := range evict {
-			over[k] = true
-		}
-		for _, e := range ordered {
-			if remaining <= c.cfg.MaxSessions {
-				break
-			}
-			if !over[e.Key] {
-				remaining--
-				evict = append(evict, e.Key)
-			}
-		}
-	}
-	return evict
 }

@@ -154,61 +154,6 @@ func TestPlanNewPerOriginQuota(t *testing.T) {
 	}
 }
 
-func TestTrimPlanDeterministicAndSufficient(t *testing.T) {
-	now := t0()
-	c := New(Config{MaxSessions: 4, MaxPerOrigin: 2})
-	var cands []Candidate
-	for i := 0; i < 10; i++ {
-		cands = append(cands, mkCand(
-			fmt.Sprintf("k%02d", i), origin(i%3), 127,
-			now.Add(-time.Duration(i)*time.Minute), false))
-	}
-	evict := c.TrimPlan(cands)
-	// Survivors must fit both limits.
-	gone := make(map[string]bool)
-	for _, k := range evict {
-		gone[k] = true
-	}
-	perOrigin := map[netip.Addr]int{}
-	kept := 0
-	for _, e := range cands {
-		if !gone[e.Key] {
-			kept++
-			perOrigin[e.Origin]++
-		}
-	}
-	if kept > 4 {
-		t.Fatalf("%d survivors, budget 4", kept)
-	}
-	for o, n := range perOrigin {
-		if n > 2 {
-			t.Fatalf("origin %s keeps %d entries, quota 2", o, n)
-		}
-	}
-	// Same inputs in a different order: identical plan.
-	shuffled := append([]Candidate(nil), cands...)
-	for i := range shuffled {
-		j := (i * 7) % len(shuffled)
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	}
-	evict2 := c.TrimPlan(shuffled)
-	a := append([]string(nil), evict...)
-	b := append([]string(nil), evict2...)
-	if !reflect.DeepEqual(sorted(a), sorted(b)) {
-		t.Fatalf("trim plan depends on candidate order: %v vs %v", evict, evict2)
-	}
-}
-
-func sorted(s []string) []string {
-	out := append([]string(nil), s...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
 // PlanNewGrouped (kept for benchmark/) must be exactly equivalent to the
 // flat planner on the concatenation of its groups.
 func TestGroupedPlannersMatchFlat(t *testing.T) {
@@ -241,85 +186,5 @@ func TestGroupedPlannersMatchFlat(t *testing.T) {
 	got := ctrl.PlanNewGrouped(groups, newOrigin, now)
 	if want.Outcome != got.Outcome || fmt.Sprint(want.Evict) != fmt.Sprint(got.Evict) {
 		t.Fatalf("PlanNewGrouped diverges: %v/%v vs %v/%v", got.Outcome, got.Evict, want.Outcome, want.Evict)
-	}
-}
-
-// sortedOrder is the plainest Order there is: PlanNew's own candidate
-// list, sorted by PlanNew's own evictionOrder.
-type sortedOrder struct {
-	c     *Controller
-	cands []Candidate
-}
-
-func (o sortedOrder) Candidates() int { return len(o.cands) }
-
-func (o sortedOrder) CandidatesFrom(origin netip.Addr) int {
-	n := 0
-	for _, e := range o.cands {
-		if e.Origin == origin {
-			n++
-		}
-	}
-	return n
-}
-
-func (o sortedOrder) appendEvictable(dst []string, n int, now time.Time, keep func(Candidate) bool) []string {
-	for _, e := range evictionOrder(o.cands) {
-		if n > 0 && o.c.evictable(e, now) && keep(e) {
-			dst = append(dst, e.Key)
-			n--
-		}
-	}
-	return dst
-}
-
-func (o sortedOrder) AppendEvictable(dst []string, n int, now time.Time, _ time.Duration) []string {
-	return o.appendEvictable(dst, n, now, func(Candidate) bool { return true })
-}
-
-func (o sortedOrder) AppendEvictableFrom(dst []string, origin netip.Addr, n int, now time.Time, _ time.Duration) []string {
-	return o.appendEvictable(dst, n, now, func(e Candidate) bool { return e.Origin == origin })
-}
-
-// PlanNewOrdered is PlanNew with the sort factored out behind Order: over
-// random populations and budgets — both budgets binding at once, caches
-// several entries over budget, origins far over quota — the two agree on
-// the outcome and on the evictions and their sequence.
-func TestPlanNewOrderedMatchesPlanNew(t *testing.T) {
-	rng := stats.NewRNG(1998)
-	now := t0()
-	both := 0
-	for round := 0; round < 3000; round++ {
-		c := New(Config{MaxSessions: rng.IntN(12), MaxPerOrigin: rng.IntN(5), StaleAfter: 10 * time.Minute})
-		cands := make([]Candidate, rng.IntN(16))
-		for i := range cands {
-			cands[i] = Candidate{
-				Key:       fmt.Sprintf("k%d", i),
-				Origin:    origin(rng.IntN(4)),
-				TTL:       mcast.TTL(1 + rng.IntN(3)),
-				LastHeard: now.Add(-time.Duration(rng.IntN(5)) * 4 * time.Minute),
-				Deleted:   rng.IntN(6) == 0,
-			}
-		}
-		from := origin(rng.IntN(5))
-		want := c.PlanNew(cands, from, now)
-		got := c.PlanNewOrdered(sortedOrder{c, cands}, from, now)
-		if got.Outcome != want.Outcome || !reflect.DeepEqual(got.Evict, want.Evict) {
-			t.Fatalf("round %d (budget %d, quota %d, %d candidates):\n ordered %v %v\n PlanNew %v %v",
-				round, c.cfg.MaxSessions, c.cfg.MaxPerOrigin, len(cands), got.Outcome, got.Evict, want.Outcome, want.Evict)
-		}
-		// Both steps evicted: an entry of from, then one of another origin.
-		if n := len(got.Evict); n >= 2 && got.Outcome == Admit {
-			byKey := map[string]netip.Addr{}
-			for _, e := range cands {
-				byKey[e.Key] = e.Origin
-			}
-			if byKey[got.Evict[0]] == from && byKey[got.Evict[n-1]] != from && c.cfg.MaxPerOrigin > 0 {
-				both++
-			}
-		}
-	}
-	if both == 0 {
-		t.Error("no round had the quota step and the budget step both evict")
 	}
 }

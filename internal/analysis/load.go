@@ -3,15 +3,13 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -33,9 +31,9 @@ type Package struct {
 // source importer, which type-checks GOROOT packages from source. This
 // keeps go.mod dependency-free — no golang.org/x/tools.
 //
-// Files are filtered by //go:build constraints and filename GOOS/GOARCH
-// suffixes for the host platform, mirroring what `go build` would
-// compile here. Test files are excluded.
+// A package's files are those go/build selects for the host platform
+// (platform): //go:build constraints and GOOS/GOARCH filename suffixes
+// decide, as for `go build` here. Test files are excluded.
 type Loader struct {
 	Fset *token.FileSet
 	// ModuleDir is the filesystem root of the module being analyzed.
@@ -124,32 +122,23 @@ func (l *Loader) moduleDirFor(importPath string) (string, bool) {
 	return filepath.Join(l.ModuleDir, filepath.FromSlash(rel)), true
 }
 
+// platform selects a package's files as `go build` would on the host,
+// with cgo off: mclint analyzes the platform it runs on, and the CI matrix
+// is where other platforms get covered.
+var platform = func() build.Context {
+	ctx := build.Default
+	ctx.CgoEnabled = false
+	return ctx
+}()
+
 func (l *Loader) loadDir(dir, importPath string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+	bp, err := platform.ImportDir(dir, 0)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)
 	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, "_") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names) // deterministic file order → deterministic diagnostics
 	var files []*ast.File
-	for _, name := range names {
-		path := filepath.Join(dir, name)
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %w", err)
-		}
-		if !fileMatchesPlatform(name, src) {
-			continue
-		}
-		f, err := parser.ParseFile(l.Fset, path, src, parser.ParseComments)
+	for _, name := range bp.GoFiles { // sorted: deterministic diagnostics
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: %w", err)
 		}
@@ -197,88 +186,4 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 	sharedStdMu.Lock()
 	defer sharedStdMu.Unlock()
 	return l.std.ImportFrom(path, dir, mode)
-}
-
-// fileMatchesPlatform reports whether a file would be compiled on the
-// host GOOS/GOARCH, honoring both filename suffix conventions
-// (name_GOOS.go, name_GOOS_GOARCH.go, name_GOARCH.go) and //go:build
-// constraint lines. mclint analyzes the platform it runs on; the CI
-// matrix is where other platforms get covered.
-func fileMatchesPlatform(name string, src []byte) bool {
-	if !suffixMatches(name) {
-		return false
-	}
-	expr, ok := buildConstraint(src)
-	if !ok {
-		return true
-	}
-	return expr.Eval(func(tag string) bool {
-		switch tag {
-		case runtime.GOOS, runtime.GOARCH, "gc":
-			return true
-		case "unix":
-			return unixGOOS[runtime.GOOS]
-		case "cgo":
-			return false
-		}
-		// Language-version tags (go1.N): this toolchain satisfies any
-		// version the module can require.
-		return strings.HasPrefix(tag, "go1.")
-	})
-}
-
-var unixGOOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "linux": true,
-	"netbsd": true, "openbsd": true, "solaris": true,
-}
-
-var knownGOOS = map[string]bool{
-	"aix": true, "android": true, "darwin": true, "dragonfly": true,
-	"freebsd": true, "illumos": true, "ios": true, "js": true,
-	"linux": true, "netbsd": true, "openbsd": true, "plan9": true,
-	"solaris": true, "wasip1": true, "windows": true,
-}
-
-var knownGOARCH = map[string]bool{
-	"386": true, "amd64": true, "arm": true, "arm64": true,
-	"loong64": true, "mips": true, "mips64": true, "mips64le": true,
-	"mipsle": true, "ppc64": true, "ppc64le": true, "riscv64": true,
-	"s390x": true, "wasm": true,
-}
-
-func suffixMatches(name string) bool {
-	base := strings.TrimSuffix(name, ".go")
-	parts := strings.Split(base, "_")
-	// Trailing _GOARCH (optionally preceded by _GOOS), or trailing _GOOS.
-	if n := len(parts); n > 1 && knownGOARCH[parts[n-1]] {
-		if parts[n-1] != runtime.GOARCH {
-			return false
-		}
-		if n > 2 && knownGOOS[parts[n-2]] && parts[n-2] != runtime.GOOS {
-			return false
-		}
-		return true
-	}
-	if n := len(parts); n > 1 && knownGOOS[parts[n-1]] && parts[n-1] != runtime.GOOS {
-		return false
-	}
-	return true
-}
-
-func buildConstraint(src []byte) (constraint.Expr, bool) {
-	for _, line := range strings.Split(string(src), "\n") {
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "package ") {
-			break
-		}
-		if constraint.IsGoBuild(line) {
-			expr, err := constraint.Parse(line)
-			if err != nil {
-				return nil, false
-			}
-			return expr, true
-		}
-	}
-	return nil, false
 }

@@ -565,7 +565,8 @@ func (c *Cache) Expire(now time.Time) []string {
 }
 
 // All returns every entry including deletion tombstones (iteration order
-// unspecified); the admission layer builds eviction candidates from it.
+// unspecified). Its only reader outside the tests is the pinned
+// AllGrouped: the eviction plans read the order the cache keeps.
 func (c *Cache) All() []*Entry {
 	out := make([]*Entry, 0, len(c.entries))
 	for _, e := range c.entries { //mclint:maporder consumers are order-insensitive or sort

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"sessiondir/internal/admission"
 	"sessiondir/internal/allocator"
 	"sessiondir/internal/clash"
 	"sessiondir/internal/mcast"
@@ -23,7 +24,8 @@ import (
 //     the heap's root: asking for them walks that subtree and stops at the
 //     first entry on each branch that is not, whatever the cache holds
 //     besides; asking for one origin's needs no walk while its counts
-//     prove it has none;
+//     prove it has none. The budget's two plans read it: PlanNew for a
+//     newcomer, Trim for a recovered cache;
 //   - the allocator state (TrackState): the live entries whose group lies
 //     in the managed space, filed as members of an allocator.State that
 //     the caller owns and may file its own sessions in, so that its
@@ -52,6 +54,17 @@ func evictsBefore(a, b *Entry) bool {
 	// Key order is string order, not address order ("10.0.0.10/1" sorts
 	// before "10.0.0.9/1").
 	return a.key < b.key
+}
+
+// cmpEvict is evictsBefore as a three-way comparison.
+func cmpEvict(a, b *Entry) int {
+	switch {
+	case a == b:
+		return 0
+	case evictsBefore(a, b):
+		return -1
+	}
+	return 1 // the order is total
 }
 
 // evictable reports whether a newcomer may displace e: tombstones and
@@ -227,19 +240,105 @@ func (c *Cache) orderDrop(e *Entry) {
 	}
 }
 
-// Candidates is the number of entries in the eviction order: everything
-// cached, tombstones included, except the tracking directory's own origin.
-// (With the three methods after it, this is admission.Order.)
-func (c *Cache) Candidates() int { return len(c.order) }
+// Budget is what the eviction plans enforce over the order's candidates:
+// a session budget and a per-origin quota (0 = unlimited each), and how
+// long an entry goes unheard before a newcomer may displace it.
+type Budget struct {
+	MaxSessions, MaxPerOrigin int
+	StaleAfter                time.Duration
+}
 
-// CandidatesFrom is how many of the candidates origin announced.
-func (c *Cache) CandidatesFrom(origin netip.Addr) int { return int(c.perOrigin[origin].n) }
+// PlanNew is admission's PlanNew for a newcomer from origin, over the
+// order instead of a fresh candidate list: the same outcome and the same
+// evictions in the same sequence, without sorting the cache to find them.
+// It asks only for as many evictions as the newcomer needs — one, when a
+// full budget was within bounds before it arrived — and changes nothing:
+// the caller applies Decision.Evict.
+func (c *Cache) PlanNew(b Budget, origin netip.Addr, now time.Time) admission.Decision {
+	var d admission.Decision
+	if b.MaxPerOrigin > 0 {
+		// Reclaim the origin's own stale/deleted entries before denying it.
+		if need := int(c.perOrigin[origin].n) - b.MaxPerOrigin + 1; need > 0 {
+			d.Evict = c.appendEvictableFrom(d.Evict, origin, need, now, b.StaleAfter)
+			if len(d.Evict) < need {
+				d.Outcome = admission.DenyQuota
+				return d
+			}
+		}
+	}
+	if b.MaxSessions > 0 {
+		reclaimed := d.Evict
+		if need := len(c.order) - len(reclaimed) - b.MaxSessions + 1; need > 0 {
+			// What the quota step reclaimed is still in the order: ask for
+			// that many more and filter the repeats out in place.
+			got := c.appendEvictable(reclaimed, need+len(reclaimed), now, b.StaleAfter)
+			d.Evict = got[:len(reclaimed)]
+			for _, k := range got[len(reclaimed):] {
+				if need > 0 && !slices.Contains(reclaimed, k) {
+					d.Evict = append(d.Evict, k)
+					need--
+				}
+			}
+			if need > 0 {
+				d.Outcome = admission.Shed
+				return d
+			}
+		}
+	}
+	d.Outcome = admission.Admit
+	return d
+}
 
-// AppendEvictable appends to dst the keys of the first n evictable
+// Trim returns the keys to evict so that the candidates fit b's session
+// budget and every origin's quota: first each origin's earliest entries
+// past its quota, then the earliest of the rest past the budget, in
+// eviction order. It evicts stale or not — a checkpoint larger than the
+// budget must not over-admit because its entries were recently saved.
+// When the counts show the candidates fit, it returns nil and sorts
+// nothing.
+func (c *Cache) Trim(b Budget) []string {
+	fits := b.MaxSessions <= 0 || len(c.order) <= b.MaxSessions
+	if fits && b.MaxPerOrigin > 0 {
+		for _, o := range c.perOrigin { //mclint:maporder any origin over its quota decides alike
+			if int(o.n) > b.MaxPerOrigin {
+				fits = false
+				break
+			}
+		}
+	}
+	if fits {
+		return nil
+	}
+	ordered := slices.SortedFunc(slices.Values(c.order), cmpEvict)
+	gone := make([]bool, len(ordered))
+	var evict []string
+	if b.MaxPerOrigin > 0 {
+		// An origin over its quota loses its entries that come first.
+		seen := make(map[netip.Addr]int, len(c.perOrigin))
+		for i, e := range ordered {
+			o := e.Desc.Origin
+			if seen[o]++; seen[o] <= int(c.perOrigin[o].n)-b.MaxPerOrigin {
+				gone[i] = true
+				evict = append(evict, e.key)
+			}
+		}
+	}
+	for i, e := range ordered {
+		if b.MaxSessions <= 0 || len(ordered)-len(evict) <= b.MaxSessions {
+			break
+		}
+		if !gone[i] {
+			evict = append(evict, e.key)
+		}
+	}
+	return evict
+}
+
+// appendEvictable appends to dst the keys of the first n evictable
 // candidates in eviction order (fewer if fewer exist).
-func (c *Cache) AppendEvictable(dst []string, n int, now time.Time, staleAfter time.Duration) []string {
+func (c *Cache) appendEvictable(dst []string, n int, now time.Time, staleAfter time.Duration) []string {
 	if n != 1 {
-		return c.appendEvictable(dst, n, netip.Addr{}, false, now, staleAfter)
+		return c.walkEvictable(dst, n, netip.Addr{}, false, now, staleAfter)
 	}
 	// The case every admission into a full budget takes: evictable entries
 	// sort first, so either the head of the order is evictable or nothing is.
@@ -249,14 +348,14 @@ func (c *Cache) AppendEvictable(dst []string, n int, now time.Time, staleAfter t
 	return dst
 }
 
-// AppendEvictableFrom is AppendEvictable restricted to origin's entries.
+// appendEvictableFrom is appendEvictable restricted to origin's entries.
 // An origin at its quota with every entry fresh — what a flood from one
 // origin mostly is — is answered from its counts, without a walk.
-func (c *Cache) AppendEvictableFrom(dst []string, origin netip.Addr, n int, now time.Time, staleAfter time.Duration) []string {
+func (c *Cache) appendEvictableFrom(dst []string, origin netip.Addr, n int, now time.Time, staleAfter time.Duration) []string {
 	if c.noneEvictableFrom(origin, now, staleAfter) {
 		return dst
 	}
-	return c.appendEvictable(dst, n, origin, true, now, staleAfter)
+	return c.walkEvictable(dst, n, origin, true, now, staleAfter)
 }
 
 // noneEvictableFrom reports whether origin's counts prove that none of its
@@ -267,7 +366,7 @@ func (c *Cache) noneEvictableFrom(origin netip.Addr, now time.Time, staleAfter t
 	return o.n == 0 || o.tombs == 0 && now.Sub(o.heard) <= staleAfter
 }
 
-// appendEvictable is the general case — an origin at its quota with an
+// walkEvictable is the general case — an origin at its quota with an
 // entry that may be evictable, or a cache more than one entry over
 // budget: collect what is evictable (with fromOrigin set, only that
 // origin's), sort it, take n. Evictable entries
@@ -278,7 +377,7 @@ func (c *Cache) noneEvictableFrom(origin netip.Addr, now time.Time, staleAfter t
 // The stack holds one pending sibling per level and the two children just
 // found, so with at most 2³¹ entries (heapPos is an int32) 64 slots are
 // more than it can need.
-func (c *Cache) appendEvictable(dst []string, n int, origin netip.Addr, fromOrigin bool, now time.Time, staleAfter time.Duration) []string {
+func (c *Cache) walkEvictable(dst []string, n int, origin netip.Addr, fromOrigin bool, now time.Time, staleAfter time.Duration) []string {
 	if n <= 0 || len(c.order) == 0 {
 		return dst
 	}
@@ -300,15 +399,7 @@ func (c *Cache) appendEvictable(dst []string, n int, origin netip.Addr, fromOrig
 			top++
 		}
 	}
-	slices.SortFunc(found, func(a, b *Entry) int {
-		switch {
-		case a == b:
-			return 0
-		case evictsBefore(a, b):
-			return -1
-		}
-		return 1 // the order is total
-	})
+	slices.SortFunc(found, cmpEvict)
 	for _, e := range found[:min(n, len(found))] {
 		dst = append(dst, e.key)
 	}

@@ -213,16 +213,16 @@ func evictableAt(s *Cache, now time.Time, staleAfter time.Duration, origin netip
 // occur.
 func TestIndicesMatchFullScanReference(t *testing.T) {
 	const staleAfter = 10 * time.Minute
-	budgets := []admission.Config{
+	budgets := []Budget{
 		{MaxSessions: 12, MaxPerOrigin: 3},
 		{MaxSessions: 5}, // often several entries over: the sorted path
 		{MaxPerOrigin: 2},
 		{MaxSessions: 40, MaxPerOrigin: 6},
 	}
 	var planners []*admission.Controller
-	for _, cfg := range budgets {
-		cfg.StaleAfter = staleAfter
-		planners = append(planners, admission.New(cfg))
+	for i, b := range budgets {
+		budgets[i].StaleAfter = staleAfter
+		planners = append(planners, admission.New(admission.Config{MaxSessions: b.MaxSessions, MaxPerOrigin: b.MaxPerOrigin, StaleAfter: staleAfter}))
 	}
 	ttls := []mcast.TTL{1, 15, 63, 127}
 	seen := map[admission.Outcome]int{}
@@ -243,7 +243,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 		t.Helper()
 		checkIndexInvariants(t, s, indexSelf, exact)
 		all := evictableAt(s, now, staleAfter, netip.Addr{}, false)
-		if got := s.AppendEvictable([]string{}, len(all)+1, now, staleAfter); !reflect.DeepEqual(got, all) {
+		if got := s.appendEvictable([]string{}, len(all)+1, now, staleAfter); !reflect.DeepEqual(got, all) {
 			t.Fatalf("%s: the heap walk found %v evictable, a scan %v", at, got, all)
 		}
 		for _, origin := range origins {
@@ -253,7 +253,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 				walked++
 			}
 			want := evictableAt(s, now, staleAfter, origin, true)
-			if got := s.AppendEvictableFrom([]string{}, origin, len(want)+1, now, staleAfter); !reflect.DeepEqual(got, want) {
+			if got := s.appendEvictableFrom([]string{}, origin, len(want)+1, now, staleAfter); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: the heap walk found %v evictable from %s (index %+v), a scan %v", at, got, origin, s.perOrigin[origin], want)
 			}
 		}
@@ -266,7 +266,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 		cands := scanCandidates(s, indexSelf)
 		for _, origin := range planFor {
 			for pi, p := range planners {
-				got, want := p.PlanNewOrdered(s, origin, now), p.PlanNew(cands, origin, now)
+				got, want := s.PlanNew(budgets[pi], origin, now), p.PlanNew(cands, origin, now)
 				if got.Outcome != want.Outcome || fmt.Sprint(got.Evict) != fmt.Sprint(want.Evict) {
 					t.Fatalf("%s budget %d origin %s:\n ordered %v %v\n PlanNew %v %v",
 						at, pi, origin, got.Outcome, got.Evict, want.Outcome, want.Evict)
@@ -354,7 +354,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 					if _, known := s.Peek(d.Key()); known {
 						break
 					}
-					dec := planners[0].PlanNewOrdered(s, d.Origin, now)
+					dec := s.PlanNew(budgets[0], d.Origin, now)
 					for _, k := range dec.Evict {
 						s.Remove(k)
 					}
@@ -442,9 +442,9 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 				s.Remove(e.Desc.Key())
 			}
 			checkIndexInvariants(t, s, indexSelf, true)
-			if empty := allocator.NewState(indexSpace.Size); s.Candidates() != 0 || !reflect.DeepEqual(s.state, empty) || len(s.perOrigin) != 0 || tr.PendingDefenses() != 0 {
+			if empty := allocator.NewState(indexSpace.Size); len(s.order) != 0 || !reflect.DeepEqual(s.state, empty) || len(s.perOrigin) != 0 || tr.PendingDefenses() != 0 {
 				t.Fatalf("salt %d seed %d: %d candidates, allocator state %+v, %d counted origins and %d pending defences left in an empty cache",
-					salt, seed, s.Candidates(), s.state, len(s.perOrigin), tr.PendingDefenses())
+					salt, seed, len(s.order), s.state, len(s.perOrigin), tr.PendingDefenses())
 			}
 			checkNodes(t, fmt.Sprintf("salt %d seed %d, emptied", salt, seed), s, tr)
 		}
@@ -720,16 +720,125 @@ func TestEvictionOrderTieBreakIsKeyStringOrder(t *testing.T) {
 			s.Observe(odesc(host, id, 1), heard)
 		}
 	}
-	got := s.AppendEvictable(nil, 4, heard.Add(time.Hour), time.Minute)
+	got := s.appendEvictable(nil, 4, heard.Add(time.Hour), time.Minute)
 	want := []string{"10.0.0.10/10", "10.0.0.10/9", "10.0.0.9/10", "10.0.0.9/9"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("eviction order %v, want %v", got, want)
 	}
 	for i, k := range want {
-		if head := s.AppendEvictable(nil, 1, heard.Add(time.Hour), time.Minute); len(head) != 1 || head[0] != k {
+		if head := s.appendEvictable(nil, 1, heard.Add(time.Hour), time.Minute); len(head) != 1 || head[0] != k {
 			t.Fatalf("head %d is %v, want %s", i, head, k)
 		}
 		s.Remove(k)
+	}
+}
+
+// trimAt is the scan Cache.Trim replaces: the candidates (every entry not
+// announced by self) sorted into eviction order whatever they hold, each
+// origin's first entries past its quota evicted, then the first of the
+// rest past the budget.
+func trimAt(s *Cache, self netip.Addr, b Budget) []string {
+	var ordered []*Entry
+	left := map[netip.Addr]int{}
+	for _, e := range s.entries {
+		if e.Desc.Origin != self {
+			ordered = append(ordered, e)
+			left[e.Desc.Origin]++
+		}
+	}
+	sort.Slice(ordered, func(i, j int) bool { return evictsBefore(ordered[i], ordered[j]) })
+	gone := map[string]bool{}
+	var evict []string
+	for _, e := range ordered {
+		if b.MaxPerOrigin > 0 && left[e.Desc.Origin] > b.MaxPerOrigin {
+			left[e.Desc.Origin]--
+			gone[e.key] = true
+			evict = append(evict, e.key)
+		}
+	}
+	for _, e := range ordered {
+		if b.MaxSessions > 0 && len(ordered)-len(evict) > b.MaxSessions && !gone[e.key] {
+			evict = append(evict, e.key)
+		}
+	}
+	return evict
+}
+
+// TestTrimDeterministicAndSufficient: the recovery trim leaves candidates
+// that fit the session budget and every origin's quota, evicts the same
+// keys in the same order however the cache was filled, and answers nil
+// when the counts show nothing over. Over seeded caches of tombstones,
+// entries of self, ties and scopes, under budgets that bind by count, by
+// quota, by both or not at all, it evicts what trimAt does, in its order.
+func TestTrimDeterministicAndSufficient(t *testing.T) {
+	now := time.Unix(1_000_000, 0)
+	// Ten sessions of three origins, the i-th heard i minutes ago.
+	fill := func(ids ...int) *Cache {
+		s := NewCache(time.Hour)
+		s.TrackOrder(indexSelf)
+		for _, i := range ids {
+			restore(s, odesc(byte(2+i%3), uint64(i+1), 1), 0, now.Add(-time.Hour), now.Add(-time.Duration(i)*time.Minute), now)
+		}
+		return s
+	}
+	up, down := fill(0, 1, 2, 3, 4, 5, 6, 7, 8, 9), fill(9, 8, 7, 6, 5, 4, 3, 2, 1, 0)
+	b := Budget{MaxSessions: 4, MaxPerOrigin: 2}
+	evict := up.Trim(b)
+	if again := down.Trim(b); !reflect.DeepEqual(evict, again) {
+		t.Fatalf("the trim depends on the order the cache was filled in: %v, %v", evict, again)
+	}
+	if want := trimAt(up, indexSelf, b); !reflect.DeepEqual(evict, want) {
+		t.Fatalf("trim %v, the reference %v", evict, want)
+	}
+	for _, k := range evict {
+		up.Remove(k)
+	}
+	if len(up.order) > b.MaxSessions {
+		t.Fatalf("%d survivors, budget %d", len(up.order), b.MaxSessions)
+	}
+	for o, n := range up.perOrigin {
+		if int(n.n) > b.MaxPerOrigin {
+			t.Fatalf("origin %s keeps %d entries, quota %d", o, n.n, b.MaxPerOrigin)
+		}
+	}
+	// Origin 10.0.0.2 holds four of the ten: at the budget and the quota,
+	// or without them, nothing is over.
+	for _, b := range []Budget{{MaxSessions: 10, MaxPerOrigin: 4}, {MaxSessions: 10}, {MaxPerOrigin: 4}, {}} {
+		if got := down.Trim(b); got != nil {
+			t.Fatalf("budget %+v: trimmed %v from a cache within it", b, got)
+		}
+	}
+
+	ttls := []mcast.TTL{1, 15, 63, 127}
+	budgets := []Budget{{MaxSessions: 3, MaxPerOrigin: 1}, {MaxSessions: 5}, {MaxPerOrigin: 2}, {MaxSessions: 8, MaxPerOrigin: 3}, {MaxSessions: 20, MaxPerOrigin: 20}}
+	untrimmed, trimmed := 0, 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := stats.NewRNG(seed)
+		s := NewCache(time.Hour)
+		s.TrackOrder(indexSelf)
+		for n := rng.IntN(16); n > 0; n-- {
+			d := odesc(byte(1+rng.IntN(5)), uint64(1+rng.IntN(12)), 1)
+			d.TTL = ttls[rng.IntN(len(ttls))]
+			last := now.Add(-time.Duration(rng.IntN(4)) * 10 * time.Minute) // ties
+			restore(s, d, 0, last.Add(-time.Hour), last, now)
+			if rng.IntN(5) == 0 {
+				s.Delete(d.Key(), now)
+			}
+		}
+		for _, b := range budgets {
+			got, want := s.Trim(b), trimAt(s, indexSelf, b)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("seed %d budget %+v: trim %v, the reference %v", seed, b, got, want)
+			}
+			if got == nil {
+				untrimmed++
+			} else {
+				trimmed++
+			}
+		}
+	}
+	if untrimmed == 0 || trimmed == 0 {
+		t.Errorf("%d caches within their budget, %d over: the generator no longer reaches one of them", untrimmed, trimmed)
 	}
 }
 
