@@ -323,6 +323,60 @@ func TestAdmissionPerOriginQuota(t *testing.T) {
 	}
 }
 
+// TestOwnOriginCountsAgainstBudget: the budgets know no self. Sessions
+// forged with our origin, in the SAP header and the o= line, under keys we
+// do not own — a forger's, or a previous incarnation's — count against
+// MaxSessions and MaxPerOrigin like any other origin's: forty of them
+// leave the cache within its budget, and every one it did not take is a
+// shed or a quota drop. A third party's copy of a session we do own is
+// no newcomer: it meets no budget, and moves none of its counters.
+func TestOwnOriginCountsAgainstBudget(t *testing.T) {
+	bus := transport.NewBus()
+	clk := newFakeClock()
+	self := netip.MustParseAddr("10.0.0.1")
+	dir, err := New(Config{
+		Origin:       self,
+		Transport:    bus.Endpoint(),
+		Space:        mcast.SyntheticSpace(64),
+		Clock:        clk.Now,
+		Seed:         1,
+		MaxSessions:  4,
+		MaxPerOrigin: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
+	own, err := dir.CreateSession(testDesc("ours", 127))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newForge(t, bus)
+	const forged = 40
+	for i := 0; i < forged; i++ {
+		d := peerDesc(self.String(), uint64(i+1), dir.cfg.Space, mcast.Addr(i%64), 127)
+		f.send(sap.Announce, self, d)
+	}
+	n := dir.CacheSize()
+	if n > 4 {
+		t.Fatalf("%d sessions forged with our origin cached, budget 4", n)
+	}
+	before := dir.Metrics()
+	if m := before; m.Shed+m.QuotaDrops != uint64(forged-n) {
+		t.Fatalf("%d of %d forged sessions cached, %d shed and %d quota drops: want the other %d counted",
+			n, forged, m.Shed, m.QuotaDrops, forged-n)
+	}
+	f.send(sap.Announce, self, own)
+	if m := dir.Metrics(); m.Shed != before.Shed || m.QuotaDrops != before.QuotaDrops || m.Evictions != before.Evictions || dir.CacheSize() != n {
+		t.Fatalf("a copy of our own session: shed %d → %d, quota drops %d → %d, evictions %d → %d, cache size %d → %d",
+			before.Shed, m.Shed, before.QuotaDrops, m.QuotaDrops, before.Evictions, m.Evictions, n, dir.CacheSize())
+	}
+	if len(dir.OwnSessions()) != 1 {
+		t.Fatal("the forged sessions displaced our own")
+	}
+	checkIndices(t, dir, self)
+}
+
 // TestAdmissionOriginRateLimit: the token bucket bounds how much
 // processing one origin can demand, without touching other origins.
 func TestAdmissionOriginRateLimit(t *testing.T) {

@@ -42,9 +42,9 @@ type core struct {
 	digestSeed uint64
 	// state is the allocator's view, kept current: every owned session,
 	// filed where owned changes, and every live cached session inside the
-	// space, which the cache files in it. A session both owned and heard
-	// back is filed twice; one outside the space (a foreign block, ignored
-	// as sdr does) is not filed.
+	// space, which the cache files in it. The cache holds no key we own,
+	// so each session is filed once; one outside the space (a foreign
+	// block, ignored as sdr does) is not filed.
 	state *allocator.State
 	// pick receives a single allocated address: a local array would move
 	// to the heap through the allocator's interface call.
@@ -179,7 +179,7 @@ type ownedSession struct {
 	sdpLen        int32
 	hash          uint16
 	// node is the session's clash-tracker state, bound to key and linked
-	// while the session is ours; an echo of it is not shown to the tracker.
+	// while the session is ours.
 	node  clash.Node
 	first session.Description
 }
@@ -345,9 +345,11 @@ func (c *core) registerOwned(desc session.Description, addr mcast.Addr, now time
 		c.tracker.ForgetNode(&own.node)
 		return nil, err
 	}
-	// What the cache holds of a key we took over is our echo from now on.
-	if e, ok := c.cache.Peek(key); ok {
-		c.tracker.ForgetNode(e.Node())
+	// The owned record is the session's only one: a heard entry of the key
+	// we took over (a previous incarnation's) goes.
+	if _, ok := c.cache.Peek(key); ok {
+		c.cache.Remove(key)
+		c.journalKey(deltaEvict, key)
 	}
 	return own.desc, nil
 }
@@ -460,8 +462,7 @@ func (c *core) endDatagram(w []byte, start int, scope mcast.TTL) {
 	c.fx.dgrams = append(c.fx.dgrams, transport.Datagram{Data: w[start:len(w):len(w)], Scope: scope})
 }
 
-// withdraw deletes one of our sessions, sending a SAP deletion, and
-// tombstones our heard-back copy as hearing the deletion would.
+// withdraw deletes one of our sessions, sending a SAP deletion.
 func (c *core) withdraw(key string, now time.Time) error {
 	own, ok := c.owned[key]
 	if !ok {
@@ -470,10 +471,6 @@ func (c *core) withdraw(key string, now time.Time) error {
 	delete(c.owned, key)
 	c.state.Remove(own.addr, own.desc.TTL)
 	c.tracker.ForgetNode(&own.node)
-	if _, live := c.cache.Get(key); live {
-		c.cache.Delete(key, now)
-		c.journalKey(deltaDelete, key)
-	}
 	if err := c.sendOwn(own, sap.Delete); err != nil {
 		return err
 	}
@@ -523,6 +520,20 @@ func (c *core) apply(p *parsedPacket, now time.Time) {
 	c.ins.packetsReceived.Inc()
 	pkt, key := &p.pkt, sum.Key()
 
+	if own := c.owned[key]; own != nil {
+		// The owned record is the session's only one: a faithful copy (a
+		// phase-3 re-announcement) changes nothing; a deletion (we never
+		// withdraw via the network) or a copy unlike what we announce is forged.
+		switch {
+		case pkt.Type == sap.Delete:
+			c.ins.forgedDeletes.Inc()
+		case pkt.Origin != own.desc.Origin || sum.Version != own.desc.Version ||
+			sum.Group != own.desc.Group || sum.TTL != own.desc.TTL:
+			c.ins.forgedReports.Inc()
+		}
+		return
+	}
+
 	if pkt.Type == sap.Delete {
 		c.handleDelete(pkt, &sum, key, now)
 		return
@@ -532,7 +543,7 @@ func (c *core) apply(p *parsedPacket, now time.Time) {
 		c.ins.forgedReports.Inc()
 		return
 	}
-	if _, known := c.cache.Peek(key); !known && c.owned[key] == nil {
+	if _, known := c.cache.Peek(key); !known {
 		// At degradation level 2 most unknown sessions are shed without
 		// consulting the admission layer at all; the sampled survivors
 		// keep stale-first eviction turning the cache over.
@@ -560,9 +571,7 @@ func (c *core) apply(p *parsedPacket, now time.Time) {
 		// is at most one checkpoint interval old.
 		c.journalLearn(e)
 	}
-	if c.owned[key] == nil { // an echo of ours was validated against own.desc
-		c.applyActions(c.observe(e.Node(), &sum, now), now)
-	}
+	c.applyActions(c.observe(e.Node(), &sum, now), now)
 }
 
 // scan reads what the protocol needs of a payload, with ParseSDP's
@@ -596,17 +605,16 @@ func (c *core) described(e *announce.Entry) *session.Description {
 // scanning it would yield the entry's summary again: validateAnnounce
 // would pass it and ObserveHeard would change nothing but LastHeard.
 // Everything the digest cannot vouch for returns nil and is scanned: a
-// key we own (an echo must match what we announce now, not what we once
-// did), a tombstone (Unchanged finds live entries only), a header origin
-// that is not the session's, a deletion, a cached session validation
-// would turn away for its scope.
+// tombstone (Unchanged finds live entries only), a header origin that is
+// not the session's, a deletion, a cached session validation would turn
+// away for its scope. A key we own is never cached, so it is scanned.
 func (c *core) unchanged(p *parsedPacket) *announce.Entry {
 	if p.pkt.Type != sap.Announce {
 		return nil
 	}
 	peek := p.peek[:p.peekLen]
 	e, ok := c.cache.Unchanged(peek, p.digest)
-	if !ok || p.pkt.Origin != e.Desc.Origin || e.Desc.TTL == 0 || c.owned[string(peek)] != nil {
+	if !ok || p.pkt.Origin != e.Desc.Origin || e.Desc.TTL == 0 {
 		return nil
 	}
 	return e
@@ -632,12 +640,6 @@ func (c *core) observe(n *clash.Node, sum *session.Summary, now time.Time) []cla
 // cached version or a later one: a replayed deletion of an older version
 // would otherwise tombstone the live newer one.
 func (c *core) handleDelete(pkt *sap.Packet, sum *session.Summary, key string, now time.Time) {
-	if c.owned[key] != nil {
-		// We never withdraw our own sessions via the network; any deletion
-		// naming one of ours is forged.
-		c.ins.forgedDeletes.Inc()
-		return
-	}
 	e, ok := c.cache.Peek(key)
 	if !ok {
 		return // unknown session: nothing to delete
@@ -666,13 +668,6 @@ func (c *core) validateAnnounce(pkt *sap.Packet, sum *session.Summary, key strin
 	// Scope plausibility: a TTL-0 session could not have reached us.
 	if sum.TTL == 0 {
 		return false
-	}
-	if own, ok := c.owned[key]; ok {
-		// A report about one of our own sessions must match what we are
-		// actually announcing: anything else is a forged echo trying to
-		// poison our own tracker state.
-		return sum.Version == own.desc.Version &&
-			sum.Group == own.desc.Group && sum.TTL == own.desc.TTL
 	}
 	e, ok := c.cache.Peek(key)
 	if !ok {
@@ -723,7 +718,7 @@ func (c *core) admitNew(origin netip.Addr, desc *session.Description, key string
 	}
 	dec := c.cache.PlanNew(c.budget, origin, now)
 	for _, k := range dec.Evict {
-		// The order holds no entry of our origin, so no owned session's.
+		// The cache holds no key we own: an eviction is a heard session's.
 		c.cache.Remove(k)
 		c.evicted(k, now)
 	}
@@ -932,6 +927,9 @@ func (c *core) restore(p []byte, now time.Time) (bool, error) {
 		if err != nil {
 			return false, fmt.Errorf("learn record SDP: %w", err)
 		}
+		if len(c.owned) > 0 && c.owned[sum.Key()] != nil {
+			return false, nil // the owned record is the session's only one
+		}
 		// A record holds the payload as heard, so its digest is the one the
 		// entry had before the restart, whatever the sender's spelling: the
 		// sender's next unchanged re-announcement is known as such.
@@ -966,8 +964,6 @@ func (c *core) registerLoaded(now time.Time) {
 	live := c.cache.Live()
 	announce.SortByKey(live)
 	for _, e := range live {
-		if c.owned[e.Key()] == nil {
-			c.observe(e.Node(), &e.Desc, now) // registered, not reacted to
-		}
+		c.observe(e.Node(), &e.Desc, now) // registered, not reacted to
 	}
 }

@@ -407,7 +407,7 @@ func New(cfg Config) (*Directory, error) {
 	if d.budgeted() {
 		// Without a budget nothing is ever evicted, and the listener path
 		// is spared the upkeep.
-		d.cache.TrackOrder(cfg.Origin)
+		d.cache.TrackOrder()
 	}
 	d.budget = announce.Budget{MaxSessions: cfg.MaxSessions, MaxPerOrigin: cfg.MaxPerOrigin, StaleAfter: cfg.StaleAfter}
 	if d.budget.StaleAfter <= 0 {
@@ -474,10 +474,9 @@ func (d *Directory) CreateSessionBatch(descs []*session.Description) ([]*session
 	return out, err
 }
 
-// WithdrawSession deletes one of our sessions, sending a SAP deletion, and
-// its heard-back copy if one is cached, as hearing the deletion would. A
-// closed directory withdraws nothing: its sessions live on in peers'
-// caches until they expire, as after a crash.
+// WithdrawSession deletes one of our sessions, sending a SAP deletion; the
+// cache holds no copy of it. A closed directory withdraws nothing: its
+// sessions live on in peers' caches until they expire, as after a crash.
 func (d *Directory) WithdrawSession(key string) error {
 	err := errClosed
 	d.mu.Lock()
@@ -489,10 +488,10 @@ func (d *Directory) WithdrawSession(key string) error {
 	return err
 }
 
-// Sessions returns a snapshot of all known live sessions (cached + owned),
-// in key order. A heard session's description is parsed from the payload
-// the cache holds, for this call and after the lock is released: the
-// caller may keep it.
+// Sessions returns a snapshot of all known live sessions (cached + owned,
+// each once), in key order. A heard session's description is parsed from
+// the payload the cache holds, for this call and after the lock is
+// released: the caller may keep it.
 func (d *Directory) Sessions() []*session.Description {
 	type known struct {
 		key, payload string
@@ -502,9 +501,7 @@ func (d *Directory) Sessions() []*session.Description {
 	live := d.cache.Live()
 	all := make([]known, 0, len(live)+len(d.owned))
 	for _, e := range live {
-		if d.owned[e.Key()] == nil { // our own copy over whatever we heard of it
-			all = append(all, known{key: e.Key(), payload: e.Payload()})
-		}
+		all = append(all, known{key: e.Key(), payload: e.Payload()})
 	}
 	for key, own := range d.owned {
 		all = append(all, known{key: key, own: own.desc})
@@ -665,9 +662,9 @@ func (d *Directory) DegradationLevel() int {
 }
 
 // CacheSize returns the listened-session cache's total occupancy,
-// deletion tombstones included — the quantity Config.MaxSessions bounds.
-// Own sessions live outside this budget; they are locally created, never
-// attacker-supplied.
+// deletion tombstones included — exactly what Config.MaxSessions bounds.
+// It holds other sites' sessions only, entries of our origin we do not own
+// among them; our own live outside it and its budget.
 func (d *Directory) CacheSize() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -16,7 +16,9 @@ import (
 
 // FuzzAdmission drives the full receive path — rate limit, validation,
 // budget — with attacker-shaped traffic from one hostile origin beside a
-// bystander origin whose sessions go stale as the clock moves: raw fuzz
+// bystander origin whose sessions go stale as the clock moves, and
+// sessions forged with the directory's own origin under keys it does not
+// own, which count against the budgets like any other origin's: raw fuzz
 // bytes on the wire, plus announce/delete/clash-report sequences whose
 // shape (session IDs, versions, groups, deletions, clock skips forward
 // and back) is decoded from the fuzz input, and restarts: a checkpoint
@@ -45,16 +47,19 @@ func FuzzAdmission(f *testing.F) {
 	// cache.
 	f.Add([]byte{2, 1, 1, 2, 2, 1, 4, 200, 0, 4, 200, 0, 1, 3, 1, 1, 4, 2, 1, 5, 3})
 	// The owned session heard back, a hostile session at its address, and
-	// a tick: the echo is the owned session's, not a second session at
-	// the address.
+	// a tick: the copy changes nothing, and the owned session is the only
+	// one at the address.
 	f.Add([]byte{3, 3, 0, 1, 0, 0, 3, 3, 0, 4, 2, 0})
+	// Three sessions forged with our own origin: the third is denied at
+	// the quota of two, as another origin's would be.
+	f.Add([]byte{14, 1, 1, 14, 2, 2, 14, 3, 3})
 	// Ways an entry stops being a member, each of which unlinks its clash
 	// node in the cache; the fourth, a session heard again outside the
 	// space, lies outside this harness, whose groups are all in it.
-	// Expiry: the owned session heard back and a hostile session both
-	// expire (15 ticks of 255 s pass the hour), and a hostile session at
-	// the owned one's address (20 under this seed) meets the owned node,
-	// not a forgotten one.
+	// Expiry: the owned session heard back (never cached) and a hostile
+	// session expire (15 ticks of 255 s pass the hour), and a hostile
+	// session at the owned one's address (20 under this seed) meets the
+	// owned node, not a forgotten one.
 	f.Add([]byte{3, 3, 0, 1, 1, 1, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 4, 255, 0, 1, 3, 20})
 	// A tombstone: a hostile session deleted, then heard at a new version.
 	f.Add([]byte{1, 1, 1, 3, 1, 1, 4, 10, 0, 1, 1, 2})
@@ -71,10 +76,11 @@ func FuzzAdmission(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		bus := transport.NewBus()
 		clk := newFakeClock()
+		self := netip.MustParseAddr("10.0.0.1")
 		open := func(ep *transport.BusEndpoint, maxSessions, maxPerOrigin int, onEvent func(Event)) *Directory {
 			t.Helper()
 			dir, err := New(Config{
-				Origin:       netip.MustParseAddr("10.0.0.1"),
+				Origin:       self,
 				Transport:    ep,
 				Space:        mcast.SyntheticSpace(32),
 				Clock:        clk.Now,
@@ -111,10 +117,13 @@ func FuzzAdmission(f *testing.F) {
 					end = len(data)
 				}
 				_ = attacker.SendBatch(context.Background(), oneDgram(data[i:end], 127))
-			case 1, 2: // announce: id/version/group from fuzz bytes; 2 is the bystander's
+			case 1, 2: // announce: id/version/group from fuzz bytes; op%5 picks the origin
 				origin := hostile
-				if op%5 == 2 {
+				switch op % 5 {
+				case 2:
 					origin = bystander
+				case 4: // our own, under keys we do not own
+					origin = self
 				}
 				desc := &session.Description{
 					ID:      uint64(a % 8),
@@ -170,7 +179,7 @@ func FuzzAdmission(f *testing.F) {
 					t.Fatalf("recovery under %+v evicted %v, the reference trim over %d candidates %v", dir.budget, evicted, len(cands), want)
 				}
 				// The restarted directory announces its session again, under
-				// the key its heard-back copy was recovered with.
+				// its old key.
 				again := testDesc("owned", 127)
 				again.ID = own.ID
 				if own, err = dir.CreateSession(again); err != nil {
@@ -179,10 +188,10 @@ func FuzzAdmission(f *testing.F) {
 			}
 			// The maintained eviction order and allocator view must agree
 			// with a fresh scan after whatever just arrived.
-			checkIndices(t, dir, hostile, bystander)
+			checkIndices(t, dir, hostile, bystander, self)
 		}
 
-		if n := dir.CacheSize(); n > 4+1 { // +1: own session tombstoneless echo
+		if n := dir.CacheSize(); n > 4 {
 			t.Fatalf("cache grew to %d entries past budget 4", n)
 		}
 		if len(dir.OwnSessions()) != 1 {

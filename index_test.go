@@ -25,8 +25,7 @@ import (
 
 // scanView is the rebuild view used to do on every allocation,
 // kept as the reference the maintained state is compared against: every
-// live cached session plus every owned one, so a session both owned and
-// heard back counts twice.
+// live cached session plus every owned one.
 func scanView(d *Directory) []allocator.SessionInfo {
 	var view []allocator.SessionInfo
 	for _, e := range d.cache.Live() {
@@ -51,8 +50,9 @@ func scanState(d *Directory) *allocator.State {
 	return s
 }
 
-// checkIndices compares the directory's maintained indices with the scans
-// they replaced: the allocator state with one folded from scanView, the
+// checkIndices asserts that the cache holds no key we own, and compares the
+// directory's maintained indices with the scans they replaced: the
+// allocator state with one folded from scanView, the
 // re-announcement bound with every owned session's next announcement, the
 // overload tier read through the cache's fresh-count memo with the tier of
 // a recount, and — when a budget is set — the cache's plan over its
@@ -62,6 +62,11 @@ func checkIndices(t testing.TB, d *Directory, origins ...netip.Addr) {
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	for _, e := range d.cache.All() {
+		if d.owned[e.Key()] != nil {
+			t.Fatalf("the cache holds %s, a key we own", e.Key())
+		}
+	}
 	checkTracker(t, d)
 	if want := scanState(d); !reflect.DeepEqual(d.state, want) {
 		t.Fatalf("maintained allocator state %+v\nrebuilt                   %+v", d.state, want)
@@ -102,14 +107,11 @@ func checkIndices(t testing.TB, d *Directory, origins ...netip.Addr) {
 }
 
 // candidatesOf is the admission view of d's cache, built by a scan: every
-// cached entry but those of d's own origin, which are never eviction
-// candidates.
+// cached entry, whatever its origin.
 func candidatesOf(d *Directory) []admission.Candidate {
 	var cands []admission.Candidate
 	for _, e := range d.cache.All() {
-		if e.Desc.Origin != d.cfg.Origin {
-			cands = append(cands, admission.Candidate{Key: e.Key(), Origin: e.Desc.Origin, TTL: e.Desc.TTL, LastHeard: e.LastHeard, Deleted: e.Deleted})
-		}
+		cands = append(cands, admission.Candidate{Key: e.Key(), Origin: e.Desc.Origin, TTL: e.Desc.TTL, LastHeard: e.LastHeard, Deleted: e.Deleted})
 	}
 	return cands
 }
@@ -157,8 +159,8 @@ func trimOf(cands []admission.Candidate, b announce.Budget) []string {
 
 // checkTracker asserts where the clash tracker's nodes live: it links
 // exactly each owned session's node, at the session's address, and each
-// live cache entry's whose key is not owned and whose group lies in the
-// space, at that group's address.
+// live cache entry's whose group lies in the space, at that group's
+// address.
 func checkTracker(t testing.TB, d *Directory) {
 	t.Helper()
 	linked := map[*clash.Node]mcast.Addr{}
@@ -173,7 +175,7 @@ func checkTracker(t testing.TB, d *Directory) {
 		want[&own.node] = own.addr
 	}
 	for _, e := range d.cache.Live() {
-		if idx, in := d.cfg.Space.Index(e.Desc.Group); in && d.owned[e.Key()] == nil {
+		if idx, in := d.cfg.Space.Index(e.Desc.Group); in {
 			want[e.Node()] = idx
 		}
 	}
@@ -184,7 +186,7 @@ func checkTracker(t testing.TB, d *Directory) {
 	}
 	for n := range linked {
 		if _, ok := want[n]; !ok {
-			t.Fatalf("the tracker links a node of %s that is neither an owned session's nor a live, in-space cache entry's whose key is not owned", n.Key())
+			t.Fatalf("the tracker links a node of %s that is neither an owned session's nor a live, in-space cache entry's", n.Key())
 		}
 	}
 }

@@ -9,11 +9,10 @@ import (
 // State is a view reduced to what every allocator reads — which addresses
 // are in use, and how many sessions hold each TTL — and kept current, with
 // O(1) Add and Remove, instead of rebuilt (a listed State, below, pays a
-// scan of its members per Remove). It is a multiset: a session both
-// owned and heard back counts twice, and an address two sessions share
-// stays in use until both are removed. A session outside the space counts
-// toward its TTL but marks no address: it can never collide with a pick.
-// A State is not safe for concurrent use.
+// scan of its members per Remove). It is a multiset: an address two
+// sessions share stays in use until both are removed. A session outside
+// the space counts toward its TTL but marks no address: it can never
+// collide with a pick. A State is not safe for concurrent use.
 type State struct {
 	used usedSet
 	// extra counts, per shared address, the members beyond the first:

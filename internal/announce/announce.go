@@ -34,9 +34,9 @@ const MinInterval = 300 * time.Second
 //
 //	interval = totalAdBytes·8 / bandwidthBps
 //
-// totalAdBytes is the summed size of all announcements heard in the scope
-// (including our own); this is how every sdr instance independently
-// arrives at a compatible rate.
+// totalAdBytes is the summed size of the announcements heard in the scope:
+// a directory passes its cache's, which holds no session it owns. This is
+// how every sdr instance independently arrives at a compatible rate.
 func SteadyInterval(totalAdBytes int, bandwidthBps int) time.Duration {
 	if bandwidthBps <= 0 {
 		bandwidthBps = DefaultBandwidthBps
@@ -175,8 +175,8 @@ func newEntry(s session.Summary, key string, first int64, last time.Time) *Entry
 }
 
 // Node is the entry's clash-tracker state. The directory links it while
-// the entry is a member (see member) of a key not its own; the cache
-// unlinks it where the entry stops being one.
+// the entry is a member (see member); the cache unlinks it where the entry
+// stops being one.
 func (e *Entry) Node() *clash.Node { return &e.node }
 
 // Key is Desc.Key(), for an entry a Cache holds.
@@ -222,12 +222,11 @@ type Cache struct {
 	// they sit on the announcement-scheduling path of every send.
 	live    int
 	adBytes int
-	// The eviction order (nil perOrigin = not tracked; entries of origin
-	// self stay out of it), the allocator state the entries are filed in
-	// (nil = not tracked) and the tracker of their nodes. See index.go.
+	// The eviction order (nil perOrigin = not tracked), the allocator
+	// state the entries are filed in (nil = not tracked) and the tracker
+	// of their nodes. See index.go.
 	order     evictHeap
 	perOrigin map[netip.Addr]originIndex
-	self      netip.Addr
 	state     *allocator.State
 	space     mcast.AddrSpace
 	tracker   *clash.Tracker

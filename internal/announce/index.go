@@ -123,11 +123,9 @@ func roomForOne[T any](s []T) []T {
 }
 
 // TrackOrder starts maintaining the eviction order over the current and
-// all future entries; call it once. Entries announced by self are left
-// out: a directory's own origin is never an eviction candidate and does
-// not count against its budgets.
-func (c *Cache) TrackOrder(self netip.Addr) {
-	c.self = self
+// all future entries, whatever their origin; call it once. The directory
+// keeps its own sessions out of the cache, not out of the order.
+func (c *Cache) TrackOrder() {
 	c.perOrigin = make(map[netip.Addr]originIndex)
 	for _, e := range c.entries { //mclint:maporder heap layout varies with insertion order, the order it yields does not
 		c.orderAdd(e)
@@ -145,7 +143,7 @@ func (c *Cache) TrackState(space mcast.AddrSpace, state *allocator.State, tracke
 }
 
 func (c *Cache) orderAdd(e *Entry) {
-	if c.perOrigin == nil || e.Desc.Origin == c.self {
+	if c.perOrigin == nil {
 		return
 	}
 	heap.Push(&c.order, e)

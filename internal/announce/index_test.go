@@ -16,20 +16,14 @@ import (
 	"sessiondir/internal/stats"
 )
 
-var (
-	indexSelf  = netip.AddrFrom4([4]byte{10, 0, 0, 1})
-	indexSpace = mcast.AddrSpace{Base: netip.AddrFrom4([4]byte{224, 2, 128, 0}), Size: 24}
-)
+var indexSpace = mcast.AddrSpace{Base: netip.AddrFrom4([4]byte{224, 2, 128, 0}), Size: 24}
 
 // scanCandidates is the rebuild the eviction order replaces: the
 // directory's old candidatesLocked, a walk of the cache that builds one
-// admission.Candidate (and one key string) per entry not announced by self.
-func scanCandidates(s *Cache, self netip.Addr) []admission.Candidate {
+// admission.Candidate (and one key string) per entry, whatever its origin.
+func scanCandidates(s *Cache) []admission.Candidate {
 	var cands []admission.Candidate
 	for _, e := range s.All() {
-		if e.Desc.Origin == self {
-			continue
-		}
 		cands = append(cands, admission.Candidate{
 			Key: e.Desc.Key(), Origin: e.Desc.Origin, TTL: e.Desc.TTL,
 			LastHeard: e.LastHeard, Deleted: e.Deleted,
@@ -85,11 +79,11 @@ func originsAt(c *Cache) map[netip.Addr]originIndex {
 }
 
 // checkIndexInvariants verifies that the heap is a heap in evictsBefore
-// order whose members know their slots, that it holds exactly the entries
-// not announced by self, and that the per-origin counts are exact with no
+// order whose members know their slots, that it holds exactly the
+// cache's entries, and that the per-origin counts are exact with no
 // zero left behind and each origin's bound at or below its earliest
 // LastHeard — exactly there if exact (after an Expire that scanned).
-func checkIndexInvariants(t *testing.T, c *Cache, self netip.Addr, exact bool) {
+func checkIndexInvariants(t *testing.T, c *Cache, exact bool) {
 	t.Helper()
 	for i, e := range c.order {
 		if int(e.heapPos) != i+1 {
@@ -104,14 +98,12 @@ func checkIndexInvariants(t *testing.T, c *Cache, self netip.Addr, exact bool) {
 		if e.key != key || key != e.Desc.Key() {
 			t.Fatalf("entry filed under %q records key %q, its description has %q", key, e.key, e.Desc.Key())
 		}
-		if want := e.Desc.Origin != self; (e.heapPos > 0) != want {
-			t.Fatalf("%s in order = %v, want %v", key, e.heapPos > 0, want)
+		if e.heapPos == 0 {
+			t.Fatalf("%s is not in the order", key)
 		}
-		if e.heapPos > 0 {
-			tracked++
-			if c.order[e.heapPos-1] != e {
-				t.Fatalf("%s's slot %d holds another entry", key, e.heapPos)
-			}
+		tracked++
+		if c.order[e.heapPos-1] != e {
+			t.Fatalf("%s's slot %d holds another entry", key, e.heapPos)
 		}
 	}
 	if tracked != len(c.order) {
@@ -241,7 +233,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 	// budget.
 	checkOrder := func(at string, s *Cache, now time.Time, exact bool, origins, planFor []netip.Addr) {
 		t.Helper()
-		checkIndexInvariants(t, s, indexSelf, exact)
+		checkIndexInvariants(t, s, exact)
 		all := evictableAt(s, now, staleAfter, netip.Addr{}, false)
 		if got := s.appendEvictable([]string{}, len(all)+1, now, staleAfter); !reflect.DeepEqual(got, all) {
 			t.Fatalf("%s: the heap walk found %v evictable, a scan %v", at, got, all)
@@ -263,7 +255,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 				break
 			}
 		}
-		cands := scanCandidates(s, indexSelf)
+		cands := scanCandidates(s)
 		for _, origin := range planFor {
 			for pi, p := range planners {
 				got, want := s.PlanNew(budgets[pi], origin, now), p.PlanNew(cands, origin, now)
@@ -303,7 +295,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 			if seed%2 == 0 {
 				trackAt = 150
 			}
-			// Origins 10.0.0.1 (self) … 10.0.0.12 and ids 1 … 12: string
+			// Origins 10.0.0.1 … 10.0.0.12 and ids 1 … 12: string
 			// order and numeric order disagree on both halves of the key.
 			mk := func() *session.Description {
 				d := odesc(byte(1+ops.IntN(12)), uint64(1+ops.IntN(12)), uint64(1+ops.IntN(3)))
@@ -313,7 +305,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 			}
 			for step := 0; step < 1200; step++ {
 				if step == trackAt {
-					s.TrackOrder(indexSelf)
+					s.TrackOrder()
 				}
 				switch r := ops.IntN(10); {
 				case r < 4: // mostly the clock stands still
@@ -435,13 +427,13 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 
 				checkOrder(fmt.Sprintf("salt %d seed %d step %d", salt, seed, step), s, now, !skip,
 					[]netip.Addr{d.Origin, netip.AddrFrom4([4]byte{10, 0, 0, 2})},
-					[]netip.Addr{d.Origin, indexSelf, netip.AddrFrom4([4]byte{10, 9, 9, 9})})
+					[]netip.Addr{d.Origin, netip.AddrFrom4([4]byte{10, 0, 0, 1}), netip.AddrFrom4([4]byte{10, 9, 9, 9})})
 			}
 			// Emptying the cache empties the indices.
 			for _, e := range s.All() {
 				s.Remove(e.Desc.Key())
 			}
-			checkIndexInvariants(t, s, indexSelf, true)
+			checkIndexInvariants(t, s, true)
 			if empty := allocator.NewState(indexSpace.Size); len(s.order) != 0 || !reflect.DeepEqual(s.state, empty) || len(s.perOrigin) != 0 || tr.PendingDefenses() != 0 {
 				t.Fatalf("salt %d seed %d: %d candidates, allocator state %+v, %d counted origins and %d pending defences left in an empty cache",
 					salt, seed, len(s.order), s.state, len(s.perOrigin), tr.PendingDefenses())
@@ -456,7 +448,7 @@ func TestIndicesMatchFullScanReference(t *testing.T) {
 	{
 		s := NewCache(time.Hour)
 		s.TrackState(indexSpace, allocator.NewState(indexSpace.Size), nil)
-		s.TrackOrder(indexSelf)
+		s.TrackOrder()
 		a, b, e := netip.AddrFrom4([4]byte{10, 0, 0, 2}), netip.AddrFrom4([4]byte{10, 0, 0, 3}), netip.AddrFrom4([4]byte{10, 0, 0, 6})
 		now := time.Unix(2_000_000, 0)
 		for id := uint64(1); id <= 3; id++ {
@@ -657,7 +649,7 @@ func TestExpireBoundFollowsDeadlinesBack(t *testing.T) {
 func TestExpireNothingDueAllocatesNothing(t *testing.T) {
 	for _, n := range []int{1000, 10000} {
 		s := NewCache(time.Hour)
-		s.TrackOrder(indexSelf)
+		s.TrackOrder()
 		s.TrackState(indexSpace, allocator.NewState(indexSpace.Size), nil)
 		now := time.Unix(1_000_000, 0)
 		for i := 0; i < n; i++ {
@@ -687,7 +679,7 @@ func TestExpireNothingDueAllocatesNothing(t *testing.T) {
 // bound set by one and an entry measured by another use the same clock.
 func TestLastHeardIsAWallReading(t *testing.T) {
 	s := NewCache(time.Hour)
-	s.TrackOrder(indexSelf)
+	s.TrackOrder()
 	now := time.Now() // carries a monotonic reading
 	wall := func(at string, e *Entry) {
 		t.Helper()
@@ -713,7 +705,7 @@ func TestLastHeardIsAWallReading(t *testing.T) {
 // case where string order and numeric order disagree.
 func TestEvictionOrderTieBreakIsKeyStringOrder(t *testing.T) {
 	s := NewCache(time.Hour)
-	s.TrackOrder(indexSelf)
+	s.TrackOrder()
 	heard := time.Unix(1000, 0)
 	for _, host := range []byte{9, 10} {
 		for _, id := range []uint64{9, 10} {
@@ -733,18 +725,15 @@ func TestEvictionOrderTieBreakIsKeyStringOrder(t *testing.T) {
 	}
 }
 
-// trimAt is the scan Cache.Trim replaces: the candidates (every entry not
-// announced by self) sorted into eviction order whatever they hold, each
-// origin's first entries past its quota evicted, then the first of the
-// rest past the budget.
-func trimAt(s *Cache, self netip.Addr, b Budget) []string {
+// trimAt is the scan Cache.Trim replaces: every entry sorted into eviction
+// order whatever it holds, each origin's first entries past its quota
+// evicted, then the first of the rest past the budget.
+func trimAt(s *Cache, b Budget) []string {
 	var ordered []*Entry
 	left := map[netip.Addr]int{}
 	for _, e := range s.entries {
-		if e.Desc.Origin != self {
-			ordered = append(ordered, e)
-			left[e.Desc.Origin]++
-		}
+		ordered = append(ordered, e)
+		left[e.Desc.Origin]++
 	}
 	sort.Slice(ordered, func(i, j int) bool { return evictsBefore(ordered[i], ordered[j]) })
 	gone := map[string]bool{}
@@ -768,14 +757,14 @@ func trimAt(s *Cache, self netip.Addr, b Budget) []string {
 // that fit the session budget and every origin's quota, evicts the same
 // keys in the same order however the cache was filled, and answers nil
 // when the counts show nothing over. Over seeded caches of tombstones,
-// entries of self, ties and scopes, under budgets that bind by count, by
-// quota, by both or not at all, it evicts what trimAt does, in its order.
+// ties and scopes, under budgets that bind by count, by quota, by both or
+// not at all, it evicts what trimAt does, in its order.
 func TestTrimDeterministicAndSufficient(t *testing.T) {
 	now := time.Unix(1_000_000, 0)
 	// Ten sessions of three origins, the i-th heard i minutes ago.
 	fill := func(ids ...int) *Cache {
 		s := NewCache(time.Hour)
-		s.TrackOrder(indexSelf)
+		s.TrackOrder()
 		for _, i := range ids {
 			restore(s, odesc(byte(2+i%3), uint64(i+1), 1), 0, now.Add(-time.Hour), now.Add(-time.Duration(i)*time.Minute), now)
 		}
@@ -787,7 +776,7 @@ func TestTrimDeterministicAndSufficient(t *testing.T) {
 	if again := down.Trim(b); !reflect.DeepEqual(evict, again) {
 		t.Fatalf("the trim depends on the order the cache was filled in: %v, %v", evict, again)
 	}
-	if want := trimAt(up, indexSelf, b); !reflect.DeepEqual(evict, want) {
+	if want := trimAt(up, b); !reflect.DeepEqual(evict, want) {
 		t.Fatalf("trim %v, the reference %v", evict, want)
 	}
 	for _, k := range evict {
@@ -815,7 +804,7 @@ func TestTrimDeterministicAndSufficient(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		rng := stats.NewRNG(seed)
 		s := NewCache(time.Hour)
-		s.TrackOrder(indexSelf)
+		s.TrackOrder()
 		for n := rng.IntN(16); n > 0; n-- {
 			d := odesc(byte(1+rng.IntN(5)), uint64(1+rng.IntN(12)), 1)
 			d.TTL = ttls[rng.IntN(len(ttls))]
@@ -826,7 +815,7 @@ func TestTrimDeterministicAndSufficient(t *testing.T) {
 			}
 		}
 		for _, b := range budgets {
-			got, want := s.Trim(b), trimAt(s, indexSelf, b)
+			got, want := s.Trim(b), trimAt(s, b)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("seed %d budget %+v: trim %v, the reference %v", seed, b, got, want)
 			}
@@ -850,7 +839,7 @@ func TestTrimDeterministicAndSufficient(t *testing.T) {
 // that the state counts it beyond the first.
 func TestIndexedRefreshAllocatesNothing(t *testing.T) {
 	s := NewCache(0)
-	s.TrackOrder(indexSelf)
+	s.TrackOrder()
 	s.TrackState(indexSpace, allocator.NewState(indexSpace.Size), nil)
 	now := time.Unix(0, 0)
 	for id := uint64(1); id <= 200; id++ {

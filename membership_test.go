@@ -1,11 +1,13 @@
 package sessiondir
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"sessiondir/internal/mcast"
+	"sessiondir/internal/obs"
 	"sessiondir/internal/sap"
 	"sessiondir/internal/session"
 	"sessiondir/internal/storage"
@@ -14,8 +16,10 @@ import (
 
 // The tests in this file pin who tracks a session in the clash tracker and
 // for how long: the directory its own sessions, from create to withdrawal,
-// and the cache its members, the live entries inside the space that are
-// not ours (checkTracker says it after every op of the index tests).
+// and the cache its members, the live entries inside the space (checkTracker
+// says it after every op of the index tests). A session we own has one
+// record, the owned one: the cache never holds its key, whoever announces
+// it (checkIndices says that too).
 
 // TestCreateSessionRefusesOwnedKey: creating a session under the key of
 // one we own — alone, in a batch, or twice in one batch — is refused before
@@ -71,11 +75,11 @@ func TestCreateSessionRefusesOwnedKey(t *testing.T) {
 	}
 }
 
-// TestWithdrawTombstonesOurEcho: withdrawing a session whose announcement
-// we heard back tombstones the cached copy, as hearing our own deletion
-// would: it is no longer listed or filed in the allocator state, and the
-// journal records the deletion, so a recovered cache does not list it
-// either.
+// TestWithdrawTombstonesOurEcho: a third party's re-announcement of a
+// session we own (§3's phase 3) leaves no second record of it, so
+// withdrawing the session leaves nothing behind: it is no longer listed or
+// filed in the allocator state, the journal holds nothing of it, and a
+// recovered cache does not list it either.
 func TestWithdrawTombstonesOurEcho(t *testing.T) {
 	bus := transport.NewBus()
 	clk := newFakeClock()
@@ -91,8 +95,8 @@ func TestWithdrawTombstonesOurEcho(t *testing.T) {
 		t.Fatal(err)
 	}
 	newForge(t, bus).send(sap.Announce, own.Origin, own)
-	if d.CacheSize() != 1 {
-		t.Fatal("the echo was not cached")
+	if n := d.CacheSize(); n != 0 {
+		t.Fatalf("the cache holds %d entries after a third party's copy of our session, want 0", n)
 	}
 	if err := d.WithdrawSession(own.Key()); err != nil {
 		t.Fatal(err)
@@ -108,8 +112,8 @@ func TestWithdrawTombstonesOurEcho(t *testing.T) {
 		t.Fatalf("the allocator state still holds the withdrawn session's address %d", idx)
 	}
 	checkIndices(t, d)
-	if n := cs.JournalRecords(); n != 2 {
-		t.Fatalf("journal holds %d records, want the echo's learn and its deletion", n)
+	if n := cs.JournalRecords(); n != 0 {
+		t.Fatalf("journal holds %d records, want nothing of our session", n)
 	}
 	if err := cs.Close(); err != nil {
 		t.Fatal(err)
@@ -122,9 +126,11 @@ func TestWithdrawTombstonesOurEcho(t *testing.T) {
 	}
 }
 
-// TestOwnedSessionDefendsAfterItsEchoExpires: an owned session whose echo
-// expires from the cache is still ours to defend. A later session at its
-// address meets a phase-1 re-announcement or a phase-2 move.
+// TestOwnedSessionDefendsAfterItsEchoExpires: an owned session a third
+// party re-announced is still ours to defend once a cache timeout has
+// passed: the copy was never cached, so nothing of it expires, and a later
+// session at its address meets a phase-1 re-announcement or a phase-2
+// move.
 func TestOwnedSessionDefendsAfterItsEchoExpires(t *testing.T) {
 	bus := transport.NewBus()
 	clk := newFakeClock()
@@ -137,8 +143,9 @@ func TestOwnedSessionDefendsAfterItsEchoExpires(t *testing.T) {
 	}
 	f.send(sap.Announce, own.Origin, own)
 	d.Step(clk.Advance(d.cache.Timeout() + time.Minute))
-	if d.CacheSize() != 0 || d.Metrics().SessionsExpired != 1 {
-		t.Fatal("the echo did not expire")
+	if m := d.Metrics(); d.CacheSize() != 0 || m.SessionsLearned != 0 || m.SessionsExpired != 0 {
+		t.Fatalf("a third party's copy of our session: cache size %d, %d learned, %d expired; want none",
+			d.CacheSize(), m.SessionsLearned, m.SessionsExpired)
 	}
 	checkIndices(t, d)
 
@@ -149,6 +156,51 @@ func TestOwnedSessionDefendsAfterItsEchoExpires(t *testing.T) {
 	after := d.Metrics()
 	if after.ClashDefensesOwn == before.ClashDefensesOwn && after.ClashAddressChanges == before.ClashAddressChanges {
 		t.Fatal("a session at our address met neither a re-announcement nor a move")
+	}
+	checkIndices(t, d)
+}
+
+// TestHeardOwnSessionIsFiledOnce: DAIPR places a band from the count of
+// sessions per TTL, so each must count once. A directory whose four
+// sessions a third party re-announces verbatim caches, learns and
+// journals nothing of them, and places its next four sessions where a
+// same-seed twin that heard nothing does.
+func TestHeardOwnSessionIsFiledOnce(t *testing.T) {
+	clk := newFakeClock()
+	bus := transport.NewBus()
+	d, _ := newDirectory(t, bus, clk, "10.0.0.1", 256, 7, nil)
+	defer d.Close()
+	twin, _ := newDirectory(t, transport.NewBus(), clk, "10.0.0.1", 256, 7, nil)
+	defer twin.Close()
+	cs, _ := reopen(t, storage.NewMemFS(), d)
+	if err := cs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	third := newForge(t, bus)
+	create := func(dir *Directory, name string, ttl mcast.TTL) *session.Description {
+		t.Helper()
+		own, err := dir.CreateSession(testDesc(name, ttl))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return own
+	}
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("wide-%d", i)
+		third.send(sap.Announce, d.cfg.Origin, create(d, name, 127))
+		create(twin, name, 127)
+	}
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("local-%d", i)
+		if got, want := create(d, name, 15).Group, create(twin, name, 15).Group; got != want {
+			t.Fatalf("TTL-15 session %d placed at %s, the twin that heard nothing placed it at %s", i, got, want)
+		}
+	}
+	if m := d.Metrics(); d.CacheSize() != 0 || m.SessionsLearned != 0 {
+		t.Fatalf("cache size %d and %d learned after hearing our own sessions, want 0 and 0", d.CacheSize(), m.SessionsLearned)
+	}
+	if n := cs.JournalRecords(); n != 0 {
+		t.Fatalf("journal holds %d records, want nothing of our sessions", n)
 	}
 	checkIndices(t, d)
 }
@@ -187,14 +239,22 @@ func TestSessionHeardOutsideSpaceLeavesNoPhantom(t *testing.T) {
 }
 
 // TestCreateTakesOverAHeardKey: creating a session under a key heard from
-// our own origin (a previous incarnation's) makes the owned session the
-// one the tracker holds; the heard copy's node is unlinked, and a session
+// our own origin (a previous incarnation's) makes the owned record the
+// session's only one: the heard entry leaves the cache, its address the
+// allocator state and its node the tracker, with one journaled key delta
+// and no event, so a recovered cache does not list it; and a session
 // later heard at the new address meets the owner's reaction.
 func TestCreateTakesOverAHeardKey(t *testing.T) {
 	bus := transport.NewBus()
 	clk := newFakeClock()
-	d, _ := newDirectory(t, bus, clk, "10.0.0.1", 64, 1, nil)
+	var log eventLog
+	d, _ := newDirectory(t, bus, clk, "10.0.0.1", 64, 1, &log)
 	defer d.Close()
+	fs := storage.NewMemFS()
+	cs, _ := reopen(t, fs, d)
+	if err := cs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 	f := newForge(t, bus)
 	old := peerDesc("10.0.0.1", 9, d.cfg.Space, 3, 127)
 	f.send(sap.Announce, old.Origin, old)
@@ -202,11 +262,41 @@ func TestCreateTakesOverAHeardKey(t *testing.T) {
 
 	desc := testDesc("again", 127)
 	desc.ID = 9
+	heard := len(log.events)
 	own, err := d.CreateSession(desc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkIndices(t, d)
+	d.mu.Lock()
+	_, cached := d.cache.Peek(own.Key())
+	filed := d.state.Has(3)
+	d.mu.Unlock()
+	if cached || d.CacheSize() != 0 {
+		t.Fatalf("the heard entry is still cached (%v), cache size %d", cached, d.CacheSize())
+	}
+	if idx, _ := d.cfg.Space.Index(own.Group); idx != 3 && filed {
+		t.Fatal("the allocator state still holds the heard entry's address 3")
+	}
+	var kinds []EventKind
+	for _, e := range log.events[heard:] {
+		kinds = append(kinds, e.Kind)
+	}
+	if want := []EventKind{obs.TraceAllocate, obs.TraceAnnounce}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("the create recorded %v, want %v", kinds, want)
+	}
+	if n := cs.JournalRecords(); n != 2 {
+		t.Fatalf("journal holds %d records, want the heard entry's learn and its removal", n)
+	}
+	if err := cs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, _ := newDirectory(t, transport.NewBus(), clk, "10.0.0.2", 64, 2, nil)
+	defer recovered.Close()
+	reopen(t, fs, recovered)
+	if knowsKey(recovered, own.Key()) {
+		t.Fatal("a cache recovered from the journal lists the heard entry the create took over")
+	}
 
 	idx, _ := d.cfg.Space.Index(own.Group)
 	intruder := peerDesc("10.0.0.66", 1, d.cfg.Space, idx, 127)
@@ -215,4 +305,44 @@ func TestCreateTakesOverAHeardKey(t *testing.T) {
 		t.Fatal("a session at our address met neither a re-announcement nor a move")
 	}
 	checkIndices(t, d)
+}
+
+// TestRecoverySkipsOwnedKey: a checkpoint recovered into a directory that
+// already owns one of the sessions in it (a peer's checkpoint, which heard
+// the session) restores everything but that session, whose owned record
+// stays its only one.
+func TestRecoverySkipsOwnedKey(t *testing.T) {
+	bus := transport.NewBus()
+	clk := newFakeClock()
+	d, _ := newDirectory(t, bus, clk, "10.0.0.1", 64, 1, nil)
+	defer d.Close()
+	peer, _ := newDirectory(t, bus, clk, "10.0.0.2", 64, 2, nil)
+	defer peer.Close()
+	own, err := d.CreateSession(testDesc("ours", 127))
+	if err != nil {
+		t.Fatal(err)
+	}
+	theirs, err := peer.CreateSession(testDesc("theirs", 127))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := peerDesc("10.0.0.3", 1, d.cfg.Space, 40, 127)
+	newForge(t, bus).send(sap.Announce, other.Origin, other)
+	if !knowsKey(peer, own.Key()) {
+		t.Fatal("the peer did not hear our session")
+	}
+	fs := checkpointOf(t, peer)
+
+	reopen(t, fs, d)
+	checkIndices(t, d)
+	var keys []string
+	for _, s := range d.Sessions() {
+		keys = append(keys, s.Key())
+	}
+	if want := []string{own.Key(), theirs.Key(), other.Key()}; !reflect.DeepEqual(keys, want) {
+		t.Fatalf("after recovery the directory lists %v, want %v", keys, want)
+	}
+	if n := d.CacheSize(); n != 2 {
+		t.Fatalf("cache size %d after recovery, want 2: the other sites' sessions", n)
+	}
 }
