@@ -16,7 +16,8 @@ import (
 // Steady-state persistence is therefore O(delta), not O(sessions) — the
 // full-cache write happens only at the compaction cadence.
 //
-// Delta payloads (first byte is the kind):
+// Delta payloads (first byte is the kind), each a head and a body that
+// storage.AppendRecord frames:
 //
 //	'L' | firstHeardUnix (8 BE) | lastHeardUnix (8 BE) | SDP bytes
 //	'D' | session key            (deletion: tombstone semantics)
@@ -28,7 +29,8 @@ import (
 // announcement however the sender spells it. Snapshot records are the
 // same 'L' records, one per live session, written from the cache as they
 // are — tombstones are not persisted (a restart may briefly resurrect a
-// deleted session; the deletion's re-announcement squelches it).
+// deleted session; the deletion's re-announcement squelches it). Either
+// way a payload is copied once, into the frame that goes to the disk.
 type CacheStore struct {
 	store  *storage.Store
 	dir    *Directory
@@ -59,38 +61,33 @@ type cacheStoreInstruments struct {
 // learnHeader is a learn record's length before its SDP bytes.
 const learnHeader = 1 + 8 + 8
 
-// learnLen is the length of e's learn record.
-func learnLen(e *announce.Entry) int { return learnHeader + len(e.Payload()) }
-
-// appendLearn appends e's learn record, its payload as heard, to dst.
-func appendLearn(dst []byte, e *announce.Entry) []byte {
-	rec := binary.BigEndian.AppendUint64(append(dst, deltaLearn), uint64(e.FirstHeard))
-	rec = binary.BigEndian.AppendUint64(rec, uint64(e.LastHeard.Unix()))
-	return append(rec, e.Payload()...)
+// learnHead fills head with a learn record's kind and the entry's first
+// and last heard times, in Unix seconds, and returns it.
+func learnHead(head *[learnHeader]byte, first, last int64) []byte {
+	head[0] = deltaLearn
+	binary.BigEndian.PutUint64(head[1:], uint64(first))
+	binary.BigEndian.PutUint64(head[9:], uint64(last))
+	return head[:]
 }
 
-// snapshotRecords sorts live by key and writes their learn records into
-// one arena of exactly their total length.
-func snapshotRecords(live []*announce.Entry) [][]byte {
-	announce.SortByKey(live)
-	size := 0
-	for _, e := range live {
-		size += learnLen(e)
-	}
-	arena := make([]byte, 0, size)
-	records := make([][]byte, len(live))
-	for i, e := range live {
-		start := len(arena)
-		arena = appendLearn(arena, e)
-		records[i] = arena[start:len(arena):len(arena)]
-	}
-	return records
+// appendLearn appends e's learn record, its payload as heard, framed, to
+// batch.
+func appendLearn(batch []byte, e *announce.Entry) []byte {
+	var head [learnHeader]byte
+	return storage.AppendRecord(batch, learnHead(&head, e.FirstHeard, e.LastHeard.Unix()), e.Payload())
 }
 
-// encodeKeyDelta frames a delete/expire/evict delta.
-func encodeKeyDelta(kind byte, key string) []byte {
-	buf := make([]byte, 0, 1+len(key))
-	return append(append(buf, kind), key...)
+// appendKeyRecord appends a delete/expire/evict record, framed, to batch.
+func appendKeyRecord(batch []byte, kind byte, key string) []byte {
+	return storage.AppendRecord(batch, []byte{kind}, key)
+}
+
+// snapshotRecord is what a checkpoint takes of one live entry under the
+// directory lock: its payload, which the entry replaces and never
+// modifies, and its times.
+type snapshotRecord struct {
+	payload     string
+	first, last int64
 }
 
 // OpenCacheStore recovers the journaled cache checkpoint at base inside
@@ -137,35 +134,45 @@ func OpenCacheStore(fsys storage.FS, base string, d *Directory) (*CacheStore, st
 	return cs, rec, nil
 }
 
-// appendBatch journals one drained delta batch. Errors are counted, not
-// propagated: a failed append breaks the store, which then refuses
-// further appends cheaply until a Checkpoint succeeds — the directory
-// keeps serving either way, degraded to snapshot-cadence durability.
-func (cs *CacheStore) appendBatch(batch [][]byte) {
-	if err := cs.store.Append(batch...); err != nil {
+// appendBatch journals one drained batch of framed deltas, which the
+// store checksums and writes. Errors are counted, not propagated: a
+// failed append breaks the store, which then refuses further appends
+// cheaply until a Checkpoint succeeds — the directory keeps serving
+// either way, degraded to snapshot-cadence durability.
+func (cs *CacheStore) appendBatch(batch []byte) {
+	n, err := cs.store.Append(batch)
+	if err != nil {
 		cs.dir.ins.store.appendErrs.Inc()
 		return
 	}
-	cs.dir.ins.store.appended.Add(uint64(len(batch)))
+	cs.dir.ins.store.appended.Add(uint64(n))
 }
 
 // Checkpoint folds the live cache into a fresh snapshot generation and
-// rotates the journal. The cache encode happens under the directory
-// lock; the disk writes do not. Queued-but-undrained deltas are
-// discarded in the same critical section — their effects are inside the
-// snapshot by construction.
+// rotates the journal. Under the directory lock it takes only the live
+// entries' payloads and times, in key order — the payload strings are
+// shared with the cache, not copied — and discards the queued but
+// undrained deltas, whose effects are inside the snapshot by
+// construction. The records are framed, checksummed and written outside
+// it.
 func (cs *CacheStore) Checkpoint() error {
 	d := cs.dir
 	d.drainMu.Lock()
 	defer d.drainMu.Unlock()
 	d.mu.Lock()
-	entries := snapshotRecords(d.cache.Live())
-	d.fx.journal = nil
+	live := d.cache.Live()
+	announce.SortByKey(live)
+	records := make([]snapshotRecord, len(live))
+	for i, e := range live {
+		records[i] = snapshotRecord{payload: e.Payload(), first: e.FirstHeard, last: e.LastHeard.Unix()}
+	}
+	d.fx.journal = emptied(d.fx.journal, keepJournal)
 	d.mu.Unlock()
 
-	err := cs.store.Compact(func(add func([]byte) error) error {
-		for _, p := range entries {
-			if err := add(p); err != nil {
+	err := cs.store.Compact(func(add func(head []byte, body string) error) error {
+		var head [learnHeader]byte
+		for _, r := range records {
+			if err := add(learnHead(&head, r.first, r.last), r.payload); err != nil {
 				return err
 			}
 		}

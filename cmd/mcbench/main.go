@@ -628,6 +628,7 @@ func ownedDir(n int) *clockedDir {
 // (learnClashing).
 func directoryMicros() []microRow {
 	var sized [2][]microRow // the 1k rows and the 10k rows, in one order
+	var journaled microRow  // DirAdmitUnknown10k with a journal
 	space := mcast.SAPDynamicSpace()
 	wireOf := func(i, o int) transport.Message {
 		return sampleAnnouncement(i, o, space.Group(mcast.Addr(i%int(space.Size))))
@@ -647,20 +648,42 @@ func directoryMicros() []microRow {
 		for i := range wires {
 			wires[i] = wireOf(i, i/100) // a hundred sessions per origin
 		}
-		admit := newDir(n, 0)
-		admit.HandleBatch(wires[:n])
-		admit.now = admit.now.Add(2 * time.Minute)
-		next := n
-		sized[s] = append(sized[s], microRow{"DirAdmitUnknown" + size, 1, func(ops int) {
-			for i := 0; i < ops; i++ {
-				admit.now = admit.now.Add(time.Second)
-				admit.HandleBatch(wires[next%len(wires) : next%len(wires)+1])
-				next++
+		admitRow := func(name string, admit *clockedDir) microRow {
+			admit.HandleBatch(wires[:n])
+			admit.now = admit.now.Add(2 * time.Minute)
+			next := n
+			return microRow{name, 1, func(ops int) {
+				for i := 0; i < ops; i++ {
+					admit.now = admit.now.Add(time.Second)
+					admit.HandleBatch(wires[next%len(wires) : next%len(wires)+1])
+					next++
+				}
+				if m := admit.Metrics(); m.Shed != 0 || admit.CacheSize() != n {
+					panic(fmt.Sprintf("%s: %d shed, cache %d of %d: not one eviction per admission", name, m.Shed, admit.CacheSize(), n))
+				}
+			}}
+		}
+		sized[s] = append(sized[s], admitRow("DirAdmitUnknown"+size, newDir(n, 0)))
+		if n == 10000 {
+			// The same admissions with a CacheStore attached, onto a disk
+			// that keeps nothing: each also journals a learn and an
+			// eviction record, framed into the directory's batch buffer and
+			// checksummed and written by the store.
+			d := newDir(n, 0)
+			cs, _, err := sessiondir.OpenCacheStore(storage.DiscardFS{}, "mcbench.cache", d.Directory)
+			must(err)
+			must(cs.Checkpoint())
+			journaled = admitRow("DirAdmitUnknownJournaled10k", d)
+			admit := journaled.run
+			journaled.run = func(ops int) {
+				before := cs.Stats().Appended
+				admit(ops)
+				if st := cs.Stats(); st.AppendErrors != 0 || st.Appended-before != 2*uint64(ops) {
+					panic(fmt.Sprintf("DirAdmitUnknownJournaled10k: %d records journaled, %d append errors; want a learn and an eviction per admission",
+						st.Appended-before, st.AppendErrors))
+				}
 			}
-			if m := admit.Metrics(); m.Shed != 0 || admit.CacheSize() != n {
-				panic(fmt.Sprintf("DirAdmitUnknown: %d shed, cache %d of %d: not one eviction per admission", m.Shed, admit.CacheSize(), n))
-			}
-		}})
+		}
 
 		create := newDir(0, 0)
 		create.HandleBatch(wires[:n])
@@ -750,6 +773,7 @@ func directoryMicros() []microRow {
 	for i := range sized[0] {
 		rows = append(rows, sized[0][i], sized[1][i])
 	}
+	rows = append(rows, journaled)
 
 	// A checkpoint of a listener that heard 10 000 sessions — each entry's
 	// learn record, its payload as heard behind its times, written into a
@@ -915,8 +939,12 @@ const checkpointSessions = 1000
 // gate pins it in absolute terms: an append that allocates or costs
 // microseconds has started doing work that grows with something.
 func checkpointMicro() microRow {
-	payloads := make([][]byte, checkpointSessions)
-	for i := range payloads {
+	// The journaled learn delta: kind byte, two timestamps, SDP bytes —
+	// same shape sessiondir writes — framed for Append, one batch each.
+	head := append([]byte{'L'}, make([]byte, 16)...)
+	sdps := make([]string, checkpointSessions)
+	batches := make([][]byte, checkpointSessions)
+	for i := range batches {
 		desc := &session.Description{
 			ID:      uint64(9000 + i),
 			Version: 1,
@@ -928,25 +956,21 @@ func checkpointMicro() microRow {
 		}
 		sdp, err := desc.MarshalSDP()
 		must(err)
-		// The journaled learn-delta framing: kind byte, two timestamps,
-		// SDP bytes — same shape sessiondir writes.
-		p := make([]byte, 0, 17+len(sdp))
-		p = append(p, 'L')
-		p = append(p, make([]byte, 16)...)
-		payloads[i] = append(p, sdp...)
+		sdps[i] = string(sdp)
+		batches[i] = storage.AppendRecord(nil, head, sdps[i])
 	}
 
 	// The journal is rotated every 65536 appends, off the clock, so the
 	// micro measures appends, not MemFS growth.
-	fs := storage.NewMemFS()
-	st, _, err := storage.Open(fs, "bench.cache", storage.OpenOptions{
+	mem := storage.NewMemFS()
+	st, _, err := storage.Open(mem, "bench.cache", storage.OpenOptions{
 		Replay: func([]byte) error { return nil },
 	})
 	must(err)
 	rotate := func() {
-		must(st.Compact(func(add func([]byte) error) error {
-			for _, p := range payloads {
-				if aerr := add(p); aerr != nil {
+		must(st.Compact(func(add func(head []byte, body string) error) error {
+			for _, sdp := range sdps {
+				if aerr := add(head, sdp); aerr != nil {
 					return aerr
 				}
 			}
@@ -958,7 +982,8 @@ func checkpointMicro() microRow {
 		if i%65536 == 65535 {
 			offClock(rotate)
 		}
-		must(st.Append(payloads[i%checkpointSessions]))
+		_, err := st.Append(batches[i%checkpointSessions])
+		must(err)
 	})}
 }
 
@@ -1041,6 +1066,7 @@ var budgets = []budget{
 	{"DirRefreshKnown10k", allocsAtMost, 0, "", "per 32-datagram batch, which decodes into a recycled slice"},
 	{"DirAdmitUnknown10k", allocsAsOther, 1, "DirAdmitUnknown1k", "the eviction order is kept, not rebuilt per call"},
 	{"DirAdmitUnknown10k", ratioAtMost, 1.5, "DirAdmitUnknown1k", "the eviction order is kept, not rebuilt per call"},
+	{"DirAdmitUnknownJournaled10k", allocsAsOther, 0, "DirAdmitUnknown10k", "journal records are framed into a reused batch buffer"},
 	{"DirCreateSession10k", allocsAsOther, 1, "DirCreateSession1k", "the allocator state is kept, not rebuilt per call"},
 	{"DirCreateSession10k", ratioAtMost, 1.5, "DirCreateSession1k", "the allocator state is kept, not rebuilt per call"},
 	{"DirStep1k", allocsAtMost, 0, "", "a tick with nothing due"},

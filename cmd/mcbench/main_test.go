@@ -251,6 +251,7 @@ func budgetReport() benchReport {
 			{Name: "DirRefreshKnown10k", NsPerOp: 900},
 			{Name: "DirAdmitUnknown1k", NsPerOp: 5400, AllocsOp: 22},
 			{Name: "DirAdmitUnknown10k", NsPerOp: 6700, AllocsOp: 22},
+			{Name: "DirAdmitUnknownJournaled10k", NsPerOp: 7300, AllocsOp: 22},
 			{Name: "DirStep1k", NsPerOp: 40},
 			{Name: "DirStep10k", NsPerOp: 40},
 			{Name: "DirStepBudgeted1k", NsPerOp: 160},
@@ -330,8 +331,8 @@ func TestBudgetFailuresBatchDepthCollapse(t *testing.T) {
 func TestBudgetFailuresMissingMicros(t *testing.T) {
 	r := budgetReport()
 	r.Micro = nil
-	if fails := budgetFailures(r); len(fails) != 39 {
-		t.Fatalf("missing micros should produce thirty-nine failures, one per row the budgets read, got: %v", fails)
+	if fails := budgetFailures(r); len(fails) != 40 {
+		t.Fatalf("missing micros should produce forty failures, one per row the budgets read, got: %v", fails)
 	}
 }
 
@@ -569,7 +570,7 @@ func TestBudgetFailuresAbsoluteBudgets(t *testing.T) {
 		name  string
 		spoil func(*microBenchResult)
 	}{
-		{"CheckpointJournalAppend", func(m *microBenchResult) { m.AllocsOp = 1 }}, // the frame buffer no longer reused
+		{"CheckpointJournalAppend", func(m *microBenchResult) { m.AllocsOp = 1 }}, // the batch copied before it is written
 		{"SAPDecodeZeroCopy", func(m *microBenchResult) { m.NsPerOp = 300 }},      // several times the zero-copy decode
 		{"UDPRecvBatch", func(m *microBenchResult) { m.NsPerOp = 1600 }},          // dearer than one read per datagram ever was
 	} {
@@ -578,6 +579,16 @@ func TestBudgetFailuresAbsoluteBudgets(t *testing.T) {
 		if fails := budgetFailures(r); len(fails) != 1 {
 			t.Errorf("spoiled %s not caught: %v", c.name, fails)
 		}
+	}
+}
+
+// A journaled admission that allocates its learn and eviction records, as
+// each record once was, allocates more than the same admission unjournaled.
+func TestBudgetFailuresJournaledAdmission(t *testing.T) {
+	r := budgetReport()
+	micro(t, &r, "DirAdmitUnknownJournaled10k").AllocsOp = 24
+	if fails := budgetFailures(r); len(fails) != 1 || !strings.Contains(fails[0], "DirAdmitUnknownJournaled10k 24 allocs/op") {
+		t.Fatalf("a journal record allocated per learn and eviction not caught: %v", fails)
 	}
 }
 

@@ -24,8 +24,10 @@ import (
 // packet counters must account for every datagram exactly (the malformed
 // counter is bumped outside d.mu by both receivers at once) and every
 // well-formed session fed must be listed at the end, and recoverable from
-// the checkpoints taken meanwhile. Events are counted by an OnEvent that
-// calls back into the directory, and must match the counters.
+// the checkpoints and journal records written meanwhile, each at the
+// version and as the payload the live cache holds. Events are counted by
+// an OnEvent that calls back into the directory, and must match the
+// counters.
 func TestDirectoryConcurrentUse(t *testing.T) {
 	const (
 		batchLen  = 32
@@ -228,5 +230,27 @@ func TestDirectoryConcurrentUse(t *testing.T) {
 	reopen(t, fs, restarted)
 	if n := missing(restarted); n != 0 {
 		t.Errorf("%d of %d fed sessions were not recovered from the store", n, len(fedKeys))
+	}
+	// And it is the cache itself: every session the live directory holds,
+	// at the version and as the payload it holds it, and no other — the
+	// records framed under the lock and checksummed outside it while the
+	// other callers ran came back whole.
+	cached := func(d *Directory) map[string]string {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		out := map[string]string{}
+		for _, e := range d.cache.Live() {
+			out[e.Key()] = fmt.Sprintf("version %d, payload %s", e.Desc.Version, digest(e.Payload()))
+		}
+		return out
+	}
+	live, recovered := cached(d), cached(restarted)
+	for key, want := range live {
+		if got, ok := recovered[key]; got != want {
+			t.Errorf("%s: recovered %q (present %v), the live cache holds %q", key, got, ok, want)
+		}
+	}
+	if len(recovered) != len(live) {
+		t.Errorf("%d sessions recovered, the live cache holds %d", len(recovered), len(live))
 	}
 }

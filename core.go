@@ -90,13 +90,18 @@ type core struct {
 // filled chunk by chunk — wire is the chunk being filled — so a burst
 // copies nothing it has already written. chunks holds the arena's chunks
 // of wireChunk bytes, the first used of them filled this round and the
-// rest spares: a burst fills those before it allocates.
+// rest spares: a burst fills those before it allocates. journal holds the
+// journal records, each framed where it is queued (storage.AppendRecord)
+// with its checksum left for the store to fill in outside the lock; the
+// flush that takes the batch gives the core a spare buffer in its place
+// and keeps the batch as the next spare once the store has written it
+// (Directory.takeEffects).
 type effects struct {
 	dgrams  []transport.Datagram
 	wire    []byte
 	chunks  [keepChunks][]byte
 	used    int
-	journal [][]byte
+	journal []byte
 	events  []Event
 }
 
@@ -115,9 +120,12 @@ const (
 	// allocates nothing. keepSlots bounds the event buffer. A burst past
 	// them — a Step re-announcing a crowd, a large batch create — leaves
 	// the excess to the collector rather than resident in every directory.
-	keepChunks = 4
-	keepDgrams = 160
-	keepSlots  = 16
+	// keepJournal bounds each of the two journal buffers, the core's and
+	// the spare: 4 kB holds about 20 learn records.
+	keepChunks  = 4
+	keepDgrams  = 160
+	keepSlots   = 16
+	keepJournal = 4 << 10
 )
 
 // chunk returns an empty arena chunk with room for need bytes: the next
@@ -142,8 +150,8 @@ func (fx *effects) chunk(need int) []byte {
 // recycled returns fx's datagram, arena and event buffers emptied for the
 // core to fill again — nothing of what was sent stays reachable through
 // them — or nil for any that outgrew what is kept. Every kept chunk comes
-// back as a spare. The journal batch is the store's once handed over, and
-// is not reused.
+// back as a spare. The journal buffer is not among them: takeEffects
+// swaps it on its own, also when nothing is sent.
 func (fx *effects) recycled() effects {
 	return effects{
 		chunks: fx.chunks,
@@ -223,14 +231,14 @@ func (c *core) record(kind EventKind, key string, addr mcast.Addr, desc *session
 // unchanged announcement.
 func (c *core) journalLearn(e *announce.Entry) {
 	if c.journaling {
-		c.fx.journal = append(c.fx.journal, appendLearn(make([]byte, 0, learnLen(e)), e))
+		c.fx.journal = appendLearn(c.fx.journal, e)
 	}
 }
 
 // journalKey queues a delete/expire/evict record.
 func (c *core) journalKey(kind byte, key string) {
 	if c.journaling {
-		c.fx.journal = append(c.fx.journal, encodeKeyDelta(kind, key))
+		c.fx.journal = appendKeyRecord(c.fx.journal, kind, key)
 	}
 }
 

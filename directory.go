@@ -75,9 +75,10 @@ type Config struct {
 	// Clock supplies time (nil = time.Now). Injectable for tests.
 	Clock func() time.Time
 	// MaxSessions bounds the listened-session cache, tombstones included
-	// (0 = unlimited). When full, stale or deleted entries are evicted
-	// deterministically — never our own sessions — and if everything is
-	// fresh the newcomer is shed instead (drop-newest).
+	// (0 = unlimited). Our own sessions are never cached, so they neither
+	// count against it nor are evicted. When full, stale or deleted entries
+	// are evicted deterministically, and if everything is fresh the
+	// newcomer is shed instead (drop-newest).
 	MaxSessions int
 	// MaxPerOrigin bounds cached sessions per announcing origin
 	// (0 = unlimited).
@@ -135,6 +136,10 @@ type Directory struct {
 	// before mu, never the reverse.
 	drainMu sync.Mutex
 	journal *CacheStore
+	// spareJournal is the emptied journal buffer the next take hands the
+	// core, under drainMu: the batch the last take wrote, if it stayed
+	// within keepJournal.
+	spareJournal []byte
 }
 
 // Metrics are the directory's operational counters, as exposed by sdrd.
@@ -315,28 +320,37 @@ func (d *Directory) flush() {
 
 // takeEffects swaps out what the core has queued for sent, the emptied
 // buffers of the last round, and hands the journal records to the
-// attached store, under drainMu; the append runs outside d.mu, so disk
-// latency never blocks the packet path. Every set of buffers has one
-// holder at a time — the core, or the one flush that took it — also when
-// a flush runs inside another's send (a synchronous transport whose
-// recipients answer at once) or on another goroutine. A flush's first
-// take that finds nothing queued, as after most ticks, leaves the core
-// its buffers: swapping them for the flush's empty ones would drop them.
+// attached store, under drainMu; the append, which checksums them, runs
+// outside d.mu, so disk latency never blocks the packet path. Every set of
+// buffers has one holder at a time — the core, or the one flush that took
+// it — also when a flush runs inside another's send (a synchronous
+// transport whose recipients answer at once) or on another goroutine. The
+// journal batch is swapped on its own, for the spare, and becomes the
+// spare once written. A flush's first take that finds no datagram and no
+// event queued, as after most ticks and most learns, leaves the core its
+// other buffers: swapping them for the flush's empty ones would drop them.
 func (d *Directory) takeEffects(sent effects, first bool) effects {
 	d.drainMu.Lock()
 	defer d.drainMu.Unlock()
 	d.mu.Lock()
-	if first && len(d.fx.dgrams) == 0 && len(d.fx.events) == 0 && len(d.fx.journal) == 0 {
+	sending := len(d.fx.dgrams) > 0 || len(d.fx.events) > 0
+	batch := d.fx.journal
+	if first && !sending && len(batch) == 0 {
 		d.mu.Unlock()
 		return effects{}
 	}
-	fx := d.fx
-	d.fx = sent
+	var fx effects
+	if sending || !first {
+		fx, d.fx = d.fx, sent
+		fx.journal = nil
+	}
+	d.fx.journal = d.spareJournal
 	j := d.journal
 	d.mu.Unlock()
-	if j != nil && len(fx.journal) > 0 {
-		j.appendBatch(fx.journal)
+	if j != nil && len(batch) > 0 {
+		j.appendBatch(batch)
 	}
+	d.spareJournal = emptied(batch, keepJournal)
 	return fx
 }
 

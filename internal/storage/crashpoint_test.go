@@ -101,14 +101,14 @@ func kvString(m map[string]string) string {
 
 // compactKV folds the live model into a snapshot in sorted-key order.
 func compactKV(s *Store, live map[string]string) error {
-	return s.Compact(func(add func([]byte) error) error {
+	return s.Compact(func(add func(head []byte, body string) error) error {
 		keys := make([]string, 0, len(live))
 		for k := range live {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			if err := add(encodeKV(true, k, live[k])); err != nil {
+			if err := add(encodeKV(true, k, live[k]), ""); err != nil {
 				return err
 			}
 		}
@@ -191,7 +191,7 @@ func runScript(fsys FS, ops []kvOp) (allowed []map[string]string) {
 		for _, r := range recs {
 			decodeKV(live, r) // the app mutates memory first, then journals
 		}
-		if err := s.Append(recs...); err != nil {
+		if _, err := s.Append(batch(recs...)); err != nil {
 			// In-flight append: any durable prefix of the batch is a
 			// valid recovery, including none of it.
 			allowed = []map[string]string{model()}
@@ -337,7 +337,7 @@ func TestFaultSoakAckedNeverLost(t *testing.T) {
 				decodeKV(live, r)
 			}
 			wasBroken := s.Broken()
-			if s.Append(recs...) == nil {
+			if _, err := s.Append(batch(recs...)); err == nil {
 				reset(live)
 				anyAck = true
 			} else if !wasBroken {

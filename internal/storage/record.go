@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 )
@@ -48,11 +49,40 @@ func appendHeader(buf []byte, kind byte, gen uint64) []byte {
 	return binary.BigEndian.AppendUint64(buf, gen)
 }
 
-// appendFrame appends one framed record to buf.
-func appendFrame(buf, payload []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	return append(buf, payload...)
+// AppendRecord appends one framed record to buf, its payload head then
+// body, and returns the extended buffer. It is the one record encoder:
+// the frame's length is set and its checksum left zero for the store to
+// fill in as it writes the frame (sealFrames), so a caller may frame
+// records where it cannot afford to checksum them.
+func AppendRecord(buf, head []byte, body string) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(head)+len(body)))
+	buf = append(buf, 0, 0, 0, 0)
+	buf = append(buf, head...)
+	return append(buf, body...)
+}
+
+// errBadBatch refuses frames that AppendRecord did not build.
+var errBadBatch = errors.New("storage: malformed record batch")
+
+// sealFrames fills in the checksum of every frame in frames, a run of
+// AppendRecord frames, and returns how many there are. A length running
+// past the end of frames or above maxRecordLen fails it before anything
+// is written: parseFile would read such a frame as damage.
+func sealFrames(frames []byte) (int, error) {
+	n := 0
+	for rest := frames; len(rest) > 0; n++ {
+		if len(rest) < frameOverhead {
+			return n, errBadBatch
+		}
+		size := binary.BigEndian.Uint32(rest)
+		if size > maxRecordLen || len(rest)-frameOverhead < int(size) {
+			return n, errBadBatch
+		}
+		end := frameOverhead + int(size)
+		binary.BigEndian.PutUint32(rest[4:], crc32.Checksum(rest[frameOverhead:end], castagnoli))
+		rest = rest[end:]
+	}
+	return n, nil
 }
 
 // fileImage is the result of parsing one store file.

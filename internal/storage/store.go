@@ -273,35 +273,37 @@ func (r *Recovery) note(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
-// Append frames the given payloads into the journal and syncs once — a
-// group commit. A nil return means every payload is durable. Any error
-// marks the store broken (the journal tail may be torn); Append then
-// returns ErrUnavailable until a Compact succeeds, so a flaky disk
+// Append writes batch, a run of AppendRecord frames, to the journal and
+// syncs once — a group commit — and returns how many records it held. It
+// fills in each frame's checksum first, in batch itself, which it keeps
+// nothing of. A nil error means every record is durable. A batch that
+// is not such a run is refused before anything is written. Any other
+// error marks the store broken (the journal tail may be torn); Append
+// then returns ErrUnavailable until a Compact succeeds, so a flaky disk
 // degrades to snapshot-only persistence instead of compounding damage.
-func (s *Store) Append(payloads ...[]byte) error {
-	if len(payloads) == 0 {
-		return nil
+func (s *Store) Append(batch []byte) (int, error) {
+	if len(batch) == 0 {
+		return 0, nil
+	}
+	n, err := sealFrames(batch)
+	if err != nil {
+		return 0, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.broken || s.journal == nil {
-		return ErrUnavailable
+		return 0, ErrUnavailable
 	}
-	buf := s.scratch[:0]
-	for _, p := range payloads {
-		buf = appendFrame(buf, p)
-	}
-	s.scratch = buf[:0]
-	if _, err := s.journal.Write(buf); err != nil {
+	if _, err := s.journal.Write(batch); err != nil {
 		s.broken = true
-		return fmt.Errorf("storage: journal append: %w", err)
+		return 0, fmt.Errorf("storage: journal append: %w", err)
 	}
 	if err := s.journal.Sync(); err != nil {
 		s.broken = true
-		return fmt.Errorf("storage: journal sync: %w", err)
+		return 0, fmt.Errorf("storage: journal sync: %w", err)
 	}
-	s.journalRecs += len(payloads)
-	return nil
+	s.journalRecs += n
+	return n, nil
 }
 
 // snapshotChunk flushes the snapshot buffer to the file once it grows
@@ -309,11 +311,12 @@ func (s *Store) Append(payloads ...[]byte) error {
 const snapshotChunk = 256 << 10
 
 // Compact writes a fresh generation-(g+1) snapshot via the write
-// callback (one add call per record), makes it durable, and rotates the
-// journal. On success the store is healthy and the journal is empty; on
-// failure the on-disk state is still a valid recovery point (see the
-// type comment), though the store may refuse Append until retried.
-func (s *Store) Compact(write func(add func(payload []byte) error) error) error {
+// callback (one add call per record, its payload head then body, framed
+// as AppendRecord frames it), makes it durable, and rotates the journal.
+// On success the store is healthy and the journal is empty; on failure
+// the on-disk state is still a valid recovery point (see the type
+// comment), though the store may refuse Append until retried.
+func (s *Store) Compact(write func(add func(head []byte, body string) error) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	newGen := s.gen + 1
@@ -324,8 +327,12 @@ func (s *Store) Compact(write func(add func(payload []byte) error) error) error 
 		return fmt.Errorf("storage: compact create: %w", err)
 	}
 	buf := appendHeader(s.scratch[:0], kindSnapshot, newGen)
-	werr := write(func(payload []byte) error {
-		buf = appendFrame(buf, payload)
+	werr := write(func(head []byte, body string) error {
+		start := len(buf)
+		buf = AppendRecord(buf, head, body)
+		if _, err := sealFrames(buf[start:]); err != nil {
+			return err
+		}
 		if len(buf) >= snapshotChunk {
 			_, err := f.Write(buf)
 			buf = buf[:0]

@@ -28,9 +28,9 @@ func mustOpen(t *testing.T, fsys FS, base string, opts OpenOptions) (*Store, Rec
 
 func compactWith(t *testing.T, s *Store, payloads ...string) {
 	t.Helper()
-	err := s.Compact(func(add func([]byte) error) error {
+	err := s.Compact(func(add func(head []byte, body string) error) error {
 		for _, p := range payloads {
-			if err := add([]byte(p)); err != nil {
+			if err := add(nil, p); err != nil {
 				return err
 			}
 		}
@@ -41,20 +41,40 @@ func compactWith(t *testing.T, s *Store, payloads ...string) {
 	}
 }
 
+// batch frames payloads for Append.
+func batch[T string | []byte](payloads ...T) []byte {
+	var b []byte
+	for _, p := range payloads {
+		b = AppendRecord(b, nil, string(p))
+	}
+	return b
+}
+
+// appendSealed appends payload to buf framed and checksummed, as a file
+// holds it.
+func appendSealed(buf []byte, payload string) []byte {
+	start := len(buf)
+	buf = AppendRecord(buf, nil, payload)
+	if _, err := sealFrames(buf[start:]); err != nil {
+		panic(err)
+	}
+	return buf
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	fs := NewMemFS()
 	s, rec := mustOpen(t, fs, "cache", OpenOptions{Replay: (&collector{}).replay})
 	if rec.SnapshotRecords+rec.JournalRecords != 0 {
 		t.Fatalf("fresh dir replayed records: %+v", rec)
 	}
-	if err := s.Append([]byte("early")); !errors.Is(err, ErrUnavailable) {
+	if _, err := s.Append(batch("early")); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("Append before first Compact = %v, want ErrUnavailable", err)
 	}
 	compactWith(t, s, "snap-a", "snap-b")
-	if err := s.Append([]byte("delta-1"), []byte("delta-2")); err != nil {
+	if _, err := s.Append(batch("delta-1", "delta-2")); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if err := s.Append([]byte("delta-3")); err != nil {
+	if _, err := s.Append(batch("delta-3")); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 	if got := s.JournalRecords(); got != 3 {
@@ -84,14 +104,48 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendRefusesMalformedBatch: a batch that is not a run of
+// AppendRecord frames is refused before a byte of it is written, and the
+// store stays healthy; a record's head and body make one payload.
+func TestAppendRefusesMalformedBatch(t *testing.T) {
+	fs := NewMemFS()
+	s, _ := mustOpen(t, fs, "cache", OpenOptions{Replay: (&collector{}).replay})
+	compactWith(t, s, "base")
+	good := AppendRecord(batch("a"), []byte("head:"), "body")
+	huge := AppendRecord(nil, nil, "x")
+	huge[0] = 0xff // a length past maxRecordLen
+	for name, bad := range map[string][]byte{
+		"frame header cut short": good[:9+4],
+		"record past the end":    good[:len(good)-1],
+		"implausible length":     huge,
+	} {
+		before, _ := fs.ReadFile("cache.journal")
+		if n, err := s.Append(bad); !errors.Is(err, errBadBatch) || n != 0 {
+			t.Errorf("%s: Append = %d, %v; want 0, %v", name, n, err, errBadBatch)
+		}
+		if after, _ := fs.ReadFile("cache.journal"); len(after) != len(before) || s.Broken() {
+			t.Errorf("%s: the journal grew from %d to %d bytes, broken %v", name, len(before), len(after), s.Broken())
+		}
+	}
+	if n, err := s.Append(good); n != 2 || err != nil {
+		t.Fatalf("Append of two records = %d, %v", n, err)
+	}
+	s.Close()
+	var c collector
+	mustOpen(t, fs, "cache", OpenOptions{Replay: c.replay})
+	if want := []string{"base", "a", "head:body"}; !reflect.DeepEqual(c.recs, want) {
+		t.Fatalf("replayed %q, want %q", c.recs, want)
+	}
+}
+
 func TestStoreTornJournalTailIsNormal(t *testing.T) {
 	fs := NewMemFS()
 	s, _ := mustOpen(t, fs, "cache", OpenOptions{Replay: (&collector{}).replay})
 	compactWith(t, s, "base")
-	if err := s.Append([]byte("keep-1"), []byte("keep-2")); err != nil {
+	if _, err := s.Append(batch("keep-1", "keep-2")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append([]byte("lost-tail")); err != nil {
+	if _, err := s.Append(batch("lost-tail")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -153,7 +207,7 @@ func TestStoreCorruptSnapshotQuarantined(t *testing.T) {
 	s2.Close()
 	data, _ = fs.ReadFile("cache")
 	data[headerLen+frameOverhead] ^= 0x01
-	extra := appendFrame(nil, []byte("x")) // damage is now mid-file
+	extra := appendSealed(nil, "x") // damage is now mid-file
 	fs.WriteFile("cache", append(data, extra...))
 	_, rec = mustOpen(t, fs, "cache", OpenOptions{Replay: (&collector{}).replay})
 	if !reflect.DeepEqual(rec.Quarantined, []string{"cache.corrupt-2"}) {
@@ -165,7 +219,7 @@ func TestStoreStaleJournalDiscarded(t *testing.T) {
 	fs := NewMemFS()
 	s, _ := mustOpen(t, fs, "cache", OpenOptions{Replay: (&collector{}).replay})
 	compactWith(t, s, "old")
-	if err := s.Append([]byte("folded-in")); err != nil {
+	if _, err := s.Append(batch("folded-in")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -173,8 +227,8 @@ func TestStoreStaleJournalDiscarded(t *testing.T) {
 	// Simulate the crash window between Compact's snapshot rename and
 	// journal rotation: a newer snapshot lands, the gen-1 journal stays.
 	snap := appendHeader(nil, kindSnapshot, 2)
-	snap = appendFrame(snap, []byte("new-a"))
-	snap = appendFrame(snap, []byte("folded-in"))
+	snap = appendSealed(snap, "new-a")
+	snap = appendSealed(snap, "folded-in")
 	if err := fs.WriteFile("cache", snap); err != nil {
 		t.Fatal(err)
 	}
@@ -252,13 +306,13 @@ func TestStoreBrokenAfterFaultHealsByCompact(t *testing.T) {
 	compactWith(t, s, "base")
 
 	ffs.SetProfile(FaultProfile{SyncErr: 1})
-	if err := s.Append([]byte("doomed")); err == nil {
+	if _, err := s.Append(batch("doomed")); err == nil {
 		t.Fatal("Append with failing sync succeeded")
 	}
 	if !s.Broken() {
 		t.Fatal("store not marked broken after append failure")
 	}
-	if err := s.Append([]byte("refused")); !errors.Is(err, ErrUnavailable) {
+	if _, err := s.Append(batch("refused")); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("Append on broken store = %v, want ErrUnavailable", err)
 	}
 
@@ -267,7 +321,7 @@ func TestStoreBrokenAfterFaultHealsByCompact(t *testing.T) {
 	if s.Broken() {
 		t.Fatal("store still broken after successful compact")
 	}
-	if err := s.Append([]byte("works")); err != nil {
+	if _, err := s.Append(batch("works")); err != nil {
 		t.Fatalf("Append after heal: %v", err)
 	}
 	s.Close()

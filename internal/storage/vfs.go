@@ -200,3 +200,35 @@ func readSized(f File, st interface{ Stat() (fs.FileInfo, error) }) ([]byte, err
 // notExist reports whether err means "no such file" across FS
 // implementations.
 func notExist(err error) bool { return errors.Is(err, fs.ErrNotExist) }
+
+// DiscardFS is a disk that keeps nothing and holds no file: every write
+// succeeds and is gone. A store over it costs only its own work, which is
+// what a measurement of the store or its caller wants to count.
+type DiscardFS struct{}
+
+// Create implements FS.
+func (DiscardFS) Create(string) (File, error) { return discardFile{}, nil }
+
+// Open implements FS: no file exists.
+func (DiscardFS) Open(name string) (File, error) {
+	return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
+}
+
+// Rename implements FS.
+func (DiscardFS) Rename(string, string) error { return nil }
+
+// Remove implements FS.
+func (DiscardFS) Remove(string) error { return nil }
+
+// List implements FS.
+func (DiscardFS) List() ([]string, error) { return nil, nil }
+
+// SyncRoot implements FS.
+func (DiscardFS) SyncRoot() error { return nil }
+
+type discardFile struct{}
+
+func (discardFile) Read([]byte) (int, error)    { return 0, io.EOF }
+func (discardFile) Write(p []byte) (int, error) { return len(p), nil }
+func (discardFile) Sync() error                 { return nil }
+func (discardFile) Close() error                { return nil }

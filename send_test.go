@@ -16,6 +16,7 @@ import (
 	"sessiondir/internal/mcast"
 	"sessiondir/internal/sap"
 	"sessiondir/internal/session"
+	"sessiondir/internal/storage"
 	"sessiondir/internal/transport"
 )
 
@@ -497,4 +498,94 @@ func TestBurstLeavesABoundedArena(t *testing.T) {
 		t.Fatalf("%d datagrams, %d bytes sent: not 1000 announcements and 1000 re-announcements", tx.dgrams, tx.bytes)
 	}
 	kept("after a Step re-announcing 1000")
+}
+
+// TestJournaledLearnKeepsTheArena: a flush that carries journal records
+// only leaves the core its datagram and event buffers. A directory with a
+// CacheStore attached owns 100 sessions and also listens: a learn, which
+// journals a record and sends nothing, followed by a Step that
+// re-announces every owned session allocates no more than the learn
+// alone, so the Step re-announces from the buffers the last one sent from.
+func TestJournaledLearnKeepsTheArena(t *testing.T) {
+	const owned, runs = 100, 50
+	clk := newFakeClock()
+	space := mcast.SAPDynamicSpace()
+	d, err := New(Config{Origin: netip.MustParseAddr("10.0.0.1"), Transport: &discard{}, Clock: clk.Now, Seed: 1,
+		CacheTimeout: 1000 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	cs, _ := reopen(t, storage.NewMemFS(), d)
+	if err := cs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	descs := make([]*session.Description, owned)
+	for i := range descs {
+		descs[i] = testDesc(fmt.Sprintf("own %d", i), 127)
+	}
+	if _, err := d.CreateSessionBatch(descs); err != nil {
+		t.Fatal(err)
+	}
+	wires := make([][]transport.Message, 3*runs+2)
+	for i := range wires {
+		p := peerDesc(fmt.Sprintf("10.1.%d.%d", i>>8, i&255), uint64(i+1), space, mcast.Addr(i), 127)
+		wires[i] = []transport.Message{{Data: announceWire(t, p)}}
+	}
+	next := 0
+	learn := func() {
+		d.HandleBatch(wires[next])
+		next++
+	}
+	now := clk.Now()
+	step := func() {
+		now = now.Add(time.Hour) // every owned session is due
+		d.Step(now)
+	}
+	learn()
+	step() // the due list and the arena grow to the burst
+	learnAlone := testing.AllocsPerRun(runs, learn)
+	pair := testing.AllocsPerRun(runs, func() { learn(); step() })
+	if m := d.Metrics(); m.SessionsLearned != uint64(next) || cs.JournalRecords() != next {
+		t.Fatalf("%d sessions learned, %d journaled, want %d each", m.SessionsLearned, cs.JournalRecords(), next)
+	}
+	if pair > learnAlone {
+		t.Errorf("a learn allocates %v times, a learn and a Step re-announcing %d sessions %v", learnAlone, owned, pair)
+	}
+}
+
+// TestJournalBurstLeavesBoundedBuffers: a batch of learns that journals
+// more than keepJournal bytes at once leaves the directory at most two
+// journal buffers of keepJournal bytes — the core's and the spare; the
+// burst's buffer goes to the collector once written.
+func TestJournalBurstLeavesBoundedBuffers(t *testing.T) {
+	clk := newFakeClock()
+	space := mcast.SAPDynamicSpace()
+	d, err := New(Config{Origin: netip.MustParseAddr("10.0.0.1"), Transport: &discard{}, Clock: clk.Now, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	cs, _ := reopen(t, storage.NewMemFS(), d)
+	if err := cs.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var burst []transport.Message
+	for i := 0; i < 100; i++ {
+		p := peerDesc(fmt.Sprintf("10.1.0.%d", i), uint64(i+1), space, mcast.Addr(i), 127)
+		burst = append(burst, transport.Message{Data: announceWire(t, p)})
+	}
+	d.HandleBatch(burst[:1]) // a batch of one record, kept as the spare
+	d.HandleBatch(burst[1:])
+	if n := cs.JournalRecords(); n != len(burst) {
+		t.Fatalf("%d records journaled, want %d", n, len(burst))
+	}
+	d.drainMu.Lock()
+	d.mu.Lock()
+	kept, spare := cap(d.fx.journal), cap(d.spareJournal)
+	d.mu.Unlock()
+	d.drainMu.Unlock()
+	if kept > keepJournal || spare > keepJournal || kept+spare == 0 {
+		t.Errorf("after a burst the directory keeps journal buffers of %d and %d bytes, want each at most %d, and one kept", kept, spare, keepJournal)
+	}
 }
