@@ -39,7 +39,7 @@ lint:
 
 # Machine-readable diagnostics for tooling (JSON array on stdout).
 lint-json:
-	$(GO) run ./cmd/mclint -json
+	$(GO) run ./cmd/mclint -format=json
 
 # The fault-injection convergence gate: directory fleets under loss,
 # duplication, corruption, reordering, and partition/heal cycles must

@@ -3,8 +3,8 @@
 // go/types machinery (no external dependencies) and runs the analyzers
 // registered in internal/analysis:
 //
-//	detrand     no wall clock or ambient randomness in deterministic packages
-//	maporder    no order-sensitive range-over-map in deterministic packages
+//	detrand     no wall clock or ambient randomness in library packages
+//	maporder    no order-sensitive range-over-map in library packages
 //	lockscope   no function calls while a sync mutex is held
 //	looplock    no per-iteration mutex acquisition inside loop bodies
 //	errdrop     no silently discarded errors on the network paths
@@ -22,9 +22,13 @@
 //
 //	mclint [-C dir] [-only a,b | -skip a,b] [-format text|json|github] [-list]
 //
-// -format=json (or the -json alias) emits the diagnostics as a JSON
-// array for tooling ({"analyzer", "file", "line", "col", "message"});
-// an empty run emits []. -format=github emits GitHub Actions workflow
+// Each analyzer checks every package of the module (every directory with
+// non-test Go files, except testdata/, dot-directories and benchmark/)
+// unless it names its own: errdrop and lockscope do.
+//
+// -format=json emits the diagnostics as a JSON array for tooling
+// ({"analyzer", "file", "line", "col", "message"}); an empty run emits
+// []. -format=github emits GitHub Actions workflow
 // commands (::error file=...,line=...::message) so CI findings annotate
 // the pull request inline.
 package main
@@ -41,12 +45,11 @@ import (
 
 func main() {
 	var (
-		dir     = flag.String("C", ".", "module root to analyze")
-		only    = flag.String("only", "", "comma-separated analyzers to run (default: all)")
-		skip    = flag.String("skip", "", "comma-separated analyzers to skip")
-		format  = flag.String("format", "text", "output format: text, json, or github")
-		jsonOut = flag.Bool("json", false, "shorthand for -format=json")
-		list    = flag.Bool("list", false, "list the registered analyzers and exit")
+		dir    = flag.String("C", ".", "module root to analyze")
+		only   = flag.String("only", "", "comma-separated analyzers to run (default: all)")
+		skip   = flag.String("skip", "", "comma-separated analyzers to skip")
+		format = flag.String("format", "text", "output format: text, json, or github")
+		list   = flag.Bool("list", false, "list the registered analyzers and exit")
 	)
 	flag.Parse()
 
@@ -55,9 +58,6 @@ func main() {
 			fmt.Printf("%-11s %s\n", a.Name, a.Doc)
 		}
 		return
-	}
-	if *jsonOut {
-		*format = "json"
 	}
 	switch *format {
 	case "text", "json", "github":

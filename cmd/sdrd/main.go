@@ -55,7 +55,7 @@ func main() {
 
 func run() error {
 	var (
-		origin     = flag.String("origin", "127.0.0.1", "our IPv4 address, stamped on announcements")
+		origin     = flag.String("origin", "127.0.0.1", "our IPv4 address, stamped on announcements; daemons sharing a host need distinct origins, or two sessions created in one 65.5 µs tick share a key")
 		group      = flag.String("group", transport.DefaultSAPGroup.String(), "SAP multicast group")
 		port       = flag.Uint("port", transport.DefaultSAPPort, "SAP UDP port")
 		peers      = flag.String("peers", "", "comma-separated unicast peers (disables multicast)")

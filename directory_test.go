@@ -413,3 +413,61 @@ func TestDirectoryClosedRefusesWork(t *testing.T) {
 		t.Fatal("closed directory created a session")
 	}
 }
+
+// TestSameOriginCreatesShareAKeyWithinAnIDTick: a created session's ID is
+// its create time in 2^16 ns ticks plus a per-directory counter, so two
+// directories on one origin whose first creates fall in one tick make
+// one session key. Each then takes the other's announcements for forged
+// copies of its own session and never lists it. Daemons that share a
+// host need distinct origins.
+func TestSameOriginCreatesShareAKeyWithinAnIDTick(t *testing.T) {
+	const tick = 1 << 16 // ns
+	for _, c := range []struct {
+		origins [2]string
+		gap     time.Duration
+		shared  bool
+	}{
+		{[2]string{"10.0.0.1", "10.0.0.1"}, 0, true},
+		{[2]string{"10.0.0.1", "10.0.0.1"}, 30 * time.Microsecond, true},
+		{[2]string{"10.0.0.1", "10.0.0.1"}, 70 * time.Microsecond, false},
+		{[2]string{"10.0.0.1", "10.0.0.1"}, time.Millisecond, false},
+		{[2]string{"10.0.0.1", "10.0.0.2"}, 0, false},
+	} {
+		bus := transport.NewBus()
+		clk := newFakeClock()
+		clk.Advance(-time.Duration(clk.Now().UnixNano() % tick)) // the start of a tick
+		a, _ := newDirectory(t, bus, clk, c.origins[0], 256, 1, nil)
+		b, _ := newDirectory(t, bus, clk, c.origins[1], 256, 2, nil)
+		sa, err := a.CreateSession(testDesc("alpha", 127))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(c.gap)
+		sb, err := b.CreateSession(testDesc("beta", 127))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ { // each re-announces to the other
+			now := clk.Advance(10 * time.Second)
+			a.Step(now)
+			b.Step(now)
+		}
+		if shared := sa.Key() == sb.Key(); shared != c.shared {
+			t.Errorf("origins %v, creates %v apart: keys %q and %q, want shared=%v", c.origins, c.gap, sa.Key(), sb.Key(), c.shared)
+		}
+		want, forged := 2, false
+		if c.shared {
+			want, forged = 1, true
+		}
+		for _, d := range []*Directory{a, b} {
+			if n := len(d.Sessions()); n != want {
+				t.Errorf("origins %v, creates %v apart: a directory lists %d sessions, want %d", c.origins, c.gap, n, want)
+			}
+			if m := d.Metrics(); (m.ForgedReports > 0) != forged {
+				t.Errorf("origins %v, creates %v apart: %d forged reports", c.origins, c.gap, m.ForgedReports)
+			}
+		}
+		a.Close()
+		b.Close()
+	}
+}

@@ -16,7 +16,8 @@
 //
 //	//mclint:<analyzer> optional justification
 //
-// Waivers naming an analyzer that does not exist are themselves reported.
+// Waivers naming an analyzer that does not exist, and waivers that
+// suppress nothing, are themselves reported.
 package analysis
 
 import (
@@ -36,8 +37,8 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
 	// Packages lists the import paths the analyzer applies to. The driver
-	// only invokes Run on packages whose path appears here (nil means
-	// every loaded package, which no shipped analyzer uses).
+	// only invokes Run on packages whose path appears here; nil means
+	// every package of the module.
 	Packages []string
 	// Run performs the analysis on one package.
 	Run func(*Pass)
@@ -115,7 +116,7 @@ func (p *Pass) once(compute func() any) any {
 func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
 // A Diagnostic is one finding, addressed by file position. The struct is
-// the unit of mclint's -json output.
+// the unit of mclint's -format=json output.
 type Diagnostic struct {
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file"`

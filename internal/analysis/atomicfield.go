@@ -32,11 +32,6 @@ var AtomicField = &Analyzer{
 	Name: "atomicfield",
 	Doc: "flag struct fields accessed both through sync/atomic and by " +
 		"ordinary read/write, and atomic-typed fields copied by value",
-	Packages: []string{
-		"sessiondir/internal/transport",
-		"sessiondir/internal/obs",
-		"sessiondir/internal/par",
-	},
 	Run: runAtomicField,
 }
 
@@ -105,12 +100,13 @@ func runAtomicField(pass *Pass) {
 	// Mixed-mode report for plain-typed fields.
 	fields := make([]*types.Var, 0, len(a.atomicFn))
 	for fv := range a.atomicFn {
-		if len(a.plain[fv]) > 0 {
-			fields = append(fields, fv)
-		}
+		fields = append(fields, fv)
 	}
 	sort.Slice(fields, func(i, j int) bool { return fields[i].Pos() < fields[j].Pos() })
 	for _, fv := range fields {
+		if len(a.plain[fv]) == 0 {
+			continue
+		}
 		atomicAt := pass.Fset.Position(minPos(a.atomicFn[fv]))
 		for _, pos := range a.plain[fv] {
 			pass.Reportf(pos,

@@ -19,12 +19,7 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 // whole Module.
 func RunFixture(l *Loader, pkg *Package, analyzers ...*Analyzer) []Diagnostic {
 	mod := &Module{Packages: []*Package{pkg}, loader: l, memo: map[*Analyzer]any{}}
-	var diags []Diagnostic
-	waivers := collectWaivers(pkg, &diags)
-	for _, a := range analyzers {
-		runOne(mod, pkg, a, &diags)
-	}
-	diags = applyWaivers(diags, waivers)
+	diags := runPackage(mod, pkg, analyzers)
 	sortDiagnostics(diags)
 	return diags
 }

@@ -8,8 +8,10 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -96,6 +98,40 @@ func newLoader(moduleDir, modulePath string) *Loader {
 		std:        stdImporter(),
 		pkgs:       map[string]*Package{},
 	}
+}
+
+// modulePackages lists the import paths of the module's packages in
+// ascending order: every directory under ModuleDir holding a non-test Go
+// file, except testdata/, dot-directories and benchmark/, whose references
+// only pin names (see Unused).
+func (l *Loader) modulePackages() ([]string, error) {
+	pkgs := map[string]bool{}
+	err := filepath.WalkDir(l.ModuleDir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != l.ModuleDir && (name == "testdata" || name == "benchmark" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		rel, err := filepath.Rel(l.ModuleDir, filepath.Dir(path))
+		if err != nil {
+			return err
+		}
+		pkg := l.ModulePath
+		if rel != "." {
+			pkg += "/" + filepath.ToSlash(rel)
+		}
+		pkgs[pkg] = true
+		return nil
+	})
+	return slices.Sorted(maps.Keys(pkgs)), err
 }
 
 // Load type-checks the module package with the given import path

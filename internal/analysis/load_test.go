@@ -50,3 +50,16 @@ func TestPlatformSelectsHostFiles(t *testing.T) {
 		}
 	}
 }
+
+// TestModulePackagesWalksTheTree pins the walk that scopes a run: every
+// directory holding a non-test Go file, nested ones included, but not
+// testdata/, benchmark/, dot-directories or a directory of tests only.
+func TestModulePackagesWalksTheTree(t *testing.T) {
+	got, err := newLoader(filepath.Join("testdata", "module"), "fixmod").modulePackages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"fixmod", "fixmod/a", "fixmod/a/b"}; !slices.Equal(got, want) {
+		t.Errorf("modulePackages() = %v, want %v", got, want)
+	}
+}

@@ -325,6 +325,7 @@ func mutexOp(pass *Pass, call *ast.CallExpr) (mutex, method string, ok bool) {
 func (ls *lockState) oldestHeld() (string, token.Pos) {
 	var bestName string
 	var bestPos token.Pos
+	//mclint:maporder a minimum over positions, which no two held mutexes share
 	for name, pos := range ls.held {
 		if bestName == "" || pos < bestPos {
 			bestName, bestPos = name, pos
@@ -334,12 +335,11 @@ func (ls *lockState) oldestHeld() (string, token.Pos) {
 }
 
 func intersect(a, b map[string]token.Pos) map[string]token.Pos {
-	out := map[string]token.Pos{}
-	for k, v := range a {
-		if _, ok := b[k]; ok {
-			out[k] = v
-		}
-	}
+	out := maps.Clone(a)
+	maps.DeleteFunc(out, func(k string, _ token.Pos) bool {
+		_, ok := b[k]
+		return !ok
+	})
 	return out
 }
 

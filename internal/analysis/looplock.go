@@ -21,12 +21,6 @@ var LoopLock = &Analyzer{
 	Name: "looplock",
 	Doc: "forbid per-iteration mutex acquisition inside loop bodies; " +
 		"hoist the lock, snapshot, or use an atomic",
-	Packages: []string{
-		"sessiondir",
-		"sessiondir/internal/des",
-		"sessiondir/internal/storage",
-		"sessiondir/internal/transport",
-	},
 	Run: runLoopLock,
 }
 

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// MapOrder flags `range` over a map in the deterministic packages unless
+// MapOrder flags `range` over a map in every library package unless
 // the loop body is provably order-insensitive. Go randomizes map
 // iteration order per run, so a map range whose body's effect depends on
 // visit order (appending to a slice, concatenating, feeding RNG draws)
@@ -31,31 +31,18 @@ import (
 //
 // Anything else needs either a rewrite (iterate sorted keys) or an
 // explicit `//mclint:maporder` waiver stating why order cannot matter.
+// A command (package main) is exempt, as under DetRand.
 var MapOrder = &Analyzer{
 	Name: "maporder",
-	Doc: "flag range-over-map in deterministic packages unless the body is provably " +
+	Doc: "flag range-over-map in library packages unless the body is provably " +
 		"order-insensitive or carries an //mclint:maporder waiver",
-	Packages: []string{
-		"sessiondir",
-		"sessiondir/internal/sim",
-		"sessiondir/internal/allocator",
-		"sessiondir/internal/announce",
-		"sessiondir/internal/des",
-		"sessiondir/internal/experiments",
-		"sessiondir/internal/par",
-		"sessiondir/internal/topology",
-		"sessiondir/internal/stats",
-		"sessiondir/internal/chaos",
-		"sessiondir/internal/admission",
-		"sessiondir/internal/obs",
-		"sessiondir/internal/relay",
-		"sessiondir/internal/storage",
-		"sessiondir/internal/fault",
-	},
 	Run: runMapOrder,
 }
 
 func runMapOrder(pass *Pass) {
+	if pass.Pkg.Name() == "main" {
+		return
+	}
 	for _, f := range pass.Files {
 		// Map each statement to the statements that follow it in its
 		// enclosing block, so collect-then-sort can look downstream.

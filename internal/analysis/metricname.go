@@ -23,12 +23,6 @@ var MetricName = &Analyzer{
 	Doc: "obs registry metric names must be snake_case and unique; literal names " +
 		"passed to Registry registration calls are checked at lint time, mirroring " +
 		"the runtime validation in obs",
-	Packages: []string{
-		"sessiondir",
-		"sessiondir/internal/obs",
-		"sessiondir/internal/transport",
-		"sessiondir/internal/storage",
-	},
 	Run: runMetricName,
 }
 

@@ -1,16 +1,18 @@
 package analysis
 
-import "sort"
-
-// RunModule loads every package targeted by the selected analyzers and
-// runs each analyzer over its targets, returning the surviving (non-
-// waived) diagnostics sorted by position. A nil selection means All().
+// RunModule loads every package of the module and runs each analyzer over
+// the packages it applies to, returning the surviving (non-waived)
+// diagnostics sorted by position. A nil selection means All().
 func RunModule(l *Loader, analyzers []*Analyzer) ([]Diagnostic, error) {
 	if analyzers == nil {
 		analyzers = All()
 	}
+	paths, err := l.modulePackages()
+	if err != nil {
+		return nil, err
+	}
 	mod := &Module{loader: l, memo: map[*Analyzer]any{}}
-	for _, path := range targetUnion(analyzers) {
+	for _, path := range paths {
 		pkg, err := l.Load(path)
 		if err != nil {
 			return nil, err
@@ -19,50 +21,34 @@ func RunModule(l *Loader, analyzers []*Analyzer) ([]Diagnostic, error) {
 	}
 	var diags []Diagnostic
 	for _, pkg := range mod.Packages {
-		diags = append(diags, runPackage(mod, pkg, analyzers)...)
+		var applicable []*Analyzer
+		for _, a := range analyzers {
+			if a.AppliesTo(pkg.Path) {
+				applicable = append(applicable, a)
+			}
+		}
+		diags = append(diags, runPackage(mod, pkg, applicable)...)
 	}
 	sortDiagnostics(diags)
 	return diags, nil
 }
 
-// runPackage runs the applicable subset of analyzers over one loaded
-// package, validates the package's waiver comments, and returns the
+// runPackage runs analyzers over one loaded package, validates the
+// package's waiver comments against what they ran, and returns the
 // diagnostics that survive waiving (unsorted).
 func runPackage(mod *Module, pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	waivers := collectWaivers(pkg, &diags)
 	for _, a := range analyzers {
-		if !a.AppliesTo(pkg.Path) {
-			continue
-		}
-		runOne(mod, pkg, a, &diags)
+		a.Run(&Pass{
+			Fset:     pkg.Fset,
+			Files:    pkg.Files,
+			Pkg:      pkg.Pkg,
+			Info:     pkg.Info,
+			Module:   mod,
+			analyzer: a,
+			diags:    &diags,
+		})
 	}
-	return applyWaivers(diags, waivers)
-}
-
-func runOne(mod *Module, pkg *Package, a *Analyzer, diags *[]Diagnostic) {
-	a.Run(&Pass{
-		Fset:     pkg.Fset,
-		Files:    pkg.Files,
-		Pkg:      pkg.Pkg,
-		Info:     pkg.Info,
-		Module:   mod,
-		analyzer: a,
-		diags:    diags,
-	})
-}
-
-func targetUnion(analyzers []*Analyzer) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, a := range analyzers {
-		for _, p := range a.Packages {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
+	return applyWaivers(diags, waivers, analyzers)
 }

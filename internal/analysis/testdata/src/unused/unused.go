@@ -72,7 +72,7 @@ const unusedConst = 1 // want `const unusedConst is unused`
 
 func waived() {} //mclint:unused the fixture's honoured waiver
 
-func live() int { return 2 } //mclint:unused main calls it after all // want `stale //mclint:unused waiver: non-test code references func live`
+func live() int { return 2 } //mclint:unused main calls it after all // want `stale //mclint:unused waiver: no unused finding here to suppress`
 
 // Pinned is referenced by the fixture's benchmark/ stub.
 func Pinned() {} //mclint:unused pinned by benchmark/bench.go

@@ -1,7 +1,8 @@
 // Package waiver is a fixture for mclint's waiver machinery: a
 // //mclint:<analyzer> comment suppresses that analyzer's diagnostics on
 // its own line and the line below — exactly one site per waiver — and a
-// waiver naming an unknown analyzer is itself reported.
+// waiver naming an unknown analyzer is itself reported, as is one that
+// suppresses nothing of an analyzer that ran.
 package waiver
 
 // Lead form: the waiver on the line above the range statement.
@@ -41,4 +42,20 @@ func typoWaiver(m map[string]int) int {
 		n++
 	}
 	return n
+}
+
+// A waiver with no finding at its site would silently excuse the next
+// one written there, so it is reported.
+func staleWaiver(m map[string]int) int {
+	n := 0
+	//mclint:maporder // want `stale //mclint:maporder waiver: no maporder finding here to suppress`
+	for range m {
+		n++
+	}
+	return n
+}
+
+// A waiver of an analyzer that did not run on the package is not judged.
+func notJudged() {
+	//mclint:lockscope the fixture runs maporder only
 }

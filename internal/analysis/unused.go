@@ -31,20 +31,6 @@ var Unused = &Analyzer{
 	Doc: "every package-level func, method, type, const, var and struct field is referenced " +
 		"by non-test code outside its own declaration; waivers give a reason and go stale " +
 		"once the name is referenced, or once benchmark/ stops referencing a pinned one",
-	Packages: []string{
-		"sessiondir", "sessiondir/cmd/mcbench", "sessiondir/cmd/mcchaos", "sessiondir/cmd/mclint",
-		"sessiondir/cmd/mcollect", "sessiondir/cmd/mktopo", "sessiondir/cmd/sdrd",
-		"sessiondir/examples/conference", "sessiondir/examples/hierarchy", "sessiondir/examples/mbonesim",
-		"sessiondir/examples/quickstart", "sessiondir/examples/sapdump",
-		"sessiondir/internal/admission", "sessiondir/internal/allocator", "sessiondir/internal/analysis",
-		"sessiondir/internal/analytic", "sessiondir/internal/announce", "sessiondir/internal/chaos",
-		"sessiondir/internal/clash", "sessiondir/internal/des", "sessiondir/internal/experiments",
-		"sessiondir/internal/fault", "sessiondir/internal/mcast", "sessiondir/internal/obs",
-		"sessiondir/internal/par", "sessiondir/internal/prefix", "sessiondir/internal/relay",
-		"sessiondir/internal/sap", "sessiondir/internal/session", "sessiondir/internal/sim",
-		"sessiondir/internal/stats", "sessiondir/internal/storage", "sessiondir/internal/topology",
-		"sessiondir/internal/transport",
-	},
 	Run: runUnused,
 }
 
@@ -93,8 +79,10 @@ func runUnused(pass *Pass) {
 	checkUnusedWaivers(pass, refs, decls)
 }
 
-// checkUnusedWaivers reports each //mclint:unused waiver that has lost its
-// reason, or never gave one.
+// checkUnusedWaivers reports each //mclint:unused waiver that gives no
+// reason, and each pin benchmark/ no longer holds. A waiver on a name
+// that non-test code references suppresses nothing, which the driver
+// reports.
 func checkUnusedWaivers(pass *Pass, refs *unusedRefs, decls []declared) {
 	byLine := map[token.Position]declared{} // keyed by Filename and Line only
 	for _, d := range decls {
@@ -105,7 +93,6 @@ func checkUnusedWaivers(pass *Pass, refs *unusedRefs, decls []declared) {
 		}
 	}
 	for _, f := range pass.Files {
-		clause := pass.Fset.Position(f.Package).Line
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				reason, ok := strings.CutPrefix(c.Text, "//"+waiverPrefix+pass.analyzer.Name)
@@ -113,29 +100,28 @@ func checkUnusedWaivers(pass *Pass, refs *unusedRefs, decls []declared) {
 					continue
 				}
 				reason = strings.TrimSpace(reason)
+				if reason == "" {
+					pass.reportWaiver(c.Pos(), "//mclint:unused waiver gives no reason")
+					continue
+				}
 				file, isPin := strings.CutPrefix(reason, benchmarkPin)
+				if !isPin {
+					continue
+				}
 				file, _, _ = strings.Cut(file, " ")
 				p := pass.Fset.Position(c.Pos())
 				p.Offset, p.Column = 0, 0
 				d, found := byLine[p]
-				if !found && p.Line != clause {
+				if !found {
 					p.Line++
 					d, found = byLine[p]
 				}
 				switch {
-				case reason == "":
-					pass.reportWaiver(c.Pos(), "//mclint:unused waiver gives no reason")
-				case p.Line == clause:
-					if refs.imported[pass.Pkg] {
-						pass.reportWaiver(c.Pos(), "stale //mclint:unused waiver: package %s is imported", pass.Pkg.Name())
-					}
-				case !found:
-					pass.reportWaiver(c.Pos(), "//mclint:unused waiver covers no declaration")
-				case refs.used[d.obj]:
-					pass.reportWaiver(c.Pos(), "stale //mclint:unused waiver: non-test code references %s", d.what)
-				case isPin && refs.pinErr != nil:
+				case !found || refs.used[d.obj]:
+					// It suppresses nothing; the driver reports that.
+				case refs.pinErr != nil:
 					pass.reportWaiver(c.Pos(), "cannot check the pin on %s: %v", d.what, refs.pinErr)
-				case isPin && !refs.pinned[pin{d.obj, file}]:
+				case !refs.pinned[pin{d.obj, file}]:
 					pass.reportWaiver(c.Pos(), "stale //mclint:unused waiver: benchmark/%s no longer references %s", file, d.what)
 				}
 			}
@@ -244,7 +230,7 @@ func collectRefs(pkg *Package, own map[types.Object][]ast.Node, use func(obj typ
 		}
 		use(obj, at)
 	}
-	for id, obj := range info.Uses {
+	for id, obj := range info.Uses { //mclint:maporder mark only adds to sets
 		mark(obj, id.Pos())
 	}
 	// convert marks what a value of type from brings into an interface.

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -10,9 +11,9 @@ import (
 // directly below it (lead comment). Anything after the name is a free-
 // form justification for the reader.
 type waiver struct {
-	file string
-	line int
-	name string
+	file      string
+	line, col int
+	name      string
 }
 
 const waiverPrefix = "mclint:"
@@ -45,7 +46,7 @@ func collectWaivers(pkg *Package, diags *[]Diagnostic) []waiver {
 					})
 					continue
 				}
-				out = append(out, waiver{file: pos.Filename, line: pos.Line, name: name})
+				out = append(out, waiver{file: pos.Filename, line: pos.Line, col: pos.Column, name: name})
 			}
 		}
 	}
@@ -53,8 +54,11 @@ func collectWaivers(pkg *Package, diags *[]Diagnostic) []waiver {
 }
 
 // applyWaivers drops diagnostics covered by a waiver. Diagnostics about
-// the waivers themselves (analyzer "mclint") are never waivable.
-func applyWaivers(diags []Diagnostic, waivers []waiver) []Diagnostic {
+// the waivers themselves (analyzer "mclint") are never waivable. A waiver
+// of an analyzer that ran, but that covers none of its diagnostics, is
+// stale and reported: it would silently excuse the next finding at its
+// site. A waiver of an analyzer that did not run is not judged.
+func applyWaivers(diags []Diagnostic, waivers []waiver, ran []*Analyzer) []Diagnostic {
 	if len(waivers) == 0 {
 		return diags
 	}
@@ -63,17 +67,35 @@ func applyWaivers(diags []Diagnostic, waivers []waiver) []Diagnostic {
 		line int
 		name string
 	}
-	covered := make(map[key]bool, 2*len(waivers))
-	for _, w := range waivers {
-		covered[key{w.file, w.line, w.name}] = true     // trailing comment
-		covered[key{w.file, w.line + 1, w.name}] = true // lead comment
+	covered := make(map[key][]int, 2*len(waivers)) // site → the waivers covering it
+	for i, w := range waivers {
+		for _, line := range [...]int{w.line, w.line + 1} { // trailing, lead comment
+			k := key{w.file, line, w.name}
+			covered[k] = append(covered[k], i)
+		}
 	}
+	used := make([]bool, len(waivers))
 	kept := diags[:0]
 	for _, d := range diags {
-		if d.Analyzer != WaiverDiagnostic && covered[key{d.File, d.Line, d.Analyzer}] {
+		by := covered[key{d.File, d.Line, d.Analyzer}]
+		if d.Analyzer != WaiverDiagnostic && len(by) > 0 {
+			for _, i := range by {
+				used[i] = true
+			}
 			continue
 		}
 		kept = append(kept, d)
+	}
+	for i, w := range waivers {
+		if !used[i] && slices.ContainsFunc(ran, func(a *Analyzer) bool { return a.Name == w.name }) {
+			kept = append(kept, Diagnostic{
+				Analyzer: WaiverDiagnostic,
+				File:     w.file,
+				Line:     w.line,
+				Col:      w.col,
+				Message:  "stale //" + waiverPrefix + w.name + " waiver: no " + w.name + " finding here to suppress",
+			})
+		}
 	}
 	return kept
 }

@@ -186,23 +186,23 @@ func (p *Pool) Release(c *Claim) { c.State = ClaimAbandoned }
 // activate. It returns the number of collisions resolved this tick.
 func (p *Pool) Tick(now int64) int {
 	collisions := 0
-	// Group live claims per block.
-	byBlock := make(map[uint32][]*Claim)
-	for _, c := range p.liveClaims() {
-		byBlock[c.Block.Start] = append(byBlock[c.Block.Start], c)
-	}
-	for _, claims := range byBlock {
-		if len(claims) > 1 {
-			sort.Slice(claims, func(i, j int) bool {
-				if claims[i].MadeAt != claims[j].MadeAt {
-					return claims[i].MadeAt < claims[j].MadeAt
-				}
-				return claims[i].seq < claims[j].seq
-			})
-			for _, loser := range claims[1:] {
-				loser.State = ClaimAbandoned
-				collisions++
-			}
+	// Order live claims by block, earliest claim first within a block:
+	// each claim after the first on its block loses.
+	live := p.liveClaims()
+	sort.Slice(live, func(i, j int) bool {
+		a, b := live[i], live[j]
+		if a.Block.Start != b.Block.Start {
+			return a.Block.Start < b.Block.Start
+		}
+		if a.MadeAt != b.MadeAt {
+			return a.MadeAt < b.MadeAt
+		}
+		return a.seq < b.seq
+	})
+	for i := 1; i < len(live); i++ {
+		if live[i].Block.Start == live[i-1].Block.Start {
+			live[i].State = ClaimAbandoned
+			collisions++
 		}
 	}
 	for _, c := range p.liveClaims() {

@@ -147,9 +147,12 @@ func TestSdrdBinaryEndToEnd(t *testing.T) {
 	addr1 := fmt.Sprintf("127.0.0.1:%d", ports[0])
 	addr2 := fmt.Sprintf("127.0.0.1:%d", ports[1])
 
-	run := func(listen, peer, announceName string) (*exec.Cmd, *syncBuffer) {
+	// Distinct origins: two daemons on one origin whose first creates fall
+	// in one ID tick announce one session key
+	// (TestSameOriginCreatesShareAKeyWithinAnIDTick).
+	run := func(origin, listen, peer, announceName string) (*exec.Cmd, *syncBuffer) {
 		return startSdrd(t, bin,
-			"-origin", "127.0.0.1",
+			"-origin", origin,
 			"-listen", listen,
 			"-peers", peer,
 			"-announce", announceName,
@@ -157,8 +160,8 @@ func TestSdrdBinaryEndToEnd(t *testing.T) {
 			"-for", scaled(2*time.Minute).String(), // a backstop: the test stops them
 		)
 	}
-	cmd1, out1 := run(addr1, addr2, "alpha-session")
-	cmd2, out2 := run(addr2, addr1, "beta-session")
+	cmd1, out1 := run("127.0.0.1", addr1, addr2, "alpha-session")
+	cmd2, out2 := run("127.0.0.2", addr2, addr1, "beta-session")
 
 	// Each daemon must learn the other's session.
 	waitForLog(t, scaled(time.Minute), []*syncBuffer{out1, out2}, []string{"beta-session", "alpha-session"})
