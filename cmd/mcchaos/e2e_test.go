@@ -28,6 +28,15 @@ var (
 	chaosBuildErr  error
 )
 
+// TestMain removes the binaries builtChaos built.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if chaosBin != "" {
+		_ = os.RemoveAll(filepath.Dir(chaosBin))
+	}
+	os.Exit(code)
+}
+
 func builtChaos(t *testing.T) (sdrd, mcchaos string) {
 	t.Helper()
 	chaosBuildOnce.Do(func() {

@@ -33,6 +33,15 @@ var (
 	buildErr  error
 )
 
+// TestMain removes the binary builtSdrd built.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if sdrdBin != "" {
+		_ = os.RemoveAll(filepath.Dir(sdrdBin))
+	}
+	os.Exit(code)
+}
+
 func builtSdrd(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {

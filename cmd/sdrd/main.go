@@ -128,8 +128,8 @@ func run() error {
 			if e.Kind == obs.TraceAllocate || e.Kind == obs.TraceShed {
 				return // an announce follows each allocate; a flood sheds by the thousand
 			}
-			if e.Desc != nil {
-				log.Printf("%s: %s (%s ttl=%d)", e.Kind, e.Desc.Name, e.Desc.Group, e.Desc.TTL)
+			if desc := e.Description(); desc != nil {
+				log.Printf("%s: %s (%s ttl=%d)", e.Kind, desc.Name, desc.Group, desc.TTL)
 			} else {
 				log.Printf("%s: %s", e.Kind, e.Key)
 			}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"time"
+	"unsafe"
 
 	"sessiondir/internal/admission"
 	"sessiondir/internal/allocator"
@@ -70,6 +71,10 @@ type core struct {
 	journaling bool
 	reporting  bool
 	fx         effects
+	// sdp is sendOwn's scratch: an owned description is encoded into it and
+	// copied from it into the arena. Like an arena chunk, it is dropped once
+	// it outgrows wireChunk.
+	sdp []byte
 	// dueBuf is step's list of owned keys due for re-announcement, kept
 	// from one tick to the next: it holds at most every owned key.
 	dueBuf []string
@@ -107,8 +112,8 @@ type effects struct {
 
 const (
 	// wireChunk is the size of an arena chunk. When the chunk being
-	// filled has no room for the next datagram, sendDesc starts another
-	// and leaves the full one to the datagrams that slice it.
+	// filled has no room for the next datagram, send starts another and
+	// leaves the full one to the datagrams that slice it.
 	wireChunk = 4 << 10
 	// headerRoom is at least what sap.Packet.AppendHeader writes: eight
 	// bytes and the payload type.
@@ -174,18 +179,17 @@ type ownedSession struct {
 	// desc is &first until a clash move replaces it: a created session and
 	// its description are one allocation.
 	desc *session.Description
-	// key is desc.Key(), the key the session is owned under; hash and
-	// sdpLen are the SAP message id hash and the length of desc's payload
-	// once it has been sent (sdpLen > 0). desc is only ever replaced
-	// (registerOwned, a clash move), never modified, so all three hold
-	// until it is: a re-announcement or a deletion builds no key, measures
-	// nothing and hashes nothing.
+	// key is desc.Key(), the key the session is owned under; hash is the
+	// SAP message id hash of desc's payload once it has been sent
+	// (hashed). desc is only ever replaced (registerOwned, a clash move),
+	// never modified, so both hold until it is: a re-announcement or a
+	// deletion builds no key and hashes nothing.
 	key           string
 	nextAnnounce  time.Time
 	announceCount int32
 	addr          mcast.Addr // desc.Group's index in the space, filed in core.state
-	sdpLen        int32
 	hash          uint16
+	hashed        bool
 	// node is the session's clash-tracker state, bound to key and linked
 	// while the session is ours.
 	node  clash.Node
@@ -197,7 +201,7 @@ type ownedSession struct {
 // malformed verdict (!ok, already counted). pkt.Payload aliases the
 // datagram, on loan until the receive handler returns; apply reads it
 // inside that call, and what it keeps of it — the cache's copy of the
-// payload — aliases nothing.
+// payload, a shed record's copy — aliases nothing.
 type parsedPacket struct {
 	pkt sap.Packet
 	// digest is sap.PayloadDigest of the payload; peek[:peekLen] is what
@@ -215,14 +219,25 @@ func (c *core) ms(t time.Time) float64 {
 
 // record queues the record of one protocol decision: its kind, the
 // session's key, the address index where the decision picked or announced
-// one (else 0) and the session's description where it has one, stamped
-// with now on the tracker's millisecond timeline.
-func (c *core) record(kind EventKind, key string, addr mcast.Addr, desc *session.Description, now time.Time) {
+// one (else 0) and the session as the core holds it — our own description
+// of a session we own, else the payload heard, if any — stamped with now
+// on the tracker's millisecond timeline. The listener parses a payload
+// (Event.Description), not the core.
+func (c *core) record(kind EventKind, key string, addr mcast.Addr, own *session.Description, heard string, now time.Time) {
 	if c.reporting {
 		c.fx.events = append(c.fx.events, Event{
 			TraceEvent: obs.TraceEvent{At: c.ms(now), Kind: kind, Key: key, Addr: uint32(addr)},
-			Desc:       desc,
+			Desc:       own,
+			payload:    heard,
 		})
+	}
+}
+
+// recordShed queues the record of a newcomer shed unread, with a copy of
+// its payload, which is on loan: made only when someone takes the record.
+func (c *core) recordShed(key string, payload []byte, now time.Time) {
+	if c.reporting {
+		c.record(obs.TraceShed, key, 0, nil, string(payload), now)
 	}
 }
 
@@ -345,7 +360,7 @@ func (c *core) registerOwned(desc session.Description, addr mcast.Addr, now time
 	c.state.Add(addr, desc.TTL)
 	c.tracker.AnnounceNode(&own.node, addr, c.ms(now))
 	queued := len(c.fx.events)
-	c.record(obs.TraceAllocate, key, addr, own.desc, now)
+	c.record(obs.TraceAllocate, key, addr, own.desc, "", now)
 	if err := c.announceOwn(own, now); err != nil {
 		c.fx.events = c.fx.events[:queued] // nothing was allocated after all
 		delete(c.owned, key)
@@ -391,83 +406,55 @@ func (c *core) announceOwn(own *ownedSession, now time.Time) error {
 	c.lowerAnnounceBound(own.nextAnnounce)
 	own.announceCount++
 	c.ins.announcementsSent.Inc()
-	c.record(obs.TraceAnnounce, own.key, own.addr, own.desc, now)
+	c.record(obs.TraceAnnounce, own.key, own.addr, own.desc, "", now)
 	return nil
 }
 
-// sendOwn queues a datagram of one of our sessions, measuring and hashing
-// its payload the first time own.desc goes out.
+// sendOwn queues a datagram of one of our sessions, its description
+// encoded into the core's scratch and hashed the first time own.desc goes
+// out.
 func (c *core) sendOwn(own *ownedSession, typ sap.MessageType) error {
-	hash, n, err := c.sendDesc(own.desc, typ, own.hash, int(own.sdpLen))
+	payload, err := own.desc.AppendSDP(c.sdp[:0])
 	if err != nil {
 		return err
 	}
-	own.hash, own.sdpLen = hash, int32(n)
-	return nil
-}
-
-// sendDesc queues desc for transmission with the session's own scope
-// (announcements travel exactly as far as the session's data): the SAP
-// header, then the SDP payload appended behind it. sdpLen is the payload's
-// length and hash its message id hash if known (sdpLen > 0); if not, the
-// length is counted before the payload is written, and the hash is
-// computed over the appended payload. sendDesc returns both. On error
-// nothing is queued.
-func (c *core) sendDesc(desc *session.Description, typ sap.MessageType, hash uint16, sdpLen int) (uint16, int, error) {
-	known := sdpLen > 0
-	if !known {
-		sdpLen = desc.SDPLen()
+	if c.sdp = payload[:0]; cap(payload) > wireChunk {
+		c.sdp = nil
 	}
-	w, start, err := c.startDatagram(typ, hash, desc.Origin, sdpLen)
-	if err != nil {
-		return 0, 0, err
+	if !own.hashed {
+		own.hash, own.hashed = sap.MsgIDHashOf(payload), true
 	}
-	body := len(w)
-	if w, err = desc.AppendSDP(w); err != nil {
-		return 0, 0, err
-	}
-	if !known {
-		hash = sap.MsgIDHashOf(w[body:])
-		sap.PutMsgIDHash(w[start:], hash)
-	}
-	c.endDatagram(w, start, desc.TTL)
-	return hash, sdpLen, nil
+	return c.send(typ, own.hash, own.desc.Origin, own.desc.TTL, payload)
 }
 
 // sendHeard queues an announcement of a heard session, the payload as it
-// was heard, with the session's scope: a third-party defence.
+// was heard, with the session's scope: a third-party defence. The payload
+// is hashed and copied through a read-only view of the cache's string.
 func (c *core) sendHeard(e *announce.Entry) error {
 	payload := e.Payload()
-	w, start, err := c.startDatagram(sap.Announce, 0, e.Desc.Origin, len(payload))
-	if err != nil {
-		return err
-	}
-	body := len(w)
-	w = append(w, payload...)
-	sap.PutMsgIDHash(w[start:], sap.MsgIDHashOf(w[body:]))
-	c.endDatagram(w, start, e.Desc.TTL)
-	return nil
+	view := unsafe.Slice(unsafe.StringData(payload), len(payload))
+	return c.send(sap.Announce, sap.MsgIDHashOf(view), e.Desc.Origin, e.Desc.TTL, view)
 }
 
-// startDatagram writes a SAP header into the effects arena, in a chunk
-// with room for an sdpLen-byte payload behind it, and returns the chunk
-// and where the datagram starts in it.
-func (c *core) startDatagram(typ sap.MessageType, hash uint16, origin netip.Addr, sdpLen int) ([]byte, int, error) {
+// send queues one datagram with the session's scope (announcements travel
+// exactly as far as the session's data): the SAP header, with hash as the
+// payload's message id hash, then the payload, written into the effects
+// arena in a chunk with room for both. On error nothing is queued.
+func (c *core) send(typ sap.MessageType, hash uint16, origin netip.Addr, scope mcast.TTL, payload []byte) error {
 	w := c.fx.wire
-	if need := headerRoom + sdpLen; cap(w)-len(w) < need {
+	if need := headerRoom + len(payload); cap(w)-len(w) < need {
 		w = c.fx.chunk(need)
 		c.fx.wire = w
 	}
-	pkt := sap.Packet{Type: typ, MsgIDHash: hash, Origin: origin}
+	pkt := sap.Packet{Type: typ, MsgIDHash: hash, Origin: origin, Payload: payload}
 	start := len(w)
-	w, err := pkt.AppendHeader(w)
-	return w, start, err
-}
-
-// endDatagram queues the datagram written into w from start on.
-func (c *core) endDatagram(w []byte, start int, scope mcast.TTL) {
+	w, err := pkt.Marshal(w)
+	if err != nil {
+		return err
+	}
 	c.fx.wire = w
 	c.fx.dgrams = append(c.fx.dgrams, transport.Datagram{Data: w[start:len(w):len(w)], Scope: scope})
+	return nil
 }
 
 // withdraw deletes one of our sessions, sending a SAP deletion.
@@ -483,7 +470,7 @@ func (c *core) withdraw(key string, now time.Time) error {
 		return err
 	}
 	c.ins.deletionsSent.Inc()
-	c.record(obs.TraceDelete, key, 0, own.desc, now)
+	c.record(obs.TraceDelete, key, 0, own.desc, "", now)
 	return nil
 }
 
@@ -520,7 +507,7 @@ func (c *core) apply(p *parsedPacket, now time.Time) {
 		c.applyActions(c.observe(e.Node(), &e.Desc, now), now)
 		return
 	}
-	sum, desc, err := c.scan(p.pkt.Payload)
+	sum, err := session.ScanSDP(p.pkt.Payload)
 	if err != nil {
 		c.ins.packetsMalformed.Inc()
 		return
@@ -559,13 +546,13 @@ func (c *core) apply(p *parsedPacket, now time.Time) {
 			c.degradeTick++
 			if c.degradeTick%degradeAdmitSample != 0 {
 				c.ins.degradedLearns.Inc()
-				c.record(obs.TraceShed, key, 0, desc, now)
+				c.recordShed(key, pkt.Payload, now)
 				return
 			}
 		}
 		// A previously unknown session must pass the budget gate before it
 		// may occupy cache (and clash-tracker) state.
-		if !c.admitNew(sum.Origin, desc, key, now) {
+		if !c.admitNew(sum.Origin, pkt.Payload, key, now) {
 			return
 		}
 	}
@@ -573,37 +560,13 @@ func (c *core) apply(p *parsedPacket, now time.Time) {
 	e, fresh := c.cache.ObserveHeard(key, sum, pkt.Payload, p.digest, now)
 	if fresh {
 		c.ins.sessionsLearned.Inc()
-		c.record(obs.TraceLearn, key, 0, desc, now)
+		c.record(obs.TraceLearn, key, 0, nil, e.Payload(), now)
 		// Only fresh observations are journaled; pure LastHeard
 		// refreshes ride on the next snapshot, so a recovered timestamp
 		// is at most one checkpoint interval old.
 		c.journalLearn(e)
 	}
 	c.applyActions(c.observe(e.Node(), &sum, now), now)
-}
-
-// scan reads what the protocol needs of a payload, with ParseSDP's
-// verdict. When someone takes decision records it parses the whole
-// description for them, once, here; the directory keeps none of it.
-func (c *core) scan(payload []byte) (session.Summary, *session.Description, error) {
-	if !c.reporting {
-		sum, err := session.ScanSDP(payload)
-		return sum, nil, err
-	}
-	desc, err := session.ParseSDP(payload)
-	if err != nil {
-		return session.Summary{}, nil, err
-	}
-	return desc.Summary(), desc, nil
-}
-
-// described is e's description, parsed on demand for a decision record,
-// or nil if nobody takes them.
-func (c *core) described(e *announce.Entry) *session.Description {
-	if !c.reporting {
-		return nil
-	}
-	return e.Description()
 }
 
 // unchanged recognises the datagram a listener mostly hears — the
@@ -717,10 +680,9 @@ func sameName(payload []byte, e *announce.Entry) bool {
 func (c *core) budgeted() bool { return c.cfg.MaxSessions > 0 || c.cfg.MaxPerOrigin > 0 }
 
 // admitNew runs the budget gate for a previously unknown session from
-// origin, applying any planned evictions; desc is its description for the
-// decision record, if one is taken. Returns false if the newcomer was
-// shed or denied.
-func (c *core) admitNew(origin netip.Addr, desc *session.Description, key string, now time.Time) bool {
+// origin, applying any planned evictions; payload is the datagram's, for
+// the record of a shed. Returns false if the newcomer was shed or denied.
+func (c *core) admitNew(origin netip.Addr, payload []byte, key string, now time.Time) bool {
 	if !c.budgeted() {
 		return true
 	}
@@ -733,7 +695,7 @@ func (c *core) admitNew(origin netip.Addr, desc *session.Description, key string
 	switch dec.Outcome {
 	case admission.Shed:
 		c.ins.shed.Inc()
-		c.record(obs.TraceShed, key, 0, desc, now)
+		c.recordShed(key, payload, now)
 		return false
 	case admission.DenyQuota:
 		c.ins.quotaDrops.Inc()
@@ -745,7 +707,7 @@ func (c *core) admitNew(origin netip.Addr, desc *session.Description, key string
 // evicted accounts for one session the admission layer displaced.
 func (c *core) evicted(key string, now time.Time) {
 	c.ins.evictions.Inc()
-	c.record(obs.TraceEvict, key, 0, nil, now)
+	c.record(obs.TraceEvict, key, 0, nil, "", now)
 	c.journalKey(deltaEvict, key)
 }
 
@@ -762,7 +724,7 @@ func (c *core) applyActions(actions []clash.Action, now time.Time) {
 			if own, ok := c.owned[key]; ok {
 				if err := c.announceOwn(own, now); err == nil {
 					c.ins.clashDefensesOwn.Inc()
-					c.record(obs.TraceDefendOwn, key, 0, own.desc, now)
+					c.record(obs.TraceDefendOwn, key, 0, own.desc, "", now)
 				}
 			}
 		case clash.ActionModifyAddress:
@@ -779,12 +741,12 @@ func (c *core) applyActions(actions []clash.Action, now time.Time) {
 			c.state.Add(addr, own.desc.TTL)
 			own.desc = own.desc.WithGroup(c.cfg.Space.Group(addr))
 			own.addr = addr
-			own.sdpLen = 0        // a new payload: measured and hashed when next sent
+			own.hashed = false    // a new payload: hashed when next sent
 			own.announceCount = 0 // restart the fast back-off phase
 			c.tracker.AnnounceNode(&own.node, addr, c.ms(now))
 			if err := c.announceOwn(own, now); err == nil {
 				c.ins.clashMoves.Inc()
-				c.record(obs.TraceClashMove, key, addr, own.desc, now)
+				c.record(obs.TraceClashMove, key, addr, own.desc, "", now)
 			}
 		case clash.ActionDefendOther:
 			if degraded {
@@ -797,7 +759,7 @@ func (c *core) applyActions(actions []clash.Action, now time.Time) {
 			if e, ok := c.cache.Get(key); ok {
 				if err := c.sendHeard(e); err == nil {
 					c.ins.clashDefensesThrd.Inc()
-					c.record(obs.TraceDefendOther, key, 0, c.described(e), now)
+					c.record(obs.TraceDefendOther, key, 0, nil, e.Payload(), now)
 				}
 			}
 		}
@@ -838,7 +800,7 @@ func (c *core) step(now time.Time) {
 	c.applyActions(c.tracker.Due(c.ms(now)), now)
 	for _, key := range c.cache.Expire(now) {
 		c.ins.sessionsExpired.Inc()
-		c.record(obs.TraceExpire, key, 0, nil, now)
+		c.record(obs.TraceExpire, key, 0, nil, "", now)
 		c.journalKey(deltaExpire, key)
 	}
 }

@@ -44,12 +44,28 @@ const (
 
 // Event is the record of one protocol decision: the trace fields — At in
 // the directory's virtual milliseconds, Kind, Key, and Addr, the address
-// index for allocate, announce and clash-move (else 0) — and the session's
-// description where the decision concerns one the directory holds or has
-// just parsed (nil for evict and expire).
+// index for allocate, announce and clash-move (else 0) — and the session
+// as the directory held it. Description returns its description.
 type Event struct {
 	obs.TraceEvent
+	// Desc is our own copy of the session's description, for a decision
+	// about a session we own (allocate, announce, delete, clash move,
+	// defend own; nil otherwise). It must not be modified.
 	Desc *session.Description
+	// payload is the SDP payload of a heard session as the directory held
+	// it (learn, defend other, shed), for Description to parse.
+	payload string
+}
+
+// Description is the session's description: Desc for one we own, else
+// the heard payload parsed here, on the listener's side, into a
+// description the caller may keep; nil for evict and expire, which carry
+// only the key.
+func (e Event) Description() *session.Description {
+	if e.Desc != nil || e.payload == "" {
+		return e.Desc
+	}
+	return announce.Describe(e.payload)
 }
 
 // Config assembles a Directory.
@@ -106,7 +122,10 @@ type Config struct {
 	// announce, delete, learn, expire, clash move, both defenses, evict and
 	// shed — in the order the directory made them. It runs with no
 	// directory lock held — after the state change, before the datagrams
-	// it announces are sent — so it may call back into the Directory.
+	// it announces are sent — so it may call back into the Directory. A
+	// listener costs the packet path nothing but the records: a heard
+	// session's description is parsed by Event.Description, when the
+	// listener asks for it.
 	// Callers on several goroutines may deliver their events concurrently,
 	// so the batches of two callers may interleave. A trace ring is one
 	// such listener: record each event's TraceEvent into an obs.Trace.

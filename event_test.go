@@ -65,10 +65,11 @@ func TestOneRecordPerDecision(t *testing.T) {
 		var g, w []string
 		for _, e := range got {
 			g = append(g, render(e.Kind, e.Key, e.At, e.Addr))
-			if wantDesc := e.Kind != obs.TraceEvict && e.Kind != obs.TraceExpire; (e.Desc != nil) != wantDesc {
-				t.Errorf("%s: %s record for %s has a description: %v, want %v", step, e.Kind, e.Key, e.Desc != nil, wantDesc)
-			} else if e.Desc != nil && e.Desc.Key() != e.Key {
-				t.Errorf("%s: %s record for %s carries %s's description", step, e.Kind, e.Key, e.Desc.Key())
+			desc := e.Description()
+			if wantDesc := e.Kind != obs.TraceEvict && e.Kind != obs.TraceExpire; (desc != nil) != wantDesc {
+				t.Errorf("%s: %s record for %s has a description: %v, want %v", step, e.Kind, e.Key, desc != nil, wantDesc)
+			} else if desc != nil && desc.Key() != e.Key {
+				t.Errorf("%s: %s record for %s carries %s's description", step, e.Kind, e.Key, desc.Key())
 			}
 		}
 		for _, r := range want {
@@ -192,4 +193,101 @@ func TestOneRecordPerDecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	expect("withdraw", rec{obs.TraceDelete, own.Key(), at(), 0})
+}
+
+// TestListenerCostsThePacketPathNothing: a directory with an OnEvent
+// listener reads a datagram as one without does — ScanSDP, nothing parsed
+// for the record — so learning a new session allocates as often with a
+// listener as without. The listener parses, through Description: the
+// learn, defend-other and shed records each answer with their own
+// session's description, the shed one from a copy of a datagram that was
+// on loan.
+func TestListenerCostsThePacketPathNothing(t *testing.T) {
+	const runs = 100
+	wires := make([][]transport.Message, runs+1)
+	for i := range wires {
+		wires[i] = []transport.Message{{Data: announceWire(t, heardDesc(i))}}
+	}
+	learns := 0
+	learnAllocs := func(onEvent func(Event)) float64 {
+		t.Helper()
+		clk := newFakeClock()
+		d, err := New(Config{Origin: netip.MustParseAddr("10.0.0.1"), Transport: &discard{}, Clock: clk.Now, Seed: 5, OnEvent: onEvent})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			d.HandleBatch(wires[next])
+			next++
+		})
+		if m := d.Metrics(); m.SessionsLearned != runs+1 {
+			t.Fatalf("%d sessions learned, want %d", m.SessionsLearned, runs+1)
+		}
+		return allocs
+	}
+	bare := learnAllocs(nil)
+	heard := learnAllocs(func(e Event) {
+		if e.Kind == EventSessionLearned {
+			learns++
+		}
+	})
+	slack := 0.0
+	if raceEnabled {
+		slack = 1 // the pool may drop the decode slice, which is then made again
+	}
+	if learns != runs+1 {
+		t.Fatalf("the listener heard %d learns, want %d", learns, runs+1)
+	}
+	if heard > bare+slack || bare > heard+slack {
+		t.Errorf("learning a session allocates %v times with a listener, %v without", heard, bare)
+	}
+
+	// The records, read through Description.
+	clk := newFakeClock()
+	space := mcast.SyntheticSpace(16)
+	log := &eventLog{}
+	d, err := New(Config{
+		Origin: netip.MustParseAddr("10.0.0.1"), Transport: &discard{}, Space: space, Clock: clk.Now, Seed: 3,
+		MaxSessions: 3, Delay: clash.NewUniformDelay(1000, 1001), OnEvent: log.add,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	hear := func(desc *session.Description) {
+		data := announceWire(t, desc)
+		d.HandleBatch([]transport.Message{{Data: data}})
+		transport.Poison(data) // the datagram was on loan for the call only
+	}
+	p, q := peerDesc("10.0.1.1", 1, space, 5, 127), peerDesc("10.0.1.2", 2, space, 5, 127)
+	hear(p)
+	clk.Advance(time.Second)
+	hear(q)
+	d.Step(clk.Advance(2 * time.Second)) // the suppression delay passes: p is defended
+	hear(peerDesc("10.0.1.3", 3, space, 7, 127))
+	shed := peerDesc("10.0.1.4", 4, space, 9, 127)
+	hear(shed) // three fresh sessions fill the budget
+	want := map[EventKind]int{obs.TraceLearn: 3, obs.TraceDefendOther: 1, obs.TraceShed: 1}
+	for _, e := range log.events {
+		if want[e.Kind] == 0 {
+			t.Fatalf("a %s record for %s", e.Kind, e.Key)
+		}
+		want[e.Kind]--
+		if e.Desc != nil {
+			t.Errorf("%s record for %s carries Desc, which is for our own sessions", e.Kind, e.Key)
+		}
+		if desc := e.Description(); desc == nil || desc.Key() != e.Key {
+			t.Errorf("%s record for %s: Description() = %v", e.Kind, e.Key, desc)
+		}
+	}
+	for kind, n := range want {
+		if n != 0 {
+			t.Errorf("%d %s records missing", n, kind)
+		}
+	}
+	if last := log.events[len(log.events)-1]; last.Kind != obs.TraceShed || last.Key != shed.Key() || last.Description().Name != shed.Name {
+		t.Errorf("the last record is %s for %s, want the shed of %s", last.Kind, last.Key, shed.Key())
+	}
 }

@@ -53,8 +53,8 @@ func main() {
 			Clock:     clock.now,
 			Seed:      seed,
 			OnEvent: func(e sessiondir.Event) {
-				if e.Desc != nil {
-					fmt.Printf("  [%s] %-16s %q -> %s\n", origin, e.Kind, e.Desc.Name, e.Desc.Group)
+				if desc := e.Description(); desc != nil {
+					fmt.Printf("  [%s] %-16s %q -> %s\n", origin, e.Kind, desc.Name, desc.Group)
 				}
 			},
 		})

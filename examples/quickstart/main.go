@@ -31,8 +31,8 @@ func main() {
 		Transport: bus.Endpoint(),
 		OnEvent: func(e sessiondir.Event) {
 			if e.Kind == sessiondir.EventSessionLearned {
-				fmt.Printf("bob learned: %q on %s (ttl %d)\n",
-					e.Desc.Name, e.Desc.Group, e.Desc.TTL)
+				desc := e.Description()
+				fmt.Printf("bob learned: %q on %s (ttl %d)\n", desc.Name, desc.Group, desc.TTL)
 			}
 		},
 	})

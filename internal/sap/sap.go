@@ -99,13 +99,6 @@ func MsgIDHashOf(payload []byte) uint16 {
 	return uint16(h ^ (h >> 16))
 }
 
-// PutMsgIDHash sets the message id hash of the marshalled packet wire, for
-// a sender that appended the payload behind AppendHeader and hashed it
-// there.
-func PutMsgIDHash(wire []byte, h uint16) {
-	binary.BigEndian.PutUint16(wire[2:4], h)
-}
-
 // PayloadDigest is a seeded 64-bit digest of a payload, never 0. Where the
 // 16-bit MsgIDHashOf on the wire can only hint that a payload is one
 // already seen, 64 bits under a seed the sender does not know can stand as

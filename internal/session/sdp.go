@@ -43,16 +43,22 @@ func fromNTP(v uint64) time.Time {
 	return time.Unix(int64(v)-ntpEpochOffset, 0).UTC()
 }
 
-// MarshalSDP renders the description in SDP form.
+// MarshalSDP renders the description in SDP form. It encodes into room on
+// the stack and copies the result out, so a payload of up to 1 kB costs one
+// allocation of exactly its length.
 func (d *Description) MarshalSDP() ([]byte, error) {
-	return d.AppendSDP(nil)
+	var room [1 << 10]byte
+	b, err := d.AppendSDP(room[:0])
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out, nil
 }
 
-// AppendSDP appends the description's SDP form to dst and returns the
-// extended slice; on error dst comes back unchanged. A full dst (nil, say)
-// is grown once, by exactly SDPLen. Into spare capacity it appends as
-// append does, so a caller that reuses buffers sizes them by SDPLen and
-// the length is not counted twice.
+// AppendSDP appends the description's SDP form to dst, as append does, and
+// returns the extended slice; on error dst comes back unchanged.
 func (d *Description) AppendSDP(dst []byte) ([]byte, error) {
 	if err := d.Validate(); err != nil {
 		return dst, err
@@ -61,13 +67,7 @@ func (d *Description) AppendSDP(dst []byte) ([]byte, error) {
 	if user == "" {
 		user = "-"
 	}
-	b := dst
-	if cap(b) == len(b) {
-		// Not slices.Grow: under the race detector it allocates twice,
-		// which would fail the allocation pins in the -race CI job.
-		b = append(make([]byte, 0, len(dst)+d.SDPLen()), dst...)
-	}
-	b = append(b, "v=0\r\no="...)
+	b := append(dst, "v=0\r\no="...)
 	b = append(b, user...)
 	b = append(b, ' ')
 	b = strconv.AppendUint(b, d.ID, 10)
@@ -114,61 +114,6 @@ func (d *Description) AppendSDP(dst []byte) ([]byte, error) {
 		}
 	}
 	return b, nil
-}
-
-// SDPLen is the exact number of bytes AppendSDP writes for a description
-// that passes Validate, counted line by line without writing them.
-func (d *Description) SDPLen() int {
-	n := len("v=0\r\no=  \r\n") + max(len(d.OriginUser), len("-")) + decimalLen(d.ID) + decimalLen(d.Version) +
-		len(" IN IP4 ") + addrLen(d.Origin) + textLineLen(d.Name) +
-		len("c=IN IP4 /\r\n") + addrLen(d.Group) + decimalLen(uint64(d.TTL)) +
-		len("t= \r\n") + decimalLen(toNTP(d.Start)) + decimalLen(toNTP(d.Stop))
-	if d.Info != "" {
-		n += textLineLen(d.Info)
-	}
-	if d.BandwidthKbps > 0 {
-		n += len("b=AS:\r\n") + decimalLen(uint64(d.BandwidthKbps))
-	}
-	for _, a := range d.Attributes {
-		n += textLineLen(a)
-	}
-	for i := range d.Media {
-		m := &d.Media[i]
-		n += len("m=   \r\n") + len(m.Type) + decimalLen(uint64(m.Port)) + len(m.Proto) + len(m.Format)
-		for _, a := range m.Attributes {
-			n += textLineLen(a)
-		}
-	}
-	return n
-}
-
-// decimalLen is len(strconv.AppendUint(nil, v, 10)).
-func decimalLen(v uint64) int {
-	n := 1
-	for ; v >= 10; v /= 10 {
-		n++
-	}
-	return n
-}
-
-// addrLen is len(appendAddr(nil, a)).
-func addrLen(a netip.Addr) int {
-	var buf [48]byte
-	return len(appendAddr(buf[:0], a))
-}
-
-// textLineLen is len(appendTextLine(nil, prefix, s)) for a two-byte prefix.
-// Ranging over s yields U+FFFD, three bytes, for each invalid byte, and CR
-// and LF are one byte wide like the space that replaces them.
-func textLineLen(s string) int {
-	n := len("a=\r\n") + len(s)
-	if !textClean(s) {
-		n = len("a=\r\n")
-		for _, r := range s {
-			n += utf8.RuneLen(r)
-		}
-	}
-	return n
 }
 
 // textClean reports whether free text goes out as it is: no CR, no LF and

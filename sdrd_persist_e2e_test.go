@@ -12,6 +12,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,26 +45,58 @@ func countCachedOffline(t *testing.T, path string) int {
 	return cs.Loaded()
 }
 
-// buildSdrd compiles the daemon once into the test's temp dir so the kill
-// test can signal the real process (with `go run`, signals hit the
-// toolchain wrapper, not sdrd).
+// buildSdrd compiles the daemon, once per test binary, so the kill test
+// can signal the real process (with `go run`, signals hit the toolchain
+// wrapper, not sdrd).
 func buildSdrd(t *testing.T) string {
 	t.Helper()
 	return buildSdrdWith(t)
 }
 
+// sdrdBuilds holds the daemons buildSdrdWith compiled, by build flags, in
+// one directory, which TestMain removes.
+var sdrdBuilds struct {
+	sync.Mutex
+	dir  string
+	bins map[string]string
+}
+
 // buildSdrdWith compiles the daemon with extra build flags (e.g. -race,
-// so an e2e run exercises the journal path under the race detector).
+// so an e2e run exercises the journal path under the race detector), once
+// per set of flags.
 func buildSdrdWith(t *testing.T, buildFlags ...string) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "sdrd")
+	sdrdBuilds.Lock()
+	defer sdrdBuilds.Unlock()
+	flags := strings.Join(buildFlags, " ")
+	if bin, ok := sdrdBuilds.bins[flags]; ok {
+		return bin
+	}
+	if sdrdBuilds.dir == "" {
+		dir, err := os.MkdirTemp("", "sdrd-root-e2e-")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sdrdBuilds.dir, sdrdBuilds.bins = dir, map[string]string{}
+	}
+	bin := filepath.Join(sdrdBuilds.dir, fmt.Sprintf("sdrd-%d", len(sdrdBuilds.bins)))
 	args := append([]string{"build"}, buildFlags...)
 	args = append(args, "-o", bin, "./cmd/sdrd")
 	out, err := exec.Command("go", args...).CombinedOutput()
 	if err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	sdrdBuilds.bins[flags] = bin
 	return bin
+}
+
+// TestMain removes the daemons the tests built.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if sdrdBuilds.dir != "" {
+		_ = os.RemoveAll(sdrdBuilds.dir)
+	}
+	os.Exit(code)
 }
 
 func TestSdrdKillRestartPersistence(t *testing.T) {

@@ -500,6 +500,76 @@ func TestBurstLeavesABoundedArena(t *testing.T) {
 	kept("after a Step re-announcing 1000")
 }
 
+// TestDescriptionLongerThanAChunk: a payload longer than an arena chunk
+// goes out whole — an owned session's, created and re-announced, and a
+// heard one's, defended as a third party — each datagram carrying its own
+// payload's hash, and the directory keeps no chunk and no encoding
+// scratch larger than wireChunk afterwards.
+func TestDescriptionLongerThanAChunk(t *testing.T) {
+	clk := newFakeClock()
+	space := mcast.SyntheticSpace(16)
+	l := &lender{}
+	d, err := New(Config{
+		Origin: netip.MustParseAddr("10.0.0.1"), Transport: l, Space: space, Clock: clk.Now, Seed: 3,
+		Delay: clash.NewUniformDelay(1000, 1001),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	long := strings.Repeat("a long description ", wireChunk/16)
+	mine := testDesc("long", 127)
+	mine.Info = long
+	own, err := d.CreateSession(mine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Step(clk.Advance(time.Hour)) // the owned session is due again
+	ownIdx, _ := space.Index(own.Group)
+	other := (ownIdx + 1) % mcast.Addr(space.Size)
+	p := peerDesc("10.0.1.1", 1, space, other, 127)
+	p.Info = long
+	q := peerDesc("10.0.1.2", 2, space, other, 127)
+	d.HandleBatch([]transport.Message{{Data: announceWire(t, p)}})
+	clk.Advance(time.Second)
+	d.HandleBatch([]transport.Message{{Data: announceWire(t, q)}})
+	d.Step(clk.Advance(2 * time.Second)) // the suppression delay passes: p is defended
+	if m := d.Metrics(); m.AnnouncementsSent != 2 || m.ClashDefensesThird != 1 || len(l.sent) != 3 {
+		t.Fatalf("%d datagrams for %d announcements and %d third-party defences, want 3 for 2 and 1",
+			len(l.sent), m.AnnouncementsSent, m.ClashDefensesThird)
+	}
+	for i, s := range l.sent {
+		var pkt sap.Packet
+		if err := pkt.Decode(s.data); err != nil {
+			t.Fatalf("datagram %d does not decode: %v", i, err)
+		}
+		if want := sap.MsgIDHashOf(pkt.Payload); pkt.MsgIDHash != want {
+			t.Fatalf("datagram %d carries message id hash %#04x, its payload hashes to %#04x", i, pkt.MsgIDHash, want)
+		}
+		want := own
+		if i == 2 {
+			want = p
+		}
+		wantPayload, err := want.MarshalSDP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(wantPayload) <= wireChunk || !bytes.Equal(pkt.Payload, wantPayload) {
+			t.Fatalf("datagram %d carries %d bytes, not %s's %d", i, len(pkt.Payload), want.Key(), len(wantPayload))
+		}
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, c := range d.fx.chunks {
+		if cap(c) > wireChunk {
+			t.Errorf("a kept chunk of %d bytes, want at most %d", cap(c), wireChunk)
+		}
+	}
+	if cap(d.fx.wire) > wireChunk || cap(d.sdp) > wireChunk {
+		t.Errorf("a wire of %d bytes and a scratch of %d kept, want each at most %d", cap(d.fx.wire), cap(d.sdp), wireChunk)
+	}
+}
+
 // TestJournaledLearnKeepsTheArena: a flush that carries journal records
 // only leaves the core its datagram and event buffers. A directory with a
 // CacheStore attached owns 100 sessions and also listens: a learn, which
